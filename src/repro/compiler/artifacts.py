@@ -306,8 +306,21 @@ class SympiledFactorization(CompiledArtifact):
         per-item outputs off the artifact's entry point; this hook gives them
         the same shape ``factorize`` returns (a factor matrix, an ``(L, d)``
         pair, ...), so batched and sequential callers see identical types.
+        The default serves the single-factor kernels (Cholesky, IC(0)), whose
+        raw output is the ``Lx`` value array.
         """
-        raise NotImplementedError
+        return self._assemble_factor(raw)
+
+    def factorize(self, A: CSCMatrix, *, check_pattern: bool = False):
+        """Factorize ``A`` (same pattern as at compile time).
+
+        Returns the kernel's factor object — ``L`` (Cholesky, IC(0)),
+        :class:`LDLTFactors` or :class:`LUFactors` (LU, ILU(0)); see
+        :meth:`assemble_factors`.
+        """
+        if check_pattern:
+            self.verify_pattern(A)
+        return self.assemble_factors(self.factorize_arrays(A.indptr, A.indices, A.data))
 
     @property
     def factor_nnz(self) -> int:
@@ -326,34 +339,13 @@ class SympiledCholesky(SympiledFactorization):
 
     kernel_name = "cholesky"
 
-    def assemble_factors(self, raw) -> CSCMatrix:
-        """The Cholesky raw output is the ``Lx`` value array."""
-        return self._assemble_factor(raw)
-
-    def factorize(self, A: CSCMatrix, *, check_pattern: bool = False) -> CSCMatrix:
-        """Factorize ``A`` (same pattern as at compile time) into ``L``."""
-        if check_pattern:
-            self.verify_pattern(A)
-        return self.assemble_factors(self.factorize_arrays(A.indptr, A.indices, A.data))
-
 
 @dataclass
-class SympiledLU(SympiledFactorization):
-    """An LU factorization specialized to one (unsymmetric) matrix pattern.
-
-    Serves square diagonally dominant systems — the Newton Jacobians of the
-    paper's circuit/power-grid workloads — without pivoting, which is what
-    makes the factor patterns predictable at compile time.  ``factorize``
-    returns :class:`LUFactors` whose unit lower-triangular ``L`` (explicit
-    unit diagonal) feeds the generated triangular-solve kernels unchanged and
-    whose upper-triangular ``U`` carries the pivots.
-    """
-
-    kernel_name = "lu"
-    inspection: LUInspectionResult = None
+class _SympiledLowerUpper(SympiledFactorization):
+    """The ``(Lx, Ux)``-shaped kernels (LU, ILU(0)): two factor patterns."""
 
     def assemble_factors(self, raw) -> LUFactors:
-        """The LU raw output is the ``(Lx, Ux)`` value-array pair."""
+        """The raw output is the ``(Lx, Ux)`` value-array pair."""
         lx, ux = raw
         insp = self.inspection
         U = CSCMatrix(
@@ -366,16 +358,26 @@ class SympiledLU(SympiledFactorization):
         )
         return LUFactors(L=self._assemble_factor(lx), U=U)
 
-    def factorize(self, A: CSCMatrix, *, check_pattern: bool = False) -> LUFactors:
-        """Factorize ``A`` (same pattern as at compile time) into ``L, U``."""
-        if check_pattern:
-            self.verify_pattern(A)
-        return self.assemble_factors(self.factorize_arrays(A.indptr, A.indices, A.data))
-
     @property
     def u_pattern(self) -> CSCMatrix:
         """The ``U`` pattern (zero values), available before factorizing."""
         return self.inspection.u_pattern_matrix()
+
+
+@dataclass
+class SympiledLU(_SympiledLowerUpper):
+    """An LU factorization specialized to one (unsymmetric) matrix pattern.
+
+    Serves square diagonally dominant systems — the Newton Jacobians of the
+    paper's circuit/power-grid workloads — without pivoting, which is what
+    makes the factor patterns predictable at compile time.  ``factorize``
+    returns :class:`LUFactors` whose unit lower-triangular ``L`` (explicit
+    unit diagonal) feeds the generated triangular-solve kernels unchanged and
+    whose upper-triangular ``U`` carries the pivots.
+    """
+
+    kernel_name = "lu"
+    inspection: LUInspectionResult = None
 
 
 @dataclass
@@ -395,19 +397,9 @@ class SympiledIC0(SympiledFactorization):
     is_incomplete = True
     inspection: IC0InspectionResult = None
 
-    def assemble_factors(self, raw) -> CSCMatrix:
-        """The IC(0) raw output is the ``Lx`` value array."""
-        return self._assemble_factor(raw)
-
-    def factorize(self, A: CSCMatrix, *, check_pattern: bool = False) -> CSCMatrix:
-        """Compute the incomplete factor of ``A`` (same pattern as compiled)."""
-        if check_pattern:
-            self.verify_pattern(A)
-        return self.assemble_factors(self.factorize_arrays(A.indptr, A.indices, A.data))
-
 
 @dataclass
-class SympiledILU0(SympiledFactorization):
+class SympiledILU0(_SympiledLowerUpper):
     """An incomplete LU ILU(0) specialized to one (unsymmetric) pattern.
 
     No fill, no pivoting: ``L`` is unit lower triangular on the strict lower
@@ -420,31 +412,6 @@ class SympiledILU0(SympiledFactorization):
     kernel_name = "ilu0"
     is_incomplete = True
     inspection: ILU0InspectionResult = None
-
-    def assemble_factors(self, raw) -> LUFactors:
-        """The ILU(0) raw output is the ``(Lx, Ux)`` value-array pair."""
-        lx, ux = raw
-        insp = self.inspection
-        U = CSCMatrix(
-            insp.n,
-            insp.n,
-            insp.u_indptr,
-            insp.u_indices,
-            np.asarray(ux, dtype=np.float64),
-            check=False,
-        )
-        return LUFactors(L=self._assemble_factor(lx), U=U)
-
-    def factorize(self, A: CSCMatrix, *, check_pattern: bool = False) -> LUFactors:
-        """Compute the incomplete factors of ``A`` (same pattern as compiled)."""
-        if check_pattern:
-            self.verify_pattern(A)
-        return self.assemble_factors(self.factorize_arrays(A.indptr, A.indices, A.data))
-
-    @property
-    def u_pattern(self) -> CSCMatrix:
-        """The ``U`` pattern (zero values), available before factorizing."""
-        return self.inspection.u_pattern_matrix()
 
 
 @dataclass
@@ -465,9 +432,3 @@ class SympiledLDLT(SympiledFactorization):
         return LDLTFactors(
             L=self._assemble_factor(lx), d=np.asarray(d, dtype=np.float64)
         )
-
-    def factorize(self, A: CSCMatrix, *, check_pattern: bool = False) -> LDLTFactors:
-        """Factorize ``A`` (same pattern as at compile time) into ``L, D``."""
-        if check_pattern:
-            self.verify_pattern(A)
-        return self.assemble_factors(self.factorize_arrays(A.indptr, A.indices, A.data))

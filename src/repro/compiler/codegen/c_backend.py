@@ -35,7 +35,7 @@ import subprocess
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -209,7 +209,6 @@ class CGeneratedModule:
     compiler: str
     flags: Tuple[str, ...]
     n: int
-    factor_nnz: int = 0
     # Within-kernel execution mode of the generated entry point: "none"
     # (serial ABI), "wavefront" (level-parallel, trailing n_threads arg) or
     # "serial-fallback" (wavefront ABI around the serial body — emitted when
@@ -301,7 +300,7 @@ class CGeneratedModule:
         self._lib = lib
         self.shared_object = so_path
         self.compile_seconds = time.perf_counter() - start
-        self._callable = spec.wrapper_factory(self, fn)
+        self._callable = spec.wrap(self, fn)
         return self._callable
 
     # ------------------------------------------------------------------ #
@@ -354,122 +353,7 @@ class CGeneratedModule:
 # --------------------------------------------------------------------------- #
 # Per-method ABI specs (entry signature + ctypes wrapper)
 # --------------------------------------------------------------------------- #
-_I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-_F64P = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-
-
-def _trisolve_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = None
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P]
-
-    def wrapper(Lp, Li, Lx, b):
-        Lp = np.ascontiguousarray(Lp, dtype=np.int64)
-        Li = np.ascontiguousarray(Li, dtype=np.int64)
-        Lx = np.ascontiguousarray(Lx, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
-        x = np.empty(module.n, dtype=np.float64)
-        fn(Lp, Li, Lx, b, x)
-        return x
-
-    return wrapper
-
-
-def _cholesky_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P]
-
-    def wrapper(Ap, Ai, Ax):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.factor_nnz, dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx)
-        if status != 0:
-            raise ValueError(
-                f"matrix is not positive definite at column {int(status) - 1}"
-            )
-        return Lx
-
-    return wrapper
-
-
-def _ldlt_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P]
-
-    def wrapper(Ap, Ai, Ax):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.factor_nnz, dtype=np.float64)
-        D = np.zeros(module.n, dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, D)
-        if status != 0:
-            raise ValueError(
-                f"matrix is singular (zero pivot) at column {int(status) - 1}"
-            )
-        return Lx, D
-
-    return wrapper
-
-
-def _lu_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P]
-
-    def wrapper(Ap, Ai, Ax):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.meta["l_nnz"], dtype=np.float64)
-        Ux = np.zeros(module.meta["u_nnz"], dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, Ux)
-        if status != 0:
-            raise ValueError(
-                f"matrix is singular (zero pivot) at column {int(status) - 1}"
-            )
-        return Lx, Ux
-
-    return wrapper
-
-
-def _ic0_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P]
-
-    def wrapper(Ap, Ai, Ax):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.factor_nnz, dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx)
-        if status != 0:
-            raise ValueError(
-                f"IC(0) breakdown: non-positive pivot at column {int(status) - 1}"
-            )
-        return Lx
-
-    return wrapper
-
-
-def _ilu0_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P]
-
-    def wrapper(Ap, Ai, Ax):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.meta["l_nnz"], dtype=np.float64)
-        Ux = np.zeros(module.meta["u_nnz"], dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, Ux)
-        if status != 0:
-            raise ValueError(
-                f"ILU(0) breakdown: zero pivot at column {int(status) - 1}"
-            )
-        return Lx, Ux
-
-    return wrapper
+_NUMPY_DTYPES = {"int64_t": np.int64, "double": np.float64}
 
 
 def _wavefront_threads(num_threads: Optional[int]) -> int:
@@ -493,271 +377,121 @@ def _wavefront_threads(num_threads: Optional[int]) -> int:
     return num_threads
 
 
-# Wavefront variants of the wrappers: same array handling, but the entry
-# takes a trailing n_threads and the wrapper a num_threads=None keyword
-# (resolved per call — the thread count is a runtime knob, never baked in).
-def _trisolve_wf_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = None
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P, ctypes.c_int64]
-
-    def wrapper(Lp, Li, Lx, b, num_threads=None):
-        Lp = np.ascontiguousarray(Lp, dtype=np.int64)
-        Li = np.ascontiguousarray(Li, dtype=np.int64)
-        Lx = np.ascontiguousarray(Lx, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
-        x = np.empty(module.n, dtype=np.float64)
-        fn(Lp, Li, Lx, b, x, _wavefront_threads(num_threads))
-        return x
-
-    return wrapper
-
-
-def _cholesky_wf_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, ctypes.c_int64]
-
-    def wrapper(Ap, Ai, Ax, num_threads=None):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.factor_nnz, dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, _wavefront_threads(num_threads))
-        if status != 0:
-            raise ValueError(
-                f"matrix is not positive definite at column {int(status) - 1}"
-            )
-        return Lx
-
-    return wrapper
-
-
-def _ldlt_wf_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P, ctypes.c_int64]
-
-    def wrapper(Ap, Ai, Ax, num_threads=None):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.factor_nnz, dtype=np.float64)
-        D = np.zeros(module.n, dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, D, _wavefront_threads(num_threads))
-        if status != 0:
-            raise ValueError(
-                f"matrix is singular (zero pivot) at column {int(status) - 1}"
-            )
-        return Lx, D
-
-    return wrapper
-
-
-def _lu_wf_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P, ctypes.c_int64]
-
-    def wrapper(Ap, Ai, Ax, num_threads=None):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.meta["l_nnz"], dtype=np.float64)
-        Ux = np.zeros(module.meta["u_nnz"], dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, Ux, _wavefront_threads(num_threads))
-        if status != 0:
-            raise ValueError(
-                f"matrix is singular (zero pivot) at column {int(status) - 1}"
-            )
-        return Lx, Ux
-
-    return wrapper
-
-
-def _ic0_wf_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, ctypes.c_int64]
-
-    def wrapper(Ap, Ai, Ax, num_threads=None):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.factor_nnz, dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, _wavefront_threads(num_threads))
-        if status != 0:
-            raise ValueError(
-                f"IC(0) breakdown: non-positive pivot at column {int(status) - 1}"
-            )
-        return Lx
-
-    return wrapper
-
-
-def _ilu0_wf_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P, ctypes.c_int64]
-
-    def wrapper(Ap, Ai, Ax, num_threads=None):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.meta["l_nnz"], dtype=np.float64)
-        Ux = np.zeros(module.meta["u_nnz"], dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, Ux, _wavefront_threads(num_threads))
-        if status != 0:
-            raise ValueError(
-                f"ILU(0) breakdown: zero pivot at column {int(status) - 1}"
-            )
-        return Lx, Ux
-
-    return wrapper
-
-
 @dataclass(frozen=True)
 class CMethodSpec:
     """ABI description of one kernel method for the C backend.
 
-    ``signature`` is a format template over ``{name}``; ``body_emitter`` names
-    the :class:`CBackend` method emitting the function body;
-    ``wrapper_factory`` builds the NumPy-friendly ctypes wrapper;
-    ``module_meta`` optionally derives extra integers the wrapper needs (e.g.
-    the per-factor allocation sizes of LU) from the compilation context.  The
-    backend dispatches on this table, so registering a new kernel method means
-    adding a spec instead of editing the generator.
+    The entry point takes the ``inputs`` (``(C name, element type)`` of each
+    ``const`` array, in order), then one ``double*`` per ``outputs`` entry
+    (``(C name, size attribute)`` — the buffer length is that attribute of
+    the inspection result: ``n``, ``factor_nnz``, ``l_nnz``, ...), then, when
+    ``wavefront``, a trailing ``int64_t n_threads``.  ``failure`` is the
+    message (a template over ``{column}``) of the ``ValueError`` raised when
+    the entry returns the nonzero status ``column + 1``; ``None`` declares a
+    ``void`` entry that cannot fail.  ``body_emitter`` names the
+    :class:`CBackend` method emitting the function body.  Both the emitted C
+    signature and the NumPy-friendly ctypes wrapper derive from this one
+    description, so registering a new kernel method means adding a spec
+    instead of editing the generator.
     """
 
-    signature: str
     body_emitter: str
-    wrapper_factory: Callable
-    needs_factor_nnz: bool = False
-    module_meta: Optional[Callable[[object], Dict[str, int]]] = None
+    inputs: Tuple[Tuple[str, str], ...]
+    outputs: Tuple[Tuple[str, str], ...]
+    failure: Optional[str] = None
+    wavefront: bool = False
 
+    @property
+    def signature(self) -> str:
+        """The C prototype, a format template over ``{name}``."""
+        params = [f"const {ctype}* {name}" for name, ctype in self.inputs]
+        params += [f"double* {name}" for name, _ in self.outputs]
+        if self.wavefront:
+            params.append("int64_t n_threads")
+        restype = "void" if self.failure is None else "int64_t"
+        return f"{restype} {{name}}({', '.join(params)})"
+
+    def wrap(self, module: "CGeneratedModule", fn) -> Callable:
+        """The NumPy-friendly wrapper of the loaded entry point ``fn``.
+
+        Takes the input arrays positionally, allocates the outputs and
+        returns them (a bare array for one output, a tuple otherwise).  A
+        wavefront entry's wrapper also takes ``num_threads=None``, resolved
+        per call — the thread count is a runtime knob, never baked in.
+        """
+        dtypes = [_NUMPY_DTYPES[ctype] for _, ctype in self.inputs]
+        sizes = [module.meta[attr] for _, attr in self.outputs]
+        pointers = [np.ctypeslib.ndpointer(dtype=d, flags="C_CONTIGUOUS") for d in dtypes]
+        pointers += [np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")] * len(sizes)
+        fn.restype = None if self.failure is None else ctypes.c_int64
+        fn.argtypes = pointers + ([ctypes.c_int64] if self.wavefront else [])
+
+        def call(arrays, tail=()):
+            args = [np.ascontiguousarray(a, dtype=d) for a, d in zip(arrays, dtypes)]
+            outs = [np.zeros(size, dtype=np.float64) for size in sizes]
+            status = fn(*args, *outs, *tail)
+            if status:
+                raise ValueError(self.failure.format(column=int(status) - 1))
+            return outs[0] if len(outs) == 1 else tuple(outs)
+
+        if self.wavefront:
+            return lambda *arrays, num_threads=None: call(arrays, (_wavefront_threads(num_threads),))
+        return lambda *arrays: call(arrays)
+
+
+_FACTOR_INPUTS = (("Ap", "int64_t"), ("Ai", "int64_t"), ("Ax", "double"))
+_ZERO_PIVOT = "matrix is singular (zero pivot) at column {column}"
 
 _C_METHOD_SPECS: Dict[str, CMethodSpec] = {
     "triangular-solve": CMethodSpec(
-        signature=(
-            "void {name}(const int64_t* Lp, const int64_t* Li, "
-            "const double* Lx, const double* b, double* x)"
-        ),
         body_emitter="_emit_trisolve_body",
-        wrapper_factory=_trisolve_wrapper,
+        inputs=(("Lp", "int64_t"), ("Li", "int64_t"), ("Lx", "double"), ("b", "double")),
+        outputs=(("x", "n"),),
     ),
     "cholesky": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx)"
-        ),
         body_emitter="_emit_factorization_body",
-        wrapper_factory=_cholesky_wrapper,
-        needs_factor_nnz=True,
+        inputs=_FACTOR_INPUTS,
+        outputs=(("Lx", "factor_nnz"),),
+        failure="matrix is not positive definite at column {column}",
     ),
     "ldlt": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, double* D)"
-        ),
         body_emitter="_emit_factorization_body",
-        wrapper_factory=_ldlt_wrapper,
-        needs_factor_nnz=True,
+        inputs=_FACTOR_INPUTS,
+        outputs=(("Lx", "factor_nnz"), ("D", "n")),
+        failure=_ZERO_PIVOT,
     ),
     "lu": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, double* Ux)"
-        ),
         body_emitter="_emit_lu_body",
-        wrapper_factory=_lu_wrapper,
-        needs_factor_nnz=True,
-        module_meta=lambda context: {
-            "l_nnz": int(context.inspection.l_nnz),
-            "u_nnz": int(context.inspection.u_nnz),
-        },
+        inputs=_FACTOR_INPUTS,
+        outputs=(("Lx", "l_nnz"), ("Ux", "u_nnz")),
+        failure=_ZERO_PIVOT,
     ),
     "ic0": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx)"
-        ),
         body_emitter="_emit_ic0_body",
-        wrapper_factory=_ic0_wrapper,
-        needs_factor_nnz=True,
+        inputs=_FACTOR_INPUTS,
+        outputs=(("Lx", "factor_nnz"),),
+        failure="IC(0) breakdown: non-positive pivot at column {column}",
     ),
     "ilu0": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, double* Ux)"
-        ),
         body_emitter="_emit_ilu0_body",
-        wrapper_factory=_ilu0_wrapper,
-        needs_factor_nnz=True,
-        module_meta=lambda context: {
-            "l_nnz": int(context.inspection.l_nnz),
-            "u_nnz": int(context.inspection.u_nnz),
-        },
-    ),
-    # Level-parallel (wavefront) variants: same kernels behind an ABI with a
-    # trailing runtime thread count.  Selected by options.parallel, which is
-    # part of the options fingerprint, so serial and wavefront artifacts of
-    # one pattern cache independently in memory and on disk.
-    "triangular-solve@wavefront": CMethodSpec(
-        signature=(
-            "void {name}(const int64_t* Lp, const int64_t* Li, "
-            "const double* Lx, const double* b, double* x, int64_t n_threads)"
-        ),
-        body_emitter="_emit_wf_trisolve_body",
-        wrapper_factory=_trisolve_wf_wrapper,
-    ),
-    "cholesky@wavefront": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, int64_t n_threads)"
-        ),
-        body_emitter="_emit_wf_factorization_body",
-        wrapper_factory=_cholesky_wf_wrapper,
-        needs_factor_nnz=True,
-    ),
-    "ldlt@wavefront": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, double* D, int64_t n_threads)"
-        ),
-        body_emitter="_emit_wf_factorization_body",
-        wrapper_factory=_ldlt_wf_wrapper,
-        needs_factor_nnz=True,
-    ),
-    "lu@wavefront": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, double* Ux, int64_t n_threads)"
-        ),
-        body_emitter="_emit_wf_lu_body",
-        wrapper_factory=_lu_wf_wrapper,
-        needs_factor_nnz=True,
-        module_meta=lambda context: {
-            "l_nnz": int(context.inspection.l_nnz),
-            "u_nnz": int(context.inspection.u_nnz),
-        },
-    ),
-    "ic0@wavefront": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, int64_t n_threads)"
-        ),
-        body_emitter="_emit_wf_ic0_body",
-        wrapper_factory=_ic0_wf_wrapper,
-        needs_factor_nnz=True,
-    ),
-    "ilu0@wavefront": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, double* Ux, int64_t n_threads)"
-        ),
-        body_emitter="_emit_wf_ilu0_body",
-        wrapper_factory=_ilu0_wf_wrapper,
-        needs_factor_nnz=True,
-        module_meta=lambda context: {
-            "l_nnz": int(context.inspection.l_nnz),
-            "u_nnz": int(context.inspection.u_nnz),
-        },
+        inputs=_FACTOR_INPUTS,
+        outputs=(("Lx", "l_nnz"), ("Ux", "u_nnz")),
+        failure="ILU(0) breakdown: zero pivot at column {column}",
     ),
 }
+# Level-parallel (wavefront) variants: same kernels behind an ABI with a
+# trailing runtime thread count, their bodies emitted by the `_emit_wf_*`
+# twin of the serial emitter.  Selected by options.parallel, which is part of
+# the options fingerprint, so serial and wavefront artifacts of one pattern
+# cache independently in memory and on disk.
+_C_METHOD_SPECS.update(
+    {
+        f"{method}@wavefront": replace(
+            spec, wavefront=True, body_emitter=spec.body_emitter.replace("_emit_", "_emit_wf_")
+        )
+        for method, spec in list(_C_METHOD_SPECS.items())
+    }
+)
 
 
 def register_c_method(method: str, spec: CMethodSpec) -> None:
@@ -978,9 +712,6 @@ class CBackend:
             raise CCompilationError(f"unsupported method {kernel.method!r}")
         body_out = _CEmitter()
         body_out.indent = 1
-        factor_nnz = (
-            int(context.inspection.factor_nnz) if method_spec.needs_factor_nnz else 0
-        )
         getattr(self, method_spec.body_emitter)(body_out, kernel, context)
         signature = method_spec.signature.format(name=kernel.name)
 
@@ -1028,7 +759,8 @@ class CBackend:
         for name, value in self._constants.items():
             if name not in kernel.constants:
                 kernel.constants[name] = value
-        meta = dict(method_spec.module_meta(context)) if method_spec.module_meta else {}
+        # Output-buffer lengths of the ctypes wrapper (CMethodSpec.outputs).
+        meta = {attr: int(getattr(context.inspection, attr)) for _, attr in method_spec.outputs}
         if self._parallel_mode == "wavefront":
             # The per-level profiling buffer length, needed by
             # wavefront_level_seconds() to read the timestamps back out.
@@ -1042,7 +774,6 @@ class CBackend:
             compiler=self.compiler,
             flags=self.flags,
             n=self._n,
-            factor_nnz=factor_nnz,
             parallel=self._parallel_mode,
             meta=meta,
         )

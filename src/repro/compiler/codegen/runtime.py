@@ -58,7 +58,7 @@ def pattern_fingerprint(*arrays: np.ndarray, extra: str = "") -> str:
         arr = np.ascontiguousarray(arr)
         digest.update(str(arr.dtype).encode())
         digest.update(str(arr.shape).encode())
-        digest.update(arr.tobytes())
+        digest.update(arr.data)
     if extra:
         digest.update(extra.encode())
     return digest.hexdigest()[:16]

@@ -246,7 +246,9 @@ class SpecializedSolver:
             if solver.method != method:
                 escaped = True
                 method = solver.method
-            current_values = A.data
+            # A copy: ingest passes a CSCMatrix through as the caller's own
+            # object, whose data they may go on to mutate in place.
+            current_values = A.data.copy()
         spec = _Specialization(
             key=key,
             method=method,
@@ -318,6 +320,7 @@ class SpecializedSolver:
                 # Refresh LRU recency.
                 self._cache.pop(key)
                 self._cache[key] = spec
+        specialized_here = False
         if spec is None:
             with observe_trace.span("specialize", method=requested or "auto"):
                 spec = self._specialize(ingested, requested, key)
@@ -327,6 +330,7 @@ class SpecializedSolver:
                     spec = raced
                     self.stats.structure_hits += 1
                 else:
+                    specialized_here = True
                     self._cache[key] = spec
                     self.stats.specializations += 1
                     self.stats.methods[spec.method] = (
@@ -343,6 +347,7 @@ class SpecializedSolver:
             spec,
             ingested.csc,
             b,
+            specialized_here=specialized_here,
             num_threads=num_threads,
             tol=tol,
             max_iterations=max_iterations,
@@ -356,6 +361,7 @@ class SpecializedSolver:
         A: CSCMatrix,
         b: np.ndarray,
         *,
+        specialized_here: bool,
         num_threads: Optional[int],
         tol: float,
         max_iterations: int,
@@ -378,18 +384,26 @@ class SpecializedSolver:
             return result.x
         solver = spec.solver
         with self._lock:
-            values_match = spec.current_values is not None and np.array_equal(
+            # No factors: the last refactorization raised part-way.
+            values_match = solver.L is not None and np.array_equal(
                 spec.current_values, A.data
             )
         if values_match:
-            with self._lock:
-                self.stats.value_hits += 1
+            # The specializing call factorized these very values itself;
+            # only a later call finding them unchanged reuses anything.
+            if not specialized_here:
+                with self._lock:
+                    self.stats.value_hits += 1
         else:
             # Same structure, new values: numeric-only refactorization
-            # through the already-compiled kernel (the with_values path).
-            solver.factorize(spec.pattern.with_values(A.data))
+            # through the already-compiled kernel.  The values are copied
+            # into the snapshot's own buffer (ingest passes a CSCMatrix
+            # through as the caller's object, whose data they may mutate)
+            # and the solver factorizes from there, so no pattern-sized
+            # block changes hands from one call to the next.
+            np.copyto(spec.current_values, A.data)
+            solver.factorize(spec.pattern.with_values(spec.current_values))
             with self._lock:
-                spec.current_values = A.data
                 self.stats.refactorizations += 1
         return solver.solve(b, num_threads=num_threads)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.compiler.options import SympilerOptions
 from repro.runtime.engine import BatchExecutor, BatchResult
-from repro.solvers.linear_solver import SparseLinearSolver, backward_factor
+from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.csc import CSCMatrix
 
 __all__ = ["BatchedSolver", "FactorHandle"]
@@ -37,10 +37,10 @@ __all__ = ["BatchedSolver", "FactorHandle"]
 class FactorHandle:
     """One batch item's factorization: either factors or a preserved error.
 
-    Factor assembly (CSC wrapping, the reversed backward operand) is lazy —
-    computed on first :meth:`solve` — so batch throughput measurements see
-    only the numeric kernel cost, and unused handles cost nothing beyond
-    their raw output arrays.
+    Factor assembly (CSC wrapping, the backward operand gathered through
+    the solver's plan) is lazy — computed on first :meth:`solve` — so batch
+    throughput measurements see only the numeric kernel cost, and unused
+    handles cost nothing beyond their raw output arrays.
     """
 
     index: int
@@ -49,9 +49,6 @@ class FactorHandle:
     error: Optional[Exception] = None
     _factors: Optional[object] = field(default=None, repr=False)
     _Lt: Optional[CSCMatrix] = field(default=None, repr=False)
-    #: Shared per-batch builder of the backward operand (a precomputed
-    #: gather); ``None`` falls back to the full symbolic construction.
-    _backward_builder: Optional[object] = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -105,10 +102,7 @@ class FactorHandle:
         """
         self._require_ok()
         if self._Lt is None:
-            if self._backward_builder is not None:
-                self._Lt = self._backward_builder(self)
-            else:
-                self._Lt = backward_factor(self.L, self.U)
+            self._Lt = self._solver.backward_operand(self.L, self.U)
         return self._solver.solve_with_factors(
             b, L=self.L, d=self.d, Lt=self._Lt, out=out, num_threads=num_threads
         )
@@ -154,19 +148,6 @@ class BatchedSolver:
         self.executor = BatchExecutor(
             self.solver._factorization, num_threads=num_threads
         )
-        # Gather indices mapping input-order values to permuted-pattern order
-        # (computed once by permuting an index-valued probe matrix), so the
-        # per-scenario hot path is a single fancy-indexing gather instead of
-        # a full symbolic symmetric_permute per item.
-        probe = self.solver.A.with_values(
-            np.arange(self.solver.A.nnz, dtype=np.float64)
-        )
-        self._value_permutation = (
-            self.solver.permutation.symmetric_permute(probe).data.astype(np.int64)
-        )
-        #: Lazy (pattern, gather, source) template for per-handle backward
-        #: operands — see :meth:`_handle_backward`.
-        self._backward_template = None
         self.last_result: Optional[BatchResult] = None
         self.batch_seconds = 0.0
 
@@ -221,7 +202,7 @@ class BatchedSolver:
     ) -> List[np.ndarray]:
         """Per-item value arrays on the solver's *permuted* pattern.
 
-        Accepts same-pattern matrices (permuted internally via the
+        Accepts same-pattern matrices (permuted internally via the solver's
         precomputed gather) or — only with an explicit ``permuted_values=True``
         — a ``(batch, nnz)`` array already in permuted-pattern order.  The
         flag is mandatory for raw arrays because a shape check cannot tell
@@ -259,7 +240,7 @@ class BatchedSolver:
                 raise ValueError(
                     f"scenario {i} does not share the solver's sparsity pattern"
                 )
-            value_list.append(M.data[self._value_permutation])
+            value_list.append(self.solver.permute_values(M.data))
         return value_list
 
     def factorize_batch(
@@ -296,7 +277,6 @@ class BatchedSolver:
                 _solver=self.solver,
                 _raw=raw,
                 error=error_by_index.get(i),
-                _backward_builder=self._handle_backward,
             )
             for i, raw in enumerate(result.results)
         ]
@@ -308,7 +288,7 @@ class BatchedSolver:
     def permute_values(self, values: np.ndarray) -> np.ndarray:
         """Map input-order pattern values into permuted-pattern order.
 
-        One fancy-indexing gather through the precomputed permutation — the
+        One fancy-indexing gather through the solver's precomputed plan — the
         per-request hot path of the serving layer.
         """
         values = np.asarray(values, dtype=np.float64)
@@ -317,7 +297,7 @@ class BatchedSolver:
                 f"values must have shape ({self.solver.A.nnz},) matching the "
                 "registered pattern's nonzero count"
             )
-        return values[self._value_permutation]
+        return self.solver.permute_values(values)
 
     def submit_values(self, values: np.ndarray, *, permuted: bool = False) -> int:
         """Queue one value set for the next :meth:`drain`; returns its slot."""
@@ -338,31 +318,6 @@ class BatchedSolver:
         self.batch_seconds = time.perf_counter() - start
         self.last_result = result
         return self.handles_from_result(result)
-
-    def _handle_backward(self, handle: FactorHandle) -> CSCMatrix:
-        """The backward operand of one handle, via a precomputed gather.
-
-        The backward *pattern* (the reversed transpose of ``L``, or of ``U``
-        for LU) is fixed per solver, so the symbolic transpose + permutation
-        runs once — on an index-valued probe — and every handle's operand is
-        a single fancy-indexing gather of its own factor values.
-        """
-        if self._backward_template is None:
-            s = self.solver
-            if s.U is not None:
-                probe = backward_factor(
-                    s.L, s.U.with_values(np.arange(s.U.nnz, dtype=np.float64))
-                )
-                source = "U"
-            else:
-                probe = backward_factor(
-                    s.L.with_values(np.arange(s.L.nnz, dtype=np.float64))
-                )
-                source = "L"
-            self._backward_template = (probe, probe.data.astype(np.int64), source)
-        pattern, gather, source = self._backward_template
-        src = handle.U if source == "U" else handle.L
-        return pattern.with_values(src.data[gather])
 
     def solve_many(self, B: np.ndarray) -> np.ndarray:
         """Solve ``A X = B`` (multi-RHS) on the current factorization."""

@@ -30,8 +30,8 @@ import numpy as np
 
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
+from repro.solvers.linear_solver import backward_factor
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.permutation import Permutation
 from repro.sparse.utils import lower_triangle
 
 __all__ = [
@@ -162,8 +162,7 @@ def preconditioned_conjugate_gradient(
         L = _ic0_factor(A, preconditioner, options, sym)
         used_preconditioner = preconditioner
         forward = sym.compile_triangular_solve(L, rhs_pattern=None)
-        reverse = Permutation(np.arange(n - 1, -1, -1, dtype=np.int64))
-        Lt_rev = reverse.symmetric_permute(L.transpose())
+        Lt_rev = backward_factor(L)
         backward = sym.compile_triangular_solve(Lt_rev, rhs_pattern=None)
 
         def apply_preconditioner(r: np.ndarray) -> np.ndarray:

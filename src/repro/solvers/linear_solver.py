@@ -48,13 +48,25 @@ def backward_factor(L: CSCMatrix, U: Optional[CSCMatrix] = None) -> CSCMatrix:
     ``U z = y`` (LU); either matrix is upper triangular, and reversing both
     its row and column order turns the sweep into an ordinary forward
     substitution on a lower-triangular matrix, which the generated
-    triangular-solve kernel handles directly.  Module-level so the batched
-    runtime can build per-item backward operands from batch factors.
+    triangular-solve kernel handles directly.  This is the one *symbolic*
+    definition of the operand (a transpose plus a COO round-trip): a
+    :class:`SparseLinearSolver` runs it once, on index-valued factors, and
+    every numeric operand after that is a gather
+    (:meth:`SparseLinearSolver.backward_operand`).
     """
     upper = U if U is not None else L.transpose()
     n = upper.n
     reverse = Permutation(np.arange(n - 1, -1, -1, dtype=np.int64))
     return reverse.symmetric_permute(upper)
+
+
+def _index_valued(M: CSCMatrix) -> CSCMatrix:
+    """``M``'s pattern carrying each entry's storage index as its value.
+
+    Pushed through a symbolic operation, the result's values read back as
+    the gather that replays the operation on any later value set.
+    """
+    return M.with_values(np.arange(M.nnz, dtype=np.float64))
 
 
 class SparseLinearSolver:
@@ -139,27 +151,45 @@ class SparseLinearSolver:
         self.method = spec.name
         t0 = time.perf_counter()
         self.permutation: Permutation = ordering_by_name(ordering)(A)
-        self.A_permuted = self.permutation.symmetric_permute(A)
+        # The pattern-only numeric plan, built here and nowhere else: every
+        # later value set reaches the kernels through two gathers.  Permuting
+        # an index-valued copy of A once yields both the permuted pattern and
+        # the input-order -> permuted-order value gather.
+        probe = self.permutation.symmetric_permute(_index_valued(A))
+        self._value_gather = probe.data.astype(np.int64)
+        self.A_permuted = probe.with_values(A.data[self._value_gather])
         self._factorization = self._sympiler.compile(spec.name, self.A_permuted)
         self.setup_seconds = time.perf_counter() - t0
-        self._L: Optional[CSCMatrix] = None
-        self._U: Optional[CSCMatrix] = None
-        self._d: Optional[np.ndarray] = None
-        self._forward = None
-        self._backward = None
-        self._Lt: Optional[CSCMatrix] = None
+        # Likewise the backward operand: its pattern and its gather from the
+        # factor values (U's for LU, L's otherwise) come from one symbolic
+        # backward_factor on index-valued first factors.
+        self._set_factors(self._factorization.factorize(self.A_permuted))
+        if self._U is None:
+            probe = backward_factor(_index_valued(self._L))
+        else:
+            probe = backward_factor(self._L, _index_valued(self._U))
+        self._backward_gather = probe.data.astype(np.int64)
+        self._Lt = probe  # the pattern carrier; backward_operand swaps values in
+        self._Lt = self.backward_operand(self._L, self._U)
+        # The triangular-solve kernels depend only on the factor *pattern*,
+        # which is fixed per solver instance, so they are compiled once; the
+        # shared artifact cache additionally dedupes them across solver
+        # instances working on the same pattern.
+        self._forward = self._sympiler.compile(
+            "triangular-solve", self._L, options=self.options
+        )
+        self._backward = self._sympiler.compile(
+            "triangular-solve", self._Lt, options=self.options
+        )
         #: Cached batch executors for solve_many, keyed by thread count (the
         #: forward artifact is fixed per solver instance, so they never go
         #: stale).
         self._solve_executors: dict = {}
-        self.factorize()
 
     # ------------------------------------------------------------------ #
     @property
     def L(self) -> CSCMatrix:
         """The current lower-triangular factor of the permuted matrix."""
-        if self._L is None:
-            raise RuntimeError("factorize() has not been run yet")
         return self._L
 
     @property
@@ -186,14 +216,10 @@ class SparseLinearSolver:
     def compiled_artifacts(self) -> tuple:
         """The compiled artifacts this solver holds (factorization + sweeps).
 
-        The forward/backward triangular-solve artifacts exist only after the
-        first :meth:`factorize` (the constructor runs one, so they are
-        normally present).  The serving layer pins these in the shared
-        artifact cache while the pattern is registered.
+        The serving layer pins these in the shared artifact cache while the
+        pattern is registered.
         """
-        return tuple(
-            a for a in (self._factorization, self._forward, self._backward) if a is not None
-        )
+        return (self._factorization, self._forward, self._backward)
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -210,7 +236,17 @@ class SparseLinearSolver:
 
         Like the constructor, ``A`` may be anything the ingest layer accepts
         (``scipy.sparse``, triplets, dense) — it is converted first and then
-        pattern-checked against the solver's matrix.
+        pattern-checked against the solver's matrix.  Past that check the
+        call is numeric only: one gather into permuted order, the compiled
+        kernel, one gather for the backward operand.
+
+        Both gathers write into the plan's own buffers and the previous
+        factors are released before the kernel allocates the new ones, so
+        the solver holds the same blocks at the same addresses after every
+        call: a long run of refactorizations does not fragment the heap it
+        shares with the caller.  If the kernel raises, the solver is left
+        without factors and :meth:`solve` refuses until a factorization
+        succeeds.
         """
         if A is not None:
             if not isinstance(A, CSCMatrix):
@@ -223,33 +259,39 @@ class SparseLinearSolver:
                     "build a new SparseLinearSolver for a different pattern"
                 )
             self.A = A
-            self.A_permuted = self.permutation.symmetric_permute(A)
-        result = self._factorization.factorize(self.A_permuted)
-        # Duck-typed factor protocol: composite results expose the (unit)
-        # lower-triangular factor as ``.L``, an optional between-sweeps
-        # diagonal as ``.d`` (LDL^T) and an optional explicit upper factor as
-        # ``.U`` (LU, whose backward sweep runs on U instead of L^T); a bare
-        # factor matrix (Cholesky) is its own L.
+            # mode="clip": the default "raise" buffers `out` in a temporary.
+            np.take(A.data, self._value_gather, out=self.A_permuted.data, mode="clip")
+        self._L = self._d = self._U = None
+        self._set_factors(self._factorization.factorize(self.A_permuted))
+        source = self._L if self._U is None else self._U
+        np.take(source.data, self._backward_gather, out=self._Lt.data, mode="clip")
+        return self._L
+
+    def _set_factors(self, result) -> None:
+        """Store one factorization result.
+
+        Duck-typed factor protocol: composite results expose the (unit)
+        lower-triangular factor as ``.L``, an optional between-sweeps
+        diagonal as ``.d`` (LDL^T) and an optional explicit upper factor as
+        ``.U`` (LU, whose backward sweep runs on U instead of L^T); a bare
+        factor matrix (Cholesky) is its own L.
+        """
         self._L = getattr(result, "L", result)
         self._d = getattr(result, "d", None)
         self._U = getattr(result, "U", None)
-        # The triangular-solve kernels depend only on the factor *pattern*,
-        # which is fixed per solver instance, so they are compiled once; the
-        # shared artifact cache additionally dedupes them across solver
-        # instances working on the same pattern.
-        self._Lt = self._make_backward_factor()
-        if self._forward is None:
-            self._forward = self._sympiler.compile(
-                "triangular-solve", self._L, options=self.options
-            )
-            self._backward = self._sympiler.compile(
-                "triangular-solve", self._Lt, options=self.options
-            )
-        return self._L
 
-    def _make_backward_factor(self) -> CSCMatrix:
-        """The backward-sweep operand for the current numeric factors."""
-        return backward_factor(self._L, self._U)
+    def permute_values(self, values: np.ndarray) -> np.ndarray:
+        """Input-order pattern values in permuted-pattern order (one gather)."""
+        return values[self._value_gather]
+
+    def backward_operand(self, L: CSCMatrix, U: Optional[CSCMatrix] = None) -> CSCMatrix:
+        """:func:`backward_factor` of factors on this solver's patterns.
+
+        Bitwise the same matrix, built by one gather of the factor values
+        into the backward pattern fixed at construction.
+        """
+        source = L if U is None else U
+        return self._Lt.with_values(source.data[self._backward_gather])
 
     # ------------------------------------------------------------------ #
     def solve_with_factors(
@@ -268,7 +310,7 @@ class SparseLinearSolver:
         ``L``/``d``/``U`` must carry the patterns this solver was compiled
         for (they normally come from a batched factorization of a same-
         pattern matrix); ``Lt`` is the precomputed backward operand
-        (:func:`backward_factor`) and is derived from ``L``/``U`` when
+        (:meth:`backward_operand`) and is derived from ``L``/``U`` when
         omitted.  The compiled forward/backward triangular kernels depend
         only on those fixed patterns, so they are shared by every factor set.
         ``out`` optionally receives the solution in place (the serving layer
@@ -284,7 +326,7 @@ class SparseLinearSolver:
         if b.shape != (self.A.n,):
             raise ValueError(f"b must have shape ({self.A.n},)")
         if Lt is None:
-            Lt = backward_factor(L, U)
+            Lt = self.backward_operand(L, U)
         pb = self.permutation.apply_vec(b)
         y = self._forward.solve_arrays(
             L.indptr, L.indices, L.data, pb, num_threads=num_threads
@@ -311,7 +353,7 @@ class SparseLinearSolver:
     def solve(self, b: np.ndarray, *, num_threads: Optional[int] = None) -> np.ndarray:
         """Solve ``A x = b`` (``num_threads`` as in :meth:`solve_with_factors`)."""
         if self._L is None:
-            raise RuntimeError("factorize() has not been run yet")
+            raise RuntimeError("the last factorize() failed; there are no factors to solve with")
         return self.solve_with_factors(
             b, L=self._L, d=self._d, Lt=self._Lt, num_threads=num_threads
         )

@@ -81,14 +81,21 @@ class CSCMatrix:
         if nnz:
             if self.indices.min() < 0 or self.indices.max() >= self.n_rows:
                 raise ValueError("row index out of range")
-        for j in range(self.n_cols):
-            col = self.indices[self.indptr[j] : self.indptr[j + 1]]
-            if col.size > 1:
-                diffs = np.diff(col)
-                if np.any(diffs < 0):
-                    raise ValueError(f"row indices in column {j} are not sorted")
-                if np.any(diffs == 0):
-                    raise ValueError(f"duplicate row index in column {j}")
+        if nnz < 2:
+            return
+        # One pass over consecutive index pairs; a pair straddling a column
+        # boundary (its second entry starts a column) constrains nothing.
+        ascending = np.diff(self.indices) > 0
+        starts = self.indptr[1:-1]
+        ascending[starts[(starts > 0) & (starts < nnz)] - 1] = True
+        if ascending.all():
+            return
+        first = int(np.argmin(ascending))
+        j = int(np.searchsorted(self.indptr, first, side="right")) - 1
+        col = self.indices[self.indptr[j] : self.indptr[j + 1]]
+        if np.any(np.diff(col) < 0):
+            raise ValueError(f"row indices in column {j} are not sorted")
+        raise ValueError(f"duplicate row index in column {j}")
 
     @property
     def shape(self) -> Tuple[int, int]:

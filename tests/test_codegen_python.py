@@ -154,6 +154,11 @@ class TestBackendInfrastructure:
         assert pattern_fingerprint(a) == pattern_fingerprint(a.copy())
         assert pattern_fingerprint(a) != pattern_fingerprint(b)
         assert pattern_fingerprint(a, extra="x") != pattern_fingerprint(a)
+        # Fingerprints name on-disk cache entries: the digest itself (dtype,
+        # shape, raw bytes; strided and empty arrays included) must not move.
+        assert pattern_fingerprint(a) == "7b36b57ac44bbed5"
+        empty = np.empty(0, dtype=np.int64)
+        assert pattern_fingerprint(a[::-1], empty, extra="x") == "51000e40ea82def2"
 
     def test_generated_module_requires_entry_point(self):
         module = GeneratedModule(

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import repro
-from repro.compiler.codegen.c_backend import disk_cache_stats
+from repro.compiler.codegen.c_backend import c_compiler_available, disk_cache_stats
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.frontend import (
@@ -22,8 +22,8 @@ from repro.frontend import (
 from repro.runtime.facade import BatchedSolver
 from repro.service.session import SolverService
 from repro.solvers.cg import preconditioned_conjugate_gradient
-from repro.solvers.linear_solver import SparseLinearSolver
-from repro.sparse.coo import TripletBuilder
+from repro.solvers.linear_solver import SparseLinearSolver, backward_factor
+from repro.sparse.coo import COOMatrix, TripletBuilder
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import (
     laplacian_2d,
@@ -31,6 +31,7 @@ from repro.sparse.generators import (
     saddle_point_indefinite,
     unsymmetric_diag_dominant,
 )
+from repro.sparse.permutation import Permutation
 
 
 def _shared_misses() -> int:
@@ -232,6 +233,116 @@ class TestCholeskyEscape:
 
 
 # --------------------------------------------------------------------------- #
+# The pattern-only plan: no symbolic work after construction
+# --------------------------------------------------------------------------- #
+_SYMBOLIC_CALLS = (
+    (Permutation, "symmetric_permute"),
+    (CSCMatrix, "transpose"),
+    (COOMatrix, "to_csc"),
+    (CSCMatrix, "validate"),
+)
+
+_ROUTES = {
+    "cholesky": lambda: random_spd(40, 0.06, seed=21),
+    "ldlt": lambda: saddle_point_indefinite(24, 8, seed=22),
+    "lu": lambda: unsymmetric_diag_dominant(40, seed=23),
+}
+
+_BACKENDS = [
+    "python",
+    pytest.param(
+        "c", marks=pytest.mark.skipif(not c_compiler_available(), reason="no C compiler")
+    ),
+]
+
+
+@pytest.fixture()
+def symbolic_calls(monkeypatch):
+    """Call counts of the symbolic / trust-boundary routines, by name."""
+    counts = {name: 0 for _, name in _SYMBOLIC_CALLS}
+
+    def counted(name, original):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return spy
+
+    for owner, name in _SYMBOLIC_CALLS:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return counts
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+@pytest.mark.parametrize("method", sorted(_ROUTES))
+class TestWarmCallsDoNoSymbolicWork:
+    """A warm call moves values: gathers, compiled kernels, nothing else.
+
+    ``validate`` may run once per call — the ingest of a non-CSC input is
+    the trust boundary — and never on a matrix the stack built itself.
+    """
+
+    @staticmethod
+    def _assert_numeric_only(counts, *, validations):
+        """Check the counts since the last check (or reset), then zero them."""
+        assert counts["validate"] <= validations
+        assert {**counts, "validate": 0} == dict.fromkeys(counts, 0)
+        counts.update(dict.fromkeys(counts, 0))
+
+    def test_specialized_solver_warm_calls(self, method, backend, symbolic_calls, rng):
+        A = _ROUTES[method]()
+        S, b = A.to_scipy(), rng.normal(size=A.n)
+        front = SpecializedSolver(method=method, options=SympilerOptions(backend=backend))
+        front.solve(S, b)  # cold: specialize
+        S2 = S.copy()
+        S2.data *= 1.5
+        symbolic_calls.update(dict.fromkeys(symbolic_calls, 0))
+        x = front.solve(S2, b)  # warm, new values
+        assert front.stats.refactorizations == 1
+        self._assert_numeric_only(symbolic_calls, validations=1)
+        front.solve(S2, rng.normal(size=A.n))  # warm, rhs only
+        assert front.stats.value_hits == 1
+        self._assert_numeric_only(symbolic_calls, validations=1)
+        assert np.linalg.norm(S2 @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+    def test_solver_factorize(self, method, backend, symbolic_calls, rng):
+        A = _ROUTES[method]()
+        solver = SparseLinearSolver(A, method=method, options=SympilerOptions(backend=backend))
+        A2 = A.with_values(A.data * 1.5)
+        expected = backward_factor(solver.factorize(A2), solver.U)
+        P2 = solver.permutation.symmetric_permute(A2)
+        symbolic_calls.update(dict.fromkeys(symbolic_calls, 0))
+        solver.factorize(A2)  # a CSCMatrix: no ingest, so no validation either
+        self._assert_numeric_only(symbolic_calls, validations=0)
+        solver.factorize(A2.to_scipy())
+        self._assert_numeric_only(symbolic_calls, validations=1)
+        # The gathers reproduce the symbolic constructions bit for bit.
+        np.testing.assert_array_equal(solver.A_permuted.data, P2.data)
+        assert solver.A_permuted.pattern_equal(P2)
+        operand = solver.backward_operand(solver.L, solver.U)
+        np.testing.assert_array_equal(operand.data, expected.data)
+        assert operand.pattern_equal(expected)
+        b = rng.normal(size=A.n)
+        assert solver.residual(solver.solve(b), b) < 1e-8
+
+    def test_refactorization_writes_into_the_plan_buffers(self, method, backend, rng):
+        # The solver holds the same pattern-sized blocks after every call
+        # (nothing for the allocator to shuffle); only the factor it hands
+        # out is a fresh object, so an earlier result is never overwritten.
+        A = _ROUTES[method]()
+        solver = SparseLinearSolver(A, method=method, options=SympilerOptions(backend=backend))
+        permuted, operand = solver.A_permuted.data, solver._Lt.data
+        L1 = solver.L
+        before = L1.data.copy()
+        L2 = solver.factorize(A.with_values(A.data * 1.5))
+        assert solver.A_permuted.data is permuted and solver._Lt.data is operand
+        assert L2 is not L1 and not np.shares_memory(L2.data, L1.data)
+        np.testing.assert_array_equal(L1.data, before)
+        b = rng.normal(size=A.n)
+        assert solver.residual(solver.solve(b), b) < 1e-8
+
+
+# --------------------------------------------------------------------------- #
 # Lazy specialization: warm calls are numeric-only
 # --------------------------------------------------------------------------- #
 class TestLazySpecialization:
@@ -260,6 +371,56 @@ class TestLazySpecialization:
         front.solve(A, b2)
         assert front.stats.refactorizations == refact_before
         assert front.stats.value_hits >= 1
+
+    def test_value_hits_count_only_genuine_reuse(self, rng):
+        A = random_spd(30, 0.08, seed=10)
+        front = SpecializedSolver()
+        front.solve(A, rng.normal(size=A.n))  # cold: factorizes, reuses nothing
+        assert front.stats.value_hits == 0
+        front.solve(A, rng.normal(size=A.n))  # warm, same values
+        assert front.stats.value_hits == 1
+
+    def test_in_place_value_mutation_is_not_a_value_hit(self):
+        # A CSCMatrix is ingested as the caller's own object: mutating its
+        # data in place between calls must refactorize, not compare the
+        # array with itself and solve with the old factors.
+        A = laplacian_2d(10)
+        b = np.ones(A.n)
+        front = SpecializedSolver()
+        front.solve(A, b)
+        for refactorizations in (1, 2):  # after the cold call, after a refactor
+            A.data *= 2.0
+            x = front.solve(A, b)
+            assert front.stats.refactorizations == refactorizations
+            assert front.stats.value_hits == 0
+            assert np.linalg.norm(A.matvec(x) - b) < 1e-10
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_failed_refactorization_is_never_reused(self, backend):
+        # The old factors are released before the kernel runs, so a kernel
+        # that raises leaves none: the same values again must fail again
+        # (not count as a value hit), a direct solve must refuse, and good
+        # values must recover.
+        A = laplacian_2d(6)
+        b = np.ones(A.n)
+        front = SpecializedSolver(method="cholesky", options=SympilerOptions(backend=backend))
+        front.solve(A, b)
+        bad = A.with_values(-A.data)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not positive definite"):
+                front.solve(bad, b)
+        assert front.stats.value_hits == 0 and front.stats.refactorizations == 0
+        x = front.solve(A, b)
+        assert front.stats.refactorizations == 1
+        assert np.linalg.norm(A.matvec(x) - b) < 1e-10
+
+        solver = SparseLinearSolver(A, options=SympilerOptions(backend=backend))
+        with pytest.raises(ValueError, match="not positive definite"):
+            solver.factorize(bad)
+        with pytest.raises(RuntimeError, match="no factors"):
+            solver.solve(b)
+        solver.factorize(A)
+        assert solver.residual(solver.solve(b), b) < 1e-10
 
     def test_new_values_refactorize_without_respecializing(self, rng):
         A = random_spd(30, 0.08, seed=11)

@@ -97,6 +97,81 @@ def test_csc_matvec_matches_dense(coo):
     np.testing.assert_allclose(A.matvec(x), A.to_dense() @ x, atol=1e-9)
 
 
+def _validate_reference(M: CSCMatrix) -> None:
+    """The per-column loop ``CSCMatrix.validate`` ran before it was vectorised.
+
+    Kept as the oracle: the vectorised pass must accept and reject the same
+    matrices with the same message (naming the same first offending column).
+    """
+    if M.n_rows < 0 or M.n_cols < 0:
+        raise ValueError("matrix dimensions must be non-negative")
+    if M.indptr.shape != (M.n_cols + 1,):
+        raise ValueError(
+            f"indptr must have length n_cols+1={M.n_cols + 1}, "
+            f"got {M.indptr.shape[0]}"
+        )
+    if M.indptr[0] != 0:
+        raise ValueError("indptr[0] must be 0")
+    if np.any(np.diff(M.indptr) < 0):
+        raise ValueError("indptr must be non-decreasing")
+    nnz = int(M.indptr[-1])
+    if M.indices.shape[0] != nnz or M.data.shape[0] != nnz:
+        raise ValueError("indices/data length must equal indptr[-1]")
+    if nnz:
+        if M.indices.min() < 0 or M.indices.max() >= M.n_rows:
+            raise ValueError("row index out of range")
+    for j in range(M.n_cols):
+        col = M.indices[M.indptr[j] : M.indptr[j + 1]]
+        if col.size > 1:
+            diffs = np.diff(col)
+            if np.any(diffs < 0):
+                raise ValueError(f"row indices in column {j} are not sorted")
+            if np.any(diffs == 0):
+                raise ValueError(f"duplicate row index in column {j}")
+
+
+def _validation_outcome(check, M):
+    try:
+        check(M)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_CORRUPTIONS = ("none", "unsorted", "duplicate", "row-range", "indptr-order", "indptr-length", "scramble")
+
+
+@settings(_settings, max_examples=200)
+@given(coo_matrices(max_n=7, max_entries=40), st.sampled_from(_CORRUPTIONS), st.integers(0, 2**31 - 1))
+def test_validate_matches_per_column_reference(coo, corruption, seed):
+    rng = np.random.default_rng(seed)
+    A = coo.to_csc()
+    indptr, indices = A.indptr.copy(), A.indices.copy()
+    multi = np.flatnonzero(np.diff(indptr) > 1)  # columns with an adjacent pair
+    if corruption in ("unsorted", "duplicate") and multi.size:
+        j = int(rng.choice(multi))
+        k = int(rng.integers(indptr[j], indptr[j + 1] - 1))
+        if corruption == "unsorted":
+            indices[[k, k + 1]] = indices[[k + 1, k]]
+        else:
+            indices[k + 1] = indices[k]
+    elif corruption == "row-range" and A.nnz:
+        indices[rng.integers(A.nnz)] = rng.choice([-1, A.n_rows])
+    elif corruption == "indptr-order":
+        indptr[rng.integers(indptr.size)] += rng.choice([-2, -1, 1, 2])
+    elif corruption == "indptr-length":
+        indptr = indptr[:-1] if rng.random() < 0.5 else np.append(indptr, indptr[-1])
+    elif corruption == "scramble" and A.nnz:
+        # Several in-range rewrites: first-offender ordering across columns.
+        hits = rng.integers(A.nnz, size=min(3, A.nnz))
+        indices[hits] = rng.integers(A.n_rows, size=hits.size)
+    M = CSCMatrix(A.n_rows, A.n_cols, indptr, indices, A.data, check=False)
+    expected = _validation_outcome(_validate_reference, M)
+    assert _validation_outcome(CSCMatrix.validate, M) == expected
+    if corruption == "none":
+        assert expected is None
+
+
 @_settings
 @given(st.integers(1, 30), st.integers(0, 2**31 - 1))
 def test_permutation_roundtrip(n, seed):
