@@ -2,12 +2,12 @@
 
 Two escalations of the serving layer, one endpoint surface:
 
-1. **Pipelining (protocol v2).**  A single :class:`ServiceClient` connection
-   negotiates wire protocol v2 via a ``hello`` frame and then keeps many
+1. **Pipelining.**  A single :class:`ServiceClient` connection keeps many
    id-tagged requests in flight at once — ``submit()`` returns a future
    immediately, the server's micro-batching window fills from one client,
    and responses resolve out of band.  The same loop written with the
-   lock-step ``solve()`` pays the coalescing window once *per request*.
+   lock-step ``solve()`` waits out the coalescing window for a batch of one,
+   once *per request*.
 
 2. **Sharding.**  A :class:`ShardFleet` runs N solver-service processes
    over one shared compiled-kernel disk cache and routes each pattern to a
@@ -56,7 +56,6 @@ def main() -> None:
     server, thread = serve_background(service)
     try:
         with ServiceClient(server.server_address) as client:
-            print(f"negotiated wire protocol: v{client.protocol}")
             handles = {
                 name: client.register_pattern(A, options=options)
                 for name, A in matrices.items()

@@ -1,11 +1,23 @@
-"""Setuptools shim.
+"""Packaging: ``pip install .`` installs the ``repro`` package from ``src/``.
 
-Kept alongside ``pyproject.toml`` so that editable installs work on
-environments without the ``wheel`` package (offline machines cannot fetch it
-for PEP 517 builds); ``pip install -e .`` falls back to the legacy
-``setup.py develop`` path in that case.
+A plain ``setup.py`` (no ``pyproject.toml``) so that installs work on
+offline machines whose pip cannot fetch PEP 517 build dependencies.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_VERSION = re.search(
+    r'__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "_version.py").read_text(),
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

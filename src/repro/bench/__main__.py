@@ -27,9 +27,9 @@ Experiments
 ``observe``  — the observability layer's cost contract: disabled-span
                overhead as a fraction of a warm solve (gated < 3 %) plus
                enabled-path export coverage.
-``fleet``    — the sharded solver fleet: pipelined wire-protocol-v2
-               throughput vs lock-step v1, 2-shard vs 1-shard scaling,
-               and kill-a-shard failover with warm re-registration.
+``fleet``    — the sharded solver fleet: pipelined submits vs lock-step
+               solves on one connection, 2-shard vs 1-shard scaling, and
+               kill-a-shard failover with warm re-registration.
 ``all``      — run every experiment in sequence.
 
 ``--json [DIR]`` additionally writes each experiment's rows to
@@ -92,7 +92,7 @@ _EXPERIMENTS = {
     "wavefront": ("Wavefront (H-Level) execution: single-solve parallelism", wavefront_execution),
     "frontend": ("Front end: lazy specialization, cold vs warm repro.solve", frontend_specialization),
     "observe": ("Observability: disabled-tracing overhead and export coverage", observe_overhead),
-    "fleet": ("Sharded fleet: pipelined v2 protocol, failover, shard scaling", fleet_throughput),
+    "fleet": ("Sharded fleet: request pipelining, failover, shard scaling", fleet_throughput),
 }
 
 

@@ -159,17 +159,17 @@ GATED_METRICS: Dict[str, Tuple[GatedMetric, ...]] = {
         GatedMetric("remote_span_overhead_pct", "lower", noise=2.0),
     ),
     "fleet": (
-        GatedMetric("v1_compat", "bool"),
         GatedMetric("all_complete", "bool"),
         GatedMetric("solutions_ok", "bool"),
         GatedMetric("reregister_warm", "bool"),
         # Cold re-registrations after shard death: a zero baseline tolerates
         # no increase (the warm-failover guarantee).
         GatedMetric("failover_recompiles", "lower"),
-        # Same-run ratio, v2 pipelining vs v1 lock-step on one server.  The
-        # win holds even on one core (the sync client pays the coalescing
-        # window per request); the noise floor absorbs scheduler jitter on
-        # the sub-second workload without forgiving a collapse to parity.
+        # Same-run ratio, pipelined submits vs lock-step solves on one
+        # connection.  The win holds even on one core (the lock-step client
+        # waits out the coalescing window for a batch of one, per request);
+        # the noise floor absorbs scheduler jitter on the sub-second
+        # workload without forgiving a collapse to parity.
         GatedMetric("pipelined_over_roundtrip", "higher", noise=0.5),
         # Same-run 2-shard/1-shard throughput ratio.  Its magnitude tracks
         # the runner's core count (~1.0 on one core, >1.3 on two-plus), so

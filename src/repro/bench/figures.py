@@ -1,9 +1,8 @@
 """Experiment drivers: one function per table/figure of the paper.
 
 Every driver returns a list of row dicts (one row per suite matrix, or per
-matrix × variant) so it can be rendered by :mod:`repro.bench.reporting`,
-consumed by the pytest-benchmark modules under ``benchmarks/`` and asserted
-on by the integration tests.  EXPERIMENTS.md records the measured outcomes
+matrix × variant) so it can be rendered by :mod:`repro.bench.reporting`
+and asserted on by the integration tests.  EXPERIMENTS.md records the measured outcomes
 against the paper's numbers.
 
 Variant naming follows the paper's legends:
@@ -932,7 +931,7 @@ def fleet_throughput(
     window_ms: float = 5.0,
     max_batch: int = 16,
 ) -> List[Dict[str, object]]:
-    """The sharded fleet and the pipelined v2 wire protocol, end to end.
+    """The sharded fleet and request pipelining on the wire, end to end.
 
     One row (``fleet_mixed``) over a mixed-pattern request stream, measuring
     the two deliverables of the fleet redesign as same-run ratios plus the
@@ -943,12 +942,11 @@ def fleet_throughput(
       runner's core count (≈1.0 on one core, >1.3 with two-plus); the
       absolute multi-core assertion lives in the CI fleet step, the gate
       here compares against the runner's own committed baseline.
-    * ``pipelined_over_roundtrip`` — protocol v2 (submit-all, one
-      connection, id-tagged responses) over protocol v1 (lock-step
-      round-trips) against the *same* server.  Wins even on one core: the
-      sync v1 client pays the coalescing window per request while the
-      pipelined client fills whole batches.
-    * ``v1_compat`` — a pinned-v1 client round-trips against the v2 server.
+    * ``pipelined_over_roundtrip`` — submit-all on one connection
+      (id-tagged responses, whole batches) over lock-step ``client.solve``
+      round-trips on the same connection against the *same* server.  Wins
+      even on one core: the lock-step client waits out the coalescing
+      window and dispatches a batch of one per request.
     * ``all_complete`` / ``solutions_ok`` — every request in the
       kill-a-shard-mid-stream fleet run completes and verifies against the
       local reference solver.
@@ -1062,7 +1060,7 @@ def fleet_throughput(
             and counters["warm_reregisters"] == counters["reregisters"]
         )
 
-    # --- pipelined v2 vs lock-step v1 against one server -----------------
+    # --- pipelined submits vs lock-step solves against one server --------
     A = mats[names[0]]
     ref = refs[names[0]]
     wire_requests = max(12, requests // 2)
@@ -1080,31 +1078,29 @@ def fleet_throughput(
     server, thread = serve_background(service)
     try:
         address = server.server_address
-        with ServiceClient(address, protocol=2) as c2:
-            handle = c2.register_pattern(A, options=options)
+        with ServiceClient(address) as client:
+            handle = client.register_pattern(A, options=options)
 
             def run_pipelined():
                 futures = [
-                    c2.submit(handle, A.data * s, b)
+                    client.submit(handle, A.data * s, b)
                     for s, b in zip(scales, rhs_list)
                 ]
                 return [f.result(timeout=120.0) for f in futures]
 
-            pipe_seconds, _ = time_callable(run_pipelined, repeats=1, warmup=1)
-        with ServiceClient(address, protocol=1) as c1:
-            x1 = c1.solve(handle, A.data * scales[0], rhs_list[0])
-            v1_compat = bool(
-                c1.protocol == 1
-                and np.allclose(x1, ref.solve(rhs_list[0]) / scales[0], atol=1e-8)
-            )
-
             def run_roundtrip():
                 return [
-                    c1.solve(handle, A.data * s, b)
+                    client.solve(handle, A.data * s, b)
                     for s, b in zip(scales, rhs_list)
                 ]
 
-            roundtrip_seconds, _ = time_callable(run_roundtrip, repeats=1, warmup=1)
+            pipe_seconds, xs_pipe = time_callable(run_pipelined, repeats=1, warmup=1)
+            roundtrip_seconds, xs_rt = time_callable(
+                run_roundtrip, repeats=1, warmup=1
+            )
+            for s, b, x_pipe, x_rt in zip(scales, rhs_list, xs_pipe, xs_rt):
+                assert np.array_equal(x_pipe, x_rt)
+                assert np.allclose(x_rt, ref.solve(b) / s, atol=1e-8)
     finally:
         server.shutdown()
         server.server_close()
@@ -1126,7 +1122,6 @@ def fleet_throughput(
             "pipelined_seconds": pipe_seconds,
             "roundtrip_seconds": roundtrip_seconds,
             "pipelined_over_roundtrip": roundtrip_seconds / max(pipe_seconds, 1e-12),
-            "v1_compat": v1_compat,
             "all_complete": all_complete,
             "solutions_ok": solutions_ok,
             "reregister_warm": reregister_warm,

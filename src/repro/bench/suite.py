@@ -33,7 +33,6 @@ __all__ = [
     "SuiteEntry",
     "build_suite",
     "small_suite",
-    "selected_suite",
     "load_suite_matrix",
 ]
 
@@ -184,20 +183,6 @@ def small_suite() -> List[SuiteEntry]:
             ordering="rcm",
         ),
     ]
-
-
-def selected_suite() -> List[SuiteEntry]:
-    """The suite selected by the ``REPRO_BENCH_SUITE`` environment variable.
-
-    ``full`` selects the eleven-matrix Table 2 analogue; anything else (or an
-    unset variable) selects the fast four-matrix suite used by default in the
-    pytest-benchmark modules.
-    """
-    import os
-
-    if os.environ.get("REPRO_BENCH_SUITE", "small").lower() == "full":
-        return build_suite()
-    return small_suite()
 
 
 _MATRIX_CACHE: Dict[str, CSCMatrix] = {}

@@ -14,7 +14,7 @@ registry snapshot (including the breakdown) as one JSON document.
 
 ``--fleet`` runs the workload through a ``--shards``-wide
 :class:`~repro.service.fleet.ShardFleet` instead (worker processes with
-tracing on, pipelined v2 submits), prints the per-shard health summary and
+tracing on, pipelined submits), prints the per-shard health summary and
 the structured event log, and — with ``--trace-out`` — writes the **merged**
 fleet Chrome trace: client and shard spans share trace ids, one ``pid`` per
 shard process, clock-offset corrected.

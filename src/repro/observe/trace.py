@@ -282,8 +282,7 @@ def wire_trace_headers() -> Dict[str, int]:
     Returns ``{"trace_id": ..., "parent_id": ...}`` for the innermost open
     span, or ``{}`` when tracing is disabled or no span is open — so wire
     headers carry **no** trace keys unless there is something to propagate
-    (the disabled hot path merges an empty dict).  v1 servers ignore unknown
-    header keys, so the caller never needs to version-gate this.
+    (the disabled hot path merges an empty dict).
     """
     if not _enabled:
         return {}

@@ -10,10 +10,10 @@ scales:
   (future-based solves), synchronous ``solve``, explicit ``evict``.
 * :class:`ServiceClient` (:mod:`repro.service.client`) — one connection to a
   remote service over the stdlib-only wire protocol
-  (:mod:`repro.service.wire`: JSON header + raw ndarray frames).  Protocol
-  **v2** is negotiated via a ``hello`` frame and pipelines many id-tagged
-  requests on one connection (``submit``/``result``); v1 peers interoperate
-  unchanged.  ``python -m repro.service`` runs the server.
+  (:mod:`repro.service.wire`: JSON header + raw ndarray frames).  One
+  protocol generation, no negotiation: every request carries an id, so one
+  connection pipelines many of them (``submit``/``result``) and ``solve`` is
+  submit + wait.  ``python -m repro.service`` runs the server.
 * :class:`ShardFleet` (:mod:`repro.service.fleet`) — N service *processes*
   over the shared compiled-kernel disk cache behind a consistent-hash router
   (:mod:`repro.service.router`): patterns pin to shards by fingerprint, and

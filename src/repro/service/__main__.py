@@ -17,7 +17,7 @@ JSON either way.
 ``--fleet-smoke`` is the sharded-fleet variant: boot a ``--shards``-wide
 :class:`~repro.service.fleet.ShardFleet` (separate worker processes over one
 shared disk cache) with distributed tracing on, pipeline ``--requests``
-mixed-pattern solves through the v2 wire protocol, hard-kill a
+mixed-pattern solves over the wire, hard-kill a
 pattern-owning shard mid-stream, and assert that every request completes,
 that the replacement shard re-registers **warm** — zero cold recompiles —
 that the merged Chrome trace carries spans from ≥ 2 distinct shard pids

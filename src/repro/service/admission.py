@@ -20,21 +20,9 @@ import threading
 from collections import OrderedDict
 from typing import Hashable, List
 
-# The exception types historically lived here; they are now defined in the
-# consolidated :mod:`repro.service.errors` (with `retryable`/`retry_after`
-# and the wire mapping) and re-exported for compatibility.
-from repro.service.errors import (
-    PatternEvictedError,
-    ServiceClosedError,
-    ServiceOverloadedError,
-)
+from repro.service.errors import ServiceOverloadedError
 
-__all__ = [
-    "AdmissionController",
-    "ServiceOverloadedError",
-    "PatternEvictedError",
-    "ServiceClosedError",
-]
+__all__ = ["AdmissionController"]
 
 
 class AdmissionController:

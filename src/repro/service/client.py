@@ -1,27 +1,19 @@
 """The wire client: :class:`ServiceClient` mirrors the in-process service API.
 
-One persistent connection per client.  On connect the client sends a
-``hello`` (framed as v1, so pre-v2 servers answer with a harmless error and
-the client falls back) and negotiates the protocol generation:
+One persistent connection per client, one request path: every call tags its
+header with an id, sends it under the send lock and waits on a future that
+the background reader thread resolves when the response carrying that id
+arrives.  So one connection **pipelines** many requests — :meth:`submit`
+returns a future immediately, the server's coalescing window fills from a
+single client, and responses may return out of order — and :meth:`solve` is
+literally ``submit(...).result(timeout)``.  A timed-out or cancelled request
+is simply *abandoned*: its eventual response is recognized by id and
+discarded (counted in :attr:`orphaned_responses`), so one slow solve does
+not poison the connection.
 
-* **v2** (the default against a current server) — requests carry ids and a
-  background reader thread matches responses to pending futures, so one
-  connection **pipelines** many requests: :meth:`submit` returns a future
-  immediately, the server's coalescing window fills from a single client,
-  and responses may return out of order.  A timed-out request is simply
-  *abandoned* — its eventual response is recognized by id and discarded
-  (counted in :attr:`orphaned_responses`) — so one slow solve no longer
-  poisons the whole connection.
-* **v1** (``protocol=1``, or an old server) — the original lock-step mode:
-  calls serialize on a lock, one round-trip at a time, and a mid-call
-  failure still poisons the connection (without ids there is no way to
-  re-synchronize the stream).
-
-The sync API is unchanged either way — :meth:`solve` is submit + wait and
-returns bitwise-identical results over both generations.  Errors map back
-to the same consolidated exception types the in-process API raises
-(:mod:`repro.service.errors`), so code moves between ``SolverService``,
-``ServiceClient`` and ``ShardFleet`` unchanged:
+Errors map back to the same consolidated exception types the in-process API
+raises (:mod:`repro.service.errors`), so code moves between
+``SolverService``, ``ServiceClient`` and ``ShardFleet`` unchanged:
 
 * ``overloaded`` → :class:`~repro.service.errors.ServiceOverloadedError`
   (carrying the server's ``retry_after`` hint),
@@ -40,8 +32,8 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,35 +45,29 @@ from repro.service.errors import (
     ShardUnavailableError,
     error_from_wire,
 )
-from repro.service.wire import (
-    SUPPORTED_WIRE_VERSIONS,
-    WIRE_VERSION,
-    recv_message,
-    send_message,
-)
+from repro.service.wire import RemoteHandle, recv_message, send_message
 from repro.sparse.csc import CSCMatrix
 
 __all__ = ["ServiceClient", "RemoteHandle", "RemoteServiceError"]
 
 
-@dataclass(frozen=True)
-class RemoteHandle:
-    """Client-side view of a registered pattern (mirrors ``PatternHandle``)."""
-
-    handle_id: str
-    fingerprint: str
-    kernel: str
-    ordering: str
-    n: int
-    nnz: int
-    factor_nnz: int
-    warm: bool
-    schedule_levels: int
-    schedule_avg_width: float
+def _handle_id(handle: Union[RemoteHandle, str]) -> str:
+    return handle.handle_id if isinstance(handle, RemoteHandle) else str(handle)
 
 
-def _raise_remote(response: Dict) -> None:
-    raise error_from_wire(response)
+def _solution_from(response: Dict, frames: List[np.ndarray]) -> np.ndarray:
+    if len(frames) != 1:
+        raise ProtocolError(f"solve response carried {len(frames)} frames")
+    return np.array(frames[0], dtype=np.float64, copy=True)
+
+
+class _Request(Future):
+    """One in-flight request; resolves to ``decode(response, frames)``."""
+
+    def __init__(self, request_id: int, decode: Callable) -> None:
+        super().__init__()
+        self.request_id = request_id
+        self.decode = decode
 
 
 class ServiceClient:
@@ -90,15 +76,10 @@ class ServiceClient:
     ``address`` is ``(host, port)`` for TCP or a filesystem path string for
     a Unix socket.  The client is thread-safe and a context manager.
 
-    ``protocol`` pins the wire generation: ``None`` (default) negotiates the
-    newest mutual version via ``hello``; ``1`` skips negotiation and speaks
-    the legacy lock-step protocol; ``2`` *requires* a v2 server (raises
-    :class:`ProtocolError` against an older one).
-
-    ``timeout`` bounds the connect/handshake and is the default per-request
-    timeout.  Under v2 the socket itself has no read timeout — the reader
-    thread blocks until data arrives and timeouts are enforced per future,
-    which is what makes a timeout recoverable instead of stream-corrupting.
+    ``timeout`` bounds the connect and is the default per-request timeout.
+    The socket itself has no read timeout — the reader thread blocks until
+    data arrives and timeouts are enforced per future, which is what makes a
+    timeout recoverable instead of stream-corrupting.
     """
 
     def __init__(
@@ -106,12 +87,7 @@ class ServiceClient:
         address: Union[Tuple[str, int], str],
         *,
         timeout: Optional[float] = 60.0,
-        protocol: Optional[int] = None,
     ) -> None:
-        if protocol is not None and protocol not in SUPPORTED_WIRE_VERSIONS:
-            raise ValueError(
-                f"protocol must be one of {SUPPORTED_WIRE_VERSIONS} or None"
-            )
         self.address = address
         self.timeout = timeout
         if isinstance(address, str):
@@ -123,213 +99,145 @@ class ServiceClient:
         else:
             host, port = address
             self._sock = socket.create_connection((host, int(port)), timeout=timeout)
+            # A request is one small message the peer is waiting for: never
+            # hold it back for coalescing with a segment that is not coming.
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock.settimeout(None)
         self._rfile = self._sock.makefile("rb")
         self._wfile = self._sock.makefile("wb")
-        self._lock = threading.Lock()  # v1 round-trips; v2 sends
+        self._lock = threading.Lock()  # serializes sends
         self._closed = False
-        self._broken = False
         self._broken_reason = ""
-        #: v2 pipelining state: pending request futures by id, guarded by
-        #: ``_plock``; the reader thread resolves/discards them.
+        #: In-flight requests by id, guarded by ``_plock``; the reader
+        #: thread resolves or discards them.
         self._plock = threading.Lock()
-        self._pending: Dict[int, Future] = {}
+        self._pending: Dict[int, _Request] = {}
         self._next_id = 0
-        self._reader: Optional[threading.Thread] = None
-        #: Responses whose request was abandoned (timed out) before they
-        #: arrived: discarded by id — the desync-recovery counter.
+        #: Responses whose request was abandoned (timed out or cancelled)
+        #: before they arrived: discarded by id — the desync-recovery counter.
         self.orphaned_responses = 0
-
-        self.protocol = self._negotiate(protocol)
-        if self.protocol >= 2:
-            # Timeouts are per-future under v2; a socket-level read timeout
-            # would tear the framed stream mid-message in the reader thread.
-            self._sock.settimeout(None)
-            self._reader = threading.Thread(
-                target=self._reader_loop, name="repro-client-reader", daemon=True
-            )
-            self._reader.start()
+        self._reader = threading.Thread(
+            target=self._reader_loop, name="repro-client-reader", daemon=True
+        )
+        self._reader.start()
 
     # ------------------------------------------------------------------ #
-    # Negotiation
-    # ------------------------------------------------------------------ #
-    def _negotiate(self, protocol: Optional[int]) -> int:
-        if protocol == 1:
-            return 1
-        header = {
-            "op": "hello",
-            "version": WIRE_VERSION,
-            "versions": list(SUPPORTED_WIRE_VERSIONS),
-        }
-        try:
-            # Framed as v1: a pre-v2 server parses it and answers `unknown
-            # operation` instead of killing the connection.
-            send_message(self._wfile, header, version=1)
-            message = recv_message(self._rfile)
-        except BaseException:
-            self._teardown()
-            raise
-        if message is None:
-            self._teardown()
-            raise ShardUnavailableError("server closed the connection during hello")
-        response, _ = message
-        if response.get("ok"):
-            negotiated = min(int(response.get("version", 1)), WIRE_VERSION)
-        else:
-            # v1 server: `unknown operation 'hello'` — the connection is
-            # fine, the server just predates negotiation.
-            negotiated = 1
-        if protocol is not None and negotiated < protocol:
-            detail = response.get("error", "no error detail")
-            self._teardown()
-            raise ProtocolError(
-                f"server does not speak wire protocol v{protocol} ({detail})"
-            )
-        return negotiated
-
-    # ------------------------------------------------------------------ #
-    # v2 pipelining internals
+    # The one request path: tag with an id, send, wait on the future
     # ------------------------------------------------------------------ #
     def _reader_loop(self) -> None:
-        while True:
-            try:
+        # Whatever ends the loop — a closed socket, a garbled frame, a bug in
+        # here — every pending future must hear about it.
+        try:
+            while True:
                 message = recv_message(self._rfile)
-            except Exception as exc:  # ProtocolError, OSError, ValueError
-                self._fail_pending(exc)
-                return
-            if message is None:
-                self._fail_pending(
-                    ShardUnavailableError("server closed the connection")
-                )
-                return
-            response, frames = message
-            request_id = response.get("id")
-            with self._plock:
-                future = self._pending.pop(request_id, None)
-                if future is None:
-                    # The orphaned frame of an abandoned (timed-out or
-                    # id-less) request: discard it — only that request
-                    # failed, the connection stays synchronized by id.
-                    self.orphaned_responses += 1
-                    continue
-            future.set_result((response, frames))
+                if message is None:
+                    raise ShardUnavailableError("server closed the connection")
+                self._resolve(*message)
+        except Exception as exc:  # ProtocolError, OSError, ValueError, ...
+            self._fail_pending(exc)
+
+    def _resolve(self, response: Dict, frames: List[np.ndarray]) -> None:
+        request_id = response.get("id")
+        with self._plock:
+            request = (
+                self._pending.pop(request_id, None)
+                if isinstance(request_id, int)
+                else None
+            )
+        # Claim the future before resolving it: False means the caller
+        # cancelled it, and True locks out a late cancel(), so set_result /
+        # set_exception below cannot raise InvalidStateError.
+        if request is None or not request.set_running_or_notify_cancel():
+            # The orphaned frame of an abandoned (timed-out or cancelled)
+            # request: discard it — only that request failed, the connection
+            # stays synchronized by id.
+            self.orphaned_responses += 1
+            return
+        try:
+            if not response.get("ok"):
+                raise error_from_wire(response)
+            request.set_result(request.decode(response, frames))
+        except Exception as exc:  # noqa: BLE001 - the future carries it
+            request.set_exception(exc)
 
     def _fail_pending(self, exc: BaseException) -> None:
+        # Mark the connection broken *before* draining: a request registered
+        # after the drain must find the mark when it comes to send.
+        with self._lock:
+            if not self._closed and not self._broken_reason:
+                self._broken_reason = f"{type(exc).__name__}: {exc}"
         with self._plock:
             pending = list(self._pending.values())
             self._pending.clear()
-        with self._lock:
-            if not self._closed:
-                self._broken = True
-                self._broken_reason = f"{type(exc).__name__}: {exc}"
-        for future in pending:
-            if isinstance(exc, ShardUnavailableError):
-                future.set_exception(exc)
-            else:
-                future.set_exception(
-                    ShardUnavailableError(f"connection lost mid-request ({exc})")
-                )
-
-    def _check_usable(self) -> None:
-        if self._closed:
-            # ShardUnavailableError (a ConnectionError, retryable) rather
-            # than a bare RuntimeError: the fleet races requests against
-            # shard recovery, and a request that grabbed a just-retired
-            # connection must fail over, not fail outright.
-            raise ShardUnavailableError("client is closed")
-        if self._broken:
-            if self.protocol >= 2:
-                raise ShardUnavailableError(
-                    f"client connection is broken ({self._broken_reason}); "
-                    "open a new ServiceClient"
-                )
-            raise RuntimeError(
-                "client connection is desynchronized after a previous "
-                "mid-call failure; open a new ServiceClient"
-            )
+        if not isinstance(exc, ShardUnavailableError):
+            exc = ShardUnavailableError(f"connection lost mid-request ({exc})")
+        for request in pending:
+            if request.set_running_or_notify_cancel():
+                request.set_exception(exc)
 
     def _submit_raw(
-        self, header: Dict, frames: Sequence[np.ndarray] = ()
-    ) -> Tuple[int, Future]:
-        """Send one id-tagged request; returns ``(id, raw-response future)``."""
-        future: Future = Future()
-        with self._plock:
-            request_id = self._next_id
-            self._next_id += 1
-            self._pending[request_id] = future
-        header = dict(header)
-        header["id"] = request_id
-        try:
-            with self._lock:
-                self._check_usable()
-                send_message(self._wfile, header, frames, version=2)
-        except BaseException:
-            with self._plock:
-                self._pending.pop(request_id, None)
-            # A partial write leaves the outbound stream unframed: the server
-            # will drop the connection on the garbled message either way.
-            with self._lock:
-                if not self._closed and not self._broken:
-                    self._broken = True
-                    self._broken_reason = "send failed mid-frame"
-            raise
-        return request_id, future
-
-    def _result_raw(
-        self, request_id: int, future: Future, timeout: Optional[float]
-    ) -> Tuple[Dict, List[np.ndarray]]:
-        try:
-            response, frames = future.result(timeout=timeout)
-        except FutureTimeoutError:
-            # Abandon the request: the reader discards its eventual response
-            # by id, so *only this request* fails — no connection poisoning.
-            with self._plock:
-                self._pending.pop(request_id, None)
-            raise TimeoutError(
-                f"no response to request {request_id} within {timeout}s "
-                "(request abandoned; the connection remains usable)"
-            ) from None
-        if not response.get("ok"):
-            _raise_remote(response)
-        return response, frames
-
-    # ------------------------------------------------------------------ #
-    # One call surface over both generations
-    # ------------------------------------------------------------------ #
-    def _call(
         self,
         header: Dict,
         frames: Sequence[np.ndarray] = (),
-        *,
-        timeout: Optional[float] = None,
-    ) -> Tuple[Dict, List[np.ndarray]]:
-        if self.protocol >= 2:
-            request_id, future = self._submit_raw(header, frames)
-            return self._result_raw(
-                request_id, future, self.timeout if timeout is None else timeout
-            )
-        return self._call_v1(header, frames)
+        decode: Callable = lambda response, frames: (response, frames),
+    ) -> _Request:
+        """Send one id-tagged request; its future resolves to ``decode(...)``."""
+        with self._plock:
+            request = _Request(self._next_id, decode)
+            self._next_id += 1
+            self._pending[request.request_id] = request
+        try:
+            with self._lock:
+                # ShardUnavailableError (a ConnectionError, retryable): the
+                # fleet races requests against shard recovery, and a request
+                # that grabbed a just-retired connection must fail over.
+                if self._closed:
+                    raise ShardUnavailableError("client is closed")
+                if self._broken_reason:
+                    raise ShardUnavailableError(
+                        f"client connection is broken ({self._broken_reason}); "
+                        "open a new ServiceClient"
+                    )
+                try:
+                    send_message(
+                        self._wfile, {**header, "id": request.request_id}, frames
+                    )
+                except BaseException:
+                    # A partial write leaves the outbound stream unframed:
+                    # the server drops the connection on the garbled message.
+                    self._broken_reason = "send failed mid-frame"
+                    raise
+        except BaseException:
+            with self._plock:
+                self._pending.pop(request.request_id, None)
+            raise
+        return request
 
-    def _call_v1(
+    def result(self, future: Future, *, timeout: Optional[float] = None) -> np.ndarray:
+        """Wait on a :meth:`submit` future.
+
+        On timeout the request is *abandoned*: the reader discards its
+        eventual response by id, so only this request fails and the
+        connection stays usable.
+        """
+        try:
+            return future.result(timeout=timeout)
+        except FutureTimeoutError:
+            if future.done():
+                # Not our timeout: the answer landed just as the wait gave
+                # up, or the server itself answered with a TimeoutError.
+                return future.result()
+            with self._plock:
+                self._pending.pop(getattr(future, "request_id", None), None)
+            raise TimeoutError(
+                f"no response within {timeout}s (request abandoned; the "
+                "connection remains usable)"
+            ) from None
+
+    def _call(
         self, header: Dict, frames: Sequence[np.ndarray] = ()
     ) -> Tuple[Dict, List[np.ndarray]]:
-        with self._lock:
-            self._check_usable()
-            try:
-                send_message(self._wfile, header, frames, version=1)
-                message = recv_message(self._rfile)
-            except BaseException:
-                # A timeout or I/O error mid-call leaves the stale response
-                # in flight: a retry on this socket would read the *previous*
-                # call's answer as its own.  Poison the connection instead.
-                self._broken = True
-                raise
-            if message is None:
-                self._broken = True
-                raise ProtocolError("server closed the connection mid-call")
-        response, out_frames = message
-        if not response.get("ok"):
-            _raise_remote(response)
-        return response, out_frames
+        return self.result(self._submit_raw(header, frames), timeout=self.timeout)
 
     # ------------------------------------------------------------------ #
     # Public API (the SolverEndpoint surface)
@@ -371,21 +279,17 @@ class ServiceClient:
             response, _ = self._call(header, [A.indptr, A.indices, A.data])
         return RemoteHandle(**response["handle"])
 
-    @staticmethod
-    def _solve_header_frames(handle, values, rhs, timeout=None):
-        handle_id = handle.handle_id if isinstance(handle, RemoteHandle) else str(handle)
-        header = {"op": "solve", "handle": handle_id, "timeout": timeout}
+    def _send_solve(self, handle, values, rhs) -> _Request:
+        # Called under the caller's span: the trace headers captured here
+        # make every shard-side span a child of this request — the
+        # cross-process trace edge.
+        header = {"op": "solve", "handle": _handle_id(handle)}
+        header.update(observe_trace.wire_trace_headers())
         frames = [
             np.ascontiguousarray(values, dtype=np.float64),
             np.ascontiguousarray(rhs, dtype=np.float64),
         ]
-        return header, frames
-
-    @staticmethod
-    def _solution_from(response: Dict, frames: List[np.ndarray]) -> np.ndarray:
-        if len(frames) != 1:
-            raise ProtocolError(f"solve response carried {len(frames)} frames")
-        return np.array(frames[0], dtype=np.float64, copy=True)
+        return self._submit_raw(header, frames, _solution_from)
 
     def submit(
         self,
@@ -395,49 +299,12 @@ class ServiceClient:
     ) -> Future:
         """Enqueue one solve; returns a future resolving to the solution.
 
-        Under protocol v2 this is genuinely pipelined: the request goes on
-        the wire immediately and many submits can be in flight on one
-        connection — enough to fill the server's coalescing window from a
-        single client.  Under v1 the call degrades to a synchronous
-        round-trip whose (already-resolved) future is returned, preserving
-        the :class:`~repro.service.endpoint.SolverEndpoint` surface.
+        The request goes on the wire immediately and many submits can be in
+        flight on one connection — enough to fill the server's coalescing
+        window from a single client.  The span covers enqueueing only.
         """
-        header, frames = self._solve_header_frames(handle, values, rhs)
-        # The span covers enqueueing only (the future resolves later), but
-        # the trace headers captured under it make every shard-side span a
-        # child of this request — that is the cross-process trace edge.
-        if self.protocol < 2:
-            result: Future = Future()
-            try:
-                with observe_trace.span("wire-submit", handle=header["handle"]):
-                    header.update(observe_trace.wire_trace_headers())
-                    response, out_frames = self._call_v1(header, frames)
-                result.set_result(self._solution_from(response, out_frames))
-            except BaseException as exc:  # noqa: BLE001 - future carries it
-                result.set_exception(exc)
-            return result
-        with observe_trace.span("wire-submit", handle=header["handle"]):
-            header.update(observe_trace.wire_trace_headers())
-            _, raw = self._submit_raw(header, frames)
-        result = Future()
-
-        def _chain(done: Future) -> None:
-            try:
-                response, out_frames = done.result()
-                if not response.get("ok"):
-                    result.set_exception(error_from_wire(response))
-                    return
-                result.set_result(self._solution_from(response, out_frames))
-            except BaseException as exc:  # noqa: BLE001 - future carries it
-                result.set_exception(exc)
-
-        raw.add_done_callback(_chain)
-        return result
-
-    @staticmethod
-    def result(future: Future, *, timeout: Optional[float] = None) -> np.ndarray:
-        """Wait on a :meth:`submit` future (sugar for ``future.result``)."""
-        return future.result(timeout=timeout)
+        with observe_trace.span("wire-submit", handle=_handle_id(handle)):
+            return self._send_solve(handle, values, rhs)
 
     def solve(
         self,
@@ -447,12 +314,12 @@ class ServiceClient:
         *,
         timeout: Optional[float] = None,
     ) -> np.ndarray:
-        """Solve one system on a registered pattern; returns the solution."""
-        header, frames = self._solve_header_frames(handle, values, rhs, timeout)
-        with observe_trace.span("wire-solve", handle=header["handle"]):
-            header.update(observe_trace.wire_trace_headers())
-            response, out_frames = self._call(header, frames, timeout=timeout)
-        return self._solution_from(response, out_frames)
+        """Solve one system: :meth:`submit` + :meth:`result`, one span."""
+        with observe_trace.span("wire-solve", handle=_handle_id(handle)):
+            return self.result(
+                self._send_solve(handle, values, rhs),
+                timeout=self.timeout if timeout is None else timeout,
+            )
 
     def stats(self) -> Dict:
         """The server's cumulative metrics snapshot."""
@@ -474,8 +341,7 @@ class ServiceClient:
 
     def evict(self, handle: Union[RemoteHandle, str]) -> bool:
         """Explicitly evict a registered pattern server-side."""
-        handle_id = handle.handle_id if isinstance(handle, RemoteHandle) else str(handle)
-        response, _ = self._call({"op": "evict", "handle": handle_id})
+        response, _ = self._call({"op": "evict", "handle": _handle_id(handle)})
         return bool(response.get("evicted"))
 
     def ping(self) -> bool:
@@ -486,11 +352,10 @@ class ServiceClient:
     def ping_info(self) -> Dict:
         """A timed liveness probe: the server's reply plus round-trip facts.
 
-        Against a v2 server the reply carries ``server_wall_time`` /
-        ``server_monotonic`` / ``pid``; this adds the client-side send/recv
-        wall clocks and ``rtt_seconds``, which is everything
-        :meth:`estimate_clock_offset` needs from one probe.  Against a v1
-        server only the client-side fields are present.
+        The reply carries ``server_wall_time`` / ``server_monotonic`` /
+        ``pid``; this adds the client-side send/recv wall clocks and
+        ``rtt_seconds``, which is everything :meth:`estimate_clock_offset`
+        needs from one probe.
         """
         sent_at = time.time()
         response, _ = self._call({"op": "ping"})
@@ -507,9 +372,7 @@ class ServiceClient:
         NTP-style: each timed ping brackets the server's reported wall time
         between the client's send and receive stamps; the sample with the
         smallest round-trip (least queueing noise) wins, and the offset is
-        the server time minus the bracket midpoint.  Returns 0.0 against a
-        v1 server (no server timestamps — clocks are assumed shared, which
-        holds for the single-host fleet).  Used by
+        the server time minus the bracket midpoint.  Used by
         :meth:`ShardFleet.chrome_trace` to place every shard's spans on the
         fleet client's clock.
         """
@@ -517,15 +380,12 @@ class ServiceClient:
         best_offset = 0.0
         for _ in range(max(1, samples)):
             info = self.ping_info()
-            server_wall = info.get("server_wall_time")
-            if server_wall is None:
-                return 0.0
             midpoint = (
                 info["client_send_wall_time"] + info["client_recv_wall_time"]
             ) / 2.0
             if best_rtt is None or info["rtt_seconds"] < best_rtt:
                 best_rtt = info["rtt_seconds"]
-                best_offset = float(server_wall) - midpoint
+                best_offset = float(info["server_wall_time"]) - midpoint
         return best_offset
 
     def health(self) -> Dict:
@@ -574,7 +434,7 @@ class ServiceClient:
     def close(self) -> None:
         """Close the connection (idempotent).
 
-        Pending v2 futures fail with :class:`ShardUnavailableError` as the
+        Pending futures fail with :class:`ShardUnavailableError` as the
         reader thread observes the closed socket and drains them.
         """
         with self._lock:
@@ -587,9 +447,8 @@ class ServiceClient:
         except OSError:
             pass
         self._teardown()
-        reader = self._reader
-        if reader is not None and reader is not threading.current_thread():
-            reader.join(timeout=1.0)
+        if self._reader is not threading.current_thread():
+            self._reader.join(timeout=1.0)
 
     def __enter__(self) -> "ServiceClient":
         return self

@@ -45,9 +45,11 @@ class Coalescer:
     Parameters
     ----------
     dispatch:
-        ``dispatch(entry, requests)`` — runs one coalesced batch and resolves
-        every request's future (it must not assume success: exceptions are
-        caught and reported per batch by the caller's dispatch logic).
+        ``dispatch(entry, requests)`` — runs one coalesced batch, resolving
+        each request's future, and returns the callable that makes the
+        batch's last resolution (called once the batch span has closed).  It
+        must not assume success: exceptions are caught and reported per
+        batch by the caller's dispatch logic.
     window_seconds:
         How long the oldest request of a pattern may wait before its batch
         flushes regardless of size.
@@ -57,7 +59,7 @@ class Coalescer:
 
     def __init__(
         self,
-        dispatch: Callable[[object, Sequence[object]], None],
+        dispatch: Callable[[object, Sequence[object]], Callable[[], None]],
         *,
         window_seconds: float = 0.002,
         max_batch: int = 32,
@@ -173,7 +175,11 @@ class Coalescer:
                 # per-request dispatch spans inside re-attach each
                 # submitter's captured context (see session._dispatch).
                 with observe_trace.span("coalesce", batch=len(batch)):
-                    self._dispatch(entry, batch)
+                    resolve_last = self._dispatch(entry, batch)
+                # The batch's last future resolves only after the batch span
+                # has closed: a caller that has heard from every request sees
+                # the whole batch in the span buffer.
+                resolve_last()
             except Exception as exc:  # pragma: no cover - dispatch guards itself
                 _fail_batch(batch, exc)
             finally:

@@ -6,7 +6,7 @@ eight methods, so callers swap local ↔ remote ↔ fleet without code changes:
 * :class:`~repro.service.session.SolverService` — in process (one process,
   many threads, micro-batched coalescing),
 * :class:`~repro.service.client.ServiceClient` — one server over the wire
-  (protocol v2 pipelines submits; v1 servers degrade gracefully),
+  (id-tagged requests: one connection pipelines many submits),
 * :class:`~repro.service.fleet.ShardFleet` — N worker processes behind a
   pattern-affinity consistent-hash router.
 

@@ -493,7 +493,7 @@ class ShardFleet:
     ) -> Future:
         """Pipelined solve: enqueue on the owning shard, future out.
 
-        The request rides the shard connection's protocol-v2 pipelining, so
+        The request rides the shard connection's id-tagged pipelining, so
         many submits fill each shard's coalescing window concurrently.  On
         shard death the future transparently resubmits once after recovery.
         """

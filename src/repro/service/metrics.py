@@ -6,15 +6,14 @@ as one JSON-friendly snapshot through the ``stats`` endpoint, which the tests
 and the CI smoke step assert on — the coalescing/amortization story measured,
 not assumed.
 
-The latency reservoir and the percentile math are re-homed in
-:mod:`repro.observe.registry` (:class:`~repro.observe.registry.Reservoir`);
-:func:`percentile` stays importable from here for compatibility.  A service's
-metrics are also visible through the unified observability layer: the
-session registers each instance as a pull-mode collector (``service``,
-auto-suffixed per instance) in the default
-:class:`~repro.observe.registry.MetricsRegistry`, so the Prometheus export
-(the ``metrics`` wire verb) carries ``repro_service_*`` gauges without any
-extra hot-path cost.
+The latency reservoir and the percentile math live in
+:mod:`repro.observe.registry` (:class:`~repro.observe.registry.Reservoir`,
+:func:`~repro.observe.registry.percentile`).  A service's metrics are also
+visible through the unified observability layer: the session registers each
+instance as a pull-mode collector (``service``, auto-suffixed per instance)
+in the default :class:`~repro.observe.registry.MetricsRegistry`, so the
+Prometheus export (the ``metrics`` wire verb) carries ``repro_service_*``
+gauges without any extra hot-path cost.
 """
 
 from __future__ import annotations
@@ -27,10 +26,9 @@ from repro.observe.registry import (
     MetricsRegistry,
     Reservoir,
     get_registry,
-    percentile,
 )
 
-__all__ = ["ServiceMetrics", "percentile"]
+__all__ = ["ServiceMetrics"]
 
 #: Latency samples kept for quantile estimation (a sliding reservoir; enough
 #: for stable p95 under the smoke workloads without unbounded growth).

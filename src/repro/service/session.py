@@ -29,7 +29,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -40,13 +40,13 @@ from repro.compiler.options import SympilerOptions
 from repro.observe import events as observe_events
 from repro.observe import trace as observe_trace
 from repro.runtime.facade import BatchedSolver
-from repro.service.admission import (
-    AdmissionController,
+from repro.service.admission import AdmissionController
+from repro.service.coalescer import Coalescer
+from repro.service.errors import (
     PatternEvictedError,
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.service.coalescer import Coalescer
 from repro.service.metrics import ServiceMetrics
 from repro.sparse.csc import CSCMatrix
 
@@ -60,7 +60,7 @@ class PatternHandle:
     Handles are value objects — serializable over the wire by ``handle_id``
     — and stay valid until the pattern is evicted; solving through an
     evicted handle raises
-    :class:`~repro.service.admission.PatternEvictedError` (re-register to
+    :class:`~repro.service.errors.PatternEvictedError` (re-register to
     get a fresh handle; the on-disk cache makes that warm).
     """
 
@@ -459,7 +459,7 @@ class SolverService:
             # the whole pool, so queueing for batchmates only adds latency.
             if entry.handle.execution_strategy == "wavefront":
                 self.metrics.incr("dispatch_wavefront")
-            self._dispatch(entry, [request])
+            self._dispatch(entry, [request])()
         return request.future
 
     def solve(
@@ -473,24 +473,37 @@ class SolverService:
         """Synchronous solve: :meth:`submit` + wait."""
         return self.submit(handle, values, rhs).result(timeout=timeout)
 
-    def _dispatch(self, entry: _PatternEntry, requests) -> None:
+    def _dispatch(self, entry: _PatternEntry, requests) -> Callable[[], None]:
         """Run one coalesced batch: factorize together, solve per request.
 
         Per-request error isolation: a singular/indefinite value set resolves
         its own future with the kernel error; batchmates complete normally.
         A batch-level failure fails only this batch's futures.
+
+        A future resolves as soon as its own solve is done and accounted for
+        (:meth:`_settle`), so whoever it wakes — a wire response is written
+        from its callback — finds the request in ``stats`` and its admission
+        slot free.  The batch's *last* resolution is returned instead of
+        made: the caller closes its batch span first, so when the last future
+        of a batch resolves the batch is over in the span buffer too.
         """
         requests = list(requests)
         n = entry.handle.n
+        self.metrics.observe_batch(len(requests))
         # Claim every future up front: set_running_or_notify_cancel() False
         # means the client cancelled while queued — skip its work entirely —
         # and True locks out late cancellation, so set_result/set_exception
-        # below can never raise InvalidStateError into the batch handler
-        # (which would fail innocent batchmates).
-        live = [r for r in requests if r.future.set_running_or_notify_cancel()]
-        cancelled = len(requests) - len(live)
-        if cancelled:
-            self.metrics.incr("solves_cancelled", cancelled)
+        # can never raise InvalidStateError into the batch handler (which
+        # would fail innocent batchmates).
+        live = []
+        for request in requests:
+            if request.future.set_running_or_notify_cancel():
+                live.append(request)
+            else:
+                self.metrics.incr("solves_cancelled")
+                self._account(entry, request)
+        resolve: Callable[[], None] = lambda: None
+        settled = 0
         try:
             with entry.dispatch_lock:
                 for request in live:
@@ -510,42 +523,52 @@ class SolverService:
                 else 1
             )
             for i, (request, factor_handle) in enumerate(zip(live, handles)):
-                if not factor_handle.ok:
-                    self.metrics.incr("solves_failed")
-                    request.future.set_exception(factor_handle.error)
-                    continue
-                try:
-                    # Attach the submitter's trace context so the dispatch
-                    # span (and the numeric span inside the solve) land in
-                    # the submitting request's trace, not an orphan one.
-                    with observe_trace.attach(request.trace_ctx), observe_trace.span(
-                        "dispatch", kernel=entry.handle.kernel, batch=len(live)
-                    ):
-                        x = factor_handle.solve(
-                            request.rhs, out=out[i], num_threads=solve_threads
-                        )
-                except Exception as exc:
-                    self.metrics.incr("solves_failed")
-                    request.future.set_exception(exc)
-                else:
-                    self.metrics.incr("solves_ok")
-                    entry.solves += 1
-                    request.future.set_result(x)
+                resolve()  # the previous request's future
+                x, error = None, factor_handle.error
+                if error is None:
+                    try:
+                        # Attach the submitter's trace context so the dispatch
+                        # span (and the numeric span inside the solve) land in
+                        # the submitting request's trace, not an orphan one.
+                        with observe_trace.attach(request.trace_ctx):
+                            with observe_trace.span(
+                                "dispatch", kernel=entry.handle.kernel, batch=len(live)
+                            ):
+                                x = factor_handle.solve(
+                                    request.rhs, out=out[i], num_threads=solve_threads
+                                )
+                    except Exception as exc:
+                        error = exc
+                resolve = self._settle(entry, request, x, error)
+                settled += 1
         except Exception as exc:
-            for request in live:
-                if not request.future.done():
-                    self.metrics.incr("solves_failed")
-                    request.future.set_exception(exc)
-        finally:
-            now = time.monotonic()
-            self.metrics.observe_batch(len(requests))
-            slow_after = observe_events.get_event_log().slow_request_seconds
-            for request in requests:
-                self.admission.release()
-                latency = now - request.enqueued_at
-                self.metrics.observe_latency(latency)
-                if slow_after is not None and latency >= slow_after:
-                    self._sample_slow_request(entry, request, latency)
+            for request in live[settled:]:
+                resolve()
+                resolve = self._settle(entry, request, None, exc)
+        return resolve
+
+    def _account(self, entry: _PatternEntry, request: _Request) -> None:
+        """What a request owes the books before anyone hears it is over."""
+        self.admission.release()
+        latency = time.monotonic() - request.enqueued_at
+        self.metrics.observe_latency(latency)
+        slow_after = observe_events.get_event_log().slow_request_seconds
+        if slow_after is not None and latency >= slow_after:
+            self._sample_slow_request(entry, request, latency)
+
+    def _settle(
+        self, entry: _PatternEntry, request: _Request, x, error
+    ) -> Callable[[], None]:
+        """Account for one finished request; returns the call that resolves it."""
+        if error is None:
+            self.metrics.incr("solves_ok")
+            entry.solves += 1
+        else:
+            self.metrics.incr("solves_failed")
+        self._account(entry, request)
+        if error is None:
+            return lambda: request.future.set_result(x)
+        return lambda: request.future.set_exception(error)
 
     def _sample_slow_request(
         self, entry: _PatternEntry, request: _Request, latency: float

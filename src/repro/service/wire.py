@@ -19,34 +19,36 @@ metadata), ``solve`` (handle id + values + rhs → solution frame), ``stats``,
 returned as a ``uint8`` frame), ``health`` (service liveness + uptime +
 wire/pid/clock facts), ``trace`` (drain this process's finished-span buffer
 as a JSON ``uint8`` frame — what :meth:`ShardFleet.chrome_trace` merges),
-``evict``, ``ping``, ``shutdown`` and ``hello``.  Error responses carry
-``ok: false``, a ``kind`` (the stable tags of :mod:`repro.service.errors` —
-``"overloaded"`` includes ``retry_after`` for client backoff, ``"evicted"``
-means re-register), ``retryable`` and the server-side message.
+``evict``, ``ping`` and ``shutdown``.  Error responses carry ``ok: false``, a
+``kind`` (the stable tags of :mod:`repro.service.errors` — ``"overloaded"``
+includes ``retry_after`` for client backoff, ``"evicted"`` means
+re-register), ``retryable`` and the server-side message.
+
+**One protocol generation.**  The version byte is :data:`WIRE_VERSION`; a
+message carrying any other value is refused with a :class:`ProtocolError`
+naming both numbers and the connection is closed, so a stale or hostile
+peer fails loudly instead of being half-understood.  There is no
+negotiation.
+
+**Request ids.**  A request may carry an integer ``id`` in its header; the
+response echoes it (``null`` when the request had none).  ``solve`` is
+always dispatched through the service's *async* ``submit`` path and answered
+by a completion callback, so responses may arrive **out of order** and one
+connection keeps a whole coalescing window in flight; every other operation
+is answered before the next message is read.
+
+**One write per message.**  :func:`send_message` emits the 9-byte head and
+the JSON header as one write, the frames after it, then flushes once; both
+ends of a TCP connection set ``TCP_NODELAY`` and write through a buffered
+stream.  (A head that travels as its own small segment on a Nagle-enabled
+socket waits for the peer's delayed ACK — ~40 ms per message on Linux.)
 
 **Distributed tracing**: any request header may carry ``trace_id`` /
 ``parent_id`` (emitted by :func:`repro.observe.trace.wire_trace_headers` on
 the client only while a span is open).  The server ``attach_remote``-s that
 context around the operation, so shard-side spans join the caller's trace,
-parented under the caller's request span.  v1 servers ignore the keys; when
-tracing is disabled the headers carry no trace keys at all.
-
-**Protocol v2** (negotiated, v1 clients keep working):
-
-* ``hello`` — the client's first message (framed as v1 so pre-v2 servers
-  answer with a harmless ``unknown operation`` error instead of dropping the
-  connection) advertises its supported versions; the server answers with the
-  highest mutual version.  No hello ⇒ the connection speaks v1.
-* **request ids** — a v2 request may carry ``id`` in its header; the
-  response echoes it.  ``solve`` requests with an id are dispatched through
-  the service's *async* ``submit`` path and their responses may arrive **out
-  of order**, so one connection keeps a full coalescing window in flight
-  instead of one lock-step round-trip per request.  Requests without an id
-  (and every v1 request) keep strict request/response ordering.
-
-Responses are framed with the same version byte as the request they answer,
-so both protocol generations coexist on one server (different connections —
-or even interleaved id-less messages on a v2 connection).
+parented under the caller's request span.  When tracing is disabled the
+headers carry no trace keys at all.
 """
 
 from __future__ import annotations
@@ -58,7 +60,10 @@ import socketserver
 import struct
 import threading
 import time
+from concurrent.futures import Future
+from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
+from functools import partial
 from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -72,8 +77,8 @@ from repro.sparse.csc import CSCMatrix
 __all__ = [
     "MAGIC",
     "WIRE_VERSION",
-    "SUPPORTED_WIRE_VERSIONS",
     "ProtocolError",
+    "RemoteHandle",
     "send_message",
     "recv_message",
     "handle_request",
@@ -82,14 +87,9 @@ __all__ = [
 ]
 
 MAGIC = b"RSRV"
-#: The newest protocol generation this build speaks (and the default framing
-#: version for :func:`send_message`).
+#: The one protocol generation this build speaks; any other version byte is
+#: refused by :func:`recv_message`.
 WIRE_VERSION = 2
-#: Every generation the server accepts on the wire.  v1 is the original
-#: lock-step protocol; v2 adds ``hello`` negotiation and request-id
-#: pipelining.  The framing bytes are identical — only the version byte and
-#: the header vocabulary differ.
-SUPPORTED_WIRE_VERSIONS = (1, 2)
 _HEAD = struct.Struct(">4sBI")
 
 #: Hard ceilings so a corrupt or malicious peer fails loudly instead of
@@ -108,20 +108,13 @@ _ALLOWED_DTYPES = frozenset(
 # Framing
 # --------------------------------------------------------------------------- #
 def send_message(
-    stream: BinaryIO,
-    header: Dict,
-    frames: Sequence[np.ndarray] = (),
-    *,
-    version: int = WIRE_VERSION,
+    stream: BinaryIO, header: Dict, frames: Sequence[np.ndarray] = ()
 ) -> None:
     """Write one framed message (header JSON + raw ndarray frames).
 
-    ``version`` selects the framing version byte; servers answer each request
-    with the version it arrived under, clients frame according to what the
-    ``hello`` negotiation settled on.
+    The head and the JSON header leave as **one** write, so the 9-byte head
+    never travels as its own segment; frames follow, then a single flush.
     """
-    if version not in SUPPORTED_WIRE_VERSIONS:
-        raise ProtocolError(f"cannot frame unsupported wire version {version}")
     arrays = []
     for frame in frames:
         a = np.asarray(frame)
@@ -137,8 +130,7 @@ def send_message(
     payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_HEADER_BYTES:
         raise ProtocolError(f"header of {len(payload)} bytes exceeds the limit")
-    stream.write(_HEAD.pack(MAGIC, version, len(payload)))
-    stream.write(payload)
+    stream.write(_HEAD.pack(MAGIC, WIRE_VERSION, len(payload)) + payload)
     for a in arrays:
         if a.ndim == 0:
             stream.write(a.tobytes())  # 0-d buffers cannot be byte-cast
@@ -162,18 +154,12 @@ def _read_exact(stream: BinaryIO, nbytes: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_message(
-    stream: BinaryIO,
-    *,
-    with_version: bool = False,
-) -> Optional[
-    Union[Tuple[Dict, List[np.ndarray]], Tuple[Dict, List[np.ndarray], int]]
-]:
+def recv_message(stream: BinaryIO) -> Optional[Tuple[Dict, List[np.ndarray]]]:
     """Read one framed message; ``None`` on clean EOF before a new message.
 
-    Accepts every generation in :data:`SUPPORTED_WIRE_VERSIONS`.  With
-    ``with_version=True`` the result is ``(header, frames, version)`` — the
-    server uses it to answer each request under the version it arrived with.
+    Everything a peer can get wrong — magic, version byte, header size or
+    encoding, the frames manifest, a short read — raises
+    :class:`ProtocolError`; nothing else escapes.
     """
     head = stream.read(_HEAD.size)
     if not head:
@@ -183,21 +169,31 @@ def recv_message(
     magic, version, header_len = _HEAD.unpack(head)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r} (expected {MAGIC!r})")
-    if version not in SUPPORTED_WIRE_VERSIONS:
-        raise ProtocolError(f"unsupported wire version {version}")
+    if version != WIRE_VERSION:
+        raise ProtocolError(
+            f"unsupported wire version {version} (this build speaks "
+            f"{WIRE_VERSION})"
+        )
     if header_len > MAX_HEADER_BYTES:
         raise ProtocolError(f"header of {header_len} bytes exceeds the limit")
     try:
         header = json.loads(_read_exact(stream, header_len).decode("utf-8"))
     except ValueError as exc:
         raise ProtocolError(f"undecodable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ProtocolError("header is not a JSON object")
+    try:
+        manifest = [
+            (str(spec.get("dtype")), tuple(int(s) for s in spec.get("shape", [])))
+            for spec in header.get("frames", [])
+        ]
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed frames manifest: {exc}") from exc
     frames: List[np.ndarray] = []
-    for spec in header.get("frames", []):
-        dtype_name = str(spec.get("dtype"))
+    for dtype_name, shape in manifest:
         if dtype_name not in _ALLOWED_DTYPES:
             raise ProtocolError(f"refusing frame dtype {dtype_name!r}")
         dtype = np.dtype(dtype_name)
-        shape = tuple(int(s) for s in spec.get("shape", []))
         if any(s < 0 for s in shape):
             raise ProtocolError(f"negative frame dimension in {shape}")
         # math.prod on Python ints is overflow-free: a malicious shape like
@@ -207,8 +203,6 @@ def recv_message(
             raise ProtocolError(f"frame of {nbytes} bytes exceeds the limit")
         raw = _read_exact(stream, nbytes)
         frames.append(np.frombuffer(raw, dtype=dtype).reshape(shape))
-    if with_version:
-        return header, frames, version
     return header, frames
 
 
@@ -233,61 +227,69 @@ def _options_from_wire(payload: Optional[Dict]) -> Optional[SympilerOptions]:
     return SympilerOptions().with_updates(**clean)
 
 
+@dataclass(frozen=True)
+class RemoteHandle:
+    """A registered pattern as it crosses the wire.
+
+    The serializable subset of the server's ``PatternHandle``: the
+    ``register`` response is built from these fields and the client
+    rebuilds the record from that response, so the schema is written once.
+    """
+
+    handle_id: str
+    fingerprint: str
+    kernel: str
+    ordering: str
+    n: int
+    nnz: int
+    factor_nnz: int
+    warm: bool
+    schedule_levels: int
+    schedule_avg_width: float
+
+
 def _handle_payload(handle) -> Dict:
-    return {
-        "handle_id": handle.handle_id,
-        "fingerprint": handle.fingerprint,
-        "kernel": handle.kernel,
-        "ordering": handle.ordering,
-        "n": handle.n,
-        "nnz": handle.nnz,
-        "factor_nnz": handle.factor_nnz,
-        "warm": handle.warm,
-        "schedule_levels": handle.schedule_levels,
-        "schedule_avg_width": handle.schedule_avg_width,
-    }
+    return {f.name: getattr(handle, f.name) for f in dataclass_fields(RemoteHandle)}
 
 
 def handle_request(
-    service: SolverService,
-    header: Dict,
-    frames: List[np.ndarray],
-    *,
-    version: int = 1,
-) -> Tuple[Dict, List[np.ndarray]]:
+    service: SolverService, header: Dict, frames: List[np.ndarray]
+) -> Union[Tuple[Dict, List[np.ndarray]], Future]:
     """Execute one wire operation against ``service``.
 
-    Returns ``(response_header, response_frames)``; raises for error paths
-    (the connection handler maps exceptions to ``ok: false`` responses so
-    one bad request never kills the connection, let alone the server).
-    ``version`` is the wire generation the request arrived under — v1
-    replies keep their original byte shape (e.g. the bare ``ping`` ack).
+    Returns ``(response_header, response_frames)`` — or, for ``solve``, the
+    service's future for the solution: the ``serve`` span closes as soon as
+    the request is enqueued (the connection thread moves on to the next
+    message), but ``submit`` captures the context first, so the coalescer's
+    dispatch spans still land under the remote caller's trace.  Raises for
+    error paths (the connection handler maps exceptions to ``ok: false``
+    responses so one bad request never kills the connection, let alone the
+    server).
     """
     with observe_trace.attach_remote(header.get("trace_id"), header.get("parent_id")):
         with observe_trace.span("serve", op=str(header.get("op"))):
-            return _dispatch_op(service, header, frames, version)
+            return _dispatch_op(service, header, frames)
 
 
 def _dispatch_op(
-    service: SolverService, header: Dict, frames: List[np.ndarray], version: int
-) -> Tuple[Dict, List[np.ndarray]]:
+    service: SolverService, header: Dict, frames: List[np.ndarray]
+) -> Union[Tuple[Dict, List[np.ndarray]], Future]:
     op = header.get("op")
     if op == "ping":
-        reply: Dict = {"ok": True, "pong": True}
-        if version >= 2:
-            # Server-side clocks let one probe serve both the health surface
-            # and the clock-offset estimator behind the merged fleet trace.
-            # v2-only: the v1 reply shape stays byte-compatible.
-            reply["server_wall_time"] = time.time()
-            reply["server_monotonic"] = time.monotonic()
-            reply["pid"] = os.getpid()
-        return reply, []
+        # Server-side clocks let one probe serve both the health surface
+        # and the clock-offset estimator behind the merged fleet trace.
+        return {
+            "ok": True,
+            "pong": True,
+            "server_wall_time": time.time(),
+            "server_monotonic": time.monotonic(),
+            "pid": os.getpid(),
+        }, []
     if op == "health":
         health = dict(service.health())
         health.update(
             {
                 "wire_version": WIRE_VERSION,
-                "wire_versions": list(SUPPORTED_WIRE_VERSIONS),
                 "pid": os.getpid(),
                 "server_wall_time": time.time(),
                 "server_monotonic": time.monotonic(),
@@ -308,29 +310,6 @@ def _dispatch_op(
             dtype=np.uint8,
         )
         return {"ok": True, "count": len(spans)}, [raw]
-    if op == "hello":
-        # Version negotiation: the client advertises what it speaks, the
-        # server answers with the highest mutual generation.  Framed as v1 on
-        # the wire so a pre-v2 server answers `unknown operation` (and the
-        # client falls back to v1) instead of dropping the connection.
-        offered = header.get("versions")
-        if offered is None:
-            offered = [int(header.get("version", 1))]
-        try:
-            offered = {int(v) for v in offered}
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"unparseable hello versions: {offered!r}") from exc
-        mutual = [v for v in SUPPORTED_WIRE_VERSIONS if v in offered]
-        if not mutual:
-            raise ProtocolError(
-                f"no mutual wire version (client {sorted(offered)}, "
-                f"server {list(SUPPORTED_WIRE_VERSIONS)})"
-            )
-        return {
-            "ok": True,
-            "version": max(mutual),
-            "versions": list(SUPPORTED_WIRE_VERSIONS),
-        }, []
     if op == "stats":
         return {"ok": True, "stats": service.stats()}, []
     if op == "metrics":
@@ -373,13 +352,11 @@ def _dispatch_op(
                 f"solve expects 2 frames (values, rhs), got {len(frames)}"
             )
         values, rhs = frames
-        x = service.solve(
+        return service.submit(
             str(header.get("handle", "")),
             np.asarray(values, dtype=np.float64).reshape(-1),
             np.asarray(rhs, dtype=np.float64).reshape(-1),
-            timeout=header.get("timeout"),
         )
-        return {"ok": True}, [x]
     if op == "evict":
         evicted = service.evict(str(header.get("handle", "")))
         return {"ok": True, "evicted": bool(evicted)}, []
@@ -388,113 +365,74 @@ def _dispatch_op(
     raise ProtocolError(f"unknown operation {op!r}")
 
 
-def _error_response(exc: Exception) -> Dict:
-    # One mapping for the in-process and wire paths: defined in errors.py.
-    return to_wire_error(exc)
-
-
 class _ServiceConnectionHandler(socketserver.StreamRequestHandler):
     """One client connection: a loop of framed request exchanges.
 
-    v1 (and id-less v2) requests run lock-step: handle, answer, next.  v2
-    ``solve`` requests carrying an ``id`` go through the service's async
-    ``submit`` path — the response is written by a completion callback under
-    the per-connection write lock, possibly out of order and interleaved
-    with later requests' responses, so a single connection fills the
-    service's coalescing window instead of trickling one request per
-    round-trip.
+    Every operation but ``solve`` is answered before the next message is
+    read.  A ``solve`` is enqueued through the service's async ``submit``
+    path and answered by its completion callback under the per-connection
+    write lock — possibly out of order and interleaved with later requests'
+    responses — so a single connection fills the service's coalescing window
+    instead of trickling one request per round-trip.
     """
+
+    # One segment per message: TCP_NODELAY on the accepted socket and a
+    # buffered ``wfile`` that ``send_message`` flushes once.
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     def setup(self) -> None:  # pragma: no cover - exercised via sockets
         super().setup()
-        # Serializes response writes: the recv loop (sync responses) and the
-        # solve completion callbacks (pipelined responses) share one stream.
+        # Serializes response writes: the recv loop and the solve completion
+        # callbacks share one stream.
         self._write_lock = threading.Lock()
 
-    def _send_response(
-        self, response: Dict, out_frames: Sequence[np.ndarray], version: int
+    def _respond(
+        self, request_id, response: Dict, out_frames: Sequence[np.ndarray] = ()
     ) -> bool:
+        response["id"] = request_id
         try:
             with self._write_lock:
-                send_message(self.wfile, response, out_frames, version=version)
+                send_message(self.wfile, response, out_frames)
             return True
         except (OSError, ValueError):
             # The client went away (or the stream was torn down mid-write);
             # the service itself is unaffected.
             return False
 
-    def _submit_pipelined_solve(
-        self, header: Dict, frames: List[np.ndarray], version: int
-    ) -> None:
-        """Dispatch one id-carrying v2 solve through the async submit path."""
-        request_id = header.get("id")
-        service = self.server.service
+    def _respond_solved(self, request_id, done: Future) -> None:
         try:
-            if len(frames) != 2:
-                raise ProtocolError(
-                    f"solve expects 2 frames (values, rhs), got {len(frames)}"
-                )
-            values, rhs = frames
-            # The serve span closes as soon as the request is enqueued (the
-            # connection thread moves on to the next pipelined message), but
-            # `submit` captures the context first — so the coalescer's
-            # dispatch spans still land under the remote caller's trace.
-            with observe_trace.attach_remote(
-                header.get("trace_id"), header.get("parent_id")
-            ):
-                with observe_trace.span("serve", op="solve"):
-                    future = service.submit(
-                        str(header.get("handle", "")),
-                        np.asarray(values, dtype=np.float64).reshape(-1),
-                        np.asarray(rhs, dtype=np.float64).reshape(-1),
-                    )
-        except Exception as exc:
-            # Synchronous rejection (overload, eviction, shape): answer
-            # immediately — only this request fails, the connection lives on.
-            response = _error_response(exc)
-            response["id"] = request_id
-            self._send_response(response, [], version)
-            return
-
-        def _finish(done) -> None:
-            try:
-                x = done.result()
-                response, out_frames = {"ok": True, "id": request_id}, [x]
-            except Exception as exc:  # noqa: BLE001 - mapped onto the wire
-                response = _error_response(exc)
-                response["id"] = request_id
-                out_frames = []
-            self._send_response(response, out_frames, version)
-
-        future.add_done_callback(_finish)
+            response, out_frames = {"ok": True}, [done.result()]
+        except Exception as exc:  # noqa: BLE001 - mapped onto the wire
+            response, out_frames = to_wire_error(exc), []
+        self._respond(request_id, response, out_frames)
 
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         while True:
             try:
-                message = recv_message(self.rfile, with_version=True)
-            except ProtocolError as exc:
+                message = recv_message(self.rfile)
+            except (ProtocolError, OSError) as exc:
                 # The stream is unsynchronized after a framing error; report
                 # and drop the connection (the service itself is unaffected).
-                # Framed as v1 — the lowest common denominator, since the
-                # offending message's generation is unknown.
-                self._send_response(_error_response(exc), [], 1)
+                self._respond(None, to_wire_error(exc))
                 return
             if message is None:
                 return
-            header, frames, version = message
+            header, frames = message
             request_id = header.get("id")
-            if version >= 2 and request_id is not None and header.get("op") == "solve":
-                self._submit_pipelined_solve(header, frames, version)
-                continue
             try:
-                response, out_frames = handle_request(
-                    self.server.service, header, frames, version=version
-                )
+                if request_id is not None and not isinstance(request_id, int):
+                    request_id = None
+                    raise ProtocolError("request id must be an integer or null")
+                outcome = handle_request(self.server.service, header, frames)
             except Exception as exc:
-                response, out_frames = _error_response(exc), []
-            if request_id is not None:
-                response["id"] = request_id
-            if not self._send_response(response, out_frames, version):
+                # Only this request fails; the connection lives on.
+                outcome = to_wire_error(exc), []
+            if isinstance(outcome, Future):
+                outcome.add_done_callback(partial(self._respond_solved, request_id))
+                continue
+            response, out_frames = outcome
+            if not self._respond(request_id, response, out_frames):
                 return
             if header.get("op") == "shutdown" and response.get("ok"):
                 self.server.request_shutdown()

@@ -217,10 +217,11 @@ class TestRegistry:
             res.observe(float(v))
         assert res.summary()["count"] == 110
 
-    def test_percentile_reexported_from_service_metrics(self):
+    def test_percentile_has_one_home(self):
         from repro.service import metrics as service_metrics
 
-        assert service_metrics.percentile is percentile
+        assert observe.percentile is percentile
+        assert not hasattr(service_metrics, "percentile")
         assert percentile([1.0, 2.0, 3.0, 4.0], 50.0) == pytest.approx(2.5)
         assert percentile([], 95.0) == 0.0
 

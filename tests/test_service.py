@@ -10,6 +10,7 @@ import pytest
 
 from repro.compiler.codegen.c_backend import disk_cache_stats
 from repro.compiler.options import SympilerOptions
+from repro.observe import percentile
 from repro.service import (
     PatternEvictedError,
     ServiceClosedError,
@@ -17,7 +18,7 @@ from repro.service import (
     SolverService,
 )
 from repro.service.coalescer import Coalescer
-from repro.service.metrics import ServiceMetrics, percentile
+from repro.service.metrics import ServiceMetrics
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.generators import fem_stencil_2d, laplacian_2d
 
@@ -319,7 +320,7 @@ class TestCoalescerUnit:
 
         def dispatch(entry, batch):
             dispatched.append((entry, list(batch)))
-            done.set()
+            return done.set
 
         coalescer = Coalescer(dispatch, window_seconds=0.01, max_batch=100)
         coalescer.offer("k", "entry", "r1")
@@ -334,8 +335,7 @@ class TestCoalescerUnit:
 
         def dispatch(entry, batch):
             batches.append(len(batch))
-            if len(batches) >= 2:
-                hit.set()
+            return hit.set if len(batches) >= 2 else lambda: None
 
         coalescer = Coalescer(dispatch, window_seconds=30.0, max_batch=3)
         for i in range(6):
@@ -357,8 +357,7 @@ class TestCoalescerUnit:
             calls.append(len(batch))
             if len(calls) == 1:
                 raise RuntimeError("boom")
-            for r in batch:
-                r.future.set_result("ok")
+            return lambda: [r.future.set_result("ok") for r in batch]
 
         coalescer = Coalescer(dispatch, window_seconds=0.0, max_batch=1)
         first, second = Request(), Request()
@@ -372,7 +371,7 @@ class TestCoalescerUnit:
     def test_close_drains_pending_requests(self):
         dispatched = []
         coalescer = Coalescer(
-            lambda entry, batch: dispatched.extend(batch),
+            lambda entry, batch: dispatched.extend(batch) or (lambda: None),
             window_seconds=60.0,
             max_batch=100,
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 import threading
 import time
 
@@ -19,6 +20,8 @@ from repro.service import (
 )
 from repro.service.wire import (
     MAGIC,
+    MAX_HEADER_BYTES,
+    WIRE_VERSION,
     ProtocolError,
     handle_request,
     recv_message,
@@ -110,7 +113,7 @@ class TestFraming:
         header = json.dumps(
             {"op": "x", "frames": [{"dtype": "object", "shape": [1]}]}
         ).encode()
-        raw = struct.pack(">4sBI", MAGIC, 1, len(header)) + header
+        raw = struct.pack(">4sBI", MAGIC, WIRE_VERSION, len(header)) + header
         with pytest.raises(ProtocolError, match="dtype"):
             recv_message(io.BytesIO(raw))
 
@@ -122,7 +125,7 @@ class TestFraming:
         header = json.dumps(
             {"op": "x", "frames": [{"dtype": "float64", "shape": [2**33, 2**33]}]}
         ).encode()
-        raw = struct.pack(">4sBI", MAGIC, 1, len(header)) + header
+        raw = struct.pack(">4sBI", MAGIC, WIRE_VERSION, len(header)) + header
         with pytest.raises(ProtocolError, match="exceeds the limit"):
             recv_message(io.BytesIO(raw))
 
@@ -282,35 +285,12 @@ class TestEndToEnd:
             assert np.allclose(x, baseline, atol=1e-8)
         assert service.metrics.count("solves_ok") >= 8
 
-    def test_midcall_failure_poisons_a_v1_connection(self, served):
-        """Under the legacy lock-step protocol a timeout/desync poisons the
-        connection: without request ids the client cannot tell the stale
-        response from the next call's, so reuse is refused."""
-        address, _ = served
-        A = laplacian_2d(6, shift=0.3)
-        client = ServiceClient(address, timeout=30.0, protocol=1)
-        try:
-            assert client.protocol == 1
-            handle = client.register_pattern(A)
-            # Simulate a mid-call failure: a too-short read deadline while
-            # the response is still in flight.
-            client._sock.settimeout(0.000001)
-            with pytest.raises(Exception):
-                client.solve(handle, A.data, np.ones(A.n))
-            client._sock.settimeout(30.0)
-            with pytest.raises(RuntimeError, match="desynchronized"):
-                client.ping()
-        finally:
-            client.close()
-
     def test_v2_timeout_orphans_only_that_request(self, served):
-        """Under protocol v2 a timed-out solve is abandoned by id: the late
-        response is discarded as an orphan and the connection stays usable
-        — the desync-recovery fix."""
+        """A timed-out solve is abandoned by id: the late response is
+        discarded as an orphan and the connection stays usable."""
         address, _ = served
         A = laplacian_2d(6, shift=0.3)
-        with ServiceClient(address, timeout=30.0, protocol=2) as client:
-            assert client.protocol == 2
+        with ServiceClient(address, timeout=30.0) as client:
             handle = client.register_pattern(A)
             with pytest.raises(TimeoutError, match="abandoned"):
                 client.solve(handle, A.data, np.ones(A.n), timeout=0.000001)
@@ -333,8 +313,8 @@ class TestEndToEnd:
         server.server_close()
 
 
-class TestProtocolV2:
-    """Negotiation, pipelining, and cross-generation compatibility."""
+class TestPipelining:
+    """Many id-tagged requests in flight on one connection."""
 
     @pytest.fixture()
     def served(self):
@@ -348,49 +328,6 @@ class TestProtocolV2:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
-
-    def test_hello_negotiates_v2_by_default(self, served):
-        address, _ = served
-        with ServiceClient(address) as client:
-            assert client.protocol == 2
-
-    def test_hello_handled_in_process(self):
-        service = SolverService(options=SympilerOptions(enable_vs_block=False))
-        try:
-            response, frames = handle_request(
-                service, {"op": "hello", "versions": [1, 2]}, []
-            )
-            assert response["ok"] and response["version"] == 2
-            assert frames == []
-            # A hypothetical future-only client with no mutual version.
-            with pytest.raises(ProtocolError, match="no mutual wire version"):
-                handle_request(service, {"op": "hello", "versions": [99]}, [])
-        finally:
-            service.close()
-
-    def test_v1_client_roundtrips_against_v2_server(self, served):
-        """The compatibility guarantee: a pinned-v1 client (standing in for
-        an old binary) registers and solves against the v2 server."""
-        address, _ = served
-        A = laplacian_2d(8, shift=0.1)
-        ref = SparseLinearSolver(
-            A, ordering="natural", options=SympilerOptions(enable_vs_block=False)
-        )
-        with ServiceClient(address, protocol=1) as client:
-            assert client.protocol == 1
-            assert client.ping()
-            handle = client.register_pattern(A)
-            x = client.solve(handle, A.data, np.linspace(0.5, 1.5, A.n))
-            assert np.array_equal(x, ref.solve(np.linspace(0.5, 1.5, A.n)))
-
-    def test_requiring_v2_is_refusable(self, served):
-        # protocol=2 against this (v2) server succeeds...
-        address, _ = served
-        with ServiceClient(address, protocol=2) as client:
-            assert client.protocol == 2
-        # ...and an unsupported pin is rejected up front.
-        with pytest.raises(ValueError, match="protocol"):
-            ServiceClient(address, protocol=3)
 
     def test_pipelined_submits_roundtrip_bitwise(self, served):
         """Many in-flight submits on ONE connection, resolved out of band,
@@ -411,14 +348,47 @@ class TestProtocolV2:
         # carried more than one request.
         assert service.metrics.count("solves_ok") >= 24
 
-    def test_v1_submit_degrades_to_resolved_future(self, served):
+    def test_many_threads_share_one_connection(self, served):
+        """More submitting threads than cores on ONE client, with a short
+        switch interval: every answer is the one for its own request (a
+        crossed id or a lost pending entry would break bit-exactness)."""
+        import sys
+
         address, _ = served
-        A = laplacian_2d(7, shift=0.2)
-        with ServiceClient(address, protocol=1) as client:
-            handle = client.register_pattern(A)
-            future = client.submit(handle, A.data, np.ones(A.n))
-            assert future.done()
-            assert np.isfinite(client.result(future)).all()
+        A = laplacian_2d(8, shift=0.1)
+        ref = SparseLinearSolver(
+            A, ordering="natural", options=SympilerOptions(enable_vs_block=False)
+        )
+        mismatches, errors = [], []
+
+        def drive(client, handle, worker):
+            try:
+                for k in range(6):
+                    rhs = np.linspace(0.1, 1.0 + worker + 0.1 * k, A.n)
+                    x = client.solve(handle, A.data, rhs, timeout=60)
+                    if not np.array_equal(x, ref.solve(rhs)):
+                        mismatches.append((worker, k))
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServiceClient(address) as client:
+                handle = client.register_pattern(A)
+                threads = [
+                    threading.Thread(target=drive, args=(client, handle, w))
+                    for w in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert client.orphaned_responses == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not mismatches
 
     def test_submit_error_lands_in_the_future_not_the_connection(self, served):
         address, _ = served
@@ -431,6 +401,66 @@ class TestProtocolV2:
             # The connection is unaffected.
             good = client.submit(handle, A.data, np.ones(A.n))
             assert np.isfinite(client.result(good, timeout=30)).all()
+
+    def test_cancelled_submit_leaves_the_connection_usable(self, served):
+        """cancel() on a submit future abandons that request only: its
+        response is discarded as an orphan and the reader keeps reading."""
+        address, service = served
+        A = laplacian_2d(6, shift=0.2)
+        with ServiceClient(address) as client:
+            handle = client.register_pattern(A)
+            # Hold the answer back long enough for cancel() to win the race.
+            service.coalescer.window_seconds = 0.2
+            future = client.submit(handle, A.data, np.ones(A.n))
+            assert future.cancel()
+            service.coalescer.window_seconds = 0.005
+            deadline = time.monotonic() + 10.0
+            while client.orphaned_responses < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert client.orphaned_responses == 1
+            assert client._reader.is_alive()
+            assert client.ping()
+            x = client.solve(handle, A.data, np.ones(A.n))
+            assert np.isfinite(x).all()
+
+    def test_close_with_a_cancelled_future_still_fails_the_rest(self, served):
+        from repro.service.errors import ShardUnavailableError
+
+        address, service = served
+        A = laplacian_2d(6, shift=0.2)
+        client = ServiceClient(address)
+        handle = client.register_pattern(A)
+        service.coalescer.window_seconds = 60.0
+        cancelled = client.submit(handle, A.data, np.ones(A.n))
+        waiting = client.submit(handle, A.data, np.ones(A.n))
+        assert cancelled.cancel()
+        client.close()
+        with pytest.raises(ShardUnavailableError):
+            waiting.result(timeout=10)
+        assert not client._reader.is_alive()
+        service.coalescer.window_seconds = 0.005
+
+    def test_result_tells_a_late_answer_from_an_abandoned_request(self, served):
+        """A response that lands as the local wait gives up is returned, and
+        a remote TimeoutError is raised as what it is — neither is reported
+        as an abandoned request."""
+        from concurrent.futures import Future
+        from concurrent.futures import TimeoutError as FutureTimeoutError
+
+        class LandsAsTheWaitGivesUp(Future):
+            def result(self, timeout=None):
+                if timeout is not None:
+                    self.set_result("late answer")
+                    raise FutureTimeoutError()
+                return super().result()
+
+        address, _ = served
+        with ServiceClient(address) as client:
+            assert client.result(LandsAsTheWaitGivesUp(), timeout=0.01) == "late answer"
+            remote = Future()
+            remote.set_exception(TimeoutError("deadline exceeded server-side"))
+            with pytest.raises(TimeoutError, match="server-side"):
+                client.result(remote, timeout=0.01)
 
     def test_close_fails_pending_futures(self, served):
         from repro.service.errors import ShardUnavailableError
@@ -446,3 +476,171 @@ class TestProtocolV2:
         with pytest.raises(ShardUnavailableError):
             future.result(timeout=10)
         service.coalescer.window_seconds = 0.005
+
+
+def _head(version=WIRE_VERSION, magic=MAGIC, header_len=None, header=b""):
+    import struct
+
+    size = len(header) if header_len is None else header_len
+    return struct.pack(">4sBI", magic, version, size) + header
+
+
+def _framed(header: dict, *, frame_bytes: bytes = b"", version=WIRE_VERSION):
+    """A message with a hand-written manifest (send_message would refuse it)."""
+    import json
+
+    return _head(version, header=json.dumps(header).encode()) + frame_bytes
+
+
+def _message(header: dict, frames=()):
+    buffer = io.BytesIO()
+    send_message(buffer, header, frames)
+    return buffer.getvalue()
+
+
+_F64 = {"dtype": "float64", "shape": [4]}
+
+#: (raw bytes, what the peer does next, regex the server's answer must match).
+#: ``answer=None``: the server owes no answer (it is still waiting for bytes
+#: the peer never sends); ``then="open…"``: a request-level refusal — the
+#: request's integer id is echoed and the connection must stay usable;
+#: ``then="closed"``: a framing error — the server answers once (id null) and
+#: drops the connection.
+_HOSTILE = {
+    "bad-magic": (_head(magic=b"EVIL", header=b"{}"), "closed", "magic"),
+    "version-1": (_framed({"op": "ping"}, version=1), "closed", r"version 1 .*speaks 2"),
+    "version-3": (_framed({"op": "ping"}, version=3), "closed", r"version 3 .*speaks 2"),
+    "version-255": (
+        _framed({"op": "ping"}, version=255),
+        "closed",
+        r"version 255 .*speaks 2",
+    ),
+    "oversize-header": (
+        _head(header_len=MAX_HEADER_BYTES + 1),
+        "closed",
+        "exceeds the limit",
+    ),
+    "header-not-json": (_head(header=b"\xff{not json"), "closed", "undecodable"),
+    "header-not-an-object": (_head(header=b"[1, 2]"), "closed", "not a JSON object"),
+    "manifest-not-a-list": (_framed({"op": "x", "frames": 7}), "closed", "manifest"),
+    "object-dtype": (
+        _framed({"op": "x", "frames": [{"dtype": "object", "shape": [1]}]}),
+        "closed",
+        "dtype",
+    ),
+    "negative-shape": (
+        _framed({"op": "x", "frames": [{"dtype": "float64", "shape": [-4]}]}),
+        "closed",
+        "negative",
+    ),
+    "overflowing-shape": (
+        _framed({"op": "x", "frames": [{"dtype": "float64", "shape": [2**33, 2**33]}]}),
+        "closed",
+        "exceeds the limit",
+    ),
+    "truncated-frame-then-close": (
+        _framed({"op": "solve", "frames": [_F64, _F64]}, frame_bytes=b"\0" * 40),
+        "hangup",
+        None,
+    ),
+    "head-then-half-open": (_head(header_len=64), "half-open", None),
+    "solve-with-1-frame": (
+        _message({"op": "solve", "handle": "x", "id": 5}, [np.ones(4)]),
+        "open-id-5",
+        "expects 2 frames",
+    ),
+    "solve-with-3-frames": (
+        _message({"op": "solve", "handle": "x", "id": 5}, [np.ones(4)] * 3),
+        "open-id-5",
+        "expects 2 frames",
+    ),
+    "non-integer-id": (_message({"op": "ping", "id": "seven"}), "open", "request id"),
+}
+
+
+class TestHostilePeers:
+    """Malformed bytes on a raw socket must leave the server serving."""
+
+    @pytest.mark.parametrize("case", sorted(_HOSTILE))
+    def test_server_survives_and_keeps_serving(self, case):
+        import socket
+
+        raw, then, answer = _HOSTILE[case]
+        service = SolverService(
+            options=SympilerOptions(enable_vs_block=False), window_seconds=0.002
+        )
+        server, thread = serve_background(service)
+        peer = socket.create_connection(server.server_address, timeout=10.0)
+        try:
+            peer.sendall(raw)
+            if then == "hangup":
+                peer.close()
+            stream = peer.makefile("rb") if answer is not None else None
+            if stream is not None:
+                response, frames = recv_message(stream)
+                assert response["ok"] is False and frames == []
+                assert response["kind"] == "protocol"
+                assert response["id"] == (5 if then == "open-id-5" else None)
+                assert re.search(answer, response["error"])
+            if then == "closed":
+                assert stream.read(1) == b""  # answered once, then dropped
+            if then.startswith("open"):
+                peer.sendall(_message({"op": "ping", "id": 9}))
+                response, _ = recv_message(stream)
+                assert response["pong"] is True and response["id"] == 9
+
+            # A well-behaved client on the same server is unaffected.
+            A = laplacian_2d(7, shift=0.1)
+            ref = SparseLinearSolver(
+                A, ordering="natural", options=SympilerOptions(enable_vs_block=False)
+            )
+            rhs = np.linspace(0.5, 1.5, A.n)
+            with ServiceClient(server.server_address, timeout=30.0) as client:
+                handle = client.register_pattern(A)
+                assert np.array_equal(client.solve(handle, A.data, rhs), ref.solve(rhs))
+            assert thread.is_alive()
+        finally:
+            peer.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+
+class TestOneSegmentPerMessage:
+    """The 44 ms regression: a message must never wait out a delayed ACK."""
+
+    def test_nodelay_on_both_ends_and_fast_ping(self):
+        import socket
+        import statistics
+
+        service = SolverService(options=SympilerOptions(enable_vs_block=False))
+        server, thread = serve_background(service)
+        accepted = []
+        handler_setup = server.RequestHandlerClass.setup
+
+        def recording_setup(handler):
+            handler_setup(handler)
+            accepted.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        server.RequestHandlerClass = type(
+            "_Recording", (server.RequestHandlerClass,), {"setup": recording_setup}
+        )
+        try:
+            with ServiceClient(server.server_address) as client:
+                assert client.ping()
+                assert (
+                    client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+                )
+                assert accepted and accepted[0] != 0
+                samples = []
+                for _ in range(20):
+                    t0 = time.perf_counter()
+                    assert client.ping()
+                    samples.append(time.perf_counter() - t0)
+            assert statistics.median(samples) < 0.010
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)

@@ -17,7 +17,6 @@ from repro import observe
 from repro.compiler.options import SympilerOptions
 from repro.observe.events import EventLog
 from repro.service import ServiceClient, SolverService, serve_background
-from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.generators import fem_stencil_2d, laplacian_2d
 
 
@@ -125,16 +124,6 @@ class TestWireTracePropagation:
             if sp.trace_id == request.trace_id and sp.name != "request"
         ]
         assert joined, "dispatch-side spans lost the submitting trace"
-
-    def test_v1_protocol_round_trip_with_tracing_enabled(self, served, tracing):
-        address, _ = served
-        A = fem_stencil_2d(6, shift=0.2)
-        ref = SparseLinearSolver(
-            A, ordering="natural", options=SympilerOptions(enable_vs_block=False)
-        )
-        with ServiceClient(address, protocol=1) as client:
-            _, rhs, x = _solve_once(client, A)
-        assert np.allclose(x, ref.solve(rhs), atol=1e-8)
 
     def test_disabled_tracing_sends_no_trace_keys(self, served):
         observe.disable()
