@@ -19,12 +19,18 @@ the report, so CI can assert the warm-cache counters *and* the registry's
 view of them from one JSON document.  Without a C toolchain
 the probe still runs (the driver falls back to the Python backend) and the
 python counters carry the warm-cache assertion on their own.
+
+The report also sizes what the run left in the cache directory
+(``source_bytes`` of generated ``.c``/``.py`` files, ``so_bytes`` in
+``so_files`` shared objects): generated code is a constant of the code shape,
+not of the pattern, and CI holds the probe workload's total under 1 MB.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from typing import Dict
@@ -37,6 +43,7 @@ from repro.compiler.codegen.c_backend import (
     disk_cache_stats,
     reset_disk_cache_stats,
 )
+from repro.compiler.codegen.runtime import generated_code_dir
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.sparse.generators import (
@@ -137,6 +144,14 @@ def run_probe(backend: str | None = None) -> Dict[str, object]:
     )
 
     disk = disk_cache_stats()
+    sizes = {".c": 0, ".py": 0, ".so": 0}
+    so_files = 0
+    with os.scandir(generated_code_dir()) as entries:
+        for entry in entries:
+            suffix = os.path.splitext(entry.name)[1]
+            if suffix in sizes and entry.is_file():
+                sizes[suffix] += entry.stat().st_size
+                so_files += suffix == ".so"
     return {
         "backend": backend,
         "c_toolchain": bool(have_cc),
@@ -145,6 +160,9 @@ def run_probe(backend: str | None = None) -> Dict[str, object]:
         "so_reuses": disk.reuses,
         "py_writes": disk.py_writes,
         "py_reuses": disk.py_reuses,
+        "source_bytes": sizes[".c"] + sizes[".py"],
+        "so_bytes": sizes[".so"],
+        "so_files": so_files,
         "artifact_cache": sym.cache_stats.as_dict(),
     }
 

@@ -1,33 +1,63 @@
 """Specialized-C code generation backend.
 
-Emits matrix-specialized C source (inspection sets as ``static const`` arrays,
-loop structure following the transformed AST), compiles it with the system C
-compiler and loads the resulting shared object through :mod:`ctypes`.  This is
+Emits C source whose *shape* follows the transformed AST, compiles it with the
+system C compiler and loads the shared object through :mod:`ctypes`.  This is
 the closest analogue of the original Sympiler, which generates C and compiles
 it with GCC ``-O3`` (§4.1); the backend is optional — environments without a
 C compiler use the Python backend instead.
 
-Entry points generated:
+What may be literal in the generated source
+-------------------------------------------
+Only what changes the *code*, and only as much of it as an existing option
+bounds: which loop nest a transformation chose (simplicial or supernodal,
+distributed or not, serial or wavefront), the peeled/unrolled columns of a
+triangular solve (at most ``max_peeled_iterations``) and the unrolled
+supernode widths (one ``switch`` case per width up to ``unroll_max_width``).
+Everything that depends on the sparsity pattern alone — every inspection set
+(``l_indptr``, ``prune_ptr``, the supernode and descendant descriptors, the
+scatter tables, the level schedule, the triangular solve's segment
+descriptors) and every size (``n``, nnz, supernode and level counts) — is
+*data*: the emitters register it with :meth:`CBackend._add_constant` /
+:meth:`CBackend._dim`, the source only names it, and the loaded entry point
+receives it through one trailing pointer argument.  So the size of a source
+file and the time ``cc`` spends on it are constants of the code shape, and
+two patterns that lower to the same code produce byte-identical source and
+share one ``.so`` through the source-fingerprint file stem.
+
+Entry points generated (``repro_T`` is the table block; ``repro_T[0]`` holds
+the scalar sizes, ``repro_T[k]`` the k-th registered inspection set):
 
 * triangular solve — ``void <name>(const int64_t* Lp, const int64_t* Li,
-  const double* Lx, const double* b, double* x)``
+  const double* Lx, const double* b, double* x,
+  const int64_t* const* repro_T)``
 * Cholesky — ``int64_t <name>(const int64_t* Ap, const int64_t* Ai,
-  const double* Ax, double* Lx)`` returning 0 on success or ``j + 1`` when a
-  non-positive pivot is met at column ``j``.
+  const double* Ax, double* Lx, const int64_t* const* repro_T)`` returning 0
+  on success or ``j + 1`` when a non-positive pivot is met at column ``j``
+  (``-1``: out of memory for the per-thread work buffers).
 
-Under ``SympilerOptions(parallel="wavefront")`` every entry point gains a
-trailing ``int64_t n_threads`` argument and executes the columns of each
-level of the inspector's cached :class:`~repro.runtime.levels.ExecutionSchedule`
-across a persistent pthread worker pool, with a barrier between levels (the
-paper's H-Level parallelism, applied *within* one numeric call).  Levels are
-antichains of the column dependency DAG, so per-column writes are disjoint
-and the result is bitwise identical to the serial kernel; when the schedule
-has no parallelism to mine (or the kernel is supernodal) the serial body is
-emitted behind the same ABI and the fallback is recorded on the artifact.
+The table block is built once, when the module is loaded
+(:meth:`CMethodSpec.wrap`), from the arrays the compile call already holds;
+nothing is persisted for it, because every process re-runs inspection before
+it loads a ``.so``.
+
+Under ``SympilerOptions(parallel="wavefront")`` every entry point gains an
+``int64_t n_threads`` argument (before the table block) and executes the
+columns of each level of the inspector's cached
+:class:`~repro.runtime.levels.ExecutionSchedule` across a persistent pthread
+worker pool, with a barrier between levels (the paper's H-Level parallelism,
+applied *within* one numeric call).  Levels are antichains of the column
+dependency DAG, so per-column writes are disjoint and the result is bitwise
+identical to the serial kernel; when the schedule has no parallelism to mine
+(or the kernel is supernodal) the serial body is emitted behind the same ABI
+and the fallback is recorded on the artifact.  The pool, the barrier and the
+per-level clock are module state, so a wavefront source is stamped with the
+fingerprint of its tables and its ``.so`` is never shared between patterns
+(two patterns would serialise on one job mutex).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import shutil
@@ -59,6 +89,7 @@ from repro.compiler.ast import (
 from repro.compiler.cache import build_file_once
 from repro.compiler.codegen.runtime import generated_code_dir, pattern_fingerprint
 from repro.compiler.registration import register_unique
+from repro.observe.events import emit as emit_event
 from repro.observe.trace import span as observe_span
 
 __all__ = [
@@ -78,6 +109,12 @@ __all__ = [
 
 class CCompilationError(RuntimeError):
     """Raised when the C compiler is unavailable or compilation fails."""
+
+
+#: Seconds one ``cc`` run may take.  No generated source needs more than a
+#: few (their size does not grow with the pattern), so a compiler still
+#: running after this long is hung, and the caller gets an error instead.
+_CC_TIMEOUT_SECONDS = 300.0
 
 
 def c_compiler_available(compiler: str = "cc") -> bool:
@@ -184,22 +221,13 @@ def atomic_write_text(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _format_c_array(name: str, values: np.ndarray, ctype: str) -> str:
-    """Render a constant array as a ``static const`` C definition."""
-    flat = np.asarray(values).ravel()
-    if ctype == "int64_t":
-        body = ",".join(str(int(v)) for v in flat)
-    else:
-        body = ",".join(repr(float(v)) for v in flat)
-    if flat.size == 0:
-        # Zero-length arrays are not portable C; emit a one-element dummy.
-        return f"static const {ctype} {name}[1] = {{0}};"
-    return f"static const {ctype} {name}[{flat.size}] = {{{body}}};"
-
-
 @dataclass
 class CGeneratedModule:
-    """Generated C source plus its compiled shared object."""
+    """Generated C source plus its compiled shared object.
+
+    ``constants`` are the inspection sets the source names, in the order the
+    entry point expects them in its table block (see :meth:`CMethodSpec.wrap`).
+    """
 
     source: str
     entry_name: str
@@ -210,13 +238,17 @@ class CGeneratedModule:
     flags: Tuple[str, ...]
     n: int
     # Within-kernel execution mode of the generated entry point: "none"
-    # (serial ABI), "wavefront" (level-parallel, trailing n_threads arg) or
+    # (serial ABI), "wavefront" (level-parallel, n_threads arg) or
     # "serial-fallback" (wavefront ABI around the serial body — emitted when
     # the schedule is too deep or the kernel supernodal).
     parallel: str = "none"
     meta: Dict[str, int] = field(default_factory=dict)
     compile_seconds: float = 0.0
     shared_object: Optional[str] = None
+    #: True when the ``.so`` was already on disk (or another process was
+    #: building it) — a disk-warm start, or another pattern that lowered to
+    #: the same source.
+    so_shared: bool = False
     _callable: Optional[Callable] = field(default=None, repr=False)
     _lib: Optional[ctypes.CDLL] = field(default=None, repr=False)
 
@@ -232,7 +264,8 @@ class CGeneratedModule:
         Source and shared object are written to the on-disk cache through a
         temp-file + atomic-rename protocol, so concurrent processes working on
         the same pattern never load a half-written artifact; a pre-existing
-        ``.so`` for the same source fingerprint skips compilation entirely.
+        ``.so`` for the same source fingerprint skips compilation entirely
+        and writes nothing.
         """
         if self._callable is not None:
             return self._callable
@@ -254,9 +287,9 @@ class CGeneratedModule:
             # solves.  An explicit -ffp-contract in the flags wins.
             extra_flags.append("-ffp-contract=off")
         if "#include <pthread.h>" in self.source:
-            # REPRO_CFLAGS cannot be asked to carry -pthread (serial kernels
-            # must keep compiling without it), so it is derived from the
-            # source itself: wavefront kernels embed the pthread runtime.
+            # REPRO_CFLAGS cannot be asked to carry -pthread (kernels without
+            # threads or work buffers must keep compiling without it), so it
+            # is derived from the source itself.
             extra_flags.append("-pthread")
         # The stem covers source AND toolchain: the same generated source
         # built with different flags (an -O0 vs -O3 ablation, say) must not
@@ -268,14 +301,29 @@ class CGeneratedModule:
         stem = f"{self.entry_name}_{source_fp}"
         c_path = os.path.join(cache, stem + ".c")
         so_path = os.path.join(cache, stem + ".so")
-        atomic_write_text(c_path, self.source)
 
         def _invoke_cc() -> None:
+            # The source file exists for `cc` (and for whoever debugs a
+            # kernel); a start that finds the .so never gets here.
+            atomic_write_text(c_path, self.source)
             tmp_so = tmp_path_for(so_path)
             cmd = [self.compiler, *self.flags, *extra_flags, "-o", tmp_so, c_path, "-lm"]
             try:
-                with observe_span("cc", entry=self.entry_name, method=self.method):
-                    proc = subprocess.run(cmd, capture_output=True, text=True)
+                with observe_span(
+                    "cc",
+                    entry=self.entry_name,
+                    method=self.method,
+                    source_bytes=len(self.source.encode()),
+                ):
+                    try:
+                        proc = subprocess.run(
+                            cmd, capture_output=True, text=True, timeout=_CC_TIMEOUT_SECONDS
+                        )
+                    except subprocess.TimeoutExpired:
+                        raise CCompilationError(
+                            f"C compilation timed out after {_CC_TIMEOUT_SECONDS:g} s "
+                            f"({' '.join(cmd)})"
+                        ) from None
                 if proc.returncode != 0:
                     raise CCompilationError(
                         f"C compilation failed ({' '.join(cmd)}):\n{proc.stderr}"
@@ -285,17 +333,34 @@ class CGeneratedModule:
                 if os.path.exists(tmp_so):
                     os.unlink(tmp_so)
 
-        # Cross-process single-flight: shard workers (and parallel CI jobs)
-        # cold-compiling the same pattern run exactly one ``cc`` between them;
-        # the losers load the winner's atomically-published ``.so``.
-        outcome = build_file_once(so_path, _invoke_cc)
-        if outcome == "built":
-            _DISK_CACHE_STATS.bump("compiles")
-        else:
-            _DISK_CACHE_STATS.bump("reuses")
-            if outcome == "waited":
-                _DISK_CACHE_STATS.bump("lock_waits")
-        lib = ctypes.CDLL(so_path)
+        for rebuilt in (False, True):
+            # Cross-process single-flight: shard workers (and parallel CI
+            # jobs) cold-compiling the same source run exactly one ``cc``
+            # between them; the losers load the winner's atomically-published
+            # ``.so``.
+            outcome = build_file_once(so_path, _invoke_cc)
+            if outcome == "built":
+                _DISK_CACHE_STATS.bump("compiles")
+            else:
+                _DISK_CACHE_STATS.bump("reuses")
+                if outcome == "waited":
+                    _DISK_CACHE_STATS.bump("lock_waits")
+            self.so_shared = outcome != "built"
+            try:
+                lib = ctypes.CDLL(so_path)
+                break
+            except OSError as exc:
+                # A truncated or foreign file under the right name (a crashed
+                # copy, a full disk): build_file_once would answer "hit" for
+                # it on every later start, so replace it — once — instead of
+                # failing forever.
+                if rebuilt:
+                    raise CCompilationError(
+                        f"shared object {so_path} cannot be loaded even after a rebuild: {exc}"
+                    ) from exc
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(so_path)
+                emit_event("so_rebuilt", path=so_path)
         fn = getattr(lib, self.entry_name)
         self._lib = lib
         self.shared_object = so_path
@@ -385,14 +450,16 @@ class CMethodSpec:
     ``const`` array, in order), then one ``double*`` per ``outputs`` entry
     (``(C name, size attribute)`` — the buffer length is that attribute of
     the inspection result: ``n``, ``factor_nnz``, ``l_nnz``, ...), then, when
-    ``wavefront``, a trailing ``int64_t n_threads``.  ``failure`` is the
-    message (a template over ``{column}``) of the ``ValueError`` raised when
-    the entry returns the nonzero status ``column + 1``; ``None`` declares a
-    ``void`` entry that cannot fail.  ``body_emitter`` names the
-    :class:`CBackend` method emitting the function body.  Both the emitted C
-    signature and the NumPy-friendly ctypes wrapper derive from this one
-    description, so registering a new kernel method means adding a spec
-    instead of editing the generator.
+    ``wavefront``, an ``int64_t n_threads``, and last the table block
+    ``const int64_t* const* repro_T`` — one pointer per inspection set the
+    source names, in registration order.  ``failure`` is the message (a
+    template over ``{column}``) of the ``ValueError`` raised when the entry
+    returns the positive status ``column + 1``; ``None`` declares a ``void``
+    entry that cannot fail.  ``body_emitter`` names the :class:`CBackend`
+    method emitting the function body.  Both the emitted C signature and the
+    NumPy-friendly ctypes wrapper derive from this one description, so
+    registering a new kernel method means adding a spec instead of editing
+    the generator.
     """
 
     body_emitter: str
@@ -408,6 +475,7 @@ class CMethodSpec:
         params += [f"double* {name}" for name, _ in self.outputs]
         if self.wavefront:
             params.append("int64_t n_threads")
+        params.append("const int64_t* const* repro_T")
         restype = "void" if self.failure is None else "int64_t"
         return f"{restype} {{name}}({', '.join(params)})"
 
@@ -418,19 +486,31 @@ class CMethodSpec:
         returns them (a bare array for one output, a tuple otherwise).  A
         wavefront entry's wrapper also takes ``num_threads=None``, resolved
         per call — the thread count is a runtime knob, never baked in.
+
+        The table block is bound here, once: an array of the addresses of
+        ``module.constants``' buffers, which the closure keeps alive for as
+        long as the wrapper exists.  A call passes the block's address and
+        nothing else, whatever the number of tables.
         """
         dtypes = [_NUMPY_DTYPES[ctype] for _, ctype in self.inputs]
         sizes = [module.meta[attr] for _, attr in self.outputs]
         pointers = [np.ctypeslib.ndpointer(dtype=d, flags="C_CONTIGUOUS") for d in dtypes]
         pointers += [np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")] * len(sizes)
         fn.restype = None if self.failure is None else ctypes.c_int64
-        fn.argtypes = pointers + ([ctypes.c_int64] if self.wavefront else [])
+        fn.argtypes = pointers + ([ctypes.c_int64] if self.wavefront else []) + [ctypes.c_void_p]
+        tables = list(module.constants.values())  # contiguous int64, see _add_constant
+        block = (ctypes.c_void_p * len(tables))(*(t.ctypes.data for t in tables))
+        block_address = ctypes.addressof(block)
 
-        def call(arrays, tail=()):
+        def call(arrays, tail=(), _keepalive=(tables, block)):
+            # _keepalive: the buffers behind `block_address` must live as
+            # long as the callable that hands the address out.
             args = [np.ascontiguousarray(a, dtype=d) for a, d in zip(arrays, dtypes)]
             outs = [np.zeros(size, dtype=np.float64) for size in sizes]
-            status = fn(*args, *outs, *tail)
+            status = fn(*args, *outs, *tail, block_address)
             if status:
+                if status < 0:
+                    raise MemoryError("out of memory for the kernel's per-thread work buffers")
                 raise ValueError(self.failure.format(column=int(status) - 1))
             return outs[0] if len(outs) == 1 else tuple(outs)
 
@@ -480,7 +560,7 @@ _C_METHOD_SPECS: Dict[str, CMethodSpec] = {
     ),
 }
 # Level-parallel (wavefront) variants: same kernels behind an ABI with a
-# trailing runtime thread count, their bodies emitted by the `_emit_wf_*`
+# runtime thread count, their bodies emitted by the `_emit_wf_*`
 # twin of the serial emitter.  Selected by options.parallel, which is part of
 # the options fingerprint, so serial and wavefront artifacts of one pattern
 # cache independently in memory and on disk.
@@ -519,19 +599,7 @@ class _CEmitter:
         return "\n".join(self.lines) + "\n"
 
 
-_DENSE_HELPERS = r"""
-static void repro_dense_chol(double* D, int64_t w) {
-    for (int64_t k = 0; k < w; k++) {
-        double piv = sqrt(D[k * w + k]);
-        D[k * w + k] = piv;
-        for (int64_t i = k + 1; i < w; i++) D[i * w + k] /= piv;
-        for (int64_t j = k + 1; j < w; j++) {
-            double djk = D[j * w + k];
-            for (int64_t i = j; i < w; i++) D[i * w + j] -= D[i * w + k] * djk;
-        }
-    }
-}
-
+_DENSE_TRSM = r"""
 static void repro_dense_trsm_rt(const double* Ld, int64_t w, double* B, int64_t nrow) {
     /* Solve X * Ld^T = B in place, B row-major (nrow x w). */
     for (int64_t r = 0; r < nrow; r++) {
@@ -676,6 +744,66 @@ static int64_t repro_wf_launch(void (*run)(int64_t, int64_t, void*),
 """
 
 
+_WORK_BUFFERS = r"""
+/* Per-thread work buffers, grown on demand: nothing in this source is sized
+   by a pattern, so one loaded kernel serves patterns of different n — and
+   calls from many threads at once (the batched runtime maps the entry point
+   over a thread pool; ctypes releases the GIL).  The four buffers are carved
+   from one block per thread (8-byte elements throughout), which is freed
+   when the thread exits, by the destructor of a pthread key (if the process
+   has run out of keys it stays until the process ends). */
+typedef struct {
+    double* f; int64_t* rowmap; double* panel; double* mult;
+    int64_t f_n, rowmap_n, panel_n, mult_n;
+} repro_ws_t;
+
+static _Thread_local repro_ws_t* repro_ws;
+static pthread_key_t repro_ws_key;
+static pthread_once_t repro_ws_once = PTHREAD_ONCE_INIT;
+static int repro_ws_key_ok;
+
+static void repro_ws_free(void* p) {
+    free(((repro_ws_t*)p)->f);
+    free(p);
+}
+
+static void repro_ws_make_key(void) {
+    repro_ws_key_ok = pthread_key_create(&repro_ws_key, repro_ws_free) == 0;
+}
+
+/* The calling thread's buffers with at least the given element counts, or
+   NULL when memory runs out.  Contents are unspecified: every kernel
+   initialises what it reads. */
+static repro_ws_t* repro_ws_reserve(int64_t f_n, int64_t rowmap_n,
+                                    int64_t panel_n, int64_t mult_n) {
+    repro_ws_t* ws = repro_ws;
+    if (!ws) {
+        ws = (repro_ws_t*)calloc(1, sizeof(repro_ws_t));
+        if (!ws) return 0;
+        pthread_once(&repro_ws_once, repro_ws_make_key);
+        if (repro_ws_key_ok) pthread_setspecific(repro_ws_key, ws);
+        repro_ws = ws;
+    }
+    if (f_n <= ws->f_n && rowmap_n <= ws->rowmap_n && panel_n <= ws->panel_n && mult_n <= ws->mult_n)
+        return ws;
+    /* Grow: one fresh block that fits the largest request seen of each. */
+    if (f_n < ws->f_n) f_n = ws->f_n;
+    if (rowmap_n < ws->rowmap_n) rowmap_n = ws->rowmap_n;
+    if (panel_n < ws->panel_n) panel_n = ws->panel_n;
+    if (mult_n < ws->mult_n) mult_n = ws->mult_n;
+    double* base = (double*)malloc((size_t)(f_n + rowmap_n + panel_n + mult_n) * 8);
+    if (!base) return 0;
+    free(ws->f);
+    ws->f = base;
+    ws->rowmap = (int64_t*)(base + f_n);
+    ws->panel = base + f_n + rowmap_n;
+    ws->mult = ws->panel + panel_n;
+    ws->f_n = f_n; ws->rowmap_n = rowmap_n; ws->panel_n = panel_n; ws->mult_n = mult_n;
+    return ws;
+}
+"""
+
+
 class CBackend:
     """Generate and compile specialized C code from a transformed kernel."""
 
@@ -693,14 +821,14 @@ class CBackend:
     def generate(self, kernel: KernelFunction, context) -> CGeneratedModule:
         """Emit a :class:`CGeneratedModule` for ``kernel``."""
         start = time.perf_counter()
-        self._constants: Dict[str, np.ndarray] = {}
-        self._const_counter = 0
-        self._n = context.inspection.n
-        # Wavefront state, filled in by the wavefront body emitters: helper
-        # functions to place before the entry point, whether the pthread
-        # runtime is needed, and the mode the artifact reports.
+        # Table 0 holds the scalar sizes (self._dims); its slot is taken now
+        # so that it is first whatever the emitters register.
+        self._constants: Dict[str, np.ndarray] = {"_C_dims": None}
+        self._dims: Dict[str, int] = {}
+        self._dim("n", context.inspection.n)
+        # Helper functions the body emitters place before the entry point,
+        # and the mode the artifact reports.
         self._prelude: List[str] = []
-        self._needs_wf_runtime = False
         self._parallel_mode = "none"
         method_key = kernel.method
         if getattr(context.options, "parallel", "none") == "wavefront":
@@ -712,45 +840,49 @@ class CBackend:
             raise CCompilationError(f"unsupported method {kernel.method!r}")
         body_out = _CEmitter()
         body_out.indent = 1
+        body_out.emit("REPRO_BIND_TABLES")
         getattr(self, method_spec.body_emitter)(body_out, kernel, context)
         signature = method_spec.signature.format(name=kernel.name)
+        self._constants["_C_dims"] = np.asarray(list(self._dims.values()), dtype=np.int64)
 
+        # The runtimes go in when the emitted code calls them.
+        code = "\n".join((*self._prelude, *body_out.lines))
+        wavefront, work_buffers = "repro_wf_launch(" in code, "repro_ws" in code
         out = _CEmitter()
         out.emit("/* Sympiler-generated kernel (C backend). */")
+        if wavefront:
+            # Pool, barrier and level clock are module state: key the module
+            # by its tables so that no two patterns share (and serialise on)
+            # one loaded wavefront kernel.
+            tables_fp = pattern_fingerprint(*self._constants.values())
+            out.emit(f"/* wavefront module of the tables {tables_fp}; not shared between patterns */")
         out.emit("#include <stdint.h>")
         out.emit("#include <math.h>")
         out.emit("#include <string.h>")
-        if self._needs_wf_runtime:
+        if work_buffers:
+            out.emit("#include <stdlib.h>")
+        if work_buffers or wavefront:
             out.emit("#include <pthread.h>")
+        if wavefront:
             out.emit("#include <stdatomic.h>")
             out.emit("#include <sched.h>")
             out.emit("#include <time.h>")
         out.emit("")
-        for name, value in sorted(self._constants.items()):
-            out.emit(_format_c_array(name, value, "int64_t"))
-        out.emit("")
-        # Static work buffers and dense helpers are keyed off the domain
-        # statements actually present, not off the kernel name.
-        has_factor_loop = bool(
-            self._domain_nodes(kernel, (SimplicialCholeskyLoop, SupernodalCholeskyLoop))
-        )
-        if has_factor_loop:
-            out.emit(_DENSE_HELPERS)
-            # Work buffers are _Thread_local so one loaded kernel may run
-            # concurrently over many value sets (the batched runtime maps the
-            # entry point over a thread pool; ctypes releases the GIL).
-            out.emit(f"static _Thread_local double repro_f[{self._n}];")
-            out.emit(f"static _Thread_local int64_t repro_rowmap[{self._n}];")
-            max_panel = self._max_panel_size(kernel)
-            if max_panel:
-                out.emit(f"static _Thread_local double repro_panel[{max_panel}];")
-                max_w = self._max_supernode_width(kernel)
-                out.emit(f"static _Thread_local double repro_mult[{max(max_w, 1)}];")
-            out.emit("")
-        if self._needs_wf_runtime:
+        # The inspection sets and sizes this code names, bound at the top of
+        # every function from the table block its caller passes down.
+        bind = [f"const int64_t* const {name} = repro_T[{k}];" for k, name in enumerate(self._constants)]
+        bind += [f"const int64_t {name} = _C_dims[{k}];" for k, name in enumerate(self._dims)]
+        out.emit("#define REPRO_BIND_TABLES \\")
+        out.lines.extend(f"    {line} \\" for line in bind[:-1])
+        out.emit(f"    {bind[-1]}")
+        if "repro_dense_trsm_rt(" in code:
+            out.emit(_DENSE_TRSM)
+        if work_buffers:
+            out.emit(_WORK_BUFFERS)
+        if wavefront:
             out.emit(_WF_RUNTIME)
-            out.lines.extend(self._prelude)
-            out.emit("")
+        out.emit("")
+        out.lines.extend(self._prelude)
         out.emit(signature + " {")
         out.lines.extend(body_out.lines)
         out.emit("}")
@@ -773,24 +905,28 @@ class CBackend:
             codegen_seconds=codegen_seconds,
             compiler=self.compiler,
             flags=self.flags,
-            n=self._n,
+            n=int(context.inspection.n),
             parallel=self._parallel_mode,
             meta=meta,
         )
 
     # ------------------------------------------------------------------ #
-    # Constant management / helpers
+    # Run-time tables / helpers
     # ------------------------------------------------------------------ #
     def _add_constant(self, name: str, value: np.ndarray) -> str:
+        """Register an inspection set as a run-time table; returns its C name."""
         cname = f"_C_{name}"
-        if cname in self._constants:
-            existing = self._constants[cname]
-            if existing.shape == np.asarray(value).shape and np.array_equal(existing, value):
-                return cname
-            self._const_counter += 1
-            cname = f"_C_{name}_{self._const_counter}"
-        self._constants[cname] = np.asarray(value, dtype=np.int64)
+        value = np.ascontiguousarray(value, dtype=np.int64)
+        # A serial body emitted behind the wavefront dispatch registers the
+        # same sets a second time.
+        if not np.array_equal(self._constants.setdefault(cname, value), value):
+            raise CCompilationError(f"table {name!r} registered with two values")
         return cname
+
+    def _dim(self, name: str, value: int) -> None:
+        """Register a pattern-dependent size as the run-time scalar ``name``."""
+        if self._dims.setdefault(name, int(value)) != int(value):
+            raise CCompilationError(f"size {name!r} registered with two values")
 
     @staticmethod
     def _domain_nodes(kernel: KernelFunction, node_type) -> List[Stmt]:
@@ -798,84 +934,222 @@ class CBackend:
 
         return [node for node in walk(kernel.body) if isinstance(node, node_type)]
 
-    def _max_panel_size(self, kernel: KernelFunction) -> int:
-        loops = self._domain_nodes(kernel, SupernodalCholeskyLoop)
-        best = 0
-        for loop in loops:
-            for s in range(loop.n_supernodes):
-                c0 = int(loop.sup_start[s])
-                c1 = int(loop.sup_end[s])
-                w = c1 - c0
-                nr = int(loop.l_indptr[c0 + 1] - loop.l_indptr[c0])
-                best = max(best, nr * w)
-        return best
+    def _emit_work_buffers(self, out: _CEmitter, stmt=None) -> None:
+        """Bind the calling thread's work buffers in a status-returning body.
 
-    def _max_supernode_width(self, kernel: KernelFunction) -> int:
-        loops = self._domain_nodes(kernel, SupernodalCholeskyLoop)
-        best = 0
-        for loop in loops:
-            widths = loop.sup_end - loop.sup_start
-            if widths.size:
-                best = max(best, int(widths.max()))
-        return best
+        Every factorization over a dense work vector needs ``repro_f[n]``; a
+        :class:`SupernodalCholeskyLoop` ``stmt`` also needs the row map and
+        the panel/multiplier buffers of its largest supernode.
+        """
+        if stmt is None:
+            out.emit("repro_ws_t* const ws = repro_ws_reserve(n, 0, 0, 0);")
+        else:
+            widths = stmt.sup_end - stmt.sup_start
+            rows = stmt.l_indptr[stmt.sup_start + 1] - stmt.l_indptr[stmt.sup_start]
+            self._dim("sn_max_panel", (rows * widths).max(initial=0))
+            self._dim("sn_max_width", widths.max(initial=0))
+            out.emit("repro_ws_t* const ws = repro_ws_reserve(n, n, sn_max_panel, sn_max_width);")
+        out.emit("if (!ws) return -1;")
+        out.emit("double* const repro_f = ws->f;")
+        if stmt is not None:
+            out.emit("int64_t* const repro_rowmap = ws->rowmap;")
+            out.emit("double* const repro_panel = ws->panel;")
+            out.emit("double* const repro_mult = ws->mult;")
 
     # ------------------------------------------------------------------ #
     # Triangular solve
     # ------------------------------------------------------------------ #
     def _emit_trisolve_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        n = self._n
-        out.emit(f"for (int64_t i = 0; i < {n}; i++) x[i] = b[i];")
-        self._emit_trisolve_block(out, kernel.body, context)
+        """Emit the serial triangular solve.
 
-    def _emit_trisolve_block(self, out: _CEmitter, block: Block, context) -> None:
-        for stmt in block.statements:
-            if isinstance(stmt, Comment):
-                out.emit(f"/* {stmt.text} */")
-            elif isinstance(stmt, Block):
-                self._emit_trisolve_block(out, stmt, context)
-            elif isinstance(stmt, Assign):
-                # The only generic assignment in the lowered trisolve is the
-                # initial copy of b into x, already emitted in the preamble.
-                if isinstance(stmt.target, Var) and stmt.target.name == "x" and isinstance(stmt.value, Call):
-                    continue
-                raise CCompilationError("unexpected generic assignment in C trisolve")
-            elif isinstance(stmt, ForRange):
-                if stmt.annotations.get("role") == "column-loop":
-                    self._emit_trisolve_all_columns(out)
-                else:
-                    raise CCompilationError("unexpected generic loop in C trisolve")
-            elif isinstance(stmt, PrunedColumnSolveLoop):
-                self._emit_pruned_loop_c(out, stmt)
-            elif isinstance(stmt, PeeledColumnSolve):
-                self._emit_peeled_c(out, stmt)
-            elif isinstance(stmt, SupernodeTriangularBlock):
-                self._emit_supernode_trisolve_c(out, stmt)
+        The lowered body is a sequence of peeled columns (literal code, at
+        most ``max_peeled_iterations`` of them) separated by groups of column
+        runs and supernode blocks.  A group is data: its segments go into the
+        descriptor tables and the body calls the one segment loop on it.
+        """
+        items = self._trisolve_items(kernel.body)
+        groups = [item for item in items if isinstance(item, list)]
+        if groups:
+            self._emit_segment_loop(kernel.name, groups, context.options.unroll_max_width)
+        out.emit("for (int64_t i = 0; i < n; i++) x[i] = b[i];")
+        group = 0
+        for item in items:
+            if isinstance(item, list):
+                out.emit(f"{kernel.name}_segments({group}, Lp, Li, Lx, x, repro_T);")
+                group += 1
+            elif isinstance(item, PeeledColumnSolve):
+                self._emit_peeled_c(out, item)
             else:
-                raise CCompilationError(f"C backend cannot emit {type(stmt).__name__}")
+                out.emit("for (int64_t j = 0; j < n; j++) {")
+                out.push()
+                self._emit_column_solve(out)
+                out.pop()
+                out.emit("}")
 
-    def _emit_trisolve_all_columns(self, out: _CEmitter) -> None:
-        n = self._n
-        out.emit(f"for (int64_t j = 0; j < {n}; j++) {{")
-        out.push()
+    @staticmethod
+    def _trisolve_items(body: Block) -> List[object]:
+        """The lowered trisolve statements in execution order.
+
+        Maximal stretches of column runs and supernode blocks come back as
+        one list each; peeled columns and the untransformed all-columns loop
+        as the statements themselves.  IR comments are dropped (they quote
+        pattern statistics, which must not reach the source).
+        """
+        items: List[object] = []
+
+        def walk_block(block: Block) -> None:
+            for stmt in block.statements:
+                if isinstance(stmt, Comment):
+                    continue
+                if isinstance(stmt, Block):
+                    walk_block(stmt)
+                elif isinstance(stmt, Assign):
+                    # The only generic assignment in the lowered trisolve is
+                    # the initial copy of b into x, emitted by the caller.
+                    if not (
+                        isinstance(stmt.target, Var)
+                        and stmt.target.name == "x"
+                        and isinstance(stmt.value, Call)
+                    ):
+                        raise CCompilationError("unexpected generic assignment in C trisolve")
+                elif isinstance(stmt, ForRange):
+                    if stmt.annotations.get("role") != "column-loop":
+                        raise CCompilationError("unexpected generic loop in C trisolve")
+                    items.append(stmt)
+                elif isinstance(stmt, (PrunedColumnSolveLoop, SupernodeTriangularBlock)):
+                    if not (items and isinstance(items[-1], list)):
+                        items.append([])
+                    items[-1].append(stmt)
+                elif isinstance(stmt, PeeledColumnSolve):
+                    items.append(stmt)
+                else:
+                    raise CCompilationError(f"C backend cannot emit {type(stmt).__name__}")
+
+        walk_block(body)
+        return items
+
+    @staticmethod
+    def _emit_column_solve(out: _CEmitter) -> None:
         out.emit("int64_t p0 = Lp[j], p1 = Lp[j + 1];")
         out.emit("double xj = x[j] / Lx[p0];")
         out.emit("x[j] = xj;")
         out.emit("for (int64_t p = p0 + 1; p < p1; p++) x[Li[p]] -= Lx[p] * xj;")
-        out.pop()
-        out.emit("}")
 
-    def _emit_pruned_loop_c(self, out: _CEmitter, stmt: PrunedColumnSolveLoop) -> None:
-        cname = self._add_constant(stmt.constant_name, stmt.columns)
-        out.emit(f"/* pruned column loop over {stmt.columns.size} columns */")
-        out.emit(f"for (int64_t t = 0; t < {stmt.columns.size}; t++) {{")
-        out.push()
-        out.emit(f"int64_t j = {cname}[t];")
-        out.emit("int64_t p0 = Lp[j], p1 = Lp[j + 1];")
-        out.emit("double xj = x[j] / Lx[p0];")
-        out.emit("x[j] = xj;")
-        out.emit("for (int64_t p = p0 + 1; p < p1; p++) x[Li[p]] -= Lx[p] * xj;")
-        out.pop()
-        out.emit("}")
+    def _emit_segment_loop(self, entry: str, groups: List[List[Stmt]], unroll_max_width: int) -> None:
+        """Emit ``{entry}_segments`` and register the tables it walks.
+
+        Segment ``s`` is the five entries ``seg[5 s ..]`` = ``{w, a, b,
+        off_lo, cs}``.  ``w == 0``: a pruned column loop over
+        ``run_cols[a .. b)``.  ``w > 0``: a supernode of ``w`` columns
+        starting at column ``a``, with ``b`` rows below its diagonal block
+        whose indices are ``Li[off_lo ..]`` and column ``k``'s diagonal entry
+        at ``Lx[blk_cs[cs + k]]``.  Group ``g`` (the stretch between two
+        peeled columns) is the segments ``seg_ptr[g] .. seg_ptr[g + 1]``.
+
+        When the unroll pass ran, supernode widths up to ``unroll_max_width``
+        get one unrolled ``switch`` case each, with positions read from the
+        descriptor, and wider ones take the generic loop: the code is
+        specialised by width, never by supernode.  The floating-point
+        operations and their order are those of the column-by-column solve
+        either way.
+        """
+        rows: List[Tuple[int, ...]] = []
+        run_cols: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        blk_cs: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        seg_ptr = [0]
+        n_run = n_cs = 0
+        blocks = [s for group in groups for s in group if isinstance(s, SupernodeTriangularBlock)]
+        unroll_max = unroll_max_width if any(s.unroll for s in blocks) else 0
+        for group in groups:
+            for stmt in group:
+                if isinstance(stmt, PrunedColumnSolveLoop):
+                    rows.append((0, n_run, n_run + stmt.columns.size, 0, 0))
+                    run_cols.append(stmt.columns)
+                    n_run += stmt.columns.size
+                else:
+                    if stmt.unroll != (stmt.width <= unroll_max):
+                        raise CCompilationError(
+                            f"supernode {stmt.sn_id}: unroll flag disagrees with unroll_max_width"
+                        )
+                    rows.append(
+                        (stmt.width, stmt.c0, stmt.n_offdiag_rows, stmt.rows_start + stmt.width, n_cs)
+                    )
+                    blk_cs.append(stmt.col_starts)
+                    n_cs += stmt.width
+            seg_ptr.append(len(rows))
+        seg = self._add_constant("seg", np.asarray(rows, dtype=np.int64).ravel())
+        ptr = self._add_constant("seg_ptr", np.asarray(seg_ptr))
+        cols = self._add_constant("run_cols", np.concatenate(run_cols))
+        starts = self._add_constant("blk_cs", np.concatenate(blk_cs))
+
+        p = _CEmitter()
+        p.emit(
+            f"static void {entry}_segments(int64_t g, const int64_t* Lp, const int64_t* Li, "
+            "const double* Lx, double* x, const int64_t* const* repro_T) {"
+        )
+        p.push()
+        p.emit("REPRO_BIND_TABLES")
+        p.emit(f"for (int64_t s = {ptr}[g]; s < {ptr}[g + 1]; s++) {{")
+        p.push()
+        p.emit(f"const int64_t* d = {seg} + 5 * s;")
+        p.emit("const int64_t w = d[0];")
+        p.emit("if (w == 0) {")
+        p.push()
+        p.emit("/* pruned column loop over run_cols[d[1] .. d[2]) */")
+        p.emit("for (int64_t t = d[1]; t < d[2]; t++) {")
+        p.push()
+        p.emit(f"int64_t j = {cols}[t];")
+        self._emit_column_solve(p)
+        p.pop()
+        p.emit("}")
+        p.emit("continue;")
+        p.pop()
+        p.emit("}")
+        p.emit("/* supernode block: dense solve of the w x w diagonal block, then the panel update */")
+        p.emit("const int64_t c0 = d[1], n_off = d[2], off_lo = d[3];")
+        p.emit(f"const int64_t* cs = {starts} + d[4];")
+        if unroll_max:
+            p.emit("switch (w) {")
+        for w in range(1, unroll_max + 1):
+            p.emit(f"case {w}: {{")
+            p.push()
+            for ii in range(w):
+                terms = [f"Lx[cs[{jj}] + {ii - jj}] * xb{jj}" for jj in range(ii)]
+                rhs = f"x[c0 + {ii}]"
+                if terms:
+                    rhs = f"({rhs} - " + " - ".join(terms) + ")"
+                p.emit(f"double xb{ii} = {rhs} / Lx[cs[{ii}]];")
+            for ii in range(w):
+                p.emit(f"x[c0 + {ii}] = xb{ii};")
+            for jj in range(w):
+                p.emit(
+                    "for (int64_t r = 0; r < n_off; r++) "
+                    f"x[Li[off_lo + r]] -= Lx[cs[{jj}] + {w - jj} + r] * xb{jj};"
+                )
+            p.emit("break;")
+            p.pop()
+            p.emit("}")
+        if unroll_max:
+            p.emit("default:")
+            p.push()
+        p.emit("for (int64_t jj = 0; jj < w; jj++) {")
+        p.push()
+        p.emit("int64_t pd = cs[jj];")
+        p.emit("double xj = x[c0 + jj] / Lx[pd];")
+        p.emit("x[c0 + jj] = xj;")
+        p.emit("for (int64_t i = 1; i < w - jj; i++) x[c0 + jj + i] -= Lx[pd + i] * xj;")
+        p.emit("for (int64_t r = 0; r < n_off; r++) x[Li[off_lo + r]] -= Lx[pd + (w - jj) + r] * xj;")
+        p.pop()
+        p.emit("}")
+        if unroll_max:
+            p.pop()
+            p.emit("}")
+        p.pop()
+        p.emit("}")
+        p.pop()
+        p.emit("}")
+        p.emit("")
+        self._prelude.extend(p.lines)
 
     def _emit_peeled_c(self, out: _CEmitter, stmt: PeeledColumnSolve) -> None:
         j = stmt.column
@@ -898,102 +1172,60 @@ class CBackend:
         out.pop()
         out.emit("}")
 
-    def _emit_supernode_trisolve_c(self, out: _CEmitter, stmt: SupernodeTriangularBlock) -> None:
-        c0, w, n_rows = stmt.c0, stmt.width, stmt.n_rows
-        col_starts = stmt.col_starts
-        n_off = stmt.n_offdiag_rows
-        off_lo = stmt.rows_start + w
-        out.emit(f"/* supernode {stmt.sn_id}: columns {c0}..{c0 + w} */")
-        out.emit("{")
-        out.push()
-        if stmt.unroll:
-            for ii in range(w):
-                terms = []
-                for jj in range(ii):
-                    pos = int(col_starts[jj]) + (ii - jj)
-                    terms.append(f"Lx[{pos}] * xb{jj}")
-                rhs = f"x[{c0 + ii}]"
-                if terms:
-                    rhs = f"({rhs} - " + " - ".join(terms) + ")"
-                out.emit(f"double xb{ii} = {rhs} / Lx[{int(col_starts[ii])}];")
-            for ii in range(w):
-                out.emit(f"x[{c0 + ii}] = xb{ii};")
-            for jj in range(w):
-                p0 = int(col_starts[jj]) + (w - jj)
-                out.emit(
-                    f"for (int64_t r = 0; r < {n_off}; r++) "
-                    f"x[Li[{off_lo} + r]] -= Lx[{p0} + r] * xb{jj};"
-                )
-        else:
-            cs_name = self._add_constant(f"sn{stmt.sn_id}_col_starts", col_starts)
-            out.emit(f"for (int64_t jj = 0; jj < {w}; jj++) {{")
-            out.push()
-            out.emit(f"int64_t cs = {cs_name}[jj];")
-            out.emit(f"double xj = x[{c0} + jj] / Lx[cs];")
-            out.emit(f"x[{c0} + jj] = xj;")
-            out.emit(f"for (int64_t i = 1; i < {w} - jj; i++) x[{c0} + jj + i] -= Lx[cs + i] * xj;")
-            out.emit(
-                f"for (int64_t r = 0; r < {n_off}; r++) "
-                f"x[Li[{off_lo} + r]] -= Lx[cs + ({w} - jj) + r] * xj;"
-            )
-            out.pop()
-            out.emit("}")
-        out.pop()
-        out.emit("}")
-
     # ------------------------------------------------------------------ #
     # Left-looking factorizations (Cholesky and LDL^T)
     # ------------------------------------------------------------------ #
-    def _emit_factorization_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        simplicial = self._domain_nodes(kernel, SimplicialCholeskyLoop)
-        supernodal = self._domain_nodes(kernel, SupernodalCholeskyLoop)
-        out.emit("(void)Ap;  /* the A pattern is baked into the generated constants */")
-        if supernodal:
-            self._emit_supernodal_cholesky_c(out, supernodal[0])
-        elif simplicial:
-            self._emit_simplicial_cholesky_c(out, simplicial[0])
+    @staticmethod
+    def _left_looking_loop(kernel: KernelFunction):
+        """The supernodal loop of the kernel if VS-Block made one, else the simplicial."""
+        for node_type in (SupernodalCholeskyLoop, SimplicialCholeskyLoop):
+            nodes = CBackend._domain_nodes(kernel, node_type)
+            if nodes:
+                return nodes[0]
+        raise CCompilationError(
+            "the C backend requires a VI-Pruned or VS-Block'd factorization kernel"
+        )
+
+    def _emit_left_looking_c(self, out: _CEmitter, stmt) -> None:
+        if isinstance(stmt, SupernodalCholeskyLoop):
+            self._emit_supernodal_cholesky_c(out, stmt)
         else:
-            raise CCompilationError(
-                "the C backend requires a VI-Pruned or VS-Block'd factorization kernel"
-            )
+            self._emit_simplicial_cholesky_c(out, stmt)
+
+    def _emit_factorization_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
+        out.emit("(void)Ap;  /* the A pattern arrives through the inspection tables */")
+        self._emit_left_looking_c(out, self._left_looking_loop(kernel))
+
+    def _lu_loop(self, kernel: KernelFunction) -> SimplicialCholeskyLoop:
+        for node in self._domain_nodes(kernel, SimplicialCholeskyLoop):
+            if node.factor_kind == "lu":
+                return node
+        raise CCompilationError("the C backend requires a VI-Pruned LU kernel")
 
     def _emit_lu_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        simplicial = [
-            node
-            for node in self._domain_nodes(kernel, SimplicialCholeskyLoop)
-            if node.factor_kind == "lu"
-        ]
-        if not simplicial:
-            raise CCompilationError("the C backend requires a VI-Pruned LU kernel")
-        out.emit("(void)Ap;  /* the A pattern is baked into the generated constants */")
-        self._emit_simplicial_lu_c(out, simplicial[0])
+        out.emit("(void)Ap;  /* the A pattern arrives through the inspection tables */")
+        self._emit_simplicial_lu_c(out, self._lu_loop(kernel))
 
     # ------------------------------------------------------------------ #
     # No-fill incomplete factorizations (IC(0) and ILU(0))
     # ------------------------------------------------------------------ #
+    def _incomplete_loop(self, kernel: KernelFunction, factor_kind: str) -> IncompleteFactorLoop:
+        for node in self._domain_nodes(kernel, IncompleteFactorLoop):
+            if node.factor_kind == factor_kind:
+                return node
+        label = "IC(0)" if factor_kind == "ic0" else "ILU(0)"
+        raise CCompilationError(f"the C backend requires a VI-Pruned {label} kernel")
+
     def _emit_ic0_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        loops = [
-            node
-            for node in self._domain_nodes(kernel, IncompleteFactorLoop)
-            if node.factor_kind == "ic0"
-        ]
-        if not loops:
-            raise CCompilationError("the C backend requires a VI-Pruned IC(0) kernel")
-        out.emit("(void)Ap; (void)Ai;  /* the A pattern is baked into the constants */")
-        self._emit_incomplete_ic0_c(out, loops[0])
+        out.emit("(void)Ap; (void)Ai;  /* the A pattern arrives through the inspection tables */")
+        self._emit_incomplete_ic0_c(out, self._incomplete_loop(kernel, "ic0"))
 
     def _emit_ilu0_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        loops = [
-            node
-            for node in self._domain_nodes(kernel, IncompleteFactorLoop)
-            if node.factor_kind == "ilu0"
-        ]
-        if not loops:
-            raise CCompilationError("the C backend requires a VI-Pruned ILU(0) kernel")
-        out.emit("(void)Ap; (void)Ai;  /* the A pattern is baked into the constants */")
-        self._emit_incomplete_ilu0_c(out, loops[0])
+        out.emit("(void)Ap; (void)Ai;  /* the A pattern arrives through the inspection tables */")
+        self._emit_incomplete_ilu0_c(out, self._incomplete_loop(kernel, "ilu0"))
 
     def _incomplete_ic0_names(self, stmt: IncompleteFactorLoop) -> Dict[str, str]:
+        self._dim("nnz_l", stmt.l_indptr[-1])
         return {
             "lp": self._add_constant("l_indptr", stmt.l_indptr),
             "alp": self._add_constant("a_lower_pos", stmt.a_lower_pos),
@@ -1026,10 +1258,9 @@ class CBackend:
 
     def _emit_incomplete_ic0_c(self, out: _CEmitter, stmt: IncompleteFactorLoop) -> None:
         c = self._incomplete_ic0_names(stmt)
-        nnzl = int(stmt.l_indptr[-1])
         out.emit("/* IC(0): in-place no-fill elimination on the tril(A) pattern */")
-        out.emit(f"for (int64_t i = 0; i < {nnzl}; i++) Lx[i] = Ax[{c['alp']}[i]];")
-        out.emit(f"for (int64_t j = 0; j < {stmt.n}; j++) {{")
+        out.emit(f"for (int64_t i = 0; i < nnz_l; i++) Lx[i] = Ax[{c['alp']}[i]];")
+        out.emit("for (int64_t j = 0; j < n; j++) {")
         out.push()
         self._emit_ic0_column(out, c)
         out.pop()
@@ -1037,6 +1268,9 @@ class CBackend:
         out.emit("return 0;")
 
     def _incomplete_ilu0_names(self, stmt: IncompleteFactorLoop) -> Dict[str, str]:
+        self._dim("nnz_l", stmt.l_indptr[-1])
+        self._dim("nnz_u", stmt.u_indptr[-1])
+        self._dim("n_below", stmt.a_lower_pos.size)
         return {
             "lp": self._add_constant("l_indptr", stmt.l_indptr),
             "up": self._add_constant("u_indptr", stmt.u_indptr),
@@ -1075,21 +1309,16 @@ class CBackend:
         out.emit("Lx[lp0] = 1.0;")
         out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] /= piv;")
 
-    def _emit_ilu0_preamble(self, out: _CEmitter, stmt: IncompleteFactorLoop, c: Dict[str, str]) -> None:
-        nnzl = int(stmt.l_indptr[-1])
-        nnzu = int(stmt.u_indptr[-1])
-        n_below = int(stmt.a_lower_pos.size)
-        out.emit(f"for (int64_t i = 0; i < {nnzu}; i++) Ux[i] = Ax[{c['aup']}[i]];")
-        out.emit(f"memset(Lx, 0, {nnzl} * sizeof(double));")
-        out.emit(
-            f"for (int64_t i = 0; i < {n_below}; i++) Lx[{c['lgd']}[i]] = Ax[{c['alp']}[i]];"
-        )
+    def _emit_ilu0_preamble(self, out: _CEmitter, c: Dict[str, str]) -> None:
+        out.emit(f"for (int64_t i = 0; i < nnz_u; i++) Ux[i] = Ax[{c['aup']}[i]];")
+        out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
+        out.emit(f"for (int64_t i = 0; i < n_below; i++) Lx[{c['lgd']}[i]] = Ax[{c['alp']}[i]];")
 
     def _emit_incomplete_ilu0_c(self, out: _CEmitter, stmt: IncompleteFactorLoop) -> None:
         c = self._incomplete_ilu0_names(stmt)
         out.emit("/* ILU(0): in-place no-fill elimination on the A pattern */")
-        self._emit_ilu0_preamble(out, stmt, c)
-        out.emit(f"for (int64_t j = 0; j < {stmt.n}; j++) {{")
+        self._emit_ilu0_preamble(out, c)
+        out.emit("for (int64_t j = 0; j < n; j++) {")
         out.push()
         self._emit_ilu0_column(out, c)
         out.pop()
@@ -1097,6 +1326,8 @@ class CBackend:
         out.emit("return 0;")
 
     def _simplicial_lu_names(self, stmt: SimplicialCholeskyLoop) -> Dict[str, str]:
+        self._dim("nnz_l", stmt.l_indptr[-1])
+        self._dim("nnz_u", stmt.u_indptr[-1])
         return {
             "lp": self._add_constant("l_indptr", stmt.l_indptr),
             "li": self._add_constant("l_indices", stmt.l_indices),
@@ -1135,12 +1366,11 @@ class CBackend:
 
     def _emit_simplicial_lu_c(self, out: _CEmitter, stmt: SimplicialCholeskyLoop) -> None:
         c = self._simplicial_lu_names(stmt)
-        nnzl = int(stmt.l_indptr[-1])
-        nnzu = int(stmt.u_indptr[-1])
-        out.emit(f"memset(Lx, 0, {nnzl} * sizeof(double));")
-        out.emit(f"memset(Ux, 0, {nnzu} * sizeof(double));")
-        out.emit(f"memset(repro_f, 0, {stmt.n} * sizeof(double));")
-        out.emit(f"for (int64_t j = 0; j < {stmt.n}; j++) {{")
+        self._emit_work_buffers(out)
+        out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
+        out.emit("memset(Ux, 0, nnz_u * sizeof(double));")
+        out.emit("memset(repro_f, 0, n * sizeof(double));")
+        out.emit("for (int64_t j = 0; j < n; j++) {")
         out.push()
         self._emit_simplicial_lu_column(out, c)
         out.pop()
@@ -1149,6 +1379,7 @@ class CBackend:
 
     def _simplicial_chol_names(self, stmt: SimplicialCholeskyLoop) -> Dict[str, str]:
         ldlt = stmt.factor_kind == "ldlt"
+        self._dim("nnz_l", stmt.l_indptr[-1])
         return {
             "lp": self._add_constant("l_indptr", stmt.l_indptr),
             "li": self._add_constant("l_indices", stmt.l_indices),
@@ -1193,10 +1424,10 @@ class CBackend:
 
     def _emit_simplicial_cholesky_c(self, out: _CEmitter, stmt: SimplicialCholeskyLoop) -> None:
         c = self._simplicial_chol_names(stmt)
-        nnzl = int(stmt.l_indptr[-1])
-        out.emit(f"memset(Lx, 0, {nnzl} * sizeof(double));")
-        out.emit(f"memset(repro_f, 0, {stmt.n} * sizeof(double));")
-        out.emit(f"for (int64_t j = 0; j < {stmt.n}; j++) {{")
+        self._emit_work_buffers(out)
+        out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
+        out.emit("memset(repro_f, 0, n * sizeof(double));")
+        out.emit("for (int64_t j = 0; j < n; j++) {")
         out.push()
         self._emit_simplicial_chol_column(out, stmt, c)
         out.pop()
@@ -1204,7 +1435,6 @@ class CBackend:
         out.emit("return 0;")
 
     def _emit_supernodal_cholesky_c(self, out: _CEmitter, stmt: SupernodalCholeskyLoop) -> None:
-        n = stmt.n
         ldlt = stmt.factor_kind == "ldlt"
         lp = self._add_constant("l_indptr", stmt.l_indptr)
         li = self._add_constant("l_indices", stmt.l_indices)
@@ -1217,11 +1447,12 @@ class CBackend:
         dme = self._add_constant("desc_mult_end", stmt.desc_mult_end)
         dend = self._add_constant("desc_end", stmt.desc_end)
         dc = self._add_constant("desc_col", stmt.desc_col) if ldlt else None
-        nnzl = int(stmt.l_indptr[-1])
-        n_super = stmt.n_supernodes
-        out.emit(f"memset(Lx, 0, {nnzl} * sizeof(double));")
-        out.emit(f"memset(repro_f, 0, {n} * sizeof(double));")
-        out.emit(f"for (int64_t s = 0; s < {n_super}; s++) {{")
+        self._dim("nnz_l", stmt.l_indptr[-1])
+        self._dim("n_super", stmt.n_supernodes)
+        self._emit_work_buffers(out, stmt)
+        out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
+        out.emit("memset(repro_f, 0, n * sizeof(double));")
+        out.emit("for (int64_t s = 0; s < n_super; s++) {")
         out.push()
         out.emit(f"int64_t c0 = {ss}[s], c1 = {se}[s];")
         out.emit("int64_t w = c1 - c0;")
@@ -1371,18 +1602,22 @@ class CBackend:
             return "deep-etree"
         return None
 
-    def _record_wf_decision(self, context, fallback: Optional[str]) -> None:
+    def _wf_serial_fallback(self, out: _CEmitter, context, *, supernodal: bool = False) -> bool:
+        """Record the wavefront decision; True when the serial body must be emitted."""
+        fallback = self._wf_fallback_reason(context, supernodal=supernodal)
         schedule = getattr(context.inspection, "schedule", None)
         mode = "wavefront" if fallback is None else "serial-fallback"
         info: Dict[str, object] = {"mode": mode}
         if fallback is not None:
             info["fallback_reason"] = fallback
+            out.emit(f"(void)n_threads;  /* serial fallback: {fallback} */")
         if schedule is not None:
             info["n_levels"] = schedule.n_levels
             info["max_width"] = schedule.max_width
             info["average_width"] = round(schedule.average_width, 3)
         context.decisions["wavefront"] = info
         self._parallel_mode = mode
+        return fallback is not None
 
     def _emit_wavefront_scaffold(
         self,
@@ -1395,7 +1630,7 @@ class CBackend:
         emit_parallel_preamble: Optional[Callable[[_CEmitter], None]],
         emit_serial: Callable[[_CEmitter], None],
         returns_status: bool,
-        participant_clears_f: bool,
+        uses_work_vector: bool,
     ) -> None:
         """Emit the level-parallel entry body plus its prelude functions.
 
@@ -1409,12 +1644,17 @@ class CBackend:
         entry = kernel.name
         worder = self._add_constant("wf_order", schedule.order)
         wlp = self._add_constant("wf_level_ptr", schedule.level_ptr)
-        self._needs_wf_runtime = True
+        self._dim("wf_n_levels", schedule.n_levels)
+        self._dim("wf_max_width", schedule.max_width)
+        params = [*params, ("const int64_t* const*", "repro_T")]
 
         p = _CEmitter()
         arg_decls = "".join(f", {decl} {name}" for decl, name in params)
         p.emit(f"static int64_t {entry}_wf_col(int64_t t{arg_decls}) {{")
         p.push()
+        p.emit("REPRO_BIND_TABLES")
+        if uses_work_vector:
+            p.emit("double* const repro_f = repro_ws->f;  /* reserved by this participant */")
         p.emit(f"int64_t j = {worder}[t];")
         emit_column(p)
         p.emit("return 0;")
@@ -1428,21 +1668,27 @@ class CBackend:
         # (after each barrier every level's columns are complete, so tid 0's
         # clock reads bound the level) and only while the runtime profiling
         # flag is raised.  Exported for ctypes via {entry}_wf_level_times.
+        # Module state like the pool: sized by this pattern's level count.
         p.emit(f"static double {entry}_wf_level_ts[{schedule.n_levels} + 1];")
         p.emit(f"double* {entry}_wf_level_times(void) {{ return {entry}_wf_level_ts; }}")
         p.emit("")
         p.emit(f"static void {entry}_wf_run(int64_t tid, int64_t nt, void* jobv) {{")
         p.push()
         p.emit(f"{entry}_wf_job_t* job = ({entry}_wf_job_t*)jobv;")
+        p.emit("const int64_t* const* repro_T = job->repro_T;")
+        p.emit("REPRO_BIND_TABLES")
         p.emit("int64_t wf_sense = 0;")
         p.emit("int64_t wf_prof = tid == 0 && repro_wf_profile_on();")
         p.emit(f"if (wf_prof) {entry}_wf_level_ts[0] = repro_wf_now();")
-        if participant_clears_f:
+        if uses_work_vector:
             # A failed earlier call may have bailed out of a column body with
-            # the thread-local work vector still scattered; restore the
-            # all-zeros invariant the column bodies rely on.
-            p.emit(f"memset(repro_f, 0, {self._n} * sizeof(double));")
-        p.emit(f"for (int64_t l = 0; l < {schedule.n_levels}; l++) {{")
+            # the thread-local work vector still scattered (and another
+            # pattern may have used it since); restore the all-zeros
+            # invariant the column bodies rely on.
+            p.emit("repro_ws_t* const ws = repro_ws_reserve(n, 0, 0, 0);")
+            p.emit("if (ws) memset(ws->f, 0, n * sizeof(double));")
+            p.emit("else repro_wf_fail(-1);")
+        p.emit("for (int64_t l = 0; l < wf_n_levels; l++) {")
         p.push()
         p.emit(f"int64_t lo = {wlp}[l], hi = {wlp}[l + 1];")
         p.emit("int64_t chunk = (hi - lo + nt - 1) / nt;")
@@ -1465,9 +1711,10 @@ class CBackend:
         p.emit("}")
         p.pop()
         p.emit("}")
+        p.emit("")
         self._prelude.extend(p.lines)
 
-        out.emit(f"if (n_threads > {schedule.max_width}) n_threads = {schedule.max_width};")
+        out.emit("if (n_threads > wf_max_width) n_threads = wf_max_width;")
         out.emit("if (n_threads <= 1) {")
         out.push()
         emit_serial(out)
@@ -1482,7 +1729,7 @@ class CBackend:
         else:
             out.emit(f"repro_wf_launch({entry}_wf_run, &wf_job, n_threads);")
 
-    def _trisolve_serial_order(self, kernel: KernelFunction) -> List[int]:
+    def _trisolve_serial_order(self, kernel: KernelFunction, n: int) -> List[int]:
         """Columns in the order the *serial* body processes them.
 
         The serial trisolve does not visit columns in ascending index order:
@@ -1490,26 +1737,19 @@ class CBackend:
         peeling hoists columns out of the pruned loops, and VS-Block walks
         supernode panels.  The pull-form wavefront body must subtract each
         row's updates in this exact order to stay bitwise identical, so the
-        order is recovered by walking the lowered IR the same way the serial
-        emitter does.
+        order is read off the very item list the serial emitter walks.
         """
         cols: List[int] = []
-
-        def walk(block: Block) -> None:
-            for stmt in block.statements:
-                if isinstance(stmt, Block):
-                    walk(stmt)
-                elif isinstance(stmt, ForRange):
-                    if stmt.annotations.get("role") == "column-loop":
-                        cols.extend(range(self._n))
-                elif isinstance(stmt, PrunedColumnSolveLoop):
+        for item in self._trisolve_items(kernel.body):
+            for stmt in item if isinstance(item, list) else [item]:
+                if isinstance(stmt, PrunedColumnSolveLoop):
                     cols.extend(int(c) for c in stmt.columns)
-                elif isinstance(stmt, PeeledColumnSolve):
-                    cols.append(int(stmt.column))
                 elif isinstance(stmt, SupernodeTriangularBlock):
-                    cols.extend(range(int(stmt.c0), int(stmt.c0) + int(stmt.width)))
-
-        walk(kernel.body)
+                    cols.extend(range(stmt.c0, stmt.c0 + stmt.width))
+                elif isinstance(stmt, PeeledColumnSolve):
+                    cols.append(stmt.column)
+                else:  # the untransformed loop over every column
+                    cols.extend(range(n))
         return cols
 
     def _trisolve_pull_structure(
@@ -1529,10 +1769,15 @@ class CBackend:
         Li = np.asarray(context.matrix.indices, dtype=np.int64)
         order = np.asarray(schedule.order, dtype=np.int64)
         rows: Dict[int, List[Tuple[int, int]]] = {int(j): [] for j in order}
-        if sorted(serial_order) != sorted(int(j) for j in order):
+        # A VS-Block'd body solves whole supernodes, so with a sparse right-
+        # hand side it may also visit columns outside the reach set: their x
+        # stays zero and their updates subtract zeros, so the pull form (which
+        # schedules the reach set only) leaves them out.
+        serial_order = [c for c in serial_order if c in rows]
+        if sorted(serial_order) != sorted(rows):
             raise CCompilationError(
-                "the serial trisolve body and the level-set schedule cover "
-                "different column sets"
+                "the serial trisolve body does not visit every column of the "
+                "level-set schedule exactly once"
             )
         for c in serial_order:
             for p in range(int(Lp[c]) + 1, int(Lp[c + 1])):
@@ -1563,21 +1808,17 @@ class CBackend:
         )
 
     def _emit_wf_trisolve_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        fallback = self._wf_fallback_reason(context)
-        self._record_wf_decision(context, fallback)
-        if fallback is not None:
-            out.emit(f"(void)n_threads;  /* serial fallback: {fallback} */")
+        if self._wf_serial_fallback(out, context):
             self._emit_trisolve_body(out, kernel, context)
             return
         schedule = context.inspection.schedule
         wrp, wpos, wcol, wdiag = self._trisolve_pull_structure(
-            context, schedule, self._trisolve_serial_order(kernel)
+            context, schedule, self._trisolve_serial_order(kernel, context.inspection.n)
         )
         rp = self._add_constant("wf_row_ptr", wrp)
         rpos = self._add_constant("wf_row_pos", wpos)
         rcol = self._add_constant("wf_row_col", wcol)
         dg = self._add_constant("wf_diag_pos", wdiag)
-        n = self._n
 
         def emit_column(p: _CEmitter) -> None:
             p.emit("double acc = b[j];")
@@ -1586,9 +1827,6 @@ class CBackend:
                 f"acc -= Lx[{rpos}[s]] * x[{rcol}[s]];"
             )
             p.emit(f"x[j] = acc / Lx[{dg}[t]];")
-
-        def emit_parallel_preamble(p: _CEmitter) -> None:
-            p.emit(f"for (int64_t i = 0; i < {n}; i++) x[i] = b[i];")
 
         def emit_serial(p: _CEmitter) -> None:
             self._emit_trisolve_body(p, kernel, context)
@@ -1600,36 +1838,21 @@ class CBackend:
             context,
             params=[("const double*", "Lx"), ("const double*", "b"), ("double*", "x")],
             emit_column=emit_column,
-            emit_parallel_preamble=emit_parallel_preamble,
+            emit_parallel_preamble=lambda p: p.emit("for (int64_t i = 0; i < n; i++) x[i] = b[i];"),
             emit_serial=emit_serial,
             returns_status=False,
-            participant_clears_f=False,
+            uses_work_vector=False,
         )
 
     def _emit_wf_factorization_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        simplicial = self._domain_nodes(kernel, SimplicialCholeskyLoop)
-        supernodal = self._domain_nodes(kernel, SupernodalCholeskyLoop)
-        out.emit("(void)Ap;  /* the A pattern is baked into the generated constants */")
-        fallback = self._wf_fallback_reason(context, supernodal=bool(supernodal))
-        self._record_wf_decision(context, fallback)
-        if fallback is not None:
-            out.emit(f"(void)n_threads;  /* serial fallback: {fallback} */")
-            if supernodal:
-                self._emit_supernodal_cholesky_c(out, supernodal[0])
-            elif simplicial:
-                self._emit_simplicial_cholesky_c(out, simplicial[0])
-            else:
-                raise CCompilationError(
-                    "the C backend requires a VI-Pruned or VS-Block'd factorization kernel"
-                )
+        out.emit("(void)Ap;  /* the A pattern arrives through the inspection tables */")
+        stmt = self._left_looking_loop(kernel)
+        if self._wf_serial_fallback(
+            out, context, supernodal=isinstance(stmt, SupernodalCholeskyLoop)
+        ):
+            self._emit_left_looking_c(out, stmt)
             return
-        if not simplicial:
-            raise CCompilationError(
-                "the C backend requires a VI-Pruned or VS-Block'd factorization kernel"
-            )
-        stmt = simplicial[0]
         names = self._simplicial_chol_names(stmt)
-        nnzl = int(stmt.l_indptr[-1])
         params = [("const int64_t*", "Ai"), ("const double*", "Ax"), ("double*", "Lx")]
         if stmt.factor_kind == "ldlt":
             params.append(("double*", "D"))
@@ -1640,35 +1863,23 @@ class CBackend:
             context,
             params=params,
             emit_column=lambda p: self._emit_simplicial_chol_column(p, stmt, names),
-            emit_parallel_preamble=lambda p: p.emit(f"memset(Lx, 0, {nnzl} * sizeof(double));"),
+            emit_parallel_preamble=lambda p: p.emit("memset(Lx, 0, nnz_l * sizeof(double));"),
             emit_serial=lambda p: self._emit_simplicial_cholesky_c(p, stmt),
             returns_status=True,
-            participant_clears_f=True,
+            uses_work_vector=True,
         )
 
     def _emit_wf_lu_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        simplicial = [
-            node
-            for node in self._domain_nodes(kernel, SimplicialCholeskyLoop)
-            if node.factor_kind == "lu"
-        ]
-        if not simplicial:
-            raise CCompilationError("the C backend requires a VI-Pruned LU kernel")
-        out.emit("(void)Ap;  /* the A pattern is baked into the generated constants */")
-        stmt = simplicial[0]
-        fallback = self._wf_fallback_reason(context)
-        self._record_wf_decision(context, fallback)
-        if fallback is not None:
-            out.emit(f"(void)n_threads;  /* serial fallback: {fallback} */")
+        out.emit("(void)Ap;  /* the A pattern arrives through the inspection tables */")
+        stmt = self._lu_loop(kernel)
+        if self._wf_serial_fallback(out, context):
             self._emit_simplicial_lu_c(out, stmt)
             return
         names = self._simplicial_lu_names(stmt)
-        nnzl = int(stmt.l_indptr[-1])
-        nnzu = int(stmt.u_indptr[-1])
 
         def emit_parallel_preamble(p: _CEmitter) -> None:
-            p.emit(f"memset(Lx, 0, {nnzl} * sizeof(double));")
-            p.emit(f"memset(Ux, 0, {nnzu} * sizeof(double));")
+            p.emit("memset(Lx, 0, nnz_l * sizeof(double));")
+            p.emit("memset(Ux, 0, nnz_u * sizeof(double));")
 
         self._emit_wavefront_scaffold(
             out,
@@ -1684,30 +1895,16 @@ class CBackend:
             emit_parallel_preamble=emit_parallel_preamble,
             emit_serial=lambda p: self._emit_simplicial_lu_c(p, stmt),
             returns_status=True,
-            participant_clears_f=True,
+            uses_work_vector=True,
         )
 
     def _emit_wf_ic0_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        loops = [
-            node
-            for node in self._domain_nodes(kernel, IncompleteFactorLoop)
-            if node.factor_kind == "ic0"
-        ]
-        if not loops:
-            raise CCompilationError("the C backend requires a VI-Pruned IC(0) kernel")
-        out.emit("(void)Ap; (void)Ai;  /* the A pattern is baked into the constants */")
-        stmt = loops[0]
-        fallback = self._wf_fallback_reason(context)
-        self._record_wf_decision(context, fallback)
-        if fallback is not None:
-            out.emit(f"(void)n_threads;  /* serial fallback: {fallback} */")
+        out.emit("(void)Ap; (void)Ai;  /* the A pattern arrives through the inspection tables */")
+        stmt = self._incomplete_loop(kernel, "ic0")
+        if self._wf_serial_fallback(out, context):
             self._emit_incomplete_ic0_c(out, stmt)
             return
         names = self._incomplete_ic0_names(stmt)
-        nnzl = int(stmt.l_indptr[-1])
-
-        def emit_parallel_preamble(p: _CEmitter) -> None:
-            p.emit(f"for (int64_t i = 0; i < {nnzl}; i++) Lx[i] = Ax[{names['alp']}[i]];")
 
         self._emit_wavefront_scaffold(
             out,
@@ -1715,26 +1912,18 @@ class CBackend:
             context,
             params=[("double*", "Lx")],
             emit_column=lambda p: self._emit_ic0_column(p, names),
-            emit_parallel_preamble=emit_parallel_preamble,
+            emit_parallel_preamble=lambda p: p.emit(
+                f"for (int64_t i = 0; i < nnz_l; i++) Lx[i] = Ax[{names['alp']}[i]];"
+            ),
             emit_serial=lambda p: self._emit_incomplete_ic0_c(p, stmt),
             returns_status=True,
-            participant_clears_f=False,
+            uses_work_vector=False,
         )
 
     def _emit_wf_ilu0_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        loops = [
-            node
-            for node in self._domain_nodes(kernel, IncompleteFactorLoop)
-            if node.factor_kind == "ilu0"
-        ]
-        if not loops:
-            raise CCompilationError("the C backend requires a VI-Pruned ILU(0) kernel")
-        out.emit("(void)Ap; (void)Ai;  /* the A pattern is baked into the constants */")
-        stmt = loops[0]
-        fallback = self._wf_fallback_reason(context)
-        self._record_wf_decision(context, fallback)
-        if fallback is not None:
-            out.emit(f"(void)n_threads;  /* serial fallback: {fallback} */")
+        out.emit("(void)Ap; (void)Ai;  /* the A pattern arrives through the inspection tables */")
+        stmt = self._incomplete_loop(kernel, "ilu0")
+        if self._wf_serial_fallback(out, context):
             self._emit_incomplete_ilu0_c(out, stmt)
             return
         names = self._incomplete_ilu0_names(stmt)
@@ -1745,8 +1934,8 @@ class CBackend:
             context,
             params=[("double*", "Lx"), ("double*", "Ux")],
             emit_column=lambda p: self._emit_ilu0_column(p, names),
-            emit_parallel_preamble=lambda p: self._emit_ilu0_preamble(p, stmt, names),
+            emit_parallel_preamble=lambda p: self._emit_ilu0_preamble(p, names),
             emit_serial=lambda p: self._emit_incomplete_ilu0_c(p, stmt),
             returns_status=True,
-            participant_clears_f=False,
+            uses_work_vector=False,
         )

@@ -197,10 +197,14 @@ class Sympiler:
         forced_vi_prune: bool,
     ) -> CompiledArtifact:
         """Run the full inspection → transformation → codegen pipeline once."""
-        with span("compile", kernel=spec.name, backend=options.backend, fingerprint=fingerprint):
-            return self._build_traced(
+        with span("compile", kernel=spec.name, backend=options.backend, fingerprint=fingerprint) as sp:
+            artifact = self._build_traced(
                 spec, matrix, options, kernel_args, fingerprint, forced_vi_prune
             )
+            # True when no `cc` ran: the .so was on disk already — a disk-warm
+            # start, or another pattern that lowered to the same C source.
+            sp.set(so_shared=getattr(artifact.module, "so_shared", False))
+            return artifact
 
     def _build_traced(
         self,

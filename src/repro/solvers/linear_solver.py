@@ -160,23 +160,25 @@ class SparseLinearSolver:
         self.A_permuted = probe.with_values(A.data[self._value_gather])
         self._factorization = self._sympiler.compile(spec.name, self.A_permuted)
         self.setup_seconds = time.perf_counter() - t0
-        # Likewise the backward operand: its pattern and its gather from the
-        # factor values (U's for LU, L's otherwise) come from one symbolic
-        # backward_factor on index-valued first factors.
-        self._set_factors(self._factorization.factorize(self.A_permuted))
-        if self._U is None:
-            probe = backward_factor(_index_valued(self._L))
+        # The rest of the plan needs only the factor *patterns*, which the
+        # compiled factorization predicts.  The backward operand's pattern and
+        # its gather from the factor values (U's for LU, L's otherwise) come
+        # from one symbolic backward_factor on index-valued patterns; the
+        # probe then stays as the operand itself — factorize() gathers the
+        # values into it.
+        L_pattern = self._factorization.l_pattern
+        U_pattern = getattr(self._factorization, "u_pattern", None)
+        if U_pattern is None:
+            self._Lt = backward_factor(_index_valued(L_pattern))
         else:
-            probe = backward_factor(self._L, _index_valued(self._U))
-        self._backward_gather = probe.data.astype(np.int64)
-        self._Lt = probe  # the pattern carrier; backward_operand swaps values in
-        self._Lt = self.backward_operand(self._L, self._U)
+            self._Lt = backward_factor(L_pattern, _index_valued(U_pattern))
+        self._backward_gather = self._Lt.data.astype(np.int64)
         # The triangular-solve kernels depend only on the factor *pattern*,
         # which is fixed per solver instance, so they are compiled once; the
         # shared artifact cache additionally dedupes them across solver
         # instances working on the same pattern.
         self._forward = self._sympiler.compile(
-            "triangular-solve", self._L, options=self.options
+            "triangular-solve", L_pattern, options=self.options
         )
         self._backward = self._sympiler.compile(
             "triangular-solve", self._Lt, options=self.options
@@ -185,6 +187,14 @@ class SparseLinearSolver:
         #: forward artifact is fixed per solver instance, so they never go
         #: stale).
         self._solve_executors: dict = {}
+        # Numeric work last, through the one refactorization path.  The first
+        # factor is then allocated after every long-lived block of the set-up,
+        # so releasing and reallocating it on each refactorization (see
+        # factorize) cannot creep into space the set-up's temporaries left
+        # free: with the factor allocated mid-set-up, benchmarks/e2e's
+        # newton_2d ended between 83 and 102 MB peak RSS from run to run,
+        # with it allocated last, at 85-87 MB every time.
+        self.factorize()
 
     # ------------------------------------------------------------------ #
     @property

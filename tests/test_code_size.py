@@ -1,0 +1,92 @@
+"""Generated C is O(code): its size is a constant of the code shape.
+
+Every inspection set reaches the kernel as a run-time table and every size as
+a run-time scalar, so no generated source may grow with the pattern, and two
+patterns that lower to the same code must produce the same bytes (which is
+what lets them share one ``.so``).
+"""
+
+import re
+
+import pytest
+
+from repro.compiler.cache import ArtifactCache
+from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available
+from repro.compiler.options import SympilerOptions
+from repro.compiler.sympiler import Sympiler
+from repro.sparse import generators as g
+from repro.sparse.ordering import ordering_by_name
+from repro.sparse.utils import is_symmetric_pattern
+from repro.symbolic.inspector import CholeskyInspector, LUInspector
+
+pytestmark = pytest.mark.skipif(
+    not c_compiler_available("cc"), reason="no C compiler available"
+)
+
+MATRICES = {
+    "laplacian_2d": lambda: g.laplacian_2d(14),
+    "laplacian_3d": lambda: g.laplacian_3d(6),
+    "fem_stencil_2d": lambda: g.fem_stencil_2d(10),
+    "banded_spd": lambda: g.banded_spd(180, 5, seed=1),
+    "block_tridiagonal_spd": lambda: g.block_tridiagonal_spd(20, 6, seed=2),
+    "circuit_like_spd": lambda: g.circuit_like_spd(200, seed=3),
+    "arrow_spd": lambda: g.arrow_spd(150, 3, seed=4),
+    "saddle_point_indefinite": lambda: g.saddle_point_indefinite(120, 40, seed=5),
+    "unsymmetric_diag_dominant": lambda: g.unsymmetric_diag_dominant(160, seed=6),
+}
+KERNELS = sorted(name for name in _C_METHOD_SPECS if "@" not in name)
+MAX_SOURCE_BYTES = 64 * 1024
+MAX_INITIALISER_LITERALS = 64
+
+
+def _compile(kernel, A, options):
+    """Compile ``kernel`` for the pattern of ``A`` (symbolic only: no values needed)."""
+    sym = Sympiler(cache=ArtifactCache())
+    if kernel != "triangular-solve":
+        return sym.compile(kernel, A, options=options)
+    # The triangular solve runs on a factor pattern: the one the symbolic
+    # analysis of A predicts (L of LU when A is not symmetric).
+    inspector = CholeskyInspector() if is_symmetric_pattern(A) else LUInspector()
+    L = inspector.inspect(A).l_pattern_matrix()
+    return sym.compile(kernel, L, options=options)
+
+
+def test_every_registered_c_kernel_is_covered():
+    assert KERNELS == ["cholesky", "ic0", "ilu0", "ldlt", "lu", "triangular-solve"]
+    assert all(f"{name}@wavefront" in _C_METHOD_SPECS for name in KERNELS)
+
+
+@pytest.mark.parametrize("parallel", ["none", "wavefront"])
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("matrix", sorted(MATRICES))
+def test_source_size_does_not_follow_the_pattern(matrix, kernel, parallel):
+    artifact = _compile(kernel, MATRICES[matrix](), SympilerOptions(backend="c", parallel=parallel))
+    source = artifact.source
+    assert len(source) <= MAX_SOURCE_BYTES
+    assert "static const int64_t" not in source
+    for initialiser in re.findall(r"\{[\s\d,+-]*\}", source):  # a brace list of integers
+        assert len(re.findall(r"\d+", initialiser)) <= MAX_INITIALISER_LITERALS, initialiser[:80]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_same_code_shape_gives_the_same_bytes(kernel):
+    """Without the low-level passes no literal of the pattern is left at all."""
+    options = SympilerOptions(backend="c", enable_low_level=False)
+    small = _compile(kernel, g.laplacian_2d(12), options)
+    large = _compile(kernel, g.laplacian_2d(40), options)
+    assert small.source == large.source
+    assert small.module.shared_object == large.module.shared_object
+    assert small.inspection.n != large.inspection.n
+
+
+@pytest.mark.parametrize("kernel", ["cholesky", "lu", "triangular-solve"])
+def test_active_wavefront_modules_are_not_shared(kernel):
+    """Pool, barrier and level clock are module state: one pattern per module."""
+    options = SympilerOptions(backend="c", parallel="wavefront", enable_vs_block=False)
+    # Minimum-degree ordering gives the bushy elimination tree wavefronts need.
+    small, large = (
+        _compile(kernel, ordering_by_name("mindeg")(A).symmetric_permute(A), options)
+        for A in (g.laplacian_2d(12), g.laplacian_2d(16))
+    )
+    assert small.parallel_mode == large.parallel_mode == "wavefront"
+    assert small.module.shared_object != large.module.shared_object

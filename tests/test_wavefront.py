@@ -169,14 +169,19 @@ class TestBitwiseIdentity:
                 tri_s.solve_arrays(L.indptr, L.indices, L.data, b),
                 tri_w.solve_arrays(L.indptr, L.indices, L.data, b, num_threads=4),
             )
-            rhs = sparse_rhs(L.n, nnz=3, seed=11)
-            pat = np.nonzero(rhs)[0]
-            ps = sym_s.compile("triangular-solve", L, rhs_pattern=pat)
-            pw = sym_w.compile("triangular-solve", L, rhs_pattern=pat)
-            _assert_bitwise(
-                ps.solve_arrays(L.indptr, L.indices, L.data, rhs),
-                pw.solve_arrays(L.indptr, L.indices, L.data, rhs, num_threads=4),
-            )
+            # Seed 3: a supernode block of the serial body reaches past the
+            # reach set of the right-hand side (columns the schedule omits).
+            for seed in (11, 3):
+                rhs = sparse_rhs(L.n, nnz=3, seed=seed)
+                pat = np.nonzero(rhs)[0]
+                ps = sym_s.compile("triangular-solve", L, rhs_pattern=pat)
+                pw = sym_w.compile("triangular-solve", L, rhs_pattern=pat)
+                if vs_block and seed == 3:
+                    assert pw.parallel_mode == "wavefront"
+                _assert_bitwise(
+                    ps.solve_arrays(L.indptr, L.indices, L.data, rhs),
+                    pw.solve_arrays(L.indptr, L.indices, L.data, rhs, num_threads=4),
+                )
 
     def test_full_solve_both_sweeps_match_serial_bits(self, tmp_path, monkeypatch):
         """Forward and backward substitution of one direct solve."""
