@@ -25,9 +25,7 @@ def main() -> None:
     # One SPD model problem; its *pattern* is what the service compiles for.
     A = laplacian_2d(20, shift=0.05)
 
-    # The stacked (vectorized) batch kernels mirror the simplicial python
-    # emitters, so disable supernodal codegen for maximum coalescing effect.
-    options = SympilerOptions(enable_vs_block=False)
+    options = SympilerOptions()
     service = SolverService(options=options, window_seconds=0.01, max_batch=16)
     server, server_thread = serve_background(service)
     host, port = server.server_address

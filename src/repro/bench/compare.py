@@ -100,11 +100,6 @@ GATED_METRICS: Dict[str, Tuple[GatedMetric, ...]] = {
         # Kernels regenerated while serving warmed-up traffic: a zero
         # baseline tolerates no increase.
         GatedMetric("serving_recompiles", "lower"),
-        # Same-run ratio (both sides measured in one process); the noise
-        # floor absorbs scheduler jitter on the sub-second smoke workload
-        # while still failing if coalescing stops winning (~2x+ today,
-        # a regression to parity lands at 1.0).
-        GatedMetric("coalesced_over_uncoalesced", "higher", noise=0.5),
         # Deterministic given the submit-all-then-wait workload shape: full
         # micro-batches of max_batch; the allowance forgives partial
         # trailing batches, not a collapse to singleton dispatch.

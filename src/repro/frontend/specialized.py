@@ -103,8 +103,6 @@ class _Specialization:
     #: Pattern-carrying CSC of the specialization (pcg route re-binds values
     #: onto it with ``with_values``).
     pattern: CSCMatrix
-    #: Values the current factors were computed from.
-    current_values: Optional[np.ndarray]
     #: True when the SPD heuristic chose Cholesky but numeric factorization
     #: broke down and the specialization fell back to LDLᵀ.
     escaped_to_ldlt: bool = False
@@ -240,25 +238,19 @@ class SpecializedSolver:
             # the first numeric run (still inside this first call) and every
             # later call hits them.
             solver = None
-            current_values = None
         else:
             solver = self._build_direct(A, method)
             if solver.method != method:
                 escaped = True
                 method = solver.method
-            # A copy: ingest passes a CSCMatrix through as the caller's own
-            # object, whose data they may go on to mutate in place.
-            current_values = A.data.copy()
-        spec = _Specialization(
+        return _Specialization(
             key=key,
             method=method,
             probe=probe,
             solver=solver,
             pattern=A,
-            current_values=current_values,
             escaped_to_ldlt=escaped,
         )
-        return spec
 
     def _build_direct(self, A: CSCMatrix, method: str) -> SparseLinearSolver:
         """Build a direct solver; Cholesky breakdown escapes to LDLᵀ.
@@ -382,30 +374,18 @@ class SpecializedSolver:
             )
             self.last_cg_result = result
             return result.x
-        solver = spec.solver
+        # Same structure: the solver's warm step — sweeps alone when the
+        # values are the ones its factors came from, the compiled kernel
+        # first when they are new.  The specializing call factorized these
+        # very values itself; only a later call finding them unchanged counts
+        # as a hit.
+        x, refactorized = spec.solver.step(A.data, b, num_threads=num_threads)
         with self._lock:
-            # No factors: the last refactorization raised part-way.
-            values_match = solver.L is not None and np.array_equal(
-                spec.current_values, A.data
-            )
-        if values_match:
-            # The specializing call factorized these very values itself;
-            # only a later call finding them unchanged reuses anything.
-            if not specialized_here:
-                with self._lock:
-                    self.stats.value_hits += 1
-        else:
-            # Same structure, new values: numeric-only refactorization
-            # through the already-compiled kernel.  The values are copied
-            # into the snapshot's own buffer (ingest passes a CSCMatrix
-            # through as the caller's object, whose data they may mutate)
-            # and the solver factorizes from there, so no pattern-sized
-            # block changes hands from one call to the next.
-            np.copyto(spec.current_values, A.data)
-            solver.factorize(spec.pattern.with_values(spec.current_values))
-            with self._lock:
+            if refactorized:
                 self.stats.refactorizations += 1
-        return solver.solve(b, num_threads=num_threads)
+            elif not specialized_here:
+                self.stats.value_hits += 1
+        return x
 
 
 # --------------------------------------------------------------------------- #

@@ -8,9 +8,8 @@ Turns one compiled artifact into many concurrent numeric executions:
 * :mod:`repro.runtime.engine` — :class:`BatchExecutor`, mapping
   ``factorize_arrays``/``solve_arrays`` over a batch of value sets: a thread
   pool for the C backend (the generated ``.so`` releases the GIL and its work
-  buffers are thread-local), a vectorized stacked-array path for the python
-  backend, a sequential fallback everywhere else — always with per-item
-  error isolation and deterministic result ordering.
+  buffers are thread-local), a plain per-item loop everywhere else — always
+  with per-item error isolation and deterministic result ordering.
 * :mod:`repro.runtime.facade` — :class:`BatchedSolver`, the user-facing
   wrapper over :class:`~repro.solvers.linear_solver.SparseLinearSolver` with
   ``factorize_batch`` / ``solve_many``.

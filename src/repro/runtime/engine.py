@@ -3,7 +3,7 @@
 The registry artifacts are stateless with respect to numeric values — the
 premise the whole compiler is built on — so one compiled kernel can serve an
 arbitrary number of concurrent numeric executions.  :class:`BatchExecutor`
-exploits that along three strategies, chosen per artifact:
+exploits that along three strategies, chosen per artifact and batch:
 
 ``threads``
     C-backend artifacts: the generated shared object releases the GIL for
@@ -18,14 +18,9 @@ exploits that along three strategies, chosen per artifact:
     worker pool (within-kernel H-Level parallelism).  The items-vs-levels
     heuristic in :meth:`BatchExecutor.plan_batch` picks between this and
     ``threads``.
-``stacked``
-    Python-backend artifacts generated from a single simplicial loop: the
-    whole batch executes as one vectorized stacked-array kernel
-    (:mod:`repro.runtime.stacked`), amortizing interpreter overhead; each
-    item's result is bitwise identical to a sequential call.
 ``serial``
-    Everything else (and ``num_threads == 1``): a plain loop over the
-    artifact's own entry point.
+    Everything else (the python backend, and ``num_threads == 1``): a plain
+    loop over the artifact's own entry point.
 
 All strategies share two invariants: **deterministic result ordering**
 (results land at their item's input index, whatever the completion order)
@@ -36,7 +31,6 @@ and **per-item error isolation** (a singular/indefinite item is reported in
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -46,7 +40,6 @@ import numpy as np
 
 from repro.compiler.codegen.c_backend import CGeneratedModule
 from repro.observe import trace as observe_trace
-from repro.runtime.stacked import stacked_factorize_for
 
 __all__ = ["BatchExecutor", "BatchResult", "BatchItemError", "resolve_num_threads"]
 
@@ -106,7 +99,7 @@ class BatchResult:
 
     ``results[i]`` is item ``i``'s output (``None`` when it failed); failures
     are listed in ``errors`` in item order.  ``mode`` records the strategy
-    that actually ran (``"threads"``, ``"stacked"`` or ``"serial"``) — useful
+    that actually ran (``"threads"``, ``"wavefront"`` or ``"serial"``) — useful
     in benchmarks and tests, since strategy selection is per artifact.
     """
 
@@ -160,19 +153,6 @@ class BatchExecutor:
             num_threads = getattr(artifact.options, "num_threads", 1)
         self.num_threads = resolve_num_threads(num_threads)
         self._is_c_backend = isinstance(artifact.module, CGeneratedModule)
-        # The stacked strategy only exists for factorization kernels; skip
-        # the AST walk entirely for other artifact kinds (triangular solves).
-        self._stacked = (
-            stacked_factorize_for(artifact)
-            if not self._is_c_backend and hasattr(artifact, "factorize_arrays")
-            else None
-        )
-        # Incremental batch assembly (submit/drain): value sets queued by
-        # submit() accumulate here until the next drain() runs them as one
-        # batch.  The serving layer's coalescer feeds requests in as they
-        # arrive instead of materializing all-at-once lists.
-        self._pending: List[np.ndarray] = []
-        self._pending_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     @property
@@ -191,8 +171,6 @@ class BatchExecutor:
         """
         if self._is_c_backend and self.num_threads > 1:
             return "threads"
-        if self._stacked is not None:
-            return "stacked"
         return "serial"
 
     @property
@@ -215,8 +193,6 @@ class BatchExecutor:
             if n_items >= self.num_threads or not self.wavefront_capable:
                 return "threads", 1
             return "wavefront", self.num_threads
-        if self._stacked is not None:
-            return "stacked", 1
         return "serial", 1
 
     # ------------------------------------------------------------------ #
@@ -231,11 +207,10 @@ class BatchExecutor:
 
         Uses the thread pool in ``threads`` mode (``fn`` must release the GIL
         to benefit — the C-backend entry points do) and a sequential loop
-        otherwise; the ``stacked`` strategy only applies to the structured
-        ``factorize_batch`` entry, not to arbitrary callables.  ``strategy``
-        overrides the artifact default — the structured batch entries pass
-        the :meth:`plan_batch` choice through it (``"wavefront"`` runs items
-        sequentially, the parallelism living inside each call).
+        otherwise.  ``strategy`` overrides the artifact default — the
+        structured batch entries pass the :meth:`plan_batch` choice through
+        it (``"wavefront"`` runs items sequentially, the parallelism living
+        inside each call).
         """
         items = list(items)
         start = time.perf_counter()
@@ -293,40 +268,6 @@ class BatchExecutor:
         )
 
     # ------------------------------------------------------------------ #
-    # Incremental mode: submit value sets one by one, drain as one batch.
-    # ------------------------------------------------------------------ #
-    def submit(self, values: np.ndarray) -> int:
-        """Queue one value set for the next :meth:`drain`; returns its slot.
-
-        The slot index is the item's position in the drained
-        :class:`BatchResult` — stable because submissions append and drain
-        atomically swaps the whole pending list.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        with self._pending_lock:
-            self._pending.append(values)
-            return len(self._pending) - 1
-
-    @property
-    def pending_count(self) -> int:
-        """Number of value sets queued for the next drain."""
-        with self._pending_lock:
-            return len(self._pending)
-
-    def drain(self, Ap: np.ndarray, Ai: np.ndarray) -> BatchResult:
-        """Run every pending value set as one factorization batch.
-
-        Atomically takes the pending list (submissions racing with the swap
-        land in the *next* batch) and dispatches it through
-        :meth:`factorize_batch`; an empty queue returns an empty result.
-        """
-        with self._pending_lock:
-            pending, self._pending = self._pending, []
-        if not pending:
-            return BatchResult(results=[], mode=self.mode, num_threads=1)
-        return self.factorize_batch(Ap, Ai, pending)
-
-    # ------------------------------------------------------------------ #
     def factorize_batch(
         self, Ap: np.ndarray, Ai: np.ndarray, values: Sequence[np.ndarray] | np.ndarray
     ) -> BatchResult:
@@ -347,34 +288,11 @@ class BatchExecutor:
                     "matching the compile-time pattern"
                 )
         strategy, per_call_threads = self.plan_batch(len(value_list))
-        if strategy == "stacked" and value_list:
-            return self._factorize_stacked(Ap, Ai, value_list)
         entry = self.artifact.factorize_arrays
         return self.map(
             lambda ax: entry(Ap, Ai, ax, num_threads=per_call_threads),
             value_list,
             strategy=strategy if value_list else None,
-        )
-
-    def _factorize_stacked(
-        self, Ap: np.ndarray, Ai: np.ndarray, value_list: List[np.ndarray]
-    ) -> BatchResult:
-        start = time.perf_counter()
-        AxB = np.stack(value_list, axis=0)
-        outputs, failures = self._stacked(Ap, Ai, AxB)
-        results: List[Optional[object]] = list(outputs)
-        errors = [
-            BatchItemError(index=f.index, error=ValueError(f.message))
-            for f in failures
-        ]
-        for err in errors:
-            results[err.index] = None
-        return BatchResult(
-            results=results,
-            errors=errors,
-            mode="stacked",
-            num_threads=1,
-            seconds=time.perf_counter() - start,
         )
 
     # ------------------------------------------------------------------ #
@@ -399,10 +317,6 @@ class BatchExecutor:
             )
         rhs_list = [np.asarray(b, dtype=np.float64) for b in B]
         strategy, per_call_threads = self.plan_batch(len(rhs_list))
-        if strategy == "stacked":
-            # Stacked execution only exists for factorizations; RHS batches
-            # on python-backend artifacts run the plain sequential loop.
-            strategy, per_call_threads = "serial", 1
         return self.map(
             lambda b: entry(Lp, Li, Lx, b, num_threads=per_call_threads),
             rhs_list,

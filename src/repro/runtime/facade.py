@@ -19,7 +19,6 @@ scenarios complete, and results always come back in input order.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
@@ -149,7 +148,6 @@ class BatchedSolver:
             self.solver._factorization, num_threads=num_threads
         )
         self.last_result: Optional[BatchResult] = None
-        self.batch_seconds = 0.0
 
     # ------------------------------------------------------------------ #
     @property
@@ -169,7 +167,7 @@ class BatchedSolver:
 
     @property
     def mode(self) -> str:
-        """The large-batch strategy for this artifact (threads/stacked/serial).
+        """The large-batch strategy for this artifact (threads/serial).
 
         Wavefront-capable artifacts switch to within-kernel parallelism on
         batches smaller than the pool — see ``executor.plan_batch``; the
@@ -260,16 +258,10 @@ class BatchedSolver:
         """
         value_list = self._batch_values(scenarios, permuted_values=permuted_values)
         permuted = self.solver.A_permuted
-        start = time.perf_counter()
         result = self.executor.factorize_batch(
             permuted.indptr, permuted.indices, value_list
         )
-        self.batch_seconds = time.perf_counter() - start
         self.last_result = result
-        return self.handles_from_result(result)
-
-    def handles_from_result(self, result: BatchResult) -> List[FactorHandle]:
-        """Wrap a raw :class:`BatchResult` into per-item factor handles."""
         error_by_index = {e.index: e.error for e in result.errors}
         return [
             FactorHandle(
@@ -280,44 +272,6 @@ class BatchedSolver:
             )
             for i, raw in enumerate(result.results)
         ]
-
-    # ------------------------------------------------------------------ #
-    # Incremental mode: the serving layer feeds scenarios in one at a time
-    # (as requests arrive) and drains them as one coalesced batch.
-    # ------------------------------------------------------------------ #
-    def permute_values(self, values: np.ndarray) -> np.ndarray:
-        """Map input-order pattern values into permuted-pattern order.
-
-        One fancy-indexing gather through the solver's precomputed plan — the
-        per-request hot path of the serving layer.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.solver.A.nnz,):
-            raise ValueError(
-                f"values must have shape ({self.solver.A.nnz},) matching the "
-                "registered pattern's nonzero count"
-            )
-        return self.solver.permute_values(values)
-
-    def submit_values(self, values: np.ndarray, *, permuted: bool = False) -> int:
-        """Queue one value set for the next :meth:`drain`; returns its slot."""
-        values = np.asarray(values, dtype=np.float64)
-        if not permuted:
-            values = self.permute_values(values)
-        elif values.shape != (self.solver.A_permuted.nnz,):
-            raise ValueError(
-                f"permuted values must have shape ({self.solver.A_permuted.nnz},)"
-            )
-        return self.executor.submit(values)
-
-    def drain(self) -> List[FactorHandle]:
-        """Factorize every submitted value set as one batch; handles per item."""
-        permuted = self.solver.A_permuted
-        start = time.perf_counter()
-        result = self.executor.drain(permuted.indptr, permuted.indices)
-        self.batch_seconds = time.perf_counter() - start
-        self.last_result = result
-        return self.handles_from_result(result)
 
     def solve_many(self, B: np.ndarray) -> np.ndarray:
         """Solve ``A X = B`` (multi-RHS) on the current factorization."""

@@ -1,20 +1,19 @@
 """Micro-batched request coalescing: same-pattern solves share one dispatch.
 
-The compiled kernels are stateless with respect to numeric values, so N
-concurrent requests on one registered pattern can run as a single batched
-factorization (vectorized stacked kernels on the python backend, GIL-free
-threaded C kernels) instead of N interpreter round-trips.  The
-:class:`Coalescer` makes that happen transparently: requests enqueue into a
-per-pattern queue, and a dispatcher thread flushes each queue when it reaches
-``max_batch`` or its oldest request has waited ``window_seconds`` — classic
-micro-batching.  A zero window still coalesces whatever accumulated while the
-dispatcher was busy (natural batching under load).
+N concurrent requests on one registered pattern can share one dispatch —
+one wake-up of the dispatcher, one response block, one batch span — instead
+of N.  The :class:`Coalescer` makes that happen transparently: requests
+enqueue into a per-pattern queue, and a dispatcher thread flushes each queue
+when it reaches ``max_batch`` or its oldest request has waited
+``window_seconds`` — classic micro-batching.  A zero window still coalesces
+whatever accumulated while the dispatcher was busy (natural batching under
+load).
 
 Error isolation is the dispatcher's contract, not this module's: the dispatch
 callable receives the whole batch and must resolve every request's future
-(the service maps per-item :class:`~repro.runtime.engine.BatchResult` errors
-to their futures).  A dispatch callable that *raises* fails only that batch's
-futures; the dispatcher thread survives.
+(the service runs the requests one by one and gives each its own result or
+error).  A dispatch callable that *raises* fails only that batch's futures;
+the dispatcher thread survives.
 """
 
 from __future__ import annotations

@@ -12,10 +12,12 @@ turns the paper's inspector/executor amortization into a served resource:
   :class:`concurrent.futures.Future`; :meth:`SolverService.solve` is the
   synchronous convenience,
 * in-flight same-pattern requests are coalesced into micro-batches
-  (:mod:`repro.service.coalescer`) and dispatched through the batched
-  runtime's incremental submit/drain mode — stacked vectorized kernels on
-  the python backend, thread-pooled GIL-free C kernels — with per-request
-  error isolation,
+  (:mod:`repro.service.coalescer`); a batch is a loop of the pattern's
+  :meth:`SparseLinearSolver.step
+  <repro.solvers.linear_solver.SparseLinearSolver.step>` — the same warm
+  step the front end takes: sweeps alone when a request's values are the
+  ones the current factors came from, the compiled kernel first when they
+  are new — with per-request error isolation,
 * admission control (:mod:`repro.service.admission`) bounds in-flight work
   (reject-with-retry-after) and the compiled-artifact memory budget
   (per-pattern LRU pinning with explicit eviction; evicted patterns
@@ -28,18 +30,17 @@ import hashlib
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.compiler.cache import options_fingerprint
-from repro.compiler.codegen.c_backend import disk_cache_stats
+from repro.compiler.codegen.c_backend import CGeneratedModule, disk_cache_stats
 from repro.compiler.codegen.runtime import pattern_fingerprint
 from repro.compiler.options import SympilerOptions
 from repro.observe import events as observe_events
 from repro.observe import trace as observe_trace
-from repro.runtime.facade import BatchedSolver
 from repro.service.admission import AdmissionController
 from repro.service.coalescer import Coalescer
 from repro.service.errors import (
@@ -48,6 +49,7 @@ from repro.service.errors import (
     ServiceOverloadedError,
 )
 from repro.service.metrics import ServiceMetrics
+from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.csc import CSCMatrix
 
 __all__ = ["SolverService", "PatternHandle"]
@@ -81,16 +83,11 @@ class PatternHandle:
     #: Within-kernel mode the factorization was compiled in ("wavefront",
     #: "serial-fallback" or "none").
     parallel_mode: str = "none"
-    #: Per-pattern dispatch choice: ``"wavefront"`` requests bypass the
-    #: micro-batch coalescer and run one at a time with within-kernel
-    #: level parallelism (big patterns, wide schedules); ``"coalesce"``
-    #: requests micro-batch across the pool (ensembles of small patterns).
-    execution_strategy: str = "coalesce"
 
 
 @dataclass
 class _Request:
-    """One enqueued solve: permuted values, RHS, and the caller's future."""
+    """One enqueued solve: private copies of values and RHS, the caller's future."""
 
     values: np.ndarray
     rhs: np.ndarray
@@ -108,13 +105,11 @@ class _PatternEntry:
 
     key: tuple
     handle: PatternHandle
-    batched: BatchedSolver
+    #: The pattern's one solver; its lock serializes concurrent dispatches.
+    solver: SparseLinearSolver
     #: The backend that actually generated code ("c" may fall back to
     #: "python" when no toolchain exists); recorded for the stats endpoint.
     backend_effective: str = "python"
-    #: Serializes incremental submit/drain rounds on the shared executor so
-    #: concurrent uncoalesced dispatches never interleave their batches.
-    dispatch_lock: threading.Lock = field(default_factory=threading.Lock)
     solves: int = 0
     dead: bool = False
 
@@ -141,9 +136,6 @@ class SolverService:
     coalesce:
         ``False`` dispatches each request individually in the calling thread
         (the uncoalesced baseline the ``serving`` bench measures against).
-    num_threads:
-        Worker threads for C-backend batch dispatch (defaults to the
-        options' ``num_threads``).
 
     Examples
     --------
@@ -168,11 +160,9 @@ class SolverService:
         max_patterns: int = 32,
         retry_after_seconds: float = 0.05,
         coalesce: bool = True,
-        num_threads: Optional[int] = None,
     ) -> None:
         self.options = options or SympilerOptions()
         self.coalesce = bool(coalesce)
-        self.num_threads = num_threads
         self.metrics = ServiceMetrics()
         # Pull-mode registration in the unified registry: the Prometheus
         # export / observe.snapshot() see this service's counters without
@@ -267,36 +257,17 @@ class SolverService:
         key: tuple,
     ) -> _PatternEntry:
         disk_before = disk_cache_stats().as_dict()
-        batched = BatchedSolver(
-            A,
-            method=kernel,
-            ordering=ordering,
-            options=options,
-            num_threads=self.num_threads,
-        )
+        solver = SparseLinearSolver(A, method=kernel, ordering=ordering, options=options)
         disk_after = disk_cache_stats().as_dict()
         generated = (disk_after["compiles"] - disk_before["compiles"]) + (
             disk_after["py_writes"] - disk_before["py_writes"]
         )
         warm = generated == 0
-        solver = batched.solver
         cache = solver.artifact_cache
         for artifact in solver.compiled_artifacts:
             cache.pin_artifact(artifact)
-        schedule = batched.schedule
-        # Per-pattern dispatch choice: a wavefront-compiled kernel whose
-        # schedule is wide enough to occupy the whole pool on every level
-        # serves each request alone at full width (cuts single-request tail
-        # latency); anything else micro-batches across requests, where the
-        # pool parallelizes *between* small solves instead.
-        strategy = "coalesce"
-        if (
-            batched.parallel_mode == "wavefront"
-            and batched.num_threads > 1
-            and schedule is not None
-            and float(schedule.average_width) >= batched.num_threads
-        ):
-            strategy = "wavefront"
+        factorization = solver.compiled_artifacts[0]
+        schedule = factorization.schedule
         handle = PatternHandle(
             handle_id=hashlib.sha256(repr(key).encode()).hexdigest()[:16],
             key=key,
@@ -311,18 +282,12 @@ class SolverService:
             schedule_avg_width=(
                 float(schedule.average_width) if schedule is not None else 0.0
             ),
-            parallel_mode=batched.parallel_mode,
-            execution_strategy=strategy,
+            parallel_mode=factorization.parallel_mode,
         )
         self.metrics.incr("registrations")
         self.metrics.incr("compile_warm" if warm else "compile_cold")
-        self.metrics.incr(f"strategy_{strategy}")
-        from repro.compiler.codegen.c_backend import CGeneratedModule
-
         backend_effective = (
-            "c"
-            if isinstance(solver._factorization.module, CGeneratedModule)
-            else "python"
+            "c" if isinstance(factorization.module, CGeneratedModule) else "python"
         )
         observe_events.emit(
             "compile_warm" if warm else "compile_cold",
@@ -330,12 +295,11 @@ class SolverService:
             fingerprint=key[1],
             n=A.n,
             backend=backend_effective,
-            strategy=strategy,
         )
         return _PatternEntry(
             key=key,
             handle=handle,
-            batched=batched,
+            solver=solver,
             backend_effective=backend_effective,
         )
 
@@ -352,7 +316,7 @@ class SolverService:
         # (another service, a sibling pattern sharing a triangular-solve
         # artifact) still has pinned.  The on-disk generated code survives,
         # so re-registration is a warm (zero-recompile) path.
-        solver = entry.batched.solver
+        solver = entry.solver
         cache = solver.artifact_cache
         for artifact in solver.compiled_artifacts:
             cache.release_artifact(artifact)
@@ -412,15 +376,22 @@ class SolverService:
         """Enqueue one solve; returns a future resolving to the solution.
 
         ``values`` are the matrix nonzeros in the registered pattern's input
-        order; ``rhs`` the right-hand side.  Shape errors raise immediately
-        (client error); numeric failures (a singular system in a batch)
-        resolve the *future* with the kernel's exception while its
-        batchmates complete normally.
+        order; ``rhs`` the right-hand side.  Both are copied here, so the
+        caller may reuse its buffers as soon as ``submit`` returns.  Shape
+        errors raise immediately (client error); numeric failures (a
+        singular system in a batch) resolve the *future* with the kernel's
+        exception while its batchmates complete normally.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
         entry = self._entry_for(handle)
-        rhs = np.asarray(rhs, dtype=np.float64)
+        values = np.array(values, dtype=np.float64)
+        if values.shape != (entry.handle.nnz,):
+            raise ValueError(
+                f"values must have shape ({entry.handle.nnz},) matching the "
+                "registered pattern's nonzero count"
+            )
+        rhs = np.array(rhs, dtype=np.float64)
         if rhs.shape != (entry.handle.n,):
             raise ValueError(f"rhs must have shape ({entry.handle.n},)")
         try:
@@ -434,31 +405,21 @@ class SolverService:
                 retry_after_seconds=getattr(exc, "retry_after", None),
             )
             raise
-        try:
-            permuted = entry.batched.permute_values(values)
-        except BaseException:
-            self.admission.release()
-            raise
         request = _Request(
-            values=permuted,
+            values=values,
             rhs=rhs,
             future=Future(),
             enqueued_at=time.monotonic(),
             trace_ctx=observe_trace.capture(),
         )
         self.admission.touch_pattern(entry.key)
-        if self.coalesce and entry.handle.execution_strategy != "wavefront":
+        if self.coalesce:
             try:
                 self.coalescer.offer(entry.key, entry, request)
             except Exception:
                 self.admission.release()
                 raise
         else:
-            # Wavefront-strategy patterns skip the coalescing window: each
-            # request runs alone, its kernel spreading every level set over
-            # the whole pool, so queueing for batchmates only adds latency.
-            if entry.handle.execution_strategy == "wavefront":
-                self.metrics.incr("dispatch_wavefront")
             self._dispatch(entry, [request])()
         return request.future
 
@@ -474,11 +435,12 @@ class SolverService:
         return self.submit(handle, values, rhs).result(timeout=timeout)
 
     def _dispatch(self, entry: _PatternEntry, requests) -> Callable[[], None]:
-        """Run one coalesced batch: factorize together, solve per request.
+        """Run one coalesced batch: the solver's warm step, once per request.
 
         Per-request error isolation: a singular/indefinite value set resolves
-        its own future with the kernel error; batchmates complete normally.
-        A batch-level failure fails only this batch's futures.
+        its own future with the kernel error; batchmates complete normally
+        (the failed step leaves the solver without factors, so the next
+        request refactorizes whatever its values).
 
         A future resolves as soon as its own solve is done and accounted for
         (:meth:`_settle`), so whoever it wakes — a wire response is written
@@ -488,7 +450,6 @@ class SolverService:
         of a batch resolves the batch is over in the span buffer too.
         """
         requests = list(requests)
-        n = entry.handle.n
         self.metrics.observe_batch(len(requests))
         # Claim every future up front: set_running_or_notify_cancel() False
         # means the client cancelled while queued — skip its work entirely —
@@ -502,49 +463,30 @@ class SolverService:
             else:
                 self.metrics.incr("solves_cancelled")
                 self._account(entry, request)
+        # One preallocated response block for the whole batch: each request's
+        # solution lands in its own row, zero-copy, and the future resolves
+        # to that row view.
+        out = np.empty((len(live), entry.handle.n), dtype=np.float64)
         resolve: Callable[[], None] = lambda: None
-        settled = 0
-        try:
-            with entry.dispatch_lock:
-                for request in live:
-                    entry.batched.submit_values(request.values, permuted=True)
-                handles = entry.batched.drain()
-            # One preallocated response block for the whole batch: each
-            # request's solution lands in its own row, zero-copy, and the
-            # future resolves to that row view.
-            out = np.empty((len(live), n), dtype=np.float64)
-            # Wavefront-strategy patterns solve at full pool width (the
-            # trisolves fan level sets across workers); coalesced batches
-            # keep each solve single-threaded — the pool's parallelism is
-            # already spent *across* batchmates.
-            solve_threads = (
-                entry.batched.num_threads
-                if entry.handle.execution_strategy == "wavefront"
-                else 1
-            )
-            for i, (request, factor_handle) in enumerate(zip(live, handles)):
-                resolve()  # the previous request's future
-                x, error = None, factor_handle.error
-                if error is None:
-                    try:
-                        # Attach the submitter's trace context so the dispatch
-                        # span (and the numeric span inside the solve) land in
-                        # the submitting request's trace, not an orphan one.
-                        with observe_trace.attach(request.trace_ctx):
-                            with observe_trace.span(
-                                "dispatch", kernel=entry.handle.kernel, batch=len(live)
-                            ):
-                                x = factor_handle.solve(
-                                    request.rhs, out=out[i], num_threads=solve_threads
-                                )
-                    except Exception as exc:
-                        error = exc
-                resolve = self._settle(entry, request, x, error)
-                settled += 1
-        except Exception as exc:
-            for request in live[settled:]:
-                resolve()
-                resolve = self._settle(entry, request, None, exc)
+        for row, request in zip(out, live):
+            resolve()  # the previous request's future
+            x, error = None, None
+            try:
+                # Attach the submitter's trace context so the dispatch span
+                # (and the numeric span inside the solve) land in the
+                # submitting request's trace, not an orphan one.
+                with observe_trace.attach(request.trace_ctx):
+                    with observe_trace.span(
+                        "dispatch", kernel=entry.handle.kernel, batch=len(live)
+                    ):
+                        x, refactorized = entry.solver.step(
+                            request.values, request.rhs, out=row
+                        )
+            except Exception as exc:
+                error = exc
+            else:
+                self.metrics.incr("refactorizations" if refactorized else "value_hits")
+            resolve = self._settle(entry, request, x, error)
         return resolve
 
     def _account(self, entry: _PatternEntry, request: _Request) -> None:
@@ -610,7 +552,7 @@ class SolverService:
         """One JSON-friendly snapshot of the whole service."""
         with self._lock:
             entries = list(self._entries.values())
-        cache = entries[0].batched.solver.artifact_cache if entries else None
+        cache = entries[0].solver.artifact_cache if entries else None
         patterns = {}
         for entry in entries:
             handle = entry.handle
@@ -625,9 +567,7 @@ class SolverService:
                 "solves": entry.solves,
                 "schedule_levels": handle.schedule_levels,
                 "schedule_avg_width": handle.schedule_avg_width,
-                "mode": entry.batched.mode,
                 "parallel_mode": handle.parallel_mode,
-                "execution_strategy": handle.execution_strategy,
                 "backend_effective": entry.backend_effective,
             }
         snapshot = self.metrics.snapshot()
@@ -703,7 +643,7 @@ class SolverService:
             self._by_id.clear()
         for entry in entries:
             entry.dead = True
-            solver = entry.batched.solver
+            solver = entry.solver
             cache = solver.artifact_cache
             for artifact in solver.compiled_artifacts:
                 cache.unpin_artifact(artifact)

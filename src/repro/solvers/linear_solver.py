@@ -24,8 +24,9 @@ machinery covers both sweeps.
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -183,6 +184,14 @@ class SparseLinearSolver:
         self._backward = self._sympiler.compile(
             "triangular-solve", self._Lt, options=self.options
         )
+        # The input-order values the current factors came from: a private
+        # snapshot (the caller may edit A.data in place), and, wrapped on A's
+        # pattern, what `self.A` becomes once step() has moved on from A.
+        self._values = A.data.copy()
+        self._A_current = A.with_values(self._values)
+        # One lock around everything that reads or replaces the factors and
+        # the plan's buffers (factorize, solve, step, solve_many).
+        self._lock = threading.Lock()
         #: Cached batch executors for solve_many, keyed by thread count (the
         #: forward artifact is fixed per solver instance, so they never go
         #: stale).
@@ -247,16 +256,9 @@ class SparseLinearSolver:
         Like the constructor, ``A`` may be anything the ingest layer accepts
         (``scipy.sparse``, triplets, dense) — it is converted first and then
         pattern-checked against the solver's matrix.  Past that check the
-        call is numeric only: one gather into permuted order, the compiled
-        kernel, one gather for the backward operand.
-
-        Both gathers write into the plan's own buffers and the previous
-        factors are released before the kernel allocates the new ones, so
-        the solver holds the same blocks at the same addresses after every
-        call: a long run of refactorizations does not fragment the heap it
-        shares with the caller.  If the kernel raises, the solver is left
-        without factors and :meth:`solve` refuses until a factorization
-        succeeds.
+        call is the numeric refactorization of :meth:`step`, unconditionally.
+        If the kernel raises, the solver is left without factors and
+        :meth:`solve` refuses until a factorization succeeds.
         """
         if A is not None:
             if not isinstance(A, CSCMatrix):
@@ -268,14 +270,30 @@ class SparseLinearSolver:
                     "the new matrix must have the same sparsity pattern; "
                     "build a new SparseLinearSolver for a different pattern"
                 )
-            self.A = A
-            # mode="clip": the default "raise" buffers `out` in a temporary.
-            np.take(A.data, self._value_gather, out=self.A_permuted.data, mode="clip")
+        with self._lock:
+            if A is not None:
+                self.A = A
+            self._refactorize(self.A.data)
+            return self._L
+
+    def _refactorize(self, values: np.ndarray) -> None:
+        """Factors of the input-order ``values`` (the caller holds the lock).
+
+        Numeric only: the snapshot takes the values, one gather puts them in
+        permuted order, the compiled kernel runs, one gather fills the
+        backward operand.  Snapshot and gathers write into the plan's own
+        buffers and the previous factors are released before the kernel
+        allocates the new ones, so the solver holds the same blocks at the
+        same addresses after every call: a long run of refactorizations does
+        not fragment the heap it shares with the caller.
+        """
+        np.copyto(self._values, values)
+        # mode="clip": the default "raise" buffers `out` in a temporary.
+        np.take(self._values, self._value_gather, out=self.A_permuted.data, mode="clip")
         self._L = self._d = self._U = None
         self._set_factors(self._factorization.factorize(self.A_permuted))
         source = self._L if self._U is None else self._U
         np.take(source.data, self._backward_gather, out=self._Lt.data, mode="clip")
-        return self._L
 
     def _set_factors(self, result) -> None:
         """Store one factorization result.
@@ -360,13 +378,59 @@ class SparseLinearSolver:
         z = z_rev[::-1].copy()
         return self.permutation.apply_inverse_vec(z)
 
-    def solve(self, b: np.ndarray, *, num_threads: Optional[int] = None) -> np.ndarray:
-        """Solve ``A x = b`` (``num_threads`` as in :meth:`solve_with_factors`)."""
+    def _solve_current(
+        self, b: np.ndarray, out: Optional[np.ndarray], num_threads: Optional[int]
+    ) -> np.ndarray:
+        """The two sweeps on the current factors (the caller holds the lock)."""
         if self._L is None:
             raise RuntimeError("the last factorize() failed; there are no factors to solve with")
         return self.solve_with_factors(
-            b, L=self._L, d=self._d, Lt=self._Lt, num_threads=num_threads
+            b, L=self._L, d=self._d, Lt=self._Lt, out=out, num_threads=num_threads
         )
+
+    def solve(
+        self,
+        b: np.ndarray,
+        *,
+        out: Optional[np.ndarray] = None,
+        num_threads: Optional[int] = None,
+    ) -> np.ndarray:
+        """Solve ``A x = b`` (``out``/``num_threads`` as in :meth:`solve_with_factors`)."""
+        with self._lock:
+            return self._solve_current(b, out, num_threads)
+
+    def step(
+        self,
+        values: np.ndarray,
+        b: np.ndarray,
+        *,
+        out: Optional[np.ndarray] = None,
+        num_threads: Optional[int] = None,
+    ) -> Tuple[np.ndarray, bool]:
+        """The warm step: ``x`` solving ``A(values) x = b``, and whether it refactorized.
+
+        ``values`` are the matrix nonzeros in the input order of the solver's
+        pattern (length ``A.nnz``; the caller vouches for the pattern — that
+        is what makes the step numeric only).  When they equal the values the
+        current factors came from, the step is the two sweeps; otherwise the
+        compiled kernel runs first, between its two gathers.  This is the one
+        numeric path of every layer above the artifact — the front end calls
+        it per solve, the service once per coalesced request — and it holds
+        the solver's lock throughout, so concurrent callers with different
+        values each get the answer to their own system.
+
+        A value set the kernel rejects raises the kernel's error and leaves
+        the solver without factors, so repeating it fails again rather than
+        matching the snapshot.
+        """
+        with self._lock:
+            refactorized = self._L is None or not np.array_equal(self._values, values)
+            if refactorized:
+                if np.shape(values) != self._values.shape:
+                    raise ValueError(f"values must have shape {self._values.shape}")
+                self._refactorize(values)
+                self.A = self._A_current
+            return self._solve_current(b, out, num_threads), refactorized
 
     def solve_many(self, B: np.ndarray, *, num_threads: Optional[int] = None) -> np.ndarray:
         """Solve ``A X = B`` column by column (``B`` is ``n × k``).
@@ -389,7 +453,11 @@ class SparseLinearSolver:
         if executor is None:
             executor = BatchExecutor(self._forward, num_threads=num_threads)
             self._solve_executors[num_threads] = executor
-        result = executor.map(self.solve, [B[:, k] for k in range(B.shape[1])])
+        with self._lock:
+            result = executor.map(
+                lambda b: self._solve_current(b, None, None),
+                [B[:, k] for k in range(B.shape[1])],
+            )
         result.raise_first()
         return np.column_stack(result.results)
 

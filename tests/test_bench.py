@@ -180,7 +180,7 @@ def test_batched_experiment_rows():
     row = rows[0]
     assert row["bitwise_identical"] is True
     assert row["batch_recompiles"] == 0
-    assert row["mode"] in ("serial", "stacked", "threads")
+    assert row["mode"] in ("serial", "threads")
     assert row["batched_items_per_second"] > 0
     assert row["schedule_levels"] >= 1
     assert row["schedule_avg_width"] >= 1.0
@@ -226,7 +226,6 @@ def test_serving_experiment_rows():
     assert row["bitwise_identical"] is True
     assert row["serving_recompiles"] == 0
     assert row["reregister_warm"] is True
-    assert row["mode"] in ("serial", "stacked", "threads")
     assert row["requests"] == 8
     # Submit-all-then-wait traffic must actually coalesce.
     assert row["coalescing_ratio"] > 1.0
@@ -261,7 +260,6 @@ def test_serving_gated_metrics_catch_regressions():
     assert metrics == {
         "bitwise_identical",
         "serving_recompiles",
-        "coalesced_over_uncoalesced",
         "coalescing_ratio",
     }
 

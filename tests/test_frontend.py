@@ -422,6 +422,45 @@ class TestLazySpecialization:
         solver.factorize(A)
         assert solver.residual(solver.solve(b), b) < 1e-10
 
+    @pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
+    def test_threads_with_different_values_each_solve_their_own_system(self):
+        # The C kernels release the GIL and the solver's buffers are in
+        # place, so without the warm step's per-solver lock one thread's
+        # gather lands in the middle of another's factorization (seen as
+        # "not positive definite" on SPD input, or as a wrong answer).
+        import sys
+        import threading
+
+        A = laplacian_2d(40, shift=0.1)
+        b = np.ones(A.n)
+        front = SpecializedSolver(method="cholesky", options=SympilerOptions(backend="c"))
+        front.solve(A, b)
+        failures = []
+
+        def run(scale):
+            mine = A.with_values(A.data * scale)
+            try:
+                for _ in range(200):
+                    x = front.solve(mine, b)
+                    residual = np.linalg.norm(mine.matvec(x) - b) / np.linalg.norm(b)
+                    assert residual <= 1e-10, residual
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        # One thread more than this box has cores, switching often.
+        threads = [threading.Thread(target=run, args=(scale,)) for scale in (1.0, 1.5, 2.0)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures[0]
+
     def test_new_values_refactorize_without_respecializing(self, rng):
         A = random_spd(30, 0.08, seed=11)
         b = rng.normal(size=A.n)

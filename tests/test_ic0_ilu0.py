@@ -1,7 +1,7 @@
 """End-to-end tests of the IC(0)/ILU(0) preconditioner kernels.
 
 Covers the symbolic layer (no-fill inspections + schedules), the reference
-kernels, both code-generation backends, the stacked batch runtime and the
+kernels, both code-generation backends, the batch runtime and the
 artifact protocol — the whole registry extension of the incomplete kernels.
 """
 
@@ -299,33 +299,12 @@ class TestCompiledIncompleteC:
             compiled.factorize(A)
 
 
-class TestStackedBatchIncomplete:
-    def test_ic0_stacked_bitwise_and_mode(self):
-        A = _spd(9)
-        artifact = _fresh_sympiler().compile("ic0", A)
-        executor = BatchExecutor(artifact)
-        assert executor.mode == "stacked"
-        values = [A.data * (1.0 + 0.01 * s) for s in range(6)]
-        result = executor.factorize_batch(A.indptr, A.indices, values)
-        assert result.mode == "stacked" and result.ok
-        for ax, out in zip(values, result.results):
-            seq = artifact.factorize_arrays(A.indptr, A.indices, ax)
-            assert np.array_equal(seq, out)
-
-    def test_ilu0_stacked_bitwise(self):
-        A = _jacobian(36, seed=21)
-        artifact = _fresh_sympiler().compile("ilu0", A)
-        executor = BatchExecutor(artifact)
-        values = [A.data * (1.0 + 0.01 * s) for s in range(5)]
-        result = executor.factorize_batch(A.indptr, A.indices, values)
-        assert result.mode == "stacked" and result.ok
-        for ax, out in zip(values, result.results):
-            lx, ux = artifact.factorize_arrays(A.indptr, A.indices, ax)
-            assert np.array_equal(lx, out[0]) and np.array_equal(ux, out[1])
-
-    def test_ic0_batch_isolates_breakdown(self):
+class TestBatchIncomplete:
+    @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
+    def test_ic0_batch_isolates_breakdown(self, backend):
         A = _spd(6)
-        artifact = _fresh_sympiler().compile("ic0", A)
+        options = _c_options() if backend == "c" else SympilerOptions()
+        artifact = _fresh_sympiler().compile("ic0", A, options=options)
         executor = BatchExecutor(artifact)
         good = A.data.copy()
         bad = A.data.copy()

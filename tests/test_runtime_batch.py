@@ -2,7 +2,7 @@
 
 The acceptance bar of the subsystem: ``factorize_batch`` over >= 8 value
 sets is bitwise identical per item to sequential ``factorize`` on every
-execution strategy (serial, stacked, threaded C), with per-item error
+execution strategy (the serial loop, threaded C), with per-item error
 isolation and deterministic result ordering.
 """
 
@@ -64,13 +64,13 @@ def _assert_bitwise_vs_sequential(batched: BatchedSolver, scenarios):
 
 
 class TestBitwiseIdentity:
-    def test_python_stacked_cholesky(self):
+    def test_python_simplicial_cholesky(self):
         A = laplacian_2d(9, shift=0.1)
         options = SympilerOptions(backend="python", enable_vs_block=False)
         batched = BatchedSolver(A, ordering="natural", options=options)
-        assert batched.mode == "stacked"
+        assert batched.mode == "serial"
         _assert_bitwise_vs_sequential(batched, _spd_scenarios(A))
-        assert batched.last_result.mode == "stacked"
+        assert batched.last_result.mode == "serial"
 
     def test_python_serial_supernodal_cholesky(self):
         A = laplacian_2d(9, shift=0.1)
@@ -78,22 +78,20 @@ class TestBitwiseIdentity:
         batched = BatchedSolver(A, ordering="natural", options=options)
         _assert_bitwise_vs_sequential(batched, _spd_scenarios(A))
 
-    def test_python_stacked_ldlt(self):
+    def test_python_ldlt(self):
         K = saddle_point_indefinite(28, 10, seed=5)
         options = SympilerOptions(backend="python", enable_vs_block=False)
         batched = BatchedSolver(K, method="ldlt", ordering="natural", options=options)
         handles = _assert_bitwise_vs_sequential(batched, _spd_scenarios(K))
-        assert batched.last_result.mode == "stacked"
         assert all(h.d is not None for h in handles)
 
-    def test_python_stacked_lu(self):
+    def test_python_lu(self):
         J = unsymmetric_diag_dominant(50, seed=6)
         options = SympilerOptions(backend="python", enable_vs_block=False)
         batched = BatchedSolver(J, method="lu", ordering="natural", options=options)
         handles = _assert_bitwise_vs_sequential(
             batched, [J.with_values(J.data * (1.0 + 0.1 * b)) for b in range(BATCH)]
         )
-        assert batched.last_result.mode == "stacked"
         assert all(h.U is not None for h in handles)
 
     @needs_cc
@@ -125,8 +123,8 @@ class TestBitwiseIdentity:
 
 
 class TestErrorIsolation:
-    @pytest.mark.parametrize("backend", ["python"])
-    def test_singular_item_is_isolated_stacked(self, backend):
+    @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
+    def test_singular_item_is_isolated_loop(self, backend):
         K = saddle_point_indefinite(24, 8, seed=2)
         options = SympilerOptions(backend=backend, enable_vs_block=False)
         batched = BatchedSolver(K, method="ldlt", ordering="natural", options=options)
@@ -382,15 +380,3 @@ class TestEnsembleFirstScenarioSingular:
         )
         assert not results[0].converged
         assert results[1].converged and results[2].converged
-
-
-def test_stacked_handles_own_their_memory():
-    """A retained handle must not pin the whole stacked batch array."""
-    A = laplacian_2d(7, shift=0.1)
-    options = SympilerOptions(backend="python", enable_vs_block=False)
-    batched = BatchedSolver(A, ordering="natural", options=options)
-    handles = batched.factorize_batch(_spd_scenarios(A, batch=4))
-    assert batched.last_result.mode == "stacked"
-    for h in handles:
-        raw = h._raw if not isinstance(h._raw, tuple) else h._raw[0]
-        assert raw.base is None  # an owning copy, not a view of the batch

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.compiler.codegen.c_backend import disk_cache_stats
+from repro.compiler.codegen.c_backend import c_compiler_available, disk_cache_stats
 from repro.compiler.options import SympilerOptions
 from repro.observe import percentile
 from repro.service import (
@@ -20,7 +20,24 @@ from repro.service import (
 from repro.service.coalescer import Coalescer
 from repro.service.metrics import ServiceMetrics
 from repro.solvers.linear_solver import SparseLinearSolver
-from repro.sparse.generators import fem_stencil_2d, laplacian_2d
+from repro.frontend import SpecializedSolver
+from repro.sparse.generators import (
+    fem_stencil_2d,
+    laplacian_2d,
+    saddle_point_indefinite,
+    unsymmetric_diag_dominant,
+)
+
+
+_BACKENDS = [
+    "python",
+    pytest.param(
+        "c",
+        marks=pytest.mark.skipif(
+            not c_compiler_available("cc"), reason="no C compiler available"
+        ),
+    ),
+]
 
 
 def _service(**kwargs):
@@ -161,14 +178,103 @@ class TestSolve:
             assert svc.admission.in_flight == 0
 
     def test_zero_copy_out_row_is_the_result(self):
-        """solve_with_factors(out=...) writes the solution into the buffer."""
+        """solve(out=...) writes the solution into the caller's buffer."""
         A = laplacian_2d(6, shift=0.1)
         ref = SparseLinearSolver(A, ordering="natural")
         rhs = np.ones(A.n)
-        out = np.empty(A.n)
-        x = ref.solve_with_factors(rhs, L=ref.L, d=ref.d, out=out)
-        assert x is out
-        assert np.array_equal(out, ref.solve(rhs))
+        block = np.empty((2, A.n))
+        x = ref.solve(rhs, out=block[1])
+        assert x.base is block
+        assert np.array_equal(block[1], ref.solve(rhs))
+
+    def test_submit_copies_values_and_rhs(self):
+        """The caller may refill both buffers as soon as submit returns."""
+        A = laplacian_2d(8, shift=0.1)
+        with _service(window_seconds=0.2) as svc:
+            handle = svc.register_pattern(A)
+            values, rhs = A.data * 2.0, np.ones(A.n)
+            expected = svc.solve(handle, values, rhs)
+            future = svc.submit(handle, values, rhs)
+            values[:] = 0.0  # inside the window: the request is still queued
+            rhs[:] = 5.0
+            assert np.array_equal(future.result(timeout=30), expected)
+
+
+_SYSTEMS = {
+    "cholesky": lambda: laplacian_2d(8, shift=0.1),
+    "ldlt": lambda: saddle_point_indefinite(24, 8, seed=3),
+    "lu": lambda: unsymmetric_diag_dominant(50, seed=4),
+}
+
+
+class TestSinglePath:
+    """Service, front end and solver are one numeric path (the warm step)."""
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("kernel", sorted(_SYSTEMS))
+    def test_service_frontend_and_solver_agree_bitwise(self, kernel, backend):
+        A = _SYSTEMS[kernel]()
+        options = SympilerOptions(backend=backend)
+        rng = np.random.default_rng(7)
+        # New values, the same again (sweeps only), new values, back again.
+        scales = (1.5, 1.5, 0.75, 1.5)
+        steps = [(A.data * s, rng.standard_normal(A.n)) for s in scales]
+        solver = SparseLinearSolver(A, method=kernel, ordering="mindeg", options=options)
+        front = SpecializedSolver(method=kernel, ordering="mindeg", options=options)
+        front.solve(A, np.ones(A.n))  # specialize on A's own values, as the other two do
+        with SolverService(options=options) as svc:
+            handle = svc.register_pattern(A, kernel=kernel, ordering="mindeg")
+            for values, b in steps:
+                x, _ = solver.step(values, b)
+                assert np.linalg.norm(A.with_values(values).matvec(x) - b) < 1e-8
+                assert np.array_equal(front.solve(A.with_values(values), b), x)
+                assert np.array_equal(svc.solve(handle, values, b, timeout=30), x)
+            counters = svc.stats()["counters"]
+        assert counters["refactorizations"] == front.stats.refactorizations == 3
+        assert counters["value_hits"] == 1
+
+    def test_unchanged_values_run_no_factorization(self):
+        A = laplacian_2d(8, shift=0.1)
+        b = np.ones(A.n)
+        with _service() as svc:
+            handle = svc.register_pattern(A)
+
+            def counts():
+                counters = svc.stats()["counters"]
+                return counters.get("refactorizations", 0), counters.get("value_hits", 0)
+
+            svc.solve(handle, A.data * 2.0, b, timeout=30)
+            assert counts() == (1, 0)
+            svc.solve(handle, A.data * 2.0, 2.0 * b, timeout=30)
+            assert counts() == (1, 1)  # same values: the two sweeps only
+            svc.solve(handle, A.data * 3.0, b, timeout=30)
+            assert counts() == (2, 1)  # changed values: exactly one kernel run
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_failed_values_in_a_batch_fail_alone_and_again(self, backend):
+        A = laplacian_2d(7, shift=0.1)
+        b = np.ones(A.n)
+        good, bad = A.data * 2.0, np.zeros(A.nnz)
+        options = SympilerOptions(backend=backend, enable_vs_block=False)
+        # window_seconds=60 with max_batch=4: the four requests are one batch.
+        with _service(options=options, window_seconds=60.0, max_batch=4) as svc:
+            handle = svc.register_pattern(A)
+            futures = [svc.submit(handle, v, b) for v in (good, bad, bad, good)]
+            first, last = futures[0].result(timeout=30), futures[3].result(timeout=30)
+            for failed in futures[1:3]:
+                # The repeat finds the snapshot holding its own values but no
+                # factors behind them: it must fail again, not solve.
+                with pytest.raises(ValueError):
+                    failed.result(timeout=30)
+            stats = svc.stats()
+        assert np.array_equal(first, last)
+        assert np.linalg.norm(A.with_values(good).matvec(last) - b) < 1e-10
+        assert stats["batch_size_histogram"] == {"4": 1}
+        counters = stats["counters"]
+        assert counters["solves_ok"] == 2 and counters["solves_failed"] == 2
+        # The failure's successor refactorized although its values had been
+        # factorized two requests earlier.
+        assert counters["refactorizations"] == 2 and counters.get("value_hits", 0) == 0
 
 
 class TestAdmission:
@@ -278,7 +384,9 @@ class TestMetricsAndStats:
         assert latency["count"] == 6
         assert latency["p50_seconds"] <= latency["p95_seconds"]
         assert stats["artifact_cache"]["pinned"] > 0
-        assert handle.handle_id in stats["patterns"]
+        pattern = stats["patterns"][handle.handle_id]
+        assert pattern["parallel_mode"] == "none" and pattern["schedule_levels"] > 0
+        assert "mode" not in pattern and "execution_strategy" not in pattern
 
     def test_rejections_are_counted(self):
         A = laplacian_2d(6, shift=0.1)
@@ -459,7 +567,7 @@ class TestPinHygiene:
         A = laplacian_2d(10, shift=0.4)
         svc = _service()
         handle = svc.register_pattern(A)
-        cache = svc._entries[handle.key].batched.solver.artifact_cache
+        cache = svc._entries[handle.key].solver.artifact_cache
         pinned_before_close = cache.pinned_count
         assert pinned_before_close >= 3  # factorization + two trisolves
         svc.close()
@@ -473,8 +581,8 @@ class TestPinHygiene:
         try:
             handle_a = svc_a.register_pattern(A)
             handle_b = svc_b.register_pattern(A)  # same artifacts, own pins
-            cache = svc_b._entries[handle_b.key].batched.solver.artifact_cache
-            artifacts = svc_b._entries[handle_b.key].batched.solver.compiled_artifacts
+            cache = svc_b._entries[handle_b.key].solver.artifact_cache
+            artifacts = svc_b._entries[handle_b.key].solver.compiled_artifacts
             svc_a.evict(handle_a)
             # B's artifacts are still resident and still pinned.
             for artifact in artifacts:
