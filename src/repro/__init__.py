@@ -13,15 +13,17 @@ full system:
 * :mod:`repro.compiler` — the Sympiler core: domain AST, lowering,
   inspector-guided transformations (VI-Prune, VS-Block), low-level
   transformations and code generation (specialized Python and C backends).
-* :mod:`repro.baselines` — Eigen-like and CHOLMOD-like library baselines.
+* :mod:`repro.baselines` — interpreted Eigen-like and CHOLMOD-like library
+  models (comparable with the python backend only) and dense oracles.
 * :mod:`repro.solvers`  — factor-once/solve-many driver, preconditioned CG
   and Newton–Raphson loops (single and ensemble) with a fixed-sparsity
   Jacobian.
 * :mod:`repro.runtime`  — the batched/parallel numeric runtime: level-set
   execution schedules, the batch execution engine and the
   :class:`~repro.runtime.facade.BatchedSolver` facade.
-* :mod:`repro.bench`    — the benchmark harness reproducing every table and
-  figure of the paper's evaluation.
+* :mod:`repro.bench`    — the paper-figure reproducer: one experiment table
+  and one runner for Table 2, Figs. 6-9, §1.1 and §4.3 (the product itself
+  is measured by ``benchmarks/e2e``).
 * :mod:`repro.frontend` — the lazy-specializing, scipy-native front end:
   ``repro.solve(A, b)`` with kernel auto-selection and a per-structure
   specialization cache, plus the ``@sympiled`` decorator.
@@ -31,8 +33,8 @@ full system:
   amortization breakdown (``python -m repro.observe``).
 * :mod:`repro.service`  — the serving layer behind one
   :class:`~repro.service.endpoint.SolverEndpoint` surface at three scales:
-  the in-process :class:`SolverService`, the pipelined version-negotiated
-  wire protocol with :class:`ServiceClient`, and the sharded
+  the in-process :class:`SolverService`, the pipelined request-id wire
+  protocol with :class:`ServiceClient`, and the sharded
   :class:`ShardFleet` (consistent-hash routing, warm shard failover).
 
 Quickstart::

@@ -1,7 +1,10 @@
-"""Library baselines the paper compares against.
+"""Interpreted models of the library baselines the paper compares against.
 
 Two baselines are modelled after the libraries used in the paper's
-evaluation (§4):
+evaluation (§4).  Both are interpreted Python: their timings are comparable
+with code generated by the **python** backend only (``repro.bench`` times the
+C backend against native scipy instead), and tests use them as independent
+reference implementations.
 
 * :mod:`repro.baselines.eigen_like` — an Eigen-style simplicial (non-
   supernodal) left-looking Cholesky and the Figure 1(c) triangular solve.

@@ -17,6 +17,9 @@ the numeric phase here
 
 Node amalgamation is not implemented, matching the paper's CHOLMOD
 configuration (§4.1).
+
+This is an interpreted model of the library's *structure*, not the library:
+its timings are comparable with python-backend generated code only.
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ neither of which depends on the numeric values.  This module reproduces that
 structure faithfully so the benchmark isolates exactly the overhead Sympiler
 removes.  The triangular solve is the Figure 1(c) variant: a full column scan
 with an ``x[j] != 0`` guard, no symbolic pre-pass.
+
+This is an interpreted model of the library's *structure*, not the library:
+its timings are comparable with python-backend generated code only.
 """
 
 from __future__ import annotations

@@ -1,41 +1,35 @@
-"""Benchmark harness reproducing the paper's evaluation (Section 4).
+"""The paper-figure reproducer (Section 4 of the paper).
 
-* :mod:`repro.bench.suite`   — the synthetic matrix suite standing in for
-  Table 2's SuiteSparse matrices (see DESIGN.md for the substitution).
-* :mod:`repro.bench.metrics` — timing helpers and FLOP-rate computation.
-* :mod:`repro.bench.figures` — one driver per table/figure: Table 2,
-  Figures 6–9, the §1.1 intro speedups and the §4.3 overhead discussion.
-* :mod:`repro.bench.reporting` — ASCII/CSV rendering of result rows.
+This package answers one question: do the pattern-specialised kernels beat a
+library's numeric phase and amortise their symbolic phase (Table 2, Figs. 6-9,
+§1.1, §4.3, plus the ``ldlt``/``lu``/``pcg`` registry extensions)?  The
+product and its layers are measured elsewhere, by ``benchmarks/e2e``.
+
+* :mod:`repro.bench.experiments` — the experiments as one declarative table.
+* :mod:`repro.bench.runner`      — the one runner that acts on it.
+* :mod:`repro.bench.suite`       — the synthetic stand-ins for Table 2's
+  SuiteSparse matrices.
+* :mod:`repro.bench.metrics`     — the timing policy and FLOP rates.
+* :mod:`repro.bench.reporting`   — ASCII/CSV rendering of result rows.
 * ``python -m repro.bench <experiment>`` — command-line entry point.
 """
 
-from repro.bench.figures import (
-    fig6_triangular_performance,
-    fig7_cholesky_performance,
-    fig8_triangular_accumulated,
-    fig9_cholesky_accumulated,
-    intro_triangular_speedups,
-    overhead_report,
-    table2_suite_listing,
-)
+from repro.bench.experiments import EXPERIMENTS, Experiment
 from repro.bench.metrics import gflops_rate, time_callable
 from repro.bench.reporting import render_csv, render_table
+from repro.bench.runner import run_experiments
 from repro.bench.suite import SuiteEntry, build_suite, load_suite_matrix, small_suite
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
+    "run_experiments",
     "SuiteEntry",
     "build_suite",
     "small_suite",
     "load_suite_matrix",
     "time_callable",
     "gflops_rate",
-    "table2_suite_listing",
-    "fig6_triangular_performance",
-    "fig7_cholesky_performance",
-    "fig8_triangular_accumulated",
-    "fig9_cholesky_accumulated",
-    "intro_triangular_speedups",
-    "overhead_report",
     "render_table",
     "render_csv",
 ]

@@ -1,37 +1,41 @@
-"""Timing and FLOP-rate helpers used by every experiment driver."""
+"""The harness's one timing policy, and the FLOP-rate conversion."""
 
 from __future__ import annotations
 
+import statistics
 import time
 from typing import Callable, Tuple
 
-__all__ = ["time_callable", "gflops_rate"]
+__all__ = ["MIN_SAMPLE_SECONDS", "SAMPLES", "time_callable", "gflops_rate"]
+
+#: A sample repeats the call until it has lasted this long, so a 20 µs
+#: compiled kernel is averaged over ~100 calls instead of being timed once at
+#: the resolution of the clock.
+MIN_SAMPLE_SECONDS = 2.0e-3
+
+#: Samples per measurement; the paper reports the median of 5 runs (§4.1).
+SAMPLES = 5
 
 
-def time_callable(fn: Callable[[], object], *, repeats: int = 3, warmup: int = 1) -> Tuple[float, object]:
-    """Median wall-clock time of ``fn()`` over ``repeats`` runs.
+def time_callable(fn: Callable[[], object]) -> Tuple[float, object]:
+    """Median seconds per call of ``fn()`` over :data:`SAMPLES` samples.
 
-    The paper reports the median of 5 runs (§4.1); the smaller default keeps
-    the full harness quick while remaining robust to scheduler noise.  Returns
-    ``(median_seconds, last_result)`` so callers can validate the output.
+    One untimed warm-up call pages in code and buffers.  Returns
+    ``(median_seconds_per_call, last_result)`` so the caller can verify what
+    the timed code computed.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    result = None
-    for _ in range(max(warmup, 0)):
-        result = fn()
-    samples = []
-    for _ in range(repeats):
+    result = fn()
+    per_call = []
+    for _ in range(SAMPLES):
+        calls = 0
+        elapsed = 0.0
         start = time.perf_counter()
-        result = fn()
-        samples.append(time.perf_counter() - start)
-    samples.sort()
-    mid = len(samples) // 2
-    if len(samples) % 2:
-        median = samples[mid]
-    else:
-        median = 0.5 * (samples[mid - 1] + samples[mid])
-    return median, result
+        while elapsed < MIN_SAMPLE_SECONDS:
+            result = fn()
+            calls += 1
+            elapsed = time.perf_counter() - start
+        per_call.append(elapsed / calls)
+    return statistics.median(per_call), result
 
 
 def gflops_rate(flop_count: int, seconds: float) -> float:

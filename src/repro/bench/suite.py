@@ -7,7 +7,7 @@ synthetic matrices of the same structural *classes* — structural mechanics
 with large supernodes, FEM stencils, thermal/parabolic 3-D problems,
 irregular circuit-like networks and large 2-D grids — scaled down so every
 experiment runs in seconds.  Matrices are listed in the same order and with
-the same role as Table 2; DESIGN.md documents the substitution.
+the same role as Table 2.
 
 Each entry records the generator, the fill-reducing ordering applied before
 factorization and a short description of the SuiteSparse matrix it stands in
@@ -17,7 +17,7 @@ for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import (
@@ -185,22 +185,14 @@ def small_suite() -> List[SuiteEntry]:
     ]
 
 
-_MATRIX_CACHE: Dict[str, CSCMatrix] = {}
-
-
-def load_suite_matrix(entry: SuiteEntry, *, permute: bool = True, cache: bool = True) -> CSCMatrix:
-    """Build (and optionally cache) the matrix of a suite entry.
+def load_suite_matrix(entry: SuiteEntry, *, permute: bool = True) -> CSCMatrix:
+    """Build the matrix of a suite entry.
 
     With ``permute=True`` the entry's fill-reducing ordering is applied
     symmetrically, which is what every experiment operates on.
     """
-    key = f"{entry.name}:{int(permute)}"
-    if cache and key in _MATRIX_CACHE:
-        return _MATRIX_CACHE[key]
     A = entry.build()
     if permute and entry.ordering not in ("natural", "none"):
         perm = ordering_by_name(entry.ordering)(A)
         A = perm.symmetric_permute(A)
-    if cache:
-        _MATRIX_CACHE[key] = A
     return A

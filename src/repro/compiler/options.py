@@ -8,7 +8,7 @@ The options gather every tunable the paper mentions:
   when the average participating supernode is large enough (the paper uses a
   hand-tuned value of 160 on full-scale SuiteSparse matrices; the default
   here is expressed as an average supernode width suited to the down-scaled
-  synthetic suite, see DESIGN.md),
+  synthetic suite of :mod:`repro.bench.suite`),
 * the BLAS-switch threshold on the average column count (§4.2): below it the
   generated code uses the hand-specialized small dense kernels, above it the
   library (NumPy/BLAS) routines,

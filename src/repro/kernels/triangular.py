@@ -54,7 +54,11 @@ def _column_diag_first(L: CSCMatrix, j: int) -> None:
 
 
 def trisolve_naive(L: CSCMatrix, b: np.ndarray) -> np.ndarray:
-    """Figure 1(b): forward substitution over every column."""
+    """Figure 1(b): forward substitution over every column.
+
+    An interpreted reference: as a timing baseline it is comparable with
+    python-backend generated code only.
+    """
     b = _check_inputs(L, b)
     x = b.copy()
     indptr, indices, data = L.indptr, L.indices, L.data

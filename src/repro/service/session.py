@@ -133,9 +133,6 @@ class SolverService:
         Compiled-artifact budget: at most this many patterns stay registered;
         the least recently used is evicted (artifacts dropped from the
         compiler cache) when the budget is exceeded.
-    coalesce:
-        ``False`` dispatches each request individually in the calling thread
-        (the uncoalesced baseline the ``serving`` bench measures against).
 
     Examples
     --------
@@ -159,10 +156,8 @@ class SolverService:
         max_in_flight: int = 256,
         max_patterns: int = 32,
         retry_after_seconds: float = 0.05,
-        coalesce: bool = True,
     ) -> None:
         self.options = options or SympilerOptions()
-        self.coalesce = bool(coalesce)
         self.metrics = ServiceMetrics()
         # Pull-mode registration in the unified registry: the Prometheus
         # export / observe.snapshot() see this service's counters without
@@ -413,14 +408,11 @@ class SolverService:
             trace_ctx=observe_trace.capture(),
         )
         self.admission.touch_pattern(entry.key)
-        if self.coalesce:
-            try:
-                self.coalescer.offer(entry.key, entry, request)
-            except Exception:
-                self.admission.release()
-                raise
-        else:
-            self._dispatch(entry, [request])()
+        try:
+            self.coalescer.offer(entry.key, entry, request)
+        except Exception:
+            self.admission.release()
+            raise
         return request.future
 
     def solve(
@@ -577,7 +569,6 @@ class SolverService:
                 "registered_patterns": len(patterns),
                 "queue_depth": self.coalescer.depth(),
                 "in_flight": self.admission.in_flight,
-                "coalesce": self.coalesce,
                 "window_seconds": self.coalescer.window_seconds,
                 "max_batch": self.coalescer.max_batch,
                 "max_in_flight": self.admission.max_in_flight,

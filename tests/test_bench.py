@@ -1,22 +1,24 @@
-"""Tests for the benchmark harness (suite, metrics, reporting, drivers)."""
+"""Tests for the paper-figure harness (suite, timing policy, reporting, table, runner, CLI)."""
+
+import json
+import pathlib
+import re
+import time
 
 import numpy as np
 import pytest
 
-from repro.bench.figures import (
-    fig6_triangular_performance,
-    fig7_cholesky_performance,
-    fig8_triangular_accumulated,
-    fig9_cholesky_accumulated,
-    intro_triangular_speedups,
-    overhead_report,
-    prepare,
-    table2_suite_listing,
-)
-from repro.bench.metrics import gflops_rate, time_callable
+from repro.bench import runner
+from repro.bench.__main__ import main
+from repro.bench.experiments import EXPERIMENTS
+from repro.bench.metrics import MIN_SAMPLE_SECONDS, SAMPLES, gflops_rate, time_callable
 from repro.bench.reporting import geometric_mean, render_csv, render_table
+from repro.bench.runner import run_experiments
 from repro.bench.suite import build_suite, load_suite_matrix, small_suite
+from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.sparse.utils import is_symmetric_pattern
+
+needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
 
 
 class TestSuite:
@@ -29,35 +31,40 @@ class TestSuite:
 
     def test_small_suite_entries_build_quickly(self):
         for entry in small_suite():
-            A = load_suite_matrix(entry, cache=False)
+            A = load_suite_matrix(entry)
             assert A.is_square()
             assert is_symmetric_pattern(A)
 
-    def test_load_suite_matrix_applies_ordering_and_caches(self):
+    def test_load_suite_matrix_applies_ordering(self):
         entry = small_suite()[1]  # mindeg-ordered entry
-        unpermuted = load_suite_matrix(entry, permute=False, cache=False)
+        unpermuted = load_suite_matrix(entry, permute=False)
         permuted = load_suite_matrix(entry, permute=True)
         assert permuted.nnz == unpermuted.nnz
-        again = load_suite_matrix(entry, permute=True)
-        assert again is permuted  # cached object
+        assert not np.array_equal(permuted.indices, unpermuted.indices)
 
 
 class TestMetricsAndReporting:
     def test_time_callable_returns_median_and_result(self):
         calls = []
 
-        def fn():
+        def slow():
             calls.append(1)
+            time.sleep(1.5 * MIN_SAMPLE_SECONDS)
             return "value"
 
-        seconds, result = time_callable(fn, repeats=3, warmup=1)
+        seconds, result = time_callable(slow)
         assert result == "value"
-        assert seconds >= 0.0
-        assert len(calls) == 4
+        assert seconds >= MIN_SAMPLE_SECONDS
+        # One warm-up, then one call fills each sample.
+        assert len(calls) == 1 + SAMPLES
 
-    def test_time_callable_validation(self):
-        with pytest.raises(ValueError):
-            time_callable(lambda: None, repeats=0)
+    def test_time_callable_repeats_a_fast_call_within_a_sample(self):
+        calls = []
+        seconds, _ = time_callable(lambda: calls.append(1))
+        # A call far below the sample floor is averaged over many repeats,
+        # not timed once at the resolution of the clock.
+        assert len(calls) > 10 * SAMPLES
+        assert 0.0 < seconds < MIN_SAMPLE_SECONDS
 
     def test_gflops_rate(self):
         assert gflops_rate(3_000_000_000, 1.5) == pytest.approx(2.0)
@@ -82,24 +89,75 @@ def tiny_suite():
     return small_suite()[:2]
 
 
+@pytest.fixture(scope="module")
+def python_rows(tiny_suite):
+    """Every experiment of the table, run once on the tiny suite (python backend)."""
+    return dict(run_experiments(list(EXPERIMENTS), tiny_suite, backend="python"))
+
+
+def _matrix_rows(rows):
+    return [r for r in rows if r["name"] != "geomean"]
+
+
+def _baselines_for(name, backend):
+    """The experiment's baselines written in ``backend``'s language."""
+    experiment = EXPERIMENTS[name]
+    if not experiment.baselines:
+        return []
+    kernel = runner.KERNELS[next(iter(experiment.variants.values()))[0]]
+    return [b for b in experiment.baselines if kernel.baselines[b].backend == backend]
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_rows_carry_the_columns_the_table_declares(name, python_rows, tiny_suite):
+    experiment = EXPERIMENTS[name]
+    derived = experiment.derived
+    rows = python_rows[name]
+    matrix_rows = _matrix_rows(rows)
+    assert [r["name"] for r in matrix_rows] == [e.name for e in tiny_suite]
+    variants = list(experiment.variants)
+    baselines = _baselines_for(name, "python")
+    timed = baselines + variants
+    ratio_columns = []
+    if "speedup" in derived:
+        ratio_columns += [f"{v}_speedup_vs_{b}" for v in variants for b in baselines]
+    if "relative" in derived:
+        ratio_columns += [f"{v}_over_{variants[0]}" for v in variants[1:]]
+    if "overheads" in derived:
+        ratio_columns += [f"{v}_{part}_over_numeric" for v in variants for part in ("symbolic", "codegen")]
+    if "normalized" in derived:
+        ratio_columns += [f"{t}_{part}_normalized" for t in timed for part in ("numeric", "total")]
+    for row in matrix_rows:
+        assert row["n"] > 0 and row["nnz_A"] > 0
+        assert all(row[f"{t}_seconds"] > 0 for t in timed)
+        assert all(row[c] > 0 for c in ratio_columns)
+        if "gflops" in derived:
+            assert all(row[f"{t}_gflops"] > 0 for t in timed)
+        if "normalized" in derived:
+            # Figs. 8/9: every bar is normalised to the first baseline's
+            # symbolic + numeric time, and adding a symbolic phase can only
+            # lengthen a bar.
+            assert row[f"{baselines[0]}_total_normalized"] == pytest.approx(1.0)
+            assert all(row[f"{t}_total_normalized"] >= row[f"{t}_numeric_normalized"] for t in timed)
+    if ratio_columns:
+        geomean = rows[-1]
+        assert geomean["name"] == "geomean"
+        for column in ratio_columns:
+            assert geomean[column] == pytest.approx(geometric_mean([r[column] for r in matrix_rows]))
+    else:
+        assert rows == matrix_rows
+
+
 class TestExperimentDrivers:
-    def test_table2_rows(self, tiny_suite):
-        rows = table2_suite_listing(tiny_suite)
+    """The paper's legends by their literal column names (the table cannot drop one silently)."""
+
+    def test_table2_rows(self, python_rows):
+        rows = python_rows["table2"]
         assert len(rows) == 2
-        assert set(rows[0]) >= {"problem_id", "name", "n", "nnz_A", "ordering"}
+        assert set(rows[0]) >= {"problem_id", "name", "n", "nnz_A", "ordering", "stands_in_for"}
 
-    def test_prepare_caches_artifacts(self, tiny_suite):
-        first = prepare(tiny_suite[0])
-        second = prepare(tiny_suite[0])
-        assert first is second
-        assert first.L.is_lower_triangular()
-        assert np.count_nonzero(first.b) >= 1
-
-    def test_fig6_rows_have_all_variants(self, tiny_suite):
-        rows = fig6_triangular_performance(tiny_suite, repeats=1)
-        matrix_rows = [r for r in rows if r["name"] != "geomean"]
-        assert len(matrix_rows) == len(tiny_suite)
-        for row in matrix_rows:
+    def test_fig6_rows_have_all_variants(self, python_rows):
+        for row in _matrix_rows(python_rows["fig6"]):
             for key in (
                 "eigen_gflops",
                 "sympiler_vs_block_gflops",
@@ -107,50 +165,89 @@ class TestExperimentDrivers:
                 "sympiler_full_gflops",
                 "sympiler_full_speedup_vs_eigen",
             ):
-                assert key in row and row[key] > 0
+                assert row[key] > 0
+            assert 0 < row["reach_size"] <= row["n"]
 
-    def test_fig7_rows_have_all_variants(self, tiny_suite):
-        rows = fig7_cholesky_performance(tiny_suite, repeats=1)
-        matrix_rows = [r for r in rows if r["name"] != "geomean"]
-        for row in matrix_rows:
+    def test_fig7_rows_have_all_variants(self, python_rows):
+        for row in _matrix_rows(python_rows["fig7"]):
             for key in (
                 "eigen_gflops",
                 "cholmod_gflops",
                 "sympiler_vs_block_gflops",
                 "sympiler_full_gflops",
+                "sympiler_full_speedup_vs_eigen",
+                "sympiler_full_speedup_vs_cholmod",
             ):
-                assert key in row and row[key] > 0
+                assert row[key] > 0
 
-    def test_fig8_normalization(self, tiny_suite):
-        rows = fig8_triangular_accumulated(tiny_suite, repeats=1)
-        for row in rows:
+    def test_fig8_normalization(self, python_rows):
+        for row in _matrix_rows(python_rows["fig8"]):
             assert row["sympiler_numeric_normalized"] > 0
-            assert row["sympiler_accumulated_normalized"] >= row["sympiler_numeric_normalized"]
+            assert row["sympiler_total_normalized"] >= row["sympiler_numeric_normalized"]
 
-    def test_fig9_normalization(self, tiny_suite):
-        rows = fig9_cholesky_accumulated(tiny_suite, repeats=1)
-        for row in rows:
+    def test_fig9_normalization(self, python_rows):
+        for row in _matrix_rows(python_rows["fig9"]):
             assert row["eigen_total_normalized"] == pytest.approx(1.0)
             assert row["sympiler_total_normalized"] > 0
             assert row["cholmod_total_normalized"] > 0
 
-    def test_intro_speedups(self, tiny_suite):
-        rows = intro_triangular_speedups(tiny_suite, repeats=1)
-        matrix_rows = [r for r in rows if r["name"] != "geomean"]
-        for row in matrix_rows:
+    def test_intro_speedups(self, python_rows):
+        for row in _matrix_rows(python_rows["intro"]):
             # The specialized solve must beat the naive full-column solve.
-            assert row["speedup_vs_naive"] > 1.0
+            assert row["sympiler_speedup_vs_naive"] > 1.0
 
-    def test_overhead_report(self, tiny_suite):
-        rows = overhead_report(tiny_suite)
-        for row in rows:
+    def test_overhead_report(self, python_rows):
+        for row in _matrix_rows(python_rows["overheads"]):
             assert row["tri_codegen_over_numeric"] > 0
             assert row["chol_symbolic_over_numeric"] > 0
 
 
-def test_cli_table2_small(capsys):
-    from repro.bench.__main__ import main
+def test_lu_experiment_rows(python_rows):
+    for row in _matrix_rows(python_rows["lu"]):
+        assert row["nnz_LU"] > row["nnz_J"] // 2
+        assert row["lu_seconds"] > 0 and row["reference_seconds"] > 0
 
+
+def test_pcg_experiment_rows(python_rows):
+    for row in _matrix_rows(python_rows["pcg"]):
+        assert 0 < row["iterations"] < row["n"]
+        assert row["pcg_seconds"] > 0 and row["interpreted_seconds"] > 0
+
+
+@needs_cc
+def test_c_backend_is_never_set_against_an_interpreted_baseline(tiny_suite):
+    interpreted = {
+        b for kernel in runner.KERNELS.values() for b, baseline in kernel.baselines.items() if baseline.backend != "c"
+    }
+    assert {"eigen", "cholmod", "naive", "reference", "interpreted"} <= interpreted
+    for name, rows in run_experiments(list(EXPERIMENTS), tiny_suite[:1], backend="c"):
+        native = _baselines_for(name, "c")
+        assert native or not EXPERIMENTS[name].baselines
+        for row in rows:
+            for column in row:
+                assert not any(column.startswith(f"{b}_") or column.endswith(f"_vs_{b}") for b in interpreted), (
+                    f"{name}: column {column!r} sets generated C against interpreted Python"
+                )
+            if row["name"] != "geomean":
+                assert all(row[f"{b}_seconds"] > 0 for b in native)
+
+
+def test_a_wrong_answer_raises_instead_of_producing_a_row(tiny_suite, monkeypatch):
+    from repro.compiler.artifacts import SympiledTriangularSolve
+
+    honest = SympiledTriangularSolve.solve
+    monkeypatch.setattr(SympiledTriangularSolve, "solve", lambda self, L, b, **kw: honest(self, L, b, **kw) + 1e-3)
+    with pytest.raises(AssertionError, match="wrong answer"):
+        dict(run_experiments(["fig6"], tiny_suite[:1]))
+
+
+def test_c_backend_without_a_compiler_is_refused(tiny_suite, monkeypatch):
+    monkeypatch.setattr(runner, "c_compiler_available", lambda compiler: False)
+    with pytest.raises(RuntimeError, match="C compiler"):
+        dict(run_experiments(["fig6"], tiny_suite[:1], backend="c"))
+
+
+def test_cli_table2_small(capsys):
     assert main(["table2", "--small"]) == 0
     out = capsys.readouterr().out
     assert "Table 2" in out
@@ -159,246 +256,30 @@ def test_cli_table2_small(capsys):
     assert out.startswith("problem_id,")
 
 
-def test_lu_experiment_rows(tmp_path):
-    from repro.bench.figures import lu_performance
-    from repro.bench.suite import small_suite
-
-    rows = lu_performance(small_suite()[:2], repeats=1)
-    assert len(rows) == 2
-    for row in rows:
-        assert row["residual"] <= 1e-8
-        assert row["recompile_cache_hit"] is True
-        assert row["nnz_LU"] > row["nnz_A"] // 2
-
-
-def test_batched_experiment_rows():
-    from repro.bench.figures import batched_throughput
-    from repro.bench.suite import small_suite
-
-    rows = batched_throughput(small_suite()[:1], repeats=1, batch=4)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["bitwise_identical"] is True
-    assert row["batch_recompiles"] == 0
-    assert row["mode"] in ("serial", "threads")
-    assert row["batched_items_per_second"] > 0
-    assert row["schedule_levels"] >= 1
-    assert row["schedule_avg_width"] >= 1.0
-
-
-def test_cli_batched_accepts_threads(tmp_path, capsys):
-    import json
-
-    from repro.bench.__main__ import main
-
-    assert (
-        main(["batched", "--small", "--threads", "1", "--json", str(tmp_path)]) == 0
-    )
-    capsys.readouterr()
-    payload = json.loads((tmp_path / "BENCH_batched.json").read_text())
-    assert payload["args"]["threads"] == 1
-    assert all(r["batch_recompiles"] == 0 for r in payload["rows"])
-    assert all(r["bitwise_identical"] for r in payload["rows"])
-
-
 def test_cli_json_report(tmp_path, capsys):
-    import json
-
-    from repro.bench.__main__ import main
-
     assert main(["table2", "--small", "--json", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     path = tmp_path / "BENCH_table2.json"
     assert path.exists() and str(path) in out
     payload = json.loads(path.read_text())
     assert payload["experiment"] == "table2"
-    assert payload["args"]["small"] is True
+    assert payload["args"] == {"small": True, "backend": "python"}
     assert len(payload["rows"]) == 4
 
 
-def test_serving_experiment_rows():
-    from repro.bench.figures import serving_throughput
-    from repro.bench.suite import small_suite
-
-    rows = serving_throughput(small_suite()[:1], requests=8, max_batch=4)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["bitwise_identical"] is True
-    assert row["serving_recompiles"] == 0
-    assert row["reregister_warm"] is True
-    assert row["requests"] == 8
-    # Submit-all-then-wait traffic must actually coalesce.
-    assert row["coalescing_ratio"] > 1.0
-    assert row["max_batch_observed"] <= 4
-    assert row["requests_per_second"] > 0
+def test_cli_choices_are_the_table_and_the_readme_list(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = re.sub(r"\s+", "", capsys.readouterr().out)
+    expected = "{" + ",".join([*EXPERIMENTS, "all"]) + "}"
+    assert expected in usage
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"python -m repro.bench {expected}" in readme
 
 
-def test_serving_gated_metrics_catch_regressions():
-    from repro.bench.compare import compare_rows
-
-    baseline = [
-        {
-            "name": "m",
-            "bitwise_identical": True,
-            "reregister_warm": True,
-            "serving_recompiles": 0,
-            "coalesced_over_uncoalesced": 4.0,
-            "coalescing_ratio": 16.0,
-        }
-    ]
-    ok = [dict(baseline[0])]
-    assert compare_rows("serving", baseline, ok) == []
-    broken = dict(
-        baseline[0],
-        bitwise_identical=False,
-        serving_recompiles=3,
-        coalesced_over_uncoalesced=0.9,
-        coalescing_ratio=1.0,
-    )
-    found = compare_rows("serving", baseline, [broken])
-    metrics = {r.metric for r in found}
-    assert metrics == {
-        "bitwise_identical",
-        "serving_recompiles",
-        "coalescing_ratio",
-    }
-
-
-def test_pcg_experiment_rows():
-    from repro.bench.figures import pcg_performance
-    from repro.bench.suite import small_suite
-
-    rows = pcg_performance(small_suite()[:2], repeats=1)
-    assert len(rows) == 2
-    for row in rows:
-        assert row["converged"] is True
-        assert row["bitwise_identical"] is True
-        assert row["final_residual"] <= 1e-8
-        # The preconditioner must actually help.
-        assert row["iterations"] < row["plain_cg_iterations"]
-        assert row["compiled_seconds"] > 0
-
-
-class TestPerfGateComparator:
-    """The bench-compare step must fail on an injected synthetic regression."""
-
-    @staticmethod
-    def _rows(**overrides):
-        row = {
-            "name": "t_fem",
-            "converged": True,
-            "bitwise_identical": True,
-            "iterations": 10,
-            "final_residual": 1e-9,
-        }
-        row.update(overrides)
-        return [row]
-
-    def test_identical_rows_pass(self):
-        from repro.bench.compare import compare_rows
-
-        base = self._rows()
-        assert compare_rows("pcg", base, self._rows()) == []
-
-    def test_injected_iteration_regression_fails(self):
-        from repro.bench.compare import compare_rows, format_regressions
-
-        base = self._rows()
-        worse = self._rows(iterations=14)  # > 25 % more iterations
-        found = compare_rows("pcg", base, worse, max_regression=0.25)
-        assert len(found) == 1
-        assert found[0].metric == "iterations" and found[0].current == 14
-        report = format_regressions(found)
-        assert "iterations" in report and "benchmarks/baselines" in report
-
-    def test_regression_within_allowance_passes(self):
-        from repro.bench.compare import compare_rows
-
-        base = self._rows()
-        slightly_worse = self._rows(iterations=12)  # 20 % < 25 %
-        assert compare_rows("pcg", base, slightly_worse, max_regression=0.25) == []
-
-    def test_boolean_flip_fails_regardless_of_allowance(self):
-        from repro.bench.compare import compare_rows
-
-        base = self._rows()
-        flipped = self._rows(bitwise_identical=False)
-        found = compare_rows("pcg", base, flipped, max_regression=10.0)
-        assert [r.metric for r in found] == ["bitwise_identical"]
-
-    def test_zero_baseline_counter_tolerates_no_increase(self):
-        from repro.bench.compare import compare_rows
-
-        base = [{"name": "t_grid", "batch_recompiles": 0, "bitwise_identical": True, "schedule_levels": 5}]
-        current = [{"name": "t_grid", "batch_recompiles": 1, "bitwise_identical": True, "schedule_levels": 5}]
-        found = compare_rows("batched", base, current)
-        assert [r.metric for r in found] == ["batch_recompiles"]
-
-    def test_higher_direction_metric(self):
-        from repro.bench.compare import GatedMetric, _metric_regressed
-
-        metric = GatedMetric("speedup", "higher")
-        assert _metric_regressed(metric, 2.0, 1.0, 0.25) is True
-        assert _metric_regressed(metric, 2.0, 1.9, 0.25) is False
-
-    def test_noise_allowance_absorbs_jitter_but_not_real_regressions(self):
-        from repro.bench.compare import GatedMetric, _metric_regressed
-
-        ratio = GatedMetric("ldlt_over_cholesky", "lower", noise=0.5)
-        # Timing jitter around a ~1.1 baseline stays under the gate ...
-        assert _metric_regressed(ratio, 1.0, 1.3, 0.25) is False
-        assert _metric_regressed(ratio, 1.0, 1.74, 0.25) is False
-        # ... a genuine 2x slowdown of the gated kernel does not.
-        assert _metric_regressed(ratio, 1.0, 2.2, 0.25) is True
-
-    def test_unmatched_rows_and_metrics_are_skipped(self):
-        from repro.bench.compare import compare_rows
-
-        base = self._rows()
-        new_matrix = [dict(self._rows()[0], name="brand_new")]
-        assert compare_rows("pcg", base, new_matrix) == []
-        missing_metric = [{"name": "t_fem", "converged": True}]
-        assert compare_rows("pcg", base, missing_metric) == []
-
-    def test_non_numeric_values_never_gate(self):
-        from repro.bench.compare import compare_rows
-
-        base = self._rows(iterations="-")  # geomean-style placeholder
-        current = self._rows(iterations=1000)
-        assert compare_rows("pcg", base, current) == []
-
-    def test_experiment_without_gate_passes(self):
-        from repro.bench.compare import compare_rows
-
-        assert compare_rows("table2", [{"name": "a", "n": 4}], [{"name": "a", "n": 9}]) == []
-
-    def test_missing_baseline_file_skips_gate(self, tmp_path):
-        from repro.bench.compare import load_baseline
-
-        assert load_baseline(str(tmp_path), "pcg") is None
-
-
-def test_cli_compare_gate(tmp_path, capsys):
-    import json
-
-    from repro.bench.__main__ import main
-
-    baseline_dir = tmp_path / "baselines"
-    # First run writes the baseline; a second identical run passes the gate.
-    assert main(["pcg", "--small", "--json", str(baseline_dir)]) == 0
-    capsys.readouterr()
-    assert main(["pcg", "--small", "--compare", str(baseline_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "perf gate" in out and "ok" in out
-    # Injected synthetic regression: corrupt the baseline so the current run
-    # looks 10x worse on a gated counter -> the CLI must exit nonzero.
-    path = baseline_dir / "BENCH_pcg.json"
-    payload = json.loads(path.read_text())
-    for row in payload["rows"]:
-        row["iterations"] = max(1, row["iterations"] // 10)
-    path.write_text(json.dumps(payload))
-    assert main(["pcg", "--small", "--compare", str(baseline_dir)]) == 3
-    captured = capsys.readouterr()
-    assert "regression" in captured.err
-    # A directory without a snapshot skips the gate instead of failing.
-    assert main(["table2", "--small", "--compare", str(baseline_dir)]) == 0
+@pytest.mark.parametrize("flag", [["--compare", "x"], ["--max-regression", "0.25"], ["--threads", "2"]])
+def test_cli_rejects_the_removed_flags(flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table2", "--small", *flag])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -33,6 +33,10 @@ def test_probe_cold_then_warm_counters(monkeypatch, tmp_path):
     cold = run_probe(backend="c")
     assert all(cold["workload"].values())
     assert cold["so_compiles"] > 0
+    # Generated code names its inspection sets but embeds none, so everything
+    # the probe workload (one kernel of every registered family) leaves behind
+    # fits in 1 MB.
+    assert cold["so_bytes"] + cold["source_bytes"] < 1_000_000
     # Second probe against the populated directory: zero recompiles — the
     # exact property the CI warm step asserts across processes.
     warm = run_probe(backend="c")
@@ -45,10 +49,15 @@ def test_probe_cli_assert_warm(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
     assert main([]) == 0  # cold populate
     capsys.readouterr()
-    assert main(["--assert-warm"]) == 0
+    assert main(["--assert-warm", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["asserted_warm"] is True
     assert report["so_compiles"] == 0
+    # One document, one truth: the registry's pull-mode disk_cache collector
+    # agrees with the probe's own counters.
+    disk_cache = report["observe"]["collectors"]["disk_cache"]
+    assert disk_cache["compiles"] == report["so_compiles"]
+    assert disk_cache["py_writes"] == report["py_writes"]
 
 
 def test_probe_cli_python_backend(monkeypatch, tmp_path, capsys):

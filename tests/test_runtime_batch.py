@@ -331,6 +331,22 @@ class TestRuntimeOnlyOptions:
         assert again.num_threads == 3
 
 
+    def test_a_batch_regenerates_no_code(self):
+        """Batching reuses the one compiled kernel: no cache miss, no cc, no module rewrite."""
+        from repro.compiler.codegen.c_backend import c_compiler_available, disk_cache_stats
+
+        backend = "c" if c_compiler_available("cc") else "python"
+        A = laplacian_2d(9, shift=0.1)
+        batched = BatchedSolver(A, ordering="natural", options=SympilerOptions(backend=backend, num_threads=2))
+        disk_before = disk_cache_stats().as_dict()
+        misses_before = batched.solver.cache_stats.misses
+        assert all(handle.ok for handle in batched.factorize_batch(_spd_scenarios(A)))
+        disk_after = disk_cache_stats().as_dict()
+        assert disk_after["compiles"] == disk_before["compiles"]
+        assert disk_after["py_writes"] == disk_before["py_writes"]
+        assert batched.solver.cache_stats.misses == misses_before
+
+
 class TestSolveBatch:
     def test_trisolve_artifact_batches_rhs_bitwise(self):
         from repro.compiler.cache import ArtifactCache

@@ -112,7 +112,7 @@ class TestRegistration:
 class TestSolve:
     def test_solve_matches_direct_solver(self):
         A = laplacian_2d(9, shift=0.1)
-        with _service(coalesce=False) as svc:
+        with _service() as svc:
             handle = svc.register_pattern(A)
             rhs = np.linspace(1.0, 2.0, A.n)
             x = svc.solve(handle, A.data, rhs)
@@ -350,7 +350,7 @@ class TestEviction:
                 assert np.isfinite(svc.solve(h, A.data, np.ones(A.n))).all()
 
     def test_solving_touches_the_lru_order(self):
-        with _service(max_patterns=2, coalesce=False) as svc:
+        with _service(max_patterns=2) as svc:
             h1 = svc.register_pattern(laplacian_2d(6, shift=0.1))
             svc.register_pattern(laplacian_2d(7, shift=0.1))
             A1 = laplacian_2d(6, shift=0.1)
