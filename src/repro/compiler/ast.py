@@ -6,7 +6,7 @@ with the places where inspector-guided transformations may apply (the
 analogue of Figure 2a); the VI-Prune and VS-Block passes then replace those
 annotated loops with *domain statements* that carry the inspection sets they
 consume (the analogue of Figures 2b/2c), and the low-level passes refine the
-annotations (peel / unroll / vectorize / distribute).  Code-generation
+annotations (unroll / vectorize / distribute).  Code-generation
 backends walk the final AST and emit matrix-specialized source.
 
 Two node families therefore coexist:
@@ -14,9 +14,9 @@ Two node families therefore coexist:
 * generic expression/statement nodes (:class:`Var`, :class:`ArrayRef`,
   :class:`Assign`, :class:`ForRange`, ...) — enough to express the kernels of
   Figure 1 and to be pretty-printed for inspection, and
-* domain statements (:class:`PeeledColumnSolve`,
+* domain statements (:class:`PrunedColumnSolveLoop`,
   :class:`SupernodeTriangularBlock`, :class:`SimplicialCholeskyLoop`,
-  :class:`SupernodalCholeskyLoop`, :class:`PrunedColumnSolveLoop`) introduced
+  :class:`SupernodalCholeskyLoop`) introduced
   by the transformations, each carrying the compile-time constant arrays that
   the backends embed into generated code.
 """
@@ -45,7 +45,6 @@ __all__ = [
     "Comment",
     "KernelFunction",
     "PrunedColumnSolveLoop",
-    "PeeledColumnSolve",
     "SupernodeTriangularBlock",
     "SimplicialCholeskyLoop",
     "SupernodalCholeskyLoop",
@@ -75,7 +74,7 @@ class Stmt(Node):
 
     Annotations are the communication channel between phases: lowering marks
     loops with ``role``/``prunable``/``blockable``; inspector-guided passes
-    add hints such as ``peel``/``vectorize``/``unroll`` that the low-level
+    add hints such as ``vectorize``/``unroll`` that the low-level
     passes and backends honour.
     """
 
@@ -250,41 +249,6 @@ class PrunedColumnSolveLoop(Stmt):
         self.columns = np.asarray(columns, dtype=np.int64)
         self.constant_name = constant_name
         self.vectorize = bool(vectorize)
-
-
-class PeeledColumnSolve(Stmt):
-    """One peeled triangular-solve iteration, fully specialized.
-
-    Produced by the loop-peeling low-level transformation for reach-set
-    iterations that deserve straight-line code (Figure 1e): the column index,
-    its diagonal position and the off-diagonal slice bounds are literals in
-    the generated code; when ``unroll`` is set the off-diagonal update is also
-    emitted entry-by-entry.
-    """
-
-    def __init__(
-        self,
-        column: int,
-        diag_pos: int,
-        offdiag_start: int,
-        offdiag_end: int,
-        rows: np.ndarray,
-        *,
-        unroll: bool = False,
-        **annotations,
-    ) -> None:
-        super().__init__(annotations)
-        self.column = int(column)
-        self.diag_pos = int(diag_pos)
-        self.offdiag_start = int(offdiag_start)
-        self.offdiag_end = int(offdiag_end)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.unroll = bool(unroll)
-
-    @property
-    def nnz(self) -> int:
-        """Stored entries of the peeled column (diagonal included)."""
-        return self.offdiag_end - self.offdiag_start + 1
 
 
 class SupernodeTriangularBlock(Stmt):
@@ -536,7 +500,7 @@ class SupernodalCholeskyLoop(Stmt):
       column's update slice and of the sub-slice providing the multipliers,
     * ``desc_col`` — the descendant column index of every descriptor slot
       (the LDLᵀ panel update must scale its multipliers by ``D[k]``),
-    * ``distribute_single_columns`` — whether width-1 supernodes are peeled
+    * ``distribute_single_columns`` — whether width-1 supernodes are split
       into a separate streamlined (simplicial) loop (loop distribution),
     * ``use_small_kernels`` — whether diagonal blocks up to the small-kernel
       limit use the specialized unrolled kernels instead of the library ones
@@ -702,11 +666,6 @@ def _stmt_lines(stmt: Stmt, indent: int) -> List[str]:
         return [
             f"{pad}pruned-column-solve over {stmt.constant_name} "
             f"({stmt.columns.size} columns, vectorize={stmt.vectorize}){_annot_str(stmt)}"
-        ]
-    if isinstance(stmt, PeeledColumnSolve):
-        return [
-            f"{pad}peeled-column-solve col={stmt.column} nnz={stmt.nnz} "
-            f"unroll={stmt.unroll}{_annot_str(stmt)}"
         ]
     if isinstance(stmt, SupernodeTriangularBlock):
         return [

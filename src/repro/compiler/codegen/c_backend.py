@@ -10,19 +10,21 @@ What may be literal in the generated source
 -------------------------------------------
 Only what changes the *code*, and only as much of it as an existing option
 bounds: which loop nest a transformation chose (simplicial or supernodal,
-distributed or not, serial or wavefront), the peeled/unrolled columns of a
-triangular solve (at most ``max_peeled_iterations``) and the unrolled
-supernode widths (one ``switch`` case per width up to ``unroll_max_width``).
+distributed or not, serial or wavefront) and the unrolled supernode widths
+(one ``switch`` case per width up to ``unroll_max_width`` whenever the
+low-level passes are enabled).  The backend never reads the pattern to decide
+*what code* to emit: source is a function of (kernel, options, code shape).
 Everything that depends on the sparsity pattern alone — every inspection set
 (``l_indptr``, ``prune_ptr``, the supernode and descendant descriptors, the
 scatter tables, the level schedule, the triangular solve's segment
-descriptors) and every size (``n``, nnz, supernode and level counts) — is
-*data*: the emitters register it with :meth:`CBackend._add_constant` /
+descriptors) and every size (``n``, nnz, supernode, segment and level counts)
+— is *data*: the emitters register it with :meth:`CBackend._add_constant` /
 :meth:`CBackend._dim`, the source only names it, and the loaded entry point
 receives it through one trailing pointer argument.  So the size of a source
 file and the time ``cc`` spends on it are constants of the code shape, and
 two patterns that lower to the same code produce byte-identical source and
-share one ``.so`` through the source-fingerprint file stem.
+share one ``.so`` through the source-fingerprint file stem; every serial
+triangular solve of one option bundle is the same ``.so``.
 
 Entry points generated (``repro_T`` is the table block; ``repro_T[0]`` holds
 the scalar sizes, ``repro_T[k]`` the k-th registered inspection set):
@@ -78,7 +80,6 @@ from repro.compiler.ast import (
     ForRange,
     IncompleteFactorLoop,
     KernelFunction,
-    PeeledColumnSolve,
     PrunedColumnSolveLoop,
     SimplicialCholeskyLoop,
     Stmt,
@@ -960,42 +961,32 @@ class CBackend:
     # Triangular solve
     # ------------------------------------------------------------------ #
     def _emit_trisolve_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        """Emit the serial triangular solve.
-
-        The lowered body is a sequence of peeled columns (literal code, at
-        most ``max_peeled_iterations`` of them) separated by groups of column
-        runs and supernode blocks.  A group is data: its segments go into the
-        descriptor tables and the body calls the one segment loop on it.
-        """
+        """Emit the serial triangular solve: ``x = b``, then one walk of the segments."""
         items = self._trisolve_items(kernel.body)
-        groups = [item for item in items if isinstance(item, list)]
-        if groups:
-            self._emit_segment_loop(kernel.name, groups, context.options.unroll_max_width)
         out.emit("for (int64_t i = 0; i < n; i++) x[i] = b[i];")
-        group = 0
-        for item in items:
-            if isinstance(item, list):
-                out.emit(f"{kernel.name}_segments({group}, Lp, Li, Lx, x, repro_T);")
-                group += 1
-            elif isinstance(item, PeeledColumnSolve):
-                self._emit_peeled_c(out, item)
-            else:
-                out.emit("for (int64_t j = 0; j < n; j++) {")
-                out.push()
-                self._emit_column_solve(out)
-                out.pop()
-                out.emit("}")
+        if isinstance(items, list):
+            options = context.options
+            unroll_max = options.unroll_max_width if options.enable_low_level else 0
+            self._emit_segment_loop(kernel.name, items, unroll_max)
+            out.emit(f"{kernel.name}_segments(Lp, Li, Lx, x, repro_T);")
+        else:
+            out.emit("for (int64_t j = 0; j < n; j++) {")
+            out.push()
+            self._emit_column_solve(out)
+            out.pop()
+            out.emit("}")
 
     @staticmethod
-    def _trisolve_items(body: Block) -> List[object]:
-        """The lowered trisolve statements in execution order.
+    def _trisolve_items(body: Block):
+        """The lowered trisolve in execution order.
 
-        Maximal stretches of column runs and supernode blocks come back as
-        one list each; peeled columns and the untransformed all-columns loop
-        as the statements themselves.  IR comments are dropped (they quote
-        pattern statistics, which must not reach the source).
+        Either the flat list of column runs and supernode blocks the
+        inspector-guided passes left, or — untransformed — the loop over
+        every column itself.  IR comments are dropped (they quote pattern
+        statistics, which must not reach the source).
         """
-        items: List[object] = []
+        segments: List[Stmt] = []
+        column_loops: List[ForRange] = []
 
         def walk_block(block: Block) -> None:
             for stmt in block.statements:
@@ -1015,18 +1006,18 @@ class CBackend:
                 elif isinstance(stmt, ForRange):
                     if stmt.annotations.get("role") != "column-loop":
                         raise CCompilationError("unexpected generic loop in C trisolve")
-                    items.append(stmt)
+                    column_loops.append(stmt)
                 elif isinstance(stmt, (PrunedColumnSolveLoop, SupernodeTriangularBlock)):
-                    if not (items and isinstance(items[-1], list)):
-                        items.append([])
-                    items[-1].append(stmt)
-                elif isinstance(stmt, PeeledColumnSolve):
-                    items.append(stmt)
+                    segments.append(stmt)
                 else:
                     raise CCompilationError(f"C backend cannot emit {type(stmt).__name__}")
 
         walk_block(body)
-        return items
+        if not column_loops:
+            return segments
+        if segments or len(column_loops) > 1:
+            raise CCompilationError("the untransformed column loop is not alone in the C trisolve")
+        return column_loops[0]
 
     @staticmethod
     def _emit_column_solve(out: _CEmitter) -> None:
@@ -1035,61 +1026,49 @@ class CBackend:
         out.emit("x[j] = xj;")
         out.emit("for (int64_t p = p0 + 1; p < p1; p++) x[Li[p]] -= Lx[p] * xj;")
 
-    def _emit_segment_loop(self, entry: str, groups: List[List[Stmt]], unroll_max_width: int) -> None:
+    def _emit_segment_loop(self, entry: str, segments: List[Stmt], unroll_max: int) -> None:
         """Emit ``{entry}_segments`` and register the tables it walks.
 
-        Segment ``s`` is the five entries ``seg[5 s ..]`` = ``{w, a, b,
-        off_lo, cs}``.  ``w == 0``: a pruned column loop over
+        Segment ``s`` of ``n_seg`` is the five entries ``seg[5 s ..]`` =
+        ``{w, a, b, off_lo, cs}``.  ``w == 0``: a pruned column loop over
         ``run_cols[a .. b)``.  ``w > 0``: a supernode of ``w`` columns
         starting at column ``a``, with ``b`` rows below its diagonal block
         whose indices are ``Li[off_lo ..]`` and column ``k``'s diagonal entry
-        at ``Lx[blk_cs[cs + k]]``.  Group ``g`` (the stretch between two
-        peeled columns) is the segments ``seg_ptr[g] .. seg_ptr[g + 1]``.
+        at ``Lx[blk_cs[cs + k]]``.
 
-        When the unroll pass ran, supernode widths up to ``unroll_max_width``
-        get one unrolled ``switch`` case each, with positions read from the
-        descriptor, and wider ones take the generic loop: the code is
-        specialised by width, never by supernode.  The floating-point
-        operations and their order are those of the column-by-column solve
-        either way.
+        Supernode widths up to ``unroll_max`` (``unroll_max_width`` when the
+        low-level passes are enabled, else 0) get one unrolled ``switch`` case
+        each, with positions read from the descriptor, and wider ones take
+        the generic loop: the code is specialised by width, never by
+        supernode or by pattern.  The floating-point operations and their
+        order are those of the column-by-column solve either way.
         """
         rows: List[Tuple[int, ...]] = []
         run_cols: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
         blk_cs: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        seg_ptr = [0]
         n_run = n_cs = 0
-        blocks = [s for group in groups for s in group if isinstance(s, SupernodeTriangularBlock)]
-        unroll_max = unroll_max_width if any(s.unroll for s in blocks) else 0
-        for group in groups:
-            for stmt in group:
-                if isinstance(stmt, PrunedColumnSolveLoop):
-                    rows.append((0, n_run, n_run + stmt.columns.size, 0, 0))
-                    run_cols.append(stmt.columns)
-                    n_run += stmt.columns.size
-                else:
-                    if stmt.unroll != (stmt.width <= unroll_max):
-                        raise CCompilationError(
-                            f"supernode {stmt.sn_id}: unroll flag disagrees with unroll_max_width"
-                        )
-                    rows.append(
-                        (stmt.width, stmt.c0, stmt.n_offdiag_rows, stmt.rows_start + stmt.width, n_cs)
-                    )
-                    blk_cs.append(stmt.col_starts)
-                    n_cs += stmt.width
-            seg_ptr.append(len(rows))
+        for stmt in segments:
+            if isinstance(stmt, PrunedColumnSolveLoop):
+                rows.append((0, n_run, n_run + stmt.columns.size, 0, 0))
+                run_cols.append(stmt.columns)
+                n_run += stmt.columns.size
+            else:
+                rows.append((stmt.width, stmt.c0, stmt.n_offdiag_rows, stmt.rows_start + stmt.width, n_cs))
+                blk_cs.append(stmt.col_starts)
+                n_cs += stmt.width
+        self._dim("n_seg", len(rows))
         seg = self._add_constant("seg", np.asarray(rows, dtype=np.int64).ravel())
-        ptr = self._add_constant("seg_ptr", np.asarray(seg_ptr))
         cols = self._add_constant("run_cols", np.concatenate(run_cols))
         starts = self._add_constant("blk_cs", np.concatenate(blk_cs))
 
         p = _CEmitter()
         p.emit(
-            f"static void {entry}_segments(int64_t g, const int64_t* Lp, const int64_t* Li, "
+            f"static void {entry}_segments(const int64_t* Lp, const int64_t* Li, "
             "const double* Lx, double* x, const int64_t* const* repro_T) {"
         )
         p.push()
         p.emit("REPRO_BIND_TABLES")
-        p.emit(f"for (int64_t s = {ptr}[g]; s < {ptr}[g + 1]; s++) {{")
+        p.emit("for (int64_t s = 0; s < n_seg; s++) {")
         p.push()
         p.emit(f"const int64_t* d = {seg} + 5 * s;")
         p.emit("const int64_t w = d[0];")
@@ -1150,27 +1129,6 @@ class CBackend:
         p.emit("}")
         p.emit("")
         self._prelude.extend(p.lines)
-
-    def _emit_peeled_c(self, out: _CEmitter, stmt: PeeledColumnSolve) -> None:
-        j = stmt.column
-        out.emit(f"/* peeled column {j} */")
-        if stmt.nnz == 1:
-            out.emit(f"x[{j}] /= Lx[{stmt.diag_pos}];")
-            return
-        out.emit("{")
-        out.push()
-        out.emit(f"double xj = x[{j}] / Lx[{stmt.diag_pos}];")
-        out.emit(f"x[{j}] = xj;")
-        if stmt.unroll:
-            for offset, row in enumerate(stmt.rows):
-                out.emit(f"x[{int(row)}] -= Lx[{stmt.offdiag_start + offset}] * xj;")
-        else:
-            out.emit(
-                f"for (int64_t p = {stmt.offdiag_start}; p < {stmt.offdiag_end}; p++) "
-                "x[Li[p]] -= Lx[p] * xj;"
-            )
-        out.pop()
-        out.emit("}")
 
     # ------------------------------------------------------------------ #
     # Left-looking factorizations (Cholesky and LDL^T)
@@ -1733,23 +1691,21 @@ class CBackend:
         """Columns in the order the *serial* body processes them.
 
         The serial trisolve does not visit columns in ascending index order:
-        VI-Prune emits the reach set in the inspector's topological order,
-        peeling hoists columns out of the pruned loops, and VS-Block walks
-        supernode panels.  The pull-form wavefront body must subtract each
-        row's updates in this exact order to stay bitwise identical, so the
-        order is read off the very item list the serial emitter walks.
+        VI-Prune emits the reach set in the inspector's topological order and
+        VS-Block walks supernode panels.  The pull-form wavefront body must
+        subtract each row's updates in this exact order to stay bitwise
+        identical, so the order is read off the very segment list the serial
+        emitter walks.
         """
+        items = self._trisolve_items(kernel.body)
+        if not isinstance(items, list):  # the untransformed loop over every column
+            return list(range(n))
         cols: List[int] = []
-        for item in self._trisolve_items(kernel.body):
-            for stmt in item if isinstance(item, list) else [item]:
-                if isinstance(stmt, PrunedColumnSolveLoop):
-                    cols.extend(int(c) for c in stmt.columns)
-                elif isinstance(stmt, SupernodeTriangularBlock):
-                    cols.extend(range(stmt.c0, stmt.c0 + stmt.width))
-                elif isinstance(stmt, PeeledColumnSolve):
-                    cols.append(stmt.column)
-                else:  # the untransformed loop over every column
-                    cols.extend(range(n))
+        for stmt in items:
+            if isinstance(stmt, PrunedColumnSolveLoop):
+                cols.extend(stmt.columns.tolist())
+            else:
+                cols.extend(range(stmt.c0, stmt.c0 + stmt.width))
         return cols
 
     def _trisolve_pull_structure(

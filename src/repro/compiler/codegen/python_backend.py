@@ -4,7 +4,7 @@ Walks the transformed kernel AST and emits a Python module specialized for
 one sparsity pattern:
 
 * loop structures follow the transformed AST (pruned loops over embedded
-  inspection sets, peeled straight-line columns, supernode blocks),
+  inspection sets, supernode blocks),
 * every position derived from the sparsity pattern (diagonal positions, panel
   slice bounds, update positions) appears either as a literal integer or as
   an element of an embedded constant array — the generated numeric code never
@@ -57,7 +57,6 @@ from repro.compiler.ast import (
     IncompleteFactorLoop,
     IntConst,
     KernelFunction,
-    PeeledColumnSolve,
     PrunedColumnSolveLoop,
     SimplicialCholeskyLoop,
     Stmt,
@@ -90,7 +89,7 @@ _LARGE_BLOCK_LOOP_WIDTH = 24
 #: stem alongside the package version.  Bump on ANY change to the generated
 #: source, so a development checkout never reloads sources a previous build
 #: of the emitter persisted (releases are already separated by the version).
-PY_CODEGEN_REVISION = 2
+PY_CODEGEN_REVISION = 3
 
 
 class CodegenError(RuntimeError):
@@ -341,8 +340,6 @@ class PythonBackend:
             out.pop()
         elif isinstance(stmt, PrunedColumnSolveLoop):
             self._emit_pruned_column_loop(out, stmt)
-        elif isinstance(stmt, PeeledColumnSolve):
-            self._emit_peeled_column(out, stmt)
         elif isinstance(stmt, SupernodeTriangularBlock):
             self._emit_supernode_trisolve(out, stmt)
         elif isinstance(stmt, SimplicialCholeskyLoop):
@@ -426,21 +423,6 @@ class PythonBackend:
             out.emit("x[Li[p]] -= Lx[p] * xj")
             out.pop()
         out.pop()
-
-    def _emit_peeled_column(self, out: _Emitter, stmt: PeeledColumnSolve) -> None:
-        j = stmt.column
-        out.emit(f"# peeled column {j} ({stmt.nnz} stored entries)")
-        if stmt.nnz == 1:
-            out.emit(f"x[{j}] /= Lx[{stmt.diag_pos}]")
-            return
-        out.emit(f"xj = x[{j}] / Lx[{stmt.diag_pos}]")
-        out.emit(f"x[{j}] = xj")
-        if stmt.unroll:
-            for offset, row in enumerate(stmt.rows):
-                out.emit(f"x[{int(row)}] -= Lx[{stmt.offdiag_start + offset}] * xj")
-        else:
-            s0, s1 = stmt.offdiag_start, stmt.offdiag_end
-            out.emit(f"x[Li[{s0}:{s1}]] -= Lx[{s0}:{s1}] * xj")
 
     def _emit_supernode_trisolve(self, out: _Emitter, stmt: SupernodeTriangularBlock) -> None:
         c0, w, n_rows = stmt.c0, stmt.width, stmt.n_rows

@@ -12,7 +12,7 @@ The options gather every tunable the paper mentions:
 * the BLAS-switch threshold on the average column count (§4.2): below it the
   generated code uses the hand-specialized small dense kernels, above it the
   library (NumPy/BLAS) routines,
-* low-level transformation thresholds (peeling, unrolling, vectorization),
+* the low-level unrolling threshold,
 * the code-generation backend,
 * the numeric-runtime thread count used by the batched execution engine
   (:mod:`repro.runtime`).
@@ -78,21 +78,8 @@ class SympilerOptions:
         hand-specialized unrolled kernels.
     small_kernel_max_width:
         Largest block order handled by the specialized unrolled kernels.
-    peel_single_nonzero_columns:
-        Peel reach-set iterations whose column holds only a diagonal entry
-        into a single specialized statement.
-    peel_colcount_threshold:
-        Reach-set iterations whose column count exceeds this value are peeled
-        into straight-line specialized statements (Figure 1(e) peels columns
-        with more than 2 nonzeros).
-    max_peeled_iterations:
-        Upper bound on the number of peeled iterations, to keep generated
-        sources bounded.
     unroll_max_width:
         Supernode diagonal solves up to this width are emitted fully unrolled.
-    vectorize_min_length:
-        Inner updates at least this long are annotated for vectorization
-        (emitted as NumPy slice operations / contiguous C loops).
     parallel:
         Within-kernel execution mode of the *generated code*.  ``"none"``
         (the default) emits the sequential kernels; ``"wavefront"`` makes
@@ -151,11 +138,7 @@ class SympilerOptions:
     blas_switch_avg_colcount: float = 12.0
     small_kernel_max_width: int = 3
 
-    peel_single_nonzero_columns: bool = True
-    peel_colcount_threshold: int = 2
-    max_peeled_iterations: int = 64
     unroll_max_width: int = 4
-    vectorize_min_length: int = 4
 
     parallel: str = "none"
     wavefront_min_avg_width: float = 1.5
@@ -182,14 +165,8 @@ class SympilerOptions:
             raise ValueError("vs_block_min_supernode_width must be at least 1")
         if self.max_supernode_width is not None and self.max_supernode_width < 1:
             raise ValueError("max_supernode_width must be positive when given")
-        if self.peel_colcount_threshold < 1:
-            raise ValueError("peel_colcount_threshold must be at least 1")
-        if self.max_peeled_iterations < 0:
-            raise ValueError("max_peeled_iterations must be non-negative")
         if self.unroll_max_width < 1:
             raise ValueError("unroll_max_width must be at least 1")
-        if self.vectorize_min_length < 1:
-            raise ValueError("vectorize_min_length must be at least 1")
         if self.parallel not in _VALID_PARALLEL_MODES:
             raise ValueError(
                 f"unknown parallel mode {self.parallel!r}; expected one of "

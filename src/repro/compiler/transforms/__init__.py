@@ -8,8 +8,8 @@ produced by the symbolic inspectors:
 * :mod:`repro.compiler.transforms.vs_block` — 2-D Variable-Sized Blocking
   (§2.3.2),
 * :mod:`repro.compiler.transforms.lowlevel` — the enabled conventional
-  low-level transformations (§2.4): loop peeling, unrolling, loop
-  distribution and small-kernel specialization,
+  low-level transformations (§2.4): unrolling, loop distribution and
+  small-kernel specialization,
 * :mod:`repro.compiler.transforms.pipeline` — assembles the pass sequence
   from :class:`repro.compiler.options.SympilerOptions`.
 """
@@ -17,7 +17,6 @@ produced by the symbolic inspectors:
 from repro.compiler.transforms.base import CompilationContext, Transform, TransformPipeline
 from repro.compiler.transforms.lowlevel import (
     LoopDistributeTransform,
-    PeelTransform,
     SmallKernelTransform,
     UnrollTransform,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "CompilationContext",
     "VIPruneTransform",
     "VSBlockTransform",
-    "PeelTransform",
     "UnrollTransform",
     "LoopDistributeTransform",
     "SmallKernelTransform",

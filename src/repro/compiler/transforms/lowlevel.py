@@ -3,11 +3,8 @@
 The inspector-guided transformations annotate the code with hints for
 conventional transformations; these passes consume the hints:
 
-* :class:`PeelTransform` — loop peeling: reach-set iterations whose column is
-  a single nonzero, or whose column count exceeds a threshold, are pulled out
-  of the pruned loop into straight-line specialized statements (Figure 1e).
-* :class:`UnrollTransform` — unrolling: small diagonal blocks and small peeled
-  columns are emitted fully unrolled with literal positions.
+* :class:`UnrollTransform` — unrolling: the diagonal-block solve of supernodes
+  up to ``unroll_max_width`` columns is emitted fully unrolled.
 * :class:`LoopDistributeTransform` — loop distribution: width-1 supernodes of
   the supernodal Cholesky loop are split into a separate streamlined loop.
 * :class:`SmallKernelTransform` — the BLAS-switch heuristic of §4.2: when the
@@ -20,16 +17,8 @@ unconditionally after the inspector-guided passes.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
-
 from repro.compiler.ast import (
-    Block,
-    ForRange,
     KernelFunction,
-    PeeledColumnSolve,
-    PrunedColumnSolveLoop,
     SupernodalCholeskyLoop,
     SupernodeTriangularBlock,
     walk,
@@ -38,108 +27,14 @@ from repro.compiler.transforms.base import CompilationContext, Transform
 from repro.symbolic.inspector import CholeskyInspectionResult
 
 __all__ = [
-    "PeelTransform",
     "UnrollTransform",
     "LoopDistributeTransform",
     "SmallKernelTransform",
 ]
 
 
-class PeelTransform(Transform):
-    """Peel selected iterations of pruned triangular-solve loops."""
-
-    name = "peel"
-
-    def apply(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
-        # Structural pass: only kernels containing pruned column-solve loops
-        # (the triangular-solve family) have anything to peel.
-        if not any(isinstance(n, PrunedColumnSolveLoop) for n in walk(kernel.body)):
-            return kernel
-        options = context.options
-        L = context.matrix
-        budget = options.max_peeled_iterations
-        peeled_total = 0
-
-        def colcount(j: int) -> int:
-            return int(L.indptr[j + 1] - L.indptr[j])
-
-        def eligible(j: int) -> bool:
-            c = colcount(j)
-            if options.peel_single_nonzero_columns and c == 1:
-                return True
-            return c > options.peel_colcount_threshold
-
-        def make_peeled(j: int) -> PeeledColumnSolve:
-            start = int(L.indptr[j])
-            end = int(L.indptr[j + 1])
-            return PeeledColumnSolve(
-                column=j,
-                diag_pos=start,
-                offdiag_start=start + 1,
-                offdiag_end=end,
-                rows=L.indices[start + 1 : end].copy(),
-                unroll=False,
-                role="peeled-column",
-            )
-
-        def rewrite_block(block: Block) -> None:
-            nonlocal peeled_total
-            new_statements: List = []
-            for stmt in block.statements:
-                if isinstance(stmt, Block):
-                    rewrite_block(stmt)
-                    new_statements.append(stmt)
-                    continue
-                if isinstance(stmt, ForRange):
-                    rewrite_block(stmt.body)
-                    new_statements.append(stmt)
-                    continue
-                if not isinstance(stmt, PrunedColumnSolveLoop):
-                    new_statements.append(stmt)
-                    continue
-                segments: List = []
-                pending: List[int] = []
-                run_id = 0
-
-                def flush() -> None:
-                    nonlocal run_id, pending
-                    if pending:
-                        segments.append(
-                            PrunedColumnSolveLoop(
-                                columns=np.asarray(pending, dtype=np.int64),
-                                constant_name=f"{stmt.constant_name}_part{run_id}",
-                                vectorize=stmt.vectorize,
-                                **stmt.annotations,
-                            )
-                        )
-                        run_id += 1
-                        pending = []
-
-                for col in stmt.columns:
-                    col = int(col)
-                    if peeled_total < budget and eligible(col):
-                        flush()
-                        segments.append(make_peeled(col))
-                        peeled_total += 1
-                    else:
-                        pending.append(col)
-                flush()
-                if len(segments) == 1 and isinstance(segments[0], PrunedColumnSolveLoop):
-                    # Nothing was peeled; keep the original statement.
-                    new_statements.append(stmt)
-                else:
-                    new_statements.extend(segments)
-            block.statements = new_statements
-
-        rewrite_block(kernel.body)
-        if peeled_total:
-            context.record(self.name, peeled_iterations=peeled_total)
-            kernel.meta["peeled_iterations"] = peeled_total
-        return kernel
-
-
 class UnrollTransform(Transform):
-    """Unroll small diagonal-block solves and small peeled columns."""
+    """Unroll small diagonal-block solves."""
 
     name = "unroll"
 
@@ -147,14 +42,9 @@ class UnrollTransform(Transform):
         options = context.options
         unrolled = 0
         for node in walk(kernel.body):
-            if isinstance(node, SupernodeTriangularBlock):
-                if node.width <= options.unroll_max_width:
-                    node.unroll = True
-                    unrolled += 1
-            elif isinstance(node, PeeledColumnSolve):
-                if node.nnz - 1 <= options.unroll_max_width:
-                    node.unroll = True
-                    unrolled += 1
+            if isinstance(node, SupernodeTriangularBlock) and node.width <= options.unroll_max_width:
+                node.unroll = True
+                unrolled += 1
         if unrolled:
             context.record(self.name, unrolled_statements=unrolled)
             kernel.meta["unrolled_statements"] = unrolled

@@ -9,7 +9,6 @@ from repro.compiler.registration import register_unique
 from repro.compiler.transforms.base import Transform, TransformPipeline
 from repro.compiler.transforms.lowlevel import (
     LoopDistributeTransform,
-    PeelTransform,
     SmallKernelTransform,
     UnrollTransform,
 )
@@ -42,9 +41,9 @@ def build_pipeline(
 
     The inspector-guided passes run first (in the configured order, VS-Block
     before VI-Prune by default, matching §4.2), followed by the low-level
-    passes when enabled.  Peeling runs before unrolling so freshly peeled
-    statements can be unrolled; distribution and the small-kernel switch act
-    on the supernodal factorization loop only.
+    passes when enabled: unrolling marks the supernode blocks of a triangular
+    solve; distribution and the small-kernel switch act on the supernodal
+    factorization loop only.
 
     ``transforms`` optionally restricts the inspector-guided passes to the
     ones a kernel's registry spec declares applicable; ``None`` allows all.
@@ -58,7 +57,6 @@ def build_pipeline(
     if options.enable_low_level:
         passes.extend(
             [
-                PeelTransform(),
                 UnrollTransform(),
                 LoopDistributeTransform(),
                 SmallKernelTransform(),

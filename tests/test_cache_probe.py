@@ -35,8 +35,9 @@ def test_probe_cold_then_warm_counters(monkeypatch, tmp_path):
     assert cold["so_compiles"] > 0
     # Generated code names its inspection sets but embeds none, so everything
     # the probe workload (one kernel of every registered family) leaves behind
-    # fits in 1 MB.
-    assert cold["so_bytes"] + cold["source_bytes"] < 1_000_000
+    # is a few KB per code shape: 170,527 bytes in 8 `.so` measured with gcc
+    # 12.2 -O3 -march=native; the bound is 1.5x that.
+    assert cold["so_bytes"] + cold["source_bytes"] < 256_000
     # Second probe against the populated directory: zero recompiles — the
     # exact property the CI warm step asserts across processes.
     warm = run_probe(backend="c")

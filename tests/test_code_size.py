@@ -8,12 +8,15 @@ what lets them share one ``.so``).
 
 import re
 
+import numpy as np
 import pytest
 
 from repro.compiler.cache import ArtifactCache
-from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available
+from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available, disk_cache_stats
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
+from repro.frontend import SpecializedSolver
+from repro.solvers.linear_solver import backward_factor
 from repro.sparse import generators as g
 from repro.sparse.ordering import ordering_by_name
 from repro.sparse.utils import is_symmetric_pattern
@@ -70,13 +73,74 @@ def test_source_size_does_not_follow_the_pattern(matrix, kernel, parallel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_same_code_shape_gives_the_same_bytes(kernel):
-    """Without the low-level passes no literal of the pattern is left at all."""
-    options = SympilerOptions(backend="c", enable_low_level=False)
-    small = _compile(kernel, g.laplacian_2d(12), options)
-    large = _compile(kernel, g.laplacian_2d(40), options)
-    assert small.source == large.source
-    assert small.module.shared_object == large.module.shared_object
-    assert small.inspection.n != large.inspection.n
+    """With or without the low-level passes, no literal of the pattern is left."""
+    for low_level in (True, False):
+        options = SympilerOptions(backend="c", enable_low_level=low_level)
+        small = _compile(kernel, g.laplacian_2d(12), options)
+        large = _compile(kernel, g.laplacian_2d(40), options)
+        assert small.source == large.source
+        assert small.module.shared_object == large.module.shared_object
+        assert small.inspection.n != large.inspection.n
+
+
+def test_every_triangular_solve_is_one_shared_object():
+    """Source is a function of (kernel, options, code shape): both sweeps of
+    every pattern, blocked or not, are the one table-driven segment loop."""
+    artifacts = []
+    for build in MATRICES.values():
+        A = build()
+        if is_symmetric_pattern(A):
+            L, U = CholeskyInspector().inspect(A).l_pattern_matrix(), None
+        else:
+            inspection = LUInspector().inspect(A)
+            L, U = inspection.l_pattern_matrix(), inspection.u_pattern_matrix()
+        for operand in (L, backward_factor(L, U)):
+            artifacts.append(
+                Sympiler(cache=ArtifactCache()).compile(
+                    "triangular-solve", operand, options=SympilerOptions(backend="c")
+                )
+            )
+    assert len(artifacts) == 2 * len(MATRICES)
+    assert len({a.source for a in artifacts}) == 1
+    assert len({a.module.shared_object for a in artifacts}) == 1
+    # Not vacuous: the patterns differ in what the passes made of them.
+    assert len({"vs-block" in a.applied_transformations for a in artifacts}) == 2
+
+
+def test_shared_objects_follow_the_routes_not_the_patterns(monkeypatch, tmp_path):
+    """Twelve patterns over all three direct routes cold-compile at most five
+    kernels (two Cholesky shapes, LDL^T, LU, one triangular solve), and one
+    more pattern of a route already taken compiles nothing."""
+    monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
+    zoo = [
+        g.laplacian_2d(10),
+        g.saddle_point_indefinite(90, 30, seed=11),
+        g.unsymmetric_diag_dominant(65, seed=12),
+        g.laplacian_3d(4),
+        g.fem_stencil_2d(7),
+        g.banded_spd(150, 6, seed=3),
+        g.block_tridiagonal_spd(12, 8, seed=4),
+        g.circuit_like_spd(150, seed=5),
+        g.power_grid_spd(200, seed=6),
+        g.random_spd(80, 0.04, seed=7),
+        g.arrow_spd(200, 4, seed=8),
+        g.random_spd(120, 0.02, seed=9),
+    ]
+    front = SpecializedSolver(options=SympilerOptions(backend="c"))
+    before = disk_cache_stats().compiles
+
+    def solve(A):
+        b = np.ones(A.n)
+        assert np.linalg.norm(A.matvec(front.solve(A, b)) - b) <= 1e-9 * np.sqrt(A.n)
+
+    for A in zoo:
+        solve(A)
+    assert front.stats.methods == {"cholesky": 10, "ldlt": 1, "lu": 1}
+    compiles = disk_cache_stats().compiles - before
+    assert 0 < compiles <= 5
+    assert len(list(tmp_path.glob("*.so"))) == compiles
+    solve(g.laplacian_2d(11))
+    assert disk_cache_stats().compiles - before == compiles
 
 
 @pytest.mark.parametrize("kernel", ["cholesky", "lu", "triangular-solve"])

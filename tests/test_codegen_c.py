@@ -115,7 +115,33 @@ class TestCGeneratedKernels:
         compiled = Sympiler().compile_triangular_solve(
             L, rhs_pattern=np.nonzero(b)[0], options=_c_options()
         )
-        assert "/* supernode" in compiled.source or "/* pruned column loop" in compiled.source
+        # One table-driven loop: both segment kinds are in every trisolve
+        # source, and no column of the pattern is.
+        assert "/* supernode" in compiled.source and "/* pruned column loop" in compiled.source
+        assert "_segments(Lp, Li, Lx, x, repro_T);" in compiled.source
+
+
+def test_trisolve_segments_visit_the_reach_set_in_order(lower_factors):
+    """A VI-Pruned solve is one flat segment list in the inspector's reach
+    order, and the wavefront pull form reads its column order off that list."""
+    L = lower_factors["circuit"]
+    rhs_pattern = np.nonzero(sparse_rhs(L.n, nnz=3, seed=4))[0]
+
+    def lowered(options):
+        return Sympiler(cache=ArtifactCache()).compile_triangular_solve(
+            L, rhs_pattern=rhs_pattern, options=options
+        )
+
+    pruned = lowered(SympilerOptions(enable_vs_block=False))
+    reach = pruned.inspection.reach.tolist()
+    assert 0 < len(reach) < L.n
+    segments = CBackend._trisolve_items(pruned.kernel.body)
+    assert np.concatenate([s.columns for s in segments]).tolist() == reach
+    assert CBackend()._trisolve_serial_order(pruned.kernel, L.n) == reach
+    # Untransformed, the body is the loop over every column.
+    baseline = lowered(SympilerOptions.baseline())
+    assert not isinstance(CBackend._trisolve_items(baseline.kernel.body), list)
+    assert CBackend()._trisolve_serial_order(baseline.kernel, L.n) == list(range(L.n))
 
 
 def test_backend_name_and_flags():

@@ -70,13 +70,6 @@ class TestGeneratedTriangularSolve:
             f"_C_{k}" for k in kernel.constants
         ) | set(module.constants)
 
-    def test_peeled_columns_appear_as_literals(self, lower_factors):
-        L = lower_factors["circuit"]
-        b = sparse_rhs(L.n, nnz=2, seed=3)
-        module, kernel = _generate_trisolve(L, b, SympilerOptions())
-        if kernel.meta.get("peeled_iterations", 0):
-            assert "# peeled column" in module.source
-
     def test_compile_is_cached(self, lower_factors):
         L = lower_factors["fem"]
         b = sparse_rhs(L.n, nnz=2, seed=4)

@@ -14,7 +14,6 @@ from repro.compiler.ast import (
     If,
     IntConst,
     KernelFunction,
-    PeeledColumnSolve,
     PrunedColumnSolveLoop,
     SimplicialCholeskyLoop,
     SupernodalCholeskyLoop,
@@ -57,8 +56,8 @@ def test_assign_validates_operator():
 
 
 def test_annotations_builder_style():
-    stmt = Comment("c").annotate(peel=True, width=3)
-    assert stmt.annotations == {"peel": True, "width": 3}
+    stmt = Comment("c").annotate(unroll=True, width=3)
+    assert stmt.annotations == {"unroll": True, "width": 3}
 
 
 def test_block_append_and_len():
@@ -110,13 +109,6 @@ def test_pruned_loop_node_properties():
     assert node.constant_name == "prune_set"
     assert node.vectorize
     assert "pruned-column-solve" in pretty(node)
-
-
-def test_peeled_column_node_properties():
-    node = PeeledColumnSolve(column=5, diag_pos=10, offdiag_start=11, offdiag_end=14, rows=np.array([6, 8, 9]))
-    assert node.nnz == 4
-    assert not node.unroll
-    assert "peeled-column-solve col=5" in pretty(node)
 
 
 def test_supernode_block_node_properties():

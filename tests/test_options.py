@@ -50,13 +50,16 @@ def test_validation_rejects_bad_values():
     with pytest.raises(ValueError):
         SympilerOptions(max_supernode_width=0)
     with pytest.raises(ValueError):
-        SympilerOptions(peel_colcount_threshold=0)
-    with pytest.raises(ValueError):
-        SympilerOptions(max_peeled_iterations=-1)
-    with pytest.raises(ValueError):
         SympilerOptions(unroll_max_width=0)
-    with pytest.raises(ValueError):
-        SympilerOptions(vectorize_min_length=0)
+    # The peel knobs and the never-read vectorize_min_length are gone, not ignored.
+    for removed in (
+        "peel_single_nonzero_columns",
+        "peel_colcount_threshold",
+        "max_peeled_iterations",
+        "vectorize_min_length",
+    ):
+        with pytest.raises(TypeError):
+            SympilerOptions(**{removed: 1})
 
 
 def test_options_are_immutable():

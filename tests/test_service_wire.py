@@ -253,8 +253,17 @@ class TestEndToEnd:
             assert handle.n == A.n
             from repro.service.errors import ProtocolError
 
-            with pytest.raises(ProtocolError, match="no_such_option"):
-                client.register_pattern(A, options={"no_such_option": True})
+            # An option that never existed and the four removed ones an old
+            # client may still send: refused by name, not with a TypeError.
+            for field in (
+                "no_such_option",
+                "peel_single_nonzero_columns",
+                "peel_colcount_threshold",
+                "max_peeled_iterations",
+                "vectorize_min_length",
+            ):
+                with pytest.raises(ProtocolError, match=field):
+                    client.register_pattern(A, options={field: 1})
 
     def test_concurrent_clients_share_coalesced_batches(self, served):
         address, service = served

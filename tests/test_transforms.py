@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.compiler.ast import (
-    PeeledColumnSolve,
     PrunedColumnSolveLoop,
     SimplicialCholeskyLoop,
     SupernodalCholeskyLoop,
@@ -21,7 +20,6 @@ from repro.compiler.transforms.descriptors import (
 )
 from repro.compiler.transforms.lowlevel import (
     LoopDistributeTransform,
-    PeelTransform,
     SmallKernelTransform,
     UnrollTransform,
 )
@@ -222,43 +220,6 @@ def test_vi_prune_after_vs_block_drops_unreached_blocks(lower_factors):
 # --------------------------------------------------------------------------- #
 # Low-level passes
 # --------------------------------------------------------------------------- #
-def test_peel_extracts_eligible_columns(lower_factors):
-    L = lower_factors["circuit"]
-    options = SympilerOptions(peel_colcount_threshold=2)
-    context = _tri_context(L, options=options)
-    kernel = VIPruneTransform().apply(lower_triangular_solve(), context)
-    kernel = PeelTransform().apply(kernel, context)
-    peeled = _nodes(kernel, PeeledColumnSolve)
-    assert peeled
-    colcounts = np.diff(L.indptr)
-    for node in peeled:
-        assert colcounts[node.column] == 1 or colcounts[node.column] > 2
-
-
-def test_peel_respects_budget(lower_factors):
-    L = lower_factors["circuit"]
-    options = SympilerOptions(max_peeled_iterations=2)
-    context = _tri_context(L, options=options)
-    kernel = VIPruneTransform().apply(lower_triangular_solve(), context)
-    kernel = PeelTransform().apply(kernel, context)
-    assert len(_nodes(kernel, PeeledColumnSolve)) <= 2
-
-
-def test_peel_preserves_column_order(lower_factors):
-    L = lower_factors["circuit"]
-    context = _tri_context(L)
-    kernel = VIPruneTransform().apply(lower_triangular_solve(), context)
-    reach_order = list(context.inspection.reach)
-    kernel = PeelTransform().apply(kernel, context)
-    emitted = []
-    for node in walk(kernel.body):
-        if isinstance(node, PeeledColumnSolve):
-            emitted.append(node.column)
-        elif isinstance(node, PrunedColumnSolveLoop):
-            emitted.extend(int(c) for c in node.columns)
-    assert emitted == [int(c) for c in reach_order]
-
-
 def test_unroll_marks_small_blocks_and_peels():
     A = block_tridiagonal_spd(5, 3, seed=2, dense_coupling=True)
     inspection = CholeskyInspector().inspect(A)
@@ -270,7 +231,7 @@ def test_unroll_marks_small_blocks_and_peels():
     kernel = VSBlockTransform().apply(lower_triangular_solve(), context)
     kernel = UnrollTransform().apply(kernel, context)
     blocks = _nodes(kernel, SupernodeTriangularBlock)
-    assert any(b.unroll for b in blocks if b.width <= 4)
+    assert blocks and all(b.unroll == (b.width <= 4) for b in blocks)
 
 
 def test_distribute_and_small_kernels_refine_supernodal_loop(spd_matrices):
@@ -289,7 +250,7 @@ def test_lowlevel_passes_are_noops_without_hints(spd_matrices):
     A = spd_matrices["fem"]
     context = _chol_context(A)
     kernel = lower_cholesky()
-    for pass_ in (PeelTransform(), UnrollTransform(), LoopDistributeTransform(), SmallKernelTransform()):
+    for pass_ in (UnrollTransform(), LoopDistributeTransform(), SmallKernelTransform()):
         kernel = pass_.apply(kernel, context)
     assert context.applied == []
 
@@ -300,7 +261,7 @@ def test_lowlevel_passes_are_noops_without_hints(spd_matrices):
 def test_build_pipeline_reflects_options():
     full = build_pipeline(SympilerOptions())
     assert full.pass_names()[:2] == ["vs-block", "vi-prune"]
-    assert "peel" in full.pass_names()
+    assert full.pass_names()[2:] == ["unroll", "distribute", "small-kernels"]
     no_lowlevel = build_pipeline(SympilerOptions(enable_low_level=False))
     assert no_lowlevel.pass_names() == ["vs-block", "vi-prune"]
     reordered = build_pipeline(SympilerOptions(transformation_order=("vi-prune", "vs-block")))
