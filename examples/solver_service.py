@@ -3,9 +3,10 @@
 Starts the serving layer in-process (a real TCP server on an ephemeral
 port), registers one sparsity pattern, then fires concurrent clients at it —
 each solving the same pattern with different numeric values, the parameter-
-sweep traffic the service's micro-batching was built for.  The compiled
-kernels are paid for exactly once; the coalescing stats printed at the end
-show how many requests shared each batched dispatch.
+sweep traffic the service's coalescer was built for: requests that arrive
+while the dispatcher is busy share the next dispatch.  The compiled kernels
+are paid for exactly once; the coalescing stats printed at the end show how
+many requests shared each batched dispatch.
 
 Run with ``PYTHONPATH=src python examples/solver_service.py``.
 """
@@ -26,7 +27,7 @@ def main() -> None:
     A = laplacian_2d(20, shift=0.05)
 
     options = SympilerOptions()
-    service = SolverService(options=options, window_seconds=0.01, max_batch=16)
+    service = SolverService(options=options, max_batch=16)
     server, server_thread = serve_background(service)
     host, port = server.server_address
     print(f"solver service listening on {host}:{port}")

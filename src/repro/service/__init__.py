@@ -24,8 +24,9 @@ Because all three implement :class:`SolverEndpoint`, code written against
 the protocol moves between in-process, networked, and sharded deployments
 without change — start with ``SolverService``, scale out later.
 
-Support modules: :mod:`repro.service.coalescer` (micro-batched coalescing of
-in-flight same-pattern requests with per-request error isolation),
+Support modules: :mod:`repro.service.coalescer` (one dispatcher thread that
+runs a request at once when idle and, when busy, batches the same-pattern
+requests that queued meanwhile; per-request error isolation),
 :mod:`repro.service.admission` (bounded in-flight work with
 reject-with-retry-after backpressure; per-pattern LRU artifact budget),
 :mod:`repro.service.metrics` (counters/histograms behind ``stats``), and

@@ -3,7 +3,7 @@
 Server mode binds a TCP address (default ``127.0.0.1:8377``; port 0 picks an
 ephemeral port, printed on stdout) and serves until interrupted::
 
-    python -m repro.service --port 8377 --window-ms 2 --max-batch 32
+    python -m repro.service --port 8377 --max-batch 32
 
 ``--smoke`` instead runs the end-to-end self-check CI uses: boot a server on
 an ephemeral port, register several patterns over the wire, drive a mixed
@@ -48,7 +48,6 @@ def _build_service(args) -> SolverService:
     options = SympilerOptions(backend=args.backend)
     return SolverService(
         options=options,
-        window_seconds=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         max_in_flight=args.max_in_flight,
         max_patterns=args.max_patterns,
@@ -287,7 +286,6 @@ def _run_fleet_smoke_traced(args, matrices, references, request, failures, total
             args.shards,
             backend=args.backend,
             cache_dir=cache_dir,
-            window_ms=args.window_ms,
             max_batch=args.max_batch,
             max_in_flight=max(4 * total, args.max_in_flight),
             max_patterns=args.max_patterns,
@@ -418,10 +416,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend", choices=["python", "c"], default="python",
         help="code-generation backend for registered patterns",
-    )
-    parser.add_argument(
-        "--window-ms", type=float, default=2.0,
-        help="micro-batching window in milliseconds",
     )
     parser.add_argument("--max-batch", type=int, default=32, help="coalesced batch cap")
     parser.add_argument(

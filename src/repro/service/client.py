@@ -4,12 +4,12 @@ One persistent connection per client, one request path: every call tags its
 header with an id, sends it under the send lock and waits on a future that
 the background reader thread resolves when the response carrying that id
 arrives.  So one connection **pipelines** many requests — :meth:`submit`
-returns a future immediately, the server's coalescing window fills from a
-single client, and responses may return out of order — and :meth:`solve` is
-literally ``submit(...).result(timeout)``.  A timed-out or cancelled request
-is simply *abandoned*: its eventual response is recognized by id and
-discarded (counted in :attr:`orphaned_responses`), so one slow solve does
-not poison the connection.
+returns a future immediately, the requests queue up behind the server's
+dispatcher and coalesce, and responses may return out of order — and
+:meth:`solve` is literally ``submit(...).result(timeout)``.  A timed-out or
+cancelled request is simply *abandoned*: its eventual response is recognized
+by id and discarded (counted in :attr:`orphaned_responses`), so one slow
+solve does not poison the connection.
 
 Errors map back to the same consolidated exception types the in-process API
 raises (:mod:`repro.service.errors`), so code moves between
@@ -300,8 +300,8 @@ class ServiceClient:
         """Enqueue one solve; returns a future resolving to the solution.
 
         The request goes on the wire immediately and many submits can be in
-        flight on one connection — enough to fill the server's coalescing
-        window from a single client.  The span covers enqueueing only.
+        flight on one connection — enough for the server to coalesce them
+        into batches from a single client.  The span covers enqueueing only.
         """
         with observe_trace.span("wire-submit", handle=_handle_id(handle)):
             return self._send_solve(handle, values, rhs)

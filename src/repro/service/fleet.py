@@ -117,7 +117,6 @@ class ShardFleet:
         shards: int = 2,
         *,
         backend: str = "python",
-        window_ms: float = 2.0,
         max_batch: int = 32,
         max_in_flight: int = 256,
         max_patterns: int = 32,
@@ -131,7 +130,6 @@ class ShardFleet:
         if shards < 1:
             raise ValueError("a fleet needs at least one shard")
         self.backend = backend
-        self.window_ms = float(window_ms)
         self.max_batch = int(max_batch)
         self.max_in_flight = int(max_in_flight)
         self.max_patterns = int(max_patterns)
@@ -183,8 +181,6 @@ class ShardFleet:
             "0",
             "--backend",
             self.backend,
-            "--window-ms",
-            str(self.window_ms),
             "--max-batch",
             str(self.max_batch),
             "--max-in-flight",
@@ -494,7 +490,7 @@ class ShardFleet:
         """Pipelined solve: enqueue on the owning shard, future out.
 
         The request rides the shard connection's id-tagged pipelining, so
-        many submits fill each shard's coalescing window concurrently.  On
+        many submits queue up and coalesce on each shard concurrently.  On
         shard death the future transparently resubmits once after recovery.
         """
         record = self._record_for(handle)

@@ -11,8 +11,9 @@ turns the paper's inspector/executor amortization into a served resource:
   registered pattern, one right-hand side) and returns a
   :class:`concurrent.futures.Future`; :meth:`SolverService.solve` is the
   synchronous convenience,
-* in-flight same-pattern requests are coalesced into micro-batches
-  (:mod:`repro.service.coalescer`); a batch is a loop of the pattern's
+* same-pattern requests that queue up while the dispatcher is busy are
+  coalesced into one batch (:mod:`repro.service.coalescer`; an idle service
+  dispatches a request at once); a batch is a loop of the pattern's
   :meth:`SparseLinearSolver.step
   <repro.solvers.linear_solver.SparseLinearSolver.step>` — the same warm
   step the front end takes: sweeps alone when a request's values are the
@@ -122,10 +123,11 @@ class SolverService:
     options:
         Default :class:`SympilerOptions` for registrations (per-registration
         override allowed).
-    window_seconds, max_batch:
-        Micro-batching knobs: a pattern's queue flushes when the oldest
-        request has waited ``window_seconds`` or ``max_batch`` requests are
-        queued, whichever comes first.
+    max_batch:
+        The most same-pattern requests one dispatch takes.  There is no
+        batching delay: the dispatcher runs whatever is queued as soon as it
+        is free, so batches form only from requests that arrived while it
+        was busy.
     max_in_flight, retry_after_seconds:
         Backpressure: beyond ``max_in_flight`` admitted-but-incomplete
         requests, ``submit`` rejects with a ``retry_after`` hint.
@@ -151,7 +153,6 @@ class SolverService:
         self,
         *,
         options: Optional[SympilerOptions] = None,
-        window_seconds: float = 0.002,
         max_batch: int = 32,
         max_in_flight: int = 256,
         max_patterns: int = 32,
@@ -168,9 +169,7 @@ class SolverService:
             max_patterns=max_patterns,
             retry_after_seconds=retry_after_seconds,
         )
-        self.coalescer = Coalescer(
-            self._dispatch, window_seconds=window_seconds, max_batch=max_batch
-        )
+        self.coalescer = Coalescer(self._dispatch, max_batch=max_batch)
         self._lock = threading.Lock()
         self._entries: Dict[tuple, _PatternEntry] = {}
         self._by_id: Dict[str, tuple] = {}
@@ -569,7 +568,6 @@ class SolverService:
                 "registered_patterns": len(patterns),
                 "queue_depth": self.coalescer.depth(),
                 "in_flight": self.admission.in_flight,
-                "window_seconds": self.coalescer.window_seconds,
                 "max_batch": self.coalescer.max_batch,
                 "max_in_flight": self.admission.max_in_flight,
                 "max_patterns": self.admission.max_patterns,

@@ -34,7 +34,7 @@ negotiation.
 response echoes it (``null`` when the request had none).  ``solve`` is
 always dispatched through the service's *async* ``submit`` path and answered
 by a completion callback, so responses may arrive **out of order** and one
-connection keeps a whole coalescing window in flight; every other operation
+connection keeps a whole coalesced batch in flight; every other operation
 is answered before the next message is read.
 
 **One write per message.**  :func:`send_message` emits the 9-byte head and
@@ -372,7 +372,7 @@ class _ServiceConnectionHandler(socketserver.StreamRequestHandler):
     read.  A ``solve`` is enqueued through the service's async ``submit``
     path and answered by its completion callback under the per-connection
     write lock — possibly out of order and interleaved with later requests'
-    responses — so a single connection fills the service's coalescing window
+    responses — so a single connection's requests queue up and coalesce
     instead of trickling one request per round-trip.
     """
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -60,3 +63,37 @@ def lower_factors(spd_matrices):
 def rng():
     """A seeded random generator for reproducible randomized tests."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def hold_dispatcher():
+    """Park requests in a coalescer's queues: ``with hold_dispatcher(coalescer): ...``.
+
+    Offers one request of its own and enters the block once the dispatcher
+    thread is blocked inside it, so everything offered in the block stays
+    queued until the block exits.  The held request never reaches the
+    coalescer's own dispatch callable: no batch, admission slot or metric is
+    spent on it.
+    """
+
+    @contextlib.contextmanager
+    def hold(coalescer):
+        entered, released = threading.Event(), threading.Event()
+        dispatch, held = coalescer._dispatch, object()
+
+        def dispatch_or_block(entry, batch):
+            if entry is not held:
+                return dispatch(entry, batch)
+            entered.set()
+            released.wait()
+            return lambda: None
+
+        coalescer._dispatch = dispatch_or_block
+        coalescer.offer(held, held, held)
+        assert entered.wait(timeout=10)
+        try:
+            yield
+        finally:
+            released.set()
+
+    return hold

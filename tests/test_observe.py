@@ -412,9 +412,7 @@ class TestServiceIntegration:
         from repro.service.session import SolverService
 
         A = laplacian_2d(8, shift=0.1)
-        service = SolverService(
-            options=SympilerOptions(backend="python"), window_seconds=0.0
-        )
+        service = SolverService(options=SympilerOptions(backend="python"))
         try:
             handle = service.register_pattern(A)
             with observe.span("client-call") as outer:

@@ -121,8 +121,8 @@ class TestSolve:
             )
             assert np.array_equal(x, ref.solve(rhs))
 
-    def test_coalesced_batch_is_bitwise_identical_to_sequential(self):
-        """The acceptance invariant: micro-batched results == sequential bits."""
+    def test_coalesced_batch_is_bitwise_identical_to_sequential(self, hold_dispatcher):
+        """The acceptance invariant: batched results == sequential bits."""
         A = laplacian_2d(9, shift=0.1)
         scales = 1.0 + 0.05 * np.arange(10)
         rhs_list = [np.sin(np.arange(A.n) * 0.1 * (k + 1)) for k in range(10)]
@@ -133,30 +133,32 @@ class TestSolve:
         for s, b in zip(scales, rhs_list):
             ref.factorize(A.with_values(A.data * s))
             expected.append(ref.solve(b))
-        with _service(window_seconds=0.05, max_batch=4) as svc:
+        with _service(max_batch=4) as svc:
             handle = svc.register_pattern(A)
-            futures = [
-                svc.submit(handle, A.data * s, b) for s, b in zip(scales, rhs_list)
-            ]
+            with hold_dispatcher(svc.coalescer):
+                futures = [
+                    svc.submit(handle, A.data * s, b) for s, b in zip(scales, rhs_list)
+                ]
             results = [f.result(timeout=30) for f in futures]
         for k in range(10):
             assert np.array_equal(results[k], expected[k])
         # The dispatcher actually coalesced (some batch larger than one ran).
         assert svc.metrics.snapshot()["max_batch_size"] > 1
 
-    def test_per_request_error_isolation(self):
+    def test_per_request_error_isolation(self, hold_dispatcher):
         """A singular batch item fails alone; batchmates complete."""
         A = laplacian_2d(7, shift=0.1)
         bad = A.data.copy()
         bad[:] = 0.0  # zero matrix: the Cholesky kernel must reject it
-        with _service(window_seconds=0.05, max_batch=8) as svc:
+        with _service(max_batch=8) as svc:
             handle = svc.register_pattern(A)
             rhs = np.ones(A.n)
-            futures = [
-                svc.submit(handle, A.data, rhs),
-                svc.submit(handle, bad, rhs),
-                svc.submit(handle, A.data * 2.0, rhs),
-            ]
+            with hold_dispatcher(svc.coalescer):
+                futures = [
+                    svc.submit(handle, A.data, rhs),
+                    svc.submit(handle, bad, rhs),
+                    svc.submit(handle, A.data * 2.0, rhs),
+                ]
             good0 = futures[0].result(timeout=30)
             good2 = futures[2].result(timeout=30)
             with pytest.raises(Exception):
@@ -187,16 +189,17 @@ class TestSolve:
         assert x.base is block
         assert np.array_equal(block[1], ref.solve(rhs))
 
-    def test_submit_copies_values_and_rhs(self):
+    def test_submit_copies_values_and_rhs(self, hold_dispatcher):
         """The caller may refill both buffers as soon as submit returns."""
         A = laplacian_2d(8, shift=0.1)
-        with _service(window_seconds=0.2) as svc:
+        with _service() as svc:
             handle = svc.register_pattern(A)
             values, rhs = A.data * 2.0, np.ones(A.n)
             expected = svc.solve(handle, values, rhs)
-            future = svc.submit(handle, values, rhs)
-            values[:] = 0.0  # inside the window: the request is still queued
-            rhs[:] = 5.0
+            with hold_dispatcher(svc.coalescer):
+                future = svc.submit(handle, values, rhs)
+                values[:] = 0.0  # the request is still queued
+                rhs[:] = 5.0
             assert np.array_equal(future.result(timeout=30), expected)
 
 
@@ -251,15 +254,16 @@ class TestSinglePath:
             assert counts() == (2, 1)  # changed values: exactly one kernel run
 
     @pytest.mark.parametrize("backend", _BACKENDS)
-    def test_failed_values_in_a_batch_fail_alone_and_again(self, backend):
+    def test_failed_values_in_a_batch_fail_alone_and_again(self, backend, hold_dispatcher):
         A = laplacian_2d(7, shift=0.1)
         b = np.ones(A.n)
         good, bad = A.data * 2.0, np.zeros(A.nnz)
         options = SympilerOptions(backend=backend, enable_vs_block=False)
-        # window_seconds=60 with max_batch=4: the four requests are one batch.
-        with _service(options=options, window_seconds=60.0, max_batch=4) as svc:
+        with _service(options=options, max_batch=4) as svc:
             handle = svc.register_pattern(A)
-            futures = [svc.submit(handle, v, b) for v in (good, bad, bad, good)]
+            # Parked behind the held dispatcher, the four requests are one batch.
+            with hold_dispatcher(svc.coalescer):
+                futures = [svc.submit(handle, v, b) for v in (good, bad, bad, good)]
             first, last = futures[0].result(timeout=30), futures[3].result(timeout=30)
             for failed in futures[1:3]:
                 # The repeat finds the snapshot holding its own values but no
@@ -278,23 +282,21 @@ class TestSinglePath:
 
 
 class TestAdmission:
-    def test_backpressure_rejects_with_retry_after(self):
+    def test_backpressure_rejects_with_retry_after(self, hold_dispatcher):
         A = laplacian_2d(6, shift=0.1)
-        with _service(
-            window_seconds=60.0, max_batch=64, max_in_flight=2,
-            retry_after_seconds=0.25,
-        ) as svc:
+        with _service(max_batch=64, max_in_flight=2, retry_after_seconds=0.25) as svc:
             handle = svc.register_pattern(A)
-            svc.submit(handle, A.data, np.ones(A.n))
-            svc.submit(handle, A.data, np.ones(A.n))
-            with pytest.raises(ServiceOverloadedError) as excinfo:
+            with hold_dispatcher(svc.coalescer):
                 svc.submit(handle, A.data, np.ones(A.n))
-            assert excinfo.value.retry_after == 0.25
-            assert svc.admission.in_flight == 2
+                svc.submit(handle, A.data, np.ones(A.n))
+                with pytest.raises(ServiceOverloadedError) as excinfo:
+                    svc.submit(handle, A.data, np.ones(A.n))
+                assert excinfo.value.retry_after == 0.25
+                assert svc.admission.in_flight == 2
 
     def test_slots_release_after_completion(self):
         A = laplacian_2d(6, shift=0.1)
-        with _service(max_in_flight=4, window_seconds=0.0) as svc:
+        with _service(max_in_flight=4) as svc:
             handle = svc.register_pattern(A)
             futures = [svc.submit(handle, A.data, np.ones(A.n)) for _ in range(4)]
             for f in futures:
@@ -361,14 +363,15 @@ class TestEviction:
 
 
 class TestMetricsAndStats:
-    def test_stats_snapshot_shape(self):
+    def test_stats_snapshot_shape(self, hold_dispatcher):
         A = laplacian_2d(7, shift=0.1)
-        with _service(window_seconds=0.02, max_batch=8) as svc:
+        with _service(max_batch=8) as svc:
             handle = svc.register_pattern(A)
-            futures = [
-                svc.submit(handle, A.data * (1 + 0.1 * i), np.ones(A.n))
-                for i in range(6)
-            ]
+            with hold_dispatcher(svc.coalescer):
+                futures = [
+                    svc.submit(handle, A.data * (1 + 0.1 * i), np.ones(A.n))
+                    for i in range(6)
+                ]
             for f in futures:
                 f.result(timeout=30)
             svc.flush(timeout=10)
@@ -388,14 +391,15 @@ class TestMetricsAndStats:
         assert pattern["parallel_mode"] == "none" and pattern["schedule_levels"] > 0
         assert "mode" not in pattern and "execution_strategy" not in pattern
 
-    def test_rejections_are_counted(self):
+    def test_rejections_are_counted(self, hold_dispatcher):
         A = laplacian_2d(6, shift=0.1)
-        with _service(window_seconds=60.0, max_batch=64, max_in_flight=1) as svc:
+        with _service(max_batch=64, max_in_flight=1) as svc:
             handle = svc.register_pattern(A)
-            svc.submit(handle, A.data, np.ones(A.n))
-            with pytest.raises(ServiceOverloadedError):
+            with hold_dispatcher(svc.coalescer):
                 svc.submit(handle, A.data, np.ones(A.n))
-            assert svc.metrics.count("rejected") == 1
+                with pytest.raises(ServiceOverloadedError):
+                    svc.submit(handle, A.data, np.ones(A.n))
+                assert svc.metrics.count("rejected") == 1
 
     def test_percentile_helper(self):
         assert percentile([], 95.0) == 0.0
@@ -421,8 +425,51 @@ class TestMetricsAndStats:
         assert metrics.snapshot()["latency"]["count"] == 4000
 
 
+class TestDispatchPolicy:
+    """Dispatch when idle, batch what queued while busy; no timer anywhere."""
+
+    def test_idle_service_dispatches_each_request_alone_and_never_times_a_wait(self):
+        A = laplacian_2d(7, shift=0.1)
+        with _service() as svc:
+            handle = svc.register_pattern(A)
+            cond = svc.coalescer._cond
+            wait, timeouts = cond.wait, []
+
+            def spy(timeout=None):
+                timeouts.append(timeout)
+                return wait(timeout)
+
+            cond.wait = spy  # before the first submit starts the dispatcher
+            for k in range(5):
+                svc.solve(handle, A.data * (1.0 + k), np.ones(A.n), timeout=30)
+            stats = svc.stats()
+        assert stats["batch_size_histogram"] == {"1": 5}
+        assert timeouts and set(timeouts) == {None}
+
+    @pytest.mark.parametrize(
+        "max_batch, histogram", [(32, {"3": 1, "8": 1}), (3, {"2": 1, "3": 3})]
+    )
+    def test_requests_queued_behind_a_busy_dispatcher_batch_per_pattern(
+        self, max_batch, histogram, hold_dispatcher
+    ):
+        options = SympilerOptions(enable_vs_block=False)
+        systems = [(laplacian_2d(7, shift=0.1), 8), (fem_stencil_2d(6, shift=0.3), 3)]
+        with _service(max_batch=max_batch) as svc:
+            with hold_dispatcher(svc.coalescer):
+                submitted = []
+                for A, count in systems:
+                    handle = svc.register_pattern(A)
+                    ref = SparseLinearSolver(A, ordering="natural", options=options)
+                    for k in range(count):
+                        values, b = A.data * (1.0 + 0.1 * k), np.cos(np.arange(A.n) + k)
+                        submitted.append((svc.submit(handle, values, b), ref, values, b))
+            for future, ref, values, b in submitted:
+                assert np.array_equal(future.result(timeout=30), ref.step(values, b)[0])
+            assert svc.stats()["batch_size_histogram"] == histogram
+
+
 class TestCoalescerUnit:
-    def test_window_flush_without_reaching_max_batch(self):
+    def test_queued_requests_dispatch_without_reaching_max_batch(self, hold_dispatcher):
         dispatched = []
         done = threading.Event()
 
@@ -430,14 +477,15 @@ class TestCoalescerUnit:
             dispatched.append((entry, list(batch)))
             return done.set
 
-        coalescer = Coalescer(dispatch, window_seconds=0.01, max_batch=100)
-        coalescer.offer("k", "entry", "r1")
-        coalescer.offer("k", "entry", "r2")
+        coalescer = Coalescer(dispatch, max_batch=100)
+        with hold_dispatcher(coalescer):
+            coalescer.offer("k", "entry", "r1")
+            coalescer.offer("k", "entry", "r2")
         assert done.wait(timeout=5)
         coalescer.close()
         assert dispatched == [("entry", ["r1", "r2"])]
 
-    def test_max_batch_flushes_immediately(self):
+    def test_max_batch_flushes_immediately(self, hold_dispatcher):
         batches = []
         hit = threading.Event()
 
@@ -445,12 +493,42 @@ class TestCoalescerUnit:
             batches.append(len(batch))
             return hit.set if len(batches) >= 2 else lambda: None
 
-        coalescer = Coalescer(dispatch, window_seconds=30.0, max_batch=3)
-        for i in range(6):
-            coalescer.offer("k", "entry", f"r{i}")
+        coalescer = Coalescer(dispatch, max_batch=3)
+        with hold_dispatcher(coalescer):
+            for i in range(6):
+                coalescer.offer("k", "entry", f"r{i}")
         assert hit.wait(timeout=5)
         coalescer.close()
         assert batches == [3, 3]
+
+    def test_backlogged_pattern_does_not_starve_the_others(self, hold_dispatcher):
+        """A queue left nonempty by a pop goes to the back of the line."""
+        order = []
+        done = threading.Event()
+
+        def dispatch(entry, batch):
+            order.extend(batch)
+            if batch == ["A"] and order.count("A") < 7:
+                coalescer.offer("a", None, "A")  # a standing backlog of A
+            return done.set if len(order) == 9 else lambda: None
+
+        coalescer = Coalescer(dispatch, max_batch=1)
+        with hold_dispatcher(coalescer):
+            for key, request in (("a", "A"), ("a", "A"), ("b", "B")):
+                coalescer.offer(key, None, request)
+        assert done.wait(timeout=5)
+        coalescer.close()
+        assert order == ["A", "B"] + ["A"] * 7
+
+    def test_flush_waits_for_the_dispatcher_to_go_idle(self, hold_dispatcher):
+        coalescer = Coalescer(lambda entry, batch: lambda: None)
+        assert coalescer.flush() is True  # idle: nothing to wait for
+        with hold_dispatcher(coalescer):
+            coalescer.offer("k", "entry", "r")
+            assert coalescer.flush(timeout=0.05) is False
+        assert coalescer.flush(timeout=10) is True
+        assert coalescer.depth() == 0
+        coalescer.close()
 
     def test_dispatch_exception_fails_only_that_batch(self):
         from concurrent.futures import Future
@@ -467,7 +545,7 @@ class TestCoalescerUnit:
                 raise RuntimeError("boom")
             return lambda: [r.future.set_result("ok") for r in batch]
 
-        coalescer = Coalescer(dispatch, window_seconds=0.0, max_batch=1)
+        coalescer = Coalescer(dispatch, max_batch=1)
         first, second = Request(), Request()
         coalescer.offer("k", "entry", first)
         with pytest.raises(RuntimeError, match="boom"):
@@ -476,19 +554,20 @@ class TestCoalescerUnit:
         assert second.future.result(timeout=5) == "ok"
         coalescer.close()
 
-    def test_close_drains_pending_requests(self):
+    def test_close_drains_pending_requests(self, hold_dispatcher):
         dispatched = []
         coalescer = Coalescer(
             lambda entry, batch: dispatched.extend(batch) or (lambda: None),
-            window_seconds=60.0,
             max_batch=100,
         )
-        for i in range(5):
-            coalescer.offer("k", "entry", i)
+        with hold_dispatcher(coalescer):
+            for i in range(5):
+                coalescer.offer("k", "entry", i)
+            coalescer.close(timeout=0.0)  # closed with the five still queued
+            with pytest.raises(RuntimeError):
+                coalescer.offer("k", "entry", 99)
         coalescer.close()
         assert sorted(dispatched) == [0, 1, 2, 3, 4]
-        with pytest.raises(RuntimeError):
-            coalescer.offer("k", "entry", 99)
 
 
 class TestConcurrentTraffic:
@@ -500,7 +579,7 @@ class TestConcurrentTraffic:
         base = ref.solve(np.ones(A.n))
         results = {}
         errors = []
-        with _service(window_seconds=0.005, max_batch=8, max_in_flight=128) as svc:
+        with _service(max_batch=8, max_in_flight=128) as svc:
             handle = svc.register_pattern(A)
 
             def drive(worker):
@@ -524,7 +603,7 @@ class TestConcurrentTraffic:
     def test_sustained_load_recompiles_nothing(self):
         """The amortization invariant the serving layer exists for."""
         A = laplacian_2d(8, shift=0.1)
-        with _service(window_seconds=0.002, max_batch=8) as svc:
+        with _service(max_batch=8) as svc:
             handle = svc.register_pattern(A)
             svc.solve(handle, A.data, np.ones(A.n))  # warm-up
             disk_before = disk_cache_stats().as_dict()
@@ -544,15 +623,21 @@ class TestConcurrentTraffic:
 
 
 class TestCancellation:
-    def test_cancelled_future_does_not_poison_its_batchmates(self):
+    def test_cancelled_future_does_not_poison_its_batchmates(self, hold_dispatcher):
+        """A future cancelled while parked is skipped and counted."""
         A = laplacian_2d(7, shift=0.1)
-        with _service(window_seconds=0.1, max_batch=8) as svc:
+        ref = SparseLinearSolver(
+            A, ordering="natural", options=SympilerOptions(enable_vs_block=False)
+        )
+        with _service(max_batch=8) as svc:
             handle = svc.register_pattern(A)
-            doomed = svc.submit(handle, A.data, np.ones(A.n))
-            survivor = svc.submit(handle, A.data * 2.0, np.ones(A.n))
-            assert doomed.cancel()  # still queued: cancellation must succeed
+            with hold_dispatcher(svc.coalescer):
+                doomed = svc.submit(handle, A.data, np.ones(A.n))
+                survivor = svc.submit(handle, A.data * 2.0, np.ones(A.n))
+                assert doomed.cancel()  # still queued: cancellation must succeed
             x = survivor.result(timeout=30)
             assert np.isfinite(x).all()
+            assert np.array_equal(x, ref.step(A.data * 2.0, np.ones(A.n))[0])
             assert doomed.cancelled()
             svc.flush(timeout=10)
             assert svc.metrics.count("solves_cancelled") == 1

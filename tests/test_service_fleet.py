@@ -68,7 +68,7 @@ def fleet_cache(tmp_path_factory):
 def fleet(fleet_cache):
     from repro.service.fleet import ShardFleet
 
-    fleet = ShardFleet(2, cache_dir=fleet_cache, window_ms=2.0)
+    fleet = ShardFleet(2, cache_dir=fleet_cache)
     yield fleet
     fleet.close()
 

@@ -143,7 +143,6 @@ class TestEndToEnd:
     def served(self):
         service = SolverService(
             options=SympilerOptions(enable_vs_block=False),
-            window_seconds=0.005,
             max_batch=8,
         )
         server, thread = serve_background(service)
@@ -201,10 +200,9 @@ class TestEndToEnd:
         assert handle.handle_id in stats["patterns"]
         assert stats["registered_patterns"] >= 1
 
-    def test_backpressure_maps_to_overloaded_error(self):
+    def test_backpressure_maps_to_overloaded_error(self, hold_dispatcher):
         service = SolverService(
             options=SympilerOptions(enable_vs_block=False),
-            window_seconds=60.0,
             max_batch=64,
             max_in_flight=1,
             retry_after_seconds=0.125,
@@ -216,28 +214,18 @@ class TestEndToEnd:
                 server.server_address
             ) as client:
                 handle = blocker.register_pattern(A)
-                # Fill the single slot from a background thread (the call
-                # blocks server-side until the coalescer window would fire).
-                filler = threading.Thread(
-                    target=lambda: blocker.solve(handle, A.data, np.ones(A.n)),
-                    daemon=True,
-                )
-                filler.start()
-                deadline = 50
-                while service.admission.in_flight == 0 and deadline > 0:
-                    import time
-
-                    time.sleep(0.01)
-                    deadline -= 1
-                with pytest.raises(ServiceOverloadedError) as excinfo:
-                    client.solve(handle, A.data, np.ones(A.n))
-                assert excinfo.value.retry_after == 0.125
-                # Drain the parked request now: closing the service flushes
-                # the coalescer, letting the filler's solve (which holds the
-                # blocker client's lock) complete instead of waiting out the
-                # 60 s window.
+                # Fill the single slot with a request parked behind the held
+                # dispatcher; a connection's messages are handled in order,
+                # so once the ping is answered the solve has been admitted.
+                with hold_dispatcher(service.coalescer):
+                    parked = blocker.submit(handle, A.data, np.ones(A.n))
+                    assert blocker.ping()
+                    assert service.admission.in_flight == 1
+                    with pytest.raises(ServiceOverloadedError) as excinfo:
+                        client.solve(handle, A.data, np.ones(A.n))
+                    assert excinfo.value.retry_after == 0.125
+                assert np.isfinite(blocker.result(parked, timeout=10)).all()
                 service.close()
-                filler.join(timeout=10)
         finally:
             server.shutdown()
             server.server_close()
@@ -329,7 +317,6 @@ class TestPipelining:
     def served(self):
         service = SolverService(
             options=SympilerOptions(enable_vs_block=False),
-            window_seconds=0.005,
             max_batch=16,
         )
         server, thread = serve_background(service)
@@ -353,8 +340,6 @@ class TestPipelining:
             for rhs, future in zip(rhss, futures):
                 x = client.result(future, timeout=60)
                 assert np.array_equal(x, ref.solve(rhs))
-        # A single connection fed the coalescing window: at least one batch
-        # carried more than one request.
         assert service.metrics.count("solves_ok") >= 24
 
     def test_many_threads_share_one_connection(self, served):
@@ -411,18 +396,17 @@ class TestPipelining:
             good = client.submit(handle, A.data, np.ones(A.n))
             assert np.isfinite(client.result(good, timeout=30)).all()
 
-    def test_cancelled_submit_leaves_the_connection_usable(self, served):
+    def test_cancelled_submit_leaves_the_connection_usable(self, served, hold_dispatcher):
         """cancel() on a submit future abandons that request only: its
         response is discarded as an orphan and the reader keeps reading."""
         address, service = served
         A = laplacian_2d(6, shift=0.2)
         with ServiceClient(address) as client:
             handle = client.register_pattern(A)
-            # Hold the answer back long enough for cancel() to win the race.
-            service.coalescer.window_seconds = 0.2
-            future = client.submit(handle, A.data, np.ones(A.n))
-            assert future.cancel()
-            service.coalescer.window_seconds = 0.005
+            # Hold the answer back until cancel() has won the race.
+            with hold_dispatcher(service.coalescer):
+                future = client.submit(handle, A.data, np.ones(A.n))
+                assert future.cancel()
             deadline = time.monotonic() + 10.0
             while client.orphaned_responses < 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -432,22 +416,23 @@ class TestPipelining:
             x = client.solve(handle, A.data, np.ones(A.n))
             assert np.isfinite(x).all()
 
-    def test_close_with_a_cancelled_future_still_fails_the_rest(self, served):
+    def test_close_with_a_cancelled_future_still_fails_the_rest(
+        self, served, hold_dispatcher
+    ):
         from repro.service.errors import ShardUnavailableError
 
         address, service = served
         A = laplacian_2d(6, shift=0.2)
         client = ServiceClient(address)
         handle = client.register_pattern(A)
-        service.coalescer.window_seconds = 60.0
-        cancelled = client.submit(handle, A.data, np.ones(A.n))
-        waiting = client.submit(handle, A.data, np.ones(A.n))
-        assert cancelled.cancel()
-        client.close()
-        with pytest.raises(ShardUnavailableError):
-            waiting.result(timeout=10)
+        with hold_dispatcher(service.coalescer):
+            cancelled = client.submit(handle, A.data, np.ones(A.n))
+            waiting = client.submit(handle, A.data, np.ones(A.n))
+            assert cancelled.cancel()
+            client.close()
+            with pytest.raises(ShardUnavailableError):
+                waiting.result(timeout=10)
         assert not client._reader.is_alive()
-        service.coalescer.window_seconds = 0.005
 
     def test_result_tells_a_late_answer_from_an_abandoned_request(self, served):
         """A response that lands as the local wait gives up is returned, and
@@ -471,20 +456,19 @@ class TestPipelining:
             with pytest.raises(TimeoutError, match="server-side"):
                 client.result(remote, timeout=0.01)
 
-    def test_close_fails_pending_futures(self, served):
+    def test_close_fails_pending_futures(self, served, hold_dispatcher):
         from repro.service.errors import ShardUnavailableError
 
         address, service = served
         A = laplacian_2d(6, shift=0.2)
         client = ServiceClient(address)
         handle = client.register_pattern(A)
-        # Park a request behind a long coalescing window, then close.
-        service.coalescer.window_seconds = 60.0
-        future = client.submit(handle, A.data, np.ones(A.n))
-        client.close()
-        with pytest.raises(ShardUnavailableError):
-            future.result(timeout=10)
-        service.coalescer.window_seconds = 0.005
+        # Park a request behind the held dispatcher, then close.
+        with hold_dispatcher(service.coalescer):
+            future = client.submit(handle, A.data, np.ones(A.n))
+            client.close()
+            with pytest.raises(ShardUnavailableError):
+                future.result(timeout=10)
 
 
 def _head(version=WIRE_VERSION, magic=MAGIC, header_len=None, header=b""):
@@ -575,9 +559,7 @@ class TestHostilePeers:
         import socket
 
         raw, then, answer = _HOSTILE[case]
-        service = SolverService(
-            options=SympilerOptions(enable_vs_block=False), window_seconds=0.002
-        )
+        service = SolverService(options=SympilerOptions(enable_vs_block=False))
         server, thread = serve_background(service)
         peer = socket.create_connection(server.server_address, timeout=10.0)
         try:

@@ -34,7 +34,6 @@ def tracing():
 def served():
     service = SolverService(
         options=SympilerOptions(enable_vs_block=False),
-        window_seconds=0.005,
         max_batch=8,
     )
     server, thread = serve_background(service)
@@ -104,8 +103,7 @@ class TestWireTracePropagation:
     def test_nesting_survives_coalescer_dispatch(self, tracing):
         service = SolverService(
             options=SympilerOptions(enable_vs_block=False),
-            window_seconds=0.005,
-            max_batch=8,
+                max_batch=8,
         )
         try:
             A = laplacian_2d(8, shift=0.1)
