@@ -19,5 +19,8 @@ setup(
     version=_VERSION,
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # The native symbolic helper is built from source at first use, so the
+    # source has to be installed with the package.
+    package_data={"repro.symbolic": ["native.c"]},
     install_requires=["numpy"],
 )

@@ -210,8 +210,11 @@ def get_tracer() -> Tracer:
     return _TRACER
 
 
-def span(name: str, **attrs: Any):
+def span(name: str, /, **attrs: Any):
     """Open a timed span; the primary instrumentation entry point.
+
+    ``name`` is positional-only, so a span may carry an attribute called
+    ``name`` (the ``ordering`` span records which ordering ran).
 
     Returns a context manager.  When tracing is disabled (the default) this
     is a single module-flag check returning a shared no-op object — the

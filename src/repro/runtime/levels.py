@@ -22,6 +22,11 @@ inspectors already produce:
 The inspectors attach the resulting :class:`ExecutionSchedule` to their
 inspection results at compile time, so it is cached under the same pattern
 fingerprint as the generated code and costs nothing on the numeric path.
+
+The per-vertex level of each of the three structures is one sequential sweep;
+it runs in the native helper (:mod:`repro.symbolic.native`) when that is
+loaded and in the ``*_levels_reference`` functions here otherwise.  Both give
+the same array, and the bucketing into a schedule is shared.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.observe.trace import span
+from repro.symbolic import native
 from repro.symbolic.dependency_graph import DependencyGraph
 
 __all__ = [
@@ -40,6 +46,7 @@ __all__ = [
     "level_sets_from_parent",
     "level_sets_from_dependency_graph",
     "level_sets_from_column_deps",
+    "level_sets_from_csr_deps",
     "dependency_graph_from_column_deps",
 ]
 
@@ -187,13 +194,19 @@ def level_sets_from_parent(parent: np.ndarray, *, graph: str = "etree") -> Execu
     """
     with span("schedule", graph=graph):
         parent = np.asarray(parent, dtype=np.int64)
-        n = parent.size
-        level = np.zeros(n, dtype=np.int64)
-        for j in range(n):  # parent[j] > j, so children are processed first
-            p = parent[j]
-            if p >= 0:
-                level[p] = max(level[p], level[j] + 1)
+        lib = native.helper()
+        level = parent_levels_reference(parent) if lib is None else lib.levels_from_parent(parent)
         return schedule_from_level_array(level, graph=graph)
+
+
+def parent_levels_reference(parent: np.ndarray) -> np.ndarray:
+    """Per-node level of an elimination tree, in Python."""
+    level = np.zeros(parent.size, dtype=np.int64)
+    for j in range(parent.size):  # parent[j] > j, so children are processed first
+        p = parent[j]
+        if p >= 0:
+            level[p] = max(level[p], level[j] + 1)
+    return level
 
 
 def level_sets_from_dependency_graph(
@@ -208,24 +221,35 @@ def level_sets_from_dependency_graph(
     not constrain the schedule.
     """
     with span("schedule", graph=graph):
-        n = dg.n
-        level = np.zeros(n, dtype=np.int64)
-        if active is None:
-            for j in range(n):
-                lj = level[j] + 1
-                for i in dg.out_neighbors(j):
-                    if level[i] < lj:
-                        level[i] = lj
-            return schedule_from_level_array(level, graph=graph)
-        active = np.unique(np.asarray(active, dtype=np.int64))
-        is_active = np.zeros(n, dtype=bool)
-        is_active[active] = True
-        for j in active:  # ascending, edges only point upward
-            lj = level[j] + 1
-            for i in dg.out_neighbors(int(j)):
-                if is_active[i] and level[i] < lj:
-                    level[i] = lj
+        if active is not None:
+            active = np.unique(np.asarray(active, dtype=np.int64))
+        lib = native.helper()
+        if lib is None:
+            level = graph_levels_reference(dg, active)
+        else:
+            level = lib.levels_from_graph(dg.n, dg.indptr, dg.indices, active)
         return schedule_from_level_array(level, graph=graph, active=active)
+
+
+def graph_levels_reference(dg: DependencyGraph, active: Optional[np.ndarray]) -> np.ndarray:
+    """Per-vertex longest-path level of DG_L (or of its ``active`` part), in Python."""
+    n = dg.n
+    level = np.zeros(n, dtype=np.int64)
+    if active is None:
+        for j in range(n):
+            lj = level[j] + 1
+            for i in dg.out_neighbors(j):
+                if level[i] < lj:
+                    level[i] = lj
+        return level
+    is_active = np.zeros(n, dtype=bool)
+    is_active[active] = True
+    for j in active:  # ascending, edges only point upward
+        lj = level[j] + 1
+        for i in dg.out_neighbors(int(j)):
+            if is_active[i] and level[i] < lj:
+                level[i] = lj
+    return level
 
 
 def level_sets_from_column_deps(
@@ -238,14 +262,36 @@ def level_sets_from_column_deps(
     above-diagonal ``U`` patterns (``U[k, j] != 0``).  Exact lists give the
     tightest (shallowest) schedule the kernel admits.
     """
+    dep_ptr = np.concatenate(([0], np.cumsum([len(each) for each in deps], dtype=np.int64)))
+    dep_idx = np.asarray(np.concatenate(deps) if len(deps) else [], dtype=np.int64)
+    return level_sets_from_csr_deps(dep_ptr, dep_idx, graph=graph)
+
+
+def level_sets_from_csr_deps(
+    dep_ptr: np.ndarray, dep_idx: np.ndarray, *, graph: str = "column-deps"
+) -> ExecutionSchedule:
+    """:func:`level_sets_from_column_deps` over the lists in CSR form.
+
+    Column ``j`` depends on ``dep_idx[dep_ptr[j]:dep_ptr[j + 1]]`` — the form
+    the inspectors hold their prune-sets in.
+    """
     with span("schedule", graph=graph):
-        n = len(deps)
-        level = np.zeros(n, dtype=np.int64)
-        for j in range(n):
-            dj = deps[j]
-            if len(dj):
-                level[j] = int(level[np.asarray(dj, dtype=np.int64)].max()) + 1
+        lib = native.helper()
+        if lib is None:
+            level = deps_levels_reference(dep_ptr, dep_idx)
+        else:
+            level = lib.levels_from_deps(dep_ptr, dep_idx)
         return schedule_from_level_array(level, graph=graph)
+
+
+def deps_levels_reference(dep_ptr: np.ndarray, dep_idx: np.ndarray) -> np.ndarray:
+    """Per-column level from CSR-form dependency lists, in Python."""
+    n = len(dep_ptr) - 1
+    level = np.zeros(n, dtype=np.int64)
+    for j in range(n):
+        if dep_ptr[j] < dep_ptr[j + 1]:
+            level[j] = int(level[dep_idx[dep_ptr[j] : dep_ptr[j + 1]]].max()) + 1
+    return level
 
 
 def dependency_graph_from_column_deps(

@@ -35,9 +35,11 @@ from repro.compiler.cache import CacheStats
 from repro.compiler.options import SympilerOptions
 from repro.compiler.registry import UnknownKernelError
 from repro.compiler.sympiler import Sympiler
+from repro.observe.trace import span
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ordering import ordering_by_name
 from repro.sparse.permutation import Permutation
+from repro.symbolic import native
 
 __all__ = ["SparseLinearSolver", "backward_factor"]
 
@@ -151,7 +153,9 @@ class SparseLinearSolver:
             )
         self.method = spec.name
         t0 = time.perf_counter()
-        self.permutation: Permutation = ordering_by_name(ordering)(A)
+        with span("ordering", name=ordering, n=A.n, nnz=A.nnz) as sp:
+            self.permutation: Permutation = ordering_by_name(ordering)(A)
+            sp.set(native=native.helper() is not None)
         # The pattern-only numeric plan, built here and nowhere else: every
         # later value set reaches the kernels through two gathers.  Permuting
         # an index-valued copy of A once yields both the permuted pattern and

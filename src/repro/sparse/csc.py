@@ -16,7 +16,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sparse.coo import COOMatrix
     from repro.sparse.csr import CSRMatrix
 
-__all__ = ["CSCMatrix"]
+__all__ = ["CSCMatrix", "group_pointers"]
+
+
+def group_pointers(groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Compressed pointers of entries sorted by group: ``ptr[g]:ptr[g + 1]`` is group ``g``."""
+    ptr = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(groups, minlength=n_groups), out=ptr[1:])
+    return ptr
 
 
 class CSCMatrix:
@@ -159,12 +166,16 @@ class CSCMatrix:
             return float(self.col_values(j)[pos])
         return 0.0
 
+    def col_indices(self) -> np.ndarray:
+        """Column index of every stored entry (the COO column array)."""
+        return np.repeat(np.arange(self.n_cols, dtype=np.int64), np.diff(self.indptr))
+
     def diagonal(self) -> np.ndarray:
         """Dense vector of the main diagonal (zeros for missing entries)."""
-        n = min(self.n_rows, self.n_cols)
-        diag = np.zeros(n, dtype=np.float64)
-        for j in range(n):
-            diag[j] = self.get(j, j)
+        diag = np.zeros(min(self.n_rows, self.n_cols), dtype=np.float64)
+        cols = self.col_indices()
+        on_diagonal = self.indices == cols
+        diag[cols[on_diagonal]] = self.data[on_diagonal]
         return diag
 
     # ------------------------------------------------------------------ #
@@ -176,23 +187,29 @@ class CSCMatrix:
         n_rows, n_cols = coo.shape
         if coo.nnz == 0:
             return cls.empty(n_rows, n_cols)
-        # Sort by (col, row) so each column is contiguous and sorted.
-        order = np.lexsort((coo.rows, coo.cols))
+        # Sort by (col, row) so each column is contiguous and sorted; stable,
+        # so duplicates keep their input order.  One sort of the combined key
+        # gives the permutation a two-key lexsort would, several times faster.
+        if n_rows * n_cols < 2**63:
+            order = np.argsort(coo.cols * n_rows + coo.rows, kind="stable")
+        else:  # the key would overflow int64
+            order = np.lexsort((coo.rows, coo.cols))
         rows = coo.rows[order]
         cols = coo.cols[order]
         vals = coo.data[order]
-        # Collapse duplicates: consecutive equal (col, row) pairs.
+        # Collapse duplicates: consecutive equal (col, row) pairs, summed in
+        # input order starting from 0.0 (so a lone -0.0 is stored as 0.0).
         keep = np.ones(rows.size, dtype=bool)
         keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        group_ids = np.cumsum(keep) - 1
-        summed = np.zeros(int(group_ids[-1]) + 1, dtype=np.float64)
-        np.add.at(summed, group_ids, vals)
-        rows = rows[keep]
-        cols = cols[keep]
-        counts = np.bincount(cols, minlength=n_cols)
-        indptr = np.zeros(n_cols + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(n_rows, n_cols, indptr, rows, summed)
+        if keep.all():
+            summed = 0.0 + vals
+        else:
+            group_ids = np.cumsum(keep) - 1
+            summed = np.zeros(int(group_ids[-1]) + 1, dtype=np.float64)
+            np.add.at(summed, group_ids, vals)
+            rows = rows[keep]
+            cols = cols[keep]
+        return cls(n_rows, n_cols, group_pointers(cols, n_cols), rows, summed)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, *, drop_tol: float = 0.0) -> "CSCMatrix":
@@ -280,8 +297,7 @@ class CSCMatrix:
         """Return the COO (triplet) form."""
         from repro.sparse.coo import COOMatrix
 
-        cols = np.repeat(np.arange(self.n_cols, dtype=np.int64), np.diff(self.indptr))
-        return COOMatrix(self.n_rows, self.n_cols, self.indices.copy(), cols, self.data.copy())
+        return COOMatrix(self.n_rows, self.n_cols, self.indices.copy(), self.col_indices(), self.data.copy())
 
     def to_csr(self) -> "CSRMatrix":
         """Return the CSR form (row-major compressed storage)."""
@@ -320,22 +336,10 @@ class CSCMatrix:
     def transpose(self) -> "CSCMatrix":
         """Return the transpose as a new CSC matrix (columns stay sorted)."""
         n_rows, n_cols = self.shape
-        nnz = self.nnz
-        counts = np.bincount(self.indices, minlength=n_rows)
-        indptr_t = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr_t[1:])
-        indices_t = np.empty(nnz, dtype=np.int64)
-        data_t = np.empty(nnz, dtype=np.float64)
-        next_slot = indptr_t[:-1].copy()
-        for j in range(n_cols):
-            s = self.col_slice(j)
-            rows = self.indices[s]
-            vals = self.data[s]
-            slots = next_slot[rows]
-            indices_t[slots] = j
-            data_t[slots] = vals
-            next_slot[rows] += 1
-        return CSCMatrix(n_cols, n_rows, indptr_t, indices_t, data_t, check=False)
+        indptr_t = group_pointers(self.indices, n_rows)
+        # Stable by row: inside a row of the result the columns stay ascending.
+        order = np.argsort(self.indices, kind="stable")
+        return CSCMatrix(n_cols, n_rows, indptr_t, self.col_indices()[order], self.data[order], check=False)
 
     def prune(self, *, drop_tol: float = 0.0) -> "CSCMatrix":
         """Remove stored entries with ``|a_ij| <= drop_tol``."""
@@ -430,35 +434,21 @@ class CSCMatrix:
 
         With ``strict=True`` the diagonal itself must be absent.
         """
-        for j in range(self.n_cols):
-            rows = self.col_rows(j)
-            if rows.size == 0:
-                continue
-            limit = j + 1 if strict else j
-            if rows[0] < limit:
-                return False
-        return True
+        # Rows are sorted, so the first entry of a column decides for it.
+        filled = np.flatnonzero(np.diff(self.indptr))
+        return bool(np.all(self.indices[self.indptr[filled]] >= filled + int(strict)))
 
     def is_upper_triangular(self, *, strict: bool = False) -> bool:
         """True if every stored entry lies on/above the diagonal."""
-        for j in range(self.n_cols):
-            rows = self.col_rows(j)
-            if rows.size == 0:
-                continue
-            limit = j - 1 if strict else j
-            if rows[-1] > limit:
-                return False
-        return True
+        filled = np.flatnonzero(np.diff(self.indptr))
+        return bool(np.all(self.indices[self.indptr[filled + 1] - 1] <= filled - int(strict)))
 
     def has_full_diagonal(self) -> bool:
         """True when every diagonal position (i, i) is a stored entry."""
-        n = min(self.n_rows, self.n_cols)
-        for j in range(n):
-            rows = self.col_rows(j)
-            pos = np.searchsorted(rows, j)
-            if pos >= rows.size or rows[pos] != j:
-                return False
-        return True
+        stored = np.zeros(min(self.n_rows, self.n_cols), dtype=bool)
+        cols = self.col_indices()
+        stored[cols[self.indices == cols]] = True
+        return bool(stored.all())
 
     def column_pattern_hash(self, j: int) -> int:
         """A cheap hash of column ``j``'s row pattern (used in tests)."""

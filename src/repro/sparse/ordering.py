@@ -5,11 +5,17 @@ ordering before factorization.  The paper relies on the library-default
 orderings (AMD in CHOLMOD/Eigen); this reproduction provides a plain
 minimum-degree ordering and reverse Cuthill–McKee.  Both operate on the
 *pattern* of ``A + Aᵀ`` only, as orderings are purely symbolic.
+
+Minimum degree runs in the native symbolic helper
+(:mod:`repro.symbolic.native`) when it is loaded — the same exact degrees and
+the same tie-breaking on a quotient graph, so the same permutation — and in
+:func:`minimum_degree_reference` otherwise.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import List, Set
 
 import numpy as np
@@ -44,20 +50,35 @@ def natural_ordering(A: CSCMatrix) -> Permutation:
 
 
 def minimum_degree_ordering(A: CSCMatrix) -> Permutation:
-    """A straightforward minimum-degree ordering.
+    """An exact minimum-degree ordering.
 
     At each step the vertex of minimum current degree in the elimination graph
-    is eliminated and its neighbourhood is turned into a clique.  This is the
-    classical (non-approximate, non-quotient-graph) formulation: asymptotically
-    slower than AMD but simple, deterministic and adequate at the matrix sizes
-    used in this reproduction.  Ties are broken by the smallest vertex index
-    so the ordering is reproducible.
+    is eliminated and its neighbourhood is turned into a clique.  Degrees are
+    exact, not AMD's approximation, and ties are broken by the smallest vertex
+    index, so the ordering is reproducible — and the same whichever of the
+    two implementations computes it.
     """
     if not A.is_square():
         raise ValueError("orderings are defined for square matrices")
-    n = A.n_rows
-    if n == 0:
+    if A.n_rows == 0:
         return Permutation.identity(0)
+    # Deferred: repro.symbolic imports this package.
+    from repro.symbolic import native
+
+    lib = native.helper()
+    if lib is None:
+        return minimum_degree_reference(A)
+    S = symmetrize_pattern(A)
+    return Permutation(lib.minimum_degree(S.n, S.indptr, S.indices))
+
+
+def minimum_degree_reference(A: CSCMatrix) -> Permutation:
+    """:func:`minimum_degree_ordering` on explicit adjacency sets, in Python.
+
+    The classical (non-quotient-graph) formulation: asymptotically slower,
+    but a dozen lines, which makes it the oracle for the native one.
+    """
+    n = A.n_rows
     adj = _adjacency_sets(A)
     eliminated = np.zeros(n, dtype=bool)
     # Lazy-deletion heap of (degree, vertex); stale entries are skipped.
@@ -77,15 +98,13 @@ def minimum_degree_ordering(A: CSCMatrix) -> Permutation:
             adj[u].discard(v)
         nb_list = list(neighbours)
         for idx, u in enumerate(nb_list):
-            updated = False
             for w in nb_list[idx + 1 :]:
                 if w not in adj[u]:
                     adj[u].add(w)
                     adj[w].add(u)
-                    updated = True
                     heapq.heappush(heap, (len(adj[w]), w))
-            if updated or True:
-                heapq.heappush(heap, (len(adj[u]), u))
+            # Every neighbour lost v, so every neighbour's degree is stale.
+            heapq.heappush(heap, (len(adj[u]), u))
         adj[v] = set()
     return Permutation(order)
 
@@ -111,10 +130,10 @@ def reverse_cuthill_mckee(A: CSCMatrix) -> Permutation:
         start = int(start)
         if visited[start]:
             continue
-        queue = [start]
+        queue = deque([start])
         visited[start] = True
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             order.append(v)
             nbrs = sorted((u for u in adj[v] if not visited[u]), key=lambda u: (degree[u], u))
             for u in nbrs:

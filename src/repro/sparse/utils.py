@@ -80,16 +80,11 @@ def symmetrize_pattern(A: CSCMatrix) -> CSCMatrix:
     irrelevant for the symbolic routines that consume this, but keeping it
     well defined makes the function reusable numerically).
     """
-    At = A.transpose()
-    both = A.add(At)
+    out = A.add(A.transpose())
     # The diagonal was added twice; subtract one copy.
-    diag = A.diagonal()
-    out = both.copy()
-    for j in range(out.n_cols):
-        rows = out.col_rows(j)
-        pos = np.searchsorted(rows, j)
-        if pos < rows.size and rows[pos] == j:
-            out.data[out.indptr[j] + pos] -= diag[j]
+    cols = out.col_indices()
+    on_diagonal = out.indices == cols
+    out.data[on_diagonal] -= A.diagonal()[cols[on_diagonal]]
     return out
 
 

@@ -10,24 +10,27 @@ forward substitution, so any valid execution order must place ``j`` before
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.sparse.csc import CSCMatrix
+from repro.sparse.csc import CSCMatrix, group_pointers
 
 __all__ = ["DependencyGraph"]
 
 
 class DependencyGraph:
-    """Directed column-dependency graph of a lower-triangular CSC matrix."""
+    """Directed column-dependency graph of a lower-triangular CSC matrix.
 
-    __slots__ = ("n", "_indptr", "_indices")
+    Vertex ``j``'s out-edges are ``indices[indptr[j]:indptr[j + 1]]``.
+    """
+
+    __slots__ = ("n", "indptr", "indices")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.n = int(n)
-        self._indptr = np.asarray(indptr, dtype=np.int64)
-        self._indices = np.asarray(indices, dtype=np.int64)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
 
     @classmethod
     def from_lower_triangular(cls, L: CSCMatrix) -> "DependencyGraph":
@@ -40,34 +43,25 @@ class DependencyGraph:
             raise ValueError("the dependence graph requires a square matrix")
         if not L.is_lower_triangular():
             raise ValueError("DG_L is defined for lower-triangular matrices")
-        n = L.n
-        out_lists: List[np.ndarray] = []
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for j in range(n):
-            rows = L.col_rows(j)
-            targets = rows[rows > j]
-            out_lists.append(targets)
-            indptr[j + 1] = indptr[j] + targets.size
-        indices = (
-            np.concatenate(out_lists) if out_lists else np.zeros(0, dtype=np.int64)
-        )
-        return cls(n, indptr, indices)
+        cols = np.repeat(np.arange(L.n, dtype=np.int64), np.diff(L.indptr))
+        below = L.indices > cols
+        return cls(L.n, group_pointers(cols[below], L.n), L.indices[below])
 
     # ------------------------------------------------------------------ #
     @property
     def n_edges(self) -> int:
         """Number of directed edges."""
-        return int(self._indptr[-1])
+        return int(self.indptr[-1])
 
     def out_neighbors(self, j: int) -> np.ndarray:
         """Vertices ``i`` with an edge ``j → i`` (i.e. ``L[i, j] != 0``, i>j)."""
         if not (0 <= j < self.n):
             raise IndexError(f"vertex {j} out of range [0, {self.n})")
-        return self._indices[self._indptr[j] : self._indptr[j + 1]]
+        return self.indices[self.indptr[j] : self.indptr[j + 1]]
 
     def out_degree(self, j: int) -> int:
         """Number of out-edges of vertex ``j``."""
-        return int(self._indptr[j + 1] - self._indptr[j])
+        return int(self.indptr[j + 1] - self.indptr[j])
 
     def reachable_from(self, sources: Iterable[int]) -> np.ndarray:
         """All vertices reachable from ``sources`` (sources included), sorted."""

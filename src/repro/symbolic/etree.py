@@ -9,6 +9,11 @@ detection.
 The construction below is the classical Liu algorithm with path compression
 (identical in spirit to CSparse's ``cs_etree``), running in effectively
 ``O(|A| α(n))`` time.
+
+``elimination_tree``, ``column_etree`` and ``postorder`` run in the native
+helper (:mod:`repro.symbolic.native`) when it is loaded; the ``*_reference``
+functions are the same algorithms in Python — the fallback, and the oracle
+the native results are tested against (array-equal).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import List
 import numpy as np
 
 from repro.sparse.csc import CSCMatrix
+from repro.symbolic import native
 
 __all__ = [
     "elimination_tree",
@@ -51,7 +57,19 @@ def elimination_tree(A: CSCMatrix) -> np.ndarray:
     if not A.is_square():
         raise ValueError("the elimination tree requires a square matrix")
     work = A.transpose() if A.is_lower_triangular() and A.n > 0 else A
-    n = A.n
+    lib = native.helper()
+    if lib is None:
+        return elimination_tree_reference(work)
+    return lib.etree(work.n, work.indptr, work.indices)
+
+
+def elimination_tree_reference(work: CSCMatrix) -> np.ndarray:
+    """:func:`elimination_tree` in Python.
+
+    ``work`` stores the upper triangle by columns (or the full symmetric
+    pattern): entries below the diagonal are skipped, not transposed.
+    """
+    n = work.n
     parent = np.full(n, -1, dtype=np.int64)
     ancestor = np.full(n, -1, dtype=np.int64)
     indptr, indices = work.indptr, work.indices
@@ -92,6 +110,14 @@ def column_etree(A: CSCMatrix) -> np.ndarray:
     """
     if not A.is_square():
         raise ValueError("the column elimination tree requires a square matrix")
+    lib = native.helper()
+    if lib is None:
+        return column_etree_reference(A)
+    return lib.column_etree(A.n_rows, A.n_cols, A.indptr, A.indices)
+
+
+def column_etree_reference(A: CSCMatrix) -> np.ndarray:
+    """:func:`column_etree` in Python."""
     n = A.n
     parent = np.full(n, -1, dtype=np.int64)
     ancestor = np.full(n, -1, dtype=np.int64)
@@ -116,11 +142,7 @@ def column_etree(A: CSCMatrix) -> np.ndarray:
 def child_counts(parent: np.ndarray) -> np.ndarray:
     """Number of children of every node in the forest."""
     parent = np.asarray(parent, dtype=np.int64)
-    counts = np.zeros(parent.size, dtype=np.int64)
-    for j, p in enumerate(parent):
-        if p >= 0:
-            counts[p] += 1
-    return counts
+    return np.bincount(parent[parent >= 0], minlength=parent.size).astype(np.int64)
 
 
 def first_children(parent: np.ndarray) -> List[List[int]]:
@@ -140,6 +162,14 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     which makes the postorder deterministic.  The returned array maps
     ``position → node``.
     """
+    lib = native.helper()
+    if lib is None:
+        return postorder_reference(parent)
+    return lib.postorder(parent)
+
+
+def postorder_reference(parent: np.ndarray) -> np.ndarray:
+    """:func:`postorder` in Python."""
     parent = np.asarray(parent, dtype=np.int64)
     n = parent.size
     children = first_children(parent)

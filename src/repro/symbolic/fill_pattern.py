@@ -14,6 +14,12 @@ Two closely related questions are answered here, both purely symbolic:
 Both are computed from the elimination tree by upward traversals bounded by
 marked nodes, the standard ``cs_ereach`` technique, giving an overall
 ``O(|L|)`` symbolic cost.
+
+Everything that visits every row — :func:`factor_structure` and the functions
+built on it, and :func:`lu_pattern` — runs in the native helper
+(:mod:`repro.symbolic.native`) when it is loaded; the ``*_reference``
+functions are the same traversals in Python, kept as the fallback and as the
+oracle the native results are tested against (array-equal).
 """
 
 from __future__ import annotations
@@ -24,10 +30,13 @@ import numpy as np
 
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.utils import lower_triangle
+from repro.symbolic import native
 from repro.symbolic.etree import elimination_tree
 
 __all__ = [
     "ereach",
+    "factor_structure",
+    "split_rows",
     "row_patterns_of_factor",
     "cholesky_pattern",
     "symbolic_factor_nnz",
@@ -44,6 +53,31 @@ def _upper_pattern(A: CSCMatrix) -> CSCMatrix:
     if A.is_lower_triangular() and A.n > 1:
         return A.transpose()
     return A
+
+
+def _ereach_stamped(upper: CSCMatrix, k: int, parent: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """Row ``k``'s pattern; ``stamp[i] == k`` marks the nodes this row has seen.
+
+    A caller visiting every row passes one ``stamp`` (initially all ``-1``)
+    to all of them: the row index is its own marker, so nothing is cleared or
+    allocated between rows.
+    """
+    stamp[k] = k
+    result: List[int] = []
+    for i in upper.col_rows(k):
+        i = int(i)
+        if i > k:
+            continue
+        # Walk up the etree from i until a marked node is found: every node
+        # on the way is a nonzero of row k of L.
+        while stamp[i] != k:
+            result.append(i)
+            stamp[i] = k
+            i = int(parent[i])
+            if i == -1:
+                break
+    result.sort()
+    return np.asarray(result, dtype=np.int64)
 
 
 def ereach(A: CSCMatrix, k: int, parent: np.ndarray, *, _upper: CSCMatrix | None = None) -> np.ndarray:
@@ -65,26 +99,60 @@ def ereach(A: CSCMatrix, k: int, parent: np.ndarray, *, _upper: CSCMatrix | None
     if not (0 <= k < A.n):
         raise IndexError(f"row {k} out of range")
     upper = _upper if _upper is not None else _upper_pattern(A)
-    marked = np.zeros(A.n, dtype=bool)
-    marked[k] = True
-    result: List[int] = []
-    rows = upper.col_rows(k)
-    for i in rows:
-        i = int(i)
-        if i > k:
-            continue
-        # Walk up the etree from i until a marked node is found, collecting
-        # the path: every node on it is a nonzero of row k of L.
-        path = []
-        while not marked[i]:
-            path.append(i)
-            marked[i] = True
-            i = int(parent[i])
-            if i == -1:
-                break
-        result.extend(path)
-    result.sort()
-    return np.asarray(result, dtype=np.int64)
+    return _ereach_stamped(upper, k, parent, np.full(A.n, -1, dtype=np.int64))
+
+
+def split_rows(ptr: np.ndarray, idx: np.ndarray) -> List[np.ndarray]:
+    """The rows of a CSR-form pattern as a list of views into ``idx``."""
+    return np.split(idx, ptr[1:-1]) if ptr.size > 1 else []
+
+
+def factor_structure(
+    A: CSCMatrix, parent: np.ndarray | None = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column patterns of ``L`` in array form, from one pass over the rows.
+
+    Returns
+    -------
+    (row_ptr, row_idx, l_indptr, l_indices):
+        ``row_idx[row_ptr[k]:row_ptr[k + 1]]`` is ``ereach(A, k)`` — row
+        ``k`` of ``L`` without its diagonal, ascending, the prune-set of
+        column ``k``'s update phase.  ``(l_indptr, l_indices)`` is the CSC
+        structure of ``L``: equation (1) of the paper via row subtrees —
+        column ``j`` holds its diagonal, then every ``k`` whose ereach
+        includes ``j``, ascending.
+    """
+    if parent is None:
+        parent = elimination_tree(A)
+    upper = _upper_pattern(A)
+    lib = native.helper()
+    if lib is None:
+        return factor_structure_reference(upper, parent)
+    return lib.factor_pattern(upper.n, upper.indptr, upper.indices, parent)
+
+
+def _pointers_of(lists) -> np.ndarray:
+    """Compressed pointers of a sequence of lists laid end to end."""
+    return np.concatenate(([0], np.cumsum([len(each) for each in lists], dtype=np.int64)))
+
+
+def factor_structure_reference(
+    upper: CSCMatrix, parent: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`factor_structure` in Python; ``upper`` stores the upper triangle."""
+    n = upper.n
+    stamp = np.full(n, -1, dtype=np.int64)
+    rows = [_ereach_stamped(upper, k, parent, stamp) for k in range(n)]
+    row_ptr = _pointers_of(rows)
+    row_idx = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    col_rows: List[List[int]] = [[j] for j in range(n)]
+    for k in range(n):
+        for j in rows[k]:
+            col_rows[int(j)].append(k)
+    l_indptr = _pointers_of(col_rows)
+    # Rows were appended in increasing k, so each column is already sorted.
+    l_indices = np.asarray([i for rows_j in col_rows for i in rows_j], dtype=np.int64)
+    return row_ptr, row_idx, l_indptr, l_indices
 
 
 def row_patterns_of_factor(A: CSCMatrix, parent: np.ndarray | None = None) -> List[np.ndarray]:
@@ -93,10 +161,8 @@ def row_patterns_of_factor(A: CSCMatrix, parent: np.ndarray | None = None) -> Li
     Row ``k``'s pattern excludes the diagonal; it is exactly the prune-set of
     the Cholesky update phase for column ``k``.
     """
-    if parent is None:
-        parent = elimination_tree(A)
-    upper = _upper_pattern(A)
-    return [ereach(A, k, parent, _upper=upper) for k in range(A.n)]
+    row_ptr, row_idx, _, _ = factor_structure(A, parent)
+    return split_rows(row_ptr, row_idx)
 
 
 def cholesky_pattern(
@@ -115,22 +181,7 @@ def cholesky_pattern(
         CSC structure arrays of the lower-triangular factor with sorted rows
         per column.
     """
-    if parent is None:
-        parent = elimination_tree(A)
-    n = A.n
-    upper = _upper_pattern(A)
-    col_rows: List[List[int]] = [[j] for j in range(n)]
-    for k in range(n):
-        for j in ereach(A, k, parent, _upper=upper):
-            col_rows[int(j)].append(k)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for j in range(n):
-        indptr[j + 1] = indptr[j] + len(col_rows[j])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    for j in range(n):
-        # Rows were appended in increasing k, so each column is already sorted.
-        indices[indptr[j] : indptr[j + 1]] = col_rows[j]
-    return indptr, indices
+    return factor_structure(A, parent)[2:]
 
 
 def symbolic_factor_nnz(A: CSCMatrix, parent: np.ndarray | None = None) -> int:
@@ -163,6 +214,16 @@ def lu_pattern(A: CSCMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     """
     if not A.is_square():
         raise ValueError("the LU pattern requires a square matrix")
+    lib = native.helper()
+    if lib is None:
+        return lu_pattern_reference(A)
+    return lib.lu_pattern(A.n, A.indptr, A.indices)
+
+
+def lu_pattern_reference(
+    A: CSCMatrix,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`lu_pattern` in Python: one depth-first reach per column."""
     n = A.n
     l_cols: List[np.ndarray] = []  # off-diagonal rows (> j) of L column j
     u_cols: List[np.ndarray] = []  # above-diagonal rows (< j) of U column j

@@ -39,17 +39,17 @@ from repro.compiler.registration import register_unique_many
 # so this import never drags the execution engine into the symbolic layer.
 from repro.runtime.levels import (
     ExecutionSchedule,
-    level_sets_from_column_deps,
+    level_sets_from_csr_deps,
     level_sets_from_dependency_graph,
 )
-from repro.sparse.csc import CSCMatrix
+from repro.sparse.csc import CSCMatrix, group_pointers
 from repro.symbolic.dependency_graph import DependencyGraph
 from repro.symbolic.etree import column_etree, elimination_tree, postorder
 from repro.symbolic.fill_pattern import (
-    _upper_pattern,
     cholesky_pattern,
-    ereach,
+    factor_structure,
     lu_pattern,
+    split_rows,
 )
 from repro.symbolic.reach import reach_set
 from repro.symbolic.supernodes import (
@@ -365,24 +365,15 @@ class CholeskyInspector(SymbolicInspector):
         n = matrix.n
         parent = elimination_tree(matrix)
         post = postorder(parent)
-        upper = _upper_pattern(matrix)
-        row_patterns = [ereach(matrix, k, parent, _upper=upper) for k in range(n)]
-        # Column pattern of L, derived from the row patterns (equation (1)).
-        col_rows: List[List[int]] = [[j] for j in range(n)]
-        for k in range(n):
-            for j in row_patterns[k]:
-                col_rows[int(j)].append(k)
-        l_indptr = np.zeros(n + 1, dtype=np.int64)
-        for j in range(n):
-            l_indptr[j + 1] = l_indptr[j] + len(col_rows[j])
-        l_indices = np.empty(int(l_indptr[-1]), dtype=np.int64)
-        for j in range(n):
-            l_indices[l_indptr[j] : l_indptr[j + 1]] = col_rows[j]
-        col_counts = np.diff(l_indptr).astype(np.int64)
+        # Every row's ereach and the column pattern they add up to (equation
+        # (1)), from one pass over the rows.
+        row_ptr, row_idx, l_indptr, l_indices = factor_structure(matrix, parent)
+        row_patterns = split_rows(row_ptr, row_idx)
+        col_counts = np.diff(l_indptr)
         supernodes = cholesky_supernodes(col_counts, parent, max_width=max_supernode_width)
         # Exact wavefronts: column j waits for precisely the columns of its L
         # row pattern (a strictly tighter schedule than etree depth).
-        schedule = level_sets_from_column_deps(row_patterns, graph="SP(L row) / etree")
+        schedule = level_sets_from_csr_deps(row_ptr, row_idx, graph="SP(L row) / etree")
         elapsed = time.perf_counter() - start
         sets = {
             "prune-set": InspectionSet(
@@ -425,6 +416,19 @@ class LDLTInspector(CholeskyInspector):
     method = "ldlt"
 
 
+def _above_diagonal(u_indptr: np.ndarray, u_indices: np.ndarray):
+    """``U`` without the pivot every column stores last, as ``(ptr, idx)``."""
+    keep = np.ones(u_indices.size, dtype=bool)
+    keep[u_indptr[1:] - 1] = False
+    return u_indptr - np.arange(u_indptr.size, dtype=np.int64), u_indices[keep]
+
+
+def _require_diagonal(matrix: CSCMatrix, cols: np.ndarray) -> None:
+    stored = np.bincount(cols[matrix.indices == cols], minlength=matrix.n_cols) > 0
+    if not stored.all():
+        raise ValueError(f"missing diagonal entry in column {int(np.argmin(stored))}")
+
+
 class LUInspector(SymbolicInspector):
     """Symbolic inspector for sparse LU ``A = L U`` without pivoting.
 
@@ -464,12 +468,11 @@ class LUInspector(SymbolicInspector):
         l_indptr, l_indices, u_indptr, u_indices = lu_pattern(matrix)
         l_col_counts = np.diff(l_indptr).astype(np.int64)
         supernodes = cholesky_supernodes(l_col_counts, parent, max_width=max_supernode_width)
-        upper_patterns = [
-            u_indices[u_indptr[j] : u_indptr[j + 1] - 1] for j in range(n)
-        ]
+        dep_ptr, dep_idx = _above_diagonal(u_indptr, u_indices)
+        upper_patterns = split_rows(dep_ptr, dep_idx)
         # Exact wavefronts: column j of the LU update loop consumes exactly
         # the L columns named by its above-diagonal U pattern.
-        schedule = level_sets_from_column_deps(upper_patterns, graph="SP(U col) / etree(A^T A)")
+        schedule = level_sets_from_csr_deps(dep_ptr, dep_idx, graph="SP(U col) / etree(A^T A)")
         elapsed = time.perf_counter() - start
         sets = {
             "prune-set": InspectionSet(
@@ -562,27 +565,22 @@ class IC0Inspector(SymbolicInspector):
         parent = elimination_tree(matrix)
         post = postorder(parent)
         # The factor pattern is tril(A): no fill, hence no ereach traversals.
-        col_rows: List[List[int]] = []
-        row_lists: List[List[int]] = [[] for _ in range(n)]
-        indptr, indices = matrix.indptr, matrix.indices
-        l_indptr = np.zeros(n + 1, dtype=np.int64)
-        for j in range(n):
-            rows = indices[indptr[j] : indptr[j + 1]]
-            lower = rows[np.searchsorted(rows, j) :]
-            if lower.size == 0 or lower[0] != j:
-                raise ValueError(f"missing diagonal entry in column {j}")
-            col_rows.append([int(r) for r in lower])
-            l_indptr[j + 1] = l_indptr[j] + lower.size
-            for r in lower[1:]:
-                row_lists[int(r)].append(j)
-        l_indices = np.empty(int(l_indptr[-1]), dtype=np.int64)
-        for j in range(n):
-            l_indices[l_indptr[j] : l_indptr[j + 1]] = col_rows[j]
-        row_patterns = [np.asarray(row_lists[j], dtype=np.int64) for j in range(n)]
-        col_counts = np.diff(l_indptr).astype(np.int64)
+        cols = matrix.col_indices()
+        _require_diagonal(matrix, cols)
+        lower = matrix.indices >= cols
+        l_indptr = group_pointers(cols[lower], n)
+        l_indices = matrix.indices[lower]
+        # Row j's update sources are the columns of tril(A)'s strict part
+        # that hold row j: its transpose, ascending because the sort is stable.
+        strict = matrix.indices > cols
+        rows_below = matrix.indices[strict]
+        row_ptr = group_pointers(rows_below, n)
+        row_idx = cols[strict][np.argsort(rows_below, kind="stable")]
+        row_patterns = split_rows(row_ptr, row_idx)
+        col_counts = np.diff(l_indptr)
         supernodes = cholesky_supernodes(col_counts, parent, max_width=max_supernode_width)
         # Exact wavefronts: column j waits for precisely its update sources.
-        schedule = level_sets_from_column_deps(row_patterns, graph="SP(tril(A) row)")
+        schedule = level_sets_from_csr_deps(row_ptr, row_idx, graph="SP(tril(A) row)")
         elapsed = time.perf_counter() - start
         sets = {
             "prune-set": InspectionSet(
@@ -645,33 +643,21 @@ class ILU0Inspector(SymbolicInspector):
         n = matrix.n
         parent = column_etree(matrix)
         post = postorder(parent)
-        indptr, indices = matrix.indptr, matrix.indices
-        l_indptr = np.zeros(n + 1, dtype=np.int64)
-        u_indptr = np.zeros(n + 1, dtype=np.int64)
-        l_rows: List[np.ndarray] = []
-        u_rows: List[np.ndarray] = []
-        for j in range(n):
-            rows = indices[indptr[j] : indptr[j + 1]]
-            split = int(np.searchsorted(rows, j))
-            if split == rows.size or rows[split] != j:
-                raise ValueError(f"missing diagonal entry in column {j}")
-            # U column: above-diagonal rows then the diagonal (stored last).
-            u_rows.append(rows[: split + 1].astype(np.int64))
-            # L column: explicit unit diagonal first, then strict lower rows.
-            l_rows.append(
-                np.concatenate(([j], rows[split + 1 :])).astype(np.int64)
-            )
-            u_indptr[j + 1] = u_indptr[j] + split + 1
-            l_indptr[j + 1] = l_indptr[j] + (rows.size - split)
-        l_indices = np.concatenate(l_rows) if l_rows else np.zeros(0, dtype=np.int64)
-        u_indices = np.concatenate(u_rows) if u_rows else np.zeros(0, dtype=np.int64)
-        l_col_counts = np.diff(l_indptr).astype(np.int64)
+        cols = matrix.col_indices()
+        _require_diagonal(matrix, cols)
+        # U column: above-diagonal rows, then the diagonal (stored last).
+        # L column: the diagonal (the explicit unit, stored first), then the
+        # strict lower rows.  Both are slices of A's own sorted columns.
+        upper = matrix.indices <= cols
+        lower = matrix.indices >= cols
+        u_indptr, u_indices = group_pointers(cols[upper], n), matrix.indices[upper]
+        l_indptr, l_indices = group_pointers(cols[lower], n), matrix.indices[lower]
+        l_col_counts = np.diff(l_indptr)
         supernodes = cholesky_supernodes(l_col_counts, parent, max_width=max_supernode_width)
-        upper_patterns = [
-            u_indices[u_indptr[j] : u_indptr[j + 1] - 1] for j in range(n)
-        ]
+        dep_ptr, dep_idx = _above_diagonal(u_indptr, u_indices)
+        upper_patterns = split_rows(dep_ptr, dep_idx)
         # Exact wavefronts: column j consumes the L columns of its U pattern.
-        schedule = level_sets_from_column_deps(upper_patterns, graph="SP(triu(A) col)")
+        schedule = level_sets_from_csr_deps(dep_ptr, dep_idx, graph="SP(triu(A) col)")
         elapsed = time.perf_counter() - start
         sets = {
             "prune-set": InspectionSet(

@@ -11,6 +11,11 @@ column appears before all columns that depend on it, so a solver may process
 the reach set front-to-back.  This mirrors the classic ``cs_reach`` /
 ``cs_dfs`` routines of CSparse, implemented iteratively to avoid Python
 recursion limits on long dependency chains.
+
+The search runs in the native helper (:mod:`repro.symbolic.native`) when it
+is loaded, visiting sources and edges in the same order, so the topological
+order returned is the same array; :func:`reach_set_reference` is the Python
+fallback and the test oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.sparse.csc import CSCMatrix
+from repro.symbolic import native
 
 __all__ = ["reach_set", "reach_set_sorted", "reach_set_from_arrays"]
 
@@ -54,6 +60,14 @@ def reach_set_from_arrays(
         Reached column indices in topological (dependency-first) order.
     """
     sources = _as_source_indices(n, b_pattern)
+    lib = native.helper()
+    if lib is None:
+        return reach_set_reference(n, indptr, indices, sources)
+    return lib.reach(n, indptr, indices, sources)
+
+
+def reach_set_reference(n: int, indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """:func:`reach_set_from_arrays` in Python, over checked ``sources``."""
     visited = np.zeros(n, dtype=bool)
     # The output is filled from the back, exactly like cs_reach: a vertex is
     # appended when its DFS finishes, producing reverse-finish order which is

@@ -119,13 +119,10 @@ def supernodes_from_boundaries(boundaries: List[int] | np.ndarray, n: int) -> Su
     ``boundaries`` must start with 0 and be strictly increasing; ``n`` is the
     total column count (appended as the final sentinel).
     """
-    starts = list(int(b) for b in boundaries)
-    if not starts or starts[0] != 0:
+    super_ptr = np.append(np.asarray(boundaries, dtype=np.int64), int(n))
+    if super_ptr.size < 2 or super_ptr[0] != 0:
         raise ValueError("boundaries must start with column 0")
-    super_ptr = np.asarray(starts + [int(n)], dtype=np.int64)
-    col_to_super = np.empty(n, dtype=np.int64)
-    for s in range(super_ptr.size - 1):
-        col_to_super[super_ptr[s] : super_ptr[s + 1]] = s
+    col_to_super = np.repeat(np.arange(super_ptr.size - 1, dtype=np.int64), np.diff(super_ptr))
     return SupernodePartition(super_ptr=super_ptr, col_to_super=col_to_super)
 
 
@@ -146,16 +143,28 @@ def triangular_supernodes(L: CSCMatrix) -> SupernodePartition:
         return SupernodePartition(
             super_ptr=np.zeros(1, dtype=np.int64), col_to_super=np.zeros(0, dtype=np.int64)
         )
-    boundaries = [0]
-    for j in range(1, n):
-        prev_rows = L.col_rows(j - 1)
-        rows = L.col_rows(j)
-        # Drop the diagonal of the previous column (if stored) before comparing.
-        prev_below = prev_rows[prev_rows > (j - 1)]
-        mergeable = prev_below.size == rows.size and bool(np.array_equal(prev_below, rows))
-        if not mergeable:
-            boundaries.append(j)
-    return supernodes_from_boundaries(boundaries, n)
+    # Column j joins column j-1 when the rows of j-1 below its diagonal are
+    # the rows of j.  Compare the sizes first, then the candidates' entries,
+    # all candidates at once: `offsets` runs over each candidate's entries.
+    counts = np.diff(L.indptr)
+    cols = L.col_indices()
+    has_diagonal = np.bincount(cols[L.indices == cols], minlength=n)
+    below_start = L.indptr[:-1] + has_diagonal
+    candidates = np.flatnonzero((counts - has_diagonal)[:-1] == counts[1:]) + 1
+    lengths = counts[candidates]
+    first = np.cumsum(lengths) - lengths
+    offsets = np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(first, lengths)
+    differ = (
+        L.indices[np.repeat(below_start[candidates - 1], lengths) + offsets]
+        != L.indices[np.repeat(L.indptr[candidates], lengths) + offsets]
+    )
+    mismatched = np.zeros(candidates.size, dtype=bool)
+    filled = lengths > 0
+    if differ.size:
+        mismatched[filled] = np.add.reduceat(differ.astype(np.int64), first[filled]) > 0
+    starts_supernode = np.ones(n, dtype=bool)
+    starts_supernode[candidates[~mismatched]] = False
+    return supernodes_from_boundaries(np.flatnonzero(starts_supernode), n)
 
 
 def cholesky_supernodes(
@@ -190,20 +199,16 @@ def cholesky_supernodes(
         return SupernodePartition(
             super_ptr=np.zeros(1, dtype=np.int64), col_to_super=np.zeros(0, dtype=np.int64)
         )
-    n_children = child_counts(parent)
-    boundaries = [0]
-    current_width = 1
-    for j in range(1, n):
-        mergeable = (
-            col_counts[j] == col_counts[j - 1] - 1
-            and parent[j - 1] == j
-            and n_children[j] == 1
-        )
-        if max_width is not None and current_width >= max_width:
-            mergeable = False
-        if mergeable:
-            current_width += 1
-        else:
-            boundaries.append(j)
-            current_width = 1
-    return supernodes_from_boundaries(boundaries, n)
+    merges = np.zeros(n, dtype=bool)
+    merges[1:] = (
+        (col_counts[1:] == col_counts[:-1] - 1)
+        & (parent[:-1] == np.arange(1, n))
+        & (child_counts(parent)[1:] == 1)
+    )
+    if max_width is not None:
+        # A run of merging columns is cut every max_width columns, counted
+        # from the column that started it.
+        columns = np.arange(n, dtype=np.int64)
+        run_start = np.maximum.accumulate(np.where(merges, 0, columns))
+        merges &= (columns - run_start) % max(int(max_width), 1) != 0
+    return supernodes_from_boundaries(np.flatnonzero(~merges), n)
