@@ -132,8 +132,11 @@ class CompiledArtifact:
 
     @property
     def constants(self) -> Dict[str, np.ndarray]:
-        """The inspection-set constants embedded into the generated code."""
-        return dict(self.kernel.constants)
+        """The table block the kernel reads: sizes, then inspection sets, in ABI order.
+
+        The same mapping on both backends (:mod:`repro.compiler.codegen.tables`).
+        """
+        return dict(self.module.constants)
 
     @property
     def symbolic_seconds(self) -> float:

@@ -5,9 +5,9 @@ AST (§2.1 of the paper).  Lowering produces *generic* loop nests annotated
 with the places where inspector-guided transformations may apply (the
 analogue of Figure 2a); the VI-Prune and VS-Block passes then replace those
 annotated loops with *domain statements* that carry the inspection sets they
-consume (the analogue of Figures 2b/2c), and the low-level passes refine the
-annotations (unroll / vectorize / distribute).  Code-generation
-backends walk the final AST and emit matrix-specialized source.
+consume (the analogue of Figures 2b/2c), and the low-level passes refine
+them (loop distribution).  The backends read the inspection sets off the final
+AST through :mod:`repro.compiler.codegen.tables`.
 
 Two node families therefore coexist:
 
@@ -17,8 +17,8 @@ Two node families therefore coexist:
 * domain statements (:class:`PrunedColumnSolveLoop`,
   :class:`SupernodeTriangularBlock`, :class:`SimplicialCholeskyLoop`,
   :class:`SupernodalCholeskyLoop`) introduced
-  by the transformations, each carrying the compile-time constant arrays that
-  the backends embed into generated code.
+  by the transformations, each carrying the inspection sets the numeric
+  kernels read as run-time tables.
 """
 
 from __future__ import annotations
@@ -73,9 +73,8 @@ class Stmt(Node):
     """Base class of statements.  Every statement carries an annotation dict.
 
     Annotations are the communication channel between phases: lowering marks
-    loops with ``role``/``prunable``/``blockable``; inspector-guided passes
-    add hints such as ``vectorize``/``unroll`` that the low-level
-    passes and backends honour.
+    loops with ``role``/``prunable``/``blockable`` for the inspector-guided
+    passes to find.
     """
 
     def __init__(self, annotations: Optional[Dict[str, object]] = None) -> None:
@@ -232,31 +231,21 @@ class PrunedColumnSolveLoop(Stmt):
     columns:
         Column indices to visit, in a valid topological order.
     constant_name:
-        Name under which ``columns`` is embedded in the generated code.
-    vectorize:
-        Whether the inner update is emitted as a vector operation.
+        Name of the set in the IR (``prune_set``, ``column_run_<k>``).
     """
 
-    def __init__(
-        self,
-        columns: np.ndarray,
-        constant_name: str,
-        *,
-        vectorize: bool = True,
-        **annotations,
-    ) -> None:
+    def __init__(self, columns: np.ndarray, constant_name: str, **annotations) -> None:
         super().__init__(annotations)
         self.columns = np.asarray(columns, dtype=np.int64)
         self.constant_name = constant_name
-        self.vectorize = bool(vectorize)
 
 
 class SupernodeTriangularBlock(Stmt):
     """One VS-Block'd supernode of a triangular solve.
 
-    The diagonal block is solved densely (unrolled when ``unroll`` is set) and
-    the off-diagonal panel is applied as a dense matrix–vector product.  All
-    positions below are *compile-time constants* referring into ``Lx``/``Li``.
+    The diagonal block is solved densely and the off-diagonal panel applied
+    as a dense matrix–vector product.  All positions below are known at
+    compile time and refer into ``Lx``/``Li``.
 
     Attributes
     ----------
@@ -266,8 +255,6 @@ class SupernodeTriangularBlock(Stmt):
     col_starts: position of each column's diagonal entry in ``Lx``.
     rows_start, rows_end: slice of ``Li`` holding the supernode's row pattern
         (the pattern of its first column).
-    unroll: emit the diagonal solve unrolled.
-    use_blas: call the library dense kernels instead of specialized ones.
     """
 
     def __init__(
@@ -279,9 +266,6 @@ class SupernodeTriangularBlock(Stmt):
         col_starts: np.ndarray,
         rows_start: int,
         rows_end: int,
-        *,
-        unroll: bool = False,
-        use_blas: bool = False,
         **annotations,
     ) -> None:
         super().__init__(annotations)
@@ -292,8 +276,6 @@ class SupernodeTriangularBlock(Stmt):
         self.col_starts = np.asarray(col_starts, dtype=np.int64)
         self.rows_start = int(rows_start)
         self.rows_end = int(rows_end)
-        self.unroll = bool(unroll)
-        self.use_blas = bool(use_blas)
 
     @property
     def n_offdiag_rows(self) -> int:
@@ -343,7 +325,6 @@ class SimplicialCholeskyLoop(Stmt):
         u_indptr: Optional[np.ndarray] = None,
         u_indices: Optional[np.ndarray] = None,
         factor_kind: str = "llt",
-        vectorize: bool = True,
         **annotations,
     ) -> None:
         super().__init__(annotations)
@@ -365,7 +346,6 @@ class SimplicialCholeskyLoop(Stmt):
             None if u_indices is None else np.asarray(u_indices, dtype=np.int64)
         )
         self.factor_kind = factor_kind
-        self.vectorize = bool(vectorize)
         if factor_kind == "ldlt" and self.update_col is None:
             raise ValueError("the LDL^T simplicial loop requires update_col")
         if factor_kind == "lu" and (
@@ -433,7 +413,6 @@ class IncompleteFactorLoop(Stmt):
         u_scat_src: Optional[np.ndarray] = None,
         u_scat_dst: Optional[np.ndarray] = None,
         factor_kind: str = "ic0",
-        vectorize: bool = True,
         **annotations,
     ) -> None:
         super().__init__(annotations)
@@ -457,7 +436,6 @@ class IncompleteFactorLoop(Stmt):
         self.u_scat_src = as_i64(u_scat_src)
         self.u_scat_dst = as_i64(u_scat_dst)
         self.factor_kind = factor_kind
-        self.vectorize = bool(vectorize)
         if factor_kind == "ilu0" and any(
             v is None
             for v in (
@@ -501,10 +479,7 @@ class SupernodalCholeskyLoop(Stmt):
     * ``desc_col`` — the descendant column index of every descriptor slot
       (the LDLᵀ panel update must scale its multipliers by ``D[k]``),
     * ``distribute_single_columns`` — whether width-1 supernodes are split
-      into a separate streamlined (simplicial) loop (loop distribution),
-    * ``use_small_kernels`` — whether diagonal blocks up to the small-kernel
-      limit use the specialized unrolled kernels instead of the library ones
-      (LLᵀ only; the LDLᵀ diagonal blocks always use the dense LDLᵀ kernel).
+      into a separate streamlined (simplicial) loop (loop distribution).
     """
 
     def __init__(
@@ -524,9 +499,6 @@ class SupernodalCholeskyLoop(Stmt):
         desc_col: Optional[np.ndarray] = None,
         factor_kind: str = "llt",
         distribute_single_columns: bool = True,
-        use_small_kernels: bool = True,
-        small_kernel_max_width: int = 3,
-        vectorize: bool = True,
         **annotations,
     ) -> None:
         super().__init__(annotations)
@@ -548,9 +520,6 @@ class SupernodalCholeskyLoop(Stmt):
         if factor_kind == "ldlt" and self.desc_col is None:
             raise ValueError("the LDL^T supernodal loop requires desc_col")
         self.distribute_single_columns = bool(distribute_single_columns)
-        self.use_small_kernels = bool(use_small_kernels)
-        self.small_kernel_max_width = int(small_kernel_max_width)
-        self.vectorize = bool(vectorize)
 
     @property
     def n_supernodes(self) -> int:
@@ -567,11 +536,12 @@ class SupernodalCholeskyLoop(Stmt):
 # Kernel function
 # --------------------------------------------------------------------------- #
 class KernelFunction(Node):
-    """A complete kernel: name, parameters, body and embedded constants.
+    """A complete kernel: name, parameters, body and the IR's inspection sets.
 
-    ``constants`` maps names to NumPy arrays that the backends embed into the
-    generated code (static arrays in C, injected module globals in Python);
-    they are the materialized inspection sets.
+    ``constants`` maps the names the transformations gave their inspection
+    sets to the arrays, for pretty-printing and tests.  What a numeric kernel
+    reads is the table block a backend builds from the domain statements
+    (``artifact.constants``, see :mod:`repro.compiler.codegen.tables`).
     """
 
     def __init__(
@@ -665,30 +635,28 @@ def _stmt_lines(stmt: Stmt, indent: int) -> List[str]:
     if isinstance(stmt, PrunedColumnSolveLoop):
         return [
             f"{pad}pruned-column-solve over {stmt.constant_name} "
-            f"({stmt.columns.size} columns, vectorize={stmt.vectorize}){_annot_str(stmt)}"
+            f"({stmt.columns.size} columns){_annot_str(stmt)}"
         ]
     if isinstance(stmt, SupernodeTriangularBlock):
         return [
             f"{pad}supernode-trsolve sn={stmt.sn_id} cols={stmt.c0}..{stmt.c0 + stmt.width} "
-            f"rows={stmt.n_rows} unroll={stmt.unroll} blas={stmt.use_blas}{_annot_str(stmt)}"
+            f"rows={stmt.n_rows}{_annot_str(stmt)}"
         ]
     if isinstance(stmt, SimplicialCholeskyLoop):
         return [
             f"{pad}simplicial-cholesky n={stmt.n} nnz(L)={stmt.factor_nnz} "
-            f"kind={stmt.factor_kind} vectorize={stmt.vectorize}{_annot_str(stmt)}"
+            f"kind={stmt.factor_kind}{_annot_str(stmt)}"
         ]
     if isinstance(stmt, IncompleteFactorLoop):
         return [
             f"{pad}incomplete-factor n={stmt.n} nnz={stmt.factor_nnz} "
-            f"kind={stmt.factor_kind} updates={stmt.total_updates} "
-            f"vectorize={stmt.vectorize}{_annot_str(stmt)}"
+            f"kind={stmt.factor_kind} updates={stmt.total_updates}{_annot_str(stmt)}"
         ]
     if isinstance(stmt, SupernodalCholeskyLoop):
         return [
             f"{pad}supernodal-cholesky n={stmt.n} supernodes={stmt.n_supernodes} "
             f"nnz(L)={stmt.factor_nnz} kind={stmt.factor_kind} "
-            f"distribute={stmt.distribute_single_columns} "
-            f"small-kernels={stmt.use_small_kernels}{_annot_str(stmt)}"
+            f"distribute={stmt.distribute_single_columns}{_annot_str(stmt)}"
         ]
     raise TypeError(f"unknown statement node {type(stmt).__name__}")
 

@@ -10,9 +10,9 @@ process* against the same ``REPRO_SYMPILER_CACHE`` directory must reuse every
 exit code, which is how CI asserts "warm cache ⇒ zero C recompiles" with
 counters instead of hoping a pytest re-run exercised the path.
 
-The python backend participates in the same protocol: generated Python
-sources (and their constants) are persisted to the cache directory, so a
-warm run must also *regenerate* nothing — ``--assert-warm`` checks
+The python backend participates in the same protocol: the text of each
+reference kernel that ran is written to the cache directory once (nothing is
+read back), so a warm run must also *write* nothing — ``--assert-warm`` checks
 ``py_writes == 0`` alongside ``so_compiles == 0``.  ``--json`` appends the
 unified observability registry snapshot (:func:`repro.observe.snapshot`) to
 the report, so CI can assert the warm-cache counters *and* the registry's
@@ -160,7 +160,6 @@ def run_probe(backend: str | None = None) -> Dict[str, object]:
         "so_compiles": disk.compiles,
         "so_reuses": disk.reuses,
         "py_writes": disk.py_writes,
-        "py_reuses": disk.py_reuses,
         "source_bytes": sizes[".c"] + sizes[".py"],
         "so_bytes": sizes[".so"],
         "so_files": so_files,
@@ -214,8 +213,8 @@ def main(argv=None) -> int:
         return 1
     if args.assert_warm and report["py_writes"] != 0:
         sys.stderr.write(
-            f"warm-cache assertion failed: {report['py_writes']} generated "
-            "python module(s) were regenerated (expected 0)\n"
+            f"warm-cache assertion failed: {report['py_writes']} python kernel "
+            "text(s) were written (expected 0)\n"
         )
         return 1
     return 0

@@ -4,7 +4,7 @@ Emits C source whose *shape* follows the transformed AST, compiles it with the
 system C compiler and loads the shared object through :mod:`ctypes`.  This is
 the closest analogue of the original Sympiler, which generates C and compiles
 it with GCC ``-O3`` (§4.1); the backend is optional — environments without a
-C compiler use the Python backend instead.
+C compiler run the python backend's reference kernels over the same tables.
 
 What may be literal in the generated source
 -------------------------------------------
@@ -18,13 +18,18 @@ Everything that depends on the sparsity pattern alone — every inspection set
 (``l_indptr``, ``prune_ptr``, the supernode and descendant descriptors, the
 scatter tables, the level schedule, the triangular solve's segment
 descriptors) and every size (``n``, nnz, supernode, segment and level counts)
-— is *data*: the emitters register it with :meth:`CBackend._add_constant` /
-:meth:`CBackend._dim`, the source only names it, and the loaded entry point
-receives it through one trailing pointer argument.  So the size of a source
-file and the time ``cc`` spends on it are constants of the code shape, and
-two patterns that lower to the same code produce byte-identical source and
-share one ``.so`` through the source-fingerprint file stem; every serial
-triangular solve of one option bundle is the same ``.so``.
+— is *data*.  Its name and its position come from the table contract
+(:mod:`repro.compiler.codegen.tables`, one function per domain loop): a body
+emitter binds a contract result (:meth:`CBackend._bind`) and then only prints
+— ``_C_<name>`` for a table, the bare name for a size — and the python
+backend's reference kernels read the same block.  Only the wavefront emitters
+register tables of their own (level schedule, pull structure), on top of it.
+The loaded entry point receives the block through one trailing pointer
+argument.  So the size of a source file and the time ``cc`` spends on it are
+constants of the code shape, and two patterns that lower to the same code
+produce byte-identical source and share one ``.so`` through the
+source-fingerprint file stem; every serial triangular solve of one option
+bundle is the same ``.so``.
 
 Entry points generated (``repro_T`` is the table block; ``repro_T[0]`` holds
 the scalar sizes, ``repro_T[k]`` the k-th registered inspection set):
@@ -73,21 +78,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.compiler.ast import (
-    Assign,
-    Block,
-    Call,
-    Comment,
-    ForRange,
     IncompleteFactorLoop,
     KernelFunction,
     PrunedColumnSolveLoop,
     SimplicialCholeskyLoop,
     Stmt,
     SupernodalCholeskyLoop,
-    SupernodeTriangularBlock,
-    Var,
 )
 from repro.compiler.cache import build_file_once
+from repro.compiler.codegen import tables
 from repro.compiler.codegen.runtime import generated_code_dir, pattern_fingerprint
 from repro.compiler.registration import register_unique
 from repro.observe.events import emit as emit_event
@@ -129,8 +128,8 @@ class DiskCacheStats:
 
     ``compiles`` counts actual C compiler invocations; ``reuses`` counts
     loads of a pre-existing ``.so`` for the same source fingerprint.
-    ``py_writes``/``py_reuses`` are the python backend's analogues: persisted
-    generated-Python modules written versus loaded back from disk (see
+    ``py_writes`` counts the kernel texts the python backend wrote into the
+    cache directory (one per text, see
     :mod:`repro.compiler.codegen.python_backend`).  A warm-cache CI run
     asserts ``compiles == 0`` and ``py_writes == 0`` through these counters —
     the compile-amortization story made checkable instead of assumed.
@@ -144,11 +143,13 @@ class DiskCacheStats:
     compiles: int = 0
     reuses: int = 0
     py_writes: int = 0
-    py_reuses: int = 0
     #: Compiles avoided by waiting on another *process's* in-flight build of
     #: the same ``.so`` (cross-process single-flight via ``build_file_once``
     #: lockfiles); such waits also count as ``reuses``.
     lock_waits: int = 0
+    #: Not a counter: the python backend reads nothing back.  The frozen benchmarks/e2e still
+    #: adds this name to its disk hits (e2elib/phases.py); it goes when that read does.
+    py_reuses = 0
 
     def __post_init__(self) -> None:
         # Backends increment these counters from service worker threads; a
@@ -167,7 +168,6 @@ class DiskCacheStats:
             self.compiles = 0
             self.reuses = 0
             self.py_writes = 0
-            self.py_reuses = 0
             self.lock_waits = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -177,7 +177,6 @@ class DiskCacheStats:
                 "compiles": self.compiles,
                 "reuses": self.reuses,
                 "py_writes": self.py_writes,
-                "py_reuses": self.py_reuses,
                 "lock_waits": self.lock_waits,
             }
 
@@ -208,9 +207,8 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + rename).
 
     Parallel workers compiling the same pattern therefore never observe a
-    half-written source file in the shared on-disk cache.  Shared with the
-    python backend's persisted-source cache, which follows the same
-    protocol.
+    half-written source file in the shared on-disk cache.  The python
+    backend writes its kernel texts the same way.
     """
     tmp = tmp_path_for(path)
     try:
@@ -889,9 +887,6 @@ class CBackend:
         out.emit("}")
         source = out.source()
         codegen_seconds = time.perf_counter() - start
-        for name, value in self._constants.items():
-            if name not in kernel.constants:
-                kernel.constants[name] = value
         # Output-buffer lengths of the ctypes wrapper (CMethodSpec.outputs).
         meta = {attr: int(getattr(context.inspection, attr)) for _, attr in method_spec.outputs}
         if self._parallel_mode == "wavefront":
@@ -916,8 +911,7 @@ class CBackend:
     # ------------------------------------------------------------------ #
     def _add_constant(self, name: str, value: np.ndarray) -> str:
         """Register an inspection set as a run-time table; returns its C name."""
-        cname = f"_C_{name}"
-        value = np.ascontiguousarray(value, dtype=np.int64)
+        cname, value = tables.entry(name, value)
         # A serial body emitted behind the wavefront dispatch registers the
         # same sets a second time.
         if not np.array_equal(self._constants.setdefault(cname, value), value):
@@ -929,30 +923,35 @@ class CBackend:
         if self._dims.setdefault(name, int(value)) != int(value):
             raise CCompilationError(f"size {name!r} registered with two values")
 
+    def _bind(self, contract: tables.Contract) -> None:
+        """Register what a body names: one result of the table contract, in its order."""
+        dims, sets = contract
+        for name, value in dims.items():
+            self._dim(name, value)
+        for name, value in sets.items():
+            self._add_constant(name, value)
+
     @staticmethod
     def _domain_nodes(kernel: KernelFunction, node_type) -> List[Stmt]:
         from repro.compiler.ast import walk
 
         return [node for node in walk(kernel.body) if isinstance(node, node_type)]
 
-    def _emit_work_buffers(self, out: _CEmitter, stmt=None) -> None:
+    @staticmethod
+    def _emit_work_buffers(out: _CEmitter, supernodal: bool = False) -> None:
         """Bind the calling thread's work buffers in a status-returning body.
 
-        Every factorization over a dense work vector needs ``repro_f[n]``; a
-        :class:`SupernodalCholeskyLoop` ``stmt`` also needs the row map and
-        the panel/multiplier buffers of its largest supernode.
+        Every factorization over a dense work vector needs ``repro_f[n]``; the
+        supernodal loop also needs the row map and the panel/multiplier
+        buffers of its largest supernode (sizes of its contract).
         """
-        if stmt is None:
-            out.emit("repro_ws_t* const ws = repro_ws_reserve(n, 0, 0, 0);")
-        else:
-            widths = stmt.sup_end - stmt.sup_start
-            rows = stmt.l_indptr[stmt.sup_start + 1] - stmt.l_indptr[stmt.sup_start]
-            self._dim("sn_max_panel", (rows * widths).max(initial=0))
-            self._dim("sn_max_width", widths.max(initial=0))
+        if supernodal:
             out.emit("repro_ws_t* const ws = repro_ws_reserve(n, n, sn_max_panel, sn_max_width);")
+        else:
+            out.emit("repro_ws_t* const ws = repro_ws_reserve(n, 0, 0, 0);")
         out.emit("if (!ws) return -1;")
         out.emit("double* const repro_f = ws->f;")
-        if stmt is not None:
+        if supernodal:
             out.emit("int64_t* const repro_rowmap = ws->rowmap;")
             out.emit("double* const repro_panel = ws->panel;")
             out.emit("double* const repro_mult = ws->mult;")
@@ -962,12 +961,13 @@ class CBackend:
     # ------------------------------------------------------------------ #
     def _emit_trisolve_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
         """Emit the serial triangular solve: ``x = b``, then one walk of the segments."""
-        items = self._trisolve_items(kernel.body)
+        items = tables.trisolve_items(kernel.body)
+        self._bind(tables.trisolve_segments(items))
         out.emit("for (int64_t i = 0; i < n; i++) x[i] = b[i];")
-        if isinstance(items, list):
+        if items is not None:
             options = context.options
             unroll_max = options.unroll_max_width if options.enable_low_level else 0
-            self._emit_segment_loop(kernel.name, items, unroll_max)
+            self._emit_segment_loop(kernel.name, unroll_max)
             out.emit(f"{kernel.name}_segments(Lp, Li, Lx, x, repro_T);")
         else:
             out.emit("for (int64_t j = 0; j < n; j++) {")
@@ -977,64 +977,14 @@ class CBackend:
             out.emit("}")
 
     @staticmethod
-    def _trisolve_items(body: Block):
-        """The lowered trisolve in execution order.
-
-        Either the flat list of column runs and supernode blocks the
-        inspector-guided passes left, or — untransformed — the loop over
-        every column itself.  IR comments are dropped (they quote pattern
-        statistics, which must not reach the source).
-        """
-        segments: List[Stmt] = []
-        column_loops: List[ForRange] = []
-
-        def walk_block(block: Block) -> None:
-            for stmt in block.statements:
-                if isinstance(stmt, Comment):
-                    continue
-                if isinstance(stmt, Block):
-                    walk_block(stmt)
-                elif isinstance(stmt, Assign):
-                    # The only generic assignment in the lowered trisolve is
-                    # the initial copy of b into x, emitted by the caller.
-                    if not (
-                        isinstance(stmt.target, Var)
-                        and stmt.target.name == "x"
-                        and isinstance(stmt.value, Call)
-                    ):
-                        raise CCompilationError("unexpected generic assignment in C trisolve")
-                elif isinstance(stmt, ForRange):
-                    if stmt.annotations.get("role") != "column-loop":
-                        raise CCompilationError("unexpected generic loop in C trisolve")
-                    column_loops.append(stmt)
-                elif isinstance(stmt, (PrunedColumnSolveLoop, SupernodeTriangularBlock)):
-                    segments.append(stmt)
-                else:
-                    raise CCompilationError(f"C backend cannot emit {type(stmt).__name__}")
-
-        walk_block(body)
-        if not column_loops:
-            return segments
-        if segments or len(column_loops) > 1:
-            raise CCompilationError("the untransformed column loop is not alone in the C trisolve")
-        return column_loops[0]
-
-    @staticmethod
     def _emit_column_solve(out: _CEmitter) -> None:
         out.emit("int64_t p0 = Lp[j], p1 = Lp[j + 1];")
         out.emit("double xj = x[j] / Lx[p0];")
         out.emit("x[j] = xj;")
         out.emit("for (int64_t p = p0 + 1; p < p1; p++) x[Li[p]] -= Lx[p] * xj;")
 
-    def _emit_segment_loop(self, entry: str, segments: List[Stmt], unroll_max: int) -> None:
-        """Emit ``{entry}_segments`` and register the tables it walks.
-
-        Segment ``s`` of ``n_seg`` is the five entries ``seg[5 s ..]`` =
-        ``{w, a, b, off_lo, cs}``.  ``w == 0``: a pruned column loop over
-        ``run_cols[a .. b)``.  ``w > 0``: a supernode of ``w`` columns
-        starting at column ``a``, with ``b`` rows below its diagonal block
-        whose indices are ``Li[off_lo ..]`` and column ``k``'s diagonal entry
-        at ``Lx[blk_cs[cs + k]]``.
+    def _emit_segment_loop(self, entry: str, unroll_max: int) -> None:
+        """Emit ``{entry}_segments``, the walk of :func:`tables.trisolve_segments`.
 
         Supernode widths up to ``unroll_max`` (``unroll_max_width`` when the
         low-level passes are enabled, else 0) get one unrolled ``switch`` case
@@ -1043,24 +993,6 @@ class CBackend:
         supernode or by pattern.  The floating-point operations and their
         order are those of the column-by-column solve either way.
         """
-        rows: List[Tuple[int, ...]] = []
-        run_cols: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        blk_cs: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        n_run = n_cs = 0
-        for stmt in segments:
-            if isinstance(stmt, PrunedColumnSolveLoop):
-                rows.append((0, n_run, n_run + stmt.columns.size, 0, 0))
-                run_cols.append(stmt.columns)
-                n_run += stmt.columns.size
-            else:
-                rows.append((stmt.width, stmt.c0, stmt.n_offdiag_rows, stmt.rows_start + stmt.width, n_cs))
-                blk_cs.append(stmt.col_starts)
-                n_cs += stmt.width
-        self._dim("n_seg", len(rows))
-        seg = self._add_constant("seg", np.asarray(rows, dtype=np.int64).ravel())
-        cols = self._add_constant("run_cols", np.concatenate(run_cols))
-        starts = self._add_constant("blk_cs", np.concatenate(blk_cs))
-
         p = _CEmitter()
         p.emit(
             f"static void {entry}_segments(const int64_t* Lp, const int64_t* Li, "
@@ -1070,14 +1002,14 @@ class CBackend:
         p.emit("REPRO_BIND_TABLES")
         p.emit("for (int64_t s = 0; s < n_seg; s++) {")
         p.push()
-        p.emit(f"const int64_t* d = {seg} + 5 * s;")
+        p.emit("const int64_t* d = _C_seg + 5 * s;")
         p.emit("const int64_t w = d[0];")
         p.emit("if (w == 0) {")
         p.push()
         p.emit("/* pruned column loop over run_cols[d[1] .. d[2]) */")
         p.emit("for (int64_t t = d[1]; t < d[2]; t++) {")
         p.push()
-        p.emit(f"int64_t j = {cols}[t];")
+        p.emit("int64_t j = _C_run_cols[t];")
         self._emit_column_solve(p)
         p.pop()
         p.emit("}")
@@ -1086,7 +1018,7 @@ class CBackend:
         p.emit("}")
         p.emit("/* supernode block: dense solve of the w x w diagonal block, then the panel update */")
         p.emit("const int64_t c0 = d[1], n_off = d[2], off_lo = d[3];")
-        p.emit(f"const int64_t* cs = {starts} + d[4];")
+        p.emit("const int64_t* cs = _C_blk_cs + d[4];")
         if unroll_max:
             p.emit("switch (w) {")
         for w in range(1, unroll_max + 1):
@@ -1182,251 +1114,183 @@ class CBackend:
         out.emit("(void)Ap; (void)Ai;  /* the A pattern arrives through the inspection tables */")
         self._emit_incomplete_ilu0_c(out, self._incomplete_loop(kernel, "ilu0"))
 
-    def _incomplete_ic0_names(self, stmt: IncompleteFactorLoop) -> Dict[str, str]:
-        self._dim("nnz_l", stmt.l_indptr[-1])
-        return {
-            "lp": self._add_constant("l_indptr", stmt.l_indptr),
-            "alp": self._add_constant("a_lower_pos", stmt.a_lower_pos),
-            "pp": self._add_constant("prune_ptr", stmt.prune_ptr),
-            "mp": self._add_constant("mult_pos", stmt.mult_pos),
-            "lsp": self._add_constant("l_scat_ptr", stmt.l_scat_ptr),
-            "lss": self._add_constant("l_scat_src", stmt.l_scat_src),
-            "lsd": self._add_constant("l_scat_dst", stmt.l_scat_dst),
-        }
-
-    def _emit_ic0_column(self, out: _CEmitter, c: Dict[str, str]) -> None:
+    @staticmethod
+    def _emit_ic0_column(out: _CEmitter) -> None:
         # The body of one elimination step j.  Writes land only in column j
         # of Lx (the scatter destinations are column-j positions), which is
         # what lets the wavefront variant run a whole level of steps at once.
-        out.emit(f"for (int64_t t = {c['pp']}[j]; t < {c['pp']}[j + 1]; t++) {{")
+        out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
         out.push()
-        out.emit(f"double ljk = Lx[{c['mp']}[t]];")
+        out.emit("double ljk = Lx[_C_mult_pos[t]];")
         out.emit(
-            f"for (int64_t s = {c['lsp']}[t]; s < {c['lsp']}[t + 1]; s++) "
-            f"Lx[{c['lsd']}[s]] -= Lx[{c['lss']}[s]] * ljk;"
+            "for (int64_t s = _C_l_scat_ptr[t]; s < _C_l_scat_ptr[t + 1]; s++) "
+            "Lx[_C_l_scat_dst[s]] -= Lx[_C_l_scat_src[s]] * ljk;"
         )
         out.pop()
         out.emit("}")
-        out.emit(f"int64_t lp0 = {c['lp']}[j], lp1 = {c['lp']}[j + 1];")
+        out.emit("int64_t lp0 = _C_l_indptr[j], lp1 = _C_l_indptr[j + 1];")
         out.emit("double d = Lx[lp0];")
         out.emit("if (!(d > 0.0)) return j + 1;")
         out.emit("double ljj = sqrt(d);")
         out.emit("Lx[lp0] = ljj;")
         out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] /= ljj;")
 
+    @staticmethod
+    def _emit_ic0_preamble(out: _CEmitter) -> None:
+        out.emit("for (int64_t i = 0; i < nnz_l; i++) Lx[i] = Ax[_C_a_lower_pos[i]];")
+
     def _emit_incomplete_ic0_c(self, out: _CEmitter, stmt: IncompleteFactorLoop) -> None:
-        c = self._incomplete_ic0_names(stmt)
+        self._bind(tables.incomplete_ic0(stmt))
         out.emit("/* IC(0): in-place no-fill elimination on the tril(A) pattern */")
-        out.emit(f"for (int64_t i = 0; i < nnz_l; i++) Lx[i] = Ax[{c['alp']}[i]];")
+        self._emit_ic0_preamble(out)
         out.emit("for (int64_t j = 0; j < n; j++) {")
         out.push()
-        self._emit_ic0_column(out, c)
+        self._emit_ic0_column(out)
         out.pop()
         out.emit("}")
         out.emit("return 0;")
 
-    def _incomplete_ilu0_names(self, stmt: IncompleteFactorLoop) -> Dict[str, str]:
-        self._dim("nnz_l", stmt.l_indptr[-1])
-        self._dim("nnz_u", stmt.u_indptr[-1])
-        self._dim("n_below", stmt.a_lower_pos.size)
-        return {
-            "lp": self._add_constant("l_indptr", stmt.l_indptr),
-            "up": self._add_constant("u_indptr", stmt.u_indptr),
-            "alp": self._add_constant("a_lower_pos", stmt.a_lower_pos),
-            "aup": self._add_constant("a_upper_pos", stmt.a_upper_pos),
-            "lgd": self._add_constant("l_gather_dst", stmt.l_gather_dst),
-            "pp": self._add_constant("prune_ptr", stmt.prune_ptr),
-            "mp": self._add_constant("mult_pos", stmt.mult_pos),
-            "usp": self._add_constant("u_scat_ptr", stmt.u_scat_ptr),
-            "uss": self._add_constant("u_scat_src", stmt.u_scat_src),
-            "usd": self._add_constant("u_scat_dst", stmt.u_scat_dst),
-            "lsp": self._add_constant("l_scat_ptr", stmt.l_scat_ptr),
-            "lss": self._add_constant("l_scat_src", stmt.l_scat_src),
-            "lsd": self._add_constant("l_scat_dst", stmt.l_scat_dst),
-        }
-
-    def _emit_ilu0_column(self, out: _CEmitter, c: Dict[str, str]) -> None:
+    @staticmethod
+    def _emit_ilu0_column(out: _CEmitter) -> None:
         # One elimination step j: all writes land in column j of Ux and Lx,
         # all reads come from columns k < j (strictly earlier wavefronts).
-        out.emit(f"for (int64_t t = {c['pp']}[j]; t < {c['pp']}[j + 1]; t++) {{")
+        out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
         out.push()
-        out.emit(f"double ukj = Ux[{c['mp']}[t]];")
+        out.emit("double ukj = Ux[_C_mult_pos[t]];")
         out.emit(
-            f"for (int64_t s = {c['usp']}[t]; s < {c['usp']}[t + 1]; s++) "
-            f"Ux[{c['usd']}[s]] -= Lx[{c['uss']}[s]] * ukj;"
+            "for (int64_t s = _C_u_scat_ptr[t]; s < _C_u_scat_ptr[t + 1]; s++) "
+            "Ux[_C_u_scat_dst[s]] -= Lx[_C_u_scat_src[s]] * ukj;"
         )
         out.emit(
-            f"for (int64_t s = {c['lsp']}[t]; s < {c['lsp']}[t + 1]; s++) "
-            f"Lx[{c['lsd']}[s]] -= Lx[{c['lss']}[s]] * ukj;"
+            "for (int64_t s = _C_l_scat_ptr[t]; s < _C_l_scat_ptr[t + 1]; s++) "
+            "Lx[_C_l_scat_dst[s]] -= Lx[_C_l_scat_src[s]] * ukj;"
         )
         out.pop()
         out.emit("}")
-        out.emit(f"double piv = Ux[{c['up']}[j + 1] - 1];")
+        out.emit("double piv = Ux[_C_u_indptr[j + 1] - 1];")
         out.emit("if (piv == 0.0) return j + 1;")
-        out.emit(f"int64_t lp0 = {c['lp']}[j], lp1 = {c['lp']}[j + 1];")
+        out.emit("int64_t lp0 = _C_l_indptr[j], lp1 = _C_l_indptr[j + 1];")
         out.emit("Lx[lp0] = 1.0;")
         out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] /= piv;")
 
-    def _emit_ilu0_preamble(self, out: _CEmitter, c: Dict[str, str]) -> None:
-        out.emit(f"for (int64_t i = 0; i < nnz_u; i++) Ux[i] = Ax[{c['aup']}[i]];")
+    @staticmethod
+    def _emit_ilu0_preamble(out: _CEmitter) -> None:
+        out.emit("for (int64_t i = 0; i < nnz_u; i++) Ux[i] = Ax[_C_a_upper_pos[i]];")
         out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
-        out.emit(f"for (int64_t i = 0; i < n_below; i++) Lx[{c['lgd']}[i]] = Ax[{c['alp']}[i]];")
+        out.emit("for (int64_t i = 0; i < n_below; i++) Lx[_C_l_gather_dst[i]] = Ax[_C_a_lower_pos[i]];")
 
     def _emit_incomplete_ilu0_c(self, out: _CEmitter, stmt: IncompleteFactorLoop) -> None:
-        c = self._incomplete_ilu0_names(stmt)
+        self._bind(tables.incomplete_ilu0(stmt))
         out.emit("/* ILU(0): in-place no-fill elimination on the A pattern */")
-        self._emit_ilu0_preamble(out, c)
+        self._emit_ilu0_preamble(out)
         out.emit("for (int64_t j = 0; j < n; j++) {")
         out.push()
-        self._emit_ilu0_column(out, c)
+        self._emit_ilu0_column(out)
         out.pop()
         out.emit("}")
         out.emit("return 0;")
 
-    def _simplicial_lu_names(self, stmt: SimplicialCholeskyLoop) -> Dict[str, str]:
-        self._dim("nnz_l", stmt.l_indptr[-1])
-        self._dim("nnz_u", stmt.u_indptr[-1])
-        return {
-            "lp": self._add_constant("l_indptr", stmt.l_indptr),
-            "li": self._add_constant("l_indices", stmt.l_indices),
-            "up": self._add_constant("u_indptr", stmt.u_indptr),
-            "ui": self._add_constant("u_indices", stmt.u_indices),
-            "ad": self._add_constant("a_col_start", stmt.a_diag_pos),
-            "ae": self._add_constant("a_col_end", stmt.a_col_end),
-            "pp": self._add_constant("prune_ptr", stmt.prune_ptr),
-            "upos": self._add_constant("update_pos", stmt.update_pos),
-            "uend": self._add_constant("update_end", stmt.update_end),
-            "ucol": self._add_constant("update_col", stmt.update_col),
-        }
-
-    def _emit_simplicial_lu_column(self, out: _CEmitter, c: Dict[str, str]) -> None:
+    @staticmethod
+    def _emit_simplicial_lu_column(out: _CEmitter) -> None:
         # One left-looking LU step: scatter A(:, j) into the thread-local
         # work vector, apply the update columns, store column j of U and L,
         # restore the work vector to zero.  Writes outside the work vector
         # land only in columns j of Lx/Ux.
-        out.emit(f"for (int64_t p = {c['ad']}[j]; p < {c['ae']}[j]; p++) repro_f[Ai[p]] = Ax[p];")
-        out.emit(f"for (int64_t t = {c['pp']}[j]; t < {c['pp']}[j + 1]; t++) {{")
+        out.emit("for (int64_t p = _C_a_col_start[j]; p < _C_a_col_end[j]; p++) repro_f[Ai[p]] = Ax[p];")
+        out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
         out.push()
-        out.emit(f"int64_t ps = {c['upos']}[t], pe = {c['uend']}[t];")
-        out.emit(f"double ukj = repro_f[{c['ucol']}[t]];")
-        out.emit(f"for (int64_t p = ps; p < pe; p++) repro_f[{c['li']}[p]] -= Lx[p] * ukj;")
+        out.emit("int64_t ps = _C_update_pos[t], pe = _C_update_end[t];")
+        out.emit("double ukj = repro_f[_C_update_col[t]];")
+        out.emit("for (int64_t p = ps; p < pe; p++) repro_f[_C_l_indices[p]] -= Lx[p] * ukj;")
         out.pop()
         out.emit("}")
-        out.emit(f"int64_t u0 = {c['up']}[j], u1 = {c['up']}[j + 1];")
-        out.emit(f"for (int64_t p = u0; p < u1; p++) Ux[p] = repro_f[{c['ui']}[p]];")
+        out.emit("int64_t u0 = _C_u_indptr[j], u1 = _C_u_indptr[j + 1];")
+        out.emit("for (int64_t p = u0; p < u1; p++) Ux[p] = repro_f[_C_u_indices[p]];")
         out.emit("double piv = repro_f[j];")
         out.emit("if (piv == 0.0) return j + 1;")
-        out.emit(f"int64_t lp0 = {c['lp']}[j], lp1 = {c['lp']}[j + 1];")
+        out.emit("int64_t lp0 = _C_l_indptr[j], lp1 = _C_l_indptr[j + 1];")
         out.emit("Lx[lp0] = 1.0;")
-        out.emit(f"for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[{c['li']}[p]] / piv;")
-        out.emit(f"for (int64_t p = u0; p < u1; p++) repro_f[{c['ui']}[p]] = 0.0;")
-        out.emit(f"for (int64_t p = lp0; p < lp1; p++) repro_f[{c['li']}[p]] = 0.0;")
+        out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / piv;")
+        out.emit("for (int64_t p = u0; p < u1; p++) repro_f[_C_u_indices[p]] = 0.0;")
+        out.emit("for (int64_t p = lp0; p < lp1; p++) repro_f[_C_l_indices[p]] = 0.0;")
 
     def _emit_simplicial_lu_c(self, out: _CEmitter, stmt: SimplicialCholeskyLoop) -> None:
-        c = self._simplicial_lu_names(stmt)
+        self._bind(tables.simplicial_lu(stmt))
         self._emit_work_buffers(out)
         out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
         out.emit("memset(Ux, 0, nnz_u * sizeof(double));")
         out.emit("memset(repro_f, 0, n * sizeof(double));")
         out.emit("for (int64_t j = 0; j < n; j++) {")
         out.push()
-        self._emit_simplicial_lu_column(out, c)
+        self._emit_simplicial_lu_column(out)
         out.pop()
         out.emit("}")
         out.emit("return 0;")
 
-    def _simplicial_chol_names(self, stmt: SimplicialCholeskyLoop) -> Dict[str, str]:
-        ldlt = stmt.factor_kind == "ldlt"
-        self._dim("nnz_l", stmt.l_indptr[-1])
-        return {
-            "lp": self._add_constant("l_indptr", stmt.l_indptr),
-            "li": self._add_constant("l_indices", stmt.l_indices),
-            "ad": self._add_constant("a_diag_pos", stmt.a_diag_pos),
-            "ae": self._add_constant("a_col_end", stmt.a_col_end),
-            "pp": self._add_constant("prune_ptr", stmt.prune_ptr),
-            "up": self._add_constant("update_pos", stmt.update_pos),
-            "ue": self._add_constant("update_end", stmt.update_end),
-            "uc": self._add_constant("update_col", stmt.update_col) if ldlt else None,
-        }
-
-    def _emit_simplicial_chol_column(
-        self, out: _CEmitter, stmt: SimplicialCholeskyLoop, c: Dict[str, str]
-    ) -> None:
+    def _emit_simplicial_chol_column(self, out: _CEmitter, stmt: SimplicialCholeskyLoop) -> None:
         # One left-looking Cholesky/LDL^T step over the thread-local work
         # vector; the only shared-array writes are column j of Lx (and D[j]).
         ldlt = stmt.factor_kind == "ldlt"
-        out.emit(f"for (int64_t p = {c['ad']}[j]; p < {c['ae']}[j]; p++) repro_f[Ai[p]] = Ax[p];")
-        out.emit(f"for (int64_t t = {c['pp']}[j]; t < {c['pp']}[j + 1]; t++) {{")
+        out.emit("for (int64_t p = _C_a_diag_pos[j]; p < _C_a_col_end[j]; p++) repro_f[Ai[p]] = Ax[p];")
+        out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
         out.push()
-        out.emit(f"int64_t ps = {c['up']}[t], pe = {c['ue']}[t];")
+        out.emit("int64_t ps = _C_update_pos[t], pe = _C_update_end[t];")
         if ldlt:
-            out.emit(f"double ljk = Lx[ps] * D[{c['uc']}[t]];")
+            out.emit("double ljk = Lx[ps] * D[_C_update_col[t]];")
         else:
             out.emit("double ljk = Lx[ps];")
-        out.emit(f"for (int64_t p = ps; p < pe; p++) repro_f[{c['li']}[p]] -= Lx[p] * ljk;")
+        out.emit("for (int64_t p = ps; p < pe; p++) repro_f[_C_l_indices[p]] -= Lx[p] * ljk;")
         out.pop()
         out.emit("}")
-        out.emit(f"int64_t lp0 = {c['lp']}[j], lp1 = {c['lp']}[j + 1];")
+        out.emit("int64_t lp0 = _C_l_indptr[j], lp1 = _C_l_indptr[j + 1];")
         out.emit("double d = repro_f[j];")
         if ldlt:
             out.emit("if (d == 0.0) return j + 1;")
             out.emit("D[j] = d;")
             out.emit("Lx[lp0] = 1.0;")
-            out.emit(f"for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[{c['li']}[p]] / d;")
+            out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / d;")
         else:
             out.emit("if (!(d > 0.0)) return j + 1;")
             out.emit("double ljj = sqrt(d);")
             out.emit("Lx[lp0] = ljj;")
-            out.emit(f"for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[{c['li']}[p]] / ljj;")
-        out.emit(f"for (int64_t p = lp0; p < lp1; p++) repro_f[{c['li']}[p]] = 0.0;")
+            out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / ljj;")
+        out.emit("for (int64_t p = lp0; p < lp1; p++) repro_f[_C_l_indices[p]] = 0.0;")
 
     def _emit_simplicial_cholesky_c(self, out: _CEmitter, stmt: SimplicialCholeskyLoop) -> None:
-        c = self._simplicial_chol_names(stmt)
+        self._bind(tables.simplicial_cholesky(stmt))
         self._emit_work_buffers(out)
         out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
         out.emit("memset(repro_f, 0, n * sizeof(double));")
         out.emit("for (int64_t j = 0; j < n; j++) {")
         out.push()
-        self._emit_simplicial_chol_column(out, stmt, c)
+        self._emit_simplicial_chol_column(out, stmt)
         out.pop()
         out.emit("}")
         out.emit("return 0;")
 
     def _emit_supernodal_cholesky_c(self, out: _CEmitter, stmt: SupernodalCholeskyLoop) -> None:
         ldlt = stmt.factor_kind == "ldlt"
-        lp = self._add_constant("l_indptr", stmt.l_indptr)
-        li = self._add_constant("l_indices", stmt.l_indices)
-        ad = self._add_constant("a_diag_pos", stmt.a_diag_pos)
-        ae = self._add_constant("a_col_end", stmt.a_col_end)
-        ss = self._add_constant("sup_start", stmt.sup_start)
-        se = self._add_constant("sup_end", stmt.sup_end)
-        dp = self._add_constant("desc_ptr", stmt.desc_ptr)
-        dpos = self._add_constant("desc_pos", stmt.desc_pos)
-        dme = self._add_constant("desc_mult_end", stmt.desc_mult_end)
-        dend = self._add_constant("desc_end", stmt.desc_end)
-        dc = self._add_constant("desc_col", stmt.desc_col) if ldlt else None
-        self._dim("nnz_l", stmt.l_indptr[-1])
-        self._dim("n_super", stmt.n_supernodes)
-        self._emit_work_buffers(out, stmt)
+        self._bind(tables.supernodal_cholesky(stmt))
+        self._emit_work_buffers(out, supernodal=True)
         out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
         out.emit("memset(repro_f, 0, n * sizeof(double));")
         out.emit("for (int64_t s = 0; s < n_super; s++) {")
         out.push()
-        out.emit(f"int64_t c0 = {ss}[s], c1 = {se}[s];")
+        out.emit("int64_t c0 = _C_sup_start[s], c1 = _C_sup_end[s];")
         out.emit("int64_t w = c1 - c0;")
         if stmt.distribute_single_columns:
             out.emit("if (w == 1) {")
             out.push()
-            out.emit(f"int64_t lp0 = {lp}[c0], lp1 = {lp}[c0 + 1];")
-            out.emit(f"for (int64_t p = {ad}[c0]; p < {ae}[c0]; p++) repro_f[Ai[p]] = Ax[p];")
-            out.emit(f"for (int64_t t = {dp}[s]; t < {dp}[s + 1]; t++) {{")
+            out.emit("int64_t lp0 = _C_l_indptr[c0], lp1 = _C_l_indptr[c0 + 1];")
+            out.emit("for (int64_t p = _C_a_diag_pos[c0]; p < _C_a_col_end[c0]; p++) repro_f[Ai[p]] = Ax[p];")
+            out.emit("for (int64_t t = _C_desc_ptr[s]; t < _C_desc_ptr[s + 1]; t++) {")
             out.push()
-            out.emit(f"int64_t ps = {dpos}[t], pe = {dend}[t];")
+            out.emit("int64_t ps = _C_desc_pos[t], pe = _C_desc_end[t];")
             if ldlt:
-                out.emit(f"double ljk = Lx[ps] * D[{dc}[t]];")
+                out.emit("double ljk = Lx[ps] * D[_C_desc_col[t]];")
             else:
                 out.emit("double ljk = Lx[ps];")
-            out.emit(f"for (int64_t p = ps; p < pe; p++) repro_f[{li}[p]] -= Lx[p] * ljk;")
+            out.emit("for (int64_t p = ps; p < pe; p++) repro_f[_C_l_indices[p]] -= Lx[p] * ljk;")
             out.pop()
             out.emit("}")
             out.emit("double d = repro_f[c0];")
@@ -1434,41 +1298,41 @@ class CBackend:
                 out.emit("if (d == 0.0) return c0 + 1;")
                 out.emit("D[c0] = d;")
                 out.emit("Lx[lp0] = 1.0;")
-                out.emit(f"for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[{li}[p]] / d;")
+                out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / d;")
             else:
                 out.emit("if (!(d > 0.0)) return c0 + 1;")
                 out.emit("double ljj = sqrt(d);")
                 out.emit("Lx[lp0] = ljj;")
-                out.emit(f"for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[{li}[p]] / ljj;")
-            out.emit(f"for (int64_t p = lp0; p < lp1; p++) repro_f[{li}[p]] = 0.0;")
+                out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / ljj;")
+            out.emit("for (int64_t p = lp0; p < lp1; p++) repro_f[_C_l_indices[p]] = 0.0;")
             out.emit("continue;")
             out.pop()
             out.emit("}")
-        out.emit(f"int64_t r0 = {lp}[c0], r1 = {lp}[c0 + 1];")
+        out.emit("int64_t r0 = _C_l_indptr[c0], r1 = _C_l_indptr[c0 + 1];")
         out.emit("int64_t nr = r1 - r0;")
-        out.emit(f"for (int64_t i = 0; i < nr; i++) repro_rowmap[{li}[r0 + i]] = i;")
+        out.emit("for (int64_t i = 0; i < nr; i++) repro_rowmap[_C_l_indices[r0 + i]] = i;")
         out.emit("for (int64_t i = 0; i < nr * w; i++) repro_panel[i] = 0.0;")
         out.emit("for (int64_t jj = 0; jj < w; jj++) {")
         out.push()
         out.emit("int64_t c = c0 + jj;")
         out.emit(
-            f"for (int64_t p = {ad}[c]; p < {ae}[c]; p++) "
+            "for (int64_t p = _C_a_diag_pos[c]; p < _C_a_col_end[c]; p++) "
             "repro_panel[repro_rowmap[Ai[p]] * w + jj] = Ax[p];"
         )
         out.pop()
         out.emit("}")
-        out.emit(f"for (int64_t t = {dp}[s]; t < {dp}[s + 1]; t++) {{")
+        out.emit("for (int64_t t = _C_desc_ptr[s]; t < _C_desc_ptr[s + 1]; t++) {")
         out.push()
-        out.emit(f"int64_t ps = {dpos}[t], pm = {dme}[t], pe = {dend}[t];")
+        out.emit("int64_t ps = _C_desc_pos[t], pm = _C_desc_mult_end[t], pe = _C_desc_end[t];")
         out.emit("for (int64_t i = 0; i < w; i++) repro_mult[i] = 0.0;")
         if ldlt:
-            out.emit(f"double dk = D[{dc}[t]];")
-            out.emit(f"for (int64_t p = ps; p < pm; p++) repro_mult[{li}[p] - c0] = Lx[p] * dk;")
+            out.emit("double dk = D[_C_desc_col[t]];")
+            out.emit("for (int64_t p = ps; p < pm; p++) repro_mult[_C_l_indices[p] - c0] = Lx[p] * dk;")
         else:
-            out.emit(f"for (int64_t p = ps; p < pm; p++) repro_mult[{li}[p] - c0] = Lx[p];")
+            out.emit("for (int64_t p = ps; p < pm; p++) repro_mult[_C_l_indices[p] - c0] = Lx[p];")
         out.emit("for (int64_t p = ps; p < pe; p++) {")
         out.push()
-        out.emit(f"double* row = repro_panel + repro_rowmap[{li}[p]] * w;")
+        out.emit("double* row = repro_panel + repro_rowmap[_C_l_indices[p]] * w;")
         out.emit("double lv = Lx[p];")
         out.emit("for (int64_t i = 0; i < w; i++) row[i] -= lv * repro_mult[i];")
         out.pop()
@@ -1521,12 +1385,9 @@ class CBackend:
         out.emit("for (int64_t jj = 0; jj < w; jj++) {")
         out.push()
         out.emit("int64_t c = c0 + jj;")
-        out.emit(f"int64_t lp0 = {lp}[c];")
+        out.emit("int64_t lp0 = _C_l_indptr[c];")
         out.emit("for (int64_t i = jj; i < w; i++) Lx[lp0 + (i - jj)] = repro_panel[i * w + jj];")
-        out.emit(
-            "for (int64_t r = 0; r < nr - w; r++) "
-            "Lx[lp0 + (w - jj) + r] = repro_panel[(w + r) * w + jj];"
-        )
+        out.emit("for (int64_t r = 0; r < nr - w; r++) Lx[lp0 + (w - jj) + r] = repro_panel[(w + r) * w + jj];")
         out.pop()
         out.emit("}")
         out.pop()
@@ -1697,8 +1558,8 @@ class CBackend:
         identical, so the order is read off the very segment list the serial
         emitter walks.
         """
-        items = self._trisolve_items(kernel.body)
-        if not isinstance(items, list):  # the untransformed loop over every column
+        items = tables.trisolve_items(kernel.body)
+        if items is None:  # the untransformed loop over every column
             return list(range(n))
         cols: List[int] = []
         for stmt in items:
@@ -1803,12 +1664,10 @@ class CBackend:
     def _emit_wf_factorization_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
         out.emit("(void)Ap;  /* the A pattern arrives through the inspection tables */")
         stmt = self._left_looking_loop(kernel)
-        if self._wf_serial_fallback(
-            out, context, supernodal=isinstance(stmt, SupernodalCholeskyLoop)
-        ):
+        if self._wf_serial_fallback(out, context, supernodal=isinstance(stmt, SupernodalCholeskyLoop)):
             self._emit_left_looking_c(out, stmt)
             return
-        names = self._simplicial_chol_names(stmt)
+        self._bind(tables.simplicial_cholesky(stmt))
         params = [("const int64_t*", "Ai"), ("const double*", "Ax"), ("double*", "Lx")]
         if stmt.factor_kind == "ldlt":
             params.append(("double*", "D"))
@@ -1818,7 +1677,7 @@ class CBackend:
             kernel,
             context,
             params=params,
-            emit_column=lambda p: self._emit_simplicial_chol_column(p, stmt, names),
+            emit_column=lambda p: self._emit_simplicial_chol_column(p, stmt),
             emit_parallel_preamble=lambda p: p.emit("memset(Lx, 0, nnz_l * sizeof(double));"),
             emit_serial=lambda p: self._emit_simplicial_cholesky_c(p, stmt),
             returns_status=True,
@@ -1831,7 +1690,7 @@ class CBackend:
         if self._wf_serial_fallback(out, context):
             self._emit_simplicial_lu_c(out, stmt)
             return
-        names = self._simplicial_lu_names(stmt)
+        self._bind(tables.simplicial_lu(stmt))
 
         def emit_parallel_preamble(p: _CEmitter) -> None:
             p.emit("memset(Lx, 0, nnz_l * sizeof(double));")
@@ -1847,7 +1706,7 @@ class CBackend:
                 ("double*", "Lx"),
                 ("double*", "Ux"),
             ],
-            emit_column=lambda p: self._emit_simplicial_lu_column(p, names),
+            emit_column=self._emit_simplicial_lu_column,
             emit_parallel_preamble=emit_parallel_preamble,
             emit_serial=lambda p: self._emit_simplicial_lu_c(p, stmt),
             returns_status=True,
@@ -1860,17 +1719,15 @@ class CBackend:
         if self._wf_serial_fallback(out, context):
             self._emit_incomplete_ic0_c(out, stmt)
             return
-        names = self._incomplete_ic0_names(stmt)
+        self._bind(tables.incomplete_ic0(stmt))
 
         self._emit_wavefront_scaffold(
             out,
             kernel,
             context,
             params=[("double*", "Lx")],
-            emit_column=lambda p: self._emit_ic0_column(p, names),
-            emit_parallel_preamble=lambda p: p.emit(
-                f"for (int64_t i = 0; i < nnz_l; i++) Lx[i] = Ax[{names['alp']}[i]];"
-            ),
+            emit_column=self._emit_ic0_column,
+            emit_parallel_preamble=self._emit_ic0_preamble,
             emit_serial=lambda p: self._emit_incomplete_ic0_c(p, stmt),
             returns_status=True,
             uses_work_vector=False,
@@ -1882,15 +1739,15 @@ class CBackend:
         if self._wf_serial_fallback(out, context):
             self._emit_incomplete_ilu0_c(out, stmt)
             return
-        names = self._incomplete_ilu0_names(stmt)
+        self._bind(tables.incomplete_ilu0(stmt))
 
         self._emit_wavefront_scaffold(
             out,
             kernel,
             context,
             params=[("double*", "Lx"), ("double*", "Ux")],
-            emit_column=lambda p: self._emit_ilu0_column(p, names),
-            emit_parallel_preamble=lambda p: self._emit_ilu0_preamble(p, names),
+            emit_column=self._emit_ilu0_column,
+            emit_parallel_preamble=self._emit_ilu0_preamble,
             emit_serial=lambda p: self._emit_incomplete_ilu0_c(p, stmt),
             returns_status=True,
             uses_work_vector=False,

@@ -1,49 +1,18 @@
-"""Runtime support for generated Python code.
-
-The Python backend emits source that refers to a tiny runtime namespace named
-``_rt`` providing the dense micro-kernels (the analogue of linking generated C
-against BLAS or against Sympiler's own specialized kernels).  The namespace is
-deliberately minimal and read-only so that generated code stays auditable:
-everything else the generated code touches is either a NumPy primitive or an
-embedded constant.
-"""
+"""What both backends share at run time: fingerprints and the cache directory."""
 
 from __future__ import annotations
 
 import hashlib
 import os
 import tempfile
-import types
 
 import numpy as np
 
-from repro.kernels.dense import (
-    dense_cholesky,
-    dense_ldlt,
-    dense_lower_solve,
-    dense_solve_transposed_right,
-    small_cholesky,
-    small_lower_solve,
-)
-
 __all__ = [
-    "runtime_namespace",
     "pattern_fingerprint",
     "rhs_fingerprint_extra",
     "generated_code_dir",
 ]
-
-
-def runtime_namespace() -> types.SimpleNamespace:
-    """The ``_rt`` namespace injected into generated Python modules."""
-    return types.SimpleNamespace(
-        dense_cholesky=dense_cholesky,
-        dense_ldlt=dense_ldlt,
-        dense_lower_solve=dense_lower_solve,
-        dense_solve_transposed_right=dense_solve_transposed_right,
-        small_cholesky=small_cholesky,
-        small_lower_solve=small_lower_solve,
-    )
 
 
 def pattern_fingerprint(*arrays: np.ndarray, extra: str = "") -> str:

@@ -9,9 +9,6 @@ The options gather every tunable the paper mentions:
   hand-tuned value of 160 on full-scale SuiteSparse matrices; the default
   here is expressed as an average supernode width suited to the down-scaled
   synthetic suite of :mod:`repro.bench.suite`),
-* the BLAS-switch threshold on the average column count (§4.2): below it the
-  generated code uses the hand-specialized small dense kernels, above it the
-  library (NumPy/BLAS) routines,
 * the low-level unrolling threshold,
 * the code-generation backend,
 * the numeric-runtime thread count used by the batched execution engine
@@ -52,9 +49,9 @@ class SympilerOptions:
     Attributes
     ----------
     backend:
-        ``"python"`` (specialized Python/NumPy source, always available) or
-        ``"c"`` (specialized C compiled with the system compiler and loaded
-        via ``ctypes``).
+        ``"python"`` (fixed NumPy reference kernels over the inspection
+        tables, always available) or ``"c"`` (specialized C compiled with the
+        system compiler and loaded via ``ctypes``).
     enable_vi_prune, enable_vs_block, enable_low_level:
         Toggles for the transformation stages; disabling all of them produces
         the un-transformed lowered kernel (useful for ablations).
@@ -71,15 +68,9 @@ class SympilerOptions:
         column loop rather than the dense block path.
     max_supernode_width:
         Optional cap on supernode width (limits panel size).
-    blas_switch_avg_colcount:
-        If the average column count of the factor is at least this value the
-        generated code calls the library (NumPy/BLAS) dense kernels for every
-        block; otherwise blocks up to ``small_kernel_max_width`` use the
-        hand-specialized unrolled kernels.
-    small_kernel_max_width:
-        Largest block order handled by the specialized unrolled kernels.
     unroll_max_width:
-        Supernode diagonal solves up to this width are emitted fully unrolled.
+        Supernode diagonal solves up to this width are emitted fully unrolled
+        (one ``switch`` case per width in the generated C).
     parallel:
         Within-kernel execution mode of the *generated code*.  ``"none"``
         (the default) emits the sequential kernels; ``"wavefront"`` makes
@@ -134,9 +125,6 @@ class SympilerOptions:
     vs_block_min_avg_width: float = 1.2
     vs_block_min_supernode_width: int = 2
     max_supernode_width: Optional[int] = None
-
-    blas_switch_avg_colcount: float = 12.0
-    small_kernel_max_width: int = 3
 
     unroll_max_width: int = 4
 

@@ -31,12 +31,7 @@ from repro.compiler.artifacts import (
     SympiledLDLT,
     SympiledTriangularSolve,
 )
-from repro.compiler.cache import (
-    ArtifactCache,
-    CacheStats,
-    cache_key,
-    options_fingerprint,
-)
+from repro.compiler.cache import ArtifactCache, CacheStats, cache_key
 from repro.compiler.codegen.c_backend import CBackend, c_compiler_available
 from repro.compiler.codegen.python_backend import PythonBackend
 from repro.compiler.options import SympilerOptions
@@ -223,22 +218,11 @@ class Sympiler:
 
         with span("lower", kernel=spec.name):
             kernel_fn = spec.lower()
-        # The same identity that keys the in-memory cache, stringified for
-        # the backends' cross-process on-disk caches.  The lowering callable's
-        # qualified name stands in for the spec object itself, so same-named
-        # kernels from *different* registries (an advertised extension point)
-        # never load each other's persisted code.
-        lower = spec.lower
-        spec_identity = (
-            f"{spec.name}/{getattr(lower, '__module__', '?')}."
-            f"{getattr(lower, '__qualname__', repr(lower))}"
-        )
         context = CompilationContext(
             method=spec.name,
             matrix=matrix,
             inspection=inspection,
             options=options,
-            cache_token=f"{spec_identity}:{fingerprint}:{options_fingerprint(options)}",
             **spec.context_extra(inspection),
         )
         if forced_vi_prune:

@@ -8,18 +8,13 @@ produced by the symbolic inspectors:
 * :mod:`repro.compiler.transforms.vs_block` — 2-D Variable-Sized Blocking
   (§2.3.2),
 * :mod:`repro.compiler.transforms.lowlevel` — the enabled conventional
-  low-level transformations (§2.4): unrolling, loop distribution and
-  small-kernel specialization,
+  low-level transformations (§2.4): unrolling and loop distribution,
 * :mod:`repro.compiler.transforms.pipeline` — assembles the pass sequence
   from :class:`repro.compiler.options.SympilerOptions`.
 """
 
 from repro.compiler.transforms.base import CompilationContext, Transform, TransformPipeline
-from repro.compiler.transforms.lowlevel import (
-    LoopDistributeTransform,
-    SmallKernelTransform,
-    UnrollTransform,
-)
+from repro.compiler.transforms.lowlevel import LoopDistributeTransform, UnrollTransform
 from repro.compiler.transforms.pipeline import build_pipeline
 from repro.compiler.transforms.vi_prune import VIPruneTransform
 from repro.compiler.transforms.vs_block import VSBlockTransform
@@ -32,6 +27,5 @@ __all__ = [
     "VSBlockTransform",
     "UnrollTransform",
     "LoopDistributeTransform",
-    "SmallKernelTransform",
     "build_pipeline",
 ]

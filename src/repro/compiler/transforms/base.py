@@ -45,12 +45,6 @@ class CompilationContext:
         Code-generation options.
     rhs_pattern:
         Nonzero indices of the RHS (triangular solve only).
-    cache_token:
-        The driver's cache identity of this compile — the same
-        ``kernel + pattern fingerprint + options fingerprint`` triple that
-        keys the in-memory artifact cache, rendered as a string.  Backends
-        use it to key their cross-process on-disk caches; ``None`` (e.g. a
-        directly constructed context in tests) disables disk persistence.
     applied:
         Names of the transformations that actually rewrote the kernel, in
         order (reported by the compiled artifact and used in tests/benches).
@@ -64,7 +58,6 @@ class CompilationContext:
     inspection: InspectionResult
     options: SympilerOptions
     rhs_pattern: Optional[np.ndarray] = None
-    cache_token: Optional[str] = None
     applied: List[str] = field(default_factory=list)
     decisions: Dict[str, object] = field(default_factory=dict)
 

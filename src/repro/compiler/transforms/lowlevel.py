@@ -3,15 +3,13 @@
 The inspector-guided transformations annotate the code with hints for
 conventional transformations; these passes consume the hints:
 
-* :class:`UnrollTransform` — unrolling: the diagonal-block solve of supernodes
-  up to ``unroll_max_width`` columns is emitted fully unrolled.
+* :class:`UnrollTransform` — unrolling: records how many supernode blocks of
+  a triangular solve are at most ``unroll_max_width`` columns wide; the C
+  emitter prints one unrolled ``switch`` case per width up to that bound.
 * :class:`LoopDistributeTransform` — loop distribution: width-1 supernodes of
   the supernodal Cholesky loop are split into a separate streamlined loop.
-* :class:`SmallKernelTransform` — the BLAS-switch heuristic of §4.2: when the
-  average column count of the factor is small, the generated code uses the
-  hand-specialized small dense kernels instead of the library (BLAS) calls.
 
-All of these are no-ops when their hint is absent, so they can be run
+Both are no-ops when their hint is absent, so they can be run
 unconditionally after the inspector-guided passes.
 """
 
@@ -24,27 +22,23 @@ from repro.compiler.ast import (
     walk,
 )
 from repro.compiler.transforms.base import CompilationContext, Transform
-from repro.symbolic.inspector import CholeskyInspectionResult
 
 __all__ = [
     "UnrollTransform",
     "LoopDistributeTransform",
-    "SmallKernelTransform",
 ]
 
 
 class UnrollTransform(Transform):
-    """Unroll small diagonal-block solves."""
+    """Record the supernode blocks narrow enough for an unrolled diagonal solve."""
 
     name = "unroll"
 
     def apply(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
-        options = context.options
-        unrolled = 0
-        for node in walk(kernel.body):
-            if isinstance(node, SupernodeTriangularBlock) and node.width <= options.unroll_max_width:
-                node.unroll = True
-                unrolled += 1
+        unrolled = sum(
+            isinstance(node, SupernodeTriangularBlock) and node.width <= context.options.unroll_max_width
+            for node in walk(kernel.body)
+        )
         if unrolled:
             context.record(self.name, unrolled_statements=unrolled)
             kernel.meta["unrolled_statements"] = unrolled
@@ -67,35 +61,4 @@ class LoopDistributeTransform(Transform):
         if changed:
             context.record(self.name, distributed_loops=changed)
             kernel.meta["loop_distribution"] = True
-        return kernel
-
-
-class SmallKernelTransform(Transform):
-    """Switch between specialized small dense kernels and library BLAS calls."""
-
-    name = "small-kernels"
-
-    def apply(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
-        inspection = context.inspection
-        if not isinstance(inspection, CholeskyInspectionResult):
-            return kernel
-        options = context.options
-        avg_colcount = inspection.average_column_count
-        use_small = avg_colcount < options.blas_switch_avg_colcount
-        changed = 0
-        for node in walk(kernel.body):
-            # Unrolled small kernels exist for LL^T diagonal blocks only; the
-            # LDL^T blocks always go through the dense LDL^T micro-kernel.
-            if isinstance(node, SupernodalCholeskyLoop) and node.factor_kind == "llt":
-                node.use_small_kernels = use_small
-                node.small_kernel_max_width = options.small_kernel_max_width
-                changed += 1
-        if changed:
-            context.record(
-                self.name,
-                average_column_count=float(avg_colcount),
-                threshold=float(options.blas_switch_avg_colcount),
-                use_small_kernels=use_small,
-            )
-            kernel.meta["use_small_kernels"] = use_small
         return kernel

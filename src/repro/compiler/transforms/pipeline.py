@@ -7,11 +7,7 @@ from typing import Iterable, List, Optional
 from repro.compiler.options import SympilerOptions
 from repro.compiler.registration import register_unique
 from repro.compiler.transforms.base import Transform, TransformPipeline
-from repro.compiler.transforms.lowlevel import (
-    LoopDistributeTransform,
-    SmallKernelTransform,
-    UnrollTransform,
-)
+from repro.compiler.transforms.lowlevel import LoopDistributeTransform, UnrollTransform
 from repro.compiler.transforms.vi_prune import VIPruneTransform
 from repro.compiler.transforms.vs_block import VSBlockTransform
 
@@ -41,9 +37,9 @@ def build_pipeline(
 
     The inspector-guided passes run first (in the configured order, VS-Block
     before VI-Prune by default, matching §4.2), followed by the low-level
-    passes when enabled: unrolling marks the supernode blocks of a triangular
-    solve; distribution and the small-kernel switch act on the supernodal
-    factorization loop only.
+    passes when enabled: unrolling counts the narrow supernode blocks of a
+    triangular solve; distribution acts on the supernodal factorization loop
+    only.
 
     ``transforms`` optionally restricts the inspector-guided passes to the
     ones a kernel's registry spec declares applicable; ``None`` allows all.
@@ -55,11 +51,5 @@ def build_pipeline(
             continue
         passes.append(_INSPECTOR_GUIDED[name]())
     if options.enable_low_level:
-        passes.extend(
-            [
-                UnrollTransform(),
-                LoopDistributeTransform(),
-                SmallKernelTransform(),
-            ]
-        )
+        passes.extend([UnrollTransform(), LoopDistributeTransform()])
     return TransformPipeline(passes)

@@ -121,7 +121,6 @@ class VIPruneTransform(MethodDispatchTransform):
         pruned = PrunedColumnSolveLoop(
             columns=reach,
             constant_name="prune_set",
-            vectorize=True,
             role="pruned-column-loop",
             source="reach-set",
         )
@@ -250,7 +249,6 @@ class VIPruneTransform(MethodDispatchTransform):
             a_col_end=desc.a_col_end,
             update_col=desc.update_col,
             factor_kind=factor_kind,
-            vectorize=True,
             **kind_kwargs,
         )
         replaced = _replace_statement(kernel.body, loop, [
@@ -351,7 +349,6 @@ class VIPruneTransform(MethodDispatchTransform):
             l_scat_src=desc.l_scat_src,
             l_scat_dst=desc.l_scat_dst,
             factor_kind=factor_kind,
-            vectorize=True,
             **kind_kwargs,
         )
         dropped = int(desc.prune_ptr[-1])

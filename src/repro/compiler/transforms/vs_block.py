@@ -179,7 +179,6 @@ class VSBlockTransform(MethodDispatchTransform):
                     PrunedColumnSolveLoop(
                         columns=np.asarray(pending_run, dtype=np.int64),
                         constant_name=f"column_run_{run_counter}",
-                        vectorize=True,
                         role="column-run",
                     )
                 )
@@ -203,8 +202,6 @@ class VSBlockTransform(MethodDispatchTransform):
                         col_starts=col_starts,
                         rows_start=rows_start,
                         rows_end=rows_end,
-                        unroll=False,
-                        use_blas=False,
                         role="supernode-block",
                     )
                 )
@@ -336,13 +333,9 @@ class VSBlockTransform(MethodDispatchTransform):
             desc_mult_end=desc.desc_mult_end,
             desc_col=desc.desc_col,
             factor_kind=factor_kind,
-            # Low-level refinements (distribution, small-kernel specialization)
-            # are decided by the low-level passes; default to the plain
-            # blocked structure here.
+            # Loop distribution is decided by the low-level pass; default to
+            # the plain blocked structure here.
             distribute_single_columns=False,
-            use_small_kernels=False,
-            small_kernel_max_width=options.small_kernel_max_width,
-            vectorize=True,
             role="supernodal-cholesky",
         )
         target = None

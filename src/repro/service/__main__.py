@@ -10,7 +10,7 @@ an ephemeral port, register several patterns over the wire, drive a mixed
 same-/cross-pattern request load through :class:`ServiceClient` connections
 from worker threads, verify every solution against a local reference solver,
 and assert the amortization invariant — **zero recompiles after warm-up**
-(no C recompiles, no python-module regenerations, no artifact-cache misses
+(no C recompiles, no python-backend kernel text written, no artifact-cache misses
 while serving).  Exits nonzero on any violation and prints the service stats
 JSON either way.
 

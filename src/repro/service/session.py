@@ -76,7 +76,7 @@ class PatternHandle:
     nnz: int
     factor_nnz: int
     #: True when registration reused previously generated code end to end
-    #: (zero C recompiles and zero python-module regenerations).
+    #: (zero C recompiles and no python-backend kernel text written).
     warm: bool
     #: Level-set schedule shape, for capacity planning without a round-trip.
     schedule_levels: int

@@ -214,7 +214,7 @@ class TestDiskCacheStatsThreadSafety:
 
     def test_reset_zeroes_all_counters(self):
         stats = DiskCacheStats()
-        for name in ("compiles", "reuses", "py_writes", "py_reuses"):
+        for name in ("compiles", "reuses", "py_writes", "lock_waits"):
             stats.bump(name, 3)
         stats.reset()
         assert all(v == 0 for v in stats.as_dict().values())

@@ -1,6 +1,9 @@
 """Tests for the cold/warm cache probe backing the CI zero-recompile check."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -19,12 +22,16 @@ def test_probe_python_backend_reports_workload(monkeypatch, tmp_path):
     assert all(report["workload"].values())
     # The python backend never invokes the C toolchain...
     assert report["so_compiles"] == 0 and report["so_reuses"] == 0
-    # ...but it persists its generated sources for cross-process sharing.
-    assert report["py_writes"] > 0 and report["py_reuses"] == 0
-    # Second probe in the same cache directory: every module is loaded back.
+    # ...and leaves one text per reference kernel that ran, nothing else.
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert report["py_writes"] == len(left) and "py_reuses" not in report
+    # cholesky (both loops), ldlt, lu, ic0, ilu0 and the triangular solve.
+    assert len(left) == 7 and all(name.endswith(".py") and "_py_" in name for name in left)
+    assert sum((tmp_path / name).stat().st_size for name in left) == report["source_bytes"]
+    # Second probe in the same cache directory: nothing is written.
     warm = run_probe(backend="python")
     assert warm["py_writes"] == 0
-    assert warm["py_reuses"] == report["py_writes"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == left
 
 
 @needs_cc
@@ -63,9 +70,9 @@ def test_probe_cli_assert_warm(monkeypatch, tmp_path, capsys):
 
 def test_probe_cli_python_backend(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
-    # A cold python-backend run regenerates everything, so --assert-warm
-    # must fail — the zero-regeneration invariant is no longer vacuous for
-    # toolchain-free environments.
+    # A cold python-backend run writes its kernel texts, so --assert-warm
+    # must fail — the warm-start invariant is not vacuous for toolchain-free
+    # environments.
     assert main(["--backend", "python", "--assert-warm"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["backend"] == "python"
@@ -74,4 +81,19 @@ def test_probe_cli_python_backend(monkeypatch, tmp_path, capsys):
     # Against the populated cache the warm assertion passes.
     assert main(["--backend", "python", "--assert-warm"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["py_writes"] == 0 and report["py_reuses"] > 0
+    assert report["py_writes"] == 0 and "py_reuses" not in report
+
+
+def test_a_second_process_on_the_python_backend_writes_nothing(tmp_path):
+    """The python backend's whole footprint: one ``.py`` per kernel text, no
+    sidecar, and a fresh process over the same directory adds nothing."""
+    env = dict(os.environ, REPRO_SYMPILER_CACHE=str(tmp_path), PYTHONPATH=os.pathsep.join(sys.path))
+    probe = [sys.executable, "-m", "repro.compiler.cache_probe", "--backend", "python"]
+    cold = subprocess.run(probe, env=env, capture_output=True, text=True, timeout=300, check=True)
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert json.loads(cold.stdout)["py_writes"] == len(left) > 0
+    assert all(name.endswith(".py") for name in left) and not list(tmp_path.glob("*.npz"))
+    warm = subprocess.run([*probe, "--assert-warm"], env=env, capture_output=True, text=True, timeout=300)
+    assert warm.returncode == 0, warm.stderr
+    assert json.loads(warm.stdout)["py_writes"] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == left

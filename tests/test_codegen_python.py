@@ -1,17 +1,20 @@
-"""Tests for the specialized-Python code-generation backend."""
+"""Tests for the python backend: fixed NumPy reference kernels over the table block."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.scipy_reference import reference_cholesky, reference_trisolve
+from repro.compiler.cache import ArtifactCache
+from repro.compiler.codegen import reference
+from repro.compiler.codegen.c_backend import disk_cache_stats, reset_disk_cache_stats
 from repro.compiler.codegen.python_backend import CodegenError, GeneratedModule, PythonBackend
-from repro.compiler.codegen.runtime import pattern_fingerprint, runtime_namespace
+from repro.compiler.codegen.runtime import pattern_fingerprint
 from repro.compiler.lowering import lower_triangular_solve
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.compiler.transforms.base import CompilationContext
 from repro.compiler.transforms.pipeline import build_pipeline
-from repro.sparse.generators import block_tridiagonal_spd, sparse_rhs
+from repro.sparse.generators import block_tridiagonal_spd, laplacian_2d, sparse_rhs
 from repro.symbolic.inspector import TriangularSolveInspector
 
 
@@ -29,7 +32,7 @@ def _generate_trisolve(L, b, options):
     return module, kernel
 
 
-class TestGeneratedTriangularSolve:
+class TestTriangularSolve:
     @pytest.mark.parametrize(
         "options",
         [
@@ -41,7 +44,7 @@ class TestGeneratedTriangularSolve:
         ],
         ids=["baseline", "vi-prune", "vs-block", "vs+vi", "full"],
     )
-    def test_generated_solve_is_correct(self, lower_factors, options):
+    def test_solve_is_correct(self, lower_factors, options):
         for L in lower_factors.values():
             b = sparse_rhs(L.n, density=0.05, seed=13)
             module, _ = _generate_trisolve(L, b, options)
@@ -49,26 +52,31 @@ class TestGeneratedTriangularSolve:
             x = fn(L.indptr, L.indices, L.data, b)
             np.testing.assert_allclose(x, reference_trisolve(L, b), atol=1e-9)
 
-    def test_source_contains_no_symbolic_calls(self, lower_factors):
-        L = lower_factors["block"]
-        b = sparse_rhs(L.n, nnz=2, seed=1)
-        module, _ = _generate_trisolve(L, b, SympilerOptions())
-        # The generated numeric code must not recompute reach sets, etrees or
-        # patterns: it may only index, slice and call the dense runtime.
+    def test_source_is_the_fixed_kernel_and_does_no_symbolic_work(self, lower_factors):
+        sources = set()
+        for name in ("block", "fem"):
+            L = lower_factors[name]
+            module, _ = _generate_trisolve(L, sparse_rhs(L.n, nnz=2, seed=1), SympilerOptions())
+            sources.add(module.source)
+            assert module.function is reference.triangular_solve
+        (source,) = sources  # one text, whatever the pattern
+        # The numeric code must not recompute reach sets, etrees or patterns:
+        # it may only index and slice the tables it is handed.
         for forbidden in ("etree", "ereach", "inspect", "searchsorted", "reach_set("):
-            assert forbidden not in module.source
+            assert forbidden not in source
         assert module.method == "triangular-solve"
-        assert module.line_count > 5
 
-    def test_constants_are_exposed(self, lower_factors):
+    def test_constants_are_the_table_block(self, lower_factors):
         L = lower_factors["fem"]
         b = sparse_rhs(L.n, nnz=3, seed=2)
         module, kernel = _generate_trisolve(L, b, SympilerOptions.vi_prune_only())
-        assert any(name.startswith("_C_") for name in module.constants)
-        # The kernel function mirrors the embedded constants for introspection.
-        assert set(module.constants) <= set(kernel.constants) | set(
-            f"_C_{k}" for k in kernel.constants
-        ) | set(module.constants)
+        assert list(module.constants) == ["_C_dims", "_C_seg", "_C_run_cols", "_C_blk_cs"]
+        assert all(t.dtype == np.int64 and t.flags.c_contiguous for t in module.constants.values())
+        assert module.constants["_C_dims"].tolist() == [L.n, 1]
+        # VI-Prune's reach-set, under the IR's name and under the contract's.
+        assert np.array_equal(module.constants["_C_run_cols"], kernel.constants["prune_set"])
+        untransformed, _ = _generate_trisolve(L, b, SympilerOptions.baseline())
+        assert list(untransformed.constants) == ["_C_dims"]
 
     def test_compile_is_cached(self, lower_factors):
         L = lower_factors["fem"]
@@ -85,7 +93,7 @@ class TestGeneratedTriangularSolve:
         assert module.compile_seconds >= 0.0
 
 
-class TestGeneratedCholesky:
+class TestCholesky:
     @pytest.mark.parametrize(
         "options",
         [
@@ -95,26 +103,24 @@ class TestGeneratedCholesky:
         ],
         ids=["simplicial", "supernodal", "supernodal+lowlevel"],
     )
-    def test_generated_factorization_is_correct(self, spd_matrix, options):
+    def test_factorization_is_correct(self, spd_matrix, options):
         compiled = Sympiler().compile_cholesky(spd_matrix, options=options)
         L = compiled.factorize(spd_matrix)
         np.testing.assert_allclose(L.to_dense(), reference_cholesky(spd_matrix), atol=1e-9)
 
-    def test_generated_source_structure_simplicial(self, spd_matrices):
-        compiled = Sympiler().compile_cholesky(
-            spd_matrices["laplacian_2d"], options=SympilerOptions.vi_prune_only()
-        )
-        assert "simplicial left-looking factorization" in compiled.source
-        assert "_C_prune_ptr" in compiled.source
+    def test_simplicial_kernel_reads_the_prune_set(self, spd_matrices):
+        compiled = Sympiler().compile_cholesky(spd_matrices["laplacian_2d"], options=SympilerOptions.vi_prune_only())
+        assert compiled.module.function.func is reference.simplicial_cholesky
+        assert "_C_prune_ptr" in compiled.source and "_C_prune_ptr" in compiled.constants
         assert "transpose" not in compiled.source
 
-    def test_generated_source_structure_supernodal(self):
+    def test_supernodal_kernel_reads_the_block_set(self):
         A = block_tridiagonal_spd(6, 5, seed=3, dense_coupling=True)
         compiled = Sympiler().compile_cholesky(A, options=SympilerOptions())
-        assert "supernodal left-looking factorization" in compiled.source
-        assert "_C_sup_start" in compiled.source
-        # Loop distribution emits the streamlined single-column path.
-        assert "streamlined single-column path" in compiled.source
+        assert compiled.module.function.func is reference.supernodal_cholesky
+        assert "_C_sup_start" in compiled.source and "_C_sup_start" in compiled.constants
+        n_super = compiled.inspection.supernodes.n_supernodes
+        assert compiled.constants["_C_dims"].tolist()[:3] == [A.n, compiled.factor_nnz, n_super]
 
     def test_non_positive_definite_detected_at_run_time(self):
         A = block_tridiagonal_spd(4, 4, seed=5, dense_coupling=True)
@@ -125,22 +131,11 @@ class TestGeneratedCholesky:
             rows = bad.col_rows(j)
             pos = int(np.searchsorted(rows, j))
             bad.data[bad.indptr[j] + pos] = -1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not positive definite at column 0"):
             compiled.factorize(bad)
 
 
 class TestBackendInfrastructure:
-    def test_runtime_namespace_contents(self):
-        rt = runtime_namespace()
-        for name in (
-            "dense_cholesky",
-            "dense_lower_solve",
-            "dense_solve_transposed_right",
-            "small_cholesky",
-            "small_lower_solve",
-        ):
-            assert callable(getattr(rt, name))
-
     def test_pattern_fingerprint_is_stable_and_sensitive(self):
         a = np.array([0, 1, 2], dtype=np.int64)
         b = np.array([0, 1, 3], dtype=np.int64)
@@ -153,150 +148,55 @@ class TestBackendInfrastructure:
         empty = np.empty(0, dtype=np.int64)
         assert pattern_fingerprint(a[::-1], empty, extra="x") == "51000e40ea82def2"
 
-    def test_generated_module_requires_entry_point(self):
-        module = GeneratedModule(
-            source="y = 1\n",
-            entry_name="missing",
-            constants={},
-            method="triangular-solve",
-            codegen_seconds=0.0,
-        )
-        with pytest.raises(CodegenError):
-            module.compile()
+    def test_a_breakdown_without_a_failure_text_still_names_the_column(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
+
+        def broken(T, x):
+            raise reference.Breakdown(np.int64(7))
+
+        module = GeneratedModule(function=broken, entry_name="qr", constants={}, method="qr", codegen_seconds=0.0)
+        with pytest.raises(ValueError, match="column 7"):
+            module.compile()(np.ones(1))
 
     def test_unsupported_method_rejected(self, lower_factors):
         L = lower_factors["fem"]
-        b = sparse_rhs(L.n, nnz=2, seed=6)
-        options = SympilerOptions()
-        inspection = TriangularSolveInspector().inspect(L, rhs_pattern=np.nonzero(b)[0])
-        context = CompilationContext(
-            method="triangular-solve",
-            matrix=L,
-            inspection=inspection,
-            options=options,
-        )
-        kernel = build_pipeline(options).run(lower_triangular_solve(), context)
+        module, kernel = _generate_trisolve(L, sparse_rhs(L.n, nnz=2, seed=6), SympilerOptions())
         kernel.method = "qr"
+        context = CompilationContext(method="qr", matrix=L, inspection=None, options=SympilerOptions())
         with pytest.raises(CodegenError):
             PythonBackend().generate(kernel, context)
 
 
-class TestPersistedSourceCache:
-    """Cross-process sharing of generated python sources (disk cache)."""
+class TestKernelTextOnDisk:
+    """What the backend leaves in the cache directory: one text per kernel, nothing read back."""
 
-    def test_persist_and_reload_across_drivers(self, monkeypatch, tmp_path):
-        from repro.compiler.cache import ArtifactCache
-        from repro.compiler.codegen.c_backend import (
-            disk_cache_stats,
-            reset_disk_cache_stats,
-        )
-        from repro.compiler.sympiler import Sympiler
-        from repro.sparse.generators import laplacian_2d
-
+    def test_one_text_per_kernel_whatever_the_pattern_or_options(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
         reset_disk_cache_stats()
-        A = laplacian_2d(6, shift=0.1)
-
-        first = Sympiler(cache=ArtifactCache()).compile("cholesky", A)
-        stats = disk_cache_stats()
-        assert stats.py_writes == 1 and stats.py_reuses == 0
-        assert list(tmp_path.glob("cholesky_py_*.py"))
-        assert list(tmp_path.glob("cholesky_py_*.npz"))
-
-        # A fresh driver + fresh in-memory cache (the same situation as a new
-        # process) loads source and constants back instead of regenerating.
-        second = Sympiler(cache=ArtifactCache()).compile("cholesky", A)
-        stats = disk_cache_stats()
-        assert stats.py_writes == 1 and stats.py_reuses == 1
-        assert second.source == first.source
-        assert set(second.constants) == set(first.constants)
-        L1 = first.factorize(A)
-        L2 = second.factorize(A)
-        assert np.array_equal(L1.data, L2.data)
-
-    def test_different_options_do_not_alias(self, monkeypatch, tmp_path):
-        from repro.compiler.cache import ArtifactCache
-        from repro.compiler.codegen.c_backend import (
-            disk_cache_stats,
-            reset_disk_cache_stats,
-        )
-        from repro.compiler.sympiler import Sympiler
-        from repro.sparse.generators import laplacian_2d
-
-        monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
-        reset_disk_cache_stats()
-        A = laplacian_2d(6, shift=0.1)
         sym = Sympiler(cache=ArtifactCache())
-        sym.compile("cholesky", A, options=SympilerOptions())
-        sym.compile("cholesky", A, options=SympilerOptions(enable_vs_block=False))
-        # Two distinct option bundles -> two persisted modules, zero reuses.
+        simplicial = SympilerOptions(enable_vs_block=False)
+        first = sym.compile("cholesky", laplacian_2d(6, shift=0.1), options=simplicial)
+        assert disk_cache_stats().py_writes == 1
+        (path,) = tmp_path.iterdir()
+        assert path.name.startswith("cholesky_py_") and path.suffix == ".py"
+        assert path.read_text() == first.source
+        # Another pattern, another option bundle that lowers to the same loop,
+        # a second driver: the text is there already.
+        sym.compile("cholesky", laplacian_2d(7, shift=0.1), options=SympilerOptions.vi_prune_only())
+        Sympiler(cache=ArtifactCache()).compile("cholesky", laplacian_2d(6, shift=0.1), options=simplicial)
+        assert disk_cache_stats().py_writes == 1
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        # The supernodal loop is another function, so another text.
+        A = block_tridiagonal_spd(6, 5, seed=3, dense_coupling=True)
+        sym.compile("cholesky", A)
         assert disk_cache_stats().py_writes == 2
-        assert disk_cache_stats().py_reuses == 0
+        assert len(list(tmp_path.glob("cholesky_py_*.py"))) == 2
 
-    def test_direct_backend_use_skips_disk(self, monkeypatch, tmp_path, lower_factors):
-        """A context without a cache token (tests, ad-hoc use) stays in memory."""
-        from repro.compiler.codegen.c_backend import (
-            disk_cache_stats,
-            reset_disk_cache_stats,
-        )
-
+    def test_generate_alone_writes_nothing(self, monkeypatch, tmp_path, lower_factors):
         monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
         reset_disk_cache_stats()
         L = lower_factors["fem"]
-        b = sparse_rhs(L.n, nnz=2, seed=6)
-        options = SympilerOptions()
-        inspection = TriangularSolveInspector().inspect(L, rhs_pattern=np.nonzero(b)[0])
-        context = CompilationContext(
-            method="triangular-solve",
-            matrix=L,
-            inspection=inspection,
-            options=options,
-            rhs_pattern=inspection.rhs_pattern,
-        )
-        kernel = build_pipeline(options).run(lower_triangular_solve(), context)
-        PythonBackend().generate(kernel, context)
-        assert disk_cache_stats().py_writes == 0
-        assert not list(tmp_path.iterdir())
-
-    def test_same_named_kernels_from_other_registries_do_not_alias(
-        self, monkeypatch, tmp_path
-    ):
-        """The disk stem carries the spec's lowering identity, not just its name."""
-        from repro.compiler.cache import ArtifactCache
-        from repro.compiler.codegen.c_backend import (
-            disk_cache_stats,
-            reset_disk_cache_stats,
-        )
-        from repro.compiler.lowering import lower_cholesky
-        from repro.compiler.registry import KernelRegistry, KernelSpec
-        from repro.compiler.registry import kernel_spec as default_spec
-        from repro.compiler.sympiler import Sympiler
-        from repro.symbolic.inspector import CholeskyInspector
-        from repro.compiler.artifacts import SympiledCholesky
-        from repro.sparse.generators import laplacian_2d
-
-        monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
-        reset_disk_cache_stats()
-        A = laplacian_2d(6, shift=0.1)
-        Sympiler(cache=ArtifactCache()).compile("cholesky", A)
-
-        def my_lower_cholesky():
-            return lower_cholesky()
-
-        custom = KernelRegistry()
-        custom.register(
-            KernelSpec(
-                name="cholesky",
-                lower=my_lower_cholesky,
-                inspector_cls=CholeskyInspector,
-                artifact_cls=SympiledCholesky,
-                runtime_signature=("Ap", "Ai", "Ax"),
-                requires_vi_prune=default_spec("cholesky").requires_vi_prune,
-                inspect_kwargs=default_spec("cholesky").inspect_kwargs,
-            )
-        )
-        Sympiler(cache=ArtifactCache(), registry=custom).compile("cholesky", A)
-        # Same kernel name + same pattern + same options, but a different
-        # lowering: a second persisted module, not a (wrong) reuse.
-        assert disk_cache_stats().py_writes == 2
-        assert disk_cache_stats().py_reuses == 0
+        module, _ = _generate_trisolve(L, sparse_rhs(L.n, nnz=2, seed=6), SympilerOptions())
+        assert disk_cache_stats().py_writes == 0 and not list(tmp_path.iterdir())
+        module.compile()
+        assert disk_cache_stats().py_writes == 1

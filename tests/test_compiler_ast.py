@@ -107,7 +107,6 @@ def test_pruned_loop_node_properties():
     node = PrunedColumnSolveLoop(np.array([3, 1, 2]), "prune_set")
     assert node.columns.dtype == np.int64
     assert node.constant_name == "prune_set"
-    assert node.vectorize
     assert "pruned-column-solve" in pretty(node)
 
 

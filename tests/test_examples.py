@@ -29,7 +29,7 @@ def _run(script: str) -> subprocess.CompletedProcess:
         ("power_grid_newton.py", "converged: True"),
         ("preconditioned_cg.py", "IC(0)-preconditioned"),
         ("fem_refactorization.py", "per-step numeric speedup"),
-        ("inspect_codegen.py", "Generated Python kernel"),
+        ("inspect_codegen.py", "Python backend: one fixed kernel"),
         ("solver_service.py", "service stopped cleanly"),
         ("scipy_drop_in.py", "scipy drop-in front end OK"),
     ],

@@ -211,9 +211,9 @@ class TestCompiledIC0Python:
             if isinstance(node, IncompleteFactorLoop)
         ]
         assert len(loops) == 1 and loops[0].factor_kind == "ic0"
-        # The scatter arrays are embedded constants — no runtime pattern work.
+        # The scatter arrays are tables of the block — no runtime pattern work.
         for name in ("a_lower_pos", "prune_ptr", "mult_pos", "l_scat_ptr"):
-            assert name in compiled.constants
+            assert name in compiled.kernel.constants and f"_C_{name}" in compiled.constants
 
     def test_vi_prune_is_forced_and_vs_block_defers(self):
         compiled = _fresh_sympiler().compile(
@@ -282,15 +282,15 @@ class TestCompiledIncompleteC:
         sym = _fresh_sympiler()
         Lc = sym.compile("ic0", A, options=_c_options()).factorize(A)
         Lp = sym.compile("ic0", A, options=SympilerOptions()).factorize(A)
-        np.testing.assert_allclose(Lc.data, Lp.data, atol=1e-12)
+        np.testing.assert_array_equal(Lc.data, Lp.data)
 
     def test_ilu0_close_to_python_backend(self):
         A = _jacobian(48, seed=20)
         sym = _fresh_sympiler()
         fc = sym.compile("ilu0", A, options=_c_options()).factorize(A)
         fp = sym.compile("ilu0", A, options=SympilerOptions()).factorize(A)
-        np.testing.assert_allclose(fc.L.data, fp.L.data, atol=1e-12)
-        np.testing.assert_allclose(fc.U.data, fp.U.data, atol=1e-12)
+        np.testing.assert_array_equal(fc.L.data, fp.L.data)
+        np.testing.assert_array_equal(fc.U.data, fp.U.data)
 
     def test_c_breakdown_status_becomes_value_error(self):
         A = CSCMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -350,8 +350,8 @@ class TestArtifactsAndCache:
 
     def test_generated_source_is_numeric_only(self):
         compiled = _fresh_sympiler().compile("ic0", _spd(6))
-        assert "Sympiler-generated ic0 kernel" in compiled.source
+        assert compiled.source.startswith("def ic0(T, Ap, Ai, Ax):")
         assert "searchsorted" not in compiled.source  # no runtime pattern work
         ilu = _fresh_sympiler().compile("ilu0", _jacobian(20, seed=30))
-        for name in ("u_indptr", "u_scat_ptr", "_C_a_upper_pos", "_C_mult_pos"):
-            assert name in ilu.constants
+        for name in ("_C_u_indptr", "_C_u_scat_ptr", "_C_a_upper_pos", "_C_mult_pos"):
+            assert name in ilu.constants and name in ilu.source

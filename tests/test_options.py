@@ -1,5 +1,7 @@
 """Tests for SympilerOptions."""
 
+import dataclasses
+
 import pytest
 
 from repro.compiler.options import SympilerOptions
@@ -51,15 +53,19 @@ def test_validation_rejects_bad_values():
         SympilerOptions(max_supernode_width=0)
     with pytest.raises(ValueError):
         SympilerOptions(unroll_max_width=0)
-    # The peel knobs and the never-read vectorize_min_length are gone, not ignored.
+    # The peel knobs, the never-read vectorize_min_length and the BLAS switch
+    # only the python emitters read are gone, not ignored.
     for removed in (
         "peel_single_nonzero_columns",
         "peel_colcount_threshold",
         "max_peeled_iterations",
         "vectorize_min_length",
+        "blas_switch_avg_colcount",
+        "small_kernel_max_width",
     ):
         with pytest.raises(TypeError):
             SympilerOptions(**{removed: 1})
+    assert len(dataclasses.fields(SympilerOptions)) == 14
 
 
 def test_options_are_immutable():

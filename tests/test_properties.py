@@ -11,11 +11,13 @@ from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.generators import laplacian_2d, laplacian_3d
+from repro.sparse.ordering import minimum_degree_ordering
 from repro.sparse.permutation import Permutation
 from repro.sparse.utils import lower_triangle
 from repro.symbolic.etree import elimination_tree, postorder
 from repro.symbolic.fill_pattern import cholesky_pattern
-from repro.symbolic.inspector import TriangularSolveInspector
+from repro.symbolic.inspector import CholeskyInspector, TriangularSolveInspector
 from repro.symbolic.reach import reach_set
 from repro.symbolic.supernodes import triangular_supernodes
 
@@ -269,59 +271,67 @@ def test_generated_cholesky_matches_reference(A):
     np.testing.assert_allclose(L.to_dense(), reference_cholesky(A), atol=1e-8)
 
 
-@pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
+needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
+
+
+def _check_c_matches_python_bitwise(A, seed, kernels):
+    """Every C entry — serial and wavefront, one and two threads — against the python backend."""
+    rng = np.random.default_rng(seed)
+    sym = Sympiler()
+    python = SympilerOptions()
+    c_entries = [
+        (SympilerOptions(backend="c", parallel=parallel), threads)
+        for parallel, threads in (("none", None), ("wavefront", 1), ("wavefront", 2))
+    ]
+    # A raw output is one value array (Lx) or a pair ((Lx, D), (Lx, Ux)).
+    flat = lambda raw: np.concatenate(raw if isinstance(raw, tuple) else (raw,))  # noqa: E731
+    for kernel in kernels:
+        expected = sym.compile(kernel, A, options=python).factorize_arrays(A.indptr, A.indices, A.data)
+        for options, threads in c_entries:
+            compiled = sym.compile(kernel, A, options=options)
+            raw = compiled.factorize_arrays(A.indptr, A.indices, A.data, num_threads=threads)
+            assert isinstance(raw, tuple) == isinstance(expected, tuple)
+            np.testing.assert_array_equal(flat(raw), flat(expected))
+    L = sym.compile("cholesky", A, options=python).factorize(A)
+    b = np.zeros(L.n)
+    nnz = int(rng.integers(1, max(2, L.n // 2)))
+    b[rng.choice(L.n, size=nnz, replace=False)] = rng.uniform(0.5, 2.0, size=nnz)
+    for rhs_pattern in (None, np.nonzero(b)[0]):
+        expected = sym.compile("triangular-solve", L, options=python, rhs_pattern=rhs_pattern).solve(L, b)
+        for options, threads in c_entries:
+            compiled = sym.compile("triangular-solve", L, options=options, rhs_pattern=rhs_pattern)
+            x = compiled.solve_arrays(L.indptr, L.indices, L.data, b, num_threads=threads)
+            np.testing.assert_array_equal(x, expected)
+
+
+@needs_cc
 def test_every_c_kernel_matches_the_python_backend_bitwise(tmp_path, monkeypatch):
-    """Random patterns through the table-block ABI: every C kernel, serial and
-    wavefront entry, one and two threads, against the python backend."""
+    """Random patterns through the table-block ABI: both backends read one
+    block and perform one sequence of operations, blocked or not."""
     # Random patterns would litter a persistent cache with one-off kernels.
     monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
 
     @settings(_settings, max_examples=8)
     @given(spd_matrices_strategy(max_n=12), st.integers(0, 2**31 - 1))
     def check(A, seed):
-        rng = np.random.default_rng(seed)
-        sym = Sympiler()
-        python = SympilerOptions()
-        c_entries = [
-            (SympilerOptions(backend="c", parallel=parallel), threads)
-            for parallel, threads in (("none", None), ("wavefront", 1), ("wavefront", 2))
-        ]
-        # A raw output is one value array (Lx) or a pair ((Lx, D), (Lx, Ux)).
-        flat = lambda raw: np.concatenate(raw if isinstance(raw, tuple) else (raw,))  # noqa: E731
-        for kernel in ("cholesky", "ldlt", "lu", "ic0", "ilu0"):
-            expected = sym.compile(kernel, A, options=python).factorize_arrays(
-                A.indptr, A.indices, A.data
-            )
-            for options, threads in c_entries:
-                compiled = sym.compile(kernel, A, options=options)
-                raw = compiled.factorize_arrays(A.indptr, A.indices, A.data, num_threads=threads)
-                assert isinstance(raw, tuple) == isinstance(expected, tuple)
-                if kernel == "ldlt" and compiled.kernel.meta.get("vs_block"):
-                    # The python backend factors LDL^T diagonal blocks with a
-                    # NumPy kernel in another operation order; the C entries
-                    # still have to agree with each other to the bit.
-                    np.testing.assert_allclose(flat(raw), flat(expected), rtol=1e-12, atol=0)
-                    expected = raw
-                np.testing.assert_array_equal(flat(raw), flat(expected))
-        L = sym.compile("cholesky", A, options=python).factorize(A)
-        b = np.zeros(L.n)
-        nnz = int(rng.integers(1, max(2, L.n // 2)))
-        b[rng.choice(L.n, size=nnz, replace=False)] = rng.uniform(0.5, 2.0, size=nnz)
-        for rhs_pattern in (None, np.nonzero(b)[0]):
-            expected = sym.compile(
-                "triangular-solve", L, options=python, rhs_pattern=rhs_pattern
-            ).solve(L, b)
-            for options, threads in c_entries:
-                compiled = sym.compile("triangular-solve", L, options=options, rhs_pattern=rhs_pattern)
-                x = compiled.solve_arrays(L.indptr, L.indices, L.data, b, num_threads=threads)
-                if compiled.kernel.meta.get("vs_block"):
-                    # As for LDL^T: the python backend solves supernode blocks
-                    # with NumPy kernels in another operation order.
-                    np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-15)
-                    expected = x
-                np.testing.assert_array_equal(x, expected)
+        _check_c_matches_python_bitwise(A, seed, ("cholesky", "ldlt", "lu", "ic0", "ilu0"))
 
     check()
+
+
+@needs_cc
+@pytest.mark.parametrize("grid", ["laplacian_3d(9)", "laplacian_2d(30)"])
+def test_wide_supernodes_match_the_python_backend_bitwise(grid, tmp_path, monkeypatch):
+    """Minimum-degree-ordered grids (widest supernode 122 / 42 columns): the
+    panel factorization, its triangular solve and the supernode blocks of the
+    sweeps — the operation orders the python backend used to go its own way on."""
+    monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
+    A = laplacian_3d(9) if grid == "laplacian_3d(9)" else laplacian_2d(30)
+    A = minimum_degree_ordering(A).symmetric_permute(A)
+    widths = np.diff(CholeskyInspector().inspect(A).supernodes.super_ptr)
+    assert widths.max() == (122 if grid == "laplacian_3d(9)" else 42)
+    assert Sympiler().compile("cholesky", A).kernel.meta["vs_block"]  # and VS-Block takes them
+    _check_c_matches_python_bitwise(A, 7, ("cholesky", "ldlt"))
 
 
 @_settings

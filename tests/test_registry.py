@@ -128,18 +128,13 @@ class TestRegistry:
             inspector_for_method("newcomer")
 
     def test_backend_method_registration_is_identity_idempotent(self):
-        from repro.compiler.codegen.python_backend import (
-            _PY_METHOD_SPECS,
-            PythonMethodSpec,
-            register_python_method,
-        )
+        from repro.compiler.codegen.python_backend import _PY_METHOD_SPECS, register_python_method
 
-        # Re-registering the exact same spec object is a no-op...
+        # Re-registering the exact same planner is a no-op...
         register_python_method("ldlt", _PY_METHOD_SPECS["ldlt"])
-        # ...but an equivalent-looking new object conflicts loudly.
-        clone = PythonMethodSpec(params="Ap, Ai, Ax", result="(Lx, D)")
+        # ...but another callable under a taken name conflicts loudly.
         with pytest.raises(ValueError, match="already registered"):
-            register_python_method("ldlt", clone)
+            register_python_method("ldlt", lambda kernel: _PY_METHOD_SPECS["ldlt"](kernel))
 
 
 class TestGenericCompile:

@@ -332,8 +332,6 @@ class TestEviction:
             assert handle2.warm
             assert after["py_writes"] == before["py_writes"]
             assert after["compiles"] == before["compiles"]
-            # The python backend reloaded its persisted modules from disk.
-            assert after["py_reuses"] > before["py_reuses"]
             # And the fresh handle solves correctly.
             x = svc.solve(handle2, A.data, np.ones(A.n))
             assert np.isfinite(x).all()

@@ -241,7 +241,7 @@ class TestEndToEnd:
             assert handle.n == A.n
             from repro.service.errors import ProtocolError
 
-            # An option that never existed and the four removed ones an old
+            # An option that never existed and the six removed ones an old
             # client may still send: refused by name, not with a TypeError.
             for field in (
                 "no_such_option",
@@ -249,6 +249,8 @@ class TestEndToEnd:
                 "peel_colcount_threshold",
                 "max_peeled_iterations",
                 "vectorize_min_length",
+                "blas_switch_avg_colcount",
+                "small_kernel_max_width",
             ):
                 with pytest.raises(ProtocolError, match=field):
                     client.register_pattern(A, options={field: 1})

@@ -577,7 +577,6 @@ class TestHelperBuild:
             "compiles": 2,
             "reuses": 1,
             "py_writes": 0,
-            "py_reuses": 0,
             "lock_waits": 0,
         }
         # The helper is toolchain: it lives beside the system's temp files.

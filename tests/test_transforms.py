@@ -18,11 +18,7 @@ from repro.compiler.transforms.descriptors import (
     simplicial_descriptors,
     supernodal_descriptors,
 )
-from repro.compiler.transforms.lowlevel import (
-    LoopDistributeTransform,
-    SmallKernelTransform,
-    UnrollTransform,
-)
+from repro.compiler.transforms.lowlevel import LoopDistributeTransform, UnrollTransform
 from repro.compiler.transforms.pipeline import build_pipeline
 from repro.compiler.transforms.vi_prune import VIPruneTransform
 from repro.compiler.transforms.vs_block import VSBlockTransform, vs_block_participates
@@ -186,7 +182,6 @@ def test_vs_block_cholesky_produces_supernodal_loop(spd_matrices):
     assert loops[0].n_supernodes == context.inspection.supernodes.n_supernodes
     # Low-level refinements are off until the low-level passes run.
     assert not loops[0].distribute_single_columns
-    assert not loops[0].use_small_kernels
 
 
 def test_vs_block_after_vi_prune_restricts_to_reach(lower_factors):
@@ -220,7 +215,7 @@ def test_vi_prune_after_vs_block_drops_unreached_blocks(lower_factors):
 # --------------------------------------------------------------------------- #
 # Low-level passes
 # --------------------------------------------------------------------------- #
-def test_unroll_marks_small_blocks_and_peels():
+def test_unroll_records_the_small_blocks():
     A = block_tridiagonal_spd(5, 3, seed=2, dense_coupling=True)
     inspection = CholeskyInspector().inspect(A)
     from repro.kernels.cholesky import cholesky_supernodal
@@ -231,26 +226,27 @@ def test_unroll_marks_small_blocks_and_peels():
     kernel = VSBlockTransform().apply(lower_triangular_solve(), context)
     kernel = UnrollTransform().apply(kernel, context)
     blocks = _nodes(kernel, SupernodeTriangularBlock)
-    assert blocks and all(b.unroll == (b.width <= 4) for b in blocks)
+    # The pass records its decision; the C emitter derives the unrolled
+    # widths from the same option, so nothing is marked on the nodes.
+    small = sum(b.width <= 4 for b in blocks)
+    assert small and context.decisions["unroll"] == {"unrolled_statements": small}
+    assert kernel.meta["unrolled_statements"] == small
 
 
-def test_distribute_and_small_kernels_refine_supernodal_loop(spd_matrices):
+def test_distribute_refines_supernodal_loop(spd_matrices):
     A = spd_matrices["block"]
     context = _chol_context(A)
     kernel = VSBlockTransform().apply(lower_cholesky(), context)
     kernel = LoopDistributeTransform().apply(kernel, context)
-    kernel = SmallKernelTransform().apply(kernel, context)
     loop = _nodes(kernel, SupernodalCholeskyLoop)[0]
     assert loop.distribute_single_columns
-    expected_small = context.inspection.average_column_count < context.options.blas_switch_avg_colcount
-    assert loop.use_small_kernels == expected_small
 
 
 def test_lowlevel_passes_are_noops_without_hints(spd_matrices):
     A = spd_matrices["fem"]
     context = _chol_context(A)
     kernel = lower_cholesky()
-    for pass_ in (UnrollTransform(), LoopDistributeTransform(), SmallKernelTransform()):
+    for pass_ in (UnrollTransform(), LoopDistributeTransform()):
         kernel = pass_.apply(kernel, context)
     assert context.applied == []
 
@@ -261,7 +257,7 @@ def test_lowlevel_passes_are_noops_without_hints(spd_matrices):
 def test_build_pipeline_reflects_options():
     full = build_pipeline(SympilerOptions())
     assert full.pass_names()[:2] == ["vs-block", "vi-prune"]
-    assert full.pass_names()[2:] == ["unroll", "distribute", "small-kernels"]
+    assert full.pass_names()[2:] == ["unroll", "distribute"]
     no_lowlevel = build_pipeline(SympilerOptions(enable_low_level=False))
     assert no_lowlevel.pass_names() == ["vs-block", "vi-prune"]
     reordered = build_pipeline(SympilerOptions(transformation_order=("vi-prune", "vs-block")))
