@@ -15,10 +15,10 @@ from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
-from repro.sparse.generators import fem_stencil_2d, laplacian_2d
+from repro.sparse.generators import fem_stencil_2d, laplacian_2d, laplacian_3d, sparse_rhs
 from repro.sparse.ordering import minimum_degree_ordering
 
-pytestmark = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
+needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
 
 METHODS = [name for name in _C_METHOD_SPECS if "@" not in name]
 FACTORIZATIONS = [name for name in METHODS if name != "triangular-solve"]
@@ -43,6 +43,7 @@ def _operand(sym, method, A):
 # --------------------------------------------------------------------------- #
 # (a) Both backends bind the same block
 # --------------------------------------------------------------------------- #
+@needs_cc
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("pattern", sorted(PATTERNS))
 def test_both_backends_hold_the_same_table_block(pattern, method):
@@ -73,6 +74,7 @@ def test_both_backends_hold_the_same_table_block(pattern, method):
         np.testing.assert_array_equal(wavefront["_C_dims"][:n_sizes], serial["_C_dims"])
 
 
+@needs_cc
 def test_the_wavefront_extras_are_exercised():
     """Not vacuous: on the bushy pattern every wavefront module has tables of its own."""
     sym = Sympiler(cache=ArtifactCache())
@@ -123,10 +125,173 @@ _PINNED_C_SOURCES = {
 }
 
 
+# --------------------------------------------------------------------------- #
+# The table blocks did not move
+# --------------------------------------------------------------------------- #
+#: The patterns above and a 3-D one whose supernodes are wide enough to block.
+_GRID_3D = laplacian_3d(7, shift=0.1)
+TABLE_PATTERNS = {**PATTERNS, "mindeg3d": minimum_degree_ordering(_GRID_3D).symmetric_permute(_GRID_3D)}
+#: The serial methods, and the triangular solve once more with a sparse right-hand side.
+TABLE_CASES = [*METHODS, "triangular-solve/sparse-rhs"]
+
+#: sha256 over the ordered keys and bytes of ``artifact.constants`` on the python backend, one per
+#: option bundle of ``_OPTION_BUNDLES`` (in its order), computed at the commit before the tables
+#: became array expressions (7a05fcc).  Needs no C compiler: the contract is backend-independent.
+_PINNED_TABLE_BLOCKS = {
+    ("fem", "triangular-solve"): (
+        "32a2930371574950474fe31de4ff0ae6e5435e3a5d44591f85ea04dbc5aecb38",
+        "c69f87eb9d7f99fe8d804334c079c55dac220f60b2cc876b0c4cbac923243f75",
+        "32a2930371574950474fe31de4ff0ae6e5435e3a5d44591f85ea04dbc5aecb38",
+        "d30c183250cc3e60b58f114f3f73111e20577e01d6c91169391e5aca2239c9df",
+    ),
+    ("fem", "cholesky"): (
+        "353ef042f3e922372686013eabc25f6b66b400128fdaace868fbae74c39b7b45",
+        "ef1da2ebbcfd3a5a42bf139da9df9921aaebe1c522b79a14918d135fa9e2cd54",
+        "353ef042f3e922372686013eabc25f6b66b400128fdaace868fbae74c39b7b45",
+        "ef1da2ebbcfd3a5a42bf139da9df9921aaebe1c522b79a14918d135fa9e2cd54",
+    ),
+    ("fem", "ldlt"): (
+        "ddaba93ed790850164aa320449188bf267a54a9bd673f9573ea4dbbe4bf882b2",
+        "491deb123dbb503e9e2d8df05f5ae285b75c76d321fe9eeff40a922cedd15e1b",
+        "ddaba93ed790850164aa320449188bf267a54a9bd673f9573ea4dbbe4bf882b2",
+        "491deb123dbb503e9e2d8df05f5ae285b75c76d321fe9eeff40a922cedd15e1b",
+    ),
+    ("fem", "lu"): (
+        "9648d8cdcc7de5e76c9d5aed33de19eeeb5ffa5d8f615644085e68f63c54e02f",
+        "9648d8cdcc7de5e76c9d5aed33de19eeeb5ffa5d8f615644085e68f63c54e02f",
+        "9648d8cdcc7de5e76c9d5aed33de19eeeb5ffa5d8f615644085e68f63c54e02f",
+        "9648d8cdcc7de5e76c9d5aed33de19eeeb5ffa5d8f615644085e68f63c54e02f",
+    ),
+    ("fem", "ic0"): (
+        "603683607f88fdbbbd7f5e4c8ea64c5db2dfa67348bf2213cb9782e614e4780b",
+        "603683607f88fdbbbd7f5e4c8ea64c5db2dfa67348bf2213cb9782e614e4780b",
+        "603683607f88fdbbbd7f5e4c8ea64c5db2dfa67348bf2213cb9782e614e4780b",
+        "603683607f88fdbbbd7f5e4c8ea64c5db2dfa67348bf2213cb9782e614e4780b",
+    ),
+    ("fem", "ilu0"): (
+        "ead3f61308325e56b95e7191821d9f7b699afe75bf7ed3e8909a6488fbb9a6f1",
+        "ead3f61308325e56b95e7191821d9f7b699afe75bf7ed3e8909a6488fbb9a6f1",
+        "ead3f61308325e56b95e7191821d9f7b699afe75bf7ed3e8909a6488fbb9a6f1",
+        "ead3f61308325e56b95e7191821d9f7b699afe75bf7ed3e8909a6488fbb9a6f1",
+    ),
+    ("fem", "triangular-solve/sparse-rhs"): (
+        "dbf7de32ac46cff4038e6a4a05e0e8a8e285ed10d2c59209bccf8d0096f57d78",
+        "a33ea9de056d65e105a489c58a2daf1c43c6c83d35d29a4c9076f8dd817c0c63",
+        "dbf7de32ac46cff4038e6a4a05e0e8a8e285ed10d2c59209bccf8d0096f57d78",
+        "d30c183250cc3e60b58f114f3f73111e20577e01d6c91169391e5aca2239c9df",
+    ),
+    ("mindeg", "triangular-solve"): (
+        "f1e145679fba7d7b214de24fdac922271ba9fa272702805025ae239db3f739c1",
+        "f1e145679fba7d7b214de24fdac922271ba9fa272702805025ae239db3f739c1",
+        "f1e145679fba7d7b214de24fdac922271ba9fa272702805025ae239db3f739c1",
+        "eb24e653c9423bfddabe92fe68ba936d472ea9387e1e03567f5d9f465b985578",
+    ),
+    ("mindeg", "cholesky"): (
+        "2fa600e1591a6c05d77e7f573ec9e2417bc9e99a19fba4fe5e2dc9ac2080537a",
+        "2fa600e1591a6c05d77e7f573ec9e2417bc9e99a19fba4fe5e2dc9ac2080537a",
+        "2fa600e1591a6c05d77e7f573ec9e2417bc9e99a19fba4fe5e2dc9ac2080537a",
+        "2fa600e1591a6c05d77e7f573ec9e2417bc9e99a19fba4fe5e2dc9ac2080537a",
+    ),
+    ("mindeg", "ldlt"): (
+        "497563b42066db877b7eb6132602e44f51fa439b8530c7877673d0018ec3eb3e",
+        "497563b42066db877b7eb6132602e44f51fa439b8530c7877673d0018ec3eb3e",
+        "497563b42066db877b7eb6132602e44f51fa439b8530c7877673d0018ec3eb3e",
+        "497563b42066db877b7eb6132602e44f51fa439b8530c7877673d0018ec3eb3e",
+    ),
+    ("mindeg", "lu"): (
+        "54f6a530e5942b4cb9a5e9d7be0f06387fd2758ca63b8fc1498c67473d30441a",
+        "54f6a530e5942b4cb9a5e9d7be0f06387fd2758ca63b8fc1498c67473d30441a",
+        "54f6a530e5942b4cb9a5e9d7be0f06387fd2758ca63b8fc1498c67473d30441a",
+        "54f6a530e5942b4cb9a5e9d7be0f06387fd2758ca63b8fc1498c67473d30441a",
+    ),
+    ("mindeg", "ic0"): (
+        "55820ced32a441a36fe622ec1b95c5e64f39ea49eefe8c3487ce238c1c7b0fdd",
+        "55820ced32a441a36fe622ec1b95c5e64f39ea49eefe8c3487ce238c1c7b0fdd",
+        "55820ced32a441a36fe622ec1b95c5e64f39ea49eefe8c3487ce238c1c7b0fdd",
+        "55820ced32a441a36fe622ec1b95c5e64f39ea49eefe8c3487ce238c1c7b0fdd",
+    ),
+    ("mindeg", "ilu0"): (
+        "59309656af29fd743c74c9db5e03683407753f6834b9c44069251e7fcb03af13",
+        "59309656af29fd743c74c9db5e03683407753f6834b9c44069251e7fcb03af13",
+        "59309656af29fd743c74c9db5e03683407753f6834b9c44069251e7fcb03af13",
+        "59309656af29fd743c74c9db5e03683407753f6834b9c44069251e7fcb03af13",
+    ),
+    ("mindeg", "triangular-solve/sparse-rhs"): (
+        "44f2a8ae6dc241c77d6ce477977e1661deb3d4b6a2b62c794e14044cba09616b",
+        "44f2a8ae6dc241c77d6ce477977e1661deb3d4b6a2b62c794e14044cba09616b",
+        "44f2a8ae6dc241c77d6ce477977e1661deb3d4b6a2b62c794e14044cba09616b",
+        "eb24e653c9423bfddabe92fe68ba936d472ea9387e1e03567f5d9f465b985578",
+    ),
+    ("mindeg3d", "triangular-solve"): (
+        "5e0cd27c76a2f5a72bfd3627f63cd697517c0a4f62b3b36b7c19593ebfd5777f",
+        "979b2b213767a41ced47ac36ad903574b4064ea03480e314a2d4533e6cc1d45c",
+        "5e0cd27c76a2f5a72bfd3627f63cd697517c0a4f62b3b36b7c19593ebfd5777f",
+        "c46f879450ba7b9aef248d5ce50e2afabfea2e6b046d31e6fe12e95c0f7b6c64",
+    ),
+    ("mindeg3d", "cholesky"): (
+        "3efd3257699344db224726cabd032468a08d566b70d6f42d4b2064984f14f468",
+        "d98146efee572a89337b0f1959b74da96e4bb20613f5db2106c9b44e98d5afab",
+        "3efd3257699344db224726cabd032468a08d566b70d6f42d4b2064984f14f468",
+        "d98146efee572a89337b0f1959b74da96e4bb20613f5db2106c9b44e98d5afab",
+    ),
+    ("mindeg3d", "ldlt"): (
+        "538e55f521c03775f6012f4aafb9547ef7a81233476d96f3196a85d9b23066cb",
+        "744ea5404948ca221ce8130024c18fd0facb62e9215fc1b2dccd763753ec3521",
+        "538e55f521c03775f6012f4aafb9547ef7a81233476d96f3196a85d9b23066cb",
+        "744ea5404948ca221ce8130024c18fd0facb62e9215fc1b2dccd763753ec3521",
+    ),
+    ("mindeg3d", "lu"): (
+        "780210b8825d5b724be29eb4f9360ab8a35c3d334f1b25f8a03822fa94edb3cc",
+        "780210b8825d5b724be29eb4f9360ab8a35c3d334f1b25f8a03822fa94edb3cc",
+        "780210b8825d5b724be29eb4f9360ab8a35c3d334f1b25f8a03822fa94edb3cc",
+        "780210b8825d5b724be29eb4f9360ab8a35c3d334f1b25f8a03822fa94edb3cc",
+    ),
+    ("mindeg3d", "ic0"): (
+        "ac4d64a90b3401eeba0748b14fb233d45c34739edf141646d1a3b73de9893b02",
+        "ac4d64a90b3401eeba0748b14fb233d45c34739edf141646d1a3b73de9893b02",
+        "ac4d64a90b3401eeba0748b14fb233d45c34739edf141646d1a3b73de9893b02",
+        "ac4d64a90b3401eeba0748b14fb233d45c34739edf141646d1a3b73de9893b02",
+    ),
+    ("mindeg3d", "ilu0"): (
+        "06ff8f816cf8cc2eccf25af24a82dd0cb009d6053d2964a375938935b7580141",
+        "06ff8f816cf8cc2eccf25af24a82dd0cb009d6053d2964a375938935b7580141",
+        "06ff8f816cf8cc2eccf25af24a82dd0cb009d6053d2964a375938935b7580141",
+        "06ff8f816cf8cc2eccf25af24a82dd0cb009d6053d2964a375938935b7580141",
+    ),
+    ("mindeg3d", "triangular-solve/sparse-rhs"): (
+        "3bb7015975bcfc1a841daf7dbe8de22af2f9be6d5e693de7f8c7a1bb5a9858df",
+        "d8f502e8f6447ce9bed483c1c0d112dd15c4240c557c5c317cfa24928be37291",
+        "3bb7015975bcfc1a841daf7dbe8de22af2f9be6d5e693de7f8c7a1bb5a9858df",
+        "c46f879450ba7b9aef248d5ce50e2afabfea2e6b046d31e6fe12e95c0f7b6c64",
+    ),
+}
+
+
+def _table_digest(pattern, case, bundle):
+    method, _, sparse = case.partition("/")
+    sym = Sympiler(cache=ArtifactCache())
+    operand = _operand(sym, method, TABLE_PATTERNS[pattern])
+    kernel_args = {"rhs_pattern": np.nonzero(sparse_rhs(operand.n, seed=6))[0]} if sparse else {}
+    artifact = sym.compile(method, operand, options=SympilerOptions(**bundle), **kernel_args)
+    digest = hashlib.sha256()
+    for name, table in artifact.constants.items():
+        assert table.dtype == np.int64 and table.flags.c_contiguous, name
+        digest.update(name.encode() + b"\0" + table.tobytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("bundle", range(len(_OPTION_BUNDLES)))
+@pytest.mark.parametrize("case", TABLE_CASES)
+@pytest.mark.parametrize("pattern", sorted(TABLE_PATTERNS))
+def test_table_block_is_byte_identical_to_the_parent_commit(pattern, case, bundle):
+    assert _table_digest(pattern, case, _OPTION_BUNDLES[bundle]) == _PINNED_TABLE_BLOCKS[pattern, case][bundle]
+
+
 def test_every_c_method_spec_is_pinned():
     assert {key for _, key in _PINNED_C_SOURCES} == set(_C_METHOD_SPECS)
 
 
+@needs_cc
 @pytest.mark.parametrize("pattern,key", sorted(_PINNED_C_SOURCES))
 def test_generated_c_is_byte_identical_to_the_parent_commit(pattern, key):
     method, _, wavefront = key.partition("@")
@@ -153,6 +318,7 @@ def _outcome(artifact, A):
     return "ok", np.concatenate(raw if isinstance(raw, tuple) else (raw,))
 
 
+@needs_cc
 @pytest.mark.parametrize("vs_block", [True, False], ids=["default", "no-vs-block"])
 @pytest.mark.parametrize("kernel", FACTORIZATIONS)
 def test_both_backends_fail_alike(kernel, vs_block):
