@@ -37,7 +37,9 @@ def main() -> None:
     print("=" * 72)
     print("2. Transformed AST after VS-Block / VI-Prune / low-level passes")
     print("=" * 72)
+    # One line per domain loop: its role and the sizes of its table contract.
     print(pretty(tri.kernel))
+    print(pretty(chol.kernel))
     print()
     print("applied transformations:", tri.applied_transformations)
     print("VS-Block participation decision:", tri.decisions.get("vs-block"))

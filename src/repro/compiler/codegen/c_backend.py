@@ -77,14 +77,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.compiler.ast import (
-    IncompleteFactorLoop,
-    KernelFunction,
-    PrunedColumnSolveLoop,
-    SimplicialCholeskyLoop,
-    Stmt,
-    SupernodalCholeskyLoop,
-)
+from repro.compiler.ast import DomainLoop, KernelFunction, domain_loop
 from repro.compiler.cache import build_file_once
 from repro.compiler.codegen import tables
 from repro.compiler.codegen.runtime import generated_code_dir, pattern_fingerprint
@@ -932,10 +925,12 @@ class CBackend:
             self._add_constant(name, value)
 
     @staticmethod
-    def _domain_nodes(kernel: KernelFunction, node_type) -> List[Stmt]:
-        from repro.compiler.ast import walk
-
-        return [node for node in walk(kernel.body) if isinstance(node, node_type)]
+    def _domain_loop(kernel: KernelFunction, *roles: str) -> DomainLoop:
+        """The domain loop of ``kernel``, which must be one of ``roles``."""
+        stmt = domain_loop(kernel)
+        if stmt is None or stmt.role not in roles:
+            raise CCompilationError(f"the C backend requires a VI-Pruned or VS-Block'd {kernel.method} kernel")
+        return stmt
 
     @staticmethod
     def _emit_work_buffers(out: _CEmitter, supernodal: bool = False) -> None:
@@ -961,10 +956,10 @@ class CBackend:
     # ------------------------------------------------------------------ #
     def _emit_trisolve_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
         """Emit the serial triangular solve: ``x = b``, then one walk of the segments."""
-        items = tables.trisolve_items(kernel.body)
-        self._bind(tables.trisolve_segments(items))
+        stmt = domain_loop(kernel)
         out.emit("for (int64_t i = 0; i < n; i++) x[i] = b[i];")
-        if items is not None:
+        if stmt is not None:
+            self._bind(stmt.contract)
             options = context.options
             unroll_max = options.unroll_max_width if options.enable_low_level else 0
             self._emit_segment_loop(kernel.name, unroll_max)
@@ -984,7 +979,7 @@ class CBackend:
         out.emit("for (int64_t p = p0 + 1; p < p1; p++) x[Li[p]] -= Lx[p] * xj;")
 
     def _emit_segment_loop(self, entry: str, unroll_max: int) -> None:
-        """Emit ``{entry}_segments``, the walk of :func:`tables.trisolve_segments`.
+        """Emit ``{entry}_segments``, the walk of the :func:`tables.trisolve_segments` contract.
 
         Supernode widths up to ``unroll_max`` (``unroll_max_width`` when the
         low-level passes are enabled, else 0) get one unrolled ``switch`` case
@@ -1065,19 +1060,13 @@ class CBackend:
     # ------------------------------------------------------------------ #
     # Left-looking factorizations (Cholesky and LDL^T)
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _left_looking_loop(kernel: KernelFunction):
+    @classmethod
+    def _left_looking_loop(cls, kernel: KernelFunction) -> DomainLoop:
         """The supernodal loop of the kernel if VS-Block made one, else the simplicial."""
-        for node_type in (SupernodalCholeskyLoop, SimplicialCholeskyLoop):
-            nodes = CBackend._domain_nodes(kernel, node_type)
-            if nodes:
-                return nodes[0]
-        raise CCompilationError(
-            "the C backend requires a VI-Pruned or VS-Block'd factorization kernel"
-        )
+        return cls._domain_loop(kernel, "supernodal-cholesky", "simplicial-cholesky")
 
-    def _emit_left_looking_c(self, out: _CEmitter, stmt) -> None:
-        if isinstance(stmt, SupernodalCholeskyLoop):
+    def _emit_left_looking_c(self, out: _CEmitter, stmt: DomainLoop) -> None:
+        if stmt.role == "supernodal-cholesky":
             self._emit_supernodal_cholesky_c(out, stmt)
         else:
             self._emit_simplicial_cholesky_c(out, stmt)
@@ -1086,33 +1075,20 @@ class CBackend:
         out.emit("(void)Ap;  /* the A pattern arrives through the inspection tables */")
         self._emit_left_looking_c(out, self._left_looking_loop(kernel))
 
-    def _lu_loop(self, kernel: KernelFunction) -> SimplicialCholeskyLoop:
-        for node in self._domain_nodes(kernel, SimplicialCholeskyLoop):
-            if node.factor_kind == "lu":
-                return node
-        raise CCompilationError("the C backend requires a VI-Pruned LU kernel")
-
     def _emit_lu_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
         out.emit("(void)Ap;  /* the A pattern arrives through the inspection tables */")
-        self._emit_simplicial_lu_c(out, self._lu_loop(kernel))
+        self._emit_simplicial_lu_c(out, self._domain_loop(kernel, "simplicial-lu"))
 
     # ------------------------------------------------------------------ #
     # No-fill incomplete factorizations (IC(0) and ILU(0))
     # ------------------------------------------------------------------ #
-    def _incomplete_loop(self, kernel: KernelFunction, factor_kind: str) -> IncompleteFactorLoop:
-        for node in self._domain_nodes(kernel, IncompleteFactorLoop):
-            if node.factor_kind == factor_kind:
-                return node
-        label = "IC(0)" if factor_kind == "ic0" else "ILU(0)"
-        raise CCompilationError(f"the C backend requires a VI-Pruned {label} kernel")
-
     def _emit_ic0_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
         out.emit("(void)Ap; (void)Ai;  /* the A pattern arrives through the inspection tables */")
-        self._emit_incomplete_ic0_c(out, self._incomplete_loop(kernel, "ic0"))
+        self._emit_incomplete_ic0_c(out, self._domain_loop(kernel, "incomplete-cholesky"))
 
     def _emit_ilu0_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
         out.emit("(void)Ap; (void)Ai;  /* the A pattern arrives through the inspection tables */")
-        self._emit_incomplete_ilu0_c(out, self._incomplete_loop(kernel, "ilu0"))
+        self._emit_incomplete_ilu0_c(out, self._domain_loop(kernel, "incomplete-lu"))
 
     @staticmethod
     def _emit_ic0_column(out: _CEmitter) -> None:
@@ -1139,8 +1115,8 @@ class CBackend:
     def _emit_ic0_preamble(out: _CEmitter) -> None:
         out.emit("for (int64_t i = 0; i < nnz_l; i++) Lx[i] = Ax[_C_a_lower_pos[i]];")
 
-    def _emit_incomplete_ic0_c(self, out: _CEmitter, stmt: IncompleteFactorLoop) -> None:
-        self._bind(tables.incomplete_ic0(stmt))
+    def _emit_incomplete_ic0_c(self, out: _CEmitter, stmt: DomainLoop) -> None:
+        self._bind(stmt.contract)
         out.emit("/* IC(0): in-place no-fill elimination on the tril(A) pattern */")
         self._emit_ic0_preamble(out)
         out.emit("for (int64_t j = 0; j < n; j++) {")
@@ -1179,8 +1155,8 @@ class CBackend:
         out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
         out.emit("for (int64_t i = 0; i < n_below; i++) Lx[_C_l_gather_dst[i]] = Ax[_C_a_lower_pos[i]];")
 
-    def _emit_incomplete_ilu0_c(self, out: _CEmitter, stmt: IncompleteFactorLoop) -> None:
-        self._bind(tables.incomplete_ilu0(stmt))
+    def _emit_incomplete_ilu0_c(self, out: _CEmitter, stmt: DomainLoop) -> None:
+        self._bind(stmt.contract)
         out.emit("/* ILU(0): in-place no-fill elimination on the A pattern */")
         self._emit_ilu0_preamble(out)
         out.emit("for (int64_t j = 0; j < n; j++) {")
@@ -1214,8 +1190,8 @@ class CBackend:
         out.emit("for (int64_t p = u0; p < u1; p++) repro_f[_C_u_indices[p]] = 0.0;")
         out.emit("for (int64_t p = lp0; p < lp1; p++) repro_f[_C_l_indices[p]] = 0.0;")
 
-    def _emit_simplicial_lu_c(self, out: _CEmitter, stmt: SimplicialCholeskyLoop) -> None:
-        self._bind(tables.simplicial_lu(stmt))
+    def _emit_simplicial_lu_c(self, out: _CEmitter, stmt: DomainLoop) -> None:
+        self._bind(stmt.contract)
         self._emit_work_buffers(out)
         out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
         out.emit("memset(Ux, 0, nnz_u * sizeof(double));")
@@ -1227,7 +1203,7 @@ class CBackend:
         out.emit("}")
         out.emit("return 0;")
 
-    def _emit_simplicial_chol_column(self, out: _CEmitter, stmt: SimplicialCholeskyLoop) -> None:
+    def _emit_simplicial_chol_column(self, out: _CEmitter, stmt: DomainLoop) -> None:
         # One left-looking Cholesky/LDL^T step over the thread-local work
         # vector; the only shared-array writes are column j of Lx (and D[j]).
         ldlt = stmt.factor_kind == "ldlt"
@@ -1256,8 +1232,8 @@ class CBackend:
             out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / ljj;")
         out.emit("for (int64_t p = lp0; p < lp1; p++) repro_f[_C_l_indices[p]] = 0.0;")
 
-    def _emit_simplicial_cholesky_c(self, out: _CEmitter, stmt: SimplicialCholeskyLoop) -> None:
-        self._bind(tables.simplicial_cholesky(stmt))
+    def _emit_simplicial_cholesky_c(self, out: _CEmitter, stmt: DomainLoop) -> None:
+        self._bind(stmt.contract)
         self._emit_work_buffers(out)
         out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
         out.emit("memset(repro_f, 0, n * sizeof(double));")
@@ -1268,9 +1244,9 @@ class CBackend:
         out.emit("}")
         out.emit("return 0;")
 
-    def _emit_supernodal_cholesky_c(self, out: _CEmitter, stmt: SupernodalCholeskyLoop) -> None:
+    def _emit_supernodal_cholesky_c(self, out: _CEmitter, stmt: DomainLoop) -> None:
         ldlt = stmt.factor_kind == "ldlt"
-        self._bind(tables.supernodal_cholesky(stmt))
+        self._bind(stmt.contract)
         self._emit_work_buffers(out, supernodal=True)
         out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
         out.emit("memset(repro_f, 0, n * sizeof(double));")
@@ -1414,8 +1390,7 @@ class CBackend:
             return "supernodal"
         if schedule.n_scheduled == 0:
             return "empty-schedule"
-        min_avg = getattr(context.options, "wavefront_min_avg_width", 1.5)
-        if schedule.average_width < min_avg:
+        if schedule.average_width < context.options.wavefront_min_avg_width:
             # n_levels close to n: a deep elimination tree, where per-level
             # barriers cost more than the parallelism they unlock.
             return "deep-etree"
@@ -1555,18 +1530,16 @@ class CBackend:
         VI-Prune emits the reach set in the inspector's topological order and
         VS-Block walks supernode panels.  The pull-form wavefront body must
         subtract each row's updates in this exact order to stay bitwise
-        identical, so the order is read off the very segment list the serial
-        emitter walks.
+        identical, so the order is read off the very segment table the serial
+        kernel walks.
         """
-        items = tables.trisolve_items(kernel.body)
-        if items is None:  # the untransformed loop over every column
+        stmt = domain_loop(kernel)
+        if stmt is None:  # the untransformed loop over every column
             return list(range(n))
+        run_cols = stmt.contract[1]["run_cols"]
         cols: List[int] = []
-        for stmt in items:
-            if isinstance(stmt, PrunedColumnSolveLoop):
-                cols.extend(stmt.columns.tolist())
-            else:
-                cols.extend(range(stmt.c0, stmt.c0 + stmt.width))
+        for w, a, b, _, _ in stmt.contract[1]["seg"].reshape(-1, 5).tolist():
+            cols.extend(run_cols[a:b].tolist() if w == 0 else range(a, a + w))
         return cols
 
     def _trisolve_pull_structure(
@@ -1664,10 +1637,10 @@ class CBackend:
     def _emit_wf_factorization_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
         out.emit("(void)Ap;  /* the A pattern arrives through the inspection tables */")
         stmt = self._left_looking_loop(kernel)
-        if self._wf_serial_fallback(out, context, supernodal=isinstance(stmt, SupernodalCholeskyLoop)):
+        if self._wf_serial_fallback(out, context, supernodal=stmt.role == "supernodal-cholesky"):
             self._emit_left_looking_c(out, stmt)
             return
-        self._bind(tables.simplicial_cholesky(stmt))
+        self._bind(stmt.contract)
         params = [("const int64_t*", "Ai"), ("const double*", "Ax"), ("double*", "Lx")]
         if stmt.factor_kind == "ldlt":
             params.append(("double*", "D"))
@@ -1686,11 +1659,11 @@ class CBackend:
 
     def _emit_wf_lu_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
         out.emit("(void)Ap;  /* the A pattern arrives through the inspection tables */")
-        stmt = self._lu_loop(kernel)
+        stmt = self._domain_loop(kernel, "simplicial-lu")
         if self._wf_serial_fallback(out, context):
             self._emit_simplicial_lu_c(out, stmt)
             return
-        self._bind(tables.simplicial_lu(stmt))
+        self._bind(stmt.contract)
 
         def emit_parallel_preamble(p: _CEmitter) -> None:
             p.emit("memset(Lx, 0, nnz_l * sizeof(double));")
@@ -1715,11 +1688,11 @@ class CBackend:
 
     def _emit_wf_ic0_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
         out.emit("(void)Ap; (void)Ai;  /* the A pattern arrives through the inspection tables */")
-        stmt = self._incomplete_loop(kernel, "ic0")
+        stmt = self._domain_loop(kernel, "incomplete-cholesky")
         if self._wf_serial_fallback(out, context):
             self._emit_incomplete_ic0_c(out, stmt)
             return
-        self._bind(tables.incomplete_ic0(stmt))
+        self._bind(stmt.contract)
 
         self._emit_wavefront_scaffold(
             out,
@@ -1735,11 +1708,11 @@ class CBackend:
 
     def _emit_wf_ilu0_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
         out.emit("(void)Ap; (void)Ai;  /* the A pattern arrives through the inspection tables */")
-        stmt = self._incomplete_loop(kernel, "ilu0")
+        stmt = self._domain_loop(kernel, "incomplete-lu")
         if self._wf_serial_fallback(out, context):
             self._emit_incomplete_ilu0_c(out, stmt)
             return
-        self._bind(tables.incomplete_ilu0(stmt))
+        self._bind(stmt.contract)
 
         self._emit_wavefront_scaffold(
             out,

@@ -1,9 +1,9 @@
 """The python backend: fixed NumPy reference kernels bound to the table block.
 
 Nothing is generated.  :meth:`PythonBackend.generate` finds the domain loop the
-transformations left in the AST, takes its tables from the contract both
-backends read (:mod:`repro.compiler.codegen.tables`: the C emitters bind the
-same names in the same order) and picks the kernel of
+transformations left in the AST, takes the contract it carries (computed by
+:mod:`repro.compiler.codegen.tables`: the C emitters bind the same names in
+the same order) and picks the kernel of
 :mod:`repro.compiler.codegen.reference` that walks them; ``compile()`` returns
 that function bound to the block.  ``source`` is the text of the function that
 runs, the same for every pattern, and ``constants`` the block, key for key what
@@ -38,33 +38,29 @@ class CodegenError(RuntimeError):
     """Raised when the backend has no kernel for a method or its AST."""
 
 
-def _domain_loop(kernel: ast.KernelFunction, *node_types):
-    for node in ast.walk(kernel.body):
-        if isinstance(node, node_types):
-            return node
-    raise CodegenError(f"the python backend requires a VI-Pruned or VS-Block'd {kernel.method} kernel")
+def _domain_loop(kernel: ast.KernelFunction, *roles: str) -> ast.DomainLoop:
+    stmt = ast.domain_loop(kernel)
+    if stmt is None or stmt.role not in roles:
+        raise CodegenError(f"the python backend requires a VI-Pruned or VS-Block'd {kernel.method} kernel")
+    return stmt
 
 
 def _plan_left_looking(kernel: ast.KernelFunction):
-    stmt = _domain_loop(kernel, ast.SupernodalCholeskyLoop, ast.SimplicialCholeskyLoop)
-    if stmt.factor_kind == "lu":
-        return reference.simplicial_lu, tables.simplicial_lu(stmt)
-    if isinstance(stmt, ast.SupernodalCholeskyLoop):
-        fn, contract = reference.supernodal_cholesky, tables.supernodal_cholesky(stmt)
-    else:
-        fn, contract = reference.simplicial_cholesky, tables.simplicial_cholesky(stmt)
-    return partial(fn, ldlt=stmt.factor_kind == "ldlt"), contract
+    stmt = _domain_loop(kernel, "supernodal-cholesky", "simplicial-cholesky", "simplicial-lu")
+    if stmt.role == "simplicial-lu":
+        return reference.simplicial_lu, stmt.contract
+    fn = reference.supernodal_cholesky if stmt.role == "supernodal-cholesky" else reference.simplicial_cholesky
+    return partial(fn, ldlt=stmt.factor_kind == "ldlt"), stmt.contract
 
 
 def _plan_incomplete(kernel: ast.KernelFunction):
-    stmt = _domain_loop(kernel, ast.IncompleteFactorLoop)
-    if stmt.factor_kind == "ilu0":
-        return reference.ilu0, tables.incomplete_ilu0(stmt)
-    return reference.ic0, tables.incomplete_ic0(stmt)
+    stmt = _domain_loop(kernel, "incomplete-cholesky", "incomplete-lu")
+    return (reference.ilu0 if stmt.role == "incomplete-lu" else reference.ic0), stmt.contract
 
 
 def _plan_trisolve(kernel: ast.KernelFunction):
-    return reference.triangular_solve, tables.trisolve_segments(tables.trisolve_items(kernel.body))
+    stmt = ast.domain_loop(kernel)  # None: the untransformed loop over every column, no table
+    return reference.triangular_solve, ({}, {}) if stmt is None else stmt.contract
 
 
 #: Per method: the transformed kernel -> (reference kernel taking the table block and then the

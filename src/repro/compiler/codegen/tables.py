@@ -2,10 +2,14 @@
 
 Everything that depends on the sparsity pattern alone reaches a numeric kernel
 as *data*: one block of contiguous ``int64`` tables.  This module is the only
-place that gives an inspection set its name and its position in that block,
-and a pattern-dependent size its name.  One function per domain loop of the
-transformed AST returns ``(dims, tables)`` — two ordered mappings, sizes and
-inspection sets — and both backends read the result:
+place that computes an inspection set's run-time table, gives it its name and
+its position in that block, and gives a pattern-dependent size its name.  One
+function per domain loop takes the pattern and its inspection result and
+returns ``(dims, tables)`` — two ordered mappings, sizes and inspection sets,
+every table a NumPy array expression over the inspector's own arrays.  The
+transformation that introduces the loop calls the function and places the
+result on the :class:`~repro.compiler.ast.DomainLoop` node; both backends read
+``node.contract``:
 
 * :class:`~repro.compiler.codegen.c_backend.CBackend` registers it (the order
   here is the order of ``repro_T`` and of ``_C_dims``) and its emitters print
@@ -22,24 +26,19 @@ here: they are registered by the wavefront emitters, on top of this contract.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.compiler.ast import (
-    Assign,
-    Block,
-    Call,
-    Comment,
-    ForRange,
-    IncompleteFactorLoop,
-    PrunedColumnSolveLoop,
-    SimplicialCholeskyLoop,
-    Stmt,
-    SupernodalCholeskyLoop,
-    SupernodeTriangularBlock,
-    Var,
+from repro.sparse.csc import CSCMatrix, group_pointers
+from repro.symbolic.inspector import (
+    CholeskyInspectionResult,
+    IC0InspectionResult,
+    ILU0InspectionResult,
+    LUInspectionResult,
+    above_diagonal,
 )
+from repro.symbolic.supernodes import SupernodePartition
 
 __all__ = [
     "Contract",
@@ -50,7 +49,6 @@ __all__ = [
     "supernodal_cholesky",
     "incomplete_ic0",
     "incomplete_ilu0",
-    "trisolve_items",
     "trisolve_segments",
 ]
 
@@ -69,60 +67,127 @@ def block(n: int, contract: Contract) -> Dict[str, np.ndarray]:
     return dict(entry(name, value) for name, value in [("dims", [n, *dims.values()]), *tables.items()])
 
 
-def simplicial_cholesky(stmt: SimplicialCholeskyLoop) -> Contract:
-    """The VI-Pruned left-looking LLᵀ / LDLᵀ column loop."""
+def _column_of(indptr: np.ndarray) -> np.ndarray:
+    """Column of every stored entry of a compressed-column pattern."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(positions, owner)``: the ranges ``starts[t] .. ends[t]`` end to end, and the ``t`` of each position."""
+    lengths = ends - starts
+    owner = np.repeat(np.arange(starts.size, dtype=np.int64), lengths)
+    first = np.cumsum(lengths) - lengths
+    return np.arange(owner.size, dtype=np.int64) + (starts - first)[owner], owner
+
+
+def _a_lower_positions(A: CSCMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """``(a_diag_pos, a_col_end)``: column ``j``'s at/below-diagonal part is ``Ai[a_diag_pos[j]:a_col_end[j]]``."""
+    cols = A.col_indices()
+    above = np.bincount(cols[A.indices < cols], minlength=A.n_cols)
+    return A.indptr[:-1] + above, A.indptr[1:]
+
+
+def _row_updates(l_indptr: np.ndarray, l_indices: np.ndarray) -> np.ndarray:
+    """Position of ``L[j, k]`` for every update ``(j, k)``, ``j`` ascending and ``k`` ascending within ``j``.
+
+    That is the order of the rows of ``L`` (``row_ptr`` / ``row_idx`` of the
+    inspection): the strictly-lower entries, stable-sorted by row.
+    """
+    strict = np.delete(np.arange(l_indices.size, dtype=np.int64), l_indptr[:-1])
+    return strict[np.argsort(l_indices[strict], kind="stable")]
+
+
+def simplicial_cholesky(A: CSCMatrix, inspection: CholeskyInspectionResult, factor_kind: str) -> Contract:
+    """The VI-Pruned left-looking LLᵀ / LDLᵀ column loop.
+
+    For column ``j``, the slice ``prune_ptr[j]:prune_ptr[j + 1]`` of
+    ``update_pos`` / ``update_end`` gives, for each prune-set column ``k``
+    (the row pattern of ``L``), the position of ``L[j, k]`` inside column
+    ``k`` and the end of column ``k``; ``update_col`` is ``k`` itself (LDLᵀ
+    scales by ``D[k]``).
+    """
+    l_indptr, l_indices = inspection.l_indptr, inspection.l_indices
+    a_diag_pos, a_col_end = _a_lower_positions(A)
     tables = {
-        "l_indptr": stmt.l_indptr,
-        "l_indices": stmt.l_indices,
-        "a_diag_pos": stmt.a_diag_pos,
-        "a_col_end": stmt.a_col_end,
-        "prune_ptr": stmt.prune_ptr,
-        "update_pos": stmt.update_pos,
-        "update_end": stmt.update_end,
+        "l_indptr": l_indptr,
+        "l_indices": l_indices,
+        "a_diag_pos": a_diag_pos,
+        "a_col_end": a_col_end,
+        "prune_ptr": inspection.row_ptr,
+        "update_pos": _row_updates(l_indptr, l_indices),
+        "update_end": l_indptr[inspection.row_idx + 1],
     }
-    if stmt.factor_kind == "ldlt":
-        tables["update_col"] = stmt.update_col
-    return {"nnz_l": int(stmt.l_indptr[-1])}, tables
+    if factor_kind == "ldlt":
+        tables["update_col"] = inspection.row_idx
+    return {"nnz_l": int(l_indptr[-1])}, tables
 
 
-def simplicial_lu(stmt: SimplicialCholeskyLoop) -> Contract:
-    """The VI-Pruned left-looking LU column loop (no pivoting)."""
-    dims = {"nnz_l": int(stmt.l_indptr[-1]), "nnz_u": int(stmt.u_indptr[-1])}
+def simplicial_lu(A: CSCMatrix, inspection: LUInspectionResult) -> Contract:
+    """The VI-Pruned left-looking LU column loop (no pivoting).
+
+    The prune-set of column ``j`` is its above-diagonal ``U`` pattern: every
+    ``k`` with ``U[k, j] != 0`` subtracts ``L(:, k) * U[k, j]`` below row
+    ``k``, so ``update_pos`` is the first *off-diagonal* entry of ``L(:, k)``
+    and the kernel reads the multiplier from its work vector at
+    ``update_col``.  The ``a_*`` tables cover the full column of ``A``.
+    """
+    l_indptr = inspection.l_indptr
+    prune_ptr, update_col = above_diagonal(inspection.u_indptr, inspection.u_indices)
+    dims = {"nnz_l": int(l_indptr[-1]), "nnz_u": int(inspection.u_indptr[-1])}
     return dims, {
-        "l_indptr": stmt.l_indptr,
-        "l_indices": stmt.l_indices,
-        "u_indptr": stmt.u_indptr,
-        "u_indices": stmt.u_indices,
-        "a_col_start": stmt.a_diag_pos,
-        "a_col_end": stmt.a_col_end,
-        "prune_ptr": stmt.prune_ptr,
-        "update_pos": stmt.update_pos,
-        "update_end": stmt.update_end,
-        "update_col": stmt.update_col,
+        "l_indptr": l_indptr,
+        "l_indices": inspection.l_indices,
+        "u_indptr": inspection.u_indptr,
+        "u_indices": inspection.u_indices,
+        "a_col_start": A.indptr[:-1],
+        "a_col_end": A.indptr[1:],
+        "prune_ptr": prune_ptr,
+        "update_pos": l_indptr[update_col] + 1,
+        "update_end": l_indptr[update_col + 1],
+        "update_col": update_col,
     }
 
 
-def supernodal_cholesky(stmt: SupernodalCholeskyLoop) -> Contract:
-    """The VS-Block'd LLᵀ / LDLᵀ supernode loop, with its work-buffer sizes."""
+def supernodal_cholesky(A: CSCMatrix, inspection: CholeskyInspectionResult, factor_kind: str) -> Contract:
+    """The VS-Block'd LLᵀ / LDLᵀ supernode loop, with its work-buffer sizes.
+
+    Supernode ``s`` is columns ``sup_start[s]:sup_end[s]``; the slice
+    ``desc_ptr[s]:desc_ptr[s + 1]`` lists its descendant columns ``k``
+    (``desc_col``, ascending): ``desc_pos`` is the first entry of column ``k``
+    with a row inside the supernode, ``desc_mult_end`` one past the last such
+    entry (the multipliers lie in between) and ``desc_end`` the end of column
+    ``k``.
+    """
+    n = inspection.n
+    l_indptr, l_indices = inspection.l_indptr, inspection.l_indices
+    partition = inspection.supernodes
+    sup_start, sup_end = partition.super_ptr[:-1], partition.super_ptr[1:]
+    # One (supernode of the row, column) pair per entry of L left of its row's supernode.
+    column = _column_of(l_indptr)
+    supernode = partition.col_to_super[l_indices]
+    left = np.flatnonzero(column < sup_start[supernode])
+    pair, first, count = np.unique(supernode[left] * n + column[left], return_index=True, return_counts=True)
+    desc_col, desc_pos = pair % n, left[first]
+    a_diag_pos, a_col_end = _a_lower_positions(A)
     tables = {
-        "l_indptr": stmt.l_indptr,
-        "l_indices": stmt.l_indices,
-        "a_diag_pos": stmt.a_diag_pos,
-        "a_col_end": stmt.a_col_end,
-        "sup_start": stmt.sup_start,
-        "sup_end": stmt.sup_end,
-        "desc_ptr": stmt.desc_ptr,
-        "desc_pos": stmt.desc_pos,
-        "desc_mult_end": stmt.desc_mult_end,
-        "desc_end": stmt.desc_end,
+        "l_indptr": l_indptr,
+        "l_indices": l_indices,
+        "a_diag_pos": a_diag_pos,
+        "a_col_end": a_col_end,
+        "sup_start": sup_start,
+        "sup_end": sup_end,
+        "desc_ptr": group_pointers(pair // n, sup_start.size),
+        "desc_pos": desc_pos,
+        "desc_mult_end": desc_pos + count,
+        "desc_end": l_indptr[desc_col + 1],
     }
-    if stmt.factor_kind == "ldlt":
-        tables["desc_col"] = stmt.desc_col
-    widths = stmt.sup_end - stmt.sup_start
-    rows = stmt.l_indptr[stmt.sup_start + 1] - stmt.l_indptr[stmt.sup_start]
+    if factor_kind == "ldlt":
+        tables["desc_col"] = desc_col
+    widths = sup_end - sup_start
+    rows = l_indptr[sup_start + 1] - l_indptr[sup_start]
     dims = {
-        "nnz_l": int(stmt.l_indptr[-1]),
-        "n_super": stmt.n_supernodes,
+        "nnz_l": int(l_indptr[-1]),
+        "n_super": int(sup_start.size),
         # The panel and multiplier buffers of the largest supernode.
         "sn_max_panel": int((rows * widths).max(initial=0)),
         "sn_max_width": int(widths.max(initial=0)),
@@ -130,84 +195,95 @@ def supernodal_cholesky(stmt: SupernodalCholeskyLoop) -> Contract:
     return dims, tables
 
 
-def incomplete_ic0(stmt: IncompleteFactorLoop) -> Contract:
-    """The no-fill IC(0) loop: in place on the ``tril(A)`` pattern."""
-    return {"nnz_l": int(stmt.l_indptr[-1])}, {
-        "l_indptr": stmt.l_indptr,
-        "a_lower_pos": stmt.a_lower_pos,
-        "prune_ptr": stmt.prune_ptr,
-        "mult_pos": stmt.mult_pos,
-        "l_scat_ptr": stmt.l_scat_ptr,
-        "l_scat_src": stmt.l_scat_src,
-        "l_scat_dst": stmt.l_scat_dst,
-    }
+def _scatter(src_start, src_end, dst_col, l_indices, dst_indptr, dst_indices, strictly_below=False):
+    """Pattern-intersected scatter streams ``(ptr, src, dst)`` of the no-fill kernels.
 
-
-def incomplete_ilu0(stmt: IncompleteFactorLoop) -> Contract:
-    """The no-fill ILU(0) loop: in place on the ``A`` pattern."""
-    dims = {
-        "nnz_l": int(stmt.l_indptr[-1]),
-        "nnz_u": int(stmt.u_indptr[-1]),
-        "n_below": int(stmt.a_lower_pos.size),
-    }
-    return dims, {
-        "l_indptr": stmt.l_indptr,
-        "u_indptr": stmt.u_indptr,
-        "a_lower_pos": stmt.a_lower_pos,
-        "a_upper_pos": stmt.a_upper_pos,
-        "l_gather_dst": stmt.l_gather_dst,
-        "prune_ptr": stmt.prune_ptr,
-        "mult_pos": stmt.mult_pos,
-        "u_scat_ptr": stmt.u_scat_ptr,
-        "u_scat_src": stmt.u_scat_src,
-        "u_scat_dst": stmt.u_scat_dst,
-        "l_scat_ptr": stmt.l_scat_ptr,
-        "l_scat_src": stmt.l_scat_src,
-        "l_scat_dst": stmt.l_scat_dst,
-    }
-
-
-def trisolve_items(body: Block) -> Optional[List[Stmt]]:
-    """The lowered triangular solve in execution order.
-
-    The flat list of column runs and supernode blocks the inspector-guided
-    passes left, or ``None`` when the solve is untransformed: the loop over
-    every column.  IR comments are dropped (they quote pattern statistics,
-    which must not reach a source).
+    Update ``t`` reads the entries ``src_start[t] .. src_end[t]`` of ``L`` and
+    writes those whose row is stored in column ``dst_col[t]`` of the
+    destination pattern (``strictly_below``: and lies below its diagonal): a
+    dropped update of IC(0) / ILU(0) is an entry left out here.
     """
-    segments: List[Stmt] = []
-    column_loops: List[ForRange] = []
-
-    def walk_block(block: Block) -> None:
-        for stmt in block.statements:
-            if isinstance(stmt, Comment):
-                continue
-            if isinstance(stmt, Block):
-                walk_block(stmt)
-            elif isinstance(stmt, Assign):
-                # The only generic assignment in the lowered solve is the
-                # initial copy of b into x, which every kernel does itself.
-                if not (isinstance(stmt.target, Var) and stmt.target.name == "x" and isinstance(stmt.value, Call)):
-                    raise ValueError("unexpected generic assignment in the lowered triangular solve")
-            elif isinstance(stmt, ForRange):
-                if stmt.annotations.get("role") != "column-loop":
-                    raise ValueError("unexpected generic loop in the lowered triangular solve")
-                column_loops.append(stmt)
-            elif isinstance(stmt, (PrunedColumnSolveLoop, SupernodeTriangularBlock)):
-                segments.append(stmt)
-            else:
-                raise ValueError(f"no kernel reads a {type(stmt).__name__} in a triangular solve")
-
-    walk_block(body)
-    if not column_loops:
-        return segments
-    if segments or len(column_loops) > 1:
-        raise ValueError("the untransformed column loop is not alone in the triangular solve")
-    return None
+    n = dst_indptr.size - 1
+    src, update = _ranges(src_start, src_end)
+    wanted = dst_col[update] * n + l_indices[src]
+    stored = _column_of(dst_indptr) * n + dst_indices
+    dst = np.minimum(np.searchsorted(stored, wanted), stored.size - 1)
+    hit = stored[dst] == wanted
+    if strictly_below:
+        hit &= l_indices[src] != dst_col[update]
+    return group_pointers(update[hit], src_start.size), src[hit], dst[hit]
 
 
-def trisolve_segments(segments: Optional[List[Stmt]]) -> Contract:
-    """The segment list a transformed triangular solve walks (no table for an untransformed one).
+def incomplete_ic0(A: CSCMatrix, inspection: IC0InspectionResult) -> Contract:
+    """The no-fill IC(0) loop: in place on the ``tril(A)`` pattern.
+
+    ``a_lower_pos`` gathers ``tril(A)`` into ``Lx``.  Update ``t`` of column
+    ``j`` (source column ``k``, ``A[j, k] != 0``) has its multiplier
+    ``L[j, k]`` at ``mult_pos[t]`` and subtracts, through
+    ``l_scat_src`` / ``l_scat_dst[l_scat_ptr[t]:l_scat_ptr[t + 1]]``, the
+    entries of column ``k`` from row ``j`` down whose row column ``j`` stores
+    too.
+    """
+    l_indptr, l_indices = inspection.l_indptr, inspection.l_indices
+    mult_pos = _row_updates(l_indptr, l_indices)
+    l_scat_ptr, l_scat_src, l_scat_dst = _scatter(
+        mult_pos, l_indptr[inspection.row_idx + 1], l_indices[mult_pos], l_indices, l_indptr, l_indices
+    )
+    return {"nnz_l": int(l_indptr[-1])}, {
+        "l_indptr": l_indptr,
+        "a_lower_pos": np.flatnonzero(A.indices >= A.col_indices()),
+        "prune_ptr": inspection.row_ptr,
+        "mult_pos": mult_pos,
+        "l_scat_ptr": l_scat_ptr,
+        "l_scat_src": l_scat_src,
+        "l_scat_dst": l_scat_dst,
+    }
+
+
+def incomplete_ilu0(A: CSCMatrix, inspection: ILU0InspectionResult) -> Contract:
+    """The no-fill ILU(0) loop: in place on the ``A`` pattern.
+
+    ``a_upper_pos`` gathers ``triu(A)`` into ``Ux`` and ``a_lower_pos`` the
+    strict lower triangle into ``Lx[l_gather_dst]`` (the unit diagonal is
+    explicit).  Update ``t`` of column ``j`` (source column ``k``,
+    ``U[k, j] != 0``, multiplier at ``Ux[mult_pos[t]]``) subtracts the
+    strictly-below-diagonal part of ``L(:, k)`` from the rows column ``j``
+    stores: those up to the diagonal land in ``Ux`` through ``u_scat_*``, those
+    below it in ``Lx`` through ``l_scat_*``.
+    """
+    l_indptr, l_indices = inspection.l_indptr, inspection.l_indices
+    u_indptr, u_indices = inspection.u_indptr, inspection.u_indices
+    cols = A.col_indices()
+    prune_ptr, source = above_diagonal(u_indptr, u_indices)
+    mult_pos = np.delete(np.arange(u_indices.size, dtype=np.int64), u_indptr[1:] - 1)
+    below = np.delete(np.arange(l_indices.size, dtype=np.int64), l_indptr[:-1])
+    updated = _column_of(u_indptr)[mult_pos]
+    sources = (l_indptr[source] + 1, l_indptr[source + 1], updated, l_indices)
+    u_scat_ptr, u_scat_src, u_scat_dst = _scatter(*sources, u_indptr, u_indices)
+    # Column j of L stores its diagonal too; that row belongs to U.
+    l_scat_ptr, l_scat_src, l_scat_dst = _scatter(*sources, l_indptr, l_indices, strictly_below=True)
+    dims = {"nnz_l": int(l_indptr[-1]), "nnz_u": int(u_indptr[-1]), "n_below": int(below.size)}
+    return dims, {
+        "l_indptr": l_indptr,
+        "u_indptr": u_indptr,
+        "a_lower_pos": np.flatnonzero(A.indices > cols),
+        "a_upper_pos": np.flatnonzero(A.indices <= cols),
+        "l_gather_dst": below,
+        "prune_ptr": prune_ptr,
+        "mult_pos": mult_pos,
+        "u_scat_ptr": u_scat_ptr,
+        "u_scat_src": u_scat_src,
+        "u_scat_dst": u_scat_dst,
+        "l_scat_ptr": l_scat_ptr,
+        "l_scat_src": l_scat_src,
+        "l_scat_dst": l_scat_dst,
+    }
+
+
+def trisolve_segments(
+    L: CSCMatrix, partition: Optional[SupernodePartition], active_columns: np.ndarray, min_width: int
+) -> Contract:
+    """The segment list a transformed triangular solve walks.
 
     Segment ``s`` of ``n_seg`` is the five entries ``seg[5 s ..]`` =
     ``{w, a, b, off_lo, cs}``.  ``w == 0``: a pruned column loop over
@@ -215,24 +291,32 @@ def trisolve_segments(segments: Optional[List[Stmt]]) -> Contract:
     column ``a``, with ``b`` rows below its diagonal block whose indices are
     ``Li[off_lo ..]`` and column ``k``'s diagonal entry at
     ``Lx[blk_cs[cs + k]]``.
+
+    Without a ``partition`` (VS-Block did not take the solve) the list is one
+    pruned loop over ``active_columns`` in the order given — the reach-set's
+    topological order.  With one, supernodes at least ``min_width`` wide that
+    hold an active column are blocks, in ascending order, and the active
+    columns of the narrower ones between two wide supernodes are one run.
     """
-    if segments is None:
-        return {}, {}
-    rows: List[Tuple[int, ...]] = []
-    run_cols: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    blk_cs: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    n_run = n_cs = 0
-    for stmt in segments:
-        if isinstance(stmt, PrunedColumnSolveLoop):
-            rows.append((0, n_run, n_run + stmt.columns.size, 0, 0))
-            run_cols.append(stmt.columns)
-            n_run += stmt.columns.size
-        else:
-            rows.append((stmt.width, stmt.c0, stmt.n_offdiag_rows, stmt.rows_start + stmt.width, n_cs))
-            blk_cs.append(stmt.col_starts)
-            n_cs += stmt.width
-    return {"n_seg": len(rows)}, {
-        "seg": np.asarray(rows, dtype=np.int64).ravel(),
-        "run_cols": np.concatenate(run_cols),
-        "blk_cs": np.concatenate(blk_cs),
-    }
+    active_columns = np.asarray(active_columns, dtype=np.int64)
+    if partition is None:
+        seg = np.array([0, 0, active_columns.size, 0, 0], dtype=np.int64)
+        return {"n_seg": 1}, {"seg": seg, "run_cols": active_columns, "blk_cs": np.zeros(0, dtype=np.int64)}
+    Lp, sizes, supernode = L.indptr, partition.sizes(), partition.col_to_super
+    active = np.zeros(L.n_cols, dtype=bool)
+    active[active_columns] = True
+    wide = sizes >= min_width
+    n_wide = np.cumsum(wide)  # wide supernodes up to and including each supernode
+    # A run is the active narrow columns with the same number of wide supernodes before them.
+    run_cols = np.flatnonzero(active & ~wide[supernode])
+    slot, run_len = np.unique(n_wide[supernode[run_cols]], return_counts=True)
+    run_end = np.cumsum(run_len)
+    runs = np.zeros((slot.size, 5), dtype=np.int64)
+    runs[:, 1], runs[:, 2] = run_end - run_len, run_end
+    # A block is a wide supernode with an active column; it follows the run of its slot.
+    blocked = np.flatnonzero(wide & (np.bincount(supernode[active_columns], minlength=wide.size) > 0))
+    c0, w = partition.super_ptr[blocked], sizes[blocked]
+    blocks = np.stack([w, c0, Lp[c0 + 1] - Lp[c0] - w, Lp[c0] + w, np.cumsum(w) - w], axis=1)
+    order = np.argsort(np.concatenate([2 * slot, 2 * n_wide[blocked] - 1]), kind="stable")
+    seg = np.concatenate([runs, blocks])[order].ravel()
+    return {"n_seg": int(order.size)}, {"seg": seg, "run_cols": run_cols, "blk_cs": Lp[_ranges(c0, c0 + w)[0]]}

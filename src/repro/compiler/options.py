@@ -2,8 +2,8 @@
 
 The options gather every tunable the paper mentions:
 
-* which inspector-guided transformations run and in which order (§4.2 notes
-  VS-Block is applied before VI-Prune in the current Sympiler),
+* which inspector-guided transformations run (always VS-Block before
+  VI-Prune, the order of the current Sympiler, §4.2),
 * the VS-Block *participation* threshold — supernodal code is only generated
   when the average participating supernode is large enough (the paper uses a
   hand-tuned value of 160 on full-scale SuiteSparse matrices; the default
@@ -24,7 +24,6 @@ from typing import Optional, Tuple
 __all__ = ["SympilerOptions"]
 
 _VALID_BACKENDS = ("python", "c")
-_VALID_TRANSFORM_NAMES = ("vs-block", "vi-prune")
 _VALID_PARALLEL_MODES = ("none", "wavefront")
 
 
@@ -55,12 +54,10 @@ class SympilerOptions:
     enable_vi_prune, enable_vs_block, enable_low_level:
         Toggles for the transformation stages; disabling all of them produces
         the un-transformed lowered kernel (useful for ablations).
-    transformation_order:
-        Order in which the enabled inspector-guided transformations run.  The
-        paper's default applies VS-Block before VI-Prune.
     vs_block_min_avg_width:
-        VS-Block participation threshold: if the average width of supernodes
-        with at least two columns is below this value the transformation is
+        VS-Block participation threshold: if the mean width of *all*
+        supernodes (single columns included) is below this value, or none is
+        at least ``vs_block_min_supernode_width`` wide, the transformation is
         skipped for the matrix (the analogue of the paper's hand-tuned 160 on
         full-scale matrices).
     vs_block_min_supernode_width:
@@ -120,7 +117,6 @@ class SympilerOptions:
     enable_vi_prune: bool = True
     enable_vs_block: bool = True
     enable_low_level: bool = True
-    transformation_order: Tuple[str, ...] = ("vs-block", "vi-prune")
 
     vs_block_min_avg_width: float = 1.2
     vs_block_min_supernode_width: int = 2
@@ -141,14 +137,6 @@ class SympilerOptions:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {_VALID_BACKENDS}"
             )
-        for name in self.transformation_order:
-            if name not in _VALID_TRANSFORM_NAMES:
-                raise ValueError(
-                    f"unknown transformation {name!r}; expected names from "
-                    f"{_VALID_TRANSFORM_NAMES}"
-                )
-        if len(set(self.transformation_order)) != len(self.transformation_order):
-            raise ValueError("transformation_order must not repeat a transformation")
         if self.vs_block_min_supernode_width < 1:
             raise ValueError("vs_block_min_supernode_width must be at least 1")
         if self.max_supernode_width is not None and self.max_supernode_width < 1:
@@ -171,18 +159,19 @@ class SympilerOptions:
         return replace(self, **changes)
 
     def active_transformations(self) -> Tuple[str, ...]:
-        """The inspector-guided transformations that will actually run."""
-        active = []
-        for name in self.transformation_order:
-            if name == "vs-block" and self.enable_vs_block:
-                active.append(name)
-            elif name == "vi-prune" and self.enable_vi_prune:
-                active.append(name)
-        return tuple(active)
+        """The inspector-guided transformations that will actually run, in order (§4.2)."""
+        enabled = (("vs-block", self.enable_vs_block), ("vi-prune", self.enable_vi_prune))
+        return tuple(name for name, on in enabled if on)
 
     @classmethod
     def baseline(cls) -> "SympilerOptions":
-        """Options with every transformation disabled (un-transformed code)."""
+        """Options with every transformation disabled (un-transformed code).
+
+        Only a triangular solve has an un-transformed kernel.  A factorization
+        cannot run without its prune-sets, so for those kernels the driver
+        forces VI-Prune back on and records it in
+        ``decisions["vi-prune-forced"]``.
+        """
         return cls(enable_vi_prune=False, enable_vs_block=False, enable_low_level=False)
 
     @classmethod
@@ -192,7 +181,12 @@ class SympilerOptions:
 
     @classmethod
     def vs_block_only(cls) -> "SympilerOptions":
-        """Options enabling only VS-Block."""
+        """Options enabling only VS-Block.
+
+        For the factorization kernels VI-Prune is forced back on (recorded in
+        ``decisions["vi-prune-forced"]``): where VS-Block does not take the
+        loop, the prune-sets are what makes it executable.
+        """
         return cls(enable_vi_prune=False, enable_low_level=False)
 
     @classmethod

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.compiler.ast import KernelFunction
+from repro.compiler.ast import Block, Comment, DomainLoop, ForRange, KernelFunction
 from repro.compiler.options import SympilerOptions
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.inspector import (
@@ -18,6 +18,7 @@ from repro.symbolic.inspector import (
 
 __all__ = [
     "CompilationContext",
+    "place_domain_loop",
     "Transform",
     "MethodDispatchTransform",
     "TransformPipeline",
@@ -66,6 +67,21 @@ class CompilationContext:
         self.applied.append(name)
         if decision:
             self.decisions[name] = decision
+
+
+def place_domain_loop(kernel: KernelFunction, comment: str, loop: DomainLoop) -> bool:
+    """Put ``loop``, under ``comment``, in place of the lowered column loop; ``False`` when there is none."""
+
+    def replace(block: Block) -> bool:
+        for i, stmt in enumerate(block.statements):
+            if isinstance(stmt, ForRange) and stmt.annotations.get("role") == "column-loop":
+                block.statements[i : i + 1] = [Comment(comment), loop]
+                return True
+            if isinstance(stmt, Block) and replace(stmt):
+                return True
+        return False
+
+    return replace(kernel.body)
 
 
 class Transform(ABC):

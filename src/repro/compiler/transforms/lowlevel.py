@@ -15,12 +15,7 @@ unconditionally after the inspector-guided passes.
 
 from __future__ import annotations
 
-from repro.compiler.ast import (
-    KernelFunction,
-    SupernodalCholeskyLoop,
-    SupernodeTriangularBlock,
-    walk,
-)
+from repro.compiler.ast import KernelFunction, domain_loop
 from repro.compiler.transforms.base import CompilationContext, Transform
 
 __all__ = [
@@ -35,10 +30,11 @@ class UnrollTransform(Transform):
     name = "unroll"
 
     def apply(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
-        unrolled = sum(
-            isinstance(node, SupernodeTriangularBlock) and node.width <= context.options.unroll_max_width
-            for node in walk(kernel.body)
-        )
+        loop = domain_loop(kernel)
+        if loop is None or loop.role != "trisolve-segments":
+            return kernel
+        widths = loop.contract[1]["seg"][0::5]
+        unrolled = int(((widths > 0) & (widths <= context.options.unroll_max_width)).sum())
         if unrolled:
             context.record(self.name, unrolled_statements=unrolled)
             kernel.meta["unrolled_statements"] = unrolled
@@ -53,12 +49,9 @@ class LoopDistributeTransform(Transform):
     def apply(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
         # Structural pass: acts on any supernodal left-looking loop (LL^T or
         # LDL^T); kernels without one are left untouched.
-        changed = 0
-        for node in walk(kernel.body):
-            if isinstance(node, SupernodalCholeskyLoop) and not node.distribute_single_columns:
-                node.distribute_single_columns = True
-                changed += 1
-        if changed:
-            context.record(self.name, distributed_loops=changed)
+        loop = domain_loop(kernel)
+        if loop is not None and loop.role == "supernodal-cholesky" and not loop.distribute_single_columns:
+            loop.distribute_single_columns = True
+            context.record(self.name, distributed_loops=1)
             kernel.meta["loop_distribution"] = True
         return kernel

@@ -20,28 +20,15 @@ benchmarks can report them.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from repro.compiler.ast import (
-    Comment,
-    KernelFunction,
-    PrunedColumnSolveLoop,
-    SimplicialCholeskyLoop,
-    SupernodalCholeskyLoop,
-    SupernodeTriangularBlock,
-    walk,
-)
+from repro.compiler.ast import DomainLoop, KernelFunction
+from repro.compiler.codegen import tables
 from repro.compiler.transforms.base import (
     CompilationContext,
     MethodDispatchTransform,
+    place_domain_loop,
 )
-from repro.compiler.transforms.descriptors import (
-    supernodal_descriptors,
-    triangular_block_descriptor,
-)
-from repro.compiler.transforms.vi_prune import _find_prunable_loop, _replace_statement
 from repro.symbolic.inspector import (
     CholeskyInspectionResult,
     IC0InspectionResult,
@@ -95,137 +82,58 @@ class VSBlockTransform(MethodDispatchTransform):
         "ilu0": "_apply_ilu0",
     }
 
+    @staticmethod
+    def _participation(context: CompilationContext) -> tuple[bool, dict]:
+        """The §4.2 decision for the block-set of ``context.inspection`` under ``context.options``."""
+        return vs_block_participates(
+            context.inspection.supernodes,
+            min_supernode_width=context.options.vs_block_min_supernode_width,
+            min_avg_width=context.options.vs_block_min_avg_width,
+        )
+
     # ------------------------------------------------------------------ #
     # Triangular solve
     # ------------------------------------------------------------------ #
-    def _apply_triangular(
-        self, kernel: KernelFunction, context: CompilationContext
-    ) -> KernelFunction:
+    def _apply_triangular(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
         inspection = context.inspection
         if not isinstance(inspection, TriangularInspectionResult):
             raise TypeError("triangular-solve VS-Block needs a triangular inspection")
-        options = context.options
-        partition = inspection.supernodes
-        participates, details = vs_block_participates(
-            partition,
-            min_supernode_width=options.vs_block_min_supernode_width,
-            min_avg_width=options.vs_block_min_avg_width,
-        )
+        participates, details = self._participation(context)
         context.decisions[self.name] = details
         if not participates:
             return kernel
-
-        # Active columns: the reach-set if VI-Prune already ran, else all.
-        existing_pruned = [
-            node for node in walk(kernel.body) if isinstance(node, PrunedColumnSolveLoop)
-        ]
-        if existing_pruned:
-            active_sorted = np.unique(
-                np.concatenate([p.columns for p in existing_pruned])
-            )
-        else:
-            active_sorted = np.arange(inspection.n, dtype=np.int64)
-        active_mask = np.zeros(inspection.n, dtype=bool)
-        active_mask[active_sorted] = True
-
-        segments = self._build_triangular_segments(
-            context, partition, active_mask, options.vs_block_min_supernode_width
+        # Every column is active here; VI-Prune restricts the segments to the reach-set.
+        contract = tables.trisolve_segments(
+            context.matrix,
+            inspection.supernodes,
+            np.arange(inspection.n, dtype=np.int64),
+            context.options.vs_block_min_supernode_width,
         )
+        comment = (
+            "VS-Block: supernode blocks solved with dense sub-kernels "
+            f"({details['n_wide_supernodes']} blockable supernodes)"
+        )
+        return self._place(kernel, context, comment, DomainLoop("trisolve-segments", contract), details)
 
-        # Replace either the original column loop or the VI-Pruned loop(s).
-        new_body: List = [
-            Comment(
-                "VS-Block: supernode blocks solved with dense sub-kernels "
-                f"({details['n_wide_supernodes']} blockable supernodes)"
-            ),
-            *segments,
-        ]
-        if existing_pruned:
-            # Replace the first pruned loop with the blocked segments and drop
-            # any further pruned loops (their columns are covered).
-            _replace_statement(kernel.body, existing_pruned[0], new_body)
-            for extra in existing_pruned[1:]:
-                _replace_statement(kernel.body, extra, [])
-        else:
-            loop = _find_prunable_loop(kernel)
-            if loop is None or not loop.annotations.get("blockable", False):
-                context.decisions[self.name] = {"skipped": "no blockable loop found"}
-                return kernel
-            _replace_statement(kernel.body, loop, new_body)
-
-        if "block_set" not in kernel.constants:
-            kernel.add_constant("block_set", partition.super_ptr)
+    def _place(self, kernel: KernelFunction, context: CompilationContext, comment: str, loop: DomainLoop, details):
+        """Put ``loop`` in place of the annotated column loop and record the pass."""
+        if not place_domain_loop(kernel, comment, loop):
+            context.decisions[self.name] = {"skipped": "no blockable loop found"}
+            return kernel
         context.record(self.name, **details)
         kernel.meta["vs_block"] = True
         return kernel
 
-    @staticmethod
-    def _build_triangular_segments(
-        context: CompilationContext,
-        partition: SupernodePartition,
-        active_mask: np.ndarray,
-        min_width: int,
-    ) -> List:
-        """Segments (blocks and column runs) in ascending column order."""
-        L = context.matrix
-        segments: List = []
-        pending_run: List[int] = []
-        run_counter = 0
-
-        def flush_run() -> None:
-            nonlocal run_counter, pending_run
-            if pending_run:
-                segments.append(
-                    PrunedColumnSolveLoop(
-                        columns=np.asarray(pending_run, dtype=np.int64),
-                        constant_name=f"column_run_{run_counter}",
-                        role="column-run",
-                    )
-                )
-                run_counter += 1
-                pending_run = []
-
-        for s, c0, c1 in partition.iter_supernodes():
-            width = c1 - c0
-            block_active = bool(active_mask[c0:c1].any())
-            if not block_active:
-                continue
-            if width >= min_width:
-                flush_run()
-                col_starts, rows_start, rows_end, n_rows = triangular_block_descriptor(L, c0, c1)
-                segments.append(
-                    SupernodeTriangularBlock(
-                        sn_id=s,
-                        c0=c0,
-                        width=width,
-                        n_rows=n_rows,
-                        col_starts=col_starts,
-                        rows_start=rows_start,
-                        rows_end=rows_end,
-                        role="supernode-block",
-                    )
-                )
-            else:
-                pending_run.extend(int(c) for c in range(c0, c1) if active_mask[c])
-        flush_run()
-        return segments
-
     # ------------------------------------------------------------------ #
     # Left-looking factorizations (Cholesky and LDL^T)
     # ------------------------------------------------------------------ #
-    def _apply_cholesky(
-        self, kernel: KernelFunction, context: CompilationContext
-    ) -> KernelFunction:
+    def _apply_cholesky(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
         return self._apply_left_looking(kernel, context, factor_kind="llt")
 
-    def _apply_ldlt(
-        self, kernel: KernelFunction, context: CompilationContext
-    ) -> KernelFunction:
+    def _apply_ldlt(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
         return self._apply_left_looking(kernel, context, factor_kind="ldlt")
 
-    def _apply_lu(
-        self, kernel: KernelFunction, context: CompilationContext
-    ) -> KernelFunction:
+    def _apply_lu(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
         """VS-Block for the unsymmetric left-looking LU.
 
         The participation heuristic is evaluated on the column-etree
@@ -240,33 +148,20 @@ class VSBlockTransform(MethodDispatchTransform):
         inspection = context.inspection
         if not isinstance(inspection, LUInspectionResult):
             raise TypeError("LU VS-Block needs an LU inspection")
-        options = context.options
-        participates, details = vs_block_participates(
-            inspection.supernodes,
-            min_supernode_width=options.vs_block_min_supernode_width,
-            min_avg_width=options.vs_block_min_avg_width,
-        )
+        participates, details = self._participation(context)
         details["factor_kind"] = "lu"
         details["deferred"] = "supernodal LU not generated (unsymmetric panels)"
         context.decisions[self.name] = details
         return kernel
 
-    def _apply_ic0(
-        self, kernel: KernelFunction, context: CompilationContext
-    ) -> KernelFunction:
+    def _apply_ic0(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
         return self._apply_incomplete(kernel, context, factor_kind="ic0")
 
-    def _apply_ilu0(
-        self, kernel: KernelFunction, context: CompilationContext
-    ) -> KernelFunction:
+    def _apply_ilu0(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
         return self._apply_incomplete(kernel, context, factor_kind="ilu0")
 
     def _apply_incomplete(
-        self,
-        kernel: KernelFunction,
-        context: CompilationContext,
-        *,
-        factor_kind: str,
+        self, kernel: KernelFunction, context: CompilationContext, *, factor_kind: str
     ) -> KernelFunction:
         """VS-Block for the no-fill incomplete factorizations.
 
@@ -286,84 +181,26 @@ class VSBlockTransform(MethodDispatchTransform):
                 f"incomplete VS-Block for {factor_kind!r} needs a "
                 f"{expected_cls.__name__}"
             )
-        options = context.options
-        participates, details = vs_block_participates(
-            inspection.supernodes,
-            min_supernode_width=options.vs_block_min_supernode_width,
-            min_avg_width=options.vs_block_min_avg_width,
-        )
+        participates, details = self._participation(context)
         details["factor_kind"] = factor_kind
         details["deferred"] = "supernodal incomplete factorization would introduce in-block fill"
         context.decisions[self.name] = details
         return kernel
 
     def _apply_left_looking(
-        self,
-        kernel: KernelFunction,
-        context: CompilationContext,
-        *,
-        factor_kind: str,
+        self, kernel: KernelFunction, context: CompilationContext, *, factor_kind: str
     ) -> KernelFunction:
         inspection = context.inspection
         if not isinstance(inspection, CholeskyInspectionResult):
             raise TypeError("left-looking VS-Block needs a Cholesky-style inspection")
-        options = context.options
         partition = inspection.supernodes
-        participates, details = vs_block_participates(
-            partition,
-            min_supernode_width=options.vs_block_min_supernode_width,
-            min_avg_width=options.vs_block_min_avg_width,
-        )
+        participates, details = self._participation(context)
         context.decisions[self.name] = details
         if not participates:
             return kernel
 
-        desc = supernodal_descriptors(context.matrix, inspection)
-        supernodal = SupernodalCholeskyLoop(
-            n=inspection.n,
-            l_indptr=inspection.l_indptr,
-            l_indices=inspection.l_indices,
-            a_diag_pos=desc.a_diag_pos,
-            a_col_end=desc.a_col_end,
-            sup_start=desc.sup_start,
-            sup_end=desc.sup_end,
-            desc_ptr=desc.desc_ptr,
-            desc_pos=desc.desc_pos,
-            desc_end=desc.desc_end,
-            desc_mult_end=desc.desc_mult_end,
-            desc_col=desc.desc_col,
-            factor_kind=factor_kind,
-            # Loop distribution is decided by the low-level pass; default to
-            # the plain blocked structure here.
-            distribute_single_columns=False,
-            role="supernodal-cholesky",
+        comment = f"VS-Block: {partition.n_supernodes} supernodes, average width {partition.average_size():.2f}"
+        contract = tables.supernodal_cholesky(context.matrix, inspection, factor_kind)
+        return self._place(
+            kernel, context, comment, DomainLoop("supernodal-cholesky", contract, factor_kind=factor_kind), details
         )
-        target = None
-        for node in walk(kernel.body):
-            if isinstance(node, SimplicialCholeskyLoop):
-                target = node
-                break
-        if target is None:
-            target = _find_prunable_loop(kernel)
-        if target is None:
-            context.decisions[self.name] = {"skipped": "no blockable loop found"}
-            return kernel
-        _replace_statement(kernel.body, target, [
-            Comment(
-                f"VS-Block: {partition.n_supernodes} supernodes, "
-                f"average width {partition.average_size():.2f}"
-            ),
-            supernodal,
-        ])
-        for cname, value in (
-            ("l_indptr", inspection.l_indptr),
-            ("l_indices", inspection.l_indices),
-            ("block_set", partition.super_ptr),
-            ("desc_ptr", desc.desc_ptr),
-            ("desc_pos", desc.desc_pos),
-        ):
-            if cname not in kernel.constants:
-                kernel.add_constant(cname, value)
-        context.record(self.name, **details)
-        kernel.meta["vs_block"] = True
-        return kernel

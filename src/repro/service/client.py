@@ -264,7 +264,6 @@ class ServiceClient:
         if isinstance(options, SympilerOptions):
             payload = asdict(options)
             payload["c_flags"] = list(payload["c_flags"])
-            payload["transformation_order"] = list(payload["transformation_order"])
         elif options is not None:
             payload = dict(options)
         header = {

@@ -222,8 +222,6 @@ def _options_from_wire(payload: Optional[Dict]) -> Optional[SympilerOptions]:
     clean = dict(payload)
     if "c_flags" in clean and clean["c_flags"] is not None:
         clean["c_flags"] = tuple(clean["c_flags"])
-    if "transformation_order" in clean and clean["transformation_order"] is not None:
-        clean["transformation_order"] = tuple(clean["transformation_order"])
     return SympilerOptions().with_updates(**clean)
 
 

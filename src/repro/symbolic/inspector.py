@@ -75,6 +75,7 @@ __all__ = [
     "inspector_for_method",
     "register_inspector",
     "normalize_rhs_pattern",
+    "above_diagonal",
 ]
 
 
@@ -150,13 +151,20 @@ class TriangularInspectionResult:
 
 @dataclass(frozen=True)
 class CholeskyInspectionResult:
-    """Everything the compiler needs to specialize a sparse Cholesky."""
+    """Everything the compiler needs to specialize a sparse Cholesky.
+
+    ``row_idx[row_ptr[j]:row_ptr[j + 1]]`` is row ``j`` of ``L`` without its
+    diagonal, ascending — the prune-set of column ``j`` in array form;
+    ``row_patterns`` is the same rows as a list of views.
+    """
 
     n: int
     parent: np.ndarray
     post: np.ndarray
     l_indptr: np.ndarray
     l_indices: np.ndarray
+    row_ptr: np.ndarray
+    row_idx: np.ndarray
     row_patterns: List[np.ndarray]
     l_col_counts: np.ndarray
     supernodes: SupernodePartition
@@ -395,6 +403,8 @@ class CholeskyInspector(SymbolicInspector):
             post=post,
             l_indptr=l_indptr,
             l_indices=l_indices,
+            row_ptr=row_ptr,
+            row_idx=row_idx,
             row_patterns=row_patterns,
             l_col_counts=col_counts,
             supernodes=supernodes,
@@ -416,7 +426,7 @@ class LDLTInspector(CholeskyInspector):
     method = "ldlt"
 
 
-def _above_diagonal(u_indptr: np.ndarray, u_indices: np.ndarray):
+def above_diagonal(u_indptr: np.ndarray, u_indices: np.ndarray):
     """``U`` without the pivot every column stores last, as ``(ptr, idx)``."""
     keep = np.ones(u_indices.size, dtype=bool)
     keep[u_indptr[1:] - 1] = False
@@ -468,7 +478,7 @@ class LUInspector(SymbolicInspector):
         l_indptr, l_indices, u_indptr, u_indices = lu_pattern(matrix)
         l_col_counts = np.diff(l_indptr).astype(np.int64)
         supernodes = cholesky_supernodes(l_col_counts, parent, max_width=max_supernode_width)
-        dep_ptr, dep_idx = _above_diagonal(u_indptr, u_indices)
+        dep_ptr, dep_idx = above_diagonal(u_indptr, u_indices)
         upper_patterns = split_rows(dep_ptr, dep_idx)
         # Exact wavefronts: column j of the LU update loop consumes exactly
         # the L columns named by its above-diagonal U pattern.
@@ -602,6 +612,8 @@ class IC0Inspector(SymbolicInspector):
             post=post,
             l_indptr=l_indptr,
             l_indices=l_indices,
+            row_ptr=row_ptr,
+            row_idx=row_idx,
             row_patterns=row_patterns,
             l_col_counts=col_counts,
             supernodes=supernodes,
@@ -654,7 +666,7 @@ class ILU0Inspector(SymbolicInspector):
         l_indptr, l_indices = group_pointers(cols[lower], n), matrix.indices[lower]
         l_col_counts = np.diff(l_indptr)
         supernodes = cholesky_supernodes(l_col_counts, parent, max_width=max_supernode_width)
-        dep_ptr, dep_idx = _above_diagonal(u_indptr, u_indices)
+        dep_ptr, dep_idx = above_diagonal(u_indptr, u_indices)
         upper_patterns = split_rows(dep_ptr, dep_idx)
         # Exact wavefronts: column j consumes the L columns of its U pattern.
         schedule = level_sets_from_csr_deps(dep_ptr, dep_idx, graph="SP(triu(A) col)")

@@ -11,7 +11,7 @@ import pytest
 from repro.baselines.scipy_reference import reference_cholesky, reference_trisolve
 from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen import c_backend
-from repro.compiler.codegen import tables
+from repro.compiler.ast import domain_loop
 from repro.compiler.codegen.c_backend import (
     CBackend,
     CCompilationError,
@@ -136,12 +136,12 @@ def test_trisolve_segments_visit_the_reach_set_in_order(lower_factors):
     pruned = lowered(SympilerOptions(enable_vs_block=False))
     reach = pruned.inspection.reach.tolist()
     assert 0 < len(reach) < L.n
-    segments = tables.trisolve_items(pruned.kernel.body)
-    assert np.concatenate([s.columns for s in segments]).tolist() == reach
+    dims, sets = domain_loop(pruned.kernel).contract
+    assert dims == {"n_seg": 1} and sets["run_cols"].tolist() == reach
     assert CBackend()._trisolve_serial_order(pruned.kernel, L.n) == reach
     # Untransformed, the body is the loop over every column.
     baseline = lowered(SympilerOptions.baseline())
-    assert tables.trisolve_items(baseline.kernel.body) is None
+    assert domain_loop(baseline.kernel) is None
     assert CBackend()._trisolve_serial_order(baseline.kernel, L.n) == list(range(L.n))
 
 

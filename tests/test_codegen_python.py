@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.scipy_reference import reference_cholesky, reference_trisolve
+from repro.compiler.ast import domain_loop
 from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen import reference
 from repro.compiler.codegen.c_backend import disk_cache_stats, reset_disk_cache_stats
@@ -73,8 +74,10 @@ class TestTriangularSolve:
         assert list(module.constants) == ["_C_dims", "_C_seg", "_C_run_cols", "_C_blk_cs"]
         assert all(t.dtype == np.int64 and t.flags.c_contiguous for t in module.constants.values())
         assert module.constants["_C_dims"].tolist() == [L.n, 1]
-        # VI-Prune's reach-set, under the IR's name and under the contract's.
-        assert np.array_equal(module.constants["_C_run_cols"], kernel.constants["prune_set"])
+        # VI-Prune's reach-set, on the domain loop and in the block.
+        reach = TriangularSolveInspector().inspect(L, rhs_pattern=np.nonzero(b)[0]).reach
+        assert np.array_equal(domain_loop(kernel).contract[1]["run_cols"], reach)
+        assert np.array_equal(module.constants["_C_run_cols"], reach)
         untransformed, _ = _generate_trisolve(L, b, SympilerOptions.baseline())
         assert list(untransformed.constants) == ["_C_dims"]
 

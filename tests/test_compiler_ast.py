@@ -13,15 +13,16 @@ from repro.compiler.ast import (
     ForRange,
     If,
     IntConst,
+    DomainLoop,
     KernelFunction,
-    PrunedColumnSolveLoop,
-    SimplicialCholeskyLoop,
-    SupernodalCholeskyLoop,
-    SupernodeTriangularBlock,
     Var,
+    domain_loop,
     pretty,
     walk,
 )
+from repro.compiler.codegen import tables
+from repro.sparse.csc import CSCMatrix
+from repro.symbolic.supernodes import supernodes_from_boundaries
 
 
 def _simple_kernel():
@@ -67,15 +68,6 @@ def test_block_append_and_len():
     assert len(b) == 1
 
 
-def test_kernel_constants_registration():
-    kernel = _simple_kernel()
-    name = kernel.add_constant("prune_set", np.array([1, 2, 3]))
-    assert name == "prune_set"
-    assert "prune_set" in kernel.constants
-    with pytest.raises(ValueError):
-        kernel.add_constant("prune_set", np.array([4]))
-
-
 def test_pretty_generic_kernel_mentions_structure():
     text = pretty(_simple_kernel())
     assert "kernel k(b)" in text
@@ -103,57 +95,68 @@ def test_pretty_rejects_unknown_node():
         pretty(Bogus())
 
 
+def _lower_pattern():
+    """A 5 x 5 lower-triangular pattern whose columns 1-3 are one supernode."""
+    dense = np.eye(5)
+    dense[1:, 0] = dense[2:, 1] = dense[3:, 2] = dense[4:, 3] = 1.0
+    dense[[2, 3], 0] = 0.0  # column 0 is not in the supernode: rows {0, 1, 4}
+    return CSCMatrix.from_dense(dense)
+
+
 def test_pruned_loop_node_properties():
-    node = PrunedColumnSolveLoop(np.array([3, 1, 2]), "prune_set")
-    assert node.columns.dtype == np.int64
-    assert node.constant_name == "prune_set"
-    assert "pruned-column-solve" in pretty(node)
+    """Without a partition the segment table is one run, in the order given."""
+    node = DomainLoop("trisolve-segments", tables.trisolve_segments(_lower_pattern(), None, [3, 1, 2], 0))
+    dims, sets = node.contract
+    assert dims == {"n_seg": 1} and sets["seg"].tolist() == [0, 0, 3, 0, 0]
+    assert sets["run_cols"].dtype == np.int64 and sets["run_cols"].tolist() == [3, 1, 2]
+    assert pretty(node) == "trisolve-segments n_seg=1"
 
 
 def test_supernode_block_node_properties():
-    node = SupernodeTriangularBlock(
-        sn_id=2, c0=4, width=3, n_rows=7, col_starts=np.array([10, 15, 19]),
-        rows_start=10, rows_end=17,
-    )
-    assert node.n_offdiag_rows == 4
-    assert "supernode-trsolve sn=2" in pretty(node)
+    """A wide supernode is one row ``{w, c0, n_off, off_lo, cs}`` and its column starts."""
+    L = _lower_pattern()
+    partition = supernodes_from_boundaries([0, 1, 4], 5)
+    node = DomainLoop("trisolve-segments", tables.trisolve_segments(L, partition, np.arange(5), 2))
+    dims, sets = node.contract
+    assert dims == {"n_seg": 3}
+    run, blk, tail = sets["seg"].reshape(3, 5).tolist()
+    assert run == [0, 0, 1, 0, 0] and tail == [0, 1, 2, 0, 0] and sets["run_cols"].tolist() == [0, 4]
+    assert blk == [3, 1, 1, int(L.indptr[1]) + 3, 0]  # one row (4) below the 3 x 3 diagonal block
+    assert L.indices[blk[3] : blk[3] + blk[2]].tolist() == [4]
+    assert sets["blk_cs"].tolist() == L.indptr[1:4].tolist()
+    assert "trisolve-segments n_seg=3" in pretty(node)
+
+
+def _two_column_tables():
+    return {
+        "l_indptr": np.array([0, 2, 3]),
+        "l_indices": np.array([0, 1, 1]),
+        "a_diag_pos": np.array([0, 2]),
+        "a_col_end": np.array([2, 3]),
+    }
 
 
 def test_simplicial_loop_node_properties():
-    node = SimplicialCholeskyLoop(
-        n=2,
-        l_indptr=np.array([0, 2, 3]),
-        l_indices=np.array([0, 1, 1]),
-        prune_ptr=np.array([0, 0, 1]),
-        update_pos=np.array([1]),
-        update_end=np.array([2]),
-        a_diag_pos=np.array([0, 2]),
-        a_col_end=np.array([2, 3]),
-    )
-    assert node.factor_nnz == 3
-    assert "simplicial-cholesky n=2" in pretty(node)
+    sets = {**_two_column_tables(), "prune_ptr": np.array([0, 0, 1]), "update_pos": np.array([1]), "update_end": np.array([2])}
+    node = DomainLoop("simplicial-cholesky", ({"nnz_l": 3}, sets), factor_kind="llt")
+    assert node.contract[1] is sets and node.factor_kind == "llt"
+    assert pretty(node) == "simplicial-cholesky kind=llt nnz_l=3"
 
 
 def test_supernodal_loop_node_properties():
-    node = SupernodalCholeskyLoop(
-        n=2,
-        l_indptr=np.array([0, 2, 3]),
-        l_indices=np.array([0, 1, 1]),
-        a_diag_pos=np.array([0, 2]),
-        a_col_end=np.array([2, 3]),
-        sup_start=np.array([0, 1]),
-        sup_end=np.array([1, 2]),
-        desc_ptr=np.array([0, 0, 1]),
-        desc_pos=np.array([1]),
-        desc_end=np.array([2]),
-        desc_mult_end=np.array([2]),
+    dims = {"nnz_l": 3, "n_super": 2, "sn_max_panel": 2, "sn_max_width": 1}
+    node = DomainLoop("supernodal-cholesky", (dims, _two_column_tables()), factor_kind="ldlt", source="block-set")
+    assert not node.distribute_single_columns and node.annotations == {"source": "block-set"}
+    assert pretty(node) == (
+        "supernodal-cholesky kind=ldlt nnz_l=3 n_super=2 sn_max_panel=2 sn_max_width=1 "
+        "distribute=False  # @source='block-set'"
     )
-    assert node.n_supernodes == 2
-    assert node.factor_nnz == 3
-    assert "supernodal-cholesky" in pretty(node)
 
 
-def test_kernel_repr_lists_constants():
+def test_domain_loop_is_found_in_nested_blocks():
     kernel = _simple_kernel()
-    kernel.add_constant("block_set", np.array([0, 2]))
-    assert "block_set" in repr(kernel)
+    assert domain_loop(kernel) is None
+    node = DomainLoop("simplicial-lu", ({}, {}), factor_kind="lu")
+    kernel.body.append(Block([Comment("VI-Prune"), node]))
+    assert domain_loop(kernel) is node
+    assert "simplicial-lu kind=lu" in pretty(kernel)

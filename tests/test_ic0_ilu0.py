@@ -8,7 +8,7 @@ artifact protocol — the whole registry extension of the incomplete kernels.
 import numpy as np
 import pytest
 
-from repro.compiler.ast import IncompleteFactorLoop, walk
+from repro.compiler.ast import domain_loop
 from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
@@ -205,15 +205,11 @@ class TestCompiledIC0Python:
 
     def test_kernel_is_incomplete_factor_loop(self):
         compiled = _fresh_sympiler().compile("ic0", _spd(6))
-        loops = [
-            node
-            for node in walk(compiled.kernel.body)
-            if isinstance(node, IncompleteFactorLoop)
-        ]
-        assert len(loops) == 1 and loops[0].factor_kind == "ic0"
+        loop = domain_loop(compiled.kernel)
+        assert loop.role == "incomplete-cholesky" and loop.factor_kind == "ic0"
         # The scatter arrays are tables of the block — no runtime pattern work.
         for name in ("a_lower_pos", "prune_ptr", "mult_pos", "l_scat_ptr"):
-            assert name in compiled.kernel.constants and f"_C_{name}" in compiled.constants
+            assert np.array_equal(compiled.constants[f"_C_{name}"], loop.contract[1][name])
 
     def test_vi_prune_is_forced_and_vs_block_defers(self):
         compiled = _fresh_sympiler().compile(

@@ -67,7 +67,6 @@ def test_option_variants_are_numerically_identical(spd_matrices):
         SympilerOptions.vs_block_only(),
         SympilerOptions(enable_low_level=False),
         SympilerOptions(),
-        SympilerOptions(transformation_order=("vi-prune", "vs-block")),
     ):
         chol = sym.compile_cholesky(A, options=options)
         L = chol.factorize(A)

@@ -1,6 +1,6 @@
 """Tests for lowering numerical methods into the initial annotated AST."""
 
-from repro.compiler.ast import Comment, ForRange, KernelFunction, pretty, walk
+from repro.compiler.ast import Comment, ForRange, KernelFunction, domain_loop, pretty, walk
 from repro.compiler.lowering import lower_cholesky, lower_triangular_solve
 
 
@@ -33,7 +33,8 @@ class TestTriangularSolveLowering:
         assert inner[0].annotations["vectorizable"] is True
 
     def test_no_constants_before_transformation(self):
-        assert lower_triangular_solve().constants == {}
+        # No inspection set before a transformation places the domain loop that carries them.
+        assert domain_loop(lower_triangular_solve()) is None
 
     def test_pretty_matches_figure_1b_structure(self):
         text = pretty(lower_triangular_solve())
@@ -69,5 +70,6 @@ class TestCholeskyLowering:
     def test_fresh_instances_are_independent(self):
         a = lower_triangular_solve()
         b = lower_triangular_solve()
-        a.add_constant("prune_set", [1, 2])
-        assert "prune_set" not in b.constants
+        a.meta["vi_prune"] = True
+        a.body.append(Comment("only in a"))
+        assert "vi_prune" not in b.meta and len(b.body) == len(a.body) - 1

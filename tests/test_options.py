@@ -10,7 +10,7 @@ from repro.compiler.options import SympilerOptions
 def test_defaults_follow_the_paper():
     opts = SympilerOptions()
     assert opts.backend == "python"
-    assert opts.transformation_order == ("vs-block", "vi-prune")
+    assert opts.active_transformations() == ("vs-block", "vi-prune")  # the order of §4.2, not a knob
     assert opts.enable_vi_prune and opts.enable_vs_block and opts.enable_low_level
 
 
@@ -19,11 +19,6 @@ def test_active_transformations_respects_toggles():
     assert SympilerOptions(enable_vs_block=False).active_transformations() == ("vi-prune",)
     assert SympilerOptions(enable_vi_prune=False).active_transformations() == ("vs-block",)
     assert SympilerOptions.baseline().active_transformations() == ()
-
-
-def test_active_transformations_respects_order():
-    opts = SympilerOptions(transformation_order=("vi-prune", "vs-block"))
-    assert opts.active_transformations() == ("vi-prune", "vs-block")
 
 
 def test_named_constructors():
@@ -44,18 +39,15 @@ def test_validation_rejects_bad_values():
     with pytest.raises(ValueError):
         SympilerOptions(backend="fortran")
     with pytest.raises(ValueError):
-        SympilerOptions(transformation_order=("vs-block", "vs-block"))
-    with pytest.raises(ValueError):
-        SympilerOptions(transformation_order=("loop-fusion",))
-    with pytest.raises(ValueError):
         SympilerOptions(vs_block_min_supernode_width=0)
     with pytest.raises(ValueError):
         SympilerOptions(max_supernode_width=0)
     with pytest.raises(ValueError):
         SympilerOptions(unroll_max_width=0)
-    # The peel knobs, the never-read vectorize_min_length and the BLAS switch
-    # only the python emitters read are gone, not ignored.
+    # The peel knobs, the never-read vectorize_min_length, the BLAS switch only
+    # the python emitters read and the pass order are gone, not ignored.
     for removed in (
+        "transformation_order",
         "peel_single_nonzero_columns",
         "peel_colcount_threshold",
         "max_peeled_iterations",
@@ -65,7 +57,7 @@ def test_validation_rejects_bad_values():
     ):
         with pytest.raises(TypeError):
             SympilerOptions(**{removed: 1})
-    assert len(dataclasses.fields(SympilerOptions)) == 14
+    assert len(dataclasses.fields(SympilerOptions)) == 13
 
 
 def test_options_are_immutable():

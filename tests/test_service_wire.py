@@ -241,10 +241,11 @@ class TestEndToEnd:
             assert handle.n == A.n
             from repro.service.errors import ProtocolError
 
-            # An option that never existed and the six removed ones an old
+            # An option that never existed and the seven removed ones an old
             # client may still send: refused by name, not with a TypeError.
             for field in (
                 "no_such_option",
+                "transformation_order",
                 "peel_single_nonzero_columns",
                 "peel_colcount_threshold",
                 "max_peeled_iterations",
