@@ -60,7 +60,7 @@ def _plan_incomplete(kernel: ast.KernelFunction):
 
 def _plan_trisolve(kernel: ast.KernelFunction):
     stmt = ast.domain_loop(kernel)  # None: the untransformed loop over every column, no table
-    return reference.triangular_solve, ({}, {}) if stmt is None else stmt.contract
+    return reference.triangular_solve, (({}, {}) if stmt is None else stmt.contract)
 
 
 #: Per method: the transformed kernel -> (reference kernel taking the table block and then the

@@ -114,26 +114,14 @@ class VIPruneTransform(MethodDispatchTransform):
             kernel.meta["vi_prune"] = True
             return kernel
         contract = tables.simplicial_cholesky(context.matrix, context.inspection, factor_kind)
-        updates = int(contract[1]["prune_ptr"][-1])
-        return self._place(
-            kernel,
-            context,
-            f"VI-Prune: update loop restricted to the row sparsity pattern of L ({updates} updates in total)",
-            DomainLoop("simplicial-cholesky", contract, factor_kind=factor_kind),
-            total_updates=updates,
-        )
+        loop = DomainLoop("simplicial-cholesky", contract, factor_kind=factor_kind)
+        return self._place_update_loop(kernel, context, loop, "the row sparsity pattern of L")
 
     def _apply_lu(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
         _expect(context.inspection, LUInspectionResult, "lu")
         contract = tables.simplicial_lu(context.matrix, context.inspection)
-        updates = int(contract[1]["prune_ptr"][-1])
-        return self._place(
-            kernel,
-            context,
-            f"VI-Prune: update loop restricted to the symbolic U pattern ({updates} updates in total)",
-            DomainLoop("simplicial-lu", contract, factor_kind="lu"),
-            total_updates=updates,
-        )
+        loop = DomainLoop("simplicial-lu", contract, factor_kind="lu")
+        return self._place_update_loop(kernel, context, loop, "the symbolic U pattern")
 
     # ------------------------------------------------------------------ #
     # No-fill incomplete factorizations (IC(0) and ILU(0))
@@ -141,20 +129,16 @@ class VIPruneTransform(MethodDispatchTransform):
     def _apply_ic0(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
         _expect(context.inspection, IC0InspectionResult, "ic0")
         contract = tables.incomplete_ic0(context.matrix, context.inspection)
-        return self._place_incomplete(kernel, context, DomainLoop("incomplete-cholesky", contract, factor_kind="ic0"))
+        loop = DomainLoop("incomplete-cholesky", contract, factor_kind="ic0")
+        return self._place_update_loop(kernel, context, loop, "the A pattern, scatters intersected with it (no fill)")
 
     def _apply_ilu0(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
         _expect(context.inspection, ILU0InspectionResult, "ilu0")
         contract = tables.incomplete_ilu0(context.matrix, context.inspection)
-        return self._place_incomplete(kernel, context, DomainLoop("incomplete-lu", contract, factor_kind="ilu0"))
+        loop = DomainLoop("incomplete-lu", contract, factor_kind="ilu0")
+        return self._place_update_loop(kernel, context, loop, "the A pattern, scatters intersected with it (no fill)")
 
-    def _place_incomplete(self, kernel: KernelFunction, context: CompilationContext, loop: DomainLoop):
+    def _place_update_loop(self, kernel: KernelFunction, context: CompilationContext, loop: DomainLoop, pruned_to: str):
         updates = int(loop.contract[1]["prune_ptr"][-1])
-        return self._place(
-            kernel,
-            context,
-            f"VI-Prune: {loop.factor_kind.upper()} update loop pruned to the A pattern "
-            f"({updates} pattern-intersected updates, no fill)",
-            loop,
-            total_updates=updates,
-        )
+        comment = f"VI-Prune: update loop restricted to {pruned_to} ({updates} updates in total)"
+        return self._place(kernel, context, comment, loop, total_updates=updates)
