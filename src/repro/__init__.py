@@ -8,13 +8,14 @@ full system:
 * :mod:`repro.sparse`   — CSC/CSR/COO containers, generators, orderings, I/O.
 * :mod:`repro.symbolic` — reach-sets, elimination trees, fill prediction,
   supernodes, and the symbolic-inspector framework.
-* :mod:`repro.kernels`  — reference numeric kernels (dense micro-kernels,
-  triangular-solve variants, simplicial/supernodal Cholesky).
+* :mod:`repro.kernels`  — interpreted reference kernels, the test oracles of
+  the compiled ones (dense micro-kernels, simplicial/supernodal Cholesky,
+  LDLᵀ, LU, IC(0)/ILU(0), FLOP counts).
 * :mod:`repro.compiler` — the Sympiler core: domain AST, lowering,
   inspector-guided transformations (VI-Prune, VS-Block), low-level
-  transformations and code generation (specialized Python and C backends).
-* :mod:`repro.baselines` — interpreted Eigen-like and CHOLMOD-like library
-  models (comparable with the python backend only) and dense oracles.
+  transformations and code generation (generated C, and fixed NumPy
+  reference kernels over the same tables).
+* :mod:`repro.baselines` — dense NumPy/SciPy correctness oracles.
 * :mod:`repro.solvers`  — factor-once/solve-many driver, preconditioned CG
   and Newton–Raphson loops (single and ensemble) with a fixed-sparsity
   Jacobian.
@@ -22,8 +23,8 @@ full system:
   execution schedules, the batch execution engine and the
   :class:`~repro.runtime.facade.BatchedSolver` facade.
 * :mod:`repro.bench`    — the paper-figure reproducer: one experiment table
-  and one runner for Table 2, Figs. 6-9, §1.1 and §4.3 (the product itself
-  is measured by ``benchmarks/e2e``).
+  and one runner for Table 2, Figs. 6-9 and §4.3, generated C against native
+  scipy (the product itself is measured by ``benchmarks/e2e``).
 * :mod:`repro.frontend` — the lazy-specializing, scipy-native front end:
   ``repro.solve(A, b)`` with kernel auto-selection and a per-structure
   specialization cache, plus the ``@sympiled`` decorator.

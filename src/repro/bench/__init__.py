@@ -1,9 +1,9 @@
 """The paper-figure reproducer (Section 4 of the paper).
 
-This package answers one question: do the pattern-specialised kernels beat a
-library's numeric phase and amortise their symbolic phase (Table 2, Figs. 6-9,
-§1.1, §4.3, plus the ``ldlt``/``lu``/``pcg`` registry extensions)?  The
-product and its layers are measured elsewhere, by ``benchmarks/e2e``.
+This package answers one question: does the generated C beat a native
+library's numeric phase and amortise its symbolic phase (Table 2, Figs. 6-9,
+§4.3, plus the ``ldlt``/``lu``/``pcg`` registry extensions)?  The product and
+its layers are measured elsewhere, by ``benchmarks/e2e``.
 
 * :mod:`repro.bench.experiments` — the experiments as one declarative table.
 * :mod:`repro.bench.runner`      — the one runner that acts on it.

@@ -1,12 +1,11 @@
 """Command-line entry point: ``python -m repro.bench <experiment> [options]``.
 
 The experiments are the keys of :data:`repro.bench.experiments.EXPERIMENTS`
-(``table2``, ``fig6``-``fig9``, ``intro``, ``overheads``, ``ldlt``, ``lu``,
-``pcg``); ``all`` runs every one in sequence.  ``--backend`` selects the
-code-generation backend *and* the baselines it is timed against
-(interpreted library models for ``python``, native scipy for ``c``).
-``--json [DIR]`` additionally writes each experiment's rows to
-``BENCH_<experiment>.json``.
+(``table2``, ``fig6``-``fig9``, ``overheads``, ``ldlt``, ``lu``, ``pcg``);
+``all`` runs every one in sequence.  The variants are generated C, timed
+against native scipy on the same pre-ordered matrix; every experiment but
+``table2`` needs a C compiler.  ``--json [DIR]`` additionally writes each
+experiment's rows to ``BENCH_<experiment>.json``.
 """
 
 from __future__ import annotations
@@ -47,12 +46,6 @@ def main(argv=None) -> int:
     parser.add_argument("--small", action="store_true", help="use the small (fast) matrix suite")
     parser.add_argument("--csv", action="store_true", help="emit CSV instead of an ASCII table")
     parser.add_argument(
-        "--backend",
-        choices=["python", "c"],
-        default="python",
-        help="code-generation backend of the Sympiler variants, and the language of their baselines",
-    )
-    parser.add_argument(
         "--json",
         nargs="?",
         const=".",
@@ -64,16 +57,14 @@ def main(argv=None) -> int:
 
     suite = small_suite() if args.small else build_suite()
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name, rows in run_experiments(names, suite, backend=args.backend):
+    for name, rows in run_experiments(names, suite):
         if args.csv:
             sys.stdout.write(render_csv(rows))
         else:
             sys.stdout.write(render_table(rows, title=EXPERIMENTS[name].title))
         sys.stdout.write("\n")
         if args.json is not None:
-            path = write_json_report(
-                name, rows, directory=args.json, args_used={"small": args.small, "backend": args.backend}
-            )
+            path = write_json_report(name, rows, directory=args.json, args_used={"small": args.small})
             sys.stdout.write(f"[json report written to {path}]\n")
     return 0
 

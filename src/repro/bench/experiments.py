@@ -7,10 +7,9 @@ that legend stands for), the *baselines* it is set against, and the families
 of *derived* columns its rows carry.  :mod:`repro.bench.runner` is the only
 code that acts on the table.
 
-Baselines are named here once for both backends; the runner tags each with
-the backend whose language it is written in (``runner.KERNELS``) and times
-only those of the backend under test, so no column compares generated C with
-interpreted Python.
+Every variant is generated C and every baseline native scipy on the same
+pre-ordered matrix (``runner.KERNELS``), so no column compares generated C
+with interpreted Python.
 
 Derived column families (``<t>`` is any timed variant or baseline, ``<v>`` a
 variant, ``<b>`` a baseline; every ``<t>`` always gets ``<t>_seconds``):
@@ -67,7 +66,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             "sympiler_vs_vi": (TRISOLVE, NO_LOW_LEVEL),
             "sympiler_full": (TRISOLVE, FULL),
         },
-        baselines=("eigen", "scipy"),
+        baselines=("scipy",),
         derived=("gflops", "speedup"),
     ),
     "fig7": Experiment(
@@ -76,26 +75,20 @@ EXPERIMENTS: Dict[str, Experiment] = {
             "sympiler_vs_block": (CHOLESKY, NO_LOW_LEVEL),
             "sympiler_full": (CHOLESKY, FULL),
         },
-        baselines=("eigen", "cholmod", "splu"),
+        baselines=("splu",),
         derived=("gflops", "speedup"),
     ),
     "fig8": Experiment(
         "Figure 8: triangular solve symbolic+numeric (normalized)",
         variants={"sympiler": (TRISOLVE, FULL)},
-        baselines=("eigen", "scipy"),
+        baselines=("scipy",),
         derived=("normalized", "overheads"),
     ),
     "fig9": Experiment(
         "Figure 9: Cholesky symbolic+numeric (normalized)",
         variants={"sympiler": (CHOLESKY, FULL)},
-        baselines=("eigen", "cholmod", "splu"),
+        baselines=("splu",),
         derived=("normalized", "overheads"),
-    ),
-    "intro": Experiment(
-        "Section 1.1: speedups over the naive and library triangular solves",
-        variants={"sympiler": (TRISOLVE, FULL)},
-        baselines=("naive", "eigen", "scipy"),
-        derived=("speedup",),
     ),
     "overheads": Experiment(
         "Section 4.3: compile-time overheads",
@@ -110,13 +103,13 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "lu": Experiment(
         "LU on unsymmetric diagonally dominant matrices (registry extension)",
         variants={"lu": ("lu", FULL)},
-        baselines=("reference", "splu"),
+        baselines=("splu",),
         derived=("speedup",),
     ),
     "pcg": Experiment(
         "IC(0)-preconditioned CG through the compiled ic0 kernel",
         variants={"pcg": ("ic0", FULL)},
-        baselines=("interpreted", "scipy_cg"),
+        baselines=("scipy_cg",),
         derived=("speedup",),
     ),
 }

@@ -6,8 +6,9 @@ Everything else in this module tells it *how* to time one kind of thing: a
 :class:`Kernel` knows how to compile a registry kernel into a
 :class:`Subject` (the numeric call, the set-up it amortises, how its result
 yields a solution), which exact solution that must match, and which
-baselines stand against it — each baseline tagged with the backend whose
-language it is written in, so the runner can pair like with like.
+native scipy baselines stand against it on the same pre-ordered matrix.
+Every variant is generated C: the runner never times a compiled kernel
+against interpreted Python.
 """
 
 from __future__ import annotations
@@ -20,12 +21,6 @@ import numpy as np
 from scipy.sparse.linalg import cg as scipy_cg
 from scipy.sparse.linalg import splu, spsolve_triangular
 
-from repro.baselines.cholmod_like import cholmod_like_numeric, cholmod_like_symbolic
-from repro.baselines.eigen_like import (
-    eigen_like_numeric,
-    eigen_like_symbolic,
-    eigen_like_trisolve,
-)
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.metrics import gflops_rate, time_callable
 from repro.bench.reporting import geometric_mean
@@ -35,12 +30,10 @@ from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.kernels.cholesky import cholesky_supernodal
 from repro.kernels.flops import cholesky_flops, triangular_solve_flops
-from repro.kernels.lu import lu_left_looking
-from repro.kernels.triangular import trisolve_naive
 from repro.solvers.cg import preconditioned_conjugate_gradient
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import sparse_rhs, unsymmetric_diag_dominant
-from repro.symbolic.inspector import CholeskyInspector, LUInspector
+from repro.symbolic.inspector import CholeskyInspector
 from repro.symbolic.reach import reach_set_sorted
 
 __all__ = ["run_experiments"]
@@ -126,17 +119,12 @@ class Subject:
     facts: Mapping[str, object] = field(default_factory=dict)
 
 
-class Baseline(NamedTuple):
-    #: The backend whose generated code this baseline is comparable with.
-    backend: str
-    build: Callable[[Prepared], Subject]
-
-
 class Kernel(NamedTuple):
     """How the runner measures one registry kernel."""
 
     compile: Callable[[Sympiler, Prepared, SympilerOptions], Subject]
-    baselines: Mapping[str, Baseline] = {}
+    #: Native scipy baselines: label -> how to build its :class:`Subject`.
+    baselines: Mapping[str, Callable[[Prepared], Subject]] = {}
     #: The :class:`Prepared` attribute holding the exact answer every variant
     #: and baseline of this kernel must reproduce.
     truth: str = "x_true"
@@ -152,7 +140,7 @@ def _compiled(artifact, call, solution, facts) -> Subject:
 
 
 def _solve_with(rhs: np.ndarray) -> Callable[[object], np.ndarray]:
-    """Turn a factorization (ours, a baseline's or SuperLU's) into its solution of ``rhs``."""
+    """Turn a factorization (ours or SuperLU's) into its solution of ``rhs``."""
 
     def solution(factors) -> np.ndarray:
         if isinstance(factors, CSCMatrix):  # a Cholesky factor L
@@ -180,11 +168,11 @@ def _compile_factorization(kernel: str, operand: str, nnz_column: str):
     return build
 
 
-def _pcg(prep, preconditioner: str, options) -> Subject:
+def _pcg(sym, prep, options) -> Subject:
     b = prep.rhs_for(prep.A)
 
     def run():
-        return preconditioned_conjugate_gradient(prep.A, b, preconditioner=preconditioner, options=options)
+        return preconditioned_conjugate_gradient(prep.A, b, options=options)
 
     # One untimed solve compiles the preconditioner kernels and gives the
     # (deterministic) iteration count.
@@ -205,23 +193,6 @@ def _splu_of(operand: str):
     return build
 
 
-def _library_cholesky(symbolic, numeric):
-    def build(prep) -> Subject:
-        analysis = symbolic(prep.A)
-        return Subject(
-            lambda: numeric(prep.A, analysis),
-            _solve_with(prep.rhs_for(prep.A)),
-            symbolic_seconds=analysis.seconds,
-        )
-
-    return build
-
-
-def _reference_lu(prep) -> Subject:
-    inspection = LUInspector().inspect(prep.J)
-    return Subject(lambda: lu_left_looking(prep.J, inspection), _solve_with(prep.rhs_for(prep.J)))
-
-
 def _scipy_trisolve(prep) -> Subject:
     L = prep.L.to_scipy().tocsr()
     return Subject(lambda: spsolve_triangular(L, prep.sparse_b, lower=True))
@@ -235,52 +206,36 @@ def _scipy_cg(prep) -> Subject:
 KERNELS: Dict[str, Kernel] = {
     "triangular-solve": Kernel(
         _compile_trisolve,
-        baselines={
-            "naive": Baseline("python", lambda p: Subject(lambda: trisolve_naive(p.L, p.sparse_b))),
-            "eigen": Baseline("python", lambda p: Subject(lambda: eigen_like_trisolve(p.L, p.sparse_b))),
-            "scipy": Baseline("c", _scipy_trisolve),
-        },
+        baselines={"scipy": _scipy_trisolve},
         truth="x_trisolve",
         flops="trisolve_flops",
     ),
     "cholesky": Kernel(
         _compile_factorization("cholesky", "A", "nnz_L"),
-        baselines={
-            "eigen": Baseline("python", _library_cholesky(eigen_like_symbolic, eigen_like_numeric)),
-            "cholmod": Baseline("python", _library_cholesky(cholmod_like_symbolic, cholmod_like_numeric)),
-            "splu": Baseline("c", _splu_of("A")),
-        },
+        baselines={"splu": _splu_of("A")},
         flops="cholesky_flops",
     ),
     "ldlt": Kernel(_compile_factorization("ldlt", "A", "nnz_L"), flops="cholesky_flops"),
-    "lu": Kernel(
-        _compile_factorization("lu", "J", "nnz_LU"),
-        baselines={"reference": Baseline("python", _reference_lu), "splu": Baseline("c", _splu_of("J"))},
-    ),
+    "lu": Kernel(_compile_factorization("lu", "J", "nnz_LU"), baselines={"splu": _splu_of("J")}),
     # The timed call is a whole PCG solve whose preconditioner is the compiled
     # ic0 kernel; CG stops at a 1e-8 relative residual, hence the looser check.
-    "ic0": Kernel(
-        lambda sym, p, options: _pcg(p, "compiled", options),
-        baselines={
-            "interpreted": Baseline("python", lambda p: _pcg(p, "interpreted", SympilerOptions(backend="python"))),
-            "scipy_cg": Baseline("c", _scipy_cg),
-        },
-        atol=1e-5,
-    ),
+    "ic0": Kernel(_pcg, baselines={"scipy_cg": _scipy_cg}, atol=1e-5),
 }
 
 
-def run_experiments(
-    names: Sequence[str], suite: Sequence[SuiteEntry], *, backend: str = "python"
-) -> Iterator[Tuple[str, List[Dict[str, object]]]]:
+def run_experiments(names: Sequence[str], suite: Sequence[SuiteEntry]) -> Iterator[Tuple[str, List[Dict[str, object]]]]:
     """Run the named experiments over ``suite``; yields ``(name, rows)`` per experiment.
 
-    Each suite matrix is prepared once for the whole call.  Every variant and
-    baseline is verified against its kernel's exact answer — a wrong result
-    raises ``AssertionError`` instead of producing a row.
+    Every variant is compiled by the C backend; an experiment with variants
+    refuses to run without a C compiler rather than time the python fallback
+    against native code.  Each suite matrix is prepared once for the whole
+    call.  Every variant and baseline is verified against its kernel's exact
+    answer — a wrong result raises ``AssertionError`` instead of producing a
+    row.
     """
-    if backend == "c" and not c_compiler_available(SympilerOptions(backend="c").c_compiler):
-        raise RuntimeError("backend 'c' needs a C compiler: the python fallback would be timed against native code")
+    c_options = SympilerOptions(backend="c")
+    if any(EXPERIMENTS[name].variants for name in names) and not c_compiler_available(c_options.c_compiler):
+        raise RuntimeError("the bench needs a C compiler: the python fallback would be timed against native code")
     sym = Sympiler()
     prepared = [Prepared(entry) for entry in suite]
     for name in names:
@@ -288,7 +243,7 @@ def run_experiments(
         derived = experiment.derived
         variants = list(experiment.variants)
         first_kernel = KERNELS[experiment.variants[variants[0]][0]] if variants else None
-        baselines = [b for b in experiment.baselines if first_kernel.baselines[b].backend == backend]
+        baselines = list(experiment.baselines)
         rows: List[Dict[str, object]] = []
         ratios: Dict[str, float] = {}  # a row's ratio columns: the ones the geomean row averages
         for prep in prepared:
@@ -303,10 +258,10 @@ def run_experiments(
                 row.update(stands_in_for=entry.stands_in_for, ordering=entry.ordering, domain=entry.domain)
             subjects: Dict[str, Tuple[Kernel, Subject]] = {}
             for label in baselines:
-                subjects[label] = (first_kernel, first_kernel.baselines[label].build(prep))
+                subjects[label] = (first_kernel, first_kernel.baselines[label](prep))
             for label, (kernel_name, overrides) in experiment.variants.items():
                 kernel = KERNELS[kernel_name]
-                options = SympilerOptions(backend=backend, **overrides)
+                options = c_options.with_updates(**overrides)
                 subjects[label] = (kernel, kernel.compile(sym, prep, options))
             for _, subject in subjects.values():
                 row.update(subject.facts)

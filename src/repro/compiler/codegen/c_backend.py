@@ -413,6 +413,23 @@ class CGeneratedModule:
 _NUMPY_DTYPES = {"int64_t": np.int64, "double": np.float64}
 
 
+def num_threads_from_env() -> Optional[int]:
+    """The ``REPRO_NUM_THREADS`` override: ``None`` when unset or blank.
+
+    The one parser of the variable, for the wavefront entry below and for
+    :func:`repro.runtime.engine.resolve_num_threads` (it lives here because
+    the runtime imports this module).  Surrounding blanks are ignored;
+    anything else must be an integer.
+    """
+    raw = os.environ.get("REPRO_NUM_THREADS", "")
+    if not raw.strip():
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"REPRO_NUM_THREADS must be an integer, got {raw!r}") from None
+
+
 def _wavefront_threads(num_threads: Optional[int]) -> int:
     """Resolve the thread count of one wavefront entry call.
 
@@ -420,12 +437,12 @@ def _wavefront_threads(num_threads: Optional[int]) -> int:
     override > one thread per available CPU (``0`` means "one per CPU" at
     any level).  Mirrors :func:`repro.runtime.engine.resolve_num_threads`
     except for the last step — a wavefront kernel called without any request
-    should saturate the machine, that being its purpose — and lives here
-    rather than in the runtime because the runtime imports this module.
+    should saturate the machine, that being its purpose.
     """
     if num_threads is None:
-        env = os.environ.get("REPRO_NUM_THREADS", "").strip()
-        num_threads = int(env) if env else 0
+        num_threads = num_threads_from_env()
+    if num_threads is None:
+        num_threads = 0
     num_threads = int(num_threads)
     if num_threads < 0:
         raise ValueError("num_threads must be non-negative (0 means one per CPU)")

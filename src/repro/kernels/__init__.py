@@ -1,24 +1,21 @@
 """Reference numeric kernels.
 
-These are straightforward, well-tested implementations of every numeric
-routine the system needs:
+Interpreted implementations of the algorithms the compiler specialises, each
+the single implementation of its algorithm and each a test oracle for the
+compiled path:
 
 * dense micro-kernels (:mod:`repro.kernels.dense`) used inside supernodal
-  code and by the code generator's specialized small-block kernels,
-* the four sparse triangular-solve variants of Figure 1
-  (:mod:`repro.kernels.triangular`),
+  code,
 * simplicial and supernodal sparse Cholesky (:mod:`repro.kernels.cholesky`),
+  LDLᵀ (:mod:`repro.kernels.ldlt`), LU (:mod:`repro.kernels.lu`) and the
+  no-fill IC(0) / ILU(0) (:mod:`repro.kernels.incomplete`),
 * FLOP-counting helpers (:mod:`repro.kernels.flops`) used to report GFLOP/s
   the same way for every variant.
-
-The baselines in :mod:`repro.baselines` and the generated code produced by
-:mod:`repro.compiler` are all validated against these kernels.
 """
 
 from repro.kernels.cholesky import (
     cholesky_left_looking,
     cholesky_supernodal,
-    cholesky_up_looking,
 )
 from repro.kernels.dense import (
     dense_cholesky,
@@ -26,30 +23,17 @@ from repro.kernels.dense import (
     dense_lower_solve,
     dense_solve_transposed_right,
     small_cholesky,
-    small_lower_solve,
 )
 from repro.kernels.flops import cholesky_flops, gflops, triangular_solve_flops
 from repro.kernels.incomplete import ic0_left_looking, ilu0_left_looking
 from repro.kernels.ldlt import LDLTFactors, ldlt_left_looking
 from repro.kernels.lu import LUFactors, lu_left_looking
-from repro.kernels.triangular import (
-    trisolve_decoupled,
-    trisolve_library,
-    trisolve_naive,
-    trisolve_supernodal,
-)
 
 __all__ = [
     "dense_cholesky",
     "dense_lower_solve",
     "dense_solve_transposed_right",
     "small_cholesky",
-    "small_lower_solve",
-    "trisolve_naive",
-    "trisolve_library",
-    "trisolve_decoupled",
-    "trisolve_supernodal",
-    "cholesky_up_looking",
     "cholesky_left_looking",
     "cholesky_supernodal",
     "dense_ldlt",

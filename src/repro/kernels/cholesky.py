@@ -1,10 +1,7 @@
 """Sparse Cholesky factorization kernels.
 
-Three reference implementations of ``A = L Lᵀ`` on CSC storage:
+Two reference implementations of ``A = L Lᵀ`` on CSC storage:
 
-* :func:`cholesky_up_looking` — the classical CSparse-style up-looking
-  algorithm.  Symbolic work (``ereach``) happens *inside* the numeric loop;
-  it serves as an independent correctness oracle.
 * :func:`cholesky_left_looking` — the paper's Figure 4 algorithm with the
   symbolic phase fully decoupled: the caller supplies a
   :class:`~repro.symbolic.inspector.CholeskyInspectionResult` whose row
@@ -14,7 +11,7 @@ Three reference implementations of ``A = L Lᵀ`` on CSC storage:
   columns are processed one supernode at a time with dense panel updates,
   dense block Cholesky and dense triangular solves.
 
-All variants produce the factor on the same predicted pattern, so results can
+Both variants produce the factor on the same predicted pattern, so results can
 be compared entry-for-entry.
 """
 
@@ -32,12 +29,9 @@ from repro.kernels.dense import (
     small_cholesky,
 )
 from repro.sparse.csc import CSCMatrix
-from repro.symbolic.etree import elimination_tree
-from repro.symbolic.fill_pattern import _upper_pattern, ereach
 from repro.symbolic.inspector import CholeskyInspectionResult, CholeskyInspector
 
 __all__ = [
-    "cholesky_up_looking",
     "cholesky_left_looking",
     "cholesky_supernodal",
     "NotPositiveDefiniteError",
@@ -55,62 +49,6 @@ def _lower_column(A: CSCMatrix, j: int) -> tuple[np.ndarray, np.ndarray]:
 def _require_spd_input(A: CSCMatrix) -> None:
     if not A.is_square():
         raise ValueError("Cholesky requires a square matrix")
-
-
-# --------------------------------------------------------------------------- #
-# Up-looking (coupled symbolic + numeric) — correctness oracle
-# --------------------------------------------------------------------------- #
-def cholesky_up_looking(A: CSCMatrix) -> CSCMatrix:
-    """Up-looking sparse Cholesky (CSparse ``cs_chol`` style).
-
-    Row ``k`` of ``L`` is computed by a sparse triangular solve against the
-    already-computed leading factor; the row pattern is obtained from the
-    elimination tree on the fly.
-    """
-    _require_spd_input(A)
-    n = A.n
-    parent = elimination_tree(A)
-    upper = _upper_pattern(A)
-    inspection = CholeskyInspector().inspect(A)
-    l_indptr = inspection.l_indptr
-    l_indices = inspection.l_indices
-    l_data = np.zeros(int(l_indptr[-1]), dtype=np.float64)
-    # Cursor of the next free slot in each column (the diagonal slot is the
-    # first of every column and is written last, when the column's row is k=j).
-    fill = l_indptr[:-1].astype(np.int64).copy() + 1
-
-    x = np.zeros(n, dtype=np.float64)
-    for k in range(n):
-        pattern = ereach(A, k, parent, _upper=upper)
-        # Scatter the upper part of column k of A (rows <= k) into x.
-        rows_u = upper.col_rows(k)
-        vals_u = upper.col_values(k)
-        mask = rows_u <= k
-        x[rows_u[mask]] = vals_u[mask]
-        d = x[k]
-        x[k] = 0.0
-        for j in pattern:
-            j = int(j)
-            start = l_indptr[j]
-            ljj = l_data[start]
-            lkj = x[j] / ljj
-            x[j] = 0.0
-            # Apply the update of column j to the remaining entries of row k.
-            for p in range(start + 1, fill[j]):
-                i = l_indices[p]
-                if i < k:
-                    x[i] -= l_data[p] * lkj
-            d -= lkj * lkj
-            # Store L[k, j] in column j.
-            slot = fill[j]
-            if l_indices[slot] != k:
-                raise AssertionError("factor pattern does not match the numeric fill order")
-            l_data[slot] = lkj
-            fill[j] += 1
-        if not d > 0.0:
-            raise NotPositiveDefiniteError(f"non-positive pivot at column {k}")
-        l_data[l_indptr[k]] = math.sqrt(d)
-    return CSCMatrix(n, n, l_indptr, l_indices, l_data, check=False)
 
 
 # --------------------------------------------------------------------------- #

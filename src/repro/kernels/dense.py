@@ -9,9 +9,9 @@ Two regimes are covered, mirroring §4.2's discussion:
 
 * NumPy/BLAS-backed routines for blocks large enough that library calls pay
   off (:func:`dense_cholesky`, :func:`dense_lower_solve`, ...), and
-* specialized unrolled kernels for tiny blocks (:func:`small_cholesky`,
-  :func:`small_lower_solve`), the analogue of Sympiler generating its own
-  code for small dense sub-kernels instead of calling BLAS.
+* a specialized unrolled kernel for tiny blocks (:func:`small_cholesky`),
+  the analogue of Sympiler generating its own code for small dense
+  sub-kernels instead of calling BLAS.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "dense_lower_solve",
     "dense_solve_transposed_right",
     "small_cholesky",
-    "small_lower_solve",
     "SMALL_KERNEL_LIMIT",
     "NotPositiveDefiniteError",
     "SingularMatrixError",
@@ -187,25 +186,3 @@ def small_cholesky(A: np.ndarray) -> np.ndarray:
 def has_small_kernel(n: int) -> bool:
     """True when an unrolled kernel exists for blocks of order ``n``."""
     return 1 <= n <= SMALL_KERNEL_LIMIT
-
-
-def small_lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unrolled forward substitution ``L x = b`` for orders 1–3.
-
-    Falls back to :func:`dense_lower_solve` for larger blocks.
-    """
-    L = np.asarray(L, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = L.shape[0]
-    if n == 1:
-        return np.array([b[0] / L[0, 0]])
-    if n == 2:
-        x0 = b[0] / L[0, 0]
-        x1 = (b[1] - L[1, 0] * x0) / L[1, 1]
-        return np.array([x0, x1])
-    if n == 3:
-        x0 = b[0] / L[0, 0]
-        x1 = (b[1] - L[1, 0] * x0) / L[1, 1]
-        x2 = (b[2] - L[2, 0] * x0 - L[2, 1] * x1) / L[2, 2]
-        return np.array([x0, x1, x2])
-    return dense_lower_solve(L, b)

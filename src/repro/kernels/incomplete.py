@@ -17,10 +17,10 @@ computing fill.
   of ``A``.
 
 These left-looking formulations apply each column's updates in ascending
-source order — the same per-entry operation sequence as the right-looking
-:func:`repro.solvers.cg.incomplete_cholesky_ic0` and as the
-Sympiler-generated kernels, so all three agree **bitwise** on the python
-backend (asserted by the test-suite).
+source order — the same per-entry operation sequence as the
+Sympiler-generated kernels, so they agree **bitwise** with the compiled
+``ic0`` / ``ilu0`` on both backends (asserted by the test-suite): they are
+the oracles of the compiled preconditioners.
 """
 
 from __future__ import annotations

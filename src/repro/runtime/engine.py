@@ -38,7 +38,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compiler.codegen.c_backend import CGeneratedModule
+from repro.compiler.codegen.c_backend import CGeneratedModule, num_threads_from_env
 from repro.observe import trace as observe_trace
 
 __all__ = ["BatchExecutor", "BatchResult", "BatchItemError", "resolve_num_threads"]
@@ -61,19 +61,15 @@ def resolve_num_threads(num_threads: Optional[int]) -> int:
     3. with neither, the caller's ``SympilerOptions.num_threads`` — or 1
        here, where no options are in scope.
 
-    At any level, ``0`` means one per CPU.  The knob is runtime-only: it is
-    excluded from cache fingerprints, so re-tuning it never recompiles.
+    At any level, ``0`` means one per CPU.  A blank ``REPRO_NUM_THREADS``
+    counts as unset (:func:`~repro.compiler.codegen.c_backend.num_threads_from_env`
+    is the one parser).  The knob is runtime-only: it is excluded from cache
+    fingerprints, so re-tuning it never recompiles.
     """
     if num_threads is None:
-        env = os.environ.get("REPRO_NUM_THREADS")
-        if env is None:
-            return 1
-        try:
-            num_threads = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_NUM_THREADS must be an integer, got {env!r}"
-            ) from None
+        num_threads = num_threads_from_env()
+    if num_threads is None:
+        return 1
     num_threads = int(num_threads)
     if num_threads < 0:
         raise ValueError("num_threads must be non-negative (0 means one per CPU)")
@@ -149,7 +145,9 @@ class BatchExecutor:
 
     def __init__(self, artifact, *, num_threads: Optional[int] = None) -> None:
         self.artifact = artifact
-        if num_threads is None and os.environ.get("REPRO_NUM_THREADS") is None:
+        if num_threads is None:
+            num_threads = num_threads_from_env()
+        if num_threads is None:
             num_threads = getattr(artifact.options, "num_threads", 1)
         self.num_threads = resolve_num_threads(num_threads)
         self._is_c_backend = isinstance(artifact.module, CGeneratedModule)

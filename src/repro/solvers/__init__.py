@@ -6,18 +6,13 @@ numeric values change every step, so the one-time compile cost amortizes:
 
 * :class:`repro.solvers.linear_solver.SparseLinearSolver` — factor once /
   solve many SPD solver (ordering → symbolic → generated numeric code).
-* :mod:`repro.solvers.cg` — conjugate gradient with an incomplete-Cholesky
-  style (sparsity-preserving) preconditioner whose triangular solves use
-  Sympiler-generated kernels.
+* :mod:`repro.solvers.cg` — conjugate gradient preconditioned by the
+  compiled IC(0) kernel, whose triangular solves are Sympiler-generated too.
 * :mod:`repro.solvers.newton` — a Newton–Raphson loop with a fixed-sparsity
   Jacobian (the power-system / circuit-simulation scenario).
 """
 
-from repro.solvers.cg import (
-    CGResult,
-    incomplete_cholesky_ic0,
-    preconditioned_conjugate_gradient,
-)
+from repro.solvers.cg import CGResult, preconditioned_conjugate_gradient
 from repro.solvers.linear_solver import SparseLinearSolver, backward_factor
 from repro.solvers.newton import (
     NewtonResult,
@@ -29,7 +24,6 @@ __all__ = [
     "SparseLinearSolver",
     "backward_factor",
     "preconditioned_conjugate_gradient",
-    "incomplete_cholesky_ic0",
     "CGResult",
     "newton_raphson_fixed_pattern",
     "newton_raphson_ensemble",

@@ -8,21 +8,16 @@ driver whose preconditioner applications use Sympiler-generated triangular
 solves on an incomplete-Cholesky factor (IC(0): the factor is restricted to
 the pattern of ``tril(A)``).
 
-Two preconditioner constructions are available:
-
-* ``"compiled"`` (the default) — the IC(0) *factorization itself* is a
-  Sympiler-generated kernel (``Sympiler.compile("ic0", A)`` through the
-  kernel registry), so the whole preconditioner pipeline — numeric factor and
-  both triangular sweeps — runs specialized generated code.
-* ``"interpreted"`` — the original :func:`incomplete_cholesky_ic0` NumPy
-  loop, kept as the fallback and as the correctness oracle: on the python
-  backend the compiled factor is **bitwise identical** to the interpreted
-  one (asserted by the test-suite), so both paths produce the same iterates.
+The IC(0) factorization itself is a Sympiler-generated kernel
+(``Sympiler.compile("ic0", A)`` through the kernel registry), so the whole
+preconditioner pipeline — numeric factor and both triangular sweeps — runs
+specialized code.  Its interpreted oracle is
+:func:`repro.kernels.incomplete.ic0_left_looking` (bitwise equal, asserted by
+the test-suite).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -32,59 +27,9 @@ from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.solvers.linear_solver import backward_factor
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.utils import lower_triangle
+from repro.sparse.utils import require_finite_values
 
-__all__ = [
-    "incomplete_cholesky_ic0",
-    "preconditioned_conjugate_gradient",
-    "CGResult",
-    "PRECONDITIONERS",
-]
-
-#: Valid ``preconditioner`` arguments of the PCG driver.
-PRECONDITIONERS = ("compiled", "interpreted")
-
-
-def incomplete_cholesky_ic0(A: CSCMatrix) -> CSCMatrix:
-    """IC(0) factor: Cholesky restricted to the pattern of ``tril(A)``.
-
-    No fill-in is allowed; dropped updates make ``L Lᵀ ≈ A``.  The input must
-    be SPD (and is assumed H-matrix-like enough for IC(0) to exist; a clear
-    error is raised otherwise).  This is the interpreted reference the
-    compiled ``ic0`` registry kernel is validated against — bitwise, on the
-    python backend.
-    """
-    if not A.is_square():
-        raise ValueError("IC(0) requires a square matrix")
-    L = lower_triangle(A)
-    n = L.n
-    indptr, indices = L.indptr, L.indices
-    data = L.data.copy()
-    for j in range(n):
-        start, end = indptr[j], indptr[j + 1]
-        if indices[start] != j:
-            raise ValueError(f"missing diagonal entry in column {j}")
-        d = data[start]
-        if not d > 0.0:
-            raise ValueError(f"IC(0) breakdown: non-positive pivot at column {j}")
-        d = math.sqrt(d)
-        data[start] = d
-        data[start + 1 : end] /= d
-        # Update later columns restricted to the existing pattern.
-        rows_j = indices[start + 1 : end]
-        vals_j = data[start + 1 : end]
-        for idx, k in enumerate(rows_j):
-            k = int(k)
-            ljk = vals_j[idx]
-            ks, ke = indptr[k], indptr[k + 1]
-            rows_k = indices[ks:ke]
-            # Subtract ljk * L(rows_k, j) for rows present in both columns.
-            positions = np.searchsorted(rows_j, rows_k)
-            valid = (positions < rows_j.size) & (
-                rows_j[np.minimum(positions, rows_j.size - 1)] == rows_k
-            )
-            data[ks:ke][valid] -= ljk * vals_j[positions[valid]]
-    return CSCMatrix(n, n, indptr.copy(), indices.copy(), data, check=False)
+__all__ = ["preconditioned_conjugate_gradient", "CGResult"]
 
 
 @dataclass
@@ -95,27 +40,11 @@ class CGResult:
     iterations: int
     converged: bool
     residual_norms: List[float]
-    #: Which preconditioner construction ran (``"compiled"``,
-    #: ``"interpreted"`` or ``None`` for plain CG).
-    preconditioner: Optional[str] = None
 
     @property
     def final_residual(self) -> float:
         """Last recorded relative residual."""
         return self.residual_norms[-1] if self.residual_norms else float("nan")
-
-
-def _ic0_factor(
-    A: CSCMatrix, preconditioner: str, options: SympilerOptions, sym: Sympiler
-) -> CSCMatrix:
-    """The IC(0) factor of ``A`` via the requested construction."""
-    if preconditioner == "compiled":
-        return sym.compile("ic0", A, options=options).factorize(A)
-    if preconditioner == "interpreted":
-        return incomplete_cholesky_ic0(A)
-    raise ValueError(
-        f"unknown preconditioner {preconditioner!r}; expected one of {PRECONDITIONERS}"
-    )
 
 
 def preconditioned_conjugate_gradient(
@@ -125,7 +54,6 @@ def preconditioned_conjugate_gradient(
     tol: float = 1e-8,
     max_iterations: int = 1000,
     use_preconditioner: bool = True,
-    preconditioner: str = "compiled",
     options: Optional[SympilerOptions] = None,
     num_threads: Optional[int] = None,
 ) -> CGResult:
@@ -133,10 +61,8 @@ def preconditioned_conjugate_gradient(
 
     Preconditioner applications ``M⁻¹ r = (L Lᵀ)⁻¹ r`` use two
     Sympiler-generated triangular solves that are compiled once before the
-    iteration starts; with ``preconditioner="compiled"`` (the default) the
-    IC(0) numeric factorization is a generated registry kernel as well,
-    ``"interpreted"`` keeps the NumPy reference loop (fallback and oracle —
-    bitwise-identical iterates on the python backend).
+    iteration starts, on the factor of the compiled ``ic0`` registry kernel.
+    A non-finite value in ``A`` raises ``ValueError`` before any kernel runs.
 
     ``num_threads`` fans each preconditioner triangular sweep's level sets
     across workers when the trisolves were compiled with
@@ -153,14 +79,12 @@ def preconditioned_conjugate_gradient(
     n = A.n
     if b.shape != (n,):
         raise ValueError(f"b must have shape ({n},)")
+    require_finite_values(A)
 
     apply_preconditioner = None
-    used_preconditioner = None
     if use_preconditioner:
-        options = options or SympilerOptions()
         sym = Sympiler(options)
-        L = _ic0_factor(A, preconditioner, options, sym)
-        used_preconditioner = preconditioner
+        L = sym.compile("ic0", A).factorize(A)
         forward = sym.compile_triangular_solve(L, rhs_pattern=None)
         Lt_rev = backward_factor(L)
         backward = sym.compile_triangular_solve(Lt_rev, rhs_pattern=None)
@@ -202,10 +126,4 @@ def preconditioned_conjugate_gradient(
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
-    return CGResult(
-        x=x,
-        iterations=iterations,
-        converged=converged,
-        residual_norms=residual_norms,
-        preconditioner=used_preconditioner,
-    )
+    return CGResult(x=x, iterations=iterations, converged=converged, residual_norms=residual_norms)

@@ -39,6 +39,7 @@ from repro.observe.trace import span
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ordering import ordering_by_name
 from repro.sparse.permutation import Permutation
+from repro.sparse.utils import require_finite_values
 from repro.symbolic import native
 
 __all__ = ["SparseLinearSolver", "backward_factor"]
@@ -261,8 +262,10 @@ class SparseLinearSolver:
         (``scipy.sparse``, triplets, dense) — it is converted first and then
         pattern-checked against the solver's matrix.  Past that check the
         call is the numeric refactorization of :meth:`step`, unconditionally.
-        If the kernel raises, the solver is left without factors and
-        :meth:`solve` refuses until a factorization succeeds.
+        A value set that fails keeps :attr:`A` at the last matrix that
+        factorized: a non-finite value raises ``ValueError`` and leaves the
+        factors as they were; if the kernel raises, the solver is left without
+        factors and :meth:`solve` refuses until a factorization succeeds.
         """
         if A is not None:
             if not isinstance(A, CSCMatrix):
@@ -275,9 +278,9 @@ class SparseLinearSolver:
                     "build a new SparseLinearSolver for a different pattern"
                 )
         with self._lock:
+            self._refactorize(self.A.data if A is None else A.data)
             if A is not None:
                 self.A = A
-            self._refactorize(self.A.data)
             return self._L
 
     def _refactorize(self, values: np.ndarray) -> None:
@@ -290,7 +293,12 @@ class SparseLinearSolver:
         allocates the new ones, so the solver holds the same blocks at the
         same addresses after every call: a long run of refactorizations does
         not fragment the heap it shares with the caller.
+
+        A non-finite value is refused first, before anything is released:
+        no kernel here pivots, and the Cholesky -> LDLᵀ escape of the front
+        end would otherwise turn the breakdown into a NaN answer.
         """
+        require_finite_values(self.A, values)
         np.copyto(self._values, values)
         # mode="clip": the default "raise" buffers `out` in a temporary.
         np.take(self._values, self._value_gather, out=self.A_permuted.data, mode="clip")
@@ -425,7 +433,8 @@ class SparseLinearSolver:
 
         A value set the kernel rejects raises the kernel's error and leaves
         the solver without factors, so repeating it fails again rather than
-        matching the snapshot.
+        matching the snapshot.  A non-finite value set raises ``ValueError``
+        before the kernel runs and leaves the solver as it was.
         """
         with self._lock:
             refactorized = self._L is None or not np.array_equal(self._values, values)
@@ -471,7 +480,6 @@ class SparseLinearSolver:
         *,
         tol: float = 1e-8,
         max_iterations: int = 1000,
-        preconditioner: str = "compiled",
         num_threads: Optional[int] = None,
     ):
         """Solve ``A x = b`` iteratively by IC(0)-preconditioned CG.
@@ -479,8 +487,7 @@ class SparseLinearSolver:
         The iterative companion of :meth:`solve` for SPD systems: instead of
         the complete factorization this solver was built with, it runs
         conjugate gradient preconditioned by the compiled ``ic0`` registry
-        kernel (``preconditioner="interpreted"`` selects the NumPy reference
-        instead).  All compiles go through the shared artifact cache, so
+        kernel.  All compiles go through the shared artifact cache, so
         repeated ``pcg`` calls on this pattern reuse the generated IC(0) and
         triangular-solve kernels.  ``num_threads`` behaves exactly as in
         :meth:`solve` — the single precedence rule for every entry point is
@@ -500,7 +507,6 @@ class SparseLinearSolver:
             b,
             tol=tol,
             max_iterations=max_iterations,
-            preconditioner=preconditioner,
             options=self.options,
             num_threads=num_threads,
         )

@@ -15,7 +15,24 @@ __all__ = [
     "dense_lower_from_csc",
     "pattern_of",
     "column_counts",
+    "require_finite_values",
 ]
+
+
+def require_finite_values(A: CSCMatrix, values=None) -> None:
+    """Raise ``ValueError`` naming the first non-finite entry of ``values``.
+
+    ``values`` are nonzeros in the storage order of ``A``'s pattern
+    (``A.data`` when omitted).  No kernel of this package pivots, so a NaN or
+    an infinity would otherwise come back as a NaN answer instead of an error.
+    """
+    values = A.data if values is None else np.asarray(values)
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    k = int(np.argmin(finite))
+    col = int(np.searchsorted(A.indptr, k, side="right")) - 1
+    raise ValueError(f"matrix value {values[k]} at A[{int(A.indices[k])}, {col}] (stored entry {k}) is not finite")
 
 
 def lower_triangle(A: CSCMatrix, *, strict: bool = False, keep_diagonal: bool = True) -> CSCMatrix:

@@ -1,93 +1,8 @@
-"""Tests for the Eigen-like and CHOLMOD-like baselines."""
+"""Tests for the dense correctness oracles of :mod:`repro.baselines`."""
 
 import numpy as np
-import pytest
 
-from repro.baselines.cholmod_like import (
-    cholmod_like_factorize,
-    cholmod_like_numeric,
-    cholmod_like_symbolic,
-)
-from repro.baselines.eigen_like import (
-    eigen_like_factorize,
-    eigen_like_numeric,
-    eigen_like_symbolic,
-    eigen_like_trisolve,
-)
-from repro.baselines.scipy_reference import (
-    reference_cholesky,
-    reference_solve,
-    reference_trisolve,
-)
-from repro.sparse.csc import CSCMatrix
-from repro.sparse.generators import sparse_rhs
-
-
-def test_eigen_like_factorization_matches_reference(spd_matrix):
-    result = eigen_like_factorize(spd_matrix)
-    np.testing.assert_allclose(result.L.to_dense(), reference_cholesky(spd_matrix), atol=1e-9)
-    assert result.symbolic.seconds >= 0.0
-    assert result.numeric_seconds >= 0.0
-
-
-def test_cholmod_like_factorization_matches_reference(spd_matrix):
-    result = cholmod_like_factorize(spd_matrix)
-    np.testing.assert_allclose(result.L.to_dense(), reference_cholesky(spd_matrix), atol=1e-9)
-
-
-def test_symbolic_phase_is_reusable_across_value_changes(spd_matrices):
-    A = spd_matrices["fem"]
-    symbolic = eigen_like_symbolic(A)
-    L1 = eigen_like_numeric(A, symbolic)
-    # Scale the values: the pattern (and hence the symbolic result) is unchanged.
-    A2 = A.scale(2.0)
-    L2 = eigen_like_numeric(A2, symbolic)
-    np.testing.assert_allclose(L2.to_dense(), np.sqrt(2.0) * L1.to_dense(), atol=1e-9)
-
-
-def test_cholmod_symbolic_reuse(spd_matrices):
-    A = spd_matrices["block"]
-    symbolic = cholmod_like_symbolic(A)
-    L1 = cholmod_like_numeric(A, symbolic)
-    L2 = cholmod_like_numeric(A.scale(4.0), symbolic)
-    np.testing.assert_allclose(L2.to_dense(), 2.0 * L1.to_dense(), atol=1e-9)
-
-
-def test_symbolic_records_factor_size(spd_matrices):
-    A = spd_matrices["laplacian_2d"]
-    eigen_sym = eigen_like_symbolic(A)
-    cholmod_sym = cholmod_like_symbolic(A)
-    assert eigen_sym.factor_nnz == cholmod_sym.factor_nnz
-    assert cholmod_sym.supernodes.n_columns == A.n
-
-
-def test_baselines_agree_with_each_other(spd_matrix):
-    e = eigen_like_factorize(spd_matrix)
-    c = cholmod_like_factorize(spd_matrix)
-    np.testing.assert_allclose(e.L.to_dense(), c.L.to_dense(), atol=1e-9)
-
-
-def test_eigen_like_trisolve(lower_factors):
-    L = lower_factors["circuit"]
-    b = sparse_rhs(L.n, density=0.05, seed=2)
-    np.testing.assert_allclose(eigen_like_trisolve(L, b), reference_trisolve(L, b), atol=1e-9)
-
-
-def test_symbolic_order_mismatch_detected(spd_matrices):
-    symbolic = eigen_like_symbolic(spd_matrices["fem"])
-    with pytest.raises(ValueError):
-        eigen_like_numeric(spd_matrices["banded"], symbolic)
-    cholmod_sym = cholmod_like_symbolic(spd_matrices["fem"])
-    with pytest.raises(ValueError):
-        cholmod_like_numeric(spd_matrices["banded"], cholmod_sym)
-
-
-def test_baselines_reject_non_square():
-    rect = CSCMatrix.from_dense(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        eigen_like_symbolic(rect)
-    with pytest.raises(ValueError):
-        cholmod_like_symbolic(rect)
+from repro.baselines.scipy_reference import reference_solve
 
 
 def test_reference_solve_consistency(spd_matrices, rng):

@@ -90,33 +90,25 @@ def tiny_suite():
 
 
 @pytest.fixture(scope="module")
-def python_rows(tiny_suite):
-    """Every experiment of the table, run once on the tiny suite (python backend)."""
-    return dict(run_experiments(list(EXPERIMENTS), tiny_suite, backend="python"))
+def bench_rows(tiny_suite):
+    """Every experiment of the table, run once on the tiny suite."""
+    return dict(run_experiments(list(EXPERIMENTS), tiny_suite))
 
 
 def _matrix_rows(rows):
     return [r for r in rows if r["name"] != "geomean"]
 
 
-def _baselines_for(name, backend):
-    """The experiment's baselines written in ``backend``'s language."""
-    experiment = EXPERIMENTS[name]
-    if not experiment.baselines:
-        return []
-    kernel = runner.KERNELS[next(iter(experiment.variants.values()))[0]]
-    return [b for b in experiment.baselines if kernel.baselines[b].backend == backend]
-
-
+@needs_cc
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
-def test_rows_carry_the_columns_the_table_declares(name, python_rows, tiny_suite):
+def test_rows_carry_the_columns_the_table_declares(name, bench_rows, tiny_suite):
     experiment = EXPERIMENTS[name]
     derived = experiment.derived
-    rows = python_rows[name]
+    rows = bench_rows[name]
     matrix_rows = _matrix_rows(rows)
     assert [r["name"] for r in matrix_rows] == [e.name for e in tiny_suite]
     variants = list(experiment.variants)
-    baselines = _baselines_for(name, "python")
+    baselines = list(experiment.baselines)
     timed = baselines + variants
     ratio_columns = []
     if "speedup" in derived:
@@ -148,90 +140,82 @@ def test_rows_carry_the_columns_the_table_declares(name, python_rows, tiny_suite
         assert rows == matrix_rows
 
 
+@needs_cc
 class TestExperimentDrivers:
     """The paper's legends by their literal column names (the table cannot drop one silently)."""
 
-    def test_table2_rows(self, python_rows):
-        rows = python_rows["table2"]
+    def test_table2_rows(self, bench_rows):
+        rows = bench_rows["table2"]
         assert len(rows) == 2
         assert set(rows[0]) >= {"problem_id", "name", "n", "nnz_A", "ordering", "stands_in_for"}
 
-    def test_fig6_rows_have_all_variants(self, python_rows):
-        for row in _matrix_rows(python_rows["fig6"]):
+    def test_fig6_rows_have_all_variants(self, bench_rows):
+        for row in _matrix_rows(bench_rows["fig6"]):
             for key in (
-                "eigen_gflops",
+                "scipy_gflops",
                 "sympiler_vs_block_gflops",
                 "sympiler_vs_vi_gflops",
                 "sympiler_full_gflops",
-                "sympiler_full_speedup_vs_eigen",
+                "sympiler_full_speedup_vs_scipy",
             ):
                 assert row[key] > 0
             assert 0 < row["reach_size"] <= row["n"]
 
-    def test_fig7_rows_have_all_variants(self, python_rows):
-        for row in _matrix_rows(python_rows["fig7"]):
+    def test_fig7_rows_have_all_variants(self, bench_rows):
+        for row in _matrix_rows(bench_rows["fig7"]):
             for key in (
-                "eigen_gflops",
-                "cholmod_gflops",
+                "splu_gflops",
                 "sympiler_vs_block_gflops",
                 "sympiler_full_gflops",
-                "sympiler_full_speedup_vs_eigen",
-                "sympiler_full_speedup_vs_cholmod",
+                "sympiler_full_speedup_vs_splu",
             ):
                 assert row[key] > 0
 
-    def test_fig8_normalization(self, python_rows):
-        for row in _matrix_rows(python_rows["fig8"]):
+    def test_fig8_normalization(self, bench_rows):
+        for row in _matrix_rows(bench_rows["fig8"]):
             assert row["sympiler_numeric_normalized"] > 0
             assert row["sympiler_total_normalized"] >= row["sympiler_numeric_normalized"]
 
-    def test_fig9_normalization(self, python_rows):
-        for row in _matrix_rows(python_rows["fig9"]):
-            assert row["eigen_total_normalized"] == pytest.approx(1.0)
+    def test_fig9_normalization(self, bench_rows):
+        for row in _matrix_rows(bench_rows["fig9"]):
+            assert row["splu_total_normalized"] == pytest.approx(1.0)
             assert row["sympiler_total_normalized"] > 0
-            assert row["cholmod_total_normalized"] > 0
 
-    def test_intro_speedups(self, python_rows):
-        for row in _matrix_rows(python_rows["intro"]):
-            # The specialized solve must beat the naive full-column solve.
-            assert row["sympiler_speedup_vs_naive"] > 1.0
-
-    def test_overhead_report(self, python_rows):
-        for row in _matrix_rows(python_rows["overheads"]):
+    def test_overhead_report(self, bench_rows):
+        for row in _matrix_rows(bench_rows["overheads"]):
             assert row["tri_codegen_over_numeric"] > 0
             assert row["chol_symbolic_over_numeric"] > 0
 
 
-def test_lu_experiment_rows(python_rows):
-    for row in _matrix_rows(python_rows["lu"]):
+@needs_cc
+def test_lu_experiment_rows(bench_rows):
+    for row in _matrix_rows(bench_rows["lu"]):
         assert row["nnz_LU"] > row["nnz_J"] // 2
-        assert row["lu_seconds"] > 0 and row["reference_seconds"] > 0
-
-
-def test_pcg_experiment_rows(python_rows):
-    for row in _matrix_rows(python_rows["pcg"]):
-        assert 0 < row["iterations"] < row["n"]
-        assert row["pcg_seconds"] > 0 and row["interpreted_seconds"] > 0
+        assert row["lu_seconds"] > 0 and row["splu_seconds"] > 0
 
 
 @needs_cc
-def test_c_backend_is_never_set_against_an_interpreted_baseline(tiny_suite):
-    interpreted = {
-        b for kernel in runner.KERNELS.values() for b, baseline in kernel.baselines.items() if baseline.backend != "c"
-    }
-    assert {"eigen", "cholmod", "naive", "reference", "interpreted"} <= interpreted
-    for name, rows in run_experiments(list(EXPERIMENTS), tiny_suite[:1], backend="c"):
-        native = _baselines_for(name, "c")
-        assert native or not EXPERIMENTS[name].baselines
+def test_pcg_experiment_rows(bench_rows):
+    for row in _matrix_rows(bench_rows["pcg"]):
+        assert 0 < row["iterations"] < row["n"]
+        assert row["pcg_seconds"] > 0 and row["scipy_cg_seconds"] > 0
+
+
+@needs_cc
+def test_c_backend_is_never_set_against_an_interpreted_baseline(bench_rows):
+    native = {b for kernel in runner.KERNELS.values() for b in kernel.baselines}
+    assert native == {"scipy", "splu", "scipy_cg"}
+    removed = ("naive", "eigen", "cholmod", "reference", "interpreted")
+    for name, rows in bench_rows.items():
+        assert set(EXPERIMENTS[name].baselines) <= native
         for row in rows:
             for column in row:
-                assert not any(column.startswith(f"{b}_") or column.endswith(f"_vs_{b}") for b in interpreted), (
-                    f"{name}: column {column!r} sets generated C against interpreted Python"
+                assert not any(column.startswith(f"{b}_") or column.endswith(f"_vs_{b}") for b in removed), (
+                    f"{name}: column {column!r} names an interpreted baseline"
                 )
-            if row["name"] != "geomean":
-                assert all(row[f"{b}_seconds"] > 0 for b in native)
 
 
+@needs_cc
 def test_a_wrong_answer_raises_instead_of_producing_a_row(tiny_suite, monkeypatch):
     from repro.compiler.artifacts import SympiledTriangularSolve
 
@@ -244,7 +228,8 @@ def test_a_wrong_answer_raises_instead_of_producing_a_row(tiny_suite, monkeypatc
 def test_c_backend_without_a_compiler_is_refused(tiny_suite, monkeypatch):
     monkeypatch.setattr(runner, "c_compiler_available", lambda compiler: False)
     with pytest.raises(RuntimeError, match="C compiler"):
-        dict(run_experiments(["fig6"], tiny_suite[:1], backend="c"))
+        dict(run_experiments(["fig6"], tiny_suite[:1]))
+    assert len(dict(run_experiments(["table2"], tiny_suite))["table2"]) == 2
 
 
 def test_cli_table2_small(capsys):
@@ -263,7 +248,7 @@ def test_cli_json_report(tmp_path, capsys):
     assert path.exists() and str(path) in out
     payload = json.loads(path.read_text())
     assert payload["experiment"] == "table2"
-    assert payload["args"] == {"small": True, "backend": "python"}
+    assert payload["args"] == {"small": True}
     assert len(payload["rows"]) == 4
 
 
@@ -277,7 +262,9 @@ def test_cli_choices_are_the_table_and_the_readme_list(capsys):
     assert f"python -m repro.bench {expected}" in readme
 
 
-@pytest.mark.parametrize("flag", [["--compare", "x"], ["--max-regression", "0.25"], ["--threads", "2"]])
+@pytest.mark.parametrize(
+    "flag", [["--compare", "x"], ["--max-regression", "0.25"], ["--threads", "2"], ["--backend", "c"]]
+)
 def test_cli_rejects_the_removed_flags(flag, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["table2", "--small", *flag])

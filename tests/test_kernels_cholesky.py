@@ -8,7 +8,6 @@ from repro.kernels.cholesky import (
     NotPositiveDefiniteError,
     cholesky_left_looking,
     cholesky_supernodal,
-    cholesky_up_looking,
 )
 from repro.kernels.flops import cholesky_flops, gflops, triangular_solve_flops
 from repro.sparse.csc import CSCMatrix
@@ -23,11 +22,6 @@ def test_left_looking_matches_reference(spd_matrix):
 
 def test_supernodal_matches_reference(spd_matrix):
     L = cholesky_supernodal(spd_matrix)
-    np.testing.assert_allclose(L.to_dense(), reference_cholesky(spd_matrix), atol=1e-9)
-
-
-def test_up_looking_matches_reference(spd_matrix):
-    L = cholesky_up_looking(spd_matrix)
     np.testing.assert_allclose(L.to_dense(), reference_cholesky(spd_matrix), atol=1e-9)
 
 
@@ -64,14 +58,14 @@ def _full_dense(A):
 def test_indefinite_matrix_raises():
     dense = np.array([[1.0, 2.0], [2.0, 1.0]])
     A = CSCMatrix.from_dense(dense)
-    for fn in (cholesky_left_looking, cholesky_supernodal, cholesky_up_looking):
+    for fn in (cholesky_left_looking, cholesky_supernodal):
         with pytest.raises(NotPositiveDefiniteError):
             fn(A)
 
 
 def test_non_square_rejected():
     rect = CSCMatrix.from_dense(np.ones((2, 3)))
-    for fn in (cholesky_left_looking, cholesky_supernodal, cholesky_up_looking):
+    for fn in (cholesky_left_looking, cholesky_supernodal):
         with pytest.raises(ValueError):
             fn(rect)
 

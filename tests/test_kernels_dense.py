@@ -11,7 +11,6 @@ from repro.kernels.dense import (
     dense_solve_transposed_right,
     has_small_kernel,
     small_cholesky,
-    small_lower_solve,
 )
 
 
@@ -99,13 +98,6 @@ def test_small_cholesky_detects_indefinite_blocks():
         small_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NotPositiveDefiniteError):
         small_cholesky(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 6])
-def test_small_lower_solve(rng, n):
-    L = np.linalg.cholesky(_random_spd(rng, n))
-    b = rng.normal(size=n)
-    np.testing.assert_allclose(L @ small_lower_solve(L, b), b, atol=1e-10)
 
 
 def test_has_small_kernel_limits():

@@ -3,13 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.solvers.cg import incomplete_cholesky_ic0, preconditioned_conjugate_gradient
+from repro.compiler.codegen.c_backend import c_compiler_available
+from repro.compiler.options import SympilerOptions
+from repro.compiler.sympiler import Sympiler
+from repro.kernels.incomplete import ic0_left_looking
+from repro.solvers.cg import preconditioned_conjugate_gradient
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.solvers.newton import newton_raphson_fixed_pattern
 from repro.baselines.scipy_reference import reference_cholesky, reference_solve
 from repro.sparse.coo import TripletBuilder
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import banded_spd, laplacian_2d, power_grid_spd
+
+needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
+
+#: Both backends of the compiled ic0 kernel; the C one needs a compiler.
+BACKENDS = ["python", pytest.param("c", marks=needs_cc)]
+
+
+def _compiled_ic0(A, backend):
+    """The compiled IC(0) factor of ``A`` on ``backend``."""
+    return Sympiler(SympilerOptions(backend=backend)).compile("ic0", A).factorize(A)
 
 
 class TestSparseLinearSolver:
@@ -74,12 +88,12 @@ class TestIncompleteCholesky:
     def test_ic0_equals_exact_factor_when_no_fill(self):
         # A tridiagonal SPD matrix factors without fill, so IC(0) is exact.
         A = banded_spd(25, 1, seed=3)
-        L = incomplete_cholesky_ic0(A)
+        L = ic0_left_looking(A)
         np.testing.assert_allclose(L.to_dense(), reference_cholesky(A), atol=1e-9)
 
     def test_ic0_pattern_is_tril_of_a(self, spd_matrices):
         A = spd_matrices["fem"]
-        L = incomplete_cholesky_ic0(A)
+        L = ic0_left_looking(A)
         from repro.sparse.utils import lower_triangle
 
         assert L.pattern_equal(lower_triangle(A))
@@ -87,7 +101,7 @@ class TestIncompleteCholesky:
 
     def test_ic0_requires_square(self):
         with pytest.raises(ValueError):
-            incomplete_cholesky_ic0(CSCMatrix.from_dense(np.ones((2, 3))))
+            ic0_left_looking(CSCMatrix.from_dense(np.ones((2, 3))))
 
 
 class TestConjugateGradient:
@@ -132,51 +146,51 @@ class TestConjugateGradient:
 
 
 class TestConjugateGradientEdgeCases:
-    """Breakdown, bad diagonals, history reporting and compiled-vs-interpreted."""
+    """Breakdown, bad diagonals, history reporting and compiled-vs-oracle."""
 
-    def test_ic0_breakdown_on_non_spd_input(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_ic0_breakdown_on_non_spd_input(self, backend):
         # Indefinite: the second pivot of the (complete = incomplete here)
         # factorization is negative, so IC(0) must refuse, on both paths.
         A = CSCMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError, match="non-positive pivot at column 1"):
+            ic0_left_looking(A)
+        with pytest.raises(ValueError, match="non-positive pivot at column 1"):
+            _compiled_ic0(A, backend)
         with pytest.raises(ValueError, match="non-positive pivot"):
-            incomplete_cholesky_ic0(A)
-        b = np.ones(2)
-        for preconditioner in ("interpreted", "compiled"):
-            with pytest.raises(ValueError, match="non-positive pivot"):
-                preconditioned_conjugate_gradient(A, b, preconditioner=preconditioner)
+            preconditioned_conjugate_gradient(A, np.ones(2), options=SympilerOptions(backend=backend))
 
-    def test_ic0_zero_diagonal_breaks_down(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_ic0_zero_diagonal_breaks_down(self, backend):
         # A stored-but-zero diagonal entry is a non-positive pivot (distinct
         # from the structurally-missing-diagonal error).
         A = CSCMatrix.from_dense(np.array([[1e-300, 1.0], [1.0, 2.0]]))
         A0 = A.with_values(np.array([0.0, 1.0, 1.0, 2.0]))
         with pytest.raises(ValueError, match="non-positive pivot at column 0"):
-            incomplete_cholesky_ic0(A0)
+            ic0_left_looking(A0)
+        with pytest.raises(ValueError, match="non-positive pivot at column 0"):
+            _compiled_ic0(A0, backend)
 
-    def test_ic0_near_zero_diagonal_survives_but_amplifies(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_ic0_near_zero_diagonal_survives_but_amplifies(self, backend):
         # A tiny positive pivot is numerically legal for IC(0); the factor
         # simply carries a huge scaled column instead of erroring.
         A = CSCMatrix.from_dense(np.array([[1e-12, 1e-6], [1e-6, 2.0]]))
-        L = incomplete_cholesky_ic0(A)
+        L = ic0_left_looking(A)
         assert np.isfinite(L.data).all()
         assert L.data[L.indptr[0]] == pytest.approx(1e-6)
+        assert np.array_equal(_compiled_ic0(A, backend).data, L.data)
 
-    def test_ic0_missing_diagonal_raises_on_both_paths(self):
-        from repro.compiler.sympiler import Sympiler
-
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_ic0_missing_diagonal_raises_on_both_paths(self, backend):
         # Column 1 stores an off-diagonal entry but no diagonal.
         A = CSCMatrix.from_dense(
             np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 3.0]])
         )
         with pytest.raises(ValueError, match="missing diagonal entry"):
-            incomplete_cholesky_ic0(A)
+            ic0_left_looking(A)
         with pytest.raises(ValueError, match="missing diagonal entry"):
-            Sympiler().compile("ic0", A)
-
-    def test_unknown_preconditioner_rejected(self):
-        A = laplacian_2d(4)
-        with pytest.raises(ValueError, match="unknown preconditioner"):
-            preconditioned_conjugate_gradient(A, np.ones(A.n), preconditioner="ilu9")
+            _compiled_ic0(A, backend)
 
     def test_convergence_history_reporting(self, rng):
         A = laplacian_2d(10)
@@ -190,40 +204,21 @@ class TestConjugateGradientEdgeCases:
         )
         assert result.final_residual == result.residual_norms[-1]
         assert result.final_residual <= 1e-9
-        assert result.preconditioner == "compiled"
-        plain = preconditioned_conjugate_gradient(A, b, use_preconditioner=False)
-        assert plain.preconditioner is None
 
-    def test_interpreted_and_compiled_preconditioners_match_bitwise(self, rng):
-        # Acceptance criterion: on the python backend the compiled IC(0)
-        # factor is bitwise identical to the interpreted one, so the whole
-        # CG trajectory — iterates and residual history — coincides exactly.
-        for A in (laplacian_2d(12), power_grid_spd(80, seed=5)):
-            b = rng.normal(size=A.n)
-            compiled = preconditioned_conjugate_gradient(
-                A, b, tol=1e-10, preconditioner="compiled"
-            )
-            interpreted = preconditioned_conjugate_gradient(
-                A, b, tol=1e-10, preconditioner="interpreted"
-            )
-            assert compiled.iterations == interpreted.iterations
-            assert np.array_equal(compiled.x, interpreted.x)
-            assert compiled.residual_norms == interpreted.residual_norms
-
-    def test_compiled_ic0_factor_matches_interpreted_bitwise(self, spd_matrices):
-        from repro.compiler.sympiler import Sympiler
-
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_compiled_ic0_factor_matches_interpreted_bitwise(self, spd_matrices, backend):
         for A in spd_matrices.values():
-            L_compiled = Sympiler().compile("ic0", A).factorize(A)
-            L_interpreted = incomplete_cholesky_ic0(A)
-            assert np.array_equal(L_compiled.data, L_interpreted.data)
+            L_compiled = _compiled_ic0(A, backend)
+            L_oracle = ic0_left_looking(A)
+            assert L_compiled.pattern_equal(L_oracle)
+            assert np.array_equal(L_compiled.data, L_oracle.data)
 
     def test_solver_pcg_method(self, rng):
         A = laplacian_2d(12)
         solver = SparseLinearSolver(A, ordering="mindeg")
         b = rng.normal(size=A.n)
         result = solver.pcg(b, tol=1e-10)
-        assert result.converged and result.preconditioner == "compiled"
+        assert result.converged
         np.testing.assert_allclose(A.matvec(result.x), b, atol=1e-6)
         # The direct and iterative answers agree.
         np.testing.assert_allclose(result.x, solver.solve(b), atol=1e-6)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.compiler.cache import ArtifactCache, options_fingerprint
-from repro.compiler.codegen.c_backend import c_compiler_available
+from repro.compiler.codegen.c_backend import _wavefront_threads, c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.runtime.engine import BatchExecutor, resolve_num_threads
@@ -290,6 +290,29 @@ class TestThreadResolution:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             resolve_num_threads(-2)
+
+    @pytest.mark.parametrize("entry", ["runtime", "wavefront"])
+    @pytest.mark.parametrize(
+        "env, expected",
+        [
+            ("abc", "REPRO_NUM_THREADS must be an integer, got 'abc'"),
+            ("-1", "num_threads must be non-negative"),
+            ("", None),  # blank is unset: 1 in the runtime, one per CPU in a wavefront call
+            (" 2 ", 2),
+        ],
+    )
+    def test_one_parser_for_both_entry_points(self, entry, env, expected, monkeypatch):
+        import os
+
+        monkeypatch.setenv("REPRO_NUM_THREADS", env)
+        resolve = resolve_num_threads if entry == "runtime" else _wavefront_threads
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                resolve(None)
+            return
+        if expected is None:
+            expected = 1 if entry == "runtime" else (os.cpu_count() or 1)
+        assert resolve(None) == expected
 
     def test_executor_env_beats_compile_options(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "5")
