@@ -9,8 +9,8 @@ code generator that
    a domain-specific AST annotated with where inspector-guided
    transformations may apply (:mod:`repro.compiler.lowering`),
 3. applies the inspector-guided transformations **VI-Prune** and **VS-Block**
-   followed by enabled low-level transformations — unrolling, loop
-   distribution, vectorization (:mod:`repro.compiler.transforms`), and
+   followed by the enabled low-level transformation, loop distribution
+   (:mod:`repro.compiler.transforms`), and
 4. emits matrix-specific source code through one of two backends — a
    specialized-Python/NumPy backend (always available) or a C backend
    compiled with the system compiler and loaded through ``ctypes``

@@ -57,6 +57,17 @@ class PatternMismatchError(ValueError):
     """Raised when numeric inputs do not match the compile-time pattern."""
 
 
+def _require_lengths(*checks) -> None:
+    """Raise ``ValueError`` naming the first ``(name, array, expected)`` whose length is not ``expected``.
+
+    The generated kernels trust the compile-time sizes in their tables, so an
+    array of another length would be read or written past its end.
+    """
+    for name, array, expected in checks:
+        if len(array) != expected:
+            raise ValueError(f"{name} has length {len(array)}, expected {expected}")
+
+
 @dataclass
 class CompileTimings:
     """Breakdown of the compile-time (symbolic) cost in seconds."""
@@ -94,6 +105,9 @@ class CompiledArtifact:
     decisions: Dict[str, object]
     timings: CompileTimings
     fingerprint: str
+    #: Stored entries of the compile-time operand (``L`` or ``A``): the length
+    #: every numeric call's index and value arrays must have.
+    operand_nnz: int
 
     #: Registry name used in pattern-mismatch hints and trace-span labels.
     kernel_name = "kernel"
@@ -234,8 +248,12 @@ class SympiledTriangularSolve(CompiledArtifact):
         ``num_threads`` applies only to wavefront-compiled artifacts (the
         level-parallel entry takes a per-call thread count); it is ignored by
         serial artifacts, so callers need not branch on the compiled mode.
+        An array whose length is not the compile-time one raises
+        ``ValueError`` before the kernel runs.
         """
         args = (Lp, Li, Lx, np.asarray(b, dtype=np.float64))
+        n, nnz = self.inspection.n, self.operand_nnz
+        _require_lengths(("Lp", Lp, n + 1), ("Li", Li, nnz), ("Lx", Lx, nnz), ("b", args[3], n))
         kwargs = self._entry_kwargs(num_threads)
         if not observe_trace.enabled():
             return self.entry(*args, **kwargs)
@@ -279,8 +297,12 @@ class SympiledFactorization(CompiledArtifact):
         ``num_threads`` applies only to wavefront-compiled artifacts (the
         level-parallel entry takes a per-call thread count); it is ignored by
         serial artifacts, so callers need not branch on the compiled mode.
+        An array whose length is not the compile-time one raises
+        ``ValueError`` before the kernel runs.
         """
         args = (Ap, Ai, np.asarray(Ax, dtype=np.float64))
+        n, nnz = self.inspection.n, self.operand_nnz
+        _require_lengths(("Ap", Ap, n + 1), ("Ai", Ai, nnz), ("Ax", args[2], nnz))
         kwargs = self._entry_kwargs(num_threads)
         if not observe_trace.enabled():
             return self.entry(*args, **kwargs)

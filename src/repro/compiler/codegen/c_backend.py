@@ -8,28 +8,42 @@ C compiler run the python backend's reference kernels over the same tables.
 
 What may be literal in the generated source
 -------------------------------------------
-Only what changes the *code*, and only as much of it as an existing option
-bounds: which loop nest a transformation chose (simplicial or supernodal,
-distributed or not, serial or wavefront) and the unrolled supernode widths
-(one ``switch`` case per width up to ``unroll_max_width`` whenever the
-low-level passes are enabled).  The backend never reads the pattern to decide
-*what code* to emit: source is a function of (kernel, options, code shape).
-Everything that depends on the sparsity pattern alone — every inspection set
-(``l_indptr``, ``prune_ptr``, the supernode and descendant descriptors, the
-scatter tables, the level schedule, the triangular solve's segment
-descriptors) and every size (``n``, nnz, supernode, segment and level counts)
-— is *data*.  Its name and its position come from the table contract
-(:mod:`repro.compiler.codegen.tables`, one function per domain loop): a body
-emitter binds a contract result (:meth:`CBackend._bind`) and then only prints
-— ``_C_<name>`` for a table, the bare name for a size — and the python
-backend's reference kernels read the same block.  Only the wavefront emitters
-register tables of their own (level schedule, pull structure), on top of it.
+Only what changes the *code*: which loop nest a transformation chose
+(simplicial or supernodal, distributed or not, serial or wavefront).  The
+backend never reads the pattern to decide *what code* to emit: source is a
+function of (kernel, options, code shape).  Everything that depends on the
+sparsity pattern alone — every inspection set (``l_indptr``, ``prune_ptr``,
+the supernode and descendant descriptors, the scatter tables, the level
+schedule, the triangular solve's segment descriptors) and every size (``n``,
+nnz, supernode, segment and level counts) — is *data*.  Its name and its
+position come from the table contract (:mod:`repro.compiler.codegen.tables`):
+the block is the contract of the kernel's domain loop, followed, for a
+wavefront kernel, by the level schedule and (triangular solve) the pull
+structure; the printed code names ``_C_<name>`` for a table and the bare name
+for a size, and the python backend's reference kernels read the same block.
 The loaded entry point receives the block through one trailing pointer
 argument.  So the size of a source file and the time ``cc`` spends on it are
 constants of the code shape, and two patterns that lower to the same code
 produce byte-identical source and share one ``.so`` through the
-source-fingerprint file stem; every serial triangular solve of one option
-bundle is the same ``.so``.
+source-fingerprint file stem; every serial triangular solve is the same
+``.so``.
+
+One step, printed once
+----------------------
+One emitter (:meth:`CBackend.generate`) prints every kernel from a table keyed
+by the role of its domain loop (:data:`_LOOPS`): the preamble that initialises
+the outputs, the body of one step (a column; a segment of the triangular
+solve; a supernode of the VS-Block'd factorization) and the work buffers a
+step reads.  The body becomes ``static inline int64_t {entry}_step(int64_t j,
+<the entry's arrays>, const int64_t* const* repro_T)``, which returns 0 or the
+failing column + 1.  The entry is the preamble and a loop over the steps; a
+wavefront job calls the same step.  (``inline`` lets ``cc`` inline the step at
+both call sites of a wavefront source, as it does at the one of a serial
+source: out of line, the per-call binding cost IC(0) 20-30 % at one thread.)
+The triangular solve alone has two
+bodies: its serial step walks the segments and pushes each column's updates,
+while the wavefront job runs the pull form, one row per step
+(``{entry}_wf_step``).
 
 Entry points generated (``repro_T`` is the table block; ``repro_T[0]`` holds
 the scalar sizes, ``repro_T[k]`` the k-th registered inspection set):
@@ -52,11 +66,12 @@ Under ``SympilerOptions(parallel="wavefront")`` every entry point gains an
 columns of each level of the inspector's cached
 :class:`~repro.runtime.levels.ExecutionSchedule` across a persistent pthread
 worker pool, with a barrier between levels (the paper's H-Level parallelism,
-applied *within* one numeric call).  Levels are antichains of the column
-dependency DAG, so per-column writes are disjoint and the result is bitwise
-identical to the serial kernel; when the schedule has no parallelism to mine
-(or the kernel is supernodal) the serial body is emitted behind the same ABI
-and the fallback is recorded on the artifact.  The pool, the barrier and the
+applied *within* one numeric call); with ``n_threads <= 1`` it runs the
+serial loop.  Levels are antichains of the column dependency DAG, so
+per-column writes are disjoint and the result is bitwise identical to the
+serial kernel; when the schedule has no parallelism to mine (or the kernel is
+supernodal) the serial kernel is emitted behind the same ABI and the fallback
+is recorded on the artifact.  The pool, the barrier and the
 per-level clock are module state, so a wavefront source is stamped with the
 fingerprint of its tables and its ``.so`` is never shared between patterns
 (two patterns would serialise on one job mutex).
@@ -72,7 +87,7 @@ import subprocess
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -81,7 +96,6 @@ from repro.compiler.ast import DomainLoop, KernelFunction, domain_loop
 from repro.compiler.cache import build_file_once
 from repro.compiler.codegen import tables
 from repro.compiler.codegen.runtime import generated_code_dir, pattern_fingerprint
-from repro.compiler.registration import register_unique
 from repro.observe.events import emit as emit_event
 from repro.observe.trace import span as observe_span
 
@@ -94,7 +108,6 @@ __all__ = [
     "c_compiler_available",
     "disk_cache_stats",
     "reset_disk_cache_stats",
-    "register_c_method",
     "atomic_write_text",
     "tmp_path_for",
 ]
@@ -459,41 +472,50 @@ class CMethodSpec:
     ``const`` array, in order), then one ``double*`` per ``outputs`` entry
     (``(C name, size attribute)`` — the buffer length is that attribute of
     the inspection result: ``n``, ``factor_nnz``, ``l_nnz``, ...), then, when
-    ``wavefront``, an ``int64_t n_threads``, and last the table block
-    ``const int64_t* const* repro_T`` — one pointer per inspection set the
-    source names, in registration order.  ``failure`` is the message (a
-    template over ``{column}``) of the ``ValueError`` raised when the entry
-    returns the positive status ``column + 1``; ``None`` declares a ``void``
-    entry that cannot fail.  ``body_emitter`` names the :class:`CBackend`
-    method emitting the function body.  Both the emitted C signature and the
-    NumPy-friendly ctypes wrapper derive from this one description, so
-    registering a new kernel method means adding a spec instead of editing
-    the generator.
+    compiled for ``parallel="wavefront"``, an ``int64_t n_threads``, and last
+    the table block ``const int64_t* const* repro_T`` — one pointer per
+    inspection set the source names, in registration order.  The kernel's
+    step function takes the same arrays (:attr:`params`).  ``failure`` is the
+    message (a template over ``{column}``) of the ``ValueError`` raised when
+    the entry returns the positive status ``column + 1``; ``None`` declares a
+    ``void`` entry that cannot fail.  ``loops`` are the roles of the domain
+    loops (:data:`_LOOPS`) the kernel can be printed from, ``"untransformed"``
+    standing for a body without one; ``wavefront_loop`` names the loop the
+    wavefront job runs when it is not the serial one.  Both the emitted C
+    signature and the NumPy-friendly ctypes wrapper derive from this one
+    description.
     """
 
-    body_emitter: str
     inputs: Tuple[Tuple[str, str], ...]
     outputs: Tuple[Tuple[str, str], ...]
+    loops: Tuple[str, ...]
     failure: Optional[str] = None
-    wavefront: bool = False
+    wavefront_loop: Optional[str] = None
 
     @property
-    def signature(self) -> str:
-        """The C prototype, a format template over ``{name}``."""
-        params = [f"const {ctype}* {name}" for name, ctype in self.inputs]
-        params += [f"double* {name}" for name, _ in self.outputs]
-        if self.wavefront:
-            params.append("int64_t n_threads")
-        params.append("const int64_t* const* repro_T")
+    def params(self) -> List[str]:
+        """The C declarations of the entry's arrays, in ABI order."""
+        inputs = [f"const {ctype}* {name}" for name, ctype in self.inputs]
+        return inputs + [f"double* {name}" for name, _ in self.outputs]
+
+    @property
+    def names(self) -> List[str]:
+        """The C names of the entry's arrays, in ABI order."""
+        return [name for name, _ in (*self.inputs, *self.outputs)]
+
+    def signature(self, name: str, wavefront: bool) -> str:
+        """The C prototype of the entry point ``name``."""
+        params = [*self.params, *(["int64_t n_threads"] if wavefront else []), "const int64_t* const* repro_T"]
         restype = "void" if self.failure is None else "int64_t"
-        return f"{restype} {{name}}({', '.join(params)})"
+        return f"{restype} {name}({', '.join(params)})"
 
     def wrap(self, module: "CGeneratedModule", fn) -> Callable:
         """The NumPy-friendly wrapper of the loaded entry point ``fn``.
 
         Takes the input arrays positionally, allocates the outputs and
-        returns them (a bare array for one output, a tuple otherwise).  A
-        wavefront entry's wrapper also takes ``num_threads=None``, resolved
+        returns them (a bare array for one output, a tuple otherwise).  The
+        wrapper of an entry compiled for ``parallel="wavefront"`` (whatever
+        ``module.parallel`` it got) also takes ``num_threads=None``, resolved
         per call — the thread count is a runtime knob, never baked in.
 
         The table block is bound here, once: an array of the addresses of
@@ -501,13 +523,14 @@ class CMethodSpec:
         long as the wrapper exists.  A call passes the block's address and
         nothing else, whatever the number of tables.
         """
+        wavefront = module.parallel != "none"
         dtypes = [_NUMPY_DTYPES[ctype] for _, ctype in self.inputs]
         sizes = [module.meta[attr] for _, attr in self.outputs]
         pointers = [np.ctypeslib.ndpointer(dtype=d, flags="C_CONTIGUOUS") for d in dtypes]
         pointers += [np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")] * len(sizes)
         fn.restype = None if self.failure is None else ctypes.c_int64
-        fn.argtypes = pointers + ([ctypes.c_int64] if self.wavefront else []) + [ctypes.c_void_p]
-        tables = list(module.constants.values())  # contiguous int64, see _add_constant
+        fn.argtypes = pointers + ([ctypes.c_int64] if wavefront else []) + [ctypes.c_void_p]
+        tables = list(module.constants.values())  # contiguous int64, see tables.entry
         block = (ctypes.c_void_p * len(tables))(*(t.ctypes.data for t in tables))
         block_address = ctypes.addressof(block)
 
@@ -523,69 +546,53 @@ class CMethodSpec:
                 raise ValueError(self.failure.format(column=int(status) - 1))
             return outs[0] if len(outs) == 1 else tuple(outs)
 
-        if self.wavefront:
+        if wavefront:
             return lambda *arrays, num_threads=None: call(arrays, (_wavefront_threads(num_threads),))
         return lambda *arrays: call(arrays)
 
 
 _FACTOR_INPUTS = (("Ap", "int64_t"), ("Ai", "int64_t"), ("Ax", "double"))
 _ZERO_PIVOT = "matrix is singular (zero pivot) at column {column}"
+_LEFT_LOOKING = ("supernodal-cholesky", "simplicial-cholesky")
 
 _C_METHOD_SPECS: Dict[str, CMethodSpec] = {
     "triangular-solve": CMethodSpec(
-        body_emitter="_emit_trisolve_body",
         inputs=(("Lp", "int64_t"), ("Li", "int64_t"), ("Lx", "double"), ("b", "double")),
         outputs=(("x", "n"),),
+        loops=("trisolve-segments", "untransformed"),
+        wavefront_loop="trisolve-rows",
     ),
     "cholesky": CMethodSpec(
-        body_emitter="_emit_factorization_body",
         inputs=_FACTOR_INPUTS,
         outputs=(("Lx", "factor_nnz"),),
+        loops=_LEFT_LOOKING,
         failure="matrix is not positive definite at column {column}",
     ),
     "ldlt": CMethodSpec(
-        body_emitter="_emit_factorization_body",
         inputs=_FACTOR_INPUTS,
         outputs=(("Lx", "factor_nnz"), ("D", "n")),
+        loops=_LEFT_LOOKING,
         failure=_ZERO_PIVOT,
     ),
     "lu": CMethodSpec(
-        body_emitter="_emit_lu_body",
         inputs=_FACTOR_INPUTS,
         outputs=(("Lx", "l_nnz"), ("Ux", "u_nnz")),
+        loops=("simplicial-lu",),
         failure=_ZERO_PIVOT,
     ),
     "ic0": CMethodSpec(
-        body_emitter="_emit_ic0_body",
         inputs=_FACTOR_INPUTS,
         outputs=(("Lx", "factor_nnz"),),
+        loops=("incomplete-cholesky",),
         failure="IC(0) breakdown: non-positive pivot at column {column}",
     ),
     "ilu0": CMethodSpec(
-        body_emitter="_emit_ilu0_body",
         inputs=_FACTOR_INPUTS,
         outputs=(("Lx", "l_nnz"), ("Ux", "u_nnz")),
+        loops=("incomplete-lu",),
         failure="ILU(0) breakdown: zero pivot at column {column}",
     ),
 }
-# Level-parallel (wavefront) variants: same kernels behind an ABI with a
-# runtime thread count, their bodies emitted by the `_emit_wf_*`
-# twin of the serial emitter.  Selected by options.parallel, which is part of
-# the options fingerprint, so serial and wavefront artifacts of one pattern
-# cache independently in memory and on disk.
-_C_METHOD_SPECS.update(
-    {
-        f"{method}@wavefront": replace(
-            spec, wavefront=True, body_emitter=spec.body_emitter.replace("_emit_", "_emit_wf_")
-        )
-        for method, spec in list(_C_METHOD_SPECS.items())
-    }
-)
-
-
-def register_c_method(method: str, spec: CMethodSpec) -> None:
-    """Register the ABI spec of an additional kernel method."""
-    register_unique(_C_METHOD_SPECS, method, spec, kind="C method spec")
 
 
 class _CEmitter:
@@ -813,6 +820,339 @@ static repro_ws_t* repro_ws_reserve(int64_t f_n, int64_t rowmap_n,
 """
 
 
+#: ``repro_ws_reserve`` arguments of each kind of work buffers, and what a step binds of them.
+_WORK = {
+    "column": ("n, 0, 0, 0", ("double* const repro_f = repro_ws->f;",)),
+    "panel": (
+        "n, n, sn_max_panel, sn_max_width",
+        (
+            "double* const repro_f = repro_ws->f;",
+            "int64_t* const repro_rowmap = repro_ws->rowmap;",
+            "double* const repro_panel = repro_ws->panel;",
+            "double* const repro_mult = repro_ws->mult;",
+        ),
+    ),
+}
+
+
+# --------------------------------------------------------------------------- #
+# Step bodies, one per domain loop
+# --------------------------------------------------------------------------- #
+def _column_solve(out: _CEmitter) -> None:
+    """Column ``j`` of the push-form triangular solve: ``x[j]``, then its updates below the diagonal."""
+    out.emit("int64_t p0 = Lp[j], p1 = Lp[j + 1];")
+    out.emit("double xj = x[j] / Lx[p0];")
+    out.emit("x[j] = xj;")
+    out.emit("for (int64_t p = p0 + 1; p < p1; p++) x[Li[p]] -= Lx[p] * xj;")
+
+
+def _segment_step(out: _CEmitter, stmt: DomainLoop) -> None:
+    """Segment ``s`` of the :func:`tables.trisolve_segments` walk: a pruned column run or one supernode block.
+
+    A block solves its ``w x w`` diagonal block and updates the rows below it
+    one column at a time, with positions read from the descriptor: the code
+    is specialised by neither width nor pattern, and the floating-point
+    operations and their order are those of the column-by-column solve.
+    """
+    out.emit("const int64_t* d = _C_seg + 5 * s;")
+    out.emit("const int64_t w = d[0];")
+    out.emit("if (w == 0) {")
+    out.push()
+    out.emit("/* pruned column loop over run_cols[d[1] .. d[2]) */")
+    out.emit("for (int64_t t = d[1]; t < d[2]; t++) {")
+    out.push()
+    out.emit("int64_t j = _C_run_cols[t];")
+    _column_solve(out)
+    out.pop()
+    out.emit("}")
+    out.emit("return 0;")
+    out.pop()
+    out.emit("}")
+    out.emit("/* supernode block: dense solve of the w x w diagonal block, then the panel update */")
+    out.emit("const int64_t c0 = d[1], n_off = d[2], off_lo = d[3];")
+    out.emit("const int64_t* cs = _C_blk_cs + d[4];")
+    out.emit("for (int64_t jj = 0; jj < w; jj++) {")
+    out.push()
+    out.emit("int64_t pd = cs[jj];")
+    out.emit("double xj = x[c0 + jj] / Lx[pd];")
+    out.emit("x[c0 + jj] = xj;")
+    out.emit("for (int64_t i = 1; i < w - jj; i++) x[c0 + jj + i] -= Lx[pd + i] * xj;")
+    out.emit("for (int64_t r = 0; r < n_off; r++) x[Li[off_lo + r]] -= Lx[pd + (w - jj) + r] * xj;")
+    out.pop()
+    out.emit("}")
+
+
+def _row_step(out: _CEmitter, stmt: Optional[DomainLoop]) -> None:
+    """Row ``j`` of the pull-form triangular solve (:func:`tables.trisolve_rows`): the wavefront job's step."""
+    out.emit("double acc = b[j];")
+    out.emit(
+        "for (int64_t s = _C_wf_row_ptr[j]; s < _C_wf_row_ptr[j + 1]; s++) "
+        "acc -= Lx[_C_wf_row_pos[s]] * x[_C_wf_row_col[s]];"
+    )
+    out.emit("x[j] = acc / Lx[Lp[j]];")
+
+
+def _cholesky_column(
+    out: _CEmitter,
+    ldlt: bool,
+    j: str = "j",
+    first: str = "_C_prune_ptr[j]",
+    last: str = "_C_prune_ptr[j + 1]",
+    update: str = "_C_update",
+) -> None:
+    """One left-looking LLᵀ / LDLᵀ column ``j`` over the thread-local work vector ``repro_f``.
+
+    Its updates are ``first .. last`` of the ``{update}_pos`` / ``_end`` /
+    ``_col`` tables.  The only shared-array writes are column ``j`` of ``Lx``
+    (and ``D[j]``).
+    """
+    out.emit(f"for (int64_t p = _C_a_diag_pos[{j}]; p < _C_a_col_end[{j}]; p++) repro_f[Ai[p]] = Ax[p];")
+    out.emit(f"for (int64_t t = {first}; t < {last}; t++) {{")
+    out.push()
+    out.emit(f"int64_t ps = {update}_pos[t], pe = {update}_end[t];")
+    out.emit(f"double ljk = Lx[ps] * D[{update}_col[t]];" if ldlt else "double ljk = Lx[ps];")
+    out.emit("for (int64_t p = ps; p < pe; p++) repro_f[_C_l_indices[p]] -= Lx[p] * ljk;")
+    out.pop()
+    out.emit("}")
+    out.emit(f"int64_t lp0 = _C_l_indptr[{j}], lp1 = _C_l_indptr[{j} + 1];")
+    out.emit(f"double d = repro_f[{j}];")
+    if ldlt:
+        out.emit(f"if (d == 0.0) return {j} + 1;")
+        out.emit(f"D[{j}] = d;")
+        out.emit("Lx[lp0] = 1.0;")
+        out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / d;")
+    else:
+        out.emit(f"if (!(d > 0.0)) return {j} + 1;")
+        out.emit("double ljj = sqrt(d);")
+        out.emit("Lx[lp0] = ljj;")
+        out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / ljj;")
+    out.emit("for (int64_t p = lp0; p < lp1; p++) repro_f[_C_l_indices[p]] = 0.0;")
+
+
+def _cholesky_step(out: _CEmitter, stmt: DomainLoop) -> None:
+    _cholesky_column(out, stmt.factor_kind == "ldlt")
+
+
+def _supernode_step(out: _CEmitter, stmt: DomainLoop) -> None:
+    """Supernode ``s`` of the VS-Block'd loop: its dense panel, updated by one descendant column at a time.
+
+    The panel (the supernode's rows x its ``w`` columns, row-major) is
+    factored in place and copied out into compressed columns.  With loop
+    distribution a width-1 supernode is the simplicial column instead, over
+    the descendant tables.
+    """
+    ldlt = stmt.factor_kind == "ldlt"
+    out.emit("int64_t c0 = _C_sup_start[s], c1 = _C_sup_end[s];")
+    out.emit("int64_t w = c1 - c0;")
+    if stmt.distribute_single_columns:
+        out.emit("if (w == 1) {")
+        out.push()
+        _cholesky_column(out, ldlt, "c0", "_C_desc_ptr[s]", "_C_desc_ptr[s + 1]", "_C_desc")
+        out.emit("return 0;")
+        out.pop()
+        out.emit("}")
+    out.emit("int64_t r0 = _C_l_indptr[c0], r1 = _C_l_indptr[c0 + 1];")
+    out.emit("int64_t nr = r1 - r0;")
+    out.emit("for (int64_t i = 0; i < nr; i++) repro_rowmap[_C_l_indices[r0 + i]] = i;")
+    out.emit("for (int64_t i = 0; i < nr * w; i++) repro_panel[i] = 0.0;")
+    out.emit("for (int64_t jj = 0; jj < w; jj++) {")
+    out.push()
+    out.emit("int64_t c = c0 + jj;")
+    out.emit(
+        "for (int64_t p = _C_a_diag_pos[c]; p < _C_a_col_end[c]; p++) "
+        "repro_panel[repro_rowmap[Ai[p]] * w + jj] = Ax[p];"
+    )
+    out.pop()
+    out.emit("}")
+    out.emit("for (int64_t t = _C_desc_ptr[s]; t < _C_desc_ptr[s + 1]; t++) {")
+    out.push()
+    out.emit("int64_t ps = _C_desc_pos[t], pm = _C_desc_mult_end[t], pe = _C_desc_end[t];")
+    out.emit("for (int64_t i = 0; i < w; i++) repro_mult[i] = 0.0;")
+    if ldlt:
+        out.emit("double dk = D[_C_desc_col[t]];")
+        out.emit("for (int64_t p = ps; p < pm; p++) repro_mult[_C_l_indices[p] - c0] = Lx[p] * dk;")
+    else:
+        out.emit("for (int64_t p = ps; p < pm; p++) repro_mult[_C_l_indices[p] - c0] = Lx[p];")
+    out.emit("for (int64_t p = ps; p < pe; p++) {")
+    out.push()
+    out.emit("double* row = repro_panel + repro_rowmap[_C_l_indices[p]] * w;")
+    out.emit("double lv = Lx[p];")
+    out.emit("for (int64_t i = 0; i < w; i++) row[i] -= lv * repro_mult[i];")
+    out.pop()
+    out.emit("}")
+    out.pop()
+    out.emit("}")
+    if ldlt:
+        # Dense LDL^T of the diagonal block; pivots go straight into D.
+        out.emit("/* dense LDL^T of the w x w diagonal block (in place) */")
+        out.emit("for (int64_t k = 0; k < w; k++) {")
+        out.push()
+        out.emit("double piv = repro_panel[k * w + k];")
+        out.emit("if (piv == 0.0) return c0 + k + 1;")
+        out.emit("D[c0 + k] = piv;")
+        out.emit("repro_panel[k * w + k] = 1.0;")
+        out.emit("for (int64_t i = k + 1; i < w; i++) repro_panel[i * w + k] /= piv;")
+        out.emit("for (int64_t j = k + 1; j < w; j++) {")
+        out.push()
+        out.emit("double cjk = repro_panel[j * w + k] * piv;")
+        out.emit("for (int64_t i = j; i < w; i++) repro_panel[i * w + j] -= repro_panel[i * w + k] * cjk;")
+        out.pop()
+        out.emit("}")
+        out.pop()
+        out.emit("}")
+        # Off-diagonal panel: X (D L_d^T) = B -> trsm by L_d^T, then /= D.
+        out.emit("repro_dense_trsm_rt(repro_panel, w, repro_panel + w * w, nr - w);")
+        out.emit("for (int64_t r = 0; r < nr - w; r++)")
+        out.push()
+        out.emit("for (int64_t k = 0; k < w; k++) repro_panel[(w + r) * w + k] /= D[c0 + k];")
+        out.pop()
+    else:
+        # Dense factorization of the diagonal block (row-major, stride w).
+        out.emit("/* dense Cholesky of the w x w diagonal block (in place) */")
+        out.emit("for (int64_t k = 0; k < w; k++) {")
+        out.push()
+        out.emit("double piv = repro_panel[k * w + k];")
+        out.emit("if (!(piv > 0.0)) return c0 + k + 1;")
+        out.emit("piv = sqrt(piv);")
+        out.emit("repro_panel[k * w + k] = piv;")
+        out.emit("for (int64_t i = k + 1; i < w; i++) repro_panel[i * w + k] /= piv;")
+        out.emit("for (int64_t j = k + 1; j < w; j++) {")
+        out.push()
+        out.emit("double djk = repro_panel[j * w + k];")
+        out.emit("for (int64_t i = j; i < w; i++) repro_panel[i * w + j] -= repro_panel[i * w + k] * djk;")
+        out.pop()
+        out.emit("}")
+        out.pop()
+        out.emit("}")
+        out.emit("repro_dense_trsm_rt(repro_panel, w, repro_panel + w * w, nr - w);")
+    out.emit("for (int64_t jj = 0; jj < w; jj++) {")
+    out.push()
+    out.emit("int64_t c = c0 + jj;")
+    out.emit("int64_t lp0 = _C_l_indptr[c];")
+    out.emit("for (int64_t i = jj; i < w; i++) Lx[lp0 + (i - jj)] = repro_panel[i * w + jj];")
+    out.emit("for (int64_t r = 0; r < nr - w; r++) Lx[lp0 + (w - jj) + r] = repro_panel[(w + r) * w + jj];")
+    out.pop()
+    out.emit("}")
+
+
+def _lu_step(out: _CEmitter, stmt: DomainLoop) -> None:
+    """One left-looking LU column ``j`` over the thread-local work vector ``repro_f``.
+
+    Scatter ``A(:, j)``, apply the update columns, store column ``j`` of ``U``
+    and ``L``, restore the work vector to zero.  Writes outside the work
+    vector land only in columns ``j`` of ``Lx`` / ``Ux``.
+    """
+    out.emit("for (int64_t p = _C_a_col_start[j]; p < _C_a_col_end[j]; p++) repro_f[Ai[p]] = Ax[p];")
+    out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
+    out.push()
+    out.emit("int64_t ps = _C_update_pos[t], pe = _C_update_end[t];")
+    out.emit("double ukj = repro_f[_C_update_col[t]];")
+    out.emit("for (int64_t p = ps; p < pe; p++) repro_f[_C_l_indices[p]] -= Lx[p] * ukj;")
+    out.pop()
+    out.emit("}")
+    out.emit("int64_t u0 = _C_u_indptr[j], u1 = _C_u_indptr[j + 1];")
+    out.emit("for (int64_t p = u0; p < u1; p++) Ux[p] = repro_f[_C_u_indices[p]];")
+    out.emit("double piv = repro_f[j];")
+    out.emit("if (piv == 0.0) return j + 1;")
+    out.emit("int64_t lp0 = _C_l_indptr[j], lp1 = _C_l_indptr[j + 1];")
+    out.emit("Lx[lp0] = 1.0;")
+    out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / piv;")
+    out.emit("for (int64_t p = u0; p < u1; p++) repro_f[_C_u_indices[p]] = 0.0;")
+    out.emit("for (int64_t p = lp0; p < lp1; p++) repro_f[_C_l_indices[p]] = 0.0;")
+
+
+def _ic0_step(out: _CEmitter, stmt: DomainLoop) -> None:
+    """One IC(0) elimination step ``j``, in place on the ``tril(A)`` pattern: writes land only in column ``j``."""
+    out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
+    out.push()
+    out.emit("double ljk = Lx[_C_mult_pos[t]];")
+    out.emit(
+        "for (int64_t s = _C_l_scat_ptr[t]; s < _C_l_scat_ptr[t + 1]; s++) "
+        "Lx[_C_l_scat_dst[s]] -= Lx[_C_l_scat_src[s]] * ljk;"
+    )
+    out.pop()
+    out.emit("}")
+    out.emit("int64_t lp0 = _C_l_indptr[j], lp1 = _C_l_indptr[j + 1];")
+    out.emit("double d = Lx[lp0];")
+    out.emit("if (!(d > 0.0)) return j + 1;")
+    out.emit("double ljj = sqrt(d);")
+    out.emit("Lx[lp0] = ljj;")
+    out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] /= ljj;")
+
+
+def _ilu0_step(out: _CEmitter, stmt: DomainLoop) -> None:
+    """One ILU(0) elimination step ``j``, in place on the ``A`` pattern.
+
+    All writes land in column ``j`` of ``Ux`` and ``Lx``, all reads come from
+    columns ``k < j``.
+    """
+    out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
+    out.push()
+    out.emit("double ukj = Ux[_C_mult_pos[t]];")
+    out.emit(
+        "for (int64_t s = _C_u_scat_ptr[t]; s < _C_u_scat_ptr[t + 1]; s++) "
+        "Ux[_C_u_scat_dst[s]] -= Lx[_C_u_scat_src[s]] * ukj;"
+    )
+    out.emit(
+        "for (int64_t s = _C_l_scat_ptr[t]; s < _C_l_scat_ptr[t + 1]; s++) "
+        "Lx[_C_l_scat_dst[s]] -= Lx[_C_l_scat_src[s]] * ukj;"
+    )
+    out.pop()
+    out.emit("}")
+    out.emit("double piv = Ux[_C_u_indptr[j + 1] - 1];")
+    out.emit("if (piv == 0.0) return j + 1;")
+    out.emit("int64_t lp0 = _C_l_indptr[j], lp1 = _C_l_indptr[j + 1];")
+    out.emit("Lx[lp0] = 1.0;")
+    out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] /= piv;")
+
+
+@dataclass(frozen=True)
+class _Loop:
+    """How one domain loop is printed (see :meth:`CBackend.generate`).
+
+    ``extent`` is the number of steps and ``index`` the step variable;
+    ``preamble`` initialises the outputs before the first step; ``step``
+    prints the body of one step from the :class:`DomainLoop` node (``None``
+    for an untransformed kernel); ``work`` is the kind of work buffers
+    (:data:`_WORK`) a step reads.  ``contract``, given the operand, the level
+    schedule and the serial loop's contract, returns what this loop reads on
+    top of the schedule when a wavefront job runs it.
+    """
+
+    extent: str
+    preamble: Tuple[str, ...]
+    step: Callable[[_CEmitter, Optional[DomainLoop]], None]
+    index: str = "j"
+    work: Optional[str] = None
+    contract: Optional[Callable[..., tables.Contract]] = None
+
+
+_X_IS_B = ("for (int64_t i = 0; i < n; i++) x[i] = b[i];",)
+_ZERO_LX = "memset(Lx, 0, nnz_l * sizeof(double));"
+
+#: The printer of every domain loop, by role (``"untransformed"``: no domain loop).
+_LOOPS: Dict[str, _Loop] = {
+    "untransformed": _Loop("n", _X_IS_B, lambda out, stmt: _column_solve(out)),
+    "trisolve-segments": _Loop("n_seg", _X_IS_B, _segment_step, index="s"),
+    "trisolve-rows": _Loop("n", _X_IS_B, _row_step, contract=tables.trisolve_rows),
+    "simplicial-cholesky": _Loop("n", (_ZERO_LX,), _cholesky_step, work="column"),
+    "supernodal-cholesky": _Loop("n_super", (_ZERO_LX,), _supernode_step, index="s", work="panel"),
+    "simplicial-lu": _Loop("n", (_ZERO_LX, "memset(Ux, 0, nnz_u * sizeof(double));"), _lu_step, work="column"),
+    "incomplete-cholesky": _Loop(
+        "n", ("for (int64_t i = 0; i < nnz_l; i++) Lx[i] = Ax[_C_a_lower_pos[i]];",), _ic0_step
+    ),
+    "incomplete-lu": _Loop(
+        "n",
+        (
+            "for (int64_t i = 0; i < nnz_u; i++) Ux[i] = Ax[_C_a_upper_pos[i]];",
+            _ZERO_LX,
+            "for (int64_t i = 0; i < n_below; i++) Lx[_C_l_gather_dst[i]] = Ax[_C_a_lower_pos[i]];",
+        ),
+        _ilu0_step,
+    ),
+}
+
+
 class CBackend:
     """Generate and compile specialized C code from a transformed kernel."""
 
@@ -828,917 +1168,253 @@ class CBackend:
 
     # ------------------------------------------------------------------ #
     def generate(self, kernel: KernelFunction, context) -> CGeneratedModule:
-        """Emit a :class:`CGeneratedModule` for ``kernel``."""
+        """Emit a :class:`CGeneratedModule` for ``kernel``: its step function, the wavefront job if any, the entry."""
         start = time.perf_counter()
-        # Table 0 holds the scalar sizes (self._dims); its slot is taken now
-        # so that it is first whatever the emitters register.
-        self._constants: Dict[str, np.ndarray] = {"_C_dims": None}
-        self._dims: Dict[str, int] = {}
-        self._dim("n", context.inspection.n)
-        # Helper functions the body emitters place before the entry point,
-        # and the mode the artifact reports.
-        self._prelude: List[str] = []
-        self._parallel_mode = "none"
-        method_key = kernel.method
-        if getattr(context.options, "parallel", "none") == "wavefront":
-            wf_key = f"{kernel.method}@wavefront"
-            if wf_key in _C_METHOD_SPECS:
-                method_key = wf_key
-        method_spec = _C_METHOD_SPECS.get(method_key)
-        if method_spec is None:
+        spec = _C_METHOD_SPECS.get(kernel.method)
+        if spec is None:
             raise CCompilationError(f"unsupported method {kernel.method!r}")
-        body_out = _CEmitter()
-        body_out.indent = 1
-        body_out.emit("REPRO_BIND_TABLES")
-        getattr(self, method_spec.body_emitter)(body_out, kernel, context)
-        signature = method_spec.signature.format(name=kernel.name)
-        self._constants["_C_dims"] = np.asarray(list(self._dims.values()), dtype=np.int64)
+        stmt = domain_loop(kernel)
+        role = "untransformed" if stmt is None else stmt.role
+        if role not in spec.loops:
+            raise CCompilationError(f"the C backend requires a VI-Pruned or VS-Block'd {kernel.method} kernel")
+        loop = _LOOPS[role]
+        contracts = [({}, {}) if stmt is None else stmt.contract]
+        parallel, fallback = "none", None
+        if context.options.parallel == "wavefront":
+            parallel, fallback = self._wavefront_mode(context, role)
+        job = _LOOPS[spec.wavefront_loop or role] if parallel == "wavefront" else None
+        if job is not None:
+            schedule = context.inspection.schedule
+            contracts.append(tables.level_schedule(schedule))
+            if job.contract is not None:
+                contracts.append(job.contract(context.matrix, schedule, contracts[0]))
+        constants = tables.block(context.inspection.n, *contracts)
+        dims = ["n", *(name for sizes, _ in contracts for name in sizes)]
+
+        entry = kernel.name
+        code = _CEmitter()
+        self._emit_step(code, f"{entry}_step", loop, stmt, spec)
+        if job is not None:
+            step = f"{entry}_step"
+            if job is not loop:
+                step = f"{entry}_wf_step"
+                self._emit_step(code, step, job, stmt, spec)
+            self._emit_job(code, entry, step, job, spec, schedule.n_levels)
+        code.emit(spec.signature(entry, wavefront=parallel != "none") + " {")
+        code.push()
+        code.emit("REPRO_BIND_TABLES")
+        for line in loop.preamble:
+            code.emit(line)
+        if job is not None:
+            self._emit_launch(code, entry, spec)
+        elif fallback is not None:
+            code.emit(f"(void)n_threads;  /* serial fallback: {fallback} */")
+        self._emit_serial_loop(code, entry, loop, spec)
+        code.pop()
+        code.emit("}")
 
         # The runtimes go in when the emitted code calls them.
-        code = "\n".join((*self._prelude, *body_out.lines))
-        wavefront, work_buffers = "repro_wf_launch(" in code, "repro_ws" in code
+        text = "\n".join(code.lines)
+        work_buffers = "repro_ws" in text
         out = _CEmitter()
         out.emit("/* Sympiler-generated kernel (C backend). */")
-        if wavefront:
+        if job is not None:
             # Pool, barrier and level clock are module state: key the module
             # by its tables so that no two patterns share (and serialise on)
             # one loaded wavefront kernel.
-            tables_fp = pattern_fingerprint(*self._constants.values())
+            tables_fp = pattern_fingerprint(*constants.values())
             out.emit(f"/* wavefront module of the tables {tables_fp}; not shared between patterns */")
         out.emit("#include <stdint.h>")
         out.emit("#include <math.h>")
         out.emit("#include <string.h>")
         if work_buffers:
             out.emit("#include <stdlib.h>")
-        if work_buffers or wavefront:
+        if work_buffers or job is not None:
             out.emit("#include <pthread.h>")
-        if wavefront:
+        if job is not None:
             out.emit("#include <stdatomic.h>")
             out.emit("#include <sched.h>")
             out.emit("#include <time.h>")
         out.emit("")
         # The inspection sets and sizes this code names, bound at the top of
         # every function from the table block its caller passes down.
-        bind = [f"const int64_t* const {name} = repro_T[{k}];" for k, name in enumerate(self._constants)]
-        bind += [f"const int64_t {name} = _C_dims[{k}];" for k, name in enumerate(self._dims)]
+        bind = [f"const int64_t* const {name} = repro_T[{k}];" for k, name in enumerate(constants)]
+        bind += [f"const int64_t {name} = _C_dims[{k}];" for k, name in enumerate(dims)]
         out.emit("#define REPRO_BIND_TABLES \\")
         out.lines.extend(f"    {line} \\" for line in bind[:-1])
         out.emit(f"    {bind[-1]}")
-        if "repro_dense_trsm_rt(" in code:
+        if "repro_dense_trsm_rt(" in text:
             out.emit(_DENSE_TRSM)
         if work_buffers:
             out.emit(_WORK_BUFFERS)
-        if wavefront:
+        if job is not None:
             out.emit(_WF_RUNTIME)
         out.emit("")
-        out.lines.extend(self._prelude)
-        out.emit(signature + " {")
-        out.lines.extend(body_out.lines)
-        out.emit("}")
+        out.lines.extend(code.lines)
         source = out.source()
         codegen_seconds = time.perf_counter() - start
         # Output-buffer lengths of the ctypes wrapper (CMethodSpec.outputs).
-        meta = {attr: int(getattr(context.inspection, attr)) for _, attr in method_spec.outputs}
-        if self._parallel_mode == "wavefront":
+        meta = {attr: int(getattr(context.inspection, attr)) for _, attr in spec.outputs}
+        if job is not None:
             # The per-level profiling buffer length, needed by
             # wavefront_level_seconds() to read the timestamps back out.
-            meta["wf_n_levels"] = int(context.inspection.schedule.n_levels)
+            meta["wf_n_levels"] = int(schedule.n_levels)
         return CGeneratedModule(
             source=source,
-            entry_name=kernel.name,
-            constants=dict(self._constants),
-            method=method_key,
+            entry_name=entry,
+            constants=constants,
+            method=kernel.method,
             codegen_seconds=codegen_seconds,
             compiler=self.compiler,
             flags=self.flags,
             n=int(context.inspection.n),
-            parallel=self._parallel_mode,
+            parallel=parallel,
             meta=meta,
         )
 
-    # ------------------------------------------------------------------ #
-    # Run-time tables / helpers
-    # ------------------------------------------------------------------ #
-    def _add_constant(self, name: str, value: np.ndarray) -> str:
-        """Register an inspection set as a run-time table; returns its C name."""
-        cname, value = tables.entry(name, value)
-        # A serial body emitted behind the wavefront dispatch registers the
-        # same sets a second time.
-        if not np.array_equal(self._constants.setdefault(cname, value), value):
-            raise CCompilationError(f"table {name!r} registered with two values")
-        return cname
-
-    def _dim(self, name: str, value: int) -> None:
-        """Register a pattern-dependent size as the run-time scalar ``name``."""
-        if self._dims.setdefault(name, int(value)) != int(value):
-            raise CCompilationError(f"size {name!r} registered with two values")
-
-    def _bind(self, contract: tables.Contract) -> None:
-        """Register what a body names: one result of the table contract, in its order."""
-        dims, sets = contract
-        for name, value in dims.items():
-            self._dim(name, value)
-        for name, value in sets.items():
-            self._add_constant(name, value)
-
     @staticmethod
-    def _domain_loop(kernel: KernelFunction, *roles: str) -> DomainLoop:
-        """The domain loop of ``kernel``, which must be one of ``roles``."""
-        stmt = domain_loop(kernel)
-        if stmt is None or stmt.role not in roles:
-            raise CCompilationError(f"the C backend requires a VI-Pruned or VS-Block'd {kernel.method} kernel")
-        return stmt
+    def _wavefront_mode(context, role: str) -> Tuple[str, Optional[str]]:
+        """``("wavefront", None)`` or ``("serial-fallback", reason)``, recorded under ``decisions["wavefront"]``.
 
-    @staticmethod
-    def _emit_work_buffers(out: _CEmitter, supernodal: bool = False) -> None:
-        """Bind the calling thread's work buffers in a status-returning body.
-
-        Every factorization over a dense work vector needs ``repro_f[n]``; the
-        supernodal loop also needs the row map and the panel/multiplier
-        buffers of its largest supernode (sizes of its contract).
-        """
-        if supernodal:
-            out.emit("repro_ws_t* const ws = repro_ws_reserve(n, n, sn_max_panel, sn_max_width);")
-        else:
-            out.emit("repro_ws_t* const ws = repro_ws_reserve(n, 0, 0, 0);")
-        out.emit("if (!ws) return -1;")
-        out.emit("double* const repro_f = ws->f;")
-        if supernodal:
-            out.emit("int64_t* const repro_rowmap = ws->rowmap;")
-            out.emit("double* const repro_panel = ws->panel;")
-            out.emit("double* const repro_mult = ws->mult;")
-
-    # ------------------------------------------------------------------ #
-    # Triangular solve
-    # ------------------------------------------------------------------ #
-    def _emit_trisolve_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        """Emit the serial triangular solve: ``x = b``, then one walk of the segments."""
-        stmt = domain_loop(kernel)
-        out.emit("for (int64_t i = 0; i < n; i++) x[i] = b[i];")
-        if stmt is not None:
-            self._bind(stmt.contract)
-            options = context.options
-            unroll_max = options.unroll_max_width if options.enable_low_level else 0
-            self._emit_segment_loop(kernel.name, unroll_max)
-            out.emit(f"{kernel.name}_segments(Lp, Li, Lx, x, repro_T);")
-        else:
-            out.emit("for (int64_t j = 0; j < n; j++) {")
-            out.push()
-            self._emit_column_solve(out)
-            out.pop()
-            out.emit("}")
-
-    @staticmethod
-    def _emit_column_solve(out: _CEmitter) -> None:
-        out.emit("int64_t p0 = Lp[j], p1 = Lp[j + 1];")
-        out.emit("double xj = x[j] / Lx[p0];")
-        out.emit("x[j] = xj;")
-        out.emit("for (int64_t p = p0 + 1; p < p1; p++) x[Li[p]] -= Lx[p] * xj;")
-
-    def _emit_segment_loop(self, entry: str, unroll_max: int) -> None:
-        """Emit ``{entry}_segments``, the walk of the :func:`tables.trisolve_segments` contract.
-
-        Supernode widths up to ``unroll_max`` (``unroll_max_width`` when the
-        low-level passes are enabled, else 0) get one unrolled ``switch`` case
-        each, with positions read from the descriptor, and wider ones take
-        the generic loop: the code is specialised by width, never by
-        supernode or by pattern.  The floating-point operations and their
-        order are those of the column-by-column solve either way.
-        """
-        p = _CEmitter()
-        p.emit(
-            f"static void {entry}_segments(const int64_t* Lp, const int64_t* Li, "
-            "const double* Lx, double* x, const int64_t* const* repro_T) {"
-        )
-        p.push()
-        p.emit("REPRO_BIND_TABLES")
-        p.emit("for (int64_t s = 0; s < n_seg; s++) {")
-        p.push()
-        p.emit("const int64_t* d = _C_seg + 5 * s;")
-        p.emit("const int64_t w = d[0];")
-        p.emit("if (w == 0) {")
-        p.push()
-        p.emit("/* pruned column loop over run_cols[d[1] .. d[2]) */")
-        p.emit("for (int64_t t = d[1]; t < d[2]; t++) {")
-        p.push()
-        p.emit("int64_t j = _C_run_cols[t];")
-        self._emit_column_solve(p)
-        p.pop()
-        p.emit("}")
-        p.emit("continue;")
-        p.pop()
-        p.emit("}")
-        p.emit("/* supernode block: dense solve of the w x w diagonal block, then the panel update */")
-        p.emit("const int64_t c0 = d[1], n_off = d[2], off_lo = d[3];")
-        p.emit("const int64_t* cs = _C_blk_cs + d[4];")
-        if unroll_max:
-            p.emit("switch (w) {")
-        for w in range(1, unroll_max + 1):
-            p.emit(f"case {w}: {{")
-            p.push()
-            for ii in range(w):
-                terms = [f"Lx[cs[{jj}] + {ii - jj}] * xb{jj}" for jj in range(ii)]
-                rhs = f"x[c0 + {ii}]"
-                if terms:
-                    rhs = f"({rhs} - " + " - ".join(terms) + ")"
-                p.emit(f"double xb{ii} = {rhs} / Lx[cs[{ii}]];")
-            for ii in range(w):
-                p.emit(f"x[c0 + {ii}] = xb{ii};")
-            for jj in range(w):
-                p.emit(
-                    "for (int64_t r = 0; r < n_off; r++) "
-                    f"x[Li[off_lo + r]] -= Lx[cs[{jj}] + {w - jj} + r] * xb{jj};"
-                )
-            p.emit("break;")
-            p.pop()
-            p.emit("}")
-        if unroll_max:
-            p.emit("default:")
-            p.push()
-        p.emit("for (int64_t jj = 0; jj < w; jj++) {")
-        p.push()
-        p.emit("int64_t pd = cs[jj];")
-        p.emit("double xj = x[c0 + jj] / Lx[pd];")
-        p.emit("x[c0 + jj] = xj;")
-        p.emit("for (int64_t i = 1; i < w - jj; i++) x[c0 + jj + i] -= Lx[pd + i] * xj;")
-        p.emit("for (int64_t r = 0; r < n_off; r++) x[Li[off_lo + r]] -= Lx[pd + (w - jj) + r] * xj;")
-        p.pop()
-        p.emit("}")
-        if unroll_max:
-            p.pop()
-            p.emit("}")
-        p.pop()
-        p.emit("}")
-        p.pop()
-        p.emit("}")
-        p.emit("")
-        self._prelude.extend(p.lines)
-
-    # ------------------------------------------------------------------ #
-    # Left-looking factorizations (Cholesky and LDL^T)
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def _left_looking_loop(cls, kernel: KernelFunction) -> DomainLoop:
-        """The supernodal loop of the kernel if VS-Block made one, else the simplicial."""
-        return cls._domain_loop(kernel, "supernodal-cholesky", "simplicial-cholesky")
-
-    def _emit_left_looking_c(self, out: _CEmitter, stmt: DomainLoop) -> None:
-        if stmt.role == "supernodal-cholesky":
-            self._emit_supernodal_cholesky_c(out, stmt)
-        else:
-            self._emit_simplicial_cholesky_c(out, stmt)
-
-    def _emit_factorization_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        out.emit("(void)Ap;  /* the A pattern arrives through the inspection tables */")
-        self._emit_left_looking_c(out, self._left_looking_loop(kernel))
-
-    def _emit_lu_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        out.emit("(void)Ap;  /* the A pattern arrives through the inspection tables */")
-        self._emit_simplicial_lu_c(out, self._domain_loop(kernel, "simplicial-lu"))
-
-    # ------------------------------------------------------------------ #
-    # No-fill incomplete factorizations (IC(0) and ILU(0))
-    # ------------------------------------------------------------------ #
-    def _emit_ic0_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        out.emit("(void)Ap; (void)Ai;  /* the A pattern arrives through the inspection tables */")
-        self._emit_incomplete_ic0_c(out, self._domain_loop(kernel, "incomplete-cholesky"))
-
-    def _emit_ilu0_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        out.emit("(void)Ap; (void)Ai;  /* the A pattern arrives through the inspection tables */")
-        self._emit_incomplete_ilu0_c(out, self._domain_loop(kernel, "incomplete-lu"))
-
-    @staticmethod
-    def _emit_ic0_column(out: _CEmitter) -> None:
-        # The body of one elimination step j.  Writes land only in column j
-        # of Lx (the scatter destinations are column-j positions), which is
-        # what lets the wavefront variant run a whole level of steps at once.
-        out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
-        out.push()
-        out.emit("double ljk = Lx[_C_mult_pos[t]];")
-        out.emit(
-            "for (int64_t s = _C_l_scat_ptr[t]; s < _C_l_scat_ptr[t + 1]; s++) "
-            "Lx[_C_l_scat_dst[s]] -= Lx[_C_l_scat_src[s]] * ljk;"
-        )
-        out.pop()
-        out.emit("}")
-        out.emit("int64_t lp0 = _C_l_indptr[j], lp1 = _C_l_indptr[j + 1];")
-        out.emit("double d = Lx[lp0];")
-        out.emit("if (!(d > 0.0)) return j + 1;")
-        out.emit("double ljj = sqrt(d);")
-        out.emit("Lx[lp0] = ljj;")
-        out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] /= ljj;")
-
-    @staticmethod
-    def _emit_ic0_preamble(out: _CEmitter) -> None:
-        out.emit("for (int64_t i = 0; i < nnz_l; i++) Lx[i] = Ax[_C_a_lower_pos[i]];")
-
-    def _emit_incomplete_ic0_c(self, out: _CEmitter, stmt: DomainLoop) -> None:
-        self._bind(stmt.contract)
-        out.emit("/* IC(0): in-place no-fill elimination on the tril(A) pattern */")
-        self._emit_ic0_preamble(out)
-        out.emit("for (int64_t j = 0; j < n; j++) {")
-        out.push()
-        self._emit_ic0_column(out)
-        out.pop()
-        out.emit("}")
-        out.emit("return 0;")
-
-    @staticmethod
-    def _emit_ilu0_column(out: _CEmitter) -> None:
-        # One elimination step j: all writes land in column j of Ux and Lx,
-        # all reads come from columns k < j (strictly earlier wavefronts).
-        out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
-        out.push()
-        out.emit("double ukj = Ux[_C_mult_pos[t]];")
-        out.emit(
-            "for (int64_t s = _C_u_scat_ptr[t]; s < _C_u_scat_ptr[t + 1]; s++) "
-            "Ux[_C_u_scat_dst[s]] -= Lx[_C_u_scat_src[s]] * ukj;"
-        )
-        out.emit(
-            "for (int64_t s = _C_l_scat_ptr[t]; s < _C_l_scat_ptr[t + 1]; s++) "
-            "Lx[_C_l_scat_dst[s]] -= Lx[_C_l_scat_src[s]] * ukj;"
-        )
-        out.pop()
-        out.emit("}")
-        out.emit("double piv = Ux[_C_u_indptr[j + 1] - 1];")
-        out.emit("if (piv == 0.0) return j + 1;")
-        out.emit("int64_t lp0 = _C_l_indptr[j], lp1 = _C_l_indptr[j + 1];")
-        out.emit("Lx[lp0] = 1.0;")
-        out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] /= piv;")
-
-    @staticmethod
-    def _emit_ilu0_preamble(out: _CEmitter) -> None:
-        out.emit("for (int64_t i = 0; i < nnz_u; i++) Ux[i] = Ax[_C_a_upper_pos[i]];")
-        out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
-        out.emit("for (int64_t i = 0; i < n_below; i++) Lx[_C_l_gather_dst[i]] = Ax[_C_a_lower_pos[i]];")
-
-    def _emit_incomplete_ilu0_c(self, out: _CEmitter, stmt: DomainLoop) -> None:
-        self._bind(stmt.contract)
-        out.emit("/* ILU(0): in-place no-fill elimination on the A pattern */")
-        self._emit_ilu0_preamble(out)
-        out.emit("for (int64_t j = 0; j < n; j++) {")
-        out.push()
-        self._emit_ilu0_column(out)
-        out.pop()
-        out.emit("}")
-        out.emit("return 0;")
-
-    @staticmethod
-    def _emit_simplicial_lu_column(out: _CEmitter) -> None:
-        # One left-looking LU step: scatter A(:, j) into the thread-local
-        # work vector, apply the update columns, store column j of U and L,
-        # restore the work vector to zero.  Writes outside the work vector
-        # land only in columns j of Lx/Ux.
-        out.emit("for (int64_t p = _C_a_col_start[j]; p < _C_a_col_end[j]; p++) repro_f[Ai[p]] = Ax[p];")
-        out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
-        out.push()
-        out.emit("int64_t ps = _C_update_pos[t], pe = _C_update_end[t];")
-        out.emit("double ukj = repro_f[_C_update_col[t]];")
-        out.emit("for (int64_t p = ps; p < pe; p++) repro_f[_C_l_indices[p]] -= Lx[p] * ukj;")
-        out.pop()
-        out.emit("}")
-        out.emit("int64_t u0 = _C_u_indptr[j], u1 = _C_u_indptr[j + 1];")
-        out.emit("for (int64_t p = u0; p < u1; p++) Ux[p] = repro_f[_C_u_indices[p]];")
-        out.emit("double piv = repro_f[j];")
-        out.emit("if (piv == 0.0) return j + 1;")
-        out.emit("int64_t lp0 = _C_l_indptr[j], lp1 = _C_l_indptr[j + 1];")
-        out.emit("Lx[lp0] = 1.0;")
-        out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / piv;")
-        out.emit("for (int64_t p = u0; p < u1; p++) repro_f[_C_u_indices[p]] = 0.0;")
-        out.emit("for (int64_t p = lp0; p < lp1; p++) repro_f[_C_l_indices[p]] = 0.0;")
-
-    def _emit_simplicial_lu_c(self, out: _CEmitter, stmt: DomainLoop) -> None:
-        self._bind(stmt.contract)
-        self._emit_work_buffers(out)
-        out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
-        out.emit("memset(Ux, 0, nnz_u * sizeof(double));")
-        out.emit("memset(repro_f, 0, n * sizeof(double));")
-        out.emit("for (int64_t j = 0; j < n; j++) {")
-        out.push()
-        self._emit_simplicial_lu_column(out)
-        out.pop()
-        out.emit("}")
-        out.emit("return 0;")
-
-    def _emit_simplicial_chol_column(self, out: _CEmitter, stmt: DomainLoop) -> None:
-        # One left-looking Cholesky/LDL^T step over the thread-local work
-        # vector; the only shared-array writes are column j of Lx (and D[j]).
-        ldlt = stmt.factor_kind == "ldlt"
-        out.emit("for (int64_t p = _C_a_diag_pos[j]; p < _C_a_col_end[j]; p++) repro_f[Ai[p]] = Ax[p];")
-        out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
-        out.push()
-        out.emit("int64_t ps = _C_update_pos[t], pe = _C_update_end[t];")
-        if ldlt:
-            out.emit("double ljk = Lx[ps] * D[_C_update_col[t]];")
-        else:
-            out.emit("double ljk = Lx[ps];")
-        out.emit("for (int64_t p = ps; p < pe; p++) repro_f[_C_l_indices[p]] -= Lx[p] * ljk;")
-        out.pop()
-        out.emit("}")
-        out.emit("int64_t lp0 = _C_l_indptr[j], lp1 = _C_l_indptr[j + 1];")
-        out.emit("double d = repro_f[j];")
-        if ldlt:
-            out.emit("if (d == 0.0) return j + 1;")
-            out.emit("D[j] = d;")
-            out.emit("Lx[lp0] = 1.0;")
-            out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / d;")
-        else:
-            out.emit("if (!(d > 0.0)) return j + 1;")
-            out.emit("double ljj = sqrt(d);")
-            out.emit("Lx[lp0] = ljj;")
-            out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / ljj;")
-        out.emit("for (int64_t p = lp0; p < lp1; p++) repro_f[_C_l_indices[p]] = 0.0;")
-
-    def _emit_simplicial_cholesky_c(self, out: _CEmitter, stmt: DomainLoop) -> None:
-        self._bind(stmt.contract)
-        self._emit_work_buffers(out)
-        out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
-        out.emit("memset(repro_f, 0, n * sizeof(double));")
-        out.emit("for (int64_t j = 0; j < n; j++) {")
-        out.push()
-        self._emit_simplicial_chol_column(out, stmt)
-        out.pop()
-        out.emit("}")
-        out.emit("return 0;")
-
-    def _emit_supernodal_cholesky_c(self, out: _CEmitter, stmt: DomainLoop) -> None:
-        ldlt = stmt.factor_kind == "ldlt"
-        self._bind(stmt.contract)
-        self._emit_work_buffers(out, supernodal=True)
-        out.emit("memset(Lx, 0, nnz_l * sizeof(double));")
-        out.emit("memset(repro_f, 0, n * sizeof(double));")
-        out.emit("for (int64_t s = 0; s < n_super; s++) {")
-        out.push()
-        out.emit("int64_t c0 = _C_sup_start[s], c1 = _C_sup_end[s];")
-        out.emit("int64_t w = c1 - c0;")
-        if stmt.distribute_single_columns:
-            out.emit("if (w == 1) {")
-            out.push()
-            out.emit("int64_t lp0 = _C_l_indptr[c0], lp1 = _C_l_indptr[c0 + 1];")
-            out.emit("for (int64_t p = _C_a_diag_pos[c0]; p < _C_a_col_end[c0]; p++) repro_f[Ai[p]] = Ax[p];")
-            out.emit("for (int64_t t = _C_desc_ptr[s]; t < _C_desc_ptr[s + 1]; t++) {")
-            out.push()
-            out.emit("int64_t ps = _C_desc_pos[t], pe = _C_desc_end[t];")
-            if ldlt:
-                out.emit("double ljk = Lx[ps] * D[_C_desc_col[t]];")
-            else:
-                out.emit("double ljk = Lx[ps];")
-            out.emit("for (int64_t p = ps; p < pe; p++) repro_f[_C_l_indices[p]] -= Lx[p] * ljk;")
-            out.pop()
-            out.emit("}")
-            out.emit("double d = repro_f[c0];")
-            if ldlt:
-                out.emit("if (d == 0.0) return c0 + 1;")
-                out.emit("D[c0] = d;")
-                out.emit("Lx[lp0] = 1.0;")
-                out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / d;")
-            else:
-                out.emit("if (!(d > 0.0)) return c0 + 1;")
-                out.emit("double ljj = sqrt(d);")
-                out.emit("Lx[lp0] = ljj;")
-                out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / ljj;")
-            out.emit("for (int64_t p = lp0; p < lp1; p++) repro_f[_C_l_indices[p]] = 0.0;")
-            out.emit("continue;")
-            out.pop()
-            out.emit("}")
-        out.emit("int64_t r0 = _C_l_indptr[c0], r1 = _C_l_indptr[c0 + 1];")
-        out.emit("int64_t nr = r1 - r0;")
-        out.emit("for (int64_t i = 0; i < nr; i++) repro_rowmap[_C_l_indices[r0 + i]] = i;")
-        out.emit("for (int64_t i = 0; i < nr * w; i++) repro_panel[i] = 0.0;")
-        out.emit("for (int64_t jj = 0; jj < w; jj++) {")
-        out.push()
-        out.emit("int64_t c = c0 + jj;")
-        out.emit(
-            "for (int64_t p = _C_a_diag_pos[c]; p < _C_a_col_end[c]; p++) "
-            "repro_panel[repro_rowmap[Ai[p]] * w + jj] = Ax[p];"
-        )
-        out.pop()
-        out.emit("}")
-        out.emit("for (int64_t t = _C_desc_ptr[s]; t < _C_desc_ptr[s + 1]; t++) {")
-        out.push()
-        out.emit("int64_t ps = _C_desc_pos[t], pm = _C_desc_mult_end[t], pe = _C_desc_end[t];")
-        out.emit("for (int64_t i = 0; i < w; i++) repro_mult[i] = 0.0;")
-        if ldlt:
-            out.emit("double dk = D[_C_desc_col[t]];")
-            out.emit("for (int64_t p = ps; p < pm; p++) repro_mult[_C_l_indices[p] - c0] = Lx[p] * dk;")
-        else:
-            out.emit("for (int64_t p = ps; p < pm; p++) repro_mult[_C_l_indices[p] - c0] = Lx[p];")
-        out.emit("for (int64_t p = ps; p < pe; p++) {")
-        out.push()
-        out.emit("double* row = repro_panel + repro_rowmap[_C_l_indices[p]] * w;")
-        out.emit("double lv = Lx[p];")
-        out.emit("for (int64_t i = 0; i < w; i++) row[i] -= lv * repro_mult[i];")
-        out.pop()
-        out.emit("}")
-        out.pop()
-        out.emit("}")
-        if ldlt:
-            # Dense LDL^T of the diagonal block; pivots go straight into D.
-            out.emit("/* dense LDL^T of the w x w diagonal block (in place) */")
-            out.emit("for (int64_t k = 0; k < w; k++) {")
-            out.push()
-            out.emit("double piv = repro_panel[k * w + k];")
-            out.emit("if (piv == 0.0) return c0 + k + 1;")
-            out.emit("D[c0 + k] = piv;")
-            out.emit("repro_panel[k * w + k] = 1.0;")
-            out.emit("for (int64_t i = k + 1; i < w; i++) repro_panel[i * w + k] /= piv;")
-            out.emit("for (int64_t j = k + 1; j < w; j++) {")
-            out.push()
-            out.emit("double cjk = repro_panel[j * w + k] * piv;")
-            out.emit("for (int64_t i = j; i < w; i++) repro_panel[i * w + j] -= repro_panel[i * w + k] * cjk;")
-            out.pop()
-            out.emit("}")
-            out.pop()
-            out.emit("}")
-            # Off-diagonal panel: X (D L_d^T) = B -> trsm by L_d^T, then /= D.
-            out.emit("repro_dense_trsm_rt(repro_panel, w, repro_panel + w * w, nr - w);")
-            out.emit("for (int64_t r = 0; r < nr - w; r++)")
-            out.push()
-            out.emit("for (int64_t k = 0; k < w; k++) repro_panel[(w + r) * w + k] /= D[c0 + k];")
-            out.pop()
-        else:
-            # Dense factorization of the diagonal block (row-major, stride w).
-            out.emit("/* dense Cholesky of the w x w diagonal block (in place) */")
-            out.emit("for (int64_t k = 0; k < w; k++) {")
-            out.push()
-            out.emit("double piv = repro_panel[k * w + k];")
-            out.emit("if (!(piv > 0.0)) return c0 + k + 1;")
-            out.emit("piv = sqrt(piv);")
-            out.emit("repro_panel[k * w + k] = piv;")
-            out.emit("for (int64_t i = k + 1; i < w; i++) repro_panel[i * w + k] /= piv;")
-            out.emit("for (int64_t j = k + 1; j < w; j++) {")
-            out.push()
-            out.emit("double djk = repro_panel[j * w + k];")
-            out.emit("for (int64_t i = j; i < w; i++) repro_panel[i * w + j] -= repro_panel[i * w + k] * djk;")
-            out.pop()
-            out.emit("}")
-            out.pop()
-            out.emit("}")
-            out.emit("repro_dense_trsm_rt(repro_panel, w, repro_panel + w * w, nr - w);")
-        out.emit("for (int64_t jj = 0; jj < w; jj++) {")
-        out.push()
-        out.emit("int64_t c = c0 + jj;")
-        out.emit("int64_t lp0 = _C_l_indptr[c];")
-        out.emit("for (int64_t i = jj; i < w; i++) Lx[lp0 + (i - jj)] = repro_panel[i * w + jj];")
-        out.emit("for (int64_t r = 0; r < nr - w; r++) Lx[lp0 + (w - jj) + r] = repro_panel[(w + r) * w + jj];")
-        out.pop()
-        out.emit("}")
-        out.pop()
-        out.emit("}")
-        out.emit("return 0;")
-
-    # ------------------------------------------------------------------ #
-    # Wavefront (level-parallel) kernel variants
-    # ------------------------------------------------------------------ #
-    def _wf_fallback_reason(self, context, *, supernodal: bool = False) -> Optional[str]:
-        """Why a wavefront body cannot (usefully) be emitted, or ``None``.
-
-        The wavefront ABI is kept either way — on fallback the serial body is
-        emitted behind it — so artifact callers never need to care which body
-        the compile chose.
+        The wavefront ABI is kept either way — on fallback the serial kernel
+        is emitted behind it — so artifact callers never need to care which
+        body the compile chose.
         """
         schedule = getattr(context.inspection, "schedule", None)
         if schedule is None:
-            return "no-schedule"
-        if supernodal:
+            reason = "no-schedule"
+        elif role == "supernodal-cholesky":
             # VS-Block panels update ancestor supernodes in place; scheduling
             # them by column levels would break the disjoint-write argument.
-            # Tracked as follow-up in ROADMAP.md.
-            return "supernodal"
-        if schedule.n_scheduled == 0:
-            return "empty-schedule"
-        if schedule.average_width < context.options.wavefront_min_avg_width:
+            reason = "supernodal"
+        elif schedule.n_scheduled == 0:
+            reason = "empty-schedule"
+        elif schedule.average_width < context.options.wavefront_min_avg_width:
             # n_levels close to n: a deep elimination tree, where per-level
             # barriers cost more than the parallelism they unlock.
-            return "deep-etree"
-        return None
-
-    def _wf_serial_fallback(self, out: _CEmitter, context, *, supernodal: bool = False) -> bool:
-        """Record the wavefront decision; True when the serial body must be emitted."""
-        fallback = self._wf_fallback_reason(context, supernodal=supernodal)
-        schedule = getattr(context.inspection, "schedule", None)
-        mode = "wavefront" if fallback is None else "serial-fallback"
+            reason = "deep-etree"
+        else:
+            reason = None
+        mode = "wavefront" if reason is None else "serial-fallback"
         info: Dict[str, object] = {"mode": mode}
-        if fallback is not None:
-            info["fallback_reason"] = fallback
-            out.emit(f"(void)n_threads;  /* serial fallback: {fallback} */")
+        if reason is not None:
+            info["fallback_reason"] = reason
         if schedule is not None:
             info["n_levels"] = schedule.n_levels
             info["max_width"] = schedule.max_width
             info["average_width"] = round(schedule.average_width, 3)
         context.decisions["wavefront"] = info
-        self._parallel_mode = mode
-        return fallback is not None
+        return mode, reason
 
-    def _emit_wavefront_scaffold(
-        self,
-        out: _CEmitter,
-        kernel: KernelFunction,
-        context,
-        *,
-        params: List[Tuple[str, str]],
-        emit_column: Callable[[_CEmitter], None],
-        emit_parallel_preamble: Optional[Callable[[_CEmitter], None]],
-        emit_serial: Callable[[_CEmitter], None],
-        returns_status: bool,
-        uses_work_vector: bool,
-    ) -> None:
-        """Emit the level-parallel entry body plus its prelude functions.
+    @staticmethod
+    def _emit_step(out: _CEmitter, name: str, loop: _Loop, stmt: Optional[DomainLoop], spec: CMethodSpec) -> None:
+        """Print ``static inline int64_t {name}(int64_t j, <the entry's arrays>, repro_T)``: one step of ``loop``.
 
-        ``{entry}_wf_col`` holds the per-column body shared verbatim with the
-        serial emitters (``return j + 1`` failure lines become its status);
-        ``{entry}_wf_run`` is the per-participant loop over levels with a
-        barrier after each; the entry body itself dispatches: serial body for
-        ``n_threads <= 1``, preamble + pool launch otherwise.
+        It returns 0, or the failing column + 1.
         """
-        schedule = context.inspection.schedule
-        entry = kernel.name
-        worder = self._add_constant("wf_order", schedule.order)
-        wlp = self._add_constant("wf_level_ptr", schedule.level_ptr)
-        self._dim("wf_n_levels", schedule.n_levels)
-        self._dim("wf_max_width", schedule.max_width)
-        params = [*params, ("const int64_t* const*", "repro_T")]
+        params = ", ".join(spec.params)
+        out.emit(f"static inline int64_t {name}(int64_t {loop.index}, {params}, const int64_t* const* repro_T) {{")
+        out.push()
+        out.emit("REPRO_BIND_TABLES")
+        for line in _WORK[loop.work][1] if loop.work else ():
+            out.emit(line)
+        loop.step(out, stmt)
+        out.emit("return 0;")
+        out.pop()
+        out.emit("}")
+        out.emit("")
 
-        p = _CEmitter()
-        arg_decls = "".join(f", {decl} {name}" for decl, name in params)
-        p.emit(f"static int64_t {entry}_wf_col(int64_t t{arg_decls}) {{")
-        p.push()
-        p.emit("REPRO_BIND_TABLES")
-        if uses_work_vector:
-            p.emit("double* const repro_f = repro_ws->f;  /* reserved by this participant */")
-        p.emit(f"int64_t j = {worder}[t];")
-        emit_column(p)
-        p.emit("return 0;")
-        p.pop()
-        p.emit("}")
-        p.emit("")
-        fields = " ".join(f"{decl} {name};" for decl, name in params)
-        p.emit(f"typedef struct {{ {fields} }} {entry}_wf_job_t;")
-        p.emit("")
+    @staticmethod
+    def _emit_serial_loop(out: _CEmitter, entry: str, loop: _Loop, spec: CMethodSpec) -> None:
+        """Reserve and clear this thread's work buffers, then run every step in order."""
+        if loop.work:
+            out.emit(f"if (!repro_ws_reserve({_WORK[loop.work][0]})) return -1;")
+            out.emit("memset(repro_ws->f, 0, n * sizeof(double));")
+        i = loop.index
+        head = f"for (int64_t {i} = 0; {i} < {loop.extent}; {i}++)"
+        call = f"{entry}_step({i}, {', '.join(spec.names)}, repro_T)"
+        if spec.failure is None:
+            out.emit(f"{head} {call};")
+            return
+        out.emit(f"{head} {{")
+        out.push()
+        out.emit(f"int64_t st = {call};")
+        out.emit("if (st) return st;")
+        out.pop()
+        out.emit("}")
+        out.emit("return 0;")
+
+    @staticmethod
+    def _emit_job(out: _CEmitter, entry: str, step: str, loop: _Loop, spec: CMethodSpec, n_levels: int) -> None:
+        """Print the wavefront job: its argument struct and ``{entry}_wf_run``, which runs ``step`` level by level.
+
+        Participant ``tid`` of ``nt`` takes one contiguous chunk of each
+        level's slice of ``_C_wf_order``, with a barrier after every level;
+        the first failing step's status stops every participant.
+        """
+        fields = " ".join(f"{decl};" for decl in spec.params)
+        out.emit(f"typedef struct {{ {fields} const int64_t* const* repro_T; }} {entry}_wf_job_t;")
+        out.emit("")
         # Per-level wall-clock timestamps, recorded by participant 0 only
         # (after each barrier every level's columns are complete, so tid 0's
         # clock reads bound the level) and only while the runtime profiling
         # flag is raised.  Exported for ctypes via {entry}_wf_level_times.
         # Module state like the pool: sized by this pattern's level count.
-        p.emit(f"static double {entry}_wf_level_ts[{schedule.n_levels} + 1];")
-        p.emit(f"double* {entry}_wf_level_times(void) {{ return {entry}_wf_level_ts; }}")
-        p.emit("")
-        p.emit(f"static void {entry}_wf_run(int64_t tid, int64_t nt, void* jobv) {{")
-        p.push()
-        p.emit(f"{entry}_wf_job_t* job = ({entry}_wf_job_t*)jobv;")
-        p.emit("const int64_t* const* repro_T = job->repro_T;")
-        p.emit("REPRO_BIND_TABLES")
-        p.emit("int64_t wf_sense = 0;")
-        p.emit("int64_t wf_prof = tid == 0 && repro_wf_profile_on();")
-        p.emit(f"if (wf_prof) {entry}_wf_level_ts[0] = repro_wf_now();")
-        if uses_work_vector:
-            # A failed earlier call may have bailed out of a column body with
-            # the thread-local work vector still scattered (and another
-            # pattern may have used it since); restore the all-zeros
-            # invariant the column bodies rely on.
-            p.emit("repro_ws_t* const ws = repro_ws_reserve(n, 0, 0, 0);")
-            p.emit("if (ws) memset(ws->f, 0, n * sizeof(double));")
-            p.emit("else repro_wf_fail(-1);")
-        p.emit("for (int64_t l = 0; l < wf_n_levels; l++) {")
-        p.push()
-        p.emit(f"int64_t lo = {wlp}[l], hi = {wlp}[l + 1];")
-        p.emit("int64_t chunk = (hi - lo + nt - 1) / nt;")
-        p.emit("int64_t s = lo + tid * chunk;")
-        p.emit("int64_t e = s + chunk < hi ? s + chunk : hi;")
-        p.emit("if (repro_wf_ok()) {")
-        p.push()
-        p.emit("for (int64_t t = s; t < e; t++) {")
-        p.push()
-        call_args = "".join(f", job->{name}" for _, name in params)
-        p.emit(f"int64_t st = {entry}_wf_col(t{call_args});")
-        p.emit("if (st != 0) { repro_wf_fail(st); break; }")
-        p.pop()
-        p.emit("}")
-        p.pop()
-        p.emit("}")
-        p.emit("repro_wf_barrier(nt, &wf_sense);")
-        p.emit(f"if (wf_prof) {entry}_wf_level_ts[l + 1] = repro_wf_now();")
-        p.pop()
-        p.emit("}")
-        p.pop()
-        p.emit("}")
-        p.emit("")
-        self._prelude.extend(p.lines)
-
-        out.emit("if (n_threads > wf_max_width) n_threads = wf_max_width;")
-        out.emit("if (n_threads <= 1) {")
+        out.emit(f"static double {entry}_wf_level_ts[{n_levels} + 1];")
+        out.emit(f"double* {entry}_wf_level_times(void) {{ return {entry}_wf_level_ts; }}")
+        out.emit("")
+        out.emit(f"static void {entry}_wf_run(int64_t tid, int64_t nt, void* jobv) {{")
         out.push()
-        emit_serial(out)
+        out.emit(f"{entry}_wf_job_t* job = ({entry}_wf_job_t*)jobv;")
+        out.emit("const int64_t* const* repro_T = job->repro_T;")
+        out.emit("REPRO_BIND_TABLES")
+        out.emit("int64_t wf_sense = 0;")
+        out.emit("int64_t wf_prof = tid == 0 && repro_wf_profile_on();")
+        out.emit(f"if (wf_prof) {entry}_wf_level_ts[0] = repro_wf_now();")
+        if loop.work:
+            # A failed earlier call may have bailed out of a step with the
+            # thread-local work vector still scattered (and another pattern
+            # may have used it since); restore the all-zeros invariant the
+            # steps rely on.
+            out.emit(f"if (repro_ws_reserve({_WORK[loop.work][0]})) memset(repro_ws->f, 0, n * sizeof(double));")
+            out.emit("else repro_wf_fail(-1);")
+        out.emit("for (int64_t l = 0; l < wf_n_levels; l++) {")
+        out.push()
+        out.emit("int64_t lo = _C_wf_level_ptr[l], hi = _C_wf_level_ptr[l + 1];")
+        out.emit("int64_t chunk = (hi - lo + nt - 1) / nt;")
+        out.emit("int64_t s = lo + tid * chunk;")
+        out.emit("int64_t e = s + chunk < hi ? s + chunk : hi;")
+        out.emit("if (repro_wf_ok()) {")
+        out.push()
+        out.emit("for (int64_t t = s; t < e; t++) {")
+        out.push()
+        args = ", ".join(f"job->{name}" for name in spec.names)
+        out.emit(f"int64_t st = {step}(_C_wf_order[t], {args}, repro_T);")
+        out.emit("if (st != 0) { repro_wf_fail(st); break; }")
         out.pop()
         out.emit("}")
-        if emit_parallel_preamble is not None:
-            emit_parallel_preamble(out)
-        init = ", ".join(name for _, name in params)
-        out.emit(f"{entry}_wf_job_t wf_job = {{ {init} }};")
-        if returns_status:
-            out.emit(f"return repro_wf_launch({entry}_wf_run, &wf_job, n_threads);")
+        out.pop()
+        out.emit("}")
+        out.emit("repro_wf_barrier(nt, &wf_sense);")
+        out.emit(f"if (wf_prof) {entry}_wf_level_ts[l + 1] = repro_wf_now();")
+        out.pop()
+        out.emit("}")
+        out.pop()
+        out.emit("}")
+        out.emit("")
+
+    @staticmethod
+    def _emit_launch(out: _CEmitter, entry: str, spec: CMethodSpec) -> None:
+        """Hand the call to the worker pool when it has more than one thread to use."""
+        out.emit("if (n_threads > wf_max_width) n_threads = wf_max_width;")
+        out.emit("if (n_threads > 1) {")
+        out.push()
+        out.emit(f"{entry}_wf_job_t wf_job = {{ {', '.join(spec.names)}, repro_T }};")
+        launch = f"repro_wf_launch({entry}_wf_run, &wf_job, n_threads)"
+        if spec.failure is None:
+            out.emit(f"{launch};")
+            out.emit("return;")
         else:
-            out.emit(f"repro_wf_launch({entry}_wf_run, &wf_job, n_threads);")
-
-    def _trisolve_serial_order(self, kernel: KernelFunction, n: int) -> List[int]:
-        """Columns in the order the *serial* body processes them.
-
-        The serial trisolve does not visit columns in ascending index order:
-        VI-Prune emits the reach set in the inspector's topological order and
-        VS-Block walks supernode panels.  The pull-form wavefront body must
-        subtract each row's updates in this exact order to stay bitwise
-        identical, so the order is read off the very segment table the serial
-        kernel walks.
-        """
-        stmt = domain_loop(kernel)
-        if stmt is None:  # the untransformed loop over every column
-            return list(range(n))
-        run_cols = stmt.contract[1]["run_cols"]
-        cols: List[int] = []
-        for w, a, b, _, _ in stmt.contract[1]["seg"].reshape(-1, 5).tolist():
-            cols.extend(run_cols[a:b].tolist() if w == 0 else range(a, a + w))
-        return cols
-
-    def _trisolve_pull_structure(
-        self, context, schedule, serial_order: List[int]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Row-oriented (pull) view of the scheduled triangular solve.
-
-        The serial kernels push column updates ``x[Li[p]] -= Lx[p] * xj`` as
-        each source column executes; two same-level columns may push into the
-        same ``x[i]``, so the push form cannot run a level concurrently.  The
-        pull form makes column ``j`` gather its own updates instead — and
-        because it subtracts them in the serial body's own column-execution
-        order (``serial_order``), the float operation sequence per entry is
-        identical and the result bitwise equal to the serial kernel.
-        """
-        Lp = np.asarray(context.matrix.indptr, dtype=np.int64)
-        Li = np.asarray(context.matrix.indices, dtype=np.int64)
-        order = np.asarray(schedule.order, dtype=np.int64)
-        rows: Dict[int, List[Tuple[int, int]]] = {int(j): [] for j in order}
-        # A VS-Block'd body solves whole supernodes, so with a sparse right-
-        # hand side it may also visit columns outside the reach set: their x
-        # stays zero and their updates subtract zeros, so the pull form (which
-        # schedules the reach set only) leaves them out.
-        serial_order = [c for c in serial_order if c in rows]
-        if sorted(serial_order) != sorted(rows):
-            raise CCompilationError(
-                "the serial trisolve body does not visit every column of the "
-                "level-set schedule exactly once"
-            )
-        for c in serial_order:
-            for p in range(int(Lp[c]) + 1, int(Lp[c + 1])):
-                i = int(Li[p])
-                if i not in rows:
-                    # Reach sets are closed under L-edges, so every update
-                    # target of a scheduled column is itself scheduled.
-                    raise CCompilationError(
-                        f"trisolve schedule is not closed: column {c} updates "
-                        f"unscheduled row {i}"
-                    )
-                rows[i].append((p, c))
-        row_ptr = [0]
-        row_pos: List[int] = []
-        row_col: List[int] = []
-        diag_pos: List[int] = []
-        for j in order:
-            for p, c in rows[int(j)]:
-                row_pos.append(p)
-                row_col.append(c)
-            row_ptr.append(len(row_pos))
-            diag_pos.append(int(Lp[int(j)]))
-        return (
-            np.asarray(row_ptr, dtype=np.int64),
-            np.asarray(row_pos, dtype=np.int64),
-            np.asarray(row_col, dtype=np.int64),
-            np.asarray(diag_pos, dtype=np.int64),
-        )
-
-    def _emit_wf_trisolve_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        if self._wf_serial_fallback(out, context):
-            self._emit_trisolve_body(out, kernel, context)
-            return
-        schedule = context.inspection.schedule
-        wrp, wpos, wcol, wdiag = self._trisolve_pull_structure(
-            context, schedule, self._trisolve_serial_order(kernel, context.inspection.n)
-        )
-        rp = self._add_constant("wf_row_ptr", wrp)
-        rpos = self._add_constant("wf_row_pos", wpos)
-        rcol = self._add_constant("wf_row_col", wcol)
-        dg = self._add_constant("wf_diag_pos", wdiag)
-
-        def emit_column(p: _CEmitter) -> None:
-            p.emit("double acc = b[j];")
-            p.emit(
-                f"for (int64_t s = {rp}[t]; s < {rp}[t + 1]; s++) "
-                f"acc -= Lx[{rpos}[s]] * x[{rcol}[s]];"
-            )
-            p.emit(f"x[j] = acc / Lx[{dg}[t]];")
-
-        def emit_serial(p: _CEmitter) -> None:
-            self._emit_trisolve_body(p, kernel, context)
-            p.emit("return;")
-
-        self._emit_wavefront_scaffold(
-            out,
-            kernel,
-            context,
-            params=[("const double*", "Lx"), ("const double*", "b"), ("double*", "x")],
-            emit_column=emit_column,
-            emit_parallel_preamble=lambda p: p.emit("for (int64_t i = 0; i < n; i++) x[i] = b[i];"),
-            emit_serial=emit_serial,
-            returns_status=False,
-            uses_work_vector=False,
-        )
-
-    def _emit_wf_factorization_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        out.emit("(void)Ap;  /* the A pattern arrives through the inspection tables */")
-        stmt = self._left_looking_loop(kernel)
-        if self._wf_serial_fallback(out, context, supernodal=stmt.role == "supernodal-cholesky"):
-            self._emit_left_looking_c(out, stmt)
-            return
-        self._bind(stmt.contract)
-        params = [("const int64_t*", "Ai"), ("const double*", "Ax"), ("double*", "Lx")]
-        if stmt.factor_kind == "ldlt":
-            params.append(("double*", "D"))
-
-        self._emit_wavefront_scaffold(
-            out,
-            kernel,
-            context,
-            params=params,
-            emit_column=lambda p: self._emit_simplicial_chol_column(p, stmt),
-            emit_parallel_preamble=lambda p: p.emit("memset(Lx, 0, nnz_l * sizeof(double));"),
-            emit_serial=lambda p: self._emit_simplicial_cholesky_c(p, stmt),
-            returns_status=True,
-            uses_work_vector=True,
-        )
-
-    def _emit_wf_lu_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        out.emit("(void)Ap;  /* the A pattern arrives through the inspection tables */")
-        stmt = self._domain_loop(kernel, "simplicial-lu")
-        if self._wf_serial_fallback(out, context):
-            self._emit_simplicial_lu_c(out, stmt)
-            return
-        self._bind(stmt.contract)
-
-        def emit_parallel_preamble(p: _CEmitter) -> None:
-            p.emit("memset(Lx, 0, nnz_l * sizeof(double));")
-            p.emit("memset(Ux, 0, nnz_u * sizeof(double));")
-
-        self._emit_wavefront_scaffold(
-            out,
-            kernel,
-            context,
-            params=[
-                ("const int64_t*", "Ai"),
-                ("const double*", "Ax"),
-                ("double*", "Lx"),
-                ("double*", "Ux"),
-            ],
-            emit_column=self._emit_simplicial_lu_column,
-            emit_parallel_preamble=emit_parallel_preamble,
-            emit_serial=lambda p: self._emit_simplicial_lu_c(p, stmt),
-            returns_status=True,
-            uses_work_vector=True,
-        )
-
-    def _emit_wf_ic0_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        out.emit("(void)Ap; (void)Ai;  /* the A pattern arrives through the inspection tables */")
-        stmt = self._domain_loop(kernel, "incomplete-cholesky")
-        if self._wf_serial_fallback(out, context):
-            self._emit_incomplete_ic0_c(out, stmt)
-            return
-        self._bind(stmt.contract)
-
-        self._emit_wavefront_scaffold(
-            out,
-            kernel,
-            context,
-            params=[("double*", "Lx")],
-            emit_column=self._emit_ic0_column,
-            emit_parallel_preamble=self._emit_ic0_preamble,
-            emit_serial=lambda p: self._emit_incomplete_ic0_c(p, stmt),
-            returns_status=True,
-            uses_work_vector=False,
-        )
-
-    def _emit_wf_ilu0_body(self, out: _CEmitter, kernel: KernelFunction, context) -> None:
-        out.emit("(void)Ap; (void)Ai;  /* the A pattern arrives through the inspection tables */")
-        stmt = self._domain_loop(kernel, "incomplete-lu")
-        if self._wf_serial_fallback(out, context):
-            self._emit_incomplete_ilu0_c(out, stmt)
-            return
-        self._bind(stmt.contract)
-
-        self._emit_wavefront_scaffold(
-            out,
-            kernel,
-            context,
-            params=[("double*", "Lx"), ("double*", "Ux")],
-            emit_column=self._emit_ilu0_column,
-            emit_parallel_preamble=self._emit_ilu0_preamble,
-            emit_serial=lambda p: self._emit_incomplete_ilu0_c(p, stmt),
-            returns_status=True,
-            uses_work_vector=False,
-        )
+            out.emit(f"return {launch};")
+        out.pop()
+        out.emit("}")

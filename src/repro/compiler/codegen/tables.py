@@ -20,13 +20,15 @@ result on the :class:`~repro.compiler.ast.DomainLoop` node; both backends read
   in the order given here).
 
 So ``artifact.constants`` is the same mapping on both backends, key for key.
-The level schedule and the pull structure of the wavefront kernels are not
-here: they are registered by the wavefront emitters, on top of this contract.
+A wavefront C kernel reads two more contracts, appended after its serial one:
+the level schedule (:func:`level_schedule`) and, for the triangular solve, the
+pull structure of its row solve (:func:`trisolve_rows`).  The serial block is
+therefore a prefix of the wavefront block.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +42,9 @@ from repro.symbolic.inspector import (
 )
 from repro.symbolic.supernodes import SupernodePartition
 
+if TYPE_CHECKING:
+    from repro.runtime.levels import ExecutionSchedule
+
 __all__ = [
     "Contract",
     "entry",
@@ -50,6 +55,8 @@ __all__ = [
     "incomplete_ic0",
     "incomplete_ilu0",
     "trisolve_segments",
+    "level_schedule",
+    "trisolve_rows",
 ]
 
 #: ``(dims, tables)``: pattern-dependent sizes and inspection sets, by name, in block order.
@@ -61,10 +68,11 @@ def entry(name: str, value) -> Tuple[str, np.ndarray]:
     return f"_C_{name}", np.ascontiguousarray(value, dtype=np.int64)
 
 
-def block(n: int, contract: Contract) -> Dict[str, np.ndarray]:
-    """The table block of a serial kernel: the sizes (``n`` first), then the sets."""
-    dims, tables = contract
-    return dict(entry(name, value) for name, value in [("dims", [n, *dims.values()]), *tables.items()])
+def block(n: int, *contracts: Contract) -> Dict[str, np.ndarray]:
+    """The table block of a kernel: the sizes (``n`` first), then the sets, each contract after the one before."""
+    sizes = [n, *(value for dims, _ in contracts for value in dims.values())]
+    sets = [item for _, tables in contracts for item in tables.items()]
+    return dict(entry(name, value) for name, value in [("dims", sizes), *sets])
 
 
 def _column_of(indptr: np.ndarray) -> np.ndarray:
@@ -320,3 +328,65 @@ def trisolve_segments(
     order = np.argsort(np.concatenate([2 * slot, 2 * n_wide[blocked] - 1]), kind="stable")
     seg = np.concatenate([runs, blocks])[order].ravel()
     return {"n_seg": int(order.size)}, {"seg": seg, "run_cols": run_cols, "blk_cs": Lp[_ranges(c0, c0 + w)[0]]}
+
+
+def level_schedule(schedule: ExecutionSchedule) -> Contract:
+    """The wavefront job's schedule: level ``l`` is the steps ``wf_order[wf_level_ptr[l] .. wf_level_ptr[l + 1])``.
+
+    ``wf_max_width`` bounds the useful thread count.
+    """
+    dims = {"wf_n_levels": schedule.n_levels, "wf_max_width": schedule.max_width}
+    return dims, {"wf_order": schedule.order, "wf_level_ptr": schedule.level_ptr}
+
+
+def _trisolve_order(n: int, segments: Contract) -> np.ndarray:
+    """Columns in the order the serial solve visits them: its segments' runs and blocks, or ``0 .. n``."""
+    sets = segments[1]
+    if "seg" not in sets:  # the untransformed loop over every column
+        return np.arange(n, dtype=np.int64)
+    w, a, b = sets["seg"].reshape(-1, 5)[:, :3].T
+    order, segment = _ranges(a, np.where(w == 0, b, a + w))
+    run = w[segment] == 0
+    order[run] = sets["run_cols"][order[run]]
+    return order
+
+
+def trisolve_rows(L: CSCMatrix, schedule: ExecutionSchedule, segments: Contract) -> Contract:
+    """The pull form of a scheduled triangular solve: row ``j`` gathers its own updates.
+
+    The serial solve pushes ``x[Li[p]] -= Lx[p] * x[c]`` as column ``c``
+    finishes; two columns of one level may push into the same ``x[i]``, so
+    the push form cannot run a level at once.  In the pull form row ``j``
+    subtracts ``Lx[wf_row_pos[s]] * x[wf_row_col[s]]`` for ``s`` in
+    ``wf_row_ptr[j] .. wf_row_ptr[j + 1]``, in the order the serial solve of
+    ``segments`` pushed them, so every entry of ``x`` sees the same
+    floating-point operations in the same order.
+
+    A VS-Block'd solve visits whole supernodes, with a sparse right-hand side
+    possibly columns outside the reach set: their ``x`` stays zero and their
+    pushes subtract zeros, so the pull form, which schedules the reach set
+    only, leaves them out.
+    """
+    n = L.n_cols
+    scheduled = np.zeros(n, dtype=bool)
+    scheduled[schedule.order] = True
+    serial = _trisolve_order(n, segments)
+    serial = serial[scheduled[serial]]
+    if not np.array_equal(np.sort(serial), np.sort(schedule.order)):
+        raise RuntimeError(
+            "the serial trisolve body does not visit every column of the level-set schedule exactly once"
+        )
+    pos, source = _ranges(L.indptr[serial] + 1, L.indptr[serial + 1])
+    rows = L.indices[pos]
+    if not scheduled[rows].all():
+        # Reach sets are closed under L-edges, so every target of a scheduled column is scheduled.
+        k = int(np.argmin(scheduled[rows]))
+        raise RuntimeError(
+            f"trisolve schedule is not closed: column {serial[source[k]]} updates unscheduled row {rows[k]}"
+        )
+    by_row = np.argsort(rows, kind="stable")
+    return {}, {
+        "wf_row_ptr": group_pointers(rows[by_row], n),
+        "wf_row_pos": pos[by_row],
+        "wf_row_col": serial[source[by_row]],
+    }

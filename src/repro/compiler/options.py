@@ -9,7 +9,6 @@ The options gather every tunable the paper mentions:
   hand-tuned value of 160 on full-scale SuiteSparse matrices; the default
   here is expressed as an average supernode width suited to the down-scaled
   synthetic suite of :mod:`repro.bench.suite`),
-* the low-level unrolling threshold,
 * the code-generation backend,
 * the numeric-runtime thread count used by the batched execution engine
   (:mod:`repro.runtime`).
@@ -53,7 +52,8 @@ class SympilerOptions:
         system compiler and loaded via ``ctypes``).
     enable_vi_prune, enable_vs_block, enable_low_level:
         Toggles for the transformation stages; disabling all of them produces
-        the un-transformed lowered kernel (useful for ablations).
+        the un-transformed lowered kernel (useful for ablations).  The
+        low-level stage is loop distribution of the supernodal factorization.
     vs_block_min_avg_width:
         VS-Block participation threshold: if the mean width of *all*
         supernodes (single columns included) is below this value, or none is
@@ -65,9 +65,6 @@ class SympilerOptions:
         column loop rather than the dense block path.
     max_supernode_width:
         Optional cap on supernode width (limits panel size).
-    unroll_max_width:
-        Supernode diagonal solves up to this width are emitted fully unrolled
-        (one ``switch`` case per width in the generated C).
     parallel:
         Within-kernel execution mode of the *generated code*.  ``"none"``
         (the default) emits the sequential kernels; ``"wavefront"`` makes
@@ -122,8 +119,6 @@ class SympilerOptions:
     vs_block_min_supernode_width: int = 2
     max_supernode_width: Optional[int] = None
 
-    unroll_max_width: int = 4
-
     parallel: str = "none"
     wavefront_min_avg_width: float = 1.5
 
@@ -141,8 +136,6 @@ class SympilerOptions:
             raise ValueError("vs_block_min_supernode_width must be at least 1")
         if self.max_supernode_width is not None and self.max_supernode_width < 1:
             raise ValueError("max_supernode_width must be positive when given")
-        if self.unroll_max_width < 1:
-            raise ValueError("unroll_max_width must be at least 1")
         if self.parallel not in _VALID_PARALLEL_MODES:
             raise ValueError(
                 f"unknown parallel mode {self.parallel!r}; expected one of "

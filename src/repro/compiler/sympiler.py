@@ -254,6 +254,7 @@ class Sympiler:
             decisions=dict(context.decisions),
             timings=timings,
             fingerprint=fingerprint,
+            operand_nnz=matrix.nnz,
             inspection=inspection,
         )
 

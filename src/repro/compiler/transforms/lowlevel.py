@@ -1,16 +1,15 @@
 """Enabled conventional low-level transformations (§2.4).
 
 The inspector-guided transformations annotate the code with hints for
-conventional transformations; these passes consume the hints:
+conventional transformations; this pass consumes one:
 
-* :class:`UnrollTransform` — unrolling: records how many supernode blocks of
-  a triangular solve are at most ``unroll_max_width`` columns wide; the C
-  emitter prints one unrolled ``switch`` case per width up to that bound.
 * :class:`LoopDistributeTransform` — loop distribution: width-1 supernodes of
   the supernodal Cholesky loop are split into a separate streamlined loop.
 
-Both are no-ops when their hint is absent, so they can be run
-unconditionally after the inspector-guided passes.
+It is a no-op when its hint is absent, so it can be run unconditionally after
+the inspector-guided passes.  (An unrolling pass, one ``switch`` case per
+supernode width of the triangular solve, was measured no faster than the
+generic block loop and deleted.)
 """
 
 from __future__ import annotations
@@ -18,27 +17,7 @@ from __future__ import annotations
 from repro.compiler.ast import KernelFunction, domain_loop
 from repro.compiler.transforms.base import CompilationContext, Transform
 
-__all__ = [
-    "UnrollTransform",
-    "LoopDistributeTransform",
-]
-
-
-class UnrollTransform(Transform):
-    """Record the supernode blocks narrow enough for an unrolled diagonal solve."""
-
-    name = "unroll"
-
-    def apply(self, kernel: KernelFunction, context: CompilationContext) -> KernelFunction:
-        loop = domain_loop(kernel)
-        if loop is None or loop.role != "trisolve-segments":
-            return kernel
-        widths = loop.contract[1]["seg"][0::5]
-        unrolled = int(((widths > 0) & (widths <= context.options.unroll_max_width)).sum())
-        if unrolled:
-            context.record(self.name, unrolled_statements=unrolled)
-            kernel.meta["unrolled_statements"] = unrolled
-        return kernel
+__all__ = ["LoopDistributeTransform"]
 
 
 class LoopDistributeTransform(Transform):

@@ -6,7 +6,7 @@ from typing import Iterable, List, Optional
 
 from repro.compiler.options import SympilerOptions
 from repro.compiler.transforms.base import Transform, TransformPipeline
-from repro.compiler.transforms.lowlevel import LoopDistributeTransform, UnrollTransform
+from repro.compiler.transforms.lowlevel import LoopDistributeTransform
 from repro.compiler.transforms.vi_prune import VIPruneTransform
 from repro.compiler.transforms.vs_block import VSBlockTransform
 
@@ -21,9 +21,8 @@ def build_pipeline(
     """Create the pass sequence for the given options.
 
     The inspector-guided passes run first — VS-Block, then VI-Prune (§4.2),
-    each if enabled — followed by the low-level passes when enabled:
-    unrolling counts the narrow supernode blocks of a triangular solve;
-    distribution acts on the supernodal factorization loop only.
+    each if enabled — followed by the low-level pass when enabled: loop
+    distribution, which acts on the supernodal factorization loop only.
 
     ``transforms`` optionally restricts the inspector-guided passes to the
     ones a kernel's registry spec declares applicable; ``None`` allows all.
@@ -34,5 +33,5 @@ def build_pipeline(
         guided[name]() for name in options.active_transformations() if allowed is None or name in allowed
     ]
     if options.enable_low_level:
-        passes.extend([UnrollTransform(), LoopDistributeTransform()])
+        passes.append(LoopDistributeTransform())
     return TransformPipeline(passes)

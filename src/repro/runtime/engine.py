@@ -267,7 +267,12 @@ class BatchExecutor:
 
     # ------------------------------------------------------------------ #
     def factorize_batch(
-        self, Ap: np.ndarray, Ai: np.ndarray, values: Sequence[np.ndarray] | np.ndarray
+        self,
+        Ap: np.ndarray,
+        Ai: np.ndarray,
+        values: Sequence[np.ndarray] | np.ndarray,
+        *,
+        check: Optional[Callable[[np.ndarray], None]] = None,
     ) -> BatchResult:
         """Run the factorization entry over a batch of value arrays.
 
@@ -275,7 +280,9 @@ class BatchExecutor:
         nnz)`` array) on the compile-time pattern ``(Ap, Ai)``.  Returns the
         raw kernel outputs per item (``Lx``, ``(Lx, D)`` or ``(Lx, Ux)``
         depending on the kernel) — pass them through the artifact's
-        ``assemble_factors`` for factor objects.
+        ``assemble_factors`` for factor objects.  ``check``, when given, runs
+        on each item's values before its kernel; what it raises fails that
+        item alone.
         """
         value_list = [np.asarray(v, dtype=np.float64) for v in values]
         nnz = int(Ap[-1])
@@ -287,8 +294,14 @@ class BatchExecutor:
                 )
         strategy, per_call_threads = self.plan_batch(len(value_list))
         entry = self.artifact.factorize_arrays
+
+        def run(ax):
+            if check is not None:
+                check(ax)
+            return entry(Ap, Ai, ax, num_threads=per_call_threads)
+
         return self.map(
-            lambda ax: entry(Ap, Ai, ax, num_threads=per_call_threads),
+            run,
             value_list,
             strategy=strategy if value_list else None,
         )

@@ -28,6 +28,7 @@ from repro.compiler.options import SympilerOptions
 from repro.runtime.engine import BatchExecutor, BatchResult
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.utils import require_finite_values
 
 __all__ = ["BatchedSolver", "FactorHandle"]
 
@@ -252,14 +253,16 @@ class BatchedSolver:
         Each handle's factors are bitwise identical to what a sequential
         ``solver.factorize(scenario)`` computes with the same compiled
         kernel.  Failed scenarios yield handles with ``ok == False`` whose
-        ``error`` preserves the kernel's exception; the rest are unaffected.
-        ``permuted_values`` must be set to pass a raw ``(batch, nnz)`` value
-        array instead of matrices (see :meth:`_batch_values`).
+        ``error`` preserves the kernel's exception — or, for a scenario with
+        a NaN or an infinity, the ``ValueError`` naming that entry; the rest
+        are unaffected.  ``permuted_values`` must be set to pass a raw
+        ``(batch, nnz)`` value array instead of matrices (see
+        :meth:`_batch_values`).
         """
         value_list = self._batch_values(scenarios, permuted_values=permuted_values)
         permuted = self.solver.A_permuted
         result = self.executor.factorize_batch(
-            permuted.indptr, permuted.indices, value_list
+            permuted.indptr, permuted.indices, value_list, check=self._require_finite
         )
         self.last_result = result
         error_by_index = {e.index: e.error for e in result.errors}
@@ -272,6 +275,13 @@ class BatchedSolver:
             )
             for i, raw in enumerate(result.results)
         ]
+
+    def _require_finite(self, values: np.ndarray) -> None:
+        """Refuse permuted-order ``values`` holding a NaN or an infinity, naming the entry of the input matrix."""
+        if not np.isfinite(values).all():
+            original = np.empty_like(values)
+            original[self.solver._value_gather] = values
+            require_finite_values(self.A, original)
 
     def solve_many(self, B: np.ndarray) -> np.ndarray:
         """Solve ``A X = B`` (multi-RHS) on the current factorization."""

@@ -298,8 +298,17 @@ class TriangularSolveInspector(SymbolicInspector):
             raise TypeError(f"unexpected arguments: {sorted(kwargs)}")
         if not matrix.is_lower_triangular():
             raise ValueError("triangular-solve inspection requires a lower-triangular L")
-        start = time.perf_counter()
         n = matrix.n
+        # Every kernel divides by the first stored entry of a column: it must be the diagonal.
+        starts = matrix.indptr[:-1]
+        stored = starts < matrix.indptr[1:]
+        diagonal = np.zeros(n, dtype=bool)
+        diagonal[stored] = matrix.indices[starts[stored]] == np.flatnonzero(stored)
+        if not diagonal.all():
+            raise ValueError(
+                f"triangular-solve inspection requires a stored diagonal; column {np.argmin(diagonal)} of L has none"
+            )
+        start = time.perf_counter()
         rhs = normalize_rhs_pattern(n, rhs_pattern)
         if rhs is None:
             rhs = np.arange(n, dtype=np.int64)

@@ -38,7 +38,7 @@ MATRICES = {
     "saddle_point_indefinite": lambda: g.saddle_point_indefinite(120, 40, seed=5),
     "unsymmetric_diag_dominant": lambda: g.unsymmetric_diag_dominant(160, seed=6),
 }
-KERNELS = sorted(name for name in _C_METHOD_SPECS if "@" not in name)
+KERNELS = sorted(_C_METHOD_SPECS)
 MAX_SOURCE_BYTES = 64 * 1024
 MAX_INITIALISER_LITERALS = 64
 
@@ -56,8 +56,8 @@ def _compile(kernel, A, options):
 
 
 def test_every_registered_c_kernel_is_covered():
+    # One spec per kernel: the wavefront entry is the same spec compiled with parallel="wavefront".
     assert KERNELS == ["cholesky", "ic0", "ilu0", "ldlt", "lu", "triangular-solve"]
-    assert all(f"{name}@wavefront" in _C_METHOD_SPECS for name in KERNELS)
 
 
 @pytest.mark.parametrize("parallel", ["none", "wavefront"])

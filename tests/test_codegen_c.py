@@ -10,7 +10,7 @@ import pytest
 
 from repro.baselines.scipy_reference import reference_cholesky, reference_trisolve
 from repro.compiler.cache import ArtifactCache
-from repro.compiler.codegen import c_backend
+from repro.compiler.codegen import c_backend, tables
 from repro.compiler.ast import domain_loop
 from repro.compiler.codegen.c_backend import (
     CBackend,
@@ -119,7 +119,7 @@ class TestCGeneratedKernels:
         # One table-driven loop: both segment kinds are in every trisolve
         # source, and no column of the pattern is.
         assert "/* supernode" in compiled.source and "/* pruned column loop" in compiled.source
-        assert "_segments(Lp, Li, Lx, x, repro_T);" in compiled.source
+        assert "triangular_solve_step(s, Lp, Li, Lx, b, x, repro_T);" in compiled.source
 
 
 def test_trisolve_segments_visit_the_reach_set_in_order(lower_factors):
@@ -136,13 +136,14 @@ def test_trisolve_segments_visit_the_reach_set_in_order(lower_factors):
     pruned = lowered(SympilerOptions(enable_vs_block=False))
     reach = pruned.inspection.reach.tolist()
     assert 0 < len(reach) < L.n
-    dims, sets = domain_loop(pruned.kernel).contract
+    contract = domain_loop(pruned.kernel).contract
+    dims, sets = contract
     assert dims == {"n_seg": 1} and sets["run_cols"].tolist() == reach
-    assert CBackend()._trisolve_serial_order(pruned.kernel, L.n) == reach
+    assert tables._trisolve_order(L.n, contract).tolist() == reach
     # Untransformed, the body is the loop over every column.
     baseline = lowered(SympilerOptions.baseline())
     assert domain_loop(baseline.kernel) is None
-    assert CBackend()._trisolve_serial_order(baseline.kernel, L.n) == list(range(L.n))
+    assert tables._trisolve_order(L.n, ({}, {})).tolist() == list(range(L.n))
 
 
 def test_backend_name_and_flags():

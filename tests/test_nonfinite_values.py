@@ -3,6 +3,7 @@
 No kernel of this package pivots, so a NaN or an infinity among the values
 would otherwise come back as a NaN answer — on the default route through the
 Cholesky -> LDLᵀ escape hatch, which turns the breakdown into a silent one.
+A batch refuses the poisoned item alone.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import repro
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.frontend import SpecializedSolver
+from repro.runtime import BatchedSolver
 from repro.service import SolverService
 from repro.solvers.cg import preconditioned_conjugate_gradient
 from repro.solvers.linear_solver import SparseLinearSolver
@@ -96,6 +98,24 @@ def test_solver_refuses_and_keeps_its_factors(backend, bad, method):
     x, refactorized = solver.step(2.0 * A.data, b)
     assert refactorized
     np.testing.assert_allclose(x, x_before / 2.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("method", ["cholesky", "ldlt", "lu"])
+def test_batch_fails_only_the_poisoned_item(backend, method):
+    A = laplacian_2d(5, shift=0.1)
+    k = int(np.flatnonzero(A.indices != A.col_indices())[3])  # an off-diagonal entry
+    poisoned = A.with_values(A.data.copy())
+    poisoned.data[k] = np.nan
+    batched = BatchedSolver(A, method=method, options=SympilerOptions(backend=backend), num_threads=2)
+    handles = batched.factorize_batch([A, poisoned, A.with_values(2.0 * A.data)])
+    assert [handle.ok for handle in handles] == [True, False, True]
+    where = rf"A\[{A.indices[k]}, {A.col_indices()[k]}\] \(stored entry {k}\) is not finite"
+    with pytest.raises(ValueError, match=where):
+        raise handles[1].error
+    b = np.ones(A.n)
+    np.testing.assert_allclose(handles[0].solve(b), 2.0 * handles[2].solve(b), atol=1e-10)
+    np.testing.assert_allclose(A.matvec(handles[0].solve(b)), b, atol=1e-8)
 
 
 def test_constructor_refuses():

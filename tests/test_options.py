@@ -29,9 +29,9 @@ def test_named_constructors():
 
 def test_with_updates_returns_new_instance():
     base = SympilerOptions()
-    other = base.with_updates(backend="c", unroll_max_width=6)
+    other = base.with_updates(backend="c", max_supernode_width=6)
     assert other.backend == "c"
-    assert other.unroll_max_width == 6
+    assert other.max_supernode_width == 6
     assert base.backend == "python"
 
 
@@ -42,11 +42,11 @@ def test_validation_rejects_bad_values():
         SympilerOptions(vs_block_min_supernode_width=0)
     with pytest.raises(ValueError):
         SympilerOptions(max_supernode_width=0)
-    with pytest.raises(ValueError):
-        SympilerOptions(unroll_max_width=0)
     # The peel knobs, the never-read vectorize_min_length, the BLAS switch only
-    # the python emitters read and the pass order are gone, not ignored.
+    # the python emitters read, the pass order and the unroll bound are gone,
+    # not ignored.
     for removed in (
+        "unroll_max_width",
         "transformation_order",
         "peel_single_nonzero_columns",
         "peel_colcount_threshold",
@@ -57,7 +57,7 @@ def test_validation_rejects_bad_values():
     ):
         with pytest.raises(TypeError):
             SympilerOptions(**{removed: 1})
-    assert len(dataclasses.fields(SympilerOptions)) == 13
+    assert len(dataclasses.fields(SympilerOptions)) == 12
 
 
 def test_options_are_immutable():

@@ -568,10 +568,10 @@ class TestHelperBuild:
         report = json.loads(done.stdout.splitlines()[-1])
         assert report["native"] is True
         assert report["files"] == [
-            "cholesky_5e879b1ec9b7a6ca.c",
-            "cholesky_5e879b1ec9b7a6ca.so",
-            "triangular_solve_b6ae13c5478c5afe.c",
-            "triangular_solve_b6ae13c5478c5afe.so",
+            "cholesky_34629ec4e01346d5.c",
+            "cholesky_34629ec4e01346d5.so",
+            "triangular_solve_aefcec29cedf3277.c",
+            "triangular_solve_aefcec29cedf3277.so",
         ]
         assert report["stats"] == {
             "compiles": 2,

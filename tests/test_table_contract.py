@@ -2,8 +2,8 @@
 
 ``repro.compiler.codegen.tables`` names every inspection set and size once.
 These tests hold the three things that follow from it: both backends hand
-their kernel the same block; the generated C is, byte for byte, what it was
-before the registrations moved there; and the two kernels fail alike.
+their kernel the same block; the generated C is pinned byte for byte, so a
+change to it is deliberate; and the two kernels fail alike.
 """
 
 import hashlib
@@ -20,7 +20,7 @@ from repro.sparse.ordering import minimum_degree_ordering
 
 needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
 
-METHODS = [name for name in _C_METHOD_SPECS if "@" not in name]
+METHODS = list(_C_METHOD_SPECS)
 FACTORIZATIONS = [name for name in METHODS if name != "triangular-solve"]
 
 
@@ -58,20 +58,15 @@ def test_both_backends_hold_the_same_table_block(pattern, method):
         assert table.dtype == python[name].dtype == np.int64
         assert table.flags.c_contiguous and python[name].flags.c_contiguous
         np.testing.assert_array_equal(python[name], table, err_msg=name)
-    # What a wavefront module holds on top is its own (level schedule, pull
-    # structure); the serial sets are in it unchanged and in the same order.
-    extra = [name for name in wavefront if name not in serial]
-    assert all(name.startswith("_C_wf_") for name in extra)
-    assert [name for name in wavefront if name in serial] == list(serial)
+    # A wavefront module appends its own tables (level schedule, pull
+    # structure) after the serial block: the serial block is a prefix of its
+    # block, and the serial sizes a prefix of its sizes.
+    assert list(wavefront)[: len(serial)] == list(serial)
+    assert all(name.startswith("_C_wf_") for name in list(wavefront)[len(serial) :])
     for name in list(serial)[1:]:
         np.testing.assert_array_equal(wavefront[name], serial[name], err_msg=name)
-    if method != "triangular-solve":
-        # ...and, for the factorizations, a suffix of the block and of the sizes.
-        # (The wavefront triangular solve registers its pull structure first;
-        # moving it would change generated C, which this PR does not.)
-        assert list(wavefront)[: len(serial)] == list(serial)
-        n_sizes = serial["_C_dims"].size
-        np.testing.assert_array_equal(wavefront["_C_dims"][:n_sizes], serial["_C_dims"])
+    n_sizes = serial["_C_dims"].size
+    np.testing.assert_array_equal(wavefront["_C_dims"][:n_sizes], serial["_C_dims"])
 
 
 @needs_cc
@@ -89,8 +84,9 @@ def test_the_wavefront_extras_are_exercised():
 # (d) The generated C did not move
 # --------------------------------------------------------------------------- #
 #: sha256 over the sources of four option bundles (all passes / no VS-Block /
-#: no low-level passes / nothing), per pattern and per C method spec, computed
-#: at the commit before the registrations moved into the contract (be3b8b0).
+#: no low-level passes / nothing), per pattern, C method spec and parallel
+#: mode, re-based when each kernel's step body became one C function called by
+#: the serial loop and the wavefront job (and the unrolled switch went).
 _OPTION_BUNDLES = (
     {},
     {"enable_vs_block": False},
@@ -98,30 +94,30 @@ _OPTION_BUNDLES = (
     {"enable_vi_prune": False, "enable_vs_block": False, "enable_low_level": False},
 )
 _PINNED_C_SOURCES = {
-    ("fem", "triangular-solve"): "d7fe0879df2ab59d378e9a7afeed3805820bf60fab431c6454b0d5a8c3419a70",
-    ("fem", "triangular-solve@wavefront"): "e9c0a49078cd3f254a3367ffb388374b7b546a154b5532b81dd36be07072fdcb",
-    ("fem", "cholesky"): "9bcab37ee2d9ff8689586a40a7086eb866c4299829be72fdfe027fa99d3b2712",
-    ("fem", "cholesky@wavefront"): "3fe8025575b08d368fd3a46a5faf5578ea3a1a8d78cb9bc7c926fa6aa55625aa",
-    ("fem", "ldlt"): "37c9e3f29dc832e46fe30fc76fe8ad4f972b9a9e540168df31c202411a92a7b8",
-    ("fem", "ldlt@wavefront"): "4f6f32307674a638ee26396f60d64427d3121f7fed5fbfea9ea543a2d402db34",
-    ("fem", "lu"): "10ec6cd934f07ba9e0d067f7035b06d6463e7783cb0edb0315caa836a1338c29",
-    ("fem", "lu@wavefront"): "511bd40b434e5ba3ae4624815bda27f6853c8f75624389156edac2fb4ef82f27",
-    ("fem", "ic0"): "ec54cc4401c1b9c810643ae588c66b7f8dc82c7d3d1e6907380344f73c3c9cd1",
-    ("fem", "ic0@wavefront"): "a94606aa1937bd05b2a17d7e6074c26e7d0c9ed313833655e486f46292da2540",
-    ("fem", "ilu0"): "5096ae3658082505cffb5315d8dea488d235e4321a63b64af1841c8e4cd0722f",
-    ("fem", "ilu0@wavefront"): "a9bf0f0173eef9115297d565ba22bc15c8474fcea473e418f7ca988364b6b143",
-    ("mindeg", "triangular-solve"): "d7fe0879df2ab59d378e9a7afeed3805820bf60fab431c6454b0d5a8c3419a70",
-    ("mindeg", "triangular-solve@wavefront"): "7c0efab1e00bb5dae2206409d1dff0182b39588f2caa3d92066496377e8081d0",
-    ("mindeg", "cholesky"): "bbf36846aff686f28e37b4fcd22a3182aa3e5509dca71ee5e3b68db84e9986d5",
-    ("mindeg", "cholesky@wavefront"): "6fbee8d1332844bf9670052455cb3206305257c213794d80adef4a4e90149f6b",
-    ("mindeg", "ldlt"): "aa85eb4aecc13159058e84c696d5554177bb81061748f61a92a11b20b7dce414",
-    ("mindeg", "ldlt@wavefront"): "b2e52afc3a9b7a7b086006da55135ef5d654cfff9dcd9505652598b82331bfbf",
-    ("mindeg", "lu"): "10ec6cd934f07ba9e0d067f7035b06d6463e7783cb0edb0315caa836a1338c29",
-    ("mindeg", "lu@wavefront"): "0565d3b0b2bcbf06bcb5fc59b589c23f4d79f616efcc61d587ceb7a3f65f8974",
-    ("mindeg", "ic0"): "ec54cc4401c1b9c810643ae588c66b7f8dc82c7d3d1e6907380344f73c3c9cd1",
-    ("mindeg", "ic0@wavefront"): "8001cee2f86a0870d23a10af88a3fcb0f43e72a8d913b37cabb1810dbb889f3e",
-    ("mindeg", "ilu0"): "5096ae3658082505cffb5315d8dea488d235e4321a63b64af1841c8e4cd0722f",
-    ("mindeg", "ilu0@wavefront"): "e1c36ca52fb525e35db750ff5b1404161796599577e2620bea35f46afccce810",
+    ("fem", "triangular-solve", "none"): "470c2548b8ad5f92401e7c54fa77379bbf64a993096a01f411f61eb4c61915a3",
+    ("fem", "triangular-solve", "wavefront"): "02087801a9060c90d1211df40f8826ac58946e9c6fec85ff4918688ad850e900",
+    ("fem", "cholesky", "none"): "e2114f3a9488b3360babf669626eb54acea7edd37203c5205b8ee4899d66cd0e",
+    ("fem", "cholesky", "wavefront"): "edc772330d3c71f7d7fcad5d38cd0a7bd423aede6b43bdb2b482f31e9c09f847",
+    ("fem", "ldlt", "none"): "890167105a836eac27567b06ade54d721eae412423a08fcdcffe8a8285c42877",
+    ("fem", "ldlt", "wavefront"): "fca81c52e35224206181e48394d28f4b94d4cc7b925171b1f32b86a8450baa5b",
+    ("fem", "lu", "none"): "9f6b4802d5cf10ec7c65e26d4083ea936974375180aa8894e84e4348a4e383fe",
+    ("fem", "lu", "wavefront"): "0eab6990cc57fe4eb47c55061737972f231ac108e4f84f7c2deb2a20308dfa43",
+    ("fem", "ic0", "none"): "9e98e67afad37ef5b57724e77219583238fb22b3d48e0c14797e5fc8bcd7e40a",
+    ("fem", "ic0", "wavefront"): "2c54e41fc1bdef8c790bb0e46403ee0663c218720e0c531c7021f5e9a4b92410",
+    ("fem", "ilu0", "none"): "98774e472d61abe0b307e94d32bc6eb40c36744a74ab829cf374b455cabdc44a",
+    ("fem", "ilu0", "wavefront"): "9f064cf49a9c4419bcecf8449c3c0d717c16ea037477f2a56da149402bafd121",
+    ("mindeg", "triangular-solve", "none"): "470c2548b8ad5f92401e7c54fa77379bbf64a993096a01f411f61eb4c61915a3",
+    ("mindeg", "triangular-solve", "wavefront"): "e4409d83d9e05e67cf5223349ce72551b0ecff4896ce1cac606867eecc61a71f",
+    ("mindeg", "cholesky", "none"): "f379800042a99e09153a1222bf0ab49696de3e1b4a76a09a674acf1b33986d14",
+    ("mindeg", "cholesky", "wavefront"): "1dffaa2cc0ef7945422e1d88647e5b20f8afd02cb002ec5889c5cd682dc146c5",
+    ("mindeg", "ldlt", "none"): "28c2d3f930420f676b1dad8df069459eabd0b8e32fa486c7ef98cdb073a01a2e",
+    ("mindeg", "ldlt", "wavefront"): "bad4a508f0eb6436fe25380686aa2cef55613c0f65616d68a34d0b1b3ce00e12",
+    ("mindeg", "lu", "none"): "9f6b4802d5cf10ec7c65e26d4083ea936974375180aa8894e84e4348a4e383fe",
+    ("mindeg", "lu", "wavefront"): "bf3e85d8b84971039f4cd95bd062a60b44d1ad7836684198864e22af00ceaf4d",
+    ("mindeg", "ic0", "none"): "9e98e67afad37ef5b57724e77219583238fb22b3d48e0c14797e5fc8bcd7e40a",
+    ("mindeg", "ic0", "wavefront"): "70bd8dd10041bbd4efd8f53c7c8a59122d551521531a0b6b8c42120b4777be71",
+    ("mindeg", "ilu0", "none"): "98774e472d61abe0b307e94d32bc6eb40c36744a74ab829cf374b455cabdc44a",
+    ("mindeg", "ilu0", "wavefront"): "0c58db5d0252c423e72511a4b9fdb1354af785896f446e561ce8bb2afdb03779",
 }
 
 
@@ -288,22 +284,22 @@ def test_table_block_is_byte_identical_to_the_parent_commit(pattern, case, bundl
 
 
 def test_every_c_method_spec_is_pinned():
-    assert {key for _, key in _PINNED_C_SOURCES} == set(_C_METHOD_SPECS)
+    modes = ("none", "wavefront")
+    expected = {(pattern, method, mode) for pattern in PATTERNS for method in _C_METHOD_SPECS for mode in modes}
+    assert set(_PINNED_C_SOURCES) == expected
 
 
 @needs_cc
-@pytest.mark.parametrize("pattern,key", sorted(_PINNED_C_SOURCES))
-def test_generated_c_is_byte_identical_to_the_parent_commit(pattern, key):
-    method, _, wavefront = key.partition("@")
+@pytest.mark.parametrize("pattern,method,parallel", sorted(_PINNED_C_SOURCES))
+def test_generated_c_is_byte_identical_to_the_parent_commit(pattern, method, parallel):
     sym = Sympiler(cache=ArtifactCache())
     operand = _operand(sym, method, PATTERNS[pattern])
     digest = hashlib.sha256()
     for bundle in _OPTION_BUNDLES:
-        options = SympilerOptions(backend="c", parallel="wavefront" if wavefront else "none", **bundle)
-        artifact = sym.compile(method, operand, options=options)
-        assert artifact.module.method == key
+        artifact = sym.compile(method, operand, options=SympilerOptions(backend="c", parallel=parallel, **bundle))
+        assert artifact.module.method == method
         digest.update(artifact.source.encode() + b"\0")
-    assert digest.hexdigest() == _PINNED_C_SOURCES[pattern, key]
+    assert digest.hexdigest() == _PINNED_C_SOURCES[pattern, method, parallel]
 
 
 # --------------------------------------------------------------------------- #

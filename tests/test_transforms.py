@@ -8,7 +8,7 @@ from repro.compiler.codegen import tables
 from repro.compiler.lowering import lower_cholesky, lower_triangular_solve
 from repro.compiler.options import SympilerOptions
 from repro.compiler.transforms.base import CompilationContext, TransformPipeline
-from repro.compiler.transforms.lowlevel import LoopDistributeTransform, UnrollTransform
+from repro.compiler.transforms.lowlevel import LoopDistributeTransform
 from repro.compiler.transforms.pipeline import build_pipeline
 from repro.compiler.transforms.vi_prune import VIPruneTransform
 from repro.compiler.transforms.vs_block import VSBlockTransform, vs_block_participates
@@ -392,20 +392,6 @@ def test_vi_prune_after_vs_block_drops_unreached_blocks(lower_factors):
 # --------------------------------------------------------------------------- #
 # Low-level passes
 # --------------------------------------------------------------------------- #
-def test_unroll_records_the_small_blocks():
-    L = _blocked_factor(5, 3, seed=2)
-    options = SympilerOptions(unroll_max_width=4)
-    context = _tri_context(L, options=options)
-    kernel = VSBlockTransform().apply(lower_triangular_solve(), context)
-    kernel = UnrollTransform().apply(kernel, context)
-    blocks, _ = _segments(kernel)
-    # The pass records its decision; the C emitter derives the unrolled
-    # widths from the same option, so nothing is marked on the node.
-    small = int((blocks[:, 0] <= 4).sum())
-    assert small and context.decisions["unroll"] == {"unrolled_statements": small}
-    assert kernel.meta["unrolled_statements"] == small
-
-
 def test_distribute_refines_supernodal_loop(spd_matrices):
     A = spd_matrices["block"]
     context = _chol_context(A)
@@ -418,9 +404,7 @@ def test_distribute_refines_supernodal_loop(spd_matrices):
 def test_lowlevel_passes_are_noops_without_hints(spd_matrices):
     A = spd_matrices["fem"]
     context = _chol_context(A)
-    kernel = lower_cholesky()
-    for pass_ in (UnrollTransform(), LoopDistributeTransform()):
-        kernel = pass_.apply(kernel, context)
+    LoopDistributeTransform().apply(lower_cholesky(), context)
     assert context.applied == []
 
 
@@ -430,7 +414,7 @@ def test_lowlevel_passes_are_noops_without_hints(spd_matrices):
 def test_build_pipeline_reflects_options():
     full = build_pipeline(SympilerOptions())
     assert full.pass_names()[:2] == ["vs-block", "vi-prune"]
-    assert full.pass_names()[2:] == ["unroll", "distribute"]
+    assert full.pass_names()[2:] == ["distribute"]
     no_lowlevel = build_pipeline(SympilerOptions(enable_low_level=False))
     assert no_lowlevel.pass_names() == ["vs-block", "vi-prune"]
     assert build_pipeline(SympilerOptions(), transforms=("vi-prune",)).pass_names()[:1] == ["vi-prune"]

@@ -80,3 +80,12 @@ def test_upper_triangular_rejected():
     U = CSCMatrix.from_dense(np.triu(np.ones((3, 3))))
     with pytest.raises(ValueError, match="lower-triangular"):
         Sympiler().compile_triangular_solve(U)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_missing_diagonal_rejected(backend):
+    """Column 1 stores only row 2: its first entry is not a pivot, so no kernel is built."""
+    L = CSCMatrix.from_dense(np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 3.0, 4.0]]))
+    assert L.col_rows(1).tolist() == [2]
+    with pytest.raises(ValueError, match="stored diagonal; column 1 of L has none"):
+        Sympiler().compile_triangular_solve(L, options=SympilerOptions(backend=backend))

@@ -224,6 +224,40 @@ class TestBitwiseIdentity:
         )
 
 
+#: The update line of each kernel's step body (and, for the triangular solve,
+#: of the pull-form row solve its wavefront job runs).
+UPDATE_LINES = {
+    "cholesky": ["repro_f[_C_l_indices[p]] -= Lx[p] * ljk;"],
+    "ldlt": ["repro_f[_C_l_indices[p]] -= Lx[p] * ljk;"],
+    "lu": ["repro_f[_C_l_indices[p]] -= Lx[p] * ukj;"],
+    "ic0": ["Lx[_C_l_scat_dst[s]] -= Lx[_C_l_scat_src[s]] * ljk;"],
+    "ilu0": [
+        "Ux[_C_u_scat_dst[s]] -= Lx[_C_u_scat_src[s]] * ukj;",
+        "Lx[_C_l_scat_dst[s]] -= Lx[_C_l_scat_src[s]] * ukj;",
+    ],
+    "triangular-solve": [
+        "x[Li[p]] -= Lx[p] * xj;",
+        "acc -= Lx[_C_wf_row_pos[s]] * x[_C_wf_row_col[s]];",
+    ],
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("kernel", sorted(UPDATE_LINES))
+def test_wavefront_source_prints_each_step_body_once(kernel, tmp_path, monkeypatch):
+    """The serial loop and the wavefront job call one step function."""
+    monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
+    sym = Sympiler(_c_options(enable_vs_block=False, parallel="wavefront"), cache=ArtifactCache())
+    if kernel == "triangular-solve":
+        operand = sym.compile("cholesky", _permuted_laplacian(12)).inspection.l_pattern_matrix()
+    else:
+        operand = FACTOR_CASES[kernel]()
+    artifact = sym.compile(kernel, operand)
+    assert artifact.parallel_mode == "wavefront"
+    for line in UPDATE_LINES[kernel]:
+        assert artifact.source.count(line) == 1, line
+
+
 # --------------------------------------------------------------------------- #
 # Cache keying
 # --------------------------------------------------------------------------- #
