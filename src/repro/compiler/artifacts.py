@@ -18,11 +18,12 @@ a cache hit returns the very same object (same timings, same generated code).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import numpy as np
 
 from repro.compiler.ast import KernelFunction
+from repro.compiler.codegen.c_backend import _C_METHOD_SPECS
 from repro.compiler.codegen.runtime import pattern_fingerprint, rhs_fingerprint_extra
 from repro.compiler.options import SympilerOptions
 from repro.kernels.ldlt import LDLTFactors
@@ -57,15 +58,20 @@ class PatternMismatchError(ValueError):
     """Raised when numeric inputs do not match the compile-time pattern."""
 
 
-def _require_lengths(*checks) -> None:
-    """Raise ``ValueError`` naming the first ``(name, array, expected)`` whose length is not ``expected``.
+def _require_arrays(names, arrays, lengths, dtypes) -> None:
+    """Raise ``ValueError`` naming the first array of the wrong length, dtype or layout.
 
     The generated kernels trust the compile-time sizes in their tables, so an
-    array of another length would be read or written past its end.
+    array of another length would be read or written past its end; and they
+    read raw addresses, so an array must already be C-contiguous of the
+    entry's element type.
     """
-    for name, array, expected in checks:
+    for name, array, expected in zip(names, arrays, lengths):
         if len(array) != expected:
             raise ValueError(f"{name} has length {len(array)}, expected {expected}")
+    for name, array, dtype in zip(names, arrays, dtypes):
+        if not (isinstance(array, np.ndarray) and array.dtype == dtype and array.flags.c_contiguous):
+            raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype).name} array")
 
 
 @dataclass
@@ -99,6 +105,9 @@ class CompiledArtifact:
 
     kernel: KernelFunction = field(repr=False)
     module: object = field(repr=False)
+    #: The module's binder, ``entry(inputs, outputs) -> run(num_threads=None)``
+    #: (:meth:`~repro.compiler.codegen.c_backend.CMethodSpec.wrap`); reached
+    #: through :meth:`bind`, which checks the arrays first.
     entry: callable = field(repr=False)
     options: SympilerOptions
     applied_transformations: List[str]
@@ -111,15 +120,65 @@ class CompiledArtifact:
 
     #: Registry name used in pattern-mismatch hints and trace-span labels.
     kernel_name = "kernel"
+    #: The ``op`` label of the ``numeric`` trace span.
+    numeric_op = "numeric"
 
-    def _traced_numeric(self, op: str, args: tuple, kwargs: Dict[str, int]):
-        """Run the numeric entry under a ``numeric`` trace span.
+    def _input_lengths(self) -> tuple:
+        """The length every input array must have, in ABI order."""
+        raise NotImplementedError
 
-        Only called when tracing is enabled (the raw-array entry points take
-        the direct path otherwise).  With the tracer's ``wavefront_levels``
-        flag up and a wavefront-compiled module, the per-level wall times
-        recorded by the C runtime are attached to the span as
-        ``wf_level_seconds``.
+    def bind(self, inputs, outputs) -> Callable:
+        """The numeric entry bound to ``inputs`` and ``outputs``, once.
+
+        ``inputs`` are the entry's arrays in ABI order (``Lp, Li, Lx, b`` for
+        a triangular solve, ``Ap, Ai, Ax`` for a factorization) and
+        ``outputs`` the buffers it overwrites whole (``x``; ``Lx``, then
+        ``D`` or ``Ux`` where the kernel has them).  Each array's length,
+        dtype and layout are checked here: an array whose length is not the
+        compile-time one raises ``ValueError`` naming it, and so does one
+        that is not C-contiguous of the entry's element type.
+
+        Returns ``call(num_threads=None)``, which runs the kernel on those
+        very arrays — it keeps them alive — and nothing else.  A wavefront
+        entry resolves ``num_threads`` per call; a serial one ignores it.
+        With tracing enabled, a call runs under a ``numeric`` span.
+        """
+        spec = _C_METHOD_SPECS[self.module.method]
+        arrays = (*inputs, *outputs)
+        if len(arrays) != len(spec.names):
+            raise TypeError(f"{self.kernel_name} binds the arrays {', '.join(spec.names)}; got {len(arrays)} arrays")
+        lengths = (*self._input_lengths(), *(getattr(self.inspection, attr) for _, attr in spec.outputs))
+        _require_arrays(spec.names, arrays, lengths, spec.dtypes)
+        for name, out in zip(spec.names[len(inputs) :], outputs):
+            if not out.flags.writeable:
+                raise ValueError(f"{name} must be writeable")
+        run = self.entry(tuple(inputs), tuple(outputs))
+
+        def call(num_threads=None):
+            if not observe_trace.enabled():
+                return run(num_threads)
+            return self._traced_numeric(run, num_threads)
+
+        return call
+
+    def _fresh_outputs(self, inputs, num_threads):
+        """Bind ``inputs`` (made contiguous of the entry's dtypes) to fresh outputs, call once, return them.
+
+        A bare array for one output, a tuple otherwise.
+        """
+        spec = _C_METHOD_SPECS[self.module.method]
+        inputs = [np.ascontiguousarray(a, dtype=d) for a, d in zip(inputs, spec.dtypes)]
+        outputs = tuple(np.zeros(getattr(self.inspection, attr)) for _, attr in spec.outputs)
+        self.bind(inputs, outputs)(num_threads)
+        return outputs[0] if len(outputs) == 1 else outputs
+
+    def _traced_numeric(self, run: Callable, num_threads) -> None:
+        """Run a bound entry under a ``numeric`` trace span.
+
+        Only called when tracing is enabled (a bound call takes the direct
+        path otherwise).  With the tracer's ``wavefront_levels`` flag up and
+        a wavefront-compiled module, the per-level wall times recorded by the
+        C runtime are attached to the span as ``wf_level_seconds``.
         """
         wf = (
             observe_trace.wavefront_levels_enabled()
@@ -130,14 +189,13 @@ class CompiledArtifact:
             # is always compiled in, so this never recompiles anything.
             self.module.set_wavefront_profiling(True)
         with observe_trace.span(
-            "numeric", kernel=self.kernel_name, op=op, fingerprint=self.fingerprint
+            "numeric", kernel=self.kernel_name, op=self.numeric_op, fingerprint=self.fingerprint
         ) as sp:
-            out = self.entry(*args, **kwargs)
+            run(num_threads)
             if wf:
                 levels = self.module.wavefront_level_seconds()
                 if levels is not None:
                     sp.set(wf_level_seconds=[float(v) for v in levels])
-            return out
 
     @property
     def source(self) -> str:
@@ -196,17 +254,6 @@ class CompiledArtifact:
             "average_width": schedule.average_width,
         }
 
-    def _entry_kwargs(self, num_threads) -> Dict[str, int]:
-        """Entry keyword arguments for a requested thread count.
-
-        Serial entry points do not take a thread count, so a request is
-        silently meaningful only on wavefront-ABI artifacts — callers may
-        pass ``num_threads`` unconditionally and let the artifact route it.
-        """
-        if num_threads is not None and self.accepts_num_threads:
-            return {"num_threads": num_threads}
-        return {}
-
     def _check_fingerprint(self, fp: str, hint: str) -> None:
         if fp != self.fingerprint:
             raise PatternMismatchError(
@@ -221,6 +268,11 @@ class SympiledTriangularSolve(CompiledArtifact):
 
     inspection: TriangularInspectionResult = None
     kernel_name = "triangular-solve"
+    numeric_op = "solve"
+
+    def _input_lengths(self) -> tuple:
+        n, nnz = self.inspection.n, self.operand_nnz
+        return (n + 1, nnz, nnz, n)
 
     def solve(self, L: CSCMatrix, b: np.ndarray, *, check_pattern: bool = False) -> np.ndarray:
         """Solve ``L x = b`` with the specialized numeric code.
@@ -243,7 +295,7 @@ class SympiledTriangularSolve(CompiledArtifact):
         *,
         num_threads=None,
     ) -> np.ndarray:
-        """Raw-array entry point (numeric arrays only).
+        """Raw-array entry point (numeric arrays only): :meth:`bind` to a fresh ``x``, call once.
 
         ``num_threads`` applies only to wavefront-compiled artifacts (the
         level-parallel entry takes a per-call thread count); it is ignored by
@@ -251,13 +303,7 @@ class SympiledTriangularSolve(CompiledArtifact):
         An array whose length is not the compile-time one raises
         ``ValueError`` before the kernel runs.
         """
-        args = (Lp, Li, Lx, np.asarray(b, dtype=np.float64))
-        n, nnz = self.inspection.n, self.operand_nnz
-        _require_lengths(("Lp", Lp, n + 1), ("Li", Li, nnz), ("Lx", Lx, nnz), ("b", args[3], n))
-        kwargs = self._entry_kwargs(num_threads)
-        if not observe_trace.enabled():
-            return self.entry(*args, **kwargs)
-        return self._traced_numeric("solve", args, kwargs)
+        return self._fresh_outputs((Lp, Li, Lx, b), num_threads)
 
     def verify_pattern(self, L: CSCMatrix) -> None:
         """Raise :class:`PatternMismatchError` if ``L`` has a different pattern."""
@@ -288,25 +334,25 @@ class SympiledFactorization(CompiledArtifact):
     #: factors only approximate ``A``, so they belong in an iterative
     #: method's preconditioner, not in a forward/backward solve.
     is_incomplete = False
+    numeric_op = "factorize"
+
+    def _input_lengths(self) -> tuple:
+        n, nnz = self.inspection.n, self.operand_nnz
+        return (n + 1, nnz, nnz)
 
     def factorize_arrays(
         self, Ap: np.ndarray, Ai: np.ndarray, Ax: np.ndarray, *, num_threads=None
     ):
-        """Raw-array entry point: returns the backend entry's numeric output.
+        """Raw-array entry point: :meth:`bind` to fresh outputs, call once, return them.
 
-        ``num_threads`` applies only to wavefront-compiled artifacts (the
-        level-parallel entry takes a per-call thread count); it is ignored by
-        serial artifacts, so callers need not branch on the compiled mode.
-        An array whose length is not the compile-time one raises
-        ``ValueError`` before the kernel runs.
+        The outputs are the kernel's value arrays (``Lx``, ``(Lx, D)`` or
+        ``(Lx, Ux)``).  ``num_threads`` applies only to wavefront-compiled
+        artifacts (the level-parallel entry takes a per-call thread count);
+        it is ignored by serial artifacts, so callers need not branch on the
+        compiled mode.  An array whose length is not the compile-time one
+        raises ``ValueError`` before the kernel runs.
         """
-        args = (Ap, Ai, np.asarray(Ax, dtype=np.float64))
-        n, nnz = self.inspection.n, self.operand_nnz
-        _require_lengths(("Ap", Ap, n + 1), ("Ai", Ai, nnz), ("Ax", args[2], nnz))
-        kwargs = self._entry_kwargs(num_threads)
-        if not observe_trace.enabled():
-            return self.entry(*args, **kwargs)
-        return self._traced_numeric("factorize", args, kwargs)
+        return self._fresh_outputs((Ap, Ai, Ax), num_threads)
 
     def verify_pattern(self, A: CSCMatrix) -> None:
         """Raise :class:`PatternMismatchError` if ``A`` has a different pattern."""

@@ -264,7 +264,7 @@ class CGeneratedModule:
 
     # ------------------------------------------------------------------ #
     def compile(self) -> Callable:
-        """Compile the C source and return a NumPy-friendly wrapper.
+        """Compile the C source and return the entry's binder (:meth:`CMethodSpec.wrap`).
 
         Source and shared object are written to the on-disk cache through a
         temp-file + atomic-rename protocol, so concurrent processes working on
@@ -421,7 +421,7 @@ class CGeneratedModule:
 
 
 # --------------------------------------------------------------------------- #
-# Per-method ABI specs (entry signature + ctypes wrapper)
+# Per-method ABI specs (entry signature + ctypes binder)
 # --------------------------------------------------------------------------- #
 _NUMPY_DTYPES = {"int64_t": np.int64, "double": np.float64}
 
@@ -482,8 +482,7 @@ class CMethodSpec:
     loops (:data:`_LOOPS`) the kernel can be printed from, ``"untransformed"``
     standing for a body without one; ``wavefront_loop`` names the loop the
     wavefront job runs when it is not the serial one.  Both the emitted C
-    signature and the NumPy-friendly ctypes wrapper derive from this one
-    description.
+    signature and the ctypes binder derive from this one description.
     """
 
     inputs: Tuple[Tuple[str, str], ...]
@@ -509,46 +508,57 @@ class CMethodSpec:
         restype = "void" if self.failure is None else "int64_t"
         return f"{restype} {name}({', '.join(params)})"
 
-    def wrap(self, module: "CGeneratedModule", fn) -> Callable:
-        """The NumPy-friendly wrapper of the loaded entry point ``fn``.
+    @property
+    def dtypes(self) -> List[type]:
+        """The NumPy dtype of each of the entry's arrays, in ABI order."""
+        return [_NUMPY_DTYPES[ctype] for _, ctype in self.inputs] + [np.float64] * len(self.outputs)
 
-        Takes the input arrays positionally, allocates the outputs and
-        returns them (a bare array for one output, a tuple otherwise).  The
-        wrapper of an entry compiled for ``parallel="wavefront"`` (whatever
-        ``module.parallel`` it got) also takes ``num_threads=None``, resolved
-        per call — the thread count is a runtime knob, never baked in.
+    def wrap(self, module: "CGeneratedModule", fn) -> Callable:
+        """The binder of the loaded entry point ``fn``.
+
+        ``bind(inputs, outputs)`` takes the input arrays and the output
+        buffers in ABI order — checked by the caller for length, dtype and
+        contiguity (:meth:`~repro.compiler.artifacts.CompiledArtifact.bind`)
+        — and reads their addresses once.  It returns ``run(num_threads=None)``,
+        which calls the entry on those addresses and nothing else, and keeps
+        the arrays alive.  An entry compiled for ``parallel="wavefront"``
+        (whatever ``module.parallel`` it got) resolves ``num_threads`` per
+        call — the thread count is a runtime knob, never baked in; a serial
+        entry ignores it.
 
         The table block is bound here, once: an array of the addresses of
-        ``module.constants``' buffers, which the closure keeps alive for as
-        long as the wrapper exists.  A call passes the block's address and
-        nothing else, whatever the number of tables.
+        ``module.constants``' buffers, which the closures keep alive for as
+        long as a binder or a call exists.  A call passes the block's address
+        last, whatever the number of tables.
         """
         wavefront = module.parallel != "none"
-        dtypes = [_NUMPY_DTYPES[ctype] for _, ctype in self.inputs]
-        sizes = [module.meta[attr] for _, attr in self.outputs]
-        pointers = [np.ctypeslib.ndpointer(dtype=d, flags="C_CONTIGUOUS") for d in dtypes]
-        pointers += [np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")] * len(sizes)
         fn.restype = None if self.failure is None else ctypes.c_int64
-        fn.argtypes = pointers + ([ctypes.c_int64] if wavefront else []) + [ctypes.c_void_p]
+        tail = [ctypes.c_int64] if wavefront else []
+        fn.argtypes = [ctypes.c_void_p] * len(self.names) + tail + [ctypes.c_void_p]
         tables = list(module.constants.values())  # contiguous int64, see tables.entry
         block = (ctypes.c_void_p * len(tables))(*(t.ctypes.data for t in tables))
         block_address = ctypes.addressof(block)
+        failure = self.failure
 
-        def call(arrays, tail=(), _keepalive=(tables, block)):
-            # _keepalive: the buffers behind `block_address` must live as
-            # long as the callable that hands the address out.
-            args = [np.ascontiguousarray(a, dtype=d) for a, d in zip(arrays, dtypes)]
-            outs = [np.zeros(size, dtype=np.float64) for size in sizes]
-            status = fn(*args, *outs, *tail, block_address)
-            if status:
-                if status < 0:
-                    raise MemoryError("out of memory for the kernel's per-thread work buffers")
-                raise ValueError(self.failure.format(column=int(status) - 1))
-            return outs[0] if len(outs) == 1 else tuple(outs)
+        def bind(inputs, outputs):
+            arrays = (*inputs, *outputs)
+            addresses = [a.ctypes.data for a in arrays]
 
-        if wavefront:
-            return lambda *arrays, num_threads=None: call(arrays, (_wavefront_threads(num_threads),))
-        return lambda *arrays: call(arrays)
+            def run(num_threads=None, _keepalive=(arrays, tables, block)):
+                # _keepalive: the buffers behind the addresses must live as
+                # long as the call that hands them out.
+                if wavefront:
+                    status = fn(*addresses, _wavefront_threads(num_threads), block_address)
+                else:
+                    status = fn(*addresses, block_address)
+                if status:
+                    if status < 0:
+                        raise MemoryError("out of memory for the kernel's per-thread work buffers")
+                    raise ValueError(failure.format(column=int(status) - 1))
+
+            return run
+
+        return bind
 
 
 _FACTOR_INPUTS = (("Ap", "int64_t"), ("Ai", "int64_t"), ("Ax", "double"))
@@ -1253,8 +1263,7 @@ class CBackend:
         out.lines.extend(code.lines)
         source = out.source()
         codegen_seconds = time.perf_counter() - start
-        # Output-buffer lengths of the ctypes wrapper (CMethodSpec.outputs).
-        meta = {attr: int(getattr(context.inspection, attr)) for _, attr in spec.outputs}
+        meta = {}
         if job is not None:
             # The per-level profiling buffer length, needed by
             # wavefront_level_seconds() to read the timestamps back out.

@@ -5,11 +5,12 @@ transformations left in the AST, takes the contract it carries (computed by
 :mod:`repro.compiler.codegen.tables`: the C emitters bind the same names in
 the same order) and picks the kernel of
 :mod:`repro.compiler.codegen.reference` that walks them; ``compile()`` returns
-that function bound to the block.  ``source`` is the text of the function that
-runs, the same for every pattern, and ``constants`` the block, key for key what
-a C module of the same kernel holds.  This is the fallback when no C toolchain
-exists and the oracle of the bitwise tests: same operations in the same order
-as the C kernels, same exception as the C wrapper.
+the binder of that function and the block, shaped as the C backend's.
+``source`` is the text of the function that runs, the same for every pattern,
+and ``constants`` the block, key for key what a C module of the same kernel
+holds.  This is the fallback when no C toolchain exists and the oracle of the
+bitwise tests: same operations in the same order as the C kernels, same
+exception as the C binder.
 """
 
 from __future__ import annotations
@@ -98,7 +99,13 @@ class GeneratedModule:
         return inspect.getsource(getattr(self.function, "func", self.function))
 
     def compile(self) -> Callable:
-        """The kernel bound to its tables; a bad pivot raises the C wrapper's ``ValueError``."""
+        """The kernel's binder, as the C backend's (:meth:`CMethodSpec.wrap`).
+
+        ``bind(inputs, outputs)`` returns ``run(num_threads=None)``, which runs
+        the reference kernel on the tables and ``inputs`` and copies its result
+        into ``outputs``; a bad pivot raises the C entry's ``ValueError``.
+        There are no threads to resolve, so ``num_threads`` is ignored.
+        """
         if self._callable is not None:
             return self._callable
         start = time.perf_counter()
@@ -112,15 +119,20 @@ class GeneratedModule:
                 disk_cache_stats().bump("py_writes")
         failure = getattr(_C_METHOD_SPECS.get(self.method), "failure", None) or "breakdown at column {column}"
 
-        def call(*arrays):
-            try:
-                return self.function(self.constants, *arrays)
-            except reference.Breakdown as exc:
-                raise ValueError(failure.format(column=int(exc.args[0]))) from None
+        def bind(inputs, outputs):
+            def run(num_threads=None):
+                try:
+                    result = self.function(self.constants, *inputs)
+                except reference.Breakdown as exc:
+                    raise ValueError(failure.format(column=int(exc.args[0]))) from None
+                for out, value in zip(outputs, result if isinstance(result, tuple) else (result,)):
+                    out[...] = value
+
+            return run
 
         self.compile_seconds = time.perf_counter() - start
-        self._callable = call
-        return call
+        self._callable = bind
+        return bind
 
 
 class PythonBackend:

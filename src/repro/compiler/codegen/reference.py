@@ -6,8 +6,8 @@ its order — plus the numeric arrays, and performs the floating-point operation
 of the generated C kernel in the C kernel's order (a NumPy slice stands for a
 loop whose iterations touch distinct entries), so the two agree to the bit.  A
 bad pivot raises :class:`Breakdown` with the global column; the backend's
-wrapper makes it the ``ValueError`` of the method's ``CMethodSpec.failure``, as
-the C wrapper does with the status it gets back.
+binder makes it the ``ValueError`` of the method's ``CMethodSpec.failure``, as
+the C binder does with the status it gets back.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -106,6 +106,23 @@ class _Specialization:
     #: True when the SPD heuristic chose Cholesky but numeric factorization
     #: broke down and the specialization fell back to LDLᵀ.
     escaped_to_ldlt: bool = False
+    #: Private copies of the pattern's arrays: a later input whose arrays
+    #: equal them is this pattern, whatever the caller did since to the
+    #: object the specialization was built from.
+    indptr: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
+    #: ``(shape, nnz, dtype, requested method)``: where
+    #: :meth:`SpecializedSolver._repeat` looks for this specialization.
+    repeat_key: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.indptr = self.pattern.indptr.copy()
+        self.indices = self.pattern.indices.copy()
+        self.repeat_key = (self.pattern.shape, len(self.indices), self.key[1], self.key[3])
+
+    def is_pattern_of(self, A) -> bool:
+        """True when ``A``'s ``indptr`` / ``indices`` equal this pattern's."""
+        return np.array_equal(A.indptr, self.indptr) and np.array_equal(A.indices, self.indices)
 
 
 def _factorization_is_finite(solver: SparseLinearSolver) -> bool:
@@ -187,6 +204,8 @@ class SpecializedSolver:
         self._lock = threading.Lock()
         #: Insertion-ordered specialization cache (dict ordering is the LRU).
         self._cache: Dict[tuple, _Specialization] = {}
+        #: The same specializations by ``_Specialization.repeat_key`` (see _repeat).
+        self._repeats: Dict[tuple, List[_Specialization]] = {}
 
     # ------------------------------------------------------------------ #
     def cache_info(self) -> Dict[str, object]:
@@ -211,6 +230,7 @@ class SpecializedSolver:
         """Drop every cached specialization (shared artifacts stay cached)."""
         with self._lock:
             self._cache.clear()
+            self._repeats.clear()
 
     # ------------------------------------------------------------------ #
     def _key(self, ingested: IngestedMatrix, method: Optional[str]) -> tuple:
@@ -303,15 +323,25 @@ class SpecializedSolver:
                 f"unknown method {method!r}; expected one of {AUTO_METHODS}"
             )
         requested = method if method is not None else self.method
+        spec = self._repeat(A, requested)
+        if spec is not None:
+            # A confirmed repeat: no ingest, no validate, no fingerprint.
+            return self._execute(
+                spec,
+                A.data,
+                np.asarray(b, dtype=np.float64),
+                specialized_here=False,
+                num_threads=num_threads,
+                tol=tol,
+                max_iterations=max_iterations,
+            )
         ingested = ingest(A)
         b = np.asarray(b, dtype=np.float64)
         key = self._key(ingested, requested)
         with self._lock:
             spec = self._cache.get(key)
             if spec is not None:
-                # Refresh LRU recency.
-                self._cache.pop(key)
-                self._cache[key] = spec
+                self._hit(spec)
         specialized_here = False
         if spec is None:
             with observe_trace.span("specialize", method=requested or "auto"):
@@ -323,21 +353,10 @@ class SpecializedSolver:
                     self.stats.structure_hits += 1
                 else:
                     specialized_here = True
-                    self._cache[key] = spec
-                    self.stats.specializations += 1
-                    self.stats.methods[spec.method] = (
-                        self.stats.methods.get(spec.method, 0) + 1
-                    )
-                    if spec.escaped_to_ldlt:
-                        self.stats.cholesky_escapes += 1
-                    while len(self._cache) > self.max_specializations:
-                        self._cache.pop(next(iter(self._cache)))
-        else:
-            with self._lock:
-                self.stats.structure_hits += 1
+                    self._admit(spec)
         return self._execute(
             spec,
-            ingested.csc,
+            ingested.csc.data,
             b,
             specialized_here=specialized_here,
             num_threads=num_threads,
@@ -345,12 +364,57 @@ class SpecializedSolver:
             max_iterations=max_iterations,
         )
 
+    def _repeat(self, A, requested: Optional[str]) -> Optional[_Specialization]:
+        """The cached specialization ``A`` repeats, found without ingesting ``A``.
+
+        Only a scipy CSC matrix or a :class:`CSCMatrix` with float64 values
+        qualifies: its ``data`` goes to the solver as it is.  Candidates are
+        the specializations of the same ``(shape, nnz, dtype, requested
+        method)``; one whose stored ``indptr`` / ``indices`` equal ``A``'s is
+        the repeat.  Those copies are canonical (sorted, duplicate-free, as
+        :meth:`CSCMatrix.validate` checked when they were ingested), so ``A``
+        is too.  ``None`` sends ``A`` through the ingest path.
+        """
+        if not (isinstance(A, CSCMatrix) or getattr(A, "format", None) == "csc"):
+            return None
+        nnz = len(A.indices)
+        if A.data.dtype != np.float64 or A.data.shape != (nnz,):
+            return None
+        with self._lock:
+            candidates = tuple(self._repeats.get((A.shape, nnz, "float64", requested or "auto"), ()))
+        for spec in candidates:
+            if spec.is_pattern_of(A):
+                with self._lock:
+                    self._hit(spec)
+                return spec
+        return None
+
+    def _hit(self, spec: _Specialization) -> None:
+        """Count a structure hit and refresh ``spec``'s LRU recency (the caller holds the lock)."""
+        self.stats.structure_hits += 1
+        if self._cache.pop(spec.key, None) is not None:
+            self._cache[spec.key] = spec
+
+    def _admit(self, spec: _Specialization) -> None:
+        """Cache a new specialization, evicting the least recently used (the caller holds the lock)."""
+        self._cache[spec.key] = spec
+        self._repeats.setdefault(spec.repeat_key, []).append(spec)
+        self.stats.specializations += 1
+        self.stats.methods[spec.method] = self.stats.methods.get(spec.method, 0) + 1
+        if spec.escaped_to_ldlt:
+            self.stats.cholesky_escapes += 1
+        while len(self._cache) > self.max_specializations:
+            evicted = self._cache.pop(next(iter(self._cache)))
+            self._repeats[evicted.repeat_key].remove(evicted)
+            if not self._repeats[evicted.repeat_key]:
+                del self._repeats[evicted.repeat_key]
+
     __call__ = solve
 
     def _execute(
         self,
         spec: _Specialization,
-        A: CSCMatrix,
+        values: np.ndarray,
         b: np.ndarray,
         *,
         specialized_here: bool,
@@ -363,7 +427,7 @@ class SpecializedSolver:
 
             # Re-bind the call's values onto the specialized pattern: the
             # IC(0)/trisolve compiles behind this call are shared-cache hits.
-            system = spec.pattern.with_values(A.data) if A is not spec.pattern else A
+            system = spec.pattern.with_values(values)
             result = preconditioned_conjugate_gradient(
                 system,
                 b,
@@ -379,7 +443,7 @@ class SpecializedSolver:
         # first when they are new.  The specializing call factorized these
         # very values itself; only a later call finding them unchanged counts
         # as a hit.
-        x, refactorized = spec.solver.step(A.data, b, num_threads=num_threads)
+        x, refactorized = spec.solver.step(values, b, num_threads=num_threads)
         with self._lock:
             if refactorized:
                 self.stats.refactorizations += 1

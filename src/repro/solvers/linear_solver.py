@@ -189,6 +189,15 @@ class SparseLinearSolver:
         self._backward = self._sympiler.compile(
             "triangular-solve", self._Lt, options=self.options
         )
+        # The sweeps' vectors — permuted b, y, reversed y, reversed z — and
+        # the gather n-1-inv that takes reversed z to the caller's order.
+        # Every successful refactorization binds both sweeps to its factors
+        # and these buffers, so a solve on the current factors runs on
+        # prebuilt addresses (see _sweep).
+        n = A.n
+        self._buffers = tuple(np.zeros(n) for _ in range(4))
+        self._unreverse = (n - 1) - self.permutation.inv
+        self._sweeps = None
         # The input-order values the current factors came from: a private
         # snapshot (the caller may edit A.data in place), and, wrapped on A's
         # pattern, what `self.A` becomes once step() has moved on from A.
@@ -302,10 +311,11 @@ class SparseLinearSolver:
         np.copyto(self._values, values)
         # mode="clip": the default "raise" buffers `out` in a temporary.
         np.take(self._values, self._value_gather, out=self.A_permuted.data, mode="clip")
-        self._L = self._d = self._U = None
+        self._L = self._d = self._U = self._sweeps = None
         self._set_factors(self._factorization.factorize(self.A_permuted))
         source = self._L if self._U is None else self._U
         np.take(source.data, self._backward_gather, out=self._Lt.data, mode="clip")
+        self._sweeps = self._bind_sweeps(self._L, self._Lt, self._buffers)
 
     def _set_factors(self, result) -> None:
         """Store one factorization result.
@@ -360,45 +370,68 @@ class SparseLinearSolver:
         ``parallel="wavefront"``: both sweeps fan each level set across that
         many workers (``None`` defers to ``REPRO_NUM_THREADS``, then one per
         CPU; serial kernels ignore it), bitwise identical to serial either
-        way.
+        way.  These factors are not the solver's own, so both sweeps are
+        bound to them, and to vectors of this call's own, per call.
         """
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (self.A.n,):
-            raise ValueError(f"b must have shape ({self.A.n},)")
+        b, out = self._checked(b, out)
         if Lt is None:
             Lt = self.backward_operand(L, U)
-        pb = self.permutation.apply_vec(b)
-        y = self._forward.solve_arrays(
-            L.indptr, L.indices, L.data, pb, num_threads=num_threads
+        buffers = tuple(np.empty(self.A.n) for _ in range(4))
+        return self._sweep(self._bind_sweeps(L, Lt, buffers), buffers, d, b, out, num_threads)
+
+    def _checked(self, b, out) -> Tuple[np.ndarray, np.ndarray]:
+        """``b`` as float64 and the array the answer goes to, both checked before any sweep runs."""
+        n = self.A.n
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape != (n,):
+            raise ValueError(f"b must have shape ({n},)")
+        if out is None:
+            return b, np.empty(n)
+        if out.shape != (n,) or out.dtype != np.float64:
+            raise ValueError(f"out must be a float64 array of shape ({n},)")
+        return b, out
+
+    def _bind_sweeps(self, L: CSCMatrix, Lt: CSCMatrix, buffers) -> tuple:
+        """Both compiled sweeps bound to factors and to ``(pb, y, y_rev, z_rev)``."""
+        pb, y, y_rev, z_rev = buffers
+        return (
+            self._forward.bind((L.indptr, L.indices, L.data, pb), (y,)),
+            self._backward.bind((Lt.indptr, Lt.indices, Lt.data, y_rev), (z_rev,)),
         )
+
+    def _sweep(self, sweeps, buffers, d, b, out, num_threads) -> np.ndarray:
+        """``x`` into ``out`` by bound sweeps: permute, forward, ``/ d``, reverse, backward, un-permute.
+
+        ``b`` and ``out`` come from :meth:`_checked`; every other step writes
+        into ``buffers``, the vectors the sweeps are bound to (see
+        :meth:`_bind_sweeps`).
+        """
+        forward, backward = sweeps
+        pb, y, y_rev, z_rev = buffers
+        # mode="clip" throughout: the default "raise" buffers `out` in a temporary.
+        np.take(b, self.permutation.perm, out=pb, mode="clip")
+        forward(num_threads)
         if d is not None:
             # LDL^T: diagonal solve between the two triangular sweeps.
-            y = y / d
+            np.divide(y, d, out=y)
         # Backward substitution via the reversed transposed factor.
-        y_rev = y[::-1].copy()
-        z_rev = self._backward.solve_arrays(
-            Lt.indptr, Lt.indices, Lt.data, y_rev, num_threads=num_threads
-        )
-        if out is not None:
-            if out.shape != (self.A.n,) or out.dtype != np.float64:
-                raise ValueError(
-                    f"out must be a float64 array of shape ({self.A.n},)"
-                )
-            # Un-reverse and un-permute in one gather straight into out.
-            np.take(z_rev[::-1], self.permutation.inv, out=out)
-            return out
-        z = z_rev[::-1].copy()
-        return self.permutation.apply_inverse_vec(z)
+        np.copyto(y_rev, y[::-1])
+        backward(num_threads)
+        # Un-reverse and un-permute in one gather straight into out.
+        np.take(z_rev, self._unreverse, out=out, mode="clip")
+        return out
 
     def _solve_current(
         self, b: np.ndarray, out: Optional[np.ndarray], num_threads: Optional[int]
     ) -> np.ndarray:
-        """The two sweeps on the current factors (the caller holds the lock)."""
+        """The two sweeps on the current factors, bound at their factorization (the caller holds the lock)."""
+        self._require_factors()
+        b, out = self._checked(b, out)
+        return self._sweep(self._sweeps, self._buffers, self._d, b, out, num_threads)
+
+    def _require_factors(self) -> None:
         if self._L is None:
             raise RuntimeError("the last factorize() failed; there are no factors to solve with")
-        return self.solve_with_factors(
-            b, L=self._L, d=self._d, Lt=self._Lt, out=out, num_threads=num_threads
-        )
 
     def solve(
         self,
@@ -467,8 +500,12 @@ class SparseLinearSolver:
             executor = BatchExecutor(self._forward, num_threads=num_threads)
             self._solve_executors[num_threads] = executor
         with self._lock:
+            self._require_factors()
+            # The columns may run on several threads at once, so each binds
+            # the sweeps to vectors of its own instead of the solver's.
+            L, d, Lt = self._L, self._d, self._Lt
             result = executor.map(
-                lambda b: self._solve_current(b, None, None),
+                lambda b: self.solve_with_factors(b, L=L, d=d, Lt=Lt),
                 [B[:, k] for k in range(B.shape[1])],
             )
         result.raise_first()

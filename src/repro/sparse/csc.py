@@ -228,9 +228,16 @@ class CSCMatrix:
 
     @classmethod
     def from_scipy(cls, mat) -> "CSCMatrix":
-        """Build from any SciPy sparse matrix."""
+        """Build from any SciPy sparse matrix, summing duplicate entries as SciPy does.
+
+        ``mat`` itself is never modified: a non-canonical CSC form (unsorted
+        rows or duplicates) is canonicalised in a copy (``tocsc()`` may return
+        ``mat`` itself).
+        """
         csc = mat.tocsc()
-        csc.sort_indices()
+        if not csc.has_canonical_format:
+            csc = csc.copy()
+            csc.sum_duplicates()
         return cls(
             csc.shape[0],
             csc.shape[1],

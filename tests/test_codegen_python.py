@@ -49,8 +49,8 @@ class TestTriangularSolve:
         for L in lower_factors.values():
             b = sparse_rhs(L.n, density=0.05, seed=13)
             module, _ = _generate_trisolve(L, b, options)
-            fn = module.compile()
-            x = fn(L.indptr, L.indices, L.data, b)
+            x = np.empty(L.n)
+            module.compile()((L.indptr, L.indices, L.data, b), (x,))()
             np.testing.assert_allclose(x, reference_trisolve(L, b), atol=1e-9)
 
     def test_source_is_the_fixed_kernel_and_does_no_symbolic_work(self, lower_factors):
@@ -159,7 +159,7 @@ class TestBackendInfrastructure:
 
         module = GeneratedModule(function=broken, entry_name="qr", constants={}, method="qr", codegen_seconds=0.0)
         with pytest.raises(ValueError, match="column 7"):
-            module.compile()(np.ones(1))
+            module.compile()((np.ones(1),), ())()
 
     def test_unsupported_method_rejected(self, lower_factors):
         L = lower_factors["fem"]

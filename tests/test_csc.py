@@ -70,6 +70,28 @@ def test_from_scipy_and_to_scipy(small):
     np.testing.assert_allclose(B.to_scipy().toarray(), dense)
 
 
+def test_from_scipy_leaves_the_callers_unsorted_matrix_as_it_was():
+    S = sp.csc_matrix((np.array([1.0, 2.0, 3.0, 4.0]), np.array([1, 0, 0, 1]), np.array([0, 2, 4])), shape=(2, 2))
+    B = CSCMatrix.from_scipy(S)
+    assert S.indices.tolist() == [1, 0, 0, 1] and S.data.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert B.indices.tolist() == [0, 1, 0, 1] and B.data.tolist() == [2.0, 1.0, 3.0, 4.0]
+
+
+def test_a_scipy_matrix_with_duplicates_is_summed_and_solves_as_scipy_does():
+    import repro
+    from scipy.sparse.linalg import spsolve
+
+    # Column 0 stores its diagonal twice; SciPy (and now the ingest) sums them.
+    S = sp.csc_matrix(
+        (np.array([3.0, 1.0, -1.0, -1.0, 4.0]), np.array([0, 0, 1, 0, 1]), np.array([0, 3, 5])), shape=(2, 2)
+    )
+    B = CSCMatrix.from_scipy(S)
+    assert B.indices.tolist() == [0, 1, 0, 1] and B.data.tolist() == [4.0, -1.0, -1.0, 4.0]
+    assert S.indices.tolist() == [0, 0, 1, 0, 1]
+    b = np.array([1.0, 2.0])
+    np.testing.assert_allclose(repro.solve(S, b), spsolve(S, b), rtol=1e-14)
+
+
 def test_validation_rejects_bad_indptr():
     with pytest.raises(ValueError):
         CSCMatrix(2, 2, [0, 1], [0], [1.0])  # wrong indptr length
