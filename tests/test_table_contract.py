@@ -7,10 +7,12 @@ change to it is deliberate; and the two kernels fail alike.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from repro.compiler.ast import domain_loop
 from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available
 from repro.compiler.options import SympilerOptions
@@ -263,12 +265,16 @@ _PINNED_TABLE_BLOCKS = {
 }
 
 
-def _table_digest(pattern, case, bundle):
+def _compile_case(sym, pattern, case, options):
+    """Compile one ``TABLE_CASES`` entry on one of ``TABLE_PATTERNS``."""
     method, _, sparse = case.partition("/")
-    sym = Sympiler(cache=ArtifactCache())
     operand = _operand(sym, method, TABLE_PATTERNS[pattern])
     kernel_args = {"rhs_pattern": np.nonzero(sparse_rhs(operand.n, seed=6))[0]} if sparse else {}
-    artifact = sym.compile(method, operand, options=SympilerOptions(**bundle), **kernel_args)
+    return sym.compile(method, operand, options=options, **kernel_args)
+
+
+def _table_digest(pattern, case, bundle):
+    artifact = _compile_case(Sympiler(cache=ArtifactCache()), pattern, case, SympilerOptions(**bundle))
     digest = hashlib.sha256()
     for name, table in artifact.constants.items():
         assert table.dtype == np.int64 and table.flags.c_contiguous, name
@@ -300,6 +306,91 @@ def test_generated_c_is_byte_identical_to_the_parent_commit(pattern, method, par
         assert artifact.module.method == method
         digest.update(artifact.source.encode() + b"\0")
     assert digest.hexdigest() == _PINNED_C_SOURCES[pattern, method, parallel]
+
+
+# --------------------------------------------------------------------------- #
+# The compile record did not move
+# --------------------------------------------------------------------------- #
+#: The option bundles above, then VS-Block alone and VI-Prune alone.
+_RECORD_BUNDLES = (
+    *(SympilerOptions(**bundle) for bundle in _OPTION_BUNDLES),
+    SympilerOptions.vs_block_only(),
+    SympilerOptions.vi_prune_only(),
+)
+
+
+def _loop(artifact):
+    """The domain loop the compile planned, ``None`` for the untransformed solve."""
+    return domain_loop(artifact.kernel)
+
+
+def _record(artifact):
+    """What a compile decided, as canonical JSON: the passes, their decisions and the loop they planned."""
+    loop = _loop(artifact)
+    shape = None if loop is None else [loop.role, loop.factor_kind, loop.distribute_single_columns]
+    record = {"applied": artifact.applied_transformations, "decisions": artifact.decisions, "loop": shape}
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+#: sha256 over the records of every bundle of ``_RECORD_BUNDLES`` under ``parallel="none"``, then
+#: under ``parallel="wavefront"``, per (pattern, case, backend).
+_PINNED_RECORDS = {
+    ("fem", "triangular-solve", "python"): "95822150f97714d061bb04f407eec64cdf5ba93c24867ba10642d546ad989a5b",
+    ("fem", "triangular-solve", "c"): "6f90253ae7345249cad1b935ff259d8fc6f15bca6682ee2b1584360f370069e5",
+    ("fem", "cholesky", "python"): "cbe275e3c29bf64b07c473ffba0179f74ee2c478b4452b6f5e7744907ccab982",
+    ("fem", "cholesky", "c"): "11eedae9b7304f28c8dec2bc9e2bcd05eab2c9d236a2337958ac47bb06bac37e",
+    ("fem", "ldlt", "python"): "bb783f5ad9660398a1de312224b84b72945b13db048b32181ddf5dd1e74b6bbe",
+    ("fem", "ldlt", "c"): "6aaded828bcacd9fdc7fb09138d47e2d87ef834b281f28660027091e26acb4bb",
+    ("fem", "lu", "python"): "0ffecdfd4deed60f42ac3617128584dd508bc091ac2781b589e858ce2faaa122",
+    ("fem", "lu", "c"): "9a1d6736852f392b5d0502c1ac4d408719990311f7447b151ee0929b89f3cdab",
+    ("fem", "ic0", "python"): "0c6c14f21ff7e0c6f4901464af80e1f7cb1ee25f155180a614b0355d274c98c5",
+    ("fem", "ic0", "c"): "4e932f5f0f4993c7f7409d9333c683d93393b464ff3feb675af818cc4c2fd064",
+    ("fem", "ilu0", "python"): "cd9fff0f833471d8c7652eba6154a7fe76e7af7c04707b5064e0b08a2ff41cb1",
+    ("fem", "ilu0", "c"): "aab88ab46d7025893c5470449ee77ad94d07fdc3bd65fbf4981119cc14feb5b6",
+    ("fem", "triangular-solve/sparse-rhs", "python"): "d165a2afb6b31b87f9edb6771e845d866259ccb207f70c3ee0b0d6f8670d1ec4",
+    ("fem", "triangular-solve/sparse-rhs", "c"): "b11e8991aaadf1136867912fdd59fe231da3b80e99a40f4314723b311b60f72c",
+    ("mindeg", "triangular-solve", "python"): "262a014a8f04be14f594b87109ffe8aea29d3476ffd4a7df8b5f72ce517b884d",
+    ("mindeg", "triangular-solve", "c"): "f231d606acec9be9578aad660f17b055158218790cfe3fb84a7e91d7ff3e8b68",
+    ("mindeg", "cholesky", "python"): "b641fbeeb44fa9488c53ee0496e547ae42ea88d11a649ccbf7d996625ae78731",
+    ("mindeg", "cholesky", "c"): "e53eff5081e438977a2d2a508c64a210dfd6ab984f9c4ecdf67956981e3bbb4c",
+    ("mindeg", "ldlt", "python"): "ef6c55ef30752c63487ad5b25d25daae53338f87f8243b58eeb8c60b83e1f96d",
+    ("mindeg", "ldlt", "c"): "6679ef4e9467a04e847fbd63b12c2b87a4ebf80a6eabf89c30785c2dd1d3ec12",
+    ("mindeg", "lu", "python"): "3b4626fc7379894c93ff1d99364e2d2837c3fb84df9769e74959325e6545bc55",
+    ("mindeg", "lu", "c"): "2060adfd86d59200e622691c5819e928fdf9d0bebf58bc10fac1769e0987b6c3",
+    ("mindeg", "ic0", "python"): "8700a5f6fc0d92339cf8f65349242b34372006bb0df69f479df2359ff02f72c0",
+    ("mindeg", "ic0", "c"): "55fa94e8d2e1e65fa16d3f90c4ce83f029ebd39227e4af2780dfb592cf4f9cb3",
+    ("mindeg", "ilu0", "python"): "aee3424ddf893ccaf820e74f1621449034fa27e3f7b6f093d4d019d3dc403731",
+    ("mindeg", "ilu0", "c"): "f7c59b62ade105fecb7195ed3f3eaa71bd8f04922dd1f2a84b52712b91549023",
+    ("mindeg", "triangular-solve/sparse-rhs", "python"): "d68dcbc81a5c416b42140fff519c71ce2a946e3662a6e533741216a53760e0d0",
+    ("mindeg", "triangular-solve/sparse-rhs", "c"): "1b64639b0c4165e280dfa3439be08c510ae2e1d6e79f532dc6b3e7d55a669159",
+    ("mindeg3d", "triangular-solve", "python"): "e00adafe612bbad99f88c84ba38b72aef0511e285abc54e2293bfe3366c4d464",
+    ("mindeg3d", "triangular-solve", "c"): "2fd79bd322768fb4fa17d96a2bea58e9bcd1c6c5597bffe1e2d8d020c6bc11a9",
+    ("mindeg3d", "cholesky", "python"): "5f44b1411f9560b5e056e1c936580ada8358235d1e327e146970eb94f4168d49",
+    ("mindeg3d", "cholesky", "c"): "f817d63e136300c8b3fcaf3027c4f9a1398d048ccf72a4cfc03efd82a892740c",
+    ("mindeg3d", "ldlt", "python"): "374de622795fc605cf1932e7ba7a572389c7d49267cd9cfd13e9318d5d238ce2",
+    ("mindeg3d", "ldlt", "c"): "787c74e26465e6759f03798cc93c8184e6f401f2b1d473aca162f6e11e1921ef",
+    ("mindeg3d", "lu", "python"): "9ea3c05e7f8fb6c127cb5e855c0fb83335753db73f762de3c2443ddee060bbb9",
+    ("mindeg3d", "lu", "c"): "6197b0c916551aa5cc02680616cbde17f1b9b4ed2c3b3753ce5d1be8b1ec45a8",
+    ("mindeg3d", "ic0", "python"): "336917a55796157a4a8c9f69b927ad323e4358ab4b6e82c1740bf20a119816f7",
+    ("mindeg3d", "ic0", "c"): "99abf8b44d6317751ea3e70367dde89032b9cefa59a827c3aea81497caf1e4fe",
+    ("mindeg3d", "ilu0", "python"): "3fa5c572a3b9d5d63c21f960ce5f4e407e0cfeef8ff5f344c1b9a6137c69f334",
+    ("mindeg3d", "ilu0", "c"): "9df29d656c631ba427e1c30f64079e08e13c3e84f87cbcd591099584a1449982",
+    ("mindeg3d", "triangular-solve/sparse-rhs", "python"): "3bde3849bebae75a71c15a1b0e49b982d669450d501e8ae1cb07f9894183895a",
+    ("mindeg3d", "triangular-solve/sparse-rhs", "c"): "c57fac89521bd8f329487f5c6247d863b9adab7dea191e37b83ad8c251362216",
+}
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
+@pytest.mark.parametrize("case", TABLE_CASES)
+@pytest.mark.parametrize("pattern", sorted(TABLE_PATTERNS))
+def test_compile_record_is_identical_to_the_parent_commit(pattern, case, backend):
+    sym = Sympiler(cache=ArtifactCache())
+    digest = hashlib.sha256()
+    for parallel in ("none", "wavefront"):
+        for bundle in _RECORD_BUNDLES:
+            options = bundle.with_updates(backend=backend, parallel=parallel)
+            digest.update(_record(_compile_case(sym, pattern, case, options)).encode() + b"\0")
+    assert digest.hexdigest() == _PINNED_RECORDS[pattern, case, backend]
 
 
 # --------------------------------------------------------------------------- #
