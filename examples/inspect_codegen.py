@@ -1,8 +1,9 @@
-"""Look inside the compiler: AST, transformations and generated code.
+"""Look inside the compiler: planned loops, decisions and generated code.
 
 Walks through the stages of Figure 2 of the paper on a small matrix with
-large supernodes: the lowered (annotated) AST, the AST after the
-inspector-guided transformations, the decisions taken by the participation
+large supernodes: the domain loop each kernel runs once the inspector-guided
+transformations (VS-Block, VI-Prune) and loop distribution have been decided,
+the sizes of the tables it reads, the decisions taken by the participation
 heuristics, and what each backend runs: the python backend's fixed reference
 kernel with the table block it reads, and the generated C that names the same
 tables (compiled only when a C compiler is installed).
@@ -13,36 +14,46 @@ Run with:  python examples/inspect_codegen.py
 import numpy as np
 
 from repro import Sympiler, SympilerOptions, sparse_rhs
-from repro.compiler.ast import pretty
 from repro.compiler.codegen.c_backend import c_compiler_available
-from repro.compiler.lowering import lower_triangular_solve
 from repro.sparse.generators import block_tridiagonal_spd
+
+
+def describe(name: str, artifact) -> None:
+    """Print the loop an artifact runs, the sizes of its tables and its decisions."""
+    loop = artifact.loop
+    if loop is None:
+        print(f"{name}: the untransformed loop over every column (no tables)")
+    else:
+        sizes = ", ".join(f"{k}={v}" for k, v in loop.contract[0].items())
+        kind = f" [{loop.factor_kind}]" if loop.factor_kind else ""
+        distributed = " (width-1 supernodes distributed)" if loop.distribute_single_columns else ""
+        print(f"{name}: {loop.role}{kind}{distributed}; sizes {sizes}")
+    print(f"  applied: {artifact.applied_transformations}")
+    for decision, details in artifact.decisions.items():
+        print(f"  {decision}: {details}")
 
 
 def main() -> None:
     A = block_tridiagonal_spd(6, 5, seed=11, dense_coupling=True)
     sym = Sympiler()
 
-    print("=" * 72)
-    print("1. Initial lowered AST for the triangular solve (Figure 2a)")
-    print("=" * 72)
-    print(pretty(lower_triangular_solve()))
-
     chol = sym.compile_cholesky(A)
     L = chol.factorize(A)
     b = sparse_rhs(A.n, nnz=2, seed=5)
     tri = sym.compile_triangular_solve(L, rhs_pattern=np.nonzero(b)[0])
+    untransformed = sym.compile_triangular_solve(L, options=SympilerOptions.baseline())
+
+    print("=" * 72)
+    print("1. The untransformed solve: the column loop of Figure 2a")
+    print("=" * 72)
+    describe("triangular solve", untransformed)
 
     print()
     print("=" * 72)
-    print("2. Transformed AST after VS-Block / VI-Prune / low-level passes")
+    print("2. The loops VS-Block / VI-Prune / loop distribution chose (Figures 2b-2c)")
     print("=" * 72)
-    # One line per domain loop: its role and the sizes of its table contract.
-    print(pretty(tri.kernel))
-    print(pretty(chol.kernel))
-    print()
-    print("applied transformations:", tri.applied_transformations)
-    print("VS-Block participation decision:", tri.decisions.get("vs-block"))
+    describe("triangular solve, sparse b", tri)
+    describe("cholesky", chol)
 
     print()
     print("=" * 72)

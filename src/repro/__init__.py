@@ -11,10 +11,10 @@ full system:
 * :mod:`repro.kernels`  — interpreted reference kernels, the test oracles of
   the compiled ones (dense micro-kernels, simplicial/supernodal Cholesky,
   LDLᵀ, LU, IC(0)/ILU(0), FLOP counts).
-* :mod:`repro.compiler` — the Sympiler core: domain AST, lowering,
-  inspector-guided transformations (VI-Prune, VS-Block), low-level
-  transformations and code generation (generated C, and fixed NumPy
-  reference kernels over the same tables).
+* :mod:`repro.compiler` — the Sympiler core: the inspector-guided
+  transformations (VS-Block, VI-Prune) and loop distribution, planned as the
+  one domain loop each kernel runs, and code generation (generated C, and
+  fixed NumPy reference kernels over the same tables).
 * :mod:`repro.baselines` — dense NumPy/SciPy correctness oracles.
 * :mod:`repro.solvers`  — factor-once/solve-many driver, preconditioned CG
   and Newton–Raphson loops (single and ensemble) with a fixed-sparsity

@@ -5,15 +5,14 @@ code generator that
 
 1. runs a *symbolic inspector* over the input sparsity pattern at compile
    time (:mod:`repro.symbolic`),
-2. lowers the requested numerical method (triangular solve or Cholesky) into
-   a domain-specific AST annotated with where inspector-guided
-   transformations may apply (:mod:`repro.compiler.lowering`),
-3. applies the inspector-guided transformations **VI-Prune** and **VS-Block**
-   followed by the enabled low-level transformation, loop distribution
-   (:mod:`repro.compiler.transforms`), and
-4. emits matrix-specific source code through one of two backends — a
-   specialized-Python/NumPy backend (always available) or a C backend
-   compiled with the system compiler and loaded through ``ctypes``
+2. plans the one domain loop the requested method runs by making the
+   decisions of the inspector-guided transformations **VS-Block** and
+   **VI-Prune**, then of the enabled low-level transformation, loop
+   distribution (:mod:`repro.compiler.plan`): the paper's annotated loop
+   nest (Fig. 2) reduced to what the backends read of it, and
+3. emits the kernel of that loop through one of two backends — a C backend
+   compiled with the system compiler and loaded through ``ctypes``, or fixed
+   NumPy reference kernels over the same tables (always available)
    (:mod:`repro.compiler.codegen`).
 
 The user-facing entry point is :class:`repro.compiler.sympiler.Sympiler`, a

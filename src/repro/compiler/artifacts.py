@@ -18,14 +18,14 @@ a cache hit returns the very same object (same timings, same generated code).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.compiler.ast import KernelFunction
 from repro.compiler.codegen.c_backend import _C_METHOD_SPECS
 from repro.compiler.codegen.runtime import pattern_fingerprint, rhs_fingerprint_extra
 from repro.compiler.options import SympilerOptions
+from repro.compiler.plan import DomainLoop
 from repro.kernels.ldlt import LDLTFactors
 from repro.kernels.lu import LUFactors
 from repro.observe import trace as observe_trace
@@ -103,7 +103,9 @@ class CompileTimings:
 class CompiledArtifact:
     """State shared by every compiled-kernel artifact type."""
 
-    kernel: KernelFunction = field(repr=False)
+    #: The domain loop the kernel runs (:mod:`repro.compiler.plan`); ``None``
+    #: for the untransformed triangular solve.
+    loop: Optional[DomainLoop] = field(repr=False)
     module: object = field(repr=False)
     #: The module's binder, ``entry(inputs, outputs) -> run(num_threads=None)``
     #: (:meth:`~repro.compiler.codegen.c_backend.CMethodSpec.wrap`); reached

@@ -1,14 +1,15 @@
 """Specialized-C code generation backend.
 
-Emits C source whose *shape* follows the transformed AST, compiles it with the
-system C compiler and loads the shared object through :mod:`ctypes`.  This is
-the closest analogue of the original Sympiler, which generates C and compiles
-it with GCC ``-O3`` (§4.1); the backend is optional — environments without a
-C compiler run the python backend's reference kernels over the same tables.
+Emits C source whose *shape* follows the planned domain loop
+(:mod:`repro.compiler.plan`), compiles it with the system C compiler and loads
+the shared object through :mod:`ctypes`.  This is the closest analogue of the
+original Sympiler, which generates C and compiles it with GCC ``-O3`` (§4.1);
+the backend is optional — environments without a C compiler run the python
+backend's reference kernels over the same tables.
 
 What may be literal in the generated source
 -------------------------------------------
-Only what changes the *code*: which loop nest a transformation chose
+Only what changes the *code*: which loop nest the plan chose
 (simplicial or supernodal, distributed or not, serial or wavefront).  The
 backend never reads the pattern to decide *what code* to emit: source is a
 function of (kernel, options, code shape).  Everything that depends on the
@@ -88,16 +89,18 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.compiler.ast import DomainLoop, KernelFunction, domain_loop
 from repro.compiler.cache import build_file_once
 from repro.compiler.codegen import tables
 from repro.compiler.codegen.runtime import generated_code_dir, pattern_fingerprint
 from repro.observe.events import emit as emit_event
 from repro.observe.trace import span as observe_span
+
+if TYPE_CHECKING:  # plan.py imports codegen.tables, so this package loads first
+    from repro.compiler.plan import DomainLoop
 
 __all__ = [
     "CBackend",
@@ -856,7 +859,7 @@ def _column_solve(out: _CEmitter) -> None:
     out.emit("for (int64_t p = p0 + 1; p < p1; p++) x[Li[p]] -= Lx[p] * xj;")
 
 
-def _segment_step(out: _CEmitter, stmt: DomainLoop) -> None:
+def _segment_step(out: _CEmitter, domain: DomainLoop) -> None:
     """Segment ``s`` of the :func:`tables.trisolve_segments` walk: a pruned column run or one supernode block.
 
     A block solves its ``w x w`` diagonal block and updates the rows below it
@@ -892,7 +895,7 @@ def _segment_step(out: _CEmitter, stmt: DomainLoop) -> None:
     out.emit("}")
 
 
-def _row_step(out: _CEmitter, stmt: Optional[DomainLoop]) -> None:
+def _row_step(out: _CEmitter, domain: Optional[DomainLoop]) -> None:
     """Row ``j`` of the pull-form triangular solve (:func:`tables.trisolve_rows`): the wavefront job's step."""
     out.emit("double acc = b[j];")
     out.emit(
@@ -939,11 +942,11 @@ def _cholesky_column(
     out.emit("for (int64_t p = lp0; p < lp1; p++) repro_f[_C_l_indices[p]] = 0.0;")
 
 
-def _cholesky_step(out: _CEmitter, stmt: DomainLoop) -> None:
-    _cholesky_column(out, stmt.factor_kind == "ldlt")
+def _cholesky_step(out: _CEmitter, domain: DomainLoop) -> None:
+    _cholesky_column(out, domain.factor_kind == "ldlt")
 
 
-def _supernode_step(out: _CEmitter, stmt: DomainLoop) -> None:
+def _supernode_step(out: _CEmitter, domain: DomainLoop) -> None:
     """Supernode ``s`` of the VS-Block'd loop: its dense panel, updated by one descendant column at a time.
 
     The panel (the supernode's rows x its ``w`` columns, row-major) is
@@ -951,10 +954,10 @@ def _supernode_step(out: _CEmitter, stmt: DomainLoop) -> None:
     distribution a width-1 supernode is the simplicial column instead, over
     the descendant tables.
     """
-    ldlt = stmt.factor_kind == "ldlt"
+    ldlt = domain.factor_kind == "ldlt"
     out.emit("int64_t c0 = _C_sup_start[s], c1 = _C_sup_end[s];")
     out.emit("int64_t w = c1 - c0;")
-    if stmt.distribute_single_columns:
+    if domain.distribute_single_columns:
         out.emit("if (w == 1) {")
         out.push()
         _cholesky_column(out, ldlt, "c0", "_C_desc_ptr[s]", "_C_desc_ptr[s + 1]", "_C_desc")
@@ -1045,7 +1048,7 @@ def _supernode_step(out: _CEmitter, stmt: DomainLoop) -> None:
     out.emit("}")
 
 
-def _lu_step(out: _CEmitter, stmt: DomainLoop) -> None:
+def _lu_step(out: _CEmitter, domain: DomainLoop) -> None:
     """One left-looking LU column ``j`` over the thread-local work vector ``repro_f``.
 
     Scatter ``A(:, j)``, apply the update columns, store column ``j`` of ``U``
@@ -1071,7 +1074,7 @@ def _lu_step(out: _CEmitter, stmt: DomainLoop) -> None:
     out.emit("for (int64_t p = lp0; p < lp1; p++) repro_f[_C_l_indices[p]] = 0.0;")
 
 
-def _ic0_step(out: _CEmitter, stmt: DomainLoop) -> None:
+def _ic0_step(out: _CEmitter, domain: DomainLoop) -> None:
     """One IC(0) elimination step ``j``, in place on the ``tril(A)`` pattern: writes land only in column ``j``."""
     out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
     out.push()
@@ -1090,7 +1093,7 @@ def _ic0_step(out: _CEmitter, stmt: DomainLoop) -> None:
     out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] /= ljj;")
 
 
-def _ilu0_step(out: _CEmitter, stmt: DomainLoop) -> None:
+def _ilu0_step(out: _CEmitter, domain: DomainLoop) -> None:
     """One ILU(0) elimination step ``j``, in place on the ``A`` pattern.
 
     All writes land in column ``j`` of ``Ux`` and ``Lx``, all reads come from
@@ -1122,7 +1125,7 @@ class _Loop:
 
     ``extent`` is the number of steps and ``index`` the step variable;
     ``preamble`` initialises the outputs before the first step; ``step``
-    prints the body of one step from the :class:`DomainLoop` node (``None``
+    prints the body of one step from the planned :class:`DomainLoop` (``None``
     for an untransformed kernel); ``work`` is the kind of work buffers
     (:data:`_WORK`) a step reads.  ``contract``, given the operand, the level
     schedule and the serial loop's contract, returns what this loop reads on
@@ -1142,7 +1145,7 @@ _ZERO_LX = "memset(Lx, 0, nnz_l * sizeof(double));"
 
 #: The printer of every domain loop, by role (``"untransformed"``: no domain loop).
 _LOOPS: Dict[str, _Loop] = {
-    "untransformed": _Loop("n", _X_IS_B, lambda out, stmt: _column_solve(out)),
+    "untransformed": _Loop("n", _X_IS_B, lambda out, domain: _column_solve(out)),
     "trisolve-segments": _Loop("n_seg", _X_IS_B, _segment_step, index="s"),
     "trisolve-rows": _Loop("n", _X_IS_B, _row_step, contract=tables.trisolve_rows),
     "simplicial-cholesky": _Loop("n", (_ZERO_LX,), _cholesky_step, work="column"),
@@ -1164,7 +1167,7 @@ _LOOPS: Dict[str, _Loop] = {
 
 
 class CBackend:
-    """Generate and compile specialized C code from a transformed kernel."""
+    """Generate and compile specialized C code from a planned domain loop."""
 
     name = "c"
 
@@ -1177,18 +1180,21 @@ class CBackend:
         self.flags = tuple(flags)
 
     # ------------------------------------------------------------------ #
-    def generate(self, kernel: KernelFunction, context) -> CGeneratedModule:
-        """Emit a :class:`CGeneratedModule` for ``kernel``: its step function, the wavefront job if any, the entry."""
+    def generate(self, domain: Optional[DomainLoop], method: str, entry: str, context) -> CGeneratedModule:
+        """The :class:`CGeneratedModule` of ``method`` running ``domain`` (``None``: the untransformed loop).
+
+        It holds the step function, the wavefront job if any, and the entry
+        point ``entry``.
+        """
         start = time.perf_counter()
-        spec = _C_METHOD_SPECS.get(kernel.method)
+        spec = _C_METHOD_SPECS.get(method)
         if spec is None:
-            raise CCompilationError(f"unsupported method {kernel.method!r}")
-        stmt = domain_loop(kernel)
-        role = "untransformed" if stmt is None else stmt.role
+            raise CCompilationError(f"unsupported method {method!r}")
+        role = "untransformed" if domain is None else domain.role
         if role not in spec.loops:
-            raise CCompilationError(f"the C backend requires a VI-Pruned or VS-Block'd {kernel.method} kernel")
+            raise CCompilationError(f"the C backend requires a VI-Pruned or VS-Block'd {method} kernel")
         loop = _LOOPS[role]
-        contracts = [({}, {}) if stmt is None else stmt.contract]
+        contracts = [({}, {}) if domain is None else domain.contract]
         parallel, fallback = "none", None
         if context.options.parallel == "wavefront":
             parallel, fallback = self._wavefront_mode(context, role)
@@ -1201,14 +1207,13 @@ class CBackend:
         constants = tables.block(context.inspection.n, *contracts)
         dims = ["n", *(name for sizes, _ in contracts for name in sizes)]
 
-        entry = kernel.name
         code = _CEmitter()
-        self._emit_step(code, f"{entry}_step", loop, stmt, spec)
+        self._emit_step(code, f"{entry}_step", loop, domain, spec)
         if job is not None:
             step = f"{entry}_step"
             if job is not loop:
                 step = f"{entry}_wf_step"
-                self._emit_step(code, step, job, stmt, spec)
+                self._emit_step(code, step, job, domain, spec)
             self._emit_job(code, entry, step, job, spec, schedule.n_levels)
         code.emit(spec.signature(entry, wavefront=parallel != "none") + " {")
         code.push()
@@ -1272,7 +1277,7 @@ class CBackend:
             source=source,
             entry_name=entry,
             constants=constants,
-            method=kernel.method,
+            method=method,
             codegen_seconds=codegen_seconds,
             compiler=self.compiler,
             flags=self.flags,
@@ -1316,7 +1321,7 @@ class CBackend:
         return mode, reason
 
     @staticmethod
-    def _emit_step(out: _CEmitter, name: str, loop: _Loop, stmt: Optional[DomainLoop], spec: CMethodSpec) -> None:
+    def _emit_step(out: _CEmitter, name: str, loop: _Loop, domain: Optional[DomainLoop], spec: CMethodSpec) -> None:
         """Print ``static inline int64_t {name}(int64_t j, <the entry's arrays>, repro_T)``: one step of ``loop``.
 
         It returns 0, or the failing column + 1.
@@ -1327,7 +1332,7 @@ class CBackend:
         out.emit("REPRO_BIND_TABLES")
         for line in _WORK[loop.work][1] if loop.work else ():
             out.emit(line)
-        loop.step(out, stmt)
+        loop.step(out, domain)
         out.emit("return 0;")
         out.pop()
         out.emit("}")

@@ -1,9 +1,9 @@
 """The python backend: fixed NumPy reference kernels bound to the table block.
 
-Nothing is generated.  :meth:`PythonBackend.generate` finds the domain loop the
-transformations left in the AST, takes the contract it carries (computed by
-:mod:`repro.compiler.codegen.tables`: the C emitters bind the same names in
-the same order) and picks the kernel of
+Nothing is generated.  :meth:`PythonBackend.generate` takes the domain loop
+the plan chose (:mod:`repro.compiler.plan`) and the contract it carries
+(computed by :mod:`repro.compiler.codegen.tables`: the C emitters bind the same
+names in the same order) and picks the kernel of
 :mod:`repro.compiler.codegen.reference` that walks them; ``compile()`` returns
 the binder of that function and the block, shaped as the C backend's.
 ``source`` is the text of the function that runs, the same for every pattern,
@@ -20,11 +20,10 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.compiler import ast
 from repro.compiler.cache import build_file_once
 from repro.compiler.codegen import reference, tables
 from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, atomic_write_text, disk_cache_stats
@@ -32,41 +31,43 @@ from repro.compiler.codegen.runtime import generated_code_dir, pattern_fingerpri
 from repro.compiler.registration import register_unique
 from repro.observe.trace import span as observe_span
 
+if TYPE_CHECKING:  # plan.py imports codegen.tables, so this package loads first
+    from repro.compiler.plan import DomainLoop
+
 __all__ = ["PythonBackend", "GeneratedModule", "CodegenError", "register_python_method"]
 
 
 class CodegenError(RuntimeError):
-    """Raised when the backend has no kernel for a method or its AST."""
+    """Raised when the backend has no kernel for a method or its domain loop."""
 
 
-def _domain_loop(kernel: ast.KernelFunction, *roles: str) -> ast.DomainLoop:
-    stmt = ast.domain_loop(kernel)
-    if stmt is None or stmt.role not in roles:
-        raise CodegenError(f"the python backend requires a VI-Pruned or VS-Block'd {kernel.method} kernel")
-    return stmt
+def _require(domain: Optional[DomainLoop], method: str, *roles: str) -> DomainLoop:
+    if domain is None or domain.role not in roles:
+        raise CodegenError(f"the python backend requires a VI-Pruned or VS-Block'd {method} kernel")
+    return domain
 
 
-def _plan_left_looking(kernel: ast.KernelFunction):
-    stmt = _domain_loop(kernel, "supernodal-cholesky", "simplicial-cholesky", "simplicial-lu")
-    if stmt.role == "simplicial-lu":
-        return reference.simplicial_lu, stmt.contract
-    fn = reference.supernodal_cholesky if stmt.role == "supernodal-cholesky" else reference.simplicial_cholesky
-    return partial(fn, ldlt=stmt.factor_kind == "ldlt"), stmt.contract
+def _plan_left_looking(domain: Optional[DomainLoop], method: str):
+    domain = _require(domain, method, "supernodal-cholesky", "simplicial-cholesky", "simplicial-lu")
+    if domain.role == "simplicial-lu":
+        return reference.simplicial_lu, domain.contract
+    fn = reference.supernodal_cholesky if domain.role == "supernodal-cholesky" else reference.simplicial_cholesky
+    return partial(fn, ldlt=domain.factor_kind == "ldlt"), domain.contract
 
 
-def _plan_incomplete(kernel: ast.KernelFunction):
-    stmt = _domain_loop(kernel, "incomplete-cholesky", "incomplete-lu")
-    return (reference.ilu0 if stmt.role == "incomplete-lu" else reference.ic0), stmt.contract
+def _plan_incomplete(domain: Optional[DomainLoop], method: str):
+    domain = _require(domain, method, "incomplete-cholesky", "incomplete-lu")
+    return (reference.ilu0 if domain.role == "incomplete-lu" else reference.ic0), domain.contract
 
 
-def _plan_trisolve(kernel: ast.KernelFunction):
-    stmt = ast.domain_loop(kernel)  # None: the untransformed loop over every column, no table
-    return reference.triangular_solve, (({}, {}) if stmt is None else stmt.contract)
+def _plan_trisolve(domain: Optional[DomainLoop], method: str):
+    # None: the untransformed loop over every column, no table.
+    return reference.triangular_solve, (({}, {}) if domain is None else domain.contract)
 
 
-#: Per method: the transformed kernel -> (reference kernel taking the table block and then the
-#: method's numeric arrays, contract of its domain loop).
-_PY_METHOD_SPECS: Dict[str, Callable[[ast.KernelFunction], Tuple[Callable, tables.Contract]]] = {
+#: Per method: (domain loop, method) -> (reference kernel taking the table block and then the
+#: method's numeric arrays, contract of the domain loop).
+_PY_METHOD_SPECS: Dict[str, Callable[[Optional[DomainLoop], str], Tuple[Callable, tables.Contract]]] = {
     "triangular-solve": _plan_trisolve,
     "cholesky": _plan_left_looking,
     "ldlt": _plan_left_looking,
@@ -136,21 +137,21 @@ class GeneratedModule:
 
 
 class PythonBackend:
-    """Bind the reference kernel of a transformed AST to its tables."""
+    """Bind the reference kernel of a planned domain loop to its tables."""
 
     name = "python"
 
-    def generate(self, kernel: ast.KernelFunction, context) -> GeneratedModule:
-        """The :class:`GeneratedModule` of ``kernel`` (``context`` supplies the matrix order)."""
+    def generate(self, domain: Optional[DomainLoop], method: str, entry: str, context) -> GeneratedModule:
+        """The :class:`GeneratedModule` of ``method`` running ``domain`` (``context`` supplies the matrix order)."""
         start = time.perf_counter()
-        planner = _PY_METHOD_SPECS.get(kernel.method)
+        planner = _PY_METHOD_SPECS.get(method)
         if planner is None:
-            raise CodegenError(f"unsupported method {kernel.method!r}")
-        function, contract = planner(kernel)
+            raise CodegenError(f"unsupported method {method!r}")
+        function, contract = planner(domain, method)
         return GeneratedModule(
             function=function,
-            entry_name=kernel.name,
+            entry_name=entry,
             constants=tables.block(context.inspection.n, contract),
-            method=kernel.method,
+            method=method,
             codegen_seconds=time.perf_counter() - start,
         )

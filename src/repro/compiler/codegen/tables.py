@@ -7,9 +7,9 @@ its position in that block, and gives a pattern-dependent size its name.  One
 function per domain loop takes the pattern and its inspection result and
 returns ``(dims, tables)`` — two ordered mappings, sizes and inspection sets,
 every table a NumPy array expression over the inspector's own arrays.  The
-transformation that introduces the loop calls the function and places the
-result on the :class:`~repro.compiler.ast.DomainLoop` node; both backends read
-``node.contract``:
+plan function that chooses the loop calls the function and puts the result on
+its :class:`~repro.compiler.plan.DomainLoop`; both backends read
+``loop.contract``:
 
 * :class:`~repro.compiler.codegen.c_backend.CBackend` registers it (the order
   here is the order of ``repro_T`` and of ``_C_dims``) and its emitters print

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 __all__ = ["SympilerOptions"]
 
@@ -52,7 +52,7 @@ class SympilerOptions:
         system compiler and loaded via ``ctypes``).
     enable_vi_prune, enable_vs_block, enable_low_level:
         Toggles for the transformation stages; disabling all of them produces
-        the un-transformed lowered kernel (useful for ablations).  The
+        the un-transformed kernel (useful for ablations).  The
         low-level stage is loop distribution of the supernodal factorization.
     vs_block_min_avg_width:
         VS-Block participation threshold: if the mean width of *all*
@@ -63,8 +63,6 @@ class SympilerOptions:
     vs_block_min_supernode_width:
         Individual supernodes narrower than this are handled by the pruned
         column loop rather than the dense block path.
-    max_supernode_width:
-        Optional cap on supernode width (limits panel size).
     parallel:
         Within-kernel execution mode of the *generated code*.  ``"none"``
         (the default) emits the sequential kernels; ``"wavefront"`` makes
@@ -117,7 +115,6 @@ class SympilerOptions:
 
     vs_block_min_avg_width: float = 1.2
     vs_block_min_supernode_width: int = 2
-    max_supernode_width: Optional[int] = None
 
     parallel: str = "none"
     wavefront_min_avg_width: float = 1.5
@@ -134,8 +131,6 @@ class SympilerOptions:
             )
         if self.vs_block_min_supernode_width < 1:
             raise ValueError("vs_block_min_supernode_width must be at least 1")
-        if self.max_supernode_width is not None and self.max_supernode_width < 1:
-            raise ValueError("max_supernode_width must be positive when given")
         if self.parallel not in _VALID_PARALLEL_MODES:
             raise ValueError(
                 f"unknown parallel mode {self.parallel!r}; expected one of "
@@ -150,11 +145,6 @@ class SympilerOptions:
     def with_updates(self, **changes) -> "SympilerOptions":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
-
-    def active_transformations(self) -> Tuple[str, ...]:
-        """The inspector-guided transformations that will actually run, in order (§4.2)."""
-        enabled = (("vs-block", self.enable_vs_block), ("vi-prune", self.enable_vi_prune))
-        return tuple(name for name, on in enabled if on)
 
     @classmethod
     def baseline(cls) -> "SympilerOptions":

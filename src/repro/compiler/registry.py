@@ -2,8 +2,8 @@
 
 The paper's pipeline (symbolic inspection → inspector-guided transformation →
 code generation) is the same for every numerical method; what differs per
-kernel is *which* inspector runs, *which* lowering produces the initial AST,
-*which* transformations apply and *what* artifact the user gets back.  A
+kernel is *which* inspector runs, *which* plan function picks the domain loop
+from its inspection and *what* artifact the user gets back.  A
 :class:`KernelSpec` declares exactly those ingredients once, and the
 :class:`~repro.compiler.sympiler.Sympiler` driver walks the spec generically —
 adding a kernel means registering a spec, not editing the driver.
@@ -36,15 +36,15 @@ from repro.compiler.artifacts import (
     SympiledTriangularSolve,
 )
 from repro.compiler.codegen.runtime import pattern_fingerprint, rhs_fingerprint_extra
-from repro.compiler.lowering import (
-    lower_cholesky,
-    lower_ic0,
-    lower_ilu0,
-    lower_ldlt,
-    lower_lu,
-    lower_triangular_solve,
-)
 from repro.compiler.options import SympilerOptions
+from repro.compiler.plan import (
+    CompilationContext,
+    DomainLoop,
+    plan_incomplete,
+    plan_left_looking,
+    plan_lu,
+    plan_triangular_solve,
+)
 from repro.compiler.registration import register_unique_many
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.inspector import (
@@ -128,18 +128,6 @@ def _trisolve_inspect_kwargs(options: SympilerOptions, kernel_args: Dict) -> Dic
     return {"rhs_pattern": kernel_args.get("rhs_pattern")}
 
 
-def _factorization_inspect_kwargs(options: SympilerOptions, kernel_args: Dict) -> Dict:
-    return {"max_supernode_width": options.max_supernode_width}
-
-
-def _no_context_extra(inspection) -> Dict:
-    return {}
-
-
-def _trisolve_context_extra(inspection) -> Dict:
-    return {"rhs_pattern": inspection.rhs_pattern}
-
-
 # --------------------------------------------------------------------------- #
 # KernelSpec
 # --------------------------------------------------------------------------- #
@@ -150,22 +138,17 @@ class KernelSpec:
     Attributes
     ----------
     name:
-        Canonical kernel name; also the ``method`` tag carried by the lowered
-        AST and the compilation context.
-    lower:
-        Zero-argument lowering function producing the initial annotated AST.
+        Canonical kernel name; also the ``method`` of the compilation context
+        and of the generated module.
+    plan:
+        The plan function (:mod:`repro.compiler.plan`): the compilation
+        context -> the domain loop the kernel runs (``None`` for the
+        untransformed triangular solve), recording the decisions on the way.
     inspector_cls:
         The :class:`~repro.symbolic.inspector.SymbolicInspector` subclass run
         at compile time.
     artifact_cls:
         The compiled-artifact class the driver instantiates.
-    runtime_signature:
-        Names of the numeric arrays the generated entry point consumes, in
-        order (documentation + sanity checks; the backends own the ABI).
-    transforms:
-        The inspector-guided transformations applicable to this kernel; the
-        pipeline only runs passes that are both enabled in the options and
-        listed here.
     requires_vi_prune:
         Whether the kernel cannot be generated without VI-Prune (the numeric
         left-looking factorizations need the predicted factor pattern — the
@@ -175,27 +158,24 @@ class KernelSpec:
         this kernel (e.g. ``rhs_pattern``); anything else is a ``TypeError``.
     aliases:
         Alternative lookup names.
-    normalize_args / fingerprint / inspect_kwargs / context_extra:
+    normalize_args / fingerprint / inspect_kwargs:
         Hooks canonicalizing the per-compile arguments (run once, before
-        anything consumes them) and mapping them to the cache fingerprint,
-        the inspector keyword arguments and extra compilation-context fields.
+        anything consumes them) and mapping them to the cache fingerprint and
+        the inspector keyword arguments.
     description:
         One-line human-readable summary (shown in docs and error messages).
     """
 
     name: str
-    lower: Callable[[], object]
+    plan: Callable[[CompilationContext], Optional[DomainLoop]]
     inspector_cls: type
     artifact_cls: type
-    runtime_signature: Tuple[str, ...]
-    transforms: Tuple[str, ...] = ("vs-block", "vi-prune")
     requires_vi_prune: bool = False
     kernel_args: Tuple[str, ...] = ()
     aliases: Tuple[str, ...] = ()
     normalize_args: Callable[[CSCMatrix, Dict], Dict] = _no_normalize_args
     fingerprint: Callable[[CSCMatrix, Dict], str] = _pattern_only_fingerprint
     inspect_kwargs: Callable[[SympilerOptions, Dict], Dict] = _no_inspect_kwargs
-    context_extra: Callable[[object], Dict] = _no_context_extra
     description: str = ""
 
     def validate_args(self, kernel_args: Dict) -> None:
@@ -288,18 +268,15 @@ def registered_kernels() -> Tuple[str, ...]:
 register_kernel(
     KernelSpec(
         name="triangular-solve",
-        lower=lower_triangular_solve,
+        plan=plan_triangular_solve,
         inspector_cls=TriangularSolveInspector,
         artifact_cls=SympiledTriangularSolve,
-        runtime_signature=("Lp", "Li", "Lx", "b"),
-        transforms=("vs-block", "vi-prune"),
         requires_vi_prune=False,
         kernel_args=("rhs_pattern",),
         aliases=("trisolve", "triangular"),
         normalize_args=_trisolve_normalize_args,
         fingerprint=_trisolve_fingerprint,
         inspect_kwargs=_trisolve_inspect_kwargs,
-        context_extra=_trisolve_context_extra,
         description="sparse lower-triangular solve L x = b (Fig. 1)",
     )
 )
@@ -307,13 +284,10 @@ register_kernel(
 register_kernel(
     KernelSpec(
         name="cholesky",
-        lower=lower_cholesky,
+        plan=plan_left_looking,
         inspector_cls=CholeskyInspector,
         artifact_cls=SympiledCholesky,
-        runtime_signature=("Ap", "Ai", "Ax"),
-        transforms=("vs-block", "vi-prune"),
         requires_vi_prune=True,
-        inspect_kwargs=_factorization_inspect_kwargs,
         description="left-looking sparse Cholesky A = L L^T (Fig. 4)",
     )
 )
@@ -321,14 +295,11 @@ register_kernel(
 register_kernel(
     KernelSpec(
         name="ldlt",
-        lower=lower_ldlt,
+        plan=plan_left_looking,
         inspector_cls=LDLTInspector,
         artifact_cls=SympiledLDLT,
-        runtime_signature=("Ap", "Ai", "Ax"),
-        transforms=("vs-block", "vi-prune"),
         requires_vi_prune=True,
         aliases=("ldl",),
-        inspect_kwargs=_factorization_inspect_kwargs,
         description="left-looking sparse LDL^T for symmetric indefinite A",
     )
 )
@@ -336,14 +307,11 @@ register_kernel(
 register_kernel(
     KernelSpec(
         name="lu",
-        lower=lower_lu,
+        plan=plan_lu,
         inspector_cls=LUInspector,
         artifact_cls=SympiledLU,
-        runtime_signature=("Ap", "Ai", "Ax"),
-        transforms=("vs-block", "vi-prune"),
         requires_vi_prune=True,
         aliases=("gp-lu",),
-        inspect_kwargs=_factorization_inspect_kwargs,
         description=(
             "left-looking sparse LU A = L U (partial-pivoting-free, for "
             "diagonally dominant unsymmetric A)"
@@ -354,14 +322,11 @@ register_kernel(
 register_kernel(
     KernelSpec(
         name="ic0",
-        lower=lower_ic0,
+        plan=plan_incomplete,
         inspector_cls=IC0Inspector,
         artifact_cls=SympiledIC0,
-        runtime_signature=("Ap", "Ai", "Ax"),
-        transforms=("vs-block", "vi-prune"),
         requires_vi_prune=True,
         aliases=("incomplete-cholesky",),
-        inspect_kwargs=_factorization_inspect_kwargs,
         description=(
             "incomplete Cholesky IC(0): A ~= L L^T on the pattern of "
             "tril(A) (no fill; preconditioner for SPD iterative solves)"
@@ -372,14 +337,11 @@ register_kernel(
 register_kernel(
     KernelSpec(
         name="ilu0",
-        lower=lower_ilu0,
+        plan=plan_incomplete,
         inspector_cls=ILU0Inspector,
         artifact_cls=SympiledILU0,
-        runtime_signature=("Ap", "Ai", "Ax"),
-        transforms=("vs-block", "vi-prune"),
         requires_vi_prune=True,
         aliases=("incomplete-lu",),
-        inspect_kwargs=_factorization_inspect_kwargs,
         description=(
             "incomplete LU ILU(0): A ~= L U on the pattern of A (no fill, "
             "no pivoting; preconditioner for unsymmetric iterative solves)"

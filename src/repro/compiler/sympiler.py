@@ -1,8 +1,8 @@
 """The Sympiler driver: symbolic inspection → transformation → code generation.
 
 :class:`Sympiler` is the user-facing compiler.  It is a *generic* driver: the
-per-kernel knowledge (lowering, inspector, applicable transformations,
-artifact type, cache fingerprint) lives in the kernel registry
+per-kernel knowledge (inspector, plan function, artifact type, cache
+fingerprint) lives in the kernel registry
 (:mod:`repro.compiler.registry`), and :meth:`Sympiler.compile` walks whatever
 spec the requested kernel name resolves to.  Adding a kernel therefore means
 registering a :class:`~repro.compiler.registry.KernelSpec`; the driver itself
@@ -35,9 +35,8 @@ from repro.compiler.cache import ArtifactCache, CacheStats, cache_key
 from repro.compiler.codegen.c_backend import CBackend, c_compiler_available
 from repro.compiler.codegen.python_backend import PythonBackend
 from repro.compiler.options import SympilerOptions
+from repro.compiler.plan import CompilationContext
 from repro.compiler.registry import KernelRegistry, default_registry
-from repro.compiler.transforms.base import CompilationContext
-from repro.compiler.transforms.pipeline import build_pipeline
 from repro.observe.trace import span
 from repro.sparse.csc import CSCMatrix
 
@@ -197,7 +196,7 @@ class Sympiler:
                 spec, matrix, options, kernel_args, fingerprint, forced_vi_prune
             )
             # True when no `cc` ran: the .so was on disk already — a disk-warm
-            # start, or another pattern that lowered to the same C source.
+            # start, or another pattern that generated the same C source.
             sp.set(so_shared=getattr(artifact.module, "so_shared", False))
             return artifact
 
@@ -216,28 +215,20 @@ class Sympiler:
                 matrix, **spec.inspect_kwargs(options, kernel_args)
             )
 
-        with span("lower", kernel=spec.name):
-            kernel_fn = spec.lower()
-        context = CompilationContext(
-            method=spec.name,
-            matrix=matrix,
-            inspection=inspection,
-            options=options,
-            **spec.context_extra(inspection),
-        )
+        context = CompilationContext(method=spec.name, matrix=matrix, inspection=inspection, options=options)
         if forced_vi_prune:
             context.decisions["vi-prune-forced"] = True
 
         t0 = time.perf_counter()
         with span("transform", kernel=spec.name):
-            kernel_fn = build_pipeline(options, transforms=spec.transforms).run(
-                kernel_fn, context
-            )
+            loop = spec.plan(context)
         transform_seconds = time.perf_counter() - t0
 
         backend = _backend_for(options)
+        # The entry point is named after the kernel, as a C identifier.
+        entry_name = spec.name.replace("-", "_")
         with span("codegen", kernel=spec.name, backend=options.backend):
-            module = backend.generate(kernel_fn, context)
+            module = backend.generate(loop, spec.name, entry_name, context)
         entry = module.compile()
         timings = CompileTimings(
             inspection=inspection.symbolic_seconds,
@@ -246,7 +237,7 @@ class Sympiler:
             compile=module.compile_seconds,
         )
         return spec.artifact_cls(
-            kernel=kernel_fn,
+            loop=loop,
             module=module,
             entry=entry,
             options=options,

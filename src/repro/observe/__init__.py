@@ -13,7 +13,7 @@ Three layers:
   (``registry.counter("solves", kernel="cholesky")``), plus pull-mode
   *collectors* polled only at snapshot time.
 * **trace** — nestable spans (``with observe.span("inspect"): ...``)
-  instrumenting ingest → probe → inspection → lowering → codegen → cc →
+  instrumenting ingest → probe → inspection → transform → codegen → cc →
   schedule → numeric → service dispatch, with explicit cross-thread
   propagation (:func:`capture` / :func:`attach`).  Zero-cost when disabled.
 * **events** — a bounded structured event log

@@ -43,14 +43,14 @@ __all__ = [
 
 # The paper's amortization story groups leaf phases into the Fig. 8/9
 # categories.  Only *leaf* span names appear here — parent spans like
-# "compile" (which wraps inspect/lower/transform/codegen) and nested detail
+# "compile" (which wraps inspect/transform/codegen) and nested detail
 # spans like "schedule" (inside "inspect") or "native-build" (inside whichever
 # of "ordering" / "inspect" first needs the helper) are excluded so a group
 # never double-counts its own children.
 PHASE_GROUPS: Dict[str, tuple] = {
     "ingest": ("ingest", "probe"),
     "inspection": ("ordering", "inspect"),
-    "lowering": ("lower", "transform"),
+    "lowering": ("transform",),
     "codegen": ("codegen", "py-compile"),
     "cc": ("cc",),
     "numeric": ("numeric",),

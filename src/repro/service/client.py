@@ -45,7 +45,7 @@ from repro.service.errors import (
     ShardUnavailableError,
     error_from_wire,
 )
-from repro.service.wire import RemoteHandle, recv_message, send_message
+from repro.service.wire import TOOLCHAIN_OPTIONS, RemoteHandle, recv_message, send_message
 from repro.sparse.csc import CSCMatrix
 
 __all__ = ["ServiceClient", "RemoteHandle", "RemoteServiceError"]
@@ -254,7 +254,9 @@ class ServiceClient:
 
         ``A`` may be anything the front-end ingest layer accepts
         (:class:`CSCMatrix`, ``scipy.sparse``, COO triplets, dense) — it is
-        converted before the wire frames are built.
+        converted before the wire frames are built.  ``options`` travel
+        without ``c_compiler`` / ``c_flags``: the server compiles with its own
+        toolchain.
         """
         if not isinstance(A, CSCMatrix):
             from repro.frontend.ingest import as_csc
@@ -262,8 +264,7 @@ class ServiceClient:
             A = as_csc(A)
         payload: Optional[Dict] = None
         if isinstance(options, SympilerOptions):
-            payload = asdict(options)
-            payload["c_flags"] = list(payload["c_flags"])
+            payload = {k: v for k, v in asdict(options).items() if k not in TOOLCHAIN_OPTIONS}
         elif options is not None:
             payload = dict(options)
         header = {

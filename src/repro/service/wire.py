@@ -79,6 +79,7 @@ __all__ = [
     "WIRE_VERSION",
     "ProtocolError",
     "RemoteHandle",
+    "TOOLCHAIN_OPTIONS",
     "send_message",
     "recv_message",
     "handle_request",
@@ -209,20 +210,27 @@ def recv_message(stream: BinaryIO) -> Optional[Tuple[Dict, List[np.ndarray]]]:
 # --------------------------------------------------------------------------- #
 # Server-side operation dispatch
 # --------------------------------------------------------------------------- #
-_OPTION_FIELDS = {f.name for f in dataclass_fields(SympilerOptions)}
+#: The toolchain fields: they name the command the server runs to compile a
+#: kernel, so no peer may choose them.  The server compiles with its own
+#: (``REPRO_CC`` / ``REPRO_CFLAGS``, or ``SolverService(options=)``).
+TOOLCHAIN_OPTIONS = frozenset({"c_compiler", "c_flags"})
+_OPTION_FIELDS = {f.name for f in dataclass_fields(SympilerOptions)} - TOOLCHAIN_OPTIONS
 
 
-def _options_from_wire(payload: Optional[Dict]) -> Optional[SympilerOptions]:
-    """Rebuild a :class:`SympilerOptions` from a wire dict (unknown keys refused)."""
+def _options_from_wire(payload: Optional[Dict], toolchain: SympilerOptions) -> Optional[SympilerOptions]:
+    """Rebuild a :class:`SympilerOptions` from a wire dict, on the toolchain of ``toolchain``.
+
+    Toolchain and unknown keys are refused by name.
+    """
     if not payload:
         return None
+    refused = set(payload) & TOOLCHAIN_OPTIONS
+    if refused:
+        raise ProtocolError(f"option field(s) {sorted(refused)} are the server's own, not settable over the wire")
     unknown = set(payload) - _OPTION_FIELDS
     if unknown:
         raise ProtocolError(f"unknown option field(s): {sorted(unknown)}")
-    clean = dict(payload)
-    if "c_flags" in clean and clean["c_flags"] is not None:
-        clean["c_flags"] = tuple(clean["c_flags"])
-    return SympilerOptions().with_updates(**clean)
+    return SympilerOptions(c_compiler=toolchain.c_compiler, c_flags=toolchain.c_flags).with_updates(**payload)
 
 
 @dataclass(frozen=True)
@@ -341,7 +349,7 @@ def _dispatch_op(
             A,
             kernel=str(header.get("kernel", "cholesky")),
             ordering=str(header.get("ordering", "natural")),
-            options=_options_from_wire(header.get("options")),
+            options=_options_from_wire(header.get("options"), service.options),
         )
         return {"ok": True, "handle": _handle_payload(handle)}, []
     if op == "solve":

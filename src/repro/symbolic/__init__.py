@@ -9,8 +9,8 @@ inspector" — and bakes their results into generated code.
 
 This package implements those graph algorithms plus the inspector framework
 (:mod:`repro.symbolic.inspector`) that packages their results into
-*inspection sets* consumed by the inspector-guided transformations in
-:mod:`repro.compiler.transforms`.
+*inspection sets* consumed by the inspector-guided transformations planned in
+:mod:`repro.compiler.plan`.
 """
 
 from repro.symbolic.colcount import column_counts_of_factor, row_counts_of_factor

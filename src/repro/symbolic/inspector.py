@@ -365,8 +365,6 @@ class CholeskyInspector(SymbolicInspector):
     def inspect(
         self,
         matrix: CSCMatrix,
-        *,
-        max_supernode_width: int | None = None,
         **kwargs,
     ) -> CholeskyInspectionResult:
         """Inspect a symmetric positive-definite matrix.
@@ -387,7 +385,7 @@ class CholeskyInspector(SymbolicInspector):
         row_ptr, row_idx, l_indptr, l_indices = factor_structure(matrix, parent)
         row_patterns = split_rows(row_ptr, row_idx)
         col_counts = np.diff(l_indptr)
-        supernodes = cholesky_supernodes(col_counts, parent, max_width=max_supernode_width)
+        supernodes = cholesky_supernodes(col_counts, parent)
         # Exact wavefronts: column j waits for precisely the columns of its L
         # row pattern (a strictly tighter schedule than etree depth).
         schedule = level_sets_from_csr_deps(row_ptr, row_idx, graph="SP(L row) / etree")
@@ -466,8 +464,6 @@ class LUInspector(SymbolicInspector):
     def inspect(
         self,
         matrix: CSCMatrix,
-        *,
-        max_supernode_width: int | None = None,
         **kwargs,
     ) -> LUInspectionResult:
         """Inspect a square (generally unsymmetric) matrix.
@@ -486,7 +482,7 @@ class LUInspector(SymbolicInspector):
         post = postorder(parent)
         l_indptr, l_indices, u_indptr, u_indices = lu_pattern(matrix)
         l_col_counts = np.diff(l_indptr).astype(np.int64)
-        supernodes = cholesky_supernodes(l_col_counts, parent, max_width=max_supernode_width)
+        supernodes = cholesky_supernodes(l_col_counts, parent)
         dep_ptr, dep_idx = above_diagonal(u_indptr, u_indices)
         upper_patterns = split_rows(dep_ptr, dep_idx)
         # Exact wavefronts: column j of the LU update loop consumes exactly
@@ -565,8 +561,6 @@ class IC0Inspector(SymbolicInspector):
     def inspect(
         self,
         matrix: CSCMatrix,
-        *,
-        max_supernode_width: int | None = None,
         **kwargs,
     ) -> IC0InspectionResult:
         """Inspect a symmetric positive-definite matrix (pattern only).
@@ -597,7 +591,7 @@ class IC0Inspector(SymbolicInspector):
         row_idx = cols[strict][np.argsort(rows_below, kind="stable")]
         row_patterns = split_rows(row_ptr, row_idx)
         col_counts = np.diff(l_indptr)
-        supernodes = cholesky_supernodes(col_counts, parent, max_width=max_supernode_width)
+        supernodes = cholesky_supernodes(col_counts, parent)
         # Exact wavefronts: column j waits for precisely its update sources.
         schedule = level_sets_from_csr_deps(row_ptr, row_idx, graph="SP(tril(A) row)")
         elapsed = time.perf_counter() - start
@@ -648,8 +642,6 @@ class ILU0Inspector(SymbolicInspector):
     def inspect(
         self,
         matrix: CSCMatrix,
-        *,
-        max_supernode_width: int | None = None,
         **kwargs,
     ) -> ILU0InspectionResult:
         """Inspect a square (generally unsymmetric) matrix (pattern only).
@@ -674,7 +666,7 @@ class ILU0Inspector(SymbolicInspector):
         u_indptr, u_indices = group_pointers(cols[upper], n), matrix.indices[upper]
         l_indptr, l_indices = group_pointers(cols[lower], n), matrix.indices[lower]
         l_col_counts = np.diff(l_indptr)
-        supernodes = cholesky_supernodes(l_col_counts, parent, max_width=max_supernode_width)
+        supernodes = cholesky_supernodes(l_col_counts, parent)
         dep_ptr, dep_idx = above_diagonal(u_indptr, u_indices)
         upper_patterns = split_rows(dep_ptr, dep_idx)
         # Exact wavefronts: column j consumes the L columns of its U pattern.

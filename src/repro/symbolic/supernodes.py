@@ -167,12 +167,7 @@ def triangular_supernodes(L: CSCMatrix) -> SupernodePartition:
     return supernodes_from_boundaries(np.flatnonzero(starts_supernode), n)
 
 
-def cholesky_supernodes(
-    col_counts: np.ndarray,
-    parent: np.ndarray,
-    *,
-    max_width: int | None = None,
-) -> SupernodePartition:
+def cholesky_supernodes(col_counts: np.ndarray, parent: np.ndarray) -> SupernodePartition:
     """Supernodes of the (not yet formed) Cholesky factor.
 
     Implements the merging rule of §3.2: adjacent columns ``j-1`` and ``j``
@@ -186,9 +181,6 @@ def cholesky_supernodes(
         Column counts of ``L`` (diagonal included).
     parent:
         Elimination tree of the matrix being factorized.
-    max_width:
-        Optional cap on supernode width (panel-size control for the numeric
-        phase); ``None`` means unlimited.
     """
     col_counts = np.asarray(col_counts, dtype=np.int64)
     parent = np.asarray(parent, dtype=np.int64)
@@ -205,10 +197,4 @@ def cholesky_supernodes(
         & (parent[:-1] == np.arange(1, n))
         & (child_counts(parent)[1:] == 1)
     )
-    if max_width is not None:
-        # A run of merging columns is cut every max_width columns, counted
-        # from the column that started it.
-        columns = np.arange(n, dtype=np.int64)
-        run_start = np.maximum.accumulate(np.where(merges, 0, columns))
-        merges &= (columns - run_start) % max(int(max_width), 1) != 0
     return supernodes_from_boundaries(np.flatnonzero(~merges), n)

@@ -11,7 +11,6 @@ import pytest
 from repro.baselines.scipy_reference import reference_cholesky, reference_trisolve
 from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen import c_backend, tables
-from repro.compiler.ast import domain_loop
 from repro.compiler.codegen.c_backend import (
     CBackend,
     CCompilationError,
@@ -128,21 +127,21 @@ def test_trisolve_segments_visit_the_reach_set_in_order(lower_factors):
     L = lower_factors["circuit"]
     rhs_pattern = np.nonzero(sparse_rhs(L.n, nnz=3, seed=4))[0]
 
-    def lowered(options):
+    def compiled(options):
         return Sympiler(cache=ArtifactCache()).compile_triangular_solve(
             L, rhs_pattern=rhs_pattern, options=options
         )
 
-    pruned = lowered(SympilerOptions(enable_vs_block=False))
+    pruned = compiled(SympilerOptions(enable_vs_block=False))
     reach = pruned.inspection.reach.tolist()
     assert 0 < len(reach) < L.n
-    contract = domain_loop(pruned.kernel).contract
+    contract = pruned.loop.contract
     dims, sets = contract
     assert dims == {"n_seg": 1} and sets["run_cols"].tolist() == reach
     assert tables._trisolve_order(L.n, contract).tolist() == reach
     # Untransformed, the body is the loop over every column.
-    baseline = lowered(SympilerOptions.baseline())
-    assert domain_loop(baseline.kernel) is None
+    baseline = compiled(SympilerOptions.baseline())
+    assert baseline.loop is None
     assert tables._trisolve_order(L.n, ({}, {})).tolist() == list(range(L.n))
 
 

@@ -4,33 +4,24 @@ import numpy as np
 import pytest
 
 from repro.baselines.scipy_reference import reference_cholesky, reference_trisolve
-from repro.compiler.ast import domain_loop
 from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen import reference
 from repro.compiler.codegen.c_backend import disk_cache_stats, reset_disk_cache_stats
 from repro.compiler.codegen.python_backend import CodegenError, GeneratedModule, PythonBackend
 from repro.compiler.codegen.runtime import pattern_fingerprint
-from repro.compiler.lowering import lower_triangular_solve
 from repro.compiler.options import SympilerOptions
+from repro.compiler.plan import CompilationContext, plan_triangular_solve
 from repro.compiler.sympiler import Sympiler
-from repro.compiler.transforms.base import CompilationContext
-from repro.compiler.transforms.pipeline import build_pipeline
 from repro.sparse.generators import block_tridiagonal_spd, laplacian_2d, sparse_rhs
 from repro.symbolic.inspector import TriangularSolveInspector
 
 
 def _generate_trisolve(L, b, options):
     inspection = TriangularSolveInspector().inspect(L, rhs_pattern=np.nonzero(b)[0])
-    context = CompilationContext(
-        method="triangular-solve",
-        matrix=L,
-        inspection=inspection,
-        options=options,
-        rhs_pattern=inspection.rhs_pattern,
-    )
-    kernel = build_pipeline(options).run(lower_triangular_solve(), context)
-    module = PythonBackend().generate(kernel, context)
-    return module, kernel
+    context = CompilationContext(method="triangular-solve", matrix=L, inspection=inspection, options=options)
+    loop = plan_triangular_solve(context)
+    module = PythonBackend().generate(loop, "triangular-solve", "triangular_solve", context)
+    return module, loop
 
 
 class TestTriangularSolve:
@@ -70,13 +61,13 @@ class TestTriangularSolve:
     def test_constants_are_the_table_block(self, lower_factors):
         L = lower_factors["fem"]
         b = sparse_rhs(L.n, nnz=3, seed=2)
-        module, kernel = _generate_trisolve(L, b, SympilerOptions.vi_prune_only())
+        module, loop = _generate_trisolve(L, b, SympilerOptions.vi_prune_only())
         assert list(module.constants) == ["_C_dims", "_C_seg", "_C_run_cols", "_C_blk_cs"]
         assert all(t.dtype == np.int64 and t.flags.c_contiguous for t in module.constants.values())
         assert module.constants["_C_dims"].tolist() == [L.n, 1]
         # VI-Prune's reach-set, on the domain loop and in the block.
         reach = TriangularSolveInspector().inspect(L, rhs_pattern=np.nonzero(b)[0]).reach
-        assert np.array_equal(domain_loop(kernel).contract[1]["run_cols"], reach)
+        assert np.array_equal(loop.contract[1]["run_cols"], reach)
         assert np.array_equal(module.constants["_C_run_cols"], reach)
         untransformed, _ = _generate_trisolve(L, b, SympilerOptions.baseline())
         assert list(untransformed.constants) == ["_C_dims"]
@@ -163,11 +154,10 @@ class TestBackendInfrastructure:
 
     def test_unsupported_method_rejected(self, lower_factors):
         L = lower_factors["fem"]
-        module, kernel = _generate_trisolve(L, sparse_rhs(L.n, nnz=2, seed=6), SympilerOptions())
-        kernel.method = "qr"
+        _, loop = _generate_trisolve(L, sparse_rhs(L.n, nnz=2, seed=6), SympilerOptions())
         context = CompilationContext(method="qr", matrix=L, inspection=None, options=SympilerOptions())
         with pytest.raises(CodegenError):
-            PythonBackend().generate(kernel, context)
+            PythonBackend().generate(loop, "qr", "qr", context)
 
 
 class TestKernelTextOnDisk:

@@ -8,7 +8,6 @@ artifact protocol — the whole registry extension of the incomplete kernels.
 import numpy as np
 import pytest
 
-from repro.compiler.ast import domain_loop
 from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
@@ -198,7 +197,7 @@ class TestCompiledIC0Python:
 
     def test_kernel_is_incomplete_factor_loop(self):
         compiled = _fresh_sympiler().compile("ic0", _spd(6))
-        loop = domain_loop(compiled.kernel)
+        loop = compiled.loop
         assert loop.role == "incomplete-cholesky" and loop.factor_kind == "ic0"
         # The scatter arrays are tables of the block — no runtime pattern work.
         for name in ("a_lower_pos", "prune_ptr", "mult_pos", "l_scat_ptr"):

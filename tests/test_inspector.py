@@ -98,11 +98,6 @@ class TestCholeskyInspector:
         assert block.name == "block-set"
         assert block.payload.n_supernodes >= 1
 
-    def test_max_supernode_width_honoured(self, spd_matrices):
-        A = spd_matrices["block"]
-        result = CholeskyInspector().inspect(A, max_supernode_width=2)
-        assert result.supernodes.max_size() <= 2
-
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             CholeskyInspector().inspect(CSCMatrix.from_dense(np.ones((2, 3))))
@@ -110,6 +105,9 @@ class TestCholeskyInspector:
     def test_rejects_unknown_kwargs(self, spd_matrices):
         with pytest.raises(TypeError):
             CholeskyInspector().inspect(spd_matrices["fem"], bogus=True)
+        # The supernode width cap is gone, not ignored.
+        with pytest.raises(TypeError, match="max_supernode_width"):
+            CholeskyInspector().inspect(spd_matrices["fem"], max_supernode_width=2)
 
 
 def test_inspector_for_method_registry():

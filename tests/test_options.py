@@ -10,28 +10,25 @@ from repro.compiler.options import SympilerOptions
 def test_defaults_follow_the_paper():
     opts = SympilerOptions()
     assert opts.backend == "python"
-    assert opts.active_transformations() == ("vs-block", "vi-prune")  # the order of §4.2, not a knob
     assert opts.enable_vi_prune and opts.enable_vs_block and opts.enable_low_level
 
 
-def test_active_transformations_respects_toggles():
-    assert SympilerOptions().active_transformations() == ("vs-block", "vi-prune")
-    assert SympilerOptions(enable_vs_block=False).active_transformations() == ("vi-prune",)
-    assert SympilerOptions(enable_vi_prune=False).active_transformations() == ("vs-block",)
-    assert SympilerOptions.baseline().active_transformations() == ()
+def _toggles(options):
+    return options.enable_vs_block, options.enable_vi_prune, options.enable_low_level
 
 
 def test_named_constructors():
-    assert SympilerOptions.vi_prune_only().active_transformations() == ("vi-prune",)
-    assert SympilerOptions.vs_block_only().active_transformations() == ("vs-block",)
-    assert SympilerOptions.all_transformations().enable_low_level
+    assert _toggles(SympilerOptions.baseline()) == (False, False, False)
+    assert _toggles(SympilerOptions.vi_prune_only()) == (False, True, False)
+    assert _toggles(SympilerOptions.vs_block_only()) == (True, False, False)
+    assert _toggles(SympilerOptions.all_transformations()) == (True, True, True)
 
 
 def test_with_updates_returns_new_instance():
     base = SympilerOptions()
-    other = base.with_updates(backend="c", max_supernode_width=6)
+    other = base.with_updates(backend="c", vs_block_min_supernode_width=6)
     assert other.backend == "c"
-    assert other.max_supernode_width == 6
+    assert other.vs_block_min_supernode_width == 6
     assert base.backend == "python"
 
 
@@ -40,12 +37,11 @@ def test_validation_rejects_bad_values():
         SympilerOptions(backend="fortran")
     with pytest.raises(ValueError):
         SympilerOptions(vs_block_min_supernode_width=0)
-    with pytest.raises(ValueError):
-        SympilerOptions(max_supernode_width=0)
     # The peel knobs, the never-read vectorize_min_length, the BLAS switch only
-    # the python emitters read, the pass order and the unroll bound are gone,
-    # not ignored.
+    # the python emitters read, the pass order, the unroll bound and the
+    # supernode width cap are gone, not ignored.
     for removed in (
+        "max_supernode_width",
         "unroll_max_width",
         "transformation_order",
         "peel_single_nonzero_columns",
@@ -57,7 +53,7 @@ def test_validation_rejects_bad_values():
     ):
         with pytest.raises(TypeError):
             SympilerOptions(**{removed: 1})
-    assert len(dataclasses.fields(SympilerOptions)) == 12
+    assert len(dataclasses.fields(SympilerOptions)) == 11
 
 
 def test_options_are_immutable():

@@ -10,8 +10,8 @@ from repro.compiler.artifacts import (
     SympiledTriangularSolve,
 )
 from repro.compiler.cache import ArtifactCache, cache_key, options_fingerprint
-from repro.compiler.lowering import lower_cholesky
 from repro.compiler.options import SympilerOptions
+from repro.compiler.plan import plan_incomplete, plan_left_looking, plan_lu, plan_triangular_solve
 from repro.compiler.registry import (
     DuplicateKernelError,
     KernelRegistry,
@@ -43,12 +43,11 @@ class TestRegistry:
 
     def test_spec_declares_pipeline_ingredients(self):
         spec = kernel_spec("cholesky")
-        assert spec.runtime_signature == ("Ap", "Ai", "Ax")
-        assert spec.transforms == ("vs-block", "vi-prune")
+        assert spec.plan is plan_left_looking
         assert spec.requires_vi_prune is True
         assert spec.artifact_cls is SympiledCholesky
         tri = kernel_spec("triangular-solve")
-        assert tri.runtime_signature == ("Lp", "Li", "Lx", "b")
+        assert tri.plan is plan_triangular_solve
         assert tri.requires_vi_prune is False
         assert tri.artifact_cls is SympiledTriangularSolve
         assert kernel_spec("ldlt").artifact_cls is SympiledLDLT
@@ -59,10 +58,9 @@ class TestRegistry:
         registry.register(spec)
         clone = KernelSpec(
             name="cholesky",
-            lower=lower_cholesky,
+            plan=plan_left_looking,
             inspector_cls=CholeskyInspector,
             artifact_cls=SympiledCholesky,
-            runtime_signature=("Ap", "Ai", "Ax"),
         )
         with pytest.raises(DuplicateKernelError):
             registry.register(clone)
@@ -75,10 +73,9 @@ class TestRegistry:
         registry.register(kernel_spec("triangular-solve"))
         colliding = KernelSpec(
             name="other",
-            lower=lower_cholesky,
+            plan=plan_left_looking,
             inspector_cls=CholeskyInspector,
             artifact_cls=SympiledCholesky,
-            runtime_signature=("Ap", "Ai", "Ax"),
             aliases=("trisolve",),
         )
         with pytest.raises(DuplicateKernelError):
@@ -134,7 +131,7 @@ class TestRegistry:
         register_python_method("ldlt", _PY_METHOD_SPECS["ldlt"])
         # ...but another callable under a taken name conflicts loudly.
         with pytest.raises(ValueError, match="already registered"):
-            register_python_method("ldlt", lambda kernel: _PY_METHOD_SPECS["ldlt"](kernel))
+            register_python_method("ldlt", lambda loop, method: _PY_METHOD_SPECS["ldlt"](loop, method))
 
 
 class TestGenericCompile:
@@ -241,10 +238,12 @@ class TestArtifactCache:
         shared = ArtifactCache()
         default_sym = Sympiler(cache=shared)
         baseline = default_sym.compile("cholesky", A)
+        def simplicial_only(context):
+            context.options = context.options.with_updates(enable_vs_block=False)
+            return plan_left_looking(context)
+
         custom = KernelRegistry()
-        custom.register(
-            dataclasses.replace(kernel_spec("cholesky"), transforms=("vi-prune",))
-        )
+        custom.register(dataclasses.replace(kernel_spec("cholesky"), plan=simplicial_only))
         custom_sym = Sympiler(registry=custom, cache=shared)
         restricted = custom_sym.compile("cholesky", A)
         assert restricted is not baseline
@@ -340,8 +339,8 @@ class TestNoKernelBranchesInDriver:
         """LU must integrate through the method tables alone (the PR-2 claim).
 
         ``Sympiler.compile`` and the artifact cache must contain no LU-specific
-        branch: the only integration points are the registry spec, the
-        transform handler tables and the backend method-spec tables.
+        branch: the only integration points are the registry spec, its plan
+        function and the backend method-spec tables.
         """
         import inspect
 
@@ -349,8 +348,6 @@ class TestNoKernelBranchesInDriver:
         from repro.compiler import sympiler as driver_module
         from repro.compiler.codegen.c_backend import _C_METHOD_SPECS
         from repro.compiler.codegen.python_backend import _PY_METHOD_SPECS
-        from repro.compiler.transforms.vi_prune import VIPruneTransform
-        from repro.compiler.transforms.vs_block import VSBlockTransform
 
         for module in (driver_module, cache_module):
             source = inspect.getsource(module)
@@ -360,15 +357,15 @@ class TestNoKernelBranchesInDriver:
         # The declared integration points, and nothing else, know about lu.
         assert kernel_spec("lu").name == "lu"
         assert "lu" in _PY_METHOD_SPECS and "lu" in _C_METHOD_SPECS
-        assert "lu" in VIPruneTransform.handlers and "lu" in VSBlockTransform.handlers
+        assert kernel_spec("lu").plan is plan_lu
 
     def test_ic0_ilu0_registration_left_driver_and_cache_untouched(self):
         """IC0/ILU0 must integrate through the method tables alone (PR 4).
 
         ``Sympiler.compile`` and the artifact cache must contain no
         incomplete-kernel-specific branch: the only integration points are
-        the registry specs, the transform handler tables and the backend
-        method-spec tables — the same invariance PR 2 asserted for LU.
+        the registry specs, their plan function and the backend method-spec
+        tables — the same invariance asserted for LU.
         """
         import inspect
 
@@ -376,8 +373,6 @@ class TestNoKernelBranchesInDriver:
         from repro.compiler import sympiler as driver_module
         from repro.compiler.codegen.c_backend import _C_METHOD_SPECS
         from repro.compiler.codegen.python_backend import _PY_METHOD_SPECS
-        from repro.compiler.transforms.vi_prune import VIPruneTransform
-        from repro.compiler.transforms.vs_block import VSBlockTransform
 
         for module in (driver_module, cache_module):
             source = inspect.getsource(module)
@@ -389,8 +384,7 @@ class TestNoKernelBranchesInDriver:
         for kernel in ("ic0", "ilu0"):
             assert kernel_spec(kernel).name == kernel
             assert kernel in _PY_METHOD_SPECS and kernel in _C_METHOD_SPECS
-            assert kernel in VIPruneTransform.handlers
-            assert kernel in VSBlockTransform.handlers
+            assert kernel_spec(kernel).plan is plan_incomplete
 
     def test_incomplete_kernels_share_the_artifact_cache(self):
         from repro.compiler.cache import ArtifactCache

@@ -241,10 +241,14 @@ class TestEndToEnd:
             assert handle.n == A.n
             from repro.service.errors import ProtocolError
 
-            # An option that never existed and the seven removed ones an old
-            # client may still send: refused by name, not with a TypeError.
+            # An option that never existed, the removed ones an old client may
+            # still send and the server's own toolchain: refused by name, not
+            # with a TypeError.
             for field in (
                 "no_such_option",
+                "c_compiler",
+                "c_flags",
+                "max_supernode_width",
                 "transformation_order",
                 "peel_single_nonzero_columns",
                 "peel_colcount_threshold",
@@ -595,6 +599,50 @@ class TestHostilePeers:
             assert thread.is_alive()
         finally:
             peer.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+
+class TestToolchainIsTheServers:
+    """A peer must not choose the command the server runs to compile a kernel."""
+
+    def test_a_compiler_probe_is_refused_and_runs_nothing(self, tmp_path):
+        import socket
+
+        marker = tmp_path / "marker"
+        service = SolverService(options=SympilerOptions(enable_vs_block=False))
+        server, thread = serve_background(service)
+        peer = socket.create_connection(server.server_address, timeout=30.0)
+        try:
+            A = laplacian_2d(5, shift=0.1)
+            options = {"backend": "c", "c_compiler": "/bin/sh", "c_flags": ["-c", f"touch {marker}; exit 1"]}
+            header = {"op": "register", "id": 3, "n": A.n, "kernel": "cholesky", "options": options}
+            peer.sendall(_message(header, [A.indptr, A.indices, A.data]))
+            response, frames = recv_message(peer.makefile("rb"))
+            assert response["ok"] is False and response["kind"] == "protocol" and frames == []
+            assert "c_compiler" in response["error"] and "c_flags" in response["error"]
+            assert not marker.exists()
+            # The toolchain fields are also refused one at a time.
+            for field, value in (("c_compiler", "/bin/sh"), ("c_flags", ["-c", f"touch {marker}"])):
+                with pytest.raises(ProtocolError, match=field):
+                    handle_request(service, {**header, "options": {"backend": "c", field: value}}, [A.indptr, A.indices, A.data])
+            assert not marker.exists()
+        finally:
+            peer.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_the_client_sends_options_without_the_toolchain(self, tmp_path):
+        service = SolverService(options=SympilerOptions(enable_vs_block=False))
+        server, thread = serve_background(service)
+        try:
+            options = SympilerOptions(enable_vs_block=False, c_compiler="/bin/sh", c_flags=("-c", "exit 1"))
+            with ServiceClient(server.server_address, timeout=30.0) as client:
+                handle = client.register_pattern(laplacian_2d(5, shift=0.1), options=options)
+            assert handle.n == 25
+        finally:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)

@@ -112,16 +112,6 @@ def test_cholesky_supernodes_on_block_matrix_are_wide():
     assert partition.max_size() >= 8
 
 
-def test_cholesky_supernodes_max_width_cap():
-    A = block_tridiagonal_spd(5, 8, seed=0, dense_coupling=True)
-    parent = elimination_tree(A)
-    counts = column_counts_of_factor(A, parent)
-    capped = cholesky_supernodes(counts, parent, max_width=4)
-    assert capped.max_size() <= 4
-    uncapped = cholesky_supernodes(counts, parent)
-    assert uncapped.n_supernodes <= capped.n_supernodes
-
-
 def test_cholesky_supernodes_identity_matrix_all_singletons():
     A = CSCMatrix.identity(5)
     parent = elimination_tree(A)

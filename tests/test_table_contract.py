@@ -12,7 +12,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.compiler.ast import domain_loop
 from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available
 from repro.compiler.options import SympilerOptions
@@ -321,7 +320,7 @@ _RECORD_BUNDLES = (
 
 def _loop(artifact):
     """The domain loop the compile planned, ``None`` for the untransformed solve."""
-    return domain_loop(artifact.kernel)
+    return artifact.loop
 
 
 def _record(artifact):
@@ -422,7 +421,7 @@ def test_both_backends_fail_alike(kernel, vs_block):
         for backend in ("python", "c")
     )
     if kernel in ("cholesky", "ldlt"):
-        assert bool(python.kernel.meta.get("vs_block")) == vs_block
+        assert ("vs-block" in python.applied_transformations) == vs_block
     failed_at = set()
     for pos, value in cases:
         bad = A.copy()

@@ -1,17 +1,18 @@
-"""Tests for the inspector-guided and low-level transformations."""
+"""Tests for the inspector-guided and low-level transformations: their tables and their plans."""
 
 import numpy as np
 import pytest
 
-from repro.compiler.ast import domain_loop
 from repro.compiler.codegen import tables
-from repro.compiler.lowering import lower_cholesky, lower_triangular_solve
 from repro.compiler.options import SympilerOptions
-from repro.compiler.transforms.base import CompilationContext, TransformPipeline
-from repro.compiler.transforms.lowlevel import LoopDistributeTransform
-from repro.compiler.transforms.pipeline import build_pipeline
-from repro.compiler.transforms.vi_prune import VIPruneTransform
-from repro.compiler.transforms.vs_block import VSBlockTransform, vs_block_participates
+from repro.compiler.plan import (
+    CompilationContext,
+    plan_incomplete,
+    plan_left_looking,
+    plan_lu,
+    plan_triangular_solve,
+    vs_block_participates,
+)
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import arrow_spd, block_tridiagonal_spd, sparse_rhs, unsymmetric_diag_dominant
 from repro.symbolic.inspector import (
@@ -28,27 +29,18 @@ def _tri_context(L, options=None, rhs_nnz=3):
     b = sparse_rhs(L.n, nnz=rhs_nnz, seed=4)
     inspection = TriangularSolveInspector().inspect(L, rhs_pattern=np.nonzero(b)[0])
     return CompilationContext(
-        method="triangular-solve",
-        matrix=L,
-        inspection=inspection,
-        options=options or SympilerOptions(),
-        rhs_pattern=inspection.rhs_pattern,
+        method="triangular-solve", matrix=L, inspection=inspection, options=options or SympilerOptions()
     )
 
 
-def _chol_context(A, options=None):
+def _chol_context(A, options=None, method="cholesky"):
     inspection = CholeskyInspector().inspect(A)
-    return CompilationContext(
-        method="cholesky",
-        matrix=A,
-        inspection=inspection,
-        options=options or SympilerOptions(),
-    )
+    return CompilationContext(method=method, matrix=A, inspection=inspection, options=options or SympilerOptions())
 
 
-def _segments(kernel):
-    """``(blocks, runs)`` of a transformed solve: the ``w > 0`` seg rows, and each run's columns."""
-    sets = domain_loop(kernel).contract[1]
+def _segments(loop):
+    """``(blocks, runs)`` of a planned solve: the ``w > 0`` seg rows, and each run's columns."""
+    sets = loop.contract[1]
     rows = sets["seg"].reshape(-1, 5)
     runs = [sets["run_cols"][a:b] for w, a, b, _, _ in rows if w == 0]
     return rows[rows[:, 0] > 0], runs
@@ -268,48 +260,77 @@ def test_tables_of_edge_patterns(name):
         assert tables.incomplete_ic0(A, IC0Inspector().inspect(A))[1]["l_scat_src"].size == 0
 
 
+def _five_column_factor():
+    """A 5 x 5 lower-triangular pattern whose columns 1-3 are one supernode."""
+    dense = np.eye(5)
+    dense[1:, 0] = dense[2:, 1] = dense[3:, 2] = dense[4:, 3] = 1.0
+    dense[[2, 3], 0] = 0.0  # column 0 is not in the supernode: rows {0, 1, 4}
+    return CSCMatrix.from_dense(dense)
+
+
+def test_segments_without_a_partition_are_one_run_in_the_given_order():
+    dims, sets = tables.trisolve_segments(_five_column_factor(), None, [3, 1, 2], 0)
+    assert dims == {"n_seg": 1} and sets["seg"].tolist() == [0, 0, 3, 0, 0]
+    assert sets["run_cols"].dtype == np.int64 and sets["run_cols"].tolist() == [3, 1, 2]
+
+
+def test_a_wide_supernode_is_one_block_row():
+    """A wide supernode is one row ``{w, c0, n_off, off_lo, cs}`` and its column starts."""
+    L = _five_column_factor()
+    partition = supernodes_from_boundaries([0, 1, 4], 5)
+    dims, sets = tables.trisolve_segments(L, partition, np.arange(5), 2)
+    assert dims == {"n_seg": 3}
+    run, blk, tail = sets["seg"].reshape(3, 5).tolist()
+    assert run == [0, 0, 1, 0, 0] and tail == [0, 1, 2, 0, 0] and sets["run_cols"].tolist() == [0, 4]
+    assert blk == [3, 1, 1, int(L.indptr[1]) + 3, 0]  # one row (4) below the 3 x 3 diagonal block
+    assert L.indices[blk[3] : blk[3] + blk[2]].tolist() == [4]
+    assert sets["blk_cs"].tolist() == L.indptr[1:4].tolist()
+
+
 # --------------------------------------------------------------------------- #
 # VI-Prune
 # --------------------------------------------------------------------------- #
-def test_vi_prune_triangular_replaces_column_loop(lower_factors):
+def test_vi_prune_triangular_iterates_the_reach_set(lower_factors):
     L = lower_factors["fem"]
-    context = _tri_context(L)
-    kernel = VIPruneTransform().apply(lower_triangular_solve(), context)
-    node = domain_loop(kernel)
-    assert node.role == "trisolve-segments"
-    blocks, runs = _segments(kernel)
+    context = _tri_context(L, SympilerOptions.vi_prune_only())
+    loop = plan_triangular_solve(context)
+    assert loop.role == "trisolve-segments" and loop.factor_kind is None
+    blocks, runs = _segments(loop)
     assert not blocks.size and len(runs) == 1
     # The reach-set in the inspector's topological order, not sorted.
     np.testing.assert_array_equal(runs[0], context.inspection.reach)
     assert context.applied == ["vi-prune"]
-    assert kernel.meta["vi_prune"] is True
+    assert context.decisions["vi-prune"] == {"mode": "loop", "reach_size": context.inspection.reach.size}
 
 
 def test_vi_prune_cholesky_produces_simplicial_loop(spd_matrices):
     A = spd_matrices["laplacian_2d"]
-    context = _chol_context(A)
-    kernel = VIPruneTransform().apply(lower_cholesky(), context)
-    node = domain_loop(kernel)
-    assert node.role == "simplicial-cholesky" and node.factor_kind == "llt"
-    dims, sets = node.contract
+    context = _chol_context(A, SympilerOptions.vi_prune_only())
+    loop = plan_left_looking(context)
+    assert loop.role == "simplicial-cholesky" and loop.factor_kind == "llt"
+    dims, sets = loop.contract
     assert dims == {"nnz_l": context.inspection.factor_nnz}
     assert list(sets) == ["l_indptr", "l_indices", "a_diag_pos", "a_col_end", "prune_ptr", "update_pos", "update_end"]
+    assert context.decisions["vi-prune"] == {"mode": "loop", "total_updates": int(sets["prune_ptr"][-1])}
+    # LDL^T is the same loop over the same prune-sets, and also reads the descendant columns.
+    ldlt = plan_left_looking(_chol_context(A, SympilerOptions.vi_prune_only(), method="ldlt"))
+    assert ldlt.role == "simplicial-cholesky" and ldlt.factor_kind == "ldlt" and "update_col" in ldlt.contract[1]
 
 
-def test_vi_prune_is_idempotent_on_cholesky(spd_matrices):
-    A = spd_matrices["fem"]
-    context = _chol_context(A)
-    kernel = VIPruneTransform().apply(lower_cholesky(), context)
-    node = domain_loop(kernel)
-    kernel = VIPruneTransform().apply(kernel, context)
-    assert domain_loop(kernel) is node and node.role == "simplicial-cholesky"
+def test_without_vi_prune_only_the_triangular_solve_has_a_loop(lower_factors, spd_matrices):
+    """The untransformed solve is the plain column loop; a factorization has none to fall back on."""
+    baseline = SympilerOptions.baseline()
+    context = _tri_context(lower_factors["fem"], baseline)
+    assert plan_triangular_solve(context) is None and context.applied == [] and context.decisions == {}
+    context = _chol_context(spd_matrices["fem"], baseline)
+    assert plan_left_looking(context) is None and context.applied == []
 
 
-def test_vi_prune_rejects_unknown_method(lower_factors):
+def test_a_plan_refuses_an_inspection_of_another_kernel(lower_factors):
     context = _tri_context(lower_factors["fem"])
-    context.method = "qr"
-    with pytest.raises(ValueError):
-        VIPruneTransform().apply(lower_triangular_solve(), context)
+    context.method = "cholesky"
+    with pytest.raises(TypeError, match="CholeskyInspectionResult"):
+        plan_left_looking(context)
 
 
 # --------------------------------------------------------------------------- #
@@ -338,47 +359,45 @@ def _blocked_factor(n_blocks, block_size, seed):
 
 def test_vs_block_triangular_produces_blocks():
     L = _blocked_factor(6, 6, seed=1)
-    context = _tri_context(L)
-    kernel = VSBlockTransform().apply(lower_triangular_solve(), context)
-    blocks, _ = _segments(kernel)
+    context = _tri_context(L, SympilerOptions.vs_block_only())
+    loop = plan_triangular_solve(context)
+    blocks, runs = _segments(loop)
     assert blocks.size, "expected at least one supernode block"
+    # Without VI-Prune every column is active: the blocks and runs cover them all, once.
+    covered = sorted({c for w, c0 in blocks[:, :2] for c in range(c0, c0 + w)} | {c for r in runs for c in r.tolist()})
+    assert covered == list(range(L.n))
     assert context.decisions["vs-block"]["participates"]
-    assert kernel.meta["vs_block"] is True and context.applied == ["vs-block"]
+    assert context.applied == ["vs-block"]
 
 
 def test_vs_block_skips_when_supernodes_are_small(lower_factors):
     # The 2-D grid factor under this ordering has mostly width-1 supernodes.
     L = lower_factors["laplacian_2d"]
-    options = SympilerOptions(vs_block_min_avg_width=10.0)
-    context = _tri_context(L, options=options)
-    kernel = VSBlockTransform().apply(lower_triangular_solve(), context)
-    assert domain_loop(kernel) is None
+    context = _tri_context(L, SympilerOptions.vs_block_only().with_updates(vs_block_min_avg_width=10.0))
+    assert plan_triangular_solve(context) is None
     assert not context.decisions["vs-block"]["participates"]
     assert context.applied == []
 
 
 def test_vs_block_cholesky_produces_supernodal_loop(spd_matrices):
     A = spd_matrices["block"]
-    context = _chol_context(A)
-    kernel = VSBlockTransform().apply(lower_cholesky(), context)
-    node = domain_loop(kernel)
-    assert node.role == "supernodal-cholesky" and node.factor_kind == "llt"
-    assert node.contract[0]["n_super"] == context.inspection.supernodes.n_supernodes
-    # Low-level refinements are off until the low-level passes run.
-    assert not node.distribute_single_columns
+    context = _chol_context(A, SympilerOptions(enable_low_level=False))
+    loop = plan_left_looking(context)
+    assert loop.role == "supernodal-cholesky" and loop.factor_kind == "llt"
+    assert loop.contract[0]["n_super"] == context.inspection.supernodes.n_supernodes
+    # Low-level refinements are off with the low-level passes.
+    assert not loop.distribute_single_columns
     # VI-Prune leaves the supernodal loop alone: its descendant descriptors are the prune-sets.
-    kernel = VIPruneTransform().apply(kernel, context)
-    assert domain_loop(kernel) is node and context.applied == ["vs-block", "vi-prune"]
-    assert kernel.meta["vi_prune"] is True
+    assert context.applied == ["vs-block", "vi-prune"]
+    assert context.decisions["vi-prune"] == {"mode": "blocked"}
 
 
 def test_vi_prune_after_vs_block_drops_unreached_blocks(lower_factors):
     L = lower_factors["block"]
-    context = _tri_context(L, rhs_nnz=1)
-    kernel = VSBlockTransform().apply(lower_triangular_solve(), context)
-    blocks_before, _ = _segments(kernel)
-    kernel = VIPruneTransform().apply(kernel, context)
-    blocks_after, runs = _segments(kernel)
+    blocks_before, _ = _segments(plan_triangular_solve(_tri_context(L, SympilerOptions.vs_block_only(), rhs_nnz=1)))
+    context = _tri_context(L, SympilerOptions(), rhs_nnz=1)
+    blocks_after, runs = _segments(plan_triangular_solve(context))
+    assert context.applied == ["vs-block", "vi-prune"] and context.decisions["vi-prune"]["mode"] == "blocked"
     reach = set(context.inspection.reach_sorted.tolist())
     assert 0 < len(reach) < L.n
     for w, c0 in blocks_after[:, :2]:
@@ -389,43 +408,38 @@ def test_vi_prune_after_vs_block_drops_unreached_blocks(lower_factors):
     assert reach <= covered
 
 
+@pytest.mark.parametrize("method", ["lu", "ic0", "ilu0"])
+def test_vs_block_defers_on_lu_and_the_incomplete_factorizations(method):
+    """The participation test runs and is recorded, but the loop stays the pruned column loop."""
+    A = block_tridiagonal_spd(6, 6, seed=1, dense_coupling=True)
+    inspector, plan, role = {
+        "lu": (LUInspector, plan_lu, "simplicial-lu"),
+        "ic0": (IC0Inspector, plan_incomplete, "incomplete-cholesky"),
+        "ilu0": (ILU0Inspector, plan_incomplete, "incomplete-lu"),
+    }[method]
+    context = CompilationContext(method=method, matrix=A, inspection=inspector().inspect(A), options=SympilerOptions())
+    loop = plan(context)
+    assert loop.role == role and loop.factor_kind == method
+    decision = context.decisions["vs-block"]
+    assert decision["participates"] and decision["factor_kind"] == method and "deferred" in decision
+    assert context.applied == ["vi-prune"]
+
+
 # --------------------------------------------------------------------------- #
-# Low-level passes
+# Loop distribution
 # --------------------------------------------------------------------------- #
 def test_distribute_refines_supernodal_loop(spd_matrices):
-    A = spd_matrices["block"]
-    context = _chol_context(A)
-    kernel = VSBlockTransform().apply(lower_cholesky(), context)
-    kernel = LoopDistributeTransform().apply(kernel, context)
-    assert domain_loop(kernel).distribute_single_columns
-    assert kernel.meta["loop_distribution"] is True and context.applied == ["vs-block", "distribute"]
+    context = _chol_context(spd_matrices["block"], SympilerOptions())
+    loop = plan_left_looking(context)
+    assert loop.role == "supernodal-cholesky" and loop.distribute_single_columns
+    assert context.applied == ["vs-block", "vi-prune", "distribute"]
+    assert context.decisions["distribute"] == {"distributed_loops": 1}
 
 
-def test_lowlevel_passes_are_noops_without_hints(spd_matrices):
-    A = spd_matrices["fem"]
-    context = _chol_context(A)
-    LoopDistributeTransform().apply(lower_cholesky(), context)
-    assert context.applied == []
-
-
-# --------------------------------------------------------------------------- #
-# Pipeline
-# --------------------------------------------------------------------------- #
-def test_build_pipeline_reflects_options():
-    full = build_pipeline(SympilerOptions())
-    assert full.pass_names()[:2] == ["vs-block", "vi-prune"]
-    assert full.pass_names()[2:] == ["distribute"]
-    no_lowlevel = build_pipeline(SympilerOptions(enable_low_level=False))
-    assert no_lowlevel.pass_names() == ["vs-block", "vi-prune"]
-    assert build_pipeline(SympilerOptions(), transforms=("vi-prune",)).pass_names()[:1] == ["vi-prune"]
-    assert len(build_pipeline(SympilerOptions.baseline())) == 0
-
-
-def test_pipeline_run_records_applied_transformations(lower_factors):
-    L = lower_factors["block"]
-    options = SympilerOptions()
-    context = _tri_context(L, options=options)
-    pipeline = build_pipeline(options)
-    assert isinstance(pipeline, TransformPipeline)
-    pipeline.run(lower_triangular_solve(), context)
-    assert "vi-prune" in context.applied
+def test_distribute_is_a_noop_without_a_supernodal_loop(spd_matrices, lower_factors):
+    context = _chol_context(spd_matrices["fem"], SympilerOptions(enable_vs_block=False))
+    assert plan_left_looking(context).role == "simplicial-cholesky"
+    assert "distribute" not in context.applied
+    context = _tri_context(lower_factors["block"], SympilerOptions())
+    plan_triangular_solve(context)
+    assert "distribute" not in context.applied
