@@ -7,7 +7,8 @@ full system:
 
 * :mod:`repro.sparse`   — CSC/CSR/COO containers, generators, orderings, I/O.
 * :mod:`repro.symbolic` — reach-sets, elimination trees, fill prediction,
-  supernodes, and the symbolic-inspector framework.
+  supernodes, level-set (wavefront) execution schedules, and the
+  symbolic-inspector framework.
 * :mod:`repro.kernels`  — interpreted reference kernels, the test oracles of
   the compiled ones (dense micro-kernels, simplicial/supernodal Cholesky,
   LDLᵀ, LU, IC(0)/ILU(0), FLOP counts).
@@ -16,12 +17,10 @@ full system:
   one domain loop each kernel runs, and code generation (generated C, and
   fixed NumPy reference kernels over the same tables).
 * :mod:`repro.baselines` — dense NumPy/SciPy correctness oracles.
-* :mod:`repro.solvers`  — factor-once/solve-many driver, preconditioned CG
-  and Newton–Raphson loops (single and ensemble) with a fixed-sparsity
-  Jacobian.
-* :mod:`repro.runtime`  — the batched/parallel numeric runtime: level-set
-  execution schedules, the batch execution engine and the
-  :class:`~repro.runtime.facade.BatchedSolver` facade.
+* :mod:`repro.solvers`  — factor-once/solve-many driver, the
+  :class:`~repro.solvers.batched.BatchedSolver` over many value sets of one
+  pattern, preconditioned CG and Newton–Raphson loops (single and ensemble)
+  with a fixed-sparsity Jacobian.
 * :mod:`repro.bench`    — the paper-figure reproducer: one experiment table
   and one runner for Table 2, Figs. 6-9 and §4.3, generated C against native
   scipy (the product itself is measured by ``benchmarks/e2e``).
@@ -83,8 +82,8 @@ from repro.sparse import (
     sparse_rhs,
     unsymmetric_diag_dominant,
 )
-from repro.runtime import BatchedSolver, ExecutionSchedule
-from repro.solvers import SparseLinearSolver, preconditioned_conjugate_gradient
+from repro.solvers import BatchedSolver, SparseLinearSolver, preconditioned_conjugate_gradient
+from repro.symbolic.levels import ExecutionSchedule
 
 __all__ = [
     "__version__",

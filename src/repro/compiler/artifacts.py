@@ -219,7 +219,7 @@ class CompiledArtifact:
 
     @property
     def schedule(self):
-        """The level-set :class:`~repro.runtime.levels.ExecutionSchedule`.
+        """The level-set :class:`~repro.symbolic.levels.ExecutionSchedule`.
 
         Computed by the symbolic inspector at compile time, so it is cached
         under the same pattern fingerprint as the generated code.
@@ -375,7 +375,7 @@ class SympiledFactorization(CompiledArtifact):
     def assemble_factors(self, raw):
         """Shape one raw ``factorize_arrays`` output into the factor object.
 
-        The batch execution engine (:mod:`repro.runtime.engine`) produces raw
+        :meth:`~repro.solvers.batched.BatchedSolver.factorize_batch` keeps raw
         per-item outputs off the artifact's entry point; this hook gives them
         the same shape ``factorize`` returns (a factor matrix, an ``(L, d)``
         pair, ...), so batched and sequential callers see identical types.

@@ -65,7 +65,7 @@ it loads a ``.so``.
 Under ``SympilerOptions(parallel="wavefront")`` every entry point gains an
 ``int64_t n_threads`` argument (before the table block) and executes the
 columns of each level of the inspector's cached
-:class:`~repro.runtime.levels.ExecutionSchedule` across a persistent pthread
+:class:`~repro.symbolic.levels.ExecutionSchedule` across a persistent pthread
 worker pool, with a barrier between levels (the paper's H-Level parallelism,
 applied *within* one numeric call); with ``n_threads <= 1`` it runs the
 serial loop.  Levels are antichains of the column dependency DAG, so
@@ -111,6 +111,7 @@ __all__ = [
     "c_compiler_available",
     "disk_cache_stats",
     "reset_disk_cache_stats",
+    "resolve_num_threads",
     "atomic_write_text",
     "tmp_path_for",
 ]
@@ -432,10 +433,8 @@ _NUMPY_DTYPES = {"int64_t": np.int64, "double": np.float64}
 def num_threads_from_env() -> Optional[int]:
     """The ``REPRO_NUM_THREADS`` override: ``None`` when unset or blank.
 
-    The one parser of the variable, for the wavefront entry below and for
-    :func:`repro.runtime.engine.resolve_num_threads` (it lives here because
-    the runtime imports this module).  Surrounding blanks are ignored;
-    anything else must be an integer.
+    The one parser of the variable (:func:`resolve_num_threads` reads it).
+    Surrounding blanks are ignored; anything else must be an integer.
     """
     raw = os.environ.get("REPRO_NUM_THREADS", "")
     if not raw.strip():
@@ -446,25 +445,37 @@ def num_threads_from_env() -> Optional[int]:
         raise ValueError(f"REPRO_NUM_THREADS must be an integer, got {raw!r}") from None
 
 
-def _wavefront_threads(num_threads: Optional[int]) -> int:
-    """Resolve the thread count of one wavefront entry call.
+def resolve_num_threads(num_threads: Optional[int], unset: int = 1) -> int:
+    """Normalize a thread-count knob to a concrete worker count.
 
-    Precedence: explicit argument > ``REPRO_NUM_THREADS`` environment
-    override > one thread per available CPU (``0`` means "one per CPU" at
-    any level).  Mirrors :func:`repro.runtime.engine.resolve_num_threads`
-    except for the last step — a wavefront kernel called without any request
-    should saturate the machine, that being its purpose.
+    The one precedence of every entry point: an explicit ``num_threads``
+    wins; when it is ``None``, ``REPRO_NUM_THREADS`` applies (CI runners and
+    service containers pin the count there without touching call sites);
+    with neither, ``unset``.  ``0`` at any step means one per CPU.
+
+    Entry points differ only in ``unset``.  A wavefront kernel's own call
+    (:func:`_wavefront_threads`) passes ``0``: called without any request it
+    should saturate the machine, that being its purpose.  The batch entries
+    (``BatchedSolver``, ``SparseLinearSolver.solve_many``) pass the
+    requested ``SympilerOptions.num_threads``, whose default is 1.  The knob
+    is runtime-only: it is excluded from cache fingerprints, so re-tuning it
+    never recompiles.
     """
     if num_threads is None:
         num_threads = num_threads_from_env()
     if num_threads is None:
-        num_threads = 0
+        num_threads = unset
     num_threads = int(num_threads)
     if num_threads < 0:
         raise ValueError("num_threads must be non-negative (0 means one per CPU)")
     if num_threads == 0:
         return os.cpu_count() or 1
     return num_threads
+
+
+def _wavefront_threads(num_threads: Optional[int]) -> int:
+    """The thread count of one wavefront entry call: one per CPU when nothing is set."""
+    return resolve_num_threads(num_threads, 0)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from repro.symbolic.inspector import (
 from repro.symbolic.supernodes import SupernodePartition
 
 if TYPE_CHECKING:
-    from repro.runtime.levels import ExecutionSchedule
+    from repro.symbolic.levels import ExecutionSchedule
 
 __all__ = [
     "Contract",

@@ -10,8 +10,9 @@ The options gather every tunable the paper mentions:
   here is expressed as an average supernode width suited to the down-scaled
   synthetic suite of :mod:`repro.bench.suite`),
 * the code-generation backend,
-* the numeric-runtime thread count used by the batched execution engine
-  (:mod:`repro.runtime`).
+* the thread count of the batch entries
+  (:class:`~repro.solvers.batched.BatchedSolver`,
+  ``SparseLinearSolver.solve_many``).
 """
 
 from __future__ import annotations
@@ -87,12 +88,14 @@ class SympilerOptions:
         pattern), the barrier overhead cannot pay off and the backend emits
         the serial body instead, recording the decision on the artifact.
     num_threads:
-        Worker-thread count for the batched numeric runtime
-        (:class:`repro.runtime.BatchExecutor`).  ``1`` (the default) runs
-        batch items sequentially; ``N > 1`` maps them over a thread pool when
-        the backend can execute concurrently (the C backend releases the GIL
-        inside the generated shared object, and its work buffers are
-        thread-local); ``0`` means "one thread per available CPU".  Purely a
+        Worker-thread count of the batch entries
+        (:class:`~repro.solvers.batched.BatchedSolver`,
+        ``SparseLinearSolver.solve_many``) when neither their argument nor
+        ``REPRO_NUM_THREADS`` sets one.  ``1`` (the default) runs batch items
+        sequentially; ``N > 1`` maps them over a thread pool when the backend
+        can execute concurrently (the C backend releases the GIL inside the
+        generated shared object, and its work buffers are thread-local);
+        ``0`` means "one thread per available CPU".  Purely a
         runtime knob — the generated code is identical for every value, and
         the field is excluded from the cache fingerprints
         (:data:`repro.compiler.cache.RUNTIME_ONLY_OPTIONS`), so re-tuning it

@@ -2,7 +2,7 @@
 
 Every point where a sparsity pattern enters the system — the front end's
 :func:`repro.frontend.solve`, :class:`~repro.solvers.linear_solver.SparseLinearSolver`,
-:meth:`~repro.runtime.facade.BatchedSolver.factorize_batch`,
+:meth:`~repro.solvers.batched.BatchedSolver.factorize_batch`,
 :meth:`~repro.service.session.SolverService.register_pattern` and the wire
 client — funnels through :func:`ingest`, which converts **once** to the CSC
 container the whole compiled-kernel stack is built on and fingerprints the

@@ -313,9 +313,9 @@ class SpecializedSolver:
         """Solve ``A x = b``; ``A`` in any ingestible form.
 
         ``method`` overrides the instance default and the structural probes
-        (the misdetection escape hatch).  ``num_threads`` follows the
-        process-wide precedence documented on
-        :func:`repro.runtime.engine.resolve_num_threads`.  ``tol`` /
+        (the misdetection escape hatch).  ``num_threads`` reaches only a
+        wavefront kernel, with the precedence documented on
+        :func:`~repro.compiler.codegen.c_backend.resolve_num_threads`.  ``tol`` /
         ``max_iterations`` apply to the ``pcg`` route only.
         """
         if method is not None and method not in AUTO_METHODS:

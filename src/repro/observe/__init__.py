@@ -9,9 +9,10 @@ keep their public APIs but are now visible through one
 
 Three layers:
 
-* **registry** — counters / gauges / histograms / reservoirs, labeled
+* **registry** — labeled counters
   (``registry.counter("solves", kernel="cholesky")``), plus pull-mode
-  *collectors* polled only at snapshot time.
+  *collectors* polled only at snapshot time; :class:`Reservoir` keeps the
+  service's latency quantiles.
 * **trace** — nestable spans (``with observe.span("inspect"): ...``)
   instrumenting ingest → probe → inspection → transform → codegen → cc →
   schedule → numeric → service dispatch, with explicit cross-thread
@@ -61,8 +62,6 @@ from repro.observe.exporters import (
 from repro.observe.registry import (
     DEFAULT_RESERVOIR_SAMPLES,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     Reservoir,
     get_registry,
@@ -90,8 +89,6 @@ __all__ = [
     "DEFAULT_RESERVOIR_SAMPLES",
     "Event",
     "EventLog",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "PHASE_GROUPS",
     "Reservoir",

@@ -3,9 +3,9 @@ and the paper's amortization breakdown.
 
 Three consumers, one source of truth (the default registry + tracer):
 
-* :func:`snapshot` — a JSON-serialisable document with every counter,
-  gauge, histogram, reservoir summary, and pull-collector output.  This is
-  what ``cache_probe --json`` embeds and what tests assert against.
+* :func:`snapshot` — a JSON-serialisable document with every counter and
+  pull-collector output (``{"counters", "collectors"}``).  This is what
+  ``cache_probe --json`` embeds and what tests assert against.
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   ``chrome://tracing`` / Perfetto trace-event format (``ph: "X"`` complete
   events, microsecond timestamps) built from the tracer's finished spans.

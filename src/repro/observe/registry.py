@@ -1,4 +1,4 @@
-"""The central metrics registry: counters, gauges, histograms, reservoirs.
+"""The central metrics registry: labeled counters plus pull-mode collectors.
 
 One process-wide :class:`MetricsRegistry` (:func:`get_registry`) is the
 single aggregation point the four legacy stats surfaces plumb into:
@@ -13,11 +13,11 @@ single aggregation point the four legacy stats surfaces plumb into:
 * :class:`~repro.frontend.specialized.FrontendStats` — pulled by the
   ``frontend`` collector (the process-wide default front end).
 
-Push metrics (counters/gauges/histograms/reservoirs) are created lazily and
-labeled (``registry.counter("phase_seconds_total", phase="inspect")``);
-pull metrics are *collectors* — zero-overhead adapters polled only at
-snapshot/export time, so the legacy surfaces keep their exact APIs and hot
-paths while still appearing in one unified document
+Counters are created lazily and labeled
+(``registry.counter("phase_seconds_total", phase="inspect")``; the tracer
+keeps the phase counters); pull metrics are *collectors* — zero-overhead
+adapters polled only at snapshot/export time, so the legacy surfaces keep
+their exact APIs and hot paths while still appearing in one unified document
 (:func:`~repro.observe.exporters.snapshot`, Prometheus text, the service's
 ``metrics`` wire verb).
 
@@ -28,13 +28,11 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 __all__ = [
     "percentile",
     "Counter",
-    "Gauge",
-    "Histogram",
     "Reservoir",
     "MetricsRegistry",
     "get_registry",
@@ -89,81 +87,13 @@ class Counter:
     def inc(self, n: float = 1.0) -> None:
         """Add ``n`` (must be non-negative) to the counter."""
         if n < 0:
-            raise ValueError("counters only go up; use a gauge for deltas")
+            raise ValueError("counters only go up")
         with self._lock:
             self.value += n
 
     def get(self) -> float:
         with self._lock:
             return self.value
-
-
-class Gauge:
-    """A value that goes up and down (queue depth, cache size, ...)."""
-
-    __slots__ = ("_lock", "value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-    def add(self, n: float) -> None:
-        with self._lock:
-            self.value += n
-
-    def get(self) -> float:
-        with self._lock:
-            return self.value
-
-
-#: Default histogram buckets: upper bounds in seconds, spanning the µs-scale
-#: compiled numeric kernels through multi-second cc invocations.
-DEFAULT_BUCKETS = (
-    1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
-
-class Histogram:
-    """A fixed-bucket histogram (Prometheus ``le`` convention)."""
-
-    __slots__ = ("_lock", "buckets", "counts", "total", "count")
-
-    def __init__(self, buckets: Iterable[float] = DEFAULT_BUCKETS) -> None:
-        self._lock = threading.Lock()
-        self.buckets = tuple(sorted(float(b) for b in buckets))
-        if not self.buckets:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.counts = [0] * (len(self.buckets) + 1)  # trailing +Inf bucket
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        idx = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                idx = i
-                break
-        with self._lock:
-            self.counts[idx] += 1
-            self.total += value
-            self.count += 1
-
-    def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            counts = list(self.counts)
-            total = self.total
-            count = self.count
-        return {
-            "buckets": list(self.buckets),
-            "counts": counts,
-            "sum": total,
-            "count": count,
-        }
 
 
 class Reservoir:
@@ -232,13 +162,11 @@ def render_key(name: str, labels: Tuple[Tuple[str, str], ...]) -> str:
 
 
 class MetricsRegistry:
-    """Thread-safe registry of labeled metrics plus pull-mode collectors.
+    """Thread-safe registry of labeled counters plus pull-mode collectors.
 
-    Metrics are created lazily by :meth:`counter` / :meth:`gauge` /
-    :meth:`histogram` / :meth:`reservoir` — repeated calls with the same
-    ``(name, labels)`` return the same object, so callsites keep no
-    references.  Asking for an existing name with a different metric kind
-    raises (one name, one type).
+    Counters are created lazily by :meth:`counter` — repeated calls with the
+    same ``(name, labels)`` return the same object, so callsites keep no
+    references.
 
     Collectors are named zero-argument callables returning a (possibly
     nested) dict of numbers; they are polled only by :meth:`collect` /
@@ -247,56 +175,18 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: Dict[LabeledKey, object] = {}
-        self._kinds: Dict[str, type] = {}
+        self._counters: Dict[LabeledKey, Counter] = {}
         self._collectors: Dict[str, Callable[[], Mapping]] = {}
 
     # ------------------------------------------------------------------ #
-    def _get_or_create(self, name: str, labels: Mapping, kind: type, factory):
-        key = _key(name, labels)
-        with self._lock:
-            metric = self._metrics.get(key)
-            if metric is not None:
-                if not isinstance(metric, kind):
-                    raise TypeError(
-                        f"metric {name!r} is a {type(metric).__name__}, "
-                        f"not a {kind.__name__}"
-                    )
-                return metric
-            registered = self._kinds.get(name)
-            if registered is not None and registered is not kind:
-                raise TypeError(
-                    f"metric name {name!r} already registered as "
-                    f"{registered.__name__}"
-                )
-            metric = factory()
-            self._metrics[key] = metric
-            self._kinds[name] = kind
-            return metric
-
     def counter(self, name: str, **labels) -> Counter:
         """Get or create one labeled counter."""
-        return self._get_or_create(name, labels, Counter, Counter)
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        """Get or create one labeled gauge."""
-        return self._get_or_create(name, labels, Gauge, Gauge)
-
-    def histogram(
-        self, name: str, buckets: Iterable[float] = DEFAULT_BUCKETS, **labels
-    ) -> Histogram:
-        """Get or create one labeled histogram (buckets fixed on creation)."""
-        return self._get_or_create(
-            name, labels, Histogram, lambda: Histogram(buckets)
-        )
-
-    def reservoir(
-        self, name: str, maxlen: int = DEFAULT_RESERVOIR_SAMPLES, **labels
-    ) -> Reservoir:
-        """Get or create one labeled quantile reservoir."""
-        return self._get_or_create(
-            name, labels, Reservoir, lambda: Reservoir(maxlen)
-        )
+        key = _key(name, labels)
+        with self._lock:
+            counter = self._counters.get(key)
+            if counter is None:
+                counter = self._counters[key] = Counter()
+            return counter
 
     # ------------------------------------------------------------------ #
     def register_collector(
@@ -344,47 +234,29 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:
-        """One deterministic JSON-friendly view of every metric + collector."""
+        """One deterministic JSON-friendly view of every counter + collector."""
         with self._lock:
-            items = sorted(self._metrics.items())
-        counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
-        histograms: Dict[str, object] = {}
-        reservoirs: Dict[str, object] = {}
-        for (name, labels), metric in items:
-            rendered = render_key(name, labels)
-            if isinstance(metric, Counter):
-                counters[rendered] = metric.get()
-            elif isinstance(metric, Gauge):
-                gauges[rendered] = metric.get()
-            elif isinstance(metric, Histogram):
-                histograms[rendered] = metric.snapshot()
-            elif isinstance(metric, Reservoir):
-                reservoirs[rendered] = metric.summary()
+            items = sorted(self._counters.items())
         return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-            "reservoirs": reservoirs,
+            "counters": {render_key(name, labels): counter.get() for (name, labels), counter in items},
             "collectors": self.collect(),
         }
 
     def reset(self) -> None:
-        """Drop every metric (collectors stay registered); tests only."""
+        """Drop every counter (collectors stay registered); tests only."""
         with self._lock:
-            self._metrics.clear()
-            self._kinds.clear()
+            self._counters.clear()
 
     # ------------------------------------------------------------------ #
     def to_prometheus(self, prefix: str = "repro") -> str:
         """Prometheus text exposition (version 0.0.4) of the whole registry.
 
-        Push metrics export under their own names; collector values flatten
-        to gauges named ``<prefix>_<collector>_<key>``.  Output is sorted and
+        Counters export under their own names; collector values flatten to
+        gauges named ``<prefix>_<collector>_<key>``.  Output is sorted and
         deterministic for a fixed registry state.
         """
         with self._lock:
-            items = sorted(self._metrics.items())
+            items = sorted(self._counters.items())
         lines: List[str] = []
         typed: set = set()
 
@@ -393,37 +265,10 @@ class MetricsRegistry:
                 typed.add(name)
                 lines.append(f"# TYPE {name} {kind}")
 
-        for (name, labels), metric in items:
+        for (name, labels), counter in items:
             full = _prom_name(f"{prefix}_{name}")
-            if isinstance(metric, Counter):
-                emit_type(full, "counter")
-                lines.append(f"{full}{_prom_labels(labels)} {_prom_num(metric.get())}")
-            elif isinstance(metric, Gauge):
-                emit_type(full, "gauge")
-                lines.append(f"{full}{_prom_labels(labels)} {_prom_num(metric.get())}")
-            elif isinstance(metric, Histogram):
-                emit_type(full, "histogram")
-                snap = metric.snapshot()
-                acc = 0
-                for bound, count in zip(snap["buckets"], snap["counts"]):
-                    acc += count
-                    le = labels + (("le", _prom_num(bound)),)
-                    lines.append(f"{full}_bucket{_prom_labels(le)} {acc}")
-                acc += snap["counts"][-1]
-                inf = labels + (("le", "+Inf"),)
-                lines.append(f"{full}_bucket{_prom_labels(inf)} {acc}")
-                lines.append(f"{full}_sum{_prom_labels(labels)} {_prom_num(snap['sum'])}")
-                lines.append(f"{full}_count{_prom_labels(labels)} {snap['count']}")
-            elif isinstance(metric, Reservoir):
-                emit_type(full, "summary")
-                samples, count, total = metric.snapshot()
-                ordered = sorted(samples)
-                for q in (0.5, 0.95):
-                    ql = labels + (("quantile", _prom_num(q)),)
-                    value = _percentile_sorted(ordered, q * 100.0)
-                    lines.append(f"{full}{_prom_labels(ql)} {_prom_num(value)}")
-                lines.append(f"{full}_sum{_prom_labels(labels)} {_prom_num(total)}")
-                lines.append(f"{full}_count{_prom_labels(labels)} {count}")
+            emit_type(full, "counter")
+            lines.append(f"{full}{_prom_labels(labels)} {_prom_num(counter.get())}")
         for cname, values in self.collect().items():
             for key, value in sorted(_flatten(values).items()):
                 if isinstance(value, bool):

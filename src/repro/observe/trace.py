@@ -7,8 +7,9 @@ any explicit plumbing.  Thread pools do **not** propagate context variables
 into workers, so cross-thread attribution is explicit: the submitting side
 calls :func:`capture` and the worker wraps its work in
 ``with attach(ctx): ...`` — the worker's spans then attach to the
-submitting request's trace (this is how :class:`~repro.runtime.engine.BatchExecutor`
-workers and the service coalescer dispatcher stay attributable).
+submitting request's trace (this is how the pool threads of
+:func:`~repro.solvers.linear_solver.map_items` and the service coalescer
+dispatcher stay attributable).
 
 Tracing is **zero-cost when disabled**: :func:`span` checks one module-level
 flag and returns a shared no-op context manager, allocating nothing.  The

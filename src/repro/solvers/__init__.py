@@ -6,12 +6,15 @@ numeric values change every step, so the one-time compile cost amortizes:
 
 * :class:`repro.solvers.linear_solver.SparseLinearSolver` — factor once /
   solve many SPD solver (ordering → symbolic → generated numeric code).
+* :class:`repro.solvers.batched.BatchedSolver` — the same solver over many
+  value sets of its pattern at once, one factor handle per value set.
 * :mod:`repro.solvers.cg` — conjugate gradient preconditioned by the
   compiled IC(0) kernel, whose triangular solves are Sympiler-generated too.
 * :mod:`repro.solvers.newton` — a Newton–Raphson loop with a fixed-sparsity
   Jacobian (the power-system / circuit-simulation scenario).
 """
 
+from repro.solvers.batched import BatchedSolver, FactorHandle
 from repro.solvers.cg import CGResult, preconditioned_conjugate_gradient
 from repro.solvers.linear_solver import SparseLinearSolver, backward_factor
 from repro.solvers.newton import (
@@ -22,6 +25,8 @@ from repro.solvers.newton import (
 
 __all__ = [
     "SparseLinearSolver",
+    "BatchedSolver",
+    "FactorHandle",
     "backward_factor",
     "preconditioned_conjugate_gradient",
     "CGResult",

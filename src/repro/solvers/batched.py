@@ -1,4 +1,4 @@
-"""The user facade of the batched runtime: :class:`BatchedSolver`.
+"""Many value sets of one pattern at once: :class:`BatchedSolver`.
 
 Wraps :class:`~repro.solvers.linear_solver.SparseLinearSolver` — one
 ordering, one compiled factorization, one pair of compiled triangular
@@ -12,9 +12,11 @@ solves — and turns it into a multi-scenario engine:
 * :meth:`BatchedSolver.solve_many` solves many right-hand sides against the
   solver's current factorization.
 
-Per-item error isolation carries through: a singular/indefinite scenario
-produces a failed handle (its error preserved verbatim) while the remaining
-scenarios complete, and results always come back in input order.
+Items are mapped by :func:`~repro.solvers.linear_solver.map_items`: on a
+thread pool for a C factorization at more than one thread, in a loop
+otherwise.  Per-item error isolation carries through: a singular/indefinite
+scenario produces a failed handle (its error preserved verbatim) while the
+remaining scenarios complete, and results always come back in input order.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.compiler.codegen.c_backend import resolve_num_threads
 from repro.compiler.options import SympilerOptions
-from repro.runtime.engine import BatchExecutor, BatchResult
-from repro.solvers.linear_solver import SparseLinearSolver
+from repro.solvers.linear_solver import SparseLinearSolver, map_items
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.utils import require_finite_values
 
@@ -113,7 +115,8 @@ class BatchedSolver:
 
     Parameters mirror :class:`SparseLinearSolver` (the wrapped solver is
     exposed as :attr:`solver`); ``num_threads`` additionally sizes the
-    numeric thread pool, defaulting to ``options.num_threads``.
+    numeric thread pool: the argument, then ``REPRO_NUM_THREADS``, then
+    ``options.num_threads``, resolved once into :attr:`num_threads`.
 
     Examples
     --------
@@ -140,15 +143,10 @@ class BatchedSolver:
         self.solver = SparseLinearSolver(
             A, method=method, ordering=ordering, options=options
         )
-        if num_threads is None:
-            # Resolve from the *requested* options: a shared-cache hit may
-            # return an artifact compiled under another thread setting
-            # (num_threads is excluded from the cache identity on purpose).
-            num_threads = self.solver.options.num_threads
-        self.executor = BatchExecutor(
-            self.solver._factorization, num_threads=num_threads
-        )
-        self.last_result: Optional[BatchResult] = None
+        # The *requested* options: a shared-cache hit may return an artifact
+        # compiled under another thread setting (num_threads is excluded
+        # from the cache identity on purpose).
+        self.num_threads = resolve_num_threads(num_threads, self.solver.options.num_threads)
 
     # ------------------------------------------------------------------ #
     @property
@@ -162,21 +160,6 @@ class BatchedSolver:
         return self.solver.method
 
     @property
-    def num_threads(self) -> int:
-        """Resolved worker-thread count of the numeric engine."""
-        return self.executor.num_threads
-
-    @property
-    def mode(self) -> str:
-        """The large-batch strategy for this artifact (threads/serial).
-
-        Wavefront-capable artifacts switch to within-kernel parallelism on
-        batches smaller than the pool — see ``executor.plan_batch``; the
-        strategy that actually ran is in ``last_result.mode``.
-        """
-        return self.executor.mode
-
-    @property
     def parallel_mode(self) -> str:
         """Within-kernel mode the factorization was compiled in.
 
@@ -185,12 +168,12 @@ class BatchedSolver:
         requested but declined (deep etree, supernodal kernel), ``"none"``
         for plain serial artifacts.
         """
-        return self.executor.artifact.parallel_mode
+        return self.solver._factorization.parallel_mode
 
     @property
     def schedule(self):
         """The compile-time level-set schedule of the factorization."""
-        return self.executor.schedule
+        return self.solver._factorization.schedule
 
     # ------------------------------------------------------------------ #
     def _batch_values(
@@ -261,19 +244,21 @@ class BatchedSolver:
         """
         value_list = self._batch_values(scenarios, permuted_values=permuted_values)
         permuted = self.solver.A_permuted
-        result = self.executor.factorize_batch(
-            permuted.indptr, permuted.indices, value_list, check=self._require_finite
-        )
-        self.last_result = result
-        error_by_index = {e.index: e.error for e in result.errors}
-        return [
-            FactorHandle(
-                index=i,
-                _solver=self.solver,
-                _raw=raw,
-                error=error_by_index.get(i),
+        factorization = self.solver._factorization
+
+        def factorize(values: np.ndarray):
+            self._require_finite(values)
+            # One thread per call: the pool's threads are across the items.
+            return factorization.factorize_arrays(
+                permuted.indptr, permuted.indices, values, num_threads=1
             )
-            for i, raw in enumerate(result.results)
+
+        raws, errors = map_items(
+            factorize, value_list, artifact=factorization, num_threads=self.num_threads
+        )
+        return [
+            FactorHandle(index=i, _solver=self.solver, _raw=raw, error=error)
+            for i, (raw, error) in enumerate(zip(raws, errors))
         ]
 
     def _require_finite(self, values: np.ndarray) -> None:
@@ -285,4 +270,4 @@ class BatchedSolver:
 
     def solve_many(self, B: np.ndarray) -> np.ndarray:
         """Solve ``A X = B`` (multi-RHS) on the current factorization."""
-        return self.solver.solve_many(B, num_threads=self.executor.num_threads)
+        return self.solver.solve_many(B, num_threads=self.num_threads)

@@ -68,10 +68,9 @@ def preconditioned_conjugate_gradient(
     across workers when the trisolves were compiled with
     ``parallel="wavefront"`` (serial kernels ignore it, bitwise identical
     either way) — the same knob, with the same precedence, as every other
-    solve entry point: see
-    :func:`repro.runtime.engine.resolve_num_threads`, the canonical
-    precedence documentation (explicit argument > ``REPRO_NUM_THREADS`` >
-    ``options.num_threads``).
+    solve entry point: explicit argument > ``REPRO_NUM_THREADS`` > one per
+    CPU (:func:`~repro.compiler.codegen.c_backend.resolve_num_threads`);
+    ``options.num_threads`` is not read here.
     """
     if not A.is_square():
         raise ValueError("CG requires a square matrix")

@@ -26,23 +26,63 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Optional, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compiler.artifacts import SympiledFactorization
+from repro.compiler.artifacts import CompiledArtifact, SympiledFactorization
 from repro.compiler.cache import CacheStats
+from repro.compiler.codegen.c_backend import CGeneratedModule, resolve_num_threads
 from repro.compiler.options import SympilerOptions
 from repro.compiler.registry import UnknownKernelError
 from repro.compiler.sympiler import Sympiler
-from repro.observe.trace import span
+from repro.observe.trace import attach, capture, span
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ordering import ordering_by_name
 from repro.sparse.permutation import Permutation
 from repro.sparse.utils import require_finite_values
 from repro.symbolic import native
 
-__all__ = ["SparseLinearSolver", "backward_factor"]
+__all__ = ["SparseLinearSolver", "backward_factor", "map_items"]
+
+
+def map_items(
+    fn: Callable, items: Sequence, *, artifact: CompiledArtifact, num_threads: int
+) -> Tuple[List, List[Optional[Exception]]]:
+    """``fn`` over ``items``: ``(results, errors)``, both in input order.
+
+    A C artifact's calls release the GIL and its work buffers are
+    ``_Thread_local``, so with ``num_threads > 1`` (already resolved) the
+    items are dealt to that many pool threads in contiguous chunks; anything
+    else runs in a loop.  An item that raises leaves ``None`` in ``results``
+    and its exception in ``errors`` (``None`` for an item that ran), and the
+    other items run on.  Pool threads do not inherit context variables, so
+    the caller's trace context is attached in each one: spans opened by
+    ``fn`` join the caller's trace.
+    """
+    results: List = [None] * len(items)
+    errors: List[Optional[Exception]] = [None] * len(items)
+    trace_ctx = capture()
+
+    def run(lo: int, hi: int) -> None:
+        with attach(trace_ctx):
+            for i in range(lo, hi):
+                try:
+                    results[i] = fn(items[i])
+                except Exception as exc:  # fails this item alone
+                    errors[i] = exc
+
+    workers = min(num_threads, len(items)) if isinstance(artifact.module, CGeneratedModule) else 1
+    if workers > 1:
+        bounds = np.linspace(0, len(items), workers + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = [pool.submit(run, bounds[w], bounds[w + 1]) for w in range(workers)]
+            for chunk in chunks:
+                chunk.result()
+    else:
+        run(0, len(items))
+    return results, errors
 
 
 def backward_factor(L: CSCMatrix, U: Optional[CSCMatrix] = None) -> CSCMatrix:
@@ -206,10 +246,6 @@ class SparseLinearSolver:
         # One lock around everything that reads or replaces the factors and
         # the plan's buffers (factorize, solve, step, solve_many).
         self._lock = threading.Lock()
-        #: Cached batch executors for solve_many, keyed by thread count (the
-        #: forward artifact is fixed per solver instance, so they never go
-        #: stale).
-        self._solve_executors: dict = {}
         # Numeric work last, through the one refactorization path.  The first
         # factor is then allocated after every long-lived block of the set-up,
         # so releasing and reallocating it on each refactorization (see
@@ -481,35 +517,33 @@ class SparseLinearSolver:
     def solve_many(self, B: np.ndarray, *, num_threads: Optional[int] = None) -> np.ndarray:
         """Solve ``A X = B`` column by column (``B`` is ``n × k``).
 
-        ``num_threads`` overrides the compile options' thread knob for this
-        call; with the C backend and more than one thread the columns are
-        mapped over the batched runtime's thread pool (deterministic column
-        order either way).
+        The thread count is ``num_threads``, then ``REPRO_NUM_THREADS``, then
+        ``options.num_threads``
+        (:func:`~repro.compiler.codegen.c_backend.resolve_num_threads`); with
+        the C backend and more than one thread the columns run on a thread
+        pool (:func:`map_items`), and they come back in order either way.
         """
         B = np.asarray(B, dtype=np.float64)
         if B.ndim != 2 or B.shape[0] != self.A.n:
             raise ValueError(f"B must have shape ({self.A.n}, k)")
-        from repro.runtime.engine import BatchExecutor
-
-        if num_threads is None:
-            # The *requested* options, not the cached artifact's: a cache hit
-            # may carry a different (runtime-irrelevant) thread setting.
-            num_threads = self.options.num_threads
-        executor = self._solve_executors.get(num_threads)
-        if executor is None:
-            executor = BatchExecutor(self._forward, num_threads=num_threads)
-            self._solve_executors[num_threads] = executor
+        # The *requested* options, not the cached artifact's: a cache hit may
+        # carry a different (runtime-irrelevant) thread setting.
+        num_threads = resolve_num_threads(num_threads, self.options.num_threads)
         with self._lock:
             self._require_factors()
             # The columns may run on several threads at once, so each binds
             # the sweeps to vectors of its own instead of the solver's.
             L, d, Lt = self._L, self._d, self._Lt
-            result = executor.map(
+            results, errors = map_items(
                 lambda b: self.solve_with_factors(b, L=L, d=d, Lt=Lt),
                 [B[:, k] for k in range(B.shape[1])],
+                artifact=self._forward,
+                num_threads=num_threads,
             )
-        result.raise_first()
-        return np.column_stack(result.results)
+        for error in errors:
+            if error is not None:
+                raise error
+        return np.column_stack(results)
 
     def pcg(
         self,
@@ -528,7 +562,7 @@ class SparseLinearSolver:
         repeated ``pcg`` calls on this pattern reuse the generated IC(0) and
         triangular-solve kernels.  ``num_threads`` behaves exactly as in
         :meth:`solve` — the single precedence rule for every entry point is
-        documented on :func:`repro.runtime.engine.resolve_num_threads`.
+        documented on :func:`~repro.compiler.codegen.c_backend.resolve_num_threads`.
         Returns a :class:`~repro.solvers.cg.CGResult`.
 
         Constructing a :class:`SparseLinearSolver` eagerly compiles and runs

@@ -11,9 +11,9 @@ factorization and the triangular solves.
 Newton solves whose Jacobians share one sparsity pattern (parameter sweeps,
 perturbed operating points, Monte-Carlo load cases).  One compiled kernel
 serves every member, and each iteration batch-factorizes the Jacobians of
-all still-active members through the batched runtime
-(:class:`repro.runtime.BatchedSolver`) — with per-member error isolation, so
-a singular member drops out while the rest keep converging.
+all still-active members through one
+:class:`~repro.solvers.batched.BatchedSolver` — with per-member error
+isolation, so a singular member drops out while the rest keep converging.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.compiler.options import SympilerOptions
+from repro.solvers.batched import BatchedSolver
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.csc import CSCMatrix
 
@@ -130,8 +131,8 @@ def newton_raphson_ensemble(
     Every scenario ``s`` has its own residual/Jacobian callables and initial
     iterate, but all Jacobians must carry one sparsity pattern (the usual
     parameter-sweep situation: one network topology, many load cases).  One
-    :class:`~repro.runtime.BatchedSolver` is built from the first scenario's
-    Jacobian; each iteration batch-factorizes the Jacobians of every
+    :class:`~repro.solvers.batched.BatchedSolver` is built from the first
+    scenario's Jacobian; each iteration batch-factorizes the Jacobians of every
     still-active scenario concurrently and applies the Newton updates.
 
     A scenario whose Jacobian fails to factorize (singular/indefinite) stops
@@ -143,9 +144,6 @@ def newton_raphson_ensemble(
     n_scenarios = len(x0s)
     if n_scenarios == 0:
         return []
-    # Late import: the runtime facade sits above this module in the layering.
-    from repro.runtime.facade import BatchedSolver
-
     xs = [np.array(x0, dtype=np.float64, copy=True) for x0 in x0s]
     norms: List[List[float]] = [[] for _ in range(n_scenarios)]
     converged = [False] * n_scenarios

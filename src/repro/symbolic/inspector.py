@@ -33,15 +33,6 @@ import numpy as np
 # Leaf module with no intra-package imports: safe to pull in from here even
 # though the compiler package itself depends on this module.
 from repro.compiler.registration import register_unique_many
-
-# levels.py is likewise a leaf of the runtime package (numpy + the dependence
-# graph only); repro/runtime/__init__ lazily re-exports its heavier siblings,
-# so this import never drags the execution engine into the symbolic layer.
-from repro.runtime.levels import (
-    ExecutionSchedule,
-    level_sets_from_csr_deps,
-    level_sets_from_dependency_graph,
-)
 from repro.sparse.csc import CSCMatrix, group_pointers
 from repro.symbolic.dependency_graph import DependencyGraph
 from repro.symbolic.etree import column_etree, elimination_tree, postorder
@@ -50,6 +41,11 @@ from repro.symbolic.fill_pattern import (
     factor_structure,
     lu_pattern,
     split_rows,
+)
+from repro.symbolic.levels import (
+    ExecutionSchedule,
+    level_sets_from_csr_deps,
+    level_sets_from_dependency_graph,
 )
 from repro.symbolic.reach import reach_set
 from repro.symbolic.supernodes import (

@@ -491,7 +491,7 @@ i64 repro_sym_reach(i64 n, const i64 *lp, const i64 *li, i64 n_sources, const i6
 }
 
 /* --------------------------------------------------------------------- */
-/* Wavefront levels (runtime/levels.py); `level` arrives zeroed           */
+/* Wavefront levels (symbolic/levels.py); `level` arrives zeroed          */
 /* --------------------------------------------------------------------- */
 
 /* level[parent] = 1 + the deepest child: leaves first. */

@@ -1,18 +1,17 @@
-"""Tests for the batched numeric runtime (engine, facade, ensemble Newton).
+"""Tests for the batched solver (``BatchedSolver``, ``map_items``, ensemble Newton).
 
-The acceptance bar of the subsystem: ``factorize_batch`` over >= 8 value
-sets is bitwise identical per item to sequential ``factorize`` on every
-execution strategy (the serial loop, threaded C), with per-item error
-isolation and deterministic result ordering.
+The acceptance bar: ``factorize_batch`` over >= 8 value sets is bitwise
+identical per item to sequential ``factorize`` on both ways items run (the
+loop, threaded C), with per-item error isolation and deterministic result
+ordering.
 """
 
 import numpy as np
 import pytest
 
-from repro.compiler.codegen.c_backend import c_compiler_available
+from repro.compiler.codegen.c_backend import c_compiler_available, resolve_num_threads
 from repro.compiler.options import SympilerOptions
-from repro.runtime.engine import BatchExecutor, resolve_num_threads
-from repro.runtime.facade import BatchedSolver
+from repro.solvers.batched import BatchedSolver
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.solvers.newton import newton_raphson_ensemble
 from repro.sparse.generators import (
@@ -68,9 +67,7 @@ class TestBitwiseIdentity:
         A = laplacian_2d(9, shift=0.1)
         options = SympilerOptions(backend="python", enable_vs_block=False)
         batched = BatchedSolver(A, ordering="natural", options=options)
-        assert batched.mode == "serial"
         _assert_bitwise_vs_sequential(batched, _spd_scenarios(A))
-        assert batched.last_result.mode == "serial"
 
     def test_python_serial_supernodal_cholesky(self):
         A = laplacian_2d(9, shift=0.1)
@@ -99,10 +96,8 @@ class TestBitwiseIdentity:
         A = laplacian_2d(9, shift=0.1)
         options = SympilerOptions(backend="c", num_threads=4)
         batched = BatchedSolver(A, ordering="natural", options=options)
-        assert batched.mode == "threads"
+        assert batched.num_threads == 4
         _assert_bitwise_vs_sequential(batched, _spd_scenarios(A))
-        assert batched.last_result.mode == "threads"
-        assert batched.last_result.num_threads == 4
 
     @needs_cc
     def test_c_threaded_lu(self):
@@ -151,22 +146,7 @@ class TestErrorIsolation:
         scenarios[0] = K.with_values(np.zeros(K.nnz))
         handles = batched.factorize_batch(scenarios)
         assert not handles[0].ok and all(h.ok for h in handles[1:])
-        assert batched.last_result.errors[0].index == 0
-
-    def test_batch_result_raise_first(self):
-        A = laplacian_2d(6, shift=0.1)
-        options = SympilerOptions(backend="python", enable_vs_block=False)
-        batched = BatchedSolver(A, ordering="natural", options=options)
-        scenarios = _spd_scenarios(A, batch=3)
-        scenarios[1] = A.with_values(-A.data)
-        result = batched.executor.factorize_batch(
-            batched.solver.A_permuted.indptr,
-            batched.solver.A_permuted.indices,
-            [batched.solver.permutation.symmetric_permute(M).data for M in scenarios],
-        )
-        assert not result.ok and result.n_items == 3
-        with pytest.raises(ValueError, match="not positive definite"):
-            result.raise_first()
+        assert "singular" in str(handles[0].error)
 
 
 class TestFacade:
@@ -222,16 +202,13 @@ class TestFacade:
         with pytest.raises(ValueError):
             SympilerOptions(num_threads=-2)
 
-    def test_executor_rejects_wrong_value_shape(self):
+    @pytest.mark.parametrize("num_threads", [1, 2])
+    @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
+    def test_empty_batch(self, backend, num_threads):
         A = laplacian_2d(5, shift=0.1)
-        solver = SparseLinearSolver(A, ordering="natural", options=SympilerOptions())
-        executor = BatchExecutor(solver._factorization)
-        with pytest.raises(ValueError, match="value set 0"):
-            executor.factorize_batch(
-                solver.A_permuted.indptr,
-                solver.A_permuted.indices,
-                [np.ones(3)],
-            )
+        options = SympilerOptions(backend=backend, num_threads=num_threads)
+        batched = BatchedSolver(A, ordering="natural", options=options)
+        assert batched.factorize_batch([]) == []
 
 
 class TestEnsembleNewton:
@@ -327,7 +304,7 @@ class TestRuntimeOnlyOptions:
         BatchedSolver(A, options=SympilerOptions(backend=backend, num_threads=1))
         again = BatchedSolver(A, options=SympilerOptions(backend=backend, num_threads=3))
         # The second construction hits the shared artifact cache (compiled
-        # under num_threads=1); the executor must still honour the request.
+        # under num_threads=1); the batched solver must still honour the request.
         assert again.num_threads == 3
 
 
@@ -345,35 +322,6 @@ class TestRuntimeOnlyOptions:
         assert disk_after["compiles"] == disk_before["compiles"]
         assert disk_after["py_writes"] == disk_before["py_writes"]
         assert batched.solver.cache_stats.misses == misses_before
-
-
-class TestSolveBatch:
-    def test_trisolve_artifact_batches_rhs_bitwise(self):
-        from repro.compiler.cache import ArtifactCache
-        from repro.compiler.sympiler import Sympiler
-
-        A = laplacian_2d(6, shift=0.1)
-        sym = Sympiler(cache=ArtifactCache())
-        L = sym.compile("cholesky", A).factorize(A)
-        tri = sym.compile("triangular-solve", L)
-        executor = BatchExecutor(tri)
-        rng = np.random.default_rng(3)
-        B = rng.standard_normal((5, A.n))
-        result = executor.solve_batch(L.indptr, L.indices, L.data, B)
-        assert result.ok
-        for k in range(5):
-            expected = tri.solve_arrays(L.indptr, L.indices, L.data, B[k])
-            assert np.array_equal(result.results[k], expected)
-
-    def test_factorization_artifact_rejected(self):
-        solver = SparseLinearSolver(
-            laplacian_2d(5, shift=0.1), ordering="natural", options=SympilerOptions()
-        )
-        executor = BatchExecutor(solver._factorization)
-        with pytest.raises(TypeError, match="solve_arrays"):
-            executor.solve_batch(
-                solver.L.indptr, solver.L.indices, solver.L.data, [np.ones(solver.A.n)]
-            )
 
 
 class TestEnsembleFirstScenarioSingular:

@@ -23,7 +23,7 @@ from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro import observe
 from repro.observe.events import get_event_log
-from repro.runtime import BatchedSolver
+from repro.solvers.batched import BatchedSolver
 from repro.sparse.generators import banded_spd, block_tridiagonal_spd, laplacian_2d, sparse_rhs
 
 needs_cc = pytest.mark.skipif(

@@ -19,8 +19,8 @@ from repro.frontend import (
     structure_fingerprint,
     sympiled,
 )
-from repro.runtime.facade import BatchedSolver
 from repro.service.session import SolverService
+from repro.solvers.batched import BatchedSolver
 from repro.solvers.cg import preconditioned_conjugate_gradient
 from repro.solvers.linear_solver import SparseLinearSolver, backward_factor
 from repro.sparse.coo import COOMatrix, TripletBuilder

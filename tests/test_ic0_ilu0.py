@@ -1,7 +1,7 @@
 """End-to-end tests of the IC(0)/ILU(0) preconditioner kernels.
 
 Covers the symbolic layer (no-fill inspections + schedules), the reference
-kernels, both code-generation backends, the batch runtime and the
+kernels, both code-generation backends, batches of value sets and the
 artifact protocol — the whole registry extension of the incomplete kernels.
 """
 
@@ -13,8 +13,7 @@ from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.kernels.incomplete import ic0_left_looking, ilu0_left_looking
-from repro.runtime.engine import BatchExecutor
-from repro.runtime.levels import dependency_graph_from_column_deps
+from repro.solvers.linear_solver import map_items
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import (
     banded_spd,
@@ -29,6 +28,7 @@ from repro.symbolic.inspector import (
     ILU0InspectionResult,
     ILU0Inspector,
 )
+from repro.symbolic.levels import dependency_graph_from_column_deps
 
 needs_cc = pytest.mark.skipif(
     not (c_compiler_available("cc") or c_compiler_available("gcc")),
@@ -293,16 +293,20 @@ class TestBatchIncomplete:
         A = _spd(6)
         options = _c_options() if backend == "c" else SympilerOptions()
         artifact = _fresh_sympiler().compile("ic0", A, options=options)
-        executor = BatchExecutor(artifact)
         good = A.data.copy()
         bad = A.data.copy()
         bad[A.indptr[0]] = -5.0  # non-positive first pivot
-        result = executor.factorize_batch(A.indptr, A.indices, [good, bad, good])
-        assert len(result.errors) == 1 and result.errors[0].index == 1
-        assert "IC(0) breakdown" in str(result.errors[0].error)
-        assert result.results[1] is None
+        results, errors = map_items(
+            lambda ax: artifact.factorize_arrays(A.indptr, A.indices, ax),
+            [good, bad, good],
+            artifact=artifact,
+            num_threads=2,
+        )
+        assert [error is None for error in errors] == [True, False, True]
+        assert "IC(0) breakdown" in str(errors[1])
+        assert results[1] is None
         assert np.array_equal(
-            result.results[0], artifact.factorize_arrays(A.indptr, A.indices, good)
+            results[0], artifact.factorize_arrays(A.indptr, A.indices, good)
         )
 
 

@@ -1,4 +1,4 @@
-"""Tests for the level-set schedule layer (repro.runtime.levels).
+"""Tests for the level-set schedule layer (repro.symbolic.levels).
 
 Covers the satellite requirement: property-style tests that every computed
 level set is an antichain of the kernel's dependency graph (no intra-level
@@ -13,14 +13,6 @@ import pytest
 
 from repro.compiler.cache import ArtifactCache
 from repro.compiler.sympiler import Sympiler
-from repro.runtime.levels import (
-    ExecutionSchedule,
-    dependency_graph_from_column_deps,
-    level_sets_from_column_deps,
-    level_sets_from_dependency_graph,
-    level_sets_from_parent,
-    schedule_from_level_array,
-)
 from repro.sparse.generators import (
     circuit_like_spd,
     fem_stencil_2d,
@@ -35,6 +27,14 @@ from repro.symbolic.inspector import (
     LDLTInspector,
     LUInspector,
     TriangularSolveInspector,
+)
+from repro.symbolic.levels import (
+    ExecutionSchedule,
+    dependency_graph_from_column_deps,
+    level_sets_from_column_deps,
+    level_sets_from_dependency_graph,
+    level_sets_from_parent,
+    schedule_from_level_array,
 )
 
 
@@ -164,26 +164,18 @@ class TestCompileTimePlumbing:
 
 
 def test_symbolic_inspector_imports_standalone():
-    """The symbolic layer's import of runtime.levels must not drag the engine in.
+    """The symbolic layer imports on its own in a fresh interpreter.
 
-    repro/runtime/__init__ re-exports the engine/facade *lazily*; if someone
-    makes those imports eager, `import repro.symbolic.inspector` in a fresh
-    interpreter would recurse (inspector -> runtime -> engine -> compiler
-    artifacts -> inspector) and die at import time.  Guard the discipline.
+    The inspectors import the level schedule, and the compiler imports the
+    inspectors; a module of the symbolic layer that imported the compiler or
+    the solvers back would recurse (inspector -> ... -> compiler artifacts ->
+    inspector) and die at import time.  Guard the discipline.
     """
     import subprocess
     import sys
 
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            # Succeeds only while runtime/__init__ stays lazy: an eager
-            # engine import would hit repro.compiler.artifacts while it is
-            # still initializing (mid-way through the symbolic layer's own
-            # import) and raise at import time.
-            "import repro.symbolic.inspector",
-        ],
+        [sys.executable, "-c", "import repro.symbolic.inspector"],
         capture_output=True,
         text=True,
     )

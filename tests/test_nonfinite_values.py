@@ -13,8 +13,8 @@ import repro
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.frontend import SpecializedSolver
-from repro.runtime import BatchedSolver
 from repro.service import SolverService
+from repro.solvers.batched import BatchedSolver
 from repro.solvers.cg import preconditioned_conjugate_gradient
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.csc import CSCMatrix

@@ -6,9 +6,8 @@ What is proven here:
 * the zero-cost-when-disabled contract (shared no-op object, nothing
   recorded, ``capture()`` returning None),
 * explicit cross-thread propagation — both directly (``capture``/``attach``)
-  and through the two production pool boundaries
-  (:class:`~repro.runtime.engine.BatchExecutor` workers and the service
-  coalescer's dispatcher thread),
+  and through the two production pool boundaries (the pool threads of a
+  ``BatchedSolver`` batch and the service coalescer's dispatcher thread),
 * exporter determinism (snapshot / Prometheus text / Chrome trace) and the
   Fig. 8/9 amortization breakdown arithmetic,
 * the four legacy stats surfaces appearing through pull-mode collectors,
@@ -151,27 +150,23 @@ class TestThreadPropagation:
             with observe.span("orphan") as sp:
                 assert sp.parent_id is None
 
-    def test_batch_executor_workers_join_the_trace(self, tracing):
-        from repro.compiler.cache import ArtifactCache
+    @needs_cc
+    def test_batch_pool_threads_join_the_trace(self, tracing):
         from repro.compiler.options import SympilerOptions
-        from repro.compiler.sympiler import Sympiler
-        from repro.runtime.engine import BatchExecutor
+        from repro.solvers.batched import BatchedSolver
 
         A = laplacian_2d(6, shift=0.1)
-        sym = Sympiler(SympilerOptions(backend="python"), cache=ArtifactCache())
-        artifact = sym.compile("cholesky", A)
-        executor = BatchExecutor(artifact, num_threads=2)
-
-        def traced_item(i):
-            with observe.span("batch-item"):
-                return i * 2
-
+        options = SympilerOptions(backend="c", num_threads=2)
+        batched = BatchedSolver(A, ordering="natural", options=options)
+        scenarios = [A.with_values(A.data * s) for s in (1.0, 2.0, 3.0)]
         with observe.span("batch-submit") as outer:
-            result = executor.map(traced_item, [1, 2, 3], strategy="threads")
-        assert result.results == [2, 4, 6]
-        items = [sp for sp in tracing.spans() if sp.name == "batch-item"]
+            handles = batched.factorize_batch(scenarios)
+        assert all(h.ok for h in handles)
+        items = [sp for sp in tracing.spans() if sp.name == "numeric" and sp.trace_id == outer.trace_id]
         assert len(items) == 3
-        assert all(sp.trace_id == outer.trace_id for sp in items)
+        assert all(sp.parent_id == outer.span_id for sp in items)
+        # The items ran on the pool's threads, not on the caller's.
+        assert threading.current_thread().name not in {sp.thread for sp in items}
 
 
 # --------------------------------------------------------------------------- #
@@ -186,23 +181,6 @@ class TestRegistry:
         snap = reg.snapshot()
         assert snap["counters"]['solves{kernel="cholesky"}'] == 2.0
         assert snap["counters"]['solves{kernel="lu"}'] == 1.0
-
-    def test_one_name_one_kind(self):
-        reg = MetricsRegistry()
-        reg.counter("latency")
-        with pytest.raises(TypeError):
-            reg.gauge("latency")
-
-    def test_histogram_buckets_are_cumulative_in_prometheus(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("dur", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 5.0):
-            h.observe(v)
-        text = reg.to_prometheus(prefix="t")
-        assert 't_dur_bucket{le="0.1"} 1' in text
-        assert 't_dur_bucket{le="1"} 2' in text
-        assert 't_dur_bucket{le="+Inf"} 3' in text
-        assert "t_dur_count 3" in text
 
     def test_reservoir_summary_is_one_consistent_copy(self):
         res = Reservoir(maxlen=16)
@@ -263,20 +241,16 @@ class TestExporters:
     def test_snapshot_is_json_serialisable(self):
         doc = observe.snapshot()
         round_tripped = json.loads(json.dumps(doc))
-        assert set(round_tripped) == {
-            "counters", "gauges", "histograms", "reservoirs", "collectors",
-        }
+        assert set(round_tripped) == {"counters", "collectors"}
 
     def test_prometheus_text_is_deterministic(self):
         reg = MetricsRegistry()
         reg.counter("a", phase="x").inc(2)
-        reg.gauge("b").set(1.5)
         reg.register_collector("cache", lambda: {"hits": 3, "name": "skipme"})
         text = reg.to_prometheus(prefix="repro")
         assert text == reg.to_prometheus(prefix="repro")
         assert "# TYPE repro_a counter" in text
         assert 'repro_a{phase="x"} 2' in text
-        assert "repro_b 1.5" in text
         assert "repro_cache_hits 3" in text
         assert "skipme" not in text  # strings stay JSON-only
 

@@ -604,6 +604,89 @@ class TestHostilePeers:
             thread.join(timeout=5)
 
 
+#: The places :func:`_mutate` corrupts, and the seeds the fuzzer runs on each.
+_MUTATIONS = ("magic", "version", "header-length", "header-json", "array-count", "array-length", "truncation")
+_SEEDS_PER_MUTATION = 10
+
+
+def _mutate(message: bytes, kind: str, rng: np.random.Generator) -> bytes:
+    """``message`` (one valid frame) corrupted in the place ``kind`` names."""
+    import json
+
+    raw = bytearray(message)
+    header_len = int.from_bytes(raw[5:9], "big")
+    if kind == "magic":
+        raw[int(rng.integers(0, 4))] ^= int(rng.integers(1, 256))
+    elif kind == "version":
+        raw[4] = (WIRE_VERSION + int(rng.integers(1, 256))) % 256
+    elif kind == "header-length":
+        choices = (
+            int(rng.integers(0, header_len)),
+            int(rng.integers(header_len + 1, len(raw) + 64)),
+            MAX_HEADER_BYTES + 1 + int(rng.integers(0, 2**31)),
+        )
+        raw[5:9] = choices[int(rng.integers(0, 3))].to_bytes(4, "big")
+    elif kind == "header-json":
+        for _ in range(int(rng.integers(1, 4))):
+            raw[9 + int(rng.integers(0, header_len))] = int(rng.integers(0, 256))
+    elif kind in ("array-count", "array-length"):
+        header = json.loads(bytes(raw[9 : 9 + header_len]))
+        manifest = header["frames"]
+        k = int(rng.integers(0, len(manifest)))
+        if kind == "array-count" and rng.integers(0, 2):
+            manifest.insert(k, manifest[k])
+        elif kind == "array-count":
+            manifest.pop(k)
+        else:
+            size = manifest[k]["shape"][0]
+            choices = (int(rng.integers(0, 2 * size)), -int(rng.integers(1, 5)), 2**40)
+            manifest[k]["shape"] = [choices[int(rng.integers(0, 3))]]
+        return _framed(header, frame_bytes=bytes(raw[9 + header_len :]))
+    else:  # truncation
+        raw = raw[: int(rng.integers(1, len(raw)))]
+    return bytes(raw)
+
+
+class TestWireFuzzer:
+    """Seeded corruptions of a valid solve frame, each on a fresh connection."""
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        options = SympilerOptions(enable_vs_block=False)
+        A = laplacian_2d(7, shift=0.1)
+        rhs = np.linspace(0.5, 1.5, A.n)
+        expected = SparseLinearSolver(A, ordering="natural", options=options).solve(rhs)
+        server, thread = serve_background(SolverService(options=options))
+        try:
+            with ServiceClient(server.server_address, timeout=30.0) as client:
+                handle = client.register_pattern(A)
+            yield server.server_address, thread, handle, A, rhs, expected
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    @pytest.mark.parametrize("kind", _MUTATIONS)
+    def test_mutated_frames_leave_the_server_serving(self, served, kind):
+        import socket
+
+        address, thread, handle, A, rhs, expected = served
+        valid = _message({"op": "solve", "handle": handle.handle_id, "id": 7}, [A.data, rhs])
+        for s in range(_SEEDS_PER_MUTATION):
+            seed = _MUTATIONS.index(kind) * _SEEDS_PER_MUTATION + s
+            peer = socket.create_connection(address, timeout=10.0)
+            try:
+                peer.sendall(_mutate(valid, kind, np.random.default_rng(seed)))
+                # The peer stays connected (possibly mid-message) while a
+                # well-formed solve runs on a connection of its own.
+                with ServiceClient(address, timeout=30.0) as client:
+                    x = client.solve(handle, A.data, rhs)
+                assert np.array_equal(x, expected), f"seed {seed}"
+            finally:
+                peer.close()
+        assert thread.is_alive()
+
+
 class TestToolchainIsTheServers:
     """A peer must not choose the command the server runs to compile a kernel."""
 

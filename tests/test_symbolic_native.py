@@ -26,12 +26,6 @@ import repro.compiler.sympiler as sympiler_module
 from repro import SparseLinearSolver, SympilerOptions
 from repro.compiler.cache import ArtifactCache
 from repro.observe import get_event_log
-from repro.runtime.levels import (
-    deps_levels_reference,
-    graph_levels_reference,
-    level_sets_from_parent,
-    parent_levels_reference,
-)
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import (
     arrow_spd,
@@ -60,6 +54,12 @@ from repro.symbolic.fill_pattern import (
     row_patterns_of_factor,
 )
 from repro.symbolic.inspector import inspector_for_method
+from repro.symbolic.levels import (
+    deps_levels_reference,
+    graph_levels_reference,
+    level_sets_from_parent,
+    parent_levels_reference,
+)
 from repro.symbolic.reach import reach_set_from_arrays, reach_set_reference
 
 SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -205,7 +205,7 @@ class TestNativeMatchesReference:
         def refuse(*args, **kwargs):
             raise AssertionError("the Python reference ran although the helper is loaded")
 
-        import repro.runtime.levels as levels
+        import repro.symbolic.levels as levels
         import repro.sparse.ordering as ordering
         import repro.symbolic.etree as etree
         import repro.symbolic.fill_pattern as fill_pattern

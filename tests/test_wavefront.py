@@ -4,7 +4,7 @@ The codegen-level contract of the wavefront backend: a wavefront-compiled
 kernel produces **bitwise identical** results to its serial twin at any
 thread count, keys separately in the artifact cache, and declines to
 parallelize (serial fallback behind the same ABI) when the schedule is too
-deep to pay for barriers.  ``test_runtime_levels`` already proves schedules
+deep to pay for barriers.  ``test_levels`` already proves schedules
 are antichains of the dependency graphs; here the properties are checked on
 the *compiled artifacts* — per-level write sets are disjoint (each column is
 written by exactly one level), and the generated parallel entry reproduces
@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.compiler.cache import ArtifactCache, options_fingerprint
-from repro.compiler.codegen.c_backend import _wavefront_threads, c_compiler_available
+from repro.compiler.codegen.c_backend import _wavefront_threads, c_compiler_available, resolve_num_threads
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
-from repro.runtime.engine import BatchExecutor, resolve_num_threads
+from repro.solvers.batched import BatchedSolver
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.generators import (
     laplacian_2d,
@@ -294,7 +294,7 @@ class TestCacheKeying:
 
 
 # --------------------------------------------------------------------------- #
-# Thread-count resolution and the items-vs-levels heuristic
+# Thread-count resolution
 # --------------------------------------------------------------------------- #
 class TestThreadResolution:
     def test_explicit_argument_wins(self, monkeypatch):
@@ -331,7 +331,7 @@ class TestThreadResolution:
         [
             ("abc", "REPRO_NUM_THREADS must be an integer, got 'abc'"),
             ("-1", "num_threads must be non-negative"),
-            ("", None),  # blank is unset: 1 in the runtime, one per CPU in a wavefront call
+            ("", None),  # blank is unset: 1 by default, one per CPU in a wavefront call
             (" 2 ", 2),
         ],
     )
@@ -348,44 +348,11 @@ class TestThreadResolution:
             expected = 1 if entry == "runtime" else (os.cpu_count() or 1)
         assert resolve(None) == expected
 
-    def test_executor_env_beats_compile_options(self, monkeypatch):
+    def test_batch_env_beats_compile_options(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "5")
         A = _permuted_laplacian(8)
-        sym = Sympiler(
-            SympilerOptions(backend="python", num_threads=2), cache=ArtifactCache()
-        )
-        artifact = sym.compile("cholesky", A)
-        assert BatchExecutor(artifact).num_threads == 5
-        assert BatchExecutor(artifact, num_threads=3).num_threads == 3
+        options = SympilerOptions(backend="python", num_threads=2)
+        assert BatchedSolver(A, options=options).num_threads == 5
+        assert BatchedSolver(A, options=options, num_threads=3).num_threads == 3
         monkeypatch.delenv("REPRO_NUM_THREADS")
-        assert BatchExecutor(artifact).num_threads == 2
-
-
-@needs_cc
-class TestPlanBatch:
-    def _executor(self, parallel, tmp_path, monkeypatch, num_threads=4):
-        monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
-        A = _permuted_laplacian(8)
-        opts = _c_options(enable_vs_block=False, parallel=parallel)
-        artifact = Sympiler(opts, cache=ArtifactCache()).compile("cholesky", A)
-        return BatchExecutor(artifact, num_threads=num_threads)
-
-    def test_large_batch_threads_across_items(self, tmp_path, monkeypatch):
-        ex = self._executor("wavefront", tmp_path, monkeypatch)
-        assert ex.wavefront_capable
-        assert ex.plan_batch(8) == ("threads", 1)
-        assert ex.plan_batch(4) == ("threads", 1)
-
-    def test_small_batch_threads_within_kernels(self, tmp_path, monkeypatch):
-        ex = self._executor("wavefront", tmp_path, monkeypatch)
-        assert ex.plan_batch(2) == ("wavefront", 4)
-        assert ex.plan_batch(1) == ("wavefront", 4)
-
-    def test_serial_artifact_never_plans_wavefront(self, tmp_path, monkeypatch):
-        ex = self._executor("none", tmp_path, monkeypatch)
-        assert not ex.wavefront_capable
-        assert ex.plan_batch(2) == ("threads", 1)
-
-    def test_single_worker_stays_serial(self, tmp_path, monkeypatch):
-        ex = self._executor("wavefront", tmp_path, monkeypatch, num_threads=1)
-        assert ex.plan_batch(2) == ("serial", 1)
+        assert BatchedSolver(A, options=options).num_threads == 2
