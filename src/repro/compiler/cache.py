@@ -7,20 +7,25 @@ under ``(kernel name, pattern fingerprint, options fingerprint)`` so a second
 ``Sympiler.compile`` for an already-seen pattern is a dictionary lookup — no
 inspection, no transformation, no code generation, no compilation.
 
-The cache is a bounded thread-safe LRU (the SEJITS ``LazySpecializedFunction``
-idiom of caching specialized code by argument configuration).  It is
-in-memory and per-process; the C backend additionally keeps its on-disk
-``.so`` cache (see :mod:`repro.compiler.codegen.c_backend`) which survives
-process restarts and is shared between processes.
+The cache is a bounded thread-safe single-flight LRU memo (the SEJITS
+``LazySpecializedFunction`` idiom of caching specialized code by argument
+configuration).  It is in-memory and per-process, and it owns nothing: the
+holders of an artifact keep it alive by reference.  The on-disk ``.so``
+files, which survive process restarts and are shared between processes, are
+built and loaded by :func:`build_and_load`, for the generated kernels (see
+:mod:`repro.compiler.codegen.c_backend`) and the native symbolic helper.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import os
+import subprocess
 import threading
 import time
+import uuid
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
@@ -33,6 +38,8 @@ __all__ = [
     "options_fingerprint",
     "cache_key",
     "build_file_once",
+    "build_and_load",
+    "tmp_path_for",
     "RUNTIME_ONLY_OPTIONS",
 ]
 
@@ -96,7 +103,7 @@ def build_file_once(
 
     ``builder`` must *atomically publish* ``target_path`` before returning
     (write to a temp name, then ``os.replace`` — the protocol
-    ``atomic_write_text``/``tmp_path_for`` in the C backend already follow),
+    :func:`build_and_load` and the C backend's ``atomic_write_text`` follow),
     so waiters never observe a half-written artifact.
 
     Returns one of:
@@ -171,14 +178,95 @@ def build_file_once(
                 os.unlink(lock_path)
 
 
+def tmp_path_for(path: str) -> str:
+    """A collision-free temp name next to ``path``.
+
+    The uuid component keeps concurrent *threads* of one process (same pid)
+    from sharing a temp file, not just concurrent processes.
+    """
+    return f"{path}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+
+
+def build_and_load(
+    so_path: str,
+    argv: Callable[[str], List[str]],
+    *,
+    span_name: str,
+    span_attrs: Dict[str, object],
+    timeout_seconds: float,
+    error: Callable[[str, str], Exception],
+    before_cc: Callable[[], None] = lambda: None,
+    on_outcome: Callable[[str], None] = lambda outcome: None,
+) -> ctypes.CDLL:
+    """Build the shared object ``so_path`` with ``cc`` once, then load it.
+
+    ``argv(out)`` is the compiler command writing to the temp name ``out``;
+    the run is bounded by ``timeout_seconds`` and traced as ``span_name``,
+    and its output is published with ``os.replace`` through
+    :func:`build_file_once`, so concurrent processes run one ``cc``.
+    ``before_cc`` runs first, only when this process compiles;
+    ``on_outcome`` hears each :func:`build_file_once` answer.
+
+    A file under the right name that ``ctypes`` cannot load (a crashed copy,
+    a full disk) would answer "hit" on every later start, so it is deleted
+    and rebuilt once (event ``so_rebuilt``).  Failures raise
+    ``error(reason, detail)`` with ``reason`` one of ``"timeout"``,
+    ``"no compiler"``, ``"compile error"`` and ``"unloadable"``.
+    """
+    # Local imports: see build_file_once.
+    from repro.observe import events as observe_events
+    from repro.observe.trace import span
+
+    def invoke_cc() -> None:
+        before_cc()
+        tmp_so = tmp_path_for(so_path)
+        cmd = argv(tmp_so)
+        shown = " ".join(cmd)
+        try:
+            with span(span_name, **span_attrs):
+                try:
+                    proc = subprocess.run(
+                        cmd, capture_output=True, text=True, timeout=timeout_seconds
+                    )
+                except subprocess.TimeoutExpired:
+                    raise error(
+                        "timeout",
+                        f"C compilation timed out after {timeout_seconds:g} s ({shown})",
+                    ) from None
+                except OSError as exc:
+                    raise error("no compiler", f"cannot run {shown}: {exc}") from exc
+            if proc.returncode != 0:
+                raise error("compile error", f"C compilation failed ({shown}):\n{proc.stderr}")
+            try:
+                os.replace(tmp_so, so_path)
+            except OSError as exc:
+                raise error("compile error", f"cannot publish {so_path}: {exc}") from exc
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp_so)
+
+    for rebuilt in (False, True):
+        on_outcome(build_file_once(so_path, invoke_cc))
+        try:
+            return ctypes.CDLL(so_path)
+        except OSError as exc:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(so_path)
+            if rebuilt:
+                raise error(
+                    "unloadable",
+                    f"shared object {so_path} cannot be loaded even after a rebuild: {exc}",
+                ) from exc
+            observe_events.emit("so_rebuilt", path=so_path)
+    raise AssertionError("unreachable")  # pragma: no cover
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/eviction counters of an :class:`ArtifactCache`.
 
     ``coalesced`` counts compile requests that piggybacked on another
-    thread's in-flight build of the same key (single-flight collapsing);
-    ``removals`` counts explicit :meth:`ArtifactCache.remove` calls (service
-    evictions under a memory budget), as opposed to LRU ``evictions``.
+    thread's in-flight build of the same key (single-flight collapsing).
 
     The process-wide shared cache's stats are also visible through the
     unified observability layer (:mod:`repro.observe`) as the
@@ -190,7 +278,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     coalesced: int = 0
-    removals: int = 0
 
     @property
     def lookups(self) -> int:
@@ -209,13 +296,12 @@ class CacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "coalesced": self.coalesced,
-            "removals": self.removals,
             "hit_rate": self.hit_rate,
         }
 
 
 class ArtifactCache:
-    """A bounded, thread-safe LRU cache of compiled artifacts.
+    """A bounded, thread-safe, single-flight LRU memo of compiled artifacts.
 
     Keys are arbitrary hashables (the driver uses
     ``(kernel, pattern fingerprint, options fingerprint)`` tuples); values are
@@ -224,10 +310,11 @@ class ArtifactCache:
     Concurrent builds of the same key collapse to one: :meth:`get_or_build`
     is single-flight, so two service worker threads racing to compile the
     same (kernel, pattern, options) run one compile and share the artifact.
-    Keys can be *pinned* (exempt from LRU eviction — the serving layer pins
-    the artifacts of registered patterns) and explicitly removed (the
-    serving layer's compiled-artifact memory budget); eviction listeners
-    observe both LRU evictions and explicit removals.
+
+    The memo owns nothing.  Whoever uses an artifact holds it by reference
+    (a :class:`~repro.solvers.linear_solver.SparseLinearSolver` holds its
+    factorization and two sweeps), so an LRU eviction here only means the
+    next compile of that key is rebuilt, disk-warm from the ``.so`` cache.
     """
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE) -> None:
@@ -237,13 +324,7 @@ class ArtifactCache:
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.RLock()
         self._stats = CacheStats()
-        #: Pin *counts* per key: independent holders (two services registering
-        #: the same pattern, two kernels sharing a triangular-solve artifact)
-        #: each take their own pin, and a key stays pinned until every holder
-        #: released it.
-        self._pinned: Dict[Hashable, int] = {}
         self._building: Dict[Hashable, threading.Event] = {}
-        self._evict_listeners: List[Callable[[Hashable, object, str], None]] = []
 
     def get(self, key: Hashable) -> Optional[object]:
         """Return the cached artifact for ``key`` (marking it recently used)."""
@@ -257,32 +338,14 @@ class ArtifactCache:
             return entry
 
     def put(self, key: Hashable, artifact: object) -> None:
-        """Insert ``artifact`` under ``key``, evicting the LRU entry if full.
-
-        Pinned keys are never LRU-evicted; when every resident entry is
-        pinned the cache temporarily exceeds ``maxsize`` rather than drop a
-        pinned artifact.
-        """
-        victims: List[Tuple[Hashable, object]] = []
+        """Insert ``artifact`` under ``key``, evicting the LRU entry if full."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
             self._entries[key] = artifact
             while len(self._entries) > self.maxsize:
-                victim = next(
-                    (
-                        k
-                        for k in self._entries
-                        if k not in self._pinned and k != key
-                    ),
-                    None,
-                )
-                if victim is None:
-                    break
-                victims.append((victim, self._entries.pop(victim)))
+                self._entries.popitem(last=False)
                 self._stats.evictions += 1
-        for victim_key, victim_artifact in victims:
-            self._notify_evicted(victim_key, victim_artifact, "lru")
 
     def get_or_build(self, key: Hashable, builder: Callable[[], object]) -> object:
         """Return the cached artifact for ``key``, building it once if absent.
@@ -320,107 +383,10 @@ class ArtifactCache:
                 self._building.pop(key, None)
             event.set()
 
-    def pin(self, key: Hashable) -> bool:
-        """Take one pin on ``key`` (LRU-exempt); True when the key is resident.
-
-        Pins nest: each :meth:`pin` needs a matching :meth:`unpin` before the
-        key becomes evictable again.
-        """
-        with self._lock:
-            self._pinned[key] = self._pinned.get(key, 0) + 1
-            return key in self._entries
-
-    def unpin(self, key: Hashable) -> int:
-        """Release one pin on ``key``; returns the number of pins remaining."""
-        with self._lock:
-            remaining = self._pinned.get(key, 0) - 1
-            if remaining > 0:
-                self._pinned[key] = remaining
-                return remaining
-            self._pinned.pop(key, None)
-            return 0
-
-    def remove(self, key: Hashable) -> Optional[object]:
-        """Explicitly drop one entry (clearing its pins), returning the artifact."""
-        with self._lock:
-            artifact = self._entries.pop(key, None)
-            self._pinned.pop(key, None)
-            if artifact is not None:
-                self._stats.removals += 1
-        if artifact is not None:
-            self._notify_evicted(key, artifact, "removed")
-        return artifact
-
-    def keys_for(self, artifact: object) -> List[Hashable]:
-        """Every key under which ``artifact`` is cached (identity compare)."""
-        with self._lock:
-            return [k for k, v in self._entries.items() if v is artifact]
-
-    def pin_artifact(self, artifact: object) -> List[Hashable]:
-        """Take one pin on every key holding ``artifact``; returns the keys."""
-        with self._lock:
-            keys = [k for k, v in self._entries.items() if v is artifact]
-            for key in keys:
-                self._pinned[key] = self._pinned.get(key, 0) + 1
-            return keys
-
-    def unpin_artifact(self, artifact: object) -> List[Hashable]:
-        """Release one pin per key holding ``artifact``; returns the keys."""
-        keys = self.keys_for(artifact)
-        for key in keys:
-            self.unpin(key)
-        return keys
-
-    def release_artifact(self, artifact: object) -> List[Hashable]:
-        """Release one pin per key of ``artifact``; drop keys left unpinned.
-
-        The memory-reclaim path of the serving layer: an evicting holder
-        gives up *its own* pins and the entry only leaves the cache when no
-        other holder (another service, a sibling pattern sharing the
-        artifact) still has it pinned.  Returns the keys actually removed.
-        """
-        removed: List[Hashable] = []
-        for key in self.keys_for(artifact):
-            if self.unpin(key) == 0:
-                self.remove(key)
-                removed.append(key)
-        return removed
-
-    def remove_artifact(self, artifact: object) -> List[Hashable]:
-        """Drop every key holding ``artifact`` (pins cleared); returns the keys."""
-        keys = self.keys_for(artifact)
-        for key in keys:
-            self.remove(key)
-        return keys
-
-    def add_eviction_listener(
-        self, listener: Callable[[Hashable, object, str], None]
-    ) -> None:
-        """Register ``listener(key, artifact, reason)`` for evictions/removals.
-
-        ``reason`` is ``"lru"`` or ``"removed"``.  Listeners run outside the
-        cache lock and must not raise.
-        """
-        with self._lock:
-            self._evict_listeners.append(listener)
-
-    def _notify_evicted(self, key: Hashable, artifact: object, reason: str) -> None:
-        with self._lock:
-            listeners = list(self._evict_listeners)
-        for listener in listeners:
-            listener(key, artifact, reason)
-
-    @property
-    def pinned_count(self) -> int:
-        """Number of currently pinned keys."""
-        with self._lock:
-            return len(self._pinned)
-
     def clear(self) -> None:
-        """Drop every cached artifact and pin (counters are kept)."""
+        """Drop every cached artifact (counters are kept)."""
         with self._lock:
             self._entries.clear()
-            self._pinned.clear()
 
     def reset_stats(self) -> None:
         """Zero the hit/miss/eviction counters."""

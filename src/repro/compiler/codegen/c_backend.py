@@ -80,24 +80,19 @@ fingerprint of its tables and its ``.so`` is never shared between patterns
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import os
 import shutil
-import subprocess
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.compiler.cache import build_file_once
+from repro.compiler.cache import build_and_load, tmp_path_for
 from repro.compiler.codegen import tables
 from repro.compiler.codegen.runtime import generated_code_dir, pattern_fingerprint
-from repro.observe.events import emit as emit_event
-from repro.observe.trace import span as observe_span
 
 if TYPE_CHECKING:  # plan.py imports codegen.tables, so this package loads first
     from repro.compiler.plan import DomainLoop
@@ -204,15 +199,6 @@ def reset_disk_cache_stats() -> None:
     _DISK_CACHE_STATS.reset()
 
 
-def tmp_path_for(path: str) -> str:
-    """A collision-free temp name next to ``path``.
-
-    The uuid component keeps concurrent *threads* of one process (same pid)
-    from sharing a temp file, not just concurrent processes.
-    """
-    return f"{path}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-
-
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + rename).
 
@@ -311,65 +297,30 @@ class CGeneratedModule:
         c_path = os.path.join(cache, stem + ".c")
         so_path = os.path.join(cache, stem + ".so")
 
-        def _invoke_cc() -> None:
-            # The source file exists for `cc` (and for whoever debugs a
-            # kernel); a start that finds the .so never gets here.
-            atomic_write_text(c_path, self.source)
-            tmp_so = tmp_path_for(so_path)
-            cmd = [self.compiler, *self.flags, *extra_flags, "-o", tmp_so, c_path, "-lm"]
-            try:
-                with observe_span(
-                    "cc",
-                    entry=self.entry_name,
-                    method=self.method,
-                    source_bytes=len(self.source.encode()),
-                ):
-                    try:
-                        proc = subprocess.run(
-                            cmd, capture_output=True, text=True, timeout=_CC_TIMEOUT_SECONDS
-                        )
-                    except subprocess.TimeoutExpired:
-                        raise CCompilationError(
-                            f"C compilation timed out after {_CC_TIMEOUT_SECONDS:g} s "
-                            f"({' '.join(cmd)})"
-                        ) from None
-                if proc.returncode != 0:
-                    raise CCompilationError(
-                        f"C compilation failed ({' '.join(cmd)}):\n{proc.stderr}"
-                    )
-                os.replace(tmp_so, so_path)
-            finally:
-                if os.path.exists(tmp_so):
-                    os.unlink(tmp_so)
-
-        for rebuilt in (False, True):
-            # Cross-process single-flight: shard workers (and parallel CI
-            # jobs) cold-compiling the same source run exactly one ``cc``
-            # between them; the losers load the winner's atomically-published
-            # ``.so``.
-            outcome = build_file_once(so_path, _invoke_cc)
-            if outcome == "built":
-                _DISK_CACHE_STATS.bump("compiles")
-            else:
-                _DISK_CACHE_STATS.bump("reuses")
-                if outcome == "waited":
-                    _DISK_CACHE_STATS.bump("lock_waits")
+        def count(outcome: str) -> None:
+            _DISK_CACHE_STATS.bump("compiles" if outcome == "built" else "reuses")
+            if outcome == "waited":
+                _DISK_CACHE_STATS.bump("lock_waits")
             self.so_shared = outcome != "built"
-            try:
-                lib = ctypes.CDLL(so_path)
-                break
-            except OSError as exc:
-                # A truncated or foreign file under the right name (a crashed
-                # copy, a full disk): build_file_once would answer "hit" for
-                # it on every later start, so replace it — once — instead of
-                # failing forever.
-                if rebuilt:
-                    raise CCompilationError(
-                        f"shared object {so_path} cannot be loaded even after a rebuild: {exc}"
-                    ) from exc
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(so_path)
-                emit_event("so_rebuilt", path=so_path)
+
+        # Cross-process single-flight: shard workers (and parallel CI jobs)
+        # cold-compiling the same source run exactly one ``cc`` between them.
+        # The source file exists for `cc` (and for whoever debugs a kernel); a
+        # start that finds the .so never writes it.
+        lib = build_and_load(
+            so_path,
+            lambda out: [self.compiler, *self.flags, *extra_flags, "-o", out, c_path, "-lm"],
+            span_name="cc",
+            span_attrs={
+                "entry": self.entry_name,
+                "method": self.method,
+                "source_bytes": len(self.source.encode()),
+            },
+            timeout_seconds=_CC_TIMEOUT_SECONDS,
+            error=lambda _reason, detail: CCompilationError(detail),
+            before_cc=lambda: atomic_write_text(c_path, self.source),
+            on_outcome=count,
+        )
         fn = getattr(lib, self.entry_name)
         self._lib = lib
         self.shared_object = so_path
@@ -390,10 +341,7 @@ class CGeneratedModule:
         """
         if self._lib is None or self.parallel != "wavefront":
             return False
-        try:
-            setter = self._lib.repro_wf_set_profile
-        except AttributeError:  # pragma: no cover - older cached .so
-            return False
+        setter = self._lib.repro_wf_set_profile
         setter.argtypes = [ctypes.c_int64]
         setter.restype = None
         setter(1 if on else 0)
@@ -412,10 +360,7 @@ class CGeneratedModule:
         n_levels = int(self.meta.get("wf_n_levels", 0))
         if self._lib is None or self.parallel != "wavefront" or n_levels <= 0:
             return None
-        try:
-            getter = getattr(self._lib, f"{self.entry_name}_wf_level_times")
-        except AttributeError:  # pragma: no cover - older cached .so
-            return None
+        getter = getattr(self._lib, f"{self.entry_name}_wf_level_times")
         getter.restype = ctypes.POINTER(ctypes.c_double)
         getter.argtypes = []
         ts = np.ctypeslib.as_array(getter(), shape=(n_levels + 1,))

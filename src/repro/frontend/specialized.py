@@ -36,7 +36,6 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.compiler.cache import options_fingerprint
 from repro.compiler.options import SympilerOptions
 from repro.frontend.ingest import IngestedMatrix, ingest, structure_fingerprint
 from repro.frontend.probes import (
@@ -89,11 +88,13 @@ class FrontendStats:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class _Specialization:
-    """One cached argument configuration and its compiled state."""
+    """One cached argument configuration and its compiled state (hashed by identity)."""
 
-    key: tuple
+    #: ``(shape, nnz, source dtype, requested method)``: where
+    #: :meth:`SpecializedSolver._find` looks for this specialization.
+    repeat_key: tuple
     method: str
     probe: Optional[ProbeReport]
     #: The direct solver (``None`` for the ``pcg`` route, which owns no
@@ -111,14 +112,10 @@ class _Specialization:
     #: object the specialization was built from.
     indptr: np.ndarray = field(init=False, repr=False)
     indices: np.ndarray = field(init=False, repr=False)
-    #: ``(shape, nnz, dtype, requested method)``: where
-    #: :meth:`SpecializedSolver._repeat` looks for this specialization.
-    repeat_key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.indptr = self.pattern.indptr.copy()
         self.indices = self.pattern.indices.copy()
-        self.repeat_key = (self.pattern.shape, len(self.indices), self.key[1], self.key[3])
 
     def is_pattern_of(self, A) -> bool:
         """True when ``A``'s ``indptr`` / ``indices`` equal this pattern's."""
@@ -200,28 +197,28 @@ class SpecializedSolver:
         self.max_specializations = int(max_specializations)
         self.stats = FrontendStats()
         self.last_cg_result = None
-        self._options_fp = options_fingerprint(self.options)
         self._lock = threading.Lock()
-        #: Insertion-ordered specialization cache (dict ordering is the LRU).
-        self._cache: Dict[tuple, _Specialization] = {}
-        #: The same specializations by ``_Specialization.repeat_key`` (see _repeat).
+        #: The cached specializations, least recently used first.
+        self._cache: Dict[_Specialization, None] = {}
+        #: The same specializations by ``_Specialization.repeat_key`` (see _find).
         self._repeats: Dict[tuple, List[_Specialization]] = {}
 
     # ------------------------------------------------------------------ #
     def cache_info(self) -> Dict[str, object]:
         """Snapshot: cached specializations (``entries``) plus the counters."""
         with self._lock:
-            entries = [
-                {
-                    "fingerprint": key[0],
-                    "dtype": key[1],
-                    "method": spec.method,
-                    "escaped_to_ldlt": spec.escaped_to_ldlt,
-                    "n": spec.pattern.n,
-                    "nnz": spec.pattern.nnz,
-                }
-                for key, spec in self._cache.items()
-            ]
+            specs = list(self._cache)
+        entries = [
+            {
+                "fingerprint": structure_fingerprint(spec.pattern),
+                "dtype": spec.repeat_key[2],
+                "method": spec.method,
+                "escaped_to_ldlt": spec.escaped_to_ldlt,
+                "n": spec.pattern.n,
+                "nnz": spec.pattern.nnz,
+            }
+            for spec in specs
+        ]
         info = {"entries": entries, "size": len(entries)}
         info.update(self.stats.as_dict())
         return info
@@ -233,20 +230,10 @@ class SpecializedSolver:
             self._repeats.clear()
 
     # ------------------------------------------------------------------ #
-    def _key(self, ingested: IngestedMatrix, method: Optional[str]) -> tuple:
-        return (
-            structure_fingerprint(ingested.csc),
-            ingested.dtype,
-            self._options_fp,
-            method or "auto",
-            self.ordering,
-        )
-
-    def _specialize(
-        self, ingested: IngestedMatrix, method: Optional[str], key: tuple
-    ) -> _Specialization:
+    def _specialize(self, ingested: IngestedMatrix, method: Optional[str]) -> _Specialization:
         """First call on a configuration: probe, select, compile, cache."""
         A = ingested.csc
+        key = (A.shape, len(A.indices), ingested.dtype, method or "auto")
         probe = None
         escaped = False
         if method is None:
@@ -264,7 +251,7 @@ class SpecializedSolver:
                 escaped = True
                 method = solver.method
         return _Specialization(
-            key=key,
+            repeat_key=key,
             method=method,
             probe=probe,
             solver=solver,
@@ -325,7 +312,7 @@ class SpecializedSolver:
         requested = method if method is not None else self.method
         spec = self._repeat(A, requested)
         if spec is not None:
-            # A confirmed repeat: no ingest, no validate, no fingerprint.
+            # A confirmed repeat: no ingest, no validate.
             return self._execute(
                 spec,
                 A.data,
@@ -337,17 +324,14 @@ class SpecializedSolver:
             )
         ingested = ingest(A)
         b = np.asarray(b, dtype=np.float64)
-        key = self._key(ingested, requested)
-        with self._lock:
-            spec = self._cache.get(key)
-            if spec is not None:
-                self._hit(spec)
+        spec = self._find(ingested.csc, requested, ingested.dtype)
         specialized_here = False
         if spec is None:
             with observe_trace.span("specialize", method=requested or "auto"):
-                spec = self._specialize(ingested, requested, key)
+                spec = self._specialize(ingested, requested)
             with self._lock:
-                raced = self._cache.get(key)
+                same = self._repeats.get(spec.repeat_key, ())
+                raced = next((s for s in same if s.is_pattern_of(spec)), None)
                 if raced is not None:
                     spec = raced
                     self.stats.structure_hits += 1
@@ -368,20 +352,28 @@ class SpecializedSolver:
         """The cached specialization ``A`` repeats, found without ingesting ``A``.
 
         Only a scipy CSC matrix or a :class:`CSCMatrix` with float64 values
-        qualifies: its ``data`` goes to the solver as it is.  Candidates are
-        the specializations of the same ``(shape, nnz, dtype, requested
-        method)``; one whose stored ``indptr`` / ``indices`` equal ``A``'s is
-        the repeat.  Those copies are canonical (sorted, duplicate-free, as
-        :meth:`CSCMatrix.validate` checked when they were ingested), so ``A``
-        is too.  ``None`` sends ``A`` through the ingest path.
+        qualifies: its ``data`` goes to the solver as it is.  The stored
+        patterns :meth:`_find` compares ``A`` against are canonical (sorted,
+        duplicate-free, as :meth:`CSCMatrix.validate` checked when they were
+        ingested), so a matching ``A`` is too.  ``None`` sends ``A`` through
+        the ingest path.
         """
         if not (isinstance(A, CSCMatrix) or getattr(A, "format", None) == "csc"):
             return None
-        nnz = len(A.indices)
-        if A.data.dtype != np.float64 or A.data.shape != (nnz,):
+        if A.data.dtype != np.float64 or A.data.shape != (len(A.indices),):
             return None
+        return self._find(A, requested, "float64")
+
+    def _find(self, A, requested: Optional[str], dtype: str) -> Optional[_Specialization]:
+        """The cached specialization of ``A``'s pattern, or ``None``; a find counts as a hit.
+
+        Candidates are the specializations of the same ``(shape, nnz, dtype,
+        requested method)``; the one whose stored ``indptr`` / ``indices``
+        equal ``A``'s is found.
+        """
+        key = (A.shape, len(A.indices), dtype, requested or "auto")
         with self._lock:
-            candidates = tuple(self._repeats.get((A.shape, nnz, "float64", requested or "auto"), ()))
+            candidates = tuple(self._repeats.get(key, ()))
         for spec in candidates:
             if spec.is_pattern_of(A):
                 with self._lock:
@@ -392,19 +384,20 @@ class SpecializedSolver:
     def _hit(self, spec: _Specialization) -> None:
         """Count a structure hit and refresh ``spec``'s LRU recency (the caller holds the lock)."""
         self.stats.structure_hits += 1
-        if self._cache.pop(spec.key, None) is not None:
-            self._cache[spec.key] = spec
+        if spec in self._cache:
+            self._cache[spec] = self._cache.pop(spec)
 
     def _admit(self, spec: _Specialization) -> None:
         """Cache a new specialization, evicting the least recently used (the caller holds the lock)."""
-        self._cache[spec.key] = spec
+        self._cache[spec] = None
         self._repeats.setdefault(spec.repeat_key, []).append(spec)
         self.stats.specializations += 1
         self.stats.methods[spec.method] = self.stats.methods.get(spec.method, 0) + 1
         if spec.escaped_to_ldlt:
             self.stats.cholesky_escapes += 1
         while len(self._cache) > self.max_specializations:
-            evicted = self._cache.pop(next(iter(self._cache)))
+            evicted = next(iter(self._cache))
+            del self._cache[evicted]
             self._repeats[evicted.repeat_key].remove(evicted)
             if not self._repeats[evicted.repeat_key]:
                 del self._repeats[evicted.repeat_key]

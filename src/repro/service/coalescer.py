@@ -135,6 +135,9 @@ class Coalescer:
             except Exception as exc:  # pragma: no cover - dispatch guards itself
                 _fail_batch(batch, exc)
             finally:
+                # Hold nothing while idle: an evicted pattern's entry, and the
+                # solver it owns, must be free to go.
+                entry = batch = resolve_last = None
                 with self._cond:
                     self._busy = False
                     self._cond.notify_all()

@@ -15,7 +15,7 @@ The contract::
     handle = endpoint.register_pattern(A, kernel=..., ordering=..., options=...)
     future = endpoint.submit(handle, values, rhs)      # async, pipelined
     x      = endpoint.solve(handle, values, rhs)       # sync = submit + wait
-    endpoint.evict(handle)                             # drop pinned artifacts
+    endpoint.evict(handle)                             # drop the pattern's solver
     endpoint.stats()                                   # cumulative counters
     endpoint.health()                                  # liveness + load facts
     endpoint.metrics_text()                            # Prometheus exposition

@@ -4,8 +4,8 @@
 ``python -m repro.service`` server) over the **shared on-disk compiled-
 kernel cache** and fronts them with a consistent-hash router: a pattern's
 fingerprint (:func:`~repro.compiler.codegen.runtime.pattern_fingerprint`)
-pins it to one shard, so its compiled kernel, pinned artifacts and numeric
-factor stay hot there while distinct patterns spread across the fleet.
+routes it to one shard, so its solver (compiled kernels and numeric factor)
+stays hot there while distinct patterns spread across the fleet.
 
 The fleet implements the same :class:`~repro.service.endpoint.SolverEndpoint`
 surface as the in-process :class:`~repro.service.session.SolverService` and

@@ -4,8 +4,8 @@
 turns the paper's inspector/executor amortization into a served resource:
 
 * :meth:`SolverService.register_pattern` compiles (or warm-loads) the
-  factorization + triangular-solve kernels for one sparsity pattern, pins
-  the artifacts in the shared compiler cache and returns a
+  factorization + triangular-solve kernels for one sparsity pattern into the
+  pattern's one :class:`SparseLinearSolver`, which holds them, and returns a
   :class:`PatternHandle` carrying the fingerprint/schedule metadata,
 * :meth:`SolverService.submit` enqueues one numeric solve (new values on the
   registered pattern, one right-hand side) and returns a
@@ -20,9 +20,10 @@ turns the paper's inspector/executor amortization into a served resource:
   ones the current factors came from, the compiled kernel first when they
   are new — with per-request error isolation,
 * admission control (:mod:`repro.service.admission`) bounds in-flight work
-  (reject-with-retry-after) and the compiled-artifact memory budget
-  (per-pattern LRU pinning with explicit eviction; evicted patterns
-  re-register warm from the on-disk code cache).
+  (reject-with-retry-after); the service's own pattern table is an LRU of at
+  most ``max_patterns`` entries.  Evicting an entry drops its solver, and
+  with it the last reference the service held to its compiled artifacts;
+  evicted patterns re-register warm from the on-disk code cache.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
@@ -106,13 +108,13 @@ class _PatternEntry:
 
     key: tuple
     handle: PatternHandle
-    #: The pattern's one solver; its lock serializes concurrent dispatches.
+    #: The pattern's one solver.  It holds the compiled factorization and the
+    #: two sweeps, and its lock serializes concurrent dispatches.
     solver: SparseLinearSolver
     #: The backend that actually generated code ("c" may fall back to
     #: "python" when no toolchain exists); recorded for the stats endpoint.
     backend_effective: str = "python"
     solves: int = 0
-    dead: bool = False
 
 
 class SolverService:
@@ -132,9 +134,8 @@ class SolverService:
         Backpressure: beyond ``max_in_flight`` admitted-but-incomplete
         requests, ``submit`` rejects with a ``retry_after`` hint.
     max_patterns:
-        Compiled-artifact budget: at most this many patterns stay registered;
-        the least recently used is evicted (artifacts dropped from the
-        compiler cache) when the budget is exceeded.
+        At most this many patterns stay registered; beyond that the least
+        recently registered or solved one is evicted, and its solver with it.
 
     Examples
     --------
@@ -164,14 +165,17 @@ class SolverService:
         # export / observe.snapshot() see this service's counters without
         # any extra hot-path cost; unregistered again in close().
         self.metrics.register_collector()
+        if max_patterns < 1:
+            raise ValueError("max_patterns must be at least 1")
+        self.max_patterns = int(max_patterns)
         self.admission = AdmissionController(
             max_in_flight=max_in_flight,
-            max_patterns=max_patterns,
             retry_after_seconds=retry_after_seconds,
         )
         self.coalescer = Coalescer(self._dispatch, max_batch=max_batch)
         self._lock = threading.Lock()
-        self._entries: Dict[tuple, _PatternEntry] = {}
+        #: Registered patterns, least recently registered or solved first.
+        self._entries: "OrderedDict[tuple, _PatternEntry]" = OrderedDict()
         self._by_id: Dict[str, tuple] = {}
         self._registering: Dict[tuple, threading.Event] = {}
         self._closed = False
@@ -188,12 +192,12 @@ class SolverService:
         ordering: str = "natural",
         options: Optional[SympilerOptions] = None,
     ) -> PatternHandle:
-        """Register one sparsity pattern; compile eagerly, pin, return a handle.
+        """Register one sparsity pattern; compile eagerly, return a handle.
 
         Registration is idempotent and single-flight: concurrent
         registrations of the same (pattern, kernel, ordering, options)
         collapse to one compile — every caller shares the entry and its
-        pinned artifacts.  ``A`` may be anything the front-end ingest layer
+        solver.  ``A`` may be anything the front-end ingest layer
         accepts (:class:`CSCMatrix`, ``scipy.sparse``, COO triplets, dense)
         and must carry numerically valid values (the eager compile runs one
         factorization to seed the triangular-solve kernels).
@@ -221,7 +225,7 @@ class SolverService:
                         self.metrics.incr("registrations_coalesced")
                     else:
                         self.metrics.incr("compile_warm")
-                    self.admission.touch_pattern(key)
+                    self._entries.move_to_end(key)
                     return entry.handle
                 event = self._registering.get(key)
                 if event is None:
@@ -234,7 +238,8 @@ class SolverService:
             with self._lock:
                 self._entries[key] = entry
                 self._by_id[entry.handle.handle_id] = key
-            for victim in self.admission.pin_pattern(key):
+                victims = list(self._entries)[: -self.max_patterns]
+            for victim in victims:
                 self._drop_entry(victim, reason="lru")
             return entry.handle
         finally:
@@ -257,9 +262,6 @@ class SolverService:
             disk_after["py_writes"] - disk_before["py_writes"]
         )
         warm = generated == 0
-        cache = solver.artifact_cache
-        for artifact in solver.compiled_artifacts:
-            cache.pin_artifact(artifact)
         factorization = solver.compiled_artifacts[0]
         schedule = factorization.schedule
         handle = PatternHandle(
@@ -302,18 +304,10 @@ class SolverService:
             entry = self._entries.pop(key, None)
             if entry is None:
                 return False
-            entry.dead = True
             self._by_id.pop(entry.handle.handle_id, None)
-        self.admission.drop_pattern(key)
-        # Release the compiled-artifact memory: give up this pattern's pins
-        # and drop from the shared compiler cache whatever no other holder
-        # (another service, a sibling pattern sharing a triangular-solve
-        # artifact) still has pinned.  The on-disk generated code survives,
-        # so re-registration is a warm (zero-recompile) path.
-        solver = entry.solver
-        cache = solver.artifact_cache
-        for artifact in solver.compiled_artifacts:
-            cache.release_artifact(artifact)
+        # The entry's solver goes with it once no queued request still holds
+        # the entry; the on-disk generated code survives, so re-registration
+        # is a warm (zero-recompile) path.
         self.metrics.incr("patterns_evicted")
         self.metrics.incr(f"patterns_evicted_{reason}")
         observe_events.emit(
@@ -353,10 +347,13 @@ class SolverService:
         return key
 
     def _entry_for(self, handle) -> _PatternEntry:
+        """The live entry of ``handle``, marked recently used."""
         key = self._resolve_key(handle)
         with self._lock:
             entry = self._entries.get(key)
-        if entry is None or entry.dead:
+            if entry is not None:
+                self._entries.move_to_end(key)
+        if entry is None:
             raise PatternEvictedError(
                 f"pattern {key[1]} was evicted; re-register it for a fresh "
                 "handle (warm from the on-disk code cache)"
@@ -406,7 +403,6 @@ class SolverService:
             enqueued_at=time.monotonic(),
             trace_ctx=observe_trace.capture(),
         )
-        self.admission.touch_pattern(entry.key)
         try:
             self.coalescer.offer(entry.key, entry, request)
         except Exception:
@@ -570,14 +566,13 @@ class SolverService:
                 "in_flight": self.admission.in_flight,
                 "max_batch": self.coalescer.max_batch,
                 "max_in_flight": self.admission.max_in_flight,
-                "max_patterns": self.admission.max_patterns,
+                "max_patterns": self.max_patterns,
                 "uptime_seconds": time.time() - self.started_at,
                 "disk_cache": disk_cache_stats().as_dict(),
             }
         )
         if cache is not None:
-            snapshot["artifact_cache"] = dict(cache.stats.as_dict())
-            snapshot["artifact_cache"]["pinned"] = cache.pinned_count
+            snapshot["artifact_cache"] = cache.stats.as_dict()
         return snapshot
 
     def health(self) -> Dict[str, object]:
@@ -617,9 +612,9 @@ class SolverService:
     def close(self, timeout: float = 10.0) -> None:
         """Drain queued work, stop the dispatcher and reject further calls.
 
-        Registered patterns' pins are released (artifacts stay resident for
-        warm reuse by other in-process users, but become LRU-evictable again)
-        so short-lived services never leak pins into the process-wide cache.
+        The pattern table is dropped, and with it the service's solvers; the
+        shared compiler cache keeps the artifacts for warm reuse by other
+        in-process users until its own LRU drops them.
         """
         if self._closed:
             return
@@ -627,15 +622,8 @@ class SolverService:
         self.metrics.unregister_collector()
         self.coalescer.close(timeout=timeout)
         with self._lock:
-            entries = list(self._entries.values())
             self._entries.clear()
             self._by_id.clear()
-        for entry in entries:
-            entry.dead = True
-            solver = entry.solver
-            cache = solver.artifact_cache
-            for artifact in solver.compiled_artifacts:
-                cache.unpin_artifact(artifact)
 
     def __enter__(self) -> "SolverService":
         return self

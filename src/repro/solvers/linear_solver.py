@@ -285,8 +285,8 @@ class SparseLinearSolver:
     def compiled_artifacts(self) -> tuple:
         """The compiled artifacts this solver holds (factorization + sweeps).
 
-        The serving layer pins these in the shared artifact cache while the
-        pattern is registered.
+        The solver owns them by reference: they live as long as it does,
+        whatever the shared artifact cache later evicts.
         """
         return (self._factorization, self._forward, self._backward)
 

@@ -38,7 +38,6 @@ from repro.symbolic.inspector import (
     SymbolicInspector,
     TriangularInspectionResult,
     TriangularSolveInspector,
-    inspector_for_method,
 )
 from repro.symbolic.reach import reach_set, reach_set_sorted
 from repro.symbolic.supernodes import (
@@ -74,5 +73,4 @@ __all__ = [
     "LUInspectionResult",
     "CholeskyInspectionResult",
     "InspectionSet",
-    "inspector_for_method",
 ]

@@ -32,7 +32,6 @@ import numpy as np
 
 # Leaf module with no intra-package imports: safe to pull in from here even
 # though the compiler package itself depends on this module.
-from repro.compiler.registration import register_unique_many
 from repro.sparse.csc import CSCMatrix, group_pointers
 from repro.symbolic.dependency_graph import DependencyGraph
 from repro.symbolic.etree import column_etree, elimination_tree, postorder
@@ -68,8 +67,6 @@ __all__ = [
     "LUInspectionResult",
     "IC0InspectionResult",
     "ILU0InspectionResult",
-    "inspector_for_method",
-    "register_inspector",
     "normalize_rhs_pattern",
     "above_diagonal",
 ]
@@ -696,41 +693,6 @@ class ILU0Inspector(SymbolicInspector):
             symbolic_seconds=elapsed,
             sets=sets,
         )
-
-
-_INSPECTORS: Dict[str, type] = {}
-
-
-def register_inspector(cls: type, *, aliases: Sequence[str] = ()) -> type:
-    """Register a :class:`SymbolicInspector` subclass under its method name.
-
-    Registering a *different* class under an existing name (or alias) raises
-    ``ValueError``; re-registering the same class is a no-op so modules can be
-    safely re-imported.  Every key is validated before any is written, so a
-    conflicting alias never leaves a partial registration behind.  Returns
-    ``cls`` so it can be used as a decorator.
-    """
-    keys = [key.lower() for key in (cls.method, *aliases)]
-    return register_unique_many(_INSPECTORS, keys, cls, kind="symbolic inspector")
-
-
-register_inspector(TriangularSolveInspector, aliases=("trisolve", "triangular"))
-register_inspector(CholeskyInspector)
-register_inspector(LDLTInspector)
-register_inspector(LUInspector)
-register_inspector(IC0Inspector, aliases=("incomplete-cholesky",))
-register_inspector(ILU0Inspector, aliases=("incomplete-lu",))
-
-
-def inspector_for_method(method: str) -> SymbolicInspector:
-    """Instantiate the symbolic inspector registered for ``method``."""
-    key = method.lower()
-    if key not in _INSPECTORS:
-        raise ValueError(
-            f"no symbolic inspector registered for method {method!r}; "
-            f"available: {sorted(set(_INSPECTORS))}"
-        )
-    return _INSPECTORS[key]()
 
 
 def verify_cholesky_pattern_consistency(A: CSCMatrix) -> bool:

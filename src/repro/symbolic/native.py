@@ -27,12 +27,10 @@ Arguments are validated here, before any pointer reaches C: a non-monotone
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import hashlib
 import os
 import shutil
-import subprocess
 import tempfile
 import threading
 from typing import Optional, Tuple
@@ -40,7 +38,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.observe.events import emit as emit_event
-from repro.observe.trace import span
 
 __all__ = ["NativeSymbolic", "helper"]
 
@@ -63,33 +60,10 @@ class _Unavailable(Exception):
         self.reason = reason
 
 
-def _invoke_cc(compiler: str, source_bytes: int, so_path: str) -> None:
-    """One ``cc`` run, published atomically (the ``build_file_once`` contract)."""
-    tmp_so = f"{so_path}.tmp-{os.getpid()}-{threading.get_ident()}"
-    cmd = [compiler, *_FLAGS, "-o", tmp_so, _SOURCE_PATH]
-    try:
-        try:
-            with span("native-build", compiler=compiler, source_bytes=source_bytes):
-                proc = subprocess.run(cmd, capture_output=True, text=True, timeout=_CC_TIMEOUT_SECONDS)
-        except subprocess.TimeoutExpired:
-            raise _Unavailable("timeout", f"{' '.join(cmd)} still running after {_CC_TIMEOUT_SECONDS:g} s") from None
-        except OSError as exc:
-            raise _Unavailable("no compiler", f"{' '.join(cmd)}: {exc}") from exc
-        if proc.returncode != 0:
-            raise _Unavailable("compile error", f"{' '.join(cmd)}:\n{proc.stderr}")
-        try:
-            os.replace(tmp_so, so_path)
-        except OSError as exc:
-            raise _Unavailable("compile error", f"cannot publish {so_path}: {exc}") from exc
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp_so)
-
-
 def _load_library() -> ctypes.CDLL:
     """Build the helper if this toolchain has not yet, and load it."""
     # Deferred: repro.compiler imports the inspectors, which import this module.
-    from repro.compiler.cache import build_file_once
+    from repro.compiler.cache import build_and_load
 
     compiler = os.environ.get("REPRO_CC", "cc")
     if shutil.which(compiler) is None:
@@ -110,20 +84,14 @@ def _load_library() -> ctypes.CDLL:
             raise _Unavailable("unloadable", f"{directory} belongs to another user")
     except OSError as exc:
         raise _Unavailable("unloadable", f"{directory}: {exc}") from exc
-    so_path = os.path.join(directory, f"symbolic_{digest}.so")
-    for rebuilt in (False, True):
-        build_file_once(so_path, lambda: _invoke_cc(compiler, len(source), so_path))
-        try:
-            return ctypes.CDLL(so_path)
-        except OSError as exc:
-            # A truncated or foreign file under the right name would answer
-            # "hit" on every later start: replace it, once.
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(so_path)
-            if rebuilt:
-                raise _Unavailable("unloadable", f"{so_path}: {exc}") from exc
-            emit_event("so_rebuilt", path=so_path)
-    raise AssertionError("unreachable")  # pragma: no cover
+    return build_and_load(
+        os.path.join(directory, f"symbolic_{digest}.so"),
+        lambda out: [compiler, *_FLAGS, "-o", out, _SOURCE_PATH],
+        span_name="native-build",
+        span_attrs={"compiler": compiler, "source_bytes": len(source)},
+        timeout_seconds=_CC_TIMEOUT_SECONDS,
+        error=_Unavailable,
+    )
 
 
 class _Loader:

@@ -1,4 +1,4 @@
-"""Thread-safety of the compiler caches: single-flight, pinning, counters."""
+"""Thread-safety of the compiler caches: single-flight and counters."""
 
 from __future__ import annotations
 
@@ -123,80 +123,6 @@ class TestSingleFlight:
         assert np.isfinite(L.data).all()
 
 
-class TestPinningAndRemoval:
-    def test_pinned_entries_survive_lru_pressure(self):
-        cache = ArtifactCache(maxsize=2)
-        cache.put("a", "A")
-        cache.pin("a")
-        cache.put("b", "B")
-        cache.put("c", "C")  # evicts b (a is pinned despite being LRU)
-        assert cache.get("a") == "A"
-        assert cache.get("b") is None
-        assert cache.get("c") == "C"
-        assert cache.stats.evictions == 1
-
-    def test_all_pinned_overflows_instead_of_dropping(self):
-        cache = ArtifactCache(maxsize=1)
-        cache.put("a", "A")
-        cache.pin("a")
-        cache.put("b", "B")
-        cache.pin("b")
-        assert len(cache) == 2  # over budget, but nothing pinned was dropped
-        cache.unpin("a")
-        cache.put("c", "C")  # now a can go
-        assert cache.get("a") is None
-
-    def test_remove_unpins_and_counts(self):
-        cache = ArtifactCache()
-        cache.put("a", "A")
-        cache.pin("a")
-        assert cache.remove("a") == "A"
-        assert cache.remove("a") is None  # idempotent
-        assert cache.stats.removals == 1
-        assert cache.pinned_count == 0
-
-    def test_artifact_level_pin_and_remove(self):
-        cache = ArtifactCache()
-        artifact = object()
-        cache.put("k1", artifact)
-        cache.put("k2", artifact)
-        assert set(cache.pin_artifact(artifact)) == {"k1", "k2"}
-        assert cache.pinned_count == 2
-        assert set(cache.remove_artifact(artifact)) == {"k1", "k2"}
-        assert len(cache) == 0
-
-    def test_pins_are_refcounted_across_holders(self):
-        """Two holders pin the same artifact; one releasing keeps it pinned."""
-        cache = ArtifactCache(maxsize=1)
-        artifact = object()
-        cache.put("k", artifact)
-        cache.pin_artifact(artifact)  # holder 1
-        cache.pin_artifact(artifact)  # holder 2
-        assert cache.release_artifact(artifact) == []  # holder 1 lets go
-        cache.put("other", "X")  # LRU pressure: k must survive (still pinned)
-        assert cache.get("k") is artifact
-        assert cache.release_artifact(artifact) == ["k"]  # last holder: gone
-        assert cache.get("k") is None
-
-    def test_unpin_artifact_releases_without_removing(self):
-        cache = ArtifactCache()
-        artifact = object()
-        cache.put("k", artifact)
-        cache.pin_artifact(artifact)
-        assert cache.unpin_artifact(artifact) == ["k"]
-        assert cache.pinned_count == 0
-        assert cache.get("k") is artifact  # resident, just evictable again
-
-    def test_eviction_listener_sees_both_reasons(self):
-        seen = []
-        cache = ArtifactCache(maxsize=1)
-        cache.add_eviction_listener(lambda key, artifact, reason: seen.append((key, reason)))
-        cache.put("a", "A")
-        cache.put("b", "B")  # LRU-evicts a
-        cache.remove("b")
-        assert seen == [("a", "lru"), ("b", "removed")]
-
-
 class TestDiskCacheStatsThreadSafety:
     def test_bump_is_atomic_under_contention(self):
         stats = DiskCacheStats()
@@ -229,7 +155,7 @@ class TestCacheStatsSurface:
     def test_as_dict_carries_new_counters(self):
         cache = ArtifactCache()
         payload = cache.stats.as_dict()
-        for key in ("hits", "misses", "evictions", "coalesced", "removals", "hit_rate"):
+        for key in ("hits", "misses", "evictions", "coalesced", "hit_rate"):
             assert key in payload
 
     def test_invalid_percentilelike_inputs_rejected(self):

@@ -10,7 +10,6 @@ from repro.symbolic.inspector import (
     CholeskyInspector,
     InspectionSet,
     TriangularSolveInspector,
-    inspector_for_method,
     verify_cholesky_pattern_consistency,
 )
 from repro.symbolic.reach import reach_set
@@ -109,11 +108,3 @@ class TestCholeskyInspector:
         with pytest.raises(TypeError, match="max_supernode_width"):
             CholeskyInspector().inspect(spd_matrices["fem"], max_supernode_width=2)
 
-
-def test_inspector_for_method_registry():
-    assert isinstance(inspector_for_method("triangular-solve"), TriangularSolveInspector)
-    assert isinstance(inspector_for_method("trisolve"), TriangularSolveInspector)
-    assert isinstance(inspector_for_method("cholesky"), CholeskyInspector)
-    assert inspector_for_method("lu").method == "lu"
-    with pytest.raises(ValueError):
-        inspector_for_method("qr")

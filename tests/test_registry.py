@@ -23,7 +23,7 @@ from repro.compiler.registry import (
 )
 from repro.compiler.sympiler import Sympiler
 from repro.sparse.generators import laplacian_2d, saddle_point_indefinite, sparse_rhs
-from repro.symbolic.inspector import CholeskyInspector, register_inspector
+from repro.symbolic.inspector import CholeskyInspector
 
 
 def fresh_sympiler(options=None):
@@ -102,27 +102,6 @@ class TestRegistry:
         assert sym.compile("cholesky", A).factor_nnz > 0
         with pytest.raises(UnknownKernelError):
             sym.compile("triangular-solve", A)
-
-    def test_register_inspector_conflict(self):
-        class Impostor(CholeskyInspector):
-            method = "cholesky"
-
-        with pytest.raises(ValueError):
-            register_inspector(Impostor)
-        # Same class again is fine.
-        register_inspector(CholeskyInspector)
-
-    def test_register_inspector_failed_alias_leaves_no_partial_state(self):
-        from repro.symbolic.inspector import _INSPECTORS, inspector_for_method
-
-        class Newcomer(CholeskyInspector):
-            method = "newcomer"
-
-        with pytest.raises(ValueError):
-            register_inspector(Newcomer, aliases=("cholesky",))
-        assert "newcomer" not in _INSPECTORS
-        with pytest.raises(ValueError):
-            inspector_for_method("newcomer")
 
     def test_backend_method_registration_is_identity_idempotent(self):
         from repro.compiler.codegen.python_backend import _PY_METHOD_SPECS, register_python_method

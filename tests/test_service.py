@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -384,7 +386,6 @@ class TestMetricsAndStats:
         latency = stats["latency"]
         assert latency["count"] == 6
         assert latency["p50_seconds"] <= latency["p95_seconds"]
-        assert stats["artifact_cache"]["pinned"] > 0
         pattern = stats["patterns"][handle.handle_id]
         assert pattern["parallel_mode"] == "none" and pattern["schedule_levels"] > 0
         assert "mode" not in pattern and "execution_strategy" not in pattern
@@ -644,37 +645,54 @@ class TestCancellation:
             assert svc.admission.in_flight == 0
 
 
-class TestPinHygiene:
-    def test_close_releases_pins_from_the_shared_cache(self):
-        """Short-lived services must not leak pins into the shared cache."""
-        A = laplacian_2d(10, shift=0.4)
-        svc = _service()
-        handle = svc.register_pattern(A)
-        cache = svc._entries[handle.key].solver.artifact_cache
-        pinned_before_close = cache.pinned_count
-        assert pinned_before_close >= 3  # factorization + two trisolves
-        svc.close()
-        assert cache.pinned_count <= pinned_before_close - 3
+class TestArtifactLifetime:
+    """The shared memo owns nothing: each pattern's solver holds its artifacts."""
 
-    def test_shared_artifacts_survive_sibling_service_eviction(self):
-        """Refcounted pins: service B keeps its artifacts when A evicts."""
-        A = laplacian_2d(10, shift=0.5)
-        svc_a = _service()
-        svc_b = _service()
+    def test_eviction_leaves_the_artifacts_in_the_shared_memo(self):
+        A = laplacian_2d(10, shift=0.4)
+        options = SympilerOptions(enable_vs_block=False)
+        with _service(options=options) as svc:
+            handle = svc.register_pattern(A)
+            stats = svc._entries[handle.key].solver.cache_stats
+            assert svc.evict(handle)
+            misses = stats.misses
+            SparseLinearSolver(A, method="cholesky", ordering="natural", options=options)
+            assert stats.misses == misses
+
+    def test_evict_and_close_let_the_solver_go(self):
+        A, B = laplacian_2d(7, shift=0.1), laplacian_2d(8, shift=0.1)
+        svc = _service()
         try:
-            handle_a = svc_a.register_pattern(A)
-            handle_b = svc_b.register_pattern(A)  # same artifacts, own pins
-            cache = svc_b._entries[handle_b.key].solver.artifact_cache
-            artifacts = svc_b._entries[handle_b.key].solver.compiled_artifacts
-            svc_a.evict(handle_a)
-            # B's artifacts are still resident and still pinned.
-            for artifact in artifacts:
-                assert cache.keys_for(artifact), "artifact dropped while pinned"
-            x = svc_b.solve(handle_b, A.data, np.ones(A.n), timeout=30)
-            assert np.isfinite(x).all()
+            handles = [svc.register_pattern(M) for M in (A, B)]
+            svc.solve(handles[0], A.data, np.ones(A.n), timeout=30)
+            svc.flush(timeout=10)  # the dispatcher has let go of the batch
+            refs = [weakref.ref(svc._entries[h.key].solver) for h in handles]
+            assert svc.evict(handles[0])
+            gc.collect()
+            assert refs[0]() is None and refs[1]() is not None
         finally:
-            svc_a.close()
-            svc_b.close()
+            svc.close()
+        gc.collect()
+        assert refs[1]() is None
+
+    @pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
+    def test_a_request_parked_on_an_evicted_pattern_still_solves(self, hold_dispatcher):
+        A = laplacian_2d(9, shift=0.2)
+        options = SympilerOptions(backend="c", enable_vs_block=False)
+        ref = SparseLinearSolver(A, ordering="natural", options=options)
+        values, b = A.data * 1.5, np.cos(np.arange(A.n))
+        with _service(options=options) as svc, _service(options=options) as sibling:
+            handle = svc.register_pattern(A)
+            sibling_handle = sibling.register_pattern(A)
+            with hold_dispatcher(svc.coalescer):
+                parked = svc.submit(handle, values, b)
+                assert svc.evict(handle)
+                gc.collect()
+            assert np.array_equal(parked.result(timeout=30), ref.step(values, b)[0])
+            for k in range(3):
+                new_values = A.data * (1.0 + k)
+                x = sibling.solve(sibling_handle, new_values, b, timeout=30)
+                assert np.array_equal(x, ref.step(new_values, b)[0])
 
 
 class TestServiceLifecycle:

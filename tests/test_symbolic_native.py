@@ -53,7 +53,7 @@ from repro.symbolic.fill_pattern import (
     lu_pattern_reference,
     row_patterns_of_factor,
 )
-from repro.symbolic.inspector import inspector_for_method
+from repro.symbolic.inspector import CholeskyInspector, LUInspector, TriangularSolveInspector
 from repro.symbolic.levels import (
     deps_levels_reference,
     graph_levels_reference,
@@ -225,9 +225,9 @@ class TestNativeMatchesReference:
                 monkeypatch.setattr(module, name, refuse)
         A = laplacian_2d(6)
         B = minimum_degree_ordering(A).symmetric_permute(A)
-        chol = inspector_for_method("cholesky").inspect(B)
-        inspector_for_method("triangular-solve").inspect(chol.l_pattern_matrix(), rhs_pattern=[0, 7])
-        inspector_for_method("lu").inspect(unsymmetric_diag_dominant(30, seed=1))
+        chol = CholeskyInspector().inspect(B)
+        TriangularSolveInspector().inspect(chol.l_pattern_matrix(), rhs_pattern=[0, 7])
+        LUInspector().inspect(unsymmetric_diag_dominant(30, seed=1))
         level_sets_from_parent(chol.parent)
 
 
@@ -312,8 +312,8 @@ def _public_results(A: CSCMatrix, U: CSCMatrix) -> list:
     parent = elimination_tree(B)
     l_indptr, l_indices = cholesky_pattern(B, parent)
     L = CSCMatrix.from_pattern(B.n, B.n, l_indptr, l_indices)
-    tri = inspector_for_method("triangular-solve").inspect(L, rhs_pattern=[1, B.n // 2])
-    chol = inspector_for_method("cholesky").inspect(B)
+    tri = TriangularSolveInspector().inspect(L, rhs_pattern=[1, B.n // 2])
+    chol = CholeskyInspector().inspect(B)
     return [
         perm.perm,
         parent,
