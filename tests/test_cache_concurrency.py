@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -121,6 +123,77 @@ class TestSingleFlight:
         assert disk_cache_stats().as_dict()["py_writes"] == 1
         L = artifacts[0].factorize(A)
         assert np.isfinite(L.data).all()
+
+
+class _Artifact:
+    """A weak-referenceable stand-in for a compiled artifact."""
+
+
+class TestMemoOwnsNothing:
+    def test_put_of_a_resident_key_replaces_it_without_eviction(self):
+        cache = ArtifactCache(maxsize=2)
+        cache.put("a", "A")
+        cache.put("b", "B")
+        cache.put("a", "A2")  # replaces a and makes it the most recent
+        assert len(cache) == 2 and cache.stats.evictions == 0
+        cache.put("c", "C")  # so b is the one to go
+        assert cache.get("a") == "A2" and "b" not in cache
+
+    def test_a_get_or_build_hit_refreshes_recency(self):
+        cache = ArtifactCache(maxsize=2)
+        cache.get_or_build("a", lambda: "A")
+        cache.get_or_build("b", lambda: "B")
+        assert cache.get_or_build("a", lambda: "rebuilt") == "A"
+        cache.get_or_build("c", lambda: "C")  # evicts b, not a
+        assert "a" in cache and "b" not in cache and "c" in cache
+        assert cache.stats.evictions == 1
+
+    def test_an_evicted_artifact_is_not_kept_alive_by_the_memo(self):
+        cache = ArtifactCache(maxsize=1)
+        cache.put("a", _Artifact())
+        ref = weakref.ref(cache.get("a"))
+        cache.put("b", _Artifact())
+        gc.collect()
+        assert ref() is None
+
+    def test_a_holder_keeps_an_evicted_artifact_alive(self):
+        cache = ArtifactCache(maxsize=1)
+        held = cache.get_or_build("a", _Artifact)
+        cache.put("b", _Artifact())
+        assert "a" not in cache
+        ref = weakref.ref(held)
+        gc.collect()
+        assert ref() is held
+        del held
+        gc.collect()
+        assert ref() is None
+
+    def test_an_evicted_key_is_rebuilt_on_the_next_lookup(self):
+        cache = ArtifactCache(maxsize=1)
+        first = cache.get_or_build("a", _Artifact)
+        cache.put("b", _Artifact())
+        second = cache.get_or_build("a", _Artifact)
+        assert second is not first
+        assert cache.stats.misses == 2 and cache.stats.evictions == 2
+
+    def test_clear_drops_entries_but_keeps_counters(self):
+        cache = ArtifactCache()
+        cache.get_or_build("a", lambda: "A")
+        cache.get("a")
+        cache.clear()
+        assert len(cache) == 0 and "a" not in cache
+        assert cache.stats.hits == 1 and cache.stats.misses == 1
+
+    def test_a_failed_build_caches_nothing(self):
+        cache = ArtifactCache()
+
+        def failing():
+            raise RuntimeError("build failed")
+
+        with pytest.raises(RuntimeError, match="build failed"):
+            cache.get_or_build("k", failing)
+        assert "k" not in cache and len(cache) == 0
+        assert cache.get_or_build("k", lambda: "built") == "built"
 
 
 class TestDiskCacheStatsThreadSafety:

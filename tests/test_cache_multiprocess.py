@@ -7,6 +7,8 @@ process ends up with a working artifact.  These tests drive the primitive
 directly (threads standing in for processes exercise the same lockfile) and
 then the real thing: two subprocesses cold-compiling the same pattern with
 the C backend behind a ``cc`` shim that logs every compiler invocation.
+The failure modes of ``build_and_load``, the ``cc`` runner built on it, are
+driven with stand-in compiler commands.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import time
 
 import pytest
 
-from repro.compiler.cache import build_file_once
+from repro.compiler.cache import build_and_load, build_file_once
+from repro.observe.events import get_event_log
 
 SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -118,6 +121,60 @@ class TestBuildFileOnce:
         assert outcome == "built"
         assert os.path.exists(target)
         os.unlink(lock)
+
+
+class _BuildError(Exception):
+    def __init__(self, reason: str, detail: str) -> None:
+        super().__init__(f"{reason}: {detail}")
+        self.reason = reason
+
+
+class TestBuildAndLoad:
+    """Each failure of the shared ``cc`` runner, with no compiler needed."""
+
+    @pytest.mark.parametrize(
+        "script, reason",
+        [
+            (None, "no compiler"),
+            ("echo 'lib.c:1: error: no' >&2; exit 1", "compile error"),
+            ("exec sleep 30", "timeout"),
+            # "Succeeds", but what it writes is not a shared object.
+            ('head -c 100 /dev/zero > "$0"', "unloadable"),
+        ],
+    )
+    def test_a_failure_raises_the_callers_error_and_leaves_nothing(
+        self, tmp_path, script, reason
+    ):
+        build_dir = tmp_path / "build"
+        build_dir.mkdir()
+        so_path = str(build_dir / "lib.so")
+        missing = str(tmp_path / "missing-cc")
+        compiles, outcomes = [], []
+        seen = len(get_event_log().events("so_rebuilt"))
+
+        def argv(out):
+            return [missing, "-o", out] if script is None else ["sh", "-c", script, out]
+
+        with pytest.raises(_BuildError) as info:
+            build_and_load(
+                so_path,
+                argv,
+                span_name="cc",
+                span_attrs={},
+                timeout_seconds=0.3,
+                error=_BuildError,
+                before_cc=lambda: compiles.append(1),
+                on_outcome=outcomes.append,
+            )
+        assert info.value.reason == reason
+        rebuilt = get_event_log().events("so_rebuilt")[seen:]
+        if reason == "unloadable":
+            # The bad file is deleted and built again, once.
+            assert outcomes == ["built", "built"] and len(compiles) == 2
+            assert [ev.attrs["path"] for ev in rebuilt] == [so_path]
+        else:
+            assert len(compiles) == 1 and rebuilt == []
+        assert os.listdir(build_dir) == []
 
 
 _WORKER = textwrap.dedent(

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.compiler.registry import kernel_spec
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import sparse_rhs
 from repro.symbolic.fill_pattern import cholesky_pattern
 from repro.symbolic.inspector import (
     CholeskyInspector,
+    IC0Inspector,
+    ILU0Inspector,
     InspectionSet,
+    LDLTInspector,
+    LUInspector,
     TriangularSolveInspector,
     verify_cholesky_pattern_consistency,
 )
@@ -107,4 +112,19 @@ class TestCholeskyInspector:
         # The supernode width cap is gone, not ignored.
         with pytest.raises(TypeError, match="max_supernode_width"):
             CholeskyInspector().inspect(spd_matrices["fem"], max_supernode_width=2)
+
+
+@pytest.mark.parametrize(
+    "alias, inspector_cls",
+    [
+        ("trisolve", TriangularSolveInspector),
+        ("triangular", TriangularSolveInspector),
+        ("ldl", LDLTInspector),
+        ("gp-lu", LUInspector),
+        ("incomplete-cholesky", IC0Inspector),
+        ("incomplete-lu", ILU0Inspector),
+    ],
+)
+def test_kernel_aliases_reach_the_inspector_through_the_spec(alias, inspector_cls):
+    assert kernel_spec(alias).inspector_cls is inspector_cls
 

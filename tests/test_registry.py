@@ -103,6 +103,10 @@ class TestRegistry:
         with pytest.raises(UnknownKernelError):
             sym.compile("triangular-solve", A)
 
+    @pytest.mark.parametrize("name", registered_kernels())
+    def test_each_spec_names_the_inspector_of_its_kernel(self, name):
+        assert kernel_spec(name).inspector_cls().method == name
+
     def test_backend_method_registration_is_identity_idempotent(self):
         from repro.compiler.codegen.python_backend import _PY_METHOD_SPECS, register_python_method
 
