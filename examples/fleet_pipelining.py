@@ -4,10 +4,10 @@ Two escalations of the serving layer, one endpoint surface:
 
 1. **Pipelining.**  A single :class:`ServiceClient` connection keeps many
    id-tagged requests in flight at once — ``submit()`` returns a future
-   immediately, the requests queue up behind the server's dispatcher and
-   coalesce into batches, and responses resolve out of band.  The same loop
-   written with the lock-step ``solve()`` pays a round-trip and a dispatch
-   of one *per request*.
+   immediately, the requests wait in the connection while the server's
+   connection thread solves them one after another, and responses resolve
+   out of band.  The same loop written with the lock-step ``solve()`` pays
+   a full round-trip *per request*.
 
 2. **Sharding.**  A :class:`ShardFleet` runs N solver-service processes
    over one shared compiled-kernel disk cache and routes each pattern to a
@@ -52,7 +52,7 @@ def main() -> None:
     requests = 32
 
     # ---- Part 1: one connection, pipelined vs lock-step ------------------
-    service = SolverService(options=options, max_batch=16)
+    service = SolverService(options=options)
     server, thread = serve_background(service)
     try:
         with ServiceClient(server.server_address) as client:
@@ -85,7 +85,7 @@ def main() -> None:
         thread.join(timeout=5.0)
 
     # ---- Part 2: a 2-shard fleet surviving a mid-stream crash ------------
-    with ShardFleet(2, max_batch=16) as fleet:
+    with ShardFleet(2) as fleet:
         handles = {
             name: fleet.register_pattern(A, options=options)
             for name, A in matrices.items()

@@ -1,12 +1,12 @@
-"""End-to-end solver-service demo: register once, serve many, coalesce.
+"""End-to-end solver-service demo: register once, serve many.
 
 Starts the serving layer in-process (a real TCP server on an ephemeral
 port), registers one sparsity pattern, then fires concurrent clients at it —
 each solving the same pattern with different numeric values, the parameter-
-sweep traffic the service's coalescer was built for: requests that arrive
-while the dispatcher is busy share the next dispatch.  The compiled kernels
-are paid for exactly once; the coalescing stats printed at the end show how
-many requests shared each batched dispatch.
+sweep traffic the service was built for.  Each connection's solves run on
+its own server thread, taking turns at the pattern's solver.  The compiled
+kernels are paid for exactly once; the stats printed at the end show the
+solve count and latency.
 
 Run with ``PYTHONPATH=src python examples/solver_service.py``.
 """
@@ -27,13 +27,13 @@ def main() -> None:
     A = laplacian_2d(20, shift=0.05)
 
     options = SympilerOptions()
-    service = SolverService(options=options, max_batch=16)
+    service = SolverService(options=options)
     server, server_thread = serve_background(service)
     host, port = server.server_address
     print(f"solver service listening on {host}:{port}")
 
     try:
-        # Control-plane: register the pattern once (compiles + pins kernels).
+        # Control-plane: register the pattern once (compiles its kernels).
         with ServiceClient((host, port)) as control:
             handle = control.register_pattern(A)
         print(
@@ -44,7 +44,7 @@ def main() -> None:
 
         # Data-plane: N clients, each a thread with its own connection,
         # solving scaled variants of A against distinct right-hand sides.
-        reference = SparseLinearSolver(A, ordering="natural", options=options)
+        reference = SparseLinearSolver(A, options=options)
         errors = []
 
         def run_client(worker: int) -> None:
@@ -74,9 +74,7 @@ def main() -> None:
             stats = control.stats()
         total = N_CLIENTS * REQUESTS_PER_CLIENT
         print(f"\nserved {stats['counters']['solves_ok']}/{total} solves correctly")
-        print(f"coalesced dispatches : {stats['counters'].get('batches', 0)}")
-        print(f"coalescing ratio     : {stats['coalescing_ratio']:.2f} requests/dispatch")
-        print(f"batch-size histogram : {stats['batch_size_histogram']}")
+        print(f"refactorizations     : {stats['counters'].get('refactorizations', 0)}")
         latency = stats["latency"]
         print(
             f"latency              : p50 {1e3 * latency['p50_seconds']:.2f} ms, "

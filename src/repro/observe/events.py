@@ -50,7 +50,7 @@ __all__ = [
 DEFAULT_MAX_EVENTS = 4096
 
 # Requests slower than this keep their span tree as an event payload; chosen
-# well above a warm coalesced solve (~ms) so steady state samples nothing.
+# well above a warm service solve (~ms) so steady state samples nothing.
 DEFAULT_SLOW_REQUEST_SECONDS = 1.0
 
 

@@ -54,7 +54,7 @@ PHASE_GROUPS: Dict[str, tuple] = {
     "codegen": ("codegen", "py-compile"),
     "cc": ("cc",),
     "numeric": ("numeric",),
-    "serving": ("coalesce", "dispatch"),
+    "serving": ("dispatch",),
 }
 
 # Groups whose sum is the paper's one-time *symbolic* cost; "numeric" is the

@@ -8,8 +8,8 @@ into workers, so cross-thread attribution is explicit: the submitting side
 calls :func:`capture` and the worker wraps its work in
 ``with attach(ctx): ...`` — the worker's spans then attach to the
 submitting request's trace (this is how the pool threads of
-:func:`~repro.solvers.linear_solver.map_items` and the service coalescer
-dispatcher stay attributable).
+:func:`~repro.solvers.linear_solver.map_items` stay attributable; the
+service needs none of it, because each solve runs on its caller's thread).
 
 Tracing is **zero-cost when disabled**: :func:`span` checks one module-level
 flag and returns a shared no-op context manager, allocating nothing.  The

@@ -24,11 +24,11 @@ Because all three implement :class:`SolverEndpoint`, code written against
 the protocol moves between in-process, networked, and sharded deployments
 without change — start with ``SolverService``, scale out later.
 
-Support modules: :mod:`repro.service.coalescer` (one dispatcher thread that
-runs a request at once when idle and, when busy, batches the same-pattern
-requests that queued meanwhile; per-request error isolation),
+Every solve runs on its caller's thread — an in-process caller's, or the
+wire server's connection thread — under its pattern's solver lock; the
+service starts no thread of its own.  Support modules:
 :mod:`repro.service.admission` (bounded in-flight work with
-reject-with-retry-after backpressure; per-pattern LRU artifact budget),
+reject-with-retry-after backpressure),
 :mod:`repro.service.metrics` (counters/histograms behind ``stats``), and
 :mod:`repro.service.errors` — the consolidated exception taxonomy
 (:class:`ServiceError` base with ``retryable``/``retry_after``) mapped
@@ -37,7 +37,6 @@ reject-with-retry-after backpressure; per-pattern LRU artifact budget),
 
 from repro.service.admission import AdmissionController
 from repro.service.client import RemoteHandle, ServiceClient
-from repro.service.coalescer import Coalescer
 from repro.service.endpoint import SolverEndpoint
 from repro.service.errors import (
     PatternEvictedError,
@@ -64,7 +63,6 @@ __all__ = [
     "ConsistentHashRing",
     "SolverServiceServer",
     "serve_background",
-    "Coalescer",
     "ServiceMetrics",
     "AdmissionController",
     "ServiceError",

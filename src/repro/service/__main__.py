@@ -3,7 +3,7 @@
 Server mode binds a TCP address (default ``127.0.0.1:8377``; port 0 picks an
 ephemeral port, printed on stdout) and serves until interrupted::
 
-    python -m repro.service --port 8377 --max-batch 32
+    python -m repro.service --port 8377
 
 ``--smoke`` instead runs the end-to-end self-check CI uses: boot a server on
 an ephemeral port, register several patterns over the wire, drive a mixed
@@ -48,7 +48,6 @@ def _build_service(args) -> SolverService:
     options = SympilerOptions(backend=args.backend)
     return SolverService(
         options=options,
-        max_batch=args.max_batch,
         max_in_flight=args.max_in_flight,
         max_patterns=args.max_patterns,
     )
@@ -104,7 +103,7 @@ def run_smoke(args) -> int:
         # kernels via the shared cache) to verify every wire solution.
         references = {
             name: SparseLinearSolver(
-                A, ordering="natural", options=service.options
+                A, ordering="mindeg", options=service.options
             )
             for name, A in matrices.items()
         }
@@ -195,8 +194,6 @@ def run_smoke(args) -> int:
             "requests": solves,
             "warm_recompiles": recompiles,
             "warm_cache_misses": cache_misses,
-            "coalescing_ratio": stats.get("coalescing_ratio"),
-            "batch_size_histogram": stats.get("batch_size_histogram"),
             "latency": stats.get("latency"),
             "metrics_samples": len(prom_samples),
             "failures": failures,
@@ -245,7 +242,7 @@ def run_fleet_smoke(args) -> int:
         "lap_large": laplacian_2d(15, shift=0.2),
     }
     references = {
-        name: SparseLinearSolver(A, ordering="natural", options=options)
+        name: SparseLinearSolver(A, ordering="mindeg", options=options)
         for name, A in matrices.items()
     }
     names = list(matrices)
@@ -286,7 +283,6 @@ def _run_fleet_smoke_traced(args, matrices, references, request, failures, total
             args.shards,
             backend=args.backend,
             cache_dir=cache_dir,
-            max_batch=args.max_batch,
             max_in_flight=max(4 * total, args.max_in_flight),
             max_patterns=args.max_patterns,
             trace=True,
@@ -417,7 +413,6 @@ def main(argv=None) -> int:
         "--backend", choices=["python", "c"], default="python",
         help="code-generation backend for registered patterns",
     )
-    parser.add_argument("--max-batch", type=int, default=32, help="coalesced batch cap")
     parser.add_argument(
         "--max-in-flight", type=int, default=256,
         help="admitted-but-incomplete request bound (backpressure beyond it)",

@@ -4,8 +4,8 @@ One persistent connection per client, one request path: every call tags its
 header with an id, sends it under the send lock and waits on a future that
 the background reader thread resolves when the response carrying that id
 arrives.  So one connection **pipelines** many requests — :meth:`submit`
-returns a future immediately, the requests queue up behind the server's
-dispatcher and coalesce, and responses may return out of order — and
+returns a future immediately, the requests wait in the connection until the
+server's connection thread reads and solves them, one after another — and
 :meth:`solve` is literally ``submit(...).result(timeout)``.  A timed-out or
 cancelled request is simply *abandoned*: its eventual response is recognized
 by id and discarded (counted in :attr:`orphaned_responses`), so one slow
@@ -247,7 +247,7 @@ class ServiceClient:
         A,
         *,
         kernel: str = "cholesky",
-        ordering: str = "natural",
+        ordering: str = "mindeg",
         options: Optional[Union[SympilerOptions, Dict]] = None,
     ) -> RemoteHandle:
         """Register ``A``'s pattern on the server; returns a remote handle.
@@ -300,8 +300,8 @@ class ServiceClient:
         """Enqueue one solve; returns a future resolving to the solution.
 
         The request goes on the wire immediately and many submits can be in
-        flight on one connection — enough for the server to coalesce them
-        into batches from a single client.  The span covers enqueueing only.
+        flight on one connection, so the client never waits a round trip
+        between them.  The span covers sending only.
         """
         with observe_trace.span("wire-submit", handle=_handle_id(handle)):
             return self._send_solve(handle, values, rhs)
@@ -392,7 +392,7 @@ class ServiceClient:
         """The server's health document (uptime, wire version, load facts).
 
         Fetches the ``health`` wire verb: service-level liveness (uptime,
-        registered patterns, in-flight count, queue depth, solve counters)
+        registered patterns, in-flight count, solve counters)
         plus transport facts (wire version, server pid, server clocks,
         whether tracing is enabled server-side).
         """

@@ -3,8 +3,8 @@
 Every way of reaching the compiled-kernel serving stack implements the same
 eight methods, so callers swap local ↔ remote ↔ fleet without code changes:
 
-* :class:`~repro.service.session.SolverService` — in process (one process,
-  many threads, micro-batched coalescing),
+* :class:`~repro.service.session.SolverService` — in process (each solve on
+  its caller's thread, one lock per pattern),
 * :class:`~repro.service.client.ServiceClient` — one server over the wire
   (id-tagged requests: one connection pipelines many submits),
 * :class:`~repro.service.fleet.ShardFleet` — N worker processes behind a
@@ -48,14 +48,14 @@ class SolverEndpoint(Protocol):
         A,
         *,
         kernel: str = "cholesky",
-        ordering: str = "natural",
+        ordering: str = "mindeg",
         options=None,
     ):
         """Register a sparsity pattern; compile/pin once, return a handle."""
         ...
 
     def submit(self, handle, values, rhs):
-        """Enqueue one solve; returns a future resolving to the solution."""
+        """Send one solve; returns a future resolving to the solution."""
         ...
 
     def solve(self, handle, values, rhs, *, timeout: Optional[float] = None):

@@ -117,7 +117,6 @@ class ShardFleet:
         shards: int = 2,
         *,
         backend: str = "python",
-        max_batch: int = 32,
         max_in_flight: int = 256,
         max_patterns: int = 32,
         respawn: bool = True,
@@ -130,7 +129,6 @@ class ShardFleet:
         if shards < 1:
             raise ValueError("a fleet needs at least one shard")
         self.backend = backend
-        self.max_batch = int(max_batch)
         self.max_in_flight = int(max_in_flight)
         self.max_patterns = int(max_patterns)
         self.respawn = bool(respawn)
@@ -181,8 +179,6 @@ class ShardFleet:
             "0",
             "--backend",
             self.backend,
-            "--max-batch",
-            str(self.max_batch),
             "--max-in-flight",
             str(self.max_in_flight),
             "--max-patterns",
@@ -423,7 +419,7 @@ class ShardFleet:
         A,
         *,
         kernel: str = "cholesky",
-        ordering: str = "natural",
+        ordering: str = "mindeg",
         options: Optional[Union[SympilerOptions, Dict]] = None,
     ) -> RemoteHandle:
         """Register ``A``'s pattern on the shard its fingerprint routes to."""
@@ -490,8 +486,8 @@ class ShardFleet:
         """Pipelined solve: enqueue on the owning shard, future out.
 
         The request rides the shard connection's id-tagged pipelining, so
-        many submits queue up and coalesce on each shard concurrently.  On
-        shard death the future transparently resubmits once after recovery.
+        many submits can be in flight on each shard at once.  On shard death
+        the future transparently resubmits once after recovery.
         """
         record = self._record_for(handle)
         result: Future = Future()

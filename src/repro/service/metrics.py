@@ -3,8 +3,8 @@
 The service's observable surface.  Everything here is cheap to record on the
 hot path (one lock, integer bumps, a bounded reservoir append) and surfaced
 as one JSON-friendly snapshot through the ``stats`` endpoint, which the tests
-and the CI smoke step assert on — the coalescing/amortization story measured,
-not assumed.
+and the CI smoke step assert on — the amortization story measured, not
+assumed.
 
 The latency reservoir and the percentile math live in
 :mod:`repro.observe.registry` (:class:`~repro.observe.registry.Reservoir`,
@@ -44,8 +44,9 @@ class ServiceMetrics:
       registrations and whether they generated code or reused cached
       artifacts (in-memory or on-disk),
     * ``solves_ok`` / ``solves_failed`` — per-request outcomes,
-    * ``batches`` — coalesced dispatches (the batch-size histogram records
-      their sizes; ``coalescing_ratio`` is requests per dispatch),
+    * ``batches`` — dispatches; every solve is a dispatch of its own, so the
+      batch-size histogram holds only size 1 and ``coalescing_ratio`` is 1
+      (kept for the readers of the ``stats`` document),
     * ``rejected`` — admission-control backpressure rejections,
     * ``patterns_evicted`` — LRU/explicit evictions of registered patterns.
     """
@@ -70,7 +71,7 @@ class ServiceMetrics:
             return self._counters.get(name, 0)
 
     def observe_batch(self, size: int) -> None:
-        """Record one coalesced dispatch of ``size`` requests."""
+        """Record one dispatch of ``size`` requests."""
         if size <= 0:
             return
         with self._lock:

@@ -7,22 +7,22 @@ turns the paper's inspector/executor amortization into a served resource:
   factorization + triangular-solve kernels for one sparsity pattern into the
   pattern's one :class:`SparseLinearSolver`, which holds them, and returns a
   :class:`PatternHandle` carrying the fingerprint/schedule metadata,
-* :meth:`SolverService.submit` enqueues one numeric solve (new values on the
-  registered pattern, one right-hand side) and returns a
-  :class:`concurrent.futures.Future`; :meth:`SolverService.solve` is the
-  synchronous convenience,
-* same-pattern requests that queue up while the dispatcher is busy are
-  coalesced into one batch (:mod:`repro.service.coalescer`; an idle service
-  dispatches a request at once); a batch is a loop of the pattern's
-  :meth:`SparseLinearSolver.step
+* :meth:`SolverService.submit` runs one numeric solve (new values on the
+  registered pattern, one right-hand side) on the calling thread and
+  returns it as an already-resolved :class:`concurrent.futures.Future`;
+  :meth:`SolverService.solve` is the synchronous convenience.  The solve is
+  the pattern's :meth:`SparseLinearSolver.step
   <repro.solvers.linear_solver.SparseLinearSolver.step>` — the same warm
   step the front end takes: sweeps alone when a request's values are the
   ones the current factors came from, the compiled kernel first when they
-  are new — with per-request error isolation,
+  are new.  The step holds its solver's lock, so callers on one pattern take
+  turns and callers on different patterns run side by side; the service
+  starts no thread of its own,
 * admission control (:mod:`repro.service.admission`) bounds in-flight work
-  (reject-with-retry-after); the service's own pattern table is an LRU of at
-  most ``max_patterns`` entries.  Evicting an entry drops its solver, and
-  with it the last reference the service held to its compiled artifacts;
+  (reject-with-retry-after; a request waiting on its solver's lock holds
+  its slot); the service's own pattern table is an LRU of at most
+  ``max_patterns`` entries.  Evicting an entry drops its solver, and with
+  it the last reference the service held to its compiled artifacts;
   evicted patterns re-register warm from the on-disk code cache.
 """
 
@@ -34,7 +34,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from repro.compiler.options import SympilerOptions
 from repro.observe import events as observe_events
 from repro.observe import trace as observe_trace
 from repro.service.admission import AdmissionController
-from repro.service.coalescer import Coalescer
 from repro.service.errors import (
     PatternEvictedError,
     ServiceClosedError,
@@ -89,27 +88,13 @@ class PatternHandle:
 
 
 @dataclass
-class _Request:
-    """One enqueued solve: private copies of values and RHS, the caller's future."""
-
-    values: np.ndarray
-    rhs: np.ndarray
-    future: Future
-    enqueued_at: float
-    #: The submitter's open trace span (or None): the coalescer dispatcher
-    #: runs in its own thread, so the per-request dispatch span re-attaches
-    #: here to land in the submitting request's trace.
-    trace_ctx: object = None
-
-
-@dataclass
 class _PatternEntry:
     """Server-side state of one registered pattern."""
 
     key: tuple
     handle: PatternHandle
     #: The pattern's one solver.  It holds the compiled factorization and the
-    #: two sweeps, and its lock serializes concurrent dispatches.
+    #: two sweeps, and its lock serializes concurrent solves.
     solver: SparseLinearSolver
     #: The backend that actually generated code ("c" may fall back to
     #: "python" when no toolchain exists); recorded for the stats endpoint.
@@ -125,14 +110,10 @@ class SolverService:
     options:
         Default :class:`SympilerOptions` for registrations (per-registration
         override allowed).
-    max_batch:
-        The most same-pattern requests one dispatch takes.  There is no
-        batching delay: the dispatcher runs whatever is queued as soon as it
-        is free, so batches form only from requests that arrived while it
-        was busy.
     max_in_flight, retry_after_seconds:
         Backpressure: beyond ``max_in_flight`` admitted-but-incomplete
-        requests, ``submit`` rejects with a ``retry_after`` hint.
+        requests (running, or waiting on their solver's lock), ``submit``
+        rejects with a ``retry_after`` hint.
     max_patterns:
         At most this many patterns stay registered; beyond that the least
         recently registered or solved one is evicted, and its solver with it.
@@ -154,7 +135,6 @@ class SolverService:
         self,
         *,
         options: Optional[SympilerOptions] = None,
-        max_batch: int = 32,
         max_in_flight: int = 256,
         max_patterns: int = 32,
         retry_after_seconds: float = 0.05,
@@ -172,7 +152,6 @@ class SolverService:
             max_in_flight=max_in_flight,
             retry_after_seconds=retry_after_seconds,
         )
-        self.coalescer = Coalescer(self._dispatch, max_batch=max_batch)
         self._lock = threading.Lock()
         #: Registered patterns, least recently registered or solved first.
         self._entries: "OrderedDict[tuple, _PatternEntry]" = OrderedDict()
@@ -189,7 +168,7 @@ class SolverService:
         A,
         *,
         kernel: str = "cholesky",
-        ordering: str = "natural",
+        ordering: str = "mindeg",
         options: Optional[SympilerOptions] = None,
     ) -> PatternHandle:
         """Register one sparsity pattern; compile eagerly, return a handle.
@@ -305,7 +284,7 @@ class SolverService:
             if entry is None:
                 return False
             self._by_id.pop(entry.handle.handle_id, None)
-        # The entry's solver goes with it once no queued request still holds
+        # The entry's solver goes with it once no running solve still holds
         # the entry; the on-disk generated code survives, so re-registration
         # is a warm (zero-recompile) path.
         self.metrics.incr("patterns_evicted")
@@ -364,25 +343,25 @@ class SolverService:
     # The data plane
     # ------------------------------------------------------------------ #
     def submit(self, handle, values: np.ndarray, rhs: np.ndarray) -> Future:
-        """Enqueue one solve; returns a future resolving to the solution.
+        """Solve one system on the calling thread; returns its resolved future.
 
         ``values`` are the matrix nonzeros in the registered pattern's input
-        order; ``rhs`` the right-hand side.  Both are copied here, so the
-        caller may reuse its buffers as soon as ``submit`` returns.  Shape
-        errors raise immediately (client error); numeric failures (a
-        singular system in a batch) resolve the *future* with the kernel's
-        exception while its batchmates complete normally.
+        order; ``rhs`` the right-hand side.  A closed service, an evicted
+        handle, a shape error or a full service raises here (client errors);
+        a numeric failure (a singular or non-finite value set) resolves the
+        *future* with the kernel's exception instead.  Either way the future
+        is done when ``submit`` returns.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
         entry = self._entry_for(handle)
-        values = np.array(values, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
         if values.shape != (entry.handle.nnz,):
             raise ValueError(
                 f"values must have shape ({entry.handle.nnz},) matching the "
                 "registered pattern's nonzero count"
             )
-        rhs = np.array(rhs, dtype=np.float64)
+        rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != (entry.handle.n,):
             raise ValueError(f"rhs must have shape ({entry.handle.n},)")
         try:
@@ -396,19 +375,29 @@ class SolverService:
                 retry_after_seconds=getattr(exc, "retry_after", None),
             )
             raise
-        request = _Request(
-            values=values,
-            rhs=rhs,
-            future=Future(),
-            enqueued_at=time.monotonic(),
-            trace_ctx=observe_trace.capture(),
-        )
+        started = time.monotonic()
+        future: Future = Future()
         try:
-            self.coalescer.offer(entry.key, entry, request)
-        except Exception:
+            with observe_trace.span("dispatch", kernel=entry.handle.kernel):
+                x, refactorized = entry.solver.step(values, rhs)
+        except Exception as exc:
+            self.metrics.incr("solves_failed")
+            future.set_exception(exc)
+        else:
+            self.metrics.incr("refactorizations" if refactorized else "value_hits")
+            self.metrics.incr("solves_ok")
+            with self._lock:  # callers on one pattern finish concurrently
+                entry.solves += 1
+            future.set_result(x)
+        finally:
             self.admission.release()
-            raise
-        return request.future
+        self.metrics.observe_batch(1)
+        latency = time.monotonic() - started
+        self.metrics.observe_latency(latency)
+        slow_after = observe_events.get_event_log().slow_request_seconds
+        if slow_after is not None and latency >= slow_after:
+            self._sample_slow_request(entry, latency)
+        return future
 
     def solve(
         self,
@@ -418,101 +407,21 @@ class SolverService:
         *,
         timeout: Optional[float] = None,
     ) -> np.ndarray:
-        """Synchronous solve: :meth:`submit` + wait."""
+        """Synchronous solve: :meth:`submit`'s result (``timeout`` is kept for
+        the :class:`~repro.service.endpoint.SolverEndpoint` surface)."""
         return self.submit(handle, values, rhs).result(timeout=timeout)
 
-    def _dispatch(self, entry: _PatternEntry, requests) -> Callable[[], None]:
-        """Run one coalesced batch: the solver's warm step, once per request.
-
-        Per-request error isolation: a singular/indefinite value set resolves
-        its own future with the kernel error; batchmates complete normally
-        (the failed step leaves the solver without factors, so the next
-        request refactorizes whatever its values).
-
-        A future resolves as soon as its own solve is done and accounted for
-        (:meth:`_settle`), so whoever it wakes — a wire response is written
-        from its callback — finds the request in ``stats`` and its admission
-        slot free.  The batch's *last* resolution is returned instead of
-        made: the caller closes its batch span first, so when the last future
-        of a batch resolves the batch is over in the span buffer too.
-        """
-        requests = list(requests)
-        self.metrics.observe_batch(len(requests))
-        # Claim every future up front: set_running_or_notify_cancel() False
-        # means the client cancelled while queued — skip its work entirely —
-        # and True locks out late cancellation, so set_result/set_exception
-        # can never raise InvalidStateError into the batch handler (which
-        # would fail innocent batchmates).
-        live = []
-        for request in requests:
-            if request.future.set_running_or_notify_cancel():
-                live.append(request)
-            else:
-                self.metrics.incr("solves_cancelled")
-                self._account(entry, request)
-        # One preallocated response block for the whole batch: each request's
-        # solution lands in its own row, zero-copy, and the future resolves
-        # to that row view.
-        out = np.empty((len(live), entry.handle.n), dtype=np.float64)
-        resolve: Callable[[], None] = lambda: None
-        for row, request in zip(out, live):
-            resolve()  # the previous request's future
-            x, error = None, None
-            try:
-                # Attach the submitter's trace context so the dispatch span
-                # (and the numeric span inside the solve) land in the
-                # submitting request's trace, not an orphan one.
-                with observe_trace.attach(request.trace_ctx):
-                    with observe_trace.span(
-                        "dispatch", kernel=entry.handle.kernel, batch=len(live)
-                    ):
-                        x, refactorized = entry.solver.step(
-                            request.values, request.rhs, out=row
-                        )
-            except Exception as exc:
-                error = exc
-            else:
-                self.metrics.incr("refactorizations" if refactorized else "value_hits")
-            resolve = self._settle(entry, request, x, error)
-        return resolve
-
-    def _account(self, entry: _PatternEntry, request: _Request) -> None:
-        """What a request owes the books before anyone hears it is over."""
-        self.admission.release()
-        latency = time.monotonic() - request.enqueued_at
-        self.metrics.observe_latency(latency)
-        slow_after = observe_events.get_event_log().slow_request_seconds
-        if slow_after is not None and latency >= slow_after:
-            self._sample_slow_request(entry, request, latency)
-
-    def _settle(
-        self, entry: _PatternEntry, request: _Request, x, error
-    ) -> Callable[[], None]:
-        """Account for one finished request; returns the call that resolves it."""
-        if error is None:
-            self.metrics.incr("solves_ok")
-            entry.solves += 1
-        else:
-            self.metrics.incr("solves_failed")
-        self._account(entry, request)
-        if error is None:
-            return lambda: request.future.set_result(x)
-        return lambda: request.future.set_exception(error)
-
-    def _sample_slow_request(
-        self, entry: _PatternEntry, request: _Request, latency: float
-    ) -> None:
+    def _sample_slow_request(self, entry: _PatternEntry, latency: float) -> None:
         """Keep a slow request's full span tree as a structured event.
 
         Only requests over the event log's ``slow_request_seconds`` threshold
-        pay this: their trace's finished spans are copied into the event
-        payload, so the *why* of a tail-latency outlier survives after the
-        tracer ring has rolled over.
+        pay this: the finished spans of the caller's trace are copied into
+        the event payload, so the *why* of a tail-latency outlier survives
+        after the tracer ring has rolled over.
         """
-        ctx = request.trace_ctx
+        trace_id = getattr(observe_trace.capture(), "trace_id", None)
         spans = []
-        if ctx is not None:
-            trace_id = getattr(ctx, "trace_id", None)
+        if trace_id is not None:
             spans = [
                 sp.as_dict()
                 for sp in observe_trace.get_tracer().spans()
@@ -524,17 +433,13 @@ class SolverService:
             kernel=entry.handle.kernel,
             fingerprint=entry.handle.fingerprint,
             latency_seconds=latency,
-            trace_id=None if ctx is None else getattr(ctx, "trace_id", None),
+            trace_id=trace_id,
             spans=spans,
         )
 
     # ------------------------------------------------------------------ #
     # Observability / lifecycle
     # ------------------------------------------------------------------ #
-    def flush(self, timeout: Optional[float] = None) -> bool:
-        """Wait until every queued request has been dispatched."""
-        return self.coalescer.flush(timeout=timeout)
-
     def stats(self) -> Dict[str, object]:
         """One JSON-friendly snapshot of the whole service."""
         with self._lock:
@@ -562,9 +467,7 @@ class SolverService:
             {
                 "patterns": patterns,
                 "registered_patterns": len(patterns),
-                "queue_depth": self.coalescer.depth(),
                 "in_flight": self.admission.in_flight,
-                "max_batch": self.coalescer.max_batch,
                 "max_in_flight": self.admission.max_in_flight,
                 "max_patterns": self.max_patterns,
                 "uptime_seconds": time.time() - self.started_at,
@@ -592,7 +495,6 @@ class SolverService:
             "uptime_seconds": time.time() - self.started_at,
             "registered_patterns": registered,
             "in_flight": self.admission.in_flight,
-            "queue_depth": self.coalescer.depth(),
             "solves_ok": self.metrics.count("solves_ok"),
             "solves_failed": self.metrics.count("solves_failed"),
             "rejected": self.metrics.count("rejected"),
@@ -609,18 +511,18 @@ class SolverService:
 
         return prometheus_text()
 
-    def close(self, timeout: float = 10.0) -> None:
-        """Drain queued work, stop the dispatcher and reject further calls.
+    def close(self) -> None:
+        """Reject further calls and drop the pattern table.
 
-        The pattern table is dropped, and with it the service's solvers; the
-        shared compiler cache keeps the artifacts for warm reuse by other
-        in-process users until its own LRU drops them.
+        Solves already running finish on their callers' threads.  The
+        table goes, and with it the service's solvers; the shared compiler
+        cache keeps the artifacts for warm reuse by other in-process users
+        until its own LRU drops them.
         """
         if self._closed:
             return
         self._closed = True
         self.metrics.unregister_collector()
-        self.coalescer.close(timeout=timeout)
         with self._lock:
             self._entries.clear()
             self._by_id.clear()

@@ -31,11 +31,11 @@ peer fails loudly instead of being half-understood.  There is no
 negotiation.
 
 **Request ids.**  A request may carry an integer ``id`` in its header; the
-response echoes it (``null`` when the request had none).  ``solve`` is
-always dispatched through the service's *async* ``submit`` path and answered
-by a completion callback, so responses may arrive **out of order** and one
-connection keeps a whole coalesced batch in flight; every other operation
-is answered before the next message is read.
+response echoes it (``null`` when the request had none).  Each connection
+is served by one thread, which answers every message — a ``solve`` runs on
+it through the service's ``submit`` — before it reads the next; a client
+may still send many requests without waiting (they queue in the socket)
+and must match responses by id.
 
 **One write per message.**  :func:`send_message` emits the 9-byte head and
 the JSON header as one write, the frames after it, then flushes once; both
@@ -264,13 +264,11 @@ def handle_request(
     """Execute one wire operation against ``service``.
 
     Returns ``(response_header, response_frames)`` — or, for ``solve``, the
-    service's future for the solution: the ``serve`` span closes as soon as
-    the request is enqueued (the connection thread moves on to the next
-    message), but ``submit`` captures the context first, so the coalescer's
-    dispatch spans still land under the remote caller's trace.  Raises for
-    error paths (the connection handler maps exceptions to ``ok: false``
-    responses so one bad request never kills the connection, let alone the
-    server).
+    service's future for the solution, already resolved: the solve runs on
+    this thread inside the ``serve`` span, so its ``dispatch`` span is a
+    child of ``serve`` in the remote caller's trace.  Raises for error paths
+    (the connection handler maps exceptions to ``ok: false`` responses so one
+    bad request never kills the connection, let alone the server).
     """
     with observe_trace.attach_remote(header.get("trace_id"), header.get("parent_id")):
         with observe_trace.span("serve", op=str(header.get("op"))):
@@ -348,7 +346,7 @@ def _dispatch_op(
         handle = service.register_pattern(
             A,
             kernel=str(header.get("kernel", "cholesky")),
-            ordering=str(header.get("ordering", "natural")),
+            ordering=str(header.get("ordering", "mindeg")),
             options=_options_from_wire(header.get("options"), service.options),
         )
         return {"ok": True, "handle": _handle_payload(handle)}, []
@@ -374,12 +372,9 @@ def _dispatch_op(
 class _ServiceConnectionHandler(socketserver.StreamRequestHandler):
     """One client connection: a loop of framed request exchanges.
 
-    Every operation but ``solve`` is answered before the next message is
-    read.  A ``solve`` is enqueued through the service's async ``submit``
-    path and answered by its completion callback under the per-connection
-    write lock — possibly out of order and interleaved with later requests'
-    responses — so a single connection's requests queue up and coalesce
-    instead of trickling one request per round-trip.
+    Every operation is answered before the next message is read.  A
+    ``solve`` runs on this thread through the service's ``submit``, and its
+    future's callback writes the answer under the per-connection write lock.
     """
 
     # One segment per message: TCP_NODELAY on the accepted socket and a
@@ -450,9 +445,9 @@ class SolverServiceServer(socketserver.ThreadingTCPServer):
 
     ``server_address`` follows the stdlib convention (``(host, port)``; port
     0 binds an ephemeral port, reported via ``server_address`` after
-    construction).  Each connection runs in its own thread; the coalescer
-    underneath groups their concurrent same-pattern solves into shared
-    batches — threads are the transport, micro-batches the execution.
+    construction).  Each connection runs in its own thread, and so do its
+    solves: same-pattern solves from different connections take turns at
+    their solver's lock, solves on different patterns run side by side.
     """
 
     allow_reuse_address = True

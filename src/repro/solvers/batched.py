@@ -96,11 +96,10 @@ class FactorHandle:
     ) -> np.ndarray:
         """Solve this scenario's system ``A_i x = b``.
 
-        ``out`` optionally receives the solution in place (zero-copy dispatch
-        for the serving layer, which solves whole coalesced batches into one
-        preallocated response block).  ``num_threads`` fans each triangular
-        sweep's level sets across workers when the solver's trisolves were
-        compiled in wavefront mode (serial kernels ignore it).
+        ``out`` optionally receives the solution in place.  ``num_threads``
+        fans each triangular sweep's level sets across workers when the
+        solver's trisolves were compiled in wavefront mode (serial kernels
+        ignore it).
         """
         self._require_ok()
         if self._Lt is None:

@@ -399,9 +399,8 @@ class SparseLinearSolver:
         (:meth:`backward_operand`) and is derived from ``L``/``U`` when
         omitted.  The compiled forward/backward triangular kernels depend
         only on those fixed patterns, so they are shared by every factor set.
-        ``out`` optionally receives the solution in place (the serving layer
-        dispatches whole coalesced batches into one preallocated response
-        block; the final un-permutation gathers directly into it).
+        ``out`` optionally receives the solution in place (the final
+        un-permutation gathers directly into it).
         ``num_threads`` applies when the trisolves were compiled with
         ``parallel="wavefront"``: both sweeps fan each level set across that
         many workers (``None`` defers to ``REPRO_NUM_THREADS``, then one per
@@ -480,14 +479,7 @@ class SparseLinearSolver:
         with self._lock:
             return self._solve_current(b, out, num_threads)
 
-    def step(
-        self,
-        values: np.ndarray,
-        b: np.ndarray,
-        *,
-        out: Optional[np.ndarray] = None,
-        num_threads: Optional[int] = None,
-    ) -> Tuple[np.ndarray, bool]:
+    def step(self, values: np.ndarray, b: np.ndarray, *, num_threads: Optional[int] = None) -> Tuple[np.ndarray, bool]:
         """The warm step: ``x`` solving ``A(values) x = b``, and whether it refactorized.
 
         ``values`` are the matrix nonzeros in the input order of the solver's
@@ -496,7 +488,7 @@ class SparseLinearSolver:
         current factors came from, the step is the two sweeps; otherwise the
         compiled kernel runs first, between its two gathers.  This is the one
         numeric path of every layer above the artifact — the front end calls
-        it per solve, the service once per coalesced request — and it holds
+        it per solve, the service once per request — and it holds
         the solver's lock throughout, so concurrent callers with different
         values each get the answer to their own system.
 
@@ -512,7 +504,7 @@ class SparseLinearSolver:
                     raise ValueError(f"values must have shape {self._values.shape}")
                 self._refactorize(values)
                 self.A = self._A_current
-            return self._solve_current(b, out, num_threads), refactorized
+            return self._solve_current(b, None, num_threads), refactorized
 
     def solve_many(self, B: np.ndarray, *, num_threads: Optional[int] = None) -> np.ndarray:
         """Solve ``A X = B`` column by column (``B`` is ``n × k``).

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import threading
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -65,35 +67,59 @@ def rng():
     return np.random.default_rng(12345)
 
 
-@pytest.fixture()
-def hold_dispatcher():
-    """Park requests in a coalescer's queues: ``with hold_dispatcher(coalescer): ...``.
+def _park_next_step(solver, entered, released) -> None:
+    """Make the next :meth:`step` of ``solver`` wait, holding its lock, for ``released``."""
+    solve_current = solver._solve_current
 
-    Offers one request of its own and enters the block once the dispatcher
-    thread is blocked inside it, so everything offered in the block stays
-    queued until the block exits.  The held request never reaches the
-    coalescer's own dispatch callable: no batch, admission slot or metric is
-    spent on it.
+    def parked(*args):
+        # Called under the solver's lock, so only one caller ever parks.
+        if not entered.is_set():
+            entered.set()
+            released.wait()
+        return solve_current(*args)
+
+    solver._solve_current = parked
+
+
+@pytest.fixture()
+def park_solve():
+    """Park one service solve inside its solver's ``step``.
+
+    ``with park_solve(service, handle) as parked:`` makes the next solve of
+    ``handle``'s pattern wait inside ``step``, holding the solver's lock and
+    its admission slot, until the block exits; ``parked.entered`` is set once
+    a thread — a wire handler's, say — is parked there.  With
+    ``values``/``rhs`` the fixture submits that solve itself, from a helper
+    thread, and enters the block once it is parked; its future is
+    ``parked.future`` after the block.  Only a weak reference to the solver is
+    kept here, so an evicted pattern's solver lives on through the parked
+    solve alone.
     """
 
     @contextlib.contextmanager
-    def hold(coalescer):
+    def park(service, handle, values=None, rhs=None):
         entered, released = threading.Event(), threading.Event()
-        dispatch, held = coalescer._dispatch, object()
+        parked = types.SimpleNamespace(entered=entered, future=None)
+        solver = service._entries[service._resolve_key(handle.handle_id)].solver
+        _park_next_step(solver, entered, released)
+        solver_ref, solver = weakref.ref(solver), None
+        helper = None
+        if values is not None:
 
-        def dispatch_or_block(entry, batch):
-            if entry is not held:
-                return dispatch(entry, batch)
-            entered.set()
-            released.wait()
-            return lambda: None
+            def submit():
+                parked.future = service.submit(handle, values, rhs)
 
-        coalescer._dispatch = dispatch_or_block
-        coalescer.offer(held, held, held)
-        assert entered.wait(timeout=10)
+            helper = threading.Thread(target=submit)
+            helper.start()
+            assert entered.wait(timeout=10)
         try:
-            yield
+            yield parked
         finally:
             released.set()
+            if helper is not None:
+                helper.join(timeout=30)
+            solver = solver_ref()
+            if solver is not None:
+                solver.__dict__.pop("_solve_current", None)
 
-    return hold
+    return park

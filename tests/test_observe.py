@@ -6,8 +6,9 @@ What is proven here:
 * the zero-cost-when-disabled contract (shared no-op object, nothing
   recorded, ``capture()`` returning None),
 * explicit cross-thread propagation — both directly (``capture``/``attach``)
-  and through the two production pool boundaries (the pool threads of a
-  ``BatchedSolver`` batch and the service coalescer's dispatcher thread),
+  and through the production pool boundary (the pool threads of a
+  ``BatchedSolver`` batch) — and the service's solves, which need none of it
+  because they run on the caller's thread,
 * exporter determinism (snapshot / Prometheus text / Chrome trace) and the
   Fig. 8/9 amortization breakdown arithmetic,
 * the four legacy stats surfaces appearing through pull-mode collectors,
@@ -399,12 +400,11 @@ class TestServiceIntegration:
         finally:
             service.close()
         dispatch = _span_by_name(tracing, "dispatch")
+        # The solve ran on the submitter's thread, inside its open span.
         assert dispatch.trace_id == outer.trace_id
-        # The batch-level coalesce span lives on the dispatcher thread and
-        # starts its own trace (no single submitter owns a batch).
-        coalesce = _span_by_name(tracing, "coalesce")
-        assert coalesce.thread == "repro-service-coalescer"
-        assert coalesce.trace_id != outer.trace_id
+        assert dispatch.parent_id == outer.span_id
+        assert dispatch.thread == outer.thread == threading.current_thread().name
+        assert not [sp for sp in tracing.spans() if sp.name == "coalesce"]
 
     def test_metrics_wire_verb_serves_prometheus(self):
         from repro.compiler.options import SympilerOptions

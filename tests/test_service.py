@@ -1,8 +1,9 @@
-"""Serving-layer tests: registration, coalescing, admission, eviction, metrics."""
+"""Serving-layer tests: registration, solves on the caller's thread, admission, eviction, metrics."""
 
 from __future__ import annotations
 
 import gc
+import sys
 import threading
 import time
 import weakref
@@ -19,7 +20,6 @@ from repro.service import (
     ServiceOverloadedError,
     SolverService,
 )
-from repro.service.coalescer import Coalescer
 from repro.service.metrics import ServiceMetrics
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.frontend import SpecializedSolver
@@ -115,7 +115,7 @@ class TestSolve:
     def test_solve_matches_direct_solver(self):
         A = laplacian_2d(9, shift=0.1)
         with _service() as svc:
-            handle = svc.register_pattern(A)
+            handle = svc.register_pattern(A, ordering="natural")
             rhs = np.linspace(1.0, 2.0, A.n)
             x = svc.solve(handle, A.data, rhs)
             ref = SparseLinearSolver(
@@ -123,8 +123,8 @@ class TestSolve:
             )
             assert np.array_equal(x, ref.solve(rhs))
 
-    def test_coalesced_batch_is_bitwise_identical_to_sequential(self, hold_dispatcher):
-        """The acceptance invariant: batched results == sequential bits."""
+    def test_sequential_submits_are_bitwise_identical_to_the_solver(self):
+        """Every submit returns a resolved future holding the solver's bits."""
         A = laplacian_2d(9, shift=0.1)
         scales = 1.0 + 0.05 * np.arange(10)
         rhs_list = [np.sin(np.arange(A.n) * 0.1 * (k + 1)) for k in range(10)]
@@ -135,36 +135,34 @@ class TestSolve:
         for s, b in zip(scales, rhs_list):
             ref.factorize(A.with_values(A.data * s))
             expected.append(ref.solve(b))
-        with _service(max_batch=4) as svc:
-            handle = svc.register_pattern(A)
-            with hold_dispatcher(svc.coalescer):
-                futures = [
-                    svc.submit(handle, A.data * s, b) for s, b in zip(scales, rhs_list)
-                ]
-            results = [f.result(timeout=30) for f in futures]
-        for k in range(10):
-            assert np.array_equal(results[k], expected[k])
-        # The dispatcher actually coalesced (some batch larger than one ran).
-        assert svc.metrics.snapshot()["max_batch_size"] > 1
+        with _service() as svc:
+            handle = svc.register_pattern(A, ordering="natural")
+            futures = [svc.submit(handle, A.data * s, b) for s, b in zip(scales, rhs_list)]
+            assert all(f.done() for f in futures)
+            stats = svc.stats()
+        for future, x in zip(futures, expected):
+            assert np.array_equal(future.result(), x)
+        # Every solve is a dispatch of its own.
+        assert stats["batch_size_histogram"] == {"1": 10}
+        assert stats["coalescing_ratio"] == 1.0
 
-    def test_per_request_error_isolation(self, hold_dispatcher):
-        """A singular batch item fails alone; batchmates complete."""
+    def test_per_request_error_isolation(self):
+        """A singular request fails alone; the requests around it complete."""
         A = laplacian_2d(7, shift=0.1)
         bad = A.data.copy()
         bad[:] = 0.0  # zero matrix: the Cholesky kernel must reject it
-        with _service(max_batch=8) as svc:
+        with _service() as svc:
             handle = svc.register_pattern(A)
             rhs = np.ones(A.n)
-            with hold_dispatcher(svc.coalescer):
-                futures = [
-                    svc.submit(handle, A.data, rhs),
-                    svc.submit(handle, bad, rhs),
-                    svc.submit(handle, A.data * 2.0, rhs),
-                ]
-            good0 = futures[0].result(timeout=30)
-            good2 = futures[2].result(timeout=30)
+            futures = [
+                svc.submit(handle, A.data, rhs),
+                svc.submit(handle, bad, rhs),
+                svc.submit(handle, A.data * 2.0, rhs),
+            ]
+            good0 = futures[0].result()
+            good2 = futures[2].result()
             with pytest.raises(Exception):
-                futures[1].result(timeout=30)
+                futures[1].result()
         assert np.isfinite(good0).all() and np.isfinite(good2).all()
         assert np.allclose(good0, good2 * 2.0, atol=1e-8)
         assert svc.metrics.count("solves_failed") == 1
@@ -191,18 +189,17 @@ class TestSolve:
         assert x.base is block
         assert np.array_equal(block[1], ref.solve(rhs))
 
-    def test_submit_copies_values_and_rhs(self, hold_dispatcher):
+    def test_the_answer_does_not_alias_the_callers_buffers(self):
         """The caller may refill both buffers as soon as submit returns."""
         A = laplacian_2d(8, shift=0.1)
         with _service() as svc:
             handle = svc.register_pattern(A)
             values, rhs = A.data * 2.0, np.ones(A.n)
-            expected = svc.solve(handle, values, rhs)
-            with hold_dispatcher(svc.coalescer):
-                future = svc.submit(handle, values, rhs)
-                values[:] = 0.0  # the request is still queued
-                rhs[:] = 5.0
-            assert np.array_equal(future.result(timeout=30), expected)
+            expected = svc.solve(handle, values, rhs).copy()
+            future = svc.submit(handle, values, rhs)
+            values[:] = 0.0
+            rhs[:] = 5.0
+            assert np.array_equal(future.result(), expected)
 
 
 _SYSTEMS = {
@@ -256,27 +253,23 @@ class TestSinglePath:
             assert counts() == (2, 1)  # changed values: exactly one kernel run
 
     @pytest.mark.parametrize("backend", _BACKENDS)
-    def test_failed_values_in_a_batch_fail_alone_and_again(self, backend, hold_dispatcher):
+    def test_failed_values_fail_alone_and_again(self, backend):
         A = laplacian_2d(7, shift=0.1)
         b = np.ones(A.n)
         good, bad = A.data * 2.0, np.zeros(A.nnz)
         options = SympilerOptions(backend=backend, enable_vs_block=False)
-        with _service(options=options, max_batch=4) as svc:
+        with _service(options=options) as svc:
             handle = svc.register_pattern(A)
-            # Parked behind the held dispatcher, the four requests are one batch.
-            with hold_dispatcher(svc.coalescer):
-                futures = [svc.submit(handle, v, b) for v in (good, bad, bad, good)]
-            first, last = futures[0].result(timeout=30), futures[3].result(timeout=30)
+            futures = [svc.submit(handle, v, b) for v in (good, bad, bad, good)]
+            first, last = futures[0].result(), futures[3].result()
             for failed in futures[1:3]:
                 # The repeat finds the snapshot holding its own values but no
                 # factors behind them: it must fail again, not solve.
                 with pytest.raises(ValueError):
-                    failed.result(timeout=30)
-            stats = svc.stats()
+                    failed.result()
+            counters = svc.stats()["counters"]
         assert np.array_equal(first, last)
         assert np.linalg.norm(A.with_values(good).matvec(last) - b) < 1e-10
-        assert stats["batch_size_histogram"] == {"4": 1}
-        counters = stats["counters"]
         assert counters["solves_ok"] == 2 and counters["solves_failed"] == 2
         # The failure's successor refactorized although its values had been
         # factorized two requests earlier.
@@ -284,17 +277,28 @@ class TestSinglePath:
 
 
 class TestAdmission:
-    def test_backpressure_rejects_with_retry_after(self, hold_dispatcher):
+    def test_backpressure_rejects_with_retry_after(self, park_solve):
+        """A request waiting on its solver's lock still holds its slot."""
         A = laplacian_2d(6, shift=0.1)
-        with _service(max_batch=64, max_in_flight=2, retry_after_seconds=0.25) as svc:
+        with _service(max_in_flight=2, retry_after_seconds=0.25) as svc:
             handle = svc.register_pattern(A)
-            with hold_dispatcher(svc.coalescer):
-                svc.submit(handle, A.data, np.ones(A.n))
-                svc.submit(handle, A.data, np.ones(A.n))
+            waiting = []
+            with park_solve(svc, handle, A.data, np.ones(A.n)) as parked:
+                behind = threading.Thread(
+                    target=lambda: waiting.append(svc.submit(handle, A.data, np.ones(A.n)))
+                )
+                behind.start()
+                deadline = time.monotonic() + 10
+                while svc.admission.in_flight < 2 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert svc.admission.in_flight == 2 and not waiting
                 with pytest.raises(ServiceOverloadedError) as excinfo:
                     svc.submit(handle, A.data, np.ones(A.n))
                 assert excinfo.value.retry_after == 0.25
-                assert svc.admission.in_flight == 2
+            behind.join(timeout=30)
+            assert not behind.is_alive()
+            assert np.array_equal(parked.future.result(), waiting[0].result())
+            assert svc.admission.in_flight == 0
 
     def test_slots_release_after_completion(self):
         A = laplacian_2d(6, shift=0.1)
@@ -303,7 +307,6 @@ class TestAdmission:
             futures = [svc.submit(handle, A.data, np.ones(A.n)) for _ in range(4)]
             for f in futures:
                 f.result(timeout=30)
-            svc.flush(timeout=10)
             assert svc.admission.in_flight == 0
 
 
@@ -363,26 +366,19 @@ class TestEviction:
 
 
 class TestMetricsAndStats:
-    def test_stats_snapshot_shape(self, hold_dispatcher):
+    def test_stats_snapshot_shape(self):
         A = laplacian_2d(7, shift=0.1)
-        with _service(max_batch=8) as svc:
+        with _service() as svc:
             handle = svc.register_pattern(A)
-            with hold_dispatcher(svc.coalescer):
-                futures = [
-                    svc.submit(handle, A.data * (1 + 0.1 * i), np.ones(A.n))
-                    for i in range(6)
-                ]
-            for f in futures:
-                f.result(timeout=30)
-            svc.flush(timeout=10)
+            for i in range(6):
+                svc.submit(handle, A.data * (1 + 0.1 * i), np.ones(A.n))
             stats = svc.stats()
         assert stats["registered_patterns"] == 1
         assert stats["solves"] == 6
         assert stats["counters"]["solves_ok"] == 6
-        assert stats["coalescing_ratio"] >= 1.0
-        assert sum(
-            int(k) * v for k, v in stats["batch_size_histogram"].items()
-        ) == 6
+        assert stats["counters"]["batches"] == 6
+        assert stats["batch_size_histogram"] == {"1": 6}
+        assert stats["coalescing_ratio"] == 1.0 and stats["max_batch_size"] == 1
         latency = stats["latency"]
         assert latency["count"] == 6
         assert latency["p50_seconds"] <= latency["p95_seconds"]
@@ -390,12 +386,11 @@ class TestMetricsAndStats:
         assert pattern["parallel_mode"] == "none" and pattern["schedule_levels"] > 0
         assert "mode" not in pattern and "execution_strategy" not in pattern
 
-    def test_rejections_are_counted(self, hold_dispatcher):
+    def test_rejections_are_counted(self, park_solve):
         A = laplacian_2d(6, shift=0.1)
-        with _service(max_batch=64, max_in_flight=1) as svc:
+        with _service(max_in_flight=1) as svc:
             handle = svc.register_pattern(A)
-            with hold_dispatcher(svc.coalescer):
-                svc.submit(handle, A.data, np.ones(A.n))
+            with park_solve(svc, handle, A.data, np.ones(A.n)):
                 with pytest.raises(ServiceOverloadedError):
                     svc.submit(handle, A.data, np.ones(A.n))
                 assert svc.metrics.count("rejected") == 1
@@ -424,151 +419,6 @@ class TestMetricsAndStats:
         assert metrics.snapshot()["latency"]["count"] == 4000
 
 
-class TestDispatchPolicy:
-    """Dispatch when idle, batch what queued while busy; no timer anywhere."""
-
-    def test_idle_service_dispatches_each_request_alone_and_never_times_a_wait(self):
-        A = laplacian_2d(7, shift=0.1)
-        with _service() as svc:
-            handle = svc.register_pattern(A)
-            cond = svc.coalescer._cond
-            wait, timeouts = cond.wait, []
-
-            def spy(timeout=None):
-                timeouts.append(timeout)
-                return wait(timeout)
-
-            cond.wait = spy  # before the first submit starts the dispatcher
-            for k in range(5):
-                svc.solve(handle, A.data * (1.0 + k), np.ones(A.n), timeout=30)
-            stats = svc.stats()
-        assert stats["batch_size_histogram"] == {"1": 5}
-        assert timeouts and set(timeouts) == {None}
-
-    @pytest.mark.parametrize(
-        "max_batch, histogram", [(32, {"3": 1, "8": 1}), (3, {"2": 1, "3": 3})]
-    )
-    def test_requests_queued_behind_a_busy_dispatcher_batch_per_pattern(
-        self, max_batch, histogram, hold_dispatcher
-    ):
-        options = SympilerOptions(enable_vs_block=False)
-        systems = [(laplacian_2d(7, shift=0.1), 8), (fem_stencil_2d(6, shift=0.3), 3)]
-        with _service(max_batch=max_batch) as svc:
-            with hold_dispatcher(svc.coalescer):
-                submitted = []
-                for A, count in systems:
-                    handle = svc.register_pattern(A)
-                    ref = SparseLinearSolver(A, ordering="natural", options=options)
-                    for k in range(count):
-                        values, b = A.data * (1.0 + 0.1 * k), np.cos(np.arange(A.n) + k)
-                        submitted.append((svc.submit(handle, values, b), ref, values, b))
-            for future, ref, values, b in submitted:
-                assert np.array_equal(future.result(timeout=30), ref.step(values, b)[0])
-            assert svc.stats()["batch_size_histogram"] == histogram
-
-
-class TestCoalescerUnit:
-    def test_queued_requests_dispatch_without_reaching_max_batch(self, hold_dispatcher):
-        dispatched = []
-        done = threading.Event()
-
-        def dispatch(entry, batch):
-            dispatched.append((entry, list(batch)))
-            return done.set
-
-        coalescer = Coalescer(dispatch, max_batch=100)
-        with hold_dispatcher(coalescer):
-            coalescer.offer("k", "entry", "r1")
-            coalescer.offer("k", "entry", "r2")
-        assert done.wait(timeout=5)
-        coalescer.close()
-        assert dispatched == [("entry", ["r1", "r2"])]
-
-    def test_max_batch_flushes_immediately(self, hold_dispatcher):
-        batches = []
-        hit = threading.Event()
-
-        def dispatch(entry, batch):
-            batches.append(len(batch))
-            return hit.set if len(batches) >= 2 else lambda: None
-
-        coalescer = Coalescer(dispatch, max_batch=3)
-        with hold_dispatcher(coalescer):
-            for i in range(6):
-                coalescer.offer("k", "entry", f"r{i}")
-        assert hit.wait(timeout=5)
-        coalescer.close()
-        assert batches == [3, 3]
-
-    def test_backlogged_pattern_does_not_starve_the_others(self, hold_dispatcher):
-        """A queue left nonempty by a pop goes to the back of the line."""
-        order = []
-        done = threading.Event()
-
-        def dispatch(entry, batch):
-            order.extend(batch)
-            if batch == ["A"] and order.count("A") < 7:
-                coalescer.offer("a", None, "A")  # a standing backlog of A
-            return done.set if len(order) == 9 else lambda: None
-
-        coalescer = Coalescer(dispatch, max_batch=1)
-        with hold_dispatcher(coalescer):
-            for key, request in (("a", "A"), ("a", "A"), ("b", "B")):
-                coalescer.offer(key, None, request)
-        assert done.wait(timeout=5)
-        coalescer.close()
-        assert order == ["A", "B"] + ["A"] * 7
-
-    def test_flush_waits_for_the_dispatcher_to_go_idle(self, hold_dispatcher):
-        coalescer = Coalescer(lambda entry, batch: lambda: None)
-        assert coalescer.flush() is True  # idle: nothing to wait for
-        with hold_dispatcher(coalescer):
-            coalescer.offer("k", "entry", "r")
-            assert coalescer.flush(timeout=0.05) is False
-        assert coalescer.flush(timeout=10) is True
-        assert coalescer.depth() == 0
-        coalescer.close()
-
-    def test_dispatch_exception_fails_only_that_batch(self):
-        from concurrent.futures import Future
-
-        class Request:
-            def __init__(self):
-                self.future = Future()
-
-        calls = []
-
-        def dispatch(entry, batch):
-            calls.append(len(batch))
-            if len(calls) == 1:
-                raise RuntimeError("boom")
-            return lambda: [r.future.set_result("ok") for r in batch]
-
-        coalescer = Coalescer(dispatch, max_batch=1)
-        first, second = Request(), Request()
-        coalescer.offer("k", "entry", first)
-        with pytest.raises(RuntimeError, match="boom"):
-            first.future.result(timeout=5)
-        coalescer.offer("k", "entry", second)
-        assert second.future.result(timeout=5) == "ok"
-        coalescer.close()
-
-    def test_close_drains_pending_requests(self, hold_dispatcher):
-        dispatched = []
-        coalescer = Coalescer(
-            lambda entry, batch: dispatched.extend(batch) or (lambda: None),
-            max_batch=100,
-        )
-        with hold_dispatcher(coalescer):
-            for i in range(5):
-                coalescer.offer("k", "entry", i)
-            coalescer.close(timeout=0.0)  # closed with the five still queued
-            with pytest.raises(RuntimeError):
-                coalescer.offer("k", "entry", 99)
-        coalescer.close()
-        assert sorted(dispatched) == [0, 1, 2, 3, 4]
-
-
 class TestConcurrentTraffic:
     def test_many_threads_same_pattern_all_solve_correctly(self):
         A = fem_stencil_2d(7, shift=0.3)
@@ -578,31 +428,41 @@ class TestConcurrentTraffic:
         base = ref.solve(np.ones(A.n))
         results = {}
         errors = []
-        with _service(max_batch=8, max_in_flight=128) as svc:
-            handle = svc.register_pattern(A)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _service(max_in_flight=128) as svc:
+                handle = svc.register_pattern(A)
 
-            def drive(worker):
-                try:
-                    scale = 1.0 + 0.01 * worker
-                    x = svc.solve(handle, A.data * scale, np.ones(A.n), timeout=30)
-                    results[worker] = x * scale
-                except Exception as exc:  # pragma: no cover - failure detail
-                    errors.append(exc)
+                def drive(worker):
+                    try:
+                        scale = 1.0 + 0.01 * worker
+                        x = svc.solve(handle, A.data * scale, np.ones(A.n), timeout=30)
+                        results[worker] = x * scale
+                    except Exception as exc:  # pragma: no cover - failure detail
+                        errors.append(exc)
 
-            threads = [threading.Thread(target=drive, args=(w,)) for w in range(16)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
+                threads = [threading.Thread(target=drive, args=(w,)) for w in range(16)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                stats = svc.stats()
+        finally:
+            sys.setswitchinterval(interval)
         assert not errors
         assert len(results) == 16
         for x in results.values():
             assert np.allclose(x, base, atol=1e-8)
+        # Every caller's solve was counted: no update was lost between them.
+        assert stats["patterns"][handle.handle_id]["solves"] == 16
+        assert stats["counters"]["solves_ok"] == stats["counters"]["batches"] == 16
 
     def test_sustained_load_recompiles_nothing(self):
         """The amortization invariant the serving layer exists for."""
         A = laplacian_2d(8, shift=0.1)
-        with _service(max_batch=8) as svc:
+        with _service() as svc:
             handle = svc.register_pattern(A)
             svc.solve(handle, A.data, np.ones(A.n))  # warm-up
             disk_before = disk_cache_stats().as_dict()
@@ -621,28 +481,42 @@ class TestConcurrentTraffic:
         assert cache_after["misses"] == misses_before
 
 
-class TestCancellation:
-    def test_cancelled_future_does_not_poison_its_batchmates(self, hold_dispatcher):
-        """A future cancelled while parked is skipped and counted."""
-        A = laplacian_2d(7, shift=0.1)
-        ref = SparseLinearSolver(
-            A, ordering="natural", options=SympilerOptions(enable_vs_block=False)
-        )
-        with _service(max_batch=8) as svc:
-            handle = svc.register_pattern(A)
-            with hold_dispatcher(svc.coalescer):
-                doomed = svc.submit(handle, A.data, np.ones(A.n))
-                survivor = svc.submit(handle, A.data * 2.0, np.ones(A.n))
-                assert doomed.cancel()  # still queued: cancellation must succeed
-            x = survivor.result(timeout=30)
-            assert np.isfinite(x).all()
-            assert np.array_equal(x, ref.step(A.data * 2.0, np.ones(A.n))[0])
-            assert doomed.cancelled()
-            svc.flush(timeout=10)
-            assert svc.metrics.count("solves_cancelled") == 1
-            assert svc.metrics.count("solves_ok") == 1
-            # The cancelled request's admission slot was still released.
-            assert svc.admission.in_flight == 0
+    @pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
+    def test_two_patterns_sharing_one_so_solve_side_by_side(self):
+        """Two callers, one pattern each, in one loaded ``.so`` at the same time."""
+        options = SympilerOptions(backend="c", enable_vs_block=False)
+        systems = [laplacian_2d(9, shift=0.1), fem_stencil_2d(7, shift=0.3)]
+        refs = [SparseLinearSolver(A, options=options) for A in systems]
+        answers, errors = [[], []], []
+        with _service(options=options) as svc:
+            handles = [svc.register_pattern(A) for A in systems]
+            shared = {
+                svc._entries[h.key].solver.compiled_artifacts[0].module.shared_object
+                for h in handles
+            }
+            assert len(shared) == 1
+            barrier = threading.Barrier(2)
+
+            def drive(k):
+                A = systems[k]
+                try:
+                    barrier.wait(timeout=10)
+                    for i in range(20):
+                        values, b = A.data * (1.0 + 0.05 * i), np.cos(np.arange(A.n) + i)
+                        answers[k].append((values, b, svc.solve(handles[k], values, b)))
+                except Exception as exc:  # pragma: no cover - failure detail
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=drive, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        assert not errors
+        for ref, solved in zip(refs, answers):
+            assert len(solved) == 20
+            for values, b, x in solved:
+                assert np.array_equal(x, ref.step(values, b)[0])
 
 
 class TestArtifactLifetime:
@@ -652,7 +526,7 @@ class TestArtifactLifetime:
         A = laplacian_2d(10, shift=0.4)
         options = SympilerOptions(enable_vs_block=False)
         with _service(options=options) as svc:
-            handle = svc.register_pattern(A)
+            handle = svc.register_pattern(A, ordering="natural")
             stats = svc._entries[handle.key].solver.cache_stats
             assert svc.evict(handle)
             misses = stats.misses
@@ -665,7 +539,6 @@ class TestArtifactLifetime:
         try:
             handles = [svc.register_pattern(M) for M in (A, B)]
             svc.solve(handles[0], A.data, np.ones(A.n), timeout=30)
-            svc.flush(timeout=10)  # the dispatcher has let go of the batch
             refs = [weakref.ref(svc._entries[h.key].solver) for h in handles]
             assert svc.evict(handles[0])
             gc.collect()
@@ -676,19 +549,20 @@ class TestArtifactLifetime:
         assert refs[1]() is None
 
     @pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
-    def test_a_request_parked_on_an_evicted_pattern_still_solves(self, hold_dispatcher):
+    def test_a_request_parked_on_an_evicted_pattern_still_solves(self, park_solve):
         A = laplacian_2d(9, shift=0.2)
         options = SympilerOptions(backend="c", enable_vs_block=False)
         ref = SparseLinearSolver(A, ordering="natural", options=options)
         values, b = A.data * 1.5, np.cos(np.arange(A.n))
         with _service(options=options) as svc, _service(options=options) as sibling:
-            handle = svc.register_pattern(A)
-            sibling_handle = sibling.register_pattern(A)
-            with hold_dispatcher(svc.coalescer):
-                parked = svc.submit(handle, values, b)
+            handle = svc.register_pattern(A, ordering="natural")
+            sibling_handle = sibling.register_pattern(A, ordering="natural")
+            # Parked inside its solver's step, the request holds the only
+            # reference left to the evicted pattern's solver and kernels.
+            with park_solve(svc, handle, values, b) as parked:
                 assert svc.evict(handle)
                 gc.collect()
-            assert np.array_equal(parked.result(timeout=30), ref.step(values, b)[0])
+            assert np.array_equal(parked.future.result(), ref.step(values, b)[0])
             for k in range(3):
                 new_values = A.data * (1.0 + k)
                 x = sibling.solve(sibling_handle, new_values, b, timeout=30)
@@ -696,6 +570,20 @@ class TestArtifactLifetime:
 
 
 class TestServiceLifecycle:
+    def test_the_service_starts_no_thread(self):
+        """Each solve runs on its caller's thread and is over when submit returns."""
+        A = laplacian_2d(7, shift=0.1)
+        before = threading.active_count()
+        svc = _service(options=SympilerOptions(backend="python", enable_vs_block=False))
+        handle = svc.register_pattern(A)
+        assert threading.active_count() == before
+        for k in range(10):
+            future = svc.submit(handle, A.data * (1.0 + k), np.ones(A.n))
+            assert future.done() and np.isfinite(future.result()).all()
+        assert threading.active_count() == before
+        svc.close()
+        assert threading.active_count() == before
+
     def test_close_is_idempotent_and_rejects_new_work(self):
         A = laplacian_2d(6, shift=0.1)
         svc = _service()

@@ -141,10 +141,7 @@ class TestFraming:
 class TestEndToEnd:
     @pytest.fixture()
     def served(self):
-        service = SolverService(
-            options=SympilerOptions(enable_vs_block=False),
-            max_batch=8,
-        )
+        service = SolverService(options=SympilerOptions(enable_vs_block=False))
         server, thread = serve_background(service)
         yield server.server_address, service
         server.shutdown()
@@ -159,7 +156,7 @@ class TestEndToEnd:
         )
         with ServiceClient(address) as client:
             assert client.ping()
-            handle = client.register_pattern(A)
+            handle = client.register_pattern(A, ordering="natural")
             assert handle.n == A.n and handle.kernel == "cholesky"
             rhs = np.linspace(0.5, 1.5, A.n)
             x = client.solve(handle, A.data, rhs)
@@ -200,10 +197,9 @@ class TestEndToEnd:
         assert handle.handle_id in stats["patterns"]
         assert stats["registered_patterns"] >= 1
 
-    def test_backpressure_maps_to_overloaded_error(self, hold_dispatcher):
+    def test_backpressure_maps_to_overloaded_error(self, park_solve):
         service = SolverService(
             options=SympilerOptions(enable_vs_block=False),
-            max_batch=64,
             max_in_flight=1,
             retry_after_seconds=0.125,
         )
@@ -214,12 +210,11 @@ class TestEndToEnd:
                 server.server_address
             ) as client:
                 handle = blocker.register_pattern(A)
-                # Fill the single slot with a request parked behind the held
-                # dispatcher; a connection's messages are handled in order,
-                # so once the ping is answered the solve has been admitted.
-                with hold_dispatcher(service.coalescer):
+                # Fill the single slot with a solve parked inside its
+                # solver's step, on the blocker connection's handler thread.
+                with park_solve(service, handle) as held:
                     parked = blocker.submit(handle, A.data, np.ones(A.n))
-                    assert blocker.ping()
+                    assert held.entered.wait(timeout=10)
                     assert service.admission.in_flight == 1
                     with pytest.raises(ServiceOverloadedError) as excinfo:
                         client.solve(handle, A.data, np.ones(A.n))
@@ -260,7 +255,7 @@ class TestEndToEnd:
                 with pytest.raises(ProtocolError, match=field):
                     client.register_pattern(A, options={field: 1})
 
-    def test_concurrent_clients_share_coalesced_batches(self, served):
+    def test_concurrent_clients_solve_on_their_own_threads(self, served):
         address, service = served
         A = laplacian_2d(9, shift=0.1)
         with ServiceClient(address) as control:
@@ -322,10 +317,7 @@ class TestPipelining:
 
     @pytest.fixture()
     def served(self):
-        service = SolverService(
-            options=SympilerOptions(enable_vs_block=False),
-            max_batch=16,
-        )
+        service = SolverService(options=SympilerOptions(enable_vs_block=False))
         server, thread = serve_background(service)
         yield server.server_address, service
         server.shutdown()
@@ -341,7 +333,7 @@ class TestPipelining:
             A, ordering="natural", options=SympilerOptions(enable_vs_block=False)
         )
         with ServiceClient(address) as client:
-            handle = client.register_pattern(A)
+            handle = client.register_pattern(A, ordering="natural")
             rhss = [np.linspace(0.1, 1.0 + w, A.n) for w in range(24)]
             futures = [client.submit(handle, A.data, rhs) for rhs in rhss]
             for rhs, future in zip(rhss, futures):
@@ -376,7 +368,7 @@ class TestPipelining:
         sys.setswitchinterval(1e-5)
         try:
             with ServiceClient(address) as client:
-                handle = client.register_pattern(A)
+                handle = client.register_pattern(A, ordering="natural")
                 threads = [
                     threading.Thread(target=drive, args=(client, handle, w))
                     for w in range(8)
@@ -403,7 +395,7 @@ class TestPipelining:
             good = client.submit(handle, A.data, np.ones(A.n))
             assert np.isfinite(client.result(good, timeout=30)).all()
 
-    def test_cancelled_submit_leaves_the_connection_usable(self, served, hold_dispatcher):
+    def test_cancelled_submit_leaves_the_connection_usable(self, served, park_solve):
         """cancel() on a submit future abandons that request only: its
         response is discarded as an orphan and the reader keeps reading."""
         address, service = served
@@ -411,8 +403,9 @@ class TestPipelining:
         with ServiceClient(address) as client:
             handle = client.register_pattern(A)
             # Hold the answer back until cancel() has won the race.
-            with hold_dispatcher(service.coalescer):
+            with park_solve(service, handle) as held:
                 future = client.submit(handle, A.data, np.ones(A.n))
+                assert held.entered.wait(timeout=10)
                 assert future.cancel()
             deadline = time.monotonic() + 10.0
             while client.orphaned_responses < 1 and time.monotonic() < deadline:
@@ -424,7 +417,7 @@ class TestPipelining:
             assert np.isfinite(x).all()
 
     def test_close_with_a_cancelled_future_still_fails_the_rest(
-        self, served, hold_dispatcher
+        self, served, park_solve
     ):
         from repro.service.errors import ShardUnavailableError
 
@@ -432,9 +425,10 @@ class TestPipelining:
         A = laplacian_2d(6, shift=0.2)
         client = ServiceClient(address)
         handle = client.register_pattern(A)
-        with hold_dispatcher(service.coalescer):
+        with park_solve(service, handle) as held:
             cancelled = client.submit(handle, A.data, np.ones(A.n))
             waiting = client.submit(handle, A.data, np.ones(A.n))
+            assert held.entered.wait(timeout=10)
             assert cancelled.cancel()
             client.close()
             with pytest.raises(ShardUnavailableError):
@@ -463,16 +457,17 @@ class TestPipelining:
             with pytest.raises(TimeoutError, match="server-side"):
                 client.result(remote, timeout=0.01)
 
-    def test_close_fails_pending_futures(self, served, hold_dispatcher):
+    def test_close_fails_pending_futures(self, served, park_solve):
         from repro.service.errors import ShardUnavailableError
 
         address, service = served
         A = laplacian_2d(6, shift=0.2)
         client = ServiceClient(address)
         handle = client.register_pattern(A)
-        # Park a request behind the held dispatcher, then close.
-        with hold_dispatcher(service.coalescer):
+        # Park a request inside its solver's step, then close.
+        with park_solve(service, handle) as held:
             future = client.submit(handle, A.data, np.ones(A.n))
+            assert held.entered.wait(timeout=10)
             client.close()
             with pytest.raises(ShardUnavailableError):
                 future.result(timeout=10)
@@ -594,7 +589,7 @@ class TestHostilePeers:
             )
             rhs = np.linspace(0.5, 1.5, A.n)
             with ServiceClient(server.server_address, timeout=30.0) as client:
-                handle = client.register_pattern(A)
+                handle = client.register_pattern(A, ordering="natural")
                 assert np.array_equal(client.solve(handle, A.data, rhs), ref.solve(rhs))
             assert thread.is_alive()
         finally:
@@ -659,7 +654,7 @@ class TestWireFuzzer:
         server, thread = serve_background(SolverService(options=options))
         try:
             with ServiceClient(server.server_address, timeout=30.0) as client:
-                handle = client.register_pattern(A)
+                handle = client.register_pattern(A, ordering="natural")
             yield server.server_address, thread, handle, A, rhs, expected
         finally:
             server.shutdown()

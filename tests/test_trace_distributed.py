@@ -32,10 +32,7 @@ def tracing():
 
 @pytest.fixture()
 def served():
-    service = SolverService(
-        options=SympilerOptions(enable_vs_block=False),
-        max_batch=8,
-    )
+    service = SolverService(options=SympilerOptions(enable_vs_block=False))
     server, thread = serve_background(service)
     yield server.server_address, service
     server.shutdown()
@@ -100,28 +97,20 @@ class TestWireTracePropagation:
         assert solve_serves
         assert any(sp.parent_id == client_solve[0].span_id for sp in solve_serves)
 
-    def test_nesting_survives_coalescer_dispatch(self, tracing):
-        service = SolverService(
-            options=SympilerOptions(enable_vs_block=False),
-                max_batch=8,
-        )
-        try:
-            A = laplacian_2d(8, shift=0.1)
-            handle = service.register_pattern(A)
-            with observe.span("request"):
-                service.solve(handle, A.data, np.linspace(0.5, 1.5, A.n))
-        finally:
-            service.close()
+    def test_dispatch_is_a_child_of_serve(self, served, tracing):
+        """Over the wire, the solve runs inside the server's ``serve`` span."""
+        address, _ = served
+        A = laplacian_2d(8, shift=0.1)
+        with ServiceClient(address) as client:
+            _solve_once(client, A)
         spans = tracing.spans()
-        request = [sp for sp in spans if sp.name == "request"][0]
-        # The numeric solve ran on the coalescer's dispatch thread, yet its
-        # spans stayed inside the caller's trace.
-        joined = [
-            sp
-            for sp in spans
-            if sp.trace_id == request.trace_id and sp.name != "request"
-        ]
-        assert joined, "dispatch-side spans lost the submitting trace"
+        client_solve = [sp for sp in spans if sp.name == "wire-solve"][0]
+        dispatch = [sp for sp in spans if sp.name == "dispatch"][0]
+        serve = [sp for sp in spans if sp.span_id == dispatch.parent_id][0]
+        assert serve.name == "serve" and serve.attrs["op"] == "solve"
+        assert serve.parent_id == client_solve.span_id
+        assert dispatch.trace_id == serve.trace_id == client_solve.trace_id
+        assert dispatch.thread == serve.thread
 
     def test_disabled_tracing_sends_no_trace_keys(self, served):
         observe.disable()
