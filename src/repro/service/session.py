@@ -139,14 +139,14 @@ class SolverService:
         max_patterns: int = 32,
         retry_after_seconds: float = 0.05,
     ) -> None:
+        if max_patterns < 1:
+            raise ValueError("max_patterns must be at least 1")
         self.options = options or SympilerOptions()
         self.metrics = ServiceMetrics()
         # Pull-mode registration in the unified registry: the Prometheus
         # export / observe.snapshot() see this service's counters without
         # any extra hot-path cost; unregistered again in close().
         self.metrics.register_collector()
-        if max_patterns < 1:
-            raise ValueError("max_patterns must be at least 1")
         self.max_patterns = int(max_patterns)
         self.admission = AdmissionController(
             max_in_flight=max_in_flight,

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from repro.compiler.codegen.c_backend import c_compiler_available, disk_cache_stats
+from repro import observe
 from repro.compiler.options import SympilerOptions
 from repro.observe import percentile
+from repro.observe.registry import get_registry
 from repro.service import (
     PatternEvictedError,
     ServiceClosedError,
@@ -109,6 +111,32 @@ class TestRegistration:
         svc.close()
         with pytest.raises(ServiceClosedError):
             svc.register_pattern(laplacian_2d(6, shift=0.1))
+
+    def test_default_ordering_is_mindeg(self):
+        A = laplacian_2d(8, shift=0.1)
+        options = SympilerOptions(enable_vs_block=False)
+        b = np.cos(np.arange(A.n))
+        with _service(options=options) as svc:
+            handle = svc.register_pattern(A)
+            assert handle.ordering == "mindeg"
+            assert handle.handle_id == svc.register_pattern(A, ordering="mindeg").handle_id
+            x = svc.solve(handle, A.data, b)
+        ref = SparseLinearSolver(A, ordering="mindeg", options=options)
+        assert np.array_equal(x, ref.solve(b))
+
+    def test_scipy_and_dense_inputs_register_the_same_pattern(self):
+        A = laplacian_2d(7, shift=0.1)
+        with _service() as svc:
+            handle = svc.register_pattern(A)
+            for other in (A.to_scipy(), A.to_dense()):
+                assert svc.register_pattern(other).handle_id == handle.handle_id
+            assert svc.stats()["registered_patterns"] == 1
+
+    def test_max_patterns_below_one_registers_no_collector(self):
+        before = get_registry().collector_names()
+        with pytest.raises(ValueError):
+            SolverService(max_patterns=0)
+        assert get_registry().collector_names() == before
 
 
 class TestSolve:
@@ -276,6 +304,34 @@ class TestSinglePath:
         assert counters["refactorizations"] == 2 and counters.get("value_hits", 0) == 0
 
 
+class TestHandleIds:
+    """A handle's wire id stands in for the handle everywhere."""
+
+    def test_the_id_solves_and_evicts_like_the_handle(self):
+        A = laplacian_2d(7, shift=0.1)
+        b = np.ones(A.n)
+        with _service() as svc:
+            handle = svc.register_pattern(A)
+            assert svc.handle_for(handle.handle_id) == handle
+            by_id = svc.solve(handle.handle_id, A.data * 2.0, b)
+            assert np.array_equal(by_id, svc.solve(handle, A.data * 2.0, b))
+            assert svc.evict(handle.handle_id)
+            with pytest.raises(PatternEvictedError):
+                svc.handle_for(handle.handle_id)
+            with pytest.raises(PatternEvictedError):
+                svc.solve(handle.handle_id, A.data, b)
+
+    def test_an_unknown_id_is_refused_without_taking_a_slot(self):
+        with _service() as svc:
+            assert not svc.evict("0" * 16)
+            with pytest.raises(PatternEvictedError):
+                svc.handle_for("0" * 16)
+            with pytest.raises(PatternEvictedError):
+                svc.submit("0" * 16, np.ones(3), np.ones(3))
+            assert svc.admission.in_flight == 0
+            assert svc.metrics.count("solves_failed") == 0
+
+
 class TestAdmission:
     def test_backpressure_rejects_with_retry_after(self, park_solve):
         """A request waiting on its solver's lock still holds its slot."""
@@ -308,6 +364,31 @@ class TestAdmission:
             for f in futures:
                 f.result(timeout=30)
             assert svc.admission.in_flight == 0
+
+    def test_a_failed_solve_gives_its_slot_back(self):
+        A = laplacian_2d(6, shift=0.1)
+        with _service(max_in_flight=1) as svc:
+            handle = svc.register_pattern(A)
+            failed = svc.submit(handle, np.zeros(A.nnz), np.ones(A.n))
+            assert failed.exception() is not None
+            assert svc.admission.in_flight == 0
+            # The one slot is free again: a good request is admitted and solves.
+            x = svc.solve(handle, A.data, np.ones(A.n))
+            assert np.linalg.norm(A.matvec(x) - np.ones(A.n)) < 1e-10
+            assert svc.metrics.count("rejected") == 0
+
+    def test_a_rejection_is_recorded_as_an_event(self, park_solve):
+        A = laplacian_2d(6, shift=0.1)
+        seen = len(observe.get_event_log().events("admission_rejected"))
+        with _service(max_in_flight=1, retry_after_seconds=0.5) as svc:
+            handle = svc.register_pattern(A)
+            with park_solve(svc, handle, A.data, np.ones(A.n)):
+                with pytest.raises(ServiceOverloadedError):
+                    svc.submit(handle, A.data, np.ones(A.n))
+        (event,) = observe.get_event_log().events("admission_rejected")[seen:]
+        assert event.attrs["handle_id"] == handle.handle_id
+        assert event.attrs["in_flight"] == 1
+        assert event.attrs["retry_after_seconds"] == 0.5
 
 
 class TestEviction:
@@ -394,6 +475,63 @@ class TestMetricsAndStats:
                 with pytest.raises(ServiceOverloadedError):
                     svc.submit(handle, A.data, np.ones(A.n))
                 assert svc.metrics.count("rejected") == 1
+
+    def test_health_counts_the_outcomes(self):
+        A = laplacian_2d(6, shift=0.1)
+        with _service() as svc:
+            handle = svc.register_pattern(A)
+            svc.submit(handle, A.data, np.ones(A.n))
+            svc.submit(handle, np.zeros(A.nnz), np.ones(A.n))
+            health = svc.health()
+        assert health["status"] == "ok"
+        assert health["registered_patterns"] == 1
+        assert (health["solves_ok"], health["solves_failed"], health["rejected"]) == (1, 1, 0)
+        assert health["in_flight"] == 0
+        assert svc.health()["status"] == "closed"
+
+    def test_close_takes_the_collector_out_of_the_registry(self):
+        before = get_registry().collector_names()
+        svc = _service()
+        (added,) = set(get_registry().collector_names()) - set(before)
+        assert added.startswith("service")
+        svc.close()
+        assert get_registry().collector_names() == before
+
+    def test_slow_request_keeps_the_callers_span_tree(self, monkeypatch):
+        A = laplacian_2d(6, shift=0.1)
+        log = observe.get_event_log()
+        monkeypatch.setattr(log, "slow_request_seconds", 0.0)
+        seen = len(log.events("slow_request"))
+        observe.enable()
+        observe.reset()
+        try:
+            with _service() as svc:
+                handle = svc.register_pattern(A)
+                with observe.span("caller") as outer:
+                    svc.solve(handle, A.data, np.ones(A.n))
+                slow = svc.metrics.count("slow_requests")
+        finally:
+            observe.disable()
+            observe.reset()
+        (event,) = log.events("slow_request")[seen:]
+        assert slow == 1
+        assert event.attrs["trace_id"] == outer.trace_id
+        assert event.attrs["fingerprint"] == handle.fingerprint
+        assert event.attrs["latency_seconds"] >= 0.0
+        (dispatch,) = [sp for sp in event.attrs["spans"] if sp["name"] == "dispatch"]
+        assert dispatch["parent_id"] == outer.span_id
+
+    def test_requests_under_the_threshold_are_not_sampled(self, monkeypatch):
+        A = laplacian_2d(6, shift=0.1)
+        log = observe.get_event_log()
+        monkeypatch.setattr(log, "slow_request_seconds", float("inf"))
+        seen = len(log.events("slow_request"))
+        with _service() as svc:
+            handle = svc.register_pattern(A)
+            for k in range(3):
+                svc.solve(handle, A.data * (1.0 + k), np.ones(A.n))
+            assert svc.metrics.count("slow_requests") == 0
+        assert log.events("slow_request")[seen:] == []
 
     def test_percentile_helper(self):
         assert percentile([], 95.0) == 0.0
@@ -592,6 +730,21 @@ class TestServiceLifecycle:
         svc.close()
         with pytest.raises(ServiceClosedError):
             svc.submit(handle, A.data, np.ones(A.n))
+
+    def test_close_lets_a_running_solve_finish(self, park_solve):
+        A = laplacian_2d(7, shift=0.1)
+        values, b = A.data * 1.5, np.ones(A.n)
+        ref = SparseLinearSolver(
+            A, ordering="mindeg", options=SympilerOptions(enable_vs_block=False)
+        )
+        svc = _service()
+        handle = svc.register_pattern(A)
+        with park_solve(svc, handle, values, b) as parked:
+            svc.close()
+            assert svc.stats()["registered_patterns"] == 0
+        assert np.array_equal(parked.future.result(), ref.step(values, b)[0])
+        with pytest.raises(ServiceClosedError):
+            svc.submit(handle, values, b)
 
     def test_context_manager_closes(self):
         with _service() as svc:

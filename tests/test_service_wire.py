@@ -284,15 +284,19 @@ class TestEndToEnd:
             assert np.allclose(x, baseline, atol=1e-8)
         assert service.metrics.count("solves_ok") >= 8
 
-    def test_v2_timeout_orphans_only_that_request(self, served):
+    def test_v2_timeout_orphans_only_that_request(self, served, park_solve):
         """A timed-out solve is abandoned by id: the late response is
         discarded as an orphan and the connection stays usable."""
-        address, _ = served
+        address, service = served
         A = laplacian_2d(6, shift=0.3)
         with ServiceClient(address, timeout=30.0) as client:
             handle = client.register_pattern(A)
-            with pytest.raises(TimeoutError, match="abandoned"):
-                client.solve(handle, A.data, np.ones(A.n), timeout=0.000001)
+            # Hold the answer back until the wait has given up: a solve run
+            # on the connection thread can otherwise answer within the timeout.
+            with park_solve(service, handle) as held:
+                with pytest.raises(TimeoutError, match="abandoned"):
+                    client.solve(handle, A.data, np.ones(A.n), timeout=0.000001)
+                assert held.entered.wait(timeout=10)
             # Same connection, next request: still works.
             x = client.solve(handle, A.data, np.ones(A.n))
             assert np.isfinite(x).all()
