@@ -2,7 +2,7 @@
 
 Walks through the stages of Figure 2 of the paper on a small matrix with
 large supernodes: the domain loop each kernel runs once the inspector-guided
-transformations (VS-Block, VI-Prune) and loop distribution have been decided,
+transformations (VS-Block, VI-Prune) have been decided,
 the sizes of the tables it reads, the decisions taken by the participation
 heuristics, and what each backend runs: the python backend's fixed reference
 kernel with the table block it reads, and the generated C that names the same
@@ -26,8 +26,7 @@ def describe(name: str, artifact) -> None:
     else:
         sizes = ", ".join(f"{k}={v}" for k, v in loop.contract[0].items())
         kind = f" [{loop.factor_kind}]" if loop.factor_kind else ""
-        distributed = " (width-1 supernodes distributed)" if loop.distribute_single_columns else ""
-        print(f"{name}: {loop.role}{kind}{distributed}; sizes {sizes}")
+        print(f"{name}: {loop.role}{kind}; sizes {sizes}")
     print(f"  applied: {artifact.applied_transformations}")
     for decision, details in artifact.decisions.items():
         print(f"  {decision}: {details}")
@@ -50,7 +49,7 @@ def main() -> None:
 
     print()
     print("=" * 72)
-    print("2. The loops VS-Block / VI-Prune / loop distribution chose (Figures 2b-2c)")
+    print("2. The loops VS-Block / VI-Prune chose (Figures 2b-2c)")
     print("=" * 72)
     describe("triangular solve, sparse b", tri)
     describe("cholesky", chol)

@@ -13,8 +13,7 @@ full system:
   the compiled ones (dense micro-kernels, simplicial/supernodal Cholesky,
   LDLᵀ, LU, IC(0)/ILU(0), FLOP counts).
 * :mod:`repro.compiler` — the Sympiler core: the inspector-guided
-  transformations (VS-Block, VI-Prune) and loop distribution, planned as the
-  one domain loop each kernel runs, and code generation (generated C, and
+  transformations (VS-Block, VI-Prune), planned as the one domain loop each kernel runs, and code generation (generated C, and
   fixed NumPy reference kernels over the same tables).
 * :mod:`repro.baselines` — dense NumPy/SciPy correctness oracles.
 * :mod:`repro.solvers`  — factor-once/solve-many driver, the

@@ -7,8 +7,7 @@ code generator that
    time (:mod:`repro.symbolic`),
 2. plans the one domain loop the requested method runs by making the
    decisions of the inspector-guided transformations **VS-Block** and
-   **VI-Prune**, then of the enabled low-level transformation, loop
-   distribution (:mod:`repro.compiler.plan`): the paper's annotated loop
+   **VI-Prune** (:mod:`repro.compiler.plan`): the paper's annotated loop
    nest (Fig. 2) reduced to what the backends read of it, and
 3. emits the kernel of that loop through one of two backends — a C backend
    compiled with the system compiler and loaded through ``ctypes``, or fixed

@@ -10,7 +10,7 @@ backend's reference kernels over the same tables.
 What may be literal in the generated source
 -------------------------------------------
 Only what changes the *code*: which loop nest the plan chose
-(simplicial or supernodal, distributed or not, serial or wavefront).  The
+(simplicial or supernodal, serial or wavefront).  The
 backend never reads the pattern to decide *what code* to emit: source is a
 function of (kernel, options, code shape).  Everything that depends on the
 sparsity pattern alone — every inspection set (``l_indptr``, ``prune_ptr``,
@@ -55,7 +55,13 @@ the scalar sizes, ``repro_T[k]`` the k-th registered inspection set):
 * Cholesky — ``int64_t <name>(const int64_t* Ap, const int64_t* Ai,
   const double* Ax, double* Lx, const int64_t* const* repro_T)`` returning 0
   on success or ``j + 1`` when a non-positive pivot is met at column ``j``
-  (``-1``: out of memory for the per-thread work buffers).
+  (``-1``: out of memory for the per-thread work buffers).  The supernodal
+  kernel is the paper's VS-Block done the supernodal way (Ng & Peyton; the
+  scheme of CHOLMOD): every supernode is a dense column-major panel, kept for
+  the whole call in a per-thread store of ``sn_panel_total`` doubles, and
+  each descendant supernode updates it with one dense block product
+  scattered through relative row positions.  Its loops are plain C: no BLAS,
+  whose results change with its thread count.
 
 The table block is built once, when the module is loaded
 (:meth:`CMethodSpec.wrap`), from the arrays the compile call already holds;
@@ -584,21 +590,6 @@ class _CEmitter:
         return "\n".join(self.lines) + "\n"
 
 
-_DENSE_TRSM = r"""
-static void repro_dense_trsm_rt(const double* Ld, int64_t w, double* B, int64_t nrow) {
-    /* Solve X * Ld^T = B in place, B row-major (nrow x w). */
-    for (int64_t r = 0; r < nrow; r++) {
-        double* row = B + r * w;
-        for (int64_t k = 0; k < w; k++) {
-            double v = row[k];
-            for (int64_t j = 0; j < k; j++) v -= Ld[k * w + j] * row[j];
-            row[k] = v / Ld[k * w + k];
-        }
-    }
-}
-"""
-
-
 _WF_RUNTIME = r"""
 /* --------------------------------------------------------------------- */
 /* Wavefront (H-Level) runtime: a persistent detached worker pool plus a */
@@ -733,13 +724,13 @@ _WORK_BUFFERS = r"""
 /* Per-thread work buffers, grown on demand: nothing in this source is sized
    by a pattern, so one loaded kernel serves patterns of different n — and
    calls from many threads at once (the batched runtime maps the entry point
-   over a thread pool; ctypes releases the GIL).  The four buffers are carved
+   over a thread pool; ctypes releases the GIL).  The three buffers are carved
    from one block per thread (8-byte elements throughout), which is freed
    when the thread exits, by the destructor of a pthread key (if the process
    has run out of keys it stays until the process ends). */
 typedef struct {
-    double* f; int64_t* rowmap; double* panel; double* mult;
-    int64_t f_n, rowmap_n, panel_n, mult_n;
+    double* f; int64_t* rowmap; double* panel;
+    int64_t f_n, rowmap_n, panel_n;
 } repro_ws_t;
 
 static _Thread_local repro_ws_t* repro_ws;
@@ -759,8 +750,7 @@ static void repro_ws_make_key(void) {
 /* The calling thread's buffers with at least the given element counts, or
    NULL when memory runs out.  Contents are unspecified: every kernel
    initialises what it reads. */
-static repro_ws_t* repro_ws_reserve(int64_t f_n, int64_t rowmap_n,
-                                    int64_t panel_n, int64_t mult_n) {
+static repro_ws_t* repro_ws_reserve(int64_t f_n, int64_t rowmap_n, int64_t panel_n) {
     repro_ws_t* ws = repro_ws;
     if (!ws) {
         ws = (repro_ws_t*)calloc(1, sizeof(repro_ws_t));
@@ -769,21 +759,19 @@ static repro_ws_t* repro_ws_reserve(int64_t f_n, int64_t rowmap_n,
         if (repro_ws_key_ok) pthread_setspecific(repro_ws_key, ws);
         repro_ws = ws;
     }
-    if (f_n <= ws->f_n && rowmap_n <= ws->rowmap_n && panel_n <= ws->panel_n && mult_n <= ws->mult_n)
+    if (f_n <= ws->f_n && rowmap_n <= ws->rowmap_n && panel_n <= ws->panel_n)
         return ws;
     /* Grow: one fresh block that fits the largest request seen of each. */
     if (f_n < ws->f_n) f_n = ws->f_n;
     if (rowmap_n < ws->rowmap_n) rowmap_n = ws->rowmap_n;
     if (panel_n < ws->panel_n) panel_n = ws->panel_n;
-    if (mult_n < ws->mult_n) mult_n = ws->mult_n;
-    double* base = (double*)malloc((size_t)(f_n + rowmap_n + panel_n + mult_n) * 8);
+    double* base = (double*)malloc((size_t)(f_n + rowmap_n + panel_n) * 8);
     if (!base) return 0;
     free(ws->f);
     ws->f = base;
     ws->rowmap = (int64_t*)(base + f_n);
     ws->panel = base + f_n + rowmap_n;
-    ws->mult = ws->panel + panel_n;
-    ws->f_n = f_n; ws->rowmap_n = rowmap_n; ws->panel_n = panel_n; ws->mult_n = mult_n;
+    ws->f_n = f_n; ws->rowmap_n = rowmap_n; ws->panel_n = panel_n;
     return ws;
 }
 """
@@ -791,14 +779,13 @@ static repro_ws_t* repro_ws_reserve(int64_t f_n, int64_t rowmap_n,
 
 #: ``repro_ws_reserve`` arguments of each kind of work buffers, and what a step binds of them.
 _WORK = {
-    "column": ("n, 0, 0, 0", ("double* const repro_f = repro_ws->f;",)),
+    "column": ("n, 0, 0", ("double* const repro_f = repro_ws->f;",)),
     "panel": (
-        "n, n, sn_max_panel, sn_max_width",
+        "n, n, sn_panel_total",
         (
             "double* const repro_f = repro_ws->f;",
             "int64_t* const repro_rowmap = repro_ws->rowmap;",
-            "double* const repro_panel = repro_ws->panel;",
-            "double* const repro_mult = repro_ws->mult;",
+            "double* const repro_store = repro_ws->panel;",
         ),
     ),
 }
@@ -861,145 +848,102 @@ def _row_step(out: _CEmitter, domain: Optional[DomainLoop]) -> None:
     out.emit("x[j] = acc / Lx[Lp[j]];")
 
 
-def _cholesky_column(
-    out: _CEmitter,
-    ldlt: bool,
-    j: str = "j",
-    first: str = "_C_prune_ptr[j]",
-    last: str = "_C_prune_ptr[j + 1]",
-    update: str = "_C_update",
-) -> None:
+def _cholesky_step(out: _CEmitter, domain: DomainLoop) -> None:
     """One left-looking LLᵀ / LDLᵀ column ``j`` over the thread-local work vector ``repro_f``.
 
-    Its updates are ``first .. last`` of the ``{update}_pos`` / ``_end`` /
-    ``_col`` tables.  The only shared-array writes are column ``j`` of ``Lx``
-    (and ``D[j]``).
+    Its updates are ``prune_ptr[j] .. prune_ptr[j + 1]`` of the
+    ``update_pos`` / ``_end`` / ``_col`` tables.  The only shared-array
+    writes are column ``j`` of ``Lx`` (and ``D[j]``).
     """
-    out.emit(f"for (int64_t p = _C_a_diag_pos[{j}]; p < _C_a_col_end[{j}]; p++) repro_f[Ai[p]] = Ax[p];")
-    out.emit(f"for (int64_t t = {first}; t < {last}; t++) {{")
+    ldlt = domain.factor_kind == "ldlt"
+    out.emit("for (int64_t p = _C_a_diag_pos[j]; p < _C_a_col_end[j]; p++) repro_f[Ai[p]] = Ax[p];")
+    out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
     out.push()
-    out.emit(f"int64_t ps = {update}_pos[t], pe = {update}_end[t];")
-    out.emit(f"double ljk = Lx[ps] * D[{update}_col[t]];" if ldlt else "double ljk = Lx[ps];")
+    out.emit("int64_t ps = _C_update_pos[t], pe = _C_update_end[t];")
+    out.emit("double ljk = Lx[ps] * D[_C_update_col[t]];" if ldlt else "double ljk = Lx[ps];")
     out.emit("for (int64_t p = ps; p < pe; p++) repro_f[_C_l_indices[p]] -= Lx[p] * ljk;")
     out.pop()
     out.emit("}")
-    out.emit(f"int64_t lp0 = _C_l_indptr[{j}], lp1 = _C_l_indptr[{j} + 1];")
-    out.emit(f"double d = repro_f[{j}];")
+    out.emit("int64_t lp0 = _C_l_indptr[j], lp1 = _C_l_indptr[j + 1];")
+    out.emit("double d = repro_f[j];")
     if ldlt:
-        out.emit(f"if (d == 0.0) return {j} + 1;")
-        out.emit(f"D[{j}] = d;")
+        out.emit("if (d == 0.0) return j + 1;")
+        out.emit("D[j] = d;")
         out.emit("Lx[lp0] = 1.0;")
         out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / d;")
     else:
-        out.emit(f"if (!(d > 0.0)) return {j} + 1;")
+        out.emit("if (!(d > 0.0)) return j + 1;")
         out.emit("double ljj = sqrt(d);")
         out.emit("Lx[lp0] = ljj;")
         out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] = repro_f[_C_l_indices[p]] / ljj;")
     out.emit("for (int64_t p = lp0; p < lp1; p++) repro_f[_C_l_indices[p]] = 0.0;")
 
 
-def _cholesky_step(out: _CEmitter, domain: DomainLoop) -> None:
-    _cholesky_column(out, domain.factor_kind == "ldlt")
-
-
 def _supernode_step(out: _CEmitter, domain: DomainLoop) -> None:
-    """Supernode ``s`` of the VS-Block'd loop: its dense panel, updated by one descendant column at a time.
+    """Supernode ``s`` of the VS-Block'd loop: one block update per descendant supernode, then the panel's own columns.
 
-    The panel (the supernode's rows x its ``w`` columns, row-major) is
-    factored in place and copied out into compressed columns.  With loop
-    distribution a width-1 supernode is the simplicial column instead, over
-    the descendant tables.
+    The panel (the supernode's ``nr`` rows x its ``w`` columns, column-major)
+    lives in the thread's panel store for the whole factorization, where the
+    supernodes it updates later read it.  Each descendant ``d`` subtracts the
+    dense block ``C(:, j) = Σ_q Pd(:, q) Pd(j, q)`` (LDLᵀ: ``· D``),
+    accumulated column by column from zero with ``q`` ascending in the
+    all-zero work vector ``repro_f``, through the row map; ``repro_f`` is
+    cleared as it is read.  The panel is then factored left-looking, one
+    column at a time, and each column is copied out into ``Lx``.  A
+    one-column supernode runs the same code.
     """
-    ldlt = domain.factor_kind == "ldlt"
-    out.emit("int64_t c0 = _C_sup_start[s], c1 = _C_sup_end[s];")
-    out.emit("int64_t w = c1 - c0;")
-    if domain.distribute_single_columns:
-        out.emit("if (w == 1) {")
-        out.push()
-        _cholesky_column(out, ldlt, "c0", "_C_desc_ptr[s]", "_C_desc_ptr[s + 1]", "_C_desc")
-        out.emit("return 0;")
-        out.pop()
-        out.emit("}")
-    out.emit("int64_t r0 = _C_l_indptr[c0], r1 = _C_l_indptr[c0 + 1];")
-    out.emit("int64_t nr = r1 - r0;")
+    scale = " * D[{0} + q]" if domain.factor_kind == "ldlt" else ""
+    out.emit("int64_t c0 = _C_sup_start[s], w = _C_sup_end[s] - c0;")
+    out.emit("int64_t r0 = _C_l_indptr[c0], nr = _C_l_indptr[c0 + 1] - r0;")
+    out.emit("double* const P = repro_store + _C_sup_panel_ptr[s];")
     out.emit("for (int64_t i = 0; i < nr; i++) repro_rowmap[_C_l_indices[r0 + i]] = i;")
-    out.emit("for (int64_t i = 0; i < nr * w; i++) repro_panel[i] = 0.0;")
-    out.emit("for (int64_t jj = 0; jj < w; jj++) {")
-    out.push()
-    out.emit("int64_t c = c0 + jj;")
+    out.emit("memset(P, 0, nr * w * sizeof(double));")
+    out.emit("for (int64_t k = 0; k < w; k++)")
     out.emit(
-        "for (int64_t p = _C_a_diag_pos[c]; p < _C_a_col_end[c]; p++) "
-        "repro_panel[repro_rowmap[Ai[p]] * w + jj] = Ax[p];"
+        "    for (int64_t p = _C_a_diag_pos[c0 + k]; p < _C_a_col_end[c0 + k]; p++) "
+        "P[k * nr + repro_rowmap[Ai[p]]] = Ax[p];"
     )
-    out.pop()
-    out.emit("}")
     out.emit("for (int64_t t = _C_desc_ptr[s]; t < _C_desc_ptr[s + 1]; t++) {")
     out.push()
-    out.emit("int64_t ps = _C_desc_pos[t], pm = _C_desc_mult_end[t], pe = _C_desc_end[t];")
-    out.emit("for (int64_t i = 0; i < w; i++) repro_mult[i] = 0.0;")
-    if ldlt:
-        out.emit("double dk = D[_C_desc_col[t]];")
-        out.emit("for (int64_t p = ps; p < pm; p++) repro_mult[_C_l_indices[p] - c0] = Lx[p] * dk;")
-    else:
-        out.emit("for (int64_t p = ps; p < pm; p++) repro_mult[_C_l_indices[p] - c0] = Lx[p];")
-    out.emit("for (int64_t p = ps; p < pe; p++) {")
+    out.emit("int64_t d0 = _C_sup_start[_C_desc_sup[t]], wd = _C_sup_end[_C_desc_sup[t]] - d0;")
+    out.emit("int64_t nd = _C_l_indptr[d0 + 1] - _C_l_indptr[d0];")
+    out.emit("const int64_t* rows = _C_l_indices + _C_l_indptr[d0];")
+    out.emit("const double* Pd = repro_store + _C_sup_panel_ptr[_C_desc_sup[t]];")
+    out.emit("for (int64_t j = _C_desc_i0[t]; j < _C_desc_i1[t]; j++) {")
     out.push()
-    out.emit("double* row = repro_panel + repro_rowmap[_C_l_indices[p]] * w;")
-    out.emit("double lv = Lx[p];")
-    out.emit("for (int64_t i = 0; i < w; i++) row[i] -= lv * repro_mult[i];")
-    out.pop()
+    out.emit("for (int64_t q = 0; q < wd; q++) {")
+    out.emit("    const double* a = Pd + q * nd;")
+    out.emit(f"    double m = a[j]{scale.format('d0')};")
+    out.emit("    for (int64_t i = j; i < nd; i++) repro_f[i] += a[i] * m;")
+    out.emit("}")
+    out.emit("double* pj = P + (rows[j] - c0) * nr;")
+    out.emit("for (int64_t i = j; i < nd; i++) {")
+    out.emit("    pj[repro_rowmap[rows[i]]] -= repro_f[i];")
+    out.emit("    repro_f[i] = 0.0;")
     out.emit("}")
     out.pop()
     out.emit("}")
-    if ldlt:
-        # Dense LDL^T of the diagonal block; pivots go straight into D.
-        out.emit("/* dense LDL^T of the w x w diagonal block (in place) */")
-        out.emit("for (int64_t k = 0; k < w; k++) {")
-        out.push()
-        out.emit("double piv = repro_panel[k * w + k];")
+    out.pop()
+    out.emit("}")
+    out.emit("for (int64_t k = 0; k < w; k++) {")
+    out.push()
+    out.emit("double* pk = P + k * nr;")
+    out.emit("for (int64_t q = 0; q < k; q++) {")
+    out.emit("    const double* a = P + q * nr;")
+    out.emit(f"    double m = a[k]{scale.format('c0')};")
+    out.emit("    for (int64_t i = k; i < nr; i++) pk[i] -= a[i] * m;")
+    out.emit("}")
+    out.emit("double piv = pk[k];")
+    if domain.factor_kind == "ldlt":
         out.emit("if (piv == 0.0) return c0 + k + 1;")
         out.emit("D[c0 + k] = piv;")
-        out.emit("repro_panel[k * w + k] = 1.0;")
-        out.emit("for (int64_t i = k + 1; i < w; i++) repro_panel[i * w + k] /= piv;")
-        out.emit("for (int64_t j = k + 1; j < w; j++) {")
-        out.push()
-        out.emit("double cjk = repro_panel[j * w + k] * piv;")
-        out.emit("for (int64_t i = j; i < w; i++) repro_panel[i * w + j] -= repro_panel[i * w + k] * cjk;")
-        out.pop()
-        out.emit("}")
-        out.pop()
-        out.emit("}")
-        # Off-diagonal panel: X (D L_d^T) = B -> trsm by L_d^T, then /= D.
-        out.emit("repro_dense_trsm_rt(repro_panel, w, repro_panel + w * w, nr - w);")
-        out.emit("for (int64_t r = 0; r < nr - w; r++)")
-        out.push()
-        out.emit("for (int64_t k = 0; k < w; k++) repro_panel[(w + r) * w + k] /= D[c0 + k];")
-        out.pop()
+        out.emit("pk[k] = 1.0;")
     else:
-        # Dense factorization of the diagonal block (row-major, stride w).
-        out.emit("/* dense Cholesky of the w x w diagonal block (in place) */")
-        out.emit("for (int64_t k = 0; k < w; k++) {")
-        out.push()
-        out.emit("double piv = repro_panel[k * w + k];")
         out.emit("if (!(piv > 0.0)) return c0 + k + 1;")
         out.emit("piv = sqrt(piv);")
-        out.emit("repro_panel[k * w + k] = piv;")
-        out.emit("for (int64_t i = k + 1; i < w; i++) repro_panel[i * w + k] /= piv;")
-        out.emit("for (int64_t j = k + 1; j < w; j++) {")
-        out.push()
-        out.emit("double djk = repro_panel[j * w + k];")
-        out.emit("for (int64_t i = j; i < w; i++) repro_panel[i * w + j] -= repro_panel[i * w + k] * djk;")
-        out.pop()
-        out.emit("}")
-        out.pop()
-        out.emit("}")
-        out.emit("repro_dense_trsm_rt(repro_panel, w, repro_panel + w * w, nr - w);")
-    out.emit("for (int64_t jj = 0; jj < w; jj++) {")
-    out.push()
-    out.emit("int64_t c = c0 + jj;")
-    out.emit("int64_t lp0 = _C_l_indptr[c];")
-    out.emit("for (int64_t i = jj; i < w; i++) Lx[lp0 + (i - jj)] = repro_panel[i * w + jj];")
-    out.emit("for (int64_t r = 0; r < nr - w; r++) Lx[lp0 + (w - jj) + r] = repro_panel[(w + r) * w + jj];")
+        out.emit("pk[k] = piv;")
+    out.emit("for (int64_t i = k + 1; i < nr; i++) pk[i] /= piv;")
+    out.emit("memcpy(Lx + _C_l_indptr[c0 + k], pk + k, (nr - k) * sizeof(double));")
     out.pop()
     out.emit("}")
 
@@ -1214,8 +1158,6 @@ class CBackend:
         out.emit("#define REPRO_BIND_TABLES \\")
         out.lines.extend(f"    {line} \\" for line in bind[:-1])
         out.emit(f"    {bind[-1]}")
-        if "repro_dense_trsm_rt(" in text:
-            out.emit(_DENSE_TRSM)
         if work_buffers:
             out.emit(_WORK_BUFFERS)
         if job is not None:
@@ -1254,8 +1196,8 @@ class CBackend:
         if schedule is None:
             reason = "no-schedule"
         elif role == "supernodal-cholesky":
-            # VS-Block panels update ancestor supernodes in place; scheduling
-            # them by column levels would break the disjoint-write argument.
+            # A supernode reads its descendants' panels from the calling
+            # thread's panel store, so one thread runs every supernode.
             reason = "supernodal"
         elif schedule.n_scheduled == 0:
             reason = "empty-schedule"

@@ -86,57 +86,53 @@ def simplicial_lu(T, Ap, Ai, Ax):
 
 
 def supernodal_cholesky(T, Ap, Ai, Ax, ldlt=False):
-    """Left-looking supernodal LLᵀ / LDLᵀ: dense panel per supernode, one descendant column at a time."""
-    n, nnz_l, n_super, _, _ = T["_C_dims"]
+    """Left-looking supernodal LLᵀ / LDLᵀ: one column-major panel per supernode, one block update per descendant.
+
+    Panels stay for the whole factorization (the C kernel's panel store).  A
+    descendant ``d`` subtracts ``C = Σ_q Pd[i0:, q] ⊗ Pd[i0:i1, q]`` (LDLᵀ:
+    scaled by ``D``), accumulated from zero with ``q`` ascending, through the
+    target's row map.  The panel itself is then factored right-looking, one
+    outer product per column: every entry sees the C kernel's left-looking
+    subtractions in the same order.  Entries above a panel's diagonal are
+    written and never read.
+    """
+    n, nnz_l = T["_C_dims"][:2]
     Lp, Li, a0, a1 = T["_C_l_indptr"], T["_C_l_indices"], T["_C_a_diag_pos"], T["_C_a_col_end"]
-    start, stop, ptr, col = T["_C_sup_start"], T["_C_sup_end"], T["_C_desc_ptr"], T.get("_C_desc_col")
-    pos, mid, end = T["_C_desc_pos"], T["_C_desc_mult_end"], T["_C_desc_end"]
-    Lx, D, f, rowmap = np.zeros(nnz_l), np.empty(n), np.zeros(n), np.empty(n, dtype=np.int64)
-    for s in range(n_super):
-        c0, c1 = start[s], stop[s]
+    start, stop, ptr = T["_C_sup_start"], T["_C_sup_end"], T["_C_desc_ptr"]
+    desc, first, last = T["_C_desc_sup"], T["_C_desc_i0"], T["_C_desc_i1"]
+    Lx, D, rowmap, panels = np.zeros(nnz_l), np.empty(n), np.empty(n, dtype=np.int64), []
+    for s, (c0, c1) in enumerate(zip(start, stop)):
         w = c1 - c0
-        if w == 1:
-            # The same operations as the panel path below on a one-column panel, without the panel.
-            f[Ai[a0[c0] : a1[c0]]] = Ax[a0[c0] : a1[c0]]
-            for t in range(ptr[s], ptr[s + 1]):
-                ps, pe = pos[t], end[t]
-                f[Li[ps:pe]] -= Lx[ps:pe] * (Lx[ps] * D[col[t]] if ldlt else Lx[ps])
-            _finish_column(Lx, D, f, Li, Lp[c0], Lp[c0 + 1], c0, ldlt)
-            continue
         rows = Li[Lp[c0] : Lp[c0 + 1]]
         rowmap[rows] = np.arange(rows.size)
-        panel = np.zeros((rows.size, w))
+        P = np.zeros((rows.size, w), order="F")
         for c in range(c0, c1):
-            panel[rowmap[Ai[a0[c] : a1[c]]], c - c0] = Ax[a0[c] : a1[c]]
+            P[rowmap[Ai[a0[c] : a1[c]]], c - c0] = Ax[a0[c] : a1[c]]
         for t in range(ptr[s], ptr[s + 1]):
-            ps, pm, pe = pos[t], mid[t], end[t]
-            mult = np.zeros(w)
-            mult[Li[ps:pm] - c0] = Lx[ps:pm] * D[col[t]] if ldlt else Lx[ps:pm]
-            panel[rowmap[Li[ps:pe]]] -= np.outer(Lx[ps:pe], mult)
-        # In-place right-looking factorization of the diagonal block, then the rows below it
-        # solved against its transpose; entries above the diagonal are written and never read.
+            d, i0, i1 = desc[t], first[t], last[t]
+            Pd, d0 = panels[d], start[d]
+            drows = Li[Lp[d0] + i0 : Lp[d0 + 1]]
+            C = np.zeros((drows.size, i1 - i0))
+            for q in range(Pd.shape[1]):
+                C += np.outer(Pd[i0:, q], Pd[i0:i1, q] * D[d0 + q] if ldlt else Pd[i0:i1, q])
+            P[np.ix_(rowmap[drows], drows[: i1 - i0] - c0)] -= C
         for k in range(w):
-            piv = panel[k, k]
+            piv = P[k, k]
             if ldlt:
                 if piv == 0.0:
                     raise Breakdown(c0 + k)
                 D[c0 + k] = piv
-                panel[k, k] = 1.0
+                P[k, k] = 1.0
             else:
                 if not piv > 0.0:
                     raise Breakdown(c0 + k)
                 piv = np.sqrt(piv)
-                panel[k, k] = piv
-            panel[k + 1 : w, k] /= piv
-            below = panel[k + 1 : w, k]
-            panel[k + 1 : w, k + 1 :] -= np.outer(below, below * piv if ldlt else below)
-        for k in range(w):
-            panel[w:, k] /= panel[k, k]
-            panel[w:, k + 1 :] -= np.outer(panel[w:, k], panel[k + 1 : w, k])
-        if ldlt:
-            panel[w:] /= D[c0:c1]
-        for c in range(c0, c1):
-            Lx[Lp[c] : Lp[c + 1]] = panel[c - c0 :, c - c0]
+                P[k, k] = piv
+            P[k + 1 :, k] /= piv
+            below = P[k + 1 : w, k]
+            P[k + 1 :, k + 1 :] -= np.outer(P[k + 1 :, k], below * D[c0 + k] if ldlt else below)
+            Lx[Lp[c0 + k] : Lp[c0 + k + 1]] = P[k:, k]
+        panels.append(P)
     return (Lx, D) if ldlt else Lx
 
 

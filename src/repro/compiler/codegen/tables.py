@@ -156,27 +156,39 @@ def simplicial_lu(A: CSCMatrix, inspection: LUInspectionResult) -> Contract:
     }
 
 
-def supernodal_cholesky(A: CSCMatrix, inspection: CholeskyInspectionResult, factor_kind: str) -> Contract:
-    """The VS-Block'd LLᵀ / LDLᵀ supernode loop, with its work-buffer sizes.
+def supernodal_cholesky(A: CSCMatrix, inspection: CholeskyInspectionResult) -> Contract:
+    """The VS-Block'd LLᵀ / LDLᵀ supernode loop, with the size of its panel store.
 
-    Supernode ``s`` is columns ``sup_start[s]:sup_end[s]``; the slice
-    ``desc_ptr[s]:desc_ptr[s + 1]`` lists its descendant columns ``k``
-    (``desc_col``, ascending): ``desc_pos`` is the first entry of column ``k``
-    with a row inside the supernode, ``desc_mult_end`` one past the last such
-    entry (the multipliers lie in between) and ``desc_end`` the end of column
-    ``k``.
+    Supernode ``s`` is columns ``sup_start[s]:sup_end[s]`` (``w`` of them).
+    They share the row list of the first one, ``c0``:
+    ``l_indices[l_indptr[c0]:l_indptr[c0 + 1]]``, ``nr`` rows, the
+    supernode's own columns first.  Its panel is ``nr x w``, column-major
+    (leading dimension ``nr``), at ``sup_panel_ptr[s]`` of a store of
+    ``sn_panel_total`` doubles that holds every panel for the whole
+    factorization.
+
+    The slice ``desc_ptr[s]:desc_ptr[s + 1]`` lists the descendant
+    supernodes ``d = desc_sup[t]`` that update ``s``, ascending.  Rows
+    ``desc_i0[t]:desc_i1[t]`` of ``d``'s row list are columns of ``s``, and
+    rows ``desc_i0[t]:`` are the rows the update touches (every one of them
+    is in ``s``'s row list).  Every column of ``d`` has these rows, so one
+    row stands for all of ``d``'s columns.
     """
-    n = inspection.n
     l_indptr, l_indices = inspection.l_indptr, inspection.l_indices
     partition = inspection.supernodes
     sup_start, sup_end = partition.super_ptr[:-1], partition.super_ptr[1:]
-    # One (supernode of the row, column) pair per entry of L left of its row's supernode.
-    column = _column_of(l_indptr)
-    supernode = partition.col_to_super[l_indices]
-    left = np.flatnonzero(column < sup_start[supernode])
-    pair, first, count = np.unique(supernode[left] * n + column[left], return_index=True, return_counts=True)
-    desc_col, desc_pos = pair % n, left[first]
+    widths = sup_end - sup_start
+    row_start = l_indptr[sup_start]
+    rows = l_indptr[sup_start + 1] - row_start
+    n_super = sup_start.size
+    # One (supernode of the row, supernode) pair per row of a row list below its own columns.
+    below, owner = _ranges(row_start + widths, row_start + rows)
+    target = partition.col_to_super[l_indices[below]]
+    pair, first, count = np.unique(target * n_super + owner, return_index=True, return_counts=True)
+    desc_sup = pair % n_super
+    desc_i0 = below[first] - row_start[desc_sup]
     a_diag_pos, a_col_end = _a_lower_positions(A)
+    panel_size = rows * widths
     tables = {
         "l_indptr": l_indptr,
         "l_indices": l_indices,
@@ -184,21 +196,16 @@ def supernodal_cholesky(A: CSCMatrix, inspection: CholeskyInspectionResult, fact
         "a_col_end": a_col_end,
         "sup_start": sup_start,
         "sup_end": sup_end,
-        "desc_ptr": group_pointers(pair // n, sup_start.size),
-        "desc_pos": desc_pos,
-        "desc_mult_end": desc_pos + count,
-        "desc_end": l_indptr[desc_col + 1],
+        "sup_panel_ptr": np.cumsum(panel_size) - panel_size,
+        "desc_ptr": group_pointers(pair // n_super, n_super),
+        "desc_sup": desc_sup,
+        "desc_i0": desc_i0,
+        "desc_i1": desc_i0 + count,
     }
-    if factor_kind == "ldlt":
-        tables["desc_col"] = desc_col
-    widths = sup_end - sup_start
-    rows = l_indptr[sup_start + 1] - l_indptr[sup_start]
     dims = {
         "nnz_l": int(l_indptr[-1]),
-        "n_super": int(sup_start.size),
-        # The panel and multiplier buffers of the largest supernode.
-        "sn_max_panel": int((rows * widths).max(initial=0)),
-        "sn_max_width": int(widths.max(initial=0)),
+        "n_super": int(n_super),
+        "sn_panel_total": int(panel_size.sum()),
     }
     return dims, tables
 

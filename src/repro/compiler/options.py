@@ -53,17 +53,22 @@ class SympilerOptions:
         system compiler and loaded via ``ctypes``).
     enable_vi_prune, enable_vs_block, enable_low_level:
         Toggles for the transformation stages; disabling all of them produces
-        the un-transformed kernel (useful for ablations).  The
-        low-level stage is loop distribution of the supernodal factorization.
+        the un-transformed kernel (useful for ablations).  The low-level
+        stage was loop distribution of the supernodal factorization, which
+        gave its width-1 supernodes a column loop of their own; the supernode
+        loop runs them as one-column panels now, so ``enable_low_level`` no
+        longer changes the Cholesky / LDLᵀ code (nor any other).
     vs_block_min_avg_width:
         VS-Block participation threshold: if the mean width of *all*
         supernodes (single columns included) is below this value, or none is
         at least ``vs_block_min_supernode_width`` wide, the transformation is
         skipped for the matrix (the analogue of the paper's hand-tuned 160 on
-        full-scale matrices).
+        full-scale matrices).  Where VS-Block takes a Cholesky / LDLᵀ, every
+        supernode is a dense column-major panel, updated by one dense block
+        product per descendant supernode.
     vs_block_min_supernode_width:
-        Individual supernodes narrower than this are handled by the pruned
-        column loop rather than the dense block path.
+        In a triangular solve, supernodes narrower than this are handled by
+        the pruned column loop rather than the dense block path.
     parallel:
         Within-kernel execution mode of the *generated code*.  ``"none"``
         (the default) emits the sequential kernels; ``"wavefront"`` makes

@@ -10,9 +10,11 @@ in the paper's order:
 
 1. VS-Block (§2.3.2), when enabled and the §4.2 participation test passes;
 2. VI-Prune (§2.3.1), when enabled (the driver forces it on for the
-   factorizations, which need their prune-sets);
-3. loop distribution (§2.4), when the low-level passes are enabled: the
-   width-1 supernodes of a supernodal factorization get their own loop.
+   factorizations, which need their prune-sets).
+
+The low-level passes (§2.4) plan nothing: loop distribution gave the width-1
+supernodes of a supernodal factorization a loop of their own, and the
+supernode loop now runs them as one-column panels.
 
 Each one that takes effect is appended to ``context.applied``; the inputs of
 each decision go to ``context.decisions``.  The function returns the
@@ -81,15 +83,11 @@ class DomainLoop:
     factor_kind:
         ``"llt"`` / ``"ldlt"`` / ``"lu"`` / ``"ic0"`` / ``"ilu0"``; ``None``
         for the triangular solve.
-    distribute_single_columns:
-        Whether the width-1 supernodes of a supernodal loop run in their own
-        streamlined loop (loop distribution).
     """
 
     role: str
     contract: tables.Contract
     factor_kind: Optional[str] = None
-    distribute_single_columns: bool = False
 
 
 @dataclass
@@ -209,22 +207,18 @@ def plan_left_looking(context: CompilationContext) -> Optional[DomainLoop]:
     """Left-looking LLᵀ / LDLᵀ: the supernode loop (VS-Block), else the column loop over the row patterns of ``L``."""
     _expect(context, CholeskyInspectionResult)
     factor_kind = "ldlt" if context.method == "ldlt" else "llt"
-    options = context.options
     loop = None
     if _vs_block(context):
-        contract = tables.supernodal_cholesky(context.matrix, context.inspection, factor_kind)
+        contract = tables.supernodal_cholesky(context.matrix, context.inspection)
         loop = DomainLoop("supernodal-cholesky", contract, factor_kind=factor_kind)
         context.applied.append("vs-block")
-    if options.enable_vi_prune:
+    if context.options.enable_vi_prune:
         if loop is not None:
             # The supernode loop's descendant descriptors are the prune-sets.
             context.record("vi-prune", mode="blocked")
         else:
             contract = tables.simplicial_cholesky(context.matrix, context.inspection, factor_kind)
             loop = _update_loop(context, "simplicial-cholesky", contract, factor_kind)
-    if options.enable_low_level and loop is not None and loop.role == "supernodal-cholesky":
-        loop.distribute_single_columns = True
-        context.record("distribute", distributed_loops=1)
     return loop
 
 

@@ -16,6 +16,7 @@ from repro.solvers.linear_solver import SparseLinearSolver
 from repro.solvers.newton import newton_raphson_ensemble
 from repro.sparse.generators import (
     laplacian_2d,
+    laplacian_3d,
     saddle_point_indefinite,
     unsymmetric_diag_dominant,
 )
@@ -107,6 +108,34 @@ class TestBitwiseIdentity:
         _assert_bitwise_vs_sequential(
             batched, [J.with_values(J.data * (1.0 + 0.1 * b)) for b in range(BATCH)]
         )
+
+    @needs_cc
+    @pytest.mark.parametrize(
+        "method,A",
+        [("cholesky", laplacian_3d(9)), ("ldlt", saddle_point_indefinite(100, 60, coupling_per_row=5, seed=3))],
+        ids=["llt-laplacian_3d", "ldlt-saddle_point"],
+    )
+    def test_every_supernode_update_kind_matches_python_on_one_and_two_threads(self, method, A):
+        """Wide and width-1 target supernodes, each updated by wide and width-1
+        descendants: the C panels agree with the python backend's to the bit,
+        on one thread and on two."""
+        scenarios = _spd_scenarios(A, batch=4)
+        python = SparseLinearSolver(A, method=method, options=SympilerOptions(backend="python"))
+        expected = []
+        for M in scenarios:
+            python.factorize(M)
+            expected.append((python.L.data.copy(), python.d))
+        for num_threads in (1, 2):
+            options = SympilerOptions(backend="c", num_threads=num_threads)
+            batched = BatchedSolver(A, method=method, options=options)
+            for handle, (L, d) in zip(batched.factorize_batch(scenarios), expected):
+                assert handle.ok and np.array_equal(handle.L.data, L)
+                assert (handle.d is None) == (d is None) and (d is None or np.array_equal(handle.d, d))
+        T = batched.solver._factorization.constants
+        width = T["_C_sup_end"] - T["_C_sup_start"]
+        target = np.repeat(np.arange(width.size), np.diff(T["_C_desc_ptr"]))
+        kinds = set(zip(width[target] > 1, width[T["_C_desc_sup"]] > 1))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
     @needs_cc
     def test_generated_c_work_buffers_are_thread_local(self):

@@ -1,5 +1,6 @@
 """Tests for the specialized-C code-generation backend."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -315,27 +316,57 @@ def test_two_patterns_share_one_shared_object_and_its_thread_local_buffers(monke
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc to read the RSS")
 def test_work_buffers_are_freed_when_their_thread_exits():
     """The batched runtime starts a fresh thread pool per batch; a kernel's
-    grow-on-demand buffers must go with the thread that grew them."""
-    A = banded_spd(60000, 2, seed=1)  # large n, little work: ~0.5-1 MB of buffers per thread
-    compiled = Sympiler().compile_cholesky(A, options=_c_options())
-    expected = compiled.factorize(A).data
+    grow-on-demand buffers must go with the thread that grew them: the work
+    vector of the column loop, and the panel store of the supernode loop."""
+    kernels = {
+        # large n, little work: ~0.5-1 MB of buffers per thread
+        "simplicial-cholesky": banded_spd(60000, 2, seed=1),
+        # a 1.5 MB panel store (Σ rows x width of 1,500 supernodes) per thread
+        "supernodal-cholesky": block_tridiagonal_spd(1500, 8, seed=1, dense_coupling=True),
+    }
 
     def rss_mb():
         with open("/proc/self/statm", encoding="ascii") as fh:
             return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 
-    def one_thread():
-        worker = threading.Thread(target=lambda: results.append(compiled.factorize(A).data))
-        worker.start()
-        worker.join(timeout=120)
-        assert not worker.is_alive()
+    for role, A in kernels.items():
+        compiled = Sympiler().compile_cholesky(A, options=_c_options())
+        assert compiled.loop.role == role
+        expected = compiled.factorize(A).data
 
-    results = []
-    one_thread()  # first-use allocations of the interpreter and the allocator
-    results.clear()
-    before = rss_mb()
-    for _ in range(150):
-        one_thread()
-        assert np.array_equal(results.pop(), expected)
-    # 150 leaked buffer sets would be ~150 MB.
-    assert rss_mb() - before < 40
+        def one_thread():
+            worker = threading.Thread(target=lambda: results.append(compiled.factorize(A).data))
+            worker.start()
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+
+        results = []
+        one_thread()  # first-use allocations of the interpreter and the allocator
+        results.clear()
+        before = rss_mb()
+        for _ in range(150):
+            one_thread()
+            assert np.array_equal(results.pop(), expected)
+        # 150 leaked buffer sets would be ~150 MB (~250 MB for the panel stores).
+        assert rss_mb() - before < 40, role
+
+
+@needs_cc
+def test_out_of_memory_for_the_panel_store_is_a_memory_error():
+    """An allocation that fails makes the entry return -1, which the binder raises as ``MemoryError``.
+
+    The block handed to the loaded kernel claims a panel store of 2^50 doubles.
+    (Not under ASan, whose allocator aborts on such a request.)
+    """
+    A = block_tridiagonal_spd(6, 4, seed=2, dense_coupling=True)
+    compiled = Sympiler(cache=ArtifactCache()).compile_cholesky(A, options=_c_options())
+    module = compiled.module
+    dims = ["n", *compiled.loop.contract[0]]
+    constants = dict(module.constants, _C_dims=module.constants["_C_dims"].copy())
+    constants["_C_dims"][dims.index("sn_panel_total")] = 2**50
+    huge = dataclasses.replace(module, constants=constants, _callable=None, _lib=None)
+    run = huge.compile()((A.indptr, A.indices, A.data), (np.zeros(compiled.inspection.factor_nnz),))
+    with pytest.raises(MemoryError, match="work buffers"):
+        run()
+    # The thread's buffers are as they were: the real block still factors.
+    np.testing.assert_array_equal(compiled.factorize(A).data, Sympiler().compile_cholesky(A).factorize(A).data)

@@ -16,8 +16,10 @@ from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
+from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import fem_stencil_2d, laplacian_2d, laplacian_3d, sparse_rhs
 from repro.sparse.ordering import minimum_degree_ordering
+from repro.symbolic.inspector import CholeskyInspector
 
 needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
 
@@ -87,7 +89,10 @@ def test_the_wavefront_extras_are_exercised():
 #: sha256 over the sources of four option bundles (all passes / no VS-Block /
 #: no low-level passes / nothing), per pattern, C method spec and parallel
 #: mode, re-based when each kernel's step body became one C function called by
-#: the serial loop and the wavefront job (and the unrolled switch went).
+#: the serial loop and the wavefront job (and the unrolled switch went), and
+#: re-based for Cholesky, LDLᵀ and LU when the supernode loop went to one block
+#: update per descendant supernode (the work-buffer runtime, which LU shares,
+#: lost its multiplier slot).
 _OPTION_BUNDLES = (
     {},
     {"enable_vs_block": False},
@@ -97,24 +102,24 @@ _OPTION_BUNDLES = (
 _PINNED_C_SOURCES = {
     ("fem", "triangular-solve", "none"): "470c2548b8ad5f92401e7c54fa77379bbf64a993096a01f411f61eb4c61915a3",
     ("fem", "triangular-solve", "wavefront"): "02087801a9060c90d1211df40f8826ac58946e9c6fec85ff4918688ad850e900",
-    ("fem", "cholesky", "none"): "e2114f3a9488b3360babf669626eb54acea7edd37203c5205b8ee4899d66cd0e",
-    ("fem", "cholesky", "wavefront"): "edc772330d3c71f7d7fcad5d38cd0a7bd423aede6b43bdb2b482f31e9c09f847",
-    ("fem", "ldlt", "none"): "890167105a836eac27567b06ade54d721eae412423a08fcdcffe8a8285c42877",
-    ("fem", "ldlt", "wavefront"): "fca81c52e35224206181e48394d28f4b94d4cc7b925171b1f32b86a8450baa5b",
-    ("fem", "lu", "none"): "9f6b4802d5cf10ec7c65e26d4083ea936974375180aa8894e84e4348a4e383fe",
-    ("fem", "lu", "wavefront"): "0eab6990cc57fe4eb47c55061737972f231ac108e4f84f7c2deb2a20308dfa43",
+    ("fem", "cholesky", "none"): "9f2de81bf4523fbfcb290fb89e705774d52e479996104068c9acbb1cfe10353e",
+    ("fem", "cholesky", "wavefront"): "f665d72199ccbcbf304ba9fdcc24db4847217a857c3132f8705024a08fa7b9db",
+    ("fem", "ldlt", "none"): "f18bba16c64187d3811cef6e10205e518ba615ea216b85ca3b3e1820ca3b70b4",
+    ("fem", "ldlt", "wavefront"): "e842bc9c86d170097514106b9e8771871744defdcb2bebc1826ae2de7a950573",
+    ("fem", "lu", "none"): "c854152e405f37779780092b96a72aaf3ff16cefb789422f6bd836986994759e",
+    ("fem", "lu", "wavefront"): "3d749b40886ebecbc0749bdb2c85cdd4a0db4aa4bb9b52cce5b85e762f83c110",
     ("fem", "ic0", "none"): "9e98e67afad37ef5b57724e77219583238fb22b3d48e0c14797e5fc8bcd7e40a",
     ("fem", "ic0", "wavefront"): "2c54e41fc1bdef8c790bb0e46403ee0663c218720e0c531c7021f5e9a4b92410",
     ("fem", "ilu0", "none"): "98774e472d61abe0b307e94d32bc6eb40c36744a74ab829cf374b455cabdc44a",
     ("fem", "ilu0", "wavefront"): "9f064cf49a9c4419bcecf8449c3c0d717c16ea037477f2a56da149402bafd121",
     ("mindeg", "triangular-solve", "none"): "470c2548b8ad5f92401e7c54fa77379bbf64a993096a01f411f61eb4c61915a3",
     ("mindeg", "triangular-solve", "wavefront"): "e4409d83d9e05e67cf5223349ce72551b0ecff4896ce1cac606867eecc61a71f",
-    ("mindeg", "cholesky", "none"): "f379800042a99e09153a1222bf0ab49696de3e1b4a76a09a674acf1b33986d14",
-    ("mindeg", "cholesky", "wavefront"): "1dffaa2cc0ef7945422e1d88647e5b20f8afd02cb002ec5889c5cd682dc146c5",
-    ("mindeg", "ldlt", "none"): "28c2d3f930420f676b1dad8df069459eabd0b8e32fa486c7ef98cdb073a01a2e",
-    ("mindeg", "ldlt", "wavefront"): "bad4a508f0eb6436fe25380686aa2cef55613c0f65616d68a34d0b1b3ce00e12",
-    ("mindeg", "lu", "none"): "9f6b4802d5cf10ec7c65e26d4083ea936974375180aa8894e84e4348a4e383fe",
-    ("mindeg", "lu", "wavefront"): "bf3e85d8b84971039f4cd95bd062a60b44d1ad7836684198864e22af00ceaf4d",
+    ("mindeg", "cholesky", "none"): "c145aba4cc4875645c51137d45fbc7492bbd086cd63a02d3f4618a724293c65d",
+    ("mindeg", "cholesky", "wavefront"): "a387fe0330aa39e0ca53018fe477eb1b5a4663373b6effc4b4979ee4d2839dfa",
+    ("mindeg", "ldlt", "none"): "8383d3900d1e3dd95ce6abbcff7f1caeaeaf714cfc7efa2764c54d4ad42e8e0e",
+    ("mindeg", "ldlt", "wavefront"): "d19359edcb1cca82c422a487abd1ba1841f19deda6cd684fe559a7268b9dd471",
+    ("mindeg", "lu", "none"): "c854152e405f37779780092b96a72aaf3ff16cefb789422f6bd836986994759e",
+    ("mindeg", "lu", "wavefront"): "761978ebdbb999bd0e0771c5adcb98220d96f33582fc9c381d051e90bd1ff662",
     ("mindeg", "ic0", "none"): "9e98e67afad37ef5b57724e77219583238fb22b3d48e0c14797e5fc8bcd7e40a",
     ("mindeg", "ic0", "wavefront"): "70bd8dd10041bbd4efd8f53c7c8a59122d551521531a0b6b8c42120b4777be71",
     ("mindeg", "ilu0", "none"): "98774e472d61abe0b307e94d32bc6eb40c36744a74ab829cf374b455cabdc44a",
@@ -133,7 +138,9 @@ TABLE_CASES = [*METHODS, "triangular-solve/sparse-rhs"]
 
 #: sha256 over the ordered keys and bytes of ``artifact.constants`` on the python backend, one per
 #: option bundle of ``_OPTION_BUNDLES`` (in its order), computed at the commit before the tables
-#: became array expressions (7a05fcc).  Needs no C compiler: the contract is backend-independent.
+#: became array expressions (7a05fcc); the supernodal Cholesky / LDLᵀ blocks re-based when the
+#: descendant table became one row per descendant supernode.  Needs no C compiler: the contract
+#: is backend-independent.
 _PINNED_TABLE_BLOCKS = {
     ("fem", "triangular-solve"): (
         "32a2930371574950474fe31de4ff0ae6e5435e3a5d44591f85ea04dbc5aecb38",
@@ -142,15 +149,15 @@ _PINNED_TABLE_BLOCKS = {
         "d30c183250cc3e60b58f114f3f73111e20577e01d6c91169391e5aca2239c9df",
     ),
     ("fem", "cholesky"): (
-        "353ef042f3e922372686013eabc25f6b66b400128fdaace868fbae74c39b7b45",
+        "05a61ab3fcb4814b3daca33d1f5eae42cec05d17df27fdd7d8a3e5b74fa5e818",
         "ef1da2ebbcfd3a5a42bf139da9df9921aaebe1c522b79a14918d135fa9e2cd54",
-        "353ef042f3e922372686013eabc25f6b66b400128fdaace868fbae74c39b7b45",
+        "05a61ab3fcb4814b3daca33d1f5eae42cec05d17df27fdd7d8a3e5b74fa5e818",
         "ef1da2ebbcfd3a5a42bf139da9df9921aaebe1c522b79a14918d135fa9e2cd54",
     ),
     ("fem", "ldlt"): (
-        "ddaba93ed790850164aa320449188bf267a54a9bd673f9573ea4dbbe4bf882b2",
+        "05a61ab3fcb4814b3daca33d1f5eae42cec05d17df27fdd7d8a3e5b74fa5e818",
         "491deb123dbb503e9e2d8df05f5ae285b75c76d321fe9eeff40a922cedd15e1b",
-        "ddaba93ed790850164aa320449188bf267a54a9bd673f9573ea4dbbe4bf882b2",
+        "05a61ab3fcb4814b3daca33d1f5eae42cec05d17df27fdd7d8a3e5b74fa5e818",
         "491deb123dbb503e9e2d8df05f5ae285b75c76d321fe9eeff40a922cedd15e1b",
     ),
     ("fem", "lu"): (
@@ -226,15 +233,15 @@ _PINNED_TABLE_BLOCKS = {
         "c46f879450ba7b9aef248d5ce50e2afabfea2e6b046d31e6fe12e95c0f7b6c64",
     ),
     ("mindeg3d", "cholesky"): (
-        "3efd3257699344db224726cabd032468a08d566b70d6f42d4b2064984f14f468",
+        "232b962c6c2f08e5afd9a81b4cad37c0ca7d63035efc072439625d7d2f9dd1c3",
         "d98146efee572a89337b0f1959b74da96e4bb20613f5db2106c9b44e98d5afab",
-        "3efd3257699344db224726cabd032468a08d566b70d6f42d4b2064984f14f468",
+        "232b962c6c2f08e5afd9a81b4cad37c0ca7d63035efc072439625d7d2f9dd1c3",
         "d98146efee572a89337b0f1959b74da96e4bb20613f5db2106c9b44e98d5afab",
     ),
     ("mindeg3d", "ldlt"): (
-        "538e55f521c03775f6012f4aafb9547ef7a81233476d96f3196a85d9b23066cb",
+        "232b962c6c2f08e5afd9a81b4cad37c0ca7d63035efc072439625d7d2f9dd1c3",
         "744ea5404948ca221ce8130024c18fd0facb62e9215fc1b2dccd763753ec3521",
-        "538e55f521c03775f6012f4aafb9547ef7a81233476d96f3196a85d9b23066cb",
+        "232b962c6c2f08e5afd9a81b4cad37c0ca7d63035efc072439625d7d2f9dd1c3",
         "744ea5404948ca221ce8130024c18fd0facb62e9215fc1b2dccd763753ec3521",
     ),
     ("mindeg3d", "lu"): (
@@ -326,20 +333,23 @@ def _loop(artifact):
 def _record(artifact):
     """What a compile decided, as canonical JSON: the passes, their decisions and the loop they planned."""
     loop = _loop(artifact)
-    shape = None if loop is None else [loop.role, loop.factor_kind, loop.distribute_single_columns]
+    # The third field was loop distribution, which no loop has any more; it
+    # stays so that the records of every other loop hash as they did.
+    shape = None if loop is None else [loop.role, loop.factor_kind, False]
     record = {"applied": artifact.applied_transformations, "decisions": artifact.decisions, "loop": shape}
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 #: sha256 over the records of every bundle of ``_RECORD_BUNDLES`` under ``parallel="none"``, then
-#: under ``parallel="wavefront"``, per (pattern, case, backend).
+#: under ``parallel="wavefront"``, per (pattern, case, backend); re-based where VS-Block takes a
+#: Cholesky / LDLᵀ when loop distribution stopped being planned.
 _PINNED_RECORDS = {
     ("fem", "triangular-solve", "python"): "95822150f97714d061bb04f407eec64cdf5ba93c24867ba10642d546ad989a5b",
     ("fem", "triangular-solve", "c"): "6f90253ae7345249cad1b935ff259d8fc6f15bca6682ee2b1584360f370069e5",
-    ("fem", "cholesky", "python"): "cbe275e3c29bf64b07c473ffba0179f74ee2c478b4452b6f5e7744907ccab982",
-    ("fem", "cholesky", "c"): "11eedae9b7304f28c8dec2bc9e2bcd05eab2c9d236a2337958ac47bb06bac37e",
-    ("fem", "ldlt", "python"): "bb783f5ad9660398a1de312224b84b72945b13db048b32181ddf5dd1e74b6bbe",
-    ("fem", "ldlt", "c"): "6aaded828bcacd9fdc7fb09138d47e2d87ef834b281f28660027091e26acb4bb",
+    ("fem", "cholesky", "python"): "e1462e4f52466106ecf365929b60a2ecb643e1036bec95e2220ab706c5e5fa2f",
+    ("fem", "cholesky", "c"): "ff3d71dbd284e07ba9150bd2007959f077053c7f905d479bf38edd8f3bf3096e",
+    ("fem", "ldlt", "python"): "c06bd5b6177dabe98d9717997d8ec414bcd87e450b211b39294de1eb3acae9e0",
+    ("fem", "ldlt", "c"): "87dd7a1a46416e7285b8db976be7698087709db5b6c3bf391f2e88ff82673883",
     ("fem", "lu", "python"): "0ffecdfd4deed60f42ac3617128584dd508bc091ac2781b589e858ce2faaa122",
     ("fem", "lu", "c"): "9a1d6736852f392b5d0502c1ac4d408719990311f7447b151ee0929b89f3cdab",
     ("fem", "ic0", "python"): "0c6c14f21ff7e0c6f4901464af80e1f7cb1ee25f155180a614b0355d274c98c5",
@@ -364,10 +374,10 @@ _PINNED_RECORDS = {
     ("mindeg", "triangular-solve/sparse-rhs", "c"): "1b64639b0c4165e280dfa3439be08c510ae2e1d6e79f532dc6b3e7d55a669159",
     ("mindeg3d", "triangular-solve", "python"): "e00adafe612bbad99f88c84ba38b72aef0511e285abc54e2293bfe3366c4d464",
     ("mindeg3d", "triangular-solve", "c"): "2fd79bd322768fb4fa17d96a2bea58e9bcd1c6c5597bffe1e2d8d020c6bc11a9",
-    ("mindeg3d", "cholesky", "python"): "5f44b1411f9560b5e056e1c936580ada8358235d1e327e146970eb94f4168d49",
-    ("mindeg3d", "cholesky", "c"): "f817d63e136300c8b3fcaf3027c4f9a1398d048ccf72a4cfc03efd82a892740c",
-    ("mindeg3d", "ldlt", "python"): "374de622795fc605cf1932e7ba7a572389c7d49267cd9cfd13e9318d5d238ce2",
-    ("mindeg3d", "ldlt", "c"): "787c74e26465e6759f03798cc93c8184e6f401f2b1d473aca162f6e11e1921ef",
+    ("mindeg3d", "cholesky", "python"): "c25da98307cfcf05f7c547fed2917b4aca4c039538348007560b837b53e29a41",
+    ("mindeg3d", "cholesky", "c"): "6cca81db6fdb1960beac946fadc4eb0ad090c35813e5a0988f357092dfa626d0",
+    ("mindeg3d", "ldlt", "python"): "2543cfcab6065a32711704ecd794b0cd91a22f63318107eaecd9acd5ca12d13e",
+    ("mindeg3d", "ldlt", "c"): "512cd3281aabf2f8fc4a8d734aab833265fe800202b287aa9efb03c8b6f88445",
     ("mindeg3d", "lu", "python"): "9ea3c05e7f8fb6c127cb5e855c0fb83335753db73f762de3c2443ddee060bbb9",
     ("mindeg3d", "lu", "c"): "6197b0c916551aa5cc02680616cbde17f1b9b4ed2c3b3753ce5d1be8b1ec45a8",
     ("mindeg3d", "ic0", "python"): "336917a55796157a4a8c9f69b927ad323e4358ab4b6e82c1740bf20a119816f7",
@@ -439,3 +449,60 @@ def test_both_backends_fail_alike(kernel, vs_block):
     assert 0 in failed_at
     if kernel in ("cholesky", "ic0"):
         assert len(failed_at) >= 30
+
+
+def _exact_factor_matrix():
+    """``(L, c)``: a unit lower ``L`` with entries ±1 on the factor pattern of a minimum-degree 3-D
+    grid, and a column ``c`` in the middle of its widest supernode, which descendants update.
+
+    ``A = L diag(D) Lᵀ`` with ``D = 1`` before ``c`` has small integers for every intermediate
+    of its factorization, so every operation order computes the pivots up to ``c`` exactly.
+    """
+    grid = laplacian_3d(4)
+    inspection = CholeskyInspector().inspect(minimum_degree_ordering(grid).symmetric_permute(grid))
+    Lp, Li, super_ptr = inspection.l_indptr, inspection.l_indices, inspection.supernodes.super_ptr
+    L = np.eye(inspection.n)
+    rng = np.random.default_rng(1)
+    for j in range(inspection.n):
+        L[Li[Lp[j] + 1 : Lp[j + 1]], j] = rng.choice([-1.0, 1.0], size=Lp[j + 1] - Lp[j] - 1)
+    s = int(np.argmax(np.diff(super_ptr)))
+    return L, int(super_ptr[s] + super_ptr[s + 1]) // 2
+
+
+@needs_cc
+@pytest.mark.parametrize("kernel", ["cholesky", "ldlt"])
+def test_a_breakdown_inside_a_wide_supernode_names_the_simplicial_column(kernel):
+    """A zero, a negative and a NaN pivot in the middle of a wide supernode: both backends of the
+    supernode loop fail like the simplicial loop, at the same global column."""
+    L, c = _exact_factor_matrix()
+    pattern = CSCMatrix.from_dense(np.abs(L) @ np.abs(L).T)  # one pattern for every case: no cancellation
+    cases = {}
+    for name, pivot in (("zero", 0.0), ("negative", -1.0), ("nan", 1.0)):
+        D = np.ones(L.shape[0])
+        D[c] = pivot
+        dense = L @ np.diag(D) @ L.T
+        if name == "nan":
+            dense[c, c] = np.nan
+        cases[name] = pattern.with_values(dense[pattern.indices, pattern.col_indices()])
+    sym = Sympiler(cache=ArtifactCache())
+    blocked, reference, simplicial = (
+        sym.compile(kernel, cases["zero"], options=SympilerOptions(backend=backend, enable_vs_block=vs_block))
+        for backend, vs_block in (("c", True), ("python", True), ("c", False))
+    )
+    assert blocked.loop.role == reference.loop.role == "supernodal-cholesky"
+    assert simplicial.loop.role == "simplicial-cholesky"
+    # Not vacuous: c is neither the first nor the last column of its supernode, which descendants update.
+    T = blocked.constants
+    s = int(np.searchsorted(T["_C_sup_start"], c, side="right")) - 1
+    assert T["_C_sup_start"][s] < c < T["_C_sup_end"][s] - 1 and T["_C_desc_ptr"][s + 1] > T["_C_desc_ptr"][s]
+    for name, A in cases.items():
+        outcomes = [_outcome(artifact, A) for artifact in (blocked, reference, simplicial)]
+        if kernel == "cholesky" or name == "zero":
+            failure = ("ValueError", _C_METHOD_SPECS[kernel].failure.format(column=c))
+            assert outcomes == [failure] * 3, name
+            continue
+        # LDLᵀ takes a negative pivot, and its pivot test lets a NaN through.
+        assert [kind for kind, _ in outcomes] == ["ok"] * 3, name
+        np.testing.assert_array_equal(outcomes[0][1], outcomes[1][1])  # NaN for NaN
+        if name == "negative":  # exact arithmetic: every loop computes the same factor
+            np.testing.assert_array_equal(outcomes[0][1], outcomes[2][1])

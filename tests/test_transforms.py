@@ -13,8 +13,10 @@ from repro.compiler.plan import (
     plan_triangular_solve,
     vs_block_participates,
 )
+from repro.sparse import generators
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import arrow_spd, block_tridiagonal_spd, sparse_rhs, unsymmetric_diag_dominant
+from repro.sparse.ordering import minimum_degree_ordering
 from repro.symbolic.inspector import (
     CholeskyInspector,
     IC0Inspector,
@@ -91,29 +93,66 @@ def test_simplicial_descriptors_point_at_ljk(spd_matrices):
 
 
 def _check_supernodal(A):
+    """The (target, descendant supernode, i0, i1) rows against the per-column updates they stand for."""
     inspection = CholeskyInspector().inspect(A)
-    dims, sets = tables.supernodal_cholesky(A, inspection, "ldlt")
-    partition = inspection.supernodes
+    dims, sets = tables.supernodal_cholesky(A, inspection)
+    partition, Lp, Li = inspection.supernodes, inspection.l_indptr, inspection.l_indices
     assert sets["sup_start"].size == partition.n_supernodes == dims["n_super"]
-    assert dims["sn_max_width"] == partition.max_size()
+    panel = 0
+    covered = []  # one (target, descendant column) per column of every descendant row
     for s, c0, c1 in partition.iter_supernodes():
         assert (sets["sup_start"][s], sets["sup_end"][s]) == (c0, c1)
-        descendants = set()
+        rows = Li[Lp[c0] : Lp[c0 + 1]]
+        # The supernode's own columns come first in its row list, and every column shares it.
+        assert rows[: c1 - c0].tolist() == list(range(c0, c1))
         for c in range(c0, c1):
-            descendants |= {int(k) for k in inspection.row_patterns[c] if int(k) < c0}
+            assert Li[Lp[c] : Lp[c + 1]].tolist() == rows[c - c0 :].tolist()
+        assert sets["sup_panel_ptr"][s] == panel
+        panel += rows.size * (c1 - c0)
         lo, hi = sets["desc_ptr"][s], sets["desc_ptr"][s + 1]
-        assert sets["desc_col"][lo:hi].tolist() == sorted(descendants)
-        for t in range(lo, hi):
-            pos, mid, end = sets["desc_pos"][t], sets["desc_mult_end"][t], sets["desc_end"][t]
-            assert pos < mid <= end == inspection.l_indptr[sets["desc_col"][t] + 1]
-            # The multipliers are exactly the descendant's rows inside the supernode.
-            inside = (inspection.l_indices[pos:mid] >= c0) & (inspection.l_indices[pos:mid] < c1)
-            assert inside.all() and (pos == inspection.l_indptr[sets["desc_col"][t]] or inspection.l_indices[pos - 1] < c0)
-            assert mid == end or inspection.l_indices[mid] >= c1
+        assert np.all(np.diff(sets["desc_sup"][lo:hi]) > 0)  # ascending, each once
+        for d, i0, i1 in zip(sets["desc_sup"][lo:hi], sets["desc_i0"][lo:hi], sets["desc_i1"][lo:hi]):
+            d0, d1 = partition.columns(int(d))
+            drows = Li[Lp[d0] : Lp[d0 + 1]]
+            assert d < s and d1 - d0 <= i0 < i1 <= drows.size
+            # Rows i0 .. i1 are exactly d's rows among s's columns; every row from i0 on is one of s's rows.
+            assert np.all((drows[i0:i1] >= c0) & (drows[i0:i1] < c1)) and drows[i0 - 1] < c0
+            assert i1 == drows.size or drows[i1] >= c1
+            assert np.isin(drows[i0:], rows).all()
+            covered += [(s, k) for k in range(d0, d1)]
+    assert dims["sn_panel_total"] == panel
+    # The per-column contract: one update of supernode s per column k < c0 with a row among s's columns.
+    column = np.repeat(np.arange(A.n), np.diff(Lp))
+    target = partition.col_to_super[Li]
+    left = column < sets["sup_start"][target]
+    expected = sorted(set(zip(target[left].tolist(), column[left].tolist())))
+    assert sorted(covered) == expected
 
 
 def test_supernodal_descriptors_cover_all_updates(spd_matrices):
     _check_supernodal(spd_matrices["block"])
+
+
+_GENERATOR_ZOO = {
+    "laplacian_2d": lambda: generators.laplacian_2d(10),
+    "laplacian_3d": lambda: generators.laplacian_3d(5),
+    "fem_stencil_2d": lambda: generators.fem_stencil_2d(7),
+    "banded": lambda: generators.banded_spd(150, 6, seed=3),
+    "block_tridiagonal": lambda: generators.block_tridiagonal_spd(12, 8, seed=4),
+    "circuit": lambda: generators.circuit_like_spd(150, seed=5),
+    "power_grid": lambda: generators.power_grid_spd(200, seed=6),
+    "random": lambda: generators.random_spd(80, 0.04, seed=7),
+    "arrow": lambda: generators.arrow_spd(200, 4, seed=8),
+}
+
+
+@pytest.mark.parametrize("ordering", ["natural", "mindeg"])
+@pytest.mark.parametrize("name", sorted(_GENERATOR_ZOO))
+def test_supernodal_rows_cover_the_per_column_updates_exactly_once(name, ordering):
+    A = _GENERATOR_ZOO[name]()
+    if ordering == "mindeg":
+        A = minimum_degree_ordering(A).symmetric_permute(A)
+    _check_supernodal(A)
 
 
 def test_lu_descriptors_point_below_the_pivot():
@@ -255,8 +294,8 @@ def test_tables_of_edge_patterns(name):
     for active in (np.arange(A.n), np.array([A.n - 1]), np.zeros(0, dtype=np.int64)):
         _check_segments(L, partition, active, 2)
     if name in ("n=1", "diagonal"):
-        _, sets = tables.supernodal_cholesky(A, inspection, "llt")
-        assert sets["desc_ptr"].tolist() == [0] * (A.n + 1) and sets["desc_pos"].size == 0
+        _, sets = tables.supernodal_cholesky(A, inspection)
+        assert sets["desc_ptr"].tolist() == [0] * (A.n + 1) and sets["desc_sup"].size == 0
         assert tables.incomplete_ic0(A, IC0Inspector().inspect(A))[1]["l_scat_src"].size == 0
 
 
@@ -385,8 +424,6 @@ def test_vs_block_cholesky_produces_supernodal_loop(spd_matrices):
     loop = plan_left_looking(context)
     assert loop.role == "supernodal-cholesky" and loop.factor_kind == "llt"
     assert loop.contract[0]["n_super"] == context.inspection.supernodes.n_supernodes
-    # Low-level refinements are off with the low-level passes.
-    assert not loop.distribute_single_columns
     # VI-Prune leaves the supernodal loop alone: its descendant descriptors are the prune-sets.
     assert context.applied == ["vs-block", "vi-prune"]
     assert context.decisions["vi-prune"] == {"mode": "blocked"}
@@ -426,20 +463,18 @@ def test_vs_block_defers_on_lu_and_the_incomplete_factorizations(method):
 
 
 # --------------------------------------------------------------------------- #
-# Loop distribution
+# The low-level passes
 # --------------------------------------------------------------------------- #
-def test_distribute_refines_supernodal_loop(spd_matrices):
-    context = _chol_context(spd_matrices["block"], SympilerOptions())
-    loop = plan_left_looking(context)
-    assert loop.role == "supernodal-cholesky" and loop.distribute_single_columns
-    assert context.applied == ["vs-block", "vi-prune", "distribute"]
-    assert context.decisions["distribute"] == {"distributed_loops": 1}
-
-
-def test_distribute_is_a_noop_without_a_supernodal_loop(spd_matrices, lower_factors):
-    context = _chol_context(spd_matrices["fem"], SympilerOptions(enable_vs_block=False))
-    assert plan_left_looking(context).role == "simplicial-cholesky"
-    assert "distribute" not in context.applied
-    context = _tri_context(lower_factors["block"], SympilerOptions())
-    plan_triangular_solve(context)
-    assert "distribute" not in context.applied
+@pytest.mark.parametrize("vs_block", [True, False])
+def test_the_low_level_passes_plan_nothing(spd_matrices, lower_factors, vs_block):
+    """``enable_low_level`` changes no plan: the supernode loop runs width-1 supernodes as one-column panels."""
+    plans = []
+    for low_level in (True, False):
+        options = SympilerOptions(enable_vs_block=vs_block, enable_low_level=low_level)
+        context = _chol_context(spd_matrices["block"], options)
+        loop = plan_left_looking(context)
+        tri = _tri_context(lower_factors["block"], options)
+        plan_triangular_solve(tri)
+        plans.append((loop.role, context.applied, context.decisions, tri.applied, tri.decisions))
+    assert plans[0] == plans[1]
+    assert plans[0][0] == ("supernodal-cholesky" if vs_block else "simplicial-cholesky")
