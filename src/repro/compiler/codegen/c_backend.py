@@ -60,8 +60,9 @@ the scalar sizes, ``repro_T[k]`` the k-th registered inspection set):
   scheme of CHOLMOD): every supernode is a dense column-major panel, kept for
   the whole call in a per-thread store of ``sn_panel_total`` doubles, and
   each descendant supernode updates it with one dense block product
-  scattered through relative row positions.  Its loops are plain C: no BLAS,
-  whose results change with its thread count.
+  scattered through relative row positions.  Both of its update loops run
+  on 4 x 8 register tiles, held in GCC / Clang vector extensions.  Its
+  loops are plain C: no BLAS, whose results change with its thread count.
 
 The table block is built once, when the module is loaded
 (:meth:`CMethodSpec.wrap`), from the arrays the compile call already holds;
@@ -99,6 +100,7 @@ import numpy as np
 from repro.compiler.cache import build_and_load, tmp_path_for
 from repro.compiler.codegen import tables
 from repro.compiler.codegen.runtime import generated_code_dir, pattern_fingerprint
+from repro.compiler.options import _default_c_flags
 
 if TYPE_CHECKING:  # plan.py imports codegen.tables, so this package loads first
     from repro.compiler.plan import DomainLoop
@@ -720,14 +722,18 @@ static int64_t repro_wf_launch(void (*run)(int64_t, int64_t, void*),
 """
 
 
+#: Per-thread work buffers, grown on demand: nothing in the generated source
+#: is sized by a pattern, so one loaded kernel serves patterns of different n
+#: — and calls from many threads at once (the batched runtime maps the entry
+#: point over a thread pool; ctypes releases the GIL).  The three buffers are
+#: carved from one block per thread (8-byte elements throughout), which is
+#: freed when the thread exits, by the destructor of a pthread key (if the
+#: process has run out of keys it stays until the process ends).
+#: ``repro_ws_reserve`` returns the calling thread's buffers with at least the
+#: given element counts, or NULL when memory runs out; it grows them into one
+#: fresh block that fits the largest request seen of each.  Contents are
+#: unspecified: every kernel initialises what it reads.
 _WORK_BUFFERS = r"""
-/* Per-thread work buffers, grown on demand: nothing in this source is sized
-   by a pattern, so one loaded kernel serves patterns of different n — and
-   calls from many threads at once (the batched runtime maps the entry point
-   over a thread pool; ctypes releases the GIL).  The three buffers are carved
-   from one block per thread (8-byte elements throughout), which is freed
-   when the thread exits, by the destructor of a pthread key (if the process
-   has run out of keys it stays until the process ends). */
 typedef struct {
     double* f; int64_t* rowmap; double* panel;
     int64_t f_n, rowmap_n, panel_n;
@@ -747,9 +753,6 @@ static void repro_ws_make_key(void) {
     repro_ws_key_ok = pthread_key_create(&repro_ws_key, repro_ws_free) == 0;
 }
 
-/* The calling thread's buffers with at least the given element counts, or
-   NULL when memory runs out.  Contents are unspecified: every kernel
-   initialises what it reads. */
 static repro_ws_t* repro_ws_reserve(int64_t f_n, int64_t rowmap_n, int64_t panel_n) {
     repro_ws_t* ws = repro_ws;
     if (!ws) {
@@ -761,7 +764,6 @@ static repro_ws_t* repro_ws_reserve(int64_t f_n, int64_t rowmap_n, int64_t panel
     }
     if (f_n <= ws->f_n && rowmap_n <= ws->rowmap_n && panel_n <= ws->panel_n)
         return ws;
-    /* Grow: one fresh block that fits the largest request seen of each. */
     if (f_n < ws->f_n) f_n = ws->f_n;
     if (rowmap_n < ws->rowmap_n) rowmap_n = ws->rowmap_n;
     if (panel_n < ws->panel_n) panel_n = ws->panel_n;
@@ -777,18 +779,25 @@ static repro_ws_t* repro_ws_reserve(int64_t f_n, int64_t rowmap_n, int64_t panel
 """
 
 
-#: ``repro_ws_reserve`` arguments of each kind of work buffers, and what a step binds of them.
+#: ``repro_ws_reserve`` arguments of each kind of work buffers, what a call
+#: clears of them before its first step, and what a step binds of them.  The
+#: panel store has 8 doubles of slack past its last panel, which a register
+#: tile's last row block reads (:func:`_register_tile`).
 _WORK = {
-    "column": ("n, 0, 0", ("double* const repro_f = repro_ws->f;",)),
+    "column": (
+        "n, 0, 0",
+        "memset(repro_ws->f, 0, n * sizeof(double));",
+        ("double* const repro_f = repro_ws->f;",),
+    ),
     "panel": (
-        "n, n, sn_panel_total",
-        (
-            "double* const repro_f = repro_ws->f;",
-            "int64_t* const repro_rowmap = repro_ws->rowmap;",
-            "double* const repro_store = repro_ws->panel;",
-        ),
+        "0, n, sn_panel_total + 8",
+        "",
+        ("int64_t* const repro_rowmap = repro_ws->rowmap;", "double* const repro_store = repro_ws->panel;"),
     ),
 }
+
+#: A vector of four doubles (GCC / Clang vector extensions), the register tile's unit.
+_V4 = "typedef double repro_v4 __attribute__((vector_size(32)));"
 
 
 # --------------------------------------------------------------------------- #
@@ -884,13 +893,26 @@ def _supernode_step(out: _CEmitter, domain: DomainLoop) -> None:
 
     The panel (the supernode's ``nr`` rows x its ``w`` columns, column-major)
     lives in the thread's panel store for the whole factorization, where the
-    supernodes it updates later read it.  Each descendant ``d`` subtracts the
-    dense block ``C(:, j) = Σ_q Pd(:, q) Pd(j, q)`` (LDLᵀ: ``· D``),
-    accumulated column by column from zero with ``q`` ascending in the
-    all-zero work vector ``repro_f``, through the row map; ``repro_f`` is
-    cleared as it is read.  The panel is then factored left-looking, one
-    column at a time, and each column is copied out into ``Lx``.  A
-    one-column supernode runs the same code.
+    supernodes it updates later read it.  Both updates run on one register
+    tile (:func:`_register_tile`): 4 target columns x 8 rows, held as vectors
+    of four doubles.
+
+    * Each descendant ``d`` subtracts the dense block ``C(:, j) = Σ_q Pd(:,
+      q) Pd(j, q)`` (LDLᵀ: ``· D``): the tile starts at ``0.0``, adds the
+      products with ``q`` ascending, and is subtracted once through the row
+      map.
+    * The panel is then factored left-looking.  At every 4th column ``k`` the
+      tile of columns ``k .. k + 3`` is loaded from the panel, subtracts
+      every ``q < k`` in ascending order and is stored back; the remaining
+      triangle of at most 3 columns is the scalar loop.  Each column is then
+      scaled and copied out into ``Lx``.
+
+    Every entry sees the operations of the column-at-a-time loops, in the
+    same order (``-ffp-contract=off`` keeps each one rounded), so the result
+    is that of :func:`reference.supernodal_cholesky` to the bit.  A tile past
+    the last column repeats the last one and is not stored; rows past the end
+    of a panel are read from the next panel or the store's slack, and not
+    stored.  A one-column supernode runs the same code.
     """
     scale = " * D[{0} + q]" if domain.factor_kind == "ldlt" else ""
     out.emit("int64_t c0 = _C_sup_start[s], w = _C_sup_end[s] - c0;")
@@ -909,18 +931,17 @@ def _supernode_step(out: _CEmitter, domain: DomainLoop) -> None:
     out.emit("int64_t nd = _C_l_indptr[d0 + 1] - _C_l_indptr[d0];")
     out.emit("const int64_t* rows = _C_l_indices + _C_l_indptr[d0];")
     out.emit("const double* Pd = repro_store + _C_sup_panel_ptr[_C_desc_sup[t]];")
-    out.emit("for (int64_t j = _C_desc_i0[t]; j < _C_desc_i1[t]; j++) {")
+    out.emit("for (int64_t j = _C_desc_i0[t]; j < _C_desc_i1[t]; j += 4) {")
     out.push()
-    out.emit("for (int64_t q = 0; q < wd; q++) {")
-    out.emit("    const double* a = Pd + q * nd;")
-    out.emit(f"    double m = a[j]{scale.format('d0')};")
-    out.emit("    for (int64_t i = j; i < nd; i++) repro_f[i] += a[i] * m;")
-    out.emit("}")
-    out.emit("double* pj = P + (rows[j] - c0) * nr;")
-    out.emit("for (int64_t i = j; i < nd; i++) {")
-    out.emit("    pj[repro_rowmap[rows[i]]] -= repro_f[i];")
-    out.emit("    repro_f[i] = 0.0;")
-    out.emit("}")
+    _register_tile(
+        out, "j", "_C_desc_i1[t]", "nd",
+        load="memset(acc, 0, sizeof acc);",
+        panel="Pd", q_end="wd", op="+=", scale=scale.format("d0"),
+        store=(
+            "for (int64_t r = 0; r < 8 && i + r < nd; r++) "
+            "P[(rows[j + c] - c0) * nr + repro_rowmap[rows[i + r]]] -= tile[c][r];"
+        ),
+    )
     out.pop()
     out.emit("}")
     out.pop()
@@ -928,7 +949,17 @@ def _supernode_step(out: _CEmitter, domain: DomainLoop) -> None:
     out.emit("for (int64_t k = 0; k < w; k++) {")
     out.push()
     out.emit("double* pk = P + k * nr;")
-    out.emit("for (int64_t q = 0; q < k; q++) {")
+    out.emit("if (k % 4 == 0 && k > 0) {")
+    out.push()
+    _register_tile(
+        out, "k", "w", "nr",
+        load="for (int c = 0; c < 4; c++) memcpy(acc[c], P + jc[c] * nr + i, sizeof acc[c]);",
+        panel="P", q_end="k", op="-=", scale=scale.format("c0"),
+        store="memcpy(P + (k + c) * nr + i, tile[c], (nr - i < 8 ? nr - i : 8) * sizeof(double));",
+    )
+    out.pop()
+    out.emit("}")
+    out.emit("for (int64_t q = k & ~3; q < k; q++) {")
     out.emit("    const double* a = P + q * nr;")
     out.emit(f"    double m = a[k]{scale.format('c0')};")
     out.emit("    for (int64_t i = k; i < nr; i++) pk[i] -= a[i] * m;")
@@ -944,6 +975,42 @@ def _supernode_step(out: _CEmitter, domain: DomainLoop) -> None:
         out.emit("pk[k] = piv;")
     out.emit("for (int64_t i = k + 1; i < nr; i++) pk[i] /= piv;")
     out.emit("memcpy(Lx + _C_l_indptr[c0 + k], pk + k, (nr - k) * sizeof(double));")
+    out.pop()
+    out.emit("}")
+
+
+def _register_tile(
+    out: _CEmitter, j: str, end: str, rows: str, *, load: str, panel: str, q_end: str, op: str, scale: str, store: str
+) -> None:
+    """Columns ``j .. j + 3`` (those below ``end``) x rows ``j .. rows - 1``, as 4 x 8 register tiles.
+
+    Row block ``i`` sets the accumulators ``acc[c]`` (two ``repro_v4`` per
+    column) with ``load``.  Then for ``q`` ascending up to ``q_end``, with
+    ``a`` column ``q`` of ``panel`` (leading dimension ``rows``), it applies
+    ``acc[c] op a[i .. i + 7] * (a[jc[c]] scale)``.  Last, ``store`` runs for
+    each of the ``nc`` columns that exist, with the tile in ``tile[c][r]``.
+    A column past ``end`` repeats the last one (``jc``), and rows past
+    ``rows`` are read and not stored.
+    """
+    out.emit(f"int64_t nc = {end} - {j} < 4 ? {end} - {j} : 4, jc[4];")
+    out.emit(f"for (int c = 0; c < 4; c++) jc[c] = {j} + (c < nc ? c : nc - 1);")
+    out.emit(f"for (int64_t i = {j}; i < {rows}; i += 8) {{")
+    out.push()
+    out.emit("repro_v4 acc[4][2], x[2];")
+    out.emit(load)
+    out.emit(f"for (int64_t q = 0; q < {q_end}; q++) {{")
+    out.emit(f"    const double* a = {panel} + q * {rows};")
+    out.emit("    memcpy(x, a + i, sizeof x);")
+    out.emit("    for (int c = 0; c < 4; c++) {")
+    out.emit(f"        double m = a[jc[c]]{scale};")
+    out.emit(f"        acc[c][0] {op} x[0] * m;")
+    out.emit(f"        acc[c][1] {op} x[1] * m;")
+    out.emit("    }")
+    out.emit("}")
+    out.emit("double tile[4][8];")
+    out.emit("memcpy(tile, acc, sizeof tile);")
+    out.emit("for (int64_t c = 0; c < nc; c++)")
+    out.emit(f"    {store}")
     out.pop()
     out.emit("}")
 
@@ -1074,10 +1141,10 @@ class CBackend:
     def __init__(
         self,
         compiler: str = "cc",
-        flags: Tuple[str, ...] = ("-O3", "-march=native", "-fPIC", "-shared"),
+        flags: Optional[Tuple[str, ...]] = None,
     ) -> None:
         self.compiler = compiler
-        self.flags = tuple(flags)
+        self.flags = _default_c_flags() if flags is None else tuple(flags)
 
     # ------------------------------------------------------------------ #
     def generate(self, domain: Optional[DomainLoop], method: str, entry: str, context) -> CGeneratedModule:
@@ -1160,6 +1227,8 @@ class CBackend:
         out.emit(f"    {bind[-1]}")
         if work_buffers:
             out.emit(_WORK_BUFFERS)
+        if "repro_v4" in text:
+            out.emit(_V4)
         if job is not None:
             out.emit(_WF_RUNTIME)
         out.emit("")
@@ -1228,7 +1297,7 @@ class CBackend:
         out.emit(f"static inline int64_t {name}(int64_t {loop.index}, {params}, const int64_t* const* repro_T) {{")
         out.push()
         out.emit("REPRO_BIND_TABLES")
-        for line in _WORK[loop.work][1] if loop.work else ():
+        for line in _WORK[loop.work][2] if loop.work else ():
             out.emit(line)
         loop.step(out, domain)
         out.emit("return 0;")
@@ -1240,8 +1309,10 @@ class CBackend:
     def _emit_serial_loop(out: _CEmitter, entry: str, loop: _Loop, spec: CMethodSpec) -> None:
         """Reserve and clear this thread's work buffers, then run every step in order."""
         if loop.work:
-            out.emit(f"if (!repro_ws_reserve({_WORK[loop.work][0]})) return -1;")
-            out.emit("memset(repro_ws->f, 0, n * sizeof(double));")
+            reserve, clear, _ = _WORK[loop.work]
+            out.emit(f"if (!repro_ws_reserve({reserve})) return -1;")
+            if clear:
+                out.emit(clear)
         i = loop.index
         head = f"for (int64_t {i} = 0; {i} < {loop.extent}; {i}++)"
         call = f"{entry}_step({i}, {', '.join(spec.names)}, repro_T)"
@@ -1288,8 +1359,10 @@ class CBackend:
             # thread-local work vector still scattered (and another pattern
             # may have used it since); restore the all-zeros invariant the
             # steps rely on.
-            out.emit(f"if (repro_ws_reserve({_WORK[loop.work][0]})) memset(repro_ws->f, 0, n * sizeof(double));")
-            out.emit("else repro_wf_fail(-1);")
+            reserve, clear, _ = _WORK[loop.work]
+            out.emit(f"if (!repro_ws_reserve({reserve})) repro_wf_fail(-1);")
+            if clear:
+                out.emit(f"else {clear}")
         out.emit("for (int64_t l = 0; l < wf_n_levels; l++) {")
         out.push()
         out.emit("int64_t lo = _C_wf_level_ptr[l], hi = _C_wf_level_ptr[l + 1];")

@@ -93,8 +93,10 @@ def supernodal_cholesky(T, Ap, Ai, Ax, ldlt=False):
     scaled by ``D``), accumulated from zero with ``q`` ascending, through the
     target's row map.  The panel itself is then factored right-looking, one
     outer product per column: every entry sees the C kernel's left-looking
-    subtractions in the same order.  Entries above a panel's diagonal are
-    written and never read.
+    subtractions in the same order.  (The C kernel runs both updates on
+    4 x 8 register tiles; that changes which entries are computed together,
+    not the operations on any one entry or their order.)  Entries above a
+    panel's diagonal are written and never read.
     """
     n, nnz_l = T["_C_dims"][:2]
     Lp, Li, a0, a1 = T["_C_l_indptr"], T["_C_l_indices"], T["_C_a_diag_pos"], T["_C_a_col_end"]

@@ -33,12 +33,14 @@ def _default_c_flags() -> Tuple[str, ...]:
     The built-in default tunes for the local machine (``-march=native``),
     which is wrong for caches shared between heterogeneous hosts — CI sets
     ``REPRO_CFLAGS`` to a portable flag set so restored ``.so`` artifacts
-    run on whichever runner picks up the next job.
+    run on whichever runner picks up the next job.  ``-s`` strips the
+    static symbol table: ctypes resolves entry points through ``.dynsym``,
+    which stripping keeps.
     """
     env = os.environ.get("REPRO_CFLAGS")
     if env:
         return tuple(env.split())
-    return ("-O3", "-march=native", "-fPIC", "-shared")
+    return ("-O3", "-march=native", "-fPIC", "-shared", "-s")
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ class SympilerOptions:
         construction time), then ``"cc"``; when the executable cannot be
         found the driver falls back to the Python backend with a warning
         instead of erroring.  The flags default to ``REPRO_CFLAGS``
-        (whitespace-split), then ``-O3 -march=native -fPIC -shared`` —
+        (whitespace-split), then ``-O3 -march=native -fPIC -shared -s`` —
         override with a portable set when the on-disk ``.so`` cache is
         shared between machines with different CPUs.
     """

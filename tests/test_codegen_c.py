@@ -355,8 +355,10 @@ def test_work_buffers_are_freed_when_their_thread_exits():
 def test_out_of_memory_for_the_panel_store_is_a_memory_error():
     """An allocation that fails makes the entry return -1, which the binder raises as ``MemoryError``.
 
-    The block handed to the loaded kernel claims a panel store of 2^50 doubles.
-    (Not under ASan, whose allocator aborts on such a request.)
+    The block handed to the loaded kernel claims a panel store of 2^50 doubles;
+    with the store's 8 doubles of slack and the row map the request is still
+    far below ``SIZE_MAX``.  (Not under ASan, whose allocator aborts on such a
+    request.)
     """
     A = block_tridiagonal_spd(6, 4, seed=2, dense_coupling=True)
     compiled = Sympiler(cache=ArtifactCache()).compile_cholesky(A, options=_c_options())

@@ -568,8 +568,8 @@ class TestHelperBuild:
         report = json.loads(done.stdout.splitlines()[-1])
         assert report["native"] is True
         assert report["files"] == [
-            "cholesky_fe04a40a5b23f2ec.c",
-            "cholesky_fe04a40a5b23f2ec.so",
+            "cholesky_d9eed01d0e92901b.c",
+            "cholesky_d9eed01d0e92901b.so",
             "triangular_solve_aefcec29cedf3277.c",
             "triangular_solve_aefcec29cedf3277.so",
         ]

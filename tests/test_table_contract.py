@@ -92,7 +92,10 @@ def test_the_wavefront_extras_are_exercised():
 #: the serial loop and the wavefront job (and the unrolled switch went), and
 #: re-based for Cholesky, LDLᵀ and LU when the supernode loop went to one block
 #: update per descendant supernode (the work-buffer runtime, which LU shares,
-#: lost its multiplier slot).
+#: lost its multiplier slot), and re-based for Cholesky, LDLᵀ and LU when the
+#: supernode step went to register tiles (its entry reserves no work vector
+#: and clears none, the wavefront job reserves before it clears, and the
+#: work-buffer runtime's comments moved out of the generated source).
 _OPTION_BUNDLES = (
     {},
     {"enable_vs_block": False},
@@ -102,24 +105,24 @@ _OPTION_BUNDLES = (
 _PINNED_C_SOURCES = {
     ("fem", "triangular-solve", "none"): "470c2548b8ad5f92401e7c54fa77379bbf64a993096a01f411f61eb4c61915a3",
     ("fem", "triangular-solve", "wavefront"): "02087801a9060c90d1211df40f8826ac58946e9c6fec85ff4918688ad850e900",
-    ("fem", "cholesky", "none"): "9f2de81bf4523fbfcb290fb89e705774d52e479996104068c9acbb1cfe10353e",
-    ("fem", "cholesky", "wavefront"): "f665d72199ccbcbf304ba9fdcc24db4847217a857c3132f8705024a08fa7b9db",
-    ("fem", "ldlt", "none"): "f18bba16c64187d3811cef6e10205e518ba615ea216b85ca3b3e1820ca3b70b4",
-    ("fem", "ldlt", "wavefront"): "e842bc9c86d170097514106b9e8771871744defdcb2bebc1826ae2de7a950573",
-    ("fem", "lu", "none"): "c854152e405f37779780092b96a72aaf3ff16cefb789422f6bd836986994759e",
-    ("fem", "lu", "wavefront"): "3d749b40886ebecbc0749bdb2c85cdd4a0db4aa4bb9b52cce5b85e762f83c110",
+    ("fem", "cholesky", "none"): "8f4b2140f0846a15a240c345fac6041879ce466bbeb231282157690b766ca5d9",
+    ("fem", "cholesky", "wavefront"): "c43159a4abafc2d1ff3ae576f9f6f9bb3e3c5dde1b20a08d94cee70a32ea7c42",
+    ("fem", "ldlt", "none"): "9bd5055683d8aa277e522dc145e601e7cdd522109b7e2830694cc98770d1bd23",
+    ("fem", "ldlt", "wavefront"): "930503ebbdb8bf72608bd47ebc5ace7b0a51b0314f11977851d02c844a9cf30a",
+    ("fem", "lu", "none"): "953bdd93a16efb60be0ef249dc91c21feb42a8a1fb00f7170b55fbea26841763",
+    ("fem", "lu", "wavefront"): "234a6454c74508d153d6aa0bf79effd5ec15703cf48badf7af82bb670d70f424",
     ("fem", "ic0", "none"): "9e98e67afad37ef5b57724e77219583238fb22b3d48e0c14797e5fc8bcd7e40a",
     ("fem", "ic0", "wavefront"): "2c54e41fc1bdef8c790bb0e46403ee0663c218720e0c531c7021f5e9a4b92410",
     ("fem", "ilu0", "none"): "98774e472d61abe0b307e94d32bc6eb40c36744a74ab829cf374b455cabdc44a",
     ("fem", "ilu0", "wavefront"): "9f064cf49a9c4419bcecf8449c3c0d717c16ea037477f2a56da149402bafd121",
     ("mindeg", "triangular-solve", "none"): "470c2548b8ad5f92401e7c54fa77379bbf64a993096a01f411f61eb4c61915a3",
     ("mindeg", "triangular-solve", "wavefront"): "e4409d83d9e05e67cf5223349ce72551b0ecff4896ce1cac606867eecc61a71f",
-    ("mindeg", "cholesky", "none"): "c145aba4cc4875645c51137d45fbc7492bbd086cd63a02d3f4618a724293c65d",
-    ("mindeg", "cholesky", "wavefront"): "a387fe0330aa39e0ca53018fe477eb1b5a4663373b6effc4b4979ee4d2839dfa",
-    ("mindeg", "ldlt", "none"): "8383d3900d1e3dd95ce6abbcff7f1caeaeaf714cfc7efa2764c54d4ad42e8e0e",
-    ("mindeg", "ldlt", "wavefront"): "d19359edcb1cca82c422a487abd1ba1841f19deda6cd684fe559a7268b9dd471",
-    ("mindeg", "lu", "none"): "c854152e405f37779780092b96a72aaf3ff16cefb789422f6bd836986994759e",
-    ("mindeg", "lu", "wavefront"): "761978ebdbb999bd0e0771c5adcb98220d96f33582fc9c381d051e90bd1ff662",
+    ("mindeg", "cholesky", "none"): "43b8ad1a3e067c51ac5151763859ecfe00047a7f6f2b14157b9563a3716af62d",
+    ("mindeg", "cholesky", "wavefront"): "d6f95d383660154318817db3a0ecffc905f4d6b31ff10cceaa86c89f689fbbe9",
+    ("mindeg", "ldlt", "none"): "ec892a2c8aed4855f51d82968bbb5148a47a866281121b6c045adfe8b4ba35ba",
+    ("mindeg", "ldlt", "wavefront"): "428547ec282d1ef3c99b3f6cef81d1b6c781a6c5124bc809ff54bea681caf1a2",
+    ("mindeg", "lu", "none"): "953bdd93a16efb60be0ef249dc91c21feb42a8a1fb00f7170b55fbea26841763",
+    ("mindeg", "lu", "wavefront"): "08397da7e7f3d4c2170649fdc94366e844e1afef51c8e3ebbd722dcb8aad1c3d",
     ("mindeg", "ic0", "none"): "9e98e67afad37ef5b57724e77219583238fb22b3d48e0c14797e5fc8bcd7e40a",
     ("mindeg", "ic0", "wavefront"): "70bd8dd10041bbd4efd8f53c7c8a59122d551521531a0b6b8c42120b4777be71",
     ("mindeg", "ilu0", "none"): "98774e472d61abe0b307e94d32bc6eb40c36744a74ab829cf374b455cabdc44a",
