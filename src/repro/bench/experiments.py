@@ -1,7 +1,7 @@
 """The paper's experiments as one table: what is compiled, against what,
 and which columns follow from the timings.
 
-An entry names its *variants* (a legend of the paper → the registry kernel it
+An entry names its *variants* (a legend of the paper → the kernel it
 compiles and the :class:`~repro.compiler.options.SympilerOptions` overrides
 that legend stands for), the *baselines* it is set against, and the families
 of *derived* columns its rows carry.  :mod:`repro.bench.runner` is the only
@@ -36,10 +36,11 @@ from typing import Dict, Mapping, Tuple
 __all__ = ["Experiment", "EXPERIMENTS"]
 
 # The paper's legends as option overrides (the default options are the full
-# pipeline: VS-Block, VI-Prune and the low-level transformations).
+# pipeline: VS-Block and VI-Prune).  Within an experiment no two legends
+# compile the same program.
 FULL: Mapping[str, object] = {}
-NO_LOW_LEVEL = {"enable_low_level": False}
-VS_BLOCK_ONLY = {"enable_vi_prune": False, "enable_low_level": False}
+VS_BLOCK_ONLY = {"enable_vi_prune": False}
+VI_PRUNE_ONLY = {"enable_vs_block": False}
 
 TRISOLVE = "triangular-solve"
 CHOLESKY = "cholesky"
@@ -63,7 +64,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         "Figure 6: triangular solve GFLOP/s",
         variants={
             "sympiler_vs_block": (TRISOLVE, VS_BLOCK_ONLY),
-            "sympiler_vs_vi": (TRISOLVE, NO_LOW_LEVEL),
             "sympiler_full": (TRISOLVE, FULL),
         },
         baselines=("scipy",),
@@ -72,11 +72,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "fig7": Experiment(
         "Figure 7: Cholesky GFLOP/s",
         variants={
-            "sympiler_vs_block": (CHOLESKY, NO_LOW_LEVEL),
+            "sympiler_vi_prune": (CHOLESKY, VI_PRUNE_ONLY),
             "sympiler_full": (CHOLESKY, FULL),
         },
         baselines=("splu",),
-        derived=("gflops", "speedup"),
+        derived=("gflops", "speedup", "relative"),
     ),
     "fig8": Experiment(
         "Figure 8: triangular solve symbolic+numeric (normalized)",

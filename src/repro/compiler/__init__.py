@@ -15,7 +15,7 @@ code generator that
    (:mod:`repro.compiler.codegen`).
 
 The user-facing entry point is :class:`repro.compiler.sympiler.Sympiler`, a
-generic driver over the kernel registry (:mod:`repro.compiler.registry`):
+generic driver over the kernel table (:mod:`repro.compiler.registry`):
 every kernel — triangular solve, Cholesky, LDLᵀ, LU, IC(0), ILU(0) — is
 declared once as a
 :class:`~repro.compiler.registry.KernelSpec` and compiled through the same
@@ -38,13 +38,9 @@ from repro.compiler.artifacts import (
 from repro.compiler.cache import ArtifactCache, CacheStats
 from repro.compiler.options import SympilerOptions
 from repro.compiler.registry import (
-    DuplicateKernelError,
-    KernelRegistry,
     KernelSpec,
     UnknownKernelError,
-    default_registry,
     kernel_spec,
-    register_kernel,
     registered_kernels,
 )
 from repro.compiler.sympiler import Sympiler
@@ -65,11 +61,7 @@ __all__ = [
     "ArtifactCache",
     "CacheStats",
     "KernelSpec",
-    "KernelRegistry",
-    "DuplicateKernelError",
     "UnknownKernelError",
-    "default_registry",
-    "register_kernel",
     "kernel_spec",
     "registered_kernels",
 ]

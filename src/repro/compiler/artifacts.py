@@ -1,6 +1,6 @@
 """Compiled-artifact types returned by the Sympiler driver.
 
-Every kernel registered in :mod:`repro.compiler.registry` declares one
+Every kernel of the table in :mod:`repro.compiler.registry` declares one
 artifact class here.  An artifact bundles
 
 * the specialized numeric entry point (``solve`` / ``factorize``) which only

@@ -40,47 +40,25 @@ __all__ = [
     "build_file_once",
     "build_and_load",
     "tmp_path_for",
-    "RUNTIME_ONLY_OPTIONS",
 ]
 
 #: Default maximum number of cached artifacts per cache instance.
 DEFAULT_MAXSIZE = 128
 
-#: Options fields that only steer the numeric runtime and never change the
-#: generated code.  Excluded from the fingerprint, so e.g. re-tuning
-#: ``num_threads`` keeps hitting the same cached artifact (in memory and on
-#: disk) instead of fragmenting the warm cache per thread count.
-RUNTIME_ONLY_OPTIONS = ("num_threads",)
-
 
 def options_fingerprint(options: SympilerOptions) -> str:
     """A short stable fingerprint of a :class:`SympilerOptions` bundle.
 
-    Any *code-generation* field change (backend, transformation toggles,
-    thresholds, compiler flags) changes the fingerprint, so cached artifacts
-    are never reused across differing configurations; runtime-only fields
-    (:data:`RUNTIME_ONLY_OPTIONS`) are deliberately ignored.
+    Any field change (backend, transformation toggles, parallel mode,
+    compiler and flags) changes the fingerprint, so cached artifacts are
+    never reused across differing configurations.
     """
-    payload = repr(
-        sorted(
-            (k, v)
-            for k, v in asdict(options).items()
-            if k not in RUNTIME_ONLY_OPTIONS
-        )
-    )
+    payload = repr(sorted(asdict(options).items()))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def cache_key(
-    kernel: Hashable, pattern_fp: str, options: SympilerOptions
-) -> Tuple[Hashable, str, str]:
-    """The cache key of one compiled artifact.
-
-    ``kernel`` identifies the kernel spec — the driver passes the
-    :class:`~repro.compiler.registry.KernelSpec` object itself, so equal
-    names from *different* registries (an advertised extension point) never
-    alias each other in a shared cache.
-    """
+def cache_key(kernel: str, pattern_fp: str, options: SympilerOptions) -> Tuple[str, str, str]:
+    """The cache key of one compiled artifact: kernel name, pattern and options fingerprints."""
     return (kernel, pattern_fp, options_fingerprint(options))
 
 

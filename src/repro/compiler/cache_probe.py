@@ -1,10 +1,14 @@
 """Deterministic cache probe: prove cold-vs-warm compile behaviour.
 
-``python -m repro.compiler.cache_probe`` compiles a fixed workload — one
-kernel of every registered family on fixed generator matrices — through a
-fresh :class:`~repro.compiler.sympiler.Sympiler` and reports the on-disk
+``python -m repro.compiler.cache_probe`` compiles a fixed workload — every
+kernel of the kernel table (:func:`~repro.compiler.registry.registered_kernels`)
+on fixed generator matrices — through a fresh
+:class:`~repro.compiler.sympiler.Sympiler` and reports the on-disk
 shared-object cache counters (:func:`~repro.compiler.codegen.c_backend.disk_cache_stats`)
-as JSON.  Because the workload is deterministic, a second run in a *new
+as JSON, with the names of the kernels it compiled under ``kernels``.  The
+probe exits nonzero when those are not exactly the table's, so a kernel added
+to the table cannot escape the warm-cache check until the probe compiles it.
+Because the workload is deterministic, a second run in a *new
 process* against the same ``REPRO_SYMPILER_CACHE`` directory must reuse every
 ``.so`` it produced; ``--assert-warm`` turns that expectation into a nonzero
 exit code, which is how CI asserts "warm cache ⇒ zero C recompiles" with
@@ -46,6 +50,7 @@ from repro.compiler.codegen.c_backend import (
 )
 from repro.compiler.codegen.runtime import generated_code_dir
 from repro.compiler.options import SympilerOptions
+from repro.compiler.registry import registered_kernels
 from repro.compiler.sympiler import Sympiler
 from repro.sparse.generators import (
     fem_stencil_2d,
@@ -157,6 +162,7 @@ def run_probe(backend: str | None = None) -> Dict[str, object]:
         "backend": backend,
         "c_toolchain": bool(have_cc),
         "workload": results,
+        "kernels": sorted({a.module.method for a in (chol, tri, ldlt, chol_fem, lu, ic0, ilu0, chol_wf)}),
         "so_compiles": disk.compiles,
         "so_reuses": disk.reuses,
         "py_writes": disk.py_writes,
@@ -204,6 +210,12 @@ def main(argv=None) -> int:
     sys.stdout.write("\n")
     if not all(report["workload"].values()):
         sys.stderr.write("cache probe workload produced wrong results\n")
+        return 2
+    if tuple(report["kernels"]) != registered_kernels():
+        sys.stderr.write(
+            f"cache probe compiled the kernels {report['kernels']}, but the "
+            f"kernel table holds {list(registered_kernels())}\n"
+        )
         return 2
     if args.assert_warm and report["c_toolchain"] and report["so_compiles"] != 0:
         sys.stderr.write(

@@ -409,10 +409,9 @@ def resolve_num_threads(num_threads: Optional[int], unset: int = 1) -> int:
     Entry points differ only in ``unset``.  A wavefront kernel's own call
     (:func:`_wavefront_threads`) passes ``0``: called without any request it
     should saturate the machine, that being its purpose.  The batch entries
-    (``BatchedSolver``, ``SparseLinearSolver.solve_many``) pass the
-    requested ``SympilerOptions.num_threads``, whose default is 1.  The knob
-    is runtime-only: it is excluded from cache fingerprints, so re-tuning it
-    never recompiles.
+    (``BatchedSolver``, ``SparseLinearSolver.solve_many``) keep the default
+    of 1.  The count is a call argument, not an option: it changes no
+    generated code, so re-tuning it never recompiles.
     """
     if num_threads is None:
         num_threads = num_threads_from_env()
@@ -1132,6 +1131,10 @@ _LOOPS: Dict[str, _Loop] = {
     ),
 }
 
+#: ``parallel="wavefront"`` emits the serial body when the schedule's average
+#: level width is below this (:meth:`CBackend._wavefront_mode`).
+_WAVEFRONT_MIN_AVG_WIDTH = 1.5
+
 
 class CBackend:
     """Generate and compile specialized C code from a planned domain loop."""
@@ -1270,7 +1273,7 @@ class CBackend:
             reason = "supernodal"
         elif schedule.n_scheduled == 0:
             reason = "empty-schedule"
-        elif schedule.average_width < context.options.wavefront_min_avg_width:
+        elif schedule.average_width < _WAVEFRONT_MIN_AVG_WIDTH:
             # n_levels close to n: a deep elimination tree, where per-level
             # barriers cost more than the parallelism they unlock.
             reason = "deep-etree"

@@ -28,13 +28,12 @@ from repro.compiler.cache import build_file_once
 from repro.compiler.codegen import reference, tables
 from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, atomic_write_text, disk_cache_stats
 from repro.compiler.codegen.runtime import generated_code_dir, pattern_fingerprint
-from repro.compiler.registration import register_unique
 from repro.observe.trace import span as observe_span
 
 if TYPE_CHECKING:  # plan.py imports codegen.tables, so this package loads first
     from repro.compiler.plan import DomainLoop
 
-__all__ = ["PythonBackend", "GeneratedModule", "CodegenError", "register_python_method"]
+__all__ = ["PythonBackend", "GeneratedModule", "CodegenError"]
 
 
 class CodegenError(RuntimeError):
@@ -75,11 +74,6 @@ _PY_METHOD_SPECS: Dict[str, Callable[[Optional[DomainLoop], str], Tuple[Callable
     "ic0": _plan_incomplete,
     "ilu0": _plan_incomplete,
 }
-
-
-def register_python_method(method: str, planner: Callable) -> None:
-    """Register the planner of an additional kernel method."""
-    register_unique(_PY_METHOD_SPECS, method, planner, kind="python method")
 
 
 @dataclass

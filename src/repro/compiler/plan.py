@@ -51,6 +51,16 @@ __all__ = [
     "plan_incomplete",
 ]
 
+#: The §4.2 participation test of VS-Block: it takes the loop when the mean
+#: width of all supernodes (single columns included) reaches this value and at
+#: least one supernode is ``_VS_BLOCK_MIN_SUPERNODE_WIDTH`` wide — the analogue
+#: of the paper's hand-tuned 160 on full-scale matrices, sized for the
+#: down-scaled suite of :mod:`repro.bench.suite`.
+_VS_BLOCK_MIN_AVG_WIDTH = 1.2
+#: In a triangular solve, supernodes narrower than this run in the pruned
+#: column loop rather than as dense blocks.
+_VS_BLOCK_MIN_SUPERNODE_WIDTH = 2
+
 InspectionResult = Union[
     TriangularInspectionResult,
     CholeskyInspectionResult,
@@ -167,8 +177,8 @@ def _vs_block(context: CompilationContext, **extra) -> bool:
         return False
     participates, details = vs_block_participates(
         context.inspection.supernodes,
-        min_supernode_width=context.options.vs_block_min_supernode_width,
-        min_avg_width=context.options.vs_block_min_avg_width,
+        min_supernode_width=_VS_BLOCK_MIN_SUPERNODE_WIDTH,
+        min_avg_width=_VS_BLOCK_MIN_AVG_WIDTH,
     )
     details.update(extra)
     context.decisions["vs-block"] = details
@@ -191,7 +201,7 @@ def plan_triangular_solve(context: CompilationContext) -> Optional[DomainLoop]:
         # VI-Prune restricts the blocks and runs to the reach-set; without it every column is active.
         active = inspection.reach_sorted if options.enable_vi_prune else np.arange(inspection.n, dtype=np.int64)
         contract = tables.trisolve_segments(
-            context.matrix, inspection.supernodes, active, options.vs_block_min_supernode_width
+            context.matrix, inspection.supernodes, active, _VS_BLOCK_MIN_SUPERNODE_WIDTH
         )
     elif options.enable_vi_prune:
         # One run: the reach-set in the inspector's topological order.

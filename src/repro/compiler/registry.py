@@ -1,14 +1,17 @@
-"""The kernel registry: one declarative spec per sparse kernel.
+"""The kernel table: one declarative spec per sparse kernel.
 
 The paper's pipeline (symbolic inspection → inspector-guided transformation →
 code generation) is the same for every numerical method; what differs per
 kernel is *which* inspector runs, *which* plan function picks the domain loop
 from its inspection and *what* artifact the user gets back.  A
 :class:`KernelSpec` declares exactly those ingredients once, and the
-:class:`~repro.compiler.sympiler.Sympiler` driver walks the spec generically —
-adding a kernel means registering a spec, not editing the driver.
+:class:`~repro.compiler.sympiler.Sympiler` driver walks the spec generically.
+The specs form one static table, ``_KERNELS``, keyed by name: adding a
+kernel means adding an entry there (and its emitter and reference kernel), not
+editing the driver.  There is no registration API and no alias; a name that is
+not in the table raises :class:`UnknownKernelError`.
 
-Registered kernels (the default registry):
+The kernels:
 
 ==================  =============================  ==========================
 name                inspector                      artifact
@@ -25,7 +28,7 @@ name                inspector                      artifact
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.compiler.artifacts import (
     SympiledCholesky,
@@ -45,7 +48,6 @@ from repro.compiler.plan import (
     plan_lu,
     plan_triangular_solve,
 )
-from repro.compiler.registration import register_unique_many
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.inspector import (
     CholeskyInspector,
@@ -59,27 +61,14 @@ from repro.symbolic.inspector import (
 
 __all__ = [
     "KernelSpec",
-    "KernelRegistry",
-    "KernelRegistryError",
-    "DuplicateKernelError",
     "UnknownKernelError",
-    "default_registry",
-    "register_kernel",
     "kernel_spec",
     "registered_kernels",
 ]
 
 
-class KernelRegistryError(ValueError):
-    """Base class of kernel-registry errors."""
-
-
-class DuplicateKernelError(KernelRegistryError):
-    """Raised when a spec is registered under an already-taken name/alias."""
-
-
-class UnknownKernelError(KernelRegistryError):
-    """Raised when no spec is registered under the requested name."""
+class UnknownKernelError(ValueError):
+    """Raised when no kernel of the table has the requested name."""
 
 
 # --------------------------------------------------------------------------- #
@@ -156,8 +145,6 @@ class KernelSpec:
     kernel_args:
         Names of per-compile keyword arguments accepted by ``compile`` for
         this kernel (e.g. ``rhs_pattern``); anything else is a ``TypeError``.
-    aliases:
-        Alternative lookup names.
     normalize_args / fingerprint / inspect_kwargs:
         Hooks canonicalizing the per-compile arguments (run once, before
         anything consumes them) and mapping them to the cache fingerprint and
@@ -172,7 +159,6 @@ class KernelSpec:
     artifact_cls: type
     requires_vi_prune: bool = False
     kernel_args: Tuple[str, ...] = ()
-    aliases: Tuple[str, ...] = ()
     normalize_args: Callable[[CSCMatrix, Dict], Dict] = _no_normalize_args
     fingerprint: Callable[[CSCMatrix, Dict], str] = _pattern_only_fingerprint
     inspect_kwargs: Callable[[SympilerOptions, Dict], Dict] = _no_inspect_kwargs
@@ -189,83 +175,9 @@ class KernelSpec:
 
 
 # --------------------------------------------------------------------------- #
-# KernelRegistry
+# The kernels
 # --------------------------------------------------------------------------- #
-class KernelRegistry:
-    """Name → :class:`KernelSpec` mapping with alias resolution."""
-
-    def __init__(self) -> None:
-        self._specs: Dict[str, KernelSpec] = {}
-        self._lookup: Dict[str, KernelSpec] = {}
-
-    def register(self, spec: KernelSpec) -> KernelSpec:
-        """Register ``spec`` under its name and aliases.
-
-        Raises :class:`DuplicateKernelError` when the name or any alias is
-        already taken (by a different spec object); every key is validated
-        before any is written, so a conflict leaves no partial registration.
-        """
-        register_unique_many(
-            self._lookup,
-            (spec.name, *spec.aliases),
-            spec,
-            kind="kernel",
-            error=DuplicateKernelError,
-        )
-        self._specs[spec.name] = spec
-        return spec
-
-    def resolve(self, name: str) -> KernelSpec:
-        """Return the spec registered under ``name`` (or an alias of it)."""
-        spec = self._lookup.get(name)
-        if spec is None:
-            raise UnknownKernelError(
-                f"no kernel registered under {name!r}; "
-                f"available: {sorted(self._specs)}"
-            )
-        return spec
-
-    def names(self) -> Tuple[str, ...]:
-        """Canonical names of every registered kernel."""
-        return tuple(sorted(self._specs))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._lookup
-
-    def __iter__(self) -> Iterator[KernelSpec]:
-        return iter(self._specs.values())
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-
-_DEFAULT_REGISTRY = KernelRegistry()
-
-
-def default_registry() -> KernelRegistry:
-    """The process-wide registry holding the built-in kernels."""
-    return _DEFAULT_REGISTRY
-
-
-def register_kernel(spec: KernelSpec, *, registry: Optional[KernelRegistry] = None) -> KernelSpec:
-    """Register ``spec`` in ``registry`` (the default registry when omitted)."""
-    return (registry or _DEFAULT_REGISTRY).register(spec)
-
-
-def kernel_spec(name: str) -> KernelSpec:
-    """Resolve ``name`` in the default registry."""
-    return _DEFAULT_REGISTRY.resolve(name)
-
-
-def registered_kernels() -> Tuple[str, ...]:
-    """Canonical names of the kernels in the default registry."""
-    return _DEFAULT_REGISTRY.names()
-
-
-# --------------------------------------------------------------------------- #
-# Built-in kernels
-# --------------------------------------------------------------------------- #
-register_kernel(
+_SPECS = (
     KernelSpec(
         name="triangular-solve",
         plan=plan_triangular_solve,
@@ -273,15 +185,11 @@ register_kernel(
         artifact_cls=SympiledTriangularSolve,
         requires_vi_prune=False,
         kernel_args=("rhs_pattern",),
-        aliases=("trisolve", "triangular"),
         normalize_args=_trisolve_normalize_args,
         fingerprint=_trisolve_fingerprint,
         inspect_kwargs=_trisolve_inspect_kwargs,
         description="sparse lower-triangular solve L x = b (Fig. 1)",
-    )
-)
-
-register_kernel(
+    ),
     KernelSpec(
         name="cholesky",
         plan=plan_left_looking,
@@ -289,62 +197,62 @@ register_kernel(
         artifact_cls=SympiledCholesky,
         requires_vi_prune=True,
         description="left-looking sparse Cholesky A = L L^T (Fig. 4)",
-    )
-)
-
-register_kernel(
+    ),
     KernelSpec(
         name="ldlt",
         plan=plan_left_looking,
         inspector_cls=LDLTInspector,
         artifact_cls=SympiledLDLT,
         requires_vi_prune=True,
-        aliases=("ldl",),
         description="left-looking sparse LDL^T for symmetric indefinite A",
-    )
-)
-
-register_kernel(
+    ),
     KernelSpec(
         name="lu",
         plan=plan_lu,
         inspector_cls=LUInspector,
         artifact_cls=SympiledLU,
         requires_vi_prune=True,
-        aliases=("gp-lu",),
         description=(
             "left-looking sparse LU A = L U (partial-pivoting-free, for "
             "diagonally dominant unsymmetric A)"
         ),
-    )
-)
-
-register_kernel(
+    ),
     KernelSpec(
         name="ic0",
         plan=plan_incomplete,
         inspector_cls=IC0Inspector,
         artifact_cls=SympiledIC0,
         requires_vi_prune=True,
-        aliases=("incomplete-cholesky",),
         description=(
             "incomplete Cholesky IC(0): A ~= L L^T on the pattern of "
             "tril(A) (no fill; preconditioner for SPD iterative solves)"
         ),
-    )
-)
-
-register_kernel(
+    ),
     KernelSpec(
         name="ilu0",
         plan=plan_incomplete,
         inspector_cls=ILU0Inspector,
         artifact_cls=SympiledILU0,
         requires_vi_prune=True,
-        aliases=("incomplete-lu",),
         description=(
             "incomplete LU ILU(0): A ~= L U on the pattern of A (no fill, "
             "no pivoting; preconditioner for unsymmetric iterative solves)"
         ),
-    )
+    ),
 )
+
+#: Name → spec of every kernel the driver compiles.
+_KERNELS: Dict[str, KernelSpec] = {spec.name: spec for spec in _SPECS}
+
+
+def kernel_spec(name: str) -> KernelSpec:
+    """The spec of the kernel called ``name``."""
+    spec = _KERNELS.get(name)
+    if spec is None:
+        raise UnknownKernelError(f"no kernel named {name!r}; available: {sorted(_KERNELS)}")
+    return spec
+
+
+def registered_kernels() -> Tuple[str, ...]:
+    """The names of every kernel, sorted."""
+    return tuple(sorted(_KERNELS))

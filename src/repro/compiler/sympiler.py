@@ -2,11 +2,11 @@
 
 :class:`Sympiler` is the user-facing compiler.  It is a *generic* driver: the
 per-kernel knowledge (inspector, plan function, artifact type, cache
-fingerprint) lives in the kernel registry
-(:mod:`repro.compiler.registry`), and :meth:`Sympiler.compile` walks whatever
-spec the requested kernel name resolves to.  Adding a kernel therefore means
-registering a :class:`~repro.compiler.registry.KernelSpec`; the driver itself
-contains no kernel-specific branches.
+fingerprint) lives in one static table of
+:class:`~repro.compiler.registry.KernelSpec` (:mod:`repro.compiler.registry`),
+and :meth:`Sympiler.compile` walks the spec of the requested kernel name.
+Adding a kernel therefore means adding an entry to that table; the driver
+itself contains no kernel-specific branches.
 
 Compiled artifacts are cached in a pattern-keyed LRU
 (:mod:`repro.compiler.cache`): a second ``compile`` for an identical pattern,
@@ -36,7 +36,7 @@ from repro.compiler.codegen.c_backend import CBackend, c_compiler_available
 from repro.compiler.codegen.python_backend import PythonBackend
 from repro.compiler.options import SympilerOptions
 from repro.compiler.plan import CompilationContext
-from repro.compiler.registry import KernelRegistry, default_registry
+from repro.compiler.registry import kernel_spec
 from repro.observe.trace import span
 from repro.sparse.csc import CSCMatrix
 
@@ -103,10 +103,6 @@ class Sympiler:
     ----------
     options:
         Default code-generation options (overridable per ``compile`` call).
-    registry:
-        Kernel registry to resolve kernel names in; defaults to the global
-        registry with the built-in kernels (triangular solve, Cholesky, LDLᵀ,
-        LU).
     cache:
         Artifact cache; defaults to a process-wide shared cache.  Pass a fresh
         :class:`~repro.compiler.cache.ArtifactCache` to isolate (e.g. tests).
@@ -116,11 +112,9 @@ class Sympiler:
         self,
         options: Optional[SympilerOptions] = None,
         *,
-        registry: Optional[KernelRegistry] = None,
         cache: Optional[ArtifactCache] = None,
     ) -> None:
         self.options = options or SympilerOptions()
-        self.registry = registry or default_registry()
         self.cache = cache if cache is not None else _SHARED_CACHE
 
     # ------------------------------------------------------------------ #
@@ -136,7 +130,7 @@ class Sympiler:
         Parameters
         ----------
         kernel:
-            A kernel name (or alias) registered in the registry.
+            A kernel name (:func:`~repro.compiler.registry.registered_kernels`).
         matrix:
             The input pattern — ``L`` for triangular solve, ``A`` for the
             factorizations.  Only its structure is read here.
@@ -149,7 +143,7 @@ class Sympiler:
         Returns the spec's artifact; an identical (pattern, kernel, options)
         triple returns the cached artifact without recompiling.
         """
-        spec = self.registry.resolve(kernel)
+        spec = kernel_spec(kernel)
         spec.validate_args(kernel_args)
         # Canonicalize the arguments exactly once: one-shot iterables are
         # materialized and invalid input fails here, before the cache is
@@ -157,13 +151,11 @@ class Sympiler:
         kernel_args = spec.normalize_args(matrix, kernel_args)
         options = options or self.options
 
-        # The cache key uses the *spec object* (not just the kernel name, so
-        # same-named kernels from different registries never alias in the
-        # shared cache) and the *requested* options (a forced-VI-Prune
+        # The cache key uses the *requested* options: a forced-VI-Prune
         # compile must not alias a compile that asked for VI-Prune outright,
-        # since their decision records differ even when the code does not).
+        # since their decision records differ even when the code does not.
         fingerprint = spec.fingerprint(matrix, kernel_args)
-        key = cache_key(spec, fingerprint, options)
+        key = cache_key(spec.name, fingerprint, options)
 
         forced_vi_prune = False
         if spec.requires_vi_prune and not options.enable_vi_prune:

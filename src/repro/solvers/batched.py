@@ -114,8 +114,8 @@ class BatchedSolver:
 
     Parameters mirror :class:`SparseLinearSolver` (the wrapped solver is
     exposed as :attr:`solver`); ``num_threads`` additionally sizes the
-    numeric thread pool: the argument, then ``REPRO_NUM_THREADS``, then
-    ``options.num_threads``, resolved once into :attr:`num_threads`.
+    numeric thread pool: the argument, then ``REPRO_NUM_THREADS``, then 1,
+    resolved once into :attr:`num_threads`.
 
     Examples
     --------
@@ -142,10 +142,7 @@ class BatchedSolver:
         self.solver = SparseLinearSolver(
             A, method=method, ordering=ordering, options=options
         )
-        # The *requested* options: a shared-cache hit may return an artifact
-        # compiled under another thread setting (num_threads is excluded
-        # from the cache identity on purpose).
-        self.num_threads = resolve_num_threads(num_threads, self.solver.options.num_threads)
+        self.num_threads = resolve_num_threads(num_threads)
 
     # ------------------------------------------------------------------ #
     @property

@@ -9,7 +9,7 @@ solves on an incomplete-Cholesky factor (IC(0): the factor is restricted to
 the pattern of ``tril(A)``).
 
 The IC(0) factorization itself is a Sympiler-generated kernel
-(``Sympiler.compile("ic0", A)`` through the kernel registry), so the whole
+(``Sympiler.compile("ic0", A)`` through the kernel table), so the whole
 preconditioner pipeline — numeric factor and both triangular sweeps — runs
 specialized code.  Its interpreted oracle is
 :func:`repro.kernels.incomplete.ic0_left_looking` (bitwise equal, asserted by
@@ -61,7 +61,7 @@ def preconditioned_conjugate_gradient(
 
     Preconditioner applications ``M⁻¹ r = (L Lᵀ)⁻¹ r`` use two
     Sympiler-generated triangular solves that are compiled once before the
-    iteration starts, on the factor of the compiled ``ic0`` registry kernel.
+    iteration starts, on the factor of the compiled ``ic0`` kernel.
     A non-finite value in ``A`` raises ``ValueError`` before any kernel runs.
 
     ``num_threads`` fans each preconditioner triangular sweep's level sets
@@ -69,8 +69,7 @@ def preconditioned_conjugate_gradient(
     ``parallel="wavefront"`` (serial kernels ignore it, bitwise identical
     either way) — the same knob, with the same precedence, as every other
     solve entry point: explicit argument > ``REPRO_NUM_THREADS`` > one per
-    CPU (:func:`~repro.compiler.codegen.c_backend.resolve_num_threads`);
-    ``options.num_threads`` is not read here.
+    CPU (:func:`~repro.compiler.codegen.c_backend.resolve_num_threads`).
     """
     if not A.is_square():
         raise ValueError("CG requires a square matrix")

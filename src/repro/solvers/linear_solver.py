@@ -4,7 +4,7 @@ Combines the pieces of the library into the workflow a downstream user wants:
 
 1. choose a fill-reducing ordering,
 2. compile specialized factorization and triangular-solve kernels for the
-   (permuted) pattern through the kernel registry — ``method="cholesky"`` for
+   (permuted) pattern through the kernel table — ``method="cholesky"`` for
    SPD systems, ``method="ldlt"`` for symmetric indefinite (saddle-point/KKT)
    systems, ``method="lu"`` for unsymmetric diagonally dominant systems
    (Newton Jacobians),
@@ -35,7 +35,7 @@ from repro.compiler.artifacts import CompiledArtifact, SympiledFactorization
 from repro.compiler.cache import CacheStats
 from repro.compiler.codegen.c_backend import CGeneratedModule, resolve_num_threads
 from repro.compiler.options import SympilerOptions
-from repro.compiler.registry import UnknownKernelError
+from repro.compiler.registry import UnknownKernelError, kernel_spec
 from repro.compiler.sympiler import Sympiler
 from repro.observe.trace import attach, capture, span
 from repro.sparse.csc import CSCMatrix
@@ -127,8 +127,8 @@ class SparseLinearSolver:
         ``scipy.sparse`` matrix, a COO triplet tuple, or a dense 2-D array
         (see :func:`repro.frontend.ingest.ingest`).
     method:
-        Factorization kernel to compile — any factorization registered in the
-        kernel registry (``"cholesky"``, ``"ldlt"`` or ``"lu"``).
+        Factorization kernel to compile — a complete factorization of the
+        kernel table (``"cholesky"``, ``"ldlt"`` or ``"lu"``).
     ordering:
         Fill-reducing ordering name (``"natural"``, ``"mindeg"``/``"amd"``,
         ``"rcm"``); orderings are symmetric permutations computed on the
@@ -171,13 +171,13 @@ class SparseLinearSolver:
         self.options = options or SympilerOptions()
         self.ordering_name = ordering
         self._sympiler = Sympiler(self.options)
-        # Any registered factorization whose result follows the L-factor
+        # Any factorization kernel whose result follows the L-factor
         # protocol (a lower-triangular factor, or an object exposing it as
         # `.L` with an optional diagonal `.d`) works here without solver
         # changes; kernels with a different solve recipe (e.g. a future LU's
         # upper sweep) still need an explicit solve path.
         try:
-            spec = self._sympiler.registry.resolve(method)
+            spec = kernel_spec(method)
         except UnknownKernelError as exc:
             raise ValueError(f"unknown factorization method {method!r}: {exc}") from exc
         if not issubclass(spec.artifact_cls, SympiledFactorization):
@@ -509,8 +509,7 @@ class SparseLinearSolver:
     def solve_many(self, B: np.ndarray, *, num_threads: Optional[int] = None) -> np.ndarray:
         """Solve ``A X = B`` column by column (``B`` is ``n × k``).
 
-        The thread count is ``num_threads``, then ``REPRO_NUM_THREADS``, then
-        ``options.num_threads``
+        The thread count is ``num_threads``, then ``REPRO_NUM_THREADS``, then 1
         (:func:`~repro.compiler.codegen.c_backend.resolve_num_threads`); with
         the C backend and more than one thread the columns run on a thread
         pool (:func:`map_items`), and they come back in order either way.
@@ -518,9 +517,7 @@ class SparseLinearSolver:
         B = np.asarray(B, dtype=np.float64)
         if B.ndim != 2 or B.shape[0] != self.A.n:
             raise ValueError(f"B must have shape ({self.A.n}, k)")
-        # The *requested* options, not the cached artifact's: a cache hit may
-        # carry a different (runtime-irrelevant) thread setting.
-        num_threads = resolve_num_threads(num_threads, self.options.num_threads)
+        num_threads = resolve_num_threads(num_threads)
         with self._lock:
             self._require_factors()
             # The columns may run on several threads at once, so each binds

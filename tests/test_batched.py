@@ -95,16 +95,16 @@ class TestBitwiseIdentity:
     @needs_cc
     def test_c_threaded_cholesky(self):
         A = laplacian_2d(9, shift=0.1)
-        options = SympilerOptions(backend="c", num_threads=4)
-        batched = BatchedSolver(A, ordering="natural", options=options)
+        options = SympilerOptions(backend="c")
+        batched = BatchedSolver(A, ordering="natural", options=options, num_threads=4)
         assert batched.num_threads == 4
         _assert_bitwise_vs_sequential(batched, _spd_scenarios(A))
 
     @needs_cc
     def test_c_threaded_lu(self):
         J = unsymmetric_diag_dominant(60, seed=8)
-        options = SympilerOptions(backend="c", num_threads=2)
-        batched = BatchedSolver(J, method="lu", ordering="natural", options=options)
+        options = SympilerOptions(backend="c")
+        batched = BatchedSolver(J, method="lu", ordering="natural", options=options, num_threads=2)
         _assert_bitwise_vs_sequential(
             batched, [J.with_values(J.data * (1.0 + 0.1 * b)) for b in range(BATCH)]
         )
@@ -126,8 +126,8 @@ class TestBitwiseIdentity:
             python.factorize(M)
             expected.append((python.L.data.copy(), python.d))
         for num_threads in (1, 2):
-            options = SympilerOptions(backend="c", num_threads=num_threads)
-            batched = BatchedSolver(A, method=method, options=options)
+            options = SympilerOptions(backend="c")
+            batched = BatchedSolver(A, method=method, options=options, num_threads=num_threads)
             for handle, (L, d) in zip(batched.factorize_batch(scenarios), expected):
                 assert handle.ok and np.array_equal(handle.L.data, L)
                 assert (handle.d is None) == (d is None) and (d is None or np.array_equal(handle.d, d))
@@ -169,8 +169,8 @@ class TestErrorIsolation:
     @needs_cc
     def test_singular_item_is_isolated_threads(self):
         K = saddle_point_indefinite(24, 8, seed=2)
-        options = SympilerOptions(backend="c", num_threads=2)
-        batched = BatchedSolver(K, method="ldlt", ordering="natural", options=options)
+        options = SympilerOptions(backend="c")
+        batched = BatchedSolver(K, method="ldlt", ordering="natural", options=options, num_threads=2)
         scenarios = _spd_scenarios(K)
         scenarios[0] = K.with_values(np.zeros(K.nnz))
         handles = batched.factorize_batch(scenarios)
@@ -228,15 +228,15 @@ class TestFacade:
         assert resolve_num_threads(0) >= 1
         with pytest.raises(ValueError):
             resolve_num_threads(-1)
-        with pytest.raises(ValueError):
-            SympilerOptions(num_threads=-2)
+        with pytest.raises(ValueError, match="non-negative"):
+            BatchedSolver(laplacian_2d(4), num_threads=-2)
 
     @pytest.mark.parametrize("num_threads", [1, 2])
     @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
     def test_empty_batch(self, backend, num_threads):
         A = laplacian_2d(5, shift=0.1)
-        options = SympilerOptions(backend=backend, num_threads=num_threads)
-        batched = BatchedSolver(A, ordering="natural", options=options)
+        options = SympilerOptions(backend=backend)
+        batched = BatchedSolver(A, ordering="natural", options=options, num_threads=num_threads)
         assert batched.factorize_batch([]) == []
 
 
@@ -313,29 +313,56 @@ class TestEnsembleNewton:
         assert newton_raphson_ensemble([], [], []) == []
 
 
-class TestRuntimeOnlyOptions:
-    def test_num_threads_does_not_fragment_artifact_cache(self):
-        from repro.compiler.cache import ArtifactCache
-        from repro.compiler.sympiler import Sympiler
-
+class TestThreadCountIsACallArgument:
+    def test_thread_counts_share_one_artifact(self):
         A = laplacian_2d(6, shift=0.1)
-        sym = Sympiler(cache=ArtifactCache())
-        first = sym.compile("cholesky", A, options=SympilerOptions(num_threads=1))
-        second = sym.compile("cholesky", A, options=SympilerOptions(num_threads=4))
-        # num_threads is a runtime-only knob: same artifact, a cache hit.
-        assert second is first
+        first = BatchedSolver(A, num_threads=1)
+        second = BatchedSolver(A, num_threads=4)
+        # The thread count changes no generated code: same artifact, a cache hit.
+        assert second.solver._factorization is first.solver._factorization
 
-    def test_facade_threads_follow_requested_options_despite_cache_hit(self):
+    def test_facade_threads_follow_the_argument_despite_cache_hit(self):
         from repro.compiler.codegen.c_backend import c_compiler_available
 
         backend = "c" if c_compiler_available("cc") else "python"
         A = laplacian_2d(6, shift=0.1)
-        BatchedSolver(A, options=SympilerOptions(backend=backend, num_threads=1))
-        again = BatchedSolver(A, options=SympilerOptions(backend=backend, num_threads=3))
-        # The second construction hits the shared artifact cache (compiled
-        # under num_threads=1); the batched solver must still honour the request.
+        BatchedSolver(A, options=SympilerOptions(backend=backend), num_threads=1)
+        again = BatchedSolver(A, options=SympilerOptions(backend=backend), num_threads=3)
+        # The second construction hits the shared artifact cache (first used
+        # at num_threads=1); the batched solver must still honour the request.
         assert again.num_threads == 3
 
+    @pytest.mark.parametrize("entry", ["solve_many", "factorize_batch"])
+    @pytest.mark.parametrize(
+        "argument, env, expected",
+        [(3, "5", 3), (None, "5", 5), (None, None, 1), (0, None, "cpus")],
+        ids=["argument-wins", "env-when-unset", "one-by-default", "zero-is-one-per-cpu"],
+    )
+    def test_batch_entries_map_with_argument_then_env_then_one(self, entry, argument, env, expected, monkeypatch):
+        import os
+
+        from repro.solvers import batched as batched_module
+        from repro.solvers import linear_solver
+
+        if env is None:
+            monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_NUM_THREADS", env)
+        seen = []
+        honest = linear_solver.map_items
+
+        def recording(fn, items, *, artifact, num_threads):
+            seen.append(num_threads)
+            return honest(fn, items, artifact=artifact, num_threads=num_threads)
+
+        monkeypatch.setattr(linear_solver, "map_items", recording)
+        monkeypatch.setattr(batched_module, "map_items", recording)
+        A = laplacian_2d(5, shift=0.1)
+        if entry == "solve_many":
+            SparseLinearSolver(A).solve_many(np.ones((A.n, 2)), num_threads=argument)
+        else:
+            BatchedSolver(A, num_threads=argument).factorize_batch(_spd_scenarios(A, batch=2))
+        assert seen == [(os.cpu_count() or 1) if expected == "cpus" else expected]
 
     def test_a_batch_regenerates_no_code(self):
         """Batching reuses the one compiled kernel: no cache miss, no cc, no module rewrite."""
@@ -343,7 +370,7 @@ class TestRuntimeOnlyOptions:
 
         backend = "c" if c_compiler_available("cc") else "python"
         A = laplacian_2d(9, shift=0.1)
-        batched = BatchedSolver(A, ordering="natural", options=SympilerOptions(backend=backend, num_threads=2))
+        batched = BatchedSolver(A, ordering="natural", options=SympilerOptions(backend=backend), num_threads=2)
         disk_before = disk_cache_stats().as_dict()
         misses_before = batched.solver.cache_stats.misses
         assert all(handle.ok for handle in batched.factorize_batch(_spd_scenarios(A)))

@@ -1,5 +1,6 @@
 """Tests for the paper-figure harness (suite, timing policy, reporting, table, runner, CLI)."""
 
+import hashlib
 import json
 import pathlib
 import re
@@ -16,6 +17,8 @@ from repro.bench.reporting import geometric_mean, render_csv, render_table
 from repro.bench.runner import run_experiments
 from repro.bench.suite import build_suite, load_suite_matrix, small_suite
 from repro.compiler.codegen.c_backend import c_compiler_available
+from repro.compiler.options import SympilerOptions
+from repro.compiler.sympiler import Sympiler
 from repro.sparse.utils import is_symmetric_pattern
 
 needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
@@ -154,7 +157,6 @@ class TestExperimentDrivers:
             for key in (
                 "scipy_gflops",
                 "sympiler_vs_block_gflops",
-                "sympiler_vs_vi_gflops",
                 "sympiler_full_gflops",
                 "sympiler_full_speedup_vs_scipy",
             ):
@@ -165,9 +167,10 @@ class TestExperimentDrivers:
         for row in _matrix_rows(bench_rows["fig7"]):
             for key in (
                 "splu_gflops",
-                "sympiler_vs_block_gflops",
+                "sympiler_vi_prune_gflops",
                 "sympiler_full_gflops",
                 "sympiler_full_speedup_vs_splu",
+                "sympiler_full_over_sympiler_vi_prune",
             ):
                 assert row[key] > 0
 
@@ -185,6 +188,45 @@ class TestExperimentDrivers:
         for row in _matrix_rows(bench_rows["overheads"]):
             assert row["tri_codegen_over_numeric"] > 0
             assert row["chol_symbolic_over_numeric"] > 0
+
+
+def _program(artifact):
+    """What one compile produced: its source, a digest of its table block and its compile record."""
+    digest = hashlib.sha256()
+    for name, table in artifact.constants.items():
+        digest.update(name.encode() + b"\0" + table.tobytes() + b"\0")
+    loop = artifact.loop
+    record = {
+        "applied": artifact.applied_transformations,
+        "decisions": artifact.decisions,
+        "loop": None if loop is None else [loop.role, loop.factor_kind],
+    }
+    return artifact.source, digest.hexdigest(), json.dumps(record, sort_keys=True)
+
+
+@needs_cc
+@pytest.mark.parametrize("name", [name for name, e in EXPERIMENTS.items() if len(e.variants) > 1])
+def test_no_two_variants_of_an_experiment_compile_the_same_program(name, tiny_suite):
+    """Two legends that compile the same code would time one program twice."""
+
+    class Recording(Sympiler):
+        def compile(self, kernel, matrix, options=None, **kernel_args):
+            artifact = super().compile(kernel, matrix, options, **kernel_args)
+            compiled.append(artifact)
+            return artifact
+
+    c_options = SympilerOptions(backend="c")
+    for entry in tiny_suite:
+        prep = runner.Prepared(entry)
+        programs = {}
+        for label, (kernel, overrides) in EXPERIMENTS[name].variants.items():
+            compiled = []
+            runner.KERNELS[kernel].compile(Recording(), prep, c_options.with_updates(**overrides))
+            programs[label] = tuple(_program(artifact) for artifact in compiled)
+        labels = list(programs)
+        for i, first in enumerate(labels):
+            for second in labels[i + 1 :]:
+                assert programs[first] != programs[second], f"{name}: {first} and {second} on {entry.name}"
 
 
 @needs_cc

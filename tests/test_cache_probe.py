@@ -41,7 +41,7 @@ def test_probe_cold_then_warm_counters(monkeypatch, tmp_path):
     assert all(cold["workload"].values())
     assert cold["so_compiles"] > 0
     # Generated code names its inspection sets but embeds none, so everything
-    # the probe workload (one kernel of every registered family) leaves behind
+    # the probe workload (every kernel of the kernel table) leaves behind
     # is a few KB per code shape: 170,527 bytes in 8 `.so` measured with gcc
     # 12.2 -O3 -march=native; the bound is 1.5x that.
     assert cold["so_bytes"] + cold["source_bytes"] < 256_000
@@ -66,6 +66,19 @@ def test_probe_cli_assert_warm(monkeypatch, tmp_path, capsys):
     disk_cache = report["observe"]["collectors"]["disk_cache"]
     assert disk_cache["compiles"] == report["so_compiles"]
     assert disk_cache["py_writes"] == report["py_writes"]
+
+
+def test_probe_compiles_every_kernel_of_the_table(monkeypatch, tmp_path, capsys):
+    from repro.compiler import cache_probe
+    from repro.compiler.registry import registered_kernels
+
+    monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
+    assert main(["--backend", "python"]) == 0
+    assert json.loads(capsys.readouterr().out)["kernels"] == list(registered_kernels())
+    # A kernel added to the table that the probe does not compile fails the run.
+    monkeypatch.setattr(cache_probe, "registered_kernels", lambda: (*registered_kernels(), "qr"))
+    assert main(["--backend", "python"]) == 2
+    assert "qr" in capsys.readouterr().err
 
 
 def test_probe_cli_python_backend(monkeypatch, tmp_path, capsys):

@@ -75,17 +75,16 @@ def test_source_size_does_not_follow_the_pattern(matrix, kernel, parallel):
 @pytest.mark.parametrize("backend", ["c", "python"])
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_same_code_shape_gives_the_same_bytes(kernel, backend):
-    """With or without the low-level passes, no literal of the pattern is left."""
-    for low_level in (True, False):
-        options = SympilerOptions(backend=backend, enable_low_level=low_level)
-        small = _compile(kernel, g.laplacian_2d(12), options)
-        large = _compile(kernel, g.laplacian_2d(40), options)
-        assert small.source == large.source
-        assert small.inspection.n != large.inspection.n
-        if backend == "c":
-            assert small.module.shared_object == large.module.shared_object
-        else:
-            assert len(small.source) < 6 * 1024  # one function, not a module per pattern
+    """No literal of the pattern is left."""
+    options = SympilerOptions(backend=backend)
+    small = _compile(kernel, g.laplacian_2d(12), options)
+    large = _compile(kernel, g.laplacian_2d(40), options)
+    assert small.source == large.source
+    assert small.inspection.n != large.inspection.n
+    if backend == "c":
+        assert small.module.shared_object == large.module.shared_object
+    else:
+        assert len(small.source) < 6 * 1024  # one function, not a module per pattern
 
 
 def test_every_triangular_solve_is_one_shared_object():

@@ -295,8 +295,8 @@ def test_two_patterns_share_one_shared_object_and_its_thread_local_buffers(monke
 
     # The batched runtime maps the same entry point over a thread pool.
     for A in (large, small):
-        options = _c_options(num_threads=2)
-        batched = BatchedSolver(A, ordering="natural", options=options)
+        options = _c_options()
+        batched = BatchedSolver(A, ordering="natural", options=options, num_threads=2)
         # (The solver compiles through the process-wide artifact cache, which
         # may hold this pattern from another test's cache directory.)
         assert os.path.basename(

@@ -31,10 +31,9 @@ class TestTriangularSolve:
             SympilerOptions.baseline(),
             SympilerOptions.vi_prune_only(),
             SympilerOptions.vs_block_only(),
-            SympilerOptions(enable_low_level=False),
             SympilerOptions(),
         ],
-        ids=["baseline", "vi-prune", "vs-block", "vs+vi", "full"],
+        ids=["baseline", "vi-prune", "vs-block", "full"],
     )
     def test_solve_is_correct(self, lower_factors, options):
         for L in lower_factors.values():
@@ -92,10 +91,9 @@ class TestCholesky:
         "options",
         [
             SympilerOptions.vi_prune_only(),
-            SympilerOptions(enable_low_level=False),
             SympilerOptions(),
         ],
-        ids=["simplicial", "supernodal", "supernodal+lowlevel"],
+        ids=["simplicial", "supernodal"],
     )
     def test_factorization_is_correct(self, spd_matrix, options):
         compiled = Sympiler().compile_cholesky(spd_matrix, options=options)

@@ -24,12 +24,11 @@ from repro.symbolic.inspector import CholeskyInspector
 
 SEEDS = (0, 1, 2)
 CASES = ("triangular-solve", "triangular-solve/sparse-rhs", "cholesky", "ldlt", "lu", "ic0", "ilu0")
-#: All passes / no VS-Block / no low-level pass / nothing (VI-Prune forced back on for a factorization).
+#: All passes / no VS-Block / nothing (VI-Prune forced back on for a factorization).
 BUNDLES = (
     {},
     {"enable_vs_block": False},
-    {"enable_low_level": False},
-    {"enable_vi_prune": False, "enable_vs_block": False, "enable_low_level": False},
+    {"enable_vi_prune": False, "enable_vs_block": False},
 )
 BACKENDS = [
     "python",

@@ -11,6 +11,7 @@ import pytest
 from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
+from repro.compiler.registry import UnknownKernelError
 from repro.compiler.sympiler import Sympiler
 from repro.kernels.incomplete import ic0_left_looking, ilu0_left_looking
 from repro.solvers.linear_solver import map_items
@@ -228,10 +229,9 @@ class TestCompiledIC0Python:
         L2 = compiled.factorize(A2)
         np.testing.assert_allclose(L2.data, 2.0 * L1.data, atol=1e-12)
 
-    def test_aliases_resolve(self):
-        sym = _fresh_sympiler()
-        A = _spd(5)
-        assert sym.compile("incomplete-cholesky", A) is sym.compile("ic0", A)
+    def test_the_long_name_is_not_a_kernel(self):
+        with pytest.raises(UnknownKernelError, match="incomplete-cholesky"):
+            _fresh_sympiler().compile("incomplete-cholesky", _spd(5))
 
 
 class TestCompiledILU0Python:
@@ -255,12 +255,14 @@ class TestCompiledILU0Python:
         with pytest.raises(ValueError, match="zero pivot"):
             compiled.factorize(A)
 
-    def test_u_pattern_property_and_alias(self):
+    def test_u_pattern_property(self):
         sym = _fresh_sympiler()
         A = _jacobian(30, seed=13)
-        compiled = sym.compile("incomplete-lu", A)
+        compiled = sym.compile("ilu0", A)
         assert compiled.u_pattern.pattern_equal(upper_triangle(A))
         assert sym.compile("ilu0", A) is compiled
+        with pytest.raises(UnknownKernelError, match="incomplete-lu"):
+            sym.compile("incomplete-lu", A)
 
 
 @needs_cc

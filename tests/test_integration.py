@@ -61,7 +61,7 @@ def test_option_variants_are_numerically_identical(spd_matrices):
     for options in (
         SympilerOptions.vi_prune_only(),
         SympilerOptions.vs_block_only(),
-        SympilerOptions(enable_low_level=False),
+        SympilerOptions.baseline(),
         SympilerOptions(),
     ):
         chol = sym.compile_cholesky(A, options=options)

@@ -147,13 +147,10 @@ class TestLDLTSolver:
         with pytest.raises(ValueError, match="not a factorization"):
             SparseLinearSolver(laplacian_2d(4), method="triangular-solve")
 
-    def test_registry_alias_works(self, rng):
-        # The solver resolves through the registry, so aliases work too.
-        A = saddle_point_indefinite(20, 8, seed=21)
-        solver = SparseLinearSolver(A, method="ldl")
-        assert solver.method == "ldlt"  # canonicalized
-        b = rng.normal(size=A.n)
-        assert solver.residual(solver.solve(b), b) <= 1e-8
+    def test_an_old_alias_is_an_unknown_method(self):
+        # The kernel table has no aliases: "ldl" is refused like any unknown name.
+        with pytest.raises(ValueError, match="unknown factorization method 'ldl'"):
+            SparseLinearSolver(saddle_point_indefinite(20, 8, seed=21), method="ldl")
 
     def test_solver_exposes_pivots(self):
         A = _indefinite_matrix()
@@ -167,7 +164,7 @@ class TestLDLTSolver:
 class TestCompiledLDLTC:
     @pytest.mark.parametrize(
         "options_kwargs",
-        [dict(enable_vs_block=False, enable_low_level=False), dict()],
+        [dict(enable_vs_block=False), dict()],
         ids=["simplicial", "supernodal"],
     )
     def test_matches_reference(self, spd_matrices, options_kwargs):

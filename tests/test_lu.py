@@ -248,12 +248,9 @@ class TestLUSolver:
         assert solver.U is not None and solver.d is None
         assert solver.L.is_lower_triangular() and solver.U.is_upper_triangular()
 
-    def test_registry_alias_works(self, rng):
-        A = _jacobian(30, seed=33)
-        solver = SparseLinearSolver(A, method="gp-lu")
-        assert solver.method == "lu"  # canonicalized
-        b = rng.normal(size=A.n)
-        assert solver.residual(solver.solve(b), b) <= 1e-8
+    def test_an_old_alias_is_an_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown factorization method 'gp-lu'"):
+            SparseLinearSolver(_jacobian(30, seed=33), method="gp-lu")
 
     def test_refactorization_reuses_kernels(self):
         A = _jacobian(44, seed=34)

@@ -157,8 +157,8 @@ class TestThreadPropagation:
         from repro.solvers.batched import BatchedSolver
 
         A = laplacian_2d(6, shift=0.1)
-        options = SympilerOptions(backend="c", num_threads=2)
-        batched = BatchedSolver(A, ordering="natural", options=options)
+        options = SympilerOptions(backend="c")
+        batched = BatchedSolver(A, ordering="natural", options=options, num_threads=2)
         scenarios = [A.with_values(A.data * s) for s in (1.0, 2.0, 3.0)]
         with observe.span("batch-submit") as outer:
             handles = batched.factorize_batch(scenarios)

@@ -10,36 +10,40 @@ from repro.compiler.options import SympilerOptions
 def test_defaults_follow_the_paper():
     opts = SympilerOptions()
     assert opts.backend == "python"
-    assert opts.enable_vi_prune and opts.enable_vs_block and opts.enable_low_level
+    assert opts.enable_vi_prune and opts.enable_vs_block
+    assert opts.parallel == "none"
 
 
 def _toggles(options):
-    return options.enable_vs_block, options.enable_vi_prune, options.enable_low_level
+    return options.enable_vs_block, options.enable_vi_prune
 
 
 def test_named_constructors():
-    assert _toggles(SympilerOptions.baseline()) == (False, False, False)
-    assert _toggles(SympilerOptions.vi_prune_only()) == (False, True, False)
-    assert _toggles(SympilerOptions.vs_block_only()) == (True, False, False)
-    assert _toggles(SympilerOptions.all_transformations()) == (True, True, True)
+    assert _toggles(SympilerOptions.baseline()) == (False, False)
+    assert _toggles(SympilerOptions.vi_prune_only()) == (False, True)
+    assert _toggles(SympilerOptions.vs_block_only()) == (True, False)
+    assert not hasattr(SympilerOptions, "all_transformations")
 
 
 def test_with_updates_returns_new_instance():
     base = SympilerOptions()
-    other = base.with_updates(backend="c", vs_block_min_supernode_width=6)
+    other = base.with_updates(backend="c", parallel="wavefront")
     assert other.backend == "c"
-    assert other.vs_block_min_supernode_width == 6
-    assert base.backend == "python"
+    assert other.parallel == "wavefront"
+    assert base.backend == "python" and base.parallel == "none"
 
 
 def test_validation_rejects_bad_values():
     with pytest.raises(ValueError):
         SympilerOptions(backend="fortran")
     with pytest.raises(ValueError):
-        SympilerOptions(vs_block_min_supernode_width=0)
+        SympilerOptions(parallel="openmp")
     # The peel knobs, the never-read vectorize_min_length, the BLAS switch only
-    # the python emitters read, the pass order, the unroll bound and the
-    # supernode width cap are gone, not ignored.
+    # the python emitters read, the pass order, the unroll bound, the
+    # supernode width cap, the low-level toggle that changed no code, the
+    # batch thread count (a call argument) and the three one-value thresholds
+    # (constants of the planner and of the wavefront fallback) are gone, not
+    # ignored.
     for removed in (
         "max_supernode_width",
         "unroll_max_width",
@@ -50,10 +54,17 @@ def test_validation_rejects_bad_values():
         "vectorize_min_length",
         "blas_switch_avg_colcount",
         "small_kernel_max_width",
+        "enable_low_level",
+        "num_threads",
+        "vs_block_min_avg_width",
+        "vs_block_min_supernode_width",
+        "wavefront_min_avg_width",
     ):
         with pytest.raises(TypeError):
             SympilerOptions(**{removed: 1})
-    assert len(dataclasses.fields(SympilerOptions)) == 11
+    fields = [field.name for field in dataclasses.fields(SympilerOptions)]
+    assert len(fields) == 6
+    assert fields == ["backend", "enable_vi_prune", "enable_vs_block", "parallel", "c_compiler", "c_flags"]
 
 
 def test_options_are_immutable():

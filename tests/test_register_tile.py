@@ -97,8 +97,8 @@ def test_c_matches_python_bitwise_at_every_tile_edge(method, num_threads):
     for M in scenarios:
         python.factorize(M)
         expected.append((python.L.data.copy(), python.d))
-    options = SympilerOptions(backend="c", num_threads=num_threads)
-    batched = BatchedSolver(A, method=method, ordering="natural", options=options)
+    options = SympilerOptions(backend="c")
+    batched = BatchedSolver(A, method=method, ordering="natural", options=options, num_threads=num_threads)
     assert batched.solver._factorization.loop.role == "supernodal-cholesky"
     for handle, (L, d) in zip(batched.factorize_batch(scenarios), expected):
         assert handle.ok and np.array_equal(handle.L.data, L)

@@ -1,4 +1,4 @@
-"""Tests for the kernel registry and the pattern-keyed artifact cache."""
+"""Tests for the kernel table and the pattern-keyed artifact cache."""
 
 import numpy as np
 import pytest
@@ -6,24 +6,18 @@ import pytest
 from repro.compiler.artifacts import (
     PatternMismatchError,
     SympiledCholesky,
+    SympiledIC0,
+    SympiledILU0,
     SympiledLDLT,
+    SympiledLU,
     SympiledTriangularSolve,
 )
 from repro.compiler.cache import ArtifactCache, cache_key, options_fingerprint
 from repro.compiler.options import SympilerOptions
 from repro.compiler.plan import plan_incomplete, plan_left_looking, plan_lu, plan_triangular_solve
-from repro.compiler.registry import (
-    DuplicateKernelError,
-    KernelRegistry,
-    KernelSpec,
-    UnknownKernelError,
-    default_registry,
-    kernel_spec,
-    registered_kernels,
-)
+from repro.compiler.registry import UnknownKernelError, kernel_spec, registered_kernels
 from repro.compiler.sympiler import Sympiler
 from repro.sparse.generators import laplacian_2d, saddle_point_indefinite, sparse_rhs
-from repro.symbolic.inspector import CholeskyInspector
 
 
 def fresh_sympiler(options=None):
@@ -36,54 +30,56 @@ class TestRegistry:
         names = registered_kernels()
         assert names == ("cholesky", "ic0", "ilu0", "ldlt", "lu", "triangular-solve")
 
-    def test_aliases_resolve_to_the_same_spec(self):
-        assert kernel_spec("trisolve") is kernel_spec("triangular-solve")
-        assert kernel_spec("triangular") is kernel_spec("triangular-solve")
-        assert kernel_spec("ldl") is kernel_spec("ldlt")
+    @pytest.mark.parametrize(
+        "alias", ["trisolve", "triangular", "ldl", "gp-lu", "incomplete-cholesky", "incomplete-lu"]
+    )
+    def test_the_aliases_are_gone(self, alias):
+        with pytest.raises(UnknownKernelError, match=alias):
+            kernel_spec(alias)
 
-    def test_spec_declares_pipeline_ingredients(self):
-        spec = kernel_spec("cholesky")
-        assert spec.plan is plan_left_looking
-        assert spec.requires_vi_prune is True
-        assert spec.artifact_cls is SympiledCholesky
-        tri = kernel_spec("triangular-solve")
-        assert tri.plan is plan_triangular_solve
-        assert tri.requires_vi_prune is False
-        assert tri.artifact_cls is SympiledTriangularSolve
-        assert kernel_spec("ldlt").artifact_cls is SympiledLDLT
+    @pytest.mark.parametrize(
+        "name, plan, artifact_cls, requires_vi_prune, kernel_args",
+        [
+            ("triangular-solve", plan_triangular_solve, SympiledTriangularSolve, False, ("rhs_pattern",)),
+            ("cholesky", plan_left_looking, SympiledCholesky, True, ()),
+            ("ldlt", plan_left_looking, SympiledLDLT, True, ()),
+            ("lu", plan_lu, SympiledLU, True, ()),
+            ("ic0", plan_incomplete, SympiledIC0, True, ()),
+            ("ilu0", plan_incomplete, SympiledILU0, True, ()),
+        ],
+    )
+    def test_spec_declares_pipeline_ingredients(self, name, plan, artifact_cls, requires_vi_prune, kernel_args):
+        spec = kernel_spec(name)
+        assert spec.name == name
+        assert spec.plan is plan
+        assert spec.artifact_cls is artifact_cls
+        assert spec.requires_vi_prune is requires_vi_prune
+        assert spec.kernel_args == kernel_args
 
-    def test_duplicate_registration_raises(self):
-        registry = KernelRegistry()
-        spec = kernel_spec("cholesky")
-        registry.register(spec)
-        clone = KernelSpec(
-            name="cholesky",
-            plan=plan_left_looking,
-            inspector_cls=CholeskyInspector,
-            artifact_cls=SympiledCholesky,
-        )
-        with pytest.raises(DuplicateKernelError):
-            registry.register(clone)
-        # Re-registering the identical spec object is a no-op.
-        registry.register(spec)
-        assert len(registry) == 1
+    def test_the_registration_api_is_gone(self):
+        import importlib
 
-    def test_alias_collision_raises(self):
-        registry = KernelRegistry()
-        registry.register(kernel_spec("triangular-solve"))
-        colliding = KernelSpec(
-            name="other",
-            plan=plan_left_looking,
-            inspector_cls=CholeskyInspector,
-            artifact_cls=SympiledCholesky,
-            aliases=("trisolve",),
-        )
-        with pytest.raises(DuplicateKernelError):
-            registry.register(colliding)
+        import repro.compiler as compiler
+        from repro.compiler.codegen import python_backend
+
+        for name in ("KernelRegistry", "register_kernel", "default_registry", "DuplicateKernelError"):
+            assert not hasattr(compiler, name), name
+        assert not hasattr(python_backend, "register_python_method")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.compiler.registration")
+        with pytest.raises(TypeError, match="registry"):
+            Sympiler(registry=None)
+
+    def test_every_kernel_has_an_emitter_and_a_reference_kernel(self):
+        """Adding a kernel is one table entry plus its two backends' entries."""
+        from repro.compiler.codegen.c_backend import _C_METHOD_SPECS
+        from repro.compiler.codegen.python_backend import _PY_METHOD_SPECS
+
+        assert set(_C_METHOD_SPECS) == set(_PY_METHOD_SPECS) == set(registered_kernels())
 
     def test_unknown_kernel_error_lists_available(self):
         with pytest.raises(UnknownKernelError, match="cholesky"):
-            default_registry().resolve("qr")
+            kernel_spec("qr")
 
     def test_compile_rejects_unknown_kernel(self):
         with pytest.raises(UnknownKernelError):
@@ -94,27 +90,9 @@ class TestRegistry:
         with pytest.raises(TypeError, match="rhs_pattern"):
             sym.compile("cholesky", laplacian_2d(4), rhs_pattern=[0])
 
-    def test_custom_registry_is_honoured(self):
-        registry = KernelRegistry()
-        registry.register(kernel_spec("cholesky"))
-        sym = Sympiler(registry=registry, cache=ArtifactCache())
-        A = laplacian_2d(5)
-        assert sym.compile("cholesky", A).factor_nnz > 0
-        with pytest.raises(UnknownKernelError):
-            sym.compile("triangular-solve", A)
-
     @pytest.mark.parametrize("name", registered_kernels())
     def test_each_spec_names_the_inspector_of_its_kernel(self, name):
         assert kernel_spec(name).inspector_cls().method == name
-
-    def test_backend_method_registration_is_identity_idempotent(self):
-        from repro.compiler.codegen.python_backend import _PY_METHOD_SPECS, register_python_method
-
-        # Re-registering the exact same planner is a no-op...
-        register_python_method("ldlt", _PY_METHOD_SPECS["ldlt"])
-        # ...but another callable under a taken name conflicts loudly.
-        with pytest.raises(ValueError, match="already registered"):
-            register_python_method("ldlt", lambda loop, method: _PY_METHOD_SPECS["ldlt"](loop, method))
 
 
 class TestGenericCompile:
@@ -185,6 +163,21 @@ class TestArtifactCache:
             SympilerOptions.vi_prune_only()
         )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("backend", "c"),
+            ("enable_vi_prune", False),
+            ("enable_vs_block", False),
+            ("parallel", "wavefront"),
+            ("c_compiler", "clang"),
+            ("c_flags", ("-O2", "-fPIC", "-shared")),
+        ],
+    )
+    def test_every_option_field_is_part_of_the_fingerprint(self, field, value):
+        # No field is runtime-only any more: each one keys its own artifact.
+        assert options_fingerprint(SympilerOptions()) != options_fingerprint(SympilerOptions(**{field: value}))
+
     def test_kernel_name_is_part_of_the_key(self):
         sym = fresh_sympiler()
         A = laplacian_2d(6)
@@ -213,25 +206,6 @@ class TestArtifactCache:
         bad = list(range(L.n - 1)) + [L.n + 5]  # n unique indices, one invalid
         with pytest.raises(IndexError):
             sym.compile("triangular-solve", L, rhs_pattern=bad)
-
-    def test_same_name_in_different_registries_does_not_alias(self):
-        import dataclasses
-
-        A = laplacian_2d(6)
-        shared = ArtifactCache()
-        default_sym = Sympiler(cache=shared)
-        baseline = default_sym.compile("cholesky", A)
-        def simplicial_only(context):
-            context.options = context.options.with_updates(enable_vs_block=False)
-            return plan_left_looking(context)
-
-        custom = KernelRegistry()
-        custom.register(dataclasses.replace(kernel_spec("cholesky"), plan=simplicial_only))
-        custom_sym = Sympiler(registry=custom, cache=shared)
-        restricted = custom_sym.compile("cholesky", A)
-        assert restricted is not baseline
-        assert "vs-block" in baseline.applied_transformations
-        assert "vs-block" not in restricted.applied_transformations
 
     def test_rhs_pattern_is_part_of_the_fingerprint(self, lower_factors):
         sym = fresh_sympiler()

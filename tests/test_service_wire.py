@@ -251,6 +251,11 @@ class TestEndToEnd:
                 "vectorize_min_length",
                 "blas_switch_avg_colcount",
                 "small_kernel_max_width",
+                "enable_low_level",
+                "num_threads",
+                "vs_block_min_avg_width",
+                "vs_block_min_supernode_width",
+                "wavefront_min_avg_width",
             ):
                 with pytest.raises(ProtocolError, match=field):
                     client.register_pattern(A, options={field: 1})

@@ -110,9 +110,9 @@ class TestCompileCholesky:
         assert "vs-block" not in simplicial.applied_transformations
 
     def test_default_options_can_be_set_on_the_compiler(self, spd_matrices):
-        sym = Sympiler(SympilerOptions(enable_low_level=False))
+        sym = Sympiler(SympilerOptions(enable_vs_block=False))
         compiled = sym.compile_cholesky(spd_matrices["fem"])
-        assert compiled.options.enable_low_level is False
+        assert compiled.options.enable_vs_block is False
 
 
 class TestCompileLDLT:
@@ -172,7 +172,7 @@ class TestArtifactCacheIntegration:
         sym = Sympiler(cache=ArtifactCache())
         A = spd_matrices["fem"]
         full = sym.compile_cholesky(A, options=SympilerOptions())
-        ablated = sym.compile_cholesky(A, options=SympilerOptions(enable_low_level=False))
+        ablated = sym.compile_cholesky(A, options=SympilerOptions(enable_vs_block=False))
         assert ablated is not full
         assert sym.cache_stats.misses == 2
 

@@ -6,6 +6,7 @@ their kernel the same block; the generated C is pinned byte for byte, so a
 change to it is deliberate; and the two kernels fail alike.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -16,6 +17,7 @@ from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
+from repro.service.wire import TOOLCHAIN_OPTIONS
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import fem_stencil_2d, laplacian_2d, laplacian_3d, sparse_rhs
 from repro.sparse.ordering import minimum_degree_ordering
@@ -101,7 +103,7 @@ def test_the_wavefront_extras_are_exercised():
 _OPTION_BUNDLES = (
     {},
     {"enable_vs_block": False},
-    {"enable_vi_prune": False, "enable_vs_block": False, "enable_low_level": False},
+    {"enable_vi_prune": False, "enable_vs_block": False},
 )
 _PINNED_C_SOURCES = {
     ("fem", "triangular-solve", "none"): "c0493e6ca408bb29fc6b5aeb1373b1ac9a1fcb989d3cc2d4aeeb205d5cd4d267",
@@ -262,13 +264,16 @@ def _compile_case(sym, pattern, case, options):
     return sym.compile(method, operand, options=options, **kernel_args)
 
 
-def _table_digest(pattern, case, bundle):
-    artifact = _compile_case(Sympiler(cache=ArtifactCache()), pattern, case, SympilerOptions(**bundle))
+def _block_digest(artifact):
     digest = hashlib.sha256()
     for name, table in artifact.constants.items():
         assert table.dtype == np.int64 and table.flags.c_contiguous, name
         digest.update(name.encode() + b"\0" + table.tobytes() + b"\0")
     return digest.hexdigest()
+
+
+def _table_digest(pattern, case, bundle):
+    return _block_digest(_compile_case(Sympiler(cache=ArtifactCache()), pattern, case, SympilerOptions(**bundle)))
 
 
 @pytest.mark.parametrize("bundle", range(len(_OPTION_BUNDLES)))
@@ -384,6 +389,38 @@ def test_compile_record_is_identical_to_the_parent_commit(pattern, case, backend
             options = bundle.with_updates(backend=backend, parallel=parallel)
             digest.update(_record(_compile_case(sym, pattern, case, options)).encode() + b"\0")
     assert digest.hexdigest() == _PINNED_RECORDS[pattern, case, backend]
+
+
+# --------------------------------------------------------------------------- #
+# Every option changes what gets compiled
+# --------------------------------------------------------------------------- #
+#: One value of each other field away from ``SympilerOptions(backend="c")``.
+_ALTERNATIVES = {"backend": "python", "enable_vi_prune": False, "enable_vs_block": False, "parallel": "wavefront"}
+
+
+def _compiled(artifact):
+    return artifact.source, _block_digest(artifact), _record(artifact)
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "name", [field.name for field in dataclasses.fields(SympilerOptions) if field.name not in TOOLCHAIN_OPTIONS]
+)
+def test_every_option_changes_a_source_a_table_block_or_a_record(name):
+    """A field no case can tell apart from its default is a dead knob.
+
+    The toolchain pair says where and how the source is compiled, not what it is.
+    """
+    base = SympilerOptions(backend="c")
+    other = base.with_updates(**{name: _ALTERNATIVES[name]})
+    changed = [
+        (pattern, case)
+        for pattern in sorted(TABLE_PATTERNS)
+        for case in TABLE_CASES
+        if _compiled(_compile_case(Sympiler(cache=ArtifactCache()), pattern, case, base))
+        != _compiled(_compile_case(Sympiler(cache=ArtifactCache()), pattern, case, other))
+    ]
+    assert changed, f"{name}={_ALTERNATIVES[name]!r} compiles what the default does on every case"
 
 
 # --------------------------------------------------------------------------- #

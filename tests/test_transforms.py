@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compiler import plan as plan_module
 from repro.compiler.codegen import tables
 from repro.compiler.options import SympilerOptions
 from repro.compiler.plan import (
@@ -409,10 +410,11 @@ def test_vs_block_triangular_produces_blocks():
     assert context.applied == ["vs-block"]
 
 
-def test_vs_block_skips_when_supernodes_are_small(lower_factors):
+def test_vs_block_skips_when_supernodes_are_small(lower_factors, monkeypatch):
     # The 2-D grid factor under this ordering has mostly width-1 supernodes.
+    monkeypatch.setattr(plan_module, "_VS_BLOCK_MIN_AVG_WIDTH", 10.0)
     L = lower_factors["laplacian_2d"]
-    context = _tri_context(L, SympilerOptions.vs_block_only().with_updates(vs_block_min_avg_width=10.0))
+    context = _tri_context(L, SympilerOptions.vs_block_only())
     assert plan_triangular_solve(context) is None
     assert not context.decisions["vs-block"]["participates"]
     assert context.applied == []
@@ -420,7 +422,7 @@ def test_vs_block_skips_when_supernodes_are_small(lower_factors):
 
 def test_vs_block_cholesky_produces_supernodal_loop(spd_matrices):
     A = spd_matrices["block"]
-    context = _chol_context(A, SympilerOptions(enable_low_level=False))
+    context = _chol_context(A, SympilerOptions())
     loop = plan_left_looking(context)
     assert loop.role == "supernodal-cholesky" and loop.factor_kind == "llt"
     assert loop.contract[0]["n_super"] == context.inspection.supernodes.n_supernodes
@@ -462,19 +464,15 @@ def test_vs_block_defers_on_lu_and_the_incomplete_factorizations(method):
     assert context.applied == ["vi-prune"]
 
 
-# --------------------------------------------------------------------------- #
-# The low-level passes
-# --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("vs_block", [True, False])
-def test_the_low_level_passes_plan_nothing(spd_matrices, lower_factors, vs_block):
-    """``enable_low_level`` changes no plan: the supernode loop runs width-1 supernodes as one-column panels."""
-    plans = []
-    for low_level in (True, False):
-        options = SympilerOptions(enable_vs_block=vs_block, enable_low_level=low_level)
-        context = _chol_context(spd_matrices["block"], options)
-        loop = plan_left_looking(context)
-        tri = _tri_context(lower_factors["block"], options)
-        plan_triangular_solve(tri)
-        plans.append((loop.role, context.applied, context.decisions, tri.applied, tri.decisions))
-    assert plans[0] == plans[1]
-    assert plans[0][0] == ("supernodal-cholesky" if vs_block else "simplicial-cholesky")
+@pytest.mark.parametrize("method", ["triangular-solve", "cholesky", "ldlt", "lu", "ic0", "ilu0"])
+def test_every_kernel_records_the_vs_block_thresholds(method):
+    """Each VS-Block decision names the §4.2 thresholds it applied, the planner's constants."""
+    from repro.compiler.cache import ArtifactCache
+    from repro.compiler.sympiler import Sympiler
+
+    sym = Sympiler(cache=ArtifactCache())
+    A = block_tridiagonal_spd(6, 6, seed=1, dense_coupling=True)
+    operand = sym.compile("cholesky", A).inspection.l_pattern_matrix() if method == "triangular-solve" else A
+    decision = sym.compile(method, operand).decisions["vs-block"]
+    assert decision["min_avg_width"] == plan_module._VS_BLOCK_MIN_AVG_WIDTH == 1.2
+    assert decision["min_supernode_width"] == plan_module._VS_BLOCK_MIN_SUPERNODE_WIDTH == 2

@@ -19,7 +19,7 @@ VARIANTS = {
     "baseline": SympilerOptions.baseline(),
     "vi-prune": SympilerOptions.vi_prune_only(),
     "vs-block": SympilerOptions.vs_block_only(),
-    "all": SympilerOptions.all_transformations(),
+    "all": SympilerOptions(),
 }
 
 

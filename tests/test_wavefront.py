@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 from repro.compiler.cache import ArtifactCache, options_fingerprint
-from repro.compiler.codegen.c_backend import _wavefront_threads, c_compiler_available, resolve_num_threads
+from repro.compiler.codegen import c_backend
+from repro.compiler.codegen.c_backend import (
+    _WAVEFRONT_MIN_AVG_WIDTH,
+    _wavefront_threads,
+    c_compiler_available,
+    resolve_num_threads,
+)
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.solvers.batched import BatchedSolver
@@ -212,7 +218,7 @@ class TestBitwiseIdentity:
         )
         fac_s = sym_s.compile("cholesky", chain)
         fac_w = sym_w.compile("cholesky", chain)
-        assert fac_w.schedule.average_width < serial.wavefront_min_avg_width
+        assert fac_w.schedule.average_width < _WAVEFRONT_MIN_AVG_WIDTH
         assert fac_w.parallel_mode == "serial-fallback"
         # The fallback keeps the wavefront ABI: a thread count is accepted
         # (and ignored), and the bits still match serial.
@@ -222,6 +228,27 @@ class TestBitwiseIdentity:
                 chain.indptr, chain.indices, chain.data, num_threads=4
             ),
         )
+
+    def test_the_fallback_threshold_is_the_module_constant(self, tmp_path, monkeypatch):
+        """At a threshold of 1.0 the chain's one-column levels are wide enough."""
+        monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
+        monkeypatch.setattr(c_backend, "_WAVEFRONT_MIN_AVG_WIDTH", 1.0)
+        chain = laplacian_2d(40, 1, shift=0.1)
+        sym = Sympiler(_c_options(enable_vs_block=False, parallel="wavefront"), cache=ArtifactCache())
+        fac = sym.compile("cholesky", chain)
+        assert fac.schedule.average_width == 1.0
+        assert fac.parallel_mode == "wavefront"
+
+    @pytest.mark.parametrize("method", ["triangular-solve", *FACTOR_CASES])
+    def test_every_kernel_records_its_wavefront_decision(self, method):
+        sym = Sympiler(_c_options(parallel="wavefront"), cache=ArtifactCache())
+        A = FACTOR_CASES.get(method, FACTOR_CASES["cholesky"])()
+        operand = sym.compile("cholesky", A).inspection.l_pattern_matrix() if method == "triangular-solve" else A
+        artifact = sym.compile(method, operand)
+        decision = artifact.decisions["wavefront"]
+        assert decision["mode"] == artifact.parallel_mode
+        assert {"n_levels", "max_width", "average_width"} <= set(decision)
+        assert ("fallback_reason" in decision) == (decision["mode"] == "serial-fallback")
 
 
 #: The update line of each kernel's step body (and, for the triangular solve,
@@ -266,13 +293,6 @@ class TestCacheKeying:
         serial = SympilerOptions(backend="c")
         wavefront = serial.with_updates(parallel="wavefront")
         assert options_fingerprint(serial) != options_fingerprint(wavefront)
-
-    def test_num_threads_is_not_fingerprinted(self):
-        """Thread count is runtime-only: no recompile to change it."""
-        base = SympilerOptions(backend="c", parallel="wavefront")
-        assert options_fingerprint(base) == options_fingerprint(
-            base.with_updates(num_threads=8)
-        )
 
     @needs_cc
     def test_serial_and_wavefront_artifacts_coexist(self, tmp_path, monkeypatch):
@@ -348,11 +368,14 @@ class TestThreadResolution:
             expected = 1 if entry == "runtime" else (os.cpu_count() or 1)
         assert resolve(None) == expected
 
-    def test_batch_env_beats_compile_options(self, monkeypatch):
+    def test_batch_argument_then_env_then_one(self, monkeypatch):
+        import os
+
         monkeypatch.setenv("REPRO_NUM_THREADS", "5")
         A = _permuted_laplacian(8)
-        options = SympilerOptions(backend="python", num_threads=2)
+        options = SympilerOptions(backend="python")
         assert BatchedSolver(A, options=options).num_threads == 5
         assert BatchedSolver(A, options=options, num_threads=3).num_threads == 3
         monkeypatch.delenv("REPRO_NUM_THREADS")
-        assert BatchedSolver(A, options=options).num_threads == 2
+        assert BatchedSolver(A, options=options).num_threads == 1
+        assert BatchedSolver(A, options=options, num_threads=0).num_threads == (os.cpu_count() or 1)
