@@ -163,14 +163,19 @@ class CompiledArtifact:
 
         return call
 
+    def new_outputs(self) -> tuple:
+        """Zeroed output buffers of the compile-time lengths :meth:`bind` checks, in ABI order."""
+        spec = _C_METHOD_SPECS[self.module.method]
+        return tuple(np.zeros(getattr(self.inspection, attr)) for _, attr in spec.outputs)
+
     def _fresh_outputs(self, inputs, num_threads):
-        """Bind ``inputs`` (made contiguous of the entry's dtypes) to fresh outputs, call once, return them.
+        """Bind ``inputs`` (made contiguous of the entry's dtypes) to :meth:`new_outputs`, call once, return them.
 
         A bare array for one output, a tuple otherwise.
         """
         spec = _C_METHOD_SPECS[self.module.method]
         inputs = [np.ascontiguousarray(a, dtype=d) for a, d in zip(inputs, spec.dtypes)]
-        outputs = tuple(np.zeros(getattr(self.inspection, attr)) for _, attr in spec.outputs)
+        outputs = self.new_outputs()
         self.bind(inputs, outputs)(num_threads)
         return outputs[0] if len(outputs) == 1 else outputs
 

@@ -112,14 +112,23 @@ class _Specialization:
     #: object the specialization was built from.
     indptr: np.ndarray = field(init=False, repr=False)
     indices: np.ndarray = field(init=False, repr=False)
+    #: The same copies as ``int32`` — scipy's index dtype — when the pattern
+    #: fits in it, else ``None``: an ``int32`` input is compared in its own
+    #: dtype, without promoting its ``nnz(A)`` indices on every call.
+    narrow: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.indptr = self.pattern.indptr.copy()
         self.indices = self.pattern.indices.copy()
+        fits = max(len(self.indices), self.pattern.n_rows) <= np.iinfo(np.int32).max
+        self.narrow = (self.indptr.astype(np.int32), self.indices.astype(np.int32)) if fits else None
 
     def is_pattern_of(self, A) -> bool:
-        """True when ``A``'s ``indptr`` / ``indices`` equal this pattern's."""
-        return np.array_equal(A.indptr, self.indptr) and np.array_equal(A.indices, self.indices)
+        """True when ``A``'s ``indptr`` / ``indices`` equal this pattern's (exactly, in any dtype)."""
+        indptr, indices = self.indptr, self.indices
+        if self.narrow is not None and A.indices.dtype == np.int32 and A.indptr.dtype == np.int32:
+            indptr, indices = self.narrow
+        return np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)
 
 
 def _factorization_is_finite(solver: SparseLinearSolver) -> bool:
@@ -127,17 +136,11 @@ def _factorization_is_finite(solver: SparseLinearSolver) -> bool:
 
     The no-pivot kernels do not raise on breakdown — an indefinite matrix
     fed to Cholesky surfaces as NaNs in ``L`` — so the escape hatch checks
-    the factor bits instead of catching exceptions alone.
+    the factor bits instead of catching exceptions alone.  It reads the
+    arrays the solver owns and its kernel writes (``Lx``; ``Lx, D``; or
+    ``Lx, Ux``), not the copies :attr:`SparseLinearSolver.L` hands out.
     """
-    if not np.isfinite(solver.L.data).all():
-        return False
-    d = solver.d
-    if d is not None and not np.isfinite(d).all():
-        return False
-    U = solver.U
-    if U is not None and not np.isfinite(U.data).all():
-        return False
-    return True
+    return all(np.isfinite(values).all() for values in solver._outputs)
 
 
 class SpecializedSolver:

@@ -231,45 +231,74 @@ class SparseLinearSolver:
         )
         # The sweeps' vectors — permuted b, y, reversed y, reversed z — and
         # the gather n-1-inv that takes reversed z to the caller's order.
-        # Every successful refactorization binds both sweeps to its factors
-        # and these buffers, so a solve on the current factors runs on
+        # Both sweeps are bound, once, to the owned factors and these
+        # buffers (below), so a solve on the current factors runs on
         # prebuilt addresses (see _sweep).
         n = A.n
         self._buffers = tuple(np.zeros(n) for _ in range(4))
         self._unreverse = (n - 1) - self.permutation.inv
-        self._sweeps = None
         # The input-order values the current factors came from: a private
         # snapshot (the caller may edit A.data in place), and, wrapped on A's
         # pattern, what `self.A` becomes once step() has moved on from A.
         self._values = A.data.copy()
         self._A_current = A.with_values(self._values)
         # One lock around everything that reads or replaces the factors and
-        # the plan's buffers (factorize, solve, step, solve_many).
+        # the plan's buffers (factorize, solve, step, solve_many, L / d / U).
         self._lock = threading.Lock()
-        # Numeric work last, through the one refactorization path.  The first
-        # factor is then allocated after every long-lived block of the set-up,
-        # so releasing and reallocating it on each refactorization (see
-        # factorize) cannot creep into space the set-up's temporaries left
-        # free: with the factor allocated mid-set-up, benchmarks/e2e's
-        # newton_2d ended between 83 and 102 MB peak RSS from run to run,
-        # with it allocated last, at 85-87 MB every time.
-        self.factorize()
+        # The factor arrays the kernel writes (Lx; Lx, D; or Lx, Ux), owned
+        # for the solver's lifetime: every refactorization overwrites them
+        # whole, through a kernel bound to them and to A_permuted's arrays
+        # here, once; both sweeps are bound to them here too.  They are
+        # allocated last, after every long-lived block of the set-up, so
+        # they cannot sit in space the set-up's temporaries left free: with
+        # the factor allocated mid-set-up, benchmarks/e2e's newton_2d ended
+        # between 83 and 102 MB peak RSS from run to run, with it allocated
+        # last, at 85-87 MB every time.
+        self._outputs = self._factorization.new_outputs()
+        self._set_factors(
+            self._factorization.assemble_factors(self._outputs if len(self._outputs) > 1 else self._outputs[0])
+        )
+        permuted = self.A_permuted
+        self._kernel = self._factorization.bind((permuted.indptr, permuted.indices, permuted.data), self._outputs)
+        self._sweeps = self._bind_sweeps(self._L, self._Lt, self._buffers)
+        self._factored = False
+        # Numeric work last, through the one refactorization path (not
+        # factorize(), whose copy of L nobody here would read).
+        with self._lock:
+            self._refactorize(A.data)
 
     # ------------------------------------------------------------------ #
     @property
-    def L(self) -> CSCMatrix:
-        """The current lower-triangular factor of the permuted matrix."""
-        return self._L
+    def L(self) -> Optional[CSCMatrix]:
+        """A copy of the current lower-triangular factor of the permuted matrix.
+
+        The solver refactorizes into arrays it owns, so it hands out copies:
+        a factor read here is never overwritten by a later refactorization.
+        ``None`` while the solver is without factors (see :meth:`factorize`);
+        so are :attr:`d` and :attr:`U`.
+        """
+        with self._lock:
+            return self._copy_of(self._L)
 
     @property
     def d(self) -> Optional[np.ndarray]:
-        """The LDLᵀ pivot vector (``None`` for the other methods)."""
-        return self._d
+        """A copy of the LDLᵀ pivot vector (``None`` for the other methods)."""
+        with self._lock:
+            return self._copy_of(self._d)
 
     @property
     def U(self) -> Optional[CSCMatrix]:
-        """The upper-triangular LU factor (``None`` for the symmetric methods)."""
-        return self._U
+        """A copy of the upper-triangular LU factor (``None`` for the symmetric methods)."""
+        with self._lock:
+            return self._copy_of(self._U)
+
+    def _copy_of(self, factor):
+        """A copy of one owned factor, ``None`` without factors (the caller holds the lock)."""
+        if factor is None or not self._factored:
+            return None
+        if isinstance(factor, CSCMatrix):
+            return factor.with_values(factor.data.copy())
+        return factor.copy()
 
     @property
     def factor_nnz(self) -> int:
@@ -311,6 +340,7 @@ class SparseLinearSolver:
         factorized: a non-finite value raises ``ValueError`` and leaves the
         factors as they were; if the kernel raises, the solver is left without
         factors and :meth:`solve` refuses until a factorization succeeds.
+        Returns a copy of the new ``L``, as :attr:`L` does.
         """
         if A is not None:
             if not isinstance(A, CSCMatrix):
@@ -326,35 +356,36 @@ class SparseLinearSolver:
             self._refactorize(self.A.data if A is None else A.data)
             if A is not None:
                 self.A = A
-            return self._L
+            return self._copy_of(self._L)
 
     def _refactorize(self, values: np.ndarray) -> None:
         """Factors of the input-order ``values`` (the caller holds the lock).
 
         Numeric only: the snapshot takes the values, one gather puts them in
-        permuted order, the compiled kernel runs, one gather fills the
-        backward operand.  Snapshot and gathers write into the plan's own
-        buffers and the previous factors are released before the kernel
-        allocates the new ones, so the solver holds the same blocks at the
-        same addresses after every call: a long run of refactorizations does
-        not fragment the heap it shares with the caller.
+        permuted order, the kernel bound at construction overwrites the owned
+        factor arrays, one gather fills the backward operand.  Nothing is
+        allocated or bound: every array written here is one the solver has
+        held, at the same address, since construction, and both sweeps stay
+        bound to them.
 
-        A non-finite value is refused first, before anything is released:
-        no kernel here pivots, and the Cholesky -> LDLᵀ escape of the front
-        end would otherwise turn the breakdown into a NaN answer.
+        A non-finite value is refused first, before anything is touched: no
+        kernel here pivots, and the Cholesky -> LDLᵀ escape of the front end
+        would otherwise turn the breakdown into a NaN answer.  A kernel that
+        raises may have written part of the factors, so the solver is without
+        factors until the next success, which overwrites every output whole.
         """
         require_finite_values(self.A, values)
         np.copyto(self._values, values)
         # mode="clip": the default "raise" buffers `out` in a temporary.
         np.take(self._values, self._value_gather, out=self.A_permuted.data, mode="clip")
-        self._L = self._d = self._U = self._sweeps = None
-        self._set_factors(self._factorization.factorize(self.A_permuted))
+        self._factored = False
+        self._kernel()
         source = self._L if self._U is None else self._U
         np.take(source.data, self._backward_gather, out=self._Lt.data, mode="clip")
-        self._sweeps = self._bind_sweeps(self._L, self._Lt, self._buffers)
+        self._factored = True
 
     def _set_factors(self, result) -> None:
-        """Store one factorization result.
+        """Hold the owned factors, wrapped once around the kernel's outputs.
 
         Duck-typed factor protocol: composite results expose the (unit)
         lower-triangular factor as ``.L``, an optional between-sweeps
@@ -459,13 +490,13 @@ class SparseLinearSolver:
     def _solve_current(
         self, b: np.ndarray, out: Optional[np.ndarray], num_threads: Optional[int]
     ) -> np.ndarray:
-        """The two sweeps on the current factors, bound at their factorization (the caller holds the lock)."""
+        """The two sweeps on the current factors, bound at construction (the caller holds the lock)."""
         self._require_factors()
         b, out = self._checked(b, out)
         return self._sweep(self._sweeps, self._buffers, self._d, b, out, num_threads)
 
     def _require_factors(self) -> None:
-        if self._L is None:
+        if not self._factored:
             raise RuntimeError("the last factorize() failed; there are no factors to solve with")
 
     def solve(
@@ -486,7 +517,9 @@ class SparseLinearSolver:
         pattern (length ``A.nnz``; the caller vouches for the pattern — that
         is what makes the step numeric only).  When they equal the values the
         current factors came from, the step is the two sweeps; otherwise the
-        compiled kernel runs first, between its two gathers.  This is the one
+        compiled kernel runs first, between its two gathers, as one call bound
+        at construction (:meth:`_refactorize`): a warm step allocates no
+        factor and binds nothing.  This is the one
         numeric path of every layer above the artifact — the front end calls
         it per solve, the service once per request — and it holds
         the solver's lock throughout, so concurrent callers with different
@@ -498,7 +531,7 @@ class SparseLinearSolver:
         before the kernel runs and leaves the solver as it was.
         """
         with self._lock:
-            refactorized = self._L is None or not np.array_equal(self._values, values)
+            refactorized = not self._factored or not np.array_equal(self._values, values)
             if refactorized:
                 if np.shape(values) != self._values.shape:
                     raise ValueError(f"values must have shape {self._values.shape}")

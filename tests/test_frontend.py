@@ -332,10 +332,13 @@ class TestWarmCallsDoNoSymbolicWork:
         A = _ROUTES[method]()
         solver = SparseLinearSolver(A, method=method, options=SympilerOptions(backend=backend))
         permuted, operand = solver.A_permuted.data, solver._Lt.data
+        outputs = solver._outputs
         L1 = solver.L
         before = L1.data.copy()
         L2 = solver.factorize(A.with_values(A.data * 1.5))
         assert solver.A_permuted.data is permuted and solver._Lt.data is operand
+        # The kernel's outputs are owned too: the same arrays, overwritten.
+        assert solver._outputs is outputs and solver._L.data is outputs[0]
         assert L2 is not L1 and not np.shares_memory(L2.data, L1.data)
         np.testing.assert_array_equal(L1.data, before)
         b = rng.normal(size=A.n)
@@ -397,8 +400,8 @@ class TestLazySpecialization:
 
     @pytest.mark.parametrize("backend", _BACKENDS)
     def test_failed_refactorization_is_never_reused(self, backend):
-        # The old factors are released before the kernel runs, so a kernel
-        # that raises leaves none: the same values again must fail again
+        # The solver counts as without factors from before the kernel runs,
+        # so a kernel that raises leaves none: the same values again must fail again
         # (not count as a value hit), a direct solve must refuse, and good
         # values must recover.
         A = laplacian_2d(6)
@@ -488,6 +491,28 @@ class TestLazySpecialization:
             front.solve(A, rng.normal(size=A.n))
         assert front.stats.specializations == 3
         assert front.cache_info()["size"] == 3
+
+    def test_repeat_check_is_exact_in_either_index_dtype(self, rng):
+        # scipy hands in int32 indices: they are compared against the
+        # specialization's int32 copy, int64 ones against its int64 copy,
+        # and a same-size pattern that differs is a new structure either way.
+        S = laplacian_2d(6).to_scipy().tocsc()
+        assert S.indices.dtype == np.int32
+        front = SpecializedSolver()
+        front.solve(S, rng.normal(size=S.shape[0]))
+        (spec,) = front._cache
+        assert spec.narrow[0].dtype == spec.narrow[1].dtype == np.int32
+        wide = S.copy()
+        wide.indptr, wide.indices = S.indptr.astype(np.int64), S.indices.astype(np.int64)
+        for A in (S, wide):
+            front.solve(A, rng.normal(size=S.shape[0]))
+        assert front.stats.specializations == 1 and front.stats.structure_hits == 2
+        perm = rng.permutation(S.shape[0])
+        shuffled = S[perm][:, perm].tocsc()
+        shuffled.sort_indices()
+        assert shuffled.indices.dtype == np.int32 and shuffled.nnz == S.nnz
+        front.solve(shuffled, rng.normal(size=S.shape[0]))
+        assert front.stats.specializations == 2 and front.stats.structure_hits == 2
 
     def test_lru_eviction(self, rng):
         front = SpecializedSolver(max_specializations=2)
