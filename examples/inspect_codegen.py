@@ -14,7 +14,6 @@ Run with:  python examples/inspect_codegen.py
 import numpy as np
 
 from repro import Sympiler, SympilerOptions, sparse_rhs
-from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.sparse.generators import block_tridiagonal_spd
 
 
@@ -34,13 +33,13 @@ def describe(name: str, artifact) -> None:
 
 def main() -> None:
     A = block_tridiagonal_spd(6, 5, seed=11, dense_coupling=True)
-    sym = Sympiler()
+    sym = Sympiler(SympilerOptions(backend="python"))
 
     chol = sym.compile_cholesky(A)
     L = chol.factorize(A)
     b = sparse_rhs(A.n, nnz=2, seed=5)
     tri = sym.compile_triangular_solve(L, rhs_pattern=np.nonzero(b)[0])
-    untransformed = sym.compile_triangular_solve(L, options=SympilerOptions.baseline())
+    untransformed = sym.compile_triangular_solve(L, options=SympilerOptions.baseline().with_updates(backend="python"))
 
     print("=" * 72)
     print("1. The untransformed solve: the column loop of Figure 2a")
@@ -65,13 +64,9 @@ def main() -> None:
     print("=" * 72)
     print("4. Generated C kernel")
     print("=" * 72)
-    if c_compiler_available("cc") or c_compiler_available("gcc"):
-        compiler = "cc" if c_compiler_available("cc") else "gcc"
-        c_tri = sym.compile_triangular_solve(
-            L,
-            rhs_pattern=np.nonzero(b)[0],
-            options=SympilerOptions(backend="c", c_compiler=compiler),
-        )
+    # The default options: C, or python again when no C compiler is found.
+    c_tri = sym.compile_triangular_solve(L, rhs_pattern=np.nonzero(b)[0], options=SympilerOptions())
+    if c_tri.backend == "c":
         print("\n".join(c_tri.source.splitlines()[:60]))
         print("...")
         x_c = c_tri.solve(L, b)

@@ -4,8 +4,9 @@ The lazy-specializing front end accepts a `scipy.sparse` matrix (or COO
 triplets, or a dense array) directly: the first call on a structure probes
 it, auto-selects the kernel route, orders, inspects and compiles; every
 later call on the same structure is pure numeric execution.  This script
-walks all four auto-selected routes, shows the warm-call counters, and runs
-the fixed-pattern/changing-values loop through the `@sympiled` decorator.
+walks the three auto-selected routes and the explicit `pcg` one, shows the
+warm-call counters, and runs the fixed-pattern/changing-values loop through
+the `@sympiled` decorator.
 
 Run with:  python examples/scipy_drop_in.py
 """
@@ -54,13 +55,13 @@ def main() -> None:
         f"Jacobian residual {np.linalg.norm(J @ xj - 1.0):.2e} (route: lu)"
     )
 
-    # Large sparse SPD systems go iterative (IC(0)-preconditioned CG); the
-    # size cutoff is tunable per instance.
-    iterative = SpecializedSolver(iterative_threshold=200)
-    P = laplacian_2d(16).to_scipy()  # n = 256 >= 200
+    # The probes pick a direct route at any size; IC(0)-preconditioned CG
+    # runs when asked for.
+    iterative = SpecializedSolver(method="pcg")
+    P = laplacian_2d(16).to_scipy()
     xp = iterative.solve(P, np.ones(P.shape[0]))
     print(
-        f"large SPD: route {list(iterative.stats.methods)} in "
+        f"SPD: route {list(iterative.stats.methods)} in "
         f"{iterative.last_cg_result.iterations} CG iterations, "
         f"residual {np.linalg.norm(P @ xp - 1.0):.2e}"
     )

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.compiler.codegen.c_backend import _C_METHOD_SPECS
+from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, CGeneratedModule
 from repro.compiler.codegen.runtime import pattern_fingerprint, rhs_fingerprint_extra
 from repro.compiler.options import SympilerOptions
 from repro.compiler.plan import DomainLoop
@@ -205,6 +205,11 @@ class CompiledArtifact:
                     sp.set(wf_level_seconds=[float(v) for v in levels])
 
     @property
+    def backend(self) -> str:
+        """The backend that generated the module: ``"c"``, or ``"python"``, also where the driver fell back to it."""
+        return "c" if isinstance(self.module, CGeneratedModule) else "python"
+
+    @property
     def source(self) -> str:
         """The generated source code (Python or C depending on the backend)."""
         return self.module.source
@@ -247,19 +252,6 @@ class CompiledArtifact:
     def accepts_num_threads(self) -> bool:
         """True when the entry point takes a per-call thread count."""
         return self.parallel_mode != "none"
-
-    @property
-    def schedule_stats(self) -> Dict[str, object]:
-        """Level-structure summary of the cached schedule (empty if none)."""
-        schedule = self.schedule
-        if schedule is None:
-            return {}
-        return {
-            "n_levels": schedule.n_levels,
-            "n_scheduled": schedule.n_scheduled,
-            "max_width": schedule.max_width,
-            "average_width": schedule.average_width,
-        }
 
     def _check_fingerprint(self, fp: str, hint: str) -> None:
         if fp != self.fingerprint:

@@ -43,11 +43,7 @@ from typing import Dict
 import numpy as np
 
 from repro.compiler.cache import ArtifactCache
-from repro.compiler.codegen.c_backend import (
-    c_compiler_available,
-    disk_cache_stats,
-    reset_disk_cache_stats,
-)
+from repro.compiler.codegen.c_backend import disk_cache_stats, reset_disk_cache_stats
 from repro.compiler.codegen.runtime import generated_code_dir
 from repro.compiler.options import SympilerOptions
 from repro.compiler.registry import registered_kernels
@@ -66,15 +62,14 @@ __all__ = ["run_probe", "main"]
 def run_probe(backend: str | None = None) -> Dict[str, object]:
     """Compile the fixed probe workload and return the cache counters.
 
-    ``backend`` defaults to ``"c"`` when a C toolchain is available and
-    ``"python"`` otherwise.  The driver uses a fresh in-memory artifact cache
+    ``backend`` defaults to the options' (``"c"``, which the driver runs on
+    the python backend when no C toolchain exists; the report's ``backend``
+    is the one that ran).  The driver uses a fresh in-memory artifact cache
     so the on-disk counters reflect disk state, not in-process memoization.
     """
     options = SympilerOptions()
-    have_cc = c_compiler_available(options.c_compiler)
-    if backend is None:
-        backend = "c" if have_cc else "python"
-    options = options.with_updates(backend=backend)
+    if backend is not None:
+        options = options.with_updates(backend=backend)
     reset_disk_cache_stats()
     sym = Sympiler(options, cache=ArtifactCache())
 
@@ -159,8 +154,7 @@ def run_probe(backend: str | None = None) -> Dict[str, object]:
                 sizes[suffix] += entry.stat().st_size
                 so_files += suffix == ".so"
     return {
-        "backend": backend,
-        "c_toolchain": bool(have_cc),
+        "backend": chol.backend,
         "workload": results,
         "kernels": sorted({a.module.method for a in (chol, tri, ldlt, chol_fem, lu, ic0, ilu0, chol_wf)}),
         "so_compiles": disk.compiles,
@@ -182,7 +176,7 @@ def main(argv=None) -> int:
         "--backend",
         choices=["python", "c"],
         default=None,
-        help="force a backend (default: c when a toolchain exists, else python)",
+        help="force a backend (default: c, which runs as python without a toolchain)",
     )
     parser.add_argument(
         "--assert-warm",
@@ -217,7 +211,7 @@ def main(argv=None) -> int:
             f"kernel table holds {list(registered_kernels())}\n"
         )
         return 2
-    if args.assert_warm and report["c_toolchain"] and report["so_compiles"] != 0:
+    if args.assert_warm and report["so_compiles"] != 0:
         sys.stderr.write(
             f"warm-cache assertion failed: {report['so_compiles']} shared "
             "object(s) were recompiled (expected 0)\n"

@@ -255,11 +255,6 @@ class CGeneratedModule:
     _callable: Optional[Callable] = field(default=None, repr=False)
     _lib: Optional[ctypes.CDLL] = field(default=None, repr=False)
 
-    @property
-    def line_count(self) -> int:
-        """Number of lines of generated source."""
-        return self.source.count("\n") + 1
-
     # ------------------------------------------------------------------ #
     def compile(self) -> Callable:
         """Compile the C source and return the entry's binder (:meth:`CMethodSpec.wrap`).

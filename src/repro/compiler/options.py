@@ -51,9 +51,10 @@ class SympilerOptions:
     Attributes
     ----------
     backend:
-        ``"python"`` (fixed NumPy reference kernels over the inspection
-        tables, always available) or ``"c"`` (specialized C compiled with the
-        system compiler and loaded via ``ctypes``).
+        ``"c"`` (the default: specialized C compiled with the system compiler
+        and loaded via ``ctypes``; without a toolchain the driver falls back
+        to python, with one warning) or ``"python"`` (fixed NumPy reference
+        kernels over the inspection tables: the oracle of the bitwise tests).
     enable_vi_prune, enable_vs_block:
         Toggles for the transformation stages; disabling both produces the
         un-transformed kernel (useful for ablations).  VS-Block still runs
@@ -89,7 +90,7 @@ class SympilerOptions:
         shared between machines with different CPUs.
     """
 
-    backend: str = "python"
+    backend: str = "c"
     enable_vi_prune: bool = True
     enable_vs_block: bool = True
     parallel: str = "none"

@@ -4,7 +4,7 @@
   dense arrays / :class:`~repro.sparse.csc.CSCMatrix` anywhere a pattern
   enters the system, converting once and fingerprinting the structure.
 * :mod:`repro.frontend.probes` — cheap structural probes (pattern/value
-  symmetry, SPD heuristic, size cutoff) that auto-select the kernel route.
+  symmetry, SPD heuristic) that auto-select the kernel route.
 * :mod:`repro.frontend.specialized` — :class:`SpecializedSolver`,
   the module-level :func:`solve` and the :func:`sympiled` decorator:
   specialize on first call keyed on the argument configuration, pure
@@ -18,7 +18,6 @@ only the sparse containers; ``specialized`` imports the solvers).
 from repro.frontend.ingest import IngestedMatrix, as_csc, ingest, structure_fingerprint
 from repro.frontend.probes import (
     AUTO_METHODS,
-    DEFAULT_ITERATIVE_THRESHOLD,
     ProbeReport,
     probe_structure,
     select_method,
@@ -30,7 +29,6 @@ __all__ = [
     "as_csc",
     "structure_fingerprint",
     "AUTO_METHODS",
-    "DEFAULT_ITERATIVE_THRESHOLD",
     "ProbeReport",
     "probe_structure",
     "select_method",

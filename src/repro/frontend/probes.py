@@ -8,23 +8,21 @@ comparisons — never a factorization, never ``to_dense``):
 * is the diagonal fully stored and strictly positive (the SPD heuristic —
   necessary for SPD, not sufficient; the front end backs it with a
   try-Cholesky-fall-back-to-LDLᵀ escape at specialization time)?
-* is the system large enough that an iterative method should amortize
-  instead of a complete factorization?
 
-and :func:`select_method` folds the answers into one of the four routes the
-registry serves end to end:
+and :func:`select_method` folds the answers into one of the three direct
+routes, whatever the size of the system:
 
 ==================================  =============================
 structure                           route
 ==================================  =============================
-SPD heuristic, below size cutoff    ``cholesky`` (LDLᵀ escape)
-SPD heuristic, at/above cutoff      ``pcg`` (compiled IC(0) CG)
+SPD heuristic                       ``cholesky`` (LDLᵀ escape)
 symmetric, diagonal not positive    ``ldlt``
 unsymmetric                         ``lu``
 ==================================  =============================
 
 An explicit ``method=`` always wins over the probes — the misdetection
-escape hatch (``repro.solve(A, b, method="ldlt")``).
+escape hatch (``repro.solve(A, b, method="ldlt")``) and the only way to the
+IC(0)-preconditioned CG route (``method="pcg"``).
 """
 
 from __future__ import annotations
@@ -38,16 +36,9 @@ from repro.sparse.csc import CSCMatrix
 
 __all__ = ["ProbeReport", "probe_structure", "select_method", "AUTO_METHODS"]
 
-#: The methods :func:`select_method` can return, in probe order.
+#: The routes the front end serves: the three :func:`select_method` chooses
+#: among, in probe order, then ``pcg``, which runs only when asked for.
 AUTO_METHODS = ("cholesky", "ldlt", "lu", "pcg")
-
-#: Default order cutoff above which an SPD system routes to ``pcg`` instead
-#: of a complete factorization.  Sized for this repo's interpreted-scale
-#: synthetic suite: beyond a few thousand columns the simplicial complete
-#: factorization's fill (and its compile) dwarfs IC(0)+CG, which keeps the
-#: ``A`` pattern and converges in tens of iterations on the generator
-#: classes.  Callers tune it per workload via ``iterative_threshold=``.
-DEFAULT_ITERATIVE_THRESHOLD = 4000
 
 #: Relative tolerance of the value-symmetry probe.  Assembled-but-roundoff
 #: symmetric matrices (FEM stiffness sums accumulated in different orders)
@@ -67,16 +58,13 @@ class ProbeReport:
     symmetric_pattern: bool
     symmetric_values: bool
     positive_diagonal: bool
-    large: bool
     #: The auto-selected kernel route (one of :data:`AUTO_METHODS`).
     method: str
     #: Human-readable selection rationale (surfaced in errors and stats).
     reason: str
 
 
-def probe_structure(
-    A: CSCMatrix, *, iterative_threshold: int = DEFAULT_ITERATIVE_THRESHOLD
-) -> ProbeReport:
+def probe_structure(A: CSCMatrix) -> ProbeReport:
     """Probe ``A`` and select a kernel route; see the module docstring.
 
     Raises ``ValueError`` for non-square input — no registered kernel can
@@ -87,10 +75,10 @@ def probe_structure(
             f"cannot auto-select a solver for a non-square {A.shape} matrix"
         )
     with span("probe", n=A.n):
-        return _probe_square(A, iterative_threshold)
+        return _probe_square(A)
 
 
-def _probe_square(A: CSCMatrix, iterative_threshold: int) -> ProbeReport:
+def _probe_square(A: CSCMatrix) -> ProbeReport:
     n = A.n
     nnz = A.nnz
     At = A.transpose()
@@ -106,23 +94,13 @@ def _probe_square(A: CSCMatrix, iterative_threshold: int) -> ProbeReport:
         symmetric_values = False
     diag = A.diagonal()
     positive_diagonal = bool(A.has_full_diagonal() and np.all(diag > 0.0))
-    large = n >= iterative_threshold
 
     if symmetric_values and positive_diagonal:
-        if large:
-            method = "pcg"
-            reason = (
-                f"symmetric values with a strictly positive diagonal and "
-                f"n={n} >= iterative_threshold={iterative_threshold}: "
-                "IC(0)-preconditioned CG amortizes better than a complete "
-                "factorization"
-            )
-        else:
-            method = "cholesky"
-            reason = (
-                "symmetric values with a strictly positive diagonal: SPD "
-                "heuristic selects Cholesky (LDL^T escape on breakdown)"
-            )
+        method = "cholesky"
+        reason = (
+            "symmetric values with a strictly positive diagonal: SPD "
+            "heuristic selects Cholesky (LDL^T escape on breakdown)"
+        )
     elif symmetric_values:
         method = "ldlt"
         reason = (
@@ -144,14 +122,11 @@ def _probe_square(A: CSCMatrix, iterative_threshold: int) -> ProbeReport:
         symmetric_pattern=symmetric_pattern,
         symmetric_values=symmetric_values,
         positive_diagonal=positive_diagonal,
-        large=large,
         method=method,
         reason=reason,
     )
 
 
-def select_method(
-    A: CSCMatrix, *, iterative_threshold: int = DEFAULT_ITERATIVE_THRESHOLD
-) -> str:
+def select_method(A: CSCMatrix) -> str:
     """The auto-selected kernel route for ``A`` (probe + fold, no report)."""
-    return probe_structure(A, iterative_threshold=iterative_threshold).method
+    return probe_structure(A).method

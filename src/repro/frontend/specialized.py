@@ -38,12 +38,7 @@ import numpy as np
 
 from repro.compiler.options import SympilerOptions
 from repro.frontend.ingest import IngestedMatrix, ingest, structure_fingerprint
-from repro.frontend.probes import (
-    AUTO_METHODS,
-    DEFAULT_ITERATIVE_THRESHOLD,
-    ProbeReport,
-    probe_structure,
-)
+from repro.frontend.probes import AUTO_METHODS, ProbeReport, probe_structure
 from repro.observe import trace as observe_trace
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.csc import CSCMatrix
@@ -157,9 +152,6 @@ class SpecializedSolver:
         :class:`SparseLinearSolver`).
     options:
         :class:`SympilerOptions` for every compile (part of the cache key).
-    iterative_threshold:
-        SPD order cutoff routing to ``pcg``
-        (:data:`~repro.frontend.probes.DEFAULT_ITERATIVE_THRESHOLD`).
     max_specializations:
         Bound on cached structures; the least recently used specialization
         is dropped beyond it (its artifacts stay in the shared compiler
@@ -184,7 +176,6 @@ class SpecializedSolver:
         method: Optional[str] = None,
         ordering: str = "mindeg",
         options: Optional[SympilerOptions] = None,
-        iterative_threshold: int = DEFAULT_ITERATIVE_THRESHOLD,
         max_specializations: int = 64,
     ) -> None:
         if method is not None and method not in AUTO_METHODS:
@@ -196,7 +187,6 @@ class SpecializedSolver:
         self.method = method
         self.ordering = ordering
         self.options = options or SympilerOptions()
-        self.iterative_threshold = int(iterative_threshold)
         self.max_specializations = int(max_specializations)
         self.stats = FrontendStats()
         self.last_cg_result = None
@@ -240,7 +230,7 @@ class SpecializedSolver:
         probe = None
         escaped = False
         if method is None:
-            probe = probe_structure(A, iterative_threshold=self.iterative_threshold)
+            probe = probe_structure(A)
             method = probe.method
         if method == "pcg":
             # The pcg route owns no complete factorization; its compiled
@@ -273,8 +263,10 @@ class SpecializedSolver:
         """
         with warnings.catch_warnings():
             # Indefinite input reaches sqrt(<0) inside the generated kernel,
-            # which warns before the finiteness check below catches it.
-            warnings.simplefilter("ignore", RuntimeWarning)
+            # which warns before the finiteness check below catches it.  Only
+            # NumPy's floating-point warnings go: the driver's fallback
+            # warning still reaches the caller.
+            warnings.filterwarnings("ignore", r".* encountered in ", RuntimeWarning)
             try:
                 solver = SparseLinearSolver(
                     A, method=method, ordering=self.ordering, options=self.options
@@ -478,8 +470,9 @@ def solve(
     ``repro.solve`` is the lazy-specializing front end over the compiled
     kernel stack: the first call on a structure probes it, auto-selects the
     kernel (SPD → Cholesky, symmetric indefinite → LDLᵀ, unsymmetric → LU,
-    large SPD → IC(0)-preconditioned CG), orders, inspects and compiles;
-    repeat calls on the same structure are pure numeric execution.  Results
+    at any size; IC(0)-preconditioned CG only as ``method="pcg"``), orders,
+    inspects and compiles; repeat calls on the same structure are pure
+    numeric execution, through generated C by default.  Results
     are bitwise identical to the explicit
     :class:`~repro.solvers.linear_solver.SparseLinearSolver` /
     :func:`~repro.solvers.cg.preconditioned_conjugate_gradient` APIs.
@@ -504,7 +497,6 @@ def sympiled(
     method: Optional[str] = None,
     ordering: str = "mindeg",
     options: Optional[SympilerOptions] = None,
-    iterative_threshold: int = DEFAULT_ITERATIVE_THRESHOLD,
 ):
     """Decorate a system-producing function into a lazily specialized solve.
 
@@ -528,12 +520,7 @@ def sympiled(
     def decorate(func: Callable):
         import functools
 
-        solver = SpecializedSolver(
-            method=method,
-            ordering=ordering,
-            options=options,
-            iterative_threshold=iterative_threshold,
-        )
+        solver = SpecializedSolver(method=method, ordering=ordering, options=options)
 
         @functools.wraps(func)
         def wrapper(*args, **kwargs):

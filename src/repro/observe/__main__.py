@@ -29,22 +29,17 @@ import sys
 import numpy as np
 
 from repro import observe
+from repro.compiler.options import SympilerOptions
 
 
 def _run_workload(args) -> dict:
     """Compile once, solve ``--solves`` times; return basic sanity facts."""
     from repro.compiler.cache import ArtifactCache
-    from repro.compiler.codegen.c_backend import c_compiler_available
-    from repro.compiler.options import SympilerOptions
     import repro.compiler.sympiler as sympiler_module
     from repro.frontend.specialized import SpecializedSolver
     from repro.sparse.generators import laplacian_2d
 
-    options = SympilerOptions()
-    backend = args.backend
-    if backend is None:
-        backend = "c" if c_compiler_available(options.c_compiler) else "python"
-    options = options.with_updates(backend=backend)
+    options = SympilerOptions(backend=args.backend)
     if args.wavefront:
         options = options.with_updates(parallel="wavefront")
 
@@ -67,7 +62,7 @@ def _run_workload(args) -> dict:
     finally:
         sympiler_module._SHARED_CACHE = shared_before
     return {
-        "backend": backend,
+        "backend": args.backend,
         "n": A.n,
         "solves": max(1, args.solves),
         "solves_finite": checks,
@@ -79,16 +74,9 @@ def _run_fleet_workload(args) -> dict:
     """Run the workload through a traced ShardFleet; return facts + trace doc."""
     import tempfile
 
-    from repro.compiler.codegen.c_backend import c_compiler_available
-    from repro.compiler.options import SympilerOptions
     from repro.service.fleet import ShardFleet
     from repro.sparse.generators import banded_spd, laplacian_2d
 
-    backend = args.backend
-    if backend is None:
-        backend = (
-            "c" if c_compiler_available(SympilerOptions().c_compiler) else "python"
-        )
     rng = np.random.default_rng(7)
     matrices = [
         laplacian_2d(args.grid, shift=0.1),
@@ -98,7 +86,7 @@ def _run_fleet_workload(args) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-observe-fleet-") as tmp:
         with ShardFleet(
             shards=args.shards,
-            backend=backend,
+            backend=args.backend,
             cache_dir=tmp,
             trace=True,
         ) as fleet:
@@ -116,7 +104,7 @@ def _run_fleet_workload(args) -> dict:
             health = fleet.health()
             trace_doc = fleet.chrome_trace()
     return {
-        "backend": backend,
+        "backend": args.backend,
         "n": matrices[0].n,
         "shards": args.shards,
         "solves": solves,
@@ -160,8 +148,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend",
         choices=["python", "c"],
-        default=None,
-        help="force a backend (default: c when a toolchain exists, else python)",
+        default=SympilerOptions.backend,
+        help="code-generation backend (without a C toolchain, c falls back to python)",
     )
     parser.add_argument(
         "--wavefront",

@@ -410,8 +410,9 @@ def main(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument("--port", type=int, default=8377, help="TCP port (0 = ephemeral)")
     parser.add_argument(
-        "--backend", choices=["python", "c"], default="python",
-        help="code-generation backend for registered patterns",
+        "--backend", choices=["python", "c"], default=SympilerOptions.backend,
+        help="code-generation backend for registered patterns (without a C "
+        "toolchain, c falls back to python)",
     )
     parser.add_argument(
         "--max-in-flight", type=int, default=256,

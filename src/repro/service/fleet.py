@@ -116,7 +116,7 @@ class ShardFleet:
         self,
         shards: int = 2,
         *,
-        backend: str = "python",
+        backend: str = SympilerOptions.backend,
         max_in_flight: int = 256,
         max_patterns: int = 32,
         respawn: bool = True,
@@ -403,13 +403,6 @@ class ShardFleet:
             raise LookupError(f"no live shard {slot}")
         shard.process.kill()
         shard.process.wait(timeout=10)
-
-    def recover_now(self, slot: int) -> None:
-        """Eagerly run recovery for ``slot`` (normally it happens lazily)."""
-        with self._lock:
-            shard = self._shards.get(slot)
-        if shard is not None:
-            self._recover(slot, shard.generation)
 
     # ------------------------------------------------------------------ #
     # SolverEndpoint surface

@@ -39,7 +39,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.compiler.cache import options_fingerprint
-from repro.compiler.codegen.c_backend import CGeneratedModule, disk_cache_stats
+from repro.compiler.codegen.c_backend import disk_cache_stats
 from repro.compiler.codegen.runtime import pattern_fingerprint
 from repro.compiler.options import SympilerOptions
 from repro.observe import events as observe_events
@@ -261,9 +261,7 @@ class SolverService:
         )
         self.metrics.incr("registrations")
         self.metrics.incr("compile_warm" if warm else "compile_cold")
-        backend_effective = (
-            "c" if isinstance(factorization.module, CGeneratedModule) else "python"
-        )
+        backend_effective = factorization.backend
         observe_events.emit(
             "compile_warm" if warm else "compile_cold",
             kernel=solver.method,

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.compiler.artifacts import CompiledArtifact, SympiledFactorization
 from repro.compiler.cache import CacheStats
-from repro.compiler.codegen.c_backend import CGeneratedModule, resolve_num_threads
+from repro.compiler.codegen.c_backend import resolve_num_threads
 from repro.compiler.options import SympilerOptions
 from repro.compiler.registry import UnknownKernelError, kernel_spec
 from repro.compiler.sympiler import Sympiler
@@ -73,7 +73,7 @@ def map_items(
                 except Exception as exc:  # fails this item alone
                     errors[i] = exc
 
-    workers = min(num_threads, len(items)) if isinstance(artifact.module, CGeneratedModule) else 1
+    workers = min(num_threads, len(items)) if artifact.backend == "c" else 1
     if workers > 1:
         bounds = np.linspace(0, len(items), workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:

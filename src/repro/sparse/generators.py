@@ -46,18 +46,6 @@ __all__ = [
 ]
 
 
-def _finalize_spd(builder: TripletBuilder, shift: float = 0.0) -> CSCMatrix:
-    """Convert a builder to CSC and add ``shift`` to the diagonal."""
-    A = builder.to_csc()
-    if shift:
-        for j in range(A.n_cols):
-            rows = A.col_rows(j)
-            pos = np.searchsorted(rows, j)
-            if pos < rows.size and rows[pos] == j:
-                A.data[A.indptr[j] + pos] += shift
-    return A
-
-
 # --------------------------------------------------------------------------- #
 # Mesh / stencil problems
 # --------------------------------------------------------------------------- #

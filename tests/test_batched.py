@@ -322,12 +322,9 @@ class TestThreadCountIsACallArgument:
         assert second.solver._factorization is first.solver._factorization
 
     def test_facade_threads_follow_the_argument_despite_cache_hit(self):
-        from repro.compiler.codegen.c_backend import c_compiler_available
-
-        backend = "c" if c_compiler_available("cc") else "python"
         A = laplacian_2d(6, shift=0.1)
-        BatchedSolver(A, options=SympilerOptions(backend=backend), num_threads=1)
-        again = BatchedSolver(A, options=SympilerOptions(backend=backend), num_threads=3)
+        BatchedSolver(A, num_threads=1)
+        again = BatchedSolver(A, num_threads=3)
         # The second construction hits the shared artifact cache (first used
         # at num_threads=1); the batched solver must still honour the request.
         assert again.num_threads == 3
@@ -366,11 +363,10 @@ class TestThreadCountIsACallArgument:
 
     def test_a_batch_regenerates_no_code(self):
         """Batching reuses the one compiled kernel: no cache miss, no cc, no module rewrite."""
-        from repro.compiler.codegen.c_backend import c_compiler_available, disk_cache_stats
+        from repro.compiler.codegen.c_backend import disk_cache_stats
 
-        backend = "c" if c_compiler_available("cc") else "python"
         A = laplacian_2d(9, shift=0.1)
-        batched = BatchedSolver(A, ordering="natural", options=SympilerOptions(backend=backend), num_threads=2)
+        batched = BatchedSolver(A, ordering="natural", num_threads=2)
         disk_before = disk_cache_stats().as_dict()
         misses_before = batched.solver.cache_stats.misses
         assert all(handle.ok for handle in batched.factorize_batch(_spd_scenarios(A)))

@@ -99,7 +99,7 @@ class TestSingleFlight:
         monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
         reset_disk_cache_stats()
         A = laplacian_2d(7, shift=0.1)
-        sym = Sympiler(SympilerOptions(), cache=ArtifactCache())
+        sym = Sympiler(SympilerOptions(backend="python"), cache=ArtifactCache())
         barrier = threading.Barrier(4)
         artifacts = [None] * 4
         errors = []

@@ -15,6 +15,10 @@ from repro.compiler.sympiler import Sympiler
 from repro.sparse.generators import block_tridiagonal_spd, laplacian_2d, sparse_rhs
 from repro.symbolic.inspector import TriangularSolveInspector
 
+#: The module's options: it tests the python backend, whatever the default.
+_PYTHON = SympilerOptions(backend="python")
+_SIMPLICIAL = _PYTHON.with_updates(enable_vs_block=False)
+
 
 def _generate_trisolve(L, b, options):
     inspection = TriangularSolveInspector().inspect(L, rhs_pattern=np.nonzero(b)[0])
@@ -89,10 +93,7 @@ class TestTriangularSolve:
 class TestCholesky:
     @pytest.mark.parametrize(
         "options",
-        [
-            SympilerOptions.vi_prune_only(),
-            SympilerOptions(),
-        ],
+        [_SIMPLICIAL, _PYTHON],
         ids=["simplicial", "supernodal"],
     )
     def test_factorization_is_correct(self, spd_matrix, options):
@@ -101,14 +102,14 @@ class TestCholesky:
         np.testing.assert_allclose(L.to_dense(), reference_cholesky(spd_matrix), atol=1e-9)
 
     def test_simplicial_kernel_reads_the_prune_set(self, spd_matrices):
-        compiled = Sympiler().compile_cholesky(spd_matrices["laplacian_2d"], options=SympilerOptions.vi_prune_only())
+        compiled = Sympiler().compile_cholesky(spd_matrices["laplacian_2d"], options=_SIMPLICIAL)
         assert compiled.module.function.func is reference.simplicial_cholesky
         assert "_C_prune_ptr" in compiled.source and "_C_prune_ptr" in compiled.constants
         assert "transpose" not in compiled.source
 
     def test_supernodal_kernel_reads_the_block_set(self):
         A = block_tridiagonal_spd(6, 5, seed=3, dense_coupling=True)
-        compiled = Sympiler().compile_cholesky(A, options=SympilerOptions())
+        compiled = Sympiler().compile_cholesky(A, options=_PYTHON)
         assert compiled.module.function.func is reference.supernodal_cholesky
         assert "_C_sup_start" in compiled.source and "_C_sup_start" in compiled.constants
         n_super = compiled.inspection.supernodes.n_supernodes
@@ -116,7 +117,7 @@ class TestCholesky:
 
     def test_non_positive_definite_detected_at_run_time(self):
         A = block_tridiagonal_spd(4, 4, seed=5, dense_coupling=True)
-        compiled = Sympiler().compile_cholesky(A)
+        compiled = Sympiler(_PYTHON).compile_cholesky(A)
         bad = A.copy()
         # Make the matrix indefinite while keeping the pattern identical.
         for j in range(bad.n):
@@ -164,8 +165,8 @@ class TestKernelTextOnDisk:
     def test_one_text_per_kernel_whatever_the_pattern_or_options(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
         reset_disk_cache_stats()
-        sym = Sympiler(cache=ArtifactCache())
-        simplicial = SympilerOptions(enable_vs_block=False)
+        sym = Sympiler(_PYTHON, cache=ArtifactCache())
+        simplicial = _SIMPLICIAL
         first = sym.compile("cholesky", laplacian_2d(6, shift=0.1), options=simplicial)
         assert disk_cache_stats().py_writes == 1
         (path,) = tmp_path.iterdir()
@@ -173,7 +174,7 @@ class TestKernelTextOnDisk:
         assert path.read_text() == first.source
         # Another pattern, another option bundle that lowers to the same loop,
         # a second driver: the text is there already.
-        sym.compile("cholesky", laplacian_2d(7, shift=0.1), options=SympilerOptions.vi_prune_only())
+        sym.compile("cholesky", laplacian_2d(7, shift=0.1), options=SympilerOptions(backend="python", enable_vs_block=False))
         Sympiler(cache=ArtifactCache()).compile("cholesky", laplacian_2d(6, shift=0.1), options=simplicial)
         assert disk_cache_stats().py_writes == 1
         assert [p.name for p in tmp_path.iterdir()] == [path.name]

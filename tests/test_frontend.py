@@ -121,15 +121,20 @@ class TestProbes:
     def test_unsymmetric_routes_to_lu(self):
         assert select_method(unsymmetric_diag_dominant(40)) == "lu"
 
-    def test_large_spd_routes_to_pcg(self):
-        A = laplacian_2d(10)
-        assert select_method(A, iterative_threshold=50) == "pcg"
-        assert select_method(A, iterative_threshold=10_000) == "cholesky"
+    def test_large_spd_routes_to_cholesky(self):
+        # No size cutoff: 4096 SPD columns take the direct route, bitwise the
+        # explicit solver's answer, never IC(0)-preconditioned CG.
+        A = laplacian_2d(64)
+        b = np.ones(A.n)
+        front = SpecializedSolver()
+        x = front.solve(A.to_scipy(), b)
+        assert front.stats.methods == {"cholesky": 1}
+        np.testing.assert_array_equal(x, SparseLinearSolver(A, ordering="mindeg").solve(b))
 
     def test_large_unsymmetric_stays_lu(self):
-        # CG requires SPD; size alone must not route unsymmetric input to it.
-        A = unsymmetric_diag_dominant(80)
-        assert select_method(A, iterative_threshold=50) == "lu"
+        # Size alone never moves a route.
+        A = unsymmetric_diag_dominant(4096)
+        assert select_method(A) == "lu"
 
     def test_probe_report_fields(self):
         report = probe_structure(laplacian_2d(6))
@@ -179,7 +184,7 @@ class TestAutoSelectionBitwise:
     def test_pcg_route(self):
         A = laplacian_2d(9)
         b = np.ones(A.n)
-        front = SpecializedSolver(iterative_threshold=50)
+        front = SpecializedSolver(method="pcg")
         x = front.solve(A.to_scipy(), b)
         ref = preconditioned_conjugate_gradient(A, b)
         assert front.stats.methods == {"pcg": 1}
@@ -477,7 +482,7 @@ class TestLazySpecialization:
     def test_warm_pcg_route_zero_compiles(self):
         A = laplacian_2d(8)
         b = np.ones(A.n)
-        front = SpecializedSolver(iterative_threshold=10)
+        front = SpecializedSolver(method="pcg")
         front.solve(A, b)
         misses_before = _shared_misses()
         front.solve(A, b * 2.0)
@@ -698,7 +703,7 @@ class TestSelectionProperties:
     def test_large_sparse_goes_iterative(self):
         A = laplacian_2d(12)  # n = 144
         b = np.ones(A.n)
-        front = SpecializedSolver(iterative_threshold=100)
+        front = SpecializedSolver(method="pcg")
         x = front.solve(A, b)
         ref = preconditioned_conjugate_gradient(A, b)
         assert front.stats.methods == {"pcg": 1}
@@ -706,7 +711,7 @@ class TestSelectionProperties:
 
     @pytest.mark.parametrize("method", ["cholesky", "ldlt", "pcg"])
     def test_override_beats_probe_everywhere(self, method, rng):
-        A = laplacian_2d(7)  # probes say cholesky at default threshold
+        A = laplacian_2d(7)  # probes say cholesky
         b = rng.normal(size=A.n)
         front = SpecializedSolver()
         x = front.solve(A, b, method=method)

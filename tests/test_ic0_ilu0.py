@@ -42,7 +42,8 @@ def _c_options(**overrides):
     return SympilerOptions(backend="c", c_compiler=compiler, **overrides)
 
 
-def _fresh_sympiler(options=None):
+def _fresh_sympiler(options=SympilerOptions(backend="python")):
+    """A python-backend driver with an isolated cache; a compile's own ``options=`` wins."""
     return Sympiler(options, cache=ArtifactCache())
 
 
@@ -206,7 +207,7 @@ class TestCompiledIC0Python:
 
     def test_vi_prune_is_forced_and_vs_block_defers(self):
         compiled = _fresh_sympiler().compile(
-            "ic0", _spd(6), options=SympilerOptions.baseline()
+            "ic0", _spd(6), options=SympilerOptions.baseline().with_updates(backend="python")
         )
         assert compiled.decisions.get("vi-prune-forced") is True
         assert "vi-prune" in compiled.applied_transformations
@@ -271,14 +272,14 @@ class TestCompiledIncompleteC:
         A = _spd(10)
         sym = _fresh_sympiler()
         Lc = sym.compile("ic0", A, options=_c_options()).factorize(A)
-        Lp = sym.compile("ic0", A, options=SympilerOptions()).factorize(A)
+        Lp = sym.compile("ic0", A, options=SympilerOptions(backend="python")).factorize(A)
         np.testing.assert_array_equal(Lc.data, Lp.data)
 
     def test_ilu0_close_to_python_backend(self):
         A = _jacobian(48, seed=20)
         sym = _fresh_sympiler()
         fc = sym.compile("ilu0", A, options=_c_options()).factorize(A)
-        fp = sym.compile("ilu0", A, options=SympilerOptions()).factorize(A)
+        fp = sym.compile("ilu0", A, options=SympilerOptions(backend="python")).factorize(A)
         np.testing.assert_array_equal(fc.L.data, fp.L.data)
         np.testing.assert_array_equal(fc.U.data, fp.U.data)
 
@@ -293,7 +294,7 @@ class TestBatchIncomplete:
     @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
     def test_ic0_batch_isolates_breakdown(self, backend):
         A = _spd(6)
-        options = _c_options() if backend == "c" else SympilerOptions()
+        options = _c_options() if backend == "c" else SympilerOptions(backend="python")
         artifact = _fresh_sympiler().compile("ic0", A, options=options)
         good = A.data.copy()
         bad = A.data.copy()

@@ -25,7 +25,8 @@ def _c_options(**overrides):
 
 
 def _fresh_sympiler():
-    return Sympiler(cache=ArtifactCache())
+    """A python-backend driver with an isolated cache; a compile's own ``options=`` wins."""
+    return Sympiler(SympilerOptions(backend="python"), cache=ArtifactCache())
 
 
 def _indefinite_matrix(seed=7):
@@ -74,7 +75,7 @@ class TestReferenceKernel:
 class TestCompiledLDLTPython:
     @pytest.mark.parametrize(
         "options",
-        [SympilerOptions.vi_prune_only(), SympilerOptions()],
+        [SympilerOptions(backend="python", enable_vs_block=False), SympilerOptions(backend="python")],
         ids=["simplicial", "supernodal"],
     )
     def test_matches_reference(self, spd_matrices, options):
@@ -88,7 +89,7 @@ class TestCompiledLDLTPython:
 
     def test_vi_prune_is_forced(self):
         compiled = _fresh_sympiler().compile(
-            "ldlt", laplacian_2d(6), options=SympilerOptions.baseline()
+            "ldlt", laplacian_2d(6), options=SympilerOptions.baseline().with_updates(backend="python")
         )
         assert compiled.decisions.get("vi-prune-forced") is True
         assert "vi-prune" in compiled.applied_transformations
@@ -194,6 +195,6 @@ class TestCompiledLDLTC:
         A = _indefinite_matrix()
         sym = _fresh_sympiler()
         fac_c = sym.compile("ldlt", A, options=_c_options()).factorize(A)
-        fac_py = sym.compile("ldlt", A, options=SympilerOptions()).factorize(A)
+        fac_py = sym.compile("ldlt", A, options=SympilerOptions(backend="python")).factorize(A)
         np.testing.assert_array_equal(fac_c.L.data, fac_py.L.data)
         np.testing.assert_array_equal(fac_c.d, fac_py.d)

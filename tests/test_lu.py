@@ -32,7 +32,8 @@ def _c_options(**overrides):
     return SympilerOptions(backend="c", c_compiler=compiler, **overrides)
 
 
-def _fresh_sympiler(options=None):
+def _fresh_sympiler(options=SympilerOptions(backend="python")):
+    """A python-backend driver with an isolated cache; a compile's own ``options=`` wins."""
     return Sympiler(options, cache=ArtifactCache())
 
 
@@ -156,7 +157,7 @@ class TestCompiledLUPython:
 
     def test_vi_prune_is_forced(self):
         compiled = _fresh_sympiler().compile(
-            "lu", _jacobian(20, seed=13), options=SympilerOptions.baseline()
+            "lu", _jacobian(20, seed=13), options=SympilerOptions.baseline().with_updates(backend="python")
         )
         assert compiled.decisions.get("vi-prune-forced") is True
         assert "vi-prune" in compiled.applied_transformations
@@ -199,7 +200,7 @@ class TestCompiledLUC:
         A = _jacobian(52, seed=20)
         sym = _fresh_sympiler()
         fac_c = sym.compile("lu", A, options=_c_options()).factorize(A)
-        fac_py = sym.compile("lu", A, options=SympilerOptions()).factorize(A)
+        fac_py = sym.compile("lu", A, options=SympilerOptions(backend="python")).factorize(A)
         np.testing.assert_array_equal(fac_c.L.data, fac_py.L.data)
         np.testing.assert_array_equal(fac_c.U.data, fac_py.U.data)
 

@@ -9,7 +9,7 @@ from repro.compiler.options import SympilerOptions
 
 def test_defaults_follow_the_paper():
     opts = SympilerOptions()
-    assert opts.backend == "python"
+    assert opts.backend == "c"
     assert opts.enable_vi_prune and opts.enable_vs_block
     assert opts.parallel == "none"
 
@@ -27,10 +27,10 @@ def test_named_constructors():
 
 def test_with_updates_returns_new_instance():
     base = SympilerOptions()
-    other = base.with_updates(backend="c", parallel="wavefront")
-    assert other.backend == "c"
+    other = base.with_updates(backend="python", parallel="wavefront")
+    assert other.backend == "python"
     assert other.parallel == "wavefront"
-    assert base.backend == "python" and base.parallel == "none"
+    assert base.backend == "c" and base.parallel == "none"
 
 
 def test_validation_rejects_bad_values():

@@ -278,7 +278,7 @@ def _check_c_matches_python_bitwise(A, seed, kernels):
     """Every C entry — serial and wavefront, one and two threads — against the python backend."""
     rng = np.random.default_rng(seed)
     sym = Sympiler()
-    python = SympilerOptions()
+    python = SympilerOptions(backend="python")
     c_entries = [
         (SympilerOptions(backend="c", parallel=parallel), threads)
         for parallel, threads in (("none", None), ("wavefront", 1), ("wavefront", 2))

@@ -166,7 +166,7 @@ class TestArtifactCache:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("backend", "c"),
+            ("backend", "python"),
             ("enable_vi_prune", False),
             ("enable_vs_block", False),
             ("parallel", "wavefront"),

@@ -1,15 +1,52 @@
-"""End-to-end tests of the Sympiler driver API (Python backend)."""
+"""End-to-end tests of the Sympiler driver API (default options)."""
+
+import warnings
 
 import numpy as np
 import pytest
 
+import repro.compiler.sympiler as sympiler_module
 from repro.baselines.scipy_reference import reference_cholesky, reference_trisolve
 from repro.compiler.cache import ArtifactCache
+from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import PatternMismatchError, Sympiler
+from repro.frontend import SpecializedSolver
 from repro.kernels.ldlt import ldlt_left_looking
 from repro.sparse.generators import laplacian_2d, saddle_point_indefinite, sparse_rhs
 from repro.sparse.permutation import Permutation
+
+
+class TestDefaultBackend:
+    """The default is C; the driver alone falls back to python, and the artifact says which ran."""
+
+    def test_without_a_compiler_the_default_runs_python_after_one_warning(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CC", "/nonexistent/default-backend-cc")
+        monkeypatch.setattr(sympiler_module, "_FALLBACK_WARNED", set())
+        A = laplacian_2d(6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            artifacts = [Sympiler(cache=ArtifactCache()).compile(kernel, A) for kernel in ("cholesky", "ldlt")]
+        assert [artifact.backend for artifact in artifacts] == ["python", "python"]
+        fallbacks = [w for w in caught if issubclass(w.category, RuntimeWarning) and "falling back" in str(w.message)]
+        assert len(fallbacks) == 1
+        np.testing.assert_allclose(artifacts[0].factorize(A).to_dense(), reference_cholesky(A), atol=1e-9)
+
+    def test_the_front_end_passes_the_fallback_warning_on(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CC", "/nonexistent/front-end-cc")
+        monkeypatch.setattr(sympiler_module, "_FALLBACK_WARNED", set())
+        A = laplacian_2d(6, shift=0.1).to_scipy()
+        b = np.ones(A.shape[0])
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            x = SpecializedSolver().solve(A, b)
+        np.testing.assert_allclose(A @ x, b, atol=1e-10)
+
+    @pytest.mark.skipif(not c_compiler_available(SympilerOptions().c_compiler), reason="no C compiler available")
+    def test_with_a_compiler_the_default_runs_c(self):
+        A = laplacian_2d(6)
+        sym = Sympiler(cache=ArtifactCache())
+        assert sym.compile("cholesky", A).backend == "c"
+        assert sym.compile("cholesky", A, options=SympilerOptions(backend="python")).backend == "python"
 
 
 class TestCompileTriangularSolve:

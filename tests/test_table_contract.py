@@ -56,7 +56,7 @@ def test_both_backends_hold_the_same_table_block(pattern, method):
     operand = _operand(sym, method, PATTERNS[pattern])
     python, serial, wavefront = (
         sym.compile(method, operand, options=SympilerOptions(**options)).constants
-        for options in ({}, {"backend": "c"}, {"backend": "c", "parallel": "wavefront"})
+        for options in ({"backend": "python"}, {"backend": "c"}, {"backend": "c", "parallel": "wavefront"})
     )
     assert list(python) == list(serial) and list(serial)[0] == "_C_dims"
     for name, table in serial.items():
@@ -273,7 +273,8 @@ def _block_digest(artifact):
 
 
 def _table_digest(pattern, case, bundle):
-    return _block_digest(_compile_case(Sympiler(cache=ArtifactCache()), pattern, case, SympilerOptions(**bundle)))
+    python = SympilerOptions(backend="python")
+    return _block_digest(_compile_case(Sympiler(python, cache=ArtifactCache()), pattern, case, python.with_updates(**bundle)))
 
 
 @pytest.mark.parametrize("bundle", range(len(_OPTION_BUNDLES)))
@@ -382,7 +383,7 @@ _PINNED_RECORDS = {
 @pytest.mark.parametrize("case", TABLE_CASES)
 @pytest.mark.parametrize("pattern", sorted(TABLE_PATTERNS))
 def test_compile_record_is_identical_to_the_parent_commit(pattern, case, backend):
-    sym = Sympiler(cache=ArtifactCache())
+    sym = Sympiler(SympilerOptions(backend=backend), cache=ArtifactCache())
     digest = hashlib.sha256()
     for parallel in ("none", "wavefront"):
         for bundle in _RECORD_BUNDLES:
