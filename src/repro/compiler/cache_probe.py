@@ -59,17 +59,15 @@ from repro.sparse.generators import (
 __all__ = ["run_probe", "main"]
 
 
-def run_probe(backend: str | None = None) -> Dict[str, object]:
+def run_probe(backend: str = SympilerOptions.backend) -> Dict[str, object]:
     """Compile the fixed probe workload and return the cache counters.
 
-    ``backend`` defaults to the options' (``"c"``, which the driver runs on
-    the python backend when no C toolchain exists; the report's ``backend``
-    is the one that ran).  The driver uses a fresh in-memory artifact cache
-    so the on-disk counters reflect disk state, not in-process memoization.
+    Without a C toolchain the driver runs ``backend="c"`` on the python
+    backend; the report's ``backend`` is the one that ran.  The driver uses a
+    fresh in-memory artifact cache so the on-disk counters reflect disk
+    state, not in-process memoization.
     """
-    options = SympilerOptions()
-    if backend is not None:
-        options = options.with_updates(backend=backend)
+    options = SympilerOptions(backend=backend)
     reset_disk_cache_stats()
     sym = Sympiler(options, cache=ArtifactCache())
 
@@ -175,8 +173,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend",
         choices=["python", "c"],
-        default=None,
-        help="force a backend (default: c, which runs as python without a toolchain)",
+        default=SympilerOptions.backend,
+        help="code-generation backend (without a C toolchain, c falls back to python)",
     )
     parser.add_argument(
         "--assert-warm",
