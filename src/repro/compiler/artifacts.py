@@ -146,20 +146,24 @@ class CompiledArtifact:
         With tracing enabled, a call runs under a ``numeric`` span.
         """
         spec = _C_METHOD_SPECS[self.module.method]
+        lengths = (*self._input_lengths(), *(getattr(self.inspection, attr) for _, attr in spec.outputs))
+        return self._bind_entry(spec, self.entry, inputs, outputs, lengths, self.numeric_op)
+
+    def _bind_entry(self, spec, entry, inputs, outputs, lengths, op: str) -> Callable:
+        """:meth:`bind` of the entry whose ABI is ``spec`` and binder ``entry``; a traced call's span has ``op``."""
         arrays = (*inputs, *outputs)
         if len(arrays) != len(spec.names):
             raise TypeError(f"{self.kernel_name} binds the arrays {', '.join(spec.names)}; got {len(arrays)} arrays")
-        lengths = (*self._input_lengths(), *(getattr(self.inspection, attr) for _, attr in spec.outputs))
         _require_arrays(spec.names, arrays, lengths, spec.dtypes)
         for name, out in zip(spec.names[len(inputs) :], outputs):
             if not out.flags.writeable:
                 raise ValueError(f"{name} must be writeable")
-        run = self.entry(tuple(inputs), tuple(outputs))
+        run = entry(tuple(inputs), tuple(outputs))
 
         def call(num_threads=None):
             if not observe_trace.enabled():
                 return run(num_threads)
-            return self._traced_numeric(run, num_threads)
+            return self._traced_numeric(run, num_threads, op)
 
         return call
 
@@ -179,7 +183,7 @@ class CompiledArtifact:
         self.bind(inputs, outputs)(num_threads)
         return outputs[0] if len(outputs) == 1 else outputs
 
-    def _traced_numeric(self, run: Callable, num_threads) -> None:
+    def _traced_numeric(self, run: Callable, num_threads, op: str) -> None:
         """Run a bound entry under a ``numeric`` trace span.
 
         Only called when tracing is enabled (a bound call takes the direct
@@ -190,13 +194,14 @@ class CompiledArtifact:
         wf = (
             observe_trace.wavefront_levels_enabled()
             and self.parallel_mode == "wavefront"
+            and op == self.numeric_op  # the solve entry is serial
         )
         if wf:
             # Raises the runtime flag in the loaded .so; the timestamp code
             # is always compiled in, so this never recompiles anything.
             self.module.set_wavefront_profiling(True)
         with observe_trace.span(
-            "numeric", kernel=self.kernel_name, op=self.numeric_op, fingerprint=self.fingerprint
+            "numeric", kernel=self.kernel_name, op=op, fingerprint=self.fingerprint
         ) as sp:
             run(num_threads)
             if wf:
@@ -352,6 +357,26 @@ class SympiledFactorization(CompiledArtifact):
         raises ``ValueError`` before the kernel runs.
         """
         return self._fresh_outputs((Ap, Ai, Ax), num_threads)
+
+    def bind_solve(self, inputs, outputs) -> Callable:
+        """The module's solve entry bound to ``inputs`` and ``outputs``, once, as :meth:`bind` binds the kernel.
+
+        ``inputs`` are ``perm``, the factor values in the kernel's output
+        order (``Lx``; ``Lx, D``; or ``Lx, Ux``) and ``b``; ``outputs`` the
+        work vector ``w`` and ``x``.  The call writes ``x`` solving
+        ``A x = b``, ``A`` being the matrix whose symmetric permutation by
+        ``perm`` this kernel factorizes.  It reads ``b`` whole before it
+        writes ``x``, so ``x`` may be ``b``; ``w`` must be neither.  The entry
+        is serial: the call ignores ``num_threads``.  Only the direct
+        factorizations (Cholesky, LDLᵀ, LU) have a solve entry; the others
+        raise ``TypeError``.
+        """
+        if self.module.solve_entry is None:
+            raise TypeError(f"{self.kernel_name} has no solve entry")
+        spec = _C_METHOD_SPECS[self.module.method]
+        n = self.inspection.n
+        lengths = (n, *(getattr(self.inspection, attr) for _, attr in spec.outputs), n, n, n)
+        return self._bind_entry(spec.solve_spec, self.module.solve_entry, inputs, outputs, lengths, "solve")
 
     def verify_pattern(self, A: CSCMatrix) -> None:
         """Raise :class:`PatternMismatchError` if ``A`` has a different pattern."""

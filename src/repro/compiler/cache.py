@@ -291,7 +291,7 @@ class ArtifactCache:
 
     The memo owns nothing.  Whoever uses an artifact holds it by reference
     (a :class:`~repro.solvers.linear_solver.SparseLinearSolver` holds its
-    factorization and two sweeps), so an LRU eviction here only means the
+    factorization), so an LRU eviction here only means the
     next compile of that key is rebuilt, disk-warm from the ``.so`` cache.
     """
 

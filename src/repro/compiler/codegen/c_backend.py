@@ -63,6 +63,11 @@ the scalar sizes, ``repro_T[k]`` the k-th registered inspection set):
   scattered through relative row positions.  Both of its update loops run
   on 4 x 8 register tiles, held in GCC / Clang vector extensions.  Its
   loops are plain C: no BLAS, whose results change with its thread count.
+* the solve entry of a Cholesky, LDLᵀ or LU module — ``void <name>_solve(
+  const int64_t* perm, const double* Lx[, const double* D | Ux], const
+  double* b, double* w, double* x, const int64_t* const* repro_T)``: ``x``
+  solving ``A x = b`` on the factors the entry wrote, read in place
+  (:func:`_emit_solve`); serial, with or without ``parallel="wavefront"``.
 
 The table block is built once, when the module is loaded
 (:meth:`CMethodSpec.wrap`), from the arrays the compile call already holds;
@@ -252,6 +257,9 @@ class CGeneratedModule:
     #: building it) — a disk-warm start, or another pattern that lowered to
     #: the same source.
     so_shared: bool = False
+    #: The binder of ``<entry>_solve`` (:attr:`CMethodSpec.solve_spec`), set by
+    #: :meth:`compile` for the direct factorizations; ``None`` otherwise.
+    solve_entry: Optional[Callable] = field(default=None, repr=False)
     _callable: Optional[Callable] = field(default=None, repr=False)
     _lib: Optional[ctypes.CDLL] = field(default=None, repr=False)
 
@@ -328,7 +336,9 @@ class CGeneratedModule:
         self._lib = lib
         self.shared_object = so_path
         self.compile_seconds = time.perf_counter() - start
-        self._callable = spec.wrap(self, fn)
+        if spec.solve:
+            self.solve_entry = spec.solve_spec.wrap(self, getattr(lib, f"{self.entry_name}_solve"), wavefront=False)
+        self._callable = spec.wrap(self, fn, wavefront=self.parallel != "none")
         return self._callable
 
     # ------------------------------------------------------------------ #
@@ -451,6 +461,8 @@ class CMethodSpec:
     loops: Tuple[str, ...]
     failure: Optional[str] = None
     wavefront_loop: Optional[str] = None
+    #: Whether the module also exports ``<entry>_solve`` (:func:`_emit_solve`).
+    solve: bool = False
 
     @property
     def params(self) -> List[str]:
@@ -470,29 +482,36 @@ class CMethodSpec:
         return f"{restype} {name}({', '.join(params)})"
 
     @property
+    def solve_spec(self) -> "CMethodSpec":
+        """The ABI of the module's ``<entry>_solve`` (:func:`_emit_solve`): the factors and ``b`` in, ``w`` and ``x`` out."""
+        factors = tuple((name, "double") for name, _ in self.outputs)
+        return CMethodSpec(
+            inputs=(("perm", "int64_t"), *factors, ("b", "double")), outputs=(("w", "n"), ("x", "n")), loops=()
+        )
+
+    @property
     def dtypes(self) -> List[type]:
         """The NumPy dtype of each of the entry's arrays, in ABI order."""
         return [_NUMPY_DTYPES[ctype] for _, ctype in self.inputs] + [np.float64] * len(self.outputs)
 
-    def wrap(self, module: "CGeneratedModule", fn) -> Callable:
-        """The binder of the loaded entry point ``fn``.
+    def wrap(self, module: "CGeneratedModule", fn, wavefront: bool) -> Callable:
+        """The binder of the loaded entry point ``fn``, which takes ``n_threads`` if ``wavefront``.
 
         ``bind(inputs, outputs)`` takes the input arrays and the output
         buffers in ABI order — checked by the caller for length, dtype and
         contiguity (:meth:`~repro.compiler.artifacts.CompiledArtifact.bind`)
         — and reads their addresses once.  It returns ``run(num_threads=None)``,
         which calls the entry on those addresses and nothing else, and keeps
-        the arrays alive.  An entry compiled for ``parallel="wavefront"``
-        (whatever ``module.parallel`` it got) resolves ``num_threads`` per
-        call — the thread count is a runtime knob, never baked in; a serial
-        entry ignores it.
+        the arrays alive.  The entry of a module compiled for
+        ``parallel="wavefront"`` (whatever ``module.parallel`` it got)
+        resolves ``num_threads`` per call — the thread count is a runtime
+        knob, never baked in; a serial entry ignores it.
 
         The table block is bound here, once: an array of the addresses of
         ``module.constants``' buffers, which the closures keep alive for as
         long as a binder or a call exists.  A call passes the block's address
         last, whatever the number of tables.
         """
-        wavefront = module.parallel != "none"
         fn.restype = None if self.failure is None else ctypes.c_int64
         tail = [ctypes.c_int64] if wavefront else []
         fn.argtypes = [ctypes.c_void_p] * len(self.names) + tail + [ctypes.c_void_p]
@@ -538,18 +557,21 @@ _C_METHOD_SPECS: Dict[str, CMethodSpec] = {
         outputs=(("Lx", "factor_nnz"),),
         loops=_LEFT_LOOKING,
         failure="matrix is not positive definite at column {column}",
+        solve=True,
     ),
     "ldlt": CMethodSpec(
         inputs=_FACTOR_INPUTS,
         outputs=(("Lx", "factor_nnz"), ("D", "n")),
         loops=_LEFT_LOOKING,
         failure=_ZERO_PIVOT,
+        solve=True,
     ),
     "lu": CMethodSpec(
         inputs=_FACTOR_INPUTS,
         outputs=(("Lx", "l_nnz"), ("Ux", "u_nnz")),
         loops=("simplicial-lu",),
         failure=_ZERO_PIVOT,
+        solve=True,
     ),
     "ic0": CMethodSpec(
         inputs=_FACTOR_INPUTS,
@@ -1080,6 +1102,132 @@ def _ilu0_step(out: _CEmitter, domain: DomainLoop) -> None:
     out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] /= piv;")
 
 
+#: The sweeps of the solve entry (:func:`_emit_solve`).  ``REPRO_PIVOT(v, d)``
+#: is ``v / d``, or ``v`` for a unit diagonal (LDLᵀ, LU): that quotient would be
+#: exact.  The column forms walk every column of ``L``, reading its own rows;
+#: backward, a column's products, from the last row up, alternate between two
+#: accumulators (``w[c]`` and ``0.0``), added at the end.
+_COLUMN_FORWARD = r"""
+for (int64_t c = 0; c < n; c++) {
+    const int64_t p0 = _C_l_indptr[c], p1 = _C_l_indptr[c + 1];
+    const double xc = REPRO_PIVOT(w[c], Lx[p0]);
+    w[c] = xc;
+    for (int64_t p = p0 + 1; p < p1; p++) w[_C_l_indices[p]] -= Lx[p] * xc;
+}"""
+_COLUMN_BACKWARD = r"""
+for (int64_t c = n - 1; c >= 0; c--) {
+    const int64_t p0 = _C_l_indptr[c];
+    int64_t p = _C_l_indptr[c + 1] - 1;
+    double a0 = w[c], a1 = 0.0;
+    for (; p > p0 + 1; p -= 2) {
+        a0 -= Lx[p] * w[_C_l_indices[p]];
+        a1 -= Lx[p - 1] * w[_C_l_indices[p - 1]];
+    }
+    if (p > p0) a0 -= Lx[p] * w[_C_l_indices[p]];
+    w[c] = REPRO_PIVOT(a0 + a1, Lx[p0]);
+}"""
+_U_BACKWARD = r"""
+for (int64_t c = n - 1; c >= 0; c--) {
+    const int64_t u0 = _C_u_indptr[c], u1 = _C_u_indptr[c + 1] - 1;
+    const double xc = w[c] / Ux[u1];
+    w[c] = xc;
+    for (int64_t p = u0; p < u1; p++) w[_C_u_indices[p]] -= Ux[p] * xc;
+}"""
+#: The supernodal forms walk the supernodes two columns at a time.  Every
+#: column of a supernode has the rows of its first one from its own position
+#: on (``R``, ``nr`` of them): ``L0[i]`` / ``L1[i]`` is the entry of column
+#: ``k`` / ``k + 1`` in row ``R[i]``.  Forward, a pair solves its 2 x 2
+#: triangle, then every row below it subtracts both updates, column ``k``'s
+#: first; backward, two accumulators subtract the rows below the pair from
+#: the last up, one read of ``w`` for both, then the pair finishes, column
+#: ``k + 1`` first.  A supernode of odd width runs its first column alone.
+_SUPERNODE_FORWARD = r"""
+for (int64_t s = 0; s < n_super; s++) {
+    const int64_t c0 = _C_sup_start[s], width = _C_sup_end[s] - c0;
+    const int64_t* R = _C_l_indices + _C_l_indptr[c0];
+    const int64_t nr = _C_l_indptr[c0 + 1] - _C_l_indptr[c0];
+    int64_t k = 0;
+    for (; k + 2 <= width; k += 2) {
+        const double* L0 = Lx + _C_l_indptr[c0 + k] - k;
+        const double* L1 = Lx + _C_l_indptr[c0 + k + 1] - (k + 1);
+        const double x0 = REPRO_PIVOT(w[c0 + k], L0[k]);
+        const double x1 = REPRO_PIVOT(w[c0 + k + 1] - L0[k + 1] * x0, L1[k + 1]);
+        w[c0 + k] = x0;
+        w[c0 + k + 1] = x1;
+        for (int64_t i = k + 2; i < nr; i++) w[R[i]] = w[R[i]] - L0[i] * x0 - L1[i] * x1;
+    }
+    if (k < width) {
+        const double* L0 = Lx + _C_l_indptr[c0 + k] - k;
+        const double x0 = REPRO_PIVOT(w[c0 + k], L0[k]);
+        w[c0 + k] = x0;
+        for (int64_t i = k + 1; i < nr; i++) w[R[i]] -= L0[i] * x0;
+    }
+}"""
+_SUPERNODE_BACKWARD = r"""
+for (int64_t s = n_super - 1; s >= 0; s--) {
+    const int64_t c0 = _C_sup_start[s], width = _C_sup_end[s] - c0;
+    const int64_t* R = _C_l_indices + _C_l_indptr[c0];
+    const int64_t nr = _C_l_indptr[c0 + 1] - _C_l_indptr[c0];
+    int64_t k = width - 2;
+    for (; k >= 0; k -= 2) {
+        const double* L0 = Lx + _C_l_indptr[c0 + k] - k;
+        const double* L1 = Lx + _C_l_indptr[c0 + k + 1] - (k + 1);
+        double a0 = w[c0 + k], a1 = w[c0 + k + 1];
+        for (int64_t i = nr - 1; i > k + 1; i--) {
+            const double wi = w[R[i]];
+            a0 -= L0[i] * wi;
+            a1 -= L1[i] * wi;
+        }
+        a1 = REPRO_PIVOT(a1, L1[k + 1]);
+        w[c0 + k] = REPRO_PIVOT(a0 - L0[k + 1] * a1, L0[k]);
+        w[c0 + k + 1] = a1;
+    }
+    if (k == -1) {
+        const double* L0 = Lx + _C_l_indptr[c0];
+        double a0 = w[c0];
+        for (int64_t i = nr - 1; i > 0; i--) a0 -= L0[i] * w[R[i]];
+        w[c0] = REPRO_PIVOT(a0, L0[0]);
+    }
+}"""
+
+
+def _emit_solve(out: _CEmitter, signature: str, domain: DomainLoop) -> None:
+    """Print the solve entry: ``x`` solving ``A x = b`` on the factors the entry wrote, in place.
+
+    ``A`` is the matrix whose symmetric permutation by ``perm`` the entry
+    factorized.  ``w = b[perm]``; the forward sweep on ``L``, columns
+    ascending, each pushing its updates to the rows below it; ``÷ D``
+    (LDLᵀ); the backward sweep, columns descending: on ``Lᵀ`` in dot form,
+    each column subtracting its entries times ``w`` from the last row up, or
+    on ``U`` in push form with its pivot last (LU); ``x[perm] = w``.  ``b``
+    is read whole before ``x`` is written, so ``x`` may be ``b``.  The
+    backward sweep runs two chains of subtractions side by side: two columns
+    of a supernode where VS-Block took the factorization (both sweeps then
+    walk the supernodes, and every entry of ``w`` sees the operations of the
+    column sweeps, in their order), else alternate entries of a column.
+    """
+    supernodal = domain.role == "supernodal-cholesky"
+    if domain.factor_kind == "lu":
+        backward = _U_BACKWARD
+    else:
+        backward = _SUPERNODE_BACKWARD if supernodal else _COLUMN_BACKWARD
+    body = [
+        "REPRO_BIND_TABLES",
+        "for (int64_t i = 0; i < n; i++) w[i] = b[perm[i]];",
+        *(_SUPERNODE_FORWARD if supernodal else _COLUMN_FORWARD).strip().splitlines(),
+        *(["for (int64_t i = 0; i < n; i++) w[i] /= D[i];"] if domain.factor_kind == "ldlt" else []),
+        *backward.strip().splitlines(),
+        "for (int64_t i = 0; i < n; i++) x[perm[i]] = w[i];",
+    ]
+    out.emit(signature + " {")
+    out.push()
+    for line in body:
+        out.emit(line)
+    out.pop()
+    out.emit("}")
+    out.emit("")
+
+
 @dataclass(frozen=True)
 class _Loop:
     """How one domain loop is printed (see :meth:`CBackend.generate`).
@@ -1192,6 +1340,8 @@ class CBackend:
         self._emit_serial_loop(code, entry, loop, spec)
         code.pop()
         code.emit("}")
+        if spec.solve:
+            _emit_solve(code, spec.solve_spec.signature(f"{entry}_solve", wavefront=False), domain)
 
         # The runtimes go in when the emitted code calls them.
         text = "\n".join(code.lines)
@@ -1223,6 +1373,8 @@ class CBackend:
         out.emit("#define REPRO_BIND_TABLES \\")
         out.lines.extend(f"    {line} \\" for line in bind[:-1])
         out.emit(f"    {bind[-1]}")
+        if spec.solve:
+            out.emit("#define REPRO_PIVOT(v, d) " + ("((v) / (d))" if domain.factor_kind == "llt" else "(v)"))
         if work_buffers:
             out.emit(_WORK_BUFFERS)
         if "repro_v4" in text:

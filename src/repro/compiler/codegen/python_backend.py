@@ -5,7 +5,9 @@ the plan chose (:mod:`repro.compiler.plan`) and the contract it carries
 (computed by :mod:`repro.compiler.codegen.tables`: the C emitters bind the same
 names in the same order) and picks the kernel of
 :mod:`repro.compiler.codegen.reference` that walks them; ``compile()`` returns
-the binder of that function and the block, shaped as the C backend's.
+the binder of that function and the block, shaped as the C backend's, and
+sets a direct factorization's ``solve_entry`` to the binder of
+:func:`~repro.compiler.codegen.reference.factor_solve`.
 ``source`` is the text of the function that runs, the same for every pattern,
 and ``constants`` the block, key for key what a C module of the same kernel
 holds.  This is the fallback when no C toolchain exists and the oracle of the
@@ -86,6 +88,10 @@ class GeneratedModule:
     method: str
     codegen_seconds: float
     compile_seconds: float = 0.0
+    #: :func:`reference.factor_solve` of the module's factor kind, for a direct factorization.
+    solve_function: Optional[Callable] = field(default=None, repr=False)
+    #: The solve entry's binder, shaped as the kernel's; set by :meth:`compile`.
+    solve_entry: Optional[Callable] = field(default=None, repr=False)
     _callable: Optional[Callable] = field(default=None, repr=False)
 
     @property
@@ -125,6 +131,9 @@ class GeneratedModule:
 
             return run
 
+        if self.solve_function is not None:
+            solve = self.solve_function
+            self.solve_entry = lambda inputs, outputs: lambda num_threads=None: solve(self.constants, *inputs, *outputs)
         self.compile_seconds = time.perf_counter() - start
         self._callable = bind
         return bind
@@ -142,10 +151,12 @@ class PythonBackend:
         if planner is None:
             raise CodegenError(f"unsupported method {method!r}")
         function, contract = planner(domain, method)
+        solves = _C_METHOD_SPECS[method].solve
         return GeneratedModule(
             function=function,
             entry_name=entry,
             constants=tables.block(context.inspection.n, contract),
             method=method,
             codegen_seconds=time.perf_counter() - start,
+            solve_function=partial(reference.factor_solve, kind=domain.factor_kind) if solves else None,
         )

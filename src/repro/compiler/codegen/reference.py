@@ -1,4 +1,4 @@
-"""The python backend's kernels: six fixed NumPy functions over the table block.
+"""The python backend's kernels: seven fixed NumPy functions over the table block.
 
 Each takes ``T`` — :func:`repro.compiler.codegen.tables.block` of the contract
 the C emitters bind; ``T["_C_dims"]`` is ``n``, then the contract's sizes in
@@ -22,6 +22,7 @@ __all__ = [
     "ic0",
     "ilu0",
     "triangular_solve",
+    "factor_solve",
 ]
 
 
@@ -196,3 +197,49 @@ def triangular_solve(T, Lp, Li, Lx, b):
             x[j] = xj
             x[Li[p0 + 1 : p1]] -= Lx[p0 + 1 : p1] * xj
     return x
+
+
+def factor_solve(T, perm, Lx, *arrays, kind):
+    """The solve entry of a direct factorization: ``x`` solving ``A x = b`` on its factors, in place.
+
+    ``arrays`` are ``D`` (``kind="ldlt"``) or ``Ux`` (``"lu"``) if the kernel
+    has them, then ``b``, ``w`` and ``x``.  ``w = b[perm]``; the forward sweep
+    on ``L``, push form, columns ascending; ``÷ D``; the backward sweep,
+    columns descending: on ``U`` in push form with its pivot last, or on
+    ``Lᵀ`` in dot form, a column's products taken from the last row up.  A
+    supernodal factor's C sweep subtracts them one after another from
+    ``w[c]``; a simplicial one subtracts every other one from ``w[c]`` and
+    the rest from ``0.0``, and adds the two.  ``np.subtract.reduce`` is a
+    sequential left fold, so one per chain is the C loop's order.  Last,
+    ``x[perm] = w``.  The C entry runs the columns of a supernodal factor
+    two at a time, which gives every entry of ``w`` the same operations in
+    the same order.
+    """
+    *factor, b, w, x = arrays
+    Lp, Li = T["_C_l_indptr"], T["_C_l_indices"]
+    unit = kind != "llt"
+    w[...] = b[perm]
+    for c in range(w.size):
+        p0, p1 = Lp[c], Lp[c + 1]
+        if not unit:
+            w[c] /= Lx[p0]
+        w[Li[p0 + 1 : p1]] -= Lx[p0 + 1 : p1] * w[c]
+    if kind == "ldlt":
+        w /= factor[0]
+    if kind == "lu":
+        Up, Ui, Ux = T["_C_u_indptr"], T["_C_u_indices"], factor[0]
+        for c in range(w.size - 1, -1, -1):
+            u0, u1 = Up[c], Up[c + 1] - 1
+            w[c] /= Ux[u1]
+            w[Ui[u0:u1]] -= Ux[u0:u1] * w[c]
+    else:
+        supernodal = "_C_sup_start" in T
+        for c in range(w.size - 1, -1, -1):
+            p0, p1 = Lp[c], Lp[c + 1]
+            t = (Lx[p0 + 1 : p1] * w[Li[p0 + 1 : p1]])[::-1]
+            if supernodal:
+                acc = np.subtract.reduce(t, initial=w[c])
+            else:
+                acc = np.subtract.reduce(t[0::2], initial=w[c]) + np.subtract.reduce(t[1::2], initial=0.0)
+            w[c] = acc if unit else acc / Lx[p0]
+    x[perm] = w

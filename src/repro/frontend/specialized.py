@@ -8,7 +8,7 @@ ordering, symbolic inspection, code generation), and every later call with
 the same configuration is pure numeric execution:
 
 * same structure *and* same values → the cached factors solve immediately
-  (two compiled triangular sweeps, nothing else),
+  (one call of the factorization's solve entry, nothing else),
 * same structure, new values → one numeric re-factorization through the
   already-compiled kernel (``CSCMatrix.with_values`` semantics — zero
   inspection, zero codegen),
@@ -426,7 +426,7 @@ class SpecializedSolver:
             )
             self.last_cg_result = result
             return result.x
-        # Same structure: the solver's warm step — sweeps alone when the
+        # Same structure: the solver's warm step — the solve alone when the
         # values are the ones its factors came from, the compiled kernel
         # first when they are new.  The specializing call factorized these
         # very values itself; only a later call finding them unchanged counts

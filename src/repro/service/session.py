@@ -13,7 +13,7 @@ turns the paper's inspector/executor amortization into a served resource:
   :meth:`SolverService.solve` is the synchronous convenience.  The solve is
   the pattern's :meth:`SparseLinearSolver.step
   <repro.solvers.linear_solver.SparseLinearSolver.step>` — the same warm
-  step the front end takes: sweeps alone when a request's values are the
+  step the front end takes: the solve alone when a request's values are the
   ones the current factors came from, the compiled kernel first when they
   are new.  The step holds its solver's lock, so callers on one pattern take
   turns and callers on different patterns run side by side; the service
@@ -93,8 +93,8 @@ class _PatternEntry:
 
     key: tuple
     handle: PatternHandle
-    #: The pattern's one solver.  It holds the compiled factorization and the
-    #: two sweeps, and its lock serializes concurrent solves.
+    #: The pattern's one solver.  It holds the compiled factorization, whose
+    #: module also solves, and its lock serializes concurrent solves.
     solver: SparseLinearSolver
     #: The backend that actually generated code ("c" may fall back to
     #: "python" when no toolchain exists); recorded for the stats endpoint.
@@ -241,7 +241,7 @@ class SolverService:
             disk_after["py_writes"] - disk_before["py_writes"]
         )
         warm = generated == 0
-        factorization = solver.compiled_artifacts[0]
+        factorization = solver.factorization
         schedule = factorization.schedule
         handle = PatternHandle(
             handle_id=hashlib.sha256(repr(key).encode()).hexdigest()[:16],

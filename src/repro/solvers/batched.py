@@ -1,14 +1,14 @@
 """Many value sets of one pattern at once: :class:`BatchedSolver`.
 
 Wraps :class:`~repro.solvers.linear_solver.SparseLinearSolver` — one
-ordering, one compiled factorization, one pair of compiled triangular
-solves — and turns it into a multi-scenario engine:
+ordering, one compiled factorization and its solve entry — and turns it into
+a multi-scenario engine:
 
 * :meth:`BatchedSolver.factorize_batch` factorizes many value sets sharing
   the solver's pattern concurrently (parameter sweeps, ensemble solves) and
   returns one :class:`FactorHandle` per item,
 * :meth:`FactorHandle.solve` solves against any handle's factors with the
-  shared compiled triangular kernels,
+  shared solve entry,
 * :meth:`BatchedSolver.solve_many` solves many right-hand sides against the
   solver's current factorization.
 
@@ -39,10 +39,9 @@ __all__ = ["BatchedSolver", "FactorHandle"]
 class FactorHandle:
     """One batch item's factorization: either factors or a preserved error.
 
-    Factor assembly (CSC wrapping, the backward operand gathered through
-    the solver's plan) is lazy — computed on first :meth:`solve` — so batch
-    throughput measurements see only the numeric kernel cost, and unused
-    handles cost nothing beyond their raw output arrays.
+    Factor assembly (CSC wrapping) is lazy — computed on first :meth:`solve`
+    — so batch throughput measurements see only the numeric kernel cost, and
+    unused handles cost nothing beyond their raw output arrays.
     """
 
     index: int
@@ -50,7 +49,6 @@ class FactorHandle:
     _raw: Optional[object] = field(default=None, repr=False)
     error: Optional[Exception] = None
     _factors: Optional[object] = field(default=None, repr=False)
-    _Lt: Optional[CSCMatrix] = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -96,16 +94,14 @@ class FactorHandle:
     ) -> np.ndarray:
         """Solve this scenario's system ``A_i x = b``.
 
-        ``out`` optionally receives the solution in place.  ``num_threads``
-        fans each triangular sweep's level sets across workers when the
-        solver's trisolves were compiled in wavefront mode (serial kernels
-        ignore it).
+        One call of the factorization's solve entry, bound to this handle's
+        factors per call (:meth:`SparseLinearSolver.solve_with_factors`).
+        ``out`` optionally receives the solution in place.  The entry is
+        serial: ``num_threads`` reaches no sweep.
         """
         self._require_ok()
-        if self._Lt is None:
-            self._Lt = self._solver.backward_operand(self.L, self.U)
         return self._solver.solve_with_factors(
-            b, L=self.L, d=self.d, Lt=self._Lt, out=out, num_threads=num_threads
+            b, L=self.L, d=self.d, U=self.U, out=out, num_threads=num_threads
         )
 
 

@@ -3,23 +3,24 @@
 Combines the pieces of the library into the workflow a downstream user wants:
 
 1. choose a fill-reducing ordering,
-2. compile specialized factorization and triangular-solve kernels for the
-   (permuted) pattern through the kernel table — ``method="cholesky"`` for
-   SPD systems, ``method="ldlt"`` for symmetric indefinite (saddle-point/KKT)
-   systems, ``method="lu"`` for unsymmetric diagonally dominant systems
-   (Newton Jacobians),
+2. compile a specialized factorization kernel for the permuted pattern
+   through the kernel table — ``method="cholesky"`` for SPD systems,
+   ``method="ldlt"`` for symmetric indefinite (saddle-point/KKT) systems,
+   ``method="lu"`` for unsymmetric diagonally dominant systems (Newton
+   Jacobians),
 3. factorize numeric values — repeatedly, as they change — and solve systems
    with forward/backward substitution.
 
 Every kernel compile goes through the Sympiler artifact cache, so repeated
-refactorizations and the backward sweep reuse the compiled kernels whenever
-the factor pattern is unchanged instead of re-running inspection and code
-generation.
+refactorizations reuse the compiled kernel whenever the factor pattern is
+unchanged instead of re-running inspection and code generation.
 
-The backward substitution (``Lᵀ z = y``, or ``U z = y`` for LU) is performed
-as a specialized solve on an upper-triangular pattern that becomes lower
-triangular after reversing the index order, so the same generated-kernel
-machinery covers both sweeps.
+The solve is the factorization module's second entry point: one generated
+call permutes ``b``, runs the forward sweep on ``L``, divides by ``D``
+(LDLᵀ), runs the backward sweep on the same ``L`` read column by column
+(``Lᵀ z = y``), or on ``U`` for LU, and un-permutes into ``x``.  No
+triangular-solve kernel is compiled and no transposed copy of a factor is
+kept.
 """
 
 from __future__ import annotations
@@ -92,11 +93,12 @@ def backward_factor(L: CSCMatrix, U: Optional[CSCMatrix] = None) -> CSCMatrix:
     ``U z = y`` (LU); either matrix is upper triangular, and reversing both
     its row and column order turns the sweep into an ordinary forward
     substitution on a lower-triangular matrix, which the generated
-    triangular-solve kernel handles directly.  This is the one *symbolic*
-    definition of the operand (a transpose plus a COO round-trip): a
-    :class:`SparseLinearSolver` runs it once, on index-valued factors, and
-    every numeric operand after that is a gather
-    (:meth:`SparseLinearSolver.backward_operand`).
+    triangular-solve kernel handles directly.  A transpose plus a COO
+    round-trip: the IC(0) preconditioner of
+    :func:`~repro.solvers.cg.preconditioned_conjugate_gradient` sweeps with
+    it, and so do the triangular solves of
+    :attr:`SparseLinearSolver.compiled_artifacts`; the solver's own solve
+    reads the factors in place.
     """
     upper = U if U is not None else L.transpose()
     n = upper.n
@@ -171,11 +173,8 @@ class SparseLinearSolver:
         self.options = options or SympilerOptions()
         self.ordering_name = ordering
         self._sympiler = Sympiler(self.options)
-        # Any factorization kernel whose result follows the L-factor
-        # protocol (a lower-triangular factor, or an object exposing it as
-        # `.L` with an optional diagonal `.d`) works here without solver
-        # changes; kernels with a different solve recipe (e.g. a future LU's
-        # upper sweep) still need an explicit solve path.
+        # Any factorization kernel of the table works here: its module
+        # carries the solve entry of its factors (Lx; Lx, D; or Lx, Ux).
         try:
             spec = kernel_spec(method)
         except UnknownKernelError as exc:
@@ -206,37 +205,12 @@ class SparseLinearSolver:
         self.A_permuted = probe.with_values(A.data[self._value_gather])
         self._factorization = self._sympiler.compile(spec.name, self.A_permuted)
         self.setup_seconds = time.perf_counter() - t0
-        # The rest of the plan needs only the factor *patterns*, which the
-        # compiled factorization predicts.  The backward operand's pattern and
-        # its gather from the factor values (U's for LU, L's otherwise) come
-        # from one symbolic backward_factor on index-valued patterns; the
-        # probe then stays as the operand itself — factorize() gathers the
-        # values into it.
-        L_pattern = self._factorization.l_pattern
-        U_pattern = getattr(self._factorization, "u_pattern", None)
-        if U_pattern is None:
-            self._Lt = backward_factor(_index_valued(L_pattern))
-        else:
-            self._Lt = backward_factor(L_pattern, _index_valued(U_pattern))
-        self._backward_gather = self._Lt.data.astype(np.int64)
-        # The triangular-solve kernels depend only on the factor *pattern*,
-        # which is fixed per solver instance, so they are compiled once; the
-        # shared artifact cache additionally dedupes them across solver
-        # instances working on the same pattern.
-        self._forward = self._sympiler.compile(
-            "triangular-solve", L_pattern, options=self.options
-        )
-        self._backward = self._sympiler.compile(
-            "triangular-solve", self._Lt, options=self.options
-        )
-        # The sweeps' vectors — permuted b, y, reversed y, reversed z — and
-        # the gather n-1-inv that takes reversed z to the caller's order.
-        # Both sweeps are bound, once, to the owned factors and these
-        # buffers (below), so a solve on the current factors runs on
-        # prebuilt addresses (see _sweep).
-        n = A.n
-        self._buffers = tuple(np.zeros(n) for _ in range(4))
-        self._unreverse = (n - 1) - self.permutation.inv
+        # The solve entry's vectors: the caller's b is copied in, x copied
+        # out, so every address the entry reads is bound once (below).
+        self._perm = np.ascontiguousarray(self.permutation.perm)
+        self._b, self._w, self._x = (np.zeros(A.n) for _ in range(3))
+        # The two triangular solves of compiled_artifacts, compiled on first access.
+        self._sweep_artifacts: Optional[tuple] = None
         # The input-order values the current factors came from: a private
         # snapshot (the caller may edit A.data in place), and, wrapped on A's
         # pattern, what `self.A` becomes once step() has moved on from A.
@@ -248,7 +222,7 @@ class SparseLinearSolver:
         # The factor arrays the kernel writes (Lx; Lx, D; or Lx, Ux), owned
         # for the solver's lifetime: every refactorization overwrites them
         # whole, through a kernel bound to them and to A_permuted's arrays
-        # here, once; both sweeps are bound to them here too.  They are
+        # here, once; the solve entry is bound to them here too.  They are
         # allocated last, after every long-lived block of the set-up, so
         # they cannot sit in space the set-up's temporaries left free: with
         # the factor allocated mid-set-up, benchmarks/e2e's newton_2d ended
@@ -260,7 +234,7 @@ class SparseLinearSolver:
         )
         permuted = self.A_permuted
         self._kernel = self._factorization.bind((permuted.indptr, permuted.indices, permuted.data), self._outputs)
-        self._sweeps = self._bind_sweeps(self._L, self._Lt, self._buffers)
+        self._solve = self._factorization.bind_solve((self._perm, *self._outputs, self._b), (self._w, self._x))
         self._factored = False
         # Numeric work last, through the one refactorization path (not
         # factorize(), whose copy of L nobody here would read).
@@ -311,13 +285,28 @@ class SparseLinearSolver:
         return self._sympiler.cache
 
     @property
-    def compiled_artifacts(self) -> tuple:
-        """The compiled artifacts this solver holds (factorization + sweeps).
+    def factorization(self) -> SympiledFactorization:
+        """The compiled factorization: its kernel refactorizes, its solve entry solves."""
+        return self._factorization
 
-        The solver owns them by reference: they live as long as it does,
-        whatever the shared artifact cache later evicts.
+    @property
+    def compiled_artifacts(self) -> tuple:
+        """The factorization and the triangular solves of its factor patterns: ``(factorization, forward, backward)``.
+
+        The solver itself runs the factorization alone (its solve entry reads
+        the factors in place); the two triangular solves — on ``L``'s pattern
+        and on :func:`backward_factor`'s — are compiled on first access,
+        through the shared artifact cache, for callers that run the sweeps
+        one by one.  The solver holds them by reference: they live as long
+        as it does, whatever the shared cache later evicts.
         """
-        return (self._factorization, self._forward, self._backward)
+        if self._sweep_artifacts is None:
+            L = self._factorization.l_pattern
+            operands = (L, backward_factor(L, getattr(self._factorization, "u_pattern", None)))
+            self._sweep_artifacts = tuple(
+                self._sympiler.compile("triangular-solve", M, options=self.options) for M in operands
+            )
+        return (self._factorization, *self._sweep_artifacts)
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -363,10 +352,9 @@ class SparseLinearSolver:
 
         Numeric only: the snapshot takes the values, one gather puts them in
         permuted order, the kernel bound at construction overwrites the owned
-        factor arrays, one gather fills the backward operand.  Nothing is
-        allocated or bound: every array written here is one the solver has
-        held, at the same address, since construction, and both sweeps stay
-        bound to them.
+        factor arrays.  Nothing is allocated or bound: every array written
+        here is one the solver has held, at the same address, since
+        construction, and the solve entry stays bound to them.
 
         A non-finite value is refused first, before anything is touched: no
         kernel here pivots, and the Cholesky -> LDLᵀ escape of the front end
@@ -380,8 +368,6 @@ class SparseLinearSolver:
         np.take(self._values, self._value_gather, out=self.A_permuted.data, mode="clip")
         self._factored = False
         self._kernel()
-        source = self._L if self._U is None else self._U
-        np.take(source.data, self._backward_gather, out=self._Lt.data, mode="clip")
         self._factored = True
 
     def _set_factors(self, result) -> None:
@@ -401,15 +387,6 @@ class SparseLinearSolver:
         """Input-order pattern values in permuted-pattern order (one gather)."""
         return values[self._value_gather]
 
-    def backward_operand(self, L: CSCMatrix, U: Optional[CSCMatrix] = None) -> CSCMatrix:
-        """:func:`backward_factor` of factors on this solver's patterns.
-
-        Bitwise the same matrix, built by one gather of the factor values
-        into the backward pattern fixed at construction.
-        """
-        source = L if U is None else U
-        return self._Lt.with_values(source.data[self._backward_gather])
-
     # ------------------------------------------------------------------ #
     def solve_with_factors(
         self,
@@ -417,7 +394,6 @@ class SparseLinearSolver:
         *,
         L: CSCMatrix,
         d: Optional[np.ndarray] = None,
-        Lt: Optional[CSCMatrix] = None,
         U: Optional[CSCMatrix] = None,
         out: Optional[np.ndarray] = None,
         num_threads: Optional[int] = None,
@@ -426,74 +402,54 @@ class SparseLinearSolver:
 
         ``L``/``d``/``U`` must carry the patterns this solver was compiled
         for (they normally come from a batched factorization of a same-
-        pattern matrix); ``Lt`` is the precomputed backward operand
-        (:meth:`backward_operand`) and is derived from ``L``/``U`` when
-        omitted.  The compiled forward/backward triangular kernels depend
-        only on those fixed patterns, so they are shared by every factor set.
-        ``out`` optionally receives the solution in place (the final
-        un-permutation gathers directly into it).
-        ``num_threads`` applies when the trisolves were compiled with
-        ``parallel="wavefront"``: both sweeps fan each level set across that
-        many workers (``None`` defers to ``REPRO_NUM_THREADS``, then one per
-        CPU; serial kernels ignore it), bitwise identical to serial either
-        way.  These factors are not the solver's own, so both sweeps are
-        bound to them, and to vectors of this call's own, per call.
+        pattern matrix), ``d`` for LDLᵀ and ``U`` for LU.  The factorization's
+        solve entry depends only on those fixed patterns, so it serves every
+        factor set: these factors are not the solver's own, so it is bound
+        to them, and to a work vector of this call's own, per call.  ``out``
+        optionally receives the solution in place.  The entry is serial:
+        ``num_threads`` is accepted for the callers that pass it and reaches
+        no sweep.
         """
-        b, out = self._checked(b, out)
-        if Lt is None:
-            Lt = self.backward_operand(L, U)
-        buffers = tuple(np.empty(self.A.n) for _ in range(4))
-        return self._sweep(self._bind_sweeps(L, Lt, buffers), buffers, d, b, out, num_threads)
-
-    def _checked(self, b, out) -> Tuple[np.ndarray, np.ndarray]:
-        """``b`` as float64 and the array the answer goes to, both checked before any sweep runs."""
+        b, out = np.ascontiguousarray(self._rhs(b)), self._out(out)
         n = self.A.n
+        x = out if out is not None and out.flags.c_contiguous else np.empty(n)
+        factors = (L.data, *(f for f in (d, None if U is None else U.data) if f is not None))
+        self._factorization.bind_solve((self._perm, *factors, b), (np.empty(n), x))()
+        if out is not None and x is not out:
+            np.copyto(out, x)
+        return x if out is None else out
+
+    def _rhs(self, b) -> np.ndarray:
+        """``b`` as float64, checked before the entry runs."""
         b = np.asarray(b, dtype=np.float64)
-        if b.shape != (n,):
-            raise ValueError(f"b must have shape ({n},)")
-        if out is None:
-            return b, np.empty(n)
-        if out.shape != (n,) or out.dtype != np.float64:
-            raise ValueError(f"out must be a float64 array of shape ({n},)")
-        return b, out
+        if b.shape != (self.A.n,):
+            raise ValueError(f"b must have shape ({self.A.n},)")
+        return b
 
-    def _bind_sweeps(self, L: CSCMatrix, Lt: CSCMatrix, buffers) -> tuple:
-        """Both compiled sweeps bound to factors and to ``(pb, y, y_rev, z_rev)``."""
-        pb, y, y_rev, z_rev = buffers
-        return (
-            self._forward.bind((L.indptr, L.indices, L.data, pb), (y,)),
-            self._backward.bind((Lt.indptr, Lt.indices, Lt.data, y_rev), (z_rev,)),
-        )
-
-    def _sweep(self, sweeps, buffers, d, b, out, num_threads) -> np.ndarray:
-        """``x`` into ``out`` by bound sweeps: permute, forward, ``/ d``, reverse, backward, un-permute.
-
-        ``b`` and ``out`` come from :meth:`_checked`; every other step writes
-        into ``buffers``, the vectors the sweeps are bound to (see
-        :meth:`_bind_sweeps`).
-        """
-        forward, backward = sweeps
-        pb, y, y_rev, z_rev = buffers
-        # mode="clip" throughout: the default "raise" buffers `out` in a temporary.
-        np.take(b, self.permutation.perm, out=pb, mode="clip")
-        forward(num_threads)
-        if d is not None:
-            # LDL^T: diagonal solve between the two triangular sweeps.
-            np.divide(y, d, out=y)
-        # Backward substitution via the reversed transposed factor.
-        np.copyto(y_rev, y[::-1])
-        backward(num_threads)
-        # Un-reverse and un-permute in one gather straight into out.
-        np.take(z_rev, self._unreverse, out=out, mode="clip")
+    def _out(self, out) -> Optional[np.ndarray]:
+        """``out``, checked before the entry runs."""
+        if out is not None:
+            if out.shape != (self.A.n,) or out.dtype != np.float64:
+                raise ValueError(f"out must be a float64 array of shape ({self.A.n},)")
+            if not out.flags.writeable:
+                raise ValueError("out must be writeable")
         return out
 
-    def _solve_current(
-        self, b: np.ndarray, out: Optional[np.ndarray], num_threads: Optional[int]
-    ) -> np.ndarray:
-        """The two sweeps on the current factors, bound at construction (the caller holds the lock)."""
+    def _solve_current(self, b: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+        """The solve entry on the current factors, bound at construction (the caller holds the lock).
+
+        ``b`` goes in and ``x`` comes out through the solver's own vectors,
+        so a strided ``b`` or ``out``, or an ``out`` that is ``b``, reach the
+        entry as contiguous vectors.
+        """
         self._require_factors()
-        b, out = self._checked(b, out)
-        return self._sweep(self._sweeps, self._buffers, self._d, b, out, num_threads)
+        b, out = self._rhs(b), self._out(out)
+        np.copyto(self._b, b)
+        self._solve()
+        if out is None:
+            return self._x.copy()
+        np.copyto(out, self._x)
+        return out
 
     def _require_factors(self) -> None:
         if not self._factored:
@@ -506,9 +462,16 @@ class SparseLinearSolver:
         out: Optional[np.ndarray] = None,
         num_threads: Optional[int] = None,
     ) -> np.ndarray:
-        """Solve ``A x = b`` (``out``/``num_threads`` as in :meth:`solve_with_factors`)."""
+        """Solve ``A x = b``: one call of the solve entry bound at construction.
+
+        ``out`` optionally receives the solution in place (it may be ``b``
+        itself, or a strided view).  The entry is serial: ``num_threads`` is
+        accepted for the callers that pass it and reaches no sweep (a
+        level-parallel triangular solve measured 0.90-0.97x the serial one
+        on the benchmark's workloads, on two cores).
+        """
         with self._lock:
-            return self._solve_current(b, out, num_threads)
+            return self._solve_current(b, out)
 
     def step(self, values: np.ndarray, b: np.ndarray, *, num_threads: Optional[int] = None) -> Tuple[np.ndarray, bool]:
         """The warm step: ``x`` solving ``A(values) x = b``, and whether it refactorized.
@@ -516,10 +479,11 @@ class SparseLinearSolver:
         ``values`` are the matrix nonzeros in the input order of the solver's
         pattern (length ``A.nnz``; the caller vouches for the pattern — that
         is what makes the step numeric only).  When they equal the values the
-        current factors came from, the step is the two sweeps; otherwise the
-        compiled kernel runs first, between its two gathers, as one call bound
-        at construction (:meth:`_refactorize`): a warm step allocates no
-        factor and binds nothing.  This is the one
+        current factors came from, the step is one call of the solve entry;
+        otherwise the compiled kernel runs first, after its gather, as one
+        call bound at construction (:meth:`_refactorize`): a warm step
+        allocates no factor and binds nothing.  ``num_threads`` reaches no
+        sweep (see :meth:`solve`).  This is the one
         numeric path of every layer above the artifact — the front end calls
         it per solve, the service once per request — and it holds
         the solver's lock throughout, so concurrent callers with different
@@ -537,10 +501,10 @@ class SparseLinearSolver:
                     raise ValueError(f"values must have shape {self._values.shape}")
                 self._refactorize(values)
                 self.A = self._A_current
-            return self._solve_current(b, None, num_threads), refactorized
+            return self._solve_current(b, None), refactorized
 
     def solve_many(self, B: np.ndarray, *, num_threads: Optional[int] = None) -> np.ndarray:
-        """Solve ``A X = B`` column by column (``B`` is ``n × k``).
+        """Solve ``A X = B`` column by column (``B`` is ``n × k``, ``k`` may be 0).
 
         The thread count is ``num_threads``, then ``REPRO_NUM_THREADS``, then 1
         (:func:`~repro.compiler.codegen.c_backend.resolve_num_threads`); with
@@ -551,21 +515,24 @@ class SparseLinearSolver:
         if B.ndim != 2 or B.shape[0] != self.A.n:
             raise ValueError(f"B must have shape ({self.A.n}, k)")
         num_threads = resolve_num_threads(num_threads)
+        # Column-major, so every column the entry reads or writes is contiguous.
+        B = np.asfortranarray(B)
+        X = np.empty_like(B, order="F")
         with self._lock:
             self._require_factors()
             # The columns may run on several threads at once, so each binds
-            # the sweeps to vectors of its own instead of the solver's.
-            L, d, Lt = self._L, self._d, self._Lt
-            results, errors = map_items(
-                lambda b: self.solve_with_factors(b, L=L, d=d, Lt=Lt),
-                [B[:, k] for k in range(B.shape[1])],
-                artifact=self._forward,
+            # the solve entry to a work vector of its own instead of the solver's.
+            inputs = (self._perm, *self._outputs)
+            _, errors = map_items(
+                lambda k: self._factorization.bind_solve((*inputs, B[:, k]), (np.empty(self.A.n), X[:, k]))(),
+                range(B.shape[1]),
+                artifact=self._factorization,
                 num_threads=num_threads,
             )
         for error in errors:
             if error is not None:
                 raise error
-        return np.column_stack(results)
+        return X
 
     def pcg(
         self,

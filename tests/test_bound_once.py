@@ -1,7 +1,7 @@
 """A solver binds its kernels once: refactorizations reuse the owned factor arrays.
 
 :class:`SparseLinearSolver` allocates its factorization's outputs at
-construction and binds the kernel and both sweeps to them there, once.  These
+construction and binds the kernel and its solve entry to them there, once.  These
 tests hold the two consequences: overwriting the same arrays on every call is
 bitwise the same as factorizing into fresh ones — after another value set and
 after a breakdown that left a column half written — and the warm path

@@ -22,7 +22,7 @@ from repro.frontend import (
 from repro.service.session import SolverService
 from repro.solvers.batched import BatchedSolver
 from repro.solvers.cg import preconditioned_conjugate_gradient
-from repro.solvers.linear_solver import SparseLinearSolver, backward_factor
+from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.coo import COOMatrix, TripletBuilder
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import (
@@ -314,21 +314,29 @@ class TestWarmCallsDoNoSymbolicWork:
         A = _ROUTES[method]()
         solver = SparseLinearSolver(A, method=method, options=SympilerOptions(backend=backend))
         A2 = A.with_values(A.data * 1.5)
-        expected = backward_factor(solver.factorize(A2), solver.U)
         P2 = solver.permutation.symmetric_permute(A2)
+        expected = solver.factorization.factorize(P2)
         symbolic_calls.update(dict.fromkeys(symbolic_calls, 0))
         solver.factorize(A2)  # a CSCMatrix: no ingest, so no validation either
         self._assert_numeric_only(symbolic_calls, validations=0)
+        b = rng.normal(size=A.n)
+        x = solver.solve(b)
         solver.factorize(A2.to_scipy())
         self._assert_numeric_only(symbolic_calls, validations=1)
-        # The gathers reproduce the symbolic constructions bit for bit.
+        # The gather reproduces the symbolic permutation bit for bit, and the
+        # owned factors are what the artifact computes from it.
         np.testing.assert_array_equal(solver.A_permuted.data, P2.data)
         assert solver.A_permuted.pattern_equal(P2)
-        operand = solver.backward_operand(solver.L, solver.U)
-        np.testing.assert_array_equal(operand.data, expected.data)
-        assert operand.pattern_equal(expected)
-        b = rng.normal(size=A.n)
-        assert solver.residual(solver.solve(b), b) < 1e-8
+        L = getattr(expected, "L", expected)
+        np.testing.assert_array_equal(solver.L.data, L.data)
+        assert solver.L.pattern_equal(L)
+        for ours, theirs in ((solver.d, getattr(expected, "d", None)), (solver.U, getattr(expected, "U", None))):
+            assert (ours is None) == (theirs is None)
+            if ours is not None:
+                np.testing.assert_array_equal(getattr(ours, "data", ours), getattr(theirs, "data", theirs))
+        np.testing.assert_array_equal(solver.solve(b), x)
+        self._assert_numeric_only(symbolic_calls, validations=0)
+        assert solver.residual(x, b) < 1e-8
 
     def test_refactorization_writes_into_the_plan_buffers(self, method, backend, rng):
         # The solver holds the same pattern-sized blocks after every call
@@ -336,12 +344,12 @@ class TestWarmCallsDoNoSymbolicWork:
         # out is a fresh object, so an earlier result is never overwritten.
         A = _ROUTES[method]()
         solver = SparseLinearSolver(A, method=method, options=SympilerOptions(backend=backend))
-        permuted, operand = solver.A_permuted.data, solver._Lt.data
+        permuted, work = solver.A_permuted.data, solver._w
         outputs = solver._outputs
         L1 = solver.L
         before = L1.data.copy()
         L2 = solver.factorize(A.with_values(A.data * 1.5))
-        assert solver.A_permuted.data is permuted and solver._Lt.data is operand
+        assert solver.A_permuted.data is permuted and solver._w is work
         # The kernel's outputs are owned too: the same arrays, overwritten.
         assert solver._outputs is outputs and solver._L.data is outputs[0]
         assert L2 is not L1 and not np.shares_memory(L2.data, L1.data)

@@ -1,8 +1,8 @@
-"""The rhs-only call: sweeps bound once per factorization, repeats found by comparison.
+"""The rhs-only call: one solve entry bound once, repeats found by comparison.
 
-``SparseLinearSolver`` binds both compiled sweeps to its factors and to four
-vectors of its own after every successful refactorization, so a solve on the
-current factors runs on prebuilt addresses.  ``SpecializedSolver`` finds a
+``SparseLinearSolver`` binds its factorization's solve entry to its factors,
+its permutation and a work vector of its own at construction, so a solve on
+the current factors is one call on prebuilt addresses.  ``SpecializedSolver`` finds a
 repeat pattern by ``(shape, nnz, dtype)`` and confirms it with
 ``np.array_equal`` against a private copy, without ingest or a fingerprint.
 Both must leave every answer bit and every counter as they were.
@@ -49,7 +49,7 @@ def test_rhs_only_answer_is_bitwise_a_fresh_solvers(method, options):
     A2 = A.with_values(A.data * 1.25)
     rng = np.random.default_rng(5)
     solver = _solver(A, method, options)
-    solver.step(A2.data, rng.normal(size=A.n))  # a refactorization rebinds the sweeps
+    solver.step(A2.data, rng.normal(size=A.n))  # a refactorization, into the bound factors
     for _ in range(3):
         b = rng.normal(size=A.n)
         x, refactorized = solver.step(A2.data, b, num_threads=2)
@@ -92,25 +92,57 @@ def test_solve_many_on_threads_is_bitwise_per_column_solve(method):
         np.testing.assert_array_equal(X[:, k], solver.solve(B[:, k]))
 
 
-def test_out_is_checked_before_the_first_sweep(monkeypatch):
+@pytest.fixture()
+def bound_calls():
+    """Wrap a solver's bound factorization and solve calls; count the calls of each."""
+    counts = {"factorize": 0, "solve": 0}
+
+    def wrap(solver):
+        kernel, solve = solver._kernel, solver._solve
+
+        def counted_kernel(num_threads=None):
+            counts["factorize"] += 1
+            return kernel(num_threads)
+
+        def counted_solve(num_threads=None):
+            counts["solve"] += 1
+            return solve(num_threads)
+
+        solver._kernel, solver._solve = counted_kernel, counted_solve
+        return solver
+
+    wrap.counts = counts
+    return wrap
+
+
+@pytest.mark.parametrize("options", OPTION_IDS)
+@pytest.mark.parametrize("method", sorted(MATRICES))
+def test_an_rhs_only_step_is_one_bound_call(method, options, bound_calls):
+    A = MATRICES[method]()
+    rng = np.random.default_rng(9)
+    solver = bound_calls(_solver(A, method, options))
+    values = A.data * 1.5
+    x, refactorized = solver.step(values, rng.normal(size=A.n))
+    assert refactorized and bound_calls.counts == {"factorize": 1, "solve": 1}
+    for k in range(2, 5):
+        x, refactorized = solver.step(values, rng.normal(size=A.n))
+        assert not refactorized and bound_calls.counts == {"factorize": 1, "solve": k}
+
+
+def test_out_is_checked_before_the_entry_runs(bound_calls):
     A = laplacian_2d(5)
-    solver = _solver(A, "cholesky")
-    forward = solver.compiled_artifacts[1]
-    runs = []
-    bind = forward.bind
-
-    def counting_bind(inputs, outputs):
-        call = bind(inputs, outputs)
-        return lambda num_threads=None: runs.append(1) or call(num_threads)
-
-    monkeypatch.setattr(forward, "bind", counting_bind)
+    solver = bound_calls(_solver(A, "cholesky"))
     with pytest.raises(ValueError, match="out must be a float64 array"):
         solver.solve_with_factors(np.ones(A.n), L=solver.L, out=np.empty(A.n - 1))
     with pytest.raises(ValueError, match="out must be a float64 array"):
         solver.solve(np.ones(A.n), out=np.empty(A.n, dtype=np.float32))
-    assert not runs
-    solver.solve_with_factors(np.ones(A.n), L=solver.L, out=np.empty(A.n))
-    assert runs == [1]
+    readonly = np.empty(A.n)
+    readonly.flags.writeable = False
+    with pytest.raises(ValueError, match="out must be writeable"):
+        solver.solve(np.ones(A.n), out=readonly)
+    assert bound_calls.counts["solve"] == 0
+    solver.solve(np.ones(A.n), out=np.empty(A.n))
+    assert bound_calls.counts["solve"] == 1
 
 
 # --------------------------------------------------------------------------- #

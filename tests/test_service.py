@@ -276,7 +276,7 @@ class TestSinglePath:
             svc.solve(handle, A.data * 2.0, b, timeout=30)
             assert counts() == (1, 0)
             svc.solve(handle, A.data * 2.0, 2.0 * b, timeout=30)
-            assert counts() == (1, 1)  # same values: the two sweeps only
+            assert counts() == (1, 1)  # same values: the solve entry only
             svc.solve(handle, A.data * 3.0, b, timeout=30)
             assert counts() == (2, 1)  # changed values: exactly one kernel run
 

