@@ -165,7 +165,14 @@ class CompiledArtifact:
                 return run(num_threads)
             return self._traced_numeric(run, num_threads, op)
 
+        # A serial C entry's address and arguments (CMethodSpec.wrap); None
+        # on the python backend and for a wavefront entry.
+        call.c_call = getattr(run, "c_call", None)
         return call
+
+    def raise_status(self, status: int) -> None:
+        """Raise the error the C entry's non-zero ``status`` stands for, as a bound call does."""
+        _C_METHOD_SPECS[self.module.method].raise_status(status)
 
     def new_outputs(self) -> tuple:
         """Zeroed output buffers of the compile-time lengths :meth:`bind` checks, in ABI order."""

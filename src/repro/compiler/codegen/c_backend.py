@@ -511,6 +511,11 @@ class CMethodSpec:
         ``module.constants``' buffers, which the closures keep alive for as
         long as a binder or a call exists.  A call passes the block's address
         last, whatever the number of tables.
+
+        A serial ``run`` also carries ``run.c_call``: the entry's address and
+        the argument addresses it calls it with, for a caller that calls the
+        entry from C (the solver's warm step, :mod:`repro.symbolic.native`)
+        while it holds ``run``.
         """
         fn.restype = None if self.failure is None else ctypes.c_int64
         tail = [ctypes.c_int64] if wavefront else []
@@ -518,7 +523,7 @@ class CMethodSpec:
         tables = list(module.constants.values())  # contiguous int64, see tables.entry
         block = (ctypes.c_void_p * len(tables))(*(t.ctypes.data for t in tables))
         block_address = ctypes.addressof(block)
-        failure = self.failure
+        fn_address = ctypes.cast(fn, ctypes.c_void_p).value
 
         def bind(inputs, outputs):
             arrays = (*inputs, *outputs)
@@ -532,13 +537,19 @@ class CMethodSpec:
                 else:
                     status = fn(*addresses, block_address)
                 if status:
-                    if status < 0:
-                        raise MemoryError("out of memory for the kernel's per-thread work buffers")
-                    raise ValueError(failure.format(column=int(status) - 1))
+                    self.raise_status(status)
 
+            if not wavefront:
+                run.c_call = (fn_address, (*addresses, block_address))
             return run
 
         return bind
+
+    def raise_status(self, status: int) -> None:
+        """Raise the error of the entry's non-zero ``status``: ``MemoryError`` below 0, else ``failure``."""
+        if status < 0:
+            raise MemoryError("out of memory for the kernel's per-thread work buffers")
+        raise ValueError(self.failure.format(column=int(status) - 1))
 
 
 _FACTOR_INPUTS = (("Ap", "int64_t"), ("Ai", "int64_t"), ("Ax", "double"))

@@ -8,11 +8,14 @@ ordering, symbolic inspection, code generation), and every later call with
 the same configuration is pure numeric execution:
 
 * same structure *and* same values → the cached factors solve immediately
-  (one call of the factorization's solve entry, nothing else),
+  (the factorization's solve entry, nothing else),
 * same structure, new values → one numeric re-factorization through the
   already-compiled kernel (``CSCMatrix.with_values`` semantics — zero
-  inspection, zero codegen),
+  inspection, zero codegen), then the solve entry,
 * new structure → a fresh specialization, cached alongside the others.
+
+On the C backend the first two are one native call each, which checks the
+pattern and the values first (:meth:`SparseLinearSolver.step`).
 
 :class:`SpecializedSolver` is the object form (own cache, own counters);
 :func:`solve` is the module-level convenience over one process-wide default
@@ -29,6 +32,7 @@ artifact cache.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -40,7 +44,7 @@ from repro.compiler.options import SympilerOptions
 from repro.frontend.ingest import IngestedMatrix, ingest, structure_fingerprint
 from repro.frontend.probes import AUTO_METHODS, ProbeReport, probe_structure
 from repro.observe import trace as observe_trace
-from repro.solvers.linear_solver import SparseLinearSolver
+from repro.solvers.linear_solver import OTHER_PATTERN, SparseLinearSolver
 from repro.sparse.csc import CSCMatrix
 
 __all__ = ["SpecializedSolver", "FrontendStats", "solve", "sympiled", "default_frontend"]
@@ -111,12 +115,21 @@ class _Specialization:
     #: fits in it, else ``None``: an ``int32`` input is compared in its own
     #: dtype, without promoting its ``nnz(A)`` indices on every call.
     narrow: Optional[tuple] = field(init=False, repr=False)
+    #: The addresses of those copies by index width in bytes (8: the
+    #: ``int64`` copies, 4: ``narrow``), for the native step's pattern check;
+    #: empty without a direct solver that steps natively.
+    addresses: Dict[int, tuple] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.indptr = self.pattern.indptr.copy()
         self.indices = self.pattern.indices.copy()
         fits = max(len(self.indices), self.pattern.n_rows) <= np.iinfo(np.int32).max
         self.narrow = (self.indptr.astype(np.int32), self.indices.astype(np.int32)) if fits else None
+        self.addresses = {}
+        if self.solver is not None and self.solver._warm is not None:
+            self.addresses[8] = (self.indptr.ctypes.data, self.indices.ctypes.data)
+            if self.narrow is not None:
+                self.addresses[4] = (self.narrow[0].ctypes.data, self.narrow[1].ctypes.data)
 
     def is_pattern_of(self, A) -> bool:
         """True when ``A``'s ``indptr`` / ``indices`` equal this pattern's (exactly, in any dtype)."""
@@ -124,6 +137,33 @@ class _Specialization:
         if self.narrow is not None and A.indices.dtype == np.int32 and A.indptr.dtype == np.int32:
             indptr, indices = self.narrow
         return np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)
+
+
+_F64, _INT32, _INT64 = np.dtype(np.float64), np.dtype(np.int32), np.dtype(np.int64)
+# An array's address as _addressof(_from_buffer(array)): cold, less than half
+# the cost of array.ctypes.data.  A read-only, strided or empty array raises
+# TypeError or ValueError.
+_addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
+
+
+def _index_addresses(A) -> tuple:
+    """``(index width in bytes, indptr address, indices address)`` of ``A``'s pattern.
+
+    The width is 0 — the composed check — for indices of mixed or other
+    dtypes, read-only, strided or empty arrays, and an ``indptr`` of the
+    wrong length.
+    """
+    indptr, indices = A.indptr, A.indices
+    width = 0
+    if len(indptr) == A.shape[1] + 1:
+        if indptr.dtype is _INT32 and indices.dtype is _INT32:
+            width = 4
+        elif indptr.dtype is _INT64 and indices.dtype is _INT64:
+            width = 8
+    try:
+        return (width, _addressof(_from_buffer(indptr)), _addressof(_from_buffer(indices))) if width else (0,)
+    except (TypeError, ValueError):
+        return (0,)
 
 
 def _factorization_is_finite(solver: SparseLinearSolver) -> bool:
@@ -195,6 +235,8 @@ class SpecializedSolver:
         self._cache: Dict[_Specialization, None] = {}
         #: The same specializations by ``_Specialization.repeat_key`` (see _find).
         self._repeats: Dict[tuple, List[_Specialization]] = {}
+        #: The scipy classes found to be CSC (see _says_csc).
+        self._csc_types: set = set()
 
     # ------------------------------------------------------------------ #
     def cache_info(self) -> Dict[str, object]:
@@ -299,24 +341,21 @@ class SpecializedSolver:
         wavefront kernel, with the precedence documented on
         :func:`~repro.compiler.codegen.c_backend.resolve_num_threads`.  ``tol`` /
         ``max_iterations`` apply to the ``pcg`` route only.
+
+        A repeat — a scipy CSC matrix or a :class:`CSCMatrix` with ``float64``
+        values whose pattern is cached — is not ingested.  On a direct route
+        with the C backend, the pattern check, the value check and the
+        solver's warm step are then one native call (:meth:`_repeat`); every
+        other call composes the same steps, to the same bits and counters.
         """
         if method is not None and method not in AUTO_METHODS:
             raise ValueError(
                 f"unknown method {method!r}; expected one of {AUTO_METHODS}"
             )
         requested = method if method is not None else self.method
-        spec = self._repeat(A, requested)
-        if spec is not None:
-            # A confirmed repeat: no ingest, no validate.
-            return self._execute(
-                spec,
-                A.data,
-                np.asarray(b, dtype=np.float64),
-                specialized_here=False,
-                num_threads=num_threads,
-                tol=tol,
-                max_iterations=max_iterations,
-            )
+        x = self._repeat(A, b, requested, num_threads, tol, max_iterations)
+        if x is not None:
+            return x
         ingested = ingest(A)
         b = np.asarray(b, dtype=np.float64)
         spec = self._find(ingested.csc, requested, ingested.dtype)
@@ -343,21 +382,78 @@ class SpecializedSolver:
             max_iterations=max_iterations,
         )
 
-    def _repeat(self, A, requested: Optional[str]) -> Optional[_Specialization]:
-        """The cached specialization ``A`` repeats, found without ingesting ``A``.
+    def _repeat(
+        self, A, b, requested: Optional[str], num_threads: Optional[int], tol: float, max_iterations: int
+    ) -> Optional[np.ndarray]:
+        """``x`` from the cached specialization ``A`` repeats, found without ingesting ``A``.
 
         Only a scipy CSC matrix or a :class:`CSCMatrix` with float64 values
         qualifies: its ``data`` goes to the solver as it is.  The stored
-        patterns :meth:`_find` compares ``A`` against are canonical (sorted,
+        patterns ``A`` is compared against are canonical (sorted,
         duplicate-free, as :meth:`CSCMatrix.validate` checked when they were
-        ingested), so a matching ``A`` is too.  ``None`` sends ``A`` through
-        the ingest path.
+        ingested), so a matching ``A`` is too.  Candidates are those of
+        :meth:`_find`.  For each, a direct solver's native step compares the
+        pattern and, if it matches, is the whole warm step, in one call
+        (:meth:`SparseLinearSolver.step`); where it cannot run, the pattern
+        is compared in NumPy and the step composed.  ``None`` sends ``A``
+        through the ingest path.
         """
-        if not (isinstance(A, CSCMatrix) or getattr(A, "format", None) == "csc"):
+        if not (type(A) in self._csc_types or isinstance(A, CSCMatrix) or self._says_csc(A)):
             return None
-        if A.data.dtype != np.float64 or A.data.shape != (len(A.indices),):
+        values = A.data
+        if values.dtype is not _F64 or values.shape != (len(A.indices),):
             return None
-        return self._find(A, requested, "float64")
+        key = (A.shape, len(A.indices), "float64", requested or "auto")
+        with self._lock:
+            candidates = tuple(self._repeats.get(key, ()))
+        if not candidates:
+            return None
+        pattern = _index_addresses(A)
+        for spec in candidates:
+            refs = spec.addresses.get(pattern[0])
+            out = None
+            if refs is not None:
+                try:
+                    out = spec.solver._native_step(values, b, pattern + refs)
+                except Exception:  # the pattern matched; the values failed
+                    with self._lock:
+                        self._hit(spec)
+                    raise
+                if out is OTHER_PATTERN:
+                    continue
+            if out is None:
+                if not spec.is_pattern_of(A):
+                    continue
+                with self._lock:
+                    self._hit(spec)
+                b = np.asarray(b, dtype=np.float64)
+                return self._execute(
+                    spec,
+                    values,
+                    b,
+                    specialized_here=False,
+                    num_threads=num_threads,
+                    tol=tol,
+                    max_iterations=max_iterations,
+                )
+            x, refactorized = out
+            with self._lock:
+                self._hit(spec, refactorized)
+            return x
+        return None
+
+    def _says_csc(self, A) -> bool:
+        """Whether ``A``'s ``format`` is ``"csc"``; a scipy class that says so joins ``_csc_types``.
+
+        A scipy class's ``format`` is a constant of the class, so a repeat
+        need not call the property again (measured: about 10 µs of a cold
+        call).
+        """
+        if getattr(A, "format", None) != "csc":
+            return False
+        if type(A).__module__.startswith("scipy.sparse"):
+            self._csc_types.add(type(A))
+        return True
 
     def _find(self, A, requested: Optional[str], dtype: str) -> Optional[_Specialization]:
         """The cached specialization of ``A``'s pattern, or ``None``; a find counts as a hit.
@@ -376,11 +472,18 @@ class SpecializedSolver:
                 return spec
         return None
 
-    def _hit(self, spec: _Specialization) -> None:
-        """Count a structure hit and refresh ``spec``'s LRU recency (the caller holds the lock)."""
+    def _hit(self, spec: _Specialization, refactorized: Optional[bool] = None) -> None:
+        """Count a structure hit and refresh ``spec``'s LRU recency (the caller holds the lock).
+
+        ``refactorized``: the hit's step, already taken, counted too.
+        """
         self.stats.structure_hits += 1
         if spec in self._cache:
             self._cache[spec] = self._cache.pop(spec)
+        if refactorized:
+            self.stats.refactorizations += 1
+        elif refactorized is not None:
+            self.stats.value_hits += 1
 
     def _admit(self, spec: _Specialization) -> None:
         """Cache a new specialization, evicting the least recently used (the caller holds the lock)."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
     "percentile",
@@ -108,18 +108,24 @@ class Reservoir:
 
     __slots__ = ("_lock", "_samples", "count", "total")
 
-    def __init__(self, maxlen: int = DEFAULT_RESERVOIR_SAMPLES) -> None:
-        self._lock = threading.Lock()
+    def __init__(self, maxlen: int = DEFAULT_RESERVOIR_SAMPLES, *, lock: Optional[threading.Lock] = None) -> None:
+        # ``lock``: an owner's lock to share, so that it can record a sample
+        # together with its own counters (observe_locked).
+        self._lock = lock if lock is not None else threading.Lock()
         self._samples: deque = deque(maxlen=maxlen)
         self.count = 0
         self.total = 0.0
 
     def observe(self, value: float) -> None:
-        value = float(value)
         with self._lock:
-            self._samples.append(value)
-            self.count += 1
-            self.total += value
+            self.observe_locked(value)
+
+    def observe_locked(self, value: float) -> None:
+        """:meth:`observe` for a caller already holding the reservoir's lock."""
+        value = float(value)
+        self._samples.append(value)
+        self.count += 1
+        self.total += value
 
     def snapshot(self) -> Tuple[List[float], int, float]:
         """One consistent ``(samples, count, total)`` copy under the lock."""

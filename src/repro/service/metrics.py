@@ -55,7 +55,9 @@ class ServiceMetrics:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         self._batch_sizes: Dict[int, int] = {}
-        self._latency = Reservoir(maxlen=max_latency_samples)
+        # One lock for the counters and the latencies: a request records
+        # both at once (observe_request).
+        self._latency = Reservoir(maxlen=max_latency_samples, lock=self._lock)
         self._collector_name: Optional[str] = None
         self._collector_registry: Optional[MetricsRegistry] = None
 
@@ -70,17 +72,27 @@ class ServiceMetrics:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def observe_batch(self, size: int) -> None:
-        """Record one dispatch of ``size`` requests."""
-        if size <= 0:
-            return
-        with self._lock:
-            self._counters["batches"] = self._counters.get("batches", 0) + 1
-            self._batch_sizes[size] = self._batch_sizes.get(size, 0) + 1
-
     def observe_latency(self, seconds: float) -> None:
-        """Record one request's enqueue-to-completion latency."""
+        """Record one request's latency alone."""
         self._latency.observe(seconds)
+
+    def observe_request(self, refactorized: Optional[bool], seconds: float) -> None:
+        """Record one request, under one lock: its outcome, its dispatch of one and its latency.
+
+        ``refactorized`` is ``None`` for a failed solve, else whether the
+        solve refactorized (``refactorizations``) or reused the factors
+        (``value_hits``).
+        """
+        if refactorized is None:
+            names = ("solves_failed", "batches")
+        else:
+            names = ("refactorizations" if refactorized else "value_hits", "solves_ok", "batches")
+        counters = self._counters
+        with self._lock:
+            for name in names:
+                counters[name] = counters.get(name, 0) + 1
+            self._batch_sizes[1] = self._batch_sizes.get(1, 0) + 1
+            self._latency.observe_locked(seconds)
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:

@@ -10,7 +10,8 @@ turns the paper's inspector/executor amortization into a served resource:
 * :meth:`SolverService.submit` runs one numeric solve (new values on the
   registered pattern, one right-hand side) on the calling thread and
   returns it as an already-resolved :class:`concurrent.futures.Future`;
-  :meth:`SolverService.solve` is the synchronous convenience.  The solve is
+  :meth:`SolverService.solve` runs the same body and returns ``x`` itself,
+  with no future.  The solve is
   the pattern's :meth:`SparseLinearSolver.step
   <repro.solvers.linear_solver.SparseLinearSolver.step>` — the same warm
   step the front end takes: the solve alone when a request's values are the
@@ -350,6 +351,36 @@ class SolverService:
         *future* with the kernel's exception instead.  Either way the future
         is done when ``submit`` returns.
         """
+        entry, values, rhs = self._admit(handle, values, rhs)
+        future: Future = Future()
+        try:
+            future.set_result(self._run(entry, values, rhs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def solve(
+        self,
+        handle,
+        values: np.ndarray,
+        rhs: np.ndarray,
+        *,
+        timeout: Optional[float] = None,
+    ) -> np.ndarray:
+        """:meth:`submit` without the future: ``x``, or any failure raised.
+
+        The request runs on the calling thread, as :meth:`submit`'s does;
+        ``timeout`` is kept for the
+        :class:`~repro.service.endpoint.SolverEndpoint` surface.
+        """
+        return self._run(*self._admit(handle, values, rhs))
+
+    def _admit(self, handle, values, rhs) -> tuple:
+        """``(entry, values, rhs)`` of an admitted request; a client error raises.
+
+        An admitted request holds its admission slot until :meth:`_run`
+        releases it.
+        """
         if self._closed:
             raise ServiceClosedError("service is closed")
         entry = self._entry_for(handle)
@@ -373,41 +404,29 @@ class SolverService:
                 retry_after_seconds=getattr(exc, "retry_after", None),
             )
             raise
+        return entry, values, rhs
+
+    def _run(self, entry: _PatternEntry, values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Run one admitted request on this thread: its pattern solver's warm step.
+
+        Returns ``x``; a numeric failure raises.  Either way the admission
+        slot is released and the request recorded.
+        """
         started = time.monotonic()
-        future: Future = Future()
+        refactorized = None
         try:
             with observe_trace.span("dispatch", kernel=entry.handle.kernel):
                 x, refactorized = entry.solver.step(values, rhs)
-        except Exception as exc:
-            self.metrics.incr("solves_failed")
-            future.set_exception(exc)
-        else:
-            self.metrics.incr("refactorizations" if refactorized else "value_hits")
-            self.metrics.incr("solves_ok")
             with self._lock:  # callers on one pattern finish concurrently
                 entry.solves += 1
-            future.set_result(x)
         finally:
             self.admission.release()
-        self.metrics.observe_batch(1)
-        latency = time.monotonic() - started
-        self.metrics.observe_latency(latency)
-        slow_after = observe_events.get_event_log().slow_request_seconds
-        if slow_after is not None and latency >= slow_after:
-            self._sample_slow_request(entry, latency)
-        return future
-
-    def solve(
-        self,
-        handle,
-        values: np.ndarray,
-        rhs: np.ndarray,
-        *,
-        timeout: Optional[float] = None,
-    ) -> np.ndarray:
-        """Synchronous solve: :meth:`submit`'s result (``timeout`` is kept for
-        the :class:`~repro.service.endpoint.SolverEndpoint` surface)."""
-        return self.submit(handle, values, rhs).result(timeout=timeout)
+            latency = time.monotonic() - started
+            self.metrics.observe_request(refactorized, latency)
+            slow_after = observe_events.get_event_log().slow_request_seconds
+            if slow_after is not None and latency >= slow_after:
+                self._sample_slow_request(entry, latency)
+        return x
 
     def _sample_slow_request(self, entry: _PatternEntry, latency: float) -> None:
         """Keep a slow request's full span tree as a structured event.

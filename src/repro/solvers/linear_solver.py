@@ -25,6 +25,7 @@ kept.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,13 +40,26 @@ from repro.compiler.options import SympilerOptions
 from repro.compiler.registry import UnknownKernelError, kernel_spec
 from repro.compiler.sympiler import Sympiler
 from repro.observe.trace import attach, capture, span
+from repro.observe.trace import enabled as tracing_enabled
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ordering import ordering_by_name
 from repro.sparse.permutation import Permutation
 from repro.sparse.utils import require_finite_values
 from repro.symbolic import native
 
-__all__ = ["SparseLinearSolver", "backward_factor", "map_items"]
+__all__ = ["OTHER_PATTERN", "SparseLinearSolver", "backward_factor", "map_items"]
+
+_F64 = np.dtype(np.float64)
+# An array's address as _addressof(_from_buffer(array)): cold, less than half
+# the cost of array.ctypes.data.  A read-only, strided or empty array raises
+# TypeError or ValueError.
+_addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
+
+#: What :meth:`SparseLinearSolver._native_step` answers for another pattern.
+OTHER_PATTERN = object()
+
+#: No pattern check: ``index_bytes`` 0 and no pointers.
+_NO_PATTERN = (0, None, None, None, None)
 
 
 def map_items(
@@ -235,6 +249,20 @@ class SparseLinearSolver:
         permuted = self.A_permuted
         self._kernel = self._factorization.bind((permuted.indptr, permuted.indices, permuted.data), self._outputs)
         self._solve = self._factorization.bind_solve((self._perm, *self._outputs, self._b), (self._w, self._x))
+        # The same two entries and arrays behind one native call: the warm
+        # step of step() from the value check to x.  None without the native
+        # helper or a serial C module; step() composes the step then.
+        helper = native.helper()
+        self._warm = None
+        if helper is not None:
+            self._warm = helper.bind_warm_step(
+                self._kernel,
+                self._solve,
+                snapshot=self._values,
+                gather=self._value_gather,
+                permuted=permuted.data,
+                b=self._b,
+            )
         self._factored = False
         # Numeric work last, through the one refactorization path (not
         # factorize(), whose copy of L nobody here would read).
@@ -479,21 +507,31 @@ class SparseLinearSolver:
         ``values`` are the matrix nonzeros in the input order of the solver's
         pattern (length ``A.nnz``; the caller vouches for the pattern — that
         is what makes the step numeric only).  When they equal the values the
-        current factors came from, the step is one call of the solve entry;
-        otherwise the compiled kernel runs first, after its gather, as one
-        call bound at construction (:meth:`_refactorize`): a warm step
-        allocates no factor and binds nothing.  ``num_threads`` reaches no
-        sweep (see :meth:`solve`).  This is the one
-        numeric path of every layer above the artifact — the front end calls
-        it per solve, the service once per request — and it holds
-        the solver's lock throughout, so concurrent callers with different
-        values each get the answer to their own system.
+        current factors came from (``==``, so ``-0.0`` equals ``0.0``), the
+        step solves on the current factors; otherwise the values go into the
+        snapshot, through the gather and the compiled kernel first.  On a
+        serial C module with the native helper loaded, and for ``values``
+        and ``b`` that are writable, C-contiguous ``float64`` arrays of the
+        exact shape, the whole step is one native call
+        (``repro_warm_step``, bound at construction); anything else composes
+        the same step in Python, call by call (:meth:`_refactorize`, then the
+        solve entry), to the same bits.  Either way a warm step allocates no
+        factor and binds nothing.  ``num_threads`` reaches no sweep (see
+        :meth:`solve`).  This is the one numeric path of every layer above
+        the artifact — the front end calls it per solve, the service once
+        per request — and it holds the solver's lock throughout, so
+        concurrent callers with different values each get the answer to
+        their own system.  With tracing enabled, the native call runs in one
+        ``numeric`` span (``op="step"``, ``refactorized``).
 
         A value set the kernel rejects raises the kernel's error and leaves
         the solver without factors, so repeating it fails again rather than
         matching the snapshot.  A non-finite value set raises ``ValueError``
         before the kernel runs and leaves the solver as it was.
         """
+        out = self._native_step(values, b)
+        if out is not None:
+            return out
         with self._lock:
             refactorized = not self._factored or not np.array_equal(self._values, values)
             if refactorized:
@@ -502,6 +540,51 @@ class SparseLinearSolver:
                 self._refactorize(values)
                 self.A = self._A_current
             return self._solve_current(b, None), refactorized
+
+    def _native_step(self, values, b, pattern=_NO_PATTERN):
+        """:meth:`step` in one native call: ``(x, refactorized)``, or ``None`` where the composed step runs.
+
+        ``pattern`` is ``(index_bytes, indptr, indices, ref_indptr,
+        ref_indices)`` as addresses: with it, the call first checks the
+        caller's pattern against the reference copy and answers
+        :data:`OTHER_PATTERN`, having touched nothing, when they differ.
+        """
+        warm = self._warm
+        try:
+            if (
+                warm is None
+                or values.dtype is not _F64
+                or b.dtype is not _F64
+                or values.shape != self._values.shape
+                or b.shape != self._b.shape
+            ):
+                return None
+            args = (_addressof(_from_buffer(values)), _addressof(_from_buffer(b)))
+        except (AttributeError, TypeError, ValueError):  # not an array; read-only, strided or empty
+            return None
+        with self._lock:
+            args += (not self._factored, *pattern)
+            if not tracing_enabled():
+                status = warm(*args)
+            else:
+                factorization = self._factorization
+                with span(
+                    "numeric", kernel=factorization.kernel_name, op="step", fingerprint=factorization.fingerprint
+                ) as sp:
+                    status = warm(*args)
+                    sp.set(refactorized=status == native.WARM_REFACTORED)
+            if status == native.WARM_SOLVED:
+                return self._x.copy(), False
+            if status == native.WARM_REFACTORED:
+                self._factored = True
+                self.A = self._A_current
+                return self._x.copy(), True
+            if status == native.WARM_OTHER_PATTERN:
+                return OTHER_PATTERN
+            if status == native.WARM_NONFINITE:
+                require_finite_values(self.A, values)  # raises: nothing was touched
+            self._factored = False
+            self._factorization.raise_status(status)
 
     def solve_many(self, B: np.ndarray, *, num_threads: Optional[int] = None) -> np.ndarray:
         """Solve ``A X = B`` column by column (``B`` is ``n × k``, ``k`` may be 0).

@@ -23,17 +23,26 @@ sizes generated code reads as it would without it.
 
 Arguments are validated here, before any pointer reaches C: a non-monotone
 ``indptr`` or an out-of-range index raises ``ValueError``.
+
+The helper also hosts the one numeric entry point, ``repro_warm_step``: a
+direct solver's whole warm step — pattern check, value check, gather,
+factorization and solve — in one call into the solver's generated module
+(:meth:`NativeSymbolic.bind_warm_step`, bound by
+:class:`~repro.solvers.linear_solver.SparseLinearSolver` at construction).
+Without the helper, ``SparseLinearSolver.step`` composes the same step in
+Python, call by call, to the same bits.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
 import tempfile
 import threading
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -160,6 +169,29 @@ def _parent(parent) -> np.ndarray:
     return parent
 
 
+#: ``repro_warm_step``'s outcomes; any other status is the kernel's own.
+WARM_SOLVED, WARM_REFACTORED, WARM_OTHER_PATTERN, WARM_NONFINITE = 0, -2, -3, -4
+
+
+class _WarmBlock(ctypes.Structure):
+    """``repro_warm_t`` of ``native.c``, field for field: one solver's entries, their arguments and its arrays."""
+
+    _fields_ = [
+        ("kernel", ctypes.c_void_p),
+        ("kernel_arity", ctypes.c_int64),
+        ("kernel_args", ctypes.c_void_p * 6),
+        ("solve", ctypes.c_void_p),
+        ("solve_arity", ctypes.c_int64),
+        ("solve_args", ctypes.c_void_p * 7),
+        ("n", ctypes.c_int64),
+        ("nnz", ctypes.c_int64),
+        ("snapshot", ctypes.c_void_p),
+        ("gather", ctypes.c_void_p),
+        ("permuted", ctypes.c_void_p),
+        ("b", ctypes.c_void_p),
+    ]
+
+
 _I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _OUT = ctypes.POINTER(ctypes.POINTER(ctypes.c_int64))
 _N = ctypes.c_int64
@@ -194,8 +226,52 @@ class NativeSymbolic:
                 fn.restype = restype
                 fn.argtypes = list(argtypes)
                 setattr(self, "_" + name[len("repro_sym_") :], fn)
+            self._warm_step = lib.repro_warm_step
         except AttributeError as exc:
             raise _Unavailable("unloadable", f"missing entry point: {exc}") from exc
+        self._warm_step.restype = ctypes.c_int64
+        self._warm_step.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 4
+
+    # ------------------------------------------------------------------ #
+    def bind_warm_step(self, kernel, solve, *, snapshot, gather, permuted, b) -> Optional[Callable]:
+        """``repro_warm_step`` bound to one solver, or ``None`` when its entries are not serial C.
+
+        ``kernel`` and ``solve`` are the solver's bound factorization and
+        solve entry (their ``c_call``: address and arguments).  ``snapshot``
+        and ``gather`` (input order), ``permuted`` (the kernel's ``Ax``) and
+        ``b`` (the solve entry's) are the solver's own contiguous arrays,
+        which the step fills; the solve entry writes its ``x`` as bound.
+        Returns ``step(values, b, refactor, index_bytes, indptr, indices,
+        ref_indptr, ref_indices) -> status`` over raw addresses
+        (``index_bytes`` 0 and ``None`` pointers: no pattern check), which
+        keeps every array behind them alive.
+        """
+        kernel_call, solve_call = getattr(kernel, "c_call", None), getattr(solve, "c_call", None)
+        if kernel_call is None or solve_call is None:
+            return None
+        (kernel_fn, kernel_args), (solve_fn, solve_args) = kernel_call, solve_call
+        if len(kernel_args) not in (5, 6) or len(solve_args) not in (6, 7):
+            return None
+        owned = ((snapshot, np.float64), (gather, np.int64), (permuted, np.float64), (b, np.float64))
+        if not all(a.dtype == dtype and a.flags.c_contiguous for a, dtype in owned):
+            return None
+        block = _WarmBlock(
+            kernel=kernel_fn,
+            kernel_arity=len(kernel_args),
+            solve=solve_fn,
+            solve_arity=len(solve_args),
+            n=len(b),
+            nnz=len(snapshot),
+            snapshot=snapshot.ctypes.data,
+            gather=gather.ctypes.data,
+            permuted=permuted.ctypes.data,
+            b=b.ctypes.data,
+        )
+        block.kernel_args[: len(kernel_args)] = kernel_args
+        block.solve_args[: len(solve_args)] = solve_args
+        block.keepalive = (kernel, solve, snapshot, gather, permuted, b)
+        # byref(block) holds the block, and the block everything it points into.
+        return functools.partial(self._warm_step, ctypes.byref(block))
 
     # ------------------------------------------------------------------ #
     def minimum_degree(self, n: int, indptr, indices) -> np.ndarray:

@@ -68,17 +68,33 @@ def rng():
 
 
 def _park_next_step(solver, entered, released) -> None:
-    """Make the next :meth:`step` of ``solver`` wait, holding its lock, for ``released``."""
-    solve_current = solver._solve_current
+    """Make the next :meth:`step` of ``solver`` wait, holding its lock, for ``released``.
 
-    def parked(*args):
-        # Called under the solver's lock, so only one caller ever parks.
-        if not entered.is_set():
-            entered.set()
-            released.wait()
-        return solve_current(*args)
+    A step is one native call (``_warm``) where the solver has one and the
+    inputs allow it, else the composed step, whose solve runs through
+    ``_solve_current``; both run under the solver's lock, and both park.
+    """
+    for name in ("_warm", "_solve_current"):
+        call = getattr(solver, name)
+        if call is None:
+            continue
 
-    solver._solve_current = parked
+        def parked(*args, call=call):
+            # Called under the solver's lock, so only one caller ever parks.
+            if not entered.is_set():
+                entered.set()
+                released.wait()
+            return call(*args)
+
+        parked.__wrapped__ = call
+        setattr(solver, name, parked)
+
+
+def _unpark(solver) -> None:
+    """Undo :func:`_park_next_step`: the instance's own ``_warm``, the class's ``_solve_current``."""
+    solver.__dict__.pop("_solve_current")
+    if solver._warm is not None:
+        solver._warm = solver._warm.__wrapped__
 
 
 @pytest.fixture()
@@ -120,6 +136,6 @@ def park_solve():
                 helper.join(timeout=30)
             solver = solver_ref()
             if solver is not None:
-                solver.__dict__.pop("_solve_current", None)
+                _unpark(solver)
 
     return park

@@ -23,6 +23,7 @@ from repro.sparse.generators import (
     saddle_point_indefinite,
     unsymmetric_diag_dominant,
 )
+from repro.symbolic import native
 
 needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
 MATRICES = {
@@ -94,11 +95,14 @@ def test_solve_many_on_threads_is_bitwise_per_column_solve(method):
 
 @pytest.fixture()
 def bound_calls():
-    """Wrap a solver's bound factorization and solve calls; count the calls of each."""
-    counts = {"factorize": 0, "solve": 0}
+    """Wrap a solver's bound factorization and solve calls and its native warm step; count the calls of each.
+
+    ``counts["refactorized"]`` counts the native calls that factorized.
+    """
+    counts = {"factorize": 0, "solve": 0, "native": 0, "refactorized": 0}
 
     def wrap(solver):
-        kernel, solve = solver._kernel, solver._solve
+        kernel, solve, warm = solver._kernel, solver._solve, solver._warm
 
         def counted_kernel(num_threads=None):
             counts["factorize"] += 1
@@ -108,7 +112,15 @@ def bound_calls():
             counts["solve"] += 1
             return solve(num_threads)
 
+        def counted_warm(*args):
+            counts["native"] += 1
+            status = warm(*args)
+            counts["refactorized"] += status == native.WARM_REFACTORED
+            return status
+
         solver._kernel, solver._solve = counted_kernel, counted_solve
+        if warm is not None:
+            solver._warm = counted_warm
         return solver
 
     wrap.counts = counts
@@ -118,15 +130,25 @@ def bound_calls():
 @pytest.mark.parametrize("options", OPTION_IDS)
 @pytest.mark.parametrize("method", sorted(MATRICES))
 def test_an_rhs_only_step_is_one_bound_call(method, options, bound_calls):
+    """One native call per step on serial C; the bound kernel and solve entry elsewhere."""
     A = MATRICES[method]()
     rng = np.random.default_rng(9)
     solver = bound_calls(_solver(A, method, options))
     values = A.data * 1.5
+    fused = options == "c" and native.helper() is not None
     x, refactorized = solver.step(values, rng.normal(size=A.n))
-    assert refactorized and bound_calls.counts == {"factorize": 1, "solve": 1}
+    if fused:
+        assert refactorized and bound_calls.counts == {"factorize": 0, "solve": 0, "native": 1, "refactorized": 1}
+    else:
+        assert refactorized and bound_calls.counts == {"factorize": 1, "solve": 1, "native": 0, "refactorized": 0}
     for k in range(2, 5):
         x, refactorized = solver.step(values, rng.normal(size=A.n))
-        assert not refactorized and bound_calls.counts == {"factorize": 1, "solve": k}
+        if fused:
+            assert not refactorized
+            assert bound_calls.counts == {"factorize": 0, "solve": 0, "native": k, "refactorized": 1}
+        else:
+            assert not refactorized
+            assert bound_calls.counts == {"factorize": 1, "solve": k, "native": 0, "refactorized": 0}
 
 
 def test_out_is_checked_before_the_entry_runs(bound_calls):
@@ -234,7 +256,7 @@ def test_repeat_counters_are_the_ingest_paths():
     for repeat in (True, False):
         front = SpecializedSolver(method="cholesky")
         if not repeat:
-            front._repeat = lambda A, requested: None
+            front._repeat = lambda *args, **kwargs: None
         answers.append([front.solve(M, b) for M, b in zip((S, S, S2, S2), rhs)])
         counts.append(front.stats.as_dict())
     assert counts[0] == counts[1]
