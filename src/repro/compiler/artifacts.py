@@ -240,23 +240,15 @@ class CompiledArtifact:
         return self.timings.total
 
     @property
-    def schedule(self):
-        """The level-set :class:`~repro.symbolic.levels.ExecutionSchedule`.
-
-        Computed by the symbolic inspector at compile time, so it is cached
-        under the same pattern fingerprint as the generated code.
-        """
-        return self.inspection.schedule
-
-    @property
     def parallel_mode(self) -> str:
         """Within-kernel execution mode the module was compiled in.
 
         ``"none"`` — serial ABI (the default); ``"wavefront"`` — level-
         parallel entry point taking a runtime thread count; ``"serial-
         fallback"`` — wavefront ABI around the serial body (requested
-        wavefront, but the schedule was too deep or the kernel supernodal;
-        the reason is recorded under ``decisions["wavefront"]``).
+        wavefront, but the schedule was too deep, the kernel supernodal or a
+        triangular solve, which has no schedule; the reason is recorded
+        under ``decisions["wavefront"]``).
         """
         return getattr(self.module, "parallel", "none")
 
@@ -365,6 +357,15 @@ class SympiledFactorization(CompiledArtifact):
         """
         return self._fresh_outputs((Ap, Ai, Ax), num_threads)
 
+    @property
+    def schedule(self):
+        """The level-set :class:`~repro.symbolic.levels.ExecutionSchedule`.
+
+        Computed by the symbolic inspector at compile time, so it is cached
+        under the same pattern fingerprint as the generated code.
+        """
+        return self.inspection.schedule
+
     def bind_solve(self, inputs, outputs) -> Callable:
         """The module's solve entry bound to ``inputs`` and ``outputs``, once, as :meth:`bind` binds the kernel.
 
@@ -374,9 +375,10 @@ class SympiledFactorization(CompiledArtifact):
         ``A x = b``, ``A`` being the matrix whose symmetric permutation by
         ``perm`` this kernel factorizes.  It reads ``b`` whole before it
         writes ``x``, so ``x`` may be ``b``; ``w`` must be neither.  The entry
-        is serial: the call ignores ``num_threads``.  Only the direct
-        factorizations (Cholesky, LDLᵀ, LU) have a solve entry; the others
-        raise ``TypeError``.
+        is serial: the call ignores ``num_threads``.  The direct
+        factorizations (Cholesky, LDLᵀ, LU) and IC(0) have a solve entry;
+        IC(0)'s applies the preconditioner ``(L Lᵀ)⁻¹``.  ILU(0) has none
+        and raises ``TypeError``.
         """
         if self.module.solve_entry is None:
             raise TypeError(f"{self.kernel_name} has no solve entry")
@@ -489,10 +491,10 @@ class SympiledIC0(SympiledFactorization):
     The factor pattern is ``tril(A)`` (no fill), so ``factorize`` returns a
     lower-triangular ``L`` with ``L Lᵀ ≈ A`` — exact on the pattern of
     ``A``, the defining property of IC(0).  Built as a *preconditioner*
-    kernel: the factor feeds the generated triangular solves of a
-    preconditioned iterative method (see
-    :func:`repro.solvers.cg.preconditioned_conjugate_gradient`), not a
-    direct solve.
+    kernel: its module's solve entry (:meth:`bind_solve`, with the identity
+    ``perm``) applies ``(L Lᵀ)⁻¹`` on the factor in place, once per
+    iteration of :func:`repro.solvers.cg.preconditioned_conjugate_gradient`;
+    the direct solver refuses it.
     """
 
     kernel_name = "ic0"

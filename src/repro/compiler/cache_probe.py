@@ -96,8 +96,16 @@ def run_probe(backend: str = SympilerOptions.backend) -> Dict[str, object]:
     # must reuse their generated code too (zero recompiles, zero py_writes).
     ic0 = sym.compile("ic0", spd)
     L_inc = ic0.factorize(spd)
+    # Its solve entry too: z = (L Lᵀ)⁻¹ r with the identity permutation.
+    r = np.cos(np.arange(spd.n, dtype=np.float64))
+    z = np.empty(spd.n)
+    identity = np.arange(spd.n, dtype=np.int64)
+    ic0.bind_solve((identity, L_inc.data, r), (np.empty(spd.n), z))()
+    applied = L_inc.matvec(L_inc.rmatvec(z))
     results["ic0_ok"] = bool(
-        L_inc.nnz == ic0.factor_nnz and np.isfinite(L_inc.data).all()
+        L_inc.nnz == ic0.factor_nnz
+        and np.isfinite(L_inc.data).all()
+        and np.linalg.norm(applied - r) <= 1e-10 * np.linalg.norm(r)
     )
     ilu0 = sym.compile("ilu0", jac)
     inc = ilu0.factorize(jac)

@@ -19,9 +19,9 @@ schedule, the triangular solve's segment descriptors) and every size (``n``,
 nnz, supernode, segment and level counts) — is *data*.  Its name and its
 position come from the table contract (:mod:`repro.compiler.codegen.tables`):
 the block is the contract of the kernel's domain loop, followed, for a
-wavefront kernel, by the level schedule and (triangular solve) the pull
-structure; the printed code names ``_C_<name>`` for a table and the bare name
-for a size, and the python backend's reference kernels read the same block.
+wavefront kernel, by the level schedule; the printed code names ``_C_<name>``
+for a table and the bare name for a size, and the python backend's reference
+kernels read the same block.
 The loaded entry point receives the block through one trailing pointer
 argument.  So the size of a source file and the time ``cc`` spends on it are
 constants of the code shape, and two patterns that lower to the same code
@@ -41,10 +41,6 @@ failing column + 1.  The entry is the preamble and a loop over the steps; a
 wavefront job calls the same step.  (``inline`` lets ``cc`` inline the step at
 both call sites of a wavefront source, as it does at the one of a serial
 source: out of line, the per-call binding cost IC(0) 20-30 % at one thread.)
-The triangular solve alone has two
-bodies: its serial step walks the segments and pushes each column's updates,
-while the wavefront job runs the pull form, one row per step
-(``{entry}_wf_step``).
 
 Entry points generated (``repro_T`` is the table block; ``repro_T[0]`` holds
 the scalar sizes, ``repro_T[k]`` the k-th registered inspection set):
@@ -63,11 +59,12 @@ the scalar sizes, ``repro_T[k]`` the k-th registered inspection set):
   scattered through relative row positions.  Both of its update loops run
   on 4 x 8 register tiles, held in GCC / Clang vector extensions.  Its
   loops are plain C: no BLAS, whose results change with its thread count.
-* the solve entry of a Cholesky, LDLᵀ or LU module — ``void <name>_solve(
-  const int64_t* perm, const double* Lx[, const double* D | Ux], const
-  double* b, double* w, double* x, const int64_t* const* repro_T)``: ``x``
-  solving ``A x = b`` on the factors the entry wrote, read in place
-  (:func:`_emit_solve`); serial, with or without ``parallel="wavefront"``.
+* the solve entry of a Cholesky, LDLᵀ, LU or IC(0) module — ``void
+  <name>_solve(const int64_t* perm, const double* Lx[, const double* D |
+  Ux], const double* b, double* w, double* x, const int64_t* const*
+  repro_T)``: ``x`` solving ``A x = b`` on the factors the entry wrote, read
+  in place (:func:`_emit_solve`; IC(0)'s applies ``(L Lᵀ)⁻¹``); serial, with
+  or without ``parallel="wavefront"``.
 
 The table block is built once, when the module is loaded
 (:meth:`CMethodSpec.wrap`), from the arrays the compile call already holds;
@@ -83,8 +80,9 @@ applied *within* one numeric call); with ``n_threads <= 1`` it runs the
 serial loop.  Levels are antichains of the column dependency DAG, so
 per-column writes are disjoint and the result is bitwise identical to the
 serial kernel; when the schedule has no parallelism to mine (or the kernel is
-supernodal) the serial kernel is emitted behind the same ABI and the fallback
-is recorded on the artifact.  The pool, the barrier and the
+supernodal, or a triangular solve, whose inspector builds no schedule) the
+serial kernel is emitted behind the same ABI and the fallback is recorded on
+the artifact.  The pool, the barrier and the
 per-level clock are module state, so a wavefront source is stamped with the
 fingerprint of its tables and its ``.so`` is never shared between patterns
 (two patterns would serialise on one job mutex).
@@ -258,7 +256,7 @@ class CGeneratedModule:
     #: the same source.
     so_shared: bool = False
     #: The binder of ``<entry>_solve`` (:attr:`CMethodSpec.solve_spec`), set by
-    #: :meth:`compile` for the direct factorizations; ``None`` otherwise.
+    #: :meth:`compile` for the direct factorizations and IC(0); ``None`` otherwise.
     solve_entry: Optional[Callable] = field(default=None, repr=False)
     _callable: Optional[Callable] = field(default=None, repr=False)
     _lib: Optional[ctypes.CDLL] = field(default=None, repr=False)
@@ -289,8 +287,8 @@ class CGeneratedModule:
             # Uniform rounding across every generated kernel: the default
             # -ffp-contract=fast fuses multiply-subtract differently for
             # different loop shapes, which would break the bitwise identity
-            # between the serial (push) and wavefront (pull) triangular
-            # solves.  An explicit -ffp-contract in the flags wins.
+            # with the python backend's reference kernels, which round every
+            # operation.  An explicit -ffp-contract in the flags wins.
             extra_flags.append("-ffp-contract=off")
         if "#include <pthread.h>" in self.source:
             # REPRO_CFLAGS cannot be asked to carry -pthread (kernels without
@@ -451,17 +449,17 @@ class CMethodSpec:
     the entry returns the positive status ``column + 1``; ``None`` declares a
     ``void`` entry that cannot fail.  ``loops`` are the roles of the domain
     loops (:data:`_LOOPS`) the kernel can be printed from, ``"untransformed"``
-    standing for a body without one; ``wavefront_loop`` names the loop the
-    wavefront job runs when it is not the serial one.  Both the emitted C
-    signature and the ctypes binder derive from this one description.
+    standing for a body without one; a wavefront job runs the same step as
+    the serial loop.  ``solve`` says whether the module also exports the
+    serial ``<entry>_solve`` (:func:`_emit_solve`, ABI :attr:`solve_spec`):
+    Cholesky, LDLᵀ, LU and IC(0) do.  Both the emitted C signatures and the
+    ctypes binders derive from this one description.
     """
 
     inputs: Tuple[Tuple[str, str], ...]
     outputs: Tuple[Tuple[str, str], ...]
     loops: Tuple[str, ...]
     failure: Optional[str] = None
-    wavefront_loop: Optional[str] = None
-    #: Whether the module also exports ``<entry>_solve`` (:func:`_emit_solve`).
     solve: bool = False
 
     @property
@@ -561,7 +559,6 @@ _C_METHOD_SPECS: Dict[str, CMethodSpec] = {
         inputs=(("Lp", "int64_t"), ("Li", "int64_t"), ("Lx", "double"), ("b", "double")),
         outputs=(("x", "n"),),
         loops=("trisolve-segments", "untransformed"),
-        wavefront_loop="trisolve-rows",
     ),
     "cholesky": CMethodSpec(
         inputs=_FACTOR_INPUTS,
@@ -589,6 +586,7 @@ _C_METHOD_SPECS: Dict[str, CMethodSpec] = {
         outputs=(("Lx", "factor_nnz"),),
         loops=("incomplete-cholesky",),
         failure="IC(0) breakdown: non-positive pivot at column {column}",
+        solve=True,
     ),
     "ilu0": CMethodSpec(
         inputs=_FACTOR_INPUTS,
@@ -872,16 +870,6 @@ def _segment_step(out: _CEmitter, domain: DomainLoop) -> None:
     out.emit("for (int64_t r = 0; r < n_off; r++) x[Li[off_lo + r]] -= Lx[pd + (w - jj) + r] * xj;")
     out.pop()
     out.emit("}")
-
-
-def _row_step(out: _CEmitter, domain: Optional[DomainLoop]) -> None:
-    """Row ``j`` of the pull-form triangular solve (:func:`tables.trisolve_rows`): the wavefront job's step."""
-    out.emit("double acc = b[j];")
-    out.emit(
-        "for (int64_t s = _C_wf_row_ptr[j]; s < _C_wf_row_ptr[j + 1]; s++) "
-        "acc -= Lx[_C_wf_row_pos[s]] * x[_C_wf_row_col[s]];"
-    )
-    out.emit("x[j] = acc / Lx[Lp[j]];")
 
 
 def _cholesky_step(out: _CEmitter, domain: DomainLoop) -> None:
@@ -1206,7 +1194,8 @@ def _emit_solve(out: _CEmitter, signature: str, domain: DomainLoop) -> None:
     """Print the solve entry: ``x`` solving ``A x = b`` on the factors the entry wrote, in place.
 
     ``A`` is the matrix whose symmetric permutation by ``perm`` the entry
-    factorized.  ``w = b[perm]``; the forward sweep on ``L``, columns
+    factorized (for IC(0), ``L Lᵀ`` stands for ``A``: the entry applies the
+    preconditioner).  ``w = b[perm]``; the forward sweep on ``L``, columns
     ascending, each pushing its updates to the rows below it; ``÷ D``
     (LDLᵀ); the backward sweep, columns descending: on ``Lᵀ`` in dot form,
     each column subtracting its entries times ``w`` from the last row up, or
@@ -1247,9 +1236,7 @@ class _Loop:
     ``preamble`` initialises the outputs before the first step; ``step``
     prints the body of one step from the planned :class:`DomainLoop` (``None``
     for an untransformed kernel); ``work`` is the kind of work buffers
-    (:data:`_WORK`) a step reads.  ``contract``, given the operand, the level
-    schedule and the serial loop's contract, returns what this loop reads on
-    top of the schedule when a wavefront job runs it.
+    (:data:`_WORK`) a step reads.
     """
 
     extent: str
@@ -1257,7 +1244,6 @@ class _Loop:
     step: Callable[[_CEmitter, Optional[DomainLoop]], None]
     index: str = "j"
     work: Optional[str] = None
-    contract: Optional[Callable[..., tables.Contract]] = None
 
 
 _X_IS_B = ("for (int64_t i = 0; i < n; i++) x[i] = b[i];",)
@@ -1267,7 +1253,6 @@ _ZERO_LX = "memset(Lx, 0, nnz_l * sizeof(double));"
 _LOOPS: Dict[str, _Loop] = {
     "untransformed": _Loop("n", _X_IS_B, lambda out, domain: _column_solve(out)),
     "trisolve-segments": _Loop("n_seg", _X_IS_B, _segment_step, index="s"),
-    "trisolve-rows": _Loop("n", _X_IS_B, _row_step, contract=tables.trisolve_rows),
     "simplicial-cholesky": _Loop("n", (_ZERO_LX,), _cholesky_step, work="column"),
     "supernodal-cholesky": _Loop("n_super", (_ZERO_LX,), _supernode_step, index="s", work="panel"),
     "simplicial-lu": _Loop("n", (_ZERO_LX, "memset(Ux, 0, nnz_u * sizeof(double));"), _lu_step, work="column"),
@@ -1322,29 +1307,23 @@ class CBackend:
         parallel, fallback = "none", None
         if context.options.parallel == "wavefront":
             parallel, fallback = self._wavefront_mode(context, role)
-        job = _LOOPS[spec.wavefront_loop or role] if parallel == "wavefront" else None
-        if job is not None:
+        wavefront = parallel == "wavefront"
+        if wavefront:
             schedule = context.inspection.schedule
             contracts.append(tables.level_schedule(schedule))
-            if job.contract is not None:
-                contracts.append(job.contract(context.matrix, schedule, contracts[0]))
         constants = tables.block(context.inspection.n, *contracts)
         dims = ["n", *(name for sizes, _ in contracts for name in sizes)]
 
         code = _CEmitter()
         self._emit_step(code, f"{entry}_step", loop, domain, spec)
-        if job is not None:
-            step = f"{entry}_step"
-            if job is not loop:
-                step = f"{entry}_wf_step"
-                self._emit_step(code, step, job, domain, spec)
-            self._emit_job(code, entry, step, job, spec, schedule.n_levels)
+        if wavefront:
+            self._emit_job(code, entry, loop, spec, schedule.n_levels)
         code.emit(spec.signature(entry, wavefront=parallel != "none") + " {")
         code.push()
         code.emit("REPRO_BIND_TABLES")
         for line in loop.preamble:
             code.emit(line)
-        if job is not None:
+        if wavefront:
             self._emit_launch(code, entry, spec)
         elif fallback is not None:
             code.emit(f"(void)n_threads;  /* serial fallback: {fallback} */")
@@ -1359,7 +1338,7 @@ class CBackend:
         work_buffers = "repro_ws" in text
         out = _CEmitter()
         out.emit("/* Sympiler-generated kernel (C backend). */")
-        if job is not None:
+        if wavefront:
             # Pool, barrier and level clock are module state: key the module
             # by its tables so that no two patterns share (and serialise on)
             # one loaded wavefront kernel.
@@ -1370,9 +1349,9 @@ class CBackend:
         out.emit("#include <string.h>")
         if work_buffers:
             out.emit("#include <stdlib.h>")
-        if work_buffers or job is not None:
+        if work_buffers or wavefront:
             out.emit("#include <pthread.h>")
-        if job is not None:
+        if wavefront:
             out.emit("#include <stdatomic.h>")
             out.emit("#include <sched.h>")
             out.emit("#include <time.h>")
@@ -1385,19 +1364,20 @@ class CBackend:
         out.lines.extend(f"    {line} \\" for line in bind[:-1])
         out.emit(f"    {bind[-1]}")
         if spec.solve:
-            out.emit("#define REPRO_PIVOT(v, d) " + ("((v) / (d))" if domain.factor_kind == "llt" else "(v)"))
+            divides = domain.factor_kind in ("llt", "ic0")
+            out.emit("#define REPRO_PIVOT(v, d) " + ("((v) / (d))" if divides else "(v)"))
         if work_buffers:
             out.emit(_WORK_BUFFERS)
         if "repro_v4" in text:
             out.emit(_V4)
-        if job is not None:
+        if wavefront:
             out.emit(_WF_RUNTIME)
         out.emit("")
         out.lines.extend(code.lines)
         source = out.source()
         codegen_seconds = time.perf_counter() - start
         meta = {}
-        if job is not None:
+        if wavefront:
             # The per-level profiling buffer length, needed by
             # wavefront_level_seconds() to read the timestamps back out.
             meta["wf_n_levels"] = int(schedule.n_levels)
@@ -1424,6 +1404,9 @@ class CBackend:
         """
         schedule = getattr(context.inspection, "schedule", None)
         if schedule is None:
+            # The triangular solve: a level of its pushes may write one x[i]
+            # twice, and the pull form that avoids that lost to the serial
+            # push form, so its inspector builds no schedule.
             reason = "no-schedule"
         elif role == "supernodal-cholesky":
             # A supernode reads its descendants' panels from the calling
@@ -1489,8 +1472,8 @@ class CBackend:
         out.emit("return 0;")
 
     @staticmethod
-    def _emit_job(out: _CEmitter, entry: str, step: str, loop: _Loop, spec: CMethodSpec, n_levels: int) -> None:
-        """Print the wavefront job: its argument struct and ``{entry}_wf_run``, which runs ``step`` level by level.
+    def _emit_job(out: _CEmitter, entry: str, loop: _Loop, spec: CMethodSpec, n_levels: int) -> None:
+        """Print the wavefront job: its argument struct and ``{entry}_wf_run``, which runs ``{entry}_step`` level by level.
 
         Participant ``tid`` of ``nt`` takes one contiguous chunk of each
         level's slice of ``_C_wf_order``, with a barrier after every level;
@@ -1535,7 +1518,7 @@ class CBackend:
         out.emit("for (int64_t t = s; t < e; t++) {")
         out.push()
         args = ", ".join(f"job->{name}" for name in spec.names)
-        out.emit(f"int64_t st = {step}(_C_wf_order[t], {args}, repro_T);")
+        out.emit(f"int64_t st = {entry}_step(_C_wf_order[t], {args}, repro_T);")
         out.emit("if (st != 0) { repro_wf_fail(st); break; }")
         out.pop()
         out.emit("}")

@@ -6,7 +6,7 @@ the plan chose (:mod:`repro.compiler.plan`) and the contract it carries
 names in the same order) and picks the kernel of
 :mod:`repro.compiler.codegen.reference` that walks them; ``compile()`` returns
 the binder of that function and the block, shaped as the C backend's, and
-sets a direct factorization's ``solve_entry`` to the binder of
+sets the ``solve_entry`` of a direct factorization or IC(0) to the binder of
 :func:`~repro.compiler.codegen.reference.factor_solve`.
 ``source`` is the text of the function that runs, the same for every pattern,
 and ``constants`` the block, key for key what a C module of the same kernel
@@ -88,7 +88,7 @@ class GeneratedModule:
     method: str
     codegen_seconds: float
     compile_seconds: float = 0.0
-    #: :func:`reference.factor_solve` of the module's factor kind, for a direct factorization.
+    #: :func:`reference.factor_solve` of the module's factor kind, for a direct factorization or IC(0).
     solve_function: Optional[Callable] = field(default=None, repr=False)
     #: The solve entry's binder, shaped as the kernel's; set by :meth:`compile`.
     solve_entry: Optional[Callable] = field(default=None, repr=False)

@@ -200,9 +200,10 @@ def triangular_solve(T, Lp, Li, Lx, b):
 
 
 def factor_solve(T, perm, Lx, *arrays, kind):
-    """The solve entry of a direct factorization: ``x`` solving ``A x = b`` on its factors, in place.
+    """The solve entry of a direct factorization or IC(0): ``x`` solving ``A x = b`` on its factors, in place.
 
-    ``arrays`` are ``D`` (``kind="ldlt"``) or ``Ux`` (``"lu"``) if the kernel
+    ``kind`` is the domain loop's ``factor_kind``; ``"llt"`` and ``"ic0"``
+    divide by the diagonal of ``L``, the others have a unit one.  ``arrays`` are ``D`` (``kind="ldlt"``) or ``Ux`` (``"lu"``) if the kernel
     has them, then ``b``, ``w`` and ``x``.  ``w = b[perm]``; the forward sweep
     on ``L``, push form, columns ascending; ``÷ D``; the backward sweep,
     columns descending: on ``U`` in push form with its pivot last, or on
@@ -217,7 +218,7 @@ def factor_solve(T, perm, Lx, *arrays, kind):
     """
     *factor, b, w, x = arrays
     Lp, Li = T["_C_l_indptr"], T["_C_l_indices"]
-    unit = kind != "llt"
+    unit = kind not in ("llt", "ic0")
     w[...] = b[perm]
     for c in range(w.size):
         p0, p1 = Lp[c], Lp[c + 1]

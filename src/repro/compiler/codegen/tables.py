@@ -20,10 +20,9 @@ its :class:`~repro.compiler.plan.DomainLoop`; both backends read
   in the order given here).
 
 So ``artifact.constants`` is the same mapping on both backends, key for key.
-A wavefront C kernel reads two more contracts, appended after its serial one:
-the level schedule (:func:`level_schedule`) and, for the triangular solve, the
-pull structure of its row solve (:func:`trisolve_rows`).  The serial block is
-therefore a prefix of the wavefront block.
+A wavefront C kernel reads one more contract, appended after its serial one:
+the level schedule (:func:`level_schedule`).  The serial block is therefore a
+prefix of the wavefront block.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ __all__ = [
     "incomplete_ilu0",
     "trisolve_segments",
     "level_schedule",
-    "trisolve_rows",
 ]
 
 #: ``(dims, tables)``: pattern-dependent sizes and inspection sets, by name, in block order.
@@ -237,7 +235,8 @@ def incomplete_ic0(A: CSCMatrix, inspection: IC0InspectionResult) -> Contract:
     ``L[j, k]`` at ``mult_pos[t]`` and subtracts, through
     ``l_scat_src`` / ``l_scat_dst[l_scat_ptr[t]:l_scat_ptr[t + 1]]``, the
     entries of column ``k`` from row ``j`` down whose row column ``j`` stores
-    too.
+    too.  ``l_indices`` are the rows of ``L``, which the module's solve entry
+    reads.
     """
     l_indptr, l_indices = inspection.l_indptr, inspection.l_indices
     mult_pos = _row_updates(l_indptr, l_indices)
@@ -246,6 +245,7 @@ def incomplete_ic0(A: CSCMatrix, inspection: IC0InspectionResult) -> Contract:
     )
     return {"nnz_l": int(l_indptr[-1])}, {
         "l_indptr": l_indptr,
+        "l_indices": l_indices,
         "a_lower_pos": np.flatnonzero(A.indices >= A.col_indices()),
         "prune_ptr": inspection.row_ptr,
         "mult_pos": mult_pos,
@@ -344,56 +344,3 @@ def level_schedule(schedule: ExecutionSchedule) -> Contract:
     """
     dims = {"wf_n_levels": schedule.n_levels, "wf_max_width": schedule.max_width}
     return dims, {"wf_order": schedule.order, "wf_level_ptr": schedule.level_ptr}
-
-
-def _trisolve_order(n: int, segments: Contract) -> np.ndarray:
-    """Columns in the order the serial solve visits them: its segments' runs and blocks, or ``0 .. n``."""
-    sets = segments[1]
-    if "seg" not in sets:  # the untransformed loop over every column
-        return np.arange(n, dtype=np.int64)
-    w, a, b = sets["seg"].reshape(-1, 5)[:, :3].T
-    order, segment = _ranges(a, np.where(w == 0, b, a + w))
-    run = w[segment] == 0
-    order[run] = sets["run_cols"][order[run]]
-    return order
-
-
-def trisolve_rows(L: CSCMatrix, schedule: ExecutionSchedule, segments: Contract) -> Contract:
-    """The pull form of a scheduled triangular solve: row ``j`` gathers its own updates.
-
-    The serial solve pushes ``x[Li[p]] -= Lx[p] * x[c]`` as column ``c``
-    finishes; two columns of one level may push into the same ``x[i]``, so
-    the push form cannot run a level at once.  In the pull form row ``j``
-    subtracts ``Lx[wf_row_pos[s]] * x[wf_row_col[s]]`` for ``s`` in
-    ``wf_row_ptr[j] .. wf_row_ptr[j + 1]``, in the order the serial solve of
-    ``segments`` pushed them, so every entry of ``x`` sees the same
-    floating-point operations in the same order.
-
-    A VS-Block'd solve visits whole supernodes, with a sparse right-hand side
-    possibly columns outside the reach set: their ``x`` stays zero and their
-    pushes subtract zeros, so the pull form, which schedules the reach set
-    only, leaves them out.
-    """
-    n = L.n_cols
-    scheduled = np.zeros(n, dtype=bool)
-    scheduled[schedule.order] = True
-    serial = _trisolve_order(n, segments)
-    serial = serial[scheduled[serial]]
-    if not np.array_equal(np.sort(serial), np.sort(schedule.order)):
-        raise RuntimeError(
-            "the serial trisolve body does not visit every column of the level-set schedule exactly once"
-        )
-    pos, source = _ranges(L.indptr[serial] + 1, L.indptr[serial + 1])
-    rows = L.indices[pos]
-    if not scheduled[rows].all():
-        # Reach sets are closed under L-edges, so every target of a scheduled column is scheduled.
-        k = int(np.argmin(scheduled[rows]))
-        raise RuntimeError(
-            f"trisolve schedule is not closed: column {serial[source[k]]} updates unscheduled row {rows[k]}"
-        )
-    by_row = np.argsort(rows, kind="stable")
-    return {}, {
-        "wf_row_ptr": group_pointers(rows[by_row], n),
-        "wf_row_pos": pos[by_row],
-        "wf_row_col": serial[source[by_row]],
-    }

@@ -97,7 +97,7 @@ class _Specialization:
     method: str
     probe: Optional[ProbeReport]
     #: The direct solver (``None`` for the ``pcg`` route, which owns no
-    #: complete factorization — its compiled IC(0)/trisolve artifacts live
+    #: complete factorization — its compiled IC(0) artifact lives
     #: in the shared artifact cache keyed by the same pattern).
     solver: Optional[SparseLinearSolver]
     #: Pattern-carrying CSC of the specialization (pcg route re-binds values
@@ -276,9 +276,9 @@ class SpecializedSolver:
             method = probe.method
         if method == "pcg":
             # The pcg route owns no complete factorization; its compiled
-            # IC(0)/trisolve artifacts land in the shared artifact cache on
+            # IC(0) artifact lands in the shared artifact cache on
             # the first numeric run (still inside this first call) and every
-            # later call hits them.
+            # later call hits it.
             solver = None
         else:
             solver = self._build_direct(A, method)
@@ -517,7 +517,7 @@ class SpecializedSolver:
             from repro.solvers.cg import preconditioned_conjugate_gradient
 
             # Re-bind the call's values onto the specialized pattern: the
-            # IC(0)/trisolve compiles behind this call are shared-cache hits.
+            # IC(0) compile behind this call is a shared-cache hit.
             system = spec.pattern.with_values(values)
             result = preconditioned_conjugate_gradient(
                 system,

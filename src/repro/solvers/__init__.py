@@ -9,7 +9,7 @@ numeric values change every step, so the one-time compile cost amortizes:
 * :class:`repro.solvers.batched.BatchedSolver` — the same solver over many
   value sets of its pattern at once, one factor handle per value set.
 * :mod:`repro.solvers.cg` — conjugate gradient preconditioned by the
-  compiled IC(0) kernel, whose triangular solves are Sympiler-generated too.
+  compiled IC(0) module, whose solve entry applies both triangular sweeps.
 * :mod:`repro.solvers.newton` — a Newton–Raphson loop with a fixed-sparsity
   Jacobian (the power-system / circuit-simulation scenario).
 """

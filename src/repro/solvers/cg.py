@@ -4,16 +4,18 @@ The paper motivates decoupled triangular solves with preconditioned iterative
 solvers (§4.3): a triangular system is solved at every iteration, and solvers
 commonly run hundreds or thousands of iterations on a fixed pattern, so a
 one-time symbolic/codegen cost is negligible.  This module provides a CG
-driver whose preconditioner applications use Sympiler-generated triangular
-solves on an incomplete-Cholesky factor (IC(0): the factor is restricted to
-the pattern of ``tril(A)``).
+driver preconditioned by an incomplete-Cholesky factor (IC(0): the factor is
+restricted to the pattern of ``tril(A)``).
 
-The IC(0) factorization itself is a Sympiler-generated kernel
-(``Sympiler.compile("ic0", A)`` through the kernel table), so the whole
-preconditioner pipeline — numeric factor and both triangular sweeps — runs
-specialized code.  Its interpreted oracle is
-:func:`repro.kernels.incomplete.ic0_left_looking` (bitwise equal, asserted by
-the test-suite).
+The IC(0) factorization is a Sympiler-generated kernel
+(``Sympiler.compile("ic0", A)`` through the kernel table), and its module
+exports a second entry, ``<kernel>_solve``, that applies ``(L Lᵀ)⁻¹`` on the
+factor in place: the forward sweep on ``L`` and the backward sweep on ``Lᵀ``
+read column by column, as the solve entry of a direct factorization does.  So
+the whole preconditioner — numeric factor and both sweeps — is one compiled
+module, bound once before the iteration starts.  The factorization's
+interpreted oracle is :func:`repro.kernels.incomplete.ic0_left_looking`
+(bitwise equal, asserted by the test-suite).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
-from repro.solvers.linear_solver import backward_factor
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.utils import require_finite_values
 
@@ -59,17 +60,18 @@ def preconditioned_conjugate_gradient(
 ) -> CGResult:
     """Solve ``A x = b`` by CG, optionally IC(0)-preconditioned.
 
-    Preconditioner applications ``M⁻¹ r = (L Lᵀ)⁻¹ r`` use two
-    Sympiler-generated triangular solves that are compiled once before the
-    iteration starts, on the factor of the compiled ``ic0`` kernel.
+    The preconditioner application ``z = M⁻¹ r = (L Lᵀ)⁻¹ r`` is one call of
+    the compiled ``ic0`` module's solve entry, bound once before the
+    iteration starts to the factor, ``r`` and ``z`` (identity ``perm``).
     A non-finite value in ``A`` raises ``ValueError`` before any kernel runs.
 
-    ``num_threads`` fans each preconditioner triangular sweep's level sets
-    across workers when the trisolves were compiled with
-    ``parallel="wavefront"`` (serial kernels ignore it, bitwise identical
-    either way) — the same knob, with the same precedence, as every other
-    solve entry point: explicit argument > ``REPRO_NUM_THREADS`` > one per
-    CPU (:func:`~repro.compiler.codegen.c_backend.resolve_num_threads`).
+    ``num_threads`` reaches the IC(0) factorization alone: compiled with
+    ``parallel="wavefront"`` it fans the factorization's level sets across
+    workers (serial kernels ignore it, bitwise identical either way), with
+    the precedence of every wavefront entry: explicit argument >
+    ``REPRO_NUM_THREADS`` > one per CPU
+    (:func:`~repro.compiler.codegen.c_backend.resolve_num_threads`).  The
+    solve entry, and so every iteration, is serial.
     """
     if not A.is_square():
         raise ValueError("CG requires a square matrix")
@@ -79,30 +81,22 @@ def preconditioned_conjugate_gradient(
         raise ValueError(f"b must have shape ({n},)")
     require_finite_values(A)
 
-    apply_preconditioner = None
-    if use_preconditioner:
-        sym = Sympiler(options)
-        L = sym.compile("ic0", A).factorize(A)
-        forward = sym.compile_triangular_solve(L, rhs_pattern=None)
-        Lt_rev = backward_factor(L)
-        backward = sym.compile_triangular_solve(Lt_rev, rhs_pattern=None)
-
-        def apply_preconditioner(r: np.ndarray) -> np.ndarray:
-            y = forward.solve_arrays(
-                L.indptr, L.indices, L.data, r, num_threads=num_threads
-            )
-            z_rev = backward.solve_arrays(
-                Lt_rev.indptr,
-                Lt_rev.indices,
-                Lt_rev.data,
-                y[::-1].copy(),
-                num_threads=num_threads,
-            )
-            return z_rev[::-1].copy()
-
     x = np.zeros(n, dtype=np.float64)
     r = b - A.matvec(x)
-    z = apply_preconditioner(r) if apply_preconditioner else r.copy()
+    z = np.empty(n, dtype=np.float64)
+    if use_preconditioner:
+        ic0 = Sympiler(options).compile("ic0", A)
+        Lx = ic0.factorize_arrays(A.indptr, A.indices, A.data, num_threads=num_threads)
+        identity = np.arange(n, dtype=np.int64)
+        # r and z are updated in place below, so the bound call always reads
+        # this iteration's residual.
+        precondition = ic0.bind_solve((identity, Lx, r), (np.empty(n), z))
+    else:
+
+        def precondition() -> None:
+            np.copyto(z, r)
+
+    precondition()
     p = z.copy()
     rz = float(np.dot(r, z))
     b_norm = max(float(np.linalg.norm(b)), 1e-300)
@@ -119,7 +113,7 @@ def preconditioned_conjugate_gradient(
         if residual_norms[-1] <= tol:
             converged = True
             break
-        z = apply_preconditioner(r) if apply_preconditioner else r.copy()
+        precondition()
         rz_new = float(np.dot(r, z))
         beta = rz_new / rz
         rz = rz_new

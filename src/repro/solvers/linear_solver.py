@@ -108,11 +108,10 @@ def backward_factor(L: CSCMatrix, U: Optional[CSCMatrix] = None) -> CSCMatrix:
     its row and column order turns the sweep into an ordinary forward
     substitution on a lower-triangular matrix, which the generated
     triangular-solve kernel handles directly.  A transpose plus a COO
-    round-trip: the IC(0) preconditioner of
-    :func:`~repro.solvers.cg.preconditioned_conjugate_gradient` sweeps with
-    it, and so do the triangular solves of
-    :attr:`SparseLinearSolver.compiled_artifacts`; the solver's own solve
-    reads the factors in place.
+    round-trip, kept for :attr:`SparseLinearSolver.compiled_artifacts`,
+    whose backward triangular solve is compiled on this operand's pattern;
+    every product solve (the solver's, and PCG's IC(0) preconditioner)
+    reads its factor in place through the module's solve entry instead.
     """
     upper = U if U is not None else L.transpose()
     n = upper.n
@@ -494,9 +493,11 @@ class SparseLinearSolver:
 
         ``out`` optionally receives the solution in place (it may be ``b``
         itself, or a strided view).  The entry is serial: ``num_threads`` is
-        accepted for the callers that pass it and reaches no sweep (a
-        level-parallel triangular solve measured 0.90-0.97x the serial one
-        on the benchmark's workloads, on two cores).
+        accepted for the callers that pass it and reaches no sweep (the
+        level-parallel pull form of the triangular solve ran at 0.23-0.57x
+        the serial push form on the ``mindeg`` factors of
+        ``laplacian_2d(100)`` and ``laplacian_3d(15)``, at two threads on
+        two cores, and was deleted).
         """
         with self._lock:
             return self._solve_current(b, out)
@@ -631,10 +632,10 @@ class SparseLinearSolver:
         the complete factorization this solver was built with, it runs
         conjugate gradient preconditioned by the compiled ``ic0`` registry
         kernel.  All compiles go through the shared artifact cache, so
-        repeated ``pcg`` calls on this pattern reuse the generated IC(0) and
-        triangular-solve kernels.  ``num_threads`` behaves exactly as in
-        :meth:`solve` — the single precedence rule for every entry point is
-        documented on :func:`~repro.compiler.codegen.c_backend.resolve_num_threads`.
+        repeated ``pcg`` calls on this pattern reuse the generated IC(0)
+        module, whose solve entry applies the preconditioner.
+        ``num_threads`` reaches the IC(0) factorization only (see
+        :func:`~repro.solvers.cg.preconditioned_conjugate_gradient`).
         Returns a :class:`~repro.solvers.cg.CGResult`.
 
         Constructing a :class:`SparseLinearSolver` eagerly compiles and runs

@@ -404,28 +404,28 @@ class CSCMatrix:
     # Numeric operations
     # ------------------------------------------------------------------ #
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Sparse matrix–vector product ``A @ x``."""
+        """Sparse matrix–vector product ``A @ x``.
+
+        Row ``i`` sums ``A[i, j] * x[j]`` from ``0.0`` with ``j`` ascending
+        (``np.bincount`` adds its weights in order), over the columns whose
+        ``x[j]`` is nonzero only: a column ``x`` does not reach, even one
+        holding an ``inf``, adds nothing.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_cols,):
             raise ValueError(f"x must have shape ({self.n_cols},), got {x.shape}")
-        y = np.zeros(self.n_rows, dtype=np.float64)
-        for j in range(self.n_cols):
-            xj = x[j]
-            if xj != 0.0:
-                s = self.col_slice(j)
-                np.add.at(y, self.indices[s], self.data[s] * xj)
-        return y
+        xs = x[self.col_indices()]
+        used = xs != 0.0
+        y = np.bincount(self.indices[used], weights=self.data[used] * xs[used], minlength=self.n_rows)
+        return y.astype(np.float64, copy=False)  # no weights at all come back as int64
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """Transposed product ``Aᵀ @ y``."""
+        """Transposed product ``Aᵀ @ y``: column ``j`` sums ``A[i, j] * y[i]`` from ``0.0``, ``i`` ascending."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.n_rows,):
             raise ValueError(f"y must have shape ({self.n_rows},), got {y.shape}")
-        out = np.empty(self.n_cols, dtype=np.float64)
-        for j in range(self.n_cols):
-            s = self.col_slice(j)
-            out[j] = np.dot(self.data[s], y[self.indices[s]])
-        return out
+        out = np.bincount(self.col_indices(), weights=self.data * y[self.indices], minlength=self.n_cols)
+        return out.astype(np.float64, copy=False)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

@@ -33,7 +33,6 @@ import numpy as np
 # Leaf module with no intra-package imports: safe to pull in from here even
 # though the compiler package itself depends on this module.
 from repro.sparse.csc import CSCMatrix, group_pointers
-from repro.symbolic.dependency_graph import DependencyGraph
 from repro.symbolic.etree import column_etree, elimination_tree, postorder
 from repro.symbolic.fill_pattern import (
     cholesky_pattern,
@@ -41,11 +40,7 @@ from repro.symbolic.fill_pattern import (
     lu_pattern,
     split_rows,
 )
-from repro.symbolic.levels import (
-    ExecutionSchedule,
-    level_sets_from_csr_deps,
-    level_sets_from_dependency_graph,
-)
+from repro.symbolic.levels import ExecutionSchedule, level_sets_from_csr_deps
 from repro.symbolic.reach import reach_set
 from repro.symbolic.supernodes import (
     SupernodePartition,
@@ -124,7 +119,6 @@ class TriangularInspectionResult:
     reach_sorted: np.ndarray
     supernodes: SupernodePartition
     l_col_counts: np.ndarray
-    schedule: ExecutionSchedule
     symbolic_seconds: float
     sets: Dict[str, InspectionSet] = field(repr=False)
 
@@ -309,13 +303,6 @@ class TriangularSolveInspector(SymbolicInspector):
         reach_sorted = np.sort(reach)
         supernodes = triangular_supernodes(matrix)
         col_counts = np.diff(matrix.indptr).astype(np.int64)
-        # Wavefront schedule on DG_L restricted to the reach: pruned columns
-        # never execute, so only in-reach dependencies constrain levels.
-        schedule = level_sets_from_dependency_graph(
-            DependencyGraph.from_lower_triangular(matrix),
-            active=reach_sorted,
-            graph="DG_L + SP(rhs)",
-        )
         elapsed = time.perf_counter() - start
         sets = {
             "prune-set": InspectionSet(
@@ -338,7 +325,6 @@ class TriangularSolveInspector(SymbolicInspector):
             reach_sorted=reach_sorted,
             supernodes=supernodes,
             l_col_counts=col_counts,
-            schedule=schedule,
             symbolic_seconds=elapsed,
             sets=sets,
         )

@@ -9,10 +9,8 @@ yields a schedule whose levels are antichains: every column inside one level
 may execute concurrently.
 
 This module computes those partitions from the symbolic structures the
-inspectors already produce:
+factorization inspectors already produce:
 
-* the dependence graph DG_L of a triangular factor
-  (:class:`repro.symbolic.dependency_graph.DependencyGraph`),
 * the elimination tree (``parent`` vector) — a conservative wavefront for the
   factorizations, since ``L[j, k] != 0`` implies ``j`` is an etree ancestor
   of ``k``,
@@ -21,9 +19,12 @@ inspectors already produce:
 
 The inspectors attach the resulting :class:`ExecutionSchedule` to their
 inspection results at compile time, so it is cached under the same pattern
-fingerprint as the generated code and costs nothing on the numeric path.
+fingerprint as the generated code and costs nothing on the numeric path.  A
+schedule is checked against a
+:class:`~repro.symbolic.dependency_graph.DependencyGraph` with
+:meth:`ExecutionSchedule.validate_against`.
 
-The per-vertex level of each of the three structures is one sequential sweep;
+The per-vertex level of each of the two structures is one sequential sweep;
 it runs in the native helper (:mod:`repro.symbolic.native`) when that is
 loaded and in the ``*_levels_reference`` functions here otherwise.  Both give
 the same array, and the bucketing into a schedule is shared.
@@ -44,8 +45,6 @@ __all__ = [
     "ExecutionSchedule",
     "schedule_from_level_array",
     "level_sets_from_parent",
-    "level_sets_from_dependency_graph",
-    "level_sets_from_column_deps",
     "level_sets_from_csr_deps",
     "dependency_graph_from_column_deps",
 ]
@@ -59,8 +58,8 @@ class ExecutionSchedule:
     ----------
     n:
         Number of vertices (columns) of the underlying kernel.  Vertices
-        outside the schedule (e.g. columns pruned from a sparse-RHS
-        triangular solve) simply appear in no level.
+        outside the schedule (see ``active`` of
+        :func:`schedule_from_level_array`) simply appear in no level.
     order:
         Every scheduled vertex, level by level (ascending vertex order inside
         each level — a deterministic, valid sequential execution order).
@@ -69,7 +68,7 @@ class ExecutionSchedule:
         ``order[level_ptr[l]:level_ptr[l + 1]]``.
     graph:
         Human-readable name of the dependency structure the schedule was
-        computed on (``"DG_L"``, ``"etree"``, ``"SP(L row)"``, ...).
+        computed on (``"etree"``, ``"SP(L row)"``, ...).
     """
 
     n: int
@@ -156,8 +155,8 @@ def schedule_from_level_array(
     """Bucket a per-vertex level assignment into an :class:`ExecutionSchedule`.
 
     ``level[j]`` is vertex ``j``'s wavefront; ``active`` optionally restricts
-    the schedule to a subset of vertices (e.g. a triangular-solve reach-set) —
-    inactive vertices appear in no level.  Empty levels (possible after
+    the schedule to a subset of vertices — inactive vertices appear in no
+    level.  Empty levels (possible after
     restriction) are squeezed out, and vertices inside a level are sorted, so
     equal inputs always produce the identical schedule.
     """
@@ -209,71 +208,16 @@ def parent_levels_reference(parent: np.ndarray) -> np.ndarray:
     return level
 
 
-def level_sets_from_dependency_graph(
-    dg: DependencyGraph, *, active: Optional[np.ndarray] = None, graph: str = "DG_L"
-) -> ExecutionSchedule:
-    """Wavefronts of a column dependence graph DG_L.
-
-    Edges run ``j → i`` with ``i > j`` (``x_i`` needs ``x_j``), so one
-    ascending pass computes the longest-path level of every vertex.  With
-    ``active`` (e.g. a reach-set) the levels are computed on the *induced
-    subgraph*: dependencies through pruned columns never execute, so they do
-    not constrain the schedule.
-    """
-    with span("schedule", graph=graph):
-        if active is not None:
-            active = np.unique(np.asarray(active, dtype=np.int64))
-        lib = native.helper()
-        if lib is None:
-            level = graph_levels_reference(dg, active)
-        else:
-            level = lib.levels_from_graph(dg.n, dg.indptr, dg.indices, active)
-        return schedule_from_level_array(level, graph=graph, active=active)
-
-
-def graph_levels_reference(dg: DependencyGraph, active: Optional[np.ndarray]) -> np.ndarray:
-    """Per-vertex longest-path level of DG_L (or of its ``active`` part), in Python."""
-    n = dg.n
-    level = np.zeros(n, dtype=np.int64)
-    if active is None:
-        for j in range(n):
-            lj = level[j] + 1
-            for i in dg.out_neighbors(j):
-                if level[i] < lj:
-                    level[i] = lj
-        return level
-    is_active = np.zeros(n, dtype=bool)
-    is_active[active] = True
-    for j in active:  # ascending, edges only point upward
-        lj = level[j] + 1
-        for i in dg.out_neighbors(int(j)):
-            if is_active[i] and level[i] < lj:
-                level[i] = lj
-    return level
-
-
-def level_sets_from_column_deps(
-    deps: Sequence[np.ndarray], *, graph: str = "column-deps"
-) -> ExecutionSchedule:
-    """Wavefronts from exact per-column dependency lists.
-
-    ``deps[j]`` holds the columns ``k < j`` whose values column ``j``
-    consumes — the Cholesky/LDLᵀ row patterns (``L[j, k] != 0``) or the LU
-    above-diagonal ``U`` patterns (``U[k, j] != 0``).  Exact lists give the
-    tightest (shallowest) schedule the kernel admits.
-    """
-    dep_ptr = np.concatenate(([0], np.cumsum([len(each) for each in deps], dtype=np.int64)))
-    dep_idx = np.asarray(np.concatenate(deps) if len(deps) else [], dtype=np.int64)
-    return level_sets_from_csr_deps(dep_ptr, dep_idx, graph=graph)
-
-
 def level_sets_from_csr_deps(
     dep_ptr: np.ndarray, dep_idx: np.ndarray, *, graph: str = "column-deps"
 ) -> ExecutionSchedule:
-    """:func:`level_sets_from_column_deps` over the lists in CSR form.
+    """Wavefronts from exact per-column dependency lists, in CSR form.
 
-    Column ``j`` depends on ``dep_idx[dep_ptr[j]:dep_ptr[j + 1]]`` — the form
-    the inspectors hold their prune-sets in.
+    Column ``j`` depends on ``dep_idx[dep_ptr[j]:dep_ptr[j + 1]]``, the
+    columns ``k < j`` whose values it consumes — the Cholesky/LDLᵀ row
+    patterns (``L[j, k] != 0``) or the LU above-diagonal ``U`` patterns
+    (``U[k, j] != 0``), the form the inspectors hold their prune-sets in.
+    Exact lists give the tightest (shallowest) schedule the kernel admits.
     """
     with span("schedule", graph=graph):
         lib = native.helper()

@@ -508,24 +508,6 @@ void repro_sym_levels_parent(i64 n, const i64 *parent, i64 *level)
     }
 }
 
-/*
- * Longest-path levels over the edges j -> gi[gp[j] .. gp[j+1]) (all upward).
- * With n_active >= 0 only the induced subgraph on `active` (ascending)
- * counts; work: n, used for the membership mask.
- */
-void repro_sym_levels_graph(i64 n, const i64 *gp, const i64 *gi, i64 n_active, const i64 *active,
-                            i64 *level, i64 *work)
-{
-    i64 *is_active = work, count = n_active < 0 ? n : n_active;
-    for (i64 j = 0; j < n; j++) is_active[j] = n_active < 0;
-    for (i64 t = 0; t < n_active; t++) is_active[active[t]] = 1;
-    for (i64 t = 0; t < count; t++) {
-        i64 j = n_active < 0 ? t : active[t], lj = level[j] + 1;
-        for (i64 p = gp[j]; p < gp[j + 1]; p++)
-            if (is_active[gi[p]] && level[gi[p]] < lj) level[gi[p]] = lj;
-    }
-}
-
 /* level[j] = 1 + the deepest column among di[dp[j] .. dp[j+1]), 0 if none. */
 void repro_sym_levels_deps(i64 n, const i64 *dp, const i64 *di, i64 *level)
 {
@@ -726,22 +708,13 @@ static void exercise(const char *name, i64 n, const char *dense, int symmetric)
     repro_sym_etree(n, n, ap, ai, 1, parent, work);
     for (i64 j = 0; j < n; j++) CHECK(parent[j] == -1 || (parent[j] > j && parent[j] < n));
 
-    /* DG_L of the L just built: reach of everything is a topological order,
-       and levels rise along every edge. */
+    /* DG_L of the L just built: reach of everything is a topological order. */
     for (i64 j = 0; j < n; j++) post[j] = n - 1 - j;
     CHECK(repro_sym_reach(n, l_indptr, l, n, post, perm, work) == 0);
     CHECK(is_permutation(n, perm, seen));
     for (i64 k = 0; k < n; k++) seen[perm[k]] = k;
     for (i64 j = 0; j < n; j++)
         for (i64 p = l_indptr[j] + 1; p < l_indptr[j + 1]; p++) CHECK(seen[j] < seen[l[p]]);
-    memset(level, 0, sizeof(i64) * (size_t)n);
-    repro_sym_levels_graph(n, l_indptr, l, -1, NULL, level, work);
-    for (i64 j = 0; j < n; j++)
-        for (i64 p = l_indptr[j] + 1; p < l_indptr[j + 1]; p++) CHECK(level[j] < level[l[p]]);
-    memset(level, 0, sizeof(i64) * (size_t)n);
-    for (i64 j = 0; j < n / 2; j++) post[j] = 2 * j;
-    repro_sym_levels_graph(n, l_indptr, l, n / 2, post, level, work);
-    for (i64 j = 0; j < n; j++) CHECK(j % 2 == 0 || level[j] == 0);
     /* The above-diagonal U pattern is what column j of the LU loop waits for. */
     memset(level, 0, sizeof(i64) * (size_t)n);
     {

@@ -205,7 +205,6 @@ _SIGNATURES = {
     "repro_sym_free": (None, (ctypes.c_void_p,)),
     "repro_sym_reach": (_N, (_N, _I64, _I64, _N, _I64, _I64, _I64)),
     "repro_sym_levels_parent": (None, (_N, _I64, _I64)),
-    "repro_sym_levels_graph": (None, (_N, _I64, _I64, _N, _I64, _I64, _I64)),
     "repro_sym_levels_deps": (None, (_N, _I64, _I64, _I64)),
 }
 
@@ -362,22 +361,6 @@ class NativeSymbolic:
         parent = _parent(parent)
         level = np.zeros(parent.size, dtype=np.int64)
         self._levels_parent(parent.size, parent, level)
-        return level
-
-    def levels_from_graph(self, n: int, indptr, indices, active=None) -> np.ndarray:
-        """Longest-path level of every vertex of an upward-pointing DAG.
-
-        ``active`` (ascending, unique) restricts the graph to the subgraph it
-        induces; the other vertices stay at level 0.
-        """
-        indptr, indices = _pattern(n, indptr, indices, n)
-        if active is None:
-            n_active, active = -1, _empty(0)
-        else:
-            active = _indices_below(n, active, "active vertex")
-            n_active = active.size
-        level = np.zeros(n, dtype=np.int64)
-        self._levels_graph(n, indptr, indices, n_active, active, level, _empty(n))
         return level
 
     def levels_from_deps(self, dep_ptr, dep_idx) -> np.ndarray:

@@ -148,7 +148,7 @@ def test_shared_objects_follow_the_routes_not_the_patterns(monkeypatch, tmp_path
     assert disk_cache_stats().compiles - before == compiles
 
 
-@pytest.mark.parametrize("kernel", ["cholesky", "lu", "triangular-solve"])
+@pytest.mark.parametrize("kernel", ["cholesky", "lu", "ic0"])
 def test_active_wavefront_modules_are_not_shared(kernel):
     """Pool, barrier and level clock are module state: one pattern per module."""
     options = SympilerOptions(backend="c", parallel="wavefront", enable_vs_block=False)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.baselines.scipy_reference import reference_cholesky, reference_trisolve
 from repro.compiler.cache import ArtifactCache
-from repro.compiler.codegen import c_backend, tables
+from repro.compiler.codegen import c_backend
 from repro.compiler.codegen.c_backend import (
     CBackend,
     CCompilationError,
@@ -123,8 +123,7 @@ class TestCGeneratedKernels:
 
 
 def test_trisolve_segments_visit_the_reach_set_in_order(lower_factors):
-    """A VI-Pruned solve is one flat segment list in the inspector's reach
-    order, and the wavefront pull form reads its column order off that list."""
+    """A VI-Pruned solve is one flat segment list in the inspector's reach order."""
     L = lower_factors["circuit"]
     rhs_pattern = np.nonzero(sparse_rhs(L.n, nnz=3, seed=4))[0]
 
@@ -136,14 +135,11 @@ def test_trisolve_segments_visit_the_reach_set_in_order(lower_factors):
     pruned = compiled(SympilerOptions(enable_vs_block=False))
     reach = pruned.inspection.reach.tolist()
     assert 0 < len(reach) < L.n
-    contract = pruned.loop.contract
-    dims, sets = contract
+    dims, sets = pruned.loop.contract
     assert dims == {"n_seg": 1} and sets["run_cols"].tolist() == reach
-    assert tables._trisolve_order(L.n, contract).tolist() == reach
     # Untransformed, the body is the loop over every column.
     baseline = compiled(SympilerOptions.baseline())
     assert baseline.loop is None
-    assert tables._trisolve_order(L.n, ({}, {})).tolist() == list(range(L.n))
 
 
 def test_backend_name_and_flags():

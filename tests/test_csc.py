@@ -159,6 +159,56 @@ def test_matvec_and_rmatvec(small, rng):
     np.testing.assert_allclose(A @ x, dense @ x)
 
 
+def _column_loop_matvec(A, x):
+    """The product one column at a time: ``y[rows] += values * x[j]`` for every column with ``x[j] != 0``."""
+    y = np.zeros(A.n_rows)
+    for j in range(A.n_cols):
+        if x[j] != 0.0:
+            s = slice(A.indptr[j], A.indptr[j + 1])
+            np.add.at(y, A.indices[s], A.data[s] * x[j])
+    return y
+
+
+def _column_loop_rmatvec(A, y):
+    """The transposed product one column at a time, each sum taken in row order from ``0.0``."""
+    out = np.zeros(A.n_cols)
+    for j in range(A.n_cols):
+        for p in range(A.indptr[j], A.indptr[j + 1]):
+            out[j] += A.data[p] * y[A.indices[p]]
+    return out
+
+
+def _bitwise(a, b):
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_matvec_and_rmatvec_are_the_column_loops_to_the_bit(rng):
+    from repro.sparse.generators import laplacian_2d, laplacian_3d
+
+    # Square grids, and a rectangular matrix with empty columns, an empty row
+    # and an inf in a column whose x entry is 0.
+    dense = rng.normal(size=(9, 6)) * (rng.random((9, 6)) < 0.4)
+    dense[:, [1, 4]] = 0.0
+    dense[3, :] = 0.0
+    dense[0, 2] = np.inf
+    rect = CSCMatrix.from_dense(dense)
+    for A in (laplacian_2d(12), laplacian_3d(5), rect):
+        x = rng.normal(size=A.n_cols) * 10.0 ** rng.integers(-6, 6, size=A.n_cols)
+        x[::3] = 0.0
+        if A is rect:
+            x[2] = 0.0
+        _bitwise(A.matvec(x), _column_loop_matvec(A, x))
+        y = rng.normal(size=A.n_rows)
+        _bitwise(A.rmatvec(y), _column_loop_rmatvec(A, y))
+    # The inf never meets its zero: no NaN reaches y.
+    assert np.isfinite(rect.matvec(x)).all()
+    assert rect.matvec(np.zeros(6)).tolist() == [0.0] * 9
+    empty = CSCMatrix.from_dense(np.zeros((3, 2)))
+    _bitwise(empty.matvec(np.ones(2)), np.zeros(3))
+    _bitwise(empty.rmatvec(np.ones(3)), np.zeros(2))
+
+
 def test_matvec_shape_check(small):
     A, _ = small
     with pytest.raises(ValueError):

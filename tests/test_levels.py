@@ -18,21 +18,13 @@ from repro.sparse.generators import (
     fem_stencil_2d,
     laplacian_2d,
     saddle_point_indefinite,
-    sparse_rhs,
     unsymmetric_diag_dominant,
 )
 from repro.symbolic.dependency_graph import DependencyGraph
-from repro.symbolic.inspector import (
-    CholeskyInspector,
-    LDLTInspector,
-    LUInspector,
-    TriangularSolveInspector,
-)
+from repro.symbolic.inspector import CholeskyInspector, LDLTInspector, LUInspector
 from repro.symbolic.levels import (
     ExecutionSchedule,
     dependency_graph_from_column_deps,
-    level_sets_from_column_deps,
-    level_sets_from_dependency_graph,
     level_sets_from_parent,
     schedule_from_level_array,
 )
@@ -88,17 +80,6 @@ class TestFactorizationSchedules:
         dg = dependency_graph_from_column_deps(result.n, deps)
         _assert_wavefront_partition(result.schedule, dg)
 
-    def test_triangular_schedule_respects_reach(self):
-        A = laplacian_2d(8, shift=0.1)
-        insp = CholeskyInspector().inspect(A)
-        L = insp.l_pattern_matrix()
-        rhs = sparse_rhs(A.n, nnz=2, seed=7)
-        result = TriangularSolveInspector().inspect(L, rhs_pattern=np.nonzero(rhs)[0])
-        schedule = result.schedule
-        # Exactly the reach-set is scheduled, and the partition is legal.
-        assert np.array_equal(np.sort(schedule.as_order()), result.reach_sorted)
-        _assert_wavefront_partition(schedule, DependencyGraph.from_lower_triangular(L))
-
     def test_exact_schedule_no_deeper_than_etree(self):
         """Exact row-pattern levels are at most as deep as etree levels."""
         A = fem_stencil_2d(8, shift=0.25)
@@ -133,16 +114,6 @@ class TestScheduleObject:
         s = schedule_from_level_array(np.zeros(3, dtype=np.int64))
         with pytest.raises(IndexError):
             s.level(1)
-
-    def test_dependency_graph_levels_match_column_deps(self):
-        A = laplacian_2d(7, shift=0.1)
-        insp = CholeskyInspector().inspect(A)
-        L = insp.l_pattern_matrix()
-        dg = DependencyGraph.from_lower_triangular(L)
-        via_graph = level_sets_from_dependency_graph(dg)
-        via_deps = level_sets_from_column_deps(insp.row_patterns)
-        # Both compute longest-path levels of the same DAG.
-        assert np.array_equal(via_graph.level_of(), via_deps.level_of())
 
     def test_validate_against_rejects_bad_partition(self):
         # Chain 0 -> 1: putting both in level 0 is not an antichain.

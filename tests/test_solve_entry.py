@@ -1,12 +1,13 @@
-"""The solve entry of a direct factorization's module: ``A x = b`` on the factors in place.
+"""The solve entry of a factorization's module: ``A x = b`` on the factors in place.
 
-Every Cholesky, LDLᵀ and LU module exports ``<entry>_solve(perm, Lx[, D | Ux],
-b, w, x, T)`` next to its factorization: ``w = b[perm]``, the forward sweep on
-``L``, ``÷ D``, the backward sweep (``Lᵀ`` in dot form, ``U`` in push form),
-``x[perm] = w``.  ``reference.factor_solve`` mirrors it, so the two backends
-agree to the bit on every route: serial, on pool threads, and under
-``parallel="wavefront"`` options.  The solver compiles nothing else for its
-solves, and hands the entry contiguous vectors whatever the caller passes.
+Every Cholesky, LDLᵀ, LU and IC(0) module exports ``<entry>_solve(perm, Lx[,
+D | Ux], b, w, x, T)`` next to its factorization: ``w = b[perm]``, the forward
+sweep on ``L``, ``÷ D``, the backward sweep (``Lᵀ`` in dot form, ``U`` in push
+form), ``x[perm] = w``; IC(0)'s, with the identity ``perm``, applies the
+preconditioner ``(L Lᵀ)⁻¹``.  ``reference.factor_solve`` mirrors it, so the
+two backends agree to the bit on every route: serial, on pool threads, and
+under ``parallel="wavefront"`` options.  The solver compiles nothing else for
+its solves, and hands the entry contiguous vectors whatever the caller passes.
 """
 
 import os
@@ -20,13 +21,18 @@ from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
+from repro.kernels.incomplete import ic0_left_looking
 from repro.solvers.batched import BatchedSolver
 from repro.solvers.linear_solver import SparseLinearSolver, backward_factor
 from repro.sparse.generators import (
+    arrow_spd,
+    banded_spd,
     block_tridiagonal_spd,
+    circuit_like_spd,
     fem_stencil_2d,
     laplacian_2d,
     laplacian_3d,
+    power_grid_spd,
     random_spd,
     saddle_point_indefinite,
     unsymmetric_diag_dominant,
@@ -194,9 +200,58 @@ def test_bind_solve_checks_its_arrays(backend):
     x = b.copy()
     factorization.bind_solve((perm, Lx, x), (np.empty(n), x))()  # x is b
     np.testing.assert_array_equal(x, solver.solve(b))
-    ic0 = Sympiler(options, cache=ArtifactCache()).compile("ic0", laplacian_2d(6))
-    with pytest.raises(TypeError, match="ic0 has no solve entry"):
-        ic0.bind_solve((perm, Lx, b), (np.empty(n), np.empty(n)))
+    jac = unsymmetric_diag_dominant(n, seed=4)
+    ilu0 = Sympiler(options, cache=ArtifactCache()).compile("ilu0", jac)
+    lx, ux = ilu0.new_outputs()
+    with pytest.raises(TypeError, match="ilu0 has no solve entry"):
+        ilu0.bind_solve((perm, lx, ux, b), (np.empty(n), np.empty(n)))
+
+
+#: Every SPD generator, IC(0)'s domain: the conftest zoo at a second size each.
+IC0_ZOO = {
+    "laplacian_2d": lambda: laplacian_2d(11),
+    "laplacian_3d": lambda: laplacian_3d(5),
+    "fem": lambda: fem_stencil_2d(9),
+    "banded": lambda: banded_spd(60, 6, seed=7),
+    "block": lambda: block_tridiagonal_spd(8, 4, seed=8),
+    "circuit": lambda: circuit_like_spd(70, seed=9),
+    "random": lambda: random_spd(60, 0.08, seed=10),
+    "grid": lambda: power_grid_spd(64, seed=11),
+    "arrow": lambda: arrow_spd(45, 3, seed=12),
+}
+
+
+def _ic0_preconditioner(A, backend, parallel="none"):
+    """``apply(r) -> (L Lᵀ)⁻¹ r`` through the IC(0) module's solve entry, bound once, and the factor values."""
+    options = SympilerOptions(backend=backend, parallel=parallel)
+    ic0 = Sympiler(options, cache=ArtifactCache()).compile("ic0", A)
+    assert ic0.backend == backend
+    Lx = ic0.factorize_arrays(A.indptr, A.indices, A.data)
+    r, z = np.empty(A.n), np.empty(A.n)
+    call = ic0.bind_solve((np.arange(A.n, dtype=np.int64), Lx, r), (np.empty(A.n), z))
+
+    def apply(v):
+        r[...] = v
+        call()
+        return z.copy()
+
+    return apply, Lx
+
+
+@needs_cc
+@pytest.mark.parametrize("parallel", PARALLEL)
+@pytest.mark.parametrize("name", sorted(IC0_ZOO))
+def test_ic0_solve_entries_agree_to_the_bit(name, parallel):
+    A = IC0_ZOO[name]()
+    (c, Lx), (py, _) = (_ic0_preconditioner(A, backend, parallel) for backend in ("c", "python"))
+    L = ic0_left_looking(A)
+    np.testing.assert_array_equal(Lx, L.data)
+    rng = np.random.default_rng(14)
+    for r in (np.ones(A.n), rng.normal(size=A.n), np.where(rng.random(A.n) < 0.2, rng.normal(size=A.n), 0.0)):
+        z = c(r)
+        np.testing.assert_array_equal(z, py(r))
+        # z solves L Lᵀ z = r.
+        np.testing.assert_allclose(L.matvec(L.rmatvec(z)), r, rtol=0, atol=1e-10 * max(np.abs(r).max(), 1.0))
 
 
 def test_subtract_reduce_is_the_sequential_fold_the_reference_mirrors():

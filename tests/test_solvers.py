@@ -137,6 +137,34 @@ class TestConjugateGradient:
         assert not result.converged
         assert result.iterations == 3
 
+    @needs_cc
+    @pytest.mark.parametrize("name", ["laplacian_2d", "banded_spd"])
+    def test_pcg_through_the_ic0_solve_entry_converges_alike_on_both_backends(self, name):
+        A = laplacian_2d(30) if name == "laplacian_2d" else banded_spd(400, 8, seed=3)
+        b = np.sin(np.arange(A.n, dtype=np.float64)) + 1.0
+        c, py = (
+            preconditioned_conjugate_gradient(A, b, tol=1e-10, options=SympilerOptions(backend=backend))
+            for backend in ("c", "python")
+        )
+        assert c.converged and c.final_residual <= 1e-10
+        assert np.linalg.norm(A.matvec(c.x) - b) <= 1e-9 * np.linalg.norm(b)
+        np.testing.assert_array_equal(c.x, py.x)
+        assert c.residual_norms == py.residual_norms
+
+    def test_pcg_compiles_the_ic0_module_alone(self, monkeypatch):
+        compiled = []
+        original = Sympiler.compile
+
+        def record(self, kernel, *args, **kwargs):
+            compiled.append(kernel)
+            return original(self, kernel, *args, **kwargs)
+
+        monkeypatch.setattr(Sympiler, "compile", record)
+        A = laplacian_2d(9)
+        result = preconditioned_conjugate_gradient(A, np.ones(A.n), options=SympilerOptions(backend="python"))
+        assert result.converged
+        assert compiled == ["ic0"]
+
     def test_cg_input_validation(self):
         A = laplacian_2d(4)
         with pytest.raises(ValueError):

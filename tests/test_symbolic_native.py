@@ -37,7 +37,6 @@ from repro.sparse.generators import (
 from repro.sparse.ordering import minimum_degree_ordering, minimum_degree_reference
 from repro.sparse.utils import symmetrize_pattern
 from repro.symbolic import native
-from repro.symbolic.dependency_graph import DependencyGraph
 from repro.symbolic.etree import (
     column_etree,
     column_etree_reference,
@@ -56,7 +55,6 @@ from repro.symbolic.fill_pattern import (
 from repro.symbolic.inspector import CholeskyInspector, LUInspector, TriangularSolveInspector
 from repro.symbolic.levels import (
     deps_levels_reference,
-    graph_levels_reference,
     level_sets_from_parent,
     parent_levels_reference,
 )
@@ -156,25 +154,13 @@ def _check_every_entry_point(lib: native.NativeSymbolic, A: CSCMatrix) -> None:
     ):
         _same(g, e, f"lu pattern: {name}")
 
-    # DG_L of the factor just predicted.
-    dg = DependencyGraph.from_lower_triangular(CSCMatrix.from_pattern(n, n, l_indptr, l_indices))
+    # Reaches in DG_L of the factor just predicted.
     rng = np.random.default_rng(n)
     everything = np.arange(n, dtype=np.int64)
     some = np.sort(rng.choice(n, size=max(n // 5, 1), replace=False)) if n else everything
     for sources in (everything, everything[::-1].copy(), some, rng.permutation(some)):
         reach = reach_set_reference(n, l_indptr, l_indices, sources)
         _same(lib.reach(n, l_indptr, l_indices, sources), reach, "reach")
-    _same(
-        lib.levels_from_graph(n, dg.indptr, dg.indices),
-        graph_levels_reference(dg, None),
-        "levels of DG_L",
-    )
-    active = np.sort(reach_set_reference(n, l_indptr, l_indices, some))
-    _same(
-        lib.levels_from_graph(n, dg.indptr, dg.indices, active),
-        graph_levels_reference(dg, active),
-        "levels of DG_L restricted to a reach",
-    )
 
 
 @needs_helper
@@ -218,7 +204,7 @@ class TestNativeMatchesReference:
             (reach, ["reach_set_reference"]),
             (
                 levels,
-                ["parent_levels_reference", "graph_levels_reference", "deps_levels_reference"],
+                ["parent_levels_reference", "deps_levels_reference"],
             ),
         ):
             for name in names:
@@ -261,8 +247,6 @@ class TestBindingValidation:
             lambda: lib.factor_counts(n, indptr, indices, parent),
             lambda: lib.lu_pattern(n, indptr, indices),
             lambda: lib.reach(n, indptr, indices, np.array([0])),
-            lambda: lib.levels_from_graph(n, indptr, indices),
-            lambda: lib.levels_from_graph(n, indptr, indices, np.array([0, 1])),
         ]
         for call in calls:
             with pytest.raises(ValueError):
@@ -288,8 +272,6 @@ class TestBindingValidation:
         for bad in (np.array([4]), np.array([-1])):
             with pytest.raises(ValueError):
                 lib.reach(n, indptr, indices, bad)
-            with pytest.raises(ValueError):
-                lib.levels_from_graph(n, indptr, indices, bad)
         with pytest.raises(ValueError):
             lib.levels_from_deps(np.array([0, 1, 1]), np.array([2]))
         # The public wrappers keep the errors they always raised.
@@ -324,8 +306,6 @@ def _public_results(A: CSCMatrix, U: CSCMatrix) -> list:
         *row_patterns_of_factor(B, parent),
         *lu_pattern(U),
         tri.reach,
-        tri.schedule.order,
-        tri.schedule.level_ptr,
         chol.schedule.order,
         chol.schedule.level_ptr,
         level_sets_from_parent(parent).order,

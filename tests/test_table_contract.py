@@ -63,9 +63,9 @@ def test_both_backends_hold_the_same_table_block(pattern, method):
         assert table.dtype == python[name].dtype == np.int64
         assert table.flags.c_contiguous and python[name].flags.c_contiguous
         np.testing.assert_array_equal(python[name], table, err_msg=name)
-    # A wavefront module appends its own tables (level schedule, pull
-    # structure) after the serial block: the serial block is a prefix of its
-    # block, and the serial sizes a prefix of its sizes.
+    # A wavefront module appends its own tables (the level schedule) after
+    # the serial block: the serial block is a prefix of its block, and the
+    # serial sizes a prefix of its sizes.
     assert list(wavefront)[: len(serial)] == list(serial)
     assert all(name.startswith("_C_wf_") for name in list(wavefront)[len(serial) :])
     for name in list(serial)[1:]:
@@ -76,10 +76,10 @@ def test_both_backends_hold_the_same_table_block(pattern, method):
 
 @needs_cc
 def test_the_wavefront_extras_are_exercised():
-    """Not vacuous: on the bushy pattern every wavefront module has tables of its own."""
+    """Not vacuous: on the bushy pattern every wavefront factorization module has tables of its own."""
     sym = Sympiler(cache=ArtifactCache())
     options = SympilerOptions(backend="c", parallel="wavefront")
-    for method in METHODS:
+    for method in FACTORIZATIONS:
         artifact = sym.compile(method, _operand(sym, method, PATTERNS["mindeg"]), options=options)
         assert artifact.parallel_mode == "wavefront"
         assert any(name.startswith("_C_wf_") for name in artifact.constants), method
@@ -101,7 +101,11 @@ def test_the_wavefront_extras_are_exercised():
 #: re-based when the no-low-level bundle, which compiled what the first one
 #: does since loop distribution stopped being planned, left the list, and
 #: re-based for Cholesky, LDLᵀ and LU when their modules gained the solve
-#: entry (``<entry>_solve`` and the ``REPRO_PIVOT`` macro it reads).
+#: entry (``<entry>_solve`` and the ``REPRO_PIVOT`` macro it reads), and
+#: re-based for IC(0) when its module gained the same entry (and its block the
+#: ``l_indices`` table the entry reads), and for the wavefront triangular
+#: solve when its pull-form job went: it is the serial body behind the
+#: wavefront ABI, the same source for every pattern.
 _OPTION_BUNDLES = (
     {},
     {"enable_vs_block": False},
@@ -109,27 +113,27 @@ _OPTION_BUNDLES = (
 )
 _PINNED_C_SOURCES = {
     ("fem", "triangular-solve", "none"): "c0493e6ca408bb29fc6b5aeb1373b1ac9a1fcb989d3cc2d4aeeb205d5cd4d267",
-    ("fem", "triangular-solve", "wavefront"): "ca6c856d1eeee8d3eb1c61096337289b7c1dc24e1e509d91fca95c02a04cdfce",
+    ("fem", "triangular-solve", "wavefront"): "f1198cdbb298424e3195bc2efbc7dbe6dbe7b7f0c7f097481ab9afc76631d129",
     ("fem", "cholesky", "none"): "5aa6a5706567d80adf6b0b87bf6c664cec3fe9a97fc729f5034548e61174f315",
     ("fem", "cholesky", "wavefront"): "c6b5f60fd070688745d2f5ba4fff1c77a82c6eeedfbc9f73649c0ba17ada3b4f",
     ("fem", "ldlt", "none"): "fe807212d8a4d2ea3306a5d6e5dcd2355fdefb69df39696c23f05e462c340fd4",
     ("fem", "ldlt", "wavefront"): "c0c6ea8cb7d0d7ef29696de0d760c7ecc0bb5b0f4ebff6769773c3b74b0eca44",
     ("fem", "lu", "none"): "f6ef5acadecf9b90f737830a73993faa04a56626a714f0df956b9ffde547f370",
     ("fem", "lu", "wavefront"): "c210cec140698ba5c189894c399cd1225311d9ca2e3c97cfab9079f90aa77ab9",
-    ("fem", "ic0", "none"): "122c63586cd9f05ce23ffcc7dba8c9c5f9d9d22ccc221a000e1bc8cc75a0cf3b",
-    ("fem", "ic0", "wavefront"): "3a474a76aa920fa49eded681995528c4cad3d2ded8d91cd31f32fbf72b501555",
+    ("fem", "ic0", "none"): "07d571411191581c113607030220b6c1313458779db2192ad3e661e6714a9b4e",
+    ("fem", "ic0", "wavefront"): "991707081b4bdeab695a55ebdc9899498a0d4e47cbb7030c1469c1108974ada2",
     ("fem", "ilu0", "none"): "0a2d1b7fe06b81ff1750f7fbc2d41125b878affb5dcf2e0eaccf174608d7d34f",
     ("fem", "ilu0", "wavefront"): "492e122d0b2c8f242c297d6d5f50f05cf1bd8594497e24f3fe98a1e75657ee9b",
     ("mindeg", "triangular-solve", "none"): "c0493e6ca408bb29fc6b5aeb1373b1ac9a1fcb989d3cc2d4aeeb205d5cd4d267",
-    ("mindeg", "triangular-solve", "wavefront"): "ced774c8f9f8ca48e5a339e9bec9dc2c73c665c96961deeb382176f8ce97ed7a",
+    ("mindeg", "triangular-solve", "wavefront"): "f1198cdbb298424e3195bc2efbc7dbe6dbe7b7f0c7f097481ab9afc76631d129",
     ("mindeg", "cholesky", "none"): "833ba3178b424a07e3e4817c8438899f90531f1f262a6a0653517007598a9a7e",
     ("mindeg", "cholesky", "wavefront"): "4a64bbb7de5ea72420808e0899bbf84052b991549f51d7ea59ba38b33ee946a2",
     ("mindeg", "ldlt", "none"): "707983cc1b0b2ff2b143691337859c01a55b5ade5a6958236628b8e46187c8cd",
     ("mindeg", "ldlt", "wavefront"): "f4340cdb178b90134fcb4d2ac5af86f02239e0dddb5b2028ea74e78eb329a248",
     ("mindeg", "lu", "none"): "f6ef5acadecf9b90f737830a73993faa04a56626a714f0df956b9ffde547f370",
     ("mindeg", "lu", "wavefront"): "391223ed90e97299b594abe6a29e1841df7cbda385c757af3c8eb89f0a5986a6",
-    ("mindeg", "ic0", "none"): "122c63586cd9f05ce23ffcc7dba8c9c5f9d9d22ccc221a000e1bc8cc75a0cf3b",
-    ("mindeg", "ic0", "wavefront"): "b7296957ae7f5e75abfe88052905b5524464bb198f0d404d313b69d505ac26b0",
+    ("mindeg", "ic0", "none"): "07d571411191581c113607030220b6c1313458779db2192ad3e661e6714a9b4e",
+    ("mindeg", "ic0", "wavefront"): "20c5712b7448ef9f6452d52a09da6f208cef1c213f0529da83850affd248d232",
     ("mindeg", "ilu0", "none"): "0a2d1b7fe06b81ff1750f7fbc2d41125b878affb5dcf2e0eaccf174608d7d34f",
     ("mindeg", "ilu0", "wavefront"): "5e9dcd6d41ee9ebec574f6e1da9c15d42dd890f8a16bc5cd1a2aa0654abf3d55",
 }
@@ -148,7 +152,8 @@ TABLE_CASES = [*METHODS, "triangular-solve/sparse-rhs"]
 #: option bundle of ``_OPTION_BUNDLES`` (in its order), computed at the commit before the tables
 #: became array expressions (7a05fcc); the supernodal Cholesky / LDLᵀ blocks re-based when the
 #: descendant table became one row per descendant supernode, and the no-low-level bundle's
-#: blocks left with it.  Needs no C compiler: the contract is backend-independent.
+#: blocks left with it; the IC(0) blocks re-based when they gained ``l_indices``, which the
+#: module's solve entry reads.  Needs no C compiler: the contract is backend-independent.
 _PINNED_TABLE_BLOCKS = {
     ("fem", "triangular-solve"): (
         "32a2930371574950474fe31de4ff0ae6e5435e3a5d44591f85ea04dbc5aecb38",
@@ -171,9 +176,9 @@ _PINNED_TABLE_BLOCKS = {
         "9648d8cdcc7de5e76c9d5aed33de19eeeb5ffa5d8f615644085e68f63c54e02f",
     ),
     ("fem", "ic0"): (
-        "603683607f88fdbbbd7f5e4c8ea64c5db2dfa67348bf2213cb9782e614e4780b",
-        "603683607f88fdbbbd7f5e4c8ea64c5db2dfa67348bf2213cb9782e614e4780b",
-        "603683607f88fdbbbd7f5e4c8ea64c5db2dfa67348bf2213cb9782e614e4780b",
+        "e69a925d015cf6bc8b929b2171190a53b510d155aa2c80f4a9d5ea284719f6d6",
+        "e69a925d015cf6bc8b929b2171190a53b510d155aa2c80f4a9d5ea284719f6d6",
+        "e69a925d015cf6bc8b929b2171190a53b510d155aa2c80f4a9d5ea284719f6d6",
     ),
     ("fem", "ilu0"): (
         "ead3f61308325e56b95e7191821d9f7b699afe75bf7ed3e8909a6488fbb9a6f1",
@@ -206,9 +211,9 @@ _PINNED_TABLE_BLOCKS = {
         "54f6a530e5942b4cb9a5e9d7be0f06387fd2758ca63b8fc1498c67473d30441a",
     ),
     ("mindeg", "ic0"): (
-        "55820ced32a441a36fe622ec1b95c5e64f39ea49eefe8c3487ce238c1c7b0fdd",
-        "55820ced32a441a36fe622ec1b95c5e64f39ea49eefe8c3487ce238c1c7b0fdd",
-        "55820ced32a441a36fe622ec1b95c5e64f39ea49eefe8c3487ce238c1c7b0fdd",
+        "dbb8a5415069a01a90fafbe94f3f934c67574ae4c43cd7fb190a588f80ca40ea",
+        "dbb8a5415069a01a90fafbe94f3f934c67574ae4c43cd7fb190a588f80ca40ea",
+        "dbb8a5415069a01a90fafbe94f3f934c67574ae4c43cd7fb190a588f80ca40ea",
     ),
     ("mindeg", "ilu0"): (
         "59309656af29fd743c74c9db5e03683407753f6834b9c44069251e7fcb03af13",
@@ -241,9 +246,9 @@ _PINNED_TABLE_BLOCKS = {
         "780210b8825d5b724be29eb4f9360ab8a35c3d334f1b25f8a03822fa94edb3cc",
     ),
     ("mindeg3d", "ic0"): (
-        "ac4d64a90b3401eeba0748b14fb233d45c34739edf141646d1a3b73de9893b02",
-        "ac4d64a90b3401eeba0748b14fb233d45c34739edf141646d1a3b73de9893b02",
-        "ac4d64a90b3401eeba0748b14fb233d45c34739edf141646d1a3b73de9893b02",
+        "702dbf46a819bfc4f8e6ceccb3daada4cdbe667ac3b2061a819e7c000c77289f",
+        "702dbf46a819bfc4f8e6ceccb3daada4cdbe667ac3b2061a819e7c000c77289f",
+        "702dbf46a819bfc4f8e6ceccb3daada4cdbe667ac3b2061a819e7c000c77289f",
     ),
     ("mindeg3d", "ilu0"): (
         "06ff8f816cf8cc2eccf25af24a82dd0cb009d6053d2964a375938935b7580141",
@@ -333,11 +338,12 @@ def _record(artifact):
 
 #: sha256 over the records of every bundle of ``_RECORD_BUNDLES`` under ``parallel="none"``, then
 #: under ``parallel="wavefront"``, per (pattern, case, backend); re-based where VS-Block takes a
-#: Cholesky / LDLᵀ when loop distribution stopped being planned, and re-based when the
-#: no-low-level bundle left ``_OPTION_BUNDLES``.
+#: Cholesky / LDLᵀ when loop distribution stopped being planned, re-based when the
+#: no-low-level bundle left ``_OPTION_BUNDLES``, and re-based for the C triangular solves when
+#: ``parallel="wavefront"`` began to record the serial fallback (``"no-schedule"``) for them.
 _PINNED_RECORDS = {
     ("fem", "triangular-solve", "python"): "af412b2adadca56cc3cee7e6948a42636cc622639b06c3169170757a69cc0b09",
-    ("fem", "triangular-solve", "c"): "43e76603d8d67044b42366e81b8bf1d3408fa09eb1748429dbeebb2cb1432065",
+    ("fem", "triangular-solve", "c"): "854738d45a17742c8625ee1a3c600bc2e2bd1ee2593d707b0b6d68b36e4de2df",
     ("fem", "cholesky", "python"): "9dd4b1576571538a1b15860ba51acd874cc22a221878a2ae7c1a077a36a7b30c",
     ("fem", "cholesky", "c"): "a3af04891443c5fb29f6da46d183849cac2e036cb7314792228d3d62fa55f20f",
     ("fem", "ldlt", "python"): "5f8989a8e9499e1aa3ca0c83f89c460724727bf23e4f7b85c0a4031b8be7d29a",
@@ -349,9 +355,9 @@ _PINNED_RECORDS = {
     ("fem", "ilu0", "python"): "a307b92267077378d4609a81552ab1102eece7d792256dc0766ccadb2bcf9c41",
     ("fem", "ilu0", "c"): "a3ceecb9887260b988938f9a84201d016edd35764099b0343e4b23629048e7fc",
     ("fem", "triangular-solve/sparse-rhs", "python"): "20c71e2810c1aed47aec2520e4ec999d8c9289f1275716c397602888fb9fa1b3",
-    ("fem", "triangular-solve/sparse-rhs", "c"): "4adfd312a7a2a1d9a55f7e14e13a1396fc9847fcfaec9d74db143ebb411a3b71",
+    ("fem", "triangular-solve/sparse-rhs", "c"): "9c498596dc7dcb183a1856be55d587bc073115a7b75135363c760a33e8da69e5",
     ("mindeg", "triangular-solve", "python"): "1b7c0b2d0577f3119809fc477d99f00d0edd42226bc14513fc1279cfc165a75f",
-    ("mindeg", "triangular-solve", "c"): "132ca0835bc3af4e748483ef7fb038cb57a0cf8f65b4ee481eeb28b0f761610d",
+    ("mindeg", "triangular-solve", "c"): "724a5f6788e054edffdf4fb6155f410c39d6bdfe7771fdd7d2d7d887468438e3",
     ("mindeg", "cholesky", "python"): "085f45a695d71b5523acaf6bc4e393aa4006fba35d33874e0070810ff1946da5",
     ("mindeg", "cholesky", "c"): "1eeb63030c9de13007ee4d6f8444ab9682c693596ea24934af5f46da3f571a34",
     ("mindeg", "ldlt", "python"): "0834967160b6cc9c8f796350df8b05fcc6d08fef0595ffc1150255b9e96d5084",
@@ -363,9 +369,9 @@ _PINNED_RECORDS = {
     ("mindeg", "ilu0", "python"): "fb02767953704e56926e654d07c086bc4b4abe490a4c20ad8ae32c818e27e4a4",
     ("mindeg", "ilu0", "c"): "617c47c51f7a02f965d127c534e5139f2970555427c4ccd3620ffb21ac45c284",
     ("mindeg", "triangular-solve/sparse-rhs", "python"): "bb648c0060935937dd53131133a859bcf1c0489adcfcebe08f457393a90227ed",
-    ("mindeg", "triangular-solve/sparse-rhs", "c"): "4beb034ac38b0efc970d15eafff059eef465864fe19b5d9c8913bd517cf2b4a2",
+    ("mindeg", "triangular-solve/sparse-rhs", "c"): "a3eca2b77f82a972e8ee61afd69408f39c290da194b09883ffca5366a32de0a9",
     ("mindeg3d", "triangular-solve", "python"): "e00ddc3f9a75f2bc058ceb4b6e3ea9014961c9d39b5f04424c8c864b342193c7",
-    ("mindeg3d", "triangular-solve", "c"): "f85255f814d067991db0e6f0ad736afa41330b883df32341bb53d42af23b6e48",
+    ("mindeg3d", "triangular-solve", "c"): "c7dd180bb1507f81953f8d143c6a6b88f90a1a5fe7bde9229c537f58744ca8d1",
     ("mindeg3d", "cholesky", "python"): "9f5a8a087e43a27fe43bb94bd15051439f28ddf0710dfd455c75079114d2375a",
     ("mindeg3d", "cholesky", "c"): "e9123042634da3175c36101b725f2939fedb63478138755ddef5eef524c8e99b",
     ("mindeg3d", "ldlt", "python"): "d6065f0b002595a47ea2f953c6637b5af8e839f3723a63bf33d6ffbc594cfe7a",
@@ -377,7 +383,7 @@ _PINNED_RECORDS = {
     ("mindeg3d", "ilu0", "python"): "5d4c6eef83568beb96068058ca7f10425ebb08d9f20b9333157f2d2a66ca1665",
     ("mindeg3d", "ilu0", "c"): "147c4c54acd141f7f95f09da1499e7b80b8da6dc8cfa327f95b5eb5d7a219b0b",
     ("mindeg3d", "triangular-solve/sparse-rhs", "python"): "379194347a6a81ad8e526f2921ce96076da6fe48f6cad4fef0869154d720f8ca",
-    ("mindeg3d", "triangular-solve/sparse-rhs", "c"): "b6aaed046d18d5353f4f159f765042a4ae32b544a7826a3012535e60f25c305c",
+    ("mindeg3d", "triangular-solve/sparse-rhs", "c"): "9555f0c20d7a6c4bfa170bd9346b3ece5f0c2f8d761ab1677926a3abcef062af",
 }
 
 

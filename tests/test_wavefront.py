@@ -8,8 +8,8 @@ deep to pay for barriers.  ``test_levels`` already proves schedules
 are antichains of the dependency graphs; here the properties are checked on
 the *compiled artifacts* — per-level write sets are disjoint (each column is
 written by exactly one level), and the generated parallel entry reproduces
-the serial bits across all five factorization kinds and both triangular
-sweeps of a full solve.
+the serial bits across all five factorization kinds.  The triangular solve
+has no wavefront body: asked for one, it records the serial fallback.
 """
 
 import numpy as np
@@ -112,21 +112,6 @@ class TestScheduleWriteSets:
         assert schedule.n_scheduled == A.n_cols
         assert int(seen.sum()) == A.n_cols
 
-    def test_trisolve_schedule_writes_only_the_reach(self):
-        A = _permuted_laplacian(10)
-        sym = Sympiler(SympilerOptions(backend="python"), cache=ArtifactCache())
-        L = sym.compile("cholesky", A).factorize(A)
-        rhs = sparse_rhs(L.n, nnz=2, seed=7)
-        tri = sym.compile(
-            "triangular-solve", L, rhs_pattern=np.nonzero(rhs)[0]
-        )
-        schedule = tri.schedule
-        assert schedule is not None
-        order = schedule.as_order()
-        assert np.unique(order).size == order.size
-        # Pruned solves write strictly fewer entries than n.
-        assert 0 < schedule.n_scheduled < L.n
-
 
 # --------------------------------------------------------------------------- #
 # Bitwise identity of the compiled parallel entries (C backend)
@@ -156,8 +141,8 @@ class TestBitwiseIdentity:
                 ),
             )
 
-    def test_trisolve_matches_serial_bits(self, tmp_path, monkeypatch):
-        """Dense and sparse right-hand sides, including supernodal bodies."""
+    def test_trisolve_falls_back_to_the_serial_body(self, tmp_path, monkeypatch):
+        """Dense and sparse right-hand sides, simplicial and supernodal bodies: the serial bits, the wavefront ABI."""
         monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
         A = _permuted_laplacian(14)
         for vs_block in (False, True):  # simplicial and supernodal serial bodies
@@ -167,23 +152,16 @@ class TestBitwiseIdentity:
                 serial.with_updates(parallel="wavefront"), cache=ArtifactCache()
             )
             L = sym_s.compile("cholesky", A).factorize(A)
-            tri_s = sym_s.compile("triangular-solve", L)
-            tri_w = sym_w.compile("triangular-solve", L)
-            assert tri_w.parallel_mode == "wavefront"
             b = np.cos(np.arange(L.n, dtype=np.float64))
-            _assert_bitwise(
-                tri_s.solve_arrays(L.indptr, L.indices, L.data, b),
-                tri_w.solve_arrays(L.indptr, L.indices, L.data, b, num_threads=4),
-            )
-            # Seed 3: a supernode block of the serial body reaches past the
-            # reach set of the right-hand side (columns the schedule omits).
-            for seed in (11, 3):
-                rhs = sparse_rhs(L.n, nnz=3, seed=seed)
-                pat = np.nonzero(rhs)[0]
-                ps = sym_s.compile("triangular-solve", L, rhs_pattern=pat)
-                pw = sym_w.compile("triangular-solve", L, rhs_pattern=pat)
-                if vs_block and seed == 3:
-                    assert pw.parallel_mode == "wavefront"
+            for seed in (None, 11, 3):
+                rhs = b if seed is None else sparse_rhs(L.n, nnz=3, seed=seed)
+                pattern = None if seed is None else np.nonzero(rhs)[0]
+                ps = sym_s.compile("triangular-solve", L, rhs_pattern=pattern)
+                pw = sym_w.compile("triangular-solve", L, rhs_pattern=pattern)
+                assert pw.parallel_mode == "serial-fallback" and pw.accepts_num_threads
+                assert pw.decisions["wavefront"] == {"mode": "serial-fallback", "fallback_reason": "no-schedule"}
+                assert "_wf_run" not in pw.source
+                assert not any(name.startswith("_C_wf_") for name in pw.constants)
                 _assert_bitwise(
                     ps.solve_arrays(L.indptr, L.indices, L.data, rhs),
                     pw.solve_arrays(L.indptr, L.indices, L.data, rhs, num_threads=4),
@@ -239,20 +217,17 @@ class TestBitwiseIdentity:
         assert fac.schedule.average_width == 1.0
         assert fac.parallel_mode == "wavefront"
 
-    @pytest.mark.parametrize("method", ["triangular-solve", *FACTOR_CASES])
-    def test_every_kernel_records_its_wavefront_decision(self, method):
+    @pytest.mark.parametrize("method", sorted(FACTOR_CASES))
+    def test_every_factorization_records_its_wavefront_decision(self, method):
         sym = Sympiler(_c_options(parallel="wavefront"), cache=ArtifactCache())
-        A = FACTOR_CASES.get(method, FACTOR_CASES["cholesky"])()
-        operand = sym.compile("cholesky", A).inspection.l_pattern_matrix() if method == "triangular-solve" else A
-        artifact = sym.compile(method, operand)
+        artifact = sym.compile(method, FACTOR_CASES[method]())
         decision = artifact.decisions["wavefront"]
         assert decision["mode"] == artifact.parallel_mode
         assert {"n_levels", "max_width", "average_width"} <= set(decision)
         assert ("fallback_reason" in decision) == (decision["mode"] == "serial-fallback")
 
 
-#: The update line of each kernel's step body (and, for the triangular solve,
-#: of the pull-form row solve its wavefront job runs).
+#: The update line of each kernel's step body.
 UPDATE_LINES = {
     "cholesky": ["repro_f[_C_l_indices[p]] -= Lx[p] * ljk;"],
     "ldlt": ["repro_f[_C_l_indices[p]] -= Lx[p] * ljk;"],
@@ -261,10 +236,6 @@ UPDATE_LINES = {
     "ilu0": [
         "Ux[_C_u_scat_dst[s]] -= Lx[_C_u_scat_src[s]] * ukj;",
         "Lx[_C_l_scat_dst[s]] -= Lx[_C_l_scat_src[s]] * ukj;",
-    ],
-    "triangular-solve": [
-        "x[Li[p]] -= Lx[p] * xj;",
-        "acc -= Lx[_C_wf_row_pos[s]] * x[_C_wf_row_col[s]];",
     ],
 }
 
@@ -275,11 +246,7 @@ def test_wavefront_source_prints_each_step_body_once(kernel, tmp_path, monkeypat
     """The serial loop and the wavefront job call one step function."""
     monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
     sym = Sympiler(_c_options(enable_vs_block=False, parallel="wavefront"), cache=ArtifactCache())
-    if kernel == "triangular-solve":
-        operand = sym.compile("cholesky", _permuted_laplacian(12)).inspection.l_pattern_matrix()
-    else:
-        operand = FACTOR_CASES[kernel]()
-    artifact = sym.compile(kernel, operand)
+    artifact = sym.compile(kernel, FACTOR_CASES[kernel]())
     assert artifact.parallel_mode == "wavefront"
     for line in UPDATE_LINES[kernel]:
         assert artifact.source.count(line) == 1, line
