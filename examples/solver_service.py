@@ -39,7 +39,7 @@ def main() -> None:
         print(
             f"registered pattern {handle.fingerprint} "
             f"(n={handle.n}, nnz={handle.nnz}, factor nnz={handle.factor_nnz}, "
-            f"schedule levels={handle.schedule_levels}, warm={handle.warm})"
+            f"warm={handle.warm})"
         )
 
         # Data-plane: N clients, each a thread with its own connection,

@@ -7,8 +7,7 @@ full system:
 
 * :mod:`repro.sparse`   — CSC/CSR/COO containers, generators, orderings, I/O.
 * :mod:`repro.symbolic` — reach-sets, elimination trees, fill prediction,
-  supernodes, level-set (wavefront) execution schedules, and the
-  symbolic-inspector framework.
+  supernodes and the symbolic-inspector framework.
 * :mod:`repro.kernels`  — interpreted reference kernels, the test oracles of
   the compiled ones (dense micro-kernels, simplicial/supernodal Cholesky,
   LDLᵀ, LU, IC(0)/ILU(0), FLOP counts).
@@ -82,7 +81,6 @@ from repro.sparse import (
     unsymmetric_diag_dominant,
 )
 from repro.solvers import BatchedSolver, SparseLinearSolver, preconditioned_conjugate_gradient
-from repro.symbolic.levels import ExecutionSchedule
 
 __all__ = [
     "__version__",
@@ -109,7 +107,6 @@ __all__ = [
     "registered_kernels",
     "SparseLinearSolver",
     "BatchedSolver",
-    "ExecutionSchedule",
     "CSCMatrix",
     "CSRMatrix",
     "COOMatrix",

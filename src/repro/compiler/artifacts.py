@@ -107,7 +107,7 @@ class CompiledArtifact:
     #: for the untransformed triangular solve.
     loop: Optional[DomainLoop] = field(repr=False)
     module: object = field(repr=False)
-    #: The module's binder, ``entry(inputs, outputs) -> run(num_threads=None)``
+    #: The module's binder, ``entry(inputs, outputs) -> run()``
     #: (:meth:`~repro.compiler.codegen.c_backend.CMethodSpec.wrap`); reached
     #: through :meth:`bind`, which checks the arrays first.
     entry: callable = field(repr=False)
@@ -140,10 +140,9 @@ class CompiledArtifact:
         compile-time one raises ``ValueError`` naming it, and so does one
         that is not C-contiguous of the entry's element type.
 
-        Returns ``call(num_threads=None)``, which runs the kernel on those
-        very arrays — it keeps them alive — and nothing else.  A wavefront
-        entry resolves ``num_threads`` per call; a serial one ignores it.
-        With tracing enabled, a call runs under a ``numeric`` span.
+        Returns ``call()``, which runs the kernel on those very arrays — it
+        keeps them alive — and nothing else.  With tracing enabled, a call
+        runs under a ``numeric`` span.
         """
         spec = _C_METHOD_SPECS[self.module.method]
         lengths = (*self._input_lengths(), *(getattr(self.inspection, attr) for _, attr in spec.outputs))
@@ -160,13 +159,14 @@ class CompiledArtifact:
                 raise ValueError(f"{name} must be writeable")
         run = entry(tuple(inputs), tuple(outputs))
 
-        def call(num_threads=None):
+        def call():
             if not observe_trace.enabled():
-                return run(num_threads)
-            return self._traced_numeric(run, num_threads, op)
+                return run()
+            with observe_trace.span("numeric", kernel=self.kernel_name, op=op, fingerprint=self.fingerprint):
+                run()
 
-        # A serial C entry's address and arguments (CMethodSpec.wrap); None
-        # on the python backend and for a wavefront entry.
+        # The C entry's address and arguments (CMethodSpec.wrap); None on the
+        # python backend.
         call.c_call = getattr(run, "c_call", None)
         return call
 
@@ -179,7 +179,7 @@ class CompiledArtifact:
         spec = _C_METHOD_SPECS[self.module.method]
         return tuple(np.zeros(getattr(self.inspection, attr)) for _, attr in spec.outputs)
 
-    def _fresh_outputs(self, inputs, num_threads):
+    def _fresh_outputs(self, inputs):
         """Bind ``inputs`` (made contiguous of the entry's dtypes) to :meth:`new_outputs`, call once, return them.
 
         A bare array for one output, a tuple otherwise.
@@ -187,34 +187,8 @@ class CompiledArtifact:
         spec = _C_METHOD_SPECS[self.module.method]
         inputs = [np.ascontiguousarray(a, dtype=d) for a, d in zip(inputs, spec.dtypes)]
         outputs = self.new_outputs()
-        self.bind(inputs, outputs)(num_threads)
+        self.bind(inputs, outputs)()
         return outputs[0] if len(outputs) == 1 else outputs
-
-    def _traced_numeric(self, run: Callable, num_threads, op: str) -> None:
-        """Run a bound entry under a ``numeric`` trace span.
-
-        Only called when tracing is enabled (a bound call takes the direct
-        path otherwise).  With the tracer's ``wavefront_levels`` flag up and
-        a wavefront-compiled module, the per-level wall times recorded by the
-        C runtime are attached to the span as ``wf_level_seconds``.
-        """
-        wf = (
-            observe_trace.wavefront_levels_enabled()
-            and self.parallel_mode == "wavefront"
-            and op == self.numeric_op  # the solve entry is serial
-        )
-        if wf:
-            # Raises the runtime flag in the loaded .so; the timestamp code
-            # is always compiled in, so this never recompiles anything.
-            self.module.set_wavefront_profiling(True)
-        with observe_trace.span(
-            "numeric", kernel=self.kernel_name, op=op, fingerprint=self.fingerprint
-        ) as sp:
-            run(num_threads)
-            if wf:
-                levels = self.module.wavefront_level_seconds()
-                if levels is not None:
-                    sp.set(wf_level_seconds=[float(v) for v in levels])
 
     @property
     def backend(self) -> str:
@@ -241,21 +215,12 @@ class CompiledArtifact:
 
     @property
     def parallel_mode(self) -> str:
-        """Within-kernel execution mode the module was compiled in.
+        """``"serial-fallback"`` where ``parallel="wavefront"`` was asked of the C backend, else ``"none"``.
 
-        ``"none"`` — serial ABI (the default); ``"wavefront"`` — level-
-        parallel entry point taking a runtime thread count; ``"serial-
-        fallback"`` — wavefront ABI around the serial body (requested
-        wavefront, but the schedule was too deep, the kernel supernodal or a
-        triangular solve, which has no schedule; the reason is recorded
-        under ``decisions["wavefront"]``).
+        Every kernel is serial either way (the source is the same); kept for
+        its one caller, the wavefront rung of ``benchmarks/e2e``'s ladder.
         """
-        return getattr(self.module, "parallel", "none")
-
-    @property
-    def accepts_num_threads(self) -> bool:
-        """True when the entry point takes a per-call thread count."""
-        return self.parallel_mode != "none"
+        return self.decisions.get("wavefront", {}).get("mode", "none")
 
     def _check_fingerprint(self, fp: str, hint: str) -> None:
         if fp != self.fingerprint:
@@ -289,24 +254,13 @@ class SympiledTriangularSolve(CompiledArtifact):
             self.verify_pattern(L)
         return self.solve_arrays(L.indptr, L.indices, L.data, b)
 
-    def solve_arrays(
-        self,
-        Lp: np.ndarray,
-        Li: np.ndarray,
-        Lx: np.ndarray,
-        b: np.ndarray,
-        *,
-        num_threads=None,
-    ) -> np.ndarray:
+    def solve_arrays(self, Lp: np.ndarray, Li: np.ndarray, Lx: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Raw-array entry point (numeric arrays only): :meth:`bind` to a fresh ``x``, call once.
 
-        ``num_threads`` applies only to wavefront-compiled artifacts (the
-        level-parallel entry takes a per-call thread count); it is ignored by
-        serial artifacts, so callers need not branch on the compiled mode.
         An array whose length is not the compile-time one raises
         ``ValueError`` before the kernel runs.
         """
-        return self._fresh_outputs((Lp, Li, Lx, b), num_threads)
+        return self._fresh_outputs((Lp, Li, Lx, b))
 
     def verify_pattern(self, L: CSCMatrix) -> None:
         """Raise :class:`PatternMismatchError` if ``L`` has a different pattern."""
@@ -349,22 +303,12 @@ class SympiledFactorization(CompiledArtifact):
         """Raw-array entry point: :meth:`bind` to fresh outputs, call once, return them.
 
         The outputs are the kernel's value arrays (``Lx``, ``(Lx, D)`` or
-        ``(Lx, Ux)``).  ``num_threads`` applies only to wavefront-compiled
-        artifacts (the level-parallel entry takes a per-call thread count);
-        it is ignored by serial artifacts, so callers need not branch on the
-        compiled mode.  An array whose length is not the compile-time one
-        raises ``ValueError`` before the kernel runs.
+        ``(Lx, Ux)``).  An array whose length is not the compile-time one
+        raises ``ValueError`` before the kernel runs.  ``num_threads`` is
+        ignored (every kernel is serial); it is kept for its one caller, the
+        wavefront rung of ``benchmarks/e2e``'s ladder.
         """
-        return self._fresh_outputs((Ap, Ai, Ax), num_threads)
-
-    @property
-    def schedule(self):
-        """The level-set :class:`~repro.symbolic.levels.ExecutionSchedule`.
-
-        Computed by the symbolic inspector at compile time, so it is cached
-        under the same pattern fingerprint as the generated code.
-        """
-        return self.inspection.schedule
+        return self._fresh_outputs((Ap, Ai, Ax))
 
     def bind_solve(self, inputs, outputs) -> Callable:
         """The module's solve entry bound to ``inputs`` and ``outputs``, once, as :meth:`bind` binds the kernel.
@@ -374,8 +318,7 @@ class SympiledFactorization(CompiledArtifact):
         work vector ``w`` and ``x``.  The call writes ``x`` solving
         ``A x = b``, ``A`` being the matrix whose symmetric permutation by
         ``perm`` this kernel factorizes.  It reads ``b`` whole before it
-        writes ``x``, so ``x`` may be ``b``; ``w`` must be neither.  The entry
-        is serial: the call ignores ``num_threads``.  The direct
+        writes ``x``, so ``x`` may be ``b``; ``w`` must be neither.  The direct
         factorizations (Cholesky, LDLᵀ, LU) and IC(0) have a solve entry;
         IC(0)'s applies the preconditioner ``(L Lᵀ)⁻¹``.  ILU(0) has none
         and raises ``TypeError``.

@@ -28,7 +28,7 @@ The report also sizes what the run left in the cache directory
 (``source_bytes`` of generated ``.c``/``.py`` files, ``so_bytes`` in
 ``so_files`` shared objects): generated code is a constant of the code shape,
 not of the pattern, and tier-1 holds the probe workload's total under 256 KB
-(1.5x the 170,527 bytes in 8 ``.so`` it measures with gcc 12.2 ``-O3``).
+(it measures 145,798 bytes in 7 ``.so`` with gcc 12.2 ``-O3``).
 """
 
 from __future__ import annotations
@@ -112,18 +112,6 @@ def run_probe(backend: str = SympilerOptions.backend) -> Dict[str, object]:
     results["ilu0_ok"] = bool(
         np.isfinite(inc.L.data).all() and np.isfinite(inc.U.data).all()
     )
-    # A wavefront-compiled kernel joins the warm-cache contract too: the
-    # parallel mode is part of the options fingerprint, so this artifact
-    # keys (and persists) separately from the serial cholesky above — a
-    # warm probe run must reload *both* with zero recompiles.
-    sym_wf = Sympiler(options.with_updates(parallel="wavefront"), cache=ArtifactCache())
-    chol_wf = sym_wf.compile("cholesky", spd)
-    L_wf = chol_wf.factorize(spd)
-    results["cholesky_wavefront_ok"] = bool(
-        L_wf.nnz > 0
-        and np.array_equal(L_wf.data, L.data)
-        and chol_wf.parallel_mode in ("wavefront", "serial-fallback", "none")
-    )
     # The front end joins the warm-cache contract: repro.solve's mindeg-
     # ordered compiles (a pattern distinct from the natural-order compiles
     # above) must persist to disk and reload on the warm run, and its second
@@ -162,7 +150,7 @@ def run_probe(backend: str = SympilerOptions.backend) -> Dict[str, object]:
     return {
         "backend": chol.backend,
         "workload": results,
-        "kernels": sorted({a.module.method for a in (chol, tri, ldlt, chol_fem, lu, ic0, ilu0, chol_wf)}),
+        "kernels": sorted({a.module.method for a in (chol, tri, ldlt, chol_fem, lu, ic0, ilu0)}),
         "so_compiles": disk.compiles,
         "so_reuses": disk.reuses,
         "py_writes": disk.py_writes,

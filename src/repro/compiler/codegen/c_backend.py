@@ -9,25 +9,23 @@ backend's reference kernels over the same tables.
 
 What may be literal in the generated source
 -------------------------------------------
-Only what changes the *code*: which loop nest the plan chose
-(simplicial or supernodal, serial or wavefront).  The
-backend never reads the pattern to decide *what code* to emit: source is a
-function of (kernel, options, code shape).  Everything that depends on the
-sparsity pattern alone — every inspection set (``l_indptr``, ``prune_ptr``,
-the supernode and descendant descriptors, the scatter tables, the level
-schedule, the triangular solve's segment descriptors) and every size (``n``,
-nnz, supernode, segment and level counts) — is *data*.  Its name and its
-position come from the table contract (:mod:`repro.compiler.codegen.tables`):
-the block is the contract of the kernel's domain loop, followed, for a
-wavefront kernel, by the level schedule; the printed code names ``_C_<name>``
-for a table and the bare name for a size, and the python backend's reference
-kernels read the same block.
+Only what changes the *code*: which loop nest the plan chose (simplicial or
+supernodal).  The backend never reads the pattern to decide *what code* to
+emit: source is a function of (kernel, options, code shape).  Everything that
+depends on the sparsity pattern alone — every inspection set (``l_indptr``,
+``prune_ptr``, the supernode and descendant descriptors, the scatter tables,
+the triangular solve's segment descriptors) and every size (``n``, nnz,
+supernode and segment counts) — is *data*.  Its name and its position come
+from the table contract (:mod:`repro.compiler.codegen.tables`): the block is
+the contract of the kernel's domain loop; the printed code names
+``_C_<name>`` for a table and the bare name for a size, and the python
+backend's reference kernels read the same block.
 The loaded entry point receives the block through one trailing pointer
 argument.  So the size of a source file and the time ``cc`` spends on it are
 constants of the code shape, and two patterns that lower to the same code
 produce byte-identical source and share one ``.so`` through the
-source-fingerprint file stem; every serial triangular solve is the same
-``.so``.
+source-fingerprint file stem; every triangular solve of one option bundle is
+the same ``.so``.
 
 One step, printed once
 ----------------------
@@ -37,10 +35,7 @@ the outputs, the body of one step (a column; a segment of the triangular
 solve; a supernode of the VS-Block'd factorization) and the work buffers a
 step reads.  The body becomes ``static inline int64_t {entry}_step(int64_t j,
 <the entry's arrays>, const int64_t* const* repro_T)``, which returns 0 or the
-failing column + 1.  The entry is the preamble and a loop over the steps; a
-wavefront job calls the same step.  (``inline`` lets ``cc`` inline the step at
-both call sites of a wavefront source, as it does at the one of a serial
-source: out of line, the per-call binding cost IC(0) 20-30 % at one thread.)
+failing column + 1.  The entry is the preamble and a loop over the steps.
 
 Entry points generated (``repro_T`` is the table block; ``repro_T[0]`` holds
 the scalar sizes, ``repro_T[k]`` the k-th registered inspection set):
@@ -63,29 +58,22 @@ the scalar sizes, ``repro_T[k]`` the k-th registered inspection set):
   <name>_solve(const int64_t* perm, const double* Lx[, const double* D |
   Ux], const double* b, double* w, double* x, const int64_t* const*
   repro_T)``: ``x`` solving ``A x = b`` on the factors the entry wrote, read
-  in place (:func:`_emit_solve`; IC(0)'s applies ``(L Lᵀ)⁻¹``); serial, with
-  or without ``parallel="wavefront"``.
+  in place (:func:`_emit_solve`; IC(0)'s applies ``(L Lᵀ)⁻¹``).
 
 The table block is built once, when the module is loaded
 (:meth:`CMethodSpec.wrap`), from the arrays the compile call already holds;
 nothing is persisted for it, because every process re-runs inspection before
 it loads a ``.so``.
 
-Under ``SympilerOptions(parallel="wavefront")`` every entry point gains an
-``int64_t n_threads`` argument (before the table block) and executes the
-columns of each level of the inspector's cached
-:class:`~repro.symbolic.levels.ExecutionSchedule` across a persistent pthread
-worker pool, with a barrier between levels (the paper's H-Level parallelism,
-applied *within* one numeric call); with ``n_threads <= 1`` it runs the
-serial loop.  Levels are antichains of the column dependency DAG, so
-per-column writes are disjoint and the result is bitwise identical to the
-serial kernel; when the schedule has no parallelism to mine (or the kernel is
-supernodal, or a triangular solve, whose inspector builds no schedule) the
-serial kernel is emitted behind the same ABI and the fallback is recorded on
-the artifact.  The pool, the barrier and the
-per-level clock are module state, so a wavefront source is stamped with the
-fingerprint of its tables and its ``.so`` is never shared between patterns
-(two patterns would serialise on one job mutex).
+Every entry is serial: one ABI and one source per kernel and code shape.
+Threads run across calls, not inside one: the batch entries map one loaded
+entry over a thread pool (:func:`~repro.solvers.linear_solver.map_items`),
+each thread on its own ``_Thread_local`` work buffers.
+``SympilerOptions(parallel="wavefront")`` compiles the serial source byte for
+byte, so it shares the ``.so``, and records the fallback on the artifact
+(:data:`_SERIAL_FALLBACK`).  Why no thread runs inside a kernel: a job over
+the factorizations' level sets, a barrier between levels, ran at 0.82-1.14x
+of the serial kernel at two threads on two cores.
 """
 
 from __future__ import annotations
@@ -243,12 +231,6 @@ class CGeneratedModule:
     compiler: str
     flags: Tuple[str, ...]
     n: int
-    # Within-kernel execution mode of the generated entry point: "none"
-    # (serial ABI), "wavefront" (level-parallel, n_threads arg) or
-    # "serial-fallback" (wavefront ABI around the serial body — emitted when
-    # the schedule is too deep or the kernel supernodal).
-    parallel: str = "none"
-    meta: Dict[str, int] = field(default_factory=dict)
     compile_seconds: float = 0.0
     shared_object: Optional[str] = None
     #: True when the ``.so`` was already on disk (or another process was
@@ -292,8 +274,8 @@ class CGeneratedModule:
             extra_flags.append("-ffp-contract=off")
         if "#include <pthread.h>" in self.source:
             # REPRO_CFLAGS cannot be asked to carry -pthread (kernels without
-            # threads or work buffers must keep compiling without it), so it
-            # is derived from the source itself.
+            # work buffers must keep compiling without it), so it is derived
+            # from the source itself.
             extra_flags.append("-pthread")
         # The stem covers source AND toolchain: the same generated source
         # built with different flags (an -O0 vs -O3 ablation, say) must not
@@ -335,49 +317,9 @@ class CGeneratedModule:
         self.shared_object = so_path
         self.compile_seconds = time.perf_counter() - start
         if spec.solve:
-            self.solve_entry = spec.solve_spec.wrap(self, getattr(lib, f"{self.entry_name}_solve"), wavefront=False)
-        self._callable = spec.wrap(self, fn, wavefront=self.parallel != "none")
+            self.solve_entry = spec.solve_spec.wrap(self, getattr(lib, f"{self.entry_name}_solve"))
+        self._callable = spec.wrap(self, fn)
         return self._callable
-
-    # ------------------------------------------------------------------ #
-    # Wavefront per-level profiling (observability layer)
-    # ------------------------------------------------------------------ #
-    def set_wavefront_profiling(self, on: bool) -> bool:
-        """Raise/lower the runtime per-level timing flag in the loaded ``.so``.
-
-        The timestamp instructions are always compiled into wavefront kernels
-        (so the cache key never forks on profiling) but record only while
-        this flag is up.  Returns False when this module is not a loaded
-        wavefront kernel (serial fallback, python backend, not yet compiled).
-        """
-        if self._lib is None or self.parallel != "wavefront":
-            return False
-        setter = self._lib.repro_wf_set_profile
-        setter.argtypes = [ctypes.c_int64]
-        setter.restype = None
-        setter(1 if on else 0)
-        return True
-
-    def wavefront_level_seconds(self) -> Optional[np.ndarray]:
-        """Per-level durations (seconds) of the last *profiled* parallel run.
-
-        Reads the ``{entry}_wf_level_times`` timestamp buffer written by
-        participant 0 and returns its consecutive differences — one float per
-        schedule level.  ``None`` when this module is not a loaded wavefront
-        kernel or profiling was never enabled (the buffer is all zeros).
-        Note the serial dispatch path (``n_threads <= 1``) bypasses the pool
-        and records nothing.
-        """
-        n_levels = int(self.meta.get("wf_n_levels", 0))
-        if self._lib is None or self.parallel != "wavefront" or n_levels <= 0:
-            return None
-        getter = getattr(self._lib, f"{self.entry_name}_wf_level_times")
-        getter.restype = ctypes.POINTER(ctypes.c_double)
-        getter.argtypes = []
-        ts = np.ctypeslib.as_array(getter(), shape=(n_levels + 1,))
-        if not ts.any():
-            return None
-        return np.diff(ts.copy())
 
 
 # --------------------------------------------------------------------------- #
@@ -386,51 +328,30 @@ class CGeneratedModule:
 _NUMPY_DTYPES = {"int64_t": np.int64, "double": np.float64}
 
 
-def num_threads_from_env() -> Optional[int]:
-    """The ``REPRO_NUM_THREADS`` override: ``None`` when unset or blank.
+def resolve_num_threads(num_threads: Optional[int]) -> int:
+    """Normalize the batch entries' thread-count knob to a concrete worker count.
 
-    The one parser of the variable (:func:`resolve_num_threads` reads it).
-    Surrounding blanks are ignored; anything else must be an integer.
-    """
-    raw = os.environ.get("REPRO_NUM_THREADS", "")
-    if not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"REPRO_NUM_THREADS must be an integer, got {raw!r}") from None
-
-
-def resolve_num_threads(num_threads: Optional[int], unset: int = 1) -> int:
-    """Normalize a thread-count knob to a concrete worker count.
-
-    The one precedence of every entry point: an explicit ``num_threads``
-    wins; when it is ``None``, ``REPRO_NUM_THREADS`` applies (CI runners and
-    service containers pin the count there without touching call sites);
-    with neither, ``unset``.  ``0`` at any step means one per CPU.
-
-    Entry points differ only in ``unset``.  A wavefront kernel's own call
-    (:func:`_wavefront_threads`) passes ``0``: called without any request it
-    should saturate the machine, that being its purpose.  The batch entries
-    (``BatchedSolver``, ``SparseLinearSolver.solve_many``) keep the default
-    of 1.  The count is a call argument, not an option: it changes no
-    generated code, so re-tuning it never recompiles.
+    The one precedence of ``BatchedSolver``, ``SparseLinearSolver.solve_many``
+    and :func:`~repro.solvers.linear_solver.map_items` (the one thread
+    mechanism): an explicit ``num_threads`` wins; when it is ``None``,
+    ``REPRO_NUM_THREADS`` applies (CI runners and service containers pin the
+    count there without touching call sites; surrounding blanks are ignored,
+    blank is unset, anything else must be an integer); with neither, 1.
+    ``0`` at any step means one per CPU.  The count is a call argument, not an
+    option: it changes no generated code, so re-tuning it never recompiles.
     """
     if num_threads is None:
-        num_threads = num_threads_from_env()
-    if num_threads is None:
-        num_threads = unset
+        raw = os.environ.get("REPRO_NUM_THREADS", "")
+        try:
+            num_threads = int(raw) if raw.strip() else 1
+        except ValueError:
+            raise ValueError(f"REPRO_NUM_THREADS must be an integer, got {raw!r}") from None
     num_threads = int(num_threads)
     if num_threads < 0:
         raise ValueError("num_threads must be non-negative (0 means one per CPU)")
     if num_threads == 0:
         return os.cpu_count() or 1
     return num_threads
-
-
-def _wavefront_threads(num_threads: Optional[int]) -> int:
-    """The thread count of one wavefront entry call: one per CPU when nothing is set."""
-    return resolve_num_threads(num_threads, 0)
 
 
 @dataclass(frozen=True)
@@ -440,8 +361,7 @@ class CMethodSpec:
     The entry point takes the ``inputs`` (``(C name, element type)`` of each
     ``const`` array, in order), then one ``double*`` per ``outputs`` entry
     (``(C name, size attribute)`` — the buffer length is that attribute of
-    the inspection result: ``n``, ``factor_nnz``, ``l_nnz``, ...), then, when
-    compiled for ``parallel="wavefront"``, an ``int64_t n_threads``, and last
+    the inspection result: ``n``, ``factor_nnz``, ``l_nnz``, ...), and last
     the table block ``const int64_t* const* repro_T`` — one pointer per
     inspection set the source names, in registration order.  The kernel's
     step function takes the same arrays (:attr:`params`).  ``failure`` is the
@@ -449,9 +369,8 @@ class CMethodSpec:
     the entry returns the positive status ``column + 1``; ``None`` declares a
     ``void`` entry that cannot fail.  ``loops`` are the roles of the domain
     loops (:data:`_LOOPS`) the kernel can be printed from, ``"untransformed"``
-    standing for a body without one; a wavefront job runs the same step as
-    the serial loop.  ``solve`` says whether the module also exports the
-    serial ``<entry>_solve`` (:func:`_emit_solve`, ABI :attr:`solve_spec`):
+    standing for a body without one.  ``solve`` says whether the module also
+    exports ``<entry>_solve`` (:func:`_emit_solve`, ABI :attr:`solve_spec`):
     Cholesky, LDLᵀ, LU and IC(0) do.  Both the emitted C signatures and the
     ctypes binders derive from this one description.
     """
@@ -473,9 +392,9 @@ class CMethodSpec:
         """The C names of the entry's arrays, in ABI order."""
         return [name for name, _ in (*self.inputs, *self.outputs)]
 
-    def signature(self, name: str, wavefront: bool) -> str:
+    def signature(self, name: str) -> str:
         """The C prototype of the entry point ``name``."""
-        params = [*self.params, *(["int64_t n_threads"] if wavefront else []), "const int64_t* const* repro_T"]
+        params = [*self.params, "const int64_t* const* repro_T"]
         restype = "void" if self.failure is None else "int64_t"
         return f"{restype} {name}({', '.join(params)})"
 
@@ -492,32 +411,28 @@ class CMethodSpec:
         """The NumPy dtype of each of the entry's arrays, in ABI order."""
         return [_NUMPY_DTYPES[ctype] for _, ctype in self.inputs] + [np.float64] * len(self.outputs)
 
-    def wrap(self, module: "CGeneratedModule", fn, wavefront: bool) -> Callable:
-        """The binder of the loaded entry point ``fn``, which takes ``n_threads`` if ``wavefront``.
+    def wrap(self, module: "CGeneratedModule", fn) -> Callable:
+        """The binder of the loaded entry point ``fn``.
 
         ``bind(inputs, outputs)`` takes the input arrays and the output
         buffers in ABI order — checked by the caller for length, dtype and
         contiguity (:meth:`~repro.compiler.artifacts.CompiledArtifact.bind`)
-        — and reads their addresses once.  It returns ``run(num_threads=None)``,
-        which calls the entry on those addresses and nothing else, and keeps
-        the arrays alive.  The entry of a module compiled for
-        ``parallel="wavefront"`` (whatever ``module.parallel`` it got)
-        resolves ``num_threads`` per call — the thread count is a runtime
-        knob, never baked in; a serial entry ignores it.
+        — and reads their addresses once.  It returns ``run()``, which calls
+        the entry on those addresses and nothing else, and keeps the arrays
+        alive.
 
         The table block is bound here, once: an array of the addresses of
         ``module.constants``' buffers, which the closures keep alive for as
         long as a binder or a call exists.  A call passes the block's address
         last, whatever the number of tables.
 
-        A serial ``run`` also carries ``run.c_call``: the entry's address and
+        ``run`` also carries ``run.c_call``: the entry's address and
         the argument addresses it calls it with, for a caller that calls the
         entry from C (the solver's warm step, :mod:`repro.symbolic.native`)
         while it holds ``run``.
         """
         fn.restype = None if self.failure is None else ctypes.c_int64
-        tail = [ctypes.c_int64] if wavefront else []
-        fn.argtypes = [ctypes.c_void_p] * len(self.names) + tail + [ctypes.c_void_p]
+        fn.argtypes = [ctypes.c_void_p] * (len(self.names) + 1)
         tables = list(module.constants.values())  # contiguous int64, see tables.entry
         block = (ctypes.c_void_p * len(tables))(*(t.ctypes.data for t in tables))
         block_address = ctypes.addressof(block)
@@ -527,18 +442,14 @@ class CMethodSpec:
             arrays = (*inputs, *outputs)
             addresses = [a.ctypes.data for a in arrays]
 
-            def run(num_threads=None, _keepalive=(arrays, tables, block)):
+            def run(_keepalive=(arrays, tables, block)):
                 # _keepalive: the buffers behind the addresses must live as
                 # long as the call that hands them out.
-                if wavefront:
-                    status = fn(*addresses, _wavefront_threads(num_threads), block_address)
-                else:
-                    status = fn(*addresses, block_address)
+                status = fn(*addresses, block_address)
                 if status:
                     self.raise_status(status)
 
-            if not wavefront:
-                run.c_call = (fn_address, (*addresses, block_address))
+            run.c_call = (fn_address, (*addresses, block_address))
             return run
 
         return bind
@@ -615,136 +526,6 @@ class _CEmitter:
 
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
-
-
-_WF_RUNTIME = r"""
-/* --------------------------------------------------------------------- */
-/* Wavefront (H-Level) runtime: a persistent detached worker pool plus a */
-/* sense-reversing barrier.  One loaded kernel runs one wavefront job at */
-/* a time (pool and barrier are module state); concurrent callers        */
-/* serialize on the job mutex — the batched runtime threads across items */
-/* instead of stacking within-item pools.                                */
-/* --------------------------------------------------------------------- */
-typedef struct {
-    void (*run)(int64_t tid, int64_t nt, void* job);
-    void* job;
-    int64_t active;
-} repro_wf_task_t;
-
-static pthread_mutex_t repro_wf_job_mu = PTHREAD_MUTEX_INITIALIZER;
-static pthread_mutex_t repro_wf_mu = PTHREAD_MUTEX_INITIALIZER;
-static pthread_cond_t repro_wf_cv = PTHREAD_COND_INITIALIZER;
-static pthread_cond_t repro_wf_done_cv = PTHREAD_COND_INITIALIZER;
-static repro_wf_task_t repro_wf_cur;
-static int64_t repro_wf_gen = 0;
-static int64_t repro_wf_outstanding = 0;
-static int64_t repro_wf_nworkers = 0;
-
-static _Atomic int64_t repro_wf_bar_count;
-static _Atomic int64_t repro_wf_bar_sense;
-static _Atomic int64_t repro_wf_status;
-
-/* Per-level profiling is opt-in at *runtime* (the observability layer's
-   wavefront_levels flag): the timestamp code is always compiled in — so the
-   source fingerprint, and therefore the on-disk cache key, does not fork on
-   a profiling toggle — but records only while this flag is raised. */
-static _Atomic int64_t repro_wf_profile_flag;
-
-void repro_wf_set_profile(int64_t on) {
-    atomic_store_explicit(&repro_wf_profile_flag, on, memory_order_relaxed);
-}
-
-static int64_t repro_wf_profile_on(void) {
-    return atomic_load_explicit(&repro_wf_profile_flag, memory_order_relaxed);
-}
-
-static double repro_wf_now(void) {
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
-}
-
-static void repro_wf_barrier(int64_t nparts, int64_t* sense) {
-    int64_t s = 1 - *sense;
-    *sense = s;
-    if (atomic_fetch_add_explicit(&repro_wf_bar_count, 1, memory_order_acq_rel)
-        == nparts - 1) {
-        atomic_store_explicit(&repro_wf_bar_count, 0, memory_order_relaxed);
-        atomic_store_explicit(&repro_wf_bar_sense, s, memory_order_release);
-    } else {
-        while (atomic_load_explicit(&repro_wf_bar_sense, memory_order_acquire) != s)
-            sched_yield();
-    }
-}
-
-static int64_t repro_wf_ok(void) {
-    return atomic_load_explicit(&repro_wf_status, memory_order_relaxed) == INT64_MAX;
-}
-
-static void repro_wf_fail(int64_t status) {
-    /* CAS-min: the smallest failing column wins, whatever thread found it,
-       so the reported status matches the serial kernel's first failure. */
-    int64_t seen = atomic_load_explicit(&repro_wf_status, memory_order_relaxed);
-    while (status < seen &&
-           !atomic_compare_exchange_weak_explicit(
-               &repro_wf_status, &seen, status,
-               memory_order_acq_rel, memory_order_relaxed)) {}
-}
-
-static void* repro_wf_worker(void* arg) {
-    int64_t tid = (int64_t)(intptr_t)arg;
-    int64_t seen = 0;
-    for (;;) {
-        pthread_mutex_lock(&repro_wf_mu);
-        while (repro_wf_gen == seen) pthread_cond_wait(&repro_wf_cv, &repro_wf_mu);
-        seen = repro_wf_gen;
-        repro_wf_task_t task = repro_wf_cur;
-        pthread_mutex_unlock(&repro_wf_mu);
-        if (tid < task.active) {
-            task.run(tid, task.active, task.job);
-            pthread_mutex_lock(&repro_wf_mu);
-            if (--repro_wf_outstanding == 0)
-                pthread_cond_signal(&repro_wf_done_cv);
-            pthread_mutex_unlock(&repro_wf_mu);
-        }
-    }
-    return 0;
-}
-
-static int64_t repro_wf_launch(void (*run)(int64_t, int64_t, void*),
-                               void* job, int64_t n_threads) {
-    pthread_mutex_lock(&repro_wf_job_mu);
-    atomic_store_explicit(&repro_wf_status, INT64_MAX, memory_order_relaxed);
-    atomic_store_explicit(&repro_wf_bar_count, 0, memory_order_relaxed);
-    atomic_store_explicit(&repro_wf_bar_sense, 0, memory_order_relaxed);
-    pthread_mutex_lock(&repro_wf_mu);
-    while (repro_wf_nworkers < n_threads - 1) {
-        pthread_t th;
-        if (pthread_create(&th, 0, repro_wf_worker,
-                           (void*)(intptr_t)(repro_wf_nworkers + 1)) != 0)
-            break;  /* degraded: run with the workers that did start */
-        pthread_detach(th);
-        repro_wf_nworkers++;
-    }
-    int64_t active =
-        n_threads < repro_wf_nworkers + 1 ? n_threads : repro_wf_nworkers + 1;
-    repro_wf_cur.run = run;
-    repro_wf_cur.job = job;
-    repro_wf_cur.active = active;
-    repro_wf_outstanding = active - 1;
-    repro_wf_gen++;
-    pthread_cond_broadcast(&repro_wf_cv);
-    pthread_mutex_unlock(&repro_wf_mu);
-    run(0, active, job);
-    pthread_mutex_lock(&repro_wf_mu);
-    while (repro_wf_outstanding != 0)
-        pthread_cond_wait(&repro_wf_done_cv, &repro_wf_mu);
-    pthread_mutex_unlock(&repro_wf_mu);
-    int64_t status = atomic_load_explicit(&repro_wf_status, memory_order_acquire);
-    pthread_mutex_unlock(&repro_wf_job_mu);
-    return status == INT64_MAX ? 0 : status;
-}
-"""
 
 
 #: Per-thread work buffers, grown on demand: nothing in the generated source
@@ -1270,9 +1051,10 @@ _LOOPS: Dict[str, _Loop] = {
     ),
 }
 
-#: ``parallel="wavefront"`` emits the serial body when the schedule's average
-#: level width is below this (:meth:`CBackend._wavefront_mode`).
-_WAVEFRONT_MIN_AVG_WIDTH = 1.5
+#: What ``parallel="wavefront"`` records under ``decisions["wavefront"]``:
+#: the serial kernel, whatever the method.  Kept for its one caller, the
+#: wavefront rung of ``benchmarks/e2e``'s ladder.
+_SERIAL_FALLBACK = {"mode": "serial-fallback", "fallback_reason": "no-schedule"}
 
 
 class CBackend:
@@ -1292,8 +1074,10 @@ class CBackend:
     def generate(self, domain: Optional[DomainLoop], method: str, entry: str, context) -> CGeneratedModule:
         """The :class:`CGeneratedModule` of ``method`` running ``domain`` (``None``: the untransformed loop).
 
-        It holds the step function, the wavefront job if any, and the entry
-        point ``entry``.
+        It holds the step function and the entry point ``entry`` (and, for a
+        direct factorization or IC(0), ``{entry}_solve``).
+        ``parallel="wavefront"`` compiles this same source: it only records
+        ``decisions["wavefront"]`` (:data:`_SERIAL_FALLBACK`).
         """
         start = time.perf_counter()
         spec = _C_METHOD_SPECS.get(method)
@@ -1303,58 +1087,36 @@ class CBackend:
         if role not in spec.loops:
             raise CCompilationError(f"the C backend requires a VI-Pruned or VS-Block'd {method} kernel")
         loop = _LOOPS[role]
-        contracts = [({}, {}) if domain is None else domain.contract]
-        parallel, fallback = "none", None
         if context.options.parallel == "wavefront":
-            parallel, fallback = self._wavefront_mode(context, role)
-        wavefront = parallel == "wavefront"
-        if wavefront:
-            schedule = context.inspection.schedule
-            contracts.append(tables.level_schedule(schedule))
-        constants = tables.block(context.inspection.n, *contracts)
-        dims = ["n", *(name for sizes, _ in contracts for name in sizes)]
+            context.decisions["wavefront"] = dict(_SERIAL_FALLBACK)
+        contract = ({}, {}) if domain is None else domain.contract
+        constants = tables.block(context.inspection.n, contract)
+        dims = ["n", *contract[0]]
 
         code = _CEmitter()
         self._emit_step(code, f"{entry}_step", loop, domain, spec)
-        if wavefront:
-            self._emit_job(code, entry, loop, spec, schedule.n_levels)
-        code.emit(spec.signature(entry, wavefront=parallel != "none") + " {")
+        code.emit(spec.signature(entry) + " {")
         code.push()
         code.emit("REPRO_BIND_TABLES")
         for line in loop.preamble:
             code.emit(line)
-        if wavefront:
-            self._emit_launch(code, entry, spec)
-        elif fallback is not None:
-            code.emit(f"(void)n_threads;  /* serial fallback: {fallback} */")
         self._emit_serial_loop(code, entry, loop, spec)
         code.pop()
         code.emit("}")
         if spec.solve:
-            _emit_solve(code, spec.solve_spec.signature(f"{entry}_solve", wavefront=False), domain)
+            _emit_solve(code, spec.solve_spec.signature(f"{entry}_solve"), domain)
 
         # The runtimes go in when the emitted code calls them.
         text = "\n".join(code.lines)
         work_buffers = "repro_ws" in text
         out = _CEmitter()
         out.emit("/* Sympiler-generated kernel (C backend). */")
-        if wavefront:
-            # Pool, barrier and level clock are module state: key the module
-            # by its tables so that no two patterns share (and serialise on)
-            # one loaded wavefront kernel.
-            tables_fp = pattern_fingerprint(*constants.values())
-            out.emit(f"/* wavefront module of the tables {tables_fp}; not shared between patterns */")
         out.emit("#include <stdint.h>")
         out.emit("#include <math.h>")
         out.emit("#include <string.h>")
         if work_buffers:
             out.emit("#include <stdlib.h>")
-        if work_buffers or wavefront:
             out.emit("#include <pthread.h>")
-        if wavefront:
-            out.emit("#include <stdatomic.h>")
-            out.emit("#include <sched.h>")
-            out.emit("#include <time.h>")
         out.emit("")
         # The inspection sets and sizes this code names, bound at the top of
         # every function from the table block its caller passes down.
@@ -1370,17 +1132,10 @@ class CBackend:
             out.emit(_WORK_BUFFERS)
         if "repro_v4" in text:
             out.emit(_V4)
-        if wavefront:
-            out.emit(_WF_RUNTIME)
         out.emit("")
         out.lines.extend(code.lines)
         source = out.source()
         codegen_seconds = time.perf_counter() - start
-        meta = {}
-        if wavefront:
-            # The per-level profiling buffer length, needed by
-            # wavefront_level_seconds() to read the timestamps back out.
-            meta["wf_n_levels"] = int(schedule.n_levels)
         return CGeneratedModule(
             source=source,
             entry_name=entry,
@@ -1390,46 +1145,7 @@ class CBackend:
             compiler=self.compiler,
             flags=self.flags,
             n=int(context.inspection.n),
-            parallel=parallel,
-            meta=meta,
         )
-
-    @staticmethod
-    def _wavefront_mode(context, role: str) -> Tuple[str, Optional[str]]:
-        """``("wavefront", None)`` or ``("serial-fallback", reason)``, recorded under ``decisions["wavefront"]``.
-
-        The wavefront ABI is kept either way — on fallback the serial kernel
-        is emitted behind it — so artifact callers never need to care which
-        body the compile chose.
-        """
-        schedule = getattr(context.inspection, "schedule", None)
-        if schedule is None:
-            # The triangular solve: a level of its pushes may write one x[i]
-            # twice, and the pull form that avoids that lost to the serial
-            # push form, so its inspector builds no schedule.
-            reason = "no-schedule"
-        elif role == "supernodal-cholesky":
-            # A supernode reads its descendants' panels from the calling
-            # thread's panel store, so one thread runs every supernode.
-            reason = "supernodal"
-        elif schedule.n_scheduled == 0:
-            reason = "empty-schedule"
-        elif schedule.average_width < _WAVEFRONT_MIN_AVG_WIDTH:
-            # n_levels close to n: a deep elimination tree, where per-level
-            # barriers cost more than the parallelism they unlock.
-            reason = "deep-etree"
-        else:
-            reason = None
-        mode = "wavefront" if reason is None else "serial-fallback"
-        info: Dict[str, object] = {"mode": mode}
-        if reason is not None:
-            info["fallback_reason"] = reason
-        if schedule is not None:
-            info["n_levels"] = schedule.n_levels
-            info["max_width"] = schedule.max_width
-            info["average_width"] = round(schedule.average_width, 3)
-        context.decisions["wavefront"] = info
-        return mode, reason
 
     @staticmethod
     def _emit_step(out: _CEmitter, name: str, loop: _Loop, domain: Optional[DomainLoop], spec: CMethodSpec) -> None:
@@ -1470,80 +1186,3 @@ class CBackend:
         out.pop()
         out.emit("}")
         out.emit("return 0;")
-
-    @staticmethod
-    def _emit_job(out: _CEmitter, entry: str, loop: _Loop, spec: CMethodSpec, n_levels: int) -> None:
-        """Print the wavefront job: its argument struct and ``{entry}_wf_run``, which runs ``{entry}_step`` level by level.
-
-        Participant ``tid`` of ``nt`` takes one contiguous chunk of each
-        level's slice of ``_C_wf_order``, with a barrier after every level;
-        the first failing step's status stops every participant.
-        """
-        fields = " ".join(f"{decl};" for decl in spec.params)
-        out.emit(f"typedef struct {{ {fields} const int64_t* const* repro_T; }} {entry}_wf_job_t;")
-        out.emit("")
-        # Per-level wall-clock timestamps, recorded by participant 0 only
-        # (after each barrier every level's columns are complete, so tid 0's
-        # clock reads bound the level) and only while the runtime profiling
-        # flag is raised.  Exported for ctypes via {entry}_wf_level_times.
-        # Module state like the pool: sized by this pattern's level count.
-        out.emit(f"static double {entry}_wf_level_ts[{n_levels} + 1];")
-        out.emit(f"double* {entry}_wf_level_times(void) {{ return {entry}_wf_level_ts; }}")
-        out.emit("")
-        out.emit(f"static void {entry}_wf_run(int64_t tid, int64_t nt, void* jobv) {{")
-        out.push()
-        out.emit(f"{entry}_wf_job_t* job = ({entry}_wf_job_t*)jobv;")
-        out.emit("const int64_t* const* repro_T = job->repro_T;")
-        out.emit("REPRO_BIND_TABLES")
-        out.emit("int64_t wf_sense = 0;")
-        out.emit("int64_t wf_prof = tid == 0 && repro_wf_profile_on();")
-        out.emit(f"if (wf_prof) {entry}_wf_level_ts[0] = repro_wf_now();")
-        if loop.work:
-            # A failed earlier call may have bailed out of a step with the
-            # thread-local work vector still scattered (and another pattern
-            # may have used it since); restore the all-zeros invariant the
-            # steps rely on.
-            reserve, clear, _ = _WORK[loop.work]
-            out.emit(f"if (!repro_ws_reserve({reserve})) repro_wf_fail(-1);")
-            if clear:
-                out.emit(f"else {clear}")
-        out.emit("for (int64_t l = 0; l < wf_n_levels; l++) {")
-        out.push()
-        out.emit("int64_t lo = _C_wf_level_ptr[l], hi = _C_wf_level_ptr[l + 1];")
-        out.emit("int64_t chunk = (hi - lo + nt - 1) / nt;")
-        out.emit("int64_t s = lo + tid * chunk;")
-        out.emit("int64_t e = s + chunk < hi ? s + chunk : hi;")
-        out.emit("if (repro_wf_ok()) {")
-        out.push()
-        out.emit("for (int64_t t = s; t < e; t++) {")
-        out.push()
-        args = ", ".join(f"job->{name}" for name in spec.names)
-        out.emit(f"int64_t st = {entry}_step(_C_wf_order[t], {args}, repro_T);")
-        out.emit("if (st != 0) { repro_wf_fail(st); break; }")
-        out.pop()
-        out.emit("}")
-        out.pop()
-        out.emit("}")
-        out.emit("repro_wf_barrier(nt, &wf_sense);")
-        out.emit(f"if (wf_prof) {entry}_wf_level_ts[l + 1] = repro_wf_now();")
-        out.pop()
-        out.emit("}")
-        out.pop()
-        out.emit("}")
-        out.emit("")
-
-    @staticmethod
-    def _emit_launch(out: _CEmitter, entry: str, spec: CMethodSpec) -> None:
-        """Hand the call to the worker pool when it has more than one thread to use."""
-        out.emit("if (n_threads > wf_max_width) n_threads = wf_max_width;")
-        out.emit("if (n_threads > 1) {")
-        out.push()
-        out.emit(f"{entry}_wf_job_t wf_job = {{ {', '.join(spec.names)}, repro_T }};")
-        launch = f"repro_wf_launch({entry}_wf_run, &wf_job, n_threads)"
-        if spec.failure is None:
-            out.emit(f"{launch};")
-            out.emit("return;")
-        else:
-            out.emit(f"return {launch};")
-        out.pop()
-        out.emit("}")

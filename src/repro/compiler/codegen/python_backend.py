@@ -102,10 +102,9 @@ class GeneratedModule:
     def compile(self) -> Callable:
         """The kernel's binder, as the C backend's (:meth:`CMethodSpec.wrap`).
 
-        ``bind(inputs, outputs)`` returns ``run(num_threads=None)``, which runs
-        the reference kernel on the tables and ``inputs`` and copies its result
-        into ``outputs``; a bad pivot raises the C entry's ``ValueError``.
-        There are no threads to resolve, so ``num_threads`` is ignored.
+        ``bind(inputs, outputs)`` returns ``run()``, which runs the reference
+        kernel on the tables and ``inputs`` and copies its result into
+        ``outputs``; a bad pivot raises the C entry's ``ValueError``.
         """
         if self._callable is not None:
             return self._callable
@@ -121,7 +120,7 @@ class GeneratedModule:
         failure = getattr(_C_METHOD_SPECS.get(self.method), "failure", None) or "breakdown at column {column}"
 
         def bind(inputs, outputs):
-            def run(num_threads=None):
+            def run():
                 try:
                     result = self.function(self.constants, *inputs)
                 except reference.Breakdown as exc:
@@ -133,7 +132,7 @@ class GeneratedModule:
 
         if self.solve_function is not None:
             solve = self.solve_function
-            self.solve_entry = lambda inputs, outputs: lambda num_threads=None: solve(self.constants, *inputs, *outputs)
+            self.solve_entry = lambda inputs, outputs: lambda: solve(self.constants, *inputs, *outputs)
         self.compile_seconds = time.perf_counter() - start
         self._callable = bind
         return bind

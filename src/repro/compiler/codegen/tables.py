@@ -20,14 +20,11 @@ its :class:`~repro.compiler.plan.DomainLoop`; both backends read
   in the order given here).
 
 So ``artifact.constants`` is the same mapping on both backends, key for key.
-A wavefront C kernel reads one more contract, appended after its serial one:
-the level schedule (:func:`level_schedule`).  The serial block is therefore a
-prefix of the wavefront block.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -41,9 +38,6 @@ from repro.symbolic.inspector import (
 )
 from repro.symbolic.supernodes import SupernodePartition
 
-if TYPE_CHECKING:
-    from repro.symbolic.levels import ExecutionSchedule
-
 __all__ = [
     "Contract",
     "entry",
@@ -54,7 +48,6 @@ __all__ = [
     "incomplete_ic0",
     "incomplete_ilu0",
     "trisolve_segments",
-    "level_schedule",
 ]
 
 #: ``(dims, tables)``: pattern-dependent sizes and inspection sets, by name, in block order.
@@ -66,11 +59,10 @@ def entry(name: str, value) -> Tuple[str, np.ndarray]:
     return f"_C_{name}", np.ascontiguousarray(value, dtype=np.int64)
 
 
-def block(n: int, *contracts: Contract) -> Dict[str, np.ndarray]:
-    """The table block of a kernel: the sizes (``n`` first), then the sets, each contract after the one before."""
-    sizes = [n, *(value for dims, _ in contracts for value in dims.values())]
-    sets = [item for _, tables in contracts for item in tables.items()]
-    return dict(entry(name, value) for name, value in [("dims", sizes), *sets])
+def block(n: int, contract: Contract) -> Dict[str, np.ndarray]:
+    """The table block of a kernel: the sizes (``n`` first), then the sets, in the contract's order."""
+    dims, tables = contract
+    return dict(entry(name, value) for name, value in [("dims", [n, *dims.values()]), *tables.items()])
 
 
 def _column_of(indptr: np.ndarray) -> np.ndarray:
@@ -336,11 +328,3 @@ def trisolve_segments(
     seg = np.concatenate([runs, blocks])[order].ravel()
     return {"n_seg": int(order.size)}, {"seg": seg, "run_cols": run_cols, "blk_cs": Lp[_ranges(c0, c0 + w)[0]]}
 
-
-def level_schedule(schedule: ExecutionSchedule) -> Contract:
-    """The wavefront job's schedule: level ``l`` is the steps ``wf_order[wf_level_ptr[l] .. wf_level_ptr[l + 1])``.
-
-    ``wf_max_width`` bounds the useful thread count.
-    """
-    dims = {"wf_n_levels": schedule.n_levels, "wf_max_width": schedule.max_width}
-    return dims, {"wf_order": schedule.order, "wf_level_ptr": schedule.level_ptr}

@@ -1,19 +1,18 @@
 """Configuration of the Sympiler code generator.
 
-Six fields, each one changing what gets compiled or how:
+Six fields:
 
 * which inspector-guided transformations run (VS-Block, then VI-Prune, the
   order of the current Sympiler, §4.2),
 * the code-generation backend,
-* the within-kernel execution mode of the generated code,
+* ``parallel``, which changes only the compile record (every kernel is
+  serial; it stays for one caller, see :class:`SympilerOptions`),
 * the C toolchain (executable and flags).
 
 VS-Block's participation thresholds (§4.2) are constants of the planner
-(:mod:`repro.compiler.plan`), and the wavefront fallback's threshold is one of
-:mod:`repro.compiler.codegen.c_backend`.  The worker-thread count of the
-batch entries is a per-call argument
-(:func:`~repro.compiler.codegen.c_backend.resolve_num_threads`), not an
-option: it changes no generated code.
+(:mod:`repro.compiler.plan`).  The worker-thread count of the batch entries
+is a per-call argument (:func:`~repro.compiler.codegen.c_backend.resolve_num_threads`),
+not an option: it changes no generated code.
 """
 
 from __future__ import annotations
@@ -65,20 +64,14 @@ class SympilerOptions:
         a Cholesky / LDLᵀ, every supernode is a dense column-major panel,
         updated by one dense block product per descendant supernode.
     parallel:
-        Within-kernel execution mode of the *generated code*.  ``"none"``
-        (the default) emits the sequential kernels; ``"wavefront"`` makes
-        the C backend emit a level-parallel variant whose entry point walks
-        the inspector's cached level-set schedule and dispatches the columns
-        of each wavefront across a persistent worker pool (per-level
-        barriers between wavefronts).  Results are bitwise identical to the
-        serial kernel — levels are antichains of the column dependency DAG,
-        so per-column writes are disjoint and every read crosses a barrier.
-        Serial and wavefront artifacts of one pattern cache (in memory and
-        on disk) independently.  The backend falls back to the serial body
-        when the schedule has no parallelism to mine (average level width
-        below 1.5: a deep elimination tree) or when the kernel is supernodal,
-        and records the decision on the artifact; the python backend ignores
-        the mode (it has no in-kernel threading).
+        ``"none"`` (the default) or ``"wavefront"``.  Every kernel is serial:
+        ``"wavefront"`` compiles the same C source byte for byte (so the two
+        share one ``.so``) and only records ``decisions["wavefront"] ==
+        {"mode": "serial-fallback", "fallback_reason": "no-schedule"}`` on
+        the artifact; the python backend ignores it.  Kept for its one
+        caller, the wavefront rung of ``benchmarks/e2e``'s ladder.  Threads
+        run across calls instead: ``BatchedSolver`` and ``solve_many`` take
+        ``num_threads``.
     c_compiler, c_flags:
         Compiler executable and flags for the C backend.  The executable
         defaults to the ``REPRO_CC`` environment variable (read at option

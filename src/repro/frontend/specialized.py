@@ -330,17 +330,14 @@ class SpecializedSolver:
         b: np.ndarray,
         *,
         method: Optional[str] = None,
-        num_threads: Optional[int] = None,
         tol: float = 1e-8,
         max_iterations: int = 1000,
     ) -> np.ndarray:
         """Solve ``A x = b``; ``A`` in any ingestible form.
 
         ``method`` overrides the instance default and the structural probes
-        (the misdetection escape hatch).  ``num_threads`` reaches only a
-        wavefront kernel, with the precedence documented on
-        :func:`~repro.compiler.codegen.c_backend.resolve_num_threads`.  ``tol`` /
-        ``max_iterations`` apply to the ``pcg`` route only.
+        (the misdetection escape hatch).  ``tol`` / ``max_iterations`` apply
+        to the ``pcg`` route only.
 
         A repeat — a scipy CSC matrix or a :class:`CSCMatrix` with ``float64``
         values whose pattern is cached — is not ingested.  On a direct route
@@ -353,7 +350,7 @@ class SpecializedSolver:
                 f"unknown method {method!r}; expected one of {AUTO_METHODS}"
             )
         requested = method if method is not None else self.method
-        x = self._repeat(A, b, requested, num_threads, tol, max_iterations)
+        x = self._repeat(A, b, requested, tol, max_iterations)
         if x is not None:
             return x
         ingested = ingest(A)
@@ -377,14 +374,11 @@ class SpecializedSolver:
             ingested.csc.data,
             b,
             specialized_here=specialized_here,
-            num_threads=num_threads,
             tol=tol,
             max_iterations=max_iterations,
         )
 
-    def _repeat(
-        self, A, b, requested: Optional[str], num_threads: Optional[int], tol: float, max_iterations: int
-    ) -> Optional[np.ndarray]:
+    def _repeat(self, A, b, requested: Optional[str], tol: float, max_iterations: int) -> Optional[np.ndarray]:
         """``x`` from the cached specialization ``A`` repeats, found without ingesting ``A``.
 
         Only a scipy CSC matrix or a :class:`CSCMatrix` with float64 values
@@ -432,7 +426,6 @@ class SpecializedSolver:
                     values,
                     b,
                     specialized_here=False,
-                    num_threads=num_threads,
                     tol=tol,
                     max_iterations=max_iterations,
                 )
@@ -509,7 +502,6 @@ class SpecializedSolver:
         b: np.ndarray,
         *,
         specialized_here: bool,
-        num_threads: Optional[int],
         tol: float,
         max_iterations: int,
     ) -> np.ndarray:
@@ -525,7 +517,6 @@ class SpecializedSolver:
                 tol=tol,
                 max_iterations=max_iterations,
                 options=self.options,
-                num_threads=num_threads,
             )
             self.last_cg_result = result
             return result.x
@@ -534,7 +525,7 @@ class SpecializedSolver:
         # first when they are new.  The specializing call factorized these
         # very values itself; only a later call finding them unchanged counts
         # as a hit.
-        x, refactorized = spec.solver.step(values, b, num_threads=num_threads)
+        x, refactorized = spec.solver.step(values, b)
         with self._lock:
             if refactorized:
                 self.stats.refactorizations += 1
@@ -564,7 +555,6 @@ def solve(
     b: np.ndarray,
     *,
     method: Optional[str] = None,
-    num_threads: Optional[int] = None,
     tol: float = 1e-8,
     max_iterations: int = 1000,
 ) -> np.ndarray:
@@ -588,7 +578,6 @@ def solve(
         A,
         b,
         method=method,
-        num_threads=num_threads,
         tol=tol,
         max_iterations=max_iterations,
     )

@@ -15,7 +15,7 @@ Three layers:
   service's latency quantiles.
 * **trace** — nestable spans (``with observe.span("inspect"): ...``)
   instrumenting ingest → probe → inspection → transform → codegen → cc →
-  schedule → numeric → service dispatch, with explicit cross-thread
+  numeric → service dispatch, with explicit cross-thread
   propagation (:func:`capture` / :func:`attach`).  Zero-cost when disabled.
 * **events** — a bounded structured event log
   (:func:`get_event_log` / :func:`emit_event`) recording fleet lifecycle
@@ -80,7 +80,6 @@ from repro.observe.trace import (
     get_tracer,
     reset,
     span,
-    wavefront_levels_enabled,
     wire_trace_headers,
 )
 
@@ -119,7 +118,6 @@ __all__ = [
     "reset",
     "snapshot",
     "span",
-    "wavefront_levels_enabled",
     "wire_trace_headers",
     "write_chrome_trace",
 ]

@@ -40,8 +40,6 @@ def _run_workload(args) -> dict:
     from repro.sparse.generators import laplacian_2d
 
     options = SympilerOptions(backend=args.backend)
-    if args.wavefront:
-        options = options.with_updates(parallel="wavefront")
 
     A = laplacian_2d(args.grid, shift=0.1)
     rng = np.random.default_rng(7)
@@ -152,12 +150,6 @@ def main(argv=None) -> int:
         help="code-generation backend (without a C toolchain, c falls back to python)",
     )
     parser.add_argument(
-        "--wavefront",
-        action="store_true",
-        help="compile level-parallel (parallel='wavefront') and record "
-        "per-wavefront-level timings",
-    )
-    parser.add_argument(
         "--fleet",
         action="store_true",
         help="run the workload through a traced ShardFleet and merge every "
@@ -182,7 +174,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    observe.enable(wavefront_levels=args.wavefront)
+    observe.enable()
     try:
         if args.fleet:
             facts = _run_fleet_workload(args)

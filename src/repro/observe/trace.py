@@ -49,14 +49,12 @@ __all__ = [
     "get_tracer",
     "reset",
     "span",
-    "wavefront_levels_enabled",
     "wire_trace_headers",
 ]
 
 DEFAULT_MAX_SPANS = 65536
 
 _enabled = False
-_wavefront_levels = False
 
 
 def _fresh_id_counter() -> "itertools.count[int]":
@@ -311,34 +309,22 @@ def attach_remote(
     return _Attach(SpanContext(trace_id=trace_id, span_id=parent_id, name=name))
 
 
-def enable(*, wavefront_levels: bool = False, max_spans: Optional[int] = None) -> None:
-    """Turn tracing on.
-
-    ``wavefront_levels=True`` additionally asks the numeric execution layer
-    to read per-level wall times out of wavefront-compiled kernels (the C
-    runtime records them only while its own runtime flag is raised; see
-    ``repro.compiler.codegen.c_backend``).
-    """
-    global _enabled, _wavefront_levels, _TRACER
+def enable(*, max_spans: Optional[int] = None) -> None:
+    """Turn tracing on (``max_spans``: a fresh tracer holding at most that many spans)."""
+    global _enabled, _TRACER
     if max_spans is not None:
         _TRACER = Tracer(max_spans=max_spans)
     _enabled = True
-    _wavefront_levels = bool(wavefront_levels)
 
 
 def disable() -> None:
     """Turn tracing off; already-recorded spans are kept until :func:`reset`."""
-    global _enabled, _wavefront_levels
+    global _enabled
     _enabled = False
-    _wavefront_levels = False
 
 
 def enabled() -> bool:
     return _enabled
-
-
-def wavefront_levels_enabled() -> bool:
-    return _enabled and _wavefront_levels
 
 
 def reset() -> None:

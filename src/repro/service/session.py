@@ -6,7 +6,7 @@ turns the paper's inspector/executor amortization into a served resource:
 * :meth:`SolverService.register_pattern` compiles (or warm-loads) the
   factorization + triangular-solve kernels for one sparsity pattern into the
   pattern's one :class:`SparseLinearSolver`, which holds them, and returns a
-  :class:`PatternHandle` carrying the fingerprint/schedule metadata,
+  :class:`PatternHandle` carrying the fingerprint and size metadata,
 * :meth:`SolverService.submit` runs one numeric solve (new values on the
   registered pattern, one right-hand side) on the calling thread and
   returns it as an already-resolved :class:`concurrent.futures.Future`;
@@ -80,12 +80,6 @@ class PatternHandle:
     #: True when registration reused previously generated code end to end
     #: (zero C recompiles and no python-backend kernel text written).
     warm: bool
-    #: Level-set schedule shape, for capacity planning without a round-trip.
-    schedule_levels: int
-    schedule_avg_width: float
-    #: Within-kernel mode the factorization was compiled in ("wavefront",
-    #: "serial-fallback" or "none").
-    parallel_mode: str = "none"
 
 
 @dataclass
@@ -243,7 +237,6 @@ class SolverService:
         )
         warm = generated == 0
         factorization = solver.factorization
-        schedule = factorization.schedule
         handle = PatternHandle(
             handle_id=hashlib.sha256(repr(key).encode()).hexdigest()[:16],
             key=key,
@@ -254,11 +247,6 @@ class SolverService:
             nnz=A.nnz,
             factor_nnz=solver.factor_nnz,
             warm=warm,
-            schedule_levels=schedule.n_levels if schedule is not None else 0,
-            schedule_avg_width=(
-                float(schedule.average_width) if schedule is not None else 0.0
-            ),
-            parallel_mode=factorization.parallel_mode,
         )
         self.metrics.incr("registrations")
         self.metrics.incr("compile_warm" if warm else "compile_cold")
@@ -474,9 +462,6 @@ class SolverService:
                 "factor_nnz": handle.factor_nnz,
                 "warm_registration": handle.warm,
                 "solves": entry.solves,
-                "schedule_levels": handle.schedule_levels,
-                "schedule_avg_width": handle.schedule_avg_width,
-                "parallel_mode": handle.parallel_mode,
                 "backend_effective": entry.backend_effective,
             }
         snapshot = self.metrics.snapshot()

@@ -140,19 +140,25 @@ def send_message(
     stream.flush()
 
 
-def _read_exact(stream: BinaryIO, nbytes: int) -> bytes:
-    chunks = []
-    remaining = nbytes
-    while remaining > 0:
-        chunk = stream.read(remaining)
-        if not chunk:
-            raise ProtocolError(
-                f"connection closed mid-message ({remaining} of {nbytes} "
-                "bytes missing)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def _read_exact(stream: BinaryIO, nbytes: int) -> bytearray:
+    """The next ``nbytes`` of ``stream``, read into a fresh buffer.
+
+    A ``bytearray``, so the frames decoded over it are writable arrays: a
+    wire request's values and right-hand side reach the solver's one-call
+    native warm step as they are, without a copy.
+    """
+    buffer = bytearray(nbytes)
+    got = 0
+    with memoryview(buffer) as view:
+        while got < nbytes:
+            n = stream.readinto(view[got:])
+            if not n:
+                raise ProtocolError(
+                    f"connection closed mid-message ({nbytes - got} of {nbytes} "
+                    "bytes missing)"
+                )
+            got += n
+    return buffer
 
 
 def recv_message(stream: BinaryIO) -> Optional[Tuple[Dict, List[np.ndarray]]]:
@@ -250,8 +256,6 @@ class RemoteHandle:
     nnz: int
     factor_nnz: int
     warm: bool
-    schedule_levels: int
-    schedule_avg_width: float
 
 
 def _handle_payload(handle) -> Dict:

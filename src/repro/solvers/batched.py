@@ -85,24 +85,15 @@ class FactorHandle:
         """The upper-triangular LU factor (``None`` for symmetric methods)."""
         return getattr(self.factors, "U", None)
 
-    def solve(
-        self,
-        b: np.ndarray,
-        *,
-        out: Optional[np.ndarray] = None,
-        num_threads: Optional[int] = None,
-    ) -> np.ndarray:
+    def solve(self, b: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Solve this scenario's system ``A_i x = b``.
 
         One call of the factorization's solve entry, bound to this handle's
         factors per call (:meth:`SparseLinearSolver.solve_with_factors`).
-        ``out`` optionally receives the solution in place.  The entry is
-        serial: ``num_threads`` reaches no sweep.
+        ``out`` optionally receives the solution in place.
         """
         self._require_ok()
-        return self._solver.solve_with_factors(
-            b, L=self.L, d=self.d, U=self.U, out=out, num_threads=num_threads
-        )
+        return self._solver.solve_with_factors(b, L=self.L, d=self.d, U=self.U, out=out)
 
 
 class BatchedSolver:
@@ -150,22 +141,6 @@ class BatchedSolver:
     def method(self) -> str:
         """The factorization kernel name."""
         return self.solver.method
-
-    @property
-    def parallel_mode(self) -> str:
-        """Within-kernel mode the factorization was compiled in.
-
-        ``"wavefront"`` when the compiled entry fans each level set across a
-        worker pool, ``"serial-fallback"`` when wavefront codegen was
-        requested but declined (deep etree, supernodal kernel), ``"none"``
-        for plain serial artifacts.
-        """
-        return self.solver._factorization.parallel_mode
-
-    @property
-    def schedule(self):
-        """The compile-time level-set schedule of the factorization."""
-        return self.solver._factorization.schedule
 
     # ------------------------------------------------------------------ #
     def _batch_values(
@@ -240,10 +215,7 @@ class BatchedSolver:
 
         def factorize(values: np.ndarray):
             self._require_finite(values)
-            # One thread per call: the pool's threads are across the items.
-            return factorization.factorize_arrays(
-                permuted.indptr, permuted.indices, values, num_threads=1
-            )
+            return factorization.factorize_arrays(permuted.indptr, permuted.indices, values)
 
         raws, errors = map_items(
             factorize, value_list, artifact=factorization, num_threads=self.num_threads

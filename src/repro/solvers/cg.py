@@ -56,7 +56,6 @@ def preconditioned_conjugate_gradient(
     max_iterations: int = 1000,
     use_preconditioner: bool = True,
     options: Optional[SympilerOptions] = None,
-    num_threads: Optional[int] = None,
 ) -> CGResult:
     """Solve ``A x = b`` by CG, optionally IC(0)-preconditioned.
 
@@ -64,14 +63,6 @@ def preconditioned_conjugate_gradient(
     the compiled ``ic0`` module's solve entry, bound once before the
     iteration starts to the factor, ``r`` and ``z`` (identity ``perm``).
     A non-finite value in ``A`` raises ``ValueError`` before any kernel runs.
-
-    ``num_threads`` reaches the IC(0) factorization alone: compiled with
-    ``parallel="wavefront"`` it fans the factorization's level sets across
-    workers (serial kernels ignore it, bitwise identical either way), with
-    the precedence of every wavefront entry: explicit argument >
-    ``REPRO_NUM_THREADS`` > one per CPU
-    (:func:`~repro.compiler.codegen.c_backend.resolve_num_threads`).  The
-    solve entry, and so every iteration, is serial.
     """
     if not A.is_square():
         raise ValueError("CG requires a square matrix")
@@ -86,7 +77,7 @@ def preconditioned_conjugate_gradient(
     z = np.empty(n, dtype=np.float64)
     if use_preconditioner:
         ic0 = Sympiler(options).compile("ic0", A)
-        Lx = ic0.factorize_arrays(A.indptr, A.indices, A.data, num_threads=num_threads)
+        Lx = ic0.factorize_arrays(A.indptr, A.indices, A.data)
         identity = np.arange(n, dtype=np.int64)
         # r and z are updated in place below, so the bound call always reads
         # this iteration's residual.

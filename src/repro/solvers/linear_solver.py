@@ -250,7 +250,7 @@ class SparseLinearSolver:
         self._solve = self._factorization.bind_solve((self._perm, *self._outputs, self._b), (self._w, self._x))
         # The same two entries and arrays behind one native call: the warm
         # step of step() from the value check to x.  None without the native
-        # helper or a serial C module; step() composes the step then.
+        # helper or a C module; step() composes the step then.
         helper = native.helper()
         self._warm = None
         if helper is not None:
@@ -423,7 +423,6 @@ class SparseLinearSolver:
         d: Optional[np.ndarray] = None,
         U: Optional[CSCMatrix] = None,
         out: Optional[np.ndarray] = None,
-        num_threads: Optional[int] = None,
     ) -> np.ndarray:
         """Solve ``A x = b`` using explicitly supplied numeric factors.
 
@@ -433,9 +432,7 @@ class SparseLinearSolver:
         solve entry depends only on those fixed patterns, so it serves every
         factor set: these factors are not the solver's own, so it is bound
         to them, and to a work vector of this call's own, per call.  ``out``
-        optionally receives the solution in place.  The entry is serial:
-        ``num_threads`` is accepted for the callers that pass it and reaches
-        no sweep.
+        optionally receives the solution in place.
         """
         b, out = np.ascontiguousarray(self._rhs(b)), self._out(out)
         n = self.A.n
@@ -482,27 +479,16 @@ class SparseLinearSolver:
         if not self._factored:
             raise RuntimeError("the last factorize() failed; there are no factors to solve with")
 
-    def solve(
-        self,
-        b: np.ndarray,
-        *,
-        out: Optional[np.ndarray] = None,
-        num_threads: Optional[int] = None,
-    ) -> np.ndarray:
+    def solve(self, b: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Solve ``A x = b``: one call of the solve entry bound at construction.
 
         ``out`` optionally receives the solution in place (it may be ``b``
-        itself, or a strided view).  The entry is serial: ``num_threads`` is
-        accepted for the callers that pass it and reaches no sweep (the
-        level-parallel pull form of the triangular solve ran at 0.23-0.57x
-        the serial push form on the ``mindeg`` factors of
-        ``laplacian_2d(100)`` and ``laplacian_3d(15)``, at two threads on
-        two cores, and was deleted).
+        itself, or a strided view).
         """
         with self._lock:
             return self._solve_current(b, out)
 
-    def step(self, values: np.ndarray, b: np.ndarray, *, num_threads: Optional[int] = None) -> Tuple[np.ndarray, bool]:
+    def step(self, values: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, bool]:
         """The warm step: ``x`` solving ``A(values) x = b``, and whether it refactorized.
 
         ``values`` are the matrix nonzeros in the input order of the solver's
@@ -511,18 +497,17 @@ class SparseLinearSolver:
         current factors came from (``==``, so ``-0.0`` equals ``0.0``), the
         step solves on the current factors; otherwise the values go into the
         snapshot, through the gather and the compiled kernel first.  On a
-        serial C module with the native helper loaded, and for ``values``
+        C module with the native helper loaded, and for ``values``
         and ``b`` that are writable, C-contiguous ``float64`` arrays of the
         exact shape, the whole step is one native call
         (``repro_warm_step``, bound at construction); anything else composes
         the same step in Python, call by call (:meth:`_refactorize`, then the
         solve entry), to the same bits.  Either way a warm step allocates no
-        factor and binds nothing.  ``num_threads`` reaches no sweep (see
-        :meth:`solve`).  This is the one numeric path of every layer above
-        the artifact — the front end calls it per solve, the service once
-        per request — and it holds the solver's lock throughout, so
-        concurrent callers with different values each get the answer to
-        their own system.  With tracing enabled, the native call runs in one
+        factor and binds nothing.  This is the one numeric path of every
+        layer above the artifact — the front end calls it per solve, the
+        service once per request — and it holds the solver's lock
+        throughout, so concurrent callers with different values each get the
+        answer to their own system.  With tracing enabled, the native call runs in one
         ``numeric`` span (``op="step"``, ``refactorized``).
 
         A value set the kernel rejects raises the kernel's error and leaves
@@ -624,7 +609,6 @@ class SparseLinearSolver:
         *,
         tol: float = 1e-8,
         max_iterations: int = 1000,
-        num_threads: Optional[int] = None,
     ):
         """Solve ``A x = b`` iteratively by IC(0)-preconditioned CG.
 
@@ -633,10 +617,8 @@ class SparseLinearSolver:
         conjugate gradient preconditioned by the compiled ``ic0`` registry
         kernel.  All compiles go through the shared artifact cache, so
         repeated ``pcg`` calls on this pattern reuse the generated IC(0)
-        module, whose solve entry applies the preconditioner.
-        ``num_threads`` reaches the IC(0) factorization only (see
-        :func:`~repro.solvers.cg.preconditioned_conjugate_gradient`).
-        Returns a :class:`~repro.solvers.cg.CGResult`.
+        module, whose solve entry applies the preconditioner.  Returns a
+        :class:`~repro.solvers.cg.CGResult`.
 
         Constructing a :class:`SparseLinearSolver` eagerly compiles and runs
         the *complete* factorization, which ``pcg`` does not use — call
@@ -652,7 +634,6 @@ class SparseLinearSolver:
             tol=tol,
             max_iterations=max_iterations,
             options=self.options,
-            num_threads=num_threads,
         )
 
     def residual(self, x: np.ndarray, b: np.ndarray) -> float:

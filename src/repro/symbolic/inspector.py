@@ -40,7 +40,6 @@ from repro.symbolic.fill_pattern import (
     lu_pattern,
     split_rows,
 )
-from repro.symbolic.levels import ExecutionSchedule, level_sets_from_csr_deps
 from repro.symbolic.reach import reach_set
 from repro.symbolic.supernodes import (
     SupernodePartition,
@@ -155,7 +154,6 @@ class CholeskyInspectionResult:
     row_patterns: List[np.ndarray]
     l_col_counts: np.ndarray
     supernodes: SupernodePartition
-    schedule: ExecutionSchedule
     symbolic_seconds: float
     sets: Dict[str, InspectionSet] = field(repr=False)
 
@@ -204,7 +202,6 @@ class LUInspectionResult:
     u_indices: np.ndarray
     l_col_counts: np.ndarray
     supernodes: SupernodePartition
-    schedule: ExecutionSchedule
     symbolic_seconds: float
     sets: Dict[str, InspectionSet] = field(repr=False)
 
@@ -365,9 +362,6 @@ class CholeskyInspector(SymbolicInspector):
         row_patterns = split_rows(row_ptr, row_idx)
         col_counts = np.diff(l_indptr)
         supernodes = cholesky_supernodes(col_counts, parent)
-        # Exact wavefronts: column j waits for precisely the columns of its L
-        # row pattern (a strictly tighter schedule than etree depth).
-        schedule = level_sets_from_csr_deps(row_ptr, row_idx, graph="SP(L row) / etree")
         elapsed = time.perf_counter() - start
         sets = {
             "prune-set": InspectionSet(
@@ -394,7 +388,6 @@ class CholeskyInspector(SymbolicInspector):
             row_patterns=row_patterns,
             l_col_counts=col_counts,
             supernodes=supernodes,
-            schedule=schedule,
             symbolic_seconds=elapsed,
             sets=sets,
         )
@@ -464,9 +457,6 @@ class LUInspector(SymbolicInspector):
         supernodes = cholesky_supernodes(l_col_counts, parent)
         dep_ptr, dep_idx = above_diagonal(u_indptr, u_indices)
         upper_patterns = split_rows(dep_ptr, dep_idx)
-        # Exact wavefronts: column j of the LU update loop consumes exactly
-        # the L columns named by its above-diagonal U pattern.
-        schedule = level_sets_from_csr_deps(dep_ptr, dep_idx, graph="SP(U col) / etree(A^T A)")
         elapsed = time.perf_counter() - start
         sets = {
             "prune-set": InspectionSet(
@@ -492,7 +482,6 @@ class LUInspector(SymbolicInspector):
             u_indices=u_indices,
             l_col_counts=l_col_counts,
             supernodes=supernodes,
-            schedule=schedule,
             symbolic_seconds=elapsed,
             sets=sets,
         )
@@ -507,7 +496,7 @@ class IC0InspectionResult(CholeskyInspectionResult):
     describe ``tril(A)`` itself: IC(0) allows no fill, so no fill computation
     (no ``ereach`` up-traversals) ever runs.  ``row_patterns[j]`` holds the
     columns ``k < j`` with ``A[j, k] != 0`` — the update sources of column
-    ``j``, which are also its exact wavefront dependencies.
+    ``j``.
     """
 
 
@@ -531,8 +520,7 @@ class IC0Inspector(SymbolicInspector):
     only *reads* the pattern — per-column row patterns (the update sources,
     which the VI-Prune handler intersects with the ``A`` pattern to build the
     dropped-update-free descriptors), elimination-tree supernode candidates
-    for the VS-Block participation record, and the exact level-set
-    :class:`ExecutionSchedule` — without any fill computation.
+    for the VS-Block participation record — without any fill computation.
     """
 
     method = "ic0"
@@ -571,8 +559,6 @@ class IC0Inspector(SymbolicInspector):
         row_patterns = split_rows(row_ptr, row_idx)
         col_counts = np.diff(l_indptr)
         supernodes = cholesky_supernodes(col_counts, parent)
-        # Exact wavefronts: column j waits for precisely its update sources.
-        schedule = level_sets_from_csr_deps(row_ptr, row_idx, graph="SP(tril(A) row)")
         elapsed = time.perf_counter() - start
         sets = {
             "prune-set": InspectionSet(
@@ -599,7 +585,6 @@ class IC0Inspector(SymbolicInspector):
             row_patterns=row_patterns,
             l_col_counts=col_counts,
             supernodes=supernodes,
-            schedule=schedule,
             symbolic_seconds=elapsed,
             sets=sets,
         )
@@ -648,8 +633,6 @@ class ILU0Inspector(SymbolicInspector):
         supernodes = cholesky_supernodes(l_col_counts, parent)
         dep_ptr, dep_idx = above_diagonal(u_indptr, u_indices)
         upper_patterns = split_rows(dep_ptr, dep_idx)
-        # Exact wavefronts: column j consumes the L columns of its U pattern.
-        schedule = level_sets_from_csr_deps(dep_ptr, dep_idx, graph="SP(triu(A) col)")
         elapsed = time.perf_counter() - start
         sets = {
             "prune-set": InspectionSet(
@@ -675,7 +658,6 @@ class ILU0Inspector(SymbolicInspector):
             u_indices=u_indices,
             l_col_counts=l_col_counts,
             supernodes=supernodes,
-            schedule=schedule,
             symbolic_seconds=elapsed,
             sets=sets,
         )

@@ -496,30 +496,6 @@ i64 repro_sym_reach(i64 n, const i64 *lp, const i64 *li, i64 n_sources, const i6
 }
 
 /* --------------------------------------------------------------------- */
-/* Wavefront levels (symbolic/levels.py); `level` arrives zeroed          */
-/* --------------------------------------------------------------------- */
-
-/* level[parent] = 1 + the deepest child: leaves first. */
-void repro_sym_levels_parent(i64 n, const i64 *parent, i64 *level)
-{
-    for (i64 j = 0; j < n; j++) {
-        i64 p = parent[j];
-        if (p >= 0 && level[p] < level[j] + 1) level[p] = level[j] + 1;
-    }
-}
-
-/* level[j] = 1 + the deepest column among di[dp[j] .. dp[j+1]), 0 if none. */
-void repro_sym_levels_deps(i64 n, const i64 *dp, const i64 *di, i64 *level)
-{
-    for (i64 j = 0; j < n; j++) {
-        i64 deepest = -1;
-        for (i64 p = dp[j]; p < dp[j + 1]; p++)
-            if (level[di[p]] > deepest) deepest = level[di[p]];
-        if (dp[j] < dp[j + 1]) level[j] = deepest + 1;
-    }
-}
-
-/* --------------------------------------------------------------------- */
 /* The warm step of a direct solver (solvers/linear_solver.py)            */
 /* --------------------------------------------------------------------- */
 
@@ -691,10 +667,10 @@ static void exercise(const char *name, i64 n, const char *dense, int symmetric)
     i64 nnz = 0;
     for (i64 t = 0; t < n * n; t++) nnz += dense[t];
     i64 *ap = malloc(sizeof(i64) * (size_t)(n + 1)), *ai = malloc(sizeof(i64) * (size_t)(nnz + 1));
-    i64 *out = malloc(sizeof(i64) * (size_t)(8 * n + 8)), *work = malloc(sizeof(i64) * (size_t)(3 * n + 1));
+    i64 *out = malloc(sizeof(i64) * (size_t)(7 * n + 8)), *work = malloc(sizeof(i64) * (size_t)(3 * n + 1));
     i64 *perm = out, *parent = out + n, *post = out + 2 * n, *row_ptr = out + 3 * n;
-    i64 *l_indptr = out + 4 * n + 1, *u_indptr = out + 5 * n + 2, *level = out + 6 * n + 3;
-    i64 *seen = out + 7 * n + 3, *l = NULL, *u = NULL;
+    i64 *l_indptr = out + 4 * n + 1, *u_indptr = out + 5 * n + 2, *seen = out + 6 * n + 3;
+    i64 *l = NULL, *u = NULL;
     ap[0] = 0;
     for (i64 j = 0; j < n; j++) {
         ap[j + 1] = ap[j];
@@ -715,31 +691,12 @@ static void exercise(const char *name, i64 n, const char *dense, int symmetric)
     for (i64 k = 0; k < n; k++) seen[perm[k]] = k;
     for (i64 j = 0; j < n; j++)
         for (i64 p = l_indptr[j] + 1; p < l_indptr[j + 1]; p++) CHECK(seen[j] < seen[l[p]]);
-    /* The above-diagonal U pattern is what column j of the LU loop waits for. */
-    memset(level, 0, sizeof(i64) * (size_t)n);
-    {
-        i64 *dp = malloc(sizeof(i64) * (size_t)(n + 1)), *di = malloc(sizeof(i64) * (size_t)(u_indptr[n] + 1));
-        dp[0] = 0;
-        for (i64 j = 0; j < n; j++) {
-            dp[j + 1] = dp[j];
-            for (i64 p = u_indptr[j]; p < u_indptr[j + 1] - 1; p++) di[dp[j + 1]++] = u[p];
-        }
-        repro_sym_levels_deps(n, dp, di, level);
-        for (i64 j = 0; j < n; j++)
-            for (i64 p = dp[j]; p < dp[j + 1]; p++) CHECK(level[di[p]] < level[j]);
-        free(dp);
-        free(di);
-    }
-
     if (symmetric) {
         CHECK(repro_sym_minimum_degree(n, ap, ai, perm) == 0);
         CHECK(is_permutation(n, perm, seen));
         repro_sym_etree(n, n, ap, ai, 0, parent, work);
         for (i64 j = 0; j < n; j++) CHECK(parent[j] == -1 || (parent[j] > j && parent[j] < n));
         CHECK(repro_sym_postorder(n, parent, post, work) == n && is_permutation(n, post, seen));
-        memset(level, 0, sizeof(i64) * (size_t)n);
-        repro_sym_levels_parent(n, parent, level);
-        for (i64 j = 0; j < n; j++) CHECK(parent[j] == -1 || level[j] < level[parent[j]]);
 
         i64 *c_indptr = u_indptr; /* U is checked; reuse its pointer array */
         i64 l_nnz = repro_sym_factor_counts(n, ap, ai, parent, row_ptr, c_indptr, work);

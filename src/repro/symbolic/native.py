@@ -204,8 +204,6 @@ _SIGNATURES = {
     "repro_sym_lu_pattern": (_N, (_N, _I64, _I64, _I64, _I64, _OUT, _OUT)),
     "repro_sym_free": (None, (ctypes.c_void_p,)),
     "repro_sym_reach": (_N, (_N, _I64, _I64, _N, _I64, _I64, _I64)),
-    "repro_sym_levels_parent": (None, (_N, _I64, _I64)),
-    "repro_sym_levels_deps": (None, (_N, _I64, _I64, _I64)),
 }
 
 
@@ -233,7 +231,7 @@ class NativeSymbolic:
 
     # ------------------------------------------------------------------ #
     def bind_warm_step(self, kernel, solve, *, snapshot, gather, permuted, b) -> Optional[Callable]:
-        """``repro_warm_step`` bound to one solver, or ``None`` when its entries are not serial C.
+        """``repro_warm_step`` bound to one solver, or ``None`` when its entries are not C.
 
         ``kernel`` and ``solve`` are the solver's bound factorization and
         solve entry (their ``c_call``: address and arguments).  ``snapshot``
@@ -355,18 +353,3 @@ class NativeSymbolic:
         out = _empty(n)
         top = self._reach(n, indptr, indices, sources.size, sources, out, _empty(3 * n))
         return out[top:].copy()
-
-    def levels_from_parent(self, parent) -> np.ndarray:
-        """Per-node wavefront of an elimination tree, leaves at 0."""
-        parent = _parent(parent)
-        level = np.zeros(parent.size, dtype=np.int64)
-        self._levels_parent(parent.size, parent, level)
-        return level
-
-    def levels_from_deps(self, dep_ptr, dep_idx) -> np.ndarray:
-        """Level of every column from its CSR-form dependency lists."""
-        n = len(dep_ptr) - 1
-        dep_ptr, dep_idx = _pattern(n, dep_ptr, dep_idx, n)
-        level = np.zeros(n, dtype=np.int64)
-        self._levels_deps(n, dep_ptr, dep_idx, level)
-        return level

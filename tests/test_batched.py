@@ -217,11 +217,6 @@ class TestFacade:
         for k in range(5):
             assert np.array_equal(X[:, k], batched.solver.solve(B[:, k]))
 
-    def test_schedule_exposed(self):
-        A = laplacian_2d(6, shift=0.1)
-        batched = BatchedSolver(A, options=SympilerOptions())
-        assert batched.schedule.n_scheduled == A.n
-
     def test_resolve_num_threads(self):
         assert resolve_num_threads(None) == 1
         assert resolve_num_threads(3) == 3
@@ -374,6 +369,67 @@ class TestThreadCountIsACallArgument:
         assert disk_after["compiles"] == disk_before["compiles"]
         assert disk_after["py_writes"] == disk_before["py_writes"]
         assert batched.solver.cache_stats.misses == misses_before
+
+
+class TestThreadResolution:
+    """The one precedence of the batch entries' thread count: argument, then ``REPRO_NUM_THREADS``, then 1."""
+
+    def test_explicit_argument_wins(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NUM_THREADS", "7")
+        assert resolve_num_threads(3) == 3
+
+    def test_env_override_applies_when_unset(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NUM_THREADS", "7")
+        assert resolve_num_threads(None) == 7
+
+    def test_default_is_one(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
+        assert resolve_num_threads(None) == 1
+
+    def test_zero_means_one_per_cpu(self, monkeypatch):
+        import os
+
+        monkeypatch.setenv("REPRO_NUM_THREADS", "0")
+        assert resolve_num_threads(None) == (os.cpu_count() or 1)
+        assert resolve_num_threads(0) == (os.cpu_count() or 1)
+
+    def test_garbage_env_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NUM_THREADS", "many")
+        with pytest.raises(ValueError, match="REPRO_NUM_THREADS"):
+            resolve_num_threads(None)
+
+    def test_negative_raises(self):
+        with pytest.raises(ValueError):
+            resolve_num_threads(-2)
+
+    @pytest.mark.parametrize(
+        "env, expected",
+        [
+            ("abc", "REPRO_NUM_THREADS must be an integer, got 'abc'"),
+            ("-1", "num_threads must be non-negative"),
+            ("", 1),  # blank is unset
+            (" 2 ", 2),
+        ],
+    )
+    def test_one_parser_of_the_environment(self, env, expected, monkeypatch):
+        monkeypatch.setenv("REPRO_NUM_THREADS", env)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                resolve_num_threads(None)
+            return
+        assert resolve_num_threads(None) == expected
+
+    def test_batch_argument_then_env_then_one(self, monkeypatch):
+        import os
+
+        monkeypatch.setenv("REPRO_NUM_THREADS", "5")
+        A = laplacian_2d(8, shift=0.1)
+        options = SympilerOptions(backend="python")
+        assert BatchedSolver(A, options=options).num_threads == 5
+        assert BatchedSolver(A, options=options, num_threads=3).num_threads == 3
+        monkeypatch.delenv("REPRO_NUM_THREADS")
+        assert BatchedSolver(A, options=options).num_threads == 1
+        assert BatchedSolver(A, options=options, num_threads=0).num_threads == (os.cpu_count() or 1)
 
 
 class TestEnsembleFirstScenarioSingular:

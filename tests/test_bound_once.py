@@ -27,12 +27,12 @@ _MATRICES = {
 
 _needs_cc = pytest.mark.skipif(not c_compiler_available(), reason="no C compiler")
 
-#: The python reference kernels, the serial C kernels, and the level-parallel
-#: C kernels (simplicial bodies, so the factorizations take the wavefront job).
+#: The python reference kernels, the C kernels, and the C kernels with
+#: VS-Block off (simplicial bodies where the default blocks).
 _MODES = {
     "python": SympilerOptions(backend="python"),
     "c": SympilerOptions(backend="c"),
-    "c-wavefront": SympilerOptions(backend="c", parallel="wavefront", enable_vs_block=False),
+    "c-simplicial": SympilerOptions(backend="c", enable_vs_block=False),
 }
 _MODE_PARAMS = [pytest.param(m, marks=() if m == "python" else _needs_cc) for m in _MODES]
 

@@ -19,7 +19,6 @@ from repro.compiler.sympiler import Sympiler
 from repro.frontend import SpecializedSolver
 from repro.solvers.linear_solver import backward_factor
 from repro.sparse import generators as g
-from repro.sparse.ordering import ordering_by_name
 from repro.sparse.utils import is_symmetric_pattern
 from repro.symbolic.inspector import CholeskyInspector, LUInspector
 
@@ -56,7 +55,6 @@ def _compile(kernel, A, options):
 
 
 def test_every_registered_c_kernel_is_covered():
-    # One spec per kernel: the wavefront entry is the same spec compiled with parallel="wavefront".
     assert KERNELS == ["cholesky", "ic0", "ilu0", "ldlt", "lu", "triangular-solve"]
 
 
@@ -147,15 +145,3 @@ def test_shared_objects_follow_the_routes_not_the_patterns(monkeypatch, tmp_path
     solve(g.laplacian_2d(11))
     assert disk_cache_stats().compiles - before == compiles
 
-
-@pytest.mark.parametrize("kernel", ["cholesky", "lu", "ic0"])
-def test_active_wavefront_modules_are_not_shared(kernel):
-    """Pool, barrier and level clock are module state: one pattern per module."""
-    options = SympilerOptions(backend="c", parallel="wavefront", enable_vs_block=False)
-    # Minimum-degree ordering gives the bushy elimination tree wavefronts need.
-    small, large = (
-        _compile(kernel, ordering_by_name("mindeg")(A).symmetric_permute(A), options)
-        for A in (g.laplacian_2d(12), g.laplacian_2d(16))
-    )
-    assert small.parallel_mode == large.parallel_mode == "wavefront"
-    assert small.module.shared_object != large.module.shared_object

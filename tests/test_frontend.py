@@ -655,32 +655,52 @@ class TestIngestInExplicitAPIs:
 
 
 # --------------------------------------------------------------------------- #
-# num_threads unification (satellite: pcg gained the knob)
+# The thread count reaches the batch entries only
 # --------------------------------------------------------------------------- #
-class TestNumThreadsUnification:
-    def test_pcg_accepts_num_threads_bitwise_serial(self):
-        A = laplacian_2d(7)
-        b = np.ones(A.n)
-        r0 = preconditioned_conjugate_gradient(A, b)
-        r1 = preconditioned_conjugate_gradient(A, b, num_threads=2)
-        np.testing.assert_array_equal(r0.x, r1.x)
-        assert r0.iterations == r1.iterations
+def _thread_count_entries():
+    from repro.compiler.artifacts import SympiledTriangularSolve
+    from repro.solvers.batched import FactorHandle
+    from repro.solvers.linear_solver import map_items
+    from repro.solvers.newton import newton_raphson_ensemble, newton_raphson_fixed_pattern
 
-    def test_solver_pcg_method_passes_num_threads(self):
-        A = laplacian_2d(6)
-        solver = SparseLinearSolver(A)
-        b = np.ones(A.n)
-        r0 = solver.pcg(b)
-        r1 = solver.pcg(b, num_threads=2)
-        np.testing.assert_array_equal(r0.x, r1.x)
+    serial = {
+        "repro.solve": repro.solve,
+        "SpecializedSolver.solve": SpecializedSolver.solve,
+        "SparseLinearSolver.solve": SparseLinearSolver.solve,
+        "SparseLinearSolver.step": SparseLinearSolver.step,
+        "SparseLinearSolver.solve_with_factors": SparseLinearSolver.solve_with_factors,
+        "SparseLinearSolver.pcg": SparseLinearSolver.pcg,
+        "FactorHandle.solve": FactorHandle.solve,
+        "preconditioned_conjugate_gradient": preconditioned_conjugate_gradient,
+        "SympiledTriangularSolve.solve_arrays": SympiledTriangularSolve.solve_arrays,
+        "newton_raphson_fixed_pattern": newton_raphson_fixed_pattern,
+    }
+    batch = {
+        "BatchedSolver": BatchedSolver,
+        "SparseLinearSolver.solve_many": SparseLinearSolver.solve_many,
+        "map_items": map_items,
+        "newton_raphson_ensemble": newton_raphson_ensemble,
+    }
+    return serial, batch
 
-    def test_frontend_solve_passes_num_threads(self, rng):
-        A = random_spd(30, 0.08, seed=14)
-        b = rng.normal(size=A.n)
-        front = SpecializedSolver()
-        x0 = front.solve(A, b)
-        x1 = front.solve(A, b, num_threads=2)
-        np.testing.assert_array_equal(x0, x1)
+
+_SERIAL_ENTRIES, _BATCH_ENTRIES = _thread_count_entries()
+
+
+@pytest.mark.parametrize("name", sorted(_SERIAL_ENTRIES))
+def test_a_serial_entry_takes_no_thread_count(name):
+    """Every kernel is serial, so a ``num_threads`` here would reach no thread."""
+    import inspect
+
+    assert "num_threads" not in inspect.signature(_SERIAL_ENTRIES[name]).parameters
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_ENTRIES))
+def test_a_batch_entry_takes_a_thread_count(name):
+    """The batch entries map independent items over ``map_items``, the one thread mechanism."""
+    import inspect
+
+    assert "num_threads" in inspect.signature(_BATCH_ENTRIES[name]).parameters
 
 
 # --------------------------------------------------------------------------- #

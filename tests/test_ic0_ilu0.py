@@ -1,6 +1,6 @@
 """End-to-end tests of the IC(0)/ILU(0) preconditioner kernels.
 
-Covers the symbolic layer (no-fill inspections + schedules), the reference
+Covers the symbolic layer (no-fill inspections), the reference
 kernels, both code-generation backends, batches of value sets and the
 artifact protocol — the whole registry extension of the incomplete kernels.
 """
@@ -29,7 +29,6 @@ from repro.symbolic.inspector import (
     ILU0InspectionResult,
     ILU0Inspector,
 )
-from repro.symbolic.levels import dependency_graph_from_column_deps
 
 needs_cc = pytest.mark.skipif(
     not (c_compiler_available("cc") or c_compiler_available("gcc")),
@@ -82,13 +81,6 @@ class TestSymbolicIC0:
             expected = [k for k in range(j) if dense[j, k]]
             np.testing.assert_array_equal(insp.row_patterns[j], expected)
 
-    def test_schedule_is_valid_wavefront_partition(self):
-        A = _spd(9)
-        insp = IC0Inspector().inspect(A)
-        dg = dependency_graph_from_column_deps(insp.n, insp.row_patterns)
-        assert insp.schedule.validate_against(dg)
-        assert insp.schedule.n_scheduled == A.n
-
     def test_missing_diagonal_raises(self):
         dense = np.array([[2.0, 0.0], [1.0, 0.0]])
         dense[1, 1] = 0.0  # structurally absent after from_dense
@@ -117,18 +109,12 @@ class TestSymbolicILU0:
         assert insp.l_nnz == strict.nnz + A.n
         assert insp.factor_nnz == insp.l_nnz + insp.u_nnz
 
-    def test_diag_last_in_u_and_schedule_valid(self):
+    def test_diag_last_in_u(self):
         A = _jacobian(40, seed=9)
         insp = ILU0Inspector().inspect(A)
         np.testing.assert_array_equal(
             insp.u_indices[insp.u_indptr[1:] - 1], np.arange(A.n)
         )
-        deps = [
-            insp.u_indices[insp.u_indptr[j] : insp.u_indptr[j + 1] - 1]
-            for j in range(A.n)
-        ]
-        dg = dependency_graph_from_column_deps(insp.n, deps)
-        assert insp.schedule.validate_against(dg)
 
     def test_missing_diagonal_raises(self):
         A = CSCMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 1.0]]))
@@ -314,14 +300,13 @@ class TestBatchIncomplete:
 
 
 class TestArtifactsAndCache:
-    def test_recompile_is_cache_hit_and_schedule_cached(self):
+    def test_recompile_is_cache_hit(self):
         sym = _fresh_sympiler()
         A = _spd(8)
         first = sym.compile("ic0", A)
         hits = sym.cache_stats.hits
         assert sym.compile("ic0", A) is first
         assert sym.cache_stats.hits == hits + 1
-        assert first.schedule.n_scheduled == A.n
 
     def test_pattern_mismatch_detected(self):
         from repro.compiler.artifacts import PatternMismatchError

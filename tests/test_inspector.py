@@ -127,3 +127,22 @@ class TestCholeskyInspector:
 )
 def test_each_kernel_reaches_its_inspector_through_the_spec(name, inspector_cls):
     assert kernel_spec(name).inspector_cls is inspector_cls
+
+
+def test_symbolic_inspector_imports_standalone():
+    """The symbolic layer imports on its own in a fresh interpreter.
+
+    The compiler imports the inspectors; a module of the symbolic layer that
+    imported the compiler or the solvers back would recurse (inspector ->
+    ... -> compiler artifacts -> inspector) and die at import time.  Guard
+    the discipline.
+    """
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", "import repro.symbolic.inspector"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -21,7 +21,7 @@ needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compi
 BACKENDS = {
     "python": {"backend": "python"},
     "c": {"backend": "c"},
-    "c-wavefront": {"backend": "c", "parallel": "wavefront", "enable_vs_block": False},
+    "c-simplicial": {"backend": "c", "enable_vs_block": False},
 }
 BACKEND_IDS = [pytest.param(name, marks=() if name == "python" else needs_cc) for name in BACKENDS]
 

@@ -11,9 +11,8 @@ What is proven here:
   because they run on the caller's thread,
 * exporter determinism (snapshot / Prometheus text / Chrome trace) and the
   Fig. 8/9 amortization breakdown arithmetic,
-* the four legacy stats surfaces appearing through pull-mode collectors,
-* the service's ``metrics`` wire verb end to end, and
-* per-wavefront-level timings read out of a wavefront-compiled C kernel.
+* the four legacy stats surfaces appearing through pull-mode collectors, and
+* the service's ``metrics`` wire verb end to end.
 
 Every test that enables tracing goes through the ``tracing`` fixture, which
 restores the disabled default on exit — tracing state is process-global.
@@ -294,11 +293,12 @@ class TestExporters:
         assert "symbolic" in rendered
 
     def test_parent_spans_never_double_count(self):
-        # "compile" wraps inspect/lower/codegen and "schedule" nests inside
-        # "inspect"; both must stay out of the groups so no second counts.
+        # "compile" wraps inspect/lower/codegen and "native-build" nests
+        # inside "ordering" or "inspect"; both must stay out of the groups so
+        # no second counts.
         grouped = {p for phases in observe.PHASE_GROUPS.values() for p in phases}
         assert "compile" not in grouped
-        assert "schedule" not in grouped
+        assert "native-build" not in grouped
 
 
 # --------------------------------------------------------------------------- #
@@ -468,53 +468,3 @@ class TestCliSurfaces:
         for name in ("artifact_cache", "disk_cache", "frontend"):
             assert name in collectors
         assert collectors["disk_cache"]["py_writes"] == report["py_writes"]
-
-
-# --------------------------------------------------------------------------- #
-# Wavefront per-level timing (C backend)
-# --------------------------------------------------------------------------- #
-@needs_cc
-class TestWavefrontLevelTiming:
-    def test_numeric_span_carries_level_seconds(self, tmp_path, monkeypatch):
-        from repro.compiler.cache import ArtifactCache
-        from repro.compiler.options import SympilerOptions
-        from repro.compiler.sympiler import Sympiler
-        from repro.sparse.ordering import ordering_by_name
-
-        monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
-        grid = laplacian_2d(12, shift=0.1)
-        A = ordering_by_name("mindeg")(grid).symmetric_permute(grid)
-        compiler = "cc" if c_compiler_available("cc") else "gcc"
-        options = SympilerOptions(
-            backend="c",
-            c_compiler=compiler,
-            enable_vs_block=False,
-            parallel="wavefront",
-        )
-        sym = Sympiler(options, cache=ArtifactCache())
-        chol = sym.compile("cholesky", A)
-        assert chol.parallel_mode == "wavefront"
-
-        serial_bits = chol.factorize_arrays(A.indptr, A.indices, A.data)
-        observe.enable(wavefront_levels=True)
-        try:
-            chol.factorize_arrays(A.indptr, A.indices, A.data, num_threads=2)
-            tracer = observe.get_tracer()
-            numeric = [sp for sp in tracer.spans() if sp.name == "numeric"]
-            assert numeric, "no numeric span recorded"
-            levels = numeric[-1].attrs.get("wf_level_seconds")
-            assert levels is not None, "wavefront level timings missing"
-            n_levels = chol.schedule.n_levels
-            assert len(levels) == n_levels
-            assert all(v >= 0.0 for v in levels)
-            assert sum(levels) > 0.0
-            # Profiling never perturbs the numerics: bitwise vs untraced.
-            traced_bits = chol.factorize_arrays(
-                A.indptr, A.indices, A.data, num_threads=2
-            )
-        finally:
-            observe.disable()
-            observe.reset()
-        s = serial_bits if not isinstance(serial_bits, tuple) else serial_bits[0]
-        t = traced_bits if not isinstance(traced_bits, tuple) else traced_bits[0]
-        assert np.array_equal(np.asarray(s), np.asarray(t))

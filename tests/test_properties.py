@@ -275,33 +275,25 @@ needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compi
 
 
 def _check_c_matches_python_bitwise(A, seed, kernels):
-    """Every C entry — serial and wavefront, one and two threads — against the python backend."""
+    """Every C entry against the python backend."""
     rng = np.random.default_rng(seed)
     sym = Sympiler()
-    python = SympilerOptions(backend="python")
-    c_entries = [
-        (SympilerOptions(backend="c", parallel=parallel), threads)
-        for parallel, threads in (("none", None), ("wavefront", 1), ("wavefront", 2))
-    ]
+    python, c = SympilerOptions(backend="python"), SympilerOptions(backend="c")
     # A raw output is one value array (Lx) or a pair ((Lx, D), (Lx, Ux)).
     flat = lambda raw: np.concatenate(raw if isinstance(raw, tuple) else (raw,))  # noqa: E731
     for kernel in kernels:
         expected = sym.compile(kernel, A, options=python).factorize_arrays(A.indptr, A.indices, A.data)
-        for options, threads in c_entries:
-            compiled = sym.compile(kernel, A, options=options)
-            raw = compiled.factorize_arrays(A.indptr, A.indices, A.data, num_threads=threads)
-            assert isinstance(raw, tuple) == isinstance(expected, tuple)
-            np.testing.assert_array_equal(flat(raw), flat(expected))
+        raw = sym.compile(kernel, A, options=c).factorize_arrays(A.indptr, A.indices, A.data)
+        assert isinstance(raw, tuple) == isinstance(expected, tuple)
+        np.testing.assert_array_equal(flat(raw), flat(expected))
     L = sym.compile("cholesky", A, options=python).factorize(A)
     b = np.zeros(L.n)
     nnz = int(rng.integers(1, max(2, L.n // 2)))
     b[rng.choice(L.n, size=nnz, replace=False)] = rng.uniform(0.5, 2.0, size=nnz)
     for rhs_pattern in (None, np.nonzero(b)[0]):
         expected = sym.compile("triangular-solve", L, options=python, rhs_pattern=rhs_pattern).solve(L, b)
-        for options, threads in c_entries:
-            compiled = sym.compile("triangular-solve", L, options=options, rhs_pattern=rhs_pattern)
-            x = compiled.solve_arrays(L.indptr, L.indices, L.data, b, num_threads=threads)
-            np.testing.assert_array_equal(x, expected)
+        compiled = sym.compile("triangular-solve", L, options=c, rhs_pattern=rhs_pattern)
+        np.testing.assert_array_equal(compiled.solve_arrays(L.indptr, L.indices, L.data, b), expected)
 
 
 @needs_cc

@@ -57,7 +57,6 @@ class TestRegistration:
             assert handle.kernel == "cholesky"
             assert handle.n == A.n and handle.nnz == A.nnz
             assert handle.factor_nnz > 0
-            assert handle.schedule_levels > 0
             assert len(handle.fingerprint) == 16
             assert len(handle.handle_id) == 16
 
@@ -464,7 +463,7 @@ class TestMetricsAndStats:
         assert latency["count"] == 6
         assert latency["p50_seconds"] <= latency["p95_seconds"]
         pattern = stats["patterns"][handle.handle_id]
-        assert pattern["parallel_mode"] == "none" and pattern["schedule_levels"] > 0
+        assert pattern["solves"] == 6
         assert "mode" not in pattern and "execution_strategy" not in pattern
 
     def test_rejections_are_counted(self, park_solve):

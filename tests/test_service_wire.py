@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.service import (
     PatternEvictedError,
@@ -29,6 +30,7 @@ from repro.service.wire import (
 )
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.generators import fem_stencil_2d, laplacian_2d
+from repro.symbolic import native
 
 
 def _roundtrip(header, frames=()):
@@ -38,27 +40,43 @@ def _roundtrip(header, frames=()):
     return recv_message(buffer)
 
 
+_FRAME_ARRAYS = [
+    np.arange(5, dtype=np.float64),
+    np.arange(6, dtype=np.int64),
+    np.arange(4, dtype=np.int32),
+    np.arange(3, dtype=np.float32),
+    np.zeros(0, dtype=np.float64),  # empty frame
+    np.zeros((0, 4), dtype=np.float64),  # empty 2-D frame
+    np.array(3.25, dtype=np.float64),  # 0-d scalar frame
+    np.arange(12, dtype=np.float64).reshape(3, 4),  # 2-D frame
+    np.array([True, False, True]),  # bool frame
+]
+
+
+def _frame_id(array):
+    return f"{array.dtype}-{array.shape}"
+
+
+class _ShortReads:
+    """A stream whose ``readinto`` hands over at most ``step`` bytes per call, as a socket may."""
+
+    def __init__(self, raw, step=1):
+        self._raw, self._step = io.BytesIO(raw), step
+
+    def read(self, n):
+        return self._raw.read(n)
+
+    def readinto(self, view):
+        return self._raw.readinto(view[: self._step])
+
+
 class TestFraming:
     def test_header_only_roundtrip(self):
         header, frames = _roundtrip({"op": "ping", "x": 1.5, "s": "é"})
         assert header["op"] == "ping" and header["x"] == 1.5 and header["s"] == "é"
         assert frames == []
 
-    @pytest.mark.parametrize(
-        "array",
-        [
-            np.arange(5, dtype=np.float64),
-            np.arange(6, dtype=np.int64),
-            np.arange(4, dtype=np.int32),
-            np.arange(3, dtype=np.float32),
-            np.zeros(0, dtype=np.float64),  # empty frame
-            np.zeros((0, 4), dtype=np.float64),  # empty 2-D frame
-            np.array(3.25, dtype=np.float64),  # 0-d scalar frame
-            np.arange(12, dtype=np.float64).reshape(3, 4),  # 2-D frame
-            np.array([True, False, True]),  # bool frame
-        ],
-        ids=lambda a: f"{a.dtype}-{a.shape}",
-    )
+    @pytest.mark.parametrize("array", _FRAME_ARRAYS, ids=_frame_id)
     def test_frame_dtype_shape_roundtrip(self, array):
         _, frames = _roundtrip({"op": "x"}, [array])
         assert len(frames) == 1
@@ -66,6 +84,55 @@ class TestFraming:
         assert result.dtype == array.dtype
         assert result.shape == array.shape
         assert np.array_equal(result, array)
+
+    @pytest.mark.parametrize("array", _FRAME_ARRAYS, ids=_frame_id)
+    def test_received_frames_are_writable(self, array):
+        """Frames are decoded over a buffer of their own, so a solver can take them without a copy."""
+        _, (first, second) = _roundtrip({"op": "x"}, [array, array])
+        assert first.flags.writeable and second.flags.writeable
+        first[...] = np.zeros_like(first)
+        assert np.array_equal(second, array)  # no buffer is shared between frames
+
+    def test_frames_reassemble_from_short_reads(self):
+        a, b = np.arange(4, dtype=np.int64), np.linspace(0, 1, 7)
+        buffer = io.BytesIO()
+        send_message(buffer, {"op": "x", "s": "é"}, [a, b])
+        header, frames = recv_message(_ShortReads(buffer.getvalue(), step=3))
+        assert header["s"] == "é"
+        assert np.array_equal(frames[0], a) and np.array_equal(frames[1], b)
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            ("head", "truncated message head"),
+            ("header", "mid-message"),
+            ("before-frames", "mid-message"),
+            ("first-frame", "mid-message"),
+            ("between-frames", "mid-message"),
+            ("second-frame", "mid-message"),
+        ],
+    )
+    def test_a_short_read_anywhere_is_a_protocol_error(self, cut, message):
+        import struct
+
+        a, b = np.arange(4, dtype=np.int64), np.linspace(0, 1, 7)
+        buffer = io.BytesIO()
+        send_message(buffer, {"op": "x"}, [a, b])
+        raw = buffer.getvalue()
+        head = struct.calcsize(">4sBI")
+        frames_at = head + struct.unpack(">4sBI", raw[:head])[2]
+        assert len(raw) == frames_at + a.nbytes + b.nbytes
+        end = {
+            "head": head - 2,
+            "header": frames_at - 3,
+            "before-frames": frames_at,
+            "first-frame": frames_at + a.nbytes // 2,
+            "between-frames": frames_at + a.nbytes,
+            "second-frame": len(raw) - 1,
+        }[cut]
+        for stream in (io.BytesIO(raw[:end]), _ShortReads(raw[:end])):
+            with pytest.raises(ProtocolError, match=message):
+                recv_message(stream)
 
     def test_noncontiguous_frame_is_sent_contiguously(self):
         base = np.arange(20, dtype=np.float64)
@@ -161,6 +228,34 @@ class TestEndToEnd:
             rhs = np.linspace(0.5, 1.5, A.n)
             x = client.solve(handle, A.data, rhs)
             assert np.array_equal(x, ref.solve(rhs))
+
+    def test_a_new_values_solve_is_one_native_call(self, served):
+        """Decoded frames are writable, so a wire request takes the solver's one-call warm step."""
+        if not c_compiler_available() or native.helper() is None:
+            pytest.skip("needs a C compiler for the kernels and the native helper")
+        address, service = served
+        A = laplacian_2d(8, shift=0.1)
+        rhs = np.linspace(0.5, 1.5, A.n)
+        counts = {"native": 0, "factorize": 0, "solve": 0}
+        with ServiceClient(address) as client:
+            handle = client.register_pattern(A, ordering="natural")
+            solver = service._entry_for(handle.handle_id).solver
+            kernel, solve, warm = solver._kernel, solver._solve, solver._warm
+            assert warm is not None
+
+            def counted(name, call):
+                def wrapped(*args):
+                    counts[name] += 1
+                    return call(*args)
+
+                return wrapped
+
+            solver._kernel, solver._solve = counted("factorize", kernel), counted("solve", solve)
+            solver._warm = counted("native", warm)
+            x = client.solve(handle, A.data * 2.0, rhs)
+        assert counts == {"native": 1, "factorize": 0, "solve": 0}
+        ref = SparseLinearSolver(A.with_values(A.data * 2.0), ordering="natural", options=service.options)
+        assert np.array_equal(x, ref.solve(rhs))
 
     def test_solve_by_handle_id_string(self, served):
         address, _ = served

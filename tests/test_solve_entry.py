@@ -5,9 +5,10 @@ D | Ux], b, w, x, T)`` next to its factorization: ``w = b[perm]``, the forward
 sweep on ``L``, ``÷ D``, the backward sweep (``Lᵀ`` in dot form, ``U`` in push
 form), ``x[perm] = w``; IC(0)'s, with the identity ``perm``, applies the
 preconditioner ``(L Lᵀ)⁻¹``.  ``reference.factor_solve`` mirrors it, so the
-two backends agree to the bit on every route: serial, on pool threads, and
-under ``parallel="wavefront"`` options.  The solver compiles nothing else for
-its solves, and hands the entry contiguous vectors whatever the caller passes.
+two backends agree to the bit on every route: on the caller's thread and on
+pool threads, under either ``parallel`` option (``"wavefront"`` compiles the
+serial source).  The solver compiles nothing else for its solves, and hands
+the entry contiguous vectors whatever the caller passes.
 """
 
 import os
@@ -48,7 +49,7 @@ CASES = {
     "ldlt-simplicial": ("ldlt", lambda: saddle_point_indefinite(60, 20, seed=3), {}, "simplicial-cholesky"),
     "lu": ("lu", lambda: unsymmetric_diag_dominant(90, seed=4), {}, "simplicial-lu"),
 }
-PARALLEL = ["none", pytest.param("wavefront", marks=needs_cc)]
+PARALLEL = ["none", "wavefront"]
 
 
 def _solver(case, backend, parallel="none"):

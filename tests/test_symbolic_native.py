@@ -53,11 +53,6 @@ from repro.symbolic.fill_pattern import (
     row_patterns_of_factor,
 )
 from repro.symbolic.inspector import CholeskyInspector, LUInspector, TriangularSolveInspector
-from repro.symbolic.levels import (
-    deps_levels_reference,
-    level_sets_from_parent,
-    parent_levels_reference,
-)
 from repro.symbolic.reach import reach_set_from_arrays, reach_set_reference
 
 SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -136,7 +131,6 @@ def _check_every_entry_point(lib: native.NativeSymbolic, A: CSCMatrix) -> None:
     _same(lib.column_etree(n, n, A.indptr, A.indices), col_parent, "column etree")
     for tree in (parent, col_parent):
         _same(lib.postorder(tree), postorder_reference(tree), "postorder")
-        _same(lib.levels_from_parent(tree), parent_levels_reference(tree), "levels of a tree")
 
     expected = factor_structure_reference(S, parent)
     got = lib.factor_pattern(n, S.indptr, S.indices, parent)
@@ -145,7 +139,6 @@ def _check_every_entry_point(lib: native.NativeSymbolic, A: CSCMatrix) -> None:
     row_ptr, row_idx, l_indptr, l_indices = expected
     for g, e in zip(lib.factor_counts(n, S.indptr, S.indices, parent), (row_ptr, l_indptr)):
         _same(g, e, "factor counts")
-    _same(lib.levels_from_deps(row_ptr, row_idx), deps_levels_reference(row_ptr, row_idx), "deps")
 
     for name, g, e in zip(
         ("l_indptr", "l_indices", "u_indptr", "u_indices"),
@@ -191,7 +184,6 @@ class TestNativeMatchesReference:
         def refuse(*args, **kwargs):
             raise AssertionError("the Python reference ran although the helper is loaded")
 
-        import repro.symbolic.levels as levels
         import repro.sparse.ordering as ordering
         import repro.symbolic.etree as etree
         import repro.symbolic.fill_pattern as fill_pattern
@@ -202,10 +194,6 @@ class TestNativeMatchesReference:
             (etree, ["elimination_tree_reference", "column_etree_reference", "postorder_reference"]),
             (fill_pattern, ["factor_structure_reference", "lu_pattern_reference", "_ereach_stamped"]),
             (reach, ["reach_set_reference"]),
-            (
-                levels,
-                ["parent_levels_reference", "deps_levels_reference"],
-            ),
         ):
             for name in names:
                 monkeypatch.setattr(module, name, refuse)
@@ -214,7 +202,6 @@ class TestNativeMatchesReference:
         chol = CholeskyInspector().inspect(B)
         TriangularSolveInspector().inspect(chol.l_pattern_matrix(), rhs_pattern=[0, 7])
         LUInspector().inspect(unsymmetric_diag_dominant(30, seed=1))
-        level_sets_from_parent(chol.parent)
 
 
 # --------------------------------------------------------------------------- #
@@ -258,7 +245,6 @@ class TestBindingValidation:
         n, indptr, indices = self.GOOD
         for call in (
             lambda: lib.postorder(parent),
-            lambda: lib.levels_from_parent(parent),
             lambda: lib.factor_pattern(n, indptr, indices, parent),
         ):
             with pytest.raises(ValueError):
@@ -266,14 +252,12 @@ class TestBindingValidation:
         with pytest.raises(ValueError, match="one entry per column"):
             lib.factor_pattern(n, indptr, indices, np.array([-1, -1]))
 
-    def test_out_of_range_sources_and_dependencies_are_rejected(self):
+    def test_out_of_range_sources_are_rejected(self):
         lib = native.helper()
         n, indptr, indices = self.GOOD
         for bad in (np.array([4]), np.array([-1])):
             with pytest.raises(ValueError):
                 lib.reach(n, indptr, indices, bad)
-        with pytest.raises(ValueError):
-            lib.levels_from_deps(np.array([0, 1, 1]), np.array([2]))
         # The public wrappers keep the errors they always raised.
         with pytest.raises(IndexError):
             reach_set_from_arrays(n, indptr, indices, [4])
@@ -306,9 +290,8 @@ def _public_results(A: CSCMatrix, U: CSCMatrix) -> list:
         *row_patterns_of_factor(B, parent),
         *lu_pattern(U),
         tri.reach,
-        chol.schedule.order,
-        chol.schedule.level_ptr,
-        level_sets_from_parent(parent).order,
+        chol.row_ptr,
+        chol.row_idx,
     ]
 
 

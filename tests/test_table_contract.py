@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.compiler.cache import ArtifactCache
-from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available
+from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available, disk_cache_stats
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.service.wire import TOOLCHAIN_OPTIONS
@@ -29,8 +29,7 @@ METHODS = list(_C_METHOD_SPECS)
 FACTORIZATIONS = [name for name in METHODS if name != "triangular-solve"]
 
 
-#: A pattern VS-Block takes (deep etree: wavefront falls back) and one it
-#: leaves alone (minimum-degree order: bushy etree, wavefront active).
+#: A pattern VS-Block takes and one it leaves alone (minimum-degree order).
 _GRID = laplacian_2d(7, shift=0.1)
 PATTERNS = {
     "fem": fem_stencil_2d(6, shift=0.25),
@@ -58,31 +57,34 @@ def test_both_backends_hold_the_same_table_block(pattern, method):
         sym.compile(method, operand, options=SympilerOptions(**options)).constants
         for options in ({"backend": "python"}, {"backend": "c"}, {"backend": "c", "parallel": "wavefront"})
     )
-    assert list(python) == list(serial) and list(serial)[0] == "_C_dims"
+    assert list(python) == list(serial) == list(wavefront) and list(serial)[0] == "_C_dims"
     for name, table in serial.items():
         assert table.dtype == python[name].dtype == np.int64
         assert table.flags.c_contiguous and python[name].flags.c_contiguous
         np.testing.assert_array_equal(python[name], table, err_msg=name)
-    # A wavefront module appends its own tables (the level schedule) after
-    # the serial block: the serial block is a prefix of its block, and the
-    # serial sizes a prefix of its sizes.
-    assert list(wavefront)[: len(serial)] == list(serial)
-    assert all(name.startswith("_C_wf_") for name in list(wavefront)[len(serial) :])
-    for name in list(serial)[1:]:
-        np.testing.assert_array_equal(wavefront[name], serial[name], err_msg=name)
-    n_sizes = serial["_C_dims"].size
-    np.testing.assert_array_equal(wavefront["_C_dims"][:n_sizes], serial["_C_dims"])
+        np.testing.assert_array_equal(wavefront[name], table, err_msg=name)
 
 
 @needs_cc
-def test_the_wavefront_extras_are_exercised():
-    """Not vacuous: on the bushy pattern every wavefront factorization module has tables of its own."""
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("pattern", sorted(PATTERNS))
+def test_wavefront_compiles_the_serial_source_and_shares_its_so(pattern, method, tmp_path, monkeypatch):
+    """``parallel="wavefront"`` prints the serial source byte for byte: the pair costs one ``cc`` run."""
+    monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
     sym = Sympiler(cache=ArtifactCache())
-    options = SympilerOptions(backend="c", parallel="wavefront")
-    for method in FACTORIZATIONS:
-        artifact = sym.compile(method, _operand(sym, method, PATTERNS["mindeg"]), options=options)
-        assert artifact.parallel_mode == "wavefront"
-        assert any(name.startswith("_C_wf_") for name in artifact.constants), method
+    operand = _operand(sym, method, PATTERNS[pattern])
+    before = disk_cache_stats().as_dict()
+    serial, wavefront = (
+        sym.compile(method, operand, options=SympilerOptions(backend="c", parallel=parallel))
+        for parallel in ("none", "wavefront")
+    )
+    after = disk_cache_stats().as_dict()
+    assert wavefront.source == serial.source
+    assert wavefront.module.shared_object == serial.module.shared_object
+    assert (after["compiles"] - before["compiles"], after["reuses"] - before["reuses"]) == (1, 1)
+    assert (serial.parallel_mode, wavefront.parallel_mode) == ("none", "serial-fallback")
+    assert wavefront.decisions["wavefront"] == {"mode": "serial-fallback", "fallback_reason": "no-schedule"}
+    assert "wavefront" not in serial.decisions
 
 
 # --------------------------------------------------------------------------- #
@@ -104,8 +106,9 @@ def test_the_wavefront_extras_are_exercised():
 #: entry (``<entry>_solve`` and the ``REPRO_PIVOT`` macro it reads), and
 #: re-based for IC(0) when its module gained the same entry (and its block the
 #: ``l_indices`` table the entry reads), and for the wavefront triangular
-#: solve when its pull-form job went: it is the serial body behind the
-#: wavefront ABI, the same source for every pattern.
+#: solve when its pull-form job went, and for every ``"wavefront"`` key when
+#: the factorizations' wavefront job and the ``n_threads`` argument went: each
+#: is now its ``"none"`` twin, the serial source byte for byte.
 _OPTION_BUNDLES = (
     {},
     {"enable_vs_block": False},
@@ -113,29 +116,29 @@ _OPTION_BUNDLES = (
 )
 _PINNED_C_SOURCES = {
     ("fem", "triangular-solve", "none"): "c0493e6ca408bb29fc6b5aeb1373b1ac9a1fcb989d3cc2d4aeeb205d5cd4d267",
-    ("fem", "triangular-solve", "wavefront"): "f1198cdbb298424e3195bc2efbc7dbe6dbe7b7f0c7f097481ab9afc76631d129",
+    ("fem", "triangular-solve", "wavefront"): "c0493e6ca408bb29fc6b5aeb1373b1ac9a1fcb989d3cc2d4aeeb205d5cd4d267",
     ("fem", "cholesky", "none"): "5aa6a5706567d80adf6b0b87bf6c664cec3fe9a97fc729f5034548e61174f315",
-    ("fem", "cholesky", "wavefront"): "c6b5f60fd070688745d2f5ba4fff1c77a82c6eeedfbc9f73649c0ba17ada3b4f",
+    ("fem", "cholesky", "wavefront"): "5aa6a5706567d80adf6b0b87bf6c664cec3fe9a97fc729f5034548e61174f315",
     ("fem", "ldlt", "none"): "fe807212d8a4d2ea3306a5d6e5dcd2355fdefb69df39696c23f05e462c340fd4",
-    ("fem", "ldlt", "wavefront"): "c0c6ea8cb7d0d7ef29696de0d760c7ecc0bb5b0f4ebff6769773c3b74b0eca44",
+    ("fem", "ldlt", "wavefront"): "fe807212d8a4d2ea3306a5d6e5dcd2355fdefb69df39696c23f05e462c340fd4",
     ("fem", "lu", "none"): "f6ef5acadecf9b90f737830a73993faa04a56626a714f0df956b9ffde547f370",
-    ("fem", "lu", "wavefront"): "c210cec140698ba5c189894c399cd1225311d9ca2e3c97cfab9079f90aa77ab9",
+    ("fem", "lu", "wavefront"): "f6ef5acadecf9b90f737830a73993faa04a56626a714f0df956b9ffde547f370",
     ("fem", "ic0", "none"): "07d571411191581c113607030220b6c1313458779db2192ad3e661e6714a9b4e",
-    ("fem", "ic0", "wavefront"): "991707081b4bdeab695a55ebdc9899498a0d4e47cbb7030c1469c1108974ada2",
+    ("fem", "ic0", "wavefront"): "07d571411191581c113607030220b6c1313458779db2192ad3e661e6714a9b4e",
     ("fem", "ilu0", "none"): "0a2d1b7fe06b81ff1750f7fbc2d41125b878affb5dcf2e0eaccf174608d7d34f",
-    ("fem", "ilu0", "wavefront"): "492e122d0b2c8f242c297d6d5f50f05cf1bd8594497e24f3fe98a1e75657ee9b",
+    ("fem", "ilu0", "wavefront"): "0a2d1b7fe06b81ff1750f7fbc2d41125b878affb5dcf2e0eaccf174608d7d34f",
     ("mindeg", "triangular-solve", "none"): "c0493e6ca408bb29fc6b5aeb1373b1ac9a1fcb989d3cc2d4aeeb205d5cd4d267",
-    ("mindeg", "triangular-solve", "wavefront"): "f1198cdbb298424e3195bc2efbc7dbe6dbe7b7f0c7f097481ab9afc76631d129",
+    ("mindeg", "triangular-solve", "wavefront"): "c0493e6ca408bb29fc6b5aeb1373b1ac9a1fcb989d3cc2d4aeeb205d5cd4d267",
     ("mindeg", "cholesky", "none"): "833ba3178b424a07e3e4817c8438899f90531f1f262a6a0653517007598a9a7e",
-    ("mindeg", "cholesky", "wavefront"): "4a64bbb7de5ea72420808e0899bbf84052b991549f51d7ea59ba38b33ee946a2",
+    ("mindeg", "cholesky", "wavefront"): "833ba3178b424a07e3e4817c8438899f90531f1f262a6a0653517007598a9a7e",
     ("mindeg", "ldlt", "none"): "707983cc1b0b2ff2b143691337859c01a55b5ade5a6958236628b8e46187c8cd",
-    ("mindeg", "ldlt", "wavefront"): "f4340cdb178b90134fcb4d2ac5af86f02239e0dddb5b2028ea74e78eb329a248",
+    ("mindeg", "ldlt", "wavefront"): "707983cc1b0b2ff2b143691337859c01a55b5ade5a6958236628b8e46187c8cd",
     ("mindeg", "lu", "none"): "f6ef5acadecf9b90f737830a73993faa04a56626a714f0df956b9ffde547f370",
-    ("mindeg", "lu", "wavefront"): "391223ed90e97299b594abe6a29e1841df7cbda385c757af3c8eb89f0a5986a6",
+    ("mindeg", "lu", "wavefront"): "f6ef5acadecf9b90f737830a73993faa04a56626a714f0df956b9ffde547f370",
     ("mindeg", "ic0", "none"): "07d571411191581c113607030220b6c1313458779db2192ad3e661e6714a9b4e",
-    ("mindeg", "ic0", "wavefront"): "20c5712b7448ef9f6452d52a09da6f208cef1c213f0529da83850affd248d232",
+    ("mindeg", "ic0", "wavefront"): "07d571411191581c113607030220b6c1313458779db2192ad3e661e6714a9b4e",
     ("mindeg", "ilu0", "none"): "0a2d1b7fe06b81ff1750f7fbc2d41125b878affb5dcf2e0eaccf174608d7d34f",
-    ("mindeg", "ilu0", "wavefront"): "5e9dcd6d41ee9ebec574f6e1da9c15d42dd890f8a16bc5cd1a2aa0654abf3d55",
+    ("mindeg", "ilu0", "wavefront"): "0a2d1b7fe06b81ff1750f7fbc2d41125b878affb5dcf2e0eaccf174608d7d34f",
 }
 
 
@@ -339,49 +342,51 @@ def _record(artifact):
 #: sha256 over the records of every bundle of ``_RECORD_BUNDLES`` under ``parallel="none"``, then
 #: under ``parallel="wavefront"``, per (pattern, case, backend); re-based where VS-Block takes a
 #: Cholesky / LDLᵀ when loop distribution stopped being planned, re-based when the
-#: no-low-level bundle left ``_OPTION_BUNDLES``, and re-based for the C triangular solves when
-#: ``parallel="wavefront"`` began to record the serial fallback (``"no-schedule"``) for them.
+#: no-low-level bundle left ``_OPTION_BUNDLES``, re-based for the C triangular solves when
+#: ``parallel="wavefront"`` began to record the serial fallback (``"no-schedule"``) for them,
+#: and re-based for the C factorizations when it began to record the same for every kernel
+#: (no level-schedule sizes, no ``"wavefront"`` mode, no other fallback reason).
 _PINNED_RECORDS = {
     ("fem", "triangular-solve", "python"): "af412b2adadca56cc3cee7e6948a42636cc622639b06c3169170757a69cc0b09",
     ("fem", "triangular-solve", "c"): "854738d45a17742c8625ee1a3c600bc2e2bd1ee2593d707b0b6d68b36e4de2df",
     ("fem", "cholesky", "python"): "9dd4b1576571538a1b15860ba51acd874cc22a221878a2ae7c1a077a36a7b30c",
-    ("fem", "cholesky", "c"): "a3af04891443c5fb29f6da46d183849cac2e036cb7314792228d3d62fa55f20f",
+    ("fem", "cholesky", "c"): "f5e8675ba12824562e7b6b04b8569d076a56e9c1611b20837afc4dd5c8d4dc0c",
     ("fem", "ldlt", "python"): "5f8989a8e9499e1aa3ca0c83f89c460724727bf23e4f7b85c0a4031b8be7d29a",
-    ("fem", "ldlt", "c"): "8e1d8841c6a8aeac0a86fbad9a7b337f70e7361cf9877a9fd48bfc79dd4275b3",
+    ("fem", "ldlt", "c"): "58b47debbad7b69faa2fddf2147c8acfe2079d5d36ed9d55c2f089c21f19d9f8",
     ("fem", "lu", "python"): "93cecceb5b9c906904f512c703be8a0019b47823a37919c561cd72c1e30cf6c0",
-    ("fem", "lu", "c"): "2f659f127f918c771a181d3c3042ceb2f703413b5d658853b63d9861a1c1e4ab",
+    ("fem", "lu", "c"): "e9161f9d83ec7eb2fcbdbec8a70ac3d1011a5a665bf712472ecb64f365733c16",
     ("fem", "ic0", "python"): "a26974711ad17d8c0a77ee74be9db05c4b9f3be090281a8226125dab159b5da5",
-    ("fem", "ic0", "c"): "c299f0af6a28229e5c1aad22dd1265ecf348d3676ba0e2e5be5395a06231defe",
+    ("fem", "ic0", "c"): "dae0cf316295f2e98011994d383bf2f627d1a4aac731c628de2c10f43d901e5b",
     ("fem", "ilu0", "python"): "a307b92267077378d4609a81552ab1102eece7d792256dc0766ccadb2bcf9c41",
-    ("fem", "ilu0", "c"): "a3ceecb9887260b988938f9a84201d016edd35764099b0343e4b23629048e7fc",
+    ("fem", "ilu0", "c"): "20b6305b6656e84316c64c1484581ab1064ef6da5a3a961222e26cc45ecd85c2",
     ("fem", "triangular-solve/sparse-rhs", "python"): "20c71e2810c1aed47aec2520e4ec999d8c9289f1275716c397602888fb9fa1b3",
     ("fem", "triangular-solve/sparse-rhs", "c"): "9c498596dc7dcb183a1856be55d587bc073115a7b75135363c760a33e8da69e5",
     ("mindeg", "triangular-solve", "python"): "1b7c0b2d0577f3119809fc477d99f00d0edd42226bc14513fc1279cfc165a75f",
     ("mindeg", "triangular-solve", "c"): "724a5f6788e054edffdf4fb6155f410c39d6bdfe7771fdd7d2d7d887468438e3",
     ("mindeg", "cholesky", "python"): "085f45a695d71b5523acaf6bc4e393aa4006fba35d33874e0070810ff1946da5",
-    ("mindeg", "cholesky", "c"): "1eeb63030c9de13007ee4d6f8444ab9682c693596ea24934af5f46da3f571a34",
+    ("mindeg", "cholesky", "c"): "6e654e3e692af0c69e5dd592e9e43cef31d93c921e4ce42945c9f42e3ffb8e37",
     ("mindeg", "ldlt", "python"): "0834967160b6cc9c8f796350df8b05fcc6d08fef0595ffc1150255b9e96d5084",
-    ("mindeg", "ldlt", "c"): "f4bc0f28b34a35f2ffc8f18829aad70aa7701956eec4937302a34dc4f30294fa",
+    ("mindeg", "ldlt", "c"): "b90aab3f6d89c9fd772321f7e2d646f79f53eef92663821ad79b5d2ef7e41920",
     ("mindeg", "lu", "python"): "f76f08cfbe2f5ab071cf4675430285851b72027efc4b34d08819876cd6a25c06",
-    ("mindeg", "lu", "c"): "87a840787b1d591a1e4e3e3caef65c50aece3be6d8435d4c22f449d22a0a21bf",
+    ("mindeg", "lu", "c"): "6636c411b192969a1cde655009bba2c8d85e983b3f2c18d24f77c0589d99f369",
     ("mindeg", "ic0", "python"): "0d254d2a2f07e093d8f6bd9bc1f249150841f478f3793ae84cdb521556644725",
-    ("mindeg", "ic0", "c"): "b0a4cd63b291a5a244ae1c013d1760a39627978e86ca4ce80e7bcf5a20495d27",
+    ("mindeg", "ic0", "c"): "295aec6e2fd67b88bab58f8924e10cb2728a7134587452b452210c2912d8524a",
     ("mindeg", "ilu0", "python"): "fb02767953704e56926e654d07c086bc4b4abe490a4c20ad8ae32c818e27e4a4",
-    ("mindeg", "ilu0", "c"): "617c47c51f7a02f965d127c534e5139f2970555427c4ccd3620ffb21ac45c284",
+    ("mindeg", "ilu0", "c"): "88a80a751b58dd2de40da1a15ea38e219683ea0ab8099b819deeba76df478c63",
     ("mindeg", "triangular-solve/sparse-rhs", "python"): "bb648c0060935937dd53131133a859bcf1c0489adcfcebe08f457393a90227ed",
     ("mindeg", "triangular-solve/sparse-rhs", "c"): "a3eca2b77f82a972e8ee61afd69408f39c290da194b09883ffca5366a32de0a9",
     ("mindeg3d", "triangular-solve", "python"): "e00ddc3f9a75f2bc058ceb4b6e3ea9014961c9d39b5f04424c8c864b342193c7",
     ("mindeg3d", "triangular-solve", "c"): "c7dd180bb1507f81953f8d143c6a6b88f90a1a5fe7bde9229c537f58744ca8d1",
     ("mindeg3d", "cholesky", "python"): "9f5a8a087e43a27fe43bb94bd15051439f28ddf0710dfd455c75079114d2375a",
-    ("mindeg3d", "cholesky", "c"): "e9123042634da3175c36101b725f2939fedb63478138755ddef5eef524c8e99b",
+    ("mindeg3d", "cholesky", "c"): "b7a5590744c80bfd4025e54c3ce81bcf4c1cf23a9d1e008c0bf28acff876d18c",
     ("mindeg3d", "ldlt", "python"): "d6065f0b002595a47ea2f953c6637b5af8e839f3723a63bf33d6ffbc594cfe7a",
-    ("mindeg3d", "ldlt", "c"): "91c9ece7e78f4b1d6aec6dd1fc6d2742260d9a87f2628a06a1786da372b2528b",
+    ("mindeg3d", "ldlt", "c"): "6db45c1a830d0e449d39054dbbc8c975dbfad6fbc141c77c184a0ff9df437de9",
     ("mindeg3d", "lu", "python"): "ad3037a1a7d9641533bf198e05eb5017b072d1ab03971a9ddc7f646fbc457748",
-    ("mindeg3d", "lu", "c"): "f63819b5b981f9c04856715eeff07199e9a59d44868c5285f6956ac3431b86a8",
+    ("mindeg3d", "lu", "c"): "962e94f1aa3f198b3b0069402c91a19fecc1c61c2ffeae5a7276060bd40e0845",
     ("mindeg3d", "ic0", "python"): "4a759edd0996796c0f6a2f8076c090687771940d0279a04ab32e4dc63afd3aeb",
-    ("mindeg3d", "ic0", "c"): "02ca8f3f1db752c05c6af0bc84462297114b9434bdcc96ed3340366c7a0a7ae2",
+    ("mindeg3d", "ic0", "c"): "8e56d8bf7422dc5cbea91397e2c8f3252b967afa8b71d0f3f98be6ec76e68ae1",
     ("mindeg3d", "ilu0", "python"): "5d4c6eef83568beb96068058ca7f10425ebb08d9f20b9333157f2d2a66ca1665",
-    ("mindeg3d", "ilu0", "c"): "147c4c54acd141f7f95f09da1499e7b80b8da6dc8cfa327f95b5eb5d7a219b0b",
+    ("mindeg3d", "ilu0", "c"): "c1112f22ab823e60038933b66667e25f5dc80d6a63bd505995a2723399e3111c",
     ("mindeg3d", "triangular-solve/sparse-rhs", "python"): "379194347a6a81ad8e526f2921ce96076da6fe48f6cad4fef0869154d720f8ca",
     ("mindeg3d", "triangular-solve/sparse-rhs", "c"): "9555f0c20d7a6c4bfa170bd9346b3ece5f0c2f8d761ab1677926a3abcef062af",
 }
