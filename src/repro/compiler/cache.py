@@ -22,13 +22,16 @@ import contextlib
 import ctypes
 import hashlib
 import os
+import shutil
+import signal
 import subprocess
+import tempfile
 import threading
 import time
 import uuid
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.compiler.options import SympilerOptions
 
@@ -165,10 +168,72 @@ def tmp_path_for(path: str) -> str:
     return f"{path}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
+def _run_at_once(commands: Sequence[List[str]], deadline: float) -> List[Optional[Tuple[int, str, float]]]:
+    """Run ``commands`` side by side, each in a session of its own, until ``deadline``.
+
+    Returns ``(returncode, stderr, wall seconds)`` per command, ``None`` for
+    one still running at the deadline.  Such a command's whole process group
+    (the ``cc`` driver, its ``cc1`` and ``as``, whatever a compiler wrapper
+    forked) is killed, so nothing outlives the build; every command is reaped
+    before this returns or raises.  ``OSError`` propagates when one cannot
+    be started.
+    """
+    procs: List[subprocess.Popen] = []
+    results: List[Optional[Tuple[int, str, float]]] = [None] * len(commands)
+    start = time.perf_counter()
+
+    def wait(k: int) -> None:
+        try:
+            _, err = procs[k].communicate(timeout=max(0.0, deadline - time.perf_counter()))
+        except subprocess.TimeoutExpired:
+            return
+        results[k] = (procs[k].returncode, err, time.perf_counter() - start)
+
+    try:
+        for cmd in commands:
+            procs.append(
+                subprocess.Popen(
+                    cmd,
+                    stdin=subprocess.DEVNULL,
+                    stdout=subprocess.DEVNULL,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    start_new_session=True,
+                )
+            )
+        others = [threading.Thread(target=wait, args=(k,)) for k in range(1, len(procs))]
+        for thread in others:
+            thread.start()
+        wait(0)
+        for thread in others:
+            thread.join()
+        return results
+    finally:
+        for proc in procs:
+            if proc.returncode is None:
+                # Not yet reaped, so its pid still names its group.
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            # Not communicate(): a process that left the group may hold the pipe.
+            proc.stderr.close()
+
+
 def build_and_load(
     so_path: str,
-    argv: Callable[[str], List[str]],
+    cc: Sequence[str],
+    source: str,
     *,
+    parts: Sequence[str] = (),
+    libs: Sequence[str] = (),
     span_name: str,
     span_attrs: Dict[str, object],
     timeout_seconds: float,
@@ -176,45 +241,71 @@ def build_and_load(
     before_cc: Callable[[], None] = lambda: None,
     on_outcome: Callable[[str], None] = lambda outcome: None,
 ) -> ctypes.CDLL:
-    """Build the shared object ``so_path`` with ``cc`` once, then load it.
+    """Build the shared object ``so_path`` from the C file ``source`` once, then load it.
 
-    ``argv(out)`` is the compiler command writing to the temp name ``out``;
-    the run is bounded by ``timeout_seconds`` and traced as ``span_name``,
-    and its output is published with ``os.replace`` through
-    :func:`build_file_once`, so concurrent processes run one ``cc``.
-    ``before_cc`` runs first, only when this process compiles;
-    ``on_outcome`` hears each :func:`build_file_once` answer.
+    ``cc`` is the compiler and its flags.  ``parts`` are the texts of
+    translation units that together define what ``source`` does.  When
+    there are two or more and this process may run on two or more CPUs,
+    each part is written to a private temp directory and compiled to an
+    object there, all at once, and the objects are linked; otherwise the
+    build is the one command ``cc -o <so> source libs``.  Neither part
+    files nor objects ever appear next to ``so_path``.  The whole build is
+    bounded by ``timeout_seconds``, each command runs in a session of its own
+    and is killed with its process group when time runs out.  It is traced
+    as ``span_name`` with ``parts`` (commands run side by side) and
+    ``part_s`` (the wall seconds of each), and its output is published with
+    ``os.replace`` through :func:`build_file_once`, so concurrent processes
+    run one build.  ``before_cc`` runs first, only when this process
+    compiles; ``on_outcome`` hears each :func:`build_file_once` answer.
 
     A file under the right name that ``ctypes`` cannot load (a crashed copy,
     a full disk) would answer "hit" on every later start, so it is deleted
     and rebuilt once (event ``so_rebuilt``).  Failures raise
     ``error(reason, detail)`` with ``reason`` one of ``"timeout"``,
-    ``"no compiler"``, ``"compile error"`` and ``"unloadable"``.
+    ``"no compiler"``, ``"compile error"`` (with the failing command's
+    stderr) and ``"unloadable"``.
     """
     # Local imports: see build_file_once.
     from repro.observe import events as observe_events
     from repro.observe.trace import span
 
+    def run(stage: List[List[str]], deadline: float) -> List[float]:
+        try:
+            results = _run_at_once(stage, deadline)
+        except OSError as exc:
+            raise error("no compiler", f"cannot run {' '.join(stage[0])}: {exc}") from exc
+        for cmd, result in zip(stage, results):
+            if result is None:
+                raise error(
+                    "timeout",
+                    f"C compilation timed out after {timeout_seconds:g} s ({' '.join(cmd)})",
+                )
+        for cmd, (returncode, stderr, _) in zip(stage, results):
+            if returncode != 0:
+                raise error("compile error", f"C compilation failed ({' '.join(cmd)}):\n{stderr}")
+        return [seconds for _, _, seconds in results]
+
     def invoke_cc() -> None:
         before_cc()
         tmp_so = tmp_path_for(so_path)
-        cmd = argv(tmp_so)
-        shown = " ".join(cmd)
+        work = tempfile.mkdtemp(prefix="repro-cc-") if len(parts) > 1 and _cpu_count() > 1 else None
         try:
-            with span(span_name, **span_attrs):
-                try:
-                    proc = subprocess.run(
-                        cmd, capture_output=True, text=True, timeout=timeout_seconds
+            with span(span_name, **span_attrs) as sp:
+                deadline = time.perf_counter() + timeout_seconds
+                if work is None:
+                    part_s = run([[*cc, "-o", tmp_so, source, *libs]], deadline)
+                else:
+                    stem = os.path.join(work, os.path.splitext(os.path.basename(so_path))[0])
+                    for k, text in enumerate(parts):
+                        with open(f"{stem}.part{k}.c", "w", encoding="utf-8") as fh:
+                            fh.write(text)
+                    objects = [f"{stem}.part{k}.o" for k in range(len(parts))]
+                    part_s = run(
+                        [[*cc, "-c", "-o", obj, obj[:-1] + "c"] for obj in objects],
+                        deadline,
                     )
-                except subprocess.TimeoutExpired:
-                    raise error(
-                        "timeout",
-                        f"C compilation timed out after {timeout_seconds:g} s ({shown})",
-                    ) from None
-                except OSError as exc:
-                    raise error("no compiler", f"cannot run {shown}: {exc}") from exc
-            if proc.returncode != 0:
-                raise error("compile error", f"C compilation failed ({shown}):\n{proc.stderr}")
+                    run([[*cc, "-o", tmp_so, *objects, *libs]], deadline)
+                sp.set(parts=len(part_s), part_s=part_s)
             try:
                 os.replace(tmp_so, so_path)
             except OSError as exc:
@@ -222,6 +313,8 @@ def build_and_load(
         finally:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp_so)
+            if work is not None:
+                shutil.rmtree(work, ignore_errors=True)
 
     for rebuilt in (False, True):
         on_outcome(build_file_once(so_path, invoke_cc))

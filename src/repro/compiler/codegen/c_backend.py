@@ -231,6 +231,10 @@ class CGeneratedModule:
     compiler: str
     flags: Tuple[str, ...]
     n: int
+    #: Where :attr:`source` splits into translation units that build side by
+    #: side: each part is a run of ``source[start:end]`` slices.  Empty for a
+    #: module that builds as one.
+    parts: Tuple[Tuple[Tuple[int, int], ...], ...] = ()
     compile_seconds: float = 0.0
     shared_object: Optional[str] = None
     #: True when the ``.so`` was already on disk (or another process was
@@ -251,7 +255,8 @@ class CGeneratedModule:
         temp-file + atomic-rename protocol, so concurrent processes working on
         the same pattern never load a half-written artifact; a pre-existing
         ``.so`` for the same source fingerprint skips compilation entirely
-        and writes nothing.
+        and writes nothing.  On two CPUs, a module with :attr:`parts` builds
+        them side by side (:func:`~repro.compiler.cache.build_and_load`).
         """
         if self._callable is not None:
             return self._callable
@@ -295,12 +300,16 @@ class CGeneratedModule:
             self.so_shared = outcome != "built"
 
         # Cross-process single-flight: shard workers (and parallel CI jobs)
-        # cold-compiling the same source run exactly one ``cc`` between them.
-        # The source file exists for `cc` (and for whoever debugs a kernel); a
-        # start that finds the .so never writes it.
+        # cold-compiling the same source run exactly one build between them,
+        # its parts side by side on two CPUs.  The source file exists for
+        # `cc` (and for whoever debugs a kernel); a start that finds the .so
+        # never writes it.
         lib = build_and_load(
             so_path,
-            lambda out: [self.compiler, *self.flags, *extra_flags, "-o", out, c_path, "-lm"],
+            [self.compiler, *self.flags, *extra_flags],
+            c_path,
+            parts=["".join(self.source[a:b] for a, b in part) for part in self.parts],
+            libs=["-lm"],
             span_name="cc",
             span_attrs={
                 "entry": self.entry_name,
@@ -1103,6 +1112,7 @@ class CBackend:
         self._emit_serial_loop(code, entry, loop, spec)
         code.pop()
         code.emit("}")
+        solve_line = len(code.lines)
         if spec.solve:
             _emit_solve(code, spec.solve_spec.signature(f"{entry}_solve"), domain)
 
@@ -1128,13 +1138,21 @@ class CBackend:
         if spec.solve:
             divides = domain.factor_kind in ("llt", "ic0")
             out.emit("#define REPRO_PIVOT(v, d) " + ("((v) / (d))" if divides else "(v)"))
+        prologue_line = len(out.lines)
         if work_buffers:
             out.emit(_WORK_BUFFERS)
         if "repro_v4" in text:
             out.emit(_V4)
         out.emit("")
+        solve_line += len(out.lines)
         out.lines.extend(code.lines)
         source = out.source()
+        parts: Tuple[Tuple[Tuple[int, int], ...], ...] = ()
+        if spec.solve:
+            # Two translation units of the same text: the work buffers, the
+            # step and the entry; the includes and macros again, then the solve.
+            prologue, solve = (len("\n".join(out.lines[:k])) + 1 for k in (prologue_line, solve_line))
+            parts = (((0, solve),), ((0, prologue), (solve, len(source))))
         codegen_seconds = time.perf_counter() - start
         return CGeneratedModule(
             source=source,
@@ -1145,6 +1163,7 @@ class CBackend:
             compiler=self.compiler,
             flags=self.flags,
             n=int(context.inspection.n),
+            parts=parts,
         )
 
     @staticmethod

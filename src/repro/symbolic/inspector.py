@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -99,7 +100,12 @@ class InspectionSet:
     payload:
         The set itself; structure depends on the strategy (an index array for
         a reach-set, a :class:`SupernodePartition` for a block-set, a list of
-        per-column index arrays for Cholesky prune-sets).
+        per-column index arrays for Cholesky and LU prune-sets).
+
+    A result builds its sets when asked for them (``prune_set()``,
+    ``block_set()``): the per-column lists of a factorization's prune-set
+    are views split from its ``(ptr, idx)`` arrays on first access, which
+    no generated kernel needs.
     """
 
     name: str
@@ -119,7 +125,6 @@ class TriangularInspectionResult:
     supernodes: SupernodePartition
     l_col_counts: np.ndarray
     symbolic_seconds: float
-    sets: Dict[str, InspectionSet] = field(repr=False)
 
     @property
     def reach_size(self) -> int:
@@ -128,11 +133,11 @@ class TriangularInspectionResult:
 
     def prune_set(self) -> InspectionSet:
         """The VI-Prune inspection set (the reach-set)."""
-        return self.sets["prune-set"]
+        return InspectionSet("prune-set", "dfs", "DG_L + SP(rhs)", self.reach)
 
     def block_set(self) -> InspectionSet:
         """The VS-Block inspection set (the supernodes)."""
-        return self.sets["block-set"]
+        return InspectionSet("block-set", "node-equivalence", "DG_L", self.supernodes)
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,8 @@ class CholeskyInspectionResult:
 
     ``row_idx[row_ptr[j]:row_ptr[j + 1]]`` is row ``j`` of ``L`` without its
     diagonal, ascending — the prune-set of column ``j`` in array form;
-    ``row_patterns`` is the same rows as a list of views.
+    ``row_patterns`` is the same rows as a list of views, split on first
+    access.
     """
 
     n: int
@@ -151,11 +157,17 @@ class CholeskyInspectionResult:
     l_indices: np.ndarray
     row_ptr: np.ndarray
     row_idx: np.ndarray
-    row_patterns: List[np.ndarray]
     l_col_counts: np.ndarray
     supernodes: SupernodePartition
     symbolic_seconds: float
-    sets: Dict[str, InspectionSet] = field(repr=False)
+
+    #: ``(strategy, graph)`` of the prune-set.
+    _prune = ("up-traversal", "etree + SP(A)")
+
+    @cached_property
+    def row_patterns(self) -> List[np.ndarray]:
+        """Row ``j`` of ``L`` without its diagonal, for every ``j``: views into ``row_idx``."""
+        return split_rows(self.row_ptr, self.row_idx)
 
     @property
     def factor_nnz(self) -> int:
@@ -169,11 +181,11 @@ class CholeskyInspectionResult:
 
     def prune_set(self) -> InspectionSet:
         """The VI-Prune inspection set (per-column row patterns of ``L``)."""
-        return self.sets["prune-set"]
+        return InspectionSet("prune-set", *self._prune, self.row_patterns)
 
     def block_set(self) -> InspectionSet:
         """The VS-Block inspection set (the supernodes)."""
-        return self.sets["block-set"]
+        return InspectionSet("block-set", "up-traversal", "etree + ColCount(A)", self.supernodes)
 
     def l_pattern_matrix(self) -> CSCMatrix:
         """The factor pattern as an all-zero CSC matrix, ready to be filled."""
@@ -190,7 +202,8 @@ class LUInspectionResult:
     GP-style reach computes them column by column, which is only possible
     because the kernel does not pivot.  ``parent`` is the *column* elimination
     tree (the etree of ``AᵀA``), whose column counts drive the supernode
-    block-set candidates.
+    block-set candidates.  ``upper_patterns`` holds each column's
+    above-diagonal ``U`` rows, split on first access.
     """
 
     n: int
@@ -203,7 +216,14 @@ class LUInspectionResult:
     l_col_counts: np.ndarray
     supernodes: SupernodePartition
     symbolic_seconds: float
-    sets: Dict[str, InspectionSet] = field(repr=False)
+
+    #: ``(strategy, graph)`` of the prune-set.
+    _prune = ("dfs-reach", "DG_L + SP(A(:,j))")
+
+    @cached_property
+    def upper_patterns(self) -> List[np.ndarray]:
+        """The rows of column ``j`` of ``U`` above its pivot, for every ``j``."""
+        return split_rows(*above_diagonal(self.u_indptr, self.u_indices))
 
     @property
     def l_nnz(self) -> int:
@@ -222,11 +242,11 @@ class LUInspectionResult:
 
     def prune_set(self) -> InspectionSet:
         """The VI-Prune inspection set (per-column ``U`` row patterns)."""
-        return self.sets["prune-set"]
+        return InspectionSet("prune-set", *self._prune, self.upper_patterns)
 
     def block_set(self) -> InspectionSet:
         """The VS-Block inspection set (column-etree supernode candidates)."""
-        return self.sets["block-set"]
+        return InspectionSet("block-set", "up-traversal", "etree(A^T A) + ColCount(L)", self.supernodes)
 
     def l_pattern_matrix(self) -> CSCMatrix:
         """The ``L`` pattern as an all-zero CSC matrix, ready to be filled."""
@@ -301,20 +321,6 @@ class TriangularSolveInspector(SymbolicInspector):
         supernodes = triangular_supernodes(matrix)
         col_counts = np.diff(matrix.indptr).astype(np.int64)
         elapsed = time.perf_counter() - start
-        sets = {
-            "prune-set": InspectionSet(
-                name="prune-set",
-                strategy="dfs",
-                graph="DG_L + SP(rhs)",
-                payload=reach,
-            ),
-            "block-set": InspectionSet(
-                name="block-set",
-                strategy="node-equivalence",
-                graph="DG_L",
-                payload=supernodes,
-            ),
-        }
         return TriangularInspectionResult(
             n=n,
             rhs_pattern=rhs,
@@ -323,7 +329,6 @@ class TriangularSolveInspector(SymbolicInspector):
             supernodes=supernodes,
             l_col_counts=col_counts,
             symbolic_seconds=elapsed,
-            sets=sets,
         )
 
 
@@ -359,24 +364,9 @@ class CholeskyInspector(SymbolicInspector):
         # Every row's ereach and the column pattern they add up to (equation
         # (1)), from one pass over the rows.
         row_ptr, row_idx, l_indptr, l_indices = factor_structure(matrix, parent)
-        row_patterns = split_rows(row_ptr, row_idx)
         col_counts = np.diff(l_indptr)
         supernodes = cholesky_supernodes(col_counts, parent)
         elapsed = time.perf_counter() - start
-        sets = {
-            "prune-set": InspectionSet(
-                name="prune-set",
-                strategy="up-traversal",
-                graph="etree + SP(A)",
-                payload=row_patterns,
-            ),
-            "block-set": InspectionSet(
-                name="block-set",
-                strategy="up-traversal",
-                graph="etree + ColCount(A)",
-                payload=supernodes,
-            ),
-        }
         return CholeskyInspectionResult(
             n=n,
             parent=parent,
@@ -385,11 +375,9 @@ class CholeskyInspector(SymbolicInspector):
             l_indices=l_indices,
             row_ptr=row_ptr,
             row_idx=row_idx,
-            row_patterns=row_patterns,
             l_col_counts=col_counts,
             supernodes=supernodes,
             symbolic_seconds=elapsed,
-            sets=sets,
         )
 
 
@@ -455,23 +443,7 @@ class LUInspector(SymbolicInspector):
         l_indptr, l_indices, u_indptr, u_indices = lu_pattern(matrix)
         l_col_counts = np.diff(l_indptr).astype(np.int64)
         supernodes = cholesky_supernodes(l_col_counts, parent)
-        dep_ptr, dep_idx = above_diagonal(u_indptr, u_indices)
-        upper_patterns = split_rows(dep_ptr, dep_idx)
         elapsed = time.perf_counter() - start
-        sets = {
-            "prune-set": InspectionSet(
-                name="prune-set",
-                strategy="dfs-reach",
-                graph="DG_L + SP(A(:,j))",
-                payload=upper_patterns,
-            ),
-            "block-set": InspectionSet(
-                name="block-set",
-                strategy="up-traversal",
-                graph="etree(A^T A) + ColCount(L)",
-                payload=supernodes,
-            ),
-        }
         return LUInspectionResult(
             n=n,
             parent=parent,
@@ -483,7 +455,6 @@ class LUInspector(SymbolicInspector):
             l_col_counts=l_col_counts,
             supernodes=supernodes,
             symbolic_seconds=elapsed,
-            sets=sets,
         )
 
 
@@ -499,6 +470,8 @@ class IC0InspectionResult(CholeskyInspectionResult):
     ``j``.
     """
 
+    _prune = ("pattern-read", "SP(tril(A))")
+
 
 @dataclass(frozen=True)
 class ILU0InspectionResult(LUInspectionResult):
@@ -510,6 +483,8 @@ class ILU0InspectionResult(LUInspectionResult):
     per column) — no GP reach runs, the factor pattern *is* the ``A``
     pattern.
     """
+
+    _prune = ("pattern-read", "SP(triu(A))")
 
 
 class IC0Inspector(SymbolicInspector):
@@ -556,24 +531,9 @@ class IC0Inspector(SymbolicInspector):
         rows_below = matrix.indices[strict]
         row_ptr = group_pointers(rows_below, n)
         row_idx = cols[strict][np.argsort(rows_below, kind="stable")]
-        row_patterns = split_rows(row_ptr, row_idx)
         col_counts = np.diff(l_indptr)
         supernodes = cholesky_supernodes(col_counts, parent)
         elapsed = time.perf_counter() - start
-        sets = {
-            "prune-set": InspectionSet(
-                name="prune-set",
-                strategy="pattern-read",
-                graph="SP(tril(A))",
-                payload=row_patterns,
-            ),
-            "block-set": InspectionSet(
-                name="block-set",
-                strategy="up-traversal",
-                graph="etree + ColCount(A)",
-                payload=supernodes,
-            ),
-        }
         return IC0InspectionResult(
             n=n,
             parent=parent,
@@ -582,11 +542,9 @@ class IC0Inspector(SymbolicInspector):
             l_indices=l_indices,
             row_ptr=row_ptr,
             row_idx=row_idx,
-            row_patterns=row_patterns,
             l_col_counts=col_counts,
             supernodes=supernodes,
             symbolic_seconds=elapsed,
-            sets=sets,
         )
 
 
@@ -631,23 +589,7 @@ class ILU0Inspector(SymbolicInspector):
         l_indptr, l_indices = group_pointers(cols[lower], n), matrix.indices[lower]
         l_col_counts = np.diff(l_indptr)
         supernodes = cholesky_supernodes(l_col_counts, parent)
-        dep_ptr, dep_idx = above_diagonal(u_indptr, u_indices)
-        upper_patterns = split_rows(dep_ptr, dep_idx)
         elapsed = time.perf_counter() - start
-        sets = {
-            "prune-set": InspectionSet(
-                name="prune-set",
-                strategy="pattern-read",
-                graph="SP(triu(A))",
-                payload=upper_patterns,
-            ),
-            "block-set": InspectionSet(
-                name="block-set",
-                strategy="up-traversal",
-                graph="etree(A^T A) + ColCount(L)",
-                payload=supernodes,
-            ),
-        }
         return ILU0InspectionResult(
             n=n,
             parent=parent,
@@ -659,7 +601,6 @@ class ILU0Inspector(SymbolicInspector):
             l_col_counts=l_col_counts,
             supernodes=supernodes,
             symbolic_seconds=elapsed,
-            sets=sets,
         )
 
 

@@ -1,12 +1,17 @@
 /*
  * The symbolic phase in C: fill-reducing ordering and pattern inspection.
  *
- * One fixed translation unit.  It is not generated and depends on no
- * sparsity pattern and no option bundle; repro/symbolic/native.py builds it
- * once per toolchain and calls it through ctypes.  Every entry point is
- * iterative (explicit stacks, no recursion), takes and returns int64, and
- * computes exactly what the Python reference of the same name computes, ties
- * and orders included: callers rely on array-equal results.
+ * One fixed source file.  It is not generated and depends on no sparsity
+ * pattern and no option bundle; repro/symbolic/native.py builds it once per
+ * toolchain and calls it through ctypes.  Every entry point is iterative
+ * (explicit stacks, no recursion), takes and returns int64, and computes
+ * exactly what the Python reference of the same name computes, ties and
+ * orders included: callers rely on array-equal results.
+ *
+ * It is also two translation units: with REPRO_PART defined to 0 or 1 it
+ * compiles one half of the entry points (two halves that take about as long
+ * to compile), and the two objects link to the library the whole file
+ * makes, so two CPUs build it side by side.
  *
  * The binding validates what it passes (monotone pointers, in-range indices,
  * parent[j] in [-1, n)).  Given that, no entry point reads or writes out of
@@ -18,6 +23,11 @@
  * call into the solver's generated module, bound at construction.
  *
  *   cc -O2 -fPIC -shared native.c -o symbolic.so
+ * or, in two halves at once:
+ *   cc -O2 -fPIC -c -DREPRO_PART=0 native.c -o part0.o &
+ *   cc -O2 -fPIC -c -DREPRO_PART=1 native.c -o part1.o; wait
+ *   cc -O2 -fPIC -shared part0.o part1.o -o symbolic.so
+ * The self-test is a whole-file build:
  *   cc -g -DNATIVE_SELFTEST -fsanitize=address,undefined \
  *      -fno-sanitize-recover native.c -o selftest && ./selftest
  */
@@ -27,6 +37,9 @@
 #include <string.h>
 
 typedef int64_t i64;
+
+/* REPRO_PART 0: the ordering, the elimination trees and the postorder.   */
+#if !defined(REPRO_PART) || REPRO_PART == 0
 
 /* --------------------------------------------------------------------- */
 /* Exact minimum degree on a quotient graph                              */
@@ -295,6 +308,10 @@ i64 repro_sym_postorder(i64 n, const i64 *parent, i64 *post, i64 *work)
     }
     return k;
 }
+
+#endif
+/* REPRO_PART 1: the factor patterns, the reach and the warm step.        */
+#if !defined(REPRO_PART) || REPRO_PART == 1
 
 /* --------------------------------------------------------------------- */
 /* Cholesky: every row's ereach, and the factor pattern they add up to    */
@@ -625,6 +642,8 @@ i64 repro_warm_step(const repro_warm_t *w, const double *values, const double *b
     warm_solve(w);
     return refactor ? WARM_REFACTORED : WARM_SOLVED;
 }
+
+#endif
 
 /* --------------------------------------------------------------------- */
 /* Self-test: cc -DNATIVE_SELFTEST -fsanitize=address,undefined          */

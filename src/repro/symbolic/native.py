@@ -3,9 +3,10 @@
 The ordering and the inspectors spend their time in graph traversals that
 interpreted Python runs 20-50x slower than C.  ``native.c`` is one fixed,
 hand-written source holding those traversals; this module builds it once per
-toolchain, loads it lazily and exposes each entry point as a method taking
-and returning ``int64`` NumPy arrays.  ctypes releases the GIL around every
-call.
+toolchain (its two ``REPRO_PART`` halves side by side when the process may
+run on two CPUs, else the whole file in one command), loads it lazily and
+exposes each entry point as a method taking and returning ``int64`` NumPy
+arrays.  ctypes releases the GIL around every call.
 
 The public symbolic functions (``minimum_degree_ordering``,
 ``elimination_tree``, ``cholesky_pattern``, ``reach_set``, ...) ask
@@ -56,6 +57,10 @@ _SOURCE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "native.
 #: the object may be found again by a process on another CPU of the same host.
 _FLAGS = ("-O2", "-fPIC", "-shared")
 
+#: ``native.c`` holds two halves behind ``REPRO_PART`` guards, which compile
+#: in about the same time; on two CPUs they build side by side.
+_PARTS = 2
+
 #: The helper compiles in well under a second; a ``cc`` still running after
 #: this long is hung, and the process carries on with the Python reference.
 _CC_TIMEOUT_SECONDS = 120.0
@@ -95,7 +100,9 @@ def _load_library() -> ctypes.CDLL:
         raise _Unavailable("unloadable", f"{directory}: {exc}") from exc
     return build_and_load(
         os.path.join(directory, f"symbolic_{digest}.so"),
-        lambda out: [compiler, *_FLAGS, "-o", out, _SOURCE_PATH],
+        [compiler, *_FLAGS],
+        _SOURCE_PATH,
+        parts=[f'#define REPRO_PART {k}\n#include "{_SOURCE_PATH}"\n' for k in range(_PARTS)],
         span_name="native-build",
         span_attrs={"compiler": compiler, "source_bytes": len(source)},
         timeout_seconds=_CC_TIMEOUT_SECONDS,

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
+import time
 import types
 import weakref
 
@@ -139,3 +141,39 @@ def park_solve():
                 _unpark(solver)
 
     return park
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(k)``: the process may run on ``k`` CPUs, as far as the build can tell."""
+
+    def set_cpus(count: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return set_cpus
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a process that still runs (a zombie does not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.fixture
+def assert_pids_gone():
+    """``assert_pids_gone(path)``: every pid listed in ``path`` has exited (within 5 s)."""
+
+    def check(pid_file) -> None:
+        if not os.path.isdir("/proc"):
+            pytest.skip("needs procfs to see processes")
+        pids = [int(line) for line in pid_file.read_text(encoding="utf-8").split()]
+        assert pids, "the stand-in compiler never ran"
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [pid for pid in pids if _running(pid)] == []
+
+    return check

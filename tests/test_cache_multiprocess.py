@@ -8,7 +8,8 @@ directly (threads standing in for processes exercise the same lockfile) and
 then the real thing: two subprocesses cold-compiling the same pattern with
 the C backend behind a ``cc`` shim that logs every compiler invocation.
 The failure modes of ``build_and_load``, the ``cc`` runner built on it, are
-driven with stand-in compiler commands.
+driven with stand-in compilers, as a one-command build and as two parts
+compiled side by side.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import time
@@ -27,6 +29,8 @@ from repro.compiler.cache import build_and_load, build_file_once
 from repro.observe.events import get_event_log
 
 SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 def _publish(path: str, payload: str = "artifact") -> None:
@@ -129,36 +133,50 @@ class _BuildError(Exception):
         self.reason = reason
 
 
-class TestBuildAndLoad:
-    """Each failure of the shared ``cc`` runner, with no compiler needed."""
+def _fake_cc(tmp_path, body: str) -> str:
+    path = tmp_path / "fake-cc"
+    path.write_text(f"#!/bin/sh\n{body}\n", encoding="utf-8")
+    path.chmod(0o755)
+    return str(path)
 
+
+#: The two translation units of a library exporting ``repro_one`` and ``repro_two``.
+_PARTS = ["int repro_one(void) { return 1; }\n", "int repro_two(void) { return 2; }\n"]
+
+
+class TestBuildAndLoad:
+    """Each failure of the shared ``cc`` runner under stand-in compilers, then a real build."""
+
+    @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize(
         "script, reason",
         [
             (None, "no compiler"),
             ("echo 'lib.c:1: error: no' >&2; exit 1", "compile error"),
             ("exec sleep 30", "timeout"),
-            # "Succeeds", but what it writes is not a shared object.
-            ('head -c 100 /dev/zero > "$0"', "unloadable"),
+            # "Succeeds", but what it writes to -o is not a shared object.
+            ('while [ "$1" != "-o" ]; do shift; done; head -c 100 /dev/zero > "$2"', "unloadable"),
         ],
     )
     def test_a_failure_raises_the_callers_error_and_leaves_nothing(
-        self, tmp_path, script, reason
+        self, tmp_path, monkeypatch, cpus, script, reason, count
     ):
-        build_dir = tmp_path / "build"
+        build_dir, temp_dir = tmp_path / "build", tmp_path / "tmp"
         build_dir.mkdir()
+        temp_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+        cpus(count)
         so_path = str(build_dir / "lib.so")
-        missing = str(tmp_path / "missing-cc")
+        compiler = str(tmp_path / "missing-cc") if script is None else _fake_cc(tmp_path, script)
         compiles, outcomes = [], []
         seen = len(get_event_log().events("so_rebuilt"))
-
-        def argv(out):
-            return [missing, "-o", out] if script is None else ["sh", "-c", script, out]
 
         with pytest.raises(_BuildError) as info:
             build_and_load(
                 so_path,
-                argv,
+                [compiler],
+                str(tmp_path / "lib.c"),
+                parts=_PARTS,
                 span_name="cc",
                 span_attrs={},
                 timeout_seconds=0.3,
@@ -175,6 +193,90 @@ class TestBuildAndLoad:
         else:
             assert len(compiles) == 1 and rebuilt == []
         assert os.listdir(build_dir) == []
+        assert os.listdir(temp_dir) == []  # no part file, no object
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_a_timeout_kills_what_the_compiler_forked(self, tmp_path, cpus, assert_pids_gone, count):
+        cpus(count)
+        pids = tmp_path / "pids"
+        fake = _fake_cc(tmp_path, f'sleep 30 > /dev/null 2>&1 &\necho $! >> "{pids}"\nwait')
+        with pytest.raises(_BuildError) as info:
+            build_and_load(
+                str(tmp_path / "lib.so"),
+                [fake],
+                str(tmp_path / "lib.c"),
+                parts=_PARTS,
+                span_name="cc",
+                span_attrs={},
+                timeout_seconds=0.5,
+                error=_BuildError,
+            )
+        assert info.value.reason == "timeout"
+        assert len(pids.read_text(encoding="utf-8").split()) == count
+        assert_pids_gone(pids)
+
+    def test_a_failing_part_is_a_compile_error_with_its_stderr(self, tmp_path, cpus):
+        cpus(2)
+        fake = _fake_cc(
+            tmp_path,
+            'case "$*" in *part1.c*) echo "part one: error: no" >&2; exit 1;; esac\n'
+            'echo "part zero: all fine" >&2\n'
+            'while [ "$1" != "-o" ]; do shift; done; : > "$2"',
+        )
+        with pytest.raises(_BuildError) as info:
+            build_and_load(
+                str(tmp_path / "lib.so"),
+                [fake],
+                str(tmp_path / "lib.c"),
+                parts=_PARTS,
+                span_name="cc",
+                span_attrs={},
+                timeout_seconds=30.0,
+                error=_BuildError,
+            )
+        assert info.value.reason == "compile error"
+        message = str(info.value)
+        assert "part one: error: no" in message and "lib.part1.c" in message
+        assert "part zero" not in message
+
+    @needs_cc
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_parts_or_whole_make_the_same_library(self, tmp_path, monkeypatch, cpus, count):
+        from repro import observe
+
+        cpus(count)
+        log = tmp_path / "cc.log"
+        shim = _fake_cc(tmp_path, f'echo "$@" >> "{log}"\nexec "{shutil.which("cc")}" "$@"')
+        source = tmp_path / "lib.c"
+        source.write_text("".join(_PARTS), encoding="utf-8")
+        observe.enable()
+        try:
+            observe.get_tracer().clear()
+            lib = build_and_load(
+                str(tmp_path / "lib.so"),
+                [shim, "-O2", "-fPIC", "-shared"],
+                str(source),
+                parts=_PARTS,
+                span_name="cc",
+                span_attrs={},
+                timeout_seconds=60.0,
+                error=_BuildError,
+            )
+            (sp,) = [sp for sp in observe.get_tracer().spans() if sp.name == "cc"]
+        finally:
+            observe.disable()
+            observe.get_tracer().clear()
+        assert (lib.repro_one(), lib.repro_two()) == (1, 2)
+        commands = log.read_text(encoding="utf-8").splitlines()
+        if count == 1:
+            assert len(commands) == 1 and commands[0].endswith(str(source))
+        else:
+            # Each part compiled once, side by side, then one link.
+            compiled = sorted(os.path.basename(line.split()[-1]) for line in commands[:2])
+            assert compiled == ["lib.part0.c", "lib.part1.c"]
+            assert len(commands) == 3 and " -c " not in commands[2]
+        assert sp.attrs["parts"] == count and len(sp.attrs["part_s"]) == count
+        assert all(0 < seconds <= sp.duration for seconds in sp.attrs["part_s"])
 
 
 _WORKER = textwrap.dedent(
@@ -266,8 +368,10 @@ def test_two_processes_cold_compile_with_exactly_one_cc_per_artifact(tmp_path):
     invocations = [
         line for line in cc_log.read_text(encoding="utf-8").splitlines() if line
     ]
+    # By file name: the part files of a two-part build live in a private
+    # temp directory of each build, named after the shared object.
     compiled_sources = [
-        arg for line in invocations for arg in line.split() if arg.endswith(".c")
+        os.path.basename(arg) for line in invocations for arg in line.split() if arg.endswith(".c")
     ]
     assert invocations, "the shim saw no cc invocations (compile never happened?)"
     assert len(compiled_sources) == len(set(compiled_sources)), (

@@ -235,6 +235,52 @@ class TestDiskCacheRobustness:
         with pytest.raises(CCompilationError, match="even after a rebuild"):
             Sympiler(cache=ArtifactCache()).compile_cholesky(laplacian_2d(5), options=options)
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_a_timed_out_build_leaves_no_process_behind(
+        self, monkeypatch, tmp_path, cpus, assert_pids_gone, count
+    ):
+        monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setattr(c_backend, "_CC_TIMEOUT_SECONDS", 0.5)
+        cpus(count)
+        pids = tmp_path / "pids"
+        fake = _fake_compiler(tmp_path, f'sleep 30 > /dev/null 2>&1 &\necho $! >> "{pids}"\nwait')
+        options = SympilerOptions(backend="c", c_compiler=fake)
+        with pytest.raises(CCompilationError, match="timed out"):
+            Sympiler(cache=ArtifactCache()).compile_cholesky(laplacian_2d(5), options=options)
+        # The step and entry, and the solve: one part or two, each a process group.
+        assert len(pids.read_text(encoding="utf-8").split()) == count
+        assert_pids_gone(pids)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_one_cpu_runs_one_cc_and_two_run_the_parts_then_a_link(self, monkeypatch, tmp_path, cpus, count):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(cache))
+        cpus(count)
+        log = tmp_path / "cc.log"
+        compiler = _c_options().c_compiler
+        shim = _fake_compiler(tmp_path, f'echo "$@" >> "{log}"\nexec {compiler} "$@"')
+        observe.reset()
+        observe.enable()
+        try:
+            compiled = Sympiler(cache=ArtifactCache()).compile_cholesky(
+                laplacian_2d(6), options=SympilerOptions(backend="c", c_compiler=shim)
+            )
+            (cc,) = [sp for sp in observe.get_tracer().spans() if sp.name == "cc"]
+        finally:
+            observe.disable()
+            observe.reset()
+        commands = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        c_path = os.path.splitext(compiled.module.shared_object)[0] + ".c"
+        if count == 1:
+            assert len(commands) == 1 and c_path in commands[0] and commands[0][-1] == "-lm"
+        else:
+            assert sorted(os.path.basename(args[-1]) for args in commands[:2]) == [
+                os.path.basename(c_path)[:-2] + f".part{k}.c" for k in (0, 1)
+            ]
+            assert len(commands) == 3 and "-c" not in commands[2] and commands[2][-1] == "-lm"
+        assert cc.attrs["parts"] == count and len(cc.attrs["part_s"]) == count
+        assert sorted(os.listdir(cache)) == sorted(os.path.basename(p) for p in (c_path, compiled.module.shared_object))
+
 
 # --------------------------------------------------------------------------- #
 # One .so, many patterns

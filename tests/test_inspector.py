@@ -146,3 +146,33 @@ def test_symbolic_inspector_imports_standalone():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_per_column_lists_are_split_on_first_access_only(monkeypatch):
+    """Set-up needs the ``(ptr, idx)`` arrays, not the per-column lists they split into."""
+    import repro.compiler.sympiler as sympiler_module
+    import repro.symbolic.inspector as inspector_module
+    from repro.compiler.cache import ArtifactCache
+    from repro.compiler.options import SympilerOptions
+    from repro.solvers.linear_solver import SparseLinearSolver
+    from repro.sparse.generators import laplacian_2d, unsymmetric_diag_dominant
+
+    calls = []
+    split_rows = inspector_module.split_rows
+    monkeypatch.setattr(inspector_module, "split_rows", lambda *a: calls.append(1) or split_rows(*a))
+    monkeypatch.setattr(sympiler_module, "_SHARED_CACHE", ArtifactCache())
+    for backend in ("c", "python"):
+        SparseLinearSolver(laplacian_2d(60), options=SympilerOptions(backend=backend))
+    assert calls == []
+
+    chol = CholeskyInspector().inspect(laplacian_2d(12))
+    rows = [chol.row_idx[chol.row_ptr[j] : chol.row_ptr[j + 1]] for j in range(chol.n)]
+    assert len(chol.row_patterns) == len(rows)
+    assert all(np.array_equal(got, want) for got, want in zip(chol.row_patterns, rows))
+    assert chol.prune_set().payload is chol.row_patterns and len(calls) == 1
+
+    lu = LUInspector().inspect(unsymmetric_diag_dominant(40, seed=2))
+    upper = [lu.u_indices[lu.u_indptr[j] : lu.u_indptr[j + 1] - 1] for j in range(lu.n)]
+    assert all(np.array_equal(got, want) for got, want in zip(lu.upper_patterns, upper))
+    assert len(lu.upper_patterns) == lu.n
+    assert lu.prune_set().payload is lu.upper_patterns and len(calls) == 2

@@ -266,3 +266,26 @@ def test_subtract_reduce_is_the_sequential_fold_the_reference_mirrors():
             for t in terms:
                 acc -= t
             assert np.subtract.reduce(terms, initial=start) == acc
+
+
+@needs_cc
+@pytest.mark.parametrize("case", [*sorted(CASES), "ic0"])
+def test_part_built_modules_are_the_whole_built_ones_to_the_bit(case, monkeypatch, tmp_path, cpus):
+    """On two CPUs a module builds as two translation units: the same factors and ``x``."""
+    results = []
+    for count in (1, 2):
+        cpus(count)
+        monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path / f"cpus-{count}"))
+        monkeypatch.setattr(sympiler_module, "_SHARED_CACHE", ArtifactCache())
+        if case == "ic0":
+            A = laplacian_2d(9)
+            apply, Lx = _ic0_preconditioner(A, "c")
+            factors, x = [Lx], apply(np.cos(np.arange(A.n)))
+        else:
+            solver = _solver(case, "c")
+            U = solver.U
+            factors = [solver.L.data, solver.d, None if U is None else U.data]
+            x = solver.solve(np.cos(np.arange(solver.A.n)))
+        (so_name,) = [name for name in os.listdir(tmp_path / f"cpus-{count}") if name.endswith(".so")]
+        results.append((so_name, [None if f is None else f.tobytes() for f in factors], x.tobytes()))
+    assert results[0] == results[1]

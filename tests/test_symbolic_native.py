@@ -5,8 +5,9 @@ is array equality: every entry point returns what the reference of the same
 name returns — ties, orders and dtypes included — so no permutation,
 inspection set, fingerprint or factor can tell which of the two ran.  These
 tests hold that invariant, the binding's argument checks, the fallback (no
-compiler, a failing, hanging or useless one), the one-``cc``-per-toolchain
-build, and that the helper never shows up where generated code is counted.
+compiler, a failing, hanging or useless one), the one-build-per-toolchain
+build, the same library from the whole file and from its two halves, and
+that the helper never shows up where generated code is counted.
 """
 
 from __future__ import annotations
@@ -486,8 +487,17 @@ class TestHelperBuild:
             results += [line for line in out.splitlines() if line.startswith("RESULT")]
         assert len(results) == 2 and results[0] == results[1]
         assert results[0].split()[1] == "True"
-        invocations = [line for line in cc_log.read_text(encoding="utf-8").splitlines() if line]
-        assert len(invocations) == 1 and invocations[0].endswith("native.c")
+        # One build between the two: on one CPU the whole file in one
+        # command, on two each REPRO_PART half compiled once and one link.
+        invocations = [line.split() for line in cc_log.read_text(encoding="utf-8").splitlines() if line]
+        compiled = sorted(os.path.basename(args[-1]) for args in invocations if "-c" in args)
+        links = [args for args in invocations if "-c" not in args]
+        assert len(links) == 1
+        if len(os.sched_getaffinity(0)) == 1:
+            assert compiled == [] and links[0][-1].endswith("native.c")
+        else:
+            stem = os.path.basename(links[0][links[0].index("-o") + 1]).split(".so")[0]
+            assert compiled == [f"{stem}.part0.c", f"{stem}.part1.c"]
         assert len(_helper_objects(tmp_path)) == 1  # no lock, no temp file left
 
     def test_the_artifact_cache_reads_as_it_did_without_the_helper(self, tmp_path):
@@ -560,3 +570,60 @@ class TestHelperBuild:
         assert ordering.attrs == {"name": "mindeg", "n": 25, "nnz": 105, "native": True}
         assert build.parent_id == ordering.span_id  # the ordering needed it first
         assert build.attrs["compiler"] == "cc" and build.attrs["source_bytes"] > 0
+        assert build.attrs["parts"] == min(2, len(os.sched_getaffinity(0)))
+        assert len(build.attrs["part_s"]) == build.attrs["parts"]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+class TestTwoPartBuild:
+    """The helper built from its two ``REPRO_PART`` halves is the whole-file helper."""
+
+    @staticmethod
+    def _build(monkeypatch, directory):
+        directory.mkdir()
+        monkeypatch.setenv("REPRO_CC", "cc")
+        monkeypatch.setattr(tempfile, "tempdir", str(directory))
+        lib = native._load_library()
+        return native.NativeSymbolic(lib), lib._name
+
+    def test_the_same_symbols_and_the_same_arrays(self, monkeypatch, tmp_path, cpus):
+        cpus(1)
+        whole, whole_so = self._build(monkeypatch, tmp_path / "whole")
+        cpus(2)
+        parts, parts_so = self._build(monkeypatch, tmp_path / "parts")
+        if shutil.which("nm"):
+
+            def symbols(path):
+                listing = subprocess.run(
+                    ["nm", "-D", "--defined-only", path], capture_output=True, text=True, check=True
+                ).stdout
+                return sorted(line.split()[-2:] for line in listing.splitlines() if line.strip())
+
+            assert symbols(parts_so) == symbols(whole_so)
+            assert ["T", "repro_warm_step"] in symbols(parts_so)
+        for A in _PATTERNS.values():
+            for lib in (whole, parts):
+                _check_every_entry_point(lib, A)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_a_timed_out_build_leaves_no_process_behind(
+        self, fresh_loader, monkeypatch, tmp_path, cpus, assert_pids_gone, count
+    ):
+        monkeypatch.setattr(native, "_CC_TIMEOUT_SECONDS", 0.5)
+        cpus(count)
+        pids = tmp_path / "pids"
+        seen = len(_unavailable_events())
+        fresh_loader(_fake_compiler(tmp_path, f'sleep 30 > /dev/null 2>&1 &\necho $! >> "{pids}"\nwait'))
+        assert native.helper() is None
+        (event,) = _unavailable_events()[seen:]
+        assert event.attrs["reason"] == "timeout"
+        assert len(pids.read_text(encoding="utf-8").split()) == count
+        assert_pids_gone(pids)
+
+    def test_one_cpu_runs_one_cc(self, fresh_loader, tmp_path, cpus):
+        cpus(1)
+        log = tmp_path / "cc.log"
+        fresh_loader(_fake_compiler(tmp_path, f'echo "$@" >> "{log}"\nexec cc "$@"'))
+        assert native.helper() is not None
+        (command,) = log.read_text(encoding="utf-8").splitlines()
+        assert command.endswith("native.c") and "-c" not in command.split()
