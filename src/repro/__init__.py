@@ -8,9 +8,7 @@ full system:
 * :mod:`repro.sparse`   — CSC/CSR/COO containers, generators, orderings, I/O.
 * :mod:`repro.symbolic` — reach-sets, elimination trees, fill prediction,
   supernodes and the symbolic-inspector framework.
-* :mod:`repro.kernels`  — interpreted reference kernels, the test oracles of
-  the compiled ones (dense micro-kernels, simplicial/supernodal Cholesky,
-  LDLᵀ, LU, IC(0)/ILU(0), FLOP counts).
+* :mod:`repro.kernels`  — the FLOP model behind every reported GFLOP/s.
 * :mod:`repro.compiler` — the Sympiler core: the inspector-guided
   transformations (VS-Block, VI-Prune), planned as the one domain loop each kernel runs, and code generation (generated C, and
   fixed NumPy reference kernels over the same tables).

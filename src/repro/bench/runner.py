@@ -28,7 +28,6 @@ from repro.bench.suite import SuiteEntry, load_suite_matrix
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
-from repro.kernels.cholesky import cholesky_supernodal
 from repro.kernels.flops import cholesky_flops, triangular_solve_flops
 from repro.solvers.cg import preconditioned_conjugate_gradient
 from repro.sparse.csc import CSCMatrix
@@ -59,8 +58,8 @@ class Prepared:
 
     @cached_property
     def L(self) -> CSCMatrix:
-        """The Cholesky factor the triangular-solve experiments operate on."""
-        return cholesky_supernodal(self.A, self.inspection)
+        """The Cholesky factor the triangular-solve experiments operate on: the compiled one's."""
+        return Sympiler().compile("cholesky", self.A).factorize(self.A)
 
     @cached_property
     def sparse_b(self) -> np.ndarray:

@@ -26,8 +26,6 @@ from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, CGeneratedModule
 from repro.compiler.codegen.runtime import pattern_fingerprint, rhs_fingerprint_extra
 from repro.compiler.options import SympilerOptions
 from repro.compiler.plan import DomainLoop
-from repro.kernels.ldlt import LDLTFactors
-from repro.kernels.lu import LUFactors
 from repro.observe import trace as observe_trace
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.inspector import (
@@ -72,6 +70,106 @@ def _require_arrays(names, arrays, lengths, dtypes) -> None:
     for name, array, dtype in zip(names, arrays, dtypes):
         if not (isinstance(array, np.ndarray) and array.dtype == dtype and array.flags.c_contiguous):
             raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype).name} array")
+
+
+@dataclass(frozen=True)
+class LDLTFactors:
+    """The factors of ``A = L D Lᵀ``.
+
+    ``L`` is unit lower triangular (the unit diagonal is stored explicitly so
+    triangular-solve kernels need no special casing) and ``d`` holds the
+    diagonal of ``D``; entries of ``d`` may be negative for indefinite input.
+    """
+
+    L: CSCMatrix
+    d: np.ndarray
+
+    @property
+    def n(self) -> int:
+        """Order of the factored matrix."""
+        return self.L.n
+
+    @property
+    def inertia(self) -> tuple[int, int, int]:
+        """``(n_positive, n_negative, n_zero)`` eigenvalue counts (Sylvester)."""
+        return (
+            int(np.sum(self.d > 0.0)),
+            int(np.sum(self.d < 0.0)),
+            int(np.sum(self.d == 0.0)),
+        )
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``A x = b`` by forward, diagonal and backward substitution."""
+        b = np.asarray(b, dtype=np.float64)
+        L = self.L
+        n = L.n
+        y = b.copy()
+        # Forward: L y = b (unit diagonal stored explicitly).
+        for j in range(n):
+            p0, p1 = L.indptr[j], L.indptr[j + 1]
+            y[j] /= L.data[p0]
+            y[L.indices[p0 + 1 : p1]] -= L.data[p0 + 1 : p1] * y[j]
+        z = y / self.d
+        # Backward: L^T x = z, column-at-a-time from the right.
+        x = z.copy()
+        for j in range(n - 1, -1, -1):
+            p0, p1 = L.indptr[j], L.indptr[j + 1]
+            x[j] -= float(L.data[p0 + 1 : p1] @ x[L.indices[p0 + 1 : p1]])
+            x[j] /= L.data[p0]
+        return x
+
+    def reconstruct_dense(self) -> np.ndarray:
+        """Dense ``L @ diag(d) @ L.T`` — the oracle for correctness tests."""
+        Ld = self.L.to_dense()
+        return Ld @ np.diag(self.d) @ Ld.T
+
+
+@dataclass(frozen=True)
+class LUFactors:
+    """The factors of ``A = L U``.
+
+    ``L`` is unit lower triangular (the unit diagonal is stored explicitly so
+    triangular-solve kernels need no special casing) and ``U`` is upper
+    triangular with the pivots on its diagonal (stored as the last entry of
+    every column, rows ascending).
+    """
+
+    L: CSCMatrix
+    U: CSCMatrix
+
+    @property
+    def n(self) -> int:
+        """Order of the factored matrix."""
+        return self.L.n
+
+    @property
+    def pivots(self) -> np.ndarray:
+        """The diagonal of ``U`` (the elimination pivots)."""
+        return self.U.data[self.U.indptr[1:] - 1].copy()
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``A x = b`` by forward then backward substitution."""
+        b = np.asarray(b, dtype=np.float64)
+        L, U = self.L, self.U
+        n = L.n
+        y = b.copy()
+        # Forward: L y = b (unit diagonal stored explicitly).
+        for j in range(n):
+            p0, p1 = L.indptr[j], L.indptr[j + 1]
+            y[j] /= L.data[p0]
+            y[L.indices[p0 + 1 : p1]] -= L.data[p0 + 1 : p1] * y[j]
+        # Backward: U x = y, column-at-a-time from the right (diagonal last).
+        x = y.copy()
+        for j in range(n - 1, -1, -1):
+            p0, p1 = U.indptr[j], U.indptr[j + 1]
+            xj = x[j] / U.data[p1 - 1]
+            x[j] = xj
+            x[U.indices[p0 : p1 - 1]] -= U.data[p0 : p1 - 1] * xj
+        return x
+
+    def reconstruct_dense(self) -> np.ndarray:
+        """Dense ``L @ U`` — the oracle for correctness tests."""
+        return self.L.to_dense() @ self.U.to_dense()
 
 
 @dataclass

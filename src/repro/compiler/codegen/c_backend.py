@@ -88,7 +88,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.compiler.cache import build_and_load, tmp_path_for
+from repro.compiler.cache import _cpu_count, build_and_load, tmp_path_for
 from repro.compiler.codegen import tables
 from repro.compiler.codegen.runtime import generated_code_dir, pattern_fingerprint
 from repro.compiler.options import _default_c_flags
@@ -346,7 +346,8 @@ def resolve_num_threads(num_threads: Optional[int]) -> int:
     ``REPRO_NUM_THREADS`` applies (CI runners and service containers pin the
     count there without touching call sites; surrounding blanks are ignored,
     blank is unset, anything else must be an integer); with neither, 1.
-    ``0`` at any step means one per CPU.  The count is a call argument, not an
+    ``0`` at any step means one per CPU this process may run on (its
+    affinity mask, as the build counts them).  The count is a call argument, not an
     option: it changes no generated code, so re-tuning it never recompiles.
     """
     if num_threads is None:
@@ -359,7 +360,7 @@ def resolve_num_threads(num_threads: Optional[int]) -> int:
     if num_threads < 0:
         raise ValueError("num_threads must be non-negative (0 means one per CPU)")
     if num_threads == 0:
-        return os.cpu_count() or 1
+        return _cpu_count()
     return num_threads
 
 

@@ -48,7 +48,7 @@ def _require(domain: Optional[DomainLoop], method: str, *roles: str) -> DomainLo
     return domain
 
 
-def _plan_left_looking(domain: Optional[DomainLoop], method: str):
+def _plan_factorization(domain: Optional[DomainLoop], method: str):
     domain = _require(domain, method, "supernodal-cholesky", "simplicial-cholesky", "simplicial-lu")
     if domain.role == "simplicial-lu":
         return reference.simplicial_lu, domain.contract
@@ -70,9 +70,9 @@ def _plan_trisolve(domain: Optional[DomainLoop], method: str):
 #: method's numeric arrays, contract of the domain loop).
 _PY_METHOD_SPECS: Dict[str, Callable[[Optional[DomainLoop], str], Tuple[Callable, tables.Contract]]] = {
     "triangular-solve": _plan_trisolve,
-    "cholesky": _plan_left_looking,
-    "ldlt": _plan_left_looking,
-    "lu": _plan_left_looking,
+    "cholesky": _plan_factorization,
+    "ldlt": _plan_factorization,
+    "lu": _plan_factorization,
     "ic0": _plan_incomplete,
     "ilu0": _plan_incomplete,
 }

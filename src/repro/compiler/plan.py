@@ -46,7 +46,7 @@ __all__ = [
     "CompilationContext",
     "vs_block_participates",
     "plan_triangular_solve",
-    "plan_left_looking",
+    "plan_cholesky",
     "plan_lu",
     "plan_incomplete",
 ]
@@ -213,7 +213,7 @@ def plan_triangular_solve(context: CompilationContext) -> Optional[DomainLoop]:
     return DomainLoop("trisolve-segments", contract)
 
 
-def plan_left_looking(context: CompilationContext) -> Optional[DomainLoop]:
+def plan_cholesky(context: CompilationContext) -> Optional[DomainLoop]:
     """Left-looking LLᵀ / LDLᵀ: the supernode loop (VS-Block), else the column loop over the row patterns of ``L``."""
     _expect(context, CholeskyInspectionResult)
     factor_kind = "ldlt" if context.method == "ldlt" else "llt"

@@ -43,8 +43,8 @@ from repro.compiler.options import SympilerOptions
 from repro.compiler.plan import (
     CompilationContext,
     DomainLoop,
+    plan_cholesky,
     plan_incomplete,
-    plan_left_looking,
     plan_lu,
     plan_triangular_solve,
 )
@@ -192,7 +192,7 @@ _SPECS = (
     ),
     KernelSpec(
         name="cholesky",
-        plan=plan_left_looking,
+        plan=plan_cholesky,
         inspector_cls=CholeskyInspector,
         artifact_cls=SympiledCholesky,
         requires_vi_prune=True,
@@ -200,7 +200,7 @@ _SPECS = (
     ),
     KernelSpec(
         name="ldlt",
-        plan=plan_left_looking,
+        plan=plan_cholesky,
         inspector_cls=LDLTInspector,
         artifact_cls=SympiledLDLT,
         requires_vi_prune=True,

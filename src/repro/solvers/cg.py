@@ -13,9 +13,9 @@ exports a second entry, ``<kernel>_solve``, that applies ``(L Lᵀ)⁻¹`` on th
 factor in place: the forward sweep on ``L`` and the backward sweep on ``Lᵀ``
 read column by column, as the solve entry of a direct factorization does.  So
 the whole preconditioner — numeric factor and both sweeps — is one compiled
-module, bound once before the iteration starts.  The factorization's
-interpreted oracle is :func:`repro.kernels.incomplete.ic0_left_looking`
-(bitwise equal, asserted by the test-suite).
+module, bound once before the iteration starts.  The python backend's
+``reference.ic0`` mirrors the C factorization to the bit, and both are checked
+against a dense pattern-masked IC(0) by the test-suite.
 """
 
 from __future__ import annotations

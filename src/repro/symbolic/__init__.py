@@ -27,7 +27,6 @@ from repro.symbolic.fill_pattern import (
     cholesky_pattern,
     ereach,
     lu_pattern,
-    row_patterns_of_factor,
 )
 from repro.symbolic.inspector import (
     CholeskyInspectionResult,
@@ -59,7 +58,6 @@ __all__ = [
     "ereach",
     "cholesky_pattern",
     "lu_pattern",
-    "row_patterns_of_factor",
     "column_counts_of_factor",
     "row_counts_of_factor",
     "SupernodePartition",

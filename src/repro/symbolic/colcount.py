@@ -1,10 +1,8 @@
 """Row and column counts of the Cholesky factor.
 
 Column counts (``colcount[j] = nnz(L[:, j])`` including the diagonal) and row
-counts are the quantities Sympiler's heuristics consume: the supernode
-detection rule compares adjacent column counts, the VS-Block participation
-threshold uses the average supernode size, and the BLAS-switch threshold uses
-the average column count (§4.2 of the paper).
+counts, computed without forming ``L``.  The supernode detection rule compares
+adjacent column counts (§4.2 of the paper).
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from repro.symbolic.fill_pattern import _ereach_stamped, _upper_pattern
 __all__ = [
     "column_counts_of_factor",
     "row_counts_of_factor",
-    "average_column_count",
 ]
 
 
@@ -55,9 +52,3 @@ def column_counts_of_factor(A: CSCMatrix, parent: np.ndarray | None = None) -> n
 def row_counts_of_factor(A: CSCMatrix, parent: np.ndarray | None = None) -> np.ndarray:
     """``nnz`` per row of ``L`` (diagonal included)."""
     return _factor_counts(A, parent)[0]
-
-
-def average_column_count(A: CSCMatrix, parent: np.ndarray | None = None) -> float:
-    """Mean column count of ``L`` — the paper's BLAS-switch heuristic input."""
-    counts = column_counts_of_factor(A, parent)
-    return float(counts.mean()) if counts.size else 0.0

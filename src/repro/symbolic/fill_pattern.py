@@ -36,8 +36,6 @@ from repro.symbolic.etree import elimination_tree
 __all__ = [
     "ereach",
     "factor_structure",
-    "split_rows",
-    "row_patterns_of_factor",
     "cholesky_pattern",
     "symbolic_factor_nnz",
     "lu_pattern",
@@ -102,11 +100,6 @@ def ereach(A: CSCMatrix, k: int, parent: np.ndarray, *, _upper: CSCMatrix | None
     return _ereach_stamped(upper, k, parent, np.full(A.n, -1, dtype=np.int64))
 
 
-def split_rows(ptr: np.ndarray, idx: np.ndarray) -> List[np.ndarray]:
-    """The rows of a CSR-form pattern as a list of views into ``idx``."""
-    return np.split(idx, ptr[1:-1]) if ptr.size > 1 else []
-
-
 def factor_structure(
     A: CSCMatrix, parent: np.ndarray | None = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -153,16 +146,6 @@ def factor_structure_reference(
     # Rows were appended in increasing k, so each column is already sorted.
     l_indices = np.asarray([i for rows_j in col_rows for i in rows_j], dtype=np.int64)
     return row_ptr, row_idx, l_indptr, l_indices
-
-
-def row_patterns_of_factor(A: CSCMatrix, parent: np.ndarray | None = None) -> List[np.ndarray]:
-    """Row patterns of ``L`` for every row (list of ascending index arrays).
-
-    Row ``k``'s pattern excludes the diagonal; it is exactly the prune-set of
-    the Cholesky update phase for column ``k``.
-    """
-    row_ptr, row_idx, _, _ = factor_structure(A, parent)
-    return split_rows(row_ptr, row_idx)
 
 
 def cholesky_pattern(

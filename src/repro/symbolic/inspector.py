@@ -26,8 +26,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from repro.symbolic.fill_pattern import (
     cholesky_pattern,
     factor_structure,
     lu_pattern,
-    split_rows,
 )
 from repro.symbolic.reach import reach_set
 from repro.symbolic.supernodes import (
@@ -99,13 +97,9 @@ class InspectionSet:
         The inspection graph it was computed on (e.g. "DG_L", "etree+SP(A)").
     payload:
         The set itself; structure depends on the strategy (an index array for
-        a reach-set, a :class:`SupernodePartition` for a block-set, a list of
-        per-column index arrays for Cholesky and LU prune-sets).
-
-    A result builds its sets when asked for them (``prune_set()``,
-    ``block_set()``): the per-column lists of a factorization's prune-set
-    are views split from its ``(ptr, idx)`` arrays on first access, which
-    no generated kernel needs.
+        a reach-set, a :class:`SupernodePartition` for a block-set, the
+        ``(ptr, idx)`` arrays of the per-column sets for Cholesky and LU
+        prune-sets: column ``j``'s set is ``idx[ptr[j]:ptr[j + 1]]``).
     """
 
     name: str
@@ -145,9 +139,7 @@ class CholeskyInspectionResult:
     """Everything the compiler needs to specialize a sparse Cholesky.
 
     ``row_idx[row_ptr[j]:row_ptr[j + 1]]`` is row ``j`` of ``L`` without its
-    diagonal, ascending — the prune-set of column ``j`` in array form;
-    ``row_patterns`` is the same rows as a list of views, split on first
-    access.
+    diagonal, ascending — the prune-set of column ``j``.
     """
 
     n: int
@@ -164,24 +156,14 @@ class CholeskyInspectionResult:
     #: ``(strategy, graph)`` of the prune-set.
     _prune = ("up-traversal", "etree + SP(A)")
 
-    @cached_property
-    def row_patterns(self) -> List[np.ndarray]:
-        """Row ``j`` of ``L`` without its diagonal, for every ``j``: views into ``row_idx``."""
-        return split_rows(self.row_ptr, self.row_idx)
-
     @property
     def factor_nnz(self) -> int:
         """Predicted number of nonzeros of ``L`` (diagonal included)."""
         return int(self.l_indptr[-1])
 
-    @property
-    def average_column_count(self) -> float:
-        """Mean column count of ``L`` — input of the BLAS-switch heuristic."""
-        return float(self.l_col_counts.mean()) if self.l_col_counts.size else 0.0
-
     def prune_set(self) -> InspectionSet:
-        """The VI-Prune inspection set (per-column row patterns of ``L``)."""
-        return InspectionSet("prune-set", *self._prune, self.row_patterns)
+        """The VI-Prune inspection set: the rows of ``L`` as ``(row_ptr, row_idx)``."""
+        return InspectionSet("prune-set", *self._prune, (self.row_ptr, self.row_idx))
 
     def block_set(self) -> InspectionSet:
         """The VS-Block inspection set (the supernodes)."""
@@ -202,8 +184,7 @@ class LUInspectionResult:
     GP-style reach computes them column by column, which is only possible
     because the kernel does not pivot.  ``parent`` is the *column* elimination
     tree (the etree of ``AᵀA``), whose column counts drive the supernode
-    block-set candidates.  ``upper_patterns`` holds each column's
-    above-diagonal ``U`` rows, split on first access.
+    block-set candidates.
     """
 
     n: int
@@ -219,11 +200,6 @@ class LUInspectionResult:
 
     #: ``(strategy, graph)`` of the prune-set.
     _prune = ("dfs-reach", "DG_L + SP(A(:,j))")
-
-    @cached_property
-    def upper_patterns(self) -> List[np.ndarray]:
-        """The rows of column ``j`` of ``U`` above its pivot, for every ``j``."""
-        return split_rows(*above_diagonal(self.u_indptr, self.u_indices))
 
     @property
     def l_nnz(self) -> int:
@@ -241,8 +217,8 @@ class LUInspectionResult:
         return self.l_nnz + self.u_nnz
 
     def prune_set(self) -> InspectionSet:
-        """The VI-Prune inspection set (per-column ``U`` row patterns)."""
-        return InspectionSet("prune-set", *self._prune, self.upper_patterns)
+        """The VI-Prune inspection set: the rows of ``U`` above each pivot, as ``(ptr, idx)``."""
+        return InspectionSet("prune-set", *self._prune, above_diagonal(self.u_indptr, self.u_indices))
 
     def block_set(self) -> InspectionSet:
         """The VS-Block inspection set (column-etree supernode candidates)."""
@@ -465,9 +441,9 @@ class IC0InspectionResult(CholeskyInspectionResult):
     Structurally a :class:`CholeskyInspectionResult` — the incomplete factor
     shares all the machinery of the complete one — but the pattern arrays
     describe ``tril(A)`` itself: IC(0) allows no fill, so no fill computation
-    (no ``ereach`` up-traversals) ever runs.  ``row_patterns[j]`` holds the
-    columns ``k < j`` with ``A[j, k] != 0`` — the update sources of column
-    ``j``.
+    (no ``ereach`` up-traversals) ever runs.  Row ``j`` of ``(row_ptr,
+    row_idx)`` holds the columns ``k < j`` with ``A[j, k] != 0`` — the update
+    sources of column ``j``.
     """
 
     _prune = ("pattern-read", "SP(tril(A))")

@@ -12,7 +12,6 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.kernels.cholesky import cholesky_left_looking
 from repro.sparse.generators import (
     banded_spd,
     block_tridiagonal_spd,
@@ -24,7 +23,8 @@ from repro.sparse.generators import (
     random_spd,
 )
 from repro.sparse.generators import arrow_spd
-from repro.symbolic.inspector import CholeskyInspector
+
+from oracles import cholesky_factor
 
 
 def _spd_matrices():
@@ -55,12 +55,8 @@ def spd_matrix(request, spd_matrices):
 
 @pytest.fixture(scope="session")
 def lower_factors(spd_matrices):
-    """Cholesky factors (exact, with fill) of the small SPD matrices."""
-    factors = {}
-    for name, A in spd_matrices.items():
-        inspection = CholeskyInspector().inspect(A)
-        factors[name] = cholesky_left_looking(A, inspection)
-    return factors
+    """Cholesky factors (NumPy's, on the predicted pattern with fill) of the small SPD matrices."""
+    return {name: cholesky_factor(A) for name, A in spd_matrices.items()}
 
 
 @pytest.fixture()

@@ -6,9 +6,12 @@ loop, threaded C), with per-item error isolation and deterministic result
 ordering.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.compiler.cache import _cpu_count
 from repro.compiler.codegen.c_backend import c_compiler_available, resolve_num_threads
 from repro.compiler.options import SympilerOptions
 from repro.solvers.batched import BatchedSolver
@@ -331,8 +334,6 @@ class TestThreadCountIsACallArgument:
         ids=["argument-wins", "env-when-unset", "one-by-default", "zero-is-one-per-cpu"],
     )
     def test_batch_entries_map_with_argument_then_env_then_one(self, entry, argument, env, expected, monkeypatch):
-        import os
-
         from repro.solvers import batched as batched_module
         from repro.solvers import linear_solver
 
@@ -354,7 +355,7 @@ class TestThreadCountIsACallArgument:
             SparseLinearSolver(A).solve_many(np.ones((A.n, 2)), num_threads=argument)
         else:
             BatchedSolver(A, num_threads=argument).factorize_batch(_spd_scenarios(A, batch=2))
-        assert seen == [(os.cpu_count() or 1) if expected == "cpus" else expected]
+        assert seen == [_cpu_count() if expected == "cpus" else expected]
 
     def test_a_batch_regenerates_no_code(self):
         """Batching reuses the one compiled kernel: no cache miss, no cc, no module rewrite."""
@@ -387,11 +388,29 @@ class TestThreadResolution:
         assert resolve_num_threads(None) == 1
 
     def test_zero_means_one_per_cpu(self, monkeypatch):
-        import os
-
         monkeypatch.setenv("REPRO_NUM_THREADS", "0")
-        assert resolve_num_threads(None) == (os.cpu_count() or 1)
-        assert resolve_num_threads(0) == (os.cpu_count() or 1)
+        assert resolve_num_threads(None) == _cpu_count()
+        assert resolve_num_threads(0) == _cpu_count()
+
+    def test_zero_counts_the_cpus_this_process_may_run_on(self, cpus, monkeypatch):
+        # One CPU in the affinity mask of a machine with more: one worker, the count the build uses.
+        cpus(1)
+        monkeypatch.setenv("REPRO_NUM_THREADS", "0")
+        assert _cpu_count() == 1
+        assert resolve_num_threads(0) == resolve_num_threads(None) == 1
+        assert BatchedSolver(laplacian_2d(5, shift=0.1), num_threads=0).num_threads == 1
+
+    @needs_cc
+    def test_zero_starts_no_thread_on_one_allowed_cpu(self, cpus, monkeypatch):
+        A = laplacian_2d(6, shift=0.1)
+        solver = SparseLinearSolver(A, options=SympilerOptions(backend="c"))
+        B = np.ones((A.n, 3))
+        cpus(1)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        X = solver.solve_many(B, num_threads=0)
+        assert started == []
+        assert all(solver.residual(X[:, k], B[:, k]) <= 1e-10 for k in range(3))
 
     def test_garbage_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "many")
@@ -420,8 +439,6 @@ class TestThreadResolution:
         assert resolve_num_threads(None) == expected
 
     def test_batch_argument_then_env_then_one(self, monkeypatch):
-        import os
-
         monkeypatch.setenv("REPRO_NUM_THREADS", "5")
         A = laplacian_2d(8, shift=0.1)
         options = SympilerOptions(backend="python")
@@ -429,7 +446,7 @@ class TestThreadResolution:
         assert BatchedSolver(A, options=options, num_threads=3).num_threads == 3
         monkeypatch.delenv("REPRO_NUM_THREADS")
         assert BatchedSolver(A, options=options).num_threads == 1
-        assert BatchedSolver(A, options=options, num_threads=0).num_threads == (os.cpu_count() or 1)
+        assert BatchedSolver(A, options=options, num_threads=0).num_threads == _cpu_count()
 
 
 class TestEnsembleFirstScenarioSingular:

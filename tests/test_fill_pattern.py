@@ -7,7 +7,6 @@ from repro.baselines.scipy_reference import reference_cholesky
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.utils import lower_triangle
 from repro.symbolic.colcount import (
-    average_column_count,
     column_counts_of_factor,
     row_counts_of_factor,
 )
@@ -15,8 +14,8 @@ from repro.symbolic.etree import elimination_tree
 from repro.symbolic.fill_pattern import (
     cholesky_pattern,
     ereach,
+    factor_structure,
     fill_in_count,
-    row_patterns_of_factor,
     symbolic_factor_nnz,
 )
 
@@ -77,14 +76,13 @@ def test_pattern_superset_of_lower_triangle(spd_matrix):
         assert original <= predicted
 
 
-def test_row_patterns_of_factor_consistent_with_columns(spd_matrix):
-    indptr, indices = cholesky_pattern(spd_matrix)
-    rows = row_patterns_of_factor(spd_matrix)
+def test_factor_rows_consistent_with_columns(spd_matrix):
+    row_ptr, row_idx, indptr, indices = factor_structure(spd_matrix)
     # (k, j) is in the column pattern of j (below diagonal) iff j is in the
     # row pattern of k.
     for j in range(spd_matrix.n):
         for k in indices[indptr[j] + 1 : indptr[j + 1]]:
-            assert j in set(rows[int(k)].tolist())
+            assert j in set(row_idx[row_ptr[k] : row_ptr[k + 1]].tolist())
 
 
 def test_column_counts_match_pattern(spd_matrix):
@@ -108,12 +106,6 @@ def test_symbolic_nnz_and_fill_count(spd_matrix):
     fill = fill_in_count(spd_matrix)
     assert fill == nnz_l - lower_triangle(spd_matrix).nnz
     assert fill >= 0
-
-
-def test_average_column_count(spd_matrix):
-    avg = average_column_count(spd_matrix)
-    counts = column_counts_of_factor(spd_matrix)
-    assert avg == pytest.approx(counts.mean())
 
 
 def test_diagonal_matrix_has_no_fill():

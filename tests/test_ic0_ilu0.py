@@ -1,8 +1,10 @@
 """End-to-end tests of the IC(0)/ILU(0) preconditioner kernels.
 
-Covers the symbolic layer (no-fill inspections), the reference
-kernels, both code-generation backends, batches of value sets and the
-artifact protocol — the whole registry extension of the incomplete kernels.
+Covers the symbolic layer (no-fill inspections), the factors, both
+code-generation backends (the python one bitwise against the dense
+pattern-masked oracles of ``oracles.py``, the C one bitwise against the python
+one), batches of value sets and the artifact protocol — the whole registry
+extension of the incomplete kernels.
 """
 
 import numpy as np
@@ -13,7 +15,6 @@ from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.registry import UnknownKernelError
 from repro.compiler.sympiler import Sympiler
-from repro.kernels.incomplete import ic0_left_looking, ilu0_left_looking
 from repro.solvers.linear_solver import map_items
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import (
@@ -29,6 +30,8 @@ from repro.symbolic.inspector import (
     ILU0InspectionResult,
     ILU0Inspector,
 )
+
+import oracles
 
 needs_cc = pytest.mark.skipif(
     not (c_compiler_available("cc") or c_compiler_available("gcc")),
@@ -73,13 +76,13 @@ class TestSymbolicIC0:
         np.testing.assert_array_equal(insp.l_indices, tril.indices)
         assert insp.factor_nnz == tril.nnz
 
-    def test_row_patterns_are_update_sources(self):
+    def test_rows_are_update_sources(self):
         A = fem_stencil_2d(8, shift=0.25)
         insp = IC0Inspector().inspect(A)
         dense = A.to_dense() != 0
         for j in range(A.n):
             expected = [k for k in range(j) if dense[j, k]]
-            np.testing.assert_array_equal(insp.row_patterns[j], expected)
+            np.testing.assert_array_equal(insp.row_idx[insp.row_ptr[j] : insp.row_ptr[j + 1]], expected)
 
     def test_missing_diagonal_raises(self):
         dense = np.array([[2.0, 0.0], [1.0, 0.0]])
@@ -122,30 +125,37 @@ class TestSymbolicILU0:
             ILU0Inspector().inspect(A)
 
 
-class TestReferenceKernels:
-    def test_ic0_exact_on_pattern(self):
+def _factorize(kernel, A, backend):
+    """The compiled ``kernel`` factor(s) of ``A`` on ``backend``."""
+    options = _c_options() if backend == "c" else SympilerOptions(backend="python")
+    return _fresh_sympiler().compile(kernel, A, options=options).factorize(A)
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
+class TestFactors:
+    def test_ic0_exact_on_pattern(self, backend):
         A = _spd(11)
-        L = ic0_left_looking(A).to_dense()
+        L = _factorize("ic0", A, backend).to_dense()
         assert _pattern_residual(L @ L.T, A) < 1e-12
 
-    def test_ic0_equals_exact_cholesky_when_no_fill(self):
+    def test_ic0_equals_exact_cholesky_when_no_fill(self, backend):
         # A banded SPD matrix with bandwidth 1 factors without fill.
         A = banded_spd(25, 1, seed=3)
         from repro.baselines.scipy_reference import reference_cholesky
 
         np.testing.assert_allclose(
-            ic0_left_looking(A).to_dense(), reference_cholesky(A), atol=1e-9
+            _factorize("ic0", A, backend).to_dense(), reference_cholesky(A), atol=1e-9
         )
 
-    def test_ilu0_exact_on_pattern_and_unit_diagonal(self):
+    def test_ilu0_exact_on_pattern_and_unit_diagonal(self, backend):
         A = _jacobian(52, seed=11)
-        fac = ilu0_left_looking(A)
+        fac = _factorize("ilu0", A, backend)
         assert _pattern_residual(fac.L.to_dense() @ fac.U.to_dense(), A) < 1e-10
         np.testing.assert_allclose(fac.L.data[fac.L.indptr[:-1]], 1.0)
         assert fac.L.is_lower_triangular()
         assert fac.U.is_upper_triangular()
 
-    def test_ilu0_equals_exact_lu_when_no_fill(self):
+    def test_ilu0_equals_exact_lu_when_no_fill(self, backend):
         # A tridiagonal-ish unsymmetric matrix: LU of a banded matrix with
         # dense band has no fill, so ILU(0) equals the complete LU.
         n = 20
@@ -153,34 +163,31 @@ class TestReferenceKernels:
             np.full(n - 1, -2.0), 1
         )
         A = CSCMatrix.from_dense(dense)
-        fac = ilu0_left_looking(A)
-        from repro.kernels.lu import lu_left_looking
+        fac = _factorize("ilu0", A, backend)
+        L_ref, U_ref = oracles.lu(A)
+        np.testing.assert_allclose(fac.L.to_dense(), L_ref, atol=1e-12)
+        np.testing.assert_allclose(fac.U.to_dense(), U_ref, atol=1e-12)
 
-        ref = lu_left_looking(A)
-        np.testing.assert_allclose(fac.L.to_dense(), ref.L.to_dense(), atol=1e-12)
-        np.testing.assert_allclose(fac.U.to_dense(), ref.U.to_dense(), atol=1e-12)
-
-    def test_ic0_breakdown_raises(self):
+    def test_ic0_breakdown_raises(self, backend):
         dense = np.array([[1.0, 2.0], [2.0, 1.0]])  # not SPD: second pivot < 0
         A = CSCMatrix.from_dense(dense)
         with pytest.raises(ValueError, match="IC\\(0\\) breakdown"):
-            ic0_left_looking(A)
+            _factorize("ic0", A, backend)
 
-    def test_ilu0_zero_pivot_raises(self):
+    def test_ilu0_zero_pivot_raises(self, backend):
         dense = np.array([[1.0, 1.0], [1.0, 1.0]])  # second pivot cancels to 0
         A = CSCMatrix.from_dense(dense)
         with pytest.raises(ValueError, match="ILU\\(0\\) breakdown"):
-            ilu0_left_looking(A)
+            _factorize("ilu0", A, backend)
 
 
 class TestCompiledIC0Python:
-    def test_bitwise_matches_interpreted(self):
+    def test_bitwise_matches_the_dense_oracle(self):
         sym = _fresh_sympiler()
         for A in (_spd(), fem_stencil_2d(9, shift=0.25), banded_spd(30, 2, seed=4)):
             compiled = sym.compile("ic0", A)
             L = compiled.factorize(A)
-            L_ref = ic0_left_looking(A)
-            assert np.array_equal(L.data, L_ref.data)
+            assert np.array_equal(L.data, oracles.on_pattern(oracles.ic0(A), L))
             assert L.pattern_equal(lower_triangle(A))
 
     def test_kernel_is_incomplete_factor_loop(self):
@@ -201,7 +208,7 @@ class TestCompiledIC0Python:
         assert decision is not None and decision["factor_kind"] == "ic0"
         assert "deferred" in decision
 
-    def test_breakdown_message_matches_interpreted(self):
+    def test_breakdown_message_names_the_column(self):
         dense = np.array([[1.0, 2.0], [2.0, 1.0]])
         A = CSCMatrix.from_dense(dense)
         compiled = _fresh_sympiler().compile("ic0", A)
@@ -222,14 +229,14 @@ class TestCompiledIC0Python:
 
 
 class TestCompiledILU0Python:
-    def test_matches_reference_bitwise(self):
+    def test_bitwise_matches_the_dense_oracle(self):
         sym = _fresh_sympiler()
         for seed in (10, 11):
             A = _jacobian(44, seed=seed)
             fac = sym.compile("ilu0", A).factorize(A)
-            ref = ilu0_left_looking(A)
-            assert np.array_equal(fac.L.data, ref.L.data)
-            assert np.array_equal(fac.U.data, ref.U.data)
+            L_ref, U_ref = oracles.ilu0(A)
+            assert np.array_equal(fac.L.data, oracles.on_pattern(L_ref, fac.L))
+            assert np.array_equal(fac.U.data, oracles.on_pattern(U_ref, fac.U))
 
     def test_exact_on_pattern(self):
         A = _jacobian(56, seed=12)

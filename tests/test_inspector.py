@@ -74,11 +74,10 @@ class TestCholeskyInspector:
         assert result.n == spd_matrix.n
         assert result.factor_nnz == int(result.l_indptr[-1])
         np.testing.assert_array_equal(result.l_col_counts, np.diff(result.l_indptr))
-        assert len(result.row_patterns) == result.n
+        assert result.row_ptr.size == result.n + 1 and result.row_ptr[-1] == result.row_idx.size
         assert result.supernodes.n_columns == result.n
-        assert result.average_column_count == pytest.approx(result.l_col_counts.mean())
 
-    def test_row_patterns_match_column_pattern(self, spd_matrices):
+    def test_column_pattern_matches_cholesky_pattern(self, spd_matrices):
         A = spd_matrices["laplacian_2d"]
         result = CholeskyInspector().inspect(A)
         indptr, indices = cholesky_pattern(A, result.parent)
@@ -148,31 +147,16 @@ def test_symbolic_inspector_imports_standalone():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_per_column_lists_are_split_on_first_access_only(monkeypatch):
-    """Set-up needs the ``(ptr, idx)`` arrays, not the per-column lists they split into."""
-    import repro.compiler.sympiler as sympiler_module
-    import repro.symbolic.inspector as inspector_module
-    from repro.compiler.cache import ArtifactCache
-    from repro.compiler.options import SympilerOptions
-    from repro.solvers.linear_solver import SparseLinearSolver
+def test_factorization_prune_sets_are_ptr_idx_arrays():
+    """A factorization's prune-set is one ``(ptr, idx)`` pair: column ``j``'s set is ``idx[ptr[j]:ptr[j + 1]]``."""
     from repro.sparse.generators import laplacian_2d, unsymmetric_diag_dominant
 
-    calls = []
-    split_rows = inspector_module.split_rows
-    monkeypatch.setattr(inspector_module, "split_rows", lambda *a: calls.append(1) or split_rows(*a))
-    monkeypatch.setattr(sympiler_module, "_SHARED_CACHE", ArtifactCache())
-    for backend in ("c", "python"):
-        SparseLinearSolver(laplacian_2d(60), options=SympilerOptions(backend=backend))
-    assert calls == []
-
     chol = CholeskyInspector().inspect(laplacian_2d(12))
-    rows = [chol.row_idx[chol.row_ptr[j] : chol.row_ptr[j + 1]] for j in range(chol.n)]
-    assert len(chol.row_patterns) == len(rows)
-    assert all(np.array_equal(got, want) for got, want in zip(chol.row_patterns, rows))
-    assert chol.prune_set().payload is chol.row_patterns and len(calls) == 1
+    ptr, idx = chol.prune_set().payload
+    assert ptr is chol.row_ptr and idx is chol.row_idx
 
     lu = LUInspector().inspect(unsymmetric_diag_dominant(40, seed=2))
-    upper = [lu.u_indices[lu.u_indptr[j] : lu.u_indptr[j + 1] - 1] for j in range(lu.n)]
-    assert all(np.array_equal(got, want) for got, want in zip(lu.upper_patterns, upper))
-    assert len(lu.upper_patterns) == lu.n
-    assert lu.prune_set().payload is lu.upper_patterns and len(calls) == 2
+    ptr, idx = lu.prune_set().payload
+    assert ptr.size == lu.n + 1 and ptr[-1] == idx.size == lu.u_nnz - lu.n
+    for j in range(lu.n):
+        np.testing.assert_array_equal(idx[ptr[j] : ptr[j + 1]], lu.u_indices[lu.u_indptr[j] : lu.u_indptr[j + 1] - 1])

@@ -6,7 +6,6 @@ import pytest
 from repro.baselines import reference_cholesky, reference_solve
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
-from repro.kernels.cholesky import cholesky_left_looking, cholesky_supernodal
 from repro.kernels.flops import cholesky_flops, triangular_solve_flops
 from repro.solvers import SparseLinearSolver
 from repro.sparse.generators import (
@@ -44,12 +43,12 @@ def test_repeated_factorization_fixed_pattern_changing_values(rng):
 
 
 def test_all_systems_produce_the_same_factor():
-    """Sympiler, the simplicial and supernodal references and dense LAPACK agree."""
+    """Sympiler's simplicial and supernodal kernels, on both backends, and dense LAPACK agree."""
     A = block_tridiagonal_spd(8, 6, seed=4, dense_coupling=True)
-    sympiler_L = Sympiler().compile_cholesky(A).factorize(A).to_dense()
-    for oracle in (cholesky_left_looking(A), cholesky_supernodal(A)):
-        np.testing.assert_allclose(sympiler_L, oracle.to_dense(), atol=1e-9)
-    np.testing.assert_allclose(sympiler_L, reference_cholesky(A), atol=1e-9)
+    for options in (SympilerOptions.vi_prune_only(), SympilerOptions()):
+        for backend in ("c", "python"):
+            L = Sympiler().compile_cholesky(A, options=options.with_updates(backend=backend)).factorize(A)
+            np.testing.assert_allclose(L.to_dense(), reference_cholesky(A), atol=1e-9)
 
 
 def test_option_variants_are_numerically_identical(spd_matrices):

@@ -1,4 +1,4 @@
-"""End-to-end tests of the LDLᵀ kernel (reference, both backends, solver)."""
+"""End-to-end tests of the LDLᵀ kernel (factors, both backends, solver)."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,11 @@ from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
-from repro.kernels.dense import SingularMatrixError, dense_ldlt
-from repro.kernels.ldlt import ldlt_left_looking
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import laplacian_2d, saddle_point_indefinite
+
+import oracles
 
 needs_cc = pytest.mark.skipif(
     not (c_compiler_available("cc") or c_compiler_available("gcc")),
@@ -33,60 +33,53 @@ def _indefinite_matrix(seed=7):
     return saddle_point_indefinite(30, 12, seed=seed)
 
 
-class TestDenseLDLT:
-    def test_reconstruction_indefinite(self, rng):
-        B = rng.normal(size=(6, 6))
-        A = B + B.T  # symmetric, generically indefinite
-        L, d = dense_ldlt(A)
-        np.testing.assert_allclose(L @ np.diag(d) @ L.T, A, atol=1e-10)
-        np.testing.assert_allclose(np.diag(L), 1.0)
-
-    def test_zero_pivot_raises(self):
-        with pytest.raises(SingularMatrixError):
-            dense_ldlt(np.zeros((2, 2)))
+def _factorize(A, backend, **overrides):
+    """The compiled LDLᵀ factors of ``A`` on ``backend``."""
+    options = _c_options(**overrides) if backend == "c" else SympilerOptions(backend="python", **overrides)
+    return _fresh_sympiler().compile("ldlt", A, options=options).factorize(A)
 
 
-class TestReferenceKernel:
-    def test_matches_dense_on_spd_and_indefinite(self, spd_matrices):
-        for A in (spd_matrices["fem"], _indefinite_matrix()):
-            fac = ldlt_left_looking(A)
-            np.testing.assert_allclose(
-                fac.reconstruct_dense(), A.to_dense(), atol=1e-9
-            )
+def _check_against_the_dense_oracle(fac, A):
+    L, d = oracles.ldlt(A)
+    np.testing.assert_allclose(fac.L.to_dense(), L, atol=1e-9)
+    np.testing.assert_allclose(fac.d, d, atol=1e-9)
 
-    def test_inertia_of_saddle_point_system(self):
-        A = saddle_point_indefinite(25, 10, seed=3)
-        fac = ldlt_left_looking(A)
-        assert fac.inertia == (25, 10, 0)
 
-    def test_factors_solve(self, rng):
+LOOPS = pytest.mark.parametrize("vs_block", [False, True], ids=["simplicial", "supernodal"])
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
+class TestFactors:
+    @LOOPS
+    def test_matches_the_dense_oracle(self, spd_matrix, vs_block, backend):
+        _check_against_the_dense_oracle(_factorize(spd_matrix, backend, enable_vs_block=vs_block), spd_matrix)
+
+    @LOOPS
+    def test_matches_the_dense_oracle_on_indefinite_input(self, vs_block, backend):
         A = _indefinite_matrix()
-        fac = ldlt_left_looking(A)
+        _check_against_the_dense_oracle(_factorize(A, backend, enable_vs_block=vs_block), A)
+
+    def test_reconstruction_on_spd_and_indefinite(self, spd_matrices, backend):
+        for A in (spd_matrices["fem"], _indefinite_matrix()):
+            np.testing.assert_allclose(_factorize(A, backend).reconstruct_dense(), A.to_dense(), atol=1e-9)
+
+    def test_inertia_of_saddle_point_system(self, backend):
+        A = saddle_point_indefinite(25, 10, seed=3)
+        assert _factorize(A, backend).inertia == (25, 10, 0)
+
+    def test_factors_solve(self, rng, backend):
+        A = _indefinite_matrix()
         b = rng.normal(size=A.n)
-        x = fac.solve(b)
+        x = _factorize(A, backend).solve(b)
         np.testing.assert_allclose(A.to_dense() @ x, b, atol=1e-8)
 
-    def test_unit_diagonal_is_stored(self, spd_matrices):
-        fac = ldlt_left_looking(spd_matrices["banded"])
+    def test_unit_diagonal_is_stored(self, spd_matrices, backend):
+        fac = _factorize(spd_matrices["banded"], backend)
         diag_positions = fac.L.indptr[:-1]
         np.testing.assert_allclose(fac.L.data[diag_positions], 1.0)
 
 
 class TestCompiledLDLTPython:
-    @pytest.mark.parametrize(
-        "options",
-        [SympilerOptions(backend="python", enable_vs_block=False), SympilerOptions(backend="python")],
-        ids=["simplicial", "supernodal"],
-    )
-    def test_matches_reference(self, spd_matrices, options):
-        sym = _fresh_sympiler()
-        for A in (spd_matrices["fem"], spd_matrices["block"], _indefinite_matrix()):
-            compiled = sym.compile("ldlt", A, options=options)
-            fac = compiled.factorize(A)
-            ref = ldlt_left_looking(A)
-            np.testing.assert_allclose(fac.L.to_dense(), ref.L.to_dense(), atol=1e-9)
-            np.testing.assert_allclose(fac.d, ref.d, atol=1e-9)
-
     def test_vi_prune_is_forced(self):
         compiled = _fresh_sympiler().compile(
             "ldlt", laplacian_2d(6), options=SympilerOptions.baseline().with_updates(backend="python")
@@ -163,21 +156,6 @@ class TestLDLTSolver:
 
 @needs_cc
 class TestCompiledLDLTC:
-    @pytest.mark.parametrize(
-        "options_kwargs",
-        [dict(enable_vs_block=False), dict()],
-        ids=["simplicial", "supernodal"],
-    )
-    def test_matches_reference(self, spd_matrices, options_kwargs):
-        sym = _fresh_sympiler()
-        options = _c_options(**options_kwargs)
-        for A in (spd_matrices["fem"], spd_matrices["block"], _indefinite_matrix()):
-            compiled = sym.compile("ldlt", A, options=options)
-            fac = compiled.factorize(A)
-            ref = ldlt_left_looking(A)
-            np.testing.assert_allclose(fac.L.to_dense(), ref.L.to_dense(), atol=1e-9)
-            np.testing.assert_allclose(fac.d, ref.d, atol=1e-9)
-
     def test_indefinite_solver_residual_c_backend(self, rng):
         A = saddle_point_indefinite(40, 15, seed=13)
         solver = SparseLinearSolver(A, method="ldlt", options=_c_options())

@@ -1,4 +1,4 @@
-"""End-to-end tests of the LU kernel (symbolic, reference, backends, solver)."""
+"""End-to-end tests of the LU kernel (symbolic, factors, backends, solver)."""
 
 import warnings
 
@@ -11,8 +11,6 @@ from repro.compiler.codegen.c_backend import CGeneratedModule, c_compiler_availa
 from repro.compiler.codegen.python_backend import GeneratedModule
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
-from repro.kernels.dense import SingularMatrixError
-from repro.kernels.lu import lu_left_looking
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.solvers.newton import newton_raphson_fixed_pattern
 from repro.sparse.csc import CSCMatrix
@@ -20,6 +18,8 @@ from repro.sparse.generators import unsymmetric_diag_dominant
 from repro.sparse.utils import is_symmetric_pattern
 from repro.symbolic.etree import column_etree, elimination_tree
 from repro.symbolic.inspector import LUInspectionResult, LUInspector
+
+import oracles
 
 needs_cc = pytest.mark.skipif(
     not (c_compiler_available("cc") or c_compiler_available("gcc")),
@@ -41,16 +41,10 @@ def _jacobian(n=50, seed=7):
     return unsymmetric_diag_dominant(n, seed=seed)
 
 
-def _dense_lu_nopivot(dense):
-    """Dense LU without pivoting — the structural/numerical oracle."""
-    n = dense.shape[0]
-    U = dense.astype(np.float64).copy()
-    L = np.eye(n)
-    for k in range(n):
-        L[k + 1 :, k] = U[k + 1 :, k] / U[k, k]
-        U[k + 1 :, :] -= np.outer(L[k + 1 :, k], U[k, :])
-        U[k + 1 :, k] = 0.0
-    return L, np.triu(U)
+def _factorize(A, backend):
+    """The compiled LU factors of ``A`` on ``backend``."""
+    options = _c_options() if backend == "c" else SympilerOptions(backend="python")
+    return _fresh_sympiler().compile("lu", A, options=options).factorize(A)
 
 
 class TestSymbolicLU:
@@ -63,7 +57,7 @@ class TestSymbolicLU:
     def test_predicted_patterns_cover_dense_factors(self):
         A = _jacobian(45, seed=2)
         insp = LUInspector().inspect(A)
-        L_ref, U_ref = _dense_lu_nopivot(A.to_dense())
+        L_ref, U_ref = oracles.lu(A)
         # Every numeric nonzero of the no-pivot factors lies inside the
         # predicted pattern (the prediction is exact up to cancellation).
         lp = insp.l_pattern_matrix()
@@ -98,40 +92,36 @@ class TestSymbolicLU:
             LUInspector().inspect(A)
 
 
-class TestReferenceKernel:
-    def test_matches_dense_lu_without_pivoting(self):
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
+class TestFactors:
+    def test_matches_dense_lu_without_pivoting(self, backend):
         A = _jacobian(40, seed=4)
-        fac = lu_left_looking(A)
-        L_ref, U_ref = _dense_lu_nopivot(A.to_dense())
+        fac = _factorize(A, backend)
+        L_ref, U_ref = oracles.lu(A)
         np.testing.assert_allclose(fac.L.to_dense(), L_ref, atol=1e-9)
         np.testing.assert_allclose(fac.U.to_dense(), U_ref, atol=1e-9)
 
-    def test_reconstruction_and_unit_diagonal(self):
+    def test_reconstruction_and_unit_diagonal(self, backend):
         A = _jacobian(55, seed=5)
-        fac = lu_left_looking(A)
+        fac = _factorize(A, backend)
         np.testing.assert_allclose(fac.reconstruct_dense(), A.to_dense(), atol=1e-9)
         np.testing.assert_allclose(fac.L.data[fac.L.indptr[:-1]], 1.0)
         assert fac.L.is_lower_triangular()
         assert fac.U.is_upper_triangular()
 
-    def test_factors_solve_matches_splu(self, rng):
+    def test_factors_solve_matches_splu(self, rng, backend):
         A = _jacobian(60, seed=6)
-        fac = lu_left_looking(A)
+        fac = _factorize(A, backend)
         b = rng.normal(size=A.n)
         x = fac.solve(b)
         x_ref = scipy.sparse.linalg.splu(A.to_scipy().tocsc()).solve(b)
         np.testing.assert_allclose(x, x_ref, atol=1e-8)
 
-    def test_pivots_property(self):
+    def test_pivots_property(self, backend):
         A = _jacobian(25, seed=8)
-        fac = lu_left_looking(A)
+        fac = _factorize(A, backend)
         np.testing.assert_allclose(fac.pivots, np.diag(fac.U.to_dense()))
         assert np.all(fac.pivots != 0.0)
-
-    def test_zero_pivot_raises(self):
-        A = CSCMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(SingularMatrixError):
-            lu_left_looking(A)
 
 
 class TestCompiledLUPython:
@@ -141,9 +131,9 @@ class TestCompiledLUPython:
             A = _jacobian(48, seed=seed)
             compiled = sym.compile("lu", A)
             fac = compiled.factorize(A)
-            ref = lu_left_looking(A)
-            np.testing.assert_allclose(fac.L.to_dense(), ref.L.to_dense(), atol=1e-9)
-            np.testing.assert_allclose(fac.U.to_dense(), ref.U.to_dense(), atol=1e-9)
+            L_ref, U_ref = oracles.lu(A)
+            np.testing.assert_allclose(fac.L.to_dense(), L_ref, atol=1e-9)
+            np.testing.assert_allclose(fac.U.to_dense(), U_ref, atol=1e-9)
 
     def test_reconstruction_against_scipy_splu(self, rng):
         # Acceptance criterion: residual and ||L U - A|| within 1e-8.

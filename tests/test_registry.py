@@ -14,7 +14,7 @@ from repro.compiler.artifacts import (
 )
 from repro.compiler.cache import ArtifactCache, cache_key, options_fingerprint
 from repro.compiler.options import SympilerOptions
-from repro.compiler.plan import plan_incomplete, plan_left_looking, plan_lu, plan_triangular_solve
+from repro.compiler.plan import plan_cholesky, plan_incomplete, plan_lu, plan_triangular_solve
 from repro.compiler.registry import UnknownKernelError, kernel_spec, registered_kernels
 from repro.compiler.sympiler import Sympiler
 from repro.sparse.generators import laplacian_2d, saddle_point_indefinite, sparse_rhs
@@ -41,8 +41,8 @@ class TestRegistry:
         "name, plan, artifact_cls, requires_vi_prune, kernel_args",
         [
             ("triangular-solve", plan_triangular_solve, SympiledTriangularSolve, False, ("rhs_pattern",)),
-            ("cholesky", plan_left_looking, SympiledCholesky, True, ()),
-            ("ldlt", plan_left_looking, SympiledLDLT, True, ()),
+            ("cholesky", plan_cholesky, SympiledCholesky, True, ()),
+            ("ldlt", plan_cholesky, SympiledLDLT, True, ()),
             ("lu", plan_lu, SympiledLU, True, ()),
             ("ic0", plan_incomplete, SympiledIC0, True, ()),
             ("ilu0", plan_incomplete, SympiledILU0, True, ()),

@@ -6,14 +6,16 @@ import pytest
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
-from repro.kernels.incomplete import ic0_left_looking
 from repro.solvers.cg import preconditioned_conjugate_gradient
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.solvers.newton import newton_raphson_fixed_pattern
 from repro.baselines.scipy_reference import reference_cholesky, reference_solve
 from repro.sparse.coo import TripletBuilder
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.utils import lower_triangle
 from repro.sparse.generators import banded_spd, laplacian_2d, power_grid_spd
+
+import oracles
 
 needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
 
@@ -24,6 +26,13 @@ BACKENDS = ["python", pytest.param("c", marks=needs_cc)]
 def _compiled_ic0(A, backend):
     """The compiled IC(0) factor of ``A`` on ``backend``."""
     return Sympiler(SympilerOptions(backend=backend)).compile("ic0", A).factorize(A)
+
+
+def _ic0_oracle_data(A, L, backend):
+    """What ``L.data`` must equal bit for bit: the python backend's factor for C, the dense oracle's for python."""
+    if backend == "c":
+        return _compiled_ic0(A, "python").data
+    return oracles.on_pattern(oracles.ic0(A), L)
 
 
 class TestSparseLinearSolver:
@@ -84,24 +93,23 @@ class TestSparseLinearSolver:
         assert solver.setup_seconds >= 0.0
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestIncompleteCholesky:
-    def test_ic0_equals_exact_factor_when_no_fill(self):
+    def test_ic0_equals_exact_factor_when_no_fill(self, backend):
         # A tridiagonal SPD matrix factors without fill, so IC(0) is exact.
         A = banded_spd(25, 1, seed=3)
-        L = ic0_left_looking(A)
+        L = _compiled_ic0(A, backend)
         np.testing.assert_allclose(L.to_dense(), reference_cholesky(A), atol=1e-9)
 
-    def test_ic0_pattern_is_tril_of_a(self, spd_matrices):
+    def test_ic0_pattern_is_tril_of_a(self, spd_matrices, backend):
         A = spd_matrices["fem"]
-        L = ic0_left_looking(A)
-        from repro.sparse.utils import lower_triangle
-
+        L = _compiled_ic0(A, backend)
         assert L.pattern_equal(lower_triangle(A))
         assert L.is_lower_triangular()
 
-    def test_ic0_requires_square(self):
+    def test_ic0_requires_square(self, backend):
         with pytest.raises(ValueError):
-            ic0_left_looking(CSCMatrix.from_dense(np.ones((2, 3))))
+            _compiled_ic0(CSCMatrix.from_dense(np.ones((2, 3))), backend)
 
 
 class TestConjugateGradient:
@@ -174,7 +182,7 @@ class TestConjugateGradient:
 
 
 class TestConjugateGradientEdgeCases:
-    """Breakdown, bad diagonals, history reporting and compiled-vs-oracle."""
+    """Breakdown, bad diagonals, history reporting and compiled-vs-oracle (bitwise)."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_ic0_breakdown_on_non_spd_input(self, backend):
@@ -182,7 +190,7 @@ class TestConjugateGradientEdgeCases:
         # factorization is negative, so IC(0) must refuse, on both paths.
         A = CSCMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError, match="non-positive pivot at column 1"):
-            ic0_left_looking(A)
+            oracles.ic0(A)
         with pytest.raises(ValueError, match="non-positive pivot at column 1"):
             _compiled_ic0(A, backend)
         with pytest.raises(ValueError, match="non-positive pivot"):
@@ -195,7 +203,7 @@ class TestConjugateGradientEdgeCases:
         A = CSCMatrix.from_dense(np.array([[1e-300, 1.0], [1.0, 2.0]]))
         A0 = A.with_values(np.array([0.0, 1.0, 1.0, 2.0]))
         with pytest.raises(ValueError, match="non-positive pivot at column 0"):
-            ic0_left_looking(A0)
+            oracles.ic0(A0)
         with pytest.raises(ValueError, match="non-positive pivot at column 0"):
             _compiled_ic0(A0, backend)
 
@@ -204,10 +212,10 @@ class TestConjugateGradientEdgeCases:
         # A tiny positive pivot is numerically legal for IC(0); the factor
         # simply carries a huge scaled column instead of erroring.
         A = CSCMatrix.from_dense(np.array([[1e-12, 1e-6], [1e-6, 2.0]]))
-        L = ic0_left_looking(A)
+        L = _compiled_ic0(A, backend)
         assert np.isfinite(L.data).all()
         assert L.data[L.indptr[0]] == pytest.approx(1e-6)
-        assert np.array_equal(_compiled_ic0(A, backend).data, L.data)
+        assert np.array_equal(L.data, _ic0_oracle_data(A, L, backend))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_ic0_missing_diagonal_raises_on_both_paths(self, backend):
@@ -215,8 +223,6 @@ class TestConjugateGradientEdgeCases:
         A = CSCMatrix.from_dense(
             np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 3.0]])
         )
-        with pytest.raises(ValueError, match="missing diagonal entry"):
-            ic0_left_looking(A)
         with pytest.raises(ValueError, match="missing diagonal entry"):
             _compiled_ic0(A, backend)
 
@@ -234,12 +240,11 @@ class TestConjugateGradientEdgeCases:
         assert result.final_residual <= 1e-9
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_compiled_ic0_factor_matches_interpreted_bitwise(self, spd_matrices, backend):
+    def test_compiled_ic0_factor_matches_its_oracle_bitwise(self, spd_matrices, backend):
         for A in spd_matrices.values():
             L_compiled = _compiled_ic0(A, backend)
-            L_oracle = ic0_left_looking(A)
-            assert L_compiled.pattern_equal(L_oracle)
-            assert np.array_equal(L_compiled.data, L_oracle.data)
+            assert L_compiled.pattern_equal(lower_triangle(A))
+            assert np.array_equal(L_compiled.data, _ic0_oracle_data(A, L_compiled, backend))
 
     def test_solver_pcg_method(self, rng):
         A = laplacian_2d(12)

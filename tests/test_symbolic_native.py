@@ -48,10 +48,10 @@ from repro.symbolic.etree import (
 )
 from repro.symbolic.fill_pattern import (
     cholesky_pattern,
+    factor_structure,
     factor_structure_reference,
     lu_pattern,
     lu_pattern_reference,
-    row_patterns_of_factor,
 )
 from repro.symbolic.inspector import CholeskyInspector, LUInspector, TriangularSolveInspector
 from repro.symbolic.reach import reach_set_from_arrays, reach_set_reference
@@ -288,7 +288,7 @@ def _public_results(A: CSCMatrix, U: CSCMatrix) -> list:
         column_etree(U),
         l_indptr,
         l_indices,
-        *row_patterns_of_factor(B, parent),
+        *factor_structure(B, parent)[:2],
         *lu_pattern(U),
         tri.reach,
         chol.row_ptr,

@@ -12,9 +12,23 @@ from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import PatternMismatchError, Sympiler
 from repro.frontend import SpecializedSolver
-from repro.kernels.ldlt import ldlt_left_looking
+from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import laplacian_2d, saddle_point_indefinite, sparse_rhs
 from repro.sparse.permutation import Permutation
+from repro.sparse.utils import lower_triangle
+
+import oracles
+
+#: Both backends; the C one needs a compiler.
+BACKENDS = [
+    "python",
+    pytest.param(
+        "c",
+        marks=pytest.mark.skipif(
+            not c_compiler_available(SympilerOptions().c_compiler), reason="no C compiler available"
+        ),
+    ),
+]
 
 
 class TestDefaultBackend:
@@ -106,10 +120,15 @@ class TestCompileTriangularSolve:
 
 
 class TestCompileCholesky:
-    def test_factorize_matches_reference(self, spd_matrix):
-        compiled = Sympiler().compile_cholesky(spd_matrix)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("vs_block", [False, True], ids=["simplicial", "vs-block"])
+    def test_factorize_matches_reference(self, spd_matrix, vs_block, backend):
+        options = SympilerOptions(backend=backend, enable_vs_block=vs_block)
+        compiled = Sympiler().compile_cholesky(spd_matrix, options=options)
         L = compiled.factorize(spd_matrix)
+        np.testing.assert_array_equal(L.indices, compiled.inspection.l_indices)
         np.testing.assert_allclose(L.to_dense(), reference_cholesky(spd_matrix), atol=1e-9)
+        np.testing.assert_allclose(L.to_dense() @ L.to_dense().T, spd_matrix.to_dense(), atol=1e-8)
 
     def test_factor_uses_predicted_pattern(self, spd_matrices):
         A = spd_matrices["fem"]
@@ -118,6 +137,24 @@ class TestCompileCholesky:
         np.testing.assert_array_equal(L.indptr, compiled.inspection.l_indptr)
         assert compiled.factor_nnz == L.nnz
         assert compiled.l_pattern.pattern_equal(L)
+
+    def test_factorization_from_lower_storage(self, spd_matrices):
+        A = spd_matrices["laplacian_2d"]
+        lower = lower_triangle(A)
+        L = Sympiler().compile_cholesky(lower).factorize(lower)
+        np.testing.assert_allclose(L.to_dense(), reference_cholesky(A), atol=1e-9)
+
+    def test_diagonal_matrix_factorization(self):
+        A = CSCMatrix.from_dense(np.diag([4.0, 9.0, 16.0]))
+        L = Sympiler().compile_cholesky(A).factorize(A)
+        np.testing.assert_allclose(L.to_dense(), np.diag([2.0, 3.0, 4.0]))
+
+    def test_indefinite_and_non_square_matrices_are_refused(self):
+        A = CSCMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError, match="not positive definite at column 1"):
+            Sympiler().compile_cholesky(A).factorize(A)
+        with pytest.raises(ValueError, match="square"):
+            Sympiler().compile_cholesky(CSCMatrix.from_dense(np.ones((2, 3))))
 
     def test_refactorization_with_new_values(self, spd_matrices):
         A = spd_matrices["laplacian_2d"]
@@ -157,9 +194,9 @@ class TestCompileLDLT:
         A = spd_matrices["fem"]
         compiled = Sympiler(cache=ArtifactCache()).compile_ldlt(A)
         fac = compiled.factorize(A)
-        ref = ldlt_left_looking(A)
-        np.testing.assert_allclose(fac.L.to_dense(), ref.L.to_dense(), atol=1e-9)
-        np.testing.assert_allclose(fac.d, ref.d, atol=1e-9)
+        L, d = oracles.ldlt(A)
+        np.testing.assert_allclose(fac.L.to_dense(), L, atol=1e-9)
+        np.testing.assert_allclose(fac.d, d, atol=1e-9)
 
     def test_indefinite_input_is_accepted(self):
         A = saddle_point_indefinite(20, 8, seed=1)

@@ -8,8 +8,8 @@ from repro.compiler.codegen import tables
 from repro.compiler.options import SympilerOptions
 from repro.compiler.plan import (
     CompilationContext,
+    plan_cholesky,
     plan_incomplete,
-    plan_left_looking,
     plan_lu,
     plan_triangular_solve,
     vs_block_participates,
@@ -26,6 +26,8 @@ from repro.symbolic.inspector import (
     TriangularSolveInspector,
 )
 from repro.symbolic.supernodes import supernodes_from_boundaries
+
+from oracles import cholesky_factor
 
 
 def _tri_context(L, options=None, rhs_nnz=3):
@@ -72,15 +74,20 @@ def test_a_lower_positions(spd_matrices):
         assert np.all(rows >= j)
 
 
+def _row(inspection, j):
+    """Row ``j`` of ``L`` without its diagonal: the prune-set of column ``j``."""
+    return inspection.row_idx[inspection.row_ptr[j] : inspection.row_ptr[j + 1]]
+
+
 def _check_simplicial(A, factor_kind="ldlt"):
     inspection = CholeskyInspector().inspect(A)
     dims, sets = tables.simplicial_cholesky(A, inspection, factor_kind)
     assert dims == {"nnz_l": inspection.factor_nnz}
-    assert sets["prune_ptr"][-1] == sum(r.size for r in inspection.row_patterns) == sets["update_pos"].size
+    assert sets["prune_ptr"][-1] == inspection.row_idx.size == sets["update_pos"].size
     cursor = 0
     for j in range(A.n):
         assert sets["prune_ptr"][j] == cursor
-        for k in inspection.row_patterns[j]:
+        for k in _row(inspection, j):
             assert inspection.l_indices[sets["update_pos"][cursor]] == j
             assert sets["update_end"][cursor] == inspection.l_indptr[int(k) + 1]
             assert sets["update_col"][cursor] == k
@@ -181,7 +188,7 @@ def _check_ic0(A):
     t = 0
     for j in range(A.n):
         assert sets["prune_ptr"][j] == t
-        for k in inspection.row_patterns[j]:
+        for k in _row(inspection, j):
             assert Li[sets["mult_pos"][t]] == j and Lp[k] <= sets["mult_pos"][t] < Lp[k + 1]
             src = sets["l_scat_src"][sets["l_scat_ptr"][t] : sets["l_scat_ptr"][t + 1]]
             dst = sets["l_scat_dst"][sets["l_scat_ptr"][t] : sets["l_scat_ptr"][t + 1]]
@@ -346,14 +353,14 @@ def test_vi_prune_triangular_iterates_the_reach_set(lower_factors):
 def test_vi_prune_cholesky_produces_simplicial_loop(spd_matrices):
     A = spd_matrices["laplacian_2d"]
     context = _chol_context(A, SympilerOptions.vi_prune_only())
-    loop = plan_left_looking(context)
+    loop = plan_cholesky(context)
     assert loop.role == "simplicial-cholesky" and loop.factor_kind == "llt"
     dims, sets = loop.contract
     assert dims == {"nnz_l": context.inspection.factor_nnz}
     assert list(sets) == ["l_indptr", "l_indices", "a_diag_pos", "a_col_end", "prune_ptr", "update_pos", "update_end"]
     assert context.decisions["vi-prune"] == {"mode": "loop", "total_updates": int(sets["prune_ptr"][-1])}
     # LDL^T is the same loop over the same prune-sets, and also reads the descendant columns.
-    ldlt = plan_left_looking(_chol_context(A, SympilerOptions.vi_prune_only(), method="ldlt"))
+    ldlt = plan_cholesky(_chol_context(A, SympilerOptions.vi_prune_only(), method="ldlt"))
     assert ldlt.role == "simplicial-cholesky" and ldlt.factor_kind == "ldlt" and "update_col" in ldlt.contract[1]
 
 
@@ -363,14 +370,14 @@ def test_without_vi_prune_only_the_triangular_solve_has_a_loop(lower_factors, sp
     context = _tri_context(lower_factors["fem"], baseline)
     assert plan_triangular_solve(context) is None and context.applied == [] and context.decisions == {}
     context = _chol_context(spd_matrices["fem"], baseline)
-    assert plan_left_looking(context) is None and context.applied == []
+    assert plan_cholesky(context) is None and context.applied == []
 
 
 def test_a_plan_refuses_an_inspection_of_another_kernel(lower_factors):
     context = _tri_context(lower_factors["fem"])
     context.method = "cholesky"
     with pytest.raises(TypeError, match="CholeskyInspectionResult"):
-        plan_left_looking(context)
+        plan_cholesky(context)
 
 
 # --------------------------------------------------------------------------- #
@@ -391,10 +398,7 @@ def test_vs_block_participation_heuristic():
 
 
 def _blocked_factor(n_blocks, block_size, seed):
-    from repro.kernels.cholesky import cholesky_supernodal
-
-    A = block_tridiagonal_spd(n_blocks, block_size, seed=seed, dense_coupling=True)
-    return cholesky_supernodal(A, CholeskyInspector().inspect(A))
+    return cholesky_factor(block_tridiagonal_spd(n_blocks, block_size, seed=seed, dense_coupling=True))
 
 
 def test_vs_block_triangular_produces_blocks():
@@ -423,7 +427,7 @@ def test_vs_block_skips_when_supernodes_are_small(lower_factors, monkeypatch):
 def test_vs_block_cholesky_produces_supernodal_loop(spd_matrices):
     A = spd_matrices["block"]
     context = _chol_context(A, SympilerOptions())
-    loop = plan_left_looking(context)
+    loop = plan_cholesky(context)
     assert loop.role == "supernodal-cholesky" and loop.factor_kind == "llt"
     assert loop.contract[0]["n_super"] == context.inspection.supernodes.n_supernodes
     # VI-Prune leaves the supernodal loop alone: its descendant descriptors are the prune-sets.
