@@ -25,6 +25,7 @@ from repro.bench.experiments import EXPERIMENTS
 from repro.bench.metrics import gflops_rate, time_callable
 from repro.bench.reporting import geometric_mean
 from repro.bench.suite import SuiteEntry, load_suite_matrix
+from repro.compiler.artifacts import LDLTFactors, LUFactors
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
@@ -139,14 +140,25 @@ def _compiled(artifact, call, solution, facts) -> Subject:
 
 
 def _solve_with(rhs: np.ndarray) -> Callable[[object], np.ndarray]:
-    """Turn a factorization (ours or SuperLU's) into its solution of ``rhs``."""
+    """Turn a factorization (ours or SuperLU's) into its solution of ``rhs``.
+
+    Ours are solved by scipy's triangular solves on ``L`` (and ``D``, and
+    ``Lᵀ`` or ``U``), apart from the code under test.
+    """
 
     def solution(factors) -> np.ndarray:
         if isinstance(factors, CSCMatrix):  # a Cholesky factor L
             L = factors.to_scipy().tocsr()
             y = spsolve_triangular(L, rhs, lower=True)
             return spsolve_triangular(L.T.tocsr(), y, lower=False)
-        return factors.solve(rhs)
+        if isinstance(factors, LDLTFactors):
+            L = factors.L.to_scipy().tocsr()
+            y = spsolve_triangular(L, rhs, lower=True) / factors.d
+            return spsolve_triangular(L.T.tocsr(), y, lower=False)
+        if isinstance(factors, LUFactors):
+            y = spsolve_triangular(factors.L.to_scipy().tocsr(), rhs, lower=True)
+            return spsolve_triangular(factors.U.to_scipy().tocsr(), y, lower=False)
+        return factors.solve(rhs)  # SuperLU
 
     return solution
 

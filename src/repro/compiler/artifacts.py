@@ -98,26 +98,6 @@ class LDLTFactors:
             int(np.sum(self.d == 0.0)),
         )
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` by forward, diagonal and backward substitution."""
-        b = np.asarray(b, dtype=np.float64)
-        L = self.L
-        n = L.n
-        y = b.copy()
-        # Forward: L y = b (unit diagonal stored explicitly).
-        for j in range(n):
-            p0, p1 = L.indptr[j], L.indptr[j + 1]
-            y[j] /= L.data[p0]
-            y[L.indices[p0 + 1 : p1]] -= L.data[p0 + 1 : p1] * y[j]
-        z = y / self.d
-        # Backward: L^T x = z, column-at-a-time from the right.
-        x = z.copy()
-        for j in range(n - 1, -1, -1):
-            p0, p1 = L.indptr[j], L.indptr[j + 1]
-            x[j] -= float(L.data[p0 + 1 : p1] @ x[L.indices[p0 + 1 : p1]])
-            x[j] /= L.data[p0]
-        return x
-
     def reconstruct_dense(self) -> np.ndarray:
         """Dense ``L @ diag(d) @ L.T`` — the oracle for correctness tests."""
         Ld = self.L.to_dense()
@@ -146,26 +126,6 @@ class LUFactors:
     def pivots(self) -> np.ndarray:
         """The diagonal of ``U`` (the elimination pivots)."""
         return self.U.data[self.U.indptr[1:] - 1].copy()
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` by forward then backward substitution."""
-        b = np.asarray(b, dtype=np.float64)
-        L, U = self.L, self.U
-        n = L.n
-        y = b.copy()
-        # Forward: L y = b (unit diagonal stored explicitly).
-        for j in range(n):
-            p0, p1 = L.indptr[j], L.indptr[j + 1]
-            y[j] /= L.data[p0]
-            y[L.indices[p0 + 1 : p1]] -= L.data[p0 + 1 : p1] * y[j]
-        # Backward: U x = y, column-at-a-time from the right (diagonal last).
-        x = y.copy()
-        for j in range(n - 1, -1, -1):
-            p0, p1 = U.indptr[j], U.indptr[j + 1]
-            xj = x[j] / U.data[p1 - 1]
-            x[j] = xj
-            x[U.indices[p0 : p1 - 1]] -= U.data[p0 : p1 - 1] * xj
-        return x
 
     def reconstruct_dense(self) -> np.ndarray:
         """Dense ``L @ U`` — the oracle for correctness tests."""

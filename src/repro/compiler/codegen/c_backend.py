@@ -710,8 +710,9 @@ def _supernode_step(out: _CEmitter, domain: DomainLoop) -> None:
     * The panel is then factored left-looking.  At every 4th column ``k`` the
       tile of columns ``k .. k + 3`` is loaded from the panel, subtracts
       every ``q < k`` in ascending order and is stored back; the remaining
-      triangle of at most 3 columns is the scalar loop.  Each column is then
-      scaled and copied out into ``Lx``.
+      triangle of at most 3 columns is a column sweep (:func:`_column_sweep`)
+      per column ``q``.  Each column is then scaled, by another sweep, and
+      copied out into ``Lx``.
 
     Every entry sees the operations of the column-at-a-time loops, in the
     same order (``-ffp-contract=off`` keeps each one rounded), so the result
@@ -766,9 +767,11 @@ def _supernode_step(out: _CEmitter, domain: DomainLoop) -> None:
     out.pop()
     out.emit("}")
     out.emit("for (int64_t q = k & ~3; q < k; q++) {")
-    out.emit("    const double* a = P + q * nr;")
-    out.emit(f"    double m = a[k]{scale.format('c0')};")
-    out.emit("    for (int64_t i = k; i < nr; i++) pk[i] -= a[i] * m;")
+    out.push()
+    out.emit("const double* a = P + q * nr;")
+    out.emit(f"double m = a[k]{scale.format('c0')};")
+    _column_sweep(out, "k", "repro_v4 x; memcpy(&x, a + i, sizeof x); v -= x * m;", "pk[i] -= a[i] * m;")
+    out.pop()
     out.emit("}")
     out.emit("double piv = pk[k];")
     if domain.factor_kind == "ldlt":
@@ -779,10 +782,28 @@ def _supernode_step(out: _CEmitter, domain: DomainLoop) -> None:
         out.emit("if (!(piv > 0.0)) return c0 + k + 1;")
         out.emit("piv = sqrt(piv);")
         out.emit("pk[k] = piv;")
-    out.emit("for (int64_t i = k + 1; i < nr; i++) pk[i] /= piv;")
+    _column_sweep(out, "k + 1", "v /= piv;", "pk[i] /= piv;")
     out.emit("memcpy(Lx + _C_l_indptr[c0 + k], pk + k, (nr - k) * sizeof(double));")
     out.pop()
     out.emit("}")
+
+
+def _column_sweep(out: _CEmitter, start: str, vector: str, scalar: str) -> None:
+    """``scalar`` on rows ``start .. nr - 1`` of the panel column ``pk``: four rows at a time, then one at a time.
+
+    The four-row body loads ``pk[i .. i + 3]`` into the ``repro_v4`` ``v``,
+    runs ``vector`` (which may load another column) and stores
+    ``v`` back.  Every operation is elementwise, so each entry is rounded as
+    in ``scalar``.  The modules are built without the compiler's
+    auto-vectorizer (:func:`~repro.compiler.options._default_c_flags`): this
+    is where the kernel asks for vectors.
+    """
+    out.emit(f"int64_t i = {start};")
+    out.emit(
+        "for (; i + 4 <= nr; i += 4) { repro_v4 v; memcpy(&v, pk + i, sizeof v); "
+        f"{vector} memcpy(pk + i, &v, sizeof v); }}"
+    )
+    out.emit(f"for (; i < nr; i++) {scalar}")
 
 
 def _register_tile(

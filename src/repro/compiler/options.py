@@ -36,11 +36,21 @@ def _default_c_flags() -> Tuple[str, ...]:
     run on whichever runner picks up the next job.  ``-s`` strips the
     static symbol table: ctypes resolves entry points through ``.dynsym``,
     which stripping keeps.
+
+    ``-fno-tree-vectorize`` turns the compiler's auto-vectorizer off (GCC:
+    loop and SLP vectorization; Clang reads it as ``-fno-vectorize``).  The
+    generated code asks for vectors itself, where the inspection exposed
+    dense blocks: the supernodal panel's register tiles and column sweeps
+    (``repro_v4``).  Left on, the vectorizer turned the solve entry's
+    indirect sweeps into gathers with in-order reductions, slower than the
+    scalar loop on columns of 3-40 rows, and grew the supernodal module's
+    ``.text`` by half.  The flags are part of a module's file name, so a
+    cache built under other flags rebuilds its ``.so`` once.
     """
     env = os.environ.get("REPRO_CFLAGS")
     if env:
         return tuple(env.split())
-    return ("-O3", "-march=native", "-fPIC", "-shared", "-s")
+    return ("-O3", "-march=native", "-fno-tree-vectorize", "-fPIC", "-shared", "-s")
 
 
 @dataclass(frozen=True)
@@ -78,9 +88,13 @@ class SympilerOptions:
         construction time), then ``"cc"``; when the executable cannot be
         found the driver falls back to the Python backend with a warning
         instead of erroring.  The flags default to ``REPRO_CFLAGS``
-        (whitespace-split), then ``-O3 -march=native -fPIC -shared -s`` —
-        override with a portable set when the on-disk ``.so`` cache is
-        shared between machines with different CPUs.
+        (whitespace-split), then ``-O3 -march=native -fno-tree-vectorize
+        -fPIC -shared -s`` — override with a portable set when the on-disk
+        ``.so`` cache is shared between machines with different CPUs.  The
+        auto-vectorizer is off because the generated code vectorizes its
+        dense blocks explicitly (see :func:`_default_c_flags`); the flags
+        are part of the cache fingerprint, so ``.so`` files built under
+        other flags rebuild once.
     """
 
     backend: str = "c"

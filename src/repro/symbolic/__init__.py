@@ -31,7 +31,6 @@ from repro.symbolic.fill_pattern import (
 from repro.symbolic.inspector import (
     CholeskyInspectionResult,
     CholeskyInspector,
-    InspectionSet,
     LUInspectionResult,
     LUInspector,
     SymbolicInspector,
@@ -70,5 +69,4 @@ __all__ = [
     "TriangularInspectionResult",
     "LUInspectionResult",
     "CholeskyInspectionResult",
-    "InspectionSet",
 ]

@@ -47,7 +47,6 @@ from repro.symbolic.supernodes import (
 )
 
 __all__ = [
-    "InspectionSet",
     "SymbolicInspector",
     "TriangularSolveInspector",
     "CholeskyInspector",
@@ -83,34 +82,12 @@ def normalize_rhs_pattern(
 
 
 @dataclass(frozen=True)
-class InspectionSet:
-    """A named inspection set: the output of one inspection strategy.
-
-    Attributes
-    ----------
-    name:
-        Set name as used in the paper ("prune-set", "block-set", ...).
-    strategy:
-        The inspection strategy that produced it (e.g. "dfs",
-        "node-equivalence", "up-traversal").
-    graph:
-        The inspection graph it was computed on (e.g. "DG_L", "etree+SP(A)").
-    payload:
-        The set itself; structure depends on the strategy (an index array for
-        a reach-set, a :class:`SupernodePartition` for a block-set, the
-        ``(ptr, idx)`` arrays of the per-column sets for Cholesky and LU
-        prune-sets: column ``j``'s set is ``idx[ptr[j]:ptr[j + 1]]``).
-    """
-
-    name: str
-    strategy: str
-    graph: str
-    payload: object
-
-
-@dataclass(frozen=True)
 class TriangularInspectionResult:
-    """Everything the compiler needs to specialize a sparse triangular solve."""
+    """Everything the compiler needs to specialize a sparse triangular solve.
+
+    ``reach`` is the VI-Prune reach-set (a DFS of ``DG_L`` from ``SP(rhs)``)
+    and ``supernodes`` the VS-Block block-set (node equivalence on ``DG_L``).
+    """
 
     n: int
     rhs_pattern: np.ndarray
@@ -125,21 +102,15 @@ class TriangularInspectionResult:
         """Number of columns that participate in the solve."""
         return int(self.reach.size)
 
-    def prune_set(self) -> InspectionSet:
-        """The VI-Prune inspection set (the reach-set)."""
-        return InspectionSet("prune-set", "dfs", "DG_L + SP(rhs)", self.reach)
-
-    def block_set(self) -> InspectionSet:
-        """The VS-Block inspection set (the supernodes)."""
-        return InspectionSet("block-set", "node-equivalence", "DG_L", self.supernodes)
-
 
 @dataclass(frozen=True)
 class CholeskyInspectionResult:
     """Everything the compiler needs to specialize a sparse Cholesky.
 
     ``row_idx[row_ptr[j]:row_ptr[j + 1]]`` is row ``j`` of ``L`` without its
-    diagonal, ascending — the prune-set of column ``j``.
+    diagonal, ascending — the VI-Prune prune-set of column ``j`` (an
+    up-traversal of the etree from ``SP(A)``).  ``supernodes`` is the
+    VS-Block block-set (an up-traversal of the etree with ``ColCount(A)``).
     """
 
     n: int
@@ -153,21 +124,10 @@ class CholeskyInspectionResult:
     supernodes: SupernodePartition
     symbolic_seconds: float
 
-    #: ``(strategy, graph)`` of the prune-set.
-    _prune = ("up-traversal", "etree + SP(A)")
-
     @property
     def factor_nnz(self) -> int:
         """Predicted number of nonzeros of ``L`` (diagonal included)."""
         return int(self.l_indptr[-1])
-
-    def prune_set(self) -> InspectionSet:
-        """The VI-Prune inspection set: the rows of ``L`` as ``(row_ptr, row_idx)``."""
-        return InspectionSet("prune-set", *self._prune, (self.row_ptr, self.row_idx))
-
-    def block_set(self) -> InspectionSet:
-        """The VS-Block inspection set (the supernodes)."""
-        return InspectionSet("block-set", "up-traversal", "etree + ColCount(A)", self.supernodes)
 
     def l_pattern_matrix(self) -> CSCMatrix:
         """The factor pattern as an all-zero CSC matrix, ready to be filled."""
@@ -184,7 +144,9 @@ class LUInspectionResult:
     GP-style reach computes them column by column, which is only possible
     because the kernel does not pivot.  ``parent`` is the *column* elimination
     tree (the etree of ``AᵀA``), whose column counts drive the supernode
-    block-set candidates.
+    block-set candidates (``supernodes``).  The VI-Prune prune-set of column
+    ``j`` (a DFS reach on ``DG_L`` from ``SP(A(:, j))``) is the rows of ``U``
+    above its pivot: :func:`above_diagonal` of ``u_indptr`` / ``u_indices``.
     """
 
     n: int
@@ -197,9 +159,6 @@ class LUInspectionResult:
     l_col_counts: np.ndarray
     supernodes: SupernodePartition
     symbolic_seconds: float
-
-    #: ``(strategy, graph)`` of the prune-set.
-    _prune = ("dfs-reach", "DG_L + SP(A(:,j))")
 
     @property
     def l_nnz(self) -> int:
@@ -215,14 +174,6 @@ class LUInspectionResult:
     def factor_nnz(self) -> int:
         """Total stored entries of both factors (``nnz(L) + nnz(U)``)."""
         return self.l_nnz + self.u_nnz
-
-    def prune_set(self) -> InspectionSet:
-        """The VI-Prune inspection set: the rows of ``U`` above each pivot, as ``(ptr, idx)``."""
-        return InspectionSet("prune-set", *self._prune, above_diagonal(self.u_indptr, self.u_indices))
-
-    def block_set(self) -> InspectionSet:
-        """The VS-Block inspection set (column-etree supernode candidates)."""
-        return InspectionSet("block-set", "up-traversal", "etree(A^T A) + ColCount(L)", self.supernodes)
 
     def l_pattern_matrix(self) -> CSCMatrix:
         """The ``L`` pattern as an all-zero CSC matrix, ready to be filled."""
@@ -443,10 +394,8 @@ class IC0InspectionResult(CholeskyInspectionResult):
     describe ``tril(A)`` itself: IC(0) allows no fill, so no fill computation
     (no ``ereach`` up-traversals) ever runs.  Row ``j`` of ``(row_ptr,
     row_idx)`` holds the columns ``k < j`` with ``A[j, k] != 0`` — the update
-    sources of column ``j``.
+    sources of column ``j``, its prune-set read straight from ``SP(tril(A))``.
     """
-
-    _prune = ("pattern-read", "SP(tril(A))")
 
 
 @dataclass(frozen=True)
@@ -457,10 +406,8 @@ class ILU0InspectionResult(LUInspectionResult):
     property: ``L`` is the strict lower triangle of ``A`` plus an explicit
     unit diagonal, ``U`` the upper triangle of ``A`` (diagonal stored last
     per column) — no GP reach runs, the factor pattern *is* the ``A``
-    pattern.
+    pattern, and the prune-sets are read straight from ``SP(triu(A))``.
     """
-
-    _prune = ("pattern-read", "SP(triu(A))")
 
 
 class IC0Inspector(SymbolicInspector):

@@ -5,10 +5,12 @@ Each runs on a dense copy of the matrix, without pivoting.  :func:`ldlt` and
 and :func:`ilu0` restrict every update to the stored entries of ``A``.  They
 run left-looking, with sources in ascending order, which is the operation
 order of the python backend's kernels, so the two agree to the bit.
-:func:`on_pattern` reads a dense factor at the stored entries of a CSC one.
+:func:`on_pattern` reads a dense factor at the stored entries of a CSC one;
+:func:`solve_with` solves with compiled factors by scipy's triangular solves.
 """
 
 import numpy as np
+from scipy.sparse.linalg import spsolve_triangular
 
 from repro.baselines.scipy_reference import reference_cholesky
 from repro.symbolic.inspector import CholeskyInspector
@@ -17,6 +19,15 @@ from repro.symbolic.inspector import CholeskyInspector
 def on_pattern(dense, M):
     """The entries of ``dense`` at the stored positions of ``M``, in ``M.data`` order."""
     return dense[M.indices, np.repeat(np.arange(M.n), np.diff(M.indptr))]
+
+
+def solve_with(factors, b):
+    """``x`` with ``L diag(d) Lᵀ x = b`` (LDLᵀ factors) or ``L U x = b`` (LU factors), by scipy's triangular solves."""
+    L = factors.L.to_scipy().tocsr()
+    y = spsolve_triangular(L, b, lower=True)
+    if hasattr(factors, "d"):
+        return spsolve_triangular(L.T.tocsr(), y / factors.d, lower=False)
+    return spsolve_triangular(factors.U.to_scipy().tocsr(), y, lower=False)
 
 
 def cholesky_factor(A):

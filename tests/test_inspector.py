@@ -11,10 +11,10 @@ from repro.symbolic.inspector import (
     CholeskyInspector,
     IC0Inspector,
     ILU0Inspector,
-    InspectionSet,
     LDLTInspector,
     LUInspector,
     TriangularSolveInspector,
+    above_diagonal,
     verify_cholesky_pattern_consistency,
 )
 from repro.symbolic.reach import reach_set
@@ -36,15 +36,11 @@ class TestTriangularSolveInspector:
         assert result.reach_size == L.n
 
     def test_inspection_sets_table1(self, lower_factors):
+        """Table 1: the reach-set (prune-set) and the supernodes (block-set) of a triangular solve."""
         L = lower_factors["block"]
         result = TriangularSolveInspector().inspect(L, rhs_pattern=[0])
-        prune = result.prune_set()
-        block = result.block_set()
-        assert isinstance(prune, InspectionSet)
-        assert prune.strategy == "dfs"
-        assert prune.graph.startswith("DG_L")
-        assert block.strategy == "node-equivalence"
-        assert block.payload.n_columns == L.n
+        np.testing.assert_array_equal(result.reach, reach_set(L, [0]))
+        assert result.supernodes.n_columns == L.n
 
     def test_symbolic_time_recorded(self, lower_factors):
         result = TriangularSolveInspector().inspect(lower_factors["circuit"], rhs_pattern=[1])
@@ -93,13 +89,12 @@ class TestCholeskyInspector:
         assert L0.is_lower_triangular()
 
     def test_inspection_sets_table1(self, spd_matrices):
+        """Table 1: the rows of ``L`` (prune-set) and the supernodes (block-set) of a Cholesky."""
         result = CholeskyInspector().inspect(spd_matrices["fem"])
-        prune = result.prune_set()
-        block = result.block_set()
-        assert prune.strategy == "up-traversal"
-        assert "etree" in prune.graph
-        assert block.name == "block-set"
-        assert block.payload.n_supernodes >= 1
+        assert result.row_ptr.size == result.n + 1
+        assert result.row_ptr[-1] == result.row_idx.size == result.factor_nnz - result.n
+        assert result.supernodes.n_supernodes >= 1
+        assert result.supernodes.n_columns == result.n
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -152,11 +147,15 @@ def test_factorization_prune_sets_are_ptr_idx_arrays():
     from repro.sparse.generators import laplacian_2d, unsymmetric_diag_dominant
 
     chol = CholeskyInspector().inspect(laplacian_2d(12))
-    ptr, idx = chol.prune_set().payload
-    assert ptr is chol.row_ptr and idx is chol.row_idx
+    rows = [[] for _ in range(chol.n)]
+    for k in range(chol.n):
+        for i in chol.l_indices[chol.l_indptr[k] + 1 : chol.l_indptr[k + 1]]:
+            rows[i].append(k)
+    for j in range(chol.n):
+        np.testing.assert_array_equal(chol.row_idx[chol.row_ptr[j] : chol.row_ptr[j + 1]], rows[j])
 
     lu = LUInspector().inspect(unsymmetric_diag_dominant(40, seed=2))
-    ptr, idx = lu.prune_set().payload
+    ptr, idx = above_diagonal(lu.u_indptr, lu.u_indices)
     assert ptr.size == lu.n + 1 and ptr[-1] == idx.size == lu.u_nnz - lu.n
     for j in range(lu.n):
         np.testing.assert_array_equal(idx[ptr[j] : ptr[j + 1]], lu.u_indices[lu.u_indptr[j] : lu.u_indptr[j + 1] - 1])

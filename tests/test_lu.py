@@ -17,7 +17,7 @@ from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import unsymmetric_diag_dominant
 from repro.sparse.utils import is_symmetric_pattern
 from repro.symbolic.etree import column_etree, elimination_tree
-from repro.symbolic.inspector import LUInspectionResult, LUInspector
+from repro.symbolic.inspector import LUInspectionResult, LUInspector, above_diagonal
 
 import oracles
 
@@ -82,8 +82,11 @@ class TestSymbolicLU:
         np.testing.assert_array_equal(
             insp.u_indices[insp.u_indptr[1:] - 1], np.arange(A.n)
         )
-        assert insp.prune_set().strategy == "dfs-reach"
-        assert insp.block_set().payload.n_columns == A.n
+        # The prune-set of column j (Table 1): the rows of U above its pivot.
+        ptr, idx = above_diagonal(insp.u_indptr, insp.u_indices)
+        assert ptr[-1] == idx.size == insp.u_nnz - A.n
+        assert all(np.all(idx[ptr[j] : ptr[j + 1]] < j) for j in range(A.n))
+        assert insp.supernodes.n_columns == A.n
         assert insp.symbolic_seconds >= 0.0
 
     def test_rejects_non_square(self):
@@ -113,7 +116,7 @@ class TestFactors:
         A = _jacobian(60, seed=6)
         fac = _factorize(A, backend)
         b = rng.normal(size=A.n)
-        x = fac.solve(b)
+        x = oracles.solve_with(fac, b)
         x_ref = scipy.sparse.linalg.splu(A.to_scipy().tocsc()).solve(b)
         np.testing.assert_allclose(x, x_ref, atol=1e-8)
 
@@ -143,7 +146,7 @@ class TestCompiledLUPython:
         assert np.abs(fac.reconstruct_dense() - A.to_dense()).max() <= 1e-8
         b = rng.normal(size=A.n)
         x_ref = scipy.sparse.linalg.splu(A.to_scipy().tocsc()).solve(b)
-        np.testing.assert_allclose(fac.solve(b), x_ref, atol=1e-8)
+        np.testing.assert_allclose(oracles.solve_with(fac, b), x_ref, atol=1e-8)
 
     def test_vi_prune_is_forced(self):
         compiled = _fresh_sympiler().compile(
@@ -201,7 +204,7 @@ class TestCompiledLUC:
         assert np.abs(fac.reconstruct_dense() - A.to_dense()).max() <= 1e-8
         b = rng.normal(size=A.n)
         x_ref = scipy.sparse.linalg.splu(A.to_scipy().tocsc()).solve(b)
-        np.testing.assert_allclose(fac.solve(b), x_ref, atol=1e-8)
+        np.testing.assert_allclose(oracles.solve_with(fac, b), x_ref, atol=1e-8)
 
     def test_singular_matrix_returns_error(self):
         A = CSCMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 1.0]]))

@@ -77,7 +77,12 @@ def test_repro_cflags_env_overrides_default(monkeypatch):
     monkeypatch.setenv("REPRO_CFLAGS", "-O2 -fPIC -shared")
     assert SympilerOptions().c_flags == ("-O2", "-fPIC", "-shared")
     monkeypatch.delenv("REPRO_CFLAGS")
-    assert "-march=native" in SympilerOptions().c_flags
+    default = SympilerOptions().c_flags
+    assert default == ("-O3", "-march=native", "-fno-tree-vectorize", "-fPIC", "-shared", "-s")
+    # The variable replaces the whole tuple: none of the default's flags stays.
+    monkeypatch.setenv("REPRO_CFLAGS", "-O1 -fPIC -shared")
+    assert SympilerOptions().c_flags == ("-O1", "-fPIC", "-shared")
+    assert "-fno-tree-vectorize" not in SympilerOptions().c_flags
 
 
 def test_repro_cc_env_overrides_default(monkeypatch):

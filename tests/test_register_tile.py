@@ -20,6 +20,7 @@ from repro.compiler.sympiler import Sympiler
 from repro.solvers.batched import BatchedSolver
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.generators import laplacian_3d
 
 needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
 
@@ -149,3 +150,31 @@ def test_a_bad_pivot_in_each_tile_column_fails_alike(method):
             failures += 1
     # LLᵀ refuses all three, LDLᵀ only the zero pivot.
     assert failures == (12 if method == "cholesky" else 4)
+
+
+@needs_cc
+@pytest.mark.parametrize("method", ["cholesky", "ldlt", "lu"])
+@pytest.mark.parametrize("matrix", ["tile_edges", "zoo_laplacian_3d"])
+def test_the_auto_vectorizer_changes_no_bit(method, matrix):
+    """The default flags against the same flags plus ``-ftree-vectorize``: two ``.so``, the same factors and ``x``.
+
+    The default build leaves the compiler's vectorizer off and vectorizes
+    the panel's column sweeps by hand; under ``-ffp-contract=off`` either
+    build rounds every operation alike, so factors and solutions agree bit
+    for bit on the tile-edge matrix and on a pattern of the benchmark zoo.
+    """
+    M, ordering = (A, "natural") if matrix == "tile_edges" else (laplacian_3d(9), "mindeg")
+    default = SympilerOptions().c_flags
+    solvers = [
+        SparseLinearSolver(M, method=method, ordering=ordering, options=SympilerOptions(c_flags=flags))
+        for flags in (default, (*default, "-ftree-vectorize"))
+    ]
+    stems = {s._factorization.module.shared_object for s in solvers}
+    assert len(stems) == 2
+    if method != "lu":
+        assert all(s._factorization.loop.role == "supernodal-cholesky" for s in solvers)
+    b = np.random.default_rng(1).normal(size=M.n)
+    (off, on) = solvers
+    for mine, theirs in zip(off._outputs, on._outputs):
+        assert np.array_equal(mine, theirs)
+    assert np.array_equal(off.solve(b), on.solve(b))

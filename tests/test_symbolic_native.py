@@ -541,8 +541,8 @@ class TestHelperBuild:
         report = json.loads(done.stdout.splitlines()[-1])
         assert report["native"] is True
         assert report["files"] == [
-            "cholesky_2d28c77aaca3d875.c",
-            "cholesky_2d28c77aaca3d875.so",
+            "cholesky_5202ccac9b53f571.c",
+            "cholesky_5202ccac9b53f571.so",
         ]
         assert report["stats"] == {
             "compiles": 1,
