@@ -51,7 +51,6 @@ from repro.compiler import (
     LUFactors,
     SympiledCholesky,
     SympiledIC0,
-    SympiledILU0,
     SympiledLDLT,
     SympiledLU,
     SympiledTriangularSolve,
@@ -97,7 +96,6 @@ __all__ = [
     "SympiledLDLT",
     "SympiledLU",
     "SympiledIC0",
-    "SympiledILU0",
     "preconditioned_conjugate_gradient",
     "LDLTFactors",
     "LUFactors",

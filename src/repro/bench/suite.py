@@ -192,7 +192,7 @@ def load_suite_matrix(entry: SuiteEntry, *, permute: bool = True) -> CSCMatrix:
     symmetrically, which is what every experiment operates on.
     """
     A = entry.build()
-    if permute and entry.ordering not in ("natural", "none"):
+    if permute and entry.ordering != "natural":
         perm = ordering_by_name(entry.ordering)(A)
         A = perm.symmetric_permute(A)
     return A

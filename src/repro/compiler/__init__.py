@@ -16,11 +16,14 @@ code generator that
 
 The user-facing entry point is :class:`repro.compiler.sympiler.Sympiler`, a
 generic driver over the kernel table (:mod:`repro.compiler.registry`):
-every kernel — triangular solve, Cholesky, LDLᵀ, LU, IC(0), ILU(0) — is
-declared once as a
-:class:`~repro.compiler.registry.KernelSpec` and compiled through the same
-``compile(kernel_name, pattern, options)`` path, with compiled artifacts
-cached by pattern fingerprint (:mod:`repro.compiler.cache`).
+each of the five kernels — triangular solve, Cholesky, LDLᵀ, LU and IC(0) —
+is declared once as a :class:`~repro.compiler.registry.KernelSpec` and
+compiled through the same ``compile(kernel_name, pattern, options)`` path,
+with compiled artifacts cached by pattern fingerprint
+(:mod:`repro.compiler.cache`).  Each has a route that runs it: the
+triangular solve and the three direct factorizations behind
+:class:`~repro.solvers.linear_solver.SparseLinearSolver`, IC(0) as the
+preconditioner of :func:`~repro.solvers.cg.preconditioned_conjugate_gradient`.
 """
 
 from repro.compiler.artifacts import (
@@ -30,7 +33,6 @@ from repro.compiler.artifacts import (
     PatternMismatchError,
     SympiledCholesky,
     SympiledIC0,
-    SympiledILU0,
     SympiledLDLT,
     SympiledLU,
     SympiledTriangularSolve,
@@ -53,7 +55,6 @@ __all__ = [
     "SympiledLDLT",
     "SympiledLU",
     "SympiledIC0",
-    "SympiledILU0",
     "LDLTFactors",
     "LUFactors",
     "PatternMismatchError",

@@ -31,7 +31,6 @@ from repro.sparse.csc import CSCMatrix
 from repro.symbolic.inspector import (
     CholeskyInspectionResult,
     IC0InspectionResult,
-    ILU0InspectionResult,
     LUInspectionResult,
     TriangularInspectionResult,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "SympiledLDLT",
     "SympiledLU",
     "SympiledIC0",
-    "SympiledILU0",
     "LDLTFactors",
     "LUFactors",
 ]
@@ -378,11 +376,8 @@ class SympiledFactorization(CompiledArtifact):
         ``perm`` this kernel factorizes.  It reads ``b`` whole before it
         writes ``x``, so ``x`` may be ``b``; ``w`` must be neither.  The direct
         factorizations (Cholesky, LDLᵀ, LU) and IC(0) have a solve entry;
-        IC(0)'s applies the preconditioner ``(L Lᵀ)⁻¹``.  ILU(0) has none
-        and raises ``TypeError``.
+        IC(0)'s applies the preconditioner ``(L Lᵀ)⁻¹``.
         """
-        if self.module.solve_entry is None:
-            raise TypeError(f"{self.kernel_name} has no solve entry")
         spec = _C_METHOD_SPECS[self.module.method]
         n = self.inspection.n
         lengths = (n, *(getattr(self.inspection, attr) for _, attr in spec.outputs), n, n, n)
@@ -420,7 +415,7 @@ class SympiledFactorization(CompiledArtifact):
         """Factorize ``A`` (same pattern as at compile time).
 
         Returns the kernel's factor object — ``L`` (Cholesky, IC(0)),
-        :class:`LDLTFactors` or :class:`LUFactors` (LU, ILU(0)); see
+        :class:`LDLTFactors` or :class:`LUFactors`; see
         :meth:`assemble_factors`.
         """
         if check_pattern:
@@ -446,8 +441,19 @@ class SympiledCholesky(SympiledFactorization):
 
 
 @dataclass
-class _SympiledLowerUpper(SympiledFactorization):
-    """The ``(Lx, Ux)``-shaped kernels (LU, ILU(0)): two factor patterns."""
+class SympiledLU(SympiledFactorization):
+    """An LU factorization specialized to one (unsymmetric) matrix pattern.
+
+    Serves square diagonally dominant systems — the Newton Jacobians of the
+    paper's circuit/power-grid workloads — without pivoting, which is what
+    makes the factor patterns predictable at compile time.  ``factorize``
+    returns :class:`LUFactors` whose unit lower-triangular ``L`` (explicit
+    unit diagonal) feeds the generated triangular-solve kernels unchanged and
+    whose upper-triangular ``U`` carries the pivots.
+    """
+
+    kernel_name = "lu"
+    inspection: LUInspectionResult = None
 
     def assemble_factors(self, raw) -> LUFactors:
         """The raw output is the ``(Lx, Ux)`` value-array pair."""
@@ -470,22 +476,6 @@ class _SympiledLowerUpper(SympiledFactorization):
 
 
 @dataclass
-class SympiledLU(_SympiledLowerUpper):
-    """An LU factorization specialized to one (unsymmetric) matrix pattern.
-
-    Serves square diagonally dominant systems — the Newton Jacobians of the
-    paper's circuit/power-grid workloads — without pivoting, which is what
-    makes the factor patterns predictable at compile time.  ``factorize``
-    returns :class:`LUFactors` whose unit lower-triangular ``L`` (explicit
-    unit diagonal) feeds the generated triangular-solve kernels unchanged and
-    whose upper-triangular ``U`` carries the pivots.
-    """
-
-    kernel_name = "lu"
-    inspection: LUInspectionResult = None
-
-
-@dataclass
 class SympiledIC0(SympiledFactorization):
     """An incomplete Cholesky IC(0) specialized to one SPD pattern.
 
@@ -501,22 +491,6 @@ class SympiledIC0(SympiledFactorization):
     kernel_name = "ic0"
     is_incomplete = True
     inspection: IC0InspectionResult = None
-
-
-@dataclass
-class SympiledILU0(_SympiledLowerUpper):
-    """An incomplete LU ILU(0) specialized to one (unsymmetric) pattern.
-
-    No fill, no pivoting: ``L`` is unit lower triangular on the strict lower
-    triangle of ``A`` (explicit unit diagonal, so the generated
-    triangular-solve kernels apply unchanged), ``U`` upper triangular on
-    ``triu(A)``, and ``L U`` matches ``A`` exactly on the pattern of ``A``.
-    A preconditioner kernel for unsymmetric iterative solves.
-    """
-
-    kernel_name = "ilu0"
-    is_incomplete = True
-    inspection: ILU0InspectionResult = None
 
 
 @dataclass

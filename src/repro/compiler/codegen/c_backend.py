@@ -509,12 +509,6 @@ _C_METHOD_SPECS: Dict[str, CMethodSpec] = {
         failure="IC(0) breakdown: non-positive pivot at column {column}",
         solve=True,
     ),
-    "ilu0": CMethodSpec(
-        inputs=_FACTOR_INPUTS,
-        outputs=(("Lx", "l_nnz"), ("Ux", "u_nnz")),
-        loops=("incomplete-lu",),
-        failure="ILU(0) breakdown: zero pivot at column {column}",
-    ),
 }
 
 
@@ -887,32 +881,6 @@ def _ic0_step(out: _CEmitter, domain: DomainLoop) -> None:
     out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] /= ljj;")
 
 
-def _ilu0_step(out: _CEmitter, domain: DomainLoop) -> None:
-    """One ILU(0) elimination step ``j``, in place on the ``A`` pattern.
-
-    All writes land in column ``j`` of ``Ux`` and ``Lx``, all reads come from
-    columns ``k < j``.
-    """
-    out.emit("for (int64_t t = _C_prune_ptr[j]; t < _C_prune_ptr[j + 1]; t++) {")
-    out.push()
-    out.emit("double ukj = Ux[_C_mult_pos[t]];")
-    out.emit(
-        "for (int64_t s = _C_u_scat_ptr[t]; s < _C_u_scat_ptr[t + 1]; s++) "
-        "Ux[_C_u_scat_dst[s]] -= Lx[_C_u_scat_src[s]] * ukj;"
-    )
-    out.emit(
-        "for (int64_t s = _C_l_scat_ptr[t]; s < _C_l_scat_ptr[t + 1]; s++) "
-        "Lx[_C_l_scat_dst[s]] -= Lx[_C_l_scat_src[s]] * ukj;"
-    )
-    out.pop()
-    out.emit("}")
-    out.emit("double piv = Ux[_C_u_indptr[j + 1] - 1];")
-    out.emit("if (piv == 0.0) return j + 1;")
-    out.emit("int64_t lp0 = _C_l_indptr[j], lp1 = _C_l_indptr[j + 1];")
-    out.emit("Lx[lp0] = 1.0;")
-    out.emit("for (int64_t p = lp0 + 1; p < lp1; p++) Lx[p] /= piv;")
-
-
 #: The sweeps of the solve entry (:func:`_emit_solve`).  ``REPRO_PIVOT(v, d)``
 #: is ``v / d``, or ``v`` for a unit diagonal (LDLᵀ, LU): that quotient would be
 #: exact.  The column forms walk every column of ``L``, reading its own rows;
@@ -1070,15 +1038,6 @@ _LOOPS: Dict[str, _Loop] = {
     "simplicial-lu": _Loop("n", (_ZERO_LX, "memset(Ux, 0, nnz_u * sizeof(double));"), _lu_step, work="column"),
     "incomplete-cholesky": _Loop(
         "n", ("for (int64_t i = 0; i < nnz_l; i++) Lx[i] = Ax[_C_a_lower_pos[i]];",), _ic0_step
-    ),
-    "incomplete-lu": _Loop(
-        "n",
-        (
-            "for (int64_t i = 0; i < nnz_u; i++) Ux[i] = Ax[_C_a_upper_pos[i]];",
-            _ZERO_LX,
-            "for (int64_t i = 0; i < n_below; i++) Lx[_C_l_gather_dst[i]] = Ax[_C_a_lower_pos[i]];",
-        ),
-        _ilu0_step,
     ),
 }
 

@@ -57,8 +57,7 @@ def _plan_factorization(domain: Optional[DomainLoop], method: str):
 
 
 def _plan_incomplete(domain: Optional[DomainLoop], method: str):
-    domain = _require(domain, method, "incomplete-cholesky", "incomplete-lu")
-    return (reference.ilu0 if domain.role == "incomplete-lu" else reference.ic0), domain.contract
+    return reference.ic0, _require(domain, method, "incomplete-cholesky").contract
 
 
 def _plan_trisolve(domain: Optional[DomainLoop], method: str):
@@ -74,7 +73,6 @@ _PY_METHOD_SPECS: Dict[str, Callable[[Optional[DomainLoop], str], Tuple[Callable
     "ldlt": _plan_factorization,
     "lu": _plan_factorization,
     "ic0": _plan_incomplete,
-    "ilu0": _plan_incomplete,
 }
 
 

@@ -1,4 +1,4 @@
-"""The python backend's kernels: seven fixed NumPy functions over the table block.
+"""The python backend's kernels: six fixed NumPy functions over the table block.
 
 Each takes ``T`` — :func:`repro.compiler.codegen.tables.block` of the contract
 the C emitters bind; ``T["_C_dims"]`` is ``n``, then the contract's sizes in
@@ -20,7 +20,6 @@ __all__ = [
     "simplicial_lu",
     "supernodal_cholesky",
     "ic0",
-    "ilu0",
     "triangular_solve",
     "factor_solve",
 ]
@@ -155,27 +154,6 @@ def ic0(T, Ap, Ai, Ax):
         Lx[lp0] = np.sqrt(d)
         Lx[lp0 + 1 : lp1] /= Lx[lp0]
     return Lx
-
-
-def ilu0(T, Ap, Ai, Ax):
-    """ILU(0): in-place no-fill elimination on the ``A`` pattern."""
-    n, nnz_l, _, _ = T["_C_dims"]
-    Lp, Up, ptr, mult = T["_C_l_indptr"], T["_C_u_indptr"], T["_C_prune_ptr"], T["_C_mult_pos"]
-    usp, usrc, udst = T["_C_u_scat_ptr"], T["_C_u_scat_src"], T["_C_u_scat_dst"]
-    lsp, lsrc, ldst = T["_C_l_scat_ptr"], T["_C_l_scat_src"], T["_C_l_scat_dst"]
-    Ux, Lx = Ax[T["_C_a_upper_pos"]], np.zeros(nnz_l)
-    Lx[T["_C_l_gather_dst"]] = Ax[T["_C_a_lower_pos"]]
-    for j in range(n):
-        for t in range(ptr[j], ptr[j + 1]):
-            ukj = Ux[mult[t]]
-            Ux[udst[usp[t] : usp[t + 1]]] -= Lx[usrc[usp[t] : usp[t + 1]]] * ukj
-            Lx[ldst[lsp[t] : lsp[t + 1]]] -= Lx[lsrc[lsp[t] : lsp[t + 1]]] * ukj
-        piv = Ux[Up[j + 1] - 1]
-        if piv == 0.0:
-            raise Breakdown(j)
-        Lx[Lp[j]] = 1.0
-        Lx[Lp[j] + 1 : Lp[j + 1]] /= piv
-    return Lx, Ux
 
 
 def triangular_solve(T, Lp, Li, Lx, b):

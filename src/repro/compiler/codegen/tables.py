@@ -32,7 +32,6 @@ from repro.sparse.csc import CSCMatrix, group_pointers
 from repro.symbolic.inspector import (
     CholeskyInspectionResult,
     IC0InspectionResult,
-    ILU0InspectionResult,
     LUInspectionResult,
     above_diagonal,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "simplicial_lu",
     "supernodal_cholesky",
     "incomplete_ic0",
-    "incomplete_ilu0",
     "trisolve_segments",
 ]
 
@@ -200,25 +198,6 @@ def supernodal_cholesky(A: CSCMatrix, inspection: CholeskyInspectionResult) -> C
     return dims, tables
 
 
-def _scatter(src_start, src_end, dst_col, l_indices, dst_indptr, dst_indices, strictly_below=False):
-    """Pattern-intersected scatter streams ``(ptr, src, dst)`` of the no-fill kernels.
-
-    Update ``t`` reads the entries ``src_start[t] .. src_end[t]`` of ``L`` and
-    writes those whose row is stored in column ``dst_col[t]`` of the
-    destination pattern (``strictly_below``: and lies below its diagonal): a
-    dropped update of IC(0) / ILU(0) is an entry left out here.
-    """
-    n = dst_indptr.size - 1
-    src, update = _ranges(src_start, src_end)
-    wanted = dst_col[update] * n + l_indices[src]
-    stored = _column_of(dst_indptr) * n + dst_indices
-    dst = np.minimum(np.searchsorted(stored, wanted), stored.size - 1)
-    hit = stored[dst] == wanted
-    if strictly_below:
-        hit &= l_indices[src] != dst_col[update]
-    return group_pointers(update[hit], src_start.size), src[hit], dst[hit]
-
-
 def incomplete_ic0(A: CSCMatrix, inspection: IC0InspectionResult) -> Contract:
     """The no-fill IC(0) loop: in place on the ``tril(A)`` pattern.
 
@@ -230,60 +209,24 @@ def incomplete_ic0(A: CSCMatrix, inspection: IC0InspectionResult) -> Contract:
     too.  ``l_indices`` are the rows of ``L``, which the module's solve entry
     reads.
     """
-    l_indptr, l_indices = inspection.l_indptr, inspection.l_indices
+    l_indptr, l_indices, n = inspection.l_indptr, inspection.l_indices, inspection.n
     mult_pos = _row_updates(l_indptr, l_indices)
-    l_scat_ptr, l_scat_src, l_scat_dst = _scatter(
-        mult_pos, l_indptr[inspection.row_idx + 1], l_indices[mult_pos], l_indices, l_indptr, l_indices
-    )
+    # Update t reads column k from row j down and keeps the entries whose row
+    # column j stores: a dropped update of IC(0) is an entry left out here.
+    src, update = _ranges(mult_pos, l_indptr[inspection.row_idx + 1])
+    wanted = l_indices[mult_pos][update] * n + l_indices[src]
+    stored = _column_of(l_indptr) * n + l_indices
+    dst = np.minimum(np.searchsorted(stored, wanted), stored.size - 1)
+    hit = stored[dst] == wanted
     return {"nnz_l": int(l_indptr[-1])}, {
         "l_indptr": l_indptr,
         "l_indices": l_indices,
         "a_lower_pos": np.flatnonzero(A.indices >= A.col_indices()),
         "prune_ptr": inspection.row_ptr,
         "mult_pos": mult_pos,
-        "l_scat_ptr": l_scat_ptr,
-        "l_scat_src": l_scat_src,
-        "l_scat_dst": l_scat_dst,
-    }
-
-
-def incomplete_ilu0(A: CSCMatrix, inspection: ILU0InspectionResult) -> Contract:
-    """The no-fill ILU(0) loop: in place on the ``A`` pattern.
-
-    ``a_upper_pos`` gathers ``triu(A)`` into ``Ux`` and ``a_lower_pos`` the
-    strict lower triangle into ``Lx[l_gather_dst]`` (the unit diagonal is
-    explicit).  Update ``t`` of column ``j`` (source column ``k``,
-    ``U[k, j] != 0``, multiplier at ``Ux[mult_pos[t]]``) subtracts the
-    strictly-below-diagonal part of ``L(:, k)`` from the rows column ``j``
-    stores: those up to the diagonal land in ``Ux`` through ``u_scat_*``, those
-    below it in ``Lx`` through ``l_scat_*``.
-    """
-    l_indptr, l_indices = inspection.l_indptr, inspection.l_indices
-    u_indptr, u_indices = inspection.u_indptr, inspection.u_indices
-    cols = A.col_indices()
-    prune_ptr, source = above_diagonal(u_indptr, u_indices)
-    mult_pos = np.delete(np.arange(u_indices.size, dtype=np.int64), u_indptr[1:] - 1)
-    below = np.delete(np.arange(l_indices.size, dtype=np.int64), l_indptr[:-1])
-    updated = _column_of(u_indptr)[mult_pos]
-    sources = (l_indptr[source] + 1, l_indptr[source + 1], updated, l_indices)
-    u_scat_ptr, u_scat_src, u_scat_dst = _scatter(*sources, u_indptr, u_indices)
-    # Column j of L stores its diagonal too; that row belongs to U.
-    l_scat_ptr, l_scat_src, l_scat_dst = _scatter(*sources, l_indptr, l_indices, strictly_below=True)
-    dims = {"nnz_l": int(l_indptr[-1]), "nnz_u": int(u_indptr[-1]), "n_below": int(below.size)}
-    return dims, {
-        "l_indptr": l_indptr,
-        "u_indptr": u_indptr,
-        "a_lower_pos": np.flatnonzero(A.indices > cols),
-        "a_upper_pos": np.flatnonzero(A.indices <= cols),
-        "l_gather_dst": below,
-        "prune_ptr": prune_ptr,
-        "mult_pos": mult_pos,
-        "u_scat_ptr": u_scat_ptr,
-        "u_scat_src": u_scat_src,
-        "u_scat_dst": u_scat_dst,
-        "l_scat_ptr": l_scat_ptr,
-        "l_scat_src": l_scat_src,
-        "l_scat_dst": l_scat_dst,
+        "l_scat_ptr": group_pointers(update[hit], mult_pos.size),
+        "l_scat_src": src[hit],
+        "l_scat_dst": dst[hit],
     }
 
 

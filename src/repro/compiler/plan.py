@@ -35,7 +35,6 @@ from repro.sparse.csc import CSCMatrix
 from repro.symbolic.inspector import (
     CholeskyInspectionResult,
     IC0InspectionResult,
-    ILU0InspectionResult,
     LUInspectionResult,
     TriangularInspectionResult,
 )
@@ -66,7 +65,6 @@ InspectionResult = Union[
     CholeskyInspectionResult,
     LUInspectionResult,
     IC0InspectionResult,
-    ILU0InspectionResult,
 ]
 
 
@@ -86,12 +84,12 @@ class DomainLoop:
         of a triangular solve, one loop whatever their number),
         ``"simplicial-cholesky"`` and ``"simplicial-lu"`` (the VI-Pruned
         left-looking column loops), ``"supernodal-cholesky"`` (the VS-Block'd
-        supernode loop), ``"incomplete-cholesky"`` and ``"incomplete-lu"``
-        (the no-fill IC(0) / ILU(0) loops).
+        supernode loop) and ``"incomplete-cholesky"`` (the no-fill IC(0)
+        loop).
     contract:
         The sizes and inspection sets the numeric kernel reads, in block order.
     factor_kind:
-        ``"llt"`` / ``"ldlt"`` / ``"lu"`` / ``"ic0"`` / ``"ilu0"``; ``None``
+        ``"llt"`` / ``"ldlt"`` / ``"lu"`` / ``"ic0"``; ``None``
         for the triangular solve.
     """
 
@@ -108,7 +106,7 @@ class CompilationContext:
     ----------
     method:
         The kernel name (``"triangular-solve"``, ``"cholesky"``, ``"ldlt"``,
-        ``"lu"``, ``"ic0"``, ``"ilu0"``).
+        ``"lu"``, ``"ic0"``).
     matrix:
         The input pattern — ``L`` for the triangular solve, ``A`` for the
         factorizations.  Only its structure is read.
@@ -171,7 +169,7 @@ def _expect(context: CompilationContext, cls) -> None:
         raise TypeError(f"planning {context.method} needs a {cls.__name__}")
 
 
-def _vs_block(context: CompilationContext, **extra) -> bool:
+def _vs_block(context: CompilationContext) -> bool:
     """VS-Block's §4.2 decision, recorded under ``decisions["vs-block"]``; ``False`` when disabled."""
     if not context.options.enable_vs_block:
         return False
@@ -180,7 +178,6 @@ def _vs_block(context: CompilationContext, **extra) -> bool:
         min_supernode_width=_VS_BLOCK_MIN_SUPERNODE_WIDTH,
         min_avg_width=_VS_BLOCK_MIN_AVG_WIDTH,
     )
-    details.update(extra)
     context.decisions["vs-block"] = details
     return participates
 
@@ -235,35 +232,26 @@ def plan_cholesky(context: CompilationContext) -> Optional[DomainLoop]:
 def plan_lu(context: CompilationContext) -> Optional[DomainLoop]:
     """Left-looking LU: the column loop over the symbolic ``U`` pattern.
 
-    VS-Block's participation test runs on the column-etree supernode
-    candidates and is recorded, but it defers: its dense sub-kernels exploit
-    the symmetric trapezoidal panel, and an LU supernode would also carry a
-    ``U`` panel (the SuperLU formulation).
+    VS-Block does not apply: its dense sub-kernels exploit the symmetric
+    trapezoidal panel, and an LU supernode would also carry a ``U`` panel
+    (the SuperLU formulation), so the inspection computes no supernodes.
     """
     _expect(context, LUInspectionResult)
-    _vs_block(context, factor_kind="lu", deferred="supernodal LU not generated (unsymmetric panels)")
     if not context.options.enable_vi_prune:
         return None
     return _update_loop(context, "simplicial-lu", tables.simplicial_lu(context.matrix, context.inspection), "lu")
 
 
 def plan_incomplete(context: CompilationContext) -> Optional[DomainLoop]:
-    """IC(0) / ILU(0): the column loop over the ``A`` pattern, every scatter intersected with it (no fill).
+    """IC(0): the column loop over the ``tril(A)`` pattern, every scatter intersected with it (no fill).
 
-    VS-Block's participation test runs on the elimination-tree supernode
-    candidates and is recorded, but it defers: a dense diagonal-block
-    factorization would introduce fill inside the block, which the no-fill
-    contract forbids.
+    VS-Block does not apply: a dense diagonal-block factorization would
+    introduce fill inside the block, which the no-fill contract forbids, so
+    the inspection computes no supernodes.
     """
-    ilu = context.method == "ilu0"
-    _expect(context, ILU0InspectionResult if ilu else IC0InspectionResult)
-    factor_kind = "ilu0" if ilu else "ic0"
-    _vs_block(
-        context,
-        factor_kind=factor_kind,
-        deferred="supernodal incomplete factorization would introduce in-block fill",
-    )
+    _expect(context, IC0InspectionResult)
     if not context.options.enable_vi_prune:
         return None
-    role, contract = ("incomplete-lu", tables.incomplete_ilu0) if ilu else ("incomplete-cholesky", tables.incomplete_ic0)
-    return _update_loop(context, role, contract(context.matrix, context.inspection), factor_kind)
+    return _update_loop(
+        context, "incomplete-cholesky", tables.incomplete_ic0(context.matrix, context.inspection), "ic0"
+    )

@@ -21,7 +21,6 @@ name                inspector                      artifact
 ``ldlt``              :class:`LDLTInspector`             :class:`SympiledLDLT`
 ``lu``                :class:`LUInspector`               :class:`SympiledLU`
 ``ic0``               :class:`IC0Inspector`              :class:`SympiledIC0`
-``ilu0``              :class:`ILU0Inspector`             :class:`SympiledILU0`
 ==================  =============================  ==========================
 """
 
@@ -33,7 +32,6 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.compiler.artifacts import (
     SympiledCholesky,
     SympiledIC0,
-    SympiledILU0,
     SympiledLDLT,
     SympiledLU,
     SympiledTriangularSolve,
@@ -52,7 +50,6 @@ from repro.sparse.csc import CSCMatrix
 from repro.symbolic.inspector import (
     CholeskyInspector,
     IC0Inspector,
-    ILU0Inspector,
     LDLTInspector,
     LUInspector,
     TriangularSolveInspector,
@@ -226,17 +223,6 @@ _SPECS = (
         description=(
             "incomplete Cholesky IC(0): A ~= L L^T on the pattern of "
             "tril(A) (no fill; preconditioner for SPD iterative solves)"
-        ),
-    ),
-    KernelSpec(
-        name="ilu0",
-        plan=plan_incomplete,
-        inspector_cls=ILU0Inspector,
-        artifact_cls=SympiledILU0,
-        requires_vi_prune=True,
-        description=(
-            "incomplete LU ILU(0): A ~= L U on the pattern of A (no fill, "
-            "no pivoting; preconditioner for unsymmetric iterative solves)"
         ),
     ),
 )

@@ -337,7 +337,10 @@ class SpecializedSolver:
 
         ``method`` overrides the instance default and the structural probes
         (the misdetection escape hatch).  ``tol`` / ``max_iterations`` apply
-        to the ``pcg`` route only.
+        to the ``pcg`` route only; a ``pcg`` solve that does not reach ``tol``
+        within ``max_iterations`` raises ``RuntimeError`` with the iteration
+        count and the final relative residual, and its
+        :class:`~repro.solvers.cg.CGResult` is still ``last_cg_result``.
 
         A repeat — a scipy CSC matrix or a :class:`CSCMatrix` with ``float64``
         values whose pattern is cached — is not ingested.  On a direct route
@@ -519,6 +522,11 @@ class SpecializedSolver:
                 options=self.options,
             )
             self.last_cg_result = result
+            if not result.converged:
+                raise RuntimeError(
+                    f"pcg did not converge: relative residual {result.final_residual:.3g} "
+                    f"after {result.iterations} iterations (tol {tol:g})"
+                )
             return result.x
         # Same structure: the solver's warm step — the solve alone when the
         # values are the ones its factors came from, the compiled kernel

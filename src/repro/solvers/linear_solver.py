@@ -145,7 +145,7 @@ class SparseLinearSolver:
         Factorization kernel to compile — a complete factorization of the
         kernel table (``"cholesky"``, ``"ldlt"`` or ``"lu"``).
     ordering:
-        Fill-reducing ordering name (``"natural"``, ``"mindeg"``/``"amd"``,
+        Fill-reducing ordering name (``"natural"``, ``"mindeg"`` or
         ``"rcm"``); orderings are symmetric permutations computed on the
         pattern of ``A + Aᵀ``, so the diagonal stays on the diagonal for
         unsymmetric input.
@@ -201,8 +201,8 @@ class SparseLinearSolver:
             raise ValueError(
                 f"kernel {spec.name!r} is an incomplete factorization — its "
                 "factors only approximate A and cannot back a direct solve; "
-                "use it as a preconditioner instead (SparseLinearSolver.pcg "
-                "or repro.solvers.preconditioned_conjugate_gradient)"
+                "use it as a preconditioner instead "
+                "(repro.solvers.preconditioned_conjugate_gradient)"
             )
         self.method = spec.name
         t0 = time.perf_counter()
@@ -602,39 +602,6 @@ class SparseLinearSolver:
             if error is not None:
                 raise error
         return X
-
-    def pcg(
-        self,
-        b: np.ndarray,
-        *,
-        tol: float = 1e-8,
-        max_iterations: int = 1000,
-    ):
-        """Solve ``A x = b`` iteratively by IC(0)-preconditioned CG.
-
-        The iterative companion of :meth:`solve` for SPD systems: instead of
-        the complete factorization this solver was built with, it runs
-        conjugate gradient preconditioned by the compiled ``ic0`` registry
-        kernel.  All compiles go through the shared artifact cache, so
-        repeated ``pcg`` calls on this pattern reuse the generated IC(0)
-        module, whose solve entry applies the preconditioner.  Returns a
-        :class:`~repro.solvers.cg.CGResult`.
-
-        Constructing a :class:`SparseLinearSolver` eagerly compiles and runs
-        the *complete* factorization, which ``pcg`` does not use — call
-        :func:`repro.solvers.preconditioned_conjugate_gradient` directly for
-        iterative-only workloads; this method serves callers who already
-        hold a direct solver and want the iterative answer too.
-        """
-        from repro.solvers.cg import preconditioned_conjugate_gradient
-
-        return preconditioned_conjugate_gradient(
-            self.A,
-            b,
-            tol=tol,
-            max_iterations=max_iterations,
-            options=self.options,
-        )
 
     def residual(self, x: np.ndarray, b: np.ndarray) -> float:
         """Relative residual of a computed solution."""

@@ -145,23 +145,14 @@ def reverse_cuthill_mckee(A: CSCMatrix) -> Permutation:
 
 _ORDERINGS = {
     "natural": natural_ordering,
-    "none": natural_ordering,
     "mindeg": minimum_degree_ordering,
-    "minimum_degree": minimum_degree_ordering,
-    "amd": minimum_degree_ordering,  # closest available substitute
     "rcm": reverse_cuthill_mckee,
 }
 
 
 def ordering_by_name(name: str):
-    """Look up an ordering function by its short name.
-
-    Recognized names: ``natural``/``none``, ``mindeg``/``minimum_degree``,
-    ``amd`` (mapped to the minimum-degree substitute) and ``rcm``.
-    """
+    """Look up an ordering function by its short name: ``natural``, ``mindeg`` or ``rcm``."""
     key = name.lower()
     if key not in _ORDERINGS:
-        raise ValueError(
-            f"unknown ordering {name!r}; available: {sorted(set(_ORDERINGS))}"
-        )
+        raise ValueError(f"unknown ordering {name!r}; available: {sorted(_ORDERINGS)}")
     return _ORDERINGS[key]

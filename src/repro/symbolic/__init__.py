@@ -17,7 +17,6 @@ from repro.symbolic.colcount import column_counts_of_factor, row_counts_of_facto
 from repro.symbolic.dependency_graph import DependencyGraph
 from repro.symbolic.etree import (
     EliminationTree,
-    column_etree,
     elimination_tree,
     first_children,
     postorder,
@@ -50,7 +49,6 @@ __all__ = [
     "reach_set_sorted",
     "EliminationTree",
     "elimination_tree",
-    "column_etree",
     "postorder",
     "first_children",
     "tree_depths",

@@ -10,8 +10,8 @@ The construction below is the classical Liu algorithm with path compression
 (identical in spirit to CSparse's ``cs_etree``), running in effectively
 ``O(|A| α(n))`` time.
 
-``elimination_tree``, ``column_etree`` and ``postorder`` run in the native
-helper (:mod:`repro.symbolic.native`) when it is loaded; the ``*_reference``
+``elimination_tree`` and ``postorder`` run in the native helper
+(:mod:`repro.symbolic.native`) when it is loaded; the ``*_reference``
 functions are the same algorithms in Python — the fallback, and the oracle
 the native results are tested against (array-equal).
 """
@@ -28,7 +28,6 @@ from repro.symbolic import native
 
 __all__ = [
     "elimination_tree",
-    "column_etree",
     "postorder",
     "first_children",
     "child_counts",
@@ -83,59 +82,6 @@ def elimination_tree_reference(work: CSCMatrix) -> np.ndarray:
                 if inext == -1:
                     parent[i] = k
                 i = inext
-    return parent
-
-
-def column_etree(A: CSCMatrix) -> np.ndarray:
-    """Compute the column elimination tree of an unsymmetric matrix.
-
-    The column etree is the elimination tree of ``AᵀA`` — the symbolic
-    structure that governs fill in a partial-pivoting-free LU factorization
-    (the columns of ``L`` nest along it, so it bounds the LU column patterns
-    and drives supernode candidates the same way the etree does for
-    Cholesky).  ``AᵀA`` is never formed: every row of ``A`` couples the
-    columns it touches into a clique, which Liu's algorithm absorbs one
-    column at a time through a per-row "last column seen" marker (the
-    ``ata`` variant of CSparse's ``cs_etree``).
-
-    Parameters
-    ----------
-    A:
-        A square matrix; only its pattern is read.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``parent`` array of length ``n`` with ``-1`` marking roots.
-    """
-    if not A.is_square():
-        raise ValueError("the column elimination tree requires a square matrix")
-    lib = native.helper()
-    if lib is None:
-        return column_etree_reference(A)
-    return lib.column_etree(A.n_rows, A.n_cols, A.indptr, A.indices)
-
-
-def column_etree_reference(A: CSCMatrix) -> np.ndarray:
-    """:func:`column_etree` in Python."""
-    n = A.n
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    prev_col = np.full(A.n_rows, -1, dtype=np.int64)
-    indptr, indices = A.indptr, A.indices
-    for k in range(n):
-        for p in range(indptr[k], indptr[k + 1]):
-            row = indices[p]
-            # The previous column with a nonzero in this row is a neighbour
-            # of k in A^T A; link it toward k with path compression.
-            i = prev_col[row]
-            while i != -1 and i < k:
-                inext = ancestor[i]
-                ancestor[i] = k
-                if inext == -1:
-                    parent[i] = k
-                i = inext
-            prev_col[row] = k
     return parent
 
 

@@ -33,7 +33,7 @@ import numpy as np
 # Leaf module with no intra-package imports: safe to pull in from here even
 # though the compiler package itself depends on this module.
 from repro.sparse.csc import CSCMatrix, group_pointers
-from repro.symbolic.etree import column_etree, elimination_tree, postorder
+from repro.symbolic.etree import elimination_tree, postorder
 from repro.symbolic.fill_pattern import (
     cholesky_pattern,
     factor_structure,
@@ -53,12 +53,10 @@ __all__ = [
     "LDLTInspector",
     "LUInspector",
     "IC0Inspector",
-    "ILU0Inspector",
     "TriangularInspectionResult",
     "CholeskyInspectionResult",
     "LUInspectionResult",
     "IC0InspectionResult",
-    "ILU0InspectionResult",
     "normalize_rhs_pattern",
     "above_diagonal",
 ]
@@ -142,22 +140,16 @@ class LUInspectionResult:
     ascending, diagonal first) and ``u_indptr``/``u_indices`` the
     upper-triangular ``U`` (rows ascending, diagonal last), both exact — the
     GP-style reach computes them column by column, which is only possible
-    because the kernel does not pivot.  ``parent`` is the *column* elimination
-    tree (the etree of ``AᵀA``), whose column counts drive the supernode
-    block-set candidates (``supernodes``).  The VI-Prune prune-set of column
+    because the kernel does not pivot.  The VI-Prune prune-set of column
     ``j`` (a DFS reach on ``DG_L`` from ``SP(A(:, j))``) is the rows of ``U``
     above its pivot: :func:`above_diagonal` of ``u_indptr`` / ``u_indices``.
     """
 
     n: int
-    parent: np.ndarray
-    post: np.ndarray
     l_indptr: np.ndarray
     l_indices: np.ndarray
     u_indptr: np.ndarray
     u_indices: np.ndarray
-    l_col_counts: np.ndarray
-    supernodes: SupernodePartition
     symbolic_seconds: float
 
     @property
@@ -327,23 +319,16 @@ def above_diagonal(u_indptr: np.ndarray, u_indices: np.ndarray):
     return u_indptr - np.arange(u_indptr.size, dtype=np.int64), u_indices[keep]
 
 
-def _require_diagonal(matrix: CSCMatrix, cols: np.ndarray) -> None:
-    stored = np.bincount(cols[matrix.indices == cols], minlength=matrix.n_cols) > 0
-    if not stored.all():
-        raise ValueError(f"missing diagonal entry in column {int(np.argmin(stored))}")
-
-
 class LUInspector(SymbolicInspector):
     """Symbolic inspector for sparse LU ``A = L U`` without pivoting.
 
-    Inspection graph: the dependence DAG of the partially built ``L`` plus the
-    column elimination tree (the etree of ``AᵀA``).  Strategies: a GP-style
-    depth-first reach per column for the exact ``L``/``U`` patterns (the
-    prune-set of the update loop is the above-diagonal ``U`` pattern of each
-    column), and the column-count merging rule on the column etree for the
-    supernode block-set candidates.  Pivoting-free LU is reliable for the
-    diagonally dominant Jacobians of the paper's §1.2 circuit/power-grid
-    workloads, whose patterns are fixed while values change.
+    Inspection graph: the dependence DAG of the partially built ``L``.
+    Strategy: a GP-style depth-first reach per column for the exact
+    ``L``/``U`` patterns (the prune-set of the update loop is the
+    above-diagonal ``U`` pattern of each column).  Pivoting-free LU is
+    reliable for the diagonally dominant Jacobians of the paper's §1.2
+    circuit/power-grid workloads, whose patterns are fixed while values
+    change.
     """
 
     method = "lu"
@@ -364,50 +349,43 @@ class LUInspector(SymbolicInspector):
         if not matrix.is_square():
             raise ValueError("LU inspection requires a square matrix")
         start = time.perf_counter()
-        n = matrix.n
-        parent = column_etree(matrix)
-        post = postorder(parent)
         l_indptr, l_indices, u_indptr, u_indices = lu_pattern(matrix)
-        l_col_counts = np.diff(l_indptr).astype(np.int64)
-        supernodes = cholesky_supernodes(l_col_counts, parent)
-        elapsed = time.perf_counter() - start
         return LUInspectionResult(
-            n=n,
-            parent=parent,
-            post=post,
+            n=matrix.n,
             l_indptr=l_indptr,
             l_indices=l_indices,
             u_indptr=u_indptr,
             u_indices=u_indices,
-            l_col_counts=l_col_counts,
-            supernodes=supernodes,
-            symbolic_seconds=elapsed,
+            symbolic_seconds=time.perf_counter() - start,
         )
 
 
 @dataclass(frozen=True)
-class IC0InspectionResult(CholeskyInspectionResult):
+class IC0InspectionResult:
     """Everything the compiler needs to specialize an IC(0) factorization.
 
-    Structurally a :class:`CholeskyInspectionResult` — the incomplete factor
-    shares all the machinery of the complete one — but the pattern arrays
-    describe ``tril(A)`` itself: IC(0) allows no fill, so no fill computation
-    (no ``ereach`` up-traversals) ever runs.  Row ``j`` of ``(row_ptr,
-    row_idx)`` holds the columns ``k < j`` with ``A[j, k] != 0`` — the update
-    sources of column ``j``, its prune-set read straight from ``SP(tril(A))``.
+    The pattern arrays describe ``tril(A)`` itself: IC(0) allows no fill, so
+    no fill computation (no ``ereach`` up-traversals) ever runs.  Row ``j``
+    of ``(row_ptr, row_idx)`` holds the columns ``k < j`` with
+    ``A[j, k] != 0`` — the update sources of column ``j``, its prune-set read
+    straight from ``SP(tril(A))``.
     """
 
+    n: int
+    l_indptr: np.ndarray
+    l_indices: np.ndarray
+    row_ptr: np.ndarray
+    row_idx: np.ndarray
+    symbolic_seconds: float
 
-@dataclass(frozen=True)
-class ILU0InspectionResult(LUInspectionResult):
-    """Everything the compiler needs to specialize an ILU(0) factorization.
+    @property
+    def factor_nnz(self) -> int:
+        """Number of nonzeros of ``L``: those of ``tril(A)``."""
+        return int(self.l_indptr[-1])
 
-    Structurally an :class:`LUInspectionResult`, but with the no-fill
-    property: ``L`` is the strict lower triangle of ``A`` plus an explicit
-    unit diagonal, ``U`` the upper triangle of ``A`` (diagonal stored last
-    per column) — no GP reach runs, the factor pattern *is* the ``A``
-    pattern, and the prune-sets are read straight from ``SP(triu(A))``.
-    """
+    def l_pattern_matrix(self) -> CSCMatrix:
+        """The factor pattern as an all-zero CSC matrix, ready to be filled."""
+        return CSCMatrix.from_pattern(self.n, self.n, self.l_indptr, self.l_indices)
 
 
 class IC0Inspector(SymbolicInspector):
@@ -415,10 +393,10 @@ class IC0Inspector(SymbolicInspector):
 
     The no-fill property makes inspection trivial compared to complete
     Cholesky: the factor pattern is ``tril(A)`` verbatim, so the inspector
-    only *reads* the pattern — per-column row patterns (the update sources,
-    which the VI-Prune handler intersects with the ``A`` pattern to build the
-    dropped-update-free descriptors), elimination-tree supernode candidates
-    for the VS-Block participation record — without any fill computation.
+    only *reads* the pattern — the per-column row patterns (the update
+    sources, which the VI-Prune handler intersects with the ``A`` pattern to
+    build the dropped-update-free descriptors) — without any fill
+    computation or elimination tree.
     """
 
     method = "ic0"
@@ -440,90 +418,22 @@ class IC0Inspector(SymbolicInspector):
             raise ValueError("IC(0) inspection requires a square matrix")
         start = time.perf_counter()
         n = matrix.n
-        parent = elimination_tree(matrix)
-        post = postorder(parent)
-        # The factor pattern is tril(A): no fill, hence no ereach traversals.
         cols = matrix.col_indices()
-        _require_diagonal(matrix, cols)
+        stored = np.bincount(cols[matrix.indices == cols], minlength=n) > 0
+        if not stored.all():
+            raise ValueError(f"missing diagonal entry in column {int(np.argmin(stored))}")
         lower = matrix.indices >= cols
-        l_indptr = group_pointers(cols[lower], n)
-        l_indices = matrix.indices[lower]
         # Row j's update sources are the columns of tril(A)'s strict part
         # that hold row j: its transpose, ascending because the sort is stable.
         strict = matrix.indices > cols
         rows_below = matrix.indices[strict]
-        row_ptr = group_pointers(rows_below, n)
-        row_idx = cols[strict][np.argsort(rows_below, kind="stable")]
-        col_counts = np.diff(l_indptr)
-        supernodes = cholesky_supernodes(col_counts, parent)
-        elapsed = time.perf_counter() - start
         return IC0InspectionResult(
             n=n,
-            parent=parent,
-            post=post,
-            l_indptr=l_indptr,
-            l_indices=l_indices,
-            row_ptr=row_ptr,
-            row_idx=row_idx,
-            l_col_counts=col_counts,
-            supernodes=supernodes,
-            symbolic_seconds=elapsed,
-        )
-
-
-class ILU0Inspector(SymbolicInspector):
-    """Symbolic inspector for incomplete LU ILU(0), ``A ≈ L U``.
-
-    No fill, no pivoting: ``L`` is the strict lower triangle of ``A`` with an
-    explicit unit diagonal (rows ascending, diagonal first — the convention
-    the generated triangular-solve kernels expect) and ``U`` is the upper
-    triangle of ``A`` (rows ascending, diagonal last, like the complete LU
-    kernel).  The per-column update sources are the above-diagonal ``U``
-    pattern — read directly off ``A`` instead of computed by a GP reach.
-    """
-
-    method = "ilu0"
-
-    def inspect(
-        self,
-        matrix: CSCMatrix,
-        **kwargs,
-    ) -> ILU0InspectionResult:
-        """Inspect a square (generally unsymmetric) matrix (pattern only).
-
-        Every column must hold its diagonal entry (the ILU(0) pivot).
-        """
-        if kwargs:
-            raise TypeError(f"unexpected arguments: {sorted(kwargs)}")
-        if not matrix.is_square():
-            raise ValueError("ILU(0) inspection requires a square matrix")
-        start = time.perf_counter()
-        n = matrix.n
-        parent = column_etree(matrix)
-        post = postorder(parent)
-        cols = matrix.col_indices()
-        _require_diagonal(matrix, cols)
-        # U column: above-diagonal rows, then the diagonal (stored last).
-        # L column: the diagonal (the explicit unit, stored first), then the
-        # strict lower rows.  Both are slices of A's own sorted columns.
-        upper = matrix.indices <= cols
-        lower = matrix.indices >= cols
-        u_indptr, u_indices = group_pointers(cols[upper], n), matrix.indices[upper]
-        l_indptr, l_indices = group_pointers(cols[lower], n), matrix.indices[lower]
-        l_col_counts = np.diff(l_indptr)
-        supernodes = cholesky_supernodes(l_col_counts, parent)
-        elapsed = time.perf_counter() - start
-        return ILU0InspectionResult(
-            n=n,
-            parent=parent,
-            post=post,
-            l_indptr=l_indptr,
-            l_indices=l_indices,
-            u_indptr=u_indptr,
-            u_indices=u_indices,
-            l_col_counts=l_col_counts,
-            supernodes=supernodes,
-            symbolic_seconds=elapsed,
+            l_indptr=group_pointers(cols[lower], n),
+            l_indices=matrix.indices[lower],
+            row_ptr=group_pointers(rows_below, n),
+            row_idx=cols[strict][np.argsort(rows_below, kind="stable")],
+            symbolic_seconds=time.perf_counter() - start,
         )
 
 

@@ -254,26 +254,20 @@ i64 repro_sym_minimum_degree(i64 n, const i64 *ap, const i64 *ai, i64 *perm)
 /*
  * Liu's algorithm with path compression.  Column k of (ap, ai) must hold the
  * entries A[i, k], i < k, of the symmetric matrix (larger i are skipped).
- * With ata != 0 the tree is that of A^T A for an n_rows x n matrix: every
- * row links the previous column it appeared in to the current one.
- * work: n + n_rows.
+ * ancestor: n of work.
  */
-void repro_sym_etree(i64 n_rows, i64 n, const i64 *ap, const i64 *ai, i64 ata, i64 *parent, i64 *work)
+void repro_sym_etree(i64 n, const i64 *ap, const i64 *ai, i64 *parent, i64 *ancestor)
 {
-    i64 *ancestor = work, *prev = work + n;
     for (i64 k = 0; k < n; k++) parent[k] = ancestor[k] = -1;
-    if (ata)
-        for (i64 r = 0; r < n_rows; r++) prev[r] = -1;
     for (i64 k = 0; k < n; k++)
         for (i64 p = ap[k]; p < ap[k + 1]; p++) {
-            i64 i = ata ? prev[ai[p]] : ai[p];
+            i64 i = ai[p];
             while (i != -1 && i < k) {
                 i64 next = ancestor[i];
                 ancestor[i] = k;
                 if (next == -1) parent[i] = k;
                 i = next;
             }
-            if (ata) prev[ai[p]] = k;
         }
 }
 
@@ -700,8 +694,6 @@ static void exercise(const char *name, i64 n, const char *dense, int symmetric)
     CHECK(repro_sym_lu_pattern(n, ap, ai, l_indptr, u_indptr, &l, &u) == 0);
     CHECK(columns_sorted(n, l_indptr, l) && columns_sorted(n, u_indptr, u));
     for (i64 j = 0; j < n; j++) CHECK(l[l_indptr[j]] == j && u[u_indptr[j + 1] - 1] == j);
-    repro_sym_etree(n, n, ap, ai, 1, parent, work);
-    for (i64 j = 0; j < n; j++) CHECK(parent[j] == -1 || (parent[j] > j && parent[j] < n));
 
     /* DG_L of the L just built: reach of everything is a topological order. */
     for (i64 j = 0; j < n; j++) post[j] = n - 1 - j;
@@ -713,7 +705,7 @@ static void exercise(const char *name, i64 n, const char *dense, int symmetric)
     if (symmetric) {
         CHECK(repro_sym_minimum_degree(n, ap, ai, perm) == 0);
         CHECK(is_permutation(n, perm, seen));
-        repro_sym_etree(n, n, ap, ai, 0, parent, work);
+        repro_sym_etree(n, ap, ai, parent, work);
         for (i64 j = 0; j < n; j++) CHECK(parent[j] == -1 || (parent[j] > j && parent[j] < n));
         CHECK(repro_sym_postorder(n, parent, post, work) == n && is_permutation(n, post, seen));
 

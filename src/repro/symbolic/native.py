@@ -204,7 +204,7 @@ _OUT = ctypes.POINTER(ctypes.POINTER(ctypes.c_int64))
 _N = ctypes.c_int64
 _SIGNATURES = {
     "repro_sym_minimum_degree": (_N, (_N, _I64, _I64, _I64)),
-    "repro_sym_etree": (None, (_N, _N, _I64, _I64, _N, _I64, _I64)),
+    "repro_sym_etree": (None, (_N, _I64, _I64, _I64, _I64)),
     "repro_sym_postorder": (_N, (_N, _I64, _I64, _I64)),
     "repro_sym_factor_counts": (_N, (_N, _I64, _I64, _I64, _I64, _I64, _I64)),
     "repro_sym_factor_pattern": (None, (_N,) + (_I64,) * 8),
@@ -293,14 +293,7 @@ class NativeSymbolic:
         """Elimination tree; column ``k`` must hold its entries with ``i < k``."""
         indptr, indices = _pattern(n, indptr, indices, n)
         parent = _empty(n)
-        self._etree(n, n, indptr, indices, 0, parent, _empty(n))
-        return parent
-
-    def column_etree(self, n_rows: int, n_cols: int, indptr, indices) -> np.ndarray:
-        """Elimination tree of ``AᵀA`` without forming it."""
-        indptr, indices = _pattern(n_cols, indptr, indices, n_rows)
-        parent = _empty(n_cols)
-        self._etree(n_rows, n_cols, indptr, indices, 1, parent, _empty(n_cols + n_rows))
+        self._etree(n, indptr, indices, parent, _empty(n))
         return parent
 
     def postorder(self, parent) -> np.ndarray:

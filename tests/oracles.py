@@ -2,9 +2,9 @@
 
 Each runs on a dense copy of the matrix, without pivoting.  :func:`ldlt` and
 :func:`lu` are the complete factorizations, for numeric checks.  :func:`ic0`
-and :func:`ilu0` restrict every update to the stored entries of ``A``.  They
-run left-looking, with sources in ascending order, which is the operation
-order of the python backend's kernels, so the two agree to the bit.
+restricts every update to the stored entries of ``A``.  It runs
+left-looking, with sources in ascending order, which is the operation order
+of the python backend's kernel, so the two agree to the bit.
 :func:`on_pattern` reads a dense factor at the stored entries of a CSC one;
 :func:`solve_with` solves with compiled factors by scipy's triangular solves.
 """
@@ -78,16 +78,3 @@ def ic0(A):
         L[j, j] = np.sqrt(L[j, j])
         L[j + 1 :, j] /= L[j, j]
     return L
-
-
-def ilu0(A):
-    """ILU(0) of ``A``: dense ``(L, U)``, nonzero only on the pattern of ``A`` (and ``L``'s unit diagonal)."""
-    F, mask = _dense_and_mask(A)
-    for j in range(A.n):
-        for k in np.flatnonzero(mask[:j, j]):
-            rows = k + 1 + np.flatnonzero(mask[k + 1 :, j] & mask[k + 1 :, k])
-            F[rows, j] -= F[rows, k] * F[k, j]
-        if F[j, j] == 0.0:
-            raise ValueError(f"zero pivot at column {j}")
-        F[j + 1 :, j] /= F[j, j]
-    return np.tril(F, -1) + np.eye(A.n), np.triu(F)

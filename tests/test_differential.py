@@ -20,7 +20,7 @@ from repro.sparse.ordering import minimum_degree_ordering
 from oracles import cholesky_factor
 
 SEEDS = (0, 1, 2)
-CASES = ("triangular-solve", "triangular-solve/sparse-rhs", "cholesky", "ldlt", "lu", "ic0", "ilu0")
+CASES = ("triangular-solve", "triangular-solve/sparse-rhs", "cholesky", "ldlt", "lu", "ic0")
 #: All passes / no VS-Block / nothing (VI-Prune forced back on for a factorization).
 BUNDLES = (
     {},
@@ -38,7 +38,7 @@ def _problem(case, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(30, 70))
     method = case.partition("/")[0]
-    if method in ("lu", "ilu0"):
+    if method == "lu":
         return unsymmetric_diag_dominant(n, avg_nnz_per_col=float(rng.uniform(2, 5)), seed=seed), {}, None
     if method == "ldlt":
         n_dual = int(rng.integers(5, n // 3))
@@ -71,9 +71,9 @@ def _check_against_dense(case, operand, b, answer):
         np.testing.assert_allclose(L @ np.diag(answer.d) @ L.T, M, **close)
         assert (answer.d < 0).sum() > 0  # indefinite, as drawn
     else:
-        L = answer.L.to_dense() if method in ("lu", "ilu0") else answer.to_dense()
-        product = L @ (answer.U.to_dense() if method in ("lu", "ilu0") else L.T)
-        # LU is exact everywhere; IC(0) and ILU(0) are exact on the pattern of A and store nothing off it.
+        L = answer.L.to_dense() if method == "lu" else answer.to_dense()
+        product = L @ (answer.U.to_dense() if method == "lu" else L.T)
+        # LU is exact everywhere; IC(0) is exact on the pattern of A and stores nothing off it.
         on = np.ones_like(M, dtype=bool) if method == "lu" else M != 0
         np.testing.assert_allclose(product[on], M[on], **close)
         if method != "lu":

@@ -191,6 +191,33 @@ class TestAutoSelectionBitwise:
         assert front.last_cg_result.converged
         np.testing.assert_array_equal(x, ref.x)
 
+    def test_pcg_that_does_not_converge_raises(self):
+        A = laplacian_2d(30)
+        b = np.ones(A.n)
+        front = SpecializedSolver()
+        with pytest.raises(RuntimeError, match=r"did not converge: relative residual 1\.\d+ after 3 iterations"):
+            front.solve(A, b, method="pcg", max_iterations=3)
+        # The iterate is still there to inspect, and enough iterations converge.
+        assert not front.last_cg_result.converged and front.last_cg_result.iterations == 3
+        x = front.solve(A, b, method="pcg")
+        assert front.last_cg_result.converged
+        assert np.linalg.norm(A.matvec(x) - b) <= 1e-8 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("max_iterations", [1, 3, 10])
+    @pytest.mark.parametrize(
+        "backend",
+        ["python", pytest.param("c", marks=pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler"))],
+    )
+    def test_the_pcg_error_names_the_last_iterate(self, backend, max_iterations):
+        A = laplacian_2d(30)
+        front = SpecializedSolver(options=SympilerOptions(backend=backend))
+        with pytest.raises(RuntimeError, match="pcg did not converge") as raised:
+            front.solve(A, np.ones(A.n), method="pcg", max_iterations=max_iterations)
+        result = front.last_cg_result
+        assert not result.converged and result.iterations == max_iterations
+        assert f"relative residual {result.final_residual:.3g} after {max_iterations} iterations" in str(raised.value)
+        assert result.final_residual > 1e-8
+
     def test_explicit_method_override_wins(self, rng):
         # Probes would choose cholesky for this SPD matrix; method= pins ldlt.
         A = random_spd(30, 0.08, seed=5)
@@ -669,7 +696,6 @@ def _thread_count_entries():
         "SparseLinearSolver.solve": SparseLinearSolver.solve,
         "SparseLinearSolver.step": SparseLinearSolver.step,
         "SparseLinearSolver.solve_with_factors": SparseLinearSolver.solve_with_factors,
-        "SparseLinearSolver.pcg": SparseLinearSolver.pcg,
         "FactorHandle.solve": FactorHandle.solve,
         "preconditioned_conjugate_gradient": preconditioned_conjugate_gradient,
         "SympiledTriangularSolve.solve_arrays": SympiledTriangularSolve.solve_arrays,

@@ -1,10 +1,10 @@
-"""End-to-end tests of the IC(0)/ILU(0) preconditioner kernels.
+"""End-to-end tests of the IC(0) preconditioner kernel.
 
-Covers the symbolic layer (no-fill inspections), the factors, both
+Covers the symbolic layer (the no-fill inspection), the factor, both
 code-generation backends (the python one bitwise against the dense
-pattern-masked oracles of ``oracles.py``, the C one bitwise against the python
+pattern-masked oracle of ``oracles.py``, the C one bitwise against the python
 one), batches of value sets and the artifact protocol — the whole registry
-extension of the incomplete kernels.
+extension of the incomplete kernel.
 """
 
 import numpy as np
@@ -17,19 +17,9 @@ from repro.compiler.registry import UnknownKernelError
 from repro.compiler.sympiler import Sympiler
 from repro.solvers.linear_solver import map_items
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.generators import (
-    banded_spd,
-    fem_stencil_2d,
-    laplacian_2d,
-    unsymmetric_diag_dominant,
-)
-from repro.sparse.utils import lower_triangle, upper_triangle
-from repro.symbolic.inspector import (
-    IC0InspectionResult,
-    IC0Inspector,
-    ILU0InspectionResult,
-    ILU0Inspector,
-)
+from repro.sparse.generators import banded_spd, fem_stencil_2d, laplacian_2d
+from repro.sparse.utils import lower_triangle
+from repro.symbolic.inspector import IC0InspectionResult, IC0Inspector
 
 import oracles
 
@@ -51,10 +41,6 @@ def _fresh_sympiler(options=SympilerOptions(backend="python")):
 
 def _spd(n_side=10, shift=0.1):
     return laplacian_2d(n_side, shift=shift)
-
-
-def _jacobian(n=48, seed=7):
-    return unsymmetric_diag_dominant(n, seed=seed)
 
 
 def _pattern_residual(dense_factor_product, A):
@@ -96,35 +82,6 @@ class TestSymbolicIC0:
             IC0Inspector().inspect(CSCMatrix.from_dense(np.ones((2, 3))))
 
 
-class TestSymbolicILU0:
-    def test_factor_patterns_are_triangles_of_a(self):
-        A = _jacobian()
-        insp = ILU0Inspector().inspect(A)
-        assert isinstance(insp, ILU0InspectionResult)
-        up = upper_triangle(A)
-        np.testing.assert_array_equal(insp.u_indptr, up.indptr)
-        np.testing.assert_array_equal(insp.u_indices, up.indices)
-        # L: explicit unit diagonal first, then the strict lower rows of A.
-        np.testing.assert_array_equal(
-            insp.l_indices[insp.l_indptr[:-1]], np.arange(A.n)
-        )
-        strict = lower_triangle(A, strict=True)
-        assert insp.l_nnz == strict.nnz + A.n
-        assert insp.factor_nnz == insp.l_nnz + insp.u_nnz
-
-    def test_diag_last_in_u(self):
-        A = _jacobian(40, seed=9)
-        insp = ILU0Inspector().inspect(A)
-        np.testing.assert_array_equal(
-            insp.u_indices[insp.u_indptr[1:] - 1], np.arange(A.n)
-        )
-
-    def test_missing_diagonal_raises(self):
-        A = CSCMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(ValueError, match="diagonal"):
-            ILU0Inspector().inspect(A)
-
-
 def _factorize(kernel, A, backend):
     """The compiled ``kernel`` factor(s) of ``A`` on ``backend``."""
     options = _c_options() if backend == "c" else SympilerOptions(backend="python")
@@ -147,39 +104,11 @@ class TestFactors:
             _factorize("ic0", A, backend).to_dense(), reference_cholesky(A), atol=1e-9
         )
 
-    def test_ilu0_exact_on_pattern_and_unit_diagonal(self, backend):
-        A = _jacobian(52, seed=11)
-        fac = _factorize("ilu0", A, backend)
-        assert _pattern_residual(fac.L.to_dense() @ fac.U.to_dense(), A) < 1e-10
-        np.testing.assert_allclose(fac.L.data[fac.L.indptr[:-1]], 1.0)
-        assert fac.L.is_lower_triangular()
-        assert fac.U.is_upper_triangular()
-
-    def test_ilu0_equals_exact_lu_when_no_fill(self, backend):
-        # A tridiagonal-ish unsymmetric matrix: LU of a banded matrix with
-        # dense band has no fill, so ILU(0) equals the complete LU.
-        n = 20
-        dense = np.diag(np.full(n, 4.0)) + np.diag(np.full(n - 1, -1.0), -1) + np.diag(
-            np.full(n - 1, -2.0), 1
-        )
-        A = CSCMatrix.from_dense(dense)
-        fac = _factorize("ilu0", A, backend)
-        L_ref, U_ref = oracles.lu(A)
-        np.testing.assert_allclose(fac.L.to_dense(), L_ref, atol=1e-12)
-        np.testing.assert_allclose(fac.U.to_dense(), U_ref, atol=1e-12)
-
     def test_ic0_breakdown_raises(self, backend):
         dense = np.array([[1.0, 2.0], [2.0, 1.0]])  # not SPD: second pivot < 0
         A = CSCMatrix.from_dense(dense)
         with pytest.raises(ValueError, match="IC\\(0\\) breakdown"):
             _factorize("ic0", A, backend)
-
-    def test_ilu0_zero_pivot_raises(self, backend):
-        dense = np.array([[1.0, 1.0], [1.0, 1.0]])  # second pivot cancels to 0
-        A = CSCMatrix.from_dense(dense)
-        with pytest.raises(ValueError, match="ILU\\(0\\) breakdown"):
-            _factorize("ilu0", A, backend)
-
 
 class TestCompiledIC0Python:
     def test_bitwise_matches_the_dense_oracle(self):
@@ -198,15 +127,17 @@ class TestCompiledIC0Python:
         for name in ("a_lower_pos", "prune_ptr", "mult_pos", "l_scat_ptr"):
             assert np.array_equal(compiled.constants[f"_C_{name}"], loop.contract[1][name])
 
-    def test_vi_prune_is_forced_and_vs_block_defers(self):
+    def test_vi_prune_is_forced_and_vs_block_is_not_considered(self):
         compiled = _fresh_sympiler().compile(
             "ic0", _spd(6), options=SympilerOptions.baseline().with_updates(backend="python")
         )
         assert compiled.decisions.get("vi-prune-forced") is True
         assert "vi-prune" in compiled.applied_transformations
-        decision = _fresh_sympiler().compile("ic0", _spd(7)).decisions.get("vs-block")
-        assert decision is not None and decision["factor_kind"] == "ic0"
-        assert "deferred" in decision
+        # No in-block fill is allowed, so the inspection builds no tree and no
+        # supernodes, and the compile records no VS-Block decision.
+        default = _fresh_sympiler().compile("ic0", _spd(7))
+        assert "vs-block" not in default.decisions
+        assert not any(hasattr(default.inspection, name) for name in ("parent", "post", "supernodes"))
 
     def test_breakdown_message_names_the_column(self):
         dense = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -228,37 +159,6 @@ class TestCompiledIC0Python:
             _fresh_sympiler().compile("incomplete-cholesky", _spd(5))
 
 
-class TestCompiledILU0Python:
-    def test_bitwise_matches_the_dense_oracle(self):
-        sym = _fresh_sympiler()
-        for seed in (10, 11):
-            A = _jacobian(44, seed=seed)
-            fac = sym.compile("ilu0", A).factorize(A)
-            L_ref, U_ref = oracles.ilu0(A)
-            assert np.array_equal(fac.L.data, oracles.on_pattern(L_ref, fac.L))
-            assert np.array_equal(fac.U.data, oracles.on_pattern(U_ref, fac.U))
-
-    def test_exact_on_pattern(self):
-        A = _jacobian(56, seed=12)
-        fac = _fresh_sympiler().compile("ilu0", A).factorize(A)
-        assert _pattern_residual(fac.L.to_dense() @ fac.U.to_dense(), A) < 1e-10
-
-    def test_zero_pivot_raises(self):
-        A = CSCMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        compiled = _fresh_sympiler().compile("ilu0", A)
-        with pytest.raises(ValueError, match="zero pivot"):
-            compiled.factorize(A)
-
-    def test_u_pattern_property(self):
-        sym = _fresh_sympiler()
-        A = _jacobian(30, seed=13)
-        compiled = sym.compile("ilu0", A)
-        assert compiled.u_pattern.pattern_equal(upper_triangle(A))
-        assert sym.compile("ilu0", A) is compiled
-        with pytest.raises(UnknownKernelError, match="incomplete-lu"):
-            sym.compile("incomplete-lu", A)
-
-
 @needs_cc
 class TestCompiledIncompleteC:
     def test_ic0_close_to_python_backend(self):
@@ -267,14 +167,6 @@ class TestCompiledIncompleteC:
         Lc = sym.compile("ic0", A, options=_c_options()).factorize(A)
         Lp = sym.compile("ic0", A, options=SympilerOptions(backend="python")).factorize(A)
         np.testing.assert_array_equal(Lc.data, Lp.data)
-
-    def test_ilu0_close_to_python_backend(self):
-        A = _jacobian(48, seed=20)
-        sym = _fresh_sympiler()
-        fc = sym.compile("ilu0", A, options=_c_options()).factorize(A)
-        fp = sym.compile("ilu0", A, options=SympilerOptions(backend="python")).factorize(A)
-        np.testing.assert_array_equal(fc.L.data, fp.L.data)
-        np.testing.assert_array_equal(fc.U.data, fp.U.data)
 
     def test_c_breakdown_status_becomes_value_error(self):
         A = CSCMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -325,20 +217,41 @@ class TestArtifactsAndCache:
             compiled.factorize(other, check_pattern=True)
 
     def test_is_incomplete_flags(self):
-        from repro.compiler.artifacts import (
-            SympiledCholesky,
-            SympiledIC0,
-            SympiledILU0,
-            SympiledLU,
-        )
+        from repro.compiler.artifacts import SympiledCholesky, SympiledIC0, SympiledLU
 
-        assert SympiledIC0.is_incomplete and SympiledILU0.is_incomplete
+        assert SympiledIC0.is_incomplete
         assert not SympiledCholesky.is_incomplete and not SympiledLU.is_incomplete
 
     def test_generated_source_is_numeric_only(self):
         compiled = _fresh_sympiler().compile("ic0", _spd(6))
         assert compiled.source.startswith("def ic0(T, Ap, Ai, Ax):")
         assert "searchsorted" not in compiled.source  # no runtime pattern work
-        ilu = _fresh_sympiler().compile("ilu0", _jacobian(20, seed=30))
-        for name in ("_C_u_indptr", "_C_u_scat_ptr", "_C_a_upper_pos", "_C_mult_pos"):
-            assert name in ilu.constants and name in ilu.source
+        for name in ("_C_l_indptr", "_C_l_scat_ptr", "_C_a_lower_pos", "_C_mult_pos"):
+            assert name in compiled.constants and name in compiled.source
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
+class TestEverySPDMatrix:
+    """The factor and the inspection of IC(0) on each matrix of the shared SPD set."""
+
+    def test_factor_is_the_dense_oracle_bitwise(self, spd_matrix, backend):
+        L = _factorize("ic0", spd_matrix, backend)
+        assert L.pattern_equal(lower_triangle(spd_matrix))
+        assert np.array_equal(L.data, oracles.on_pattern(oracles.ic0(spd_matrix), L))
+
+    def test_compile_reads_only_the_lower_triangle(self, spd_matrix, backend):
+        options = _c_options() if backend == "c" else SympilerOptions(backend="python")
+        compiled = _fresh_sympiler().compile("ic0", spd_matrix, options=options)
+        insp = compiled.inspection
+        tril = lower_triangle(spd_matrix)
+        np.testing.assert_array_equal(insp.l_indptr, tril.indptr)
+        np.testing.assert_array_equal(insp.l_indices, tril.indices)
+        # The row lists are the transpose of the strict lower triangle.
+        dense = spd_matrix.to_dense() != 0
+        for j in range(spd_matrix.n):
+            expected = np.flatnonzero(dense[j, :j])
+            np.testing.assert_array_equal(insp.row_idx[insp.row_ptr[j] : insp.row_ptr[j + 1]], expected)
+        # No tree, postorder or supernode partition, and no VS-Block decision.
+        assert not any(hasattr(insp, name) for name in ("parent", "post", "l_col_counts", "supernodes"))
+        assert "vs-block" not in compiled.decisions
+        assert compiled.applied_transformations == ["vi-prune"]

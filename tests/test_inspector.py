@@ -10,7 +10,6 @@ from repro.symbolic.fill_pattern import cholesky_pattern
 from repro.symbolic.inspector import (
     CholeskyInspector,
     IC0Inspector,
-    ILU0Inspector,
     LDLTInspector,
     LUInspector,
     TriangularSolveInspector,
@@ -116,7 +115,6 @@ class TestCholeskyInspector:
         ("ldlt", LDLTInspector),
         ("lu", LUInspector),
         ("ic0", IC0Inspector),
-        ("ilu0", ILU0Inspector),
     ],
 )
 def test_each_kernel_reaches_its_inspector_through_the_spec(name, inspector_cls):

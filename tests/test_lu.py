@@ -16,7 +16,6 @@ from repro.solvers.newton import newton_raphson_fixed_pattern
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import unsymmetric_diag_dominant
 from repro.sparse.utils import is_symmetric_pattern
-from repro.symbolic.etree import column_etree, elimination_tree
 from repro.symbolic.inspector import LUInspectionResult, LUInspector, above_diagonal
 
 import oracles
@@ -48,12 +47,6 @@ def _factorize(A, backend):
 
 
 class TestSymbolicLU:
-    def test_column_etree_matches_etree_of_ata(self):
-        A = _jacobian(40, seed=1)
-        S = A.to_scipy()
-        ata = CSCMatrix.from_scipy((S.T @ S).tocsc())
-        np.testing.assert_array_equal(column_etree(A), elimination_tree(ata))
-
     def test_predicted_patterns_cover_dense_factors(self):
         A = _jacobian(45, seed=2)
         insp = LUInspector().inspect(A)
@@ -86,7 +79,8 @@ class TestSymbolicLU:
         ptr, idx = above_diagonal(insp.u_indptr, insp.u_indices)
         assert ptr[-1] == idx.size == insp.u_nnz - A.n
         assert all(np.all(idx[ptr[j] : ptr[j + 1]] < j) for j in range(A.n))
-        assert insp.supernodes.n_columns == A.n
+        # No tree and no supernodes: nothing reads them for a no-pivot LU.
+        assert not any(hasattr(insp, name) for name in ("parent", "post", "l_col_counts", "supernodes"))
         assert insp.symbolic_seconds >= 0.0
 
     def test_rejects_non_square(self):
@@ -155,11 +149,9 @@ class TestCompiledLUPython:
         assert compiled.decisions.get("vi-prune-forced") is True
         assert "vi-prune" in compiled.applied_transformations
 
-    def test_vs_block_defers_with_recorded_decision(self):
+    def test_vs_block_is_not_considered(self):
         compiled = _fresh_sympiler().compile("lu", _jacobian(30, seed=14))
-        decision = compiled.decisions.get("vs-block")
-        assert decision is not None and decision["factor_kind"] == "lu"
-        assert "deferred" in decision
+        assert "vs-block" not in compiled.decisions
         assert "vs-block" not in compiled.applied_transformations
 
     def test_refactorization_with_new_values(self):
@@ -322,3 +314,36 @@ class TestToolchainFallback:
         np.testing.assert_allclose(
             compiled.factorize(A).reconstruct_dense(), A.to_dense(), atol=1e-9
         )
+
+
+#: Unsymmetric patterns of several sizes and densities, ``(n, avg_nnz_per_col, seed)``.
+JACOBIANS = [(20, 2.0, 30), (35, 3.0, 31), (50, 4.0, 32), (64, 5.0, 33), (80, 2.5, 34), (45, 6.0, 35)]
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
+class TestEveryPattern:
+    """LU factors and inspection, without any tree, on unsymmetric and SPD patterns alike."""
+
+    @staticmethod
+    def _check(A, backend):
+        options = _c_options() if backend == "c" else SympilerOptions(backend="python")
+        compiled = _fresh_sympiler().compile("lu", A, options=options)
+        insp = compiled.inspection
+        assert not any(hasattr(insp, name) for name in ("parent", "post", "l_col_counts", "supernodes"))
+        assert "vs-block" not in compiled.decisions
+        assert compiled.applied_transformations == ["vi-prune"]
+        fac = compiled.factorize(A)
+        L_ref, U_ref = oracles.lu(A)
+        scale = np.abs(A.to_dense()).max()
+        np.testing.assert_allclose(fac.L.to_dense(), L_ref, rtol=1e-9, atol=1e-11)
+        np.testing.assert_allclose(fac.U.to_dense(), U_ref, rtol=1e-9, atol=1e-11 * scale)
+        # The factors are stored on the inspected patterns, nothing more.
+        assert fac.L.pattern_equal(insp.l_pattern_matrix())
+        assert fac.U.pattern_equal(insp.u_pattern_matrix())
+
+    @pytest.mark.parametrize("n, avg, seed", JACOBIANS)
+    def test_unsymmetric(self, n, avg, seed, backend):
+        self._check(unsymmetric_diag_dominant(n, avg_nnz_per_col=avg, seed=seed), backend)
+
+    def test_spd(self, spd_matrix, backend):
+        self._check(spd_matrix, backend)

@@ -96,10 +96,43 @@ def test_empty_matrix_orderings():
 def test_ordering_by_name_lookup():
     assert ordering_by_name("natural") is natural_ordering
     assert ordering_by_name("mindeg") is minimum_degree_ordering
-    assert ordering_by_name("AMD") is minimum_degree_ordering
+    assert ordering_by_name("MinDeg") is minimum_degree_ordering
     assert ordering_by_name("rcm") is reverse_cuthill_mckee
     with pytest.raises(ValueError):
         ordering_by_name("does-not-exist")
+    # One name per ordering: no aliases, and "amd" is not exact minimum degree under another name.
+    for alias in ("none", "minimum_degree", "amd"):
+        with pytest.raises(ValueError, match="unknown ordering"):
+            ordering_by_name(alias)
+
+
+@pytest.mark.parametrize(
+    "name, ordering",
+    [
+        ("natural", natural_ordering),
+        ("Natural", natural_ordering),
+        ("mindeg", minimum_degree_ordering),
+        ("MINDEG", minimum_degree_ordering),
+        ("rcm", reverse_cuthill_mckee),
+        ("RCM", reverse_cuthill_mckee),
+    ],
+)
+def test_each_ordering_has_one_case_insensitive_name(name, ordering):
+    assert ordering_by_name(name) is ordering
+
+
+@pytest.mark.parametrize("name", ["none", "minimum_degree", "amd", "AMD", "md", "", "nested-dissection"])
+def test_any_other_name_is_refused_with_the_available_names(name):
+    with pytest.raises(ValueError, match=r"unknown ordering .*available: \['mindeg', 'natural', 'rcm'\]"):
+        ordering_by_name(name)
+
+
+@pytest.mark.parametrize("name", ["none", "minimum_degree", "amd"])
+def test_the_direct_solver_refuses_a_dropped_alias(name):
+    from repro.solvers.linear_solver import SparseLinearSolver
+
+    with pytest.raises(ValueError, match="unknown ordering"):
+        SparseLinearSolver(laplacian_2d(4), ordering=name)
 
 
 def test_rcm_handles_disconnected_components():

@@ -17,7 +17,7 @@ from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_availab
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.solvers.linear_solver import SparseLinearSolver
-from repro.sparse.generators import laplacian_2d, sparse_rhs, unsymmetric_diag_dominant
+from repro.sparse.generators import laplacian_2d, sparse_rhs
 from repro.sparse.ordering import ordering_by_name
 
 needs_cc = pytest.mark.skipif(
@@ -32,7 +32,6 @@ FACTOR_CASES = {
     "ldlt": lambda: _permuted_laplacian(12),
     "lu": lambda: _permuted_laplacian(12),
     "ic0": lambda: _permuted_laplacian(12),
-    "ilu0": lambda: unsymmetric_diag_dominant(48, seed=5),
 }
 SERIAL_FALLBACK = {"mode": "serial-fallback", "fallback_reason": "no-schedule"}
 

@@ -306,7 +306,7 @@ def test_every_c_kernel_matches_the_python_backend_bitwise(tmp_path, monkeypatch
     @settings(_settings, max_examples=8)
     @given(spd_matrices_strategy(max_n=12), st.integers(0, 2**31 - 1))
     def check(A, seed):
-        _check_c_matches_python_bitwise(A, seed, ("cholesky", "ldlt", "lu", "ic0", "ilu0"))
+        _check_c_matches_python_bitwise(A, seed, ("cholesky", "ldlt", "lu", "ic0"))
 
     check()
 

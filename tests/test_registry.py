@@ -7,7 +7,6 @@ from repro.compiler.artifacts import (
     PatternMismatchError,
     SympiledCholesky,
     SympiledIC0,
-    SympiledILU0,
     SympiledLDLT,
     SympiledLU,
     SympiledTriangularSolve,
@@ -28,7 +27,22 @@ def fresh_sympiler(options=None):
 class TestRegistry:
     def test_builtin_kernels_are_registered(self):
         names = registered_kernels()
-        assert names == ("cholesky", "ic0", "ilu0", "ldlt", "lu", "triangular-solve")
+        assert names == ("cholesky", "ic0", "ldlt", "lu", "triangular-solve")
+
+    def test_every_kernel_is_timed_by_a_bench_experiment(self):
+        # A kernel joins the table only with an experiment that times it.
+        from repro.bench.runner import KERNELS
+
+        assert set(registered_kernels()) == set(KERNELS)
+
+    @pytest.mark.parametrize("name", registered_kernels())
+    def test_some_experiment_times_each_kernel(self, name):
+        from repro.bench.experiments import EXPERIMENTS
+        from repro.bench.runner import KERNELS
+
+        assert name in KERNELS
+        timed = {kernel for experiment in EXPERIMENTS.values() for kernel, _ in experiment.variants.values()}
+        assert name in timed
 
     @pytest.mark.parametrize(
         "alias", ["trisolve", "triangular", "ldl", "gp-lu", "incomplete-cholesky", "incomplete-lu"]
@@ -45,7 +59,6 @@ class TestRegistry:
             ("ldlt", plan_cholesky, SympiledLDLT, True, ()),
             ("lu", plan_lu, SympiledLU, True, ()),
             ("ic0", plan_incomplete, SympiledIC0, True, ()),
-            ("ilu0", plan_incomplete, SympiledILU0, True, ()),
         ],
     )
     def test_spec_declares_pipeline_ingredients(self, name, plan, artifact_cls, requires_vi_prune, kernel_args):
@@ -316,12 +329,12 @@ class TestNoKernelBranchesInDriver:
         assert "lu" in _PY_METHOD_SPECS and "lu" in _C_METHOD_SPECS
         assert kernel_spec("lu").plan is plan_lu
 
-    def test_ic0_ilu0_registration_left_driver_and_cache_untouched(self):
-        """IC0/ILU0 must integrate through the method tables alone (PR 4).
+    def test_ic0_registration_left_driver_and_cache_untouched(self):
+        """IC(0) must integrate through the method tables alone.
 
         ``Sympiler.compile`` and the artifact cache must contain no
         incomplete-kernel-specific branch: the only integration points are
-        the registry specs, their plan function and the backend method-spec
+        the registry spec, its plan function and the backend method-spec
         tables — the same invariance asserted for LU.
         """
         import inspect
@@ -333,15 +346,13 @@ class TestNoKernelBranchesInDriver:
 
         for module in (driver_module, cache_module):
             source = inspect.getsource(module)
-            for kernel in ("ic0", "ilu0"):
-                assert f'"{kernel}"' not in source and f"'{kernel}'" not in source, (
-                    f"{module.__name__} must not special-case the {kernel} kernel"
-                )
-        # The declared integration points, and nothing else, know about them.
-        for kernel in ("ic0", "ilu0"):
-            assert kernel_spec(kernel).name == kernel
-            assert kernel in _PY_METHOD_SPECS and kernel in _C_METHOD_SPECS
-            assert kernel_spec(kernel).plan is plan_incomplete
+            assert '"ic0"' not in source and "'ic0'" not in source, (
+                f"{module.__name__} must not special-case the ic0 kernel"
+            )
+        # The declared integration points, and nothing else, know about it.
+        assert kernel_spec("ic0").name == "ic0"
+        assert "ic0" in _PY_METHOD_SPECS and "ic0" in _C_METHOD_SPECS
+        assert kernel_spec("ic0").plan is plan_incomplete
 
     def test_incomplete_kernels_share_the_artifact_cache(self):
         from repro.compiler.cache import ArtifactCache

@@ -201,11 +201,6 @@ def test_bind_solve_checks_its_arrays(backend):
     x = b.copy()
     factorization.bind_solve((perm, Lx, x), (np.empty(n), x))()  # x is b
     np.testing.assert_array_equal(x, solver.solve(b))
-    jac = unsymmetric_diag_dominant(n, seed=4)
-    ilu0 = Sympiler(options, cache=ArtifactCache()).compile("ilu0", jac)
-    lx, ux = ilu0.new_outputs()
-    with pytest.raises(TypeError, match="ilu0 has no solve entry"):
-        ilu0.bind_solve((perm, lx, ux, b), (np.empty(n), np.empty(n)))
 
 
 #: Every SPD generator, IC(0)'s domain: the conftest zoo at a second size each.

@@ -246,22 +246,28 @@ class TestConjugateGradientEdgeCases:
             assert L_compiled.pattern_equal(lower_triangle(A))
             assert np.array_equal(L_compiled.data, _ic0_oracle_data(A, L_compiled, backend))
 
-    def test_solver_pcg_method(self, rng):
+    def test_pcg_agrees_with_the_direct_solver(self, rng):
         A = laplacian_2d(12)
         solver = SparseLinearSolver(A, ordering="mindeg")
         b = rng.normal(size=A.n)
-        result = solver.pcg(b, tol=1e-10)
+        result = preconditioned_conjugate_gradient(A, b, tol=1e-10)
         assert result.converged
         np.testing.assert_allclose(A.matvec(result.x), b, atol=1e-6)
         # The direct and iterative answers agree.
         np.testing.assert_allclose(result.x, solver.solve(b), atol=1e-6)
 
+    def test_pcg_agrees_with_the_direct_solver_on_every_spd_matrix(self, spd_matrix, rng):
+        A = spd_matrix
+        b = rng.normal(size=A.n)
+        result = preconditioned_conjugate_gradient(A, b, tol=1e-12)
+        assert result.converged and result.final_residual <= 1e-12
+        x = SparseLinearSolver(A, ordering="mindeg").solve(b)
+        np.testing.assert_allclose(result.x, x, rtol=0, atol=1e-8 * np.abs(x).max())
+
     def test_solver_rejects_incomplete_method(self):
         A = laplacian_2d(6)
         with pytest.raises(ValueError, match="incomplete factorization"):
             SparseLinearSolver(A, method="ic0")
-        with pytest.raises(ValueError, match="incomplete factorization"):
-            SparseLinearSolver(A, method="ilu0")
 
 
 class TestNewtonRaphson:

@@ -39,8 +39,6 @@ from repro.sparse.ordering import minimum_degree_ordering, minimum_degree_refere
 from repro.sparse.utils import symmetrize_pattern
 from repro.symbolic import native
 from repro.symbolic.etree import (
-    column_etree,
-    column_etree_reference,
     elimination_tree,
     elimination_tree_reference,
     postorder,
@@ -128,10 +126,7 @@ def _check_every_entry_point(lib: native.NativeSymbolic, A: CSCMatrix) -> None:
 
     parent = elimination_tree_reference(S)
     _same(lib.etree(n, S.indptr, S.indices), parent, "etree")
-    col_parent = column_etree_reference(A)
-    _same(lib.column_etree(n, n, A.indptr, A.indices), col_parent, "column etree")
-    for tree in (parent, col_parent):
-        _same(lib.postorder(tree), postorder_reference(tree), "postorder")
+    _same(lib.postorder(parent), postorder_reference(parent), "postorder")
 
     expected = factor_structure_reference(S, parent)
     got = lib.factor_pattern(n, S.indptr, S.indices, parent)
@@ -192,7 +187,7 @@ class TestNativeMatchesReference:
 
         for module, names in (
             (ordering, ["minimum_degree_reference"]),
-            (etree, ["elimination_tree_reference", "column_etree_reference", "postorder_reference"]),
+            (etree, ["elimination_tree_reference", "postorder_reference"]),
             (fill_pattern, ["factor_structure_reference", "lu_pattern_reference", "_ereach_stamped"]),
             (reach, ["reach_set_reference"]),
         ):
@@ -230,7 +225,6 @@ class TestBindingValidation:
         calls = [
             lambda: lib.minimum_degree(n, indptr, indices),
             lambda: lib.etree(n, indptr, indices),
-            lambda: lib.column_etree(n, n, indptr, indices),
             lambda: lib.factor_pattern(n, indptr, indices, parent),
             lambda: lib.factor_counts(n, indptr, indices, parent),
             lambda: lib.lu_pattern(n, indptr, indices),
@@ -285,7 +279,6 @@ def _public_results(A: CSCMatrix, U: CSCMatrix) -> list:
         perm.perm,
         parent,
         postorder(parent),
-        column_etree(U),
         l_indptr,
         l_indices,
         *factor_structure(B, parent)[:2],

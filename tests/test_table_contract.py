@@ -128,8 +128,6 @@ _PINNED_C_SOURCES = {
     ("fem", "lu", "wavefront"): "f6ef5acadecf9b90f737830a73993faa04a56626a714f0df956b9ffde547f370",
     ("fem", "ic0", "none"): "07d571411191581c113607030220b6c1313458779db2192ad3e661e6714a9b4e",
     ("fem", "ic0", "wavefront"): "07d571411191581c113607030220b6c1313458779db2192ad3e661e6714a9b4e",
-    ("fem", "ilu0", "none"): "0a2d1b7fe06b81ff1750f7fbc2d41125b878affb5dcf2e0eaccf174608d7d34f",
-    ("fem", "ilu0", "wavefront"): "0a2d1b7fe06b81ff1750f7fbc2d41125b878affb5dcf2e0eaccf174608d7d34f",
     ("mindeg", "triangular-solve", "none"): "c0493e6ca408bb29fc6b5aeb1373b1ac9a1fcb989d3cc2d4aeeb205d5cd4d267",
     ("mindeg", "triangular-solve", "wavefront"): "c0493e6ca408bb29fc6b5aeb1373b1ac9a1fcb989d3cc2d4aeeb205d5cd4d267",
     ("mindeg", "cholesky", "none"): "833ba3178b424a07e3e4817c8438899f90531f1f262a6a0653517007598a9a7e",
@@ -140,8 +138,6 @@ _PINNED_C_SOURCES = {
     ("mindeg", "lu", "wavefront"): "f6ef5acadecf9b90f737830a73993faa04a56626a714f0df956b9ffde547f370",
     ("mindeg", "ic0", "none"): "07d571411191581c113607030220b6c1313458779db2192ad3e661e6714a9b4e",
     ("mindeg", "ic0", "wavefront"): "07d571411191581c113607030220b6c1313458779db2192ad3e661e6714a9b4e",
-    ("mindeg", "ilu0", "none"): "0a2d1b7fe06b81ff1750f7fbc2d41125b878affb5dcf2e0eaccf174608d7d34f",
-    ("mindeg", "ilu0", "wavefront"): "0a2d1b7fe06b81ff1750f7fbc2d41125b878affb5dcf2e0eaccf174608d7d34f",
 }
 
 
@@ -186,11 +182,6 @@ _PINNED_TABLE_BLOCKS = {
         "e69a925d015cf6bc8b929b2171190a53b510d155aa2c80f4a9d5ea284719f6d6",
         "e69a925d015cf6bc8b929b2171190a53b510d155aa2c80f4a9d5ea284719f6d6",
     ),
-    ("fem", "ilu0"): (
-        "ead3f61308325e56b95e7191821d9f7b699afe75bf7ed3e8909a6488fbb9a6f1",
-        "ead3f61308325e56b95e7191821d9f7b699afe75bf7ed3e8909a6488fbb9a6f1",
-        "ead3f61308325e56b95e7191821d9f7b699afe75bf7ed3e8909a6488fbb9a6f1",
-    ),
     ("fem", "triangular-solve/sparse-rhs"): (
         "dbf7de32ac46cff4038e6a4a05e0e8a8e285ed10d2c59209bccf8d0096f57d78",
         "a33ea9de056d65e105a489c58a2daf1c43c6c83d35d29a4c9076f8dd817c0c63",
@@ -221,11 +212,6 @@ _PINNED_TABLE_BLOCKS = {
         "dbb8a5415069a01a90fafbe94f3f934c67574ae4c43cd7fb190a588f80ca40ea",
         "dbb8a5415069a01a90fafbe94f3f934c67574ae4c43cd7fb190a588f80ca40ea",
     ),
-    ("mindeg", "ilu0"): (
-        "59309656af29fd743c74c9db5e03683407753f6834b9c44069251e7fcb03af13",
-        "59309656af29fd743c74c9db5e03683407753f6834b9c44069251e7fcb03af13",
-        "59309656af29fd743c74c9db5e03683407753f6834b9c44069251e7fcb03af13",
-    ),
     ("mindeg", "triangular-solve/sparse-rhs"): (
         "44f2a8ae6dc241c77d6ce477977e1661deb3d4b6a2b62c794e14044cba09616b",
         "44f2a8ae6dc241c77d6ce477977e1661deb3d4b6a2b62c794e14044cba09616b",
@@ -255,11 +241,6 @@ _PINNED_TABLE_BLOCKS = {
         "702dbf46a819bfc4f8e6ceccb3daada4cdbe667ac3b2061a819e7c000c77289f",
         "702dbf46a819bfc4f8e6ceccb3daada4cdbe667ac3b2061a819e7c000c77289f",
         "702dbf46a819bfc4f8e6ceccb3daada4cdbe667ac3b2061a819e7c000c77289f",
-    ),
-    ("mindeg3d", "ilu0"): (
-        "06ff8f816cf8cc2eccf25af24a82dd0cb009d6053d2964a375938935b7580141",
-        "06ff8f816cf8cc2eccf25af24a82dd0cb009d6053d2964a375938935b7580141",
-        "06ff8f816cf8cc2eccf25af24a82dd0cb009d6053d2964a375938935b7580141",
     ),
     ("mindeg3d", "triangular-solve/sparse-rhs"): (
         "3bb7015975bcfc1a841daf7dbe8de22af2f9be6d5e693de7f8c7a1bb5a9858df",
@@ -348,7 +329,9 @@ def _record(artifact):
 #: no-low-level bundle left ``_OPTION_BUNDLES``, re-based for the C triangular solves when
 #: ``parallel="wavefront"`` began to record the serial fallback (``"no-schedule"``) for them,
 #: and re-based for the C factorizations when it began to record the same for every kernel
-#: (no level-schedule sizes, no ``"wavefront"`` mode, no other fallback reason).
+#: (no level-schedule sizes, no ``"wavefront"`` mode, no other fallback reason), and re-based
+#: for LU and IC(0) when their inspections stopped building the supernodes VS-Block never used
+#: on them: each record is the parent's with its ``"vs-block"`` decision removed.
 _PINNED_RECORDS = {
     ("fem", "triangular-solve", "python"): "af412b2adadca56cc3cee7e6948a42636cc622639b06c3169170757a69cc0b09",
     ("fem", "triangular-solve", "c"): "854738d45a17742c8625ee1a3c600bc2e2bd1ee2593d707b0b6d68b36e4de2df",
@@ -356,12 +339,10 @@ _PINNED_RECORDS = {
     ("fem", "cholesky", "c"): "f5e8675ba12824562e7b6b04b8569d076a56e9c1611b20837afc4dd5c8d4dc0c",
     ("fem", "ldlt", "python"): "5f8989a8e9499e1aa3ca0c83f89c460724727bf23e4f7b85c0a4031b8be7d29a",
     ("fem", "ldlt", "c"): "58b47debbad7b69faa2fddf2147c8acfe2079d5d36ed9d55c2f089c21f19d9f8",
-    ("fem", "lu", "python"): "93cecceb5b9c906904f512c703be8a0019b47823a37919c561cd72c1e30cf6c0",
-    ("fem", "lu", "c"): "e9161f9d83ec7eb2fcbdbec8a70ac3d1011a5a665bf712472ecb64f365733c16",
-    ("fem", "ic0", "python"): "a26974711ad17d8c0a77ee74be9db05c4b9f3be090281a8226125dab159b5da5",
-    ("fem", "ic0", "c"): "dae0cf316295f2e98011994d383bf2f627d1a4aac731c628de2c10f43d901e5b",
-    ("fem", "ilu0", "python"): "a307b92267077378d4609a81552ab1102eece7d792256dc0766ccadb2bcf9c41",
-    ("fem", "ilu0", "c"): "20b6305b6656e84316c64c1484581ab1064ef6da5a3a961222e26cc45ecd85c2",
+    ("fem", "lu", "python"): "6efba9111dc95e7a4f82affba67fe6b440a820ac57a3a2f4476fe9d0377d9ca5",
+    ("fem", "lu", "c"): "26ef4f1e6131ec846994d1b587588c0e851e5295b95718473d142dcc7471e8f2",
+    ("fem", "ic0", "python"): "332d56a61ed32827cfe7c8e754c44a93779da72cc8eee653ba76fd3b9ad8e8f7",
+    ("fem", "ic0", "c"): "4a5d771408f30523e4f120ce90cdfe38ae23b4608ab73f2d3afa169afb2cfc30",
     ("fem", "triangular-solve/sparse-rhs", "python"): "20c71e2810c1aed47aec2520e4ec999d8c9289f1275716c397602888fb9fa1b3",
     ("fem", "triangular-solve/sparse-rhs", "c"): "9c498596dc7dcb183a1856be55d587bc073115a7b75135363c760a33e8da69e5",
     ("mindeg", "triangular-solve", "python"): "1b7c0b2d0577f3119809fc477d99f00d0edd42226bc14513fc1279cfc165a75f",
@@ -370,12 +351,10 @@ _PINNED_RECORDS = {
     ("mindeg", "cholesky", "c"): "6e654e3e692af0c69e5dd592e9e43cef31d93c921e4ce42945c9f42e3ffb8e37",
     ("mindeg", "ldlt", "python"): "0834967160b6cc9c8f796350df8b05fcc6d08fef0595ffc1150255b9e96d5084",
     ("mindeg", "ldlt", "c"): "b90aab3f6d89c9fd772321f7e2d646f79f53eef92663821ad79b5d2ef7e41920",
-    ("mindeg", "lu", "python"): "f76f08cfbe2f5ab071cf4675430285851b72027efc4b34d08819876cd6a25c06",
-    ("mindeg", "lu", "c"): "6636c411b192969a1cde655009bba2c8d85e983b3f2c18d24f77c0589d99f369",
-    ("mindeg", "ic0", "python"): "0d254d2a2f07e093d8f6bd9bc1f249150841f478f3793ae84cdb521556644725",
-    ("mindeg", "ic0", "c"): "295aec6e2fd67b88bab58f8924e10cb2728a7134587452b452210c2912d8524a",
-    ("mindeg", "ilu0", "python"): "fb02767953704e56926e654d07c086bc4b4abe490a4c20ad8ae32c818e27e4a4",
-    ("mindeg", "ilu0", "c"): "88a80a751b58dd2de40da1a15ea38e219683ea0ab8099b819deeba76df478c63",
+    ("mindeg", "lu", "python"): "79ede0eaa9265e6f15e0f8c096e4f7d0ccd42b56b23dc1be42cf7b5a68f37043",
+    ("mindeg", "lu", "c"): "56866437916eefc388b57d393d85c6bff920a17aeeaf9a02b9a662c55f4cf689",
+    ("mindeg", "ic0", "python"): "dc29e5ee485d8760ded49c976f8f4a32551c5d1379c59d9e4bb754b4fc7a4ac4",
+    ("mindeg", "ic0", "c"): "0d13fe270ea17f8210ed2b69c76a672aeb5cf95169ece9d14de7c47ef048eb38",
     ("mindeg", "triangular-solve/sparse-rhs", "python"): "bb648c0060935937dd53131133a859bcf1c0489adcfcebe08f457393a90227ed",
     ("mindeg", "triangular-solve/sparse-rhs", "c"): "a3eca2b77f82a972e8ee61afd69408f39c290da194b09883ffca5366a32de0a9",
     ("mindeg3d", "triangular-solve", "python"): "e00ddc3f9a75f2bc058ceb4b6e3ea9014961c9d39b5f04424c8c864b342193c7",
@@ -384,12 +363,10 @@ _PINNED_RECORDS = {
     ("mindeg3d", "cholesky", "c"): "b7a5590744c80bfd4025e54c3ce81bcf4c1cf23a9d1e008c0bf28acff876d18c",
     ("mindeg3d", "ldlt", "python"): "d6065f0b002595a47ea2f953c6637b5af8e839f3723a63bf33d6ffbc594cfe7a",
     ("mindeg3d", "ldlt", "c"): "6db45c1a830d0e449d39054dbbc8c975dbfad6fbc141c77c184a0ff9df437de9",
-    ("mindeg3d", "lu", "python"): "ad3037a1a7d9641533bf198e05eb5017b072d1ab03971a9ddc7f646fbc457748",
-    ("mindeg3d", "lu", "c"): "962e94f1aa3f198b3b0069402c91a19fecc1c61c2ffeae5a7276060bd40e0845",
-    ("mindeg3d", "ic0", "python"): "4a759edd0996796c0f6a2f8076c090687771940d0279a04ab32e4dc63afd3aeb",
-    ("mindeg3d", "ic0", "c"): "8e56d8bf7422dc5cbea91397e2c8f3252b967afa8b71d0f3f98be6ec76e68ae1",
-    ("mindeg3d", "ilu0", "python"): "5d4c6eef83568beb96068058ca7f10425ebb08d9f20b9333157f2d2a66ca1665",
-    ("mindeg3d", "ilu0", "c"): "c1112f22ab823e60038933b66667e25f5dc80d6a63bd505995a2723399e3111c",
+    ("mindeg3d", "lu", "python"): "4c163eb118c82f76de1e7f77d8d9e8f150c6e0d9d05a1fe61eb960fd3eab01fd",
+    ("mindeg3d", "lu", "c"): "41ae82e2f09c055978a6ccb65beca559b9e79d79b9180c6c8069775e8ae75a7c",
+    ("mindeg3d", "ic0", "python"): "517b6ef58faca107b5d13600a66b0ae7bb88c6bf168f645efb6827252660fe9e",
+    ("mindeg3d", "ic0", "c"): "9bc43459109e9c4567ae8d0c675b68b5057c8cb66a9837fc5ed1859e175fa086",
     ("mindeg3d", "triangular-solve/sparse-rhs", "python"): "379194347a6a81ad8e526f2921ce96076da6fe48f6cad4fef0869154d720f8ca",
     ("mindeg3d", "triangular-solve/sparse-rhs", "c"): "9555f0c20d7a6c4bfa170bd9346b3ece5f0c2f8d761ab1677926a3abcef062af",
 }

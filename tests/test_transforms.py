@@ -21,7 +21,6 @@ from repro.sparse.ordering import minimum_degree_ordering
 from repro.symbolic.inspector import (
     CholeskyInspector,
     IC0Inspector,
-    ILU0Inspector,
     LUInspector,
     TriangularSolveInspector,
 )
@@ -207,34 +206,6 @@ def test_ic0_scatter_is_the_pattern_intersection(spd_matrices):
     _check_ic0(spd_matrices["fem"])
 
 
-def _check_ilu0(A):
-    inspection = ILU0Inspector().inspect(A)
-    Lp, Li, Up, Ui = inspection.l_indptr, inspection.l_indices, inspection.u_indptr, inspection.u_indices
-    dims, sets = tables.incomplete_ilu0(A, inspection)
-    assert dims == {"nnz_l": Li.size, "nnz_u": Ui.size, "n_below": Li.size - A.n}
-    np.testing.assert_array_equal(A.indices[sets["a_upper_pos"]], Ui)
-    np.testing.assert_array_equal(A.indices[sets["a_lower_pos"]], Li[sets["l_gather_dst"]])
-    assert np.intersect1d(sets["l_gather_dst"], Lp[:-1]).size == 0
-    t = 0
-    for j in range(A.n):
-        assert sets["prune_ptr"][j] == t
-        for k in Ui[Up[j] : Up[j + 1] - 1]:
-            assert Ui[sets["mult_pos"][t]] == k and Up[j] <= sets["mult_pos"][t] < Up[j + 1] - 1
-            below_k = Li[Lp[k] + 1 : Lp[k + 1]]
-            for stream, idx, lo, hi in (("u", Ui, Up[j], Up[j + 1]), ("l", Li, Lp[j] + 1, Lp[j + 1])):
-                ptr = sets[f"{stream}_scat_ptr"]
-                src, dst = sets[f"{stream}_scat_src"][ptr[t] : ptr[t + 1]], sets[f"{stream}_scat_dst"][ptr[t] : ptr[t + 1]]
-                assert np.all((Lp[k] < src) & (src < Lp[k + 1])) and np.all((lo <= dst) & (dst < hi))
-                np.testing.assert_array_equal(Li[src], idx[dst])
-                np.testing.assert_array_equal(Li[src], np.intersect1d(below_k, idx[lo:hi]))
-            t += 1
-    assert t == sets["mult_pos"].size
-
-
-def test_ilu0_scatter_splits_at_the_diagonal():
-    _check_ilu0(unsymmetric_diag_dominant(40, seed=5))
-
-
 def _check_segments(L, partition, active, min_width):
     dims, sets = tables.trisolve_segments(L, partition, active, min_width)
     rows = sets["seg"].reshape(-1, 5)
@@ -295,7 +266,6 @@ def test_tables_of_edge_patterns(name):
     _check_simplicial(A)
     _check_supernodal(A)
     _check_ic0(A)
-    _check_ilu0(A)
     inspection = CholeskyInspector().inspect(A)
     L = inspection.l_pattern_matrix()
     partition = TriangularSolveInspector().inspect(L).supernodes
@@ -451,24 +421,24 @@ def test_vi_prune_after_vs_block_drops_unreached_blocks(lower_factors):
     assert reach <= covered
 
 
-@pytest.mark.parametrize("method", ["lu", "ic0", "ilu0"])
-def test_vs_block_defers_on_lu_and_the_incomplete_factorizations(method):
-    """The participation test runs and is recorded, but the loop stays the pruned column loop."""
+@pytest.mark.parametrize("method", ["lu", "ic0"])
+def test_vs_block_is_not_considered_on_lu_or_ic0(method):
+    """No supernodes are inspected and no decision is recorded: the loop is the pruned column loop."""
     A = block_tridiagonal_spd(6, 6, seed=1, dense_coupling=True)
     inspector, plan, role = {
         "lu": (LUInspector, plan_lu, "simplicial-lu"),
         "ic0": (IC0Inspector, plan_incomplete, "incomplete-cholesky"),
-        "ilu0": (ILU0Inspector, plan_incomplete, "incomplete-lu"),
     }[method]
-    context = CompilationContext(method=method, matrix=A, inspection=inspector().inspect(A), options=SympilerOptions())
+    inspection = inspector().inspect(A)
+    assert not any(hasattr(inspection, name) for name in ("parent", "post", "l_col_counts", "supernodes"))
+    context = CompilationContext(method=method, matrix=A, inspection=inspection, options=SympilerOptions())
     loop = plan(context)
     assert loop.role == role and loop.factor_kind == method
-    decision = context.decisions["vs-block"]
-    assert decision["participates"] and decision["factor_kind"] == method and "deferred" in decision
+    assert "vs-block" not in context.decisions
     assert context.applied == ["vi-prune"]
 
 
-@pytest.mark.parametrize("method", ["triangular-solve", "cholesky", "ldlt", "lu", "ic0", "ilu0"])
+@pytest.mark.parametrize("method", ["triangular-solve", "cholesky", "ldlt"])
 def test_every_kernel_records_the_vs_block_thresholds(method):
     """Each VS-Block decision names the §4.2 thresholds it applied, the planner's constants."""
     from repro.compiler.cache import ArtifactCache
@@ -480,3 +450,33 @@ def test_every_kernel_records_the_vs_block_thresholds(method):
     decision = sym.compile(method, operand).decisions["vs-block"]
     assert decision["min_avg_width"] == plan_module._VS_BLOCK_MIN_AVG_WIDTH == 1.2
     assert decision["min_supernode_width"] == plan_module._VS_BLOCK_MIN_SUPERNODE_WIDTH == 2
+
+
+#: The kernels that consider VS-Block; LU and IC(0) allow no in-block fill and do not.
+_VS_BLOCK_KERNELS = ("cholesky", "ldlt", "triangular-solve")
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        pytest.param(lambda: block_tridiagonal_spd(6, 6, seed=1, dense_coupling=True), id="block-coupled"),
+        pytest.param(lambda: arrow_spd(30, 2, seed=6), id="arrow"),
+        pytest.param(lambda: generators.laplacian_2d(7), id="laplacian_2d"),
+    ],
+)
+@pytest.mark.parametrize("method", ["cholesky", "ic0", "ldlt", "lu", "triangular-solve"])
+def test_a_vs_block_decision_is_recorded_exactly_where_vs_block_is_considered(method, matrix):
+    from repro.compiler.cache import ArtifactCache
+    from repro.compiler.registry import registered_kernels
+    from repro.compiler.sympiler import Sympiler
+
+    assert method in registered_kernels()
+    sym = Sympiler(cache=ArtifactCache())
+    A = matrix()
+    operand = sym.compile("cholesky", A).inspection.l_pattern_matrix() if method == "triangular-solve" else A
+    compiled = sym.compile(method, operand)
+    considered = method in _VS_BLOCK_KERNELS
+    assert ("vs-block" in compiled.decisions) is considered
+    assert hasattr(compiled.inspection, "supernodes") is considered
+    if not considered:
+        assert "vs-block" not in compiled.applied_transformations
