@@ -5,9 +5,10 @@ runs the symbolic analysis of a sparse kernel at compile time and generates
 numeric code specialized to one sparsity pattern.  This package reproduces the
 full system:
 
-* :mod:`repro.sparse`   — CSC/CSR/COO containers, generators, orderings, I/O.
-* :mod:`repro.symbolic` — reach-sets, elimination trees, fill prediction,
-  supernodes and the symbolic-inspector framework.
+* :mod:`repro.sparse`   — CSC/COO containers, generators, orderings, permutations.
+* :mod:`repro.symbolic` — reach-sets in the factor's own CSC pattern,
+  elimination trees, fill prediction, supernodes and the symbolic-inspector
+  framework.
 * :mod:`repro.kernels`  — the FLOP model behind every reported GFLOP/s.
 * :mod:`repro.compiler` — the Sympiler core: the inspector-guided
   transformations (VS-Block, VI-Prune), planned as the one domain loop each kernel runs, and code generation (generated C, and
@@ -61,7 +62,6 @@ from repro.compiler import (
 )
 from repro.sparse import (
     CSCMatrix,
-    CSRMatrix,
     COOMatrix,
     Permutation,
     TripletBuilder,
@@ -104,7 +104,6 @@ __all__ = [
     "SparseLinearSolver",
     "BatchedSolver",
     "CSCMatrix",
-    "CSRMatrix",
     "COOMatrix",
     "TripletBuilder",
     "Permutation",

@@ -459,11 +459,6 @@ class ArtifactCache:
         with self._lock:
             self._entries.clear()
 
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction counters."""
-        with self._lock:
-            self._stats = CacheStats()
-
     @property
     def stats(self) -> CacheStats:
         """The live counter object (read-only use expected)."""

@@ -131,18 +131,3 @@ class SympilerOptions:
         ``decisions["vi-prune-forced"]``.
         """
         return cls(enable_vi_prune=False, enable_vs_block=False)
-
-    @classmethod
-    def vi_prune_only(cls) -> "SympilerOptions":
-        """Options enabling only VI-Prune."""
-        return cls(enable_vs_block=False)
-
-    @classmethod
-    def vs_block_only(cls) -> "SympilerOptions":
-        """Options enabling only VS-Block.
-
-        For the factorization kernels VI-Prune is forced back on (recorded in
-        ``decisions["vi-prune-forced"]``): where VS-Block does not take the
-        loop, the prune-sets are what makes it executable.
-        """
-        return cls(enable_vi_prune=False)

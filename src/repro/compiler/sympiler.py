@@ -265,18 +265,6 @@ class Sympiler:
         """Generate a Cholesky factorization specialized to ``A``'s pattern."""
         return self.compile("cholesky", A, options=options)
 
-    def compile_ldlt(
-        self,
-        A: CSCMatrix,
-        options: Optional[SympilerOptions] = None,
-    ) -> SympiledLDLT:
-        """Generate an LDLᵀ factorization specialized to ``A``'s pattern.
-
-        Serves symmetric indefinite systems (saddle-point/KKT matrices) that
-        Cholesky rejects.
-        """
-        return self.compile("ldlt", A, options=options)
-
     # ------------------------------------------------------------------ #
     @property
     def cache_stats(self) -> CacheStats:

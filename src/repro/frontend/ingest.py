@@ -35,6 +35,7 @@ from repro.compiler.codegen.runtime import pattern_fingerprint
 from repro.observe.trace import span
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.utils import require_real
 
 __all__ = ["IngestedMatrix", "ingest", "as_csc", "structure_fingerprint"]
 
@@ -94,6 +95,7 @@ def _from_triplets(obj) -> IngestedMatrix:
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     raw_values = np.asarray(values)
+    require_real(raw_values, "the matrix")
     if shape is None:
         n = int(max(rows.max(initial=-1), cols.max(initial=-1))) + 1
         shape = (n, n)
@@ -121,6 +123,7 @@ def ingest(A) -> IngestedMatrix:
                 csc=A.to_csc(), dtype=str(A.data.dtype), source_format="coo"
             )
         if _is_scipy_sparse(A):
+            require_real(A, "the matrix")
             dtype = str(getattr(A, "dtype", np.float64))
             return IngestedMatrix(
                 csc=CSCMatrix.from_scipy(A), dtype=dtype, source_format="scipy"
@@ -129,6 +132,7 @@ def ingest(A) -> IngestedMatrix:
             return _from_triplets(A)
         arr = np.asarray(A)
         if arr.ndim == 2:
+            require_real(arr, "the matrix")
             return IngestedMatrix(
                 csc=CSCMatrix.from_dense(arr.astype(np.float64)),
                 dtype=str(arr.dtype),

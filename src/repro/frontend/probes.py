@@ -92,8 +92,8 @@ def _probe_square(A: CSCMatrix) -> ProbeReport:
         )
     else:
         symmetric_values = False
-    diag = A.diagonal()
-    positive_diagonal = bool(A.has_full_diagonal() and np.all(diag > 0.0))
+    # A missing diagonal entry reads 0.0, so this also asks that every one is stored.
+    positive_diagonal = bool(np.all(A.diagonal() > 0.0))
 
     if symmetric_values and positive_diagonal:
         method = "cholesky"

@@ -46,6 +46,7 @@ from repro.frontend.probes import AUTO_METHODS, ProbeReport, probe_structure
 from repro.observe import trace as observe_trace
 from repro.solvers.linear_solver import OTHER_PATTERN, SparseLinearSolver
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.utils import require_real
 
 __all__ = ["SpecializedSolver", "FrontendStats", "solve", "sympiled", "default_frontend"]
 
@@ -164,6 +165,12 @@ def _index_addresses(A) -> tuple:
         return (width, _addressof(_from_buffer(indptr)), _addressof(_from_buffer(indices))) if width else (0,)
     except (TypeError, ValueError):
         return (0,)
+
+
+def _real_rhs(b) -> np.ndarray:
+    """The caller's ``b`` as ``float64``; complex values are refused, not truncated."""
+    require_real(b, "b")
+    return np.asarray(b, dtype=np.float64)
 
 
 def _factorization_is_finite(solver: SparseLinearSolver) -> bool:
@@ -357,7 +364,7 @@ class SpecializedSolver:
         if x is not None:
             return x
         ingested = ingest(A)
-        b = np.asarray(b, dtype=np.float64)
+        b = _real_rhs(b)
         spec = self._find(ingested.csc, requested, ingested.dtype)
         specialized_here = False
         if spec is None:
@@ -421,9 +428,9 @@ class SpecializedSolver:
             if out is None:
                 if not spec.is_pattern_of(A):
                     continue
+                b = _real_rhs(b)
                 with self._lock:
                     self._hit(spec)
-                b = np.asarray(b, dtype=np.float64)
                 return self._execute(
                     spec,
                     values,

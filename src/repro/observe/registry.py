@@ -222,10 +222,6 @@ class MetricsRegistry:
         with self._lock:
             return self._collectors.pop(name, None) is not None
 
-    def collector_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._collectors)
-
     def collect(self) -> Dict[str, Dict[str, object]]:
         """Poll every collector; a raising collector contributes its error."""
         with self._lock:

@@ -72,10 +72,6 @@ class ServiceMetrics:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def observe_latency(self, seconds: float) -> None:
-        """Record one request's latency alone."""
-        self._latency.observe(seconds)
-
     def observe_request(self, refactorized: Optional[bool], seconds: float) -> None:
         """Record one request, under one lock: its outcome, its dispatch of one and its latency.
 

@@ -291,18 +291,6 @@ class SolverService:
             return False
         return self._drop_entry(key, reason="explicit")
 
-    def handle_for(self, handle_id: str) -> PatternHandle:
-        """Look up a registered handle by its wire id."""
-        with self._lock:
-            key = self._by_id.get(handle_id)
-            entry = self._entries.get(key) if key is not None else None
-        if entry is None:
-            raise PatternEvictedError(
-                f"no registered pattern for handle {handle_id!r} "
-                "(evicted or never registered); re-register the pattern"
-            )
-        return entry.handle
-
     def _resolve_key(self, handle, *, missing_ok: bool = False):
         if isinstance(handle, PatternHandle):
             return handle.key

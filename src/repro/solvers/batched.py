@@ -30,7 +30,7 @@ from repro.compiler.codegen.c_backend import resolve_num_threads
 from repro.compiler.options import SympilerOptions
 from repro.solvers.linear_solver import SparseLinearSolver, map_items
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.utils import require_finite_values
+from repro.sparse.utils import require_finite_values, require_real
 
 __all__ = ["BatchedSolver", "FactorHandle"]
 
@@ -172,6 +172,7 @@ class BatchedSolver:
                     "pass same-pattern CSCMatrix scenarios to let the solver "
                     "permute them"
                 )
+            require_real(scenarios, "the value batch")
             values = np.asarray(scenarios, dtype=np.float64)
             if values.ndim != 2 or values.shape[1] != self.solver.A_permuted.nnz:
                 raise ValueError(

@@ -44,7 +44,7 @@ from repro.observe.trace import enabled as tracing_enabled
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ordering import ordering_by_name
 from repro.sparse.permutation import Permutation
-from repro.sparse.utils import require_finite_values
+from repro.sparse.utils import require_finite_values, require_real
 from repro.symbolic import native
 
 __all__ = ["OTHER_PATTERN", "SparseLinearSolver", "backward_factor", "map_items"]
@@ -445,6 +445,7 @@ class SparseLinearSolver:
 
     def _rhs(self, b) -> np.ndarray:
         """``b`` as float64, checked before the entry runs."""
+        require_real(b, "b")
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.A.n,):
             raise ValueError(f"b must have shape ({self.A.n},)")
@@ -580,6 +581,7 @@ class SparseLinearSolver:
         the C backend and more than one thread the columns run on a thread
         pool (:func:`map_items`), and they come back in order either way.
         """
+        require_real(B, "B")
         B = np.asarray(B, dtype=np.float64)
         if B.ndim != 2 or B.shape[0] != self.A.n:
             raise ValueError(f"B must have shape ({self.A.n}, k)")

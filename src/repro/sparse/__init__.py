@@ -1,15 +1,16 @@
 """Sparse-matrix substrate for the Sympiler reproduction.
 
-This package provides the compressed sparse data structures, synthetic matrix
-generators, orderings, permutations and I/O that both the symbolic-analysis
-layer (:mod:`repro.symbolic`) and the code generator (:mod:`repro.compiler`)
-are built on.  The central container is :class:`repro.sparse.csc.CSCMatrix`,
-the compressed-sparse-column format used throughout the paper.
+This package provides the compressed sparse containers, synthetic matrix
+generators, orderings and permutations that both the symbolic-analysis layer
+(:mod:`repro.symbolic`) and the code generator (:mod:`repro.compiler`) are
+built on.  The central container is :class:`repro.sparse.csc.CSCMatrix`, the
+compressed-sparse-column format used throughout the paper; COO triplets
+(:class:`~repro.sparse.coo.COOMatrix`) are the assembly format.  Other forms
+— scipy matrices, dense arrays — enter through :mod:`repro.frontend.ingest`.
 """
 
 from repro.sparse.coo import COOMatrix, TripletBuilder
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.csr import CSRMatrix
 from repro.sparse.generators import (
     arrow_spd,
     banded_spd,
@@ -24,30 +25,19 @@ from repro.sparse.generators import (
     sparse_rhs,
     unsymmetric_diag_dominant,
 )
-from repro.sparse.io import read_matrix_market, write_matrix_market
 from repro.sparse.ordering import (
     minimum_degree_ordering,
     natural_ordering,
     reverse_cuthill_mckee,
 )
 from repro.sparse.permutation import Permutation
-from repro.sparse.utils import (
-    dense_lower_from_csc,
-    is_symmetric_pattern,
-    lower_triangle,
-    residual_norm,
-    symmetrize_pattern,
-    upper_triangle,
-)
+from repro.sparse.utils import symmetrize_pattern
 
 __all__ = [
     "CSCMatrix",
-    "CSRMatrix",
     "COOMatrix",
     "TripletBuilder",
     "Permutation",
-    "read_matrix_market",
-    "write_matrix_market",
     "minimum_degree_ordering",
     "reverse_cuthill_mckee",
     "natural_ordering",
@@ -63,10 +53,5 @@ __all__ = [
     "saddle_point_indefinite",
     "unsymmetric_diag_dominant",
     "sparse_rhs",
-    "lower_triangle",
-    "upper_triangle",
     "symmetrize_pattern",
-    "is_symmetric_pattern",
-    "residual_norm",
-    "dense_lower_from_csc",
 ]

@@ -8,13 +8,12 @@ which the symbolic-analysis routines rely on.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sparse.coo import COOMatrix
-    from repro.sparse.csr import CSRMatrix
 
 __all__ = ["CSCMatrix", "group_pointers"]
 
@@ -146,17 +145,6 @@ class CSCMatrix:
     def col_values(self, j: int) -> np.ndarray:
         """Numeric values of column ``j`` (a view, do not mutate)."""
         return self.data[self.col_slice(j)]
-
-    def col_nnz(self, j: int) -> int:
-        """Number of stored entries in column ``j``."""
-        s = self.col_slice(j)
-        return s.stop - s.start
-
-    def iter_cols(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(j, rows, values)`` for every column."""
-        for j in range(self.n_cols):
-            s = self.col_slice(j)
-            yield j, self.indices[s], self.data[s]
 
     def get(self, i: int, j: int) -> float:
         """Return entry ``(i, j)``, or ``0.0`` when it is not stored."""
@@ -306,12 +294,6 @@ class CSCMatrix:
 
         return COOMatrix(self.n_rows, self.n_cols, self.indices.copy(), self.col_indices(), self.data.copy())
 
-    def to_csr(self) -> "CSRMatrix":
-        """Return the CSR form (row-major compressed storage)."""
-        from repro.sparse.csr import CSRMatrix
-
-        return CSRMatrix.from_csc(self)
-
     def copy(self) -> "CSCMatrix":
         """Deep copy."""
         return CSCMatrix(
@@ -348,22 +330,6 @@ class CSCMatrix:
         order = np.argsort(self.indices, kind="stable")
         return CSCMatrix(n_cols, n_rows, indptr_t, self.col_indices()[order], self.data[order], check=False)
 
-    def prune(self, *, drop_tol: float = 0.0) -> "CSCMatrix":
-        """Remove stored entries with ``|a_ij| <= drop_tol``."""
-        keep = np.abs(self.data) > drop_tol
-        new_indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
-        for j in range(self.n_cols):
-            s = self.col_slice(j)
-            new_indptr[j + 1] = new_indptr[j] + int(keep[s].sum())
-        return CSCMatrix(
-            self.n_rows,
-            self.n_cols,
-            new_indptr,
-            self.indices[keep],
-            self.data[keep],
-            check=False,
-        )
-
     def pattern_equal(self, other: "CSCMatrix") -> bool:
         """True when both matrices have identical nonzero structure."""
         return (
@@ -371,18 +337,6 @@ class CSCMatrix:
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.indices, other.indices)
         )
-
-    def allclose(self, other: "CSCMatrix", *, rtol: float = 1e-10, atol: float = 1e-12) -> bool:
-        """Numerically compare two matrices irrespective of stored pattern."""
-        if self.shape != other.shape:
-            return False
-        return np.allclose(self.to_dense(), other.to_dense(), rtol=rtol, atol=atol)
-
-    def scale(self, alpha: float) -> "CSCMatrix":
-        """Return ``alpha * A``."""
-        out = self.copy()
-        out.data *= float(alpha)
-        return out
 
     def add(self, other: "CSCMatrix") -> "CSCMatrix":
         """Return ``A + B`` (patterns are merged)."""
@@ -444,19 +398,3 @@ class CSCMatrix:
         # Rows are sorted, so the first entry of a column decides for it.
         filled = np.flatnonzero(np.diff(self.indptr))
         return bool(np.all(self.indices[self.indptr[filled]] >= filled + int(strict)))
-
-    def is_upper_triangular(self, *, strict: bool = False) -> bool:
-        """True if every stored entry lies on/above the diagonal."""
-        filled = np.flatnonzero(np.diff(self.indptr))
-        return bool(np.all(self.indices[self.indptr[filled + 1] - 1] <= filled - int(strict)))
-
-    def has_full_diagonal(self) -> bool:
-        """True when every diagonal position (i, i) is a stored entry."""
-        stored = np.zeros(min(self.n_rows, self.n_cols), dtype=bool)
-        cols = self.col_indices()
-        stored[cols[self.indices == cols]] = True
-        return bool(stored.all())
-
-    def column_pattern_hash(self, j: int) -> int:
-        """A cheap hash of column ``j``'s row pattern (used in tests)."""
-        return hash(self.col_rows(j).tobytes())

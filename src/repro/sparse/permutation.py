@@ -2,7 +2,7 @@
 
 Fill-reducing orderings (see :mod:`repro.sparse.ordering`) produce a
 :class:`Permutation` which is applied symmetrically to an SPD matrix before
-factorization: ``B = P A Pᵀ``.  The same permutation object converts
+factorization: ``B = P A Pᵀ``.  Its ``perm`` / ``inv`` arrays convert
 right-hand sides and solutions between the original and permuted orderings.
 """
 
@@ -48,39 +48,10 @@ class Permutation:
         """The identity permutation on ``n`` items."""
         return cls(np.arange(n, dtype=np.int64))
 
-    @classmethod
-    def from_inverse(cls, inv: np.ndarray) -> "Permutation":
-        """Build from the inverse ("old → new") map."""
-        inv = np.asarray(inv, dtype=np.int64)
-        perm = np.empty_like(inv)
-        perm[inv] = np.arange(inv.size, dtype=np.int64)
-        return cls(perm)
-
     @property
     def n(self) -> int:
         """Number of permuted items."""
         return int(self.perm.size)
-
-    def is_identity(self) -> bool:
-        """True when the permutation leaves every index in place."""
-        return bool(np.array_equal(self.perm, np.arange(self.n, dtype=np.int64)))
-
-    # ------------------------------------------------------------------ #
-    # Vector application
-    # ------------------------------------------------------------------ #
-    def apply_vec(self, x: np.ndarray) -> np.ndarray:
-        """Return ``P x`` (gather: ``out[k] = x[perm[k]]``)."""
-        x = np.asarray(x)
-        if x.shape[0] != self.n:
-            raise ValueError("vector length does not match the permutation size")
-        return x[self.perm]
-
-    def apply_inverse_vec(self, y: np.ndarray) -> np.ndarray:
-        """Return ``Pᵀ y`` (scatter back to the original ordering)."""
-        y = np.asarray(y)
-        if y.shape[0] != self.n:
-            raise ValueError("vector length does not match the permutation size")
-        return y[self.inv]
 
     # ------------------------------------------------------------------ #
     # Matrix application
@@ -95,33 +66,6 @@ class Permutation:
         new_rows = self.inv[coo.rows]
         new_cols = self.inv[coo.cols]
         return COOMatrix(A.n_rows, A.n_cols, new_rows, new_cols, coo.data).to_csc()
-
-    def permute_rows(self, A: CSCMatrix) -> CSCMatrix:
-        """Return ``P A`` (rows reordered)."""
-        if A.n_rows != self.n:
-            raise ValueError("row count does not match the permutation size")
-        coo = A.to_coo()
-        return COOMatrix(
-            A.n_rows, A.n_cols, self.inv[coo.rows], coo.cols, coo.data
-        ).to_csc()
-
-    def permute_cols(self, A: CSCMatrix) -> CSCMatrix:
-        """Return ``A Pᵀ`` (columns reordered)."""
-        if A.n_cols != self.n:
-            raise ValueError("column count does not match the permutation size")
-        coo = A.to_coo()
-        return COOMatrix(
-            A.n_rows, A.n_cols, coo.rows, self.inv[coo.cols], coo.data
-        ).to_csc()
-
-    # ------------------------------------------------------------------ #
-    # Composition
-    # ------------------------------------------------------------------ #
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return the permutation "apply ``other`` first, then ``self``"."""
-        if self.n != other.n:
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(other.perm[self.perm])
 
     def inverse(self) -> "Permutation":
         """Return the inverse permutation."""

@@ -3,9 +3,12 @@
 Symbolic analysis (a term from the numerical-computing community, §1 of the
 paper) covers every computation that depends only on the *nonzero pattern* of
 the inputs and not on their values: reachability in the dependence graph,
-elimination trees, fill-in prediction, row/column counts and supernode
+elimination trees, fill-in prediction, column counts and supernode
 detection.  Sympiler runs these routines at compile time — the "symbolic
-inspector" — and bakes their results into generated code.
+inspector" — and bakes their results into generated code.  The dependence
+graph DG_L (Fig. 1 of the paper) is never built as an object: it is ``L``'s
+own CSC column structure, which the reach walks in place
+(:mod:`repro.symbolic.reach`).
 
 This package implements those graph algorithms plus the inspector framework
 (:mod:`repro.symbolic.inspector`) that packages their results into
@@ -13,15 +16,8 @@ This package implements those graph algorithms plus the inspector framework
 :mod:`repro.compiler.plan`.
 """
 
-from repro.symbolic.colcount import column_counts_of_factor, row_counts_of_factor
-from repro.symbolic.dependency_graph import DependencyGraph
-from repro.symbolic.etree import (
-    EliminationTree,
-    elimination_tree,
-    first_children,
-    postorder,
-    tree_depths,
-)
+from repro.symbolic.colcount import column_counts_of_factor
+from repro.symbolic.etree import elimination_tree, postorder
 from repro.symbolic.fill_pattern import (
     cholesky_pattern,
     ereach,
@@ -44,19 +40,14 @@ from repro.symbolic.supernodes import (
 )
 
 __all__ = [
-    "DependencyGraph",
     "reach_set",
     "reach_set_sorted",
-    "EliminationTree",
     "elimination_tree",
     "postorder",
-    "first_children",
-    "tree_depths",
     "ereach",
     "cholesky_pattern",
     "lu_pattern",
     "column_counts_of_factor",
-    "row_counts_of_factor",
     "SupernodePartition",
     "cholesky_supernodes",
     "triangular_supernodes",

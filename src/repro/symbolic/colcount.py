@@ -1,7 +1,7 @@
-"""Row and column counts of the Cholesky factor.
+"""Column counts of the Cholesky factor.
 
-Column counts (``colcount[j] = nnz(L[:, j])`` including the diagonal) and row
-counts, computed without forming ``L``.  The supernode detection rule compares
+Column counts (``colcount[j] = nnz(L[:, j])`` including the diagonal),
+computed without forming ``L``.  The supernode detection rule compares
 adjacent column counts (§4.2 of the paper).
 """
 
@@ -14,30 +14,7 @@ from repro.symbolic import native
 from repro.symbolic.etree import elimination_tree
 from repro.symbolic.fill_pattern import _ereach_stamped, _upper_pattern
 
-__all__ = [
-    "column_counts_of_factor",
-    "row_counts_of_factor",
-]
-
-
-def _factor_counts(A: CSCMatrix, parent: np.ndarray | None):
-    """``(row counts, column counts)`` of ``L``, diagonal included, ``L`` never formed."""
-    if parent is None:
-        parent = elimination_tree(A)
-    upper = _upper_pattern(A)
-    n = upper.n
-    lib = native.helper()
-    if lib is not None:
-        row_ptr, l_indptr = lib.factor_counts(n, upper.indptr, upper.indices, parent)
-        return np.diff(row_ptr) + 1, np.diff(l_indptr)
-    stamp = np.full(n, -1, dtype=np.int64)
-    row_counts = np.empty(n, dtype=np.int64)
-    col_counts = np.ones(n, dtype=np.int64)  # the diagonal of every column
-    for k in range(n):
-        reach = _ereach_stamped(upper, k, parent, stamp)
-        row_counts[k] = reach.size + 1
-        col_counts[reach] += 1
-    return row_counts, col_counts
+__all__ = ["column_counts_of_factor"]
 
 
 def column_counts_of_factor(A: CSCMatrix, parent: np.ndarray | None = None) -> np.ndarray:
@@ -46,9 +23,15 @@ def column_counts_of_factor(A: CSCMatrix, parent: np.ndarray | None = None) -> n
     Uses the row-subtree characterization: row ``k`` contributes one entry to
     every column in ``ereach(A, k)``, and every column has its diagonal.
     """
-    return _factor_counts(A, parent)[1]
-
-
-def row_counts_of_factor(A: CSCMatrix, parent: np.ndarray | None = None) -> np.ndarray:
-    """``nnz`` per row of ``L`` (diagonal included)."""
-    return _factor_counts(A, parent)[0]
+    if parent is None:
+        parent = elimination_tree(A)
+    upper = _upper_pattern(A)
+    n = upper.n
+    lib = native.helper()
+    if lib is not None:
+        return np.diff(lib.factor_counts(n, upper.indptr, upper.indices, parent)[1])
+    stamp = np.full(n, -1, dtype=np.int64)
+    col_counts = np.ones(n, dtype=np.int64)  # the diagonal of every column
+    for k in range(n):
+        col_counts[_ereach_stamped(upper, k, parent, stamp)] += 1
+    return col_counts

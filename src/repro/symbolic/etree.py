@@ -18,7 +18,6 @@ the native results are tested against (array-equal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
@@ -29,10 +28,7 @@ from repro.symbolic import native
 __all__ = [
     "elimination_tree",
     "postorder",
-    "first_children",
     "child_counts",
-    "tree_depths",
-    "EliminationTree",
 ]
 
 
@@ -137,63 +133,3 @@ def postorder_reference(parent: np.ndarray) -> np.ndarray:
     if k != n:
         raise ValueError("parent array does not describe a forest (cycle detected)")
     return order
-
-
-def tree_depths(parent: np.ndarray) -> np.ndarray:
-    """Depth of every node (roots have depth 0)."""
-    parent = np.asarray(parent, dtype=np.int64)
-    n = parent.size
-    depth = np.full(n, -1, dtype=np.int64)
-    for j in range(n):
-        # Walk to the nearest node with a known depth, then unwind.
-        path = []
-        v = j
-        while v != -1 and depth[v] == -1:
-            path.append(v)
-            v = parent[v]
-        base = depth[v] if v != -1 else -1
-        for node in reversed(path):
-            base += 1
-            depth[node] = base
-    return depth
-
-
-@dataclass(frozen=True)
-class EliminationTree:
-    """The elimination tree plus commonly used derived structure."""
-
-    parent: np.ndarray
-    post: np.ndarray = field(repr=False)
-    children: List[List[int]] = field(repr=False)
-
-    @classmethod
-    def from_matrix(cls, A: CSCMatrix) -> "EliminationTree":
-        """Build the tree, its postorder and children lists from ``A``."""
-        parent = elimination_tree(A)
-        return cls(parent=parent, post=postorder(parent), children=first_children(parent))
-
-    @property
-    def n(self) -> int:
-        """Number of nodes."""
-        return int(self.parent.size)
-
-    def roots(self) -> np.ndarray:
-        """Indices of the forest roots."""
-        return np.nonzero(self.parent == -1)[0].astype(np.int64)
-
-    def n_children(self, j: int) -> int:
-        """Number of children of node ``j``."""
-        return len(self.children[j])
-
-    def path_to_root(self, j: int) -> np.ndarray:
-        """Nodes on the path from ``j`` (inclusive) to its root (inclusive)."""
-        path = []
-        v = int(j)
-        while v != -1:
-            path.append(v)
-            v = int(self.parent[v])
-        return np.asarray(path, dtype=np.int64)
-
-    def depths(self) -> np.ndarray:
-        """Depth of every node."""
-        return tree_depths(self.parent)

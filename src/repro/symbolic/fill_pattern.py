@@ -29,7 +29,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.utils import lower_triangle
 from repro.symbolic import native
 from repro.symbolic.etree import elimination_tree
 
@@ -37,7 +36,6 @@ __all__ = [
     "ereach",
     "factor_structure",
     "cholesky_pattern",
-    "symbolic_factor_nnz",
     "lu_pattern",
 ]
 
@@ -167,12 +165,6 @@ def cholesky_pattern(
     return factor_structure(A, parent)[2:]
 
 
-def symbolic_factor_nnz(A: CSCMatrix, parent: np.ndarray | None = None) -> int:
-    """Number of nonzeros of ``L`` (diagonal included), without forming it."""
-    indptr, _ = cholesky_pattern(A, parent)
-    return int(indptr[-1])
-
-
 def lu_pattern(A: CSCMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact column patterns of ``A = L U`` without pivoting (GP symbolic).
 
@@ -254,10 +246,3 @@ def lu_pattern_reference(
         u_indices[u_indptr[j] : u_indptr[j + 1] - 1] = u_cols[j]
         u_indices[u_indptr[j + 1] - 1] = j
     return l_indptr, l_indices, u_indptr, u_indices
-
-
-def fill_in_count(A: CSCMatrix, parent: np.ndarray | None = None) -> int:
-    """Number of fill-in entries: ``nnz(L) - nnz(tril(A))``."""
-    nnz_l = symbolic_factor_nnz(A, parent)
-    nnz_tril = lower_triangle(A).nnz
-    return nnz_l - nnz_tril

@@ -34,11 +34,7 @@ import numpy as np
 # though the compiler package itself depends on this module.
 from repro.sparse.csc import CSCMatrix, group_pointers
 from repro.symbolic.etree import elimination_tree, postorder
-from repro.symbolic.fill_pattern import (
-    cholesky_pattern,
-    factor_structure,
-    lu_pattern,
-)
+from repro.symbolic.fill_pattern import factor_structure, lu_pattern
 from repro.symbolic.reach import reach_set
 from repro.symbolic.supernodes import (
     SupernodePartition,
@@ -435,15 +431,3 @@ class IC0Inspector(SymbolicInspector):
             row_idx=cols[strict][np.argsort(rows_below, kind="stable")],
             symbolic_seconds=time.perf_counter() - start,
         )
-
-
-def verify_cholesky_pattern_consistency(A: CSCMatrix) -> bool:
-    """Cross-check the inspector's L pattern against :func:`cholesky_pattern`.
-
-    Used by the test-suite as an internal consistency oracle.
-    """
-    result = CholeskyInspector().inspect(A)
-    indptr, indices = cholesky_pattern(A, result.parent)
-    return bool(
-        np.array_equal(indptr, result.l_indptr) and np.array_equal(indices, result.l_indices)
-    )

@@ -19,7 +19,7 @@ Two detectors are provided, matching Table 1 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -87,30 +87,6 @@ class SupernodePartition:
     def sizes(self) -> np.ndarray:
         """Widths of all supernodes."""
         return np.diff(self.super_ptr)
-
-    def average_size(self) -> float:
-        """Mean supernode width — the VS-Block participation heuristic input."""
-        sizes = self.sizes()
-        return float(sizes.mean()) if sizes.size else 0.0
-
-    def max_size(self) -> int:
-        """Largest supernode width."""
-        sizes = self.sizes()
-        return int(sizes.max()) if sizes.size else 0
-
-    def supernode_of(self, j: int) -> int:
-        """Supernode containing column ``j``."""
-        return int(self.col_to_super[j])
-
-    def iter_supernodes(self) -> Iterator[Tuple[int, int, int]]:
-        """Yield ``(s, start_col, end_col)`` for every supernode."""
-        for s in range(self.n_supernodes):
-            start, end = self.columns(s)
-            yield s, start, end
-
-    def is_trivial(self) -> bool:
-        """True when every supernode is a single column."""
-        return self.n_supernodes == self.n_columns
 
 
 def supernodes_from_boundaries(boundaries: List[int] | np.ndarray, n: int) -> SupernodePartition:

@@ -5,15 +5,23 @@ Each runs on a dense copy of the matrix, without pivoting.  :func:`ldlt` and
 restricts every update to the stored entries of ``A``.  It runs
 left-looking, with sources in ascending order, which is the operation order
 of the python backend's kernel, so the two agree to the bit.
+:func:`lower_triangle` is scipy's ``tril`` on a CSC matrix;
 :func:`on_pattern` reads a dense factor at the stored entries of a CSC one;
 :func:`solve_with` solves with compiled factors by scipy's triangular solves.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
 from repro.baselines.scipy_reference import reference_cholesky
+from repro.sparse.csc import CSCMatrix
 from repro.symbolic.inspector import CholeskyInspector
+
+
+def lower_triangle(A):
+    """The stored entries of ``A`` on and below the diagonal, by scipy's ``tril``."""
+    return CSCMatrix.from_scipy(sp.tril(A.to_scipy(), format="csc"))
 
 
 def on_pattern(dense, M):

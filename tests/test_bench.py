@@ -19,7 +19,6 @@ from repro.bench.suite import build_suite, load_suite_matrix, small_suite
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
-from repro.sparse.utils import is_symmetric_pattern
 
 needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
 
@@ -36,7 +35,7 @@ class TestSuite:
         for entry in small_suite():
             A = load_suite_matrix(entry)
             assert A.is_square()
-            assert is_symmetric_pattern(A)
+            assert A.pattern_equal(A.transpose())
 
     def test_load_suite_matrix_applies_ordering(self):
         entry = small_suite()[1]  # mindeg-ordered entry

@@ -19,7 +19,6 @@ from repro.compiler.sympiler import Sympiler
 from repro.frontend import SpecializedSolver
 from repro.solvers.linear_solver import backward_factor
 from repro.sparse import generators as g
-from repro.sparse.utils import is_symmetric_pattern
 from repro.symbolic.inspector import CholeskyInspector, LUInspector
 
 pytestmark = pytest.mark.skipif(
@@ -49,7 +48,7 @@ def _compile(kernel, A, options):
         return sym.compile(kernel, A, options=options)
     # The triangular solve runs on a factor pattern: the one the symbolic
     # analysis of A predicts (L of LU when A is not symmetric).
-    inspector = CholeskyInspector() if is_symmetric_pattern(A) else LUInspector()
+    inspector = CholeskyInspector() if A.pattern_equal(A.transpose()) else LUInspector()
     L = inspector.inspect(A).l_pattern_matrix()
     return sym.compile(kernel, L, options=options)
 
@@ -91,7 +90,7 @@ def test_every_triangular_solve_is_one_shared_object():
     artifacts = []
     for build in MATRICES.values():
         A = build()
-        if is_symmetric_pattern(A):
+        if A.pattern_equal(A.transpose()):
             L, U = CholeskyInspector().inspect(A).l_pattern_matrix(), None
         else:
             inspection = LUInspector().inspect(A)

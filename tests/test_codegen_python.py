@@ -33,8 +33,8 @@ class TestTriangularSolve:
         "options",
         [
             SympilerOptions.baseline(),
-            SympilerOptions.vi_prune_only(),
-            SympilerOptions.vs_block_only(),
+            SympilerOptions(enable_vs_block=False),
+            SympilerOptions(enable_vi_prune=False),
             SympilerOptions(),
         ],
         ids=["baseline", "vi-prune", "vs-block", "full"],
@@ -64,7 +64,7 @@ class TestTriangularSolve:
     def test_constants_are_the_table_block(self, lower_factors):
         L = lower_factors["fem"]
         b = sparse_rhs(L.n, nnz=3, seed=2)
-        module, loop = _generate_trisolve(L, b, SympilerOptions.vi_prune_only())
+        module, loop = _generate_trisolve(L, b, SympilerOptions(enable_vs_block=False))
         assert list(module.constants) == ["_C_dims", "_C_seg", "_C_run_cols", "_C_blk_cs"]
         assert all(t.dtype == np.int64 and t.flags.c_contiguous for t in module.constants.values())
         assert module.constants["_C_dims"].tolist() == [L.n, 1]

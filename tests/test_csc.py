@@ -116,18 +116,8 @@ def test_col_access(small):
     vals = A.col_values(2)
     np.testing.assert_array_equal(rows, [0, 2, 3])
     np.testing.assert_allclose(vals, [-1.0, 5.0, 2.0])
-    assert A.col_nnz(2) == 3
     with pytest.raises(IndexError):
         A.col_rows(10)
-
-
-def test_iter_cols(small):
-    A, dense = small
-    cols = list(A.iter_cols())
-    assert len(cols) == 4
-    j, rows, vals = cols[3]
-    assert j == 3
-    np.testing.assert_array_equal(rows, [2, 3])
 
 
 def test_get_and_diagonal(small):
@@ -224,65 +214,34 @@ def test_copy_is_deep(small):
     assert A.data[0] != 99.0
 
 
-def test_prune_drops_small_entries():
-    dense = np.array([[1.0, 1e-14], [0.0, 2.0]])
-    A = CSCMatrix.from_dense(dense)
-    pruned = A.prune(drop_tol=1e-12)
-    assert pruned.nnz == 2
-    assert pruned.get(0, 1) == 0.0
-
-
-def test_add_and_scale(small):
+def test_add(small):
     A, dense = small
     np.testing.assert_allclose(A.add(A).to_dense(), 2 * dense)
-    np.testing.assert_allclose(A.scale(-0.5).to_dense(), -0.5 * dense)
     with pytest.raises(ValueError):
         A.add(CSCMatrix.identity(3))
 
 
-def test_pattern_equal_and_allclose(small):
+def test_pattern_equal(small):
     A, dense = small
     B = A.copy()
-    assert A.pattern_equal(B)
-    assert A.allclose(B)
     B.data[0] += 1.0
     assert A.pattern_equal(B)
-    assert not A.allclose(B)
-    assert not A.allclose(CSCMatrix.identity(4))
+    assert not A.pattern_equal(CSCMatrix.identity(4))
 
 
 def test_triangular_predicates():
     L = CSCMatrix.from_dense(np.array([[1.0, 0.0], [2.0, 3.0]]))
     U = CSCMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 3.0]]))
     assert L.is_lower_triangular()
-    assert not L.is_upper_triangular()
-    assert U.is_upper_triangular()
     assert not U.is_lower_triangular()
     assert not L.is_lower_triangular(strict=True)
     strict = CSCMatrix.from_dense(np.array([[0.0, 0.0], [2.0, 0.0]]))
     assert strict.is_lower_triangular(strict=True)
 
 
-def test_has_full_diagonal():
-    full = CSCMatrix.from_dense(np.array([[1.0, 0.0], [2.0, 3.0]]))
-    missing = CSCMatrix.from_dense(np.array([[0.0, 0.0], [2.0, 3.0]]))
-    assert full.has_full_diagonal()
-    assert not missing.has_full_diagonal()
-
-
 def test_to_coo_roundtrip(small):
     A, dense = small
     np.testing.assert_allclose(A.to_coo().to_dense(), dense)
-
-
-def test_to_csr_roundtrip(small):
-    A, dense = small
-    np.testing.assert_allclose(A.to_csr().to_dense(), dense)
-
-
-def test_column_pattern_hash_distinguishes_columns(small):
-    A, _ = small
-    assert A.column_pattern_hash(0) != A.column_pattern_hash(1)
 
 
 def test_negative_dimensions_rejected():
@@ -300,3 +259,35 @@ def test_empty_matrix_operations():
     np.testing.assert_allclose(A.matvec(np.ones(3)), np.zeros(3))
     assert A.transpose().nnz == 0
     assert A.density() == 0.0
+
+
+def test_columns_rebuild_the_dense_matrix(small):
+    A, dense = small
+    rebuilt = np.zeros_like(dense)
+    for j in range(A.n_cols):
+        rebuilt[A.col_rows(j), j] = A.col_values(j)
+    np.testing.assert_array_equal(rebuilt, dense)
+    np.testing.assert_array_equal(A.col_indices(), np.repeat(np.arange(A.n_cols), np.diff(A.indptr)))
+
+
+def test_a_missing_diagonal_entry_reads_as_zero():
+    A = CSCMatrix.from_dense(np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]))
+    np.testing.assert_array_equal(A.diagonal(), [2.0, 0.0, 3.0])
+    assert A.get(1, 1) == 0.0
+
+
+def test_from_dense_drops_entries_at_or_below_the_tolerance():
+    dense = np.array([[1.0, 1e-9, 0.0], [-1e-3, 2.0, 0.5], [0.0, -0.5, 3.0]])
+    A = CSCMatrix.from_dense(dense, drop_tol=1e-3)
+    kept = np.where(np.abs(dense) > 1e-3, dense, 0.0)
+    np.testing.assert_array_equal(A.to_dense(), kept)
+    assert A.nnz == int(np.count_nonzero(kept))
+
+
+def test_pattern_equal_tells_columns_apart():
+    # Same nnz and the same row indices, placed in different columns.
+    A = CSCMatrix(2, 2, [0, 2, 2], [0, 1], [1.0, 1.0])
+    B = CSCMatrix(2, 2, [0, 0, 2], [0, 1], [1.0, 1.0])
+    assert A.nnz == B.nnz
+    assert not A.pattern_equal(B)
+    assert A.pattern_equal(A.copy())

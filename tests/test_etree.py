@@ -2,18 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from repro.baselines.scipy_reference import reference_cholesky
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.utils import lower_triangle
-from repro.symbolic.etree import (
-    EliminationTree,
-    child_counts,
-    elimination_tree,
-    first_children,
-    postorder,
-    tree_depths,
-)
+from repro.symbolic.etree import child_counts, elimination_tree, first_children, postorder
+from repro.symbolic.fill_pattern import cholesky_pattern
+
+from oracles import lower_triangle
 
 
 def _brute_force_parent(A):
@@ -88,26 +84,40 @@ def test_child_counts_and_children_lists(spd_matrix):
             assert parent[c] == j
 
 
-def test_tree_depths(spd_matrix):
+def _depths(parent):
+    """Distance of each vertex from its root; parents are numbered above children."""
+    depth = np.zeros(parent.size, dtype=np.int64)
+    for j in range(parent.size - 1, -1, -1):
+        if parent[j] != -1:
+            depth[j] = depth[parent[j]] + 1
+    return depth
+
+
+def test_factor_columns_lie_on_the_path_to_the_root(spd_matrix):
+    # struct(L[:, j]) is a subset of j's path to its root in the etree (Liu),
+    # so no column of L holds more entries than j's depth plus one.
     parent = elimination_tree(spd_matrix)
-    depth = tree_depths(parent)
-    for j, p in enumerate(parent):
-        if p == -1:
-            assert depth[j] == 0 or depth[j] >= 0
-        else:
-            assert depth[j] == depth[p] + 1
+    depth = _depths(parent)
+    indptr, indices = cholesky_pattern(spd_matrix)
+    for j in range(spd_matrix.n):
+        path = {j}
+        v = j
+        while parent[v] != -1:
+            v = int(parent[v])
+            path.add(v)
+        rows = indices[indptr[j] : indptr[j + 1]]
+        assert set(rows.tolist()) <= path
+        assert rows.size <= depth[j] + 1
 
 
-def test_elimination_tree_dataclass(spd_matrices):
-    A = spd_matrices["fem"]
-    tree = EliminationTree.from_matrix(A)
-    assert tree.n == A.n
-    roots = tree.roots()
-    assert roots.size >= 1
-    for r in roots:
-        assert tree.parent[r] == -1
-    # Path to root ends at a root.
-    path = tree.path_to_root(0)
-    assert tree.parent[path[-1]] == -1
-    assert tree.n_children(int(roots[0])) == len(tree.children[int(roots[0])])
-    assert tree.depths().min() == 0
+def test_etree_has_one_root_per_connected_component(spd_matrix):
+    parent = elimination_tree(spd_matrix)
+    n_components, labels = connected_components(spd_matrix.to_scipy(), directed=False)
+    roots = np.flatnonzero(parent == -1)
+    assert roots.size == n_components
+    # Every vertex's root is in its own component.
+    for j in range(parent.size):
+        v = j
+        while parent[v] != -1:
+            v = int(parent[v])
+        assert labels[v] == labels[j]

@@ -1,5 +1,7 @@
-"""Smoke tests: every example script runs successfully end-to-end."""
+"""Smoke tests: every example script and every docstring example runs successfully."""
 
+import doctest
+import importlib
 import os
 import subprocess
 import sys
@@ -38,3 +40,23 @@ def test_example_runs(script, expected):
     result = _run(script)
     assert result.returncode == 0, result.stderr
     assert expected in result.stdout
+
+
+def _modules_with_docstring_examples():
+    """Dotted names of the ``repro`` modules whose source holds a ``>>>`` example."""
+    names = []
+    for dirpath, _, files in os.walk(os.path.join(_SRC_DIR, "repro")):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            if name.endswith(".py"):
+                with open(path, encoding="utf-8") as fh:
+                    if ">>>" in fh.read():
+                        dotted = os.path.relpath(path, _SRC_DIR)[: -len(".py")].replace(os.sep, ".")
+                        names.append(dotted.removesuffix(".__init__"))
+    return sorted(names)
+
+
+@pytest.mark.parametrize("module", _modules_with_docstring_examples())
+def test_docstring_examples_run(module):
+    result = doctest.testmod(importlib.import_module(module))
+    assert result.attempted > 0 and result.failed == 0, result

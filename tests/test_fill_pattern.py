@@ -5,19 +5,15 @@ import pytest
 
 from repro.baselines.scipy_reference import reference_cholesky
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.utils import lower_triangle
-from repro.symbolic.colcount import (
-    column_counts_of_factor,
-    row_counts_of_factor,
-)
+from repro.symbolic.colcount import column_counts_of_factor
 from repro.symbolic.etree import elimination_tree
 from repro.symbolic.fill_pattern import (
     cholesky_pattern,
     ereach,
     factor_structure,
-    fill_in_count,
-    symbolic_factor_nnz,
 )
+
+from oracles import lower_triangle
 
 
 def _numeric_pattern(A):
@@ -91,26 +87,31 @@ def test_column_counts_match_pattern(spd_matrix):
     np.testing.assert_array_equal(counts, np.diff(indptr))
 
 
-def test_row_counts_match_pattern(spd_matrix):
-    indptr, indices = cholesky_pattern(spd_matrix)
-    counts = row_counts_of_factor(spd_matrix)
-    expected = np.zeros(spd_matrix.n, dtype=np.int64)
-    for j in range(spd_matrix.n):
-        expected[indices[indptr[j] : indptr[j + 1]]] += 1
-    np.testing.assert_array_equal(counts, expected)
-
-
-def test_symbolic_nnz_and_fill_count(spd_matrix):
-    nnz_l = symbolic_factor_nnz(spd_matrix)
-    assert nnz_l == int(column_counts_of_factor(spd_matrix).sum())
-    fill = fill_in_count(spd_matrix)
-    assert fill == nnz_l - lower_triangle(spd_matrix).nnz
-    assert fill >= 0
-
-
 def test_diagonal_matrix_has_no_fill():
     A = CSCMatrix.identity(6)
-    assert fill_in_count(A) == 0
-    assert symbolic_factor_nnz(A) == 6
     indptr, indices = cholesky_pattern(A)
     np.testing.assert_array_equal(indices, np.arange(6))
+
+
+def test_row_counts_match_the_row_subtrees(spd_matrix):
+    # Row k of L is ereach(A, k) plus the diagonal, so the row counts of the
+    # column-oriented pattern are the row-subtree sizes plus one, row for row.
+    parent = elimination_tree(spd_matrix)
+    indptr, indices = cholesky_pattern(spd_matrix)
+    row_counts = np.bincount(indices, minlength=spd_matrix.n)
+    expected = [ereach(spd_matrix, k, parent).size + 1 for k in range(spd_matrix.n)]
+    np.testing.assert_array_equal(row_counts, expected)
+
+
+def test_factor_nnz_and_fill_match_the_numeric_factor(spd_matrix):
+    nnz_l = int(column_counts_of_factor(spd_matrix).sum())
+    assert nnz_l == int(np.tril(_numeric_pattern(spd_matrix)).sum())
+    fill = nnz_l - lower_triangle(spd_matrix).nnz
+    assert fill >= 0
+    # The fill is exactly the predicted entries that A's lower triangle lacks.
+    indptr, indices = cholesky_pattern(spd_matrix)
+    in_a = np.tril(spd_matrix.to_dense() != 0)
+    new_entries = sum(
+        int((~in_a[indices[indptr[j] : indptr[j + 1]], j]).sum()) for j in range(spd_matrix.n)
+    )
+    assert new_entries == fill

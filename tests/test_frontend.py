@@ -144,6 +144,12 @@ class TestProbes:
         assert report.method in AUTO_METHODS
         assert report.reason
 
+    def test_a_missing_or_nonpositive_diagonal_entry_is_not_positive(self):
+        # from_dense stores no zeros: the first matrix has no (1, 1) entry.
+        for dense in ([[2.0, 1.0], [1.0, 0.0]], [[2.0, 1.0], [1.0, -3.0]]):
+            report = probe_structure(CSCMatrix.from_dense(np.array(dense)))
+            assert not report.positive_diagonal and report.method == "ldlt"
+
     def test_rejects_non_square(self):
         rect = CSCMatrix.from_dense(np.ones((3, 2)))
         with pytest.raises(ValueError):
@@ -679,6 +685,46 @@ class TestIngestInExplicitAPIs:
             np.testing.assert_allclose(A.matvec(x), np.ones(A.n), atol=1e-7)
         finally:
             svc.close()
+
+
+def _complex_entry_points():
+    """Each place a caller's matrix values or ``b`` become float64, fed a complex input."""
+    A = laplacian_2d(6)
+    S = (A.to_scipy() + 1j * sp.eye(A.n)).tocsc()
+    T = S.tocoo()
+    b = np.ones(A.n)
+
+    def repeat_with_complex_b():
+        front = SpecializedSolver()
+        front.solve(A.to_scipy(), b)
+        return front.solve(A.to_scipy(), b + 1j)  # the warm path's pattern match, then b
+
+    return {
+        "solve-scipy": lambda: repro.solve(S, b),
+        "solve-coo-triplets": lambda: repro.solve((T.row, T.col, T.data), b),
+        "solve-scipy-triplets": lambda: repro.solve((T.data, (T.row, T.col)), b),
+        "solve-dense": lambda: repro.solve(S.toarray(), b),
+        "solve-b": lambda: SpecializedSolver().solve(A, b + 1j),
+        "solve-b-repeat": repeat_with_complex_b,
+        "SparseLinearSolver": lambda: SparseLinearSolver(S),
+        "SparseLinearSolver.factorize": lambda: SparseLinearSolver(A).factorize(S),
+        "SparseLinearSolver.solve": lambda: SparseLinearSolver(A).solve(b + 1j),
+        "SparseLinearSolver.solve_many": lambda: SparseLinearSolver(A).solve_many(np.ones((A.n, 2)) + 1j),
+        "BatchedSolver.factorize_batch": lambda: BatchedSolver(A).factorize_batch(
+            np.ones((2, A.nnz), dtype=complex), permuted_values=True
+        ),
+    }
+
+
+_COMPLEX_ENTRY_POINTS = _complex_entry_points()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(_COMPLEX_ENTRY_POINTS))
+def test_complex_input_is_refused_naming_its_dtype(entry):
+    # NumPy would keep only the real parts, warning with ComplexWarning (an error here).
+    with pytest.raises(ValueError, match="complex dtype complex128"):
+        _COMPLEX_ENTRY_POINTS[entry]()
 
 
 # --------------------------------------------------------------------------- #

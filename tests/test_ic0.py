@@ -18,10 +18,10 @@ from repro.compiler.sympiler import Sympiler
 from repro.solvers.linear_solver import map_items
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import banded_spd, fem_stencil_2d, laplacian_2d
-from repro.sparse.utils import lower_triangle
 from repro.symbolic.inspector import IC0InspectionResult, IC0Inspector
 
 import oracles
+from oracles import lower_triangle
 
 needs_cc = pytest.mark.skipif(
     not (c_compiler_available("cc") or c_compiler_available("gcc")),

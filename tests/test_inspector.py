@@ -14,7 +14,6 @@ from repro.symbolic.inspector import (
     LUInspector,
     TriangularSolveInspector,
     above_diagonal,
-    verify_cholesky_pattern_consistency,
 )
 from repro.symbolic.reach import reach_set
 
@@ -62,7 +61,10 @@ class TestTriangularSolveInspector:
 
 class TestCholeskyInspector:
     def test_factor_pattern_matches_reference(self, spd_matrix):
-        assert verify_cholesky_pattern_consistency(spd_matrix)
+        result = CholeskyInspector().inspect(spd_matrix)
+        indptr, indices = cholesky_pattern(spd_matrix, result.parent)
+        np.testing.assert_array_equal(indptr, result.l_indptr)
+        np.testing.assert_array_equal(indices, result.l_indices)
 
     def test_result_fields_are_consistent(self, spd_matrix):
         result = CholeskyInspector().inspect(spd_matrix)

@@ -210,7 +210,7 @@ class TestRegistry:
         assert (first, second) == ("svc", "svc_2")
         assert reg.collect() == {"svc": {"x": 1}, "svc_2": {"x": 2}}
         assert reg.unregister_collector("svc_2")
-        assert reg.collector_names() == ["svc"]
+        assert list(reg.collect()) == ["svc"]
 
     def test_raising_collector_never_breaks_a_scrape(self):
         reg = MetricsRegistry()
@@ -369,7 +369,7 @@ class TestServiceIntegration:
         finally:
             m1.unregister_collector()
             m2.unregister_collector()
-        names = get_registry().collector_names()
+        names = get_registry().collect()
         assert n1 not in names and n2 not in names
 
     def test_latency_snapshot_quantiles_are_consistent(self):
@@ -377,7 +377,7 @@ class TestServiceIntegration:
 
         metrics = ServiceMetrics()
         for v in (0.001, 0.002, 0.003, 0.010):
-            metrics.observe_latency(v)
+            metrics.observe_request(True, v)
         latency = metrics.snapshot()["latency"]
         assert latency["count"] == 4
         assert latency["p50_seconds"] <= latency["p95_seconds"]

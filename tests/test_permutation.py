@@ -9,9 +9,8 @@ from repro.sparse.permutation import Permutation
 
 def test_identity():
     p = Permutation.identity(5)
-    assert p.is_identity()
-    x = np.arange(5.0)
-    np.testing.assert_array_equal(p.apply_vec(x), x)
+    np.testing.assert_array_equal(p.perm, np.arange(5))
+    np.testing.assert_array_equal(p.inv, np.arange(5))
 
 
 def test_validation_rejects_non_bijections():
@@ -26,39 +25,14 @@ def test_validation_rejects_non_bijections():
 def test_apply_and_inverse_roundtrip(rng):
     perm = Permutation(rng.permutation(8))
     x = rng.normal(size=8)
-    np.testing.assert_allclose(perm.apply_inverse_vec(perm.apply_vec(x)), x)
-    np.testing.assert_allclose(perm.apply_vec(perm.apply_inverse_vec(x)), x)
+    np.testing.assert_array_equal(x[perm.perm][perm.inv], x)
+    np.testing.assert_array_equal(x[perm.inv][perm.perm], x)
 
 
-def test_apply_vec_shape_check():
-    perm = Permutation(np.array([1, 0]))
-    with pytest.raises(ValueError):
-        perm.apply_vec(np.ones(3))
-    with pytest.raises(ValueError):
-        perm.apply_inverse_vec(np.ones(3))
-
-
-def test_from_inverse():
-    perm = Permutation(np.array([2, 0, 1]))
-    rebuilt = Permutation.from_inverse(perm.inv)
-    assert rebuilt == perm
-
-
-def test_inverse_and_compose(rng):
+def test_inverse(rng):
     p = Permutation(rng.permutation(6))
-    q = Permutation(rng.permutation(6))
-    identity = p.compose(p.inverse())
-    assert identity.is_identity() or np.array_equal(
-        identity.perm, np.arange(6)
-    )
-    x = rng.normal(size=6)
-    # compose(q) applies q first, then p.
-    np.testing.assert_allclose(p.compose(q).apply_vec(x), p.apply_vec(q.apply_vec(x)))
-
-
-def test_compose_size_mismatch():
-    with pytest.raises(ValueError):
-        Permutation(np.array([0, 1])).compose(Permutation(np.array([0, 1, 2])))
+    np.testing.assert_array_equal(p.inverse().perm, p.inv)
+    assert p.inverse().inverse() == p
 
 
 def test_symmetric_permute_matches_dense(rng):
@@ -68,14 +42,6 @@ def test_symmetric_permute_matches_dense(rng):
     p = Permutation(rng.permutation(6))
     B = p.symmetric_permute(A)
     np.testing.assert_allclose(B.to_dense(), dense[np.ix_(p.perm, p.perm)])
-
-
-def test_permute_rows_and_cols(rng):
-    dense = rng.normal(size=(5, 5))
-    A = CSCMatrix.from_dense(dense)
-    p = Permutation(rng.permutation(5))
-    np.testing.assert_allclose(p.permute_rows(A).to_dense(), dense[p.perm, :])
-    np.testing.assert_allclose(p.permute_cols(A).to_dense(), dense[:, p.perm])
 
 
 def test_symmetric_permute_requires_square():
@@ -89,10 +55,6 @@ def test_size_mismatch_on_matrix_application():
     A = CSCMatrix.identity(2)
     with pytest.raises(ValueError):
         p.symmetric_permute(A)
-    with pytest.raises(ValueError):
-        p.permute_rows(A)
-    with pytest.raises(ValueError):
-        p.permute_cols(A)
 
 
 def test_equality_and_repr():
@@ -102,3 +64,13 @@ def test_equality_and_repr():
     assert a == b
     assert a != c
     assert "Permutation" in repr(a)
+
+
+def test_the_inverse_undoes_a_symmetric_permutation(rng):
+    dense = rng.normal(size=(7, 7))
+    A = CSCMatrix.from_dense(dense + dense.T + 14 * np.eye(7))
+    p = Permutation(rng.permutation(7))
+    back = p.inverse().symmetric_permute(p.symmetric_permute(A))
+    np.testing.assert_array_equal(back.indptr, A.indptr)
+    np.testing.assert_array_equal(back.indices, A.indices)
+    np.testing.assert_array_equal(back.data, A.data)

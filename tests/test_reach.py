@@ -1,4 +1,4 @@
-"""Tests for reach-set computation and the dependence graph."""
+"""Tests for reach-set computation in the dependence graph DG_L."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro.baselines.scipy_reference import reference_trisolve
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import sparse_rhs
-from repro.symbolic.dependency_graph import DependencyGraph
-from repro.symbolic.reach import reach_set, reach_set_sorted
+from repro.symbolic.reach import reach_set, reach_set_from_arrays, reach_set_sorted
 
 
 def _brute_force_reach(L, sources):
@@ -46,8 +45,13 @@ def test_reach_contains_sources(factor):
 def test_reach_is_topologically_ordered(factor):
     b = sparse_rhs(factor.n, nnz=4, seed=3)
     reach = reach_set(factor, np.nonzero(b)[0])
-    graph = DependencyGraph.from_lower_triangular(factor)
-    assert graph.is_valid_topological_order(reach.tolist())
+    assert np.unique(reach).size == reach.size
+    position = {int(v): k for k, v in enumerate(reach)}
+    # Every edge j -> i of DG_L (L[i, j] != 0, i > j) inside the reach has j first.
+    for j in position:
+        for i in factor.col_rows(j):
+            if i > j and int(i) in position:
+                assert position[j] < position[int(i)]
 
 
 def test_reach_sorted_is_same_set(factor):
@@ -106,36 +110,26 @@ def test_reach_long_chain_no_recursion_limit():
     assert reach[0] == 0 and reach[-1] == n - 1
 
 
-def test_dependency_graph_structure(factor):
-    graph = DependencyGraph.from_lower_triangular(factor)
-    assert graph.n == factor.n
-    # Out-neighbours of column j are exactly its below-diagonal row indices.
-    for j in range(factor.n):
-        rows = factor.col_rows(j)
-        np.testing.assert_array_equal(graph.out_neighbors(j), rows[rows > j])
-        assert graph.out_degree(j) == int((rows > j).sum())
+def test_reach_of_one_column_is_closed_under_its_edges(factor):
+    for j in range(0, factor.n, max(1, factor.n // 8)):
+        reach = set(int(v) for v in reach_set(factor, [j]))
+        assert j in reach
+        for v in reach:
+            below = {int(i) for i in factor.col_rows(v) if i > v}
+            assert below <= reach
 
 
-def test_dependency_graph_reachable_from(factor):
-    graph = DependencyGraph.from_lower_triangular(factor)
-    reach = graph.reachable_from([0])
-    assert set(reach.tolist()) == _brute_force_reach(factor, [0])
+def test_reach_set_from_arrays_matches_brute_force(factor):
+    for sources in ([0], [factor.n - 1], [factor.n // 3, 2 * factor.n // 3]):
+        reach = reach_set_from_arrays(factor.n, factor.indptr, factor.indices, sources)
+        assert len(reach) == len(set(reach.tolist()))
+        assert set(reach.tolist()) == _brute_force_reach(factor, sources)
 
 
-def test_dependency_graph_rejects_upper_triangular():
-    U = CSCMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        DependencyGraph.from_lower_triangular(U)
-
-
-def test_dependency_graph_invalid_order_detected(factor):
-    graph = DependencyGraph.from_lower_triangular(factor)
-    # Find a column with at least one dependent and place it after it.
-    for j in range(factor.n):
-        neighbours = graph.out_neighbors(j)
-        if neighbours.size:
-            bad = [int(neighbours[0]), j]
-            assert not graph.is_valid_topological_order(bad)
-            break
-    else:  # pragma: no cover - every factor here has off-diagonal entries
-        pytest.skip("factor has no off-diagonal entries")
+def test_reach_ignores_repeated_and_unordered_sources(factor):
+    sources = np.nonzero(sparse_rhs(factor.n, nnz=4, seed=3))[0]
+    messy = np.concatenate([sources[::-1], sources])
+    once = reach_set(factor, sources)
+    twice = reach_set(factor, messy)
+    assert len(twice) == len(set(twice.tolist()))
+    assert set(twice.tolist()) == set(once.tolist())

@@ -37,7 +37,8 @@ from repro.sparse.generators import (
     saddle_point_indefinite,
     unsymmetric_diag_dominant,
 )
-from repro.sparse.utils import lower_triangle
+
+from oracles import lower_triangle
 
 needs_cc = pytest.mark.skipif(not c_compiler_available(), reason="no C compiler")
 

@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.utils import (
-    column_counts,
-    dense_lower_from_csc,
-    is_numerically_symmetric,
-    is_symmetric_pattern,
-    lower_triangle,
-    pattern_of,
-    residual_norm,
-    symmetrize_pattern,
-    upper_triangle,
-)
+from repro.sparse.utils import symmetrize_pattern
+
+from oracles import lower_triangle
 
 
 @pytest.fixture()
@@ -29,66 +21,16 @@ def sym():
     return CSCMatrix.from_dense(dense), dense
 
 
-def test_lower_triangle(sym):
-    A, dense = sym
-    np.testing.assert_allclose(lower_triangle(A).to_dense(), np.tril(dense))
-    np.testing.assert_allclose(lower_triangle(A, strict=True).to_dense(), np.tril(dense, -1))
-
-
-def test_upper_triangle(sym):
-    A, dense = sym
-    np.testing.assert_allclose(upper_triangle(A).to_dense(), np.triu(dense))
-    np.testing.assert_allclose(upper_triangle(A, strict=True).to_dense(), np.triu(dense, 1))
-
-
-def test_triangle_of_empty_matrix():
-    A = CSCMatrix.empty(3, 3)
-    assert lower_triangle(A).nnz == 0
-    assert upper_triangle(A).nnz == 0
-
-
 def test_symmetrize_pattern_from_lower(sym):
     A, dense = sym
     L = lower_triangle(A)
     S = symmetrize_pattern(L)
-    assert is_symmetric_pattern(S)
+    assert S.pattern_equal(S.transpose())
     np.testing.assert_allclose(S.to_dense(), dense)
 
 
-def test_is_symmetric_pattern(sym):
-    A, _ = sym
-    assert is_symmetric_pattern(A)
-    assert not is_symmetric_pattern(lower_triangle(A, strict=True))
-    assert not is_symmetric_pattern(CSCMatrix.from_dense(np.ones((2, 3))))
-
-
-def test_is_numerically_symmetric(sym):
-    A, dense = sym
-    assert is_numerically_symmetric(A)
-    skew = CSCMatrix.from_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    assert not is_numerically_symmetric(skew)
-
-
-def test_residual_norm(sym):
-    A, dense = sym
-    x = np.array([1.0, 2.0, 3.0])
-    b = dense @ x
-    assert residual_norm(A, x, b) < 1e-14
-    assert residual_norm(A, x, b + 1.0) > 0.0
-
-
-def test_dense_lower_from_csc(sym):
-    A, dense = sym
-    np.testing.assert_allclose(dense_lower_from_csc(A), np.tril(dense))
-
-
-def test_pattern_of(sym):
-    A, _ = sym
-    P = pattern_of(A)
-    assert P.pattern_equal(A)
-    assert np.all(P.data == 1.0)
-
-
-def test_column_counts(sym):
-    A, dense = sym
-    np.testing.assert_array_equal(column_counts(A), (dense != 0).sum(axis=0))
+def test_symmetrize_pattern_of_an_unsymmetric_matrix():
+    dense = np.array([[2.0, 0.0, 1.0], [3.0, 4.0, 0.0], [0.0, 0.0, 5.0]])
+    S = symmetrize_pattern(CSCMatrix.from_dense(dense))
+    assert S.pattern_equal(S.transpose())
+    np.testing.assert_array_equal(S.to_dense(), dense + dense.T - np.diag(np.diag(dense)))

@@ -38,10 +38,7 @@ def test_partition_accessors():
     assert p.columns(2) == (3, 6)
     assert p.width(2) == 3
     np.testing.assert_array_equal(p.sizes(), [2, 1, 3])
-    assert p.average_size() == pytest.approx(2.0)
-    assert p.max_size() == 3
-    assert p.supernode_of(4) == 2
-    assert not p.is_trivial()
+    assert p.col_to_super[4] == 2
     with pytest.raises(IndexError):
         p.columns(5)
 
@@ -51,20 +48,12 @@ def test_boundaries_must_start_at_zero():
         supernodes_from_boundaries([1, 3], 5)
 
 
-def test_iter_supernodes_covers_all_columns():
-    p = supernodes_from_boundaries([0, 1, 4], 7)
-    covered = []
-    for s, c0, c1 in p.iter_supernodes():
-        covered.extend(range(c0, c1))
-        assert p.width(s) == c1 - c0
-    assert covered == list(range(7))
-
-
 def test_triangular_supernodes_require_identical_structure(lower_factors):
     for L in lower_factors.values():
         partition = triangular_supernodes(L)
         assert partition.n_columns == L.n
-        for s, c0, c1 in partition.iter_supernodes():
+        for s in range(partition.n_supernodes):
+            c0, c1 = partition.columns(s)
             base_rows = L.col_rows(c0)
             for j in range(c0 + 1, c1):
                 expected = base_rows[base_rows >= j]
@@ -98,7 +87,8 @@ def test_cholesky_supernodes_satisfy_merging_rule(spd_matrix):
     counts = column_counts_of_factor(spd_matrix, parent)
     partition = cholesky_supernodes(counts, parent)
     assert partition.n_columns == spd_matrix.n
-    for s, c0, c1 in partition.iter_supernodes():
+    for s in range(partition.n_supernodes):
+        c0, c1 = partition.columns(s)
         for j in range(c0 + 1, c1):
             assert counts[j] == counts[j - 1] - 1
             assert parent[j - 1] == j
@@ -109,7 +99,7 @@ def test_cholesky_supernodes_on_block_matrix_are_wide():
     parent = elimination_tree(A)
     counts = column_counts_of_factor(A, parent)
     partition = cholesky_supernodes(counts, parent)
-    assert partition.max_size() >= 8
+    assert partition.sizes().max() >= 8
 
 
 def test_cholesky_supernodes_identity_matrix_all_singletons():
@@ -119,7 +109,6 @@ def test_cholesky_supernodes_identity_matrix_all_singletons():
     partition = cholesky_supernodes(counts, parent)
     # All columns have equal count (1) but no etree edges, so no merging.
     assert partition.n_supernodes == 5
-    assert partition.is_trivial()
 
 
 def test_cholesky_supernodes_input_validation():
@@ -132,3 +121,16 @@ def test_empty_partitions():
     assert empty_tri.n_supernodes == 0
     empty_chol = cholesky_supernodes(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
     assert empty_chol.n_columns == 0
+
+
+def test_cholesky_supernodes_tile_the_columns(spd_matrix):
+    parent = elimination_tree(spd_matrix)
+    partition = cholesky_supernodes(column_counts_of_factor(spd_matrix, parent), parent)
+    covered = []
+    for s in range(partition.n_supernodes):
+        c0, c1 = partition.columns(s)
+        assert partition.width(s) == c1 - c0 >= 1
+        assert np.all(partition.col_to_super[c0:c1] == s)
+        covered.extend(range(c0, c1))
+    assert covered == list(range(spd_matrix.n))
+    assert int(partition.sizes().sum()) == spd_matrix.n

@@ -38,6 +38,7 @@ from repro.sparse.generators import (
 from repro.sparse.ordering import minimum_degree_ordering, minimum_degree_reference
 from repro.sparse.utils import symmetrize_pattern
 from repro.symbolic import native
+from repro.symbolic.colcount import column_counts_of_factor
 from repro.symbolic.etree import (
     elimination_tree,
     elimination_tree_reference,
@@ -53,6 +54,8 @@ from repro.symbolic.fill_pattern import (
 )
 from repro.symbolic.inspector import CholeskyInspector, LUInspector, TriangularSolveInspector
 from repro.symbolic.reach import reach_set_from_arrays, reach_set_reference
+
+from oracles import lower_triangle
 
 SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -163,8 +166,7 @@ class TestNativeMatchesReference:
         _check_every_entry_point(native.helper(), _PATTERNS[name])
 
     def test_lower_only_storage_gives_the_same_tree_and_factor(self, spd_matrix):
-        from repro.sparse.utils import lower_triangle
-
+        
         lower = lower_triangle(spd_matrix)
         assert np.array_equal(elimination_tree(lower), elimination_tree(spd_matrix))
         for got, expected in zip(cholesky_pattern(lower), cholesky_pattern(spd_matrix)):
@@ -282,6 +284,7 @@ def _public_results(A: CSCMatrix, U: CSCMatrix) -> list:
         l_indptr,
         l_indices,
         *factor_structure(B, parent)[:2],
+        column_counts_of_factor(B, parent),
         *lu_pattern(U),
         tri.reach,
         chol.row_ptr,

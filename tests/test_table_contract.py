@@ -303,8 +303,8 @@ def test_generated_c_is_byte_identical_to_the_parent_commit(pattern, method, par
 #: The option bundles above, then VS-Block alone and VI-Prune alone.
 _RECORD_BUNDLES = (
     *(SympilerOptions(**bundle) for bundle in _OPTION_BUNDLES),
-    SympilerOptions.vs_block_only(),
-    SympilerOptions.vi_prune_only(),
+    SympilerOptions(enable_vi_prune=False),
+    SympilerOptions(enable_vs_block=False),
 )
 
 

@@ -107,7 +107,8 @@ def _check_supernodal(A):
     assert sets["sup_start"].size == partition.n_supernodes == dims["n_super"]
     panel = 0
     covered = []  # one (target, descendant column) per column of every descendant row
-    for s, c0, c1 in partition.iter_supernodes():
+    for s in range(partition.n_supernodes):
+        c0, c1 = partition.columns(s)
         assert (sets["sup_start"][s], sets["sup_end"][s]) == (c0, c1)
         rows = Li[Lp[c0] : Lp[c0 + 1]]
         # The supernode's own columns come first in its row list, and every column shares it.
@@ -216,7 +217,7 @@ def _check_segments(L, partition, active, min_width):
             assert b > a
             visited.append(sets["run_cols"][a:b])
             continue
-        assert w >= min_width and start == cs and w == partition.width(partition.supernode_of(a))
+        assert w >= min_width and start == cs and w == partition.width(partition.col_to_super[a])
         np.testing.assert_array_equal(sets["blk_cs"][cs : cs + w], L.indptr[a : a + w])
         # The rows below the diagonal block are the tail of the first column's pattern.
         assert off_lo + b == L.indptr[a + 1] and np.all(L.indices[off_lo : off_lo + b] >= a + w)
@@ -309,7 +310,7 @@ def test_a_wide_supernode_is_one_block_row():
 # --------------------------------------------------------------------------- #
 def test_vi_prune_triangular_iterates_the_reach_set(lower_factors):
     L = lower_factors["fem"]
-    context = _tri_context(L, SympilerOptions.vi_prune_only())
+    context = _tri_context(L, SympilerOptions(enable_vs_block=False))
     loop = plan_triangular_solve(context)
     assert loop.role == "trisolve-segments" and loop.factor_kind is None
     blocks, runs = _segments(loop)
@@ -322,7 +323,7 @@ def test_vi_prune_triangular_iterates_the_reach_set(lower_factors):
 
 def test_vi_prune_cholesky_produces_simplicial_loop(spd_matrices):
     A = spd_matrices["laplacian_2d"]
-    context = _chol_context(A, SympilerOptions.vi_prune_only())
+    context = _chol_context(A, SympilerOptions(enable_vs_block=False))
     loop = plan_cholesky(context)
     assert loop.role == "simplicial-cholesky" and loop.factor_kind == "llt"
     dims, sets = loop.contract
@@ -330,7 +331,7 @@ def test_vi_prune_cholesky_produces_simplicial_loop(spd_matrices):
     assert list(sets) == ["l_indptr", "l_indices", "a_diag_pos", "a_col_end", "prune_ptr", "update_pos", "update_end"]
     assert context.decisions["vi-prune"] == {"mode": "loop", "total_updates": int(sets["prune_ptr"][-1])}
     # LDL^T is the same loop over the same prune-sets, and also reads the descendant columns.
-    ldlt = plan_cholesky(_chol_context(A, SympilerOptions.vi_prune_only(), method="ldlt"))
+    ldlt = plan_cholesky(_chol_context(A, SympilerOptions(enable_vs_block=False), method="ldlt"))
     assert ldlt.role == "simplicial-cholesky" and ldlt.factor_kind == "ldlt" and "update_col" in ldlt.contract[1]
 
 
@@ -373,7 +374,7 @@ def _blocked_factor(n_blocks, block_size, seed):
 
 def test_vs_block_triangular_produces_blocks():
     L = _blocked_factor(6, 6, seed=1)
-    context = _tri_context(L, SympilerOptions.vs_block_only())
+    context = _tri_context(L, SympilerOptions(enable_vi_prune=False))
     loop = plan_triangular_solve(context)
     blocks, runs = _segments(loop)
     assert blocks.size, "expected at least one supernode block"
@@ -388,7 +389,7 @@ def test_vs_block_skips_when_supernodes_are_small(lower_factors, monkeypatch):
     # The 2-D grid factor under this ordering has mostly width-1 supernodes.
     monkeypatch.setattr(plan_module, "_VS_BLOCK_MIN_AVG_WIDTH", 10.0)
     L = lower_factors["laplacian_2d"]
-    context = _tri_context(L, SympilerOptions.vs_block_only())
+    context = _tri_context(L, SympilerOptions(enable_vi_prune=False))
     assert plan_triangular_solve(context) is None
     assert not context.decisions["vs-block"]["participates"]
     assert context.applied == []
@@ -407,7 +408,7 @@ def test_vs_block_cholesky_produces_supernodal_loop(spd_matrices):
 
 def test_vi_prune_after_vs_block_drops_unreached_blocks(lower_factors):
     L = lower_factors["block"]
-    blocks_before, _ = _segments(plan_triangular_solve(_tri_context(L, SympilerOptions.vs_block_only(), rhs_nnz=1)))
+    blocks_before, _ = _segments(plan_triangular_solve(_tri_context(L, SympilerOptions(enable_vi_prune=False), rhs_nnz=1)))
     context = _tri_context(L, SympilerOptions(), rhs_nnz=1)
     blocks_after, runs = _segments(plan_triangular_solve(context))
     assert context.applied == ["vs-block", "vi-prune"] and context.decisions["vi-prune"]["mode"] == "blocked"

@@ -17,8 +17,8 @@ from repro.sparse.generators import sparse_rhs
 
 VARIANTS = {
     "baseline": SympilerOptions.baseline(),
-    "vi-prune": SympilerOptions.vi_prune_only(),
-    "vs-block": SympilerOptions.vs_block_only(),
+    "vi-prune": SympilerOptions(enable_vs_block=False),
+    "vs-block": SympilerOptions(enable_vi_prune=False),
     "all": SympilerOptions(),
 }
 
