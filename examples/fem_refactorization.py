@@ -49,7 +49,7 @@ def main() -> None:
     # --- Sympiler -----------------------------------------------------------
     t0 = time.perf_counter()
     sym = Sympiler(SympilerOptions(backend="c"))
-    compiled = sym.compile_cholesky(A0)
+    compiled = sym.compile("cholesky", A0)
     sympiler_setup = time.perf_counter() - t0
     t0 = time.perf_counter()
     factors = [compiled.factorize(Ak) for Ak in matrices]

@@ -35,11 +35,12 @@ def main() -> None:
     A = block_tridiagonal_spd(6, 5, seed=11, dense_coupling=True)
     sym = Sympiler(SympilerOptions(backend="python"))
 
-    chol = sym.compile_cholesky(A)
+    chol = sym.compile("cholesky", A)
     L = chol.factorize(A)
     b = sparse_rhs(A.n, nnz=2, seed=5)
-    tri = sym.compile_triangular_solve(L, rhs_pattern=np.nonzero(b)[0])
-    untransformed = sym.compile_triangular_solve(L, options=SympilerOptions.baseline().with_updates(backend="python"))
+    tri = sym.compile("triangular-solve", L, rhs_pattern=np.nonzero(b)[0])
+    baseline = SympilerOptions.baseline().with_updates(backend="python")
+    untransformed = sym.compile("triangular-solve", L, options=baseline)
 
     print("=" * 72)
     print("1. The untransformed solve: the column loop of Figure 2a")
@@ -65,7 +66,7 @@ def main() -> None:
     print("4. Generated C kernel")
     print("=" * 72)
     # The default options: C, or python again when no C compiler is found.
-    c_tri = sym.compile_triangular_solve(L, rhs_pattern=np.nonzero(b)[0], options=SympilerOptions())
+    c_tri = sym.compile("triangular-solve", L, rhs_pattern=np.nonzero(b)[0], options=SympilerOptions())
     if c_tri.backend == "c":
         print("\n".join(c_tri.source.splitlines()[:60]))
         print("...")

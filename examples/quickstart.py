@@ -21,8 +21,9 @@ def main() -> None:
 
     sym = Sympiler()
 
+    # Every kernel compiles through one entry, compile(kernel, A[, rhs_pattern=]).
     # --- Cholesky: symbolic analysis + code generation happen here ---------
-    chol = sym.compile_cholesky(A)
+    chol = sym.compile("cholesky", A)
     print(f"applied transformations: {chol.applied_transformations}")
     print(f"predicted nnz(L) = {chol.factor_nnz}")
     print(f"compile-time cost breakdown [s]: {chol.timings.as_dict()}")
@@ -34,7 +35,7 @@ def main() -> None:
 
     # --- triangular solve with a sparse RHS ---------------------------------
     b = sparse_rhs(A.n, density=0.02, seed=7)
-    tri = sym.compile_triangular_solve(L, rhs_pattern=np.nonzero(b)[0])
+    tri = sym.compile("triangular-solve", L, rhs_pattern=np.nonzero(b)[0])
     print(
         f"triangular solve visits {tri.reach_size} of {L.n} columns "
         f"(reach-set pruning)"

@@ -16,7 +16,7 @@ full system:
 * :mod:`repro.baselines` — dense NumPy/SciPy correctness oracles.
 * :mod:`repro.solvers`  — factor-once/solve-many driver, the
   :class:`~repro.solvers.batched.BatchedSolver` over many value sets of one
-  pattern, preconditioned CG and Newton–Raphson loops (single and ensemble)
+  pattern, preconditioned CG and Newton–Raphson loops
   with a fixed-sparsity Jacobian.
 * :mod:`repro.bench`    — the paper-figure reproducer: one experiment table
   and one runner for Table 2, Figs. 6-9 and §4.3, generated C against native

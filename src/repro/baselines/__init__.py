@@ -7,14 +7,6 @@ scipy (``splu``, ``spsolve_triangular``, ``cg``), called by the bench runner
 itself.
 """
 
-from repro.baselines.scipy_reference import (
-    reference_cholesky,
-    reference_solve,
-    reference_trisolve,
-)
+from repro.baselines.scipy_reference import reference_cholesky, reference_trisolve
 
-__all__ = [
-    "reference_cholesky",
-    "reference_trisolve",
-    "reference_solve",
-]
+__all__ = ["reference_cholesky", "reference_trisolve"]

@@ -12,7 +12,7 @@ import scipy.linalg
 
 from repro.sparse.csc import CSCMatrix
 
-__all__ = ["reference_cholesky", "reference_trisolve", "reference_solve"]
+__all__ = ["reference_cholesky", "reference_trisolve"]
 
 
 def _full_symmetric_dense(A: CSCMatrix) -> np.ndarray:
@@ -35,11 +35,3 @@ def reference_cholesky(A: CSCMatrix) -> np.ndarray:
 def reference_trisolve(L: CSCMatrix, b: np.ndarray) -> np.ndarray:
     """Dense forward substitution via ``scipy.linalg.solve_triangular``."""
     return scipy.linalg.solve_triangular(L.to_dense(), np.asarray(b, dtype=np.float64), lower=True)
-
-
-def reference_solve(A: CSCMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` densely (for SPD systems) via Cholesky."""
-    dense = _full_symmetric_dense(A)
-    L = np.linalg.cholesky(dense)
-    y = scipy.linalg.solve_triangular(L, np.asarray(b, dtype=np.float64), lower=True)
-    return scipy.linalg.solve_triangular(L.T, y, lower=False)

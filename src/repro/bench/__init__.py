@@ -14,7 +14,7 @@ its layers are measured elsewhere, by ``benchmarks/e2e``.
 * ``python -m repro.bench <experiment>`` — command-line entry point.
 """
 
-from repro.bench.experiments import EXPERIMENTS, Experiment
+from repro.bench.experiments import EXPERIMENTS
 from repro.bench.metrics import gflops_rate, time_callable
 from repro.bench.reporting import render_csv, render_table
 from repro.bench.runner import run_experiments
@@ -22,7 +22,6 @@ from repro.bench.suite import SuiteEntry, build_suite, load_suite_matrix, small_
 
 __all__ = [
     "EXPERIMENTS",
-    "Experiment",
     "run_experiments",
     "SuiteEntry",
     "build_suite",

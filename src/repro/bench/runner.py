@@ -33,7 +33,7 @@ from repro.kernels.flops import cholesky_flops, triangular_solve_flops
 from repro.solvers.cg import preconditioned_conjugate_gradient
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import sparse_rhs, unsymmetric_diag_dominant
-from repro.symbolic.inspector import CholeskyInspector
+from repro.symbolic.inspector import inspect_cholesky
 from repro.symbolic.reach import reach_set_sorted
 
 __all__ = ["run_experiments"]
@@ -55,7 +55,7 @@ class Prepared:
 
     @cached_property
     def inspection(self):
-        return CholeskyInspector().inspect(self.A)
+        return inspect_cholesky(self.A)
 
     @cached_property
     def L(self) -> CSCMatrix:
@@ -164,7 +164,7 @@ def _solve_with(rhs: np.ndarray) -> Callable[[object], np.ndarray]:
 
 
 def _compile_trisolve(sym, prep, options) -> Subject:
-    tri = sym.compile_triangular_solve(prep.L, rhs_pattern=prep.rhs_pattern, options=options)
+    tri = sym.compile("triangular-solve", prep.L, options=options, rhs_pattern=prep.rhs_pattern)
     facts = {"nnz_L": prep.L.nnz, "reach_size": tri.reach_size}
     return _compiled(tri, lambda: tri.solve(prep.L, prep.sparse_b), _identity, facts)
 

@@ -17,10 +17,11 @@ code generator that
 The user-facing entry point is :class:`repro.compiler.sympiler.Sympiler`, a
 generic driver over the kernel table (:mod:`repro.compiler.registry`):
 each of the five kernels — triangular solve, Cholesky, LDLᵀ, LU and IC(0) —
-is declared once as a :class:`~repro.compiler.registry.KernelSpec` and
-compiled through the same ``compile(kernel_name, pattern, options)`` path,
-with compiled artifacts cached by pattern fingerprint
-(:mod:`repro.compiler.cache`).  Each has a route that runs it: the
+is one :class:`~repro.compiler.registry.KernelSpec` row (its ``inspect_*``
+function, plan function, artifact class and entry ABI) and is compiled
+through the one entry ``Sympiler.compile(kernel, A[, rhs_pattern=])``
+(``rhs_pattern`` for the triangular solve only), with compiled artifacts
+cached by pattern fingerprint (:mod:`repro.compiler.cache`).  Each has a route that runs it: the
 triangular solve and the three direct factorizations behind
 :class:`~repro.solvers.linear_solver.SparseLinearSolver`, IC(0) as the
 preconditioner of :func:`~repro.solvers.cg.preconditioned_conjugate_gradient`.

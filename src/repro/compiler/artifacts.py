@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, CGeneratedModule
+from repro.compiler.codegen.c_backend import CGeneratedModule
 from repro.compiler.codegen.runtime import pattern_fingerprint, rhs_fingerprint_extra
 from repro.compiler.options import SympilerOptions
 from repro.compiler.plan import DomainLoop
@@ -200,17 +200,17 @@ class CompiledArtifact:
         keeps them alive — and nothing else.  With tracing enabled, a call
         runs under a ``numeric`` span.
         """
-        spec = _C_METHOD_SPECS[self.module.method]
-        lengths = (*self._input_lengths(), *(getattr(self.inspection, attr) for _, attr in spec.outputs))
-        return self._bind_entry(spec, self.entry, inputs, outputs, lengths, self.numeric_op)
+        abi = self.module.abi
+        lengths = (*self._input_lengths(), *(getattr(self.inspection, attr) for _, attr in abi.outputs))
+        return self._bind_entry(abi, self.entry, inputs, outputs, lengths, self.numeric_op)
 
-    def _bind_entry(self, spec, entry, inputs, outputs, lengths, op: str) -> Callable:
-        """:meth:`bind` of the entry whose ABI is ``spec`` and binder ``entry``; a traced call's span has ``op``."""
+    def _bind_entry(self, abi, entry, inputs, outputs, lengths, op: str) -> Callable:
+        """:meth:`bind` of the entry whose ABI is ``abi`` and binder ``entry``; a traced call's span has ``op``."""
         arrays = (*inputs, *outputs)
-        if len(arrays) != len(spec.names):
-            raise TypeError(f"{self.kernel_name} binds the arrays {', '.join(spec.names)}; got {len(arrays)} arrays")
-        _require_arrays(spec.names, arrays, lengths, spec.dtypes)
-        for name, out in zip(spec.names[len(inputs) :], outputs):
+        if len(arrays) != len(abi.names):
+            raise TypeError(f"{self.kernel_name} binds the arrays {', '.join(abi.names)}; got {len(arrays)} arrays")
+        _require_arrays(abi.names, arrays, lengths, abi.dtypes)
+        for name, out in zip(abi.names[len(inputs) :], outputs):
             if not out.flags.writeable:
                 raise ValueError(f"{name} must be writeable")
         run = entry(tuple(inputs), tuple(outputs))
@@ -228,20 +228,18 @@ class CompiledArtifact:
 
     def raise_status(self, status: int) -> None:
         """Raise the error the C entry's non-zero ``status`` stands for, as a bound call does."""
-        _C_METHOD_SPECS[self.module.method].raise_status(status)
+        self.module.abi.raise_status(status)
 
     def new_outputs(self) -> tuple:
         """Zeroed output buffers of the compile-time lengths :meth:`bind` checks, in ABI order."""
-        spec = _C_METHOD_SPECS[self.module.method]
-        return tuple(np.zeros(getattr(self.inspection, attr)) for _, attr in spec.outputs)
+        return tuple(np.zeros(getattr(self.inspection, attr)) for _, attr in self.module.abi.outputs)
 
     def _fresh_outputs(self, inputs):
         """Bind ``inputs`` (made contiguous of the entry's dtypes) to :meth:`new_outputs`, call once, return them.
 
         A bare array for one output, a tuple otherwise.
         """
-        spec = _C_METHOD_SPECS[self.module.method]
-        inputs = [np.ascontiguousarray(a, dtype=d) for a, d in zip(inputs, spec.dtypes)]
+        inputs = [np.ascontiguousarray(a, dtype=d) for a, d in zip(inputs, self.module.abi.dtypes)]
         outputs = self.new_outputs()
         self.bind(inputs, outputs)()
         return outputs[0] if len(outputs) == 1 else outputs
@@ -378,10 +376,10 @@ class SympiledFactorization(CompiledArtifact):
         factorizations (Cholesky, LDLᵀ, LU) and IC(0) have a solve entry;
         IC(0)'s applies the preconditioner ``(L Lᵀ)⁻¹``.
         """
-        spec = _C_METHOD_SPECS[self.module.method]
+        abi = self.module.abi
         n = self.inspection.n
-        lengths = (n, *(getattr(self.inspection, attr) for _, attr in spec.outputs), n, n, n)
-        return self._bind_entry(spec.solve_spec, self.module.solve_entry, inputs, outputs, lengths, "solve")
+        lengths = (n, *(getattr(self.inspection, attr) for _, attr in abi.outputs), n, n, n)
+        return self._bind_entry(abi.solve_spec, self.module.solve_entry, inputs, outputs, lengths, "solve")
 
     def verify_pattern(self, A: CSCMatrix) -> None:
         """Raise :class:`PatternMismatchError` if ``A`` has a different pattern."""

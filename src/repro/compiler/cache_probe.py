@@ -153,7 +153,7 @@ def run_probe(backend: str = SympilerOptions.backend) -> Dict[str, object]:
         "source_bytes": sizes[".c"] + sizes[".py"],
         "so_bytes": sizes[".so"],
         "so_files": so_files,
-        "artifact_cache": sym.cache_stats.as_dict(),
+        "artifact_cache": sym.cache.stats.as_dict(),
     }
 
 

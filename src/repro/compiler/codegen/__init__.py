@@ -13,11 +13,10 @@
 """
 
 from repro.compiler.codegen.c_backend import CBackend, CCompilationError, c_compiler_available
-from repro.compiler.codegen.python_backend import GeneratedModule, PythonBackend
+from repro.compiler.codegen.python_backend import PythonBackend
 
 __all__ = [
     "PythonBackend",
-    "GeneratedModule",
     "CBackend",
     "CCompilationError",
     "c_compiler_available",

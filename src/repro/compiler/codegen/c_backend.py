@@ -95,6 +95,7 @@ from repro.compiler.options import _default_c_flags
 
 if TYPE_CHECKING:  # plan.py imports codegen.tables, so this package loads first
     from repro.compiler.plan import DomainLoop
+    from repro.compiler.registry import KernelSpec
 
 __all__ = [
     "CBackend",
@@ -227,6 +228,8 @@ class CGeneratedModule:
     entry_name: str
     constants: Dict[str, np.ndarray]
     method: str
+    #: The kernel's entry ABI (:attr:`KernelSpec.abi <repro.compiler.registry.KernelSpec.abi>`).
+    abi: CMethodSpec
     codegen_seconds: float
     compiler: str
     flags: Tuple[str, ...]
@@ -264,9 +267,6 @@ class CGeneratedModule:
             raise CCompilationError(
                 f"C compiler {self.compiler!r} not found; use the python backend instead"
             )
-        spec = _C_METHOD_SPECS.get(self.method)
-        if spec is None:  # pragma: no cover - guarded during generation
-            raise CCompilationError(f"unsupported method {self.method!r}")
         start = time.perf_counter()
         cache = generated_code_dir()
         extra_flags = []
@@ -325,9 +325,9 @@ class CGeneratedModule:
         self._lib = lib
         self.shared_object = so_path
         self.compile_seconds = time.perf_counter() - start
-        if spec.solve:
-            self.solve_entry = spec.solve_spec.wrap(self, getattr(lib, f"{self.entry_name}_solve"))
-        self._callable = spec.wrap(self, fn)
+        if self.abi.solve:
+            self.solve_entry = self.abi.solve_spec.wrap(self, getattr(lib, f"{self.entry_name}_solve"))
+        self._callable = self.abi.wrap(self, fn)
         return self._callable
 
 
@@ -366,7 +366,7 @@ def resolve_num_threads(num_threads: Optional[int]) -> int:
 
 @dataclass(frozen=True)
 class CMethodSpec:
-    """ABI description of one kernel method for the C backend.
+    """The entry ABI of one kernel: the ``abi`` of its row in :mod:`repro.compiler.registry`.
 
     The entry point takes the ``inputs`` (``(C name, element type)`` of each
     ``const`` array, in order), then one ``double*`` per ``outputs`` entry
@@ -381,8 +381,9 @@ class CMethodSpec:
     loops (:data:`_LOOPS`) the kernel can be printed from, ``"untransformed"``
     standing for a body without one.  ``solve`` says whether the module also
     exports ``<entry>_solve`` (:func:`_emit_solve`, ABI :attr:`solve_spec`):
-    Cholesky, LDLᵀ, LU and IC(0) do.  Both the emitted C signatures and the
-    ctypes binders derive from this one description.
+    Cholesky, LDLᵀ, LU and IC(0) do.  The emitted C signatures, the ctypes
+    binders, the python backend's binders and the artifacts' array checks all
+    derive from this one description.
     """
 
     inputs: Tuple[Tuple[str, str], ...]
@@ -469,47 +470,6 @@ class CMethodSpec:
         if status < 0:
             raise MemoryError("out of memory for the kernel's per-thread work buffers")
         raise ValueError(self.failure.format(column=int(status) - 1))
-
-
-_FACTOR_INPUTS = (("Ap", "int64_t"), ("Ai", "int64_t"), ("Ax", "double"))
-_ZERO_PIVOT = "matrix is singular (zero pivot) at column {column}"
-_LEFT_LOOKING = ("supernodal-cholesky", "simplicial-cholesky")
-
-_C_METHOD_SPECS: Dict[str, CMethodSpec] = {
-    "triangular-solve": CMethodSpec(
-        inputs=(("Lp", "int64_t"), ("Li", "int64_t"), ("Lx", "double"), ("b", "double")),
-        outputs=(("x", "n"),),
-        loops=("trisolve-segments", "untransformed"),
-    ),
-    "cholesky": CMethodSpec(
-        inputs=_FACTOR_INPUTS,
-        outputs=(("Lx", "factor_nnz"),),
-        loops=_LEFT_LOOKING,
-        failure="matrix is not positive definite at column {column}",
-        solve=True,
-    ),
-    "ldlt": CMethodSpec(
-        inputs=_FACTOR_INPUTS,
-        outputs=(("Lx", "factor_nnz"), ("D", "n")),
-        loops=_LEFT_LOOKING,
-        failure=_ZERO_PIVOT,
-        solve=True,
-    ),
-    "lu": CMethodSpec(
-        inputs=_FACTOR_INPUTS,
-        outputs=(("Lx", "l_nnz"), ("Ux", "u_nnz")),
-        loops=("simplicial-lu",),
-        failure=_ZERO_PIVOT,
-        solve=True,
-    ),
-    "ic0": CMethodSpec(
-        inputs=_FACTOR_INPUTS,
-        outputs=(("Lx", "factor_nnz"),),
-        loops=("incomplete-cholesky",),
-        failure="IC(0) breakdown: non-positive pivot at column {column}",
-        solve=True,
-    ),
-}
 
 
 class _CEmitter:
@@ -1061,8 +1021,8 @@ class CBackend:
         self.flags = _default_c_flags() if flags is None else tuple(flags)
 
     # ------------------------------------------------------------------ #
-    def generate(self, domain: Optional[DomainLoop], method: str, entry: str, context) -> CGeneratedModule:
-        """The :class:`CGeneratedModule` of ``method`` running ``domain`` (``None``: the untransformed loop).
+    def generate(self, domain: Optional[DomainLoop], spec: KernelSpec, entry: str, context) -> CGeneratedModule:
+        """The :class:`CGeneratedModule` of kernel ``spec`` running ``domain`` (``None``: the untransformed loop).
 
         It holds the step function and the entry point ``entry`` (and, for a
         direct factorization or IC(0), ``{entry}_solve``).
@@ -1070,13 +1030,8 @@ class CBackend:
         ``decisions["wavefront"]`` (:data:`_SERIAL_FALLBACK`).
         """
         start = time.perf_counter()
-        spec = _C_METHOD_SPECS.get(method)
-        if spec is None:
-            raise CCompilationError(f"unsupported method {method!r}")
-        role = "untransformed" if domain is None else domain.role
-        if role not in spec.loops:
-            raise CCompilationError(f"the C backend requires a VI-Pruned or VS-Block'd {method} kernel")
-        loop = _LOOPS[role]
+        abi = spec.abi
+        loop = _LOOPS["untransformed" if domain is None else domain.role]
         if context.options.parallel == "wavefront":
             context.decisions["wavefront"] = dict(_SERIAL_FALLBACK)
         contract = ({}, {}) if domain is None else domain.contract
@@ -1084,18 +1039,18 @@ class CBackend:
         dims = ["n", *contract[0]]
 
         code = _CEmitter()
-        self._emit_step(code, f"{entry}_step", loop, domain, spec)
-        code.emit(spec.signature(entry) + " {")
+        self._emit_step(code, f"{entry}_step", loop, domain, abi)
+        code.emit(abi.signature(entry) + " {")
         code.push()
         code.emit("REPRO_BIND_TABLES")
         for line in loop.preamble:
             code.emit(line)
-        self._emit_serial_loop(code, entry, loop, spec)
+        self._emit_serial_loop(code, entry, loop, abi)
         code.pop()
         code.emit("}")
         solve_line = len(code.lines)
-        if spec.solve:
-            _emit_solve(code, spec.solve_spec.signature(f"{entry}_solve"), domain)
+        if abi.solve:
+            _emit_solve(code, abi.solve_spec.signature(f"{entry}_solve"), domain)
 
         # The runtimes go in when the emitted code calls them.
         text = "\n".join(code.lines)
@@ -1116,7 +1071,7 @@ class CBackend:
         out.emit("#define REPRO_BIND_TABLES \\")
         out.lines.extend(f"    {line} \\" for line in bind[:-1])
         out.emit(f"    {bind[-1]}")
-        if spec.solve:
+        if abi.solve:
             divides = domain.factor_kind in ("llt", "ic0")
             out.emit("#define REPRO_PIVOT(v, d) " + ("((v) / (d))" if divides else "(v)"))
         prologue_line = len(out.lines)
@@ -1129,7 +1084,7 @@ class CBackend:
         out.lines.extend(code.lines)
         source = out.source()
         parts: Tuple[Tuple[Tuple[int, int], ...], ...] = ()
-        if spec.solve:
+        if abi.solve:
             # Two translation units of the same text: the work buffers, the
             # step and the entry; the includes and macros again, then the solve.
             prologue, solve = (len("\n".join(out.lines[:k])) + 1 for k in (prologue_line, solve_line))
@@ -1139,7 +1094,8 @@ class CBackend:
             source=source,
             entry_name=entry,
             constants=constants,
-            method=method,
+            method=spec.name,
+            abi=abi,
             codegen_seconds=codegen_seconds,
             compiler=self.compiler,
             flags=self.flags,
@@ -1148,12 +1104,12 @@ class CBackend:
         )
 
     @staticmethod
-    def _emit_step(out: _CEmitter, name: str, loop: _Loop, domain: Optional[DomainLoop], spec: CMethodSpec) -> None:
+    def _emit_step(out: _CEmitter, name: str, loop: _Loop, domain: Optional[DomainLoop], abi: CMethodSpec) -> None:
         """Print ``static inline int64_t {name}(int64_t j, <the entry's arrays>, repro_T)``: one step of ``loop``.
 
         It returns 0, or the failing column + 1.
         """
-        params = ", ".join(spec.params)
+        params = ", ".join(abi.params)
         out.emit(f"static inline int64_t {name}(int64_t {loop.index}, {params}, const int64_t* const* repro_T) {{")
         out.push()
         out.emit("REPRO_BIND_TABLES")
@@ -1166,7 +1122,7 @@ class CBackend:
         out.emit("")
 
     @staticmethod
-    def _emit_serial_loop(out: _CEmitter, entry: str, loop: _Loop, spec: CMethodSpec) -> None:
+    def _emit_serial_loop(out: _CEmitter, entry: str, loop: _Loop, abi: CMethodSpec) -> None:
         """Reserve and clear this thread's work buffers, then run every step in order."""
         if loop.work:
             reserve, clear, _ = _WORK[loop.work]
@@ -1175,8 +1131,8 @@ class CBackend:
                 out.emit(clear)
         i = loop.index
         head = f"for (int64_t {i} = 0; {i} < {loop.extent}; {i}++)"
-        call = f"{entry}_step({i}, {', '.join(spec.names)}, repro_T)"
-        if spec.failure is None:
+        call = f"{entry}_step({i}, {', '.join(abi.names)}, repro_T)"
+        if abi.failure is None:
             out.emit(f"{head} {call};")
             return
         out.emit(f"{head} {{")

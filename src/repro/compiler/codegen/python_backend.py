@@ -22,57 +22,33 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
 
 from repro.compiler.cache import build_file_once
 from repro.compiler.codegen import reference, tables
-from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, atomic_write_text, disk_cache_stats
+from repro.compiler.codegen.c_backend import CMethodSpec, atomic_write_text, disk_cache_stats
 from repro.compiler.codegen.runtime import generated_code_dir, pattern_fingerprint
 from repro.observe.trace import span as observe_span
 
 if TYPE_CHECKING:  # plan.py imports codegen.tables, so this package loads first
     from repro.compiler.plan import DomainLoop
+    from repro.compiler.registry import KernelSpec
 
-__all__ = ["PythonBackend", "GeneratedModule", "CodegenError"]
-
-
-class CodegenError(RuntimeError):
-    """Raised when the backend has no kernel for a method or its domain loop."""
+__all__ = ["PythonBackend", "GeneratedModule"]
 
 
-def _require(domain: Optional[DomainLoop], method: str, *roles: str) -> DomainLoop:
-    if domain is None or domain.role not in roles:
-        raise CodegenError(f"the python backend requires a VI-Pruned or VS-Block'd {method} kernel")
-    return domain
-
-
-def _plan_factorization(domain: Optional[DomainLoop], method: str):
-    domain = _require(domain, method, "supernodal-cholesky", "simplicial-cholesky", "simplicial-lu")
-    if domain.role == "simplicial-lu":
-        return reference.simplicial_lu, domain.contract
-    fn = reference.supernodal_cholesky if domain.role == "supernodal-cholesky" else reference.simplicial_cholesky
-    return partial(fn, ldlt=domain.factor_kind == "ldlt"), domain.contract
-
-
-def _plan_incomplete(domain: Optional[DomainLoop], method: str):
-    return reference.ic0, _require(domain, method, "incomplete-cholesky").contract
-
-
-def _plan_trisolve(domain: Optional[DomainLoop], method: str):
-    # None: the untransformed loop over every column, no table.
-    return reference.triangular_solve, (({}, {}) if domain is None else domain.contract)
-
-
-#: Per method: (domain loop, method) -> (reference kernel taking the table block and then the
-#: method's numeric arrays, contract of the domain loop).
-_PY_METHOD_SPECS: Dict[str, Callable[[Optional[DomainLoop], str], Tuple[Callable, tables.Contract]]] = {
-    "triangular-solve": _plan_trisolve,
-    "cholesky": _plan_factorization,
-    "ldlt": _plan_factorization,
-    "lu": _plan_factorization,
-    "ic0": _plan_incomplete,
+#: The reference kernel of every domain loop, by role (``"untransformed"``: no
+#: domain loop), as the C backend prints them from ``_LOOPS``: each takes the
+#: table block and then the kernel's numeric arrays.
+_REFERENCE: Dict[str, Callable] = {
+    "untransformed": reference.triangular_solve,
+    "trisolve-segments": reference.triangular_solve,
+    "simplicial-cholesky": reference.simplicial_cholesky,
+    "supernodal-cholesky": reference.supernodal_cholesky,
+    "simplicial-lu": reference.simplicial_lu,
+    "incomplete-cholesky": reference.ic0,
 }
 
 
@@ -84,6 +60,8 @@ class GeneratedModule:
     entry_name: str
     constants: Dict[str, np.ndarray]
     method: str
+    #: The kernel's entry ABI (:attr:`KernelSpec.abi <repro.compiler.registry.KernelSpec.abi>`).
+    abi: CMethodSpec
     codegen_seconds: float
     compile_seconds: float = 0.0
     #: :func:`reference.factor_solve` of the module's factor kind, for a direct factorization or IC(0).
@@ -115,7 +93,7 @@ class GeneratedModule:
             # smoke's cache directory and reads py_writes for "did this start generate anything".
             if build_file_once(path, lambda: atomic_write_text(path, source)) == "built":
                 disk_cache_stats().bump("py_writes")
-        failure = getattr(_C_METHOD_SPECS.get(self.method), "failure", None) or "breakdown at column {column}"
+        failure = self.abi.failure or "breakdown at column {column}"
 
         def bind(inputs, outputs):
             def run():
@@ -141,19 +119,20 @@ class PythonBackend:
 
     name = "python"
 
-    def generate(self, domain: Optional[DomainLoop], method: str, entry: str, context) -> GeneratedModule:
-        """The :class:`GeneratedModule` of ``method`` running ``domain`` (``context`` supplies the matrix order)."""
+    def generate(self, domain: Optional[DomainLoop], spec: KernelSpec, entry: str, context) -> GeneratedModule:
+        """The :class:`GeneratedModule` of kernel ``spec`` running ``domain`` (``context``: the matrix order)."""
         start = time.perf_counter()
-        planner = _PY_METHOD_SPECS.get(method)
-        if planner is None:
-            raise CodegenError(f"unsupported method {method!r}")
-        function, contract = planner(domain, method)
-        solves = _C_METHOD_SPECS[method].solve
+        function = _REFERENCE["untransformed" if domain is None else domain.role]
+        kind = None if domain is None else domain.factor_kind
+        if kind == "ldlt":
+            function = partial(function, ldlt=True)
         return GeneratedModule(
             function=function,
             entry_name=entry,
-            constants=tables.block(context.inspection.n, contract),
-            method=method,
+            # None: the untransformed loop over every column, no table.
+            constants=tables.block(context.inspection.n, ({}, {}) if domain is None else domain.contract),
+            method=spec.name,
+            abi=spec.abi,
             codegen_seconds=time.perf_counter() - start,
-            solve_function=partial(reference.factor_solve, kind=domain.factor_kind) if solves else None,
+            solve_function=partial(reference.factor_solve, kind=kind) if spec.abi.solve else None,
         )

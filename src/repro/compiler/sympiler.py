@@ -1,11 +1,11 @@
 """The Sympiler driver: symbolic inspection → transformation → code generation.
 
 :class:`Sympiler` is the user-facing compiler.  It is a *generic* driver: the
-per-kernel knowledge (inspector, plan function, artifact type, cache
-fingerprint) lives in one static table of
-:class:`~repro.compiler.registry.KernelSpec` (:mod:`repro.compiler.registry`),
-and :meth:`Sympiler.compile` walks the spec of the requested kernel name.
-Adding a kernel therefore means adding an entry to that table; the driver
+per-kernel knowledge (inspect function, plan function, artifact type, entry
+ABI) lives in one static table of
+:class:`~repro.compiler.registry.KernelSpec` rows (:mod:`repro.compiler.registry`),
+and :meth:`Sympiler.compile` walks the row of the requested kernel name.
+Adding a kernel therefore means adding a row to that table; the driver
 itself contains no kernel-specific branches.
 
 Compiled artifacts are cached in a pattern-keyed LRU
@@ -23,31 +23,23 @@ from typing import Optional, Sequence, Set
 
 import numpy as np
 
-from repro.compiler.artifacts import (
-    CompiledArtifact,
-    CompileTimings,
-    PatternMismatchError,
-    SympiledCholesky,
-    SympiledLDLT,
-    SympiledTriangularSolve,
-)
-from repro.compiler.cache import ArtifactCache, CacheStats, cache_key
+from repro.compiler.artifacts import CompiledArtifact, CompileTimings
+from repro.compiler.cache import ArtifactCache, cache_key
 from repro.compiler.codegen.c_backend import CBackend, c_compiler_available
 from repro.compiler.codegen.python_backend import PythonBackend
+from repro.compiler.codegen.runtime import pattern_fingerprint, rhs_fingerprint_extra
 from repro.compiler.options import SympilerOptions
 from repro.compiler.plan import CompilationContext
 from repro.compiler.registry import kernel_spec
 from repro.observe.trace import span
 from repro.sparse.csc import CSCMatrix
+from repro.symbolic.inspector import normalize_rhs_pattern
 
-__all__ = [
-    "Sympiler",
-    "SympiledTriangularSolve",
-    "SympiledCholesky",
-    "SympiledLDLT",
-    "PatternMismatchError",
-    "CompileTimings",
-]
+__all__ = ["Sympiler", "CodegenError"]
+
+
+class CodegenError(RuntimeError):
+    """Raised when the plan chose a domain loop the kernel's entry is not printed from."""
 
 
 #: Compiler executables a fallback warning has already been emitted for, so a
@@ -123,7 +115,8 @@ class Sympiler:
         kernel: str,
         matrix: CSCMatrix,
         options: Optional[SympilerOptions] = None,
-        **kernel_args,
+        *,
+        rhs_pattern: Optional[Sequence[int] | np.ndarray] = None,
     ) -> CompiledArtifact:
         """Compile the named kernel, specialized to ``matrix``'s pattern.
 
@@ -133,79 +126,57 @@ class Sympiler:
             A kernel name (:func:`~repro.compiler.registry.registered_kernels`).
         matrix:
             The input pattern — ``L`` for triangular solve, ``A`` for the
-            factorizations.  Only its structure is read here.
+            factorizations.  Only its structure is read.
         options:
             Per-call options overriding the compiler's defaults.
-        kernel_args:
-            Kernel-specific arguments declared by the spec (e.g.
-            ``rhs_pattern`` for the triangular solve).
+        rhs_pattern:
+            The triangular solve's right-hand-side nonzero indices (``None``:
+            dense); a factorization given one raises ``TypeError``.
 
-        Returns the spec's artifact; an identical (pattern, kernel, options)
+        Returns the kernel's artifact; an identical (pattern, kernel, options)
         triple returns the cached artifact without recompiling.
         """
         spec = kernel_spec(kernel)
-        spec.validate_args(kernel_args)
-        # Canonicalize the arguments exactly once: one-shot iterables are
-        # materialized and invalid input fails here, before the cache is
-        # consulted, so error behaviour never depends on cache state.
-        kernel_args = spec.normalize_args(matrix, kernel_args)
         options = options or self.options
-
+        if spec.factorization:
+            if rhs_pattern is not None:
+                raise TypeError(f"kernel {spec.name!r} takes no rhs_pattern")
+            rhs, extra = (), ""
+        else:
+            # Normalized exactly once: a one-shot iterable is read once and a
+            # bad index fails here, before the cache is consulted, so error
+            # behaviour never depends on cache state.
+            rhs = (normalize_rhs_pattern(matrix.n, rhs_pattern),)
+            extra = rhs_fingerprint_extra(matrix.n, rhs[0])
+        fingerprint = pattern_fingerprint(matrix.indptr, matrix.indices, extra=extra)
         # The cache key uses the *requested* options: a forced-VI-Prune
         # compile must not alias a compile that asked for VI-Prune outright,
         # since their decision records differ even when the code does not.
-        fingerprint = spec.fingerprint(matrix, kernel_args)
         key = cache_key(spec.name, fingerprint, options)
-
-        forced_vi_prune = False
-        if spec.requires_vi_prune and not options.enable_vi_prune:
+        forced_vi_prune = spec.factorization and not options.enable_vi_prune
+        if forced_vi_prune:
             options = options.with_updates(enable_vi_prune=True)
-            forced_vi_prune = True
 
         # Single-flight through the cache: concurrent compiles of the same
         # (kernel, pattern, options) — service worker threads registering one
         # pattern — collapse to one build; the other callers share the
         # resulting artifact instead of double-compiling.
         return self.cache.get_or_build(
-            key,
-            lambda: self._build(
-                spec, matrix, options, kernel_args, fingerprint, forced_vi_prune
-            ),
+            key, lambda: self._build(spec, matrix, options, rhs, fingerprint, forced_vi_prune)
         )
 
-    def _build(
-        self,
-        spec,
-        matrix: CSCMatrix,
-        options: SympilerOptions,
-        kernel_args: dict,
-        fingerprint: str,
-        forced_vi_prune: bool,
-    ) -> CompiledArtifact:
+    def _build(self, spec, matrix, options, rhs, fingerprint, forced_vi_prune) -> CompiledArtifact:
         """Run the full inspection → transformation → codegen pipeline once."""
         with span("compile", kernel=spec.name, backend=options.backend, fingerprint=fingerprint) as sp:
-            artifact = self._build_traced(
-                spec, matrix, options, kernel_args, fingerprint, forced_vi_prune
-            )
+            artifact = self._build_traced(spec, matrix, options, rhs, fingerprint, forced_vi_prune)
             # True when no `cc` ran: the .so was on disk already — a disk-warm
             # start, or another pattern that generated the same C source.
             sp.set(so_shared=getattr(artifact.module, "so_shared", False))
             return artifact
 
-    def _build_traced(
-        self,
-        spec,
-        matrix: CSCMatrix,
-        options: SympilerOptions,
-        kernel_args: dict,
-        fingerprint: str,
-        forced_vi_prune: bool,
-    ) -> CompiledArtifact:
-        inspector = spec.inspector_cls()
+    def _build_traced(self, spec, matrix, options, rhs, fingerprint, forced_vi_prune) -> CompiledArtifact:
         with span("inspect", kernel=spec.name):
-            inspection = inspector.inspect(
-                matrix, **spec.inspect_kwargs(options, kernel_args)
-            )
+            inspection = spec.inspect(matrix, *rhs)
 
         context = CompilationContext(method=spec.name, matrix=matrix, inspection=inspection, options=options)
         if forced_vi_prune:
@@ -215,12 +186,15 @@ class Sympiler:
         with span("transform", kernel=spec.name):
             loop = spec.plan(context)
         transform_seconds = time.perf_counter() - t0
+        role = "untransformed" if loop is None else loop.role
+        if role not in spec.abi.loops:
+            raise CodegenError(f"kernel {spec.name!r} has no {role} loop; it runs {', '.join(spec.abi.loops)}")
 
         backend = _backend_for(options)
         # The entry point is named after the kernel, as a C identifier.
         entry_name = spec.name.replace("-", "_")
         with span("codegen", kernel=spec.name, backend=options.backend):
-            module = backend.generate(loop, spec.name, entry_name, context)
+            module = backend.generate(loop, spec, entry_name, context)
         entry = module.compile()
         timings = CompileTimings(
             inspection=inspection.symbolic_seconds,
@@ -240,38 +214,3 @@ class Sympiler:
             operand_nnz=matrix.nnz,
             inspection=inspection,
         )
-
-    # ------------------------------------------------------------------ #
-    # Convenience wrappers (thin aliases over the generic entry point)
-    # ------------------------------------------------------------------ #
-    def compile_triangular_solve(
-        self,
-        L: CSCMatrix,
-        rhs_pattern: Optional[Sequence[int] | np.ndarray] = None,
-        options: Optional[SympilerOptions] = None,
-    ) -> SympiledTriangularSolve:
-        """Generate a solver for ``L x = b`` specialized to ``L``'s pattern.
-
-        ``rhs_pattern`` holds the nonzero indices of the right-hand side;
-        ``None`` means dense.
-        """
-        return self.compile("triangular-solve", L, options=options, rhs_pattern=rhs_pattern)
-
-    def compile_cholesky(
-        self,
-        A: CSCMatrix,
-        options: Optional[SympilerOptions] = None,
-    ) -> SympiledCholesky:
-        """Generate a Cholesky factorization specialized to ``A``'s pattern."""
-        return self.compile("cholesky", A, options=options)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the artifact cache this driver uses.
-
-        With the default process-wide shared cache these counters aggregate
-        every driver in the process; construct ``Sympiler(cache=ArtifactCache())``
-        for per-driver counters.
-        """
-        return self.cache.stats

@@ -20,7 +20,6 @@ from repro.frontend.probes import (
     AUTO_METHODS,
     ProbeReport,
     probe_structure,
-    select_method,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "AUTO_METHODS",
     "ProbeReport",
     "probe_structure",
-    "select_method",
     "SpecializedSolver",
     "FrontendStats",
     "solve",

@@ -9,7 +9,7 @@ comparisons — never a factorization, never ``to_dense``):
   necessary for SPD, not sufficient; the front end backs it with a
   try-Cholesky-fall-back-to-LDLᵀ escape at specialization time)?
 
-and :func:`select_method` folds the answers into one of the three direct
+and :func:`probe_structure` folds the answers into one of the three direct
 routes, whatever the size of the system:
 
 ==================================  =============================
@@ -34,9 +34,9 @@ import numpy as np
 from repro.observe.trace import span
 from repro.sparse.csc import CSCMatrix
 
-__all__ = ["ProbeReport", "probe_structure", "select_method", "AUTO_METHODS"]
+__all__ = ["ProbeReport", "probe_structure", "AUTO_METHODS"]
 
-#: The routes the front end serves: the three :func:`select_method` chooses
+#: The routes the front end serves: the three :func:`probe_structure` chooses
 #: among, in probe order, then ``pcg``, which runs only when asked for.
 AUTO_METHODS = ("cholesky", "ldlt", "lu", "pcg")
 
@@ -125,8 +125,3 @@ def _probe_square(A: CSCMatrix) -> ProbeReport:
         method=method,
         reason=reason,
     )
-
-
-def select_method(A: CSCMatrix) -> str:
-    """The auto-selected kernel route for ``A`` (probe + fold, no report)."""
-    return probe_structure(A).method

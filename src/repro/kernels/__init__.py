@@ -5,6 +5,6 @@ package keeps only the counting conventions that the paper-figure reproducer
 and the end-to-end benchmark share.
 """
 
-from repro.kernels.flops import cholesky_flops, gflops, triangular_solve_flops
+from repro.kernels.flops import cholesky_flops, triangular_solve_flops
 
-__all__ = ["triangular_solve_flops", "cholesky_flops", "gflops"]
+__all__ = ["triangular_solve_flops", "cholesky_flops"]

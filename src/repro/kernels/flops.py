@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.sparse.csc import CSCMatrix
 
-__all__ = ["triangular_solve_flops", "cholesky_flops", "gflops"]
+__all__ = ["triangular_solve_flops", "cholesky_flops"]
 
 
 def triangular_solve_flops(
@@ -53,10 +53,3 @@ def cholesky_flops(l_col_counts: np.ndarray | CSCMatrix) -> int:
         counts = np.asarray(l_col_counts, dtype=np.int64)
     below = counts - 1
     return int(np.sum(1 + below + below * counts))
-
-
-def gflops(flop_count: int, seconds: float) -> float:
-    """Convert a FLOP count and a wall-clock time to GFLOP/s."""
-    if seconds <= 0.0:
-        return float("inf")
-    return flop_count / seconds / 1.0e9

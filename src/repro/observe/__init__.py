@@ -42,7 +42,6 @@ from repro.observe.adapters import install_default_collectors
 from repro.observe.events import (
     Event,
     EventLog,
-    configure_events,
     emit_event,
     get_event_log,
 )
@@ -52,7 +51,6 @@ from repro.observe.exporters import (
     chrome_trace,
     chrome_trace_events,
     format_breakdown,
-    phase_totals,
     process_name_event,
     prometheus_text,
     relabel_prometheus_text,
@@ -100,7 +98,6 @@ __all__ = [
     "capture",
     "chrome_trace",
     "chrome_trace_events",
-    "configure_events",
     "disable",
     "emit_event",
     "enable",
@@ -109,9 +106,7 @@ __all__ = [
     "get_event_log",
     "get_registry",
     "get_tracer",
-    "install_default_collectors",
     "percentile",
-    "phase_totals",
     "process_name_event",
     "prometheus_text",
     "relabel_prometheus_text",

@@ -40,8 +40,6 @@ __all__ = [
     "DEFAULT_SLOW_REQUEST_SECONDS",
     "Event",
     "EventLog",
-    "configure",
-    "configure_events",
     "emit",
     "emit_event",
     "get_event_log",
@@ -165,16 +163,6 @@ def emit(kind: str, **attrs: Any) -> Event:
     return _LOG.emit(kind, **attrs)
 
 
-def configure(
-    *,
-    jsonl_path: Optional[str] = None,
-    slow_request_seconds: Optional[float] = None,
-) -> None:
-    """Configure the process-wide log (see :meth:`EventLog.configure`)."""
-    _LOG.configure(jsonl_path=jsonl_path, slow_request_seconds=slow_request_seconds)
-
-
-# Unambiguous aliases for the package-level namespace (`repro.observe.emit`
-# would read as emitting a metric or a span; these don't).
+# Unambiguous alias for the package-level namespace (`repro.observe.emit`
+# would read as emitting a metric or a span; this doesn't).
 emit_event = emit
-configure_events = configure

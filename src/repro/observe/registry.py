@@ -116,12 +116,8 @@ class Reservoir:
         self.count = 0
         self.total = 0.0
 
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self.observe_locked(value)
-
     def observe_locked(self, value: float) -> None:
-        """:meth:`observe` for a caller already holding the reservoir's lock."""
+        """Record one sample; the caller holds the reservoir's lock (the one it passed as ``lock``)."""
         value = float(value)
         self._samples.append(value)
         self.count += 1

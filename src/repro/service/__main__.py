@@ -110,8 +110,8 @@ def run_smoke(args) -> int:
 
         # ---- warm-up complete; from here on, nothing may be recompiled ----
         disk_before = disk_cache_stats().as_dict()
-        cache_stats = next(iter(references.values())).cache_stats
-        misses_before = cache_stats.misses
+        artifact_stats = next(iter(references.values())).artifact_cache.stats
+        misses_before = artifact_stats.misses
 
         names = list(matrices)
         total = args.requests
@@ -146,7 +146,7 @@ def run_smoke(args) -> int:
             t.join()
 
         disk_after = disk_cache_stats().as_dict()
-        misses_after = cache_stats.misses
+        misses_after = artifact_stats.misses
         recompiles = (disk_after["compiles"] - disk_before["compiles"]) + (
             disk_after["py_writes"] - disk_before["py_writes"]
         )

@@ -17,11 +17,7 @@ numeric values change every step, so the one-time compile cost amortizes:
 from repro.solvers.batched import BatchedSolver, FactorHandle
 from repro.solvers.cg import CGResult, preconditioned_conjugate_gradient
 from repro.solvers.linear_solver import SparseLinearSolver, backward_factor
-from repro.solvers.newton import (
-    NewtonResult,
-    newton_raphson_ensemble,
-    newton_raphson_fixed_pattern,
-)
+from repro.solvers.newton import NewtonResult, newton_raphson_fixed_pattern
 
 __all__ = [
     "SparseLinearSolver",
@@ -31,6 +27,5 @@ __all__ = [
     "preconditioned_conjugate_gradient",
     "CGResult",
     "newton_raphson_fixed_pattern",
-    "newton_raphson_ensemble",
     "NewtonResult",
 ]

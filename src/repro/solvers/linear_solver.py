@@ -34,7 +34,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compiler.artifacts import CompiledArtifact, SympiledFactorization
-from repro.compiler.cache import CacheStats
 from repro.compiler.codegen.c_backend import resolve_num_threads
 from repro.compiler.options import SympilerOptions
 from repro.compiler.registry import UnknownKernelError, kernel_spec
@@ -334,16 +333,6 @@ class SparseLinearSolver:
                 self._sympiler.compile("triangular-solve", M, options=self.options) for M in operands
             )
         return (self._factorization, *self._sweep_artifacts)
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Artifact-cache counters of the underlying Sympiler driver.
-
-        The driver uses the *process-wide shared* cache by default, so these
-        counters aggregate every Sympiler in the process — useful for
-        deltas around an operation, not as per-solver totals.
-        """
-        return self._sympiler.cache_stats
 
     def factorize(self, A=None) -> CSCMatrix:
         """(Re-)factorize; ``A`` may carry new values on the same pattern.

@@ -6,29 +6,20 @@ circuit simulation: a Newton–Raphson solver factorizes a Jacobian whose
 *values* change.  This driver reproduces that pattern: the Jacobian pattern is
 compiled once, and each iteration only re-runs the generated numeric
 factorization and the triangular solves.
-
-:func:`newton_raphson_ensemble` extends the scenario to *ensembles*: many
-Newton solves whose Jacobians share one sparsity pattern (parameter sweeps,
-perturbed operating points, Monte-Carlo load cases).  One compiled kernel
-serves every member, and each iteration batch-factorizes the Jacobians of
-all still-active members through one
-:class:`~repro.solvers.batched.BatchedSolver` — with per-member error
-isolation, so a singular member drops out while the rest keep converging.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.compiler.options import SympilerOptions
-from repro.solvers.batched import BatchedSolver
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.csc import CSCMatrix
 
-__all__ = ["newton_raphson_fixed_pattern", "newton_raphson_ensemble", "NewtonResult"]
+__all__ = ["newton_raphson_fixed_pattern", "NewtonResult"]
 
 
 @dataclass
@@ -111,109 +102,3 @@ def newton_raphson_fixed_pattern(
         residual_norms=residual_norms,
         factorizations=factorizations,
     )
-
-
-def newton_raphson_ensemble(
-    residual_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
-    jacobian_fns: Sequence[Callable[[np.ndarray], CSCMatrix]],
-    x0s: Sequence[np.ndarray],
-    *,
-    tol: float = 1e-10,
-    max_iterations: int = 50,
-    damping: float = 1.0,
-    options: Optional[SympilerOptions] = None,
-    ordering: str = "mindeg",
-    method: str = "cholesky",
-    num_threads: Optional[int] = None,
-) -> List[NewtonResult]:
-    """Solve an ensemble of ``F_s(x_s) = 0`` systems with shared-pattern Jacobians.
-
-    Every scenario ``s`` has its own residual/Jacobian callables and initial
-    iterate, but all Jacobians must carry one sparsity pattern (the usual
-    parameter-sweep situation: one network topology, many load cases).  One
-    :class:`~repro.solvers.batched.BatchedSolver` is built from the first
-    scenario's Jacobian; each iteration batch-factorizes the Jacobians of every
-    still-active scenario concurrently and applies the Newton updates.
-
-    A scenario whose Jacobian fails to factorize (singular/indefinite) stops
-    iterating and reports ``converged=False``; the other scenarios are
-    unaffected.  Results come back in scenario order.
-    """
-    if not (len(residual_fns) == len(jacobian_fns) == len(x0s)):
-        raise ValueError("residual_fns, jacobian_fns and x0s must have equal length")
-    n_scenarios = len(x0s)
-    if n_scenarios == 0:
-        return []
-    xs = [np.array(x0, dtype=np.float64, copy=True) for x0 in x0s]
-    norms: List[List[float]] = [[] for _ in range(n_scenarios)]
-    converged = [False] * n_scenarios
-    failed = [False] * n_scenarios
-    factorizations = [0] * n_scenarios
-    iterations = [0] * n_scenarios
-    batched: Optional[BatchedSolver] = None
-
-    for _ in range(max_iterations):
-        active: List[int] = []
-        residuals: List[np.ndarray] = []
-        for s in range(n_scenarios):
-            if converged[s] or failed[s]:
-                continue
-            F = np.asarray(residual_fns[s](xs[s]), dtype=np.float64)
-            norms[s].append(float(np.linalg.norm(F)))
-            if norms[s][-1] <= tol:
-                converged[s] = True
-                continue
-            active.append(s)
-            residuals.append(F)
-        if not active:
-            break
-        jacobians = [jacobian_fns[s](xs[s]) for s in active]
-        while batched is None and active:
-            # Construction factorizes the pattern-defining Jacobian eagerly
-            # (outside the batch's per-item isolation), so a scenario whose
-            # very first Jacobian is singular must be dropped here — not
-            # crash the whole ensemble — and the next scenario tried.
-            try:
-                batched = BatchedSolver(
-                    jacobians[0],
-                    method=method,
-                    ordering=ordering,
-                    options=options,
-                    num_threads=num_threads,
-                )
-            except ValueError:
-                s = active.pop(0)
-                residuals.pop(0)
-                jacobians.pop(0)
-                failed[s] = True
-                iterations[s] += 1
-        if not active:
-            continue
-        handles = batched.factorize_batch(jacobians)
-        for s, F, handle in zip(active, residuals, handles):
-            iterations[s] += 1
-            if not handle.ok:
-                failed[s] = True
-                continue
-            factorizations[s] += 1
-            dx = handle.solve(-F)
-            xs[s] = xs[s] + damping * dx
-
-    results: List[NewtonResult] = []
-    for s in range(n_scenarios):
-        if not converged[s] and not failed[s]:
-            # Ran out of iterations: record the final residual like the
-            # single-scenario driver does.
-            F = np.asarray(residual_fns[s](xs[s]), dtype=np.float64)
-            norms[s].append(float(np.linalg.norm(F)))
-            converged[s] = bool(norms[s][-1] <= tol)
-        results.append(
-            NewtonResult(
-                x=xs[s],
-                iterations=iterations[s],
-                converged=converged[s],
-                residual_norms=norms[s],
-                factorizations=factorizations[s],
-            )
-        )
-    return results

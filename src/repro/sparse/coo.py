@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING, Iterable, Tuple
 
 import numpy as np
 
+from repro.sparse.csc import require_real
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sparse.csc import CSCMatrix
 
@@ -45,6 +47,7 @@ class COOMatrix:
     ) -> None:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
+        require_real(data, "data")
         data = np.asarray(data, dtype=np.float64)
         if not (rows.shape == cols.shape == data.shape):
             raise ValueError("rows, cols and data must have identical shapes")

@@ -15,7 +15,19 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sparse.coo import COOMatrix
 
-__all__ = ["CSCMatrix", "group_pointers"]
+__all__ = ["CSCMatrix", "group_pointers", "require_real"]
+
+
+def require_real(values, what: str) -> None:
+    """Raise ``ValueError`` naming the dtype when ``values`` are complex.
+
+    Every kernel of this package is real: a cast to ``float64`` would keep
+    only the real parts, with nothing but NumPy's ``ComplexWarning``.
+    """
+    if np.iscomplexobj(values):
+        dtype = getattr(values, "dtype", None)
+        dtype = np.asarray(values).dtype if dtype is None else dtype
+        raise ValueError(f"{what} has complex dtype {dtype}: only real values are supported")
 
 
 def group_pointers(groups: np.ndarray, n_groups: int) -> np.ndarray:
@@ -57,6 +69,7 @@ class CSCMatrix:
         self.n_cols = int(n_cols)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        require_real(data, "data")
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         if check:
             self.validate()
@@ -202,6 +215,7 @@ class CSCMatrix:
     @classmethod
     def from_dense(cls, dense: np.ndarray, *, drop_tol: float = 0.0) -> "CSCMatrix":
         """Build from a dense array, dropping entries with ``|a_ij| <= drop_tol``."""
+        require_real(dense, "dense")
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2:
             raise ValueError("from_dense expects a 2-D array")

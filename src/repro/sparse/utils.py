@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.csc import CSCMatrix
+from repro.sparse.csc import CSCMatrix, require_real
 
 __all__ = [
     "symmetrize_pattern",
@@ -27,18 +27,6 @@ def require_finite_values(A: CSCMatrix, values=None) -> None:
     k = int(np.argmin(finite))
     col = int(np.searchsorted(A.indptr, k, side="right")) - 1
     raise ValueError(f"matrix value {values[k]} at A[{int(A.indices[k])}, {col}] (stored entry {k}) is not finite")
-
-
-def require_real(values, what: str) -> None:
-    """Raise ``ValueError`` naming the dtype when ``values`` are complex.
-
-    Every kernel of this package is real: a cast to ``float64`` would keep
-    only the real parts, with nothing but NumPy's ``ComplexWarning``.
-    """
-    if np.iscomplexobj(values):
-        dtype = getattr(values, "dtype", None)
-        dtype = np.asarray(values).dtype if dtype is None else dtype
-        raise ValueError(f"{what} has complex dtype {dtype}: only real values are supported")
 
 
 def symmetrize_pattern(A: CSCMatrix) -> CSCMatrix:

@@ -10,10 +10,13 @@ graph DG_L (Fig. 1 of the paper) is never built as an object: it is ``L``'s
 own CSC column structure, which the reach walks in place
 (:mod:`repro.symbolic.reach`).
 
-This package implements those graph algorithms plus the inspector framework
-(:mod:`repro.symbolic.inspector`) that packages their results into
-*inspection sets* consumed by the inspector-guided transformations planned in
-:mod:`repro.compiler.plan`.
+This package implements those graph algorithms plus one inspection function
+per method (:mod:`repro.symbolic.inspector`: ``inspect_triangular_solve``,
+``inspect_cholesky`` — which LDLᵀ runs too —, ``inspect_lu`` and
+``inspect_ic0``) that packages their results into *inspection sets* consumed
+by the inspector-guided transformations planned in
+:mod:`repro.compiler.plan`.  The kernel table (:mod:`repro.compiler.registry`)
+names each kernel's function.
 """
 
 from repro.symbolic.colcount import column_counts_of_factor
@@ -25,12 +28,12 @@ from repro.symbolic.fill_pattern import (
 )
 from repro.symbolic.inspector import (
     CholeskyInspectionResult,
-    CholeskyInspector,
     LUInspectionResult,
-    LUInspector,
-    SymbolicInspector,
     TriangularInspectionResult,
-    TriangularSolveInspector,
+    inspect_cholesky,
+    inspect_ic0,
+    inspect_lu,
+    inspect_triangular_solve,
 )
 from repro.symbolic.reach import reach_set, reach_set_sorted
 from repro.symbolic.supernodes import (
@@ -51,10 +54,10 @@ __all__ = [
     "SupernodePartition",
     "cholesky_supernodes",
     "triangular_supernodes",
-    "SymbolicInspector",
-    "TriangularSolveInspector",
-    "CholeskyInspector",
-    "LUInspector",
+    "inspect_triangular_solve",
+    "inspect_cholesky",
+    "inspect_lu",
+    "inspect_ic0",
     "TriangularInspectionResult",
     "LUInspectionResult",
     "CholeskyInspectionResult",

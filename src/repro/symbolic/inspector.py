@@ -15,16 +15,18 @@ VI-Prune                  Cholesky           etree + SP(A)            prune-set 
 VS-Block                  Cholesky           etree + ColCount(A)      block-set (supernodes)
 ========================  =================  ======================  =====================
 
-The concrete inspectors below compute all sets needed by both transformations
-for each method, record how long symbolic analysis took (this is the
-"Sympiler (symbolic)" time in Figures 8 and 9), and return an immutable
-result object consumed by :mod:`repro.compiler`.
+One ``inspect_*`` function per method computes all sets needed by both
+transformations, records how long symbolic analysis took (this is the
+"Sympiler (symbolic)" time in Figures 8 and 9), and returns an immutable
+result object consumed by :mod:`repro.compiler`; the kernel table
+(:mod:`repro.compiler.registry`) names each kernel's function.  LDLᵀ runs
+:func:`inspect_cholesky`: the elimination tree ignores numeric signs, so the
+fill pattern of its unit-diagonal ``L`` is the Cholesky factor pattern.
 """
 
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,12 +45,10 @@ from repro.symbolic.supernodes import (
 )
 
 __all__ = [
-    "SymbolicInspector",
-    "TriangularSolveInspector",
-    "CholeskyInspector",
-    "LDLTInspector",
-    "LUInspector",
-    "IC0Inspector",
+    "inspect_triangular_solve",
+    "inspect_cholesky",
+    "inspect_lu",
+    "inspect_ic0",
     "TriangularInspectionResult",
     "CholeskyInspectionResult",
     "LUInspectionResult",
@@ -172,140 +172,77 @@ class LUInspectionResult:
         return CSCMatrix.from_pattern(self.n, self.n, self.u_indptr, self.u_indices)
 
 
-class SymbolicInspector(ABC):
-    """Base class of all symbolic inspectors.
-
-    Subclasses implement :meth:`inspect`, which performs all pattern-only
-    analysis for one numerical method and returns a result object containing
-    the inspection sets of Table 1 plus the elapsed symbolic time.
-    """
-
-    #: Name of the numerical method this inspector serves.
-    method: str = "abstract"
-
-    @abstractmethod
-    def inspect(self, matrix: CSCMatrix, **kwargs):
-        """Run symbolic analysis on ``matrix`` and return a result object."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"{type(self).__name__}(method={self.method!r})"
-
-
-class TriangularSolveInspector(SymbolicInspector):
-    """Symbolic inspector for sparse triangular solve ``L x = b``.
+def inspect_triangular_solve(
+    matrix: CSCMatrix, rhs_pattern: Optional[Sequence[int] | np.ndarray] = None
+) -> TriangularInspectionResult:
+    """Inspect a lower-triangular ``L`` and an optional RHS pattern (triangular solve ``L x = b``).
 
     Inspection graph: the dependence graph DG_L (plus the RHS pattern for the
     reach-set).  Strategies: depth-first search for the reach-set (VI-Prune),
-    node equivalence for the supernodes (VS-Block).
+    node equivalence for the supernodes (VS-Block).  When ``rhs_pattern`` is
+    omitted the RHS is assumed dense, i.e. the reach-set is every column
+    (VI-Prune then degenerates to the original loop, as the paper notes for
+    dense right-hand sides).
     """
-
-    method = "triangular-solve"
-
-    def inspect(
-        self,
-        matrix: CSCMatrix,
-        rhs_pattern: Optional[Sequence[int] | np.ndarray] = None,
-        **kwargs,
-    ) -> TriangularInspectionResult:
-        """Inspect a lower-triangular matrix and an optional RHS pattern.
-
-        When ``rhs_pattern`` is omitted the RHS is assumed dense, i.e. the
-        reach-set is every column (VI-Prune then degenerates to the original
-        loop, as the paper notes for dense right-hand sides).
-        """
-        if kwargs:
-            raise TypeError(f"unexpected arguments: {sorted(kwargs)}")
-        if not matrix.is_lower_triangular():
-            raise ValueError("triangular-solve inspection requires a lower-triangular L")
-        n = matrix.n
-        # Every kernel divides by the first stored entry of a column: it must be the diagonal.
-        starts = matrix.indptr[:-1]
-        stored = starts < matrix.indptr[1:]
-        diagonal = np.zeros(n, dtype=bool)
-        diagonal[stored] = matrix.indices[starts[stored]] == np.flatnonzero(stored)
-        if not diagonal.all():
-            raise ValueError(
-                f"triangular-solve inspection requires a stored diagonal; column {np.argmin(diagonal)} of L has none"
-            )
-        start = time.perf_counter()
-        rhs = normalize_rhs_pattern(n, rhs_pattern)
-        if rhs is None:
-            rhs = np.arange(n, dtype=np.int64)
-        reach = reach_set(matrix, rhs)
-        reach_sorted = np.sort(reach)
-        supernodes = triangular_supernodes(matrix)
-        col_counts = np.diff(matrix.indptr).astype(np.int64)
-        elapsed = time.perf_counter() - start
-        return TriangularInspectionResult(
-            n=n,
-            rhs_pattern=rhs,
-            reach=reach,
-            reach_sorted=reach_sorted,
-            supernodes=supernodes,
-            l_col_counts=col_counts,
-            symbolic_seconds=elapsed,
+    if not matrix.is_lower_triangular():
+        raise ValueError("triangular-solve inspection requires a lower-triangular L")
+    n = matrix.n
+    # Every kernel divides by the first stored entry of a column: it must be the diagonal.
+    starts = matrix.indptr[:-1]
+    stored = starts < matrix.indptr[1:]
+    diagonal = np.zeros(n, dtype=bool)
+    diagonal[stored] = matrix.indices[starts[stored]] == np.flatnonzero(stored)
+    if not diagonal.all():
+        raise ValueError(
+            f"triangular-solve inspection requires a stored diagonal; column {np.argmin(diagonal)} of L has none"
         )
+    start = time.perf_counter()
+    rhs = normalize_rhs_pattern(n, rhs_pattern)
+    if rhs is None:
+        rhs = np.arange(n, dtype=np.int64)
+    reach = reach_set(matrix, rhs)
+    return TriangularInspectionResult(
+        n=n,
+        rhs_pattern=rhs,
+        reach=reach,
+        reach_sorted=np.sort(reach),
+        supernodes=triangular_supernodes(matrix),
+        l_col_counts=np.diff(matrix.indptr).astype(np.int64),
+        symbolic_seconds=time.perf_counter() - start,
+    )
 
 
-class CholeskyInspector(SymbolicInspector):
-    """Symbolic inspector for sparse Cholesky factorization ``A = L Lᵀ``.
+def inspect_cholesky(matrix: CSCMatrix) -> CholeskyInspectionResult:
+    """Inspect a symmetric matrix for ``A = L Lᵀ`` (and ``A = L D Lᵀ``, whose ``L`` has the same pattern).
 
     Inspection graph: the elimination tree together with the pattern of ``A``.
     Strategies: single-node up-traversals bounded by marked nodes (``ereach``)
     for the per-column prune-sets, and the column-count/etree merging rule for
-    the supernode block-set.
+    the supernode block-set.  ``matrix`` may store the full symmetric pattern
+    or only its lower triangle.  Only the pattern is read.
     """
-
-    method = "cholesky"
-
-    def inspect(
-        self,
-        matrix: CSCMatrix,
-        **kwargs,
-    ) -> CholeskyInspectionResult:
-        """Inspect a symmetric positive-definite matrix.
-
-        ``matrix`` may store the full symmetric pattern or only its lower
-        triangle.  Only the pattern is read.
-        """
-        if kwargs:
-            raise TypeError(f"unexpected arguments: {sorted(kwargs)}")
-        if not matrix.is_square():
-            raise ValueError("Cholesky inspection requires a square matrix")
-        start = time.perf_counter()
-        n = matrix.n
-        parent = elimination_tree(matrix)
-        post = postorder(parent)
-        # Every row's ereach and the column pattern they add up to (equation
-        # (1)), from one pass over the rows.
-        row_ptr, row_idx, l_indptr, l_indices = factor_structure(matrix, parent)
-        col_counts = np.diff(l_indptr)
-        supernodes = cholesky_supernodes(col_counts, parent)
-        elapsed = time.perf_counter() - start
-        return CholeskyInspectionResult(
-            n=n,
-            parent=parent,
-            post=post,
-            l_indptr=l_indptr,
-            l_indices=l_indices,
-            row_ptr=row_ptr,
-            row_idx=row_idx,
-            l_col_counts=col_counts,
-            supernodes=supernodes,
-            symbolic_seconds=elapsed,
-        )
-
-
-class LDLTInspector(CholeskyInspector):
-    """Symbolic inspector for sparse LDLᵀ factorization ``A = L D Lᵀ``.
-
-    The fill pattern of the unit-diagonal ``L`` is identical to the Cholesky
-    factor pattern (the elimination tree ignores numeric signs), so the whole
-    inspection — etree, ``ereach`` row patterns, column counts, supernodes —
-    is inherited unchanged; only the numeric lowering differs.
-    """
-
-    method = "ldlt"
+    if not matrix.is_square():
+        raise ValueError("Cholesky inspection requires a square matrix")
+    start = time.perf_counter()
+    parent = elimination_tree(matrix)
+    post = postorder(parent)
+    # Every row's ereach and the column pattern they add up to (equation
+    # (1)), from one pass over the rows.
+    row_ptr, row_idx, l_indptr, l_indices = factor_structure(matrix, parent)
+    col_counts = np.diff(l_indptr)
+    supernodes = cholesky_supernodes(col_counts, parent)
+    return CholeskyInspectionResult(
+        n=matrix.n,
+        parent=parent,
+        post=post,
+        l_indptr=l_indptr,
+        l_indices=l_indices,
+        row_ptr=row_ptr,
+        row_idx=row_idx,
+        l_col_counts=col_counts,
+        supernodes=supernodes,
+        symbolic_seconds=time.perf_counter() - start,
+    )
 
 
 def above_diagonal(u_indptr: np.ndarray, u_indices: np.ndarray):
@@ -315,8 +252,8 @@ def above_diagonal(u_indptr: np.ndarray, u_indices: np.ndarray):
     return u_indptr - np.arange(u_indptr.size, dtype=np.int64), u_indices[keep]
 
 
-class LUInspector(SymbolicInspector):
-    """Symbolic inspector for sparse LU ``A = L U`` without pivoting.
+def inspect_lu(matrix: CSCMatrix) -> LUInspectionResult:
+    """Inspect a square (generally unsymmetric) matrix for ``A = L U`` without pivoting.
 
     Inspection graph: the dependence DAG of the partially built ``L``.
     Strategy: a GP-style depth-first reach per column for the exact
@@ -324,36 +261,20 @@ class LUInspector(SymbolicInspector):
     above-diagonal ``U`` pattern of each column).  Pivoting-free LU is
     reliable for the diagonally dominant Jacobians of the paper's §1.2
     circuit/power-grid workloads, whose patterns are fixed while values
-    change.
+    change.  Only the pattern is read.
     """
-
-    method = "lu"
-
-    def inspect(
-        self,
-        matrix: CSCMatrix,
-        **kwargs,
-    ) -> LUInspectionResult:
-        """Inspect a square (generally unsymmetric) matrix.
-
-        Only the pattern is read; the matrix should be diagonally dominant
-        (or otherwise safely factorizable without pivoting) for the numeric
-        kernel this inspection feeds.
-        """
-        if kwargs:
-            raise TypeError(f"unexpected arguments: {sorted(kwargs)}")
-        if not matrix.is_square():
-            raise ValueError("LU inspection requires a square matrix")
-        start = time.perf_counter()
-        l_indptr, l_indices, u_indptr, u_indices = lu_pattern(matrix)
-        return LUInspectionResult(
-            n=matrix.n,
-            l_indptr=l_indptr,
-            l_indices=l_indices,
-            u_indptr=u_indptr,
-            u_indices=u_indices,
-            symbolic_seconds=time.perf_counter() - start,
-        )
+    if not matrix.is_square():
+        raise ValueError("LU inspection requires a square matrix")
+    start = time.perf_counter()
+    l_indptr, l_indices, u_indptr, u_indices = lu_pattern(matrix)
+    return LUInspectionResult(
+        n=matrix.n,
+        l_indptr=l_indptr,
+        l_indices=l_indices,
+        u_indptr=u_indptr,
+        u_indices=u_indices,
+        symbolic_seconds=time.perf_counter() - start,
+    )
 
 
 @dataclass(frozen=True)
@@ -384,50 +305,36 @@ class IC0InspectionResult:
         return CSCMatrix.from_pattern(self.n, self.n, self.l_indptr, self.l_indices)
 
 
-class IC0Inspector(SymbolicInspector):
-    """Symbolic inspector for incomplete Cholesky IC(0), ``A ≈ L Lᵀ``.
+def inspect_ic0(matrix: CSCMatrix) -> IC0InspectionResult:
+    """Inspect a symmetric positive-definite matrix for incomplete Cholesky IC(0), ``A ≈ L Lᵀ``.
 
     The no-fill property makes inspection trivial compared to complete
-    Cholesky: the factor pattern is ``tril(A)`` verbatim, so the inspector
-    only *reads* the pattern — the per-column row patterns (the update
-    sources, which the VI-Prune handler intersects with the ``A`` pattern to
-    build the dropped-update-free descriptors) — without any fill
-    computation or elimination tree.
+    Cholesky: the factor pattern is ``tril(A)`` verbatim, so this only
+    *reads* the pattern — the per-column row patterns (the update sources,
+    which the VI-Prune handler intersects with the ``A`` pattern to build the
+    dropped-update-free descriptors) — without any fill computation or
+    elimination tree.  ``matrix`` may store the full symmetric pattern or only
+    its lower triangle; every column must hold its diagonal entry (IC(0)
+    pivots on it).
     """
-
-    method = "ic0"
-
-    def inspect(
-        self,
-        matrix: CSCMatrix,
-        **kwargs,
-    ) -> IC0InspectionResult:
-        """Inspect a symmetric positive-definite matrix (pattern only).
-
-        ``matrix`` may store the full symmetric pattern or only its lower
-        triangle; every column must hold its diagonal entry (IC(0) pivots on
-        it).
-        """
-        if kwargs:
-            raise TypeError(f"unexpected arguments: {sorted(kwargs)}")
-        if not matrix.is_square():
-            raise ValueError("IC(0) inspection requires a square matrix")
-        start = time.perf_counter()
-        n = matrix.n
-        cols = matrix.col_indices()
-        stored = np.bincount(cols[matrix.indices == cols], minlength=n) > 0
-        if not stored.all():
-            raise ValueError(f"missing diagonal entry in column {int(np.argmin(stored))}")
-        lower = matrix.indices >= cols
-        # Row j's update sources are the columns of tril(A)'s strict part
-        # that hold row j: its transpose, ascending because the sort is stable.
-        strict = matrix.indices > cols
-        rows_below = matrix.indices[strict]
-        return IC0InspectionResult(
-            n=n,
-            l_indptr=group_pointers(cols[lower], n),
-            l_indices=matrix.indices[lower],
-            row_ptr=group_pointers(rows_below, n),
-            row_idx=cols[strict][np.argsort(rows_below, kind="stable")],
-            symbolic_seconds=time.perf_counter() - start,
-        )
+    if not matrix.is_square():
+        raise ValueError("IC(0) inspection requires a square matrix")
+    start = time.perf_counter()
+    n = matrix.n
+    cols = matrix.col_indices()
+    stored = np.bincount(cols[matrix.indices == cols], minlength=n) > 0
+    if not stored.all():
+        raise ValueError(f"missing diagonal entry in column {int(np.argmin(stored))}")
+    lower = matrix.indices >= cols
+    # Row j's update sources are the columns of tril(A)'s strict part
+    # that hold row j: its transpose, ascending because the sort is stable.
+    strict = matrix.indices > cols
+    rows_below = matrix.indices[strict]
+    return IC0InspectionResult(
+        n=n,
+        l_indptr=group_pointers(cols[lower], n),
+        l_indices=matrix.indices[lower],
+        row_ptr=group_pointers(rows_below, n),
+        row_idx=cols[strict][np.argsort(rows_below, kind="stable")],
+        symbolic_seconds=time.perf_counter() - start,
+    )

@@ -7,16 +7,18 @@ left-looking, with sources in ascending order, which is the operation order
 of the python backend's kernel, so the two agree to the bit.
 :func:`lower_triangle` is scipy's ``tril`` on a CSC matrix;
 :func:`on_pattern` reads a dense factor at the stored entries of a CSC one;
-:func:`solve_with` solves with compiled factors by scipy's triangular solves.
+:func:`solve_with` solves with compiled factors by scipy's triangular solves,
+and :func:`reference_solve` an SPD system by the dense Cholesky factor.
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
 from repro.baselines.scipy_reference import reference_cholesky
 from repro.sparse.csc import CSCMatrix
-from repro.symbolic.inspector import CholeskyInspector
+from repro.symbolic.inspector import inspect_cholesky
 
 
 def lower_triangle(A):
@@ -27,6 +29,13 @@ def lower_triangle(A):
 def on_pattern(dense, M):
     """The entries of ``dense`` at the stored positions of ``M``, in ``M.data`` order."""
     return dense[M.indices, np.repeat(np.arange(M.n), np.diff(M.indptr))]
+
+
+def reference_solve(A, b):
+    """``x`` with ``A x = b`` for an SPD ``A``, by :func:`reference_cholesky` and scipy's dense triangular solves."""
+    L = reference_cholesky(A)
+    y = scipy.linalg.solve_triangular(L, np.asarray(b, dtype=np.float64), lower=True)
+    return scipy.linalg.solve_triangular(L.T, y, lower=False)
 
 
 def solve_with(factors, b):
@@ -40,7 +49,7 @@ def solve_with(factors, b):
 
 def cholesky_factor(A):
     """NumPy's Cholesky factor of ``A`` as a CSC matrix on the inspector's pattern of ``L``."""
-    L = CholeskyInspector().inspect(A).l_pattern_matrix()
+    L = inspect_cholesky(A).l_pattern_matrix()
     return L.with_values(on_pattern(reference_cholesky(A), L))
 
 

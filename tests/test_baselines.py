@@ -1,8 +1,8 @@
-"""Tests for the dense correctness oracles of :mod:`repro.baselines`."""
+"""Tests for the dense correctness oracles."""
 
 import numpy as np
 
-from repro.baselines.scipy_reference import reference_solve
+from oracles import reference_solve
 
 
 def test_reference_solve_consistency(spd_matrices, rng):

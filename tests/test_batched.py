@@ -16,7 +16,6 @@ from repro.compiler.codegen.c_backend import c_compiler_available, resolve_num_t
 from repro.compiler.options import SympilerOptions
 from repro.solvers.batched import BatchedSolver
 from repro.solvers.linear_solver import SparseLinearSolver
-from repro.solvers.newton import newton_raphson_ensemble
 from repro.sparse.generators import (
     laplacian_2d,
     laplacian_3d,
@@ -238,79 +237,6 @@ class TestFacade:
         assert batched.factorize_batch([]) == []
 
 
-class TestEnsembleNewton:
-    @staticmethod
-    def _make_scenario(A, diag_positions, s):
-        """A mildly nonlinear scenario: F(x) = A x + c tanh(x) - b_s."""
-        rng = np.random.default_rng(100 + s)
-        b = rng.standard_normal(A.n)
-        c = 0.2 + 0.05 * s
-
-        def residual(x):
-            return A.matvec(x) + c * np.tanh(x) - b
-
-        def jacobian(x):
-            data = A.data.copy()
-            data[diag_positions] += c / np.cosh(x) ** 2
-            return A.with_values(data)
-
-        return residual, jacobian
-
-    def _diag_positions(self, A):
-        return np.array(
-            [
-                A.indptr[j] + int(np.nonzero(A.col_rows(j) == j)[0][0])
-                for j in range(A.n)
-            ]
-        )
-
-    def test_ensemble_converges_all_scenarios(self):
-        A = unsymmetric_diag_dominant(40, seed=21)
-        dp = self._diag_positions(A)
-        fns = [self._make_scenario(A, dp, s) for s in range(5)]
-        results = newton_raphson_ensemble(
-            [f for f, _ in fns],
-            [j for _, j in fns],
-            [np.zeros(A.n)] * 5,
-            method="lu",
-            tol=1e-10,
-            max_iterations=30,
-        )
-        assert len(results) == 5
-        for s, res in enumerate(results):
-            assert res.converged, f"scenario {s} did not converge"
-            assert res.factorizations >= 1
-            F, _ = fns[s]
-            assert np.linalg.norm(F(res.x)) <= 1e-10
-
-    def test_ensemble_isolates_singular_scenario(self):
-        A = unsymmetric_diag_dominant(30, seed=22)
-        dp = self._diag_positions(A)
-        good = [self._make_scenario(A, dp, s) for s in range(3)]
-
-        def bad_jacobian(x):
-            return A.with_values(np.zeros(A.nnz))
-
-        residuals = [good[0][0], good[1][0], good[2][0]]
-        jacobians = [good[0][1], bad_jacobian, good[2][1]]
-        results = newton_raphson_ensemble(
-            residuals,
-            jacobians,
-            [np.zeros(A.n)] * 3,
-            method="lu",
-            tol=1e-10,
-            max_iterations=20,
-        )
-        assert results[0].converged and results[2].converged
-        assert not results[1].converged
-        assert results[1].factorizations == 0
-
-    def test_ensemble_validates_lengths_and_empty(self):
-        with pytest.raises(ValueError, match="equal length"):
-            newton_raphson_ensemble([lambda x: x], [], [])
-        assert newton_raphson_ensemble([], [], []) == []
-
-
 class TestThreadCountIsACallArgument:
     def test_thread_counts_share_one_artifact(self):
         A = laplacian_2d(6, shift=0.1)
@@ -364,12 +290,12 @@ class TestThreadCountIsACallArgument:
         A = laplacian_2d(9, shift=0.1)
         batched = BatchedSolver(A, ordering="natural", num_threads=2)
         disk_before = disk_cache_stats().as_dict()
-        misses_before = batched.solver.cache_stats.misses
+        misses_before = batched.solver.artifact_cache.stats.misses
         assert all(handle.ok for handle in batched.factorize_batch(_spd_scenarios(A)))
         disk_after = disk_cache_stats().as_dict()
         assert disk_after["compiles"] == disk_before["compiles"]
         assert disk_after["py_writes"] == disk_before["py_writes"]
-        assert batched.solver.cache_stats.misses == misses_before
+        assert batched.solver.artifact_cache.stats.misses == misses_before
 
 
 class TestThreadResolution:
@@ -447,25 +373,3 @@ class TestThreadResolution:
         monkeypatch.delenv("REPRO_NUM_THREADS")
         assert BatchedSolver(A, options=options).num_threads == 1
         assert BatchedSolver(A, options=options, num_threads=0).num_threads == _cpu_count()
-
-
-class TestEnsembleFirstScenarioSingular:
-    def test_singular_first_jacobian_is_isolated_not_fatal(self):
-        """Solver construction happens outside batch isolation; guard it."""
-        A = unsymmetric_diag_dominant(30, seed=23)
-        dp = TestEnsembleNewton._diag_positions(TestEnsembleNewton(), A)
-        good = [TestEnsembleNewton._make_scenario(A, dp, s) for s in range(2)]
-
-        def bad_jacobian(x):
-            return A.with_values(np.zeros(A.nnz))
-
-        results = newton_raphson_ensemble(
-            [good[0][0], good[0][0], good[1][0]],
-            [bad_jacobian, good[0][1], good[1][1]],
-            [np.zeros(A.n)] * 3,
-            method="lu",
-            tol=1e-10,
-            max_iterations=20,
-        )
-        assert not results[0].converged
-        assert results[1].converged and results[2].converged

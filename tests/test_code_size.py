@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from repro.compiler.cache import ArtifactCache
-from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available, disk_cache_stats
+from repro.compiler.codegen.c_backend import c_compiler_available, disk_cache_stats
 from repro.compiler.options import SympilerOptions
+from repro.compiler.registry import registered_kernels
 from repro.compiler.sympiler import Sympiler
 from repro.frontend import SpecializedSolver
 from repro.solvers.linear_solver import backward_factor
 from repro.sparse import generators as g
-from repro.symbolic.inspector import CholeskyInspector, LUInspector
+from repro.symbolic.inspector import inspect_cholesky, inspect_lu
 
 pytestmark = pytest.mark.skipif(
     not c_compiler_available("cc"), reason="no C compiler available"
@@ -36,7 +37,7 @@ MATRICES = {
     "saddle_point_indefinite": lambda: g.saddle_point_indefinite(120, 40, seed=5),
     "unsymmetric_diag_dominant": lambda: g.unsymmetric_diag_dominant(160, seed=6),
 }
-KERNELS = sorted(_C_METHOD_SPECS)
+KERNELS = list(registered_kernels())
 MAX_SOURCE_BYTES = 64 * 1024
 MAX_INITIALISER_LITERALS = 64
 
@@ -48,8 +49,8 @@ def _compile(kernel, A, options):
         return sym.compile(kernel, A, options=options)
     # The triangular solve runs on a factor pattern: the one the symbolic
     # analysis of A predicts (L of LU when A is not symmetric).
-    inspector = CholeskyInspector() if A.pattern_equal(A.transpose()) else LUInspector()
-    L = inspector.inspect(A).l_pattern_matrix()
+    inspect = inspect_cholesky if A.pattern_equal(A.transpose()) else inspect_lu
+    L = inspect(A).l_pattern_matrix()
     return sym.compile(kernel, L, options=options)
 
 
@@ -91,9 +92,9 @@ def test_every_triangular_solve_is_one_shared_object():
     for build in MATRICES.values():
         A = build()
         if A.pattern_equal(A.transpose()):
-            L, U = CholeskyInspector().inspect(A).l_pattern_matrix(), None
+            L, U = inspect_cholesky(A).l_pattern_matrix(), None
         else:
-            inspection = LUInspector().inspect(A)
+            inspection = inspect_lu(A)
             L, U = inspection.l_pattern_matrix(), inspection.u_pattern_matrix()
         for operand in (L, backward_factor(L, U)):
             artifacts.append(

@@ -21,6 +21,7 @@ from repro.compiler.codegen.c_backend import (
     reset_disk_cache_stats,
 )
 from repro.compiler.options import SympilerOptions
+from repro.compiler.registry import kernel_spec
 from repro.compiler.sympiler import Sympiler
 from repro import observe
 from repro.observe.events import get_event_log
@@ -48,6 +49,7 @@ def test_missing_compiler_raises_clear_error():
         entry_name="main",
         constants={},
         method="triangular-solve",
+        abi=kernel_spec("triangular-solve").abi,
         codegen_seconds=0.0,
         compiler="definitely-not-a-compiler-xyz",
         flags=(),
@@ -63,8 +65,8 @@ class TestCGeneratedKernels:
         sym = Sympiler()
         for L in lower_factors.values():
             b = sparse_rhs(L.n, density=0.05, seed=21)
-            compiled = sym.compile_triangular_solve(
-                L, rhs_pattern=np.nonzero(b)[0], options=_c_options()
+            compiled = sym.compile(
+                "triangular-solve", L, rhs_pattern=np.nonzero(b)[0], options=_c_options()
             )
             np.testing.assert_allclose(
                 compiled.solve(L, b), reference_trisolve(L, b), atol=1e-9
@@ -75,14 +77,14 @@ class TestCGeneratedKernels:
         for options in (_c_options(enable_vs_block=False), _c_options()):
             for name in ("laplacian_2d", "block", "circuit"):
                 A = spd_matrices[name]
-                compiled = sym.compile_cholesky(A, options=options)
+                compiled = sym.compile("cholesky", A, options=options)
                 L = compiled.factorize(A)
                 np.testing.assert_allclose(
                     L.to_dense(), reference_cholesky(A), atol=1e-9
                 )
 
     def test_c_source_names_its_tables_but_embeds_none(self, spd_matrices):
-        compiled = Sympiler().compile_cholesky(spd_matrices["fem"], options=_c_options())
+        compiled = Sympiler().compile("cholesky", spd_matrices["fem"], options=_c_options())
         assert "static const int64_t" not in compiled.source
         assert "_C_l_indptr = repro_T[" in compiled.source
         assert compiled.source.startswith("/* Sympiler-generated kernel (C backend). */")
@@ -95,13 +97,13 @@ class TestCGeneratedKernels:
     def test_c_backend_agrees_with_python_backend(self, spd_matrices):
         A = spd_matrices["block"]
         sym = Sympiler()
-        c_factor = sym.compile_cholesky(A, options=_c_options()).factorize(A)
-        py_factor = sym.compile_cholesky(A, options=SympilerOptions(backend="python")).factorize(A)
+        c_factor = sym.compile("cholesky", A, options=_c_options()).factorize(A)
+        py_factor = sym.compile("cholesky", A, options=SympilerOptions(backend="python")).factorize(A)
         np.testing.assert_allclose(c_factor.to_dense(), py_factor.to_dense(), atol=1e-12)
 
     def test_non_positive_definite_returns_error(self):
         A = block_tridiagonal_spd(4, 4, seed=5, dense_coupling=True)
-        compiled = Sympiler().compile_cholesky(A, options=_c_options())
+        compiled = Sympiler().compile("cholesky", A, options=_c_options())
         bad = A.copy()
         for j in range(bad.n):
             rows = bad.col_rows(j)
@@ -113,8 +115,8 @@ class TestCGeneratedKernels:
     def test_peeled_and_blocked_structures_present(self, lower_factors):
         L = lower_factors["block"]
         b = sparse_rhs(L.n, nnz=2, seed=30)
-        compiled = Sympiler().compile_triangular_solve(
-            L, rhs_pattern=np.nonzero(b)[0], options=_c_options()
+        compiled = Sympiler().compile(
+            "triangular-solve", L, rhs_pattern=np.nonzero(b)[0], options=_c_options()
         )
         # One table-driven loop: both segment kinds are in every trisolve
         # source, and no column of the pattern is.
@@ -128,8 +130,8 @@ def test_trisolve_segments_visit_the_reach_set_in_order(lower_factors):
     rhs_pattern = np.nonzero(sparse_rhs(L.n, nnz=3, seed=4))[0]
 
     def compiled(options):
-        return Sympiler(cache=ArtifactCache()).compile_triangular_solve(
-            L, rhs_pattern=rhs_pattern, options=options
+        return Sympiler(cache=ArtifactCache()).compile(
+            "triangular-solve", L, rhs_pattern=rhs_pattern, options=options
         )
 
     pruned = compiled(SympilerOptions(enable_vs_block=False))
@@ -169,14 +171,14 @@ class TestDiskCacheRobustness:
     def test_warm_compile_leaves_the_cache_directory_untouched(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
         A = laplacian_2d(9)
-        first = Sympiler(cache=ArtifactCache()).compile_cholesky(A, options=_c_options())
+        first = Sympiler(cache=ArtifactCache()).compile("cholesky", A, options=_c_options())
         before = _cache_listing(tmp_path)
         assert any(name.endswith(".c") for name in before)
         reset_disk_cache_stats()
         # A fresh in-memory cache, as a new process would have: the .so is on
         # disk, so nothing is compiled and nothing — the .c included — is
         # written again.
-        second = Sympiler(cache=ArtifactCache()).compile_cholesky(A, options=_c_options())
+        second = Sympiler(cache=ArtifactCache()).compile("cholesky", A, options=_c_options())
         assert second is not first
         assert disk_cache_stats().compiles == 0 and disk_cache_stats().reuses == 1
         assert second.module.so_shared and not first.module.so_shared
@@ -191,7 +193,7 @@ class TestDiskCacheRobustness:
         fake = _fake_compiler(tmp_path, "exec sleep 30")
         options = SympilerOptions(backend="c", c_compiler=fake)
         with pytest.raises(CCompilationError, match="timed out") as excinfo:
-            Sympiler(cache=ArtifactCache()).compile_cholesky(laplacian_2d(5), options=options)
+            Sympiler(cache=ArtifactCache()).compile("cholesky", laplacian_2d(5), options=options)
         assert fake in str(excinfo.value)
         # No half-made shared object (and no lock) is left behind.
         assert not [n for n in os.listdir(cache) if not n.endswith(".c")]
@@ -212,7 +214,7 @@ class TestDiskCacheRobustness:
         seen = len(get_event_log().events("so_rebuilt"))
         reset_disk_cache_stats()
         A = laplacian_2d(8)
-        compiled = Sympiler(cache=ArtifactCache()).compile_cholesky(A, options=_c_options())
+        compiled = Sympiler(cache=ArtifactCache()).compile("cholesky", A, options=_c_options())
         np.testing.assert_allclose(
             compiled.factorize(A).to_dense(), reference_cholesky(A), atol=1e-9
         )
@@ -233,7 +235,7 @@ class TestDiskCacheRobustness:
         )
         options = SympilerOptions(backend="c", c_compiler=fake)
         with pytest.raises(CCompilationError, match="even after a rebuild"):
-            Sympiler(cache=ArtifactCache()).compile_cholesky(laplacian_2d(5), options=options)
+            Sympiler(cache=ArtifactCache()).compile("cholesky", laplacian_2d(5), options=options)
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_a_timed_out_build_leaves_no_process_behind(
@@ -246,7 +248,7 @@ class TestDiskCacheRobustness:
         fake = _fake_compiler(tmp_path, f'sleep 30 > /dev/null 2>&1 &\necho $! >> "{pids}"\nwait')
         options = SympilerOptions(backend="c", c_compiler=fake)
         with pytest.raises(CCompilationError, match="timed out"):
-            Sympiler(cache=ArtifactCache()).compile_cholesky(laplacian_2d(5), options=options)
+            Sympiler(cache=ArtifactCache()).compile("cholesky", laplacian_2d(5), options=options)
         # The step and entry, and the solve: one part or two, each a process group.
         assert len(pids.read_text(encoding="utf-8").split()) == count
         assert_pids_gone(pids)
@@ -262,8 +264,8 @@ class TestDiskCacheRobustness:
         observe.reset()
         observe.enable()
         try:
-            compiled = Sympiler(cache=ArtifactCache()).compile_cholesky(
-                laplacian_2d(6), options=SympilerOptions(backend="c", c_compiler=shim)
+            compiled = Sympiler(cache=ArtifactCache()).compile(
+                "cholesky", laplacian_2d(6), options=SympilerOptions(backend="c", c_compiler=shim)
             )
             (cc,) = [sp for sp in observe.get_tracer().spans() if sp.name == "cc"]
         finally:
@@ -294,7 +296,7 @@ def test_two_patterns_share_one_shared_object_and_its_thread_local_buffers(monke
     observe.reset()
     observe.enable()
     try:
-        kernels = [sym.compile_cholesky(A, options=_c_options()) for A in (small, large)]
+        kernels = [sym.compile("cholesky", A, options=_c_options()) for A in (small, large)]
         spans = observe.get_tracer().spans()
     finally:
         observe.disable()
@@ -310,7 +312,7 @@ def test_two_patterns_share_one_shared_object_and_its_thread_local_buffers(monke
     assert len([n for n in os.listdir(tmp_path) if n.endswith(".so")]) == 1
 
     expected = [
-        sym.compile_cholesky(A, options=SympilerOptions(backend="python")).factorize(A).data
+        sym.compile("cholesky", A, options=SympilerOptions(backend="python")).factorize(A).data
         for A in (small, large)
     ]
     for kernel, A, ref in zip(kernels, (small, large), expected):
@@ -346,7 +348,7 @@ def test_two_patterns_share_one_shared_object_and_its_thread_local_buffers(monke
         ) == os.path.basename(kernels[0].module.shared_object)
         scales = (1.0, 2.0, 3.0, 5.0)
         handles = batched.factorize_batch([A.with_values(A.data * s) for s in scales])
-        python = Sympiler().compile_cholesky(A, options=SympilerOptions(backend="python"))
+        python = Sympiler().compile("cholesky", A, options=SympilerOptions(backend="python"))
         for handle, s in zip(handles, scales):
             assert handle.ok
             np.testing.assert_array_equal(
@@ -372,7 +374,7 @@ def test_work_buffers_are_freed_when_their_thread_exits():
             return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 
     for role, A in kernels.items():
-        compiled = Sympiler().compile_cholesky(A, options=_c_options())
+        compiled = Sympiler().compile("cholesky", A, options=_c_options())
         assert compiled.loop.role == role
         expected = compiled.factorize(A).data
 
@@ -403,7 +405,7 @@ def test_out_of_memory_for_the_panel_store_is_a_memory_error():
     request.)
     """
     A = block_tridiagonal_spd(6, 4, seed=2, dense_coupling=True)
-    compiled = Sympiler(cache=ArtifactCache()).compile_cholesky(A, options=_c_options())
+    compiled = Sympiler(cache=ArtifactCache()).compile("cholesky", A, options=_c_options())
     module = compiled.module
     dims = ["n", *compiled.loop.contract[0]]
     constants = dict(module.constants, _C_dims=module.constants["_C_dims"].copy())
@@ -413,5 +415,5 @@ def test_out_of_memory_for_the_panel_store_is_a_memory_error():
     with pytest.raises(MemoryError, match="work buffers"):
         run()
     # The thread's buffers are as they were: the real block still factors.
-    python = Sympiler(SympilerOptions(backend="python")).compile_cholesky(A)
+    python = Sympiler(SympilerOptions(backend="python")).compile("cholesky", A)
     np.testing.assert_array_equal(compiled.factorize(A).data, python.factorize(A).data)

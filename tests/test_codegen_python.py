@@ -1,19 +1,22 @@
 """Tests for the python backend: fixed NumPy reference kernels over the table block."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.baselines.scipy_reference import reference_cholesky, reference_trisolve
 from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen import reference
-from repro.compiler.codegen.c_backend import disk_cache_stats, reset_disk_cache_stats
-from repro.compiler.codegen.python_backend import CodegenError, GeneratedModule, PythonBackend
+from repro.compiler.codegen.c_backend import CMethodSpec, disk_cache_stats, reset_disk_cache_stats
+from repro.compiler.codegen.python_backend import GeneratedModule, PythonBackend
 from repro.compiler.codegen.runtime import pattern_fingerprint
 from repro.compiler.options import SympilerOptions
 from repro.compiler.plan import CompilationContext, plan_triangular_solve
-from repro.compiler.sympiler import Sympiler
+from repro.compiler.registry import kernel_spec
+from repro.compiler.sympiler import CodegenError, Sympiler
 from repro.sparse.generators import block_tridiagonal_spd, laplacian_2d, sparse_rhs
-from repro.symbolic.inspector import TriangularSolveInspector
+from repro.symbolic.inspector import inspect_triangular_solve
 
 #: The module's options: it tests the python backend, whatever the default.
 _PYTHON = SympilerOptions(backend="python")
@@ -21,10 +24,10 @@ _SIMPLICIAL = _PYTHON.with_updates(enable_vs_block=False)
 
 
 def _generate_trisolve(L, b, options):
-    inspection = TriangularSolveInspector().inspect(L, rhs_pattern=np.nonzero(b)[0])
+    inspection = inspect_triangular_solve(L, rhs_pattern=np.nonzero(b)[0])
     context = CompilationContext(method="triangular-solve", matrix=L, inspection=inspection, options=options)
     loop = plan_triangular_solve(context)
-    module = PythonBackend().generate(loop, "triangular-solve", "triangular_solve", context)
+    module = PythonBackend().generate(loop, kernel_spec("triangular-solve"), "triangular_solve", context)
     return module, loop
 
 
@@ -69,7 +72,7 @@ class TestTriangularSolve:
         assert all(t.dtype == np.int64 and t.flags.c_contiguous for t in module.constants.values())
         assert module.constants["_C_dims"].tolist() == [L.n, 1]
         # VI-Prune's reach-set, on the domain loop and in the block.
-        reach = TriangularSolveInspector().inspect(L, rhs_pattern=np.nonzero(b)[0]).reach
+        reach = inspect_triangular_solve(L, rhs_pattern=np.nonzero(b)[0]).reach
         assert np.array_equal(loop.contract[1]["run_cols"], reach)
         assert np.array_equal(module.constants["_C_run_cols"], reach)
         untransformed, _ = _generate_trisolve(L, b, SympilerOptions.baseline())
@@ -97,27 +100,27 @@ class TestCholesky:
         ids=["simplicial", "supernodal"],
     )
     def test_factorization_is_correct(self, spd_matrix, options):
-        compiled = Sympiler().compile_cholesky(spd_matrix, options=options)
+        compiled = Sympiler().compile("cholesky", spd_matrix, options=options)
         L = compiled.factorize(spd_matrix)
         np.testing.assert_allclose(L.to_dense(), reference_cholesky(spd_matrix), atol=1e-9)
 
     def test_simplicial_kernel_reads_the_prune_set(self, spd_matrices):
-        compiled = Sympiler().compile_cholesky(spd_matrices["laplacian_2d"], options=_SIMPLICIAL)
-        assert compiled.module.function.func is reference.simplicial_cholesky
+        compiled = Sympiler().compile("cholesky", spd_matrices["laplacian_2d"], options=_SIMPLICIAL)
+        assert compiled.module.function is reference.simplicial_cholesky
         assert "_C_prune_ptr" in compiled.source and "_C_prune_ptr" in compiled.constants
         assert "transpose" not in compiled.source
 
     def test_supernodal_kernel_reads_the_block_set(self):
         A = block_tridiagonal_spd(6, 5, seed=3, dense_coupling=True)
-        compiled = Sympiler().compile_cholesky(A, options=_PYTHON)
-        assert compiled.module.function.func is reference.supernodal_cholesky
+        compiled = Sympiler().compile("cholesky", A, options=_PYTHON)
+        assert compiled.module.function is reference.supernodal_cholesky
         assert "_C_sup_start" in compiled.source and "_C_sup_start" in compiled.constants
         n_super = compiled.inspection.supernodes.n_supernodes
         assert compiled.constants["_C_dims"].tolist()[:3] == [A.n, compiled.factor_nnz, n_super]
 
     def test_non_positive_definite_detected_at_run_time(self):
         A = block_tridiagonal_spd(4, 4, seed=5, dense_coupling=True)
-        compiled = Sympiler(_PYTHON).compile_cholesky(A)
+        compiled = Sympiler(_PYTHON).compile("cholesky", A)
         bad = A.copy()
         # Make the matrix indefinite while keeping the pattern identical.
         for j in range(bad.n):
@@ -147,16 +150,22 @@ class TestBackendInfrastructure:
         def broken(T, x):
             raise reference.Breakdown(np.int64(7))
 
-        module = GeneratedModule(function=broken, entry_name="qr", constants={}, method="qr", codegen_seconds=0.0)
+        abi = CMethodSpec(inputs=(), outputs=(), loops=())
+        module = GeneratedModule(
+            function=broken, entry_name="qr", constants={}, method="qr", abi=abi, codegen_seconds=0.0
+        )
         with pytest.raises(ValueError, match="column 7"):
             module.compile()((np.ones(1),), ())()
 
-    def test_unsupported_method_rejected(self, lower_factors):
-        L = lower_factors["fem"]
-        _, loop = _generate_trisolve(L, sparse_rhs(L.n, nnz=2, seed=6), SympilerOptions())
-        context = CompilationContext(method="qr", matrix=L, inspection=None, options=SympilerOptions())
-        with pytest.raises(CodegenError):
-            PythonBackend().generate(loop, "qr", "qr", context)
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    def test_a_loop_the_kernel_does_not_run_is_refused_before_codegen(self, backend, monkeypatch):
+        """The driver checks the planned role against the row's ABI once, for both backends."""
+        from repro.compiler import registry
+
+        unplanned = dataclasses.replace(kernel_spec("cholesky"), plan=lambda context: None)
+        monkeypatch.setitem(registry._KERNELS, "cholesky", unplanned)
+        with pytest.raises(CodegenError, match="untransformed"):
+            Sympiler(SympilerOptions(backend=backend), cache=ArtifactCache()).compile("cholesky", laplacian_2d(4))
 
 
 class TestKernelTextOnDisk:

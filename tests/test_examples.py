@@ -1,6 +1,7 @@
 """Smoke tests: every example script and every docstring example runs successfully."""
 
 import doctest
+import glob
 import importlib
 import os
 import subprocess
@@ -24,18 +25,25 @@ def _run(script: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize(
-    "script, expected",
-    [
-        ("quickstart.py", "triangular solve"),
-        ("power_grid_newton.py", "converged: True"),
-        ("preconditioned_cg.py", "IC(0)-preconditioned"),
-        ("fem_refactorization.py", "per-step numeric speedup"),
-        ("inspect_codegen.py", "Python backend: one fixed kernel"),
-        ("solver_service.py", "service stopped cleanly"),
-        ("scipy_drop_in.py", "scipy drop-in front end OK"),
-    ],
-)
+#: Every example script and a line of what it prints when it ran to the end.
+_EXAMPLES = [
+    ("quickstart.py", "triangular solve"),
+    ("power_grid_newton.py", "converged: True"),
+    ("preconditioned_cg.py", "IC(0)-preconditioned"),
+    ("fem_refactorization.py", "per-step numeric speedup"),
+    ("inspect_codegen.py", "Python backend: one fixed kernel"),
+    ("solver_service.py", "service stopped cleanly"),
+    ("scipy_drop_in.py", "scipy drop-in front end OK"),
+    ("fleet_pipelining.py", "all 32 post-crash requests completed"),
+]
+
+
+def test_every_example_script_is_run():
+    scripts = sorted(os.path.basename(path) for path in glob.glob(os.path.join(_EXAMPLES_DIR, "*.py")))
+    assert sorted(script for script, _ in _EXAMPLES) == scripts
+
+
+@pytest.mark.parametrize("script, expected", _EXAMPLES)
 def test_example_runs(script, expected):
     result = _run(script)
     assert result.returncode == 0, result.stderr

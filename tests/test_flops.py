@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.kernels.flops import cholesky_flops, gflops, triangular_solve_flops
+from repro.bench.metrics import gflops_rate
+from repro.kernels.flops import cholesky_flops, triangular_solve_flops
 from repro.sparse.csc import CSCMatrix
-from repro.symbolic.inspector import CholeskyInspector
+from repro.symbolic.inspector import inspect_cholesky
 
 
 def test_triangular_solve_flops_identity():
@@ -30,11 +31,11 @@ def test_cholesky_flops_dense_order():
 
 
 def test_cholesky_flops_accepts_matrix(spd_matrices):
-    L = CholeskyInspector().inspect(spd_matrices["fem"]).l_pattern_matrix()
+    L = inspect_cholesky(spd_matrices["fem"]).l_pattern_matrix()
     counts = np.diff(L.indptr)
     assert cholesky_flops(L) == cholesky_flops(counts)
 
 
 def test_gflops_helper():
-    assert gflops(2_000_000_000, 1.0) == pytest.approx(2.0)
-    assert gflops(1, 0.0) == float("inf")
+    assert gflops_rate(2_000_000_000, 1.0) == pytest.approx(2.0)
+    assert gflops_rate(1, 0.0) == float("inf")

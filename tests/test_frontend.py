@@ -15,7 +15,6 @@ from repro.frontend import (
     as_csc,
     ingest,
     probe_structure,
-    select_method,
     structure_fingerprint,
     sympiled,
 )
@@ -112,14 +111,14 @@ class TestIngest:
 # --------------------------------------------------------------------------- #
 class TestProbes:
     def test_spd_routes_to_cholesky(self):
-        assert select_method(laplacian_2d(8)) == "cholesky"
-        assert select_method(random_spd(40, 0.05, seed=1)) == "cholesky"
+        assert probe_structure(laplacian_2d(8)).method == "cholesky"
+        assert probe_structure(random_spd(40, 0.05, seed=1)).method == "cholesky"
 
     def test_symmetric_indefinite_routes_to_ldlt(self):
-        assert select_method(saddle_point_indefinite(30, 10)) == "ldlt"
+        assert probe_structure(saddle_point_indefinite(30, 10)).method == "ldlt"
 
     def test_unsymmetric_routes_to_lu(self):
-        assert select_method(unsymmetric_diag_dominant(40)) == "lu"
+        assert probe_structure(unsymmetric_diag_dominant(40)).method == "lu"
 
     def test_large_spd_routes_to_cholesky(self):
         # No size cutoff: 4096 SPD columns take the direct route, bitwise the
@@ -134,7 +133,7 @@ class TestProbes:
     def test_large_unsymmetric_stays_lu(self):
         # Size alone never moves a route.
         A = unsymmetric_diag_dominant(4096)
-        assert select_method(A) == "lu"
+        assert probe_structure(A).method == "lu"
 
     def test_probe_report_fields(self):
         report = probe_structure(laplacian_2d(6))
@@ -688,7 +687,7 @@ class TestIngestInExplicitAPIs:
 
 
 def _complex_entry_points():
-    """Each place a caller's matrix values or ``b`` become float64, fed a complex input."""
+    """Each place a caller's matrix values or ``b`` become float64, fed a complex input, and the sparse containers."""
     A = laplacian_2d(6)
     S = (A.to_scipy() + 1j * sp.eye(A.n)).tocsc()
     T = S.tocoo()
@@ -713,6 +712,9 @@ def _complex_entry_points():
         "BatchedSolver.factorize_batch": lambda: BatchedSolver(A).factorize_batch(
             np.ones((2, A.nnz), dtype=complex), permuted_values=True
         ),
+        "CSCMatrix": lambda: CSCMatrix(A.n, A.n, A.indptr, A.indices, A.data + 1j),
+        "CSCMatrix.from_dense": lambda: CSCMatrix.from_dense(S.toarray()),
+        "COOMatrix": lambda: COOMatrix(A.n, A.n, T.row, T.col, T.data),
     }
 
 
@@ -734,7 +736,7 @@ def _thread_count_entries():
     from repro.compiler.artifacts import SympiledTriangularSolve
     from repro.solvers.batched import FactorHandle
     from repro.solvers.linear_solver import map_items
-    from repro.solvers.newton import newton_raphson_ensemble, newton_raphson_fixed_pattern
+    from repro.solvers.newton import newton_raphson_fixed_pattern
 
     serial = {
         "repro.solve": repro.solve,
@@ -751,7 +753,6 @@ def _thread_count_entries():
         "BatchedSolver": BatchedSolver,
         "SparseLinearSolver.solve_many": SparseLinearSolver.solve_many,
         "map_items": map_items,
-        "newton_raphson_ensemble": newton_raphson_ensemble,
     }
     return serial, batch
 
@@ -794,7 +795,7 @@ class TestSelectionProperties:
     def test_probe_matches_explicit_api_bitwise(self, make, expected, rng):
         A = make()
         b = rng.normal(size=A.n)
-        assert select_method(A) == expected
+        assert probe_structure(A).method == expected
         front = SpecializedSolver()
         x = front.solve(sp.csc_matrix(A.to_scipy()), b)
         x_ref = SparseLinearSolver(A, method=expected, ordering="mindeg").solve(b)

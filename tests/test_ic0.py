@@ -18,7 +18,7 @@ from repro.compiler.sympiler import Sympiler
 from repro.solvers.linear_solver import map_items
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import banded_spd, fem_stencil_2d, laplacian_2d
-from repro.symbolic.inspector import IC0InspectionResult, IC0Inspector
+from repro.symbolic.inspector import IC0InspectionResult, inspect_ic0
 
 import oracles
 from oracles import lower_triangle
@@ -55,7 +55,7 @@ def _pattern_residual(dense_factor_product, A):
 class TestSymbolicIC0:
     def test_factor_pattern_is_tril_of_a(self):
         A = _spd()
-        insp = IC0Inspector().inspect(A)
+        insp = inspect_ic0(A)
         assert isinstance(insp, IC0InspectionResult)
         tril = lower_triangle(A)
         np.testing.assert_array_equal(insp.l_indptr, tril.indptr)
@@ -64,7 +64,7 @@ class TestSymbolicIC0:
 
     def test_rows_are_update_sources(self):
         A = fem_stencil_2d(8, shift=0.25)
-        insp = IC0Inspector().inspect(A)
+        insp = inspect_ic0(A)
         dense = A.to_dense() != 0
         for j in range(A.n):
             expected = [k for k in range(j) if dense[j, k]]
@@ -75,11 +75,11 @@ class TestSymbolicIC0:
         dense[1, 1] = 0.0  # structurally absent after from_dense
         A = CSCMatrix.from_dense(dense)
         with pytest.raises(ValueError, match="diagonal"):
-            IC0Inspector().inspect(A)
+            inspect_ic0(A)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            IC0Inspector().inspect(CSCMatrix.from_dense(np.ones((2, 3))))
+            inspect_ic0(CSCMatrix.from_dense(np.ones((2, 3))))
 
 
 def _factorize(kernel, A, backend):
@@ -203,9 +203,9 @@ class TestArtifactsAndCache:
         sym = _fresh_sympiler()
         A = _spd(8)
         first = sym.compile("ic0", A)
-        hits = sym.cache_stats.hits
+        hits = sym.cache.stats.hits
         assert sym.compile("ic0", A) is first
-        assert sym.cache_stats.hits == hits + 1
+        assert sym.cache.stats.hits == hits + 1
 
     def test_pattern_mismatch_detected(self):
         from repro.compiler.artifacts import PatternMismatchError

@@ -1,4 +1,4 @@
-"""Tests for the symbolic-inspector framework."""
+"""Tests for the symbolic inspection functions."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,11 @@ from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import sparse_rhs
 from repro.symbolic.fill_pattern import cholesky_pattern
 from repro.symbolic.inspector import (
-    CholeskyInspector,
-    IC0Inspector,
-    LDLTInspector,
-    LUInspector,
-    TriangularSolveInspector,
     above_diagonal,
+    inspect_cholesky,
+    inspect_ic0,
+    inspect_lu,
+    inspect_triangular_solve,
 )
 from repro.symbolic.reach import reach_set
 
@@ -23,51 +22,51 @@ class TestTriangularSolveInspector:
         L = lower_factors["fem"]
         b = sparse_rhs(L.n, nnz=4, seed=1)
         rhs = np.nonzero(b)[0]
-        result = TriangularSolveInspector().inspect(L, rhs_pattern=rhs)
+        result = inspect_triangular_solve(L, rhs_pattern=rhs)
         np.testing.assert_array_equal(result.reach, reach_set(L, rhs))
         np.testing.assert_array_equal(result.reach_sorted, np.sort(result.reach))
         assert result.reach_size == result.reach.size
 
     def test_dense_rhs_defaults_to_all_columns(self, lower_factors):
         L = lower_factors["banded"]
-        result = TriangularSolveInspector().inspect(L)
+        result = inspect_triangular_solve(L)
         assert result.reach_size == L.n
 
     def test_inspection_sets_table1(self, lower_factors):
         """Table 1: the reach-set (prune-set) and the supernodes (block-set) of a triangular solve."""
         L = lower_factors["block"]
-        result = TriangularSolveInspector().inspect(L, rhs_pattern=[0])
+        result = inspect_triangular_solve(L, rhs_pattern=[0])
         np.testing.assert_array_equal(result.reach, reach_set(L, [0]))
         assert result.supernodes.n_columns == L.n
 
     def test_symbolic_time_recorded(self, lower_factors):
-        result = TriangularSolveInspector().inspect(lower_factors["circuit"], rhs_pattern=[1])
+        result = inspect_triangular_solve(lower_factors["circuit"], rhs_pattern=[1])
         assert result.symbolic_seconds >= 0.0
 
     def test_rejects_non_lower_triangular(self):
         A = CSCMatrix.from_dense(np.array([[1.0, 2.0], [3.0, 4.0]]))
         with pytest.raises(ValueError):
-            TriangularSolveInspector().inspect(A)
+            inspect_triangular_solve(A)
 
     def test_rejects_out_of_range_rhs(self, lower_factors):
         L = lower_factors["fem"]
         with pytest.raises(IndexError):
-            TriangularSolveInspector().inspect(L, rhs_pattern=[L.n + 5])
+            inspect_triangular_solve(L, rhs_pattern=[L.n + 5])
 
     def test_rejects_unknown_kwargs(self, lower_factors):
         with pytest.raises(TypeError):
-            TriangularSolveInspector().inspect(lower_factors["fem"], bogus=1)
+            inspect_triangular_solve(lower_factors["fem"], bogus=1)
 
 
 class TestCholeskyInspector:
     def test_factor_pattern_matches_reference(self, spd_matrix):
-        result = CholeskyInspector().inspect(spd_matrix)
+        result = inspect_cholesky(spd_matrix)
         indptr, indices = cholesky_pattern(spd_matrix, result.parent)
         np.testing.assert_array_equal(indptr, result.l_indptr)
         np.testing.assert_array_equal(indices, result.l_indices)
 
     def test_result_fields_are_consistent(self, spd_matrix):
-        result = CholeskyInspector().inspect(spd_matrix)
+        result = inspect_cholesky(spd_matrix)
         assert result.n == spd_matrix.n
         assert result.factor_nnz == int(result.l_indptr[-1])
         np.testing.assert_array_equal(result.l_col_counts, np.diff(result.l_indptr))
@@ -76,14 +75,14 @@ class TestCholeskyInspector:
 
     def test_column_pattern_matches_cholesky_pattern(self, spd_matrices):
         A = spd_matrices["laplacian_2d"]
-        result = CholeskyInspector().inspect(A)
+        result = inspect_cholesky(A)
         indptr, indices = cholesky_pattern(A, result.parent)
         np.testing.assert_array_equal(indptr, result.l_indptr)
         np.testing.assert_array_equal(indices, result.l_indices)
 
     def test_l_pattern_matrix(self, spd_matrices):
         A = spd_matrices["block"]
-        result = CholeskyInspector().inspect(A)
+        result = inspect_cholesky(A)
         L0 = result.l_pattern_matrix()
         assert L0.nnz == result.factor_nnz
         assert np.all(L0.data == 0.0)
@@ -91,7 +90,7 @@ class TestCholeskyInspector:
 
     def test_inspection_sets_table1(self, spd_matrices):
         """Table 1: the rows of ``L`` (prune-set) and the supernodes (block-set) of a Cholesky."""
-        result = CholeskyInspector().inspect(spd_matrices["fem"])
+        result = inspect_cholesky(spd_matrices["fem"])
         assert result.row_ptr.size == result.n + 1
         assert result.row_ptr[-1] == result.row_idx.size == result.factor_nnz - result.n
         assert result.supernodes.n_supernodes >= 1
@@ -99,28 +98,28 @@ class TestCholeskyInspector:
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            CholeskyInspector().inspect(CSCMatrix.from_dense(np.ones((2, 3))))
+            inspect_cholesky(CSCMatrix.from_dense(np.ones((2, 3))))
 
     def test_rejects_unknown_kwargs(self, spd_matrices):
         with pytest.raises(TypeError):
-            CholeskyInspector().inspect(spd_matrices["fem"], bogus=True)
+            inspect_cholesky(spd_matrices["fem"], bogus=True)
         # The supernode width cap is gone, not ignored.
         with pytest.raises(TypeError, match="max_supernode_width"):
-            CholeskyInspector().inspect(spd_matrices["fem"], max_supernode_width=2)
+            inspect_cholesky(spd_matrices["fem"], max_supernode_width=2)
 
 
 @pytest.mark.parametrize(
-    "name, inspector_cls",
+    "name, inspect",
     [
-        ("triangular-solve", TriangularSolveInspector),
-        ("cholesky", CholeskyInspector),
-        ("ldlt", LDLTInspector),
-        ("lu", LUInspector),
-        ("ic0", IC0Inspector),
+        ("triangular-solve", inspect_triangular_solve),
+        ("cholesky", inspect_cholesky),
+        ("ldlt", inspect_cholesky),
+        ("lu", inspect_lu),
+        ("ic0", inspect_ic0),
     ],
 )
-def test_each_kernel_reaches_its_inspector_through_the_spec(name, inspector_cls):
-    assert kernel_spec(name).inspector_cls is inspector_cls
+def test_each_kernel_reaches_its_inspect_function_through_the_spec(name, inspect):
+    assert kernel_spec(name).inspect is inspect
 
 
 def test_symbolic_inspector_imports_standalone():
@@ -146,7 +145,7 @@ def test_factorization_prune_sets_are_ptr_idx_arrays():
     """A factorization's prune-set is one ``(ptr, idx)`` pair: column ``j``'s set is ``idx[ptr[j]:ptr[j + 1]]``."""
     from repro.sparse.generators import laplacian_2d, unsymmetric_diag_dominant
 
-    chol = CholeskyInspector().inspect(laplacian_2d(12))
+    chol = inspect_cholesky(laplacian_2d(12))
     rows = [[] for _ in range(chol.n)]
     for k in range(chol.n):
         for i in chol.l_indices[chol.l_indptr[k] + 1 : chol.l_indptr[k + 1]]:
@@ -154,7 +153,7 @@ def test_factorization_prune_sets_are_ptr_idx_arrays():
     for j in range(chol.n):
         np.testing.assert_array_equal(chol.row_idx[chol.row_ptr[j] : chol.row_ptr[j + 1]], rows[j])
 
-    lu = LUInspector().inspect(unsymmetric_diag_dominant(40, seed=2))
+    lu = inspect_lu(unsymmetric_diag_dominant(40, seed=2))
     ptr, idx = above_diagonal(lu.u_indptr, lu.u_indices)
     assert ptr.size == lu.n + 1 and ptr[-1] == idx.size == lu.u_nnz - lu.n
     for j in range(lu.n):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import reference_cholesky, reference_solve
+from repro.baselines import reference_cholesky
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.kernels.flops import cholesky_flops, triangular_solve_flops
@@ -15,6 +15,8 @@ from repro.sparse.generators import (
     sparse_rhs,
 )
 from repro.sparse.ordering import minimum_degree_ordering
+
+from oracles import reference_solve
 
 
 def test_full_direct_solver_pipeline(rng):
@@ -33,7 +35,7 @@ def test_repeated_factorization_fixed_pattern_changing_values(rng):
     A = circuit_like_spd(150, seed=8)
     perm = minimum_degree_ordering(A)
     B = perm.symmetric_permute(A)
-    compiled = Sympiler().compile_cholesky(B)
+    compiled = Sympiler().compile("cholesky", B)
     for scale in (1.0, 2.5, 7.0):
         Bk = B.with_values(scale * B.data)
         L = compiled.factorize(Bk)
@@ -46,7 +48,7 @@ def test_all_systems_produce_the_same_factor():
     A = block_tridiagonal_spd(8, 6, seed=4, dense_coupling=True)
     for options in (SympilerOptions(enable_vs_block=False), SympilerOptions()):
         for backend in ("c", "python"):
-            L = Sympiler().compile_cholesky(A, options=options.with_updates(backend=backend)).factorize(A)
+            L = Sympiler().compile("cholesky", A, options=options.with_updates(backend=backend)).factorize(A)
             np.testing.assert_allclose(L.to_dense(), reference_cholesky(A), atol=1e-9)
 
 
@@ -62,9 +64,9 @@ def test_option_variants_are_numerically_identical(spd_matrices):
         SympilerOptions.baseline(),
         SympilerOptions(),
     ):
-        chol = sym.compile_cholesky(A, options=options)
+        chol = sym.compile("cholesky", A, options=options)
         L = chol.factorize(A)
-        tri = sym.compile_triangular_solve(L, rhs_pattern=np.nonzero(b)[0], options=options)
+        tri = sym.compile("triangular-solve", L, rhs_pattern=np.nonzero(b)[0], options=options)
         x = tri.solve(L, b)
         if references is None:
             references = (L.to_dense(), x)
@@ -84,7 +86,7 @@ def test_solution_of_spd_system_via_generated_kernels(rng):
 def test_flop_counts_are_consistent_between_methods():
     """The Cholesky FLOP count dominates the triangular-solve count."""
     A = fem_stencil_2d(12, 12)
-    compiled = Sympiler().compile_cholesky(A)
+    compiled = Sympiler().compile("cholesky", A)
     L = compiled.factorize(A)
     chol_flops = cholesky_flops(compiled.inspection.l_col_counts)
     tri_flops = triangular_solve_flops(L)
@@ -94,7 +96,7 @@ def test_flop_counts_are_consistent_between_methods():
 def test_compile_time_is_reported_separately_from_numeric_time():
     """Symbolic + codegen timings never leak into the numeric entry point."""
     A = circuit_like_spd(120, seed=3)
-    compiled = Sympiler().compile_cholesky(A)
+    compiled = Sympiler().compile("cholesky", A)
     assert compiled.timings.inspection > 0.0
     assert compiled.timings.codegen > 0.0
     import time

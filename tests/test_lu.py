@@ -15,7 +15,7 @@ from repro.solvers.linear_solver import SparseLinearSolver
 from repro.solvers.newton import newton_raphson_fixed_pattern
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import unsymmetric_diag_dominant
-from repro.symbolic.inspector import LUInspectionResult, LUInspector, above_diagonal
+from repro.symbolic.inspector import LUInspectionResult, above_diagonal, inspect_lu
 
 import oracles
 
@@ -48,7 +48,7 @@ def _factorize(A, backend):
 class TestSymbolicLU:
     def test_predicted_patterns_cover_dense_factors(self):
         A = _jacobian(45, seed=2)
-        insp = LUInspector().inspect(A)
+        insp = inspect_lu(A)
         L_ref, U_ref = oracles.lu(A)
         # Every numeric nonzero of the no-pivot factors lies inside the
         # predicted pattern (the prediction is exact up to cancellation).
@@ -64,7 +64,7 @@ class TestSymbolicLU:
 
     def test_inspection_shapes_and_sets(self):
         A = _jacobian(30, seed=3)
-        insp = LUInspector().inspect(A)
+        insp = inspect_lu(A)
         assert isinstance(insp, LUInspectionResult)
         assert insp.factor_nnz == insp.l_nnz + insp.u_nnz
         # Unit diagonal first in L, pivot last in U, for every column.
@@ -85,7 +85,7 @@ class TestSymbolicLU:
     def test_rejects_non_square(self):
         A = CSCMatrix.from_dense(np.ones((2, 3)))
         with pytest.raises(ValueError, match="square"):
-            LUInspector().inspect(A)
+            inspect_lu(A)
 
 
 @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_cc)])
@@ -240,12 +240,12 @@ class TestLUSolver:
     def test_refactorization_reuses_kernels(self):
         A = _jacobian(44, seed=34)
         solver = SparseLinearSolver(A, method="lu")
-        lookups_after_setup = solver.cache_stats.lookups
+        lookups_after_setup = solver.artifact_cache.stats.lookups
         A2 = A.copy()
         A2.data *= 2.5
         solver.factorize(A2)
         # Refactorization on the same pattern triggers no compiles at all.
-        assert solver.cache_stats.lookups == lookups_after_setup
+        assert solver.artifact_cache.stats.lookups == lookups_after_setup
         b = np.ones(A.n)
         assert solver.residual(solver.solve(b), b) <= 1e-8
 

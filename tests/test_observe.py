@@ -27,6 +27,7 @@ import pytest
 from repro import observe
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.observe import trace as observe_trace
+from repro.observe.exporters import phase_totals
 from repro.observe.registry import (
     MetricsRegistry,
     Reservoir,
@@ -116,11 +117,11 @@ class TestSpans:
         assert not observe.enabled()
 
     def test_span_counters_accumulate(self, tracing):
-        before = observe.phase_totals().get("counted", {"calls": 0})["calls"]
+        before = phase_totals().get("counted", {"calls": 0})["calls"]
         for _ in range(3):
             with observe.span("counted"):
                 pass
-        totals = observe.phase_totals()["counted"]
+        totals = phase_totals()["counted"]
         assert totals["calls"] == before + 3
         assert totals["seconds"] >= 0.0
 
@@ -183,16 +184,19 @@ class TestRegistry:
         assert snap["counters"]['solves{kernel="lu"}'] == 1.0
 
     def test_reservoir_summary_is_one_consistent_copy(self):
-        res = Reservoir(maxlen=16)
-        for v in range(1, 11):
-            res.observe(float(v))
+        lock = threading.Lock()
+        res = Reservoir(maxlen=16, lock=lock)
+        with lock:
+            for v in range(1, 11):
+                res.observe_locked(float(v))
         summary = res.summary(qs=(50.0, 95.0))
         assert summary["count"] == 10
         assert summary["mean_seconds"] == pytest.approx(5.5)
         assert summary["p50_seconds"] <= summary["p95_seconds"]
         # Sliding window: the count keeps the lifetime total.
-        for v in range(100):
-            res.observe(float(v))
+        with lock:
+            for v in range(100):
+                res.observe_locked(float(v))
         assert res.summary()["count"] == 110
 
     def test_percentile_has_one_home(self):

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from repro.compiler.cache import ArtifactCache, options_fingerprint
-from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available
+from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
+from repro.compiler.registry import registered_kernels
 from repro.compiler.sympiler import Sympiler
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.generators import laplacian_2d, sparse_rhs
@@ -110,7 +111,7 @@ class TestBitwiseIdentity:
         assert np.array_equal(x_s, x_w)
         assert np.linalg.norm(A.matvec(x_w) - b) < 1e-8
 
-    @pytest.mark.parametrize("method", sorted(_C_METHOD_SPECS))
+    @pytest.mark.parametrize("method", registered_kernels())
     def test_every_kernel_records_its_wavefront_decision(self, method, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
         sym = Sympiler(_c_options(parallel="wavefront"), cache=ArtifactCache())

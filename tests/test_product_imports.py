@@ -2,8 +2,8 @@
 
 Each kernel has one Python implementation, the python backend's
 ``compiler/codegen/reference.py``; the dense oracles the tests check it
-against live in ``tests/oracles.py``.  Every name the packages export has a
-caller in the product, the examples or the end-to-end benchmark.
+against live in ``tests/oracles.py``.  Every name a ``repro`` package exports
+has a caller in the product, the examples or the end-to-end benchmark.
 """
 
 import ast
@@ -47,7 +47,17 @@ _EXPORTED_WITHOUT_A_CALLER = {
     "column_counts_of_factor": "the per-column factor counts the planned FLOP models read (ROADMAP items 6, 12, 15)",
     "PatternHandle": "the type SolverService.register_pattern returns; callers hold it without naming it",
     "SolverEndpoint": "the protocol the three serving classes implement; callers type against it",
-    "SymbolicInspector": "the base class of every inspector, reached through its subclasses",
+    "CacheStats": "the type ArtifactCache.stats returns",
+    "Counter": "the type MetricsRegistry.counter returns",
+    "EventLog": "the type get_event_log returns",
+    "Span": "the type span() yields",
+    "SpanContext": "the type capture returns and attach takes",
+    "CGResult": "the type preconditioned_conjugate_gradient returns",
+    "FactorHandle": "the type BatchedSolver.factorize_batch returns a list of",
+    "NewtonResult": "the type newton_raphson_fixed_pattern returns",
+    "PatternMismatchError": "the exception verify_pattern raises; a caller catches it by name",
+    "CCompilationError": "the exception a failed cc run raises; a caller catches it by name",
+    "ServiceError": "the base of every serving-layer exception; a caller catches it by name",
 }
 
 
@@ -66,6 +76,16 @@ def _names_in_code(path):
     return names
 
 
+def _packages():
+    """Dotted names of every ``repro`` package (each directory with an ``__init__.py``)."""
+    inits = glob.glob(os.path.join(SRC, "repro", "**", "__init__.py"), recursive=True)
+    return sorted(os.path.relpath(os.path.dirname(path), SRC).replace(os.sep, ".") for path in inits)
+
+
+def test_the_guard_walks_every_package():
+    assert len(_packages()) == 12 and {"repro", "repro.compiler.codegen", "repro.observe"} <= set(_packages())
+
+
 def _exported_without_a_caller():
     """``{name: package}`` of the exports with no reference outside their own module and the ``__init__`` files."""
     callers = glob.glob(os.path.join(SRC, "repro", "**", "*.py"), recursive=True)
@@ -74,7 +94,7 @@ def _exported_without_a_caller():
     callers += glob.glob(os.path.join(ROOT, "benchmarks", "e2e", "**", "*.py"), recursive=True)
     names_in = {os.path.realpath(path): _names_in_code(path) for path in callers}
     missing = {}
-    for package in ("repro", "repro.sparse", "repro.symbolic"):
+    for package in _packages():
         module = importlib.import_module(package)
         for name in module.__all__:
             home = getattr(getattr(module, name), "__module__", None)

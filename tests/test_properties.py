@@ -16,7 +16,7 @@ from repro.sparse.ordering import minimum_degree_ordering
 from repro.sparse.permutation import Permutation
 from repro.symbolic.etree import elimination_tree, postorder
 from repro.symbolic.fill_pattern import cholesky_pattern
-from repro.symbolic.inspector import CholeskyInspector, TriangularSolveInspector
+from repro.symbolic.inspector import inspect_cholesky, inspect_triangular_solve
 from repro.symbolic.reach import reach_set
 from repro.symbolic.supernodes import triangular_supernodes
 
@@ -260,14 +260,14 @@ def test_generated_triangular_solve_matches_reference(L, seed):
     b = np.zeros(L.n)
     nnz = int(rng.integers(1, max(2, L.n // 2)))
     b[rng.choice(L.n, size=nnz, replace=False)] = rng.uniform(0.5, 2.0, size=nnz)
-    compiled = Sympiler().compile_triangular_solve(L, rhs_pattern=np.nonzero(b)[0])
+    compiled = Sympiler().compile("triangular-solve", L, rhs_pattern=np.nonzero(b)[0])
     np.testing.assert_allclose(compiled.solve(L, b), reference_trisolve(L, b), atol=1e-8)
 
 
 @_settings
 @given(spd_matrices_strategy())
 def test_generated_cholesky_matches_reference(A):
-    compiled = Sympiler().compile_cholesky(A)
+    compiled = Sympiler().compile("cholesky", A)
     L = compiled.factorize(A)
     np.testing.assert_allclose(L.to_dense(), reference_cholesky(A), atol=1e-8)
 
@@ -321,7 +321,7 @@ def test_wide_supernodes_match_the_python_backend_bitwise(grid, tmp_path, monkey
     monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path))
     A = laplacian_3d(9) if grid == "laplacian_3d(9)" else laplacian_2d(30)
     A = minimum_degree_ordering(A).symmetric_permute(A)
-    widths = np.diff(CholeskyInspector().inspect(A).supernodes.super_ptr)
+    widths = np.diff(inspect_cholesky(A).supernodes.super_ptr)
     assert widths.max() == (122 if grid == "laplacian_3d(9)" else 42)
     assert "vs-block" in Sympiler().compile("cholesky", A).applied_transformations  # and VS-Block takes them
     _check_c_matches_python_bitwise(A, 7, ("cholesky", "ldlt"))
@@ -333,7 +333,7 @@ def test_inspector_reach_consistency_with_solution_pattern(A):
     L = CSCMatrix.from_dense(reference_cholesky(A))
     b = np.zeros(L.n)
     b[0] = 1.0
-    result = TriangularSolveInspector().inspect(L, rhs_pattern=[0])
+    result = inspect_triangular_solve(L, rhs_pattern=[0])
     x = reference_trisolve(L, b)
     nonzeros = set(np.nonzero(np.abs(x) > 1e-14)[0].tolist())
     assert nonzeros <= set(int(v) for v in result.reach)

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.compiler.cache import ArtifactCache
-from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available
+from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
+from repro.compiler.registry import kernel_spec
 from repro.compiler.sympiler import Sympiler
 from repro.solvers.batched import BatchedSolver
 from repro.solvers.linear_solver import SparseLinearSolver
@@ -146,7 +147,7 @@ def test_a_bad_pivot_in_each_tile_column_fails_alike(method):
             if expected[0] == "ok":
                 np.testing.assert_array_equal(got[1], expected[1])  # NaN for NaN
                 continue
-            assert got == expected == ("ValueError", _C_METHOD_SPECS[method].failure.format(column=k))
+            assert got == expected == ("ValueError", kernel_spec(method).abi.failure.format(column=k))
             failures += 1
     # LLᵀ refuses all three, LDLᵀ only the zero pivot.
     assert failures == (12 if method == "cholesky" else 4)

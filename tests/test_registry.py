@@ -17,6 +17,7 @@ from repro.compiler.plan import plan_cholesky, plan_incomplete, plan_lu, plan_tr
 from repro.compiler.registry import UnknownKernelError, kernel_spec, registered_kernels
 from repro.compiler.sympiler import Sympiler
 from repro.sparse.generators import laplacian_2d, saddle_point_indefinite, sparse_rhs
+from repro.symbolic.inspector import inspect_cholesky, inspect_ic0, inspect_lu, inspect_triangular_solve
 
 
 def fresh_sympiler(options=None):
@@ -52,22 +53,23 @@ class TestRegistry:
             kernel_spec(alias)
 
     @pytest.mark.parametrize(
-        "name, plan, artifact_cls, requires_vi_prune, kernel_args",
+        "name, inspect, plan, artifact_cls, factorization",
         [
-            ("triangular-solve", plan_triangular_solve, SympiledTriangularSolve, False, ("rhs_pattern",)),
-            ("cholesky", plan_cholesky, SympiledCholesky, True, ()),
-            ("ldlt", plan_cholesky, SympiledLDLT, True, ()),
-            ("lu", plan_lu, SympiledLU, True, ()),
-            ("ic0", plan_incomplete, SympiledIC0, True, ()),
+            ("triangular-solve", inspect_triangular_solve, plan_triangular_solve, SympiledTriangularSolve, False),
+            ("cholesky", inspect_cholesky, plan_cholesky, SympiledCholesky, True),
+            ("ldlt", inspect_cholesky, plan_cholesky, SympiledLDLT, True),
+            ("lu", inspect_lu, plan_lu, SympiledLU, True),
+            ("ic0", inspect_ic0, plan_incomplete, SympiledIC0, True),
         ],
     )
-    def test_spec_declares_pipeline_ingredients(self, name, plan, artifact_cls, requires_vi_prune, kernel_args):
+    def test_spec_declares_pipeline_ingredients(self, name, inspect, plan, artifact_cls, factorization):
         spec = kernel_spec(name)
         assert spec.name == name
+        assert spec.inspect is inspect
         assert spec.plan is plan
         assert spec.artifact_cls is artifact_cls
-        assert spec.requires_vi_prune is requires_vi_prune
-        assert spec.kernel_args == kernel_args
+        # A factorization exports a solve entry, takes no RHS pattern and needs VI-Prune.
+        assert spec.factorization is spec.abi.solve is factorization
 
     def test_the_registration_api_is_gone(self):
         import importlib
@@ -83,12 +85,34 @@ class TestRegistry:
         with pytest.raises(TypeError, match="registry"):
             Sympiler(registry=None)
 
-    def test_every_kernel_has_an_emitter_and_a_reference_kernel(self):
-        """Adding a kernel is one table entry plus its two backends' entries."""
-        from repro.compiler.codegen.c_backend import _C_METHOD_SPECS
-        from repro.compiler.codegen.python_backend import _PY_METHOD_SPECS
+    def test_every_loop_a_kernel_runs_has_an_emitter_and_a_reference_kernel(self):
+        """The backends' tables are keyed by domain-loop role: exactly the roles the rows' ABIs name."""
+        from repro.compiler.codegen.c_backend import _LOOPS
+        from repro.compiler.codegen.python_backend import _REFERENCE
 
-        assert set(_C_METHOD_SPECS) == set(_PY_METHOD_SPECS) == set(registered_kernels())
+        roles = {role for name in registered_kernels() for role in kernel_spec(name).abi.loops}
+        assert set(_LOOPS) == set(_REFERENCE) == roles
+
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    @pytest.mark.parametrize("name", registered_kernels())
+    def test_the_module_keeps_the_abi_of_its_row(self, name, backend):
+        """The driver hands each backend the row; the artifact reads the entry's ABI back from its module."""
+        A = laplacian_2d(5)
+        operand = fresh_sympiler().compile("cholesky", A).l_pattern if name == "triangular-solve" else A
+        artifact = fresh_sympiler(SympilerOptions(backend=backend)).compile(name, operand)
+        assert artifact.module.abi is kernel_spec(name).abi
+        assert artifact.module.method == name
+        assert [a.size for a in artifact.new_outputs()] == [
+            getattr(artifact.inspection, attr) for _, attr in kernel_spec(name).abi.outputs
+        ]
+
+    def test_compile_is_the_one_entry(self):
+        """The per-kernel pass-throughs and the cache-counter aliases are gone: compile and ``cache.stats``."""
+        from repro.solvers.linear_solver import SparseLinearSolver
+
+        for name in ("compile_cholesky", "compile_triangular_solve", "cache_stats"):
+            assert not hasattr(Sympiler, name), name
+        assert not hasattr(SparseLinearSolver, "cache_stats")
 
     def test_unknown_kernel_error_lists_available(self):
         with pytest.raises(UnknownKernelError, match="cholesky"):
@@ -98,24 +122,17 @@ class TestRegistry:
         with pytest.raises(UnknownKernelError):
             fresh_sympiler().compile("qr", laplacian_2d(4))
 
-    def test_compile_rejects_undeclared_kernel_args(self):
+    @pytest.mark.parametrize("name", ["cholesky", "ldlt", "lu", "ic0"])
+    def test_a_factorization_given_an_rhs_pattern_raises_type_error(self, name):
         sym = fresh_sympiler()
         with pytest.raises(TypeError, match="rhs_pattern"):
-            sym.compile("cholesky", laplacian_2d(4), rhs_pattern=[0])
-
-    @pytest.mark.parametrize("name", registered_kernels())
-    def test_each_spec_names_the_inspector_of_its_kernel(self, name):
-        assert kernel_spec(name).inspector_cls().method == name
+            sym.compile(name, laplacian_2d(4), rhs_pattern=[0])
+        with pytest.raises(TypeError, match="bogus"):
+            sym.compile(name, laplacian_2d(4), bogus=1)
+        assert sym.cache.stats.lookups == 0
 
 
 class TestGenericCompile:
-    def test_generic_compile_matches_wrappers(self, spd_matrices):
-        A = spd_matrices["fem"]
-        sym = fresh_sympiler()
-        via_generic = sym.compile("cholesky", A)
-        via_wrapper = sym.compile_cholesky(A)
-        assert via_wrapper is via_generic  # same pattern+options -> cache hit
-
     def test_all_three_kernels_compile_through_one_path(self, lower_factors):
         sym = fresh_sympiler()
         A = laplacian_2d(6)
@@ -148,10 +165,10 @@ class TestArtifactCache:
         sym = fresh_sympiler()
         A = laplacian_2d(7)
         first = sym.compile("cholesky", A)
-        assert sym.cache_stats.misses == 1 and sym.cache_stats.hits == 0
+        assert sym.cache.stats.misses == 1 and sym.cache.stats.hits == 0
         second = sym.compile("cholesky", A)
         assert second is first
-        assert sym.cache_stats.hits == 1 and sym.cache_stats.misses == 1
+        assert sym.cache.stats.hits == 1 and sym.cache.stats.misses == 1
         # No inspection/codegen cost re-incurred: the timings object is the
         # one recorded at first compile, by identity.
         assert second.timings is first.timings
@@ -171,7 +188,7 @@ class TestArtifactCache:
         full = sym.compile("cholesky", A, options=SympilerOptions())
         ablated = sym.compile("cholesky", A, options=SympilerOptions(enable_vs_block=False))
         assert ablated is not full
-        assert sym.cache_stats.misses == 2
+        assert sym.cache.stats.misses == 2
         assert options_fingerprint(SympilerOptions()) != options_fingerprint(
             SympilerOptions(enable_vs_block=False)
         )
@@ -197,7 +214,7 @@ class TestArtifactCache:
         chol = sym.compile("cholesky", A)
         ldlt = sym.compile("ldlt", A)
         assert chol is not ldlt
-        assert sym.cache_stats.misses == 2
+        assert sym.cache.stats.misses == 2
 
     def test_one_shot_iterable_rhs_pattern_is_consumed_once(self, lower_factors):
         # A generator must yield the same kernel (and cache entry) as a list.
@@ -267,13 +284,13 @@ class TestArtifactCache:
 
         A = laplacian_2d(8)
         solver = SparseLinearSolver(A, ordering="mindeg")
-        lookups_after_setup = solver.cache_stats.lookups
+        lookups_after_setup = solver.artifact_cache.stats.lookups
         A2 = A.copy()
         A2.data *= 4.0
         solver.factorize(A2)
         # Refactorization on the same pattern triggers no compiles at all —
         # not even cache lookups (fingerprinting is off the hot path).
-        assert solver.cache_stats.lookups == lookups_after_setup
+        assert solver.artifact_cache.stats.lookups == lookups_after_setup
         b = np.ones(A.n)
         x = solver.solve(b)
         assert solver.residual(x, b) < 1e-8
@@ -283,12 +300,12 @@ class TestArtifactCache:
 
         A = laplacian_2d(8)
         first = SparseLinearSolver(A, ordering="mindeg")
-        hits0, misses0 = first.cache_stats.hits, first.cache_stats.misses
+        hits0, misses0 = first.artifact_cache.stats.hits, first.artifact_cache.stats.misses
         second = SparseLinearSolver(A, ordering="mindeg")
         # Same pattern + options: the one compile of the second solver (its
         # factorization, whose module carries the solve entry) is a cache hit.
-        assert second.cache_stats.misses == misses0
-        assert second.cache_stats.hits == hits0 + 1
+        assert second.artifact_cache.stats.misses == misses0
+        assert second.artifact_cache.stats.hits == hits0 + 1
         b = np.ones(A.n)
         assert second.residual(second.solve(b), b) < 1e-8
 
@@ -309,15 +326,15 @@ class TestNoKernelBranchesInDriver:
         """LU must integrate through the method tables alone (the PR-2 claim).
 
         ``Sympiler.compile`` and the artifact cache must contain no LU-specific
-        branch: the only integration points are the registry spec, its plan
-        function and the backend method-spec tables.
+        branch: the only integration points are the registry row, its plan
+        function and the backends' role-keyed tables.
         """
         import inspect
 
         from repro.compiler import cache as cache_module
         from repro.compiler import sympiler as driver_module
-        from repro.compiler.codegen.c_backend import _C_METHOD_SPECS
-        from repro.compiler.codegen.python_backend import _PY_METHOD_SPECS
+        from repro.compiler.codegen.c_backend import _LOOPS
+        from repro.compiler.codegen.python_backend import _REFERENCE
 
         for module in (driver_module, cache_module):
             source = inspect.getsource(module)
@@ -326,7 +343,7 @@ class TestNoKernelBranchesInDriver:
             )
         # The declared integration points, and nothing else, know about lu.
         assert kernel_spec("lu").name == "lu"
-        assert "lu" in _PY_METHOD_SPECS and "lu" in _C_METHOD_SPECS
+        assert set(kernel_spec("lu").abi.loops) <= set(_REFERENCE) & set(_LOOPS)
         assert kernel_spec("lu").plan is plan_lu
 
     def test_ic0_registration_left_driver_and_cache_untouched(self):
@@ -334,15 +351,15 @@ class TestNoKernelBranchesInDriver:
 
         ``Sympiler.compile`` and the artifact cache must contain no
         incomplete-kernel-specific branch: the only integration points are
-        the registry spec, its plan function and the backend method-spec
+        the registry row, its plan function and the backends' role-keyed
         tables — the same invariance asserted for LU.
         """
         import inspect
 
         from repro.compiler import cache as cache_module
         from repro.compiler import sympiler as driver_module
-        from repro.compiler.codegen.c_backend import _C_METHOD_SPECS
-        from repro.compiler.codegen.python_backend import _PY_METHOD_SPECS
+        from repro.compiler.codegen.c_backend import _LOOPS
+        from repro.compiler.codegen.python_backend import _REFERENCE
 
         for module in (driver_module, cache_module):
             source = inspect.getsource(module)
@@ -351,7 +368,7 @@ class TestNoKernelBranchesInDriver:
             )
         # The declared integration points, and nothing else, know about it.
         assert kernel_spec("ic0").name == "ic0"
-        assert "ic0" in _PY_METHOD_SPECS and "ic0" in _C_METHOD_SPECS
+        assert set(kernel_spec("ic0").abi.loops) <= set(_REFERENCE) & set(_LOOPS)
         assert kernel_spec("ic0").plan is plan_incomplete
 
     def test_incomplete_kernels_share_the_artifact_cache(self):
@@ -362,10 +379,10 @@ class TestNoKernelBranchesInDriver:
         A = laplacian_2d(7, shift=0.1)
         sym = Sympiler(cache=ArtifactCache())
         first = sym.compile("ic0", A)
-        hits0, misses0 = sym.cache_stats.hits, sym.cache_stats.misses
+        hits0, misses0 = sym.cache.stats.hits, sym.cache.stats.misses
         assert sym.compile("ic0", A) is first
-        assert sym.cache_stats.hits == hits0 + 1
-        assert sym.cache_stats.misses == misses0
+        assert sym.cache.stats.hits == hits0 + 1
+        assert sym.cache.stats.misses == misses0
 
     def test_two_lu_solvers_share_one_compiled_artifact(self):
         from repro.solvers.linear_solver import SparseLinearSolver
@@ -373,12 +390,12 @@ class TestNoKernelBranchesInDriver:
 
         A = unsymmetric_diag_dominant(40, seed=77)
         first = SparseLinearSolver(A, method="lu", ordering="mindeg")
-        hits0, misses0 = first.cache_stats.hits, first.cache_stats.misses
+        hits0, misses0 = first.artifact_cache.stats.hits, first.artifact_cache.stats.misses
         second = SparseLinearSolver(A, method="lu", ordering="mindeg")
         # Same pattern + options: the factorization of the second solver
         # (the L- and U-sweeps are its module's solve entry) is a cache hit.
-        assert second.cache_stats.misses == misses0
-        assert second.cache_stats.hits == hits0 + 1
+        assert second.artifact_cache.stats.misses == misses0
+        assert second.artifact_cache.stats.hits == hits0 + 1
         assert second._factorization is first._factorization
         b = np.ones(A.n)
         assert second.residual(second.solve(b), b) < 1e-8

@@ -660,7 +660,7 @@ class TestArtifactLifetime:
         options = SympilerOptions(enable_vs_block=False)
         with _service(options=options) as svc:
             handle = svc.register_pattern(A, ordering="natural")
-            stats = svc._entries[handle.key].solver.cache_stats
+            stats = svc._entries[handle.key].solver.artifact_cache.stats
             assert svc.evict(handle)
             misses = stats.misses
             SparseLinearSolver(A, method="cholesky", ordering="natural", options=options)

@@ -9,13 +9,13 @@ from repro.compiler.sympiler import Sympiler
 from repro.solvers.cg import preconditioned_conjugate_gradient
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.solvers.newton import newton_raphson_fixed_pattern
-from repro.baselines.scipy_reference import reference_cholesky, reference_solve
+from repro.baselines.scipy_reference import reference_cholesky
 from repro.sparse.coo import TripletBuilder
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import banded_spd, laplacian_2d, power_grid_spd
 
 import oracles
-from oracles import lower_triangle
+from oracles import lower_triangle, reference_solve
 
 needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
 

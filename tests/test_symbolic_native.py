@@ -52,7 +52,7 @@ from repro.symbolic.fill_pattern import (
     lu_pattern,
     lu_pattern_reference,
 )
-from repro.symbolic.inspector import CholeskyInspector, LUInspector, TriangularSolveInspector
+from repro.symbolic.inspector import inspect_cholesky, inspect_lu, inspect_triangular_solve
 from repro.symbolic.reach import reach_set_from_arrays, reach_set_reference
 
 from oracles import lower_triangle
@@ -197,9 +197,9 @@ class TestNativeMatchesReference:
                 monkeypatch.setattr(module, name, refuse)
         A = laplacian_2d(6)
         B = minimum_degree_ordering(A).symmetric_permute(A)
-        chol = CholeskyInspector().inspect(B)
-        TriangularSolveInspector().inspect(chol.l_pattern_matrix(), rhs_pattern=[0, 7])
-        LUInspector().inspect(unsymmetric_diag_dominant(30, seed=1))
+        chol = inspect_cholesky(B)
+        inspect_triangular_solve(chol.l_pattern_matrix(), rhs_pattern=[0, 7])
+        inspect_lu(unsymmetric_diag_dominant(30, seed=1))
 
 
 # --------------------------------------------------------------------------- #
@@ -275,8 +275,8 @@ def _public_results(A: CSCMatrix, U: CSCMatrix) -> list:
     parent = elimination_tree(B)
     l_indptr, l_indices = cholesky_pattern(B, parent)
     L = CSCMatrix.from_pattern(B.n, B.n, l_indptr, l_indices)
-    tri = TriangularSolveInspector().inspect(L, rhs_pattern=[1, B.n // 2])
-    chol = CholeskyInspector().inspect(B)
+    tri = inspect_triangular_solve(L, rhs_pattern=[1, B.n // 2])
+    chol = inspect_cholesky(B)
     return [
         perm.perm,
         parent,

@@ -14,18 +14,19 @@ import numpy as np
 import pytest
 
 from repro.compiler.cache import ArtifactCache
-from repro.compiler.codegen.c_backend import _C_METHOD_SPECS, c_compiler_available, disk_cache_stats
+from repro.compiler.codegen.c_backend import c_compiler_available, disk_cache_stats
 from repro.compiler.options import SympilerOptions
+from repro.compiler.registry import _KERNELS
 from repro.compiler.sympiler import Sympiler
 from repro.service.wire import TOOLCHAIN_OPTIONS
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import fem_stencil_2d, laplacian_2d, laplacian_3d, sparse_rhs
 from repro.sparse.ordering import minimum_degree_ordering
-from repro.symbolic.inspector import CholeskyInspector
+from repro.symbolic.inspector import inspect_cholesky
 
 needs_cc = pytest.mark.skipif(not c_compiler_available("cc"), reason="no C compiler available")
 
-METHODS = list(_C_METHOD_SPECS)
+METHODS = list(_KERNELS)
 FACTORIZATIONS = [name for name in METHODS if name != "triangular-solve"]
 
 
@@ -280,7 +281,7 @@ def test_table_block_is_byte_identical_to_the_parent_commit(pattern, case, bundl
 
 def test_every_c_method_spec_is_pinned():
     modes = ("none", "wavefront")
-    expected = {(pattern, method, mode) for pattern in PATTERNS for method in _C_METHOD_SPECS for mode in modes}
+    expected = {(pattern, method, mode) for pattern in PATTERNS for method in METHODS for mode in modes}
     assert set(_PINNED_C_SOURCES) == expected
 
 
@@ -457,7 +458,7 @@ def test_both_backends_fail_alike(kernel, vs_block):
             np.testing.assert_array_equal(got[1], expected[1])  # NaN for NaN
             continue
         assert expected[0] == "ValueError" and got[1] == expected[1], (pos, value)
-        assert got[1] == _C_METHOD_SPECS[kernel].failure.format(column=int(got[1].rsplit(" ", 1)[1]))
+        assert got[1] == _KERNELS[kernel].abi.failure.format(column=int(got[1].rsplit(" ", 1)[1]))
         failed_at.add(int(got[1].rsplit(" ", 1)[1]))
     # Not vacuous: every kernel failed, and the positive-pivot ones in columns
     # all over the matrix (inside supernodes included), not just at column 0.
@@ -474,7 +475,7 @@ def _exact_factor_matrix():
     of its factorization, so every operation order computes the pivots up to ``c`` exactly.
     """
     grid = laplacian_3d(4)
-    inspection = CholeskyInspector().inspect(minimum_degree_ordering(grid).symmetric_permute(grid))
+    inspection = inspect_cholesky(minimum_degree_ordering(grid).symmetric_permute(grid))
     Lp, Li, super_ptr = inspection.l_indptr, inspection.l_indices, inspection.supernodes.super_ptr
     L = np.eye(inspection.n)
     rng = np.random.default_rng(1)
@@ -513,7 +514,7 @@ def test_a_breakdown_inside_a_wide_supernode_names_the_simplicial_column(kernel)
     for name, A in cases.items():
         outcomes = [_outcome(artifact, A) for artifact in (blocked, reference, simplicial)]
         if kernel == "cholesky" or name == "zero":
-            failure = ("ValueError", _C_METHOD_SPECS[kernel].failure.format(column=c))
+            failure = ("ValueError", _KERNELS[kernel].abi.failure.format(column=c))
             assert outcomes == [failure] * 3, name
             continue
         # LDLᵀ takes a negative pivot, and its pivot test lets a NaN through.

@@ -18,12 +18,7 @@ from repro.sparse import generators
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import arrow_spd, block_tridiagonal_spd, sparse_rhs, unsymmetric_diag_dominant
 from repro.sparse.ordering import minimum_degree_ordering
-from repro.symbolic.inspector import (
-    CholeskyInspector,
-    IC0Inspector,
-    LUInspector,
-    TriangularSolveInspector,
-)
+from repro.symbolic.inspector import inspect_cholesky, inspect_ic0, inspect_lu, inspect_triangular_solve
 from repro.symbolic.supernodes import supernodes_from_boundaries
 
 from oracles import cholesky_factor
@@ -31,14 +26,14 @@ from oracles import cholesky_factor
 
 def _tri_context(L, options=None, rhs_nnz=3):
     b = sparse_rhs(L.n, nnz=rhs_nnz, seed=4)
-    inspection = TriangularSolveInspector().inspect(L, rhs_pattern=np.nonzero(b)[0])
+    inspection = inspect_triangular_solve(L, rhs_pattern=np.nonzero(b)[0])
     return CompilationContext(
         method="triangular-solve", matrix=L, inspection=inspection, options=options or SympilerOptions()
     )
 
 
 def _chol_context(A, options=None, method="cholesky"):
-    inspection = CholeskyInspector().inspect(A)
+    inspection = inspect_cholesky(A)
     return CompilationContext(method=method, matrix=A, inspection=inspection, options=options or SympilerOptions())
 
 
@@ -66,7 +61,7 @@ def _edge_patterns():
 
 def test_a_lower_positions(spd_matrices):
     A = spd_matrices["fem"]
-    _, sets = tables.simplicial_cholesky(A, CholeskyInspector().inspect(A), "llt")
+    _, sets = tables.simplicial_cholesky(A, inspect_cholesky(A), "llt")
     for j in range(A.n):
         rows = A.indices[sets["a_diag_pos"][j] : sets["a_col_end"][j]]
         assert rows[0] == j
@@ -79,7 +74,7 @@ def _row(inspection, j):
 
 
 def _check_simplicial(A, factor_kind="ldlt"):
-    inspection = CholeskyInspector().inspect(A)
+    inspection = inspect_cholesky(A)
     dims, sets = tables.simplicial_cholesky(A, inspection, factor_kind)
     assert dims == {"nnz_l": inspection.factor_nnz}
     assert sets["prune_ptr"][-1] == inspection.row_idx.size == sets["update_pos"].size
@@ -96,12 +91,12 @@ def _check_simplicial(A, factor_kind="ldlt"):
 def test_simplicial_descriptors_point_at_ljk(spd_matrices):
     _check_simplicial(spd_matrices["laplacian_2d"])
     A = spd_matrices["laplacian_2d"]
-    assert "update_col" not in tables.simplicial_cholesky(A, CholeskyInspector().inspect(A), "llt")[1]
+    assert "update_col" not in tables.simplicial_cholesky(A, inspect_cholesky(A), "llt")[1]
 
 
 def _check_supernodal(A):
     """The (target, descendant supernode, i0, i1) rows against the per-column updates they stand for."""
-    inspection = CholeskyInspector().inspect(A)
+    inspection = inspect_cholesky(A)
     dims, sets = tables.supernodal_cholesky(A, inspection)
     partition, Lp, Li = inspection.supernodes, inspection.l_indptr, inspection.l_indices
     assert sets["sup_start"].size == partition.n_supernodes == dims["n_super"]
@@ -165,7 +160,7 @@ def test_supernodal_rows_cover_the_per_column_updates_exactly_once(name, orderin
 
 def test_lu_descriptors_point_below_the_pivot():
     A = unsymmetric_diag_dominant(40, seed=3)
-    inspection = LUInspector().inspect(A)
+    inspection = inspect_lu(A)
     dims, sets = tables.simplicial_lu(A, inspection)
     assert dims == {"nnz_l": inspection.l_nnz, "nnz_u": inspection.u_nnz}
     np.testing.assert_array_equal(sets["a_col_start"], A.indptr[:-1])
@@ -180,7 +175,7 @@ def test_lu_descriptors_point_below_the_pivot():
 
 
 def _check_ic0(A):
-    inspection = IC0Inspector().inspect(A)
+    inspection = inspect_ic0(A)
     Lp, Li = inspection.l_indptr, inspection.l_indices
     dims, sets = tables.incomplete_ic0(A, inspection)
     assert dims == {"nnz_l": Li.size}
@@ -234,9 +229,9 @@ def _check_segments(L, partition, active, min_width):
 
 def test_segment_table_covers_exactly_the_active_columns(lower_factors):
     L = lower_factors["block"]
-    partition = TriangularSolveInspector().inspect(L).supernodes
+    partition = inspect_triangular_solve(L).supernodes
     assert (_check_segments(L, partition, np.arange(L.n), 2)[:, 0] > 0).any()
-    reach = TriangularSolveInspector().inspect(L, rhs_pattern=[3]).reach_sorted
+    reach = inspect_triangular_solve(L, rhs_pattern=[3]).reach_sorted
     rows = _check_segments(L, partition, reach, 2)
     assert 0 < rows.shape[0] and reach.size < L.n
     # Wider than every supernode: nothing is blocked, one run holds every active column.
@@ -267,15 +262,15 @@ def test_tables_of_edge_patterns(name):
     _check_simplicial(A)
     _check_supernodal(A)
     _check_ic0(A)
-    inspection = CholeskyInspector().inspect(A)
+    inspection = inspect_cholesky(A)
     L = inspection.l_pattern_matrix()
-    partition = TriangularSolveInspector().inspect(L).supernodes
+    partition = inspect_triangular_solve(L).supernodes
     for active in (np.arange(A.n), np.array([A.n - 1]), np.zeros(0, dtype=np.int64)):
         _check_segments(L, partition, active, 2)
     if name in ("n=1", "diagonal"):
         _, sets = tables.supernodal_cholesky(A, inspection)
         assert sets["desc_ptr"].tolist() == [0] * (A.n + 1) and sets["desc_sup"].size == 0
-        assert tables.incomplete_ic0(A, IC0Inspector().inspect(A))[1]["l_scat_src"].size == 0
+        assert tables.incomplete_ic0(A, inspect_ic0(A))[1]["l_scat_src"].size == 0
 
 
 def _five_column_factor():
@@ -426,11 +421,11 @@ def test_vi_prune_after_vs_block_drops_unreached_blocks(lower_factors):
 def test_vs_block_is_not_considered_on_lu_or_ic0(method):
     """No supernodes are inspected and no decision is recorded: the loop is the pruned column loop."""
     A = block_tridiagonal_spd(6, 6, seed=1, dense_coupling=True)
-    inspector, plan, role = {
-        "lu": (LUInspector, plan_lu, "simplicial-lu"),
-        "ic0": (IC0Inspector, plan_incomplete, "incomplete-cholesky"),
+    inspect, plan, role = {
+        "lu": (inspect_lu, plan_lu, "simplicial-lu"),
+        "ic0": (inspect_ic0, plan_incomplete, "incomplete-cholesky"),
     }[method]
-    inspection = inspector().inspect(A)
+    inspection = inspect(A)
     assert not any(hasattr(inspection, name) for name in ("parent", "post", "l_col_counts", "supernodes"))
     context = CompilationContext(method=method, matrix=A, inspection=inspection, options=SympilerOptions())
     loop = plan(context)

@@ -31,8 +31,8 @@ def factor(request, lower_factors):
 def _solve(L, b, variant, *, dense=False):
     """``L x = b`` by the kernel of ``variant`` compiled for ``b``'s pattern (or a dense one)."""
     rhs_pattern = None if dense else np.nonzero(b)[0]
-    compiled = Sympiler().compile_triangular_solve(
-        L, rhs_pattern=rhs_pattern, options=VARIANTS[variant]
+    compiled = Sympiler().compile(
+        "triangular-solve", L, rhs_pattern=rhs_pattern, options=VARIANTS[variant]
     )
     return compiled.solve(L, b)
 
@@ -54,8 +54,8 @@ def test_dense_rhs_matches_reference(lower_factors, variant, rng):
 
 def test_solution_is_zero_outside_reach(factor):
     b = sparse_rhs(factor.n, nnz=1, seed=8)
-    compiled = Sympiler().compile_triangular_solve(
-        factor, rhs_pattern=np.nonzero(b)[0], options=VARIANTS["vi-prune"]
+    compiled = Sympiler().compile(
+        "triangular-solve", factor, rhs_pattern=np.nonzero(b)[0], options=VARIANTS["vi-prune"]
     )
     x = compiled.solve(factor, b)
     outside = np.setdiff1d(np.arange(factor.n), compiled.inspection.reach_sorted)
@@ -73,13 +73,13 @@ def test_identity_solve(variant):
 def test_non_square_rejected():
     rect = CSCMatrix.from_dense(np.tril(np.ones((3, 2))))
     with pytest.raises(ValueError, match="square"):
-        Sympiler().compile_triangular_solve(rect)
+        Sympiler().compile("triangular-solve", rect)
 
 
 def test_upper_triangular_rejected():
     U = CSCMatrix.from_dense(np.triu(np.ones((3, 3))))
     with pytest.raises(ValueError, match="lower-triangular"):
-        Sympiler().compile_triangular_solve(U)
+        Sympiler().compile("triangular-solve", U)
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])
@@ -88,4 +88,4 @@ def test_missing_diagonal_rejected(backend):
     L = CSCMatrix.from_dense(np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 3.0, 4.0]]))
     assert L.col_rows(1).tolist() == [2]
     with pytest.raises(ValueError, match="stored diagonal; column 1 of L has none"):
-        Sympiler().compile_triangular_solve(L, options=SympilerOptions(backend=backend))
+        Sympiler().compile("triangular-solve", L, options=SympilerOptions(backend=backend))
