@@ -10,9 +10,9 @@ Two escalations of the serving layer, one endpoint surface:
    a full round-trip *per request*.
 
 2. **Sharding.**  A :class:`ShardFleet` runs N solver-service processes
-   over one shared compiled-kernel disk cache and routes each pattern to a
-   shard by consistent-hashing its fingerprint.  Kill a shard mid-stream
-   and the fleet respawns it, re-registers its patterns **warm from disk**
+   over one shared compiled-kernel disk cache and pins each pattern to one
+   fixed slot by its fingerprint.  Kill a shard mid-stream and the fleet
+   respawns it in its own slot, re-registers its patterns **warm from disk**
    (zero recompiles — the counters prove it), and transparently resubmits
    the requests that were caught in the crash.
 

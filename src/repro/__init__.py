@@ -32,7 +32,7 @@ full system:
   :class:`~repro.service.endpoint.SolverEndpoint` surface at three scales:
   the in-process :class:`SolverService`, the pipelined request-id wire
   protocol with :class:`ServiceClient`, and the sharded
-  :class:`ShardFleet` (consistent-hash routing, warm shard failover).
+  :class:`ShardFleet` (fingerprint routing, warm in-place shard failover).
 
 Quickstart::
 

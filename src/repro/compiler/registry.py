@@ -14,15 +14,15 @@ the table raises :class:`UnknownKernelError`.
 
 The kernels:
 
-====================  ================================  ==============================
-name                  inspect                           artifact
-====================  ================================  ==============================
-``triangular-solve``  :func:`inspect_triangular_solve`  :class:`SympiledTriangularSolve`
-``cholesky``          :func:`inspect_cholesky`          :class:`SympiledCholesky`
-``ldlt``              :func:`inspect_cholesky`          :class:`SympiledLDLT`
-``lu``                :func:`inspect_lu`                :class:`SympiledLU`
-``ic0``               :func:`inspect_ic0`               :class:`SympiledIC0`
-====================  ================================  ==============================
+====================  ===========================================  ==============================
+name                  inspect                                      artifact
+====================  ===========================================  ==============================
+``triangular-solve``  :func:`inspect_normalized_triangular_solve`  :class:`SympiledTriangularSolve`
+``cholesky``          :func:`inspect_cholesky`                     :class:`SympiledCholesky`
+``ldlt``              :func:`inspect_cholesky`                     :class:`SympiledLDLT`
+``lu``                :func:`inspect_lu`                           :class:`SympiledLU`
+``ic0``               :func:`inspect_ic0`                          :class:`SympiledIC0`
+====================  ===========================================  ==============================
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.symbolic.inspector import (
     inspect_cholesky,
     inspect_ic0,
     inspect_lu,
-    inspect_triangular_solve,
+    inspect_normalized_triangular_solve,
 )
 
 __all__ = [
@@ -115,7 +115,7 @@ _LEFT_LOOKING = ("supernodal-cholesky", "simplicial-cholesky")
 _SPECS = (
     KernelSpec(
         name="triangular-solve",
-        inspect=inspect_triangular_solve,
+        inspect=inspect_normalized_triangular_solve,
         plan=plan_triangular_solve,
         artifact_cls=SympiledTriangularSolve,
         abi=CMethodSpec(

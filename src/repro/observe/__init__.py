@@ -68,7 +68,6 @@ from repro.observe.registry import (
 from repro.observe.trace import (
     Span,
     SpanContext,
-    Tracer,
     attach,
     attach_remote,
     capture,
@@ -91,7 +90,6 @@ __all__ = [
     "Reservoir",
     "Span",
     "SpanContext",
-    "Tracer",
     "attach",
     "attach_remote",
     "breakdown",

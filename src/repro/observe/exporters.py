@@ -24,8 +24,8 @@ import json
 import re
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.observe.registry import MetricsRegistry, get_registry
-from repro.observe.trace import Tracer, get_tracer
+from repro.observe.registry import get_registry
+from repro.observe.trace import get_tracer
 
 __all__ = [
     "PHASE_GROUPS",
@@ -62,16 +62,14 @@ PHASE_GROUPS: Dict[str, tuple] = {
 SYMBOLIC_GROUPS = ("inspection", "lowering", "codegen", "cc")
 
 
-def snapshot(registry: Optional[MetricsRegistry] = None) -> Dict[str, Any]:
-    """One JSON-serialisable document over the whole registry."""
-    return (registry or get_registry()).snapshot()
+def snapshot() -> Dict[str, Any]:
+    """One JSON-serialisable document over the whole default registry."""
+    return get_registry().snapshot()
 
 
-def prometheus_text(
-    registry: Optional[MetricsRegistry] = None, *, prefix: str = "repro"
-) -> str:
-    """Prometheus text exposition (format version 0.0.4)."""
-    return (registry or get_registry()).to_prometheus(prefix=prefix)
+def prometheus_text() -> str:
+    """The default registry as Prometheus text exposition (format version 0.0.4)."""
+    return get_registry().to_prometheus()
 
 
 def _escape_label_value(value: str) -> str:
@@ -123,7 +121,7 @@ def _split_sample(line: str) -> Optional[tuple]:
 def relabel_prometheus_text(text: str, **labels: str) -> str:
     """Add ``labels`` to every sample in Prometheus exposition ``text``.
 
-    The fleet router uses this to merge per-shard ``metrics`` verb output
+    The fleet uses this to merge per-shard ``metrics`` verb output
     into one scrape page: each shard's samples gain a ``shard="i"`` label so
     identically-named series stay distinguishable.  Pre-existing labels on a
     sample are preserved (and win over an added label of the same name —
@@ -163,15 +161,14 @@ def relabel_prometheus_text(text: str, **labels: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def phase_totals(registry: Optional[MetricsRegistry] = None) -> Dict[str, Dict[str, float]]:
+def phase_totals() -> Dict[str, Dict[str, float]]:
     """Accumulated seconds and call counts per span name.
 
     Returns ``{phase: {"seconds": s, "calls": n}}`` pulled from the
     ``phase_seconds_total`` / ``phase_calls_total`` counters the tracer
-    maintains.
+    maintains in the default registry.
     """
-    reg = registry or get_registry()
-    snap = reg.snapshot()
+    snap = get_registry().snapshot()
     totals: Dict[str, Dict[str, float]] = {}
     for key, value in snap.get("counters", {}).items():
         for base, field in (("phase_seconds_total", "seconds"), ("phase_calls_total", "calls")):
@@ -182,7 +179,7 @@ def phase_totals(registry: Optional[MetricsRegistry] = None) -> Dict[str, Dict[s
     return totals
 
 
-def breakdown(registry: Optional[MetricsRegistry] = None) -> Dict[str, Any]:
+def breakdown() -> Dict[str, Any]:
     """The amortization breakdown: accumulated seconds per paper phase group.
 
     Returns ``{"groups": {group: {"seconds", "calls", "phases": {...}}},
@@ -191,7 +188,7 @@ def breakdown(registry: Optional[MetricsRegistry] = None) -> Dict[str, Any]:
     one-time inspection+compilation cost is worth (the paper's break-even
     count); 0.0 when no numeric time was recorded.
     """
-    totals = phase_totals(registry)
+    totals = phase_totals()
     grouped_phases = {p for phases in PHASE_GROUPS.values() for p in phases}
     groups: Dict[str, Any] = {}
     for group, phases in PHASE_GROUPS.items():
@@ -289,7 +286,7 @@ def process_name_event(pid: int, name: str) -> Dict[str, Any]:
     }
 
 
-def chrome_trace(tracer: Optional[Tracer] = None) -> Dict[str, Any]:
+def chrome_trace() -> Dict[str, Any]:
     """The tracer's spans as a Chrome trace-event document.
 
     Loadable in ``chrome://tracing`` or https://ui.perfetto.dev.  Spans are
@@ -298,13 +295,13 @@ def chrome_trace(tracer: Optional[Tracer] = None) -> Dict[str, Any]:
     process (``pid: 1``); the fleet-wide merge lives in
     :meth:`ShardFleet.chrome_trace`.
     """
-    spans = (tracer or get_tracer()).spans()
+    spans = get_tracer().spans()
     events = chrome_trace_events([sp.as_dict() for sp in spans], pid=1)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(path, tracer: Optional[Tracer] = None) -> None:
+def write_chrome_trace(path) -> None:
     """Serialise :func:`chrome_trace` to ``path`` as JSON."""
-    doc = chrome_trace(tracer)
+    doc = chrome_trace()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=None, separators=(",", ":"), sort_keys=True)

@@ -246,11 +246,11 @@ class MetricsRegistry:
             self._counters.clear()
 
     # ------------------------------------------------------------------ #
-    def to_prometheus(self, prefix: str = "repro") -> str:
+    def to_prometheus(self) -> str:
         """Prometheus text exposition (version 0.0.4) of the whole registry.
 
-        Counters export under their own names; collector values flatten to
-        gauges named ``<prefix>_<collector>_<key>``.  Output is sorted and
+        Counters export as ``repro_<name>``; collector values flatten to
+        gauges named ``repro_<collector>_<key>``.  Output is sorted and
         deterministic for a fixed registry state.
         """
         with self._lock:
@@ -264,7 +264,7 @@ class MetricsRegistry:
                 lines.append(f"# TYPE {name} {kind}")
 
         for (name, labels), counter in items:
-            full = _prom_name(f"{prefix}_{name}")
+            full = _prom_name(f"repro_{name}")
             emit_type(full, "counter")
             lines.append(f"{full}{_prom_labels(labels)} {_prom_num(counter.get())}")
         for cname, values in self.collect().items():
@@ -273,7 +273,7 @@ class MetricsRegistry:
                     value = float(value)
                 elif not isinstance(value, (int, float)):
                     continue  # strings (backend names, errors) stay JSON-only
-                full = _prom_name(f"{prefix}_{cname}_{key}")
+                full = _prom_name(f"repro_{cname}_{key}")
                 emit_type(full, "gauge")
                 lines.append(f"{full} {_prom_num(value)}")
         return "\n".join(lines) + "\n"

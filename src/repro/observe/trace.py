@@ -162,11 +162,11 @@ _NOOP = _NoopSpan()
 
 
 class Tracer:
-    """Bounded, thread-safe store of finished spans."""
+    """Bounded, thread-safe store of the last :data:`DEFAULT_MAX_SPANS` finished spans."""
 
-    def __init__(self, max_spans: int = DEFAULT_MAX_SPANS) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._spans: Deque[Span] = deque(maxlen=max_spans)
+        self._spans: Deque[Span] = deque(maxlen=DEFAULT_MAX_SPANS)
         self._registry = get_registry()
 
     def _finish(self, sp: Span) -> None:
@@ -309,11 +309,9 @@ def attach_remote(
     return _Attach(SpanContext(trace_id=trace_id, span_id=parent_id, name=name))
 
 
-def enable(*, max_spans: Optional[int] = None) -> None:
-    """Turn tracing on (``max_spans``: a fresh tracer holding at most that many spans)."""
-    global _enabled, _TRACER
-    if max_spans is not None:
-        _TRACER = Tracer(max_spans=max_spans)
+def enable() -> None:
+    """Turn tracing on."""
+    global _enabled
     _enabled = True
 
 

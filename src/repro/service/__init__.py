@@ -15,10 +15,10 @@ scales:
   connection pipelines many of them (``submit``/``result``) and ``solve`` is
   submit + wait.  ``python -m repro.service`` runs the server.
 * :class:`ShardFleet` (:mod:`repro.service.fleet`) — N service *processes*
-  over the shared compiled-kernel disk cache behind a consistent-hash router
-  (:mod:`repro.service.router`): patterns pin to shards by fingerprint, and
-  a dead shard's replacement re-registers **warm** from disk — zero
-  recompiles, counter-asserted.
+  over the shared compiled-kernel disk cache: each pattern pins to one fixed
+  slot by its fingerprint, and a dead shard is respawned in its own slot,
+  where it re-registers **warm** from disk — zero recompiles,
+  counter-asserted.
 
 Because all three implement :class:`SolverEndpoint`, code written against
 the protocol moves between in-process, networked, and sharded deployments
@@ -49,7 +49,6 @@ from repro.service.errors import (
 )
 from repro.service.fleet import ShardFleet
 from repro.service.metrics import ServiceMetrics
-from repro.service.router import ConsistentHashRing
 from repro.service.session import PatternHandle, SolverService
 from repro.service.wire import SolverServiceServer, serve_background
 
@@ -60,7 +59,6 @@ __all__ = [
     "ServiceClient",
     "RemoteHandle",
     "ShardFleet",
-    "ConsistentHashRing",
     "SolverServiceServer",
     "serve_background",
     "ServiceMetrics",

@@ -15,22 +15,19 @@ import threading
 
 from repro.service.errors import ServiceOverloadedError
 
-__all__ = ["AdmissionController"]
+__all__ = ["AdmissionController", "RETRY_AFTER_SECONDS"]
+
+#: The backoff a rejected caller is told to wait before retrying.
+RETRY_AFTER_SECONDS = 0.05
 
 
 class AdmissionController:
     """Bounded request admission: in-flight slots with a retry-after hint."""
 
-    def __init__(
-        self,
-        *,
-        max_in_flight: int = 256,
-        retry_after_seconds: float = 0.05,
-    ) -> None:
+    def __init__(self, *, max_in_flight: int = 256) -> None:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
         self.max_in_flight = int(max_in_flight)
-        self.retry_after_seconds = float(retry_after_seconds)
         self._lock = threading.Lock()
         self._in_flight = 0
 
@@ -41,8 +38,8 @@ class AdmissionController:
                 raise ServiceOverloadedError(
                     f"service saturated ({self._in_flight} requests in flight, "
                     f"limit {self.max_in_flight}); retry after "
-                    f"{self.retry_after_seconds:g}s",
-                    retry_after=self.retry_after_seconds,
+                    f"{RETRY_AFTER_SECONDS:g}s",
+                    retry_after=RETRY_AFTER_SECONDS,
                 )
             self._in_flight += 1
 

@@ -366,10 +366,10 @@ class ServiceClient:
         info["rtt_seconds"] = received_at - sent_at
         return info
 
-    def estimate_clock_offset(self, samples: int = 5) -> float:
+    def estimate_clock_offset(self) -> float:
         """Estimate ``server_wall_clock - client_wall_clock`` in seconds.
 
-        NTP-style: each timed ping brackets the server's reported wall time
+        NTP-style: each of five timed pings brackets the server's reported wall time
         between the client's send and receive stamps; the sample with the
         smallest round-trip (least queueing noise) wins, and the offset is
         the server time minus the bracket midpoint.  Used by
@@ -378,7 +378,7 @@ class ServiceClient:
         """
         best_rtt: Optional[float] = None
         best_offset = 0.0
-        for _ in range(max(1, samples)):
+        for _ in range(5):
             info = self.ping_info()
             midpoint = (
                 info["client_send_wall_time"] + info["client_recv_wall_time"]
@@ -399,14 +399,14 @@ class ServiceClient:
         response, _ = self._call({"op": "health"})
         return response["health"]
 
-    def trace_spans(self, *, drain: bool = True) -> Dict:
-        """Fetch (and by default drain) the server's finished-span buffer.
+    def trace_spans(self) -> Dict:
+        """Drain the server's finished-span buffer.
 
         Returns ``{"pid": ..., "enabled": ..., "spans": [span dicts]}``.
-        With ``drain=True`` each span is returned exactly once across calls,
-        so repeated fleet trace merges never duplicate work.
+        Each span is returned exactly once across calls, so repeated fleet
+        trace merges never duplicate work.
         """
-        response, frames = self._call({"op": "trace", "drain": bool(drain)})
+        _, frames = self._call({"op": "trace"})
         if len(frames) != 1:
             raise ProtocolError(f"trace response carried {len(frames)} frames")
         raw = bytes(np.asarray(frames[0], dtype=np.uint8)).decode("utf-8")

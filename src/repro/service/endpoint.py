@@ -7,8 +7,8 @@ eight methods, so callers swap local ↔ remote ↔ fleet without code changes:
   its caller's thread, one lock per pattern),
 * :class:`~repro.service.client.ServiceClient` — one server over the wire
   (id-tagged requests: one connection pipelines many submits),
-* :class:`~repro.service.fleet.ShardFleet` — N worker processes behind a
-  pattern-affinity consistent-hash router.
+* :class:`~repro.service.fleet.ShardFleet` — N worker processes, each
+  pattern pinned to one by its fingerprint.
 
 The contract::
 

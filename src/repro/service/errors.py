@@ -93,9 +93,9 @@ class ShardUnavailableError(ServiceError, ConnectionError):
 
     Raised by :class:`~repro.service.client.ServiceClient` when its
     connection breaks and by :class:`~repro.service.fleet.ShardFleet` when a
-    shard cannot be recovered.  Retryable: the fleet respawns or rebalances,
-    and the shared on-disk cache makes the replacement's re-registration a
-    warm, zero-recompile operation.
+    shard cannot be recovered.  Retryable: the fleet respawns the shard in
+    its own slot, and the shared on-disk cache makes the replacement's
+    re-registration a warm, zero-recompile operation.
     """
 
     kind = "shard-unavailable"

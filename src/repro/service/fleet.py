@@ -2,10 +2,10 @@
 
 :class:`ShardFleet` spawns ``shards`` worker processes (each a full
 ``python -m repro.service`` server) over the **shared on-disk compiled-
-kernel cache** and fronts them with a consistent-hash router: a pattern's
-fingerprint (:func:`~repro.compiler.codegen.runtime.pattern_fingerprint`)
-routes it to one shard, so its solver (compiled kernels and numeric factor)
-stays hot there while distinct patterns spread across the fleet.
+kernel cache** and routes by pattern: a pattern's fingerprint
+(:func:`~repro.compiler.codegen.runtime.pattern_fingerprint`) picks one
+fixed slot (:func:`shard_for`), so its solver (compiled kernels and numeric
+factor) stays hot there while distinct patterns spread across the fleet.
 
 The fleet implements the same :class:`~repro.service.endpoint.SolverEndpoint`
 surface as the in-process :class:`~repro.service.session.SolverService` and
@@ -14,18 +14,15 @@ written against one runs against the others unchanged.
 
 **Failure model.**  Shard death is detected lazily, at the first call that
 hits the dead connection (:class:`ShardUnavailableError` — retryable).  The
-router then recovers under a generation-counted lock (concurrent failures
-collapse to one recovery) and retries the caller's request once:
-
-* ``respawn=True`` (default): a replacement process is spawned on the same
-  slot and every pattern routed there is re-registered.  Because handle ids
-  are deterministic (a hash of the pattern/kernel/ordering/options key) and
-  the compiled artifacts live in the shared disk cache, the replacement
-  comes up **warm — zero recompiles** — which the fleet counter-asserts via
-  the handle's ``warm`` flag (``warm_reregisters`` vs ``cold_reregisters``).
-* ``respawn=False``: the slot leaves the hash ring and its patterns
-  rebalance onto the survivors (consistent hashing moves only the dead
-  shard's share).
+fleet then recovers under a generation-counted lock (concurrent failures
+collapse to one recovery) and retries the caller's request once.  Recovery
+spawns a replacement process in the dead shard's own slot — the slots never
+change, so no pattern moves — and re-registers every pattern routed there.
+Because handle ids are deterministic (a hash of the
+pattern/kernel/ordering/options key) and the compiled artifacts live in the
+shared disk cache, the replacement comes up **warm — zero recompiles** —
+which the fleet counter-asserts via the handle's ``warm`` flag
+(``warm_reregisters`` vs ``cold_reregisters``).
 
 Observability: :meth:`metrics_text` merges every shard's Prometheus page
 into one scrape, relabelled with ``shard="i"``, plus the fleet's own
@@ -51,7 +48,7 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -63,12 +60,16 @@ from repro.observe import events as observe_events
 from repro.observe import trace as observe_trace
 from repro.service.client import RemoteHandle, ServiceClient
 from repro.service.errors import PatternEvictedError, ShardUnavailableError
-from repro.service.router import ConsistentHashRing
 from repro.sparse.csc import CSCMatrix
 
-__all__ = ["ShardFleet"]
+__all__ = ["ShardFleet", "shard_for"]
 
 _BANNER = re.compile(r"listening on ([\d.]+):(\d+)")
+
+#: Seconds a worker has to print its ``listening on`` banner.
+SPAWN_TIMEOUT = 60.0
+#: Connect timeout and default per-request timeout of each shard connection.
+REQUEST_TIMEOUT = 60.0
 
 #: Failures that mean "this shard (connection) is gone", triggering failover.
 _SHARD_FAILURES = (ShardUnavailableError, ConnectionError, OSError)
@@ -95,11 +96,15 @@ class _FleetPattern:
     ordering: str
     options: Optional[Union[SympilerOptions, Dict]]
     fingerprint: str
-    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+def shard_for(fingerprint: str, shards: int) -> int:
+    """The slot of a pattern's hex ``fingerprint`` in a fleet of ``shards``."""
+    return int(fingerprint, 16) % shards
 
 
 class ShardFleet:
-    """N solver-service processes behind one consistent-hash router.
+    """N solver-service processes, each pattern pinned to one by its fingerprint.
 
     ``shards`` worker processes are spawned eagerly; each binds an ephemeral
     port on ``127.0.0.1`` and shares the process environment — in particular
@@ -107,9 +112,7 @@ class ShardFleet:
     and any later replacements reuse one compiled-kernel disk cache.
 
     The constructor arguments after ``shards`` mirror the worker CLI
-    (``python -m repro.service``).  ``respawn`` selects the failure policy
-    (replace in place vs. rebalance to survivors); ``spawn_timeout`` bounds
-    each worker's startup.
+    (``python -m repro.service``).
     """
 
     def __init__(
@@ -119,22 +122,16 @@ class ShardFleet:
         backend: str = SympilerOptions.backend,
         max_in_flight: int = 256,
         max_patterns: int = 32,
-        respawn: bool = True,
         cache_dir: Optional[Union[str, Path]] = None,
-        spawn_timeout: float = 60.0,
-        request_timeout: Optional[float] = 60.0,
-        vnodes: int = 64,
         trace: bool = False,
     ) -> None:
         if shards < 1:
             raise ValueError("a fleet needs at least one shard")
+        self.shards = int(shards)
         self.backend = backend
         self.max_in_flight = int(max_in_flight)
         self.max_patterns = int(max_patterns)
-        self.respawn = bool(respawn)
         self.cache_dir = None if cache_dir is None else str(cache_dir)
-        self.spawn_timeout = float(spawn_timeout)
-        self.request_timeout = request_timeout
         #: ``trace=True`` starts every worker with tracing enabled (the
         #: ``--trace`` worker flag) so :meth:`chrome_trace` has shard-side
         #: spans to merge.  The fleet client's own tracing is controlled
@@ -142,8 +139,8 @@ class ShardFleet:
         self.trace = bool(trace)
         self.started_at = time.time()
         self.last_failover_at: Optional[float] = None
-        self._ring = ConsistentHashRing(vnodes=vnodes)
-        self._shards: Dict[int, _Shard] = {}
+        #: The live shard of each slot; a replacement takes its slot's place.
+        self._shards: List[_Shard] = []
         self._patterns: Dict[str, _FleetPattern] = {}
         self._lock = threading.Lock()  # shards/patterns/counters membership
         self._recover_lock = threading.Lock()  # serializes shard recovery
@@ -155,12 +152,10 @@ class ShardFleet:
             "warm_reregisters": 0,
             "cold_reregisters": 0,
             "respawns": 0,
-            "rebalances": 0,
         }
         try:
-            for slot in range(shards):
-                self._shards[slot] = self._spawn(slot, generation=0)
-                self._ring.add(slot)
+            for slot in range(self.shards):
+                self._shards.append(self._spawn(slot, generation=0))
         except BaseException:
             self.close()
             raise
@@ -209,7 +204,7 @@ class ShardFleet:
         )
         try:
             address = self._await_banner(process, slot)
-            client = ServiceClient(address, timeout=self.request_timeout)
+            client = ServiceClient(address, timeout=REQUEST_TIMEOUT)
         except BaseException:
             process.kill()
             process.wait(timeout=10)
@@ -231,7 +226,7 @@ class ShardFleet:
 
     def _await_banner(self, process: subprocess.Popen, slot: int) -> Tuple[str, int]:
         """Wait for the worker's ``listening on host:port`` startup line."""
-        deadline = time.monotonic() + self.spawn_timeout
+        deadline = time.monotonic() + SPAWN_TIMEOUT
         assert process.stdout is not None
         while True:
             if process.poll() is not None:
@@ -243,7 +238,7 @@ class ShardFleet:
             if remaining <= 0:
                 raise ShardUnavailableError(
                     f"shard {slot} did not report its address within "
-                    f"{self.spawn_timeout}s"
+                    f"{SPAWN_TIMEOUT}s"
                 )
             ready, _, _ = select.select([process.stdout], [], [], min(remaining, 0.2))
             if not ready:
@@ -276,19 +271,10 @@ class ShardFleet:
     # Routing and recovery
     # ------------------------------------------------------------------ #
     def _route(self, fingerprint: str) -> _Shard:
-        if self._closed:
-            raise RuntimeError("fleet is closed")
-        try:
-            slot = self._ring.route(fingerprint)
-        except LookupError:
-            raise ShardUnavailableError(
-                "no live shards remain in the fleet"
-            ) from None
         with self._lock:
-            shard = self._shards.get(slot)
-        if shard is None:  # pragma: no cover - membership races are tiny
-            raise ShardUnavailableError(f"shard {slot} is being replaced")
-        return shard
+            if self._closed:
+                raise RuntimeError("fleet is closed")
+            return self._shards[shard_for(fingerprint, self.shards)]
 
     def _record_for(self, handle: Union[RemoteHandle, str]) -> _FleetPattern:
         handle_id = (
@@ -306,17 +292,16 @@ class ShardFleet:
         with self._lock:
             self.counters[counter] += amount
 
-    def _note_failover(self, shard: Optional[_Shard]) -> None:
-        """Count one failover, stamp it for the health surface, log the event."""
+    def _failover(self, shard: _Shard) -> None:
+        """Count one failover, stamp it for the health surface, log it, recover."""
         with self._lock:
             self.counters["failovers"] += 1
             self.last_failover_at = time.time()
-        observe_events.emit(
-            "failover", slot=None if shard is None else shard.slot
-        )
+        observe_events.emit("failover", slot=shard.slot)
+        self._recover(shard.slot, shard.generation)
 
     def _recover(self, slot: int, generation: int) -> None:
-        """Replace (or retire) a dead shard; idempotent per generation.
+        """Replace a dead shard in its slot; idempotent per generation.
 
         Every caller that observed the failure races here; the generation
         check makes all but the first a no-op, so one death costs one
@@ -324,56 +309,40 @@ class ShardFleet:
         """
         with self._recover_lock:
             with self._lock:
-                shard = self._shards.get(slot)
-                if shard is None or shard.generation != generation:
-                    return  # someone else already recovered this death
-            if self._closed:
-                return
+                if self._closed:
+                    return
+                shard = self._shards[slot]
+            if shard.generation != generation:
+                return  # someone else already recovered this death
             self._bump("shard_deaths")
             observe_events.emit(
-                "shard_death",
-                slot=slot,
-                generation=generation,
-                pid=shard.process.pid,
-                respawn=self.respawn,
+                "shard_death", slot=slot, generation=generation, pid=shard.process.pid
             )
             self._retire(shard)
-            # Only the dead shard's patterns move — computed against the
-            # pre-removal ring, so survivors' patterns are never touched
-            # (consistent hashing's 1/N reshuffle bound, made literal).
+            replacement = self._spawn(slot, generation=generation + 1)
             with self._lock:
-                records = list(self._patterns.values())
-            affected = [
-                r for r in records if self._ring.route(r.fingerprint) == slot
-            ]
-            if self.respawn:
-                replacement = self._spawn(slot, generation=generation + 1)
-                with self._lock:
+                closed = self._closed
+                if not closed:
                     self._shards[slot] = replacement
-                self._bump("respawns")
-            else:
-                with self._lock:
-                    self._shards.pop(slot, None)
-                self._ring.remove(slot)
-                self._bump("rebalances")
-            self._rehome(affected)
+                records = [
+                    r
+                    for r in self._patterns.values()
+                    if shard_for(r.fingerprint, self.shards) == slot
+                ]
+            if closed:  # close() ran while the replacement started
+                self._retire(replacement)
+                return
+            self._bump("respawns")
+            self._rehome(replacement, records)
 
-    def _rehome(self, records: List[_FleetPattern]) -> None:
-        """Re-register ``records`` on whichever shard now owns them.
+    def _rehome(self, shard: _Shard, records: List[_FleetPattern]) -> None:
+        """Re-register ``records`` on ``shard``, their slot's replacement.
 
         Registration is idempotent server-side; over the shared disk cache a
         fresh replacement process comes back with ``handle.warm`` set — the
         zero-recompile guarantee the counters assert.
         """
         for record in records:
-            try:
-                owner = self._ring.route(record.fingerprint)
-            except LookupError:
-                return  # fleet is empty; nothing to re-home
-            with self._lock:
-                shard = self._shards.get(owner)
-            if shard is None:
-                continue
             handle = shard.client.register_pattern(
                 record.A,
                 kernel=record.kernel,
@@ -384,7 +353,7 @@ class ShardFleet:
             self._bump("warm_reregisters" if handle.warm else "cold_reregisters")
             observe_events.emit(
                 "reregister",
-                slot=owner,
+                slot=shard.slot,
                 fingerprint=record.fingerprint,
                 warm=bool(handle.warm),
             )
@@ -398,9 +367,7 @@ class ShardFleet:
         routed to it, exactly like an uncontrolled crash.
         """
         with self._lock:
-            shard = self._shards.get(slot)
-        if shard is None:
-            raise LookupError(f"no live shard {slot}")
+            shard = self._shards[slot]
         shard.process.kill()
         shard.process.wait(timeout=10)
 
@@ -433,8 +400,7 @@ class ShardFleet:
                 attempts -= 1
                 if attempts <= 0:
                     raise
-                self._note_failover(shard)
-                self._recover(shard.slot, shard.generation)
+                self._failover(shard)
         with self._lock:
             self._patterns[handle.handle_id] = _FleetPattern(
                 handle=handle,
@@ -467,8 +433,7 @@ class ShardFleet:
                 attempts -= 1
                 if attempts <= 0:
                     raise
-                self._note_failover(shard)
-                self._recover(shard.slot, shard.generation)
+                self._failover(shard)
 
     def submit(
         self,
@@ -495,7 +460,6 @@ class ShardFleet:
         result: Future,
         attempts: int,
     ) -> None:
-        shard: Optional[_Shard] = None
         try:
             shard = self._route(record.fingerprint)
             inner = shard.client.submit(record.handle.handle_id, values, rhs)
@@ -523,16 +487,14 @@ class ShardFleet:
         rhs: np.ndarray,
         result: Future,
         attempts: int,
-        shard: Optional[_Shard],
+        shard: _Shard,
         exc: BaseException,
     ) -> None:
         if attempts <= 1:
             result.set_exception(exc)
             return
         try:
-            self._note_failover(shard)
-            if shard is not None:
-                self._recover(shard.slot, shard.generation)
+            self._failover(shard)
             self._submit_attempt(record, values, rhs, result, attempts - 1)
         except BaseException as recovery_exc:  # noqa: BLE001 - future carries it
             result.set_exception(recovery_exc)
@@ -543,7 +505,7 @@ class ShardFleet:
         return future.result(timeout=timeout)
 
     def evict(self, handle: Union[RemoteHandle, str]) -> bool:
-        """Evict a pattern fleet-wide (owning shard + the router's records)."""
+        """Evict a pattern fleet-wide (owning shard + the fleet's records)."""
         handle_id = (
             handle.handle_id if isinstance(handle, RemoteHandle) else str(handle)
         )
@@ -558,13 +520,13 @@ class ShardFleet:
             return True  # the shard (and its registration) is already gone
 
     def stats(self) -> Dict:
-        """Fleet-level stats: router counters plus per-shard snapshots."""
+        """Fleet-level stats: fleet counters plus per-shard snapshots."""
         with self._lock:
-            shards = dict(self._shards)
+            shards = list(self._shards)
             counters = dict(self.counters)
             registered = len(self._patterns)
         per_shard: Dict[str, Dict] = {}
-        for slot, shard in sorted(shards.items()):
+        for slot, shard in enumerate(shards):
             try:
                 per_shard[str(slot)] = shard.client.stats()
             except _SHARD_FAILURES:
@@ -586,12 +548,12 @@ class ShardFleet:
         timestamp and the lifecycle counters.
         """
         with self._lock:
-            shards = dict(self._shards)
+            shards = list(self._shards)
             counters = dict(self.counters)
             registered = len(self._patterns)
             last_failover = self.last_failover_at
         per_shard: Dict[str, Dict] = {}
-        for slot, shard in sorted(shards.items()):
+        for slot, shard in enumerate(shards):
             try:
                 per_shard[str(slot)] = shard.client.health()
             except _SHARD_FAILURES:
@@ -633,11 +595,11 @@ class ShardFleet:
             pid=local_pid,
         )
         with self._lock:
-            shards = dict(self._shards)
-        for slot, shard in sorted(shards.items()):
+            shards = list(self._shards)
+        for slot, shard in enumerate(shards):
             try:
                 offset = shard.client.estimate_clock_offset()
-                payload = shard.client.trace_spans(drain=True)
+                payload = shard.client.trace_spans()
             except _SHARD_FAILURES:
                 continue
             shard_pid = int(payload.get("pid", shard.process.pid))
@@ -661,12 +623,12 @@ class ShardFleet:
         from repro.observe.exporters import relabel_prometheus_text
 
         with self._lock:
-            shards = dict(self._shards)
+            shards = list(self._shards)
             counters = dict(self.counters)
             last_failover = self.last_failover_at
         pages: List[str] = []
         shard_health: Dict[int, Dict] = {}
-        for slot, shard in sorted(shards.items()):
+        for slot, shard in enumerate(shards):
             try:
                 text = shard.client.metrics_text()
                 shard_health[slot] = shard.client.health()
@@ -713,8 +675,7 @@ class ShardFleet:
             if self._closed:
                 return
             self._closed = True
-            shards = list(self._shards.values())
-            self._shards.clear()
+            shards, self._shards = self._shards, []
             self._patterns.clear()
         for shard in shards:
             self._retire(shard)
@@ -729,4 +690,4 @@ class ShardFleet:
         with self._lock:
             n = len(self._shards)
             p = len(self._patterns)
-        return f"ShardFleet(shards={n}, patterns={p}, respawn={self.respawn})"
+        return f"ShardFleet(shards={n}, patterns={p})"

@@ -21,18 +21,9 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional
 
-from repro.observe.registry import (
-    DEFAULT_RESERVOIR_SAMPLES,
-    MetricsRegistry,
-    Reservoir,
-    get_registry,
-)
+from repro.observe.registry import Reservoir, get_registry
 
 __all__ = ["ServiceMetrics"]
-
-#: Latency samples kept for quantile estimation (a sliding reservoir; enough
-#: for stable p95 under the smoke workloads without unbounded growth).
-DEFAULT_LATENCY_SAMPLES = DEFAULT_RESERVOIR_SAMPLES
 
 
 class ServiceMetrics:
@@ -51,15 +42,15 @@ class ServiceMetrics:
     * ``patterns_evicted`` — LRU/explicit evictions of registered patterns.
     """
 
-    def __init__(self, *, max_latency_samples: int = DEFAULT_LATENCY_SAMPLES) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         self._batch_sizes: Dict[int, int] = {}
         # One lock for the counters and the latencies: a request records
-        # both at once (observe_request).
-        self._latency = Reservoir(maxlen=max_latency_samples, lock=self._lock)
+        # both at once (observe_request).  The reservoir's default size keeps
+        # p95 stable under the smoke workloads without unbounded growth.
+        self._latency = Reservoir(lock=self._lock)
         self._collector_name: Optional[str] = None
-        self._collector_registry: Optional[MetricsRegistry] = None
 
     # ------------------------------------------------------------------ #
     def incr(self, name: str, n: int = 1) -> None:
@@ -117,24 +108,18 @@ class ServiceMetrics:
     # ------------------------------------------------------------------ #
     # Unified-registry integration (pull-mode; see repro.observe.adapters)
     # ------------------------------------------------------------------ #
-    def register_collector(
-        self, registry: Optional[MetricsRegistry] = None, *, name: str = "service"
-    ) -> str:
-        """Expose this instance as a pull collector in ``registry``.
+    def register_collector(self) -> str:
+        """Expose this instance as the pull collector ``service`` in the default registry.
 
         Returns the actual collector name (auto-suffixed ``service_2``, ...
         when several services run in one process).  Idempotent per instance.
         """
-        if self._collector_name is not None:
-            return self._collector_name
-        reg = registry or get_registry()
-        self._collector_name = reg.register_collector(name, self.snapshot)
-        self._collector_registry = reg
+        if self._collector_name is None:
+            self._collector_name = get_registry().register_collector("service", self.snapshot)
         return self._collector_name
 
     def unregister_collector(self) -> None:
         """Remove this instance's pull collector (no-op when never registered)."""
-        if self._collector_name is not None and self._collector_registry is not None:
-            self._collector_registry.unregister_collector(self._collector_name)
+        if self._collector_name is not None:
+            get_registry().unregister_collector(self._collector_name)
         self._collector_name = None
-        self._collector_registry = None

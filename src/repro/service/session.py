@@ -105,10 +105,11 @@ class SolverService:
     options:
         Default :class:`SympilerOptions` for registrations (per-registration
         override allowed).
-    max_in_flight, retry_after_seconds:
+    max_in_flight:
         Backpressure: beyond ``max_in_flight`` admitted-but-incomplete
         requests (running, or waiting on their solver's lock), ``submit``
-        rejects with a ``retry_after`` hint.
+        rejects with a ``retry_after`` hint of
+        :data:`~repro.service.admission.RETRY_AFTER_SECONDS`.
     max_patterns:
         At most this many patterns stay registered; beyond that the least
         recently registered or solved one is evicted, and its solver with it.
@@ -132,7 +133,6 @@ class SolverService:
         options: Optional[SympilerOptions] = None,
         max_in_flight: int = 256,
         max_patterns: int = 32,
-        retry_after_seconds: float = 0.05,
     ) -> None:
         if max_patterns < 1:
             raise ValueError("max_patterns must be at least 1")
@@ -143,10 +143,7 @@ class SolverService:
         # any extra hot-path cost; unregistered again in close().
         self.metrics.register_collector()
         self.max_patterns = int(max_patterns)
-        self.admission = AdmissionController(
-            max_in_flight=max_in_flight,
-            retry_after_seconds=retry_after_seconds,
-        )
+        self.admission = AdmissionController(max_in_flight=max_in_flight)
         self._lock = threading.Lock()
         #: Registered patterns, least recently registered or solved first.
         self._entries: "OrderedDict[tuple, _PatternEntry]" = OrderedDict()

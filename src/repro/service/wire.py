@@ -18,7 +18,8 @@ metadata), ``solve`` (handle id + values + rhs → solution frame), ``stats``,
 ``metrics`` (the unified observability registry rendered as Prometheus text,
 returned as a ``uint8`` frame), ``health`` (service liveness + uptime +
 wire/pid/clock facts), ``trace`` (drain this process's finished-span buffer
-as a JSON ``uint8`` frame — what :meth:`ShardFleet.chrome_trace` merges),
+— each span is served once — as a JSON ``uint8`` frame, what
+:meth:`ShardFleet.chrome_trace` merges),
 ``evict``, ``ping`` and ``shutdown``.  Error responses carry ``ok: false``, a
 ``kind`` (the stable tags of :mod:`repro.service.errors` — ``"overloaded"``
 includes ``retry_after`` for client backoff, ``"evicted"`` means
@@ -33,7 +34,7 @@ negotiation.
 **Request ids.**  A request may carry an integer ``id`` in its header; the
 response echoes it (``null`` when the request had none).  Each connection
 is served by one thread, which answers every message — a ``solve`` runs on
-it through the service's ``submit`` — before it reads the next; a client
+it through the service's ``solve`` — before it reads the next; a client
 may still send many requests without waiting (they queue in the socket)
 and must match responses by id.
 
@@ -60,11 +61,9 @@ import socketserver
 import struct
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
-from functools import partial
-from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -264,15 +263,14 @@ def _handle_payload(handle) -> Dict:
 
 def handle_request(
     service: SolverService, header: Dict, frames: List[np.ndarray]
-) -> Union[Tuple[Dict, List[np.ndarray]], Future]:
+) -> Tuple[Dict, List[np.ndarray]]:
     """Execute one wire operation against ``service``.
 
-    Returns ``(response_header, response_frames)`` — or, for ``solve``, the
-    service's future for the solution, already resolved: the solve runs on
-    this thread inside the ``serve`` span, so its ``dispatch`` span is a
-    child of ``serve`` in the remote caller's trace.  Raises for error paths
-    (the connection handler maps exceptions to ``ok: false`` responses so one
-    bad request never kills the connection, let alone the server).
+    Returns ``(response_header, response_frames)``.  A ``solve`` runs on this
+    thread inside the ``serve`` span, so its ``dispatch`` span is a child of
+    ``serve`` in the remote caller's trace.  Raises for error paths (the
+    connection handler maps exceptions to ``ok: false`` responses so one bad
+    request never kills the connection, let alone the server).
     """
     with observe_trace.attach_remote(header.get("trace_id"), header.get("parent_id")):
         with observe_trace.span("serve", op=str(header.get("op"))):
@@ -281,7 +279,7 @@ def handle_request(
 
 def _dispatch_op(
     service: SolverService, header: Dict, frames: List[np.ndarray]
-) -> Union[Tuple[Dict, List[np.ndarray]], Future]:
+) -> Tuple[Dict, List[np.ndarray]]:
     op = header.get("op")
     if op == "ping":
         # Server-side clocks let one probe serve both the health surface
@@ -306,8 +304,7 @@ def _dispatch_op(
         )
         return {"ok": True, "health": health}, []
     if op == "trace":
-        tracer = observe_trace.get_tracer()
-        spans = tracer.drain() if header.get("drain", True) else tracer.spans()
+        spans = observe_trace.get_tracer().drain()
         payload = {
             "pid": os.getpid(),
             "enabled": observe_trace.enabled(),
@@ -360,11 +357,12 @@ def _dispatch_op(
                 f"solve expects 2 frames (values, rhs), got {len(frames)}"
             )
         values, rhs = frames
-        return service.submit(
+        x = service.solve(
             str(header.get("handle", "")),
             np.asarray(values, dtype=np.float64).reshape(-1),
             np.asarray(rhs, dtype=np.float64).reshape(-1),
         )
+        return {"ok": True}, [x]
     if op == "evict":
         evicted = service.evict(str(header.get("handle", "")))
         return {"ok": True, "evicted": bool(evicted)}, []
@@ -376,9 +374,9 @@ def _dispatch_op(
 class _ServiceConnectionHandler(socketserver.StreamRequestHandler):
     """One client connection: a loop of framed request exchanges.
 
-    Every operation is answered before the next message is read.  A
-    ``solve`` runs on this thread through the service's ``submit``, and its
-    future's callback writes the answer under the per-connection write lock.
+    Every operation, a ``solve`` included, runs on this thread and is
+    answered under the per-connection write lock before the next message is
+    read.
     """
 
     # One segment per message: TCP_NODELAY on the accepted socket and a
@@ -388,8 +386,7 @@ class _ServiceConnectionHandler(socketserver.StreamRequestHandler):
 
     def setup(self) -> None:  # pragma: no cover - exercised via sockets
         super().setup()
-        # Serializes response writes: the recv loop and the solve completion
-        # callbacks share one stream.
+        # Serializes response writes on the connection's one stream.
         self._write_lock = threading.Lock()
 
     def _respond(
@@ -404,13 +401,6 @@ class _ServiceConnectionHandler(socketserver.StreamRequestHandler):
             # The client went away (or the stream was torn down mid-write);
             # the service itself is unaffected.
             return False
-
-    def _respond_solved(self, request_id, done: Future) -> None:
-        try:
-            response, out_frames = {"ok": True}, [done.result()]
-        except Exception as exc:  # noqa: BLE001 - mapped onto the wire
-            response, out_frames = to_wire_error(exc), []
-        self._respond(request_id, response, out_frames)
 
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         while True:
@@ -429,14 +419,10 @@ class _ServiceConnectionHandler(socketserver.StreamRequestHandler):
                 if request_id is not None and not isinstance(request_id, int):
                     request_id = None
                     raise ProtocolError("request id must be an integer or null")
-                outcome = handle_request(self.server.service, header, frames)
+                response, out_frames = handle_request(self.server.service, header, frames)
             except Exception as exc:
                 # Only this request fails; the connection lives on.
-                outcome = to_wire_error(exc), []
-            if isinstance(outcome, Future):
-                outcome.add_done_callback(partial(self._respond_solved, request_id))
-                continue
-            response, out_frames = outcome
+                response, out_frames = to_wire_error(exc), []
             if not self._respond(request_id, response, out_frames):
                 return
             if header.get("op") == "shutdown" and response.get("ok"):

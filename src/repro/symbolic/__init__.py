@@ -12,8 +12,9 @@ own CSC column structure, which the reach walks in place
 
 This package implements those graph algorithms plus one inspection function
 per method (:mod:`repro.symbolic.inspector`: ``inspect_triangular_solve``,
-``inspect_cholesky`` — which LDLᵀ runs too —, ``inspect_lu`` and
-``inspect_ic0``) that packages their results into *inspection sets* consumed
+whose kernel-table entry ``inspect_normalized_triangular_solve`` takes an
+RHS pattern the compiler already normalized, ``inspect_cholesky`` — which
+LDLᵀ runs too —, ``inspect_lu`` and ``inspect_ic0``) that packages their results into *inspection sets* consumed
 by the inspector-guided transformations planned in
 :mod:`repro.compiler.plan`.  The kernel table (:mod:`repro.compiler.registry`)
 names each kernel's function.
@@ -33,7 +34,7 @@ from repro.symbolic.inspector import (
     inspect_cholesky,
     inspect_ic0,
     inspect_lu,
-    inspect_triangular_solve,
+    inspect_normalized_triangular_solve,
 )
 from repro.symbolic.reach import reach_set, reach_set_sorted
 from repro.symbolic.supernodes import (
@@ -54,7 +55,7 @@ __all__ = [
     "SupernodePartition",
     "cholesky_supernodes",
     "triangular_supernodes",
-    "inspect_triangular_solve",
+    "inspect_normalized_triangular_solve",
     "inspect_cholesky",
     "inspect_lu",
     "inspect_ic0",

@@ -46,6 +46,7 @@ from repro.symbolic.supernodes import (
 
 __all__ = [
     "inspect_triangular_solve",
+    "inspect_normalized_triangular_solve",
     "inspect_cholesky",
     "inspect_lu",
     "inspect_ic0",
@@ -184,6 +185,15 @@ def inspect_triangular_solve(
     (VI-Prune then degenerates to the original loop, as the paper notes for
     dense right-hand sides).
     """
+    return inspect_normalized_triangular_solve(matrix, normalize_rhs_pattern(matrix.n, rhs_pattern))
+
+
+def inspect_normalized_triangular_solve(matrix: CSCMatrix, rhs: Optional[np.ndarray]) -> TriangularInspectionResult:
+    """:func:`inspect_triangular_solve` of an RHS pattern :func:`normalize_rhs_pattern` returned.
+
+    The kernel table's entry: the compiler normalizes the pattern once, for
+    its cache fingerprint, and passes the result on.
+    """
     if not matrix.is_lower_triangular():
         raise ValueError("triangular-solve inspection requires a lower-triangular L")
     n = matrix.n
@@ -197,7 +207,6 @@ def inspect_triangular_solve(
             f"triangular-solve inspection requires a stored diagonal; column {np.argmin(diagonal)} of L has none"
         )
     start = time.perf_counter()
-    rhs = normalize_rhs_pattern(n, rhs_pattern)
     if rhs is None:
         rhs = np.arange(n, dtype=np.int64)
     reach = reach_set(matrix, rhs)

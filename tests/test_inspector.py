@@ -12,6 +12,7 @@ from repro.symbolic.inspector import (
     inspect_cholesky,
     inspect_ic0,
     inspect_lu,
+    inspect_normalized_triangular_solve,
     inspect_triangular_solve,
 )
 from repro.symbolic.reach import reach_set
@@ -111,7 +112,7 @@ class TestCholeskyInspector:
 @pytest.mark.parametrize(
     "name, inspect",
     [
-        ("triangular-solve", inspect_triangular_solve),
+        ("triangular-solve", inspect_normalized_triangular_solve),
         ("cholesky", inspect_cholesky),
         ("ldlt", inspect_cholesky),
         ("lu", inspect_lu),

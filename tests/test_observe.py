@@ -116,6 +116,16 @@ class TestSpans:
             observe.reset()
         assert not observe.enabled()
 
+    def test_enable_keeps_the_tracer_and_its_spans(self, tracing):
+        with observe.span("before-reenable"):
+            pass
+        observe.enable()
+        assert observe.get_tracer() is tracing
+        assert [sp.name for sp in tracing.spans()] == ["before-reenable"]
+
+    def test_the_tracer_keeps_the_last_default_max_spans(self):
+        assert observe_trace.Tracer()._spans.maxlen == observe_trace.DEFAULT_MAX_SPANS
+
     def test_span_counters_accumulate(self, tracing):
         before = phase_totals().get("counted", {"calls": 0})["calls"]
         for _ in range(3):
@@ -251,8 +261,8 @@ class TestExporters:
         reg = MetricsRegistry()
         reg.counter("a", phase="x").inc(2)
         reg.register_collector("cache", lambda: {"hits": 3, "name": "skipme"})
-        text = reg.to_prometheus(prefix="repro")
-        assert text == reg.to_prometheus(prefix="repro")
+        text = reg.to_prometheus()
+        assert text == reg.to_prometheus()
         assert "# TYPE repro_a counter" in text
         assert 'repro_a{phase="x"} 2' in text
         assert "repro_cache_hits 3" in text

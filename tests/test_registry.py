@@ -17,7 +17,12 @@ from repro.compiler.plan import plan_cholesky, plan_incomplete, plan_lu, plan_tr
 from repro.compiler.registry import UnknownKernelError, kernel_spec, registered_kernels
 from repro.compiler.sympiler import Sympiler
 from repro.sparse.generators import laplacian_2d, saddle_point_indefinite, sparse_rhs
-from repro.symbolic.inspector import inspect_cholesky, inspect_ic0, inspect_lu, inspect_triangular_solve
+from repro.symbolic.inspector import (
+    inspect_cholesky,
+    inspect_ic0,
+    inspect_lu,
+    inspect_normalized_triangular_solve,
+)
 
 
 def fresh_sympiler(options=None):
@@ -55,7 +60,7 @@ class TestRegistry:
     @pytest.mark.parametrize(
         "name, inspect, plan, artifact_cls, factorization",
         [
-            ("triangular-solve", inspect_triangular_solve, plan_triangular_solve, SympiledTriangularSolve, False),
+            ("triangular-solve", inspect_normalized_triangular_solve, plan_triangular_solve, SympiledTriangularSolve, False),
             ("cholesky", inspect_cholesky, plan_cholesky, SympiledCholesky, True),
             ("ldlt", inspect_cholesky, plan_cholesky, SympiledLDLT, True),
             ("lu", inspect_lu, plan_lu, SympiledLU, True),

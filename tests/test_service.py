@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import sys
 import threading
 import time
@@ -16,12 +17,17 @@ from repro import observe
 from repro.compiler.options import SympilerOptions
 from repro.observe import percentile
 from repro.observe.registry import get_registry
+from repro.observe.exporters import breakdown, phase_totals, prometheus_text, snapshot
+from repro.observe.registry import MetricsRegistry
 from repro.service import (
     PatternEvictedError,
+    ServiceClient,
     ServiceClosedError,
     ServiceOverloadedError,
+    ShardFleet,
     SolverService,
 )
+from repro.service.admission import RETRY_AFTER_SECONDS, AdmissionController
 from repro.service.metrics import ServiceMetrics
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.frontend import SpecializedSolver
@@ -330,7 +336,7 @@ class TestAdmission:
     def test_backpressure_rejects_with_retry_after(self, park_solve):
         """A request waiting on its solver's lock still holds its slot."""
         A = laplacian_2d(6, shift=0.1)
-        with _service(max_in_flight=2, retry_after_seconds=0.25) as svc:
+        with _service(max_in_flight=2) as svc:
             handle = svc.register_pattern(A)
             waiting = []
             with park_solve(svc, handle, A.data, np.ones(A.n)) as parked:
@@ -344,7 +350,7 @@ class TestAdmission:
                 assert svc.admission.in_flight == 2 and not waiting
                 with pytest.raises(ServiceOverloadedError) as excinfo:
                     svc.submit(handle, A.data, np.ones(A.n))
-                assert excinfo.value.retry_after == 0.25
+                assert excinfo.value.retry_after == RETRY_AFTER_SECONDS
             behind.join(timeout=30)
             assert not behind.is_alive()
             assert np.array_equal(parked.future.result(), waiting[0].result())
@@ -374,7 +380,7 @@ class TestAdmission:
     def test_a_rejection_is_recorded_as_an_event(self, park_solve):
         A = laplacian_2d(6, shift=0.1)
         seen = len(observe.get_event_log().events("admission_rejected"))
-        with _service(max_in_flight=1, retry_after_seconds=0.5) as svc:
+        with _service(max_in_flight=1) as svc:
             handle = svc.register_pattern(A)
             with park_solve(svc, handle, A.data, np.ones(A.n)):
                 with pytest.raises(ServiceOverloadedError):
@@ -382,7 +388,7 @@ class TestAdmission:
         (event,) = observe.get_event_log().events("admission_rejected")[seen:]
         assert event.attrs["handle_id"] == handle.handle_id
         assert event.attrs["in_flight"] == 1
-        assert event.attrs["retry_after_seconds"] == 0.5
+        assert event.attrs["retry_after_seconds"] == RETRY_AFTER_SECONDS
 
 
 class TestEviction:
@@ -746,3 +752,27 @@ class TestServiceLifecycle:
             pass
         with pytest.raises(ServiceClosedError):
             svc.register_pattern(laplacian_2d(6, shift=0.1))
+
+
+class TestSettableValues:
+    """A value no product caller sets is a constant, not a parameter."""
+
+    @pytest.mark.parametrize(
+        "target, allowed",
+        [
+            (ShardFleet, ["shards", "backend", "max_in_flight", "max_patterns", "cache_dir", "trace"]),
+            (SolverService, ["options", "max_in_flight", "max_patterns"]),
+            (AdmissionController, ["max_in_flight"]),
+            (ServiceMetrics, []),
+            (observe.enable, []),
+            (ServiceClient.trace_spans, ["self"]),
+            (snapshot, []),
+            (prometheus_text, []),
+            (phase_totals, []),
+            (breakdown, []),
+            (MetricsRegistry.to_prometheus, ["self"]),
+        ],
+        ids=lambda v: getattr(v, "__qualname__", None),
+    )
+    def test_signature_has_only_the_kept_parameters(self, target, allowed):
+        assert list(inspect.signature(target).parameters) == allowed

@@ -1,61 +1,42 @@
-"""Fleet tests: consistent-hash routing, shard failover, warm re-registration."""
+"""Fleet tests: fingerprint routing, shard failover, warm re-registration."""
 
 from __future__ import annotations
 
 import collections
+import hashlib
 
 import numpy as np
 import pytest
 
-from repro.service.errors import PatternEvictedError, ShardUnavailableError
-from repro.service.router import ConsistentHashRing
+from repro.compiler.codegen.runtime import pattern_fingerprint
+from repro.service.errors import PatternEvictedError
+from repro.service.fleet import shard_for
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.generators import fem_stencil_2d, laplacian_2d
 
 
-class TestConsistentHashRing:
+def _fingerprint(key: str) -> str:
+    return hashlib.sha256(key.encode()).hexdigest()[:16]
+
+
+class TestShardFor:
     def test_routes_are_deterministic(self):
-        ring = ConsistentHashRing([0, 1, 2])
-        again = ConsistentHashRing([0, 1, 2])
-        keys = [f"pattern-{i}" for i in range(200)]
-        assert [ring.route(k) for k in keys] == [again.route(k) for k in keys]
+        keys = [_fingerprint(f"pattern-{i}") for i in range(200)]
+        slots = [shard_for(k, 3) for k in keys]
+        assert slots == [shard_for(k, 3) for k in keys]
+        assert set(slots) <= {0, 1, 2}
 
     def test_all_slots_get_load(self):
-        ring = ConsistentHashRing([0, 1, 2, 3])
-        counts = collections.Counter(ring.route(f"key-{i}") for i in range(2000))
+        counts = collections.Counter(shard_for(_fingerprint(f"key-{i}"), 4) for i in range(2000))
         assert set(counts) == {0, 1, 2, 3}
-        # Virtual nodes keep the spread sane: no shard more than ~3x another.
+        # The fingerprint is a hash: no shard gets more than ~3x another.
         assert max(counts.values()) < 3 * min(counts.values())
 
-    def test_removal_moves_only_the_dead_shards_keys(self):
-        ring = ConsistentHashRing([0, 1, 2, 3])
-        keys = [f"key-{i}" for i in range(1000)]
-        before = {k: ring.route(k) for k in keys}
-        ring.remove(2)
-        moved = sum(
-            1 for k in keys if before[k] != ring.route(k) and before[k] != 2
-        )
-        # Consistent hashing: keys on surviving shards keep their placement.
-        assert moved == 0
-        assert all(ring.route(k) != 2 for k in keys)
-
-    def test_add_and_remove_are_idempotent(self):
-        ring = ConsistentHashRing([0, 1])
-        ring.add(1)
-        assert ring.slots() == [0, 1]
-        ring.remove(1)
-        ring.remove(1)
-        assert ring.slots() == [0]
-
-    def test_empty_ring_raises(self):
-        ring = ConsistentHashRing()
-        with pytest.raises(LookupError, match="empty"):
-            ring.route("anything")
-
-    def test_membership_protocol(self):
-        ring = ConsistentHashRing([0, 2])
-        assert len(ring) == 2
-        assert 0 in ring and 2 in ring and 1 not in ring
+    def test_the_slot_is_the_fingerprint_modulo_the_shards(self):
+        assert shard_for("000000000000000b", 4) == 3
+        assert shard_for("ffffffffffffffff", 3) == 0xFFFFFFFFFFFFFFFF % 3
+        # A one-shard fleet sends every pattern to slot 0.
+        assert {shard_for(_fingerprint(f"k-{i}"), 1) for i in range(50)} == {0}
 
 
 @pytest.fixture(scope="module")
@@ -107,13 +88,15 @@ class TestShardFleet:
         h2 = fleet.register_pattern(A)
         assert h1.handle_id == h2.handle_id
         stats = fleet.stats()
-        # The pattern is registered on exactly one shard.
+        # The pattern is registered on exactly one shard: the slot its
+        # fingerprint routes to.
         owners = [
             slot
             for slot, s in stats["per_shard"].items()
             if h1.handle_id in s.get("patterns", {})
         ]
-        assert len(owners) == 1
+        fingerprint = pattern_fingerprint(A.indptr, A.indices, extra=f"n={A.n}")
+        assert owners == [str(shard_for(fingerprint, 2))]
 
     def test_shard_death_recovers_warm_with_zero_recompiles(self, fleet):
         """The failover guarantee: kill a shard mid-service, all patterns
@@ -141,6 +124,22 @@ class TestShardFleet:
         # The fleet is back to full strength.
         assert fleet.stats()["shards"] == 2
 
+    def test_a_dead_shard_respawns_in_its_own_slot(self, fleet):
+        """The slots never change, so no pattern changes owner on a failover."""
+        A = laplacian_2d(10, shift=0.1)
+        handle = fleet.register_pattern(A)
+        fingerprint = pattern_fingerprint(A.indptr, A.indices, extra=f"n={A.n}")
+        slot = shard_for(fingerprint, 2)
+        old_pid = fleet._shards[slot].process.pid
+        fleet.kill_shard(slot)
+        x = fleet.solve(handle, A.data, np.ones(A.n))
+        assert np.isfinite(x).all()
+        assert fleet._shards[slot].process.pid != old_pid
+        per_shard = fleet.stats()["per_shard"]
+        assert sorted(per_shard) == ["0", "1"]
+        assert handle.handle_id in per_shard[str(slot)].get("patterns", {})
+        assert fleet.counters["respawns"] == 1
+
     def test_pipelined_submits_survive_shard_death(self, fleet):
         """Futures in flight on the dying shard resubmit after recovery."""
         mats = self._matrices()
@@ -164,33 +163,6 @@ class TestShardFleet:
             assert np.allclose(x, refs[k].solve(rhs), atol=1e-8)
         assert fleet.counters["shard_deaths"] == 1
         assert fleet.counters["cold_reregisters"] == 0
-
-    def test_no_respawn_rebalances_to_survivors(self, fleet_cache):
-        from repro.service.fleet import ShardFleet
-
-        mats = self._matrices()
-        with ShardFleet(2, cache_dir=fleet_cache, respawn=False) as fleet:
-            handles = {k: fleet.register_pattern(A) for k, A in mats.items()}
-            owned = {
-                slot: s.get("registered_patterns", 0)
-                for slot, s in fleet.stats()["per_shard"].items()
-            }
-            victim = int(next(slot for slot, n in owned.items() if n > 0))
-            fleet.kill_shard(victim)
-            for k, A in mats.items():
-                x = fleet.solve(handles[k], A.data, np.ones(A.n))
-                assert np.isfinite(x).all()
-            stats = fleet.stats()
-            assert stats["shards"] == 1
-            assert stats["counters"]["rebalances"] == 1
-            assert stats["counters"]["cold_reregisters"] == 0
-            # Kill the last survivor: the fleet is empty and says so.
-            survivor = int(next(iter(stats["per_shard"])))
-            fleet.kill_shard(survivor)
-            some = next(iter(handles.values()))
-            A = mats[next(iter(mats))]
-            with pytest.raises(ShardUnavailableError):
-                fleet.solve(some, A.data, np.ones(A.n))
 
     def test_unknown_handle_maps_to_evicted(self, fleet):
         with pytest.raises(PatternEvictedError):
@@ -241,11 +213,35 @@ class TestShardFleet:
             )
         )
 
+    def test_a_close_during_recovery_retires_the_replacement(self, fleet_cache):
+        """close() racing a failover must not leave the new worker running."""
+        from repro.service.fleet import ShardFleet
+
+        fleet = ShardFleet(1, cache_dir=fleet_cache)
+        spawn, spawned = fleet._spawn, []
+
+        def spawn_then_close(slot, generation):
+            spawned.append(spawn(slot, generation))
+            fleet.close()
+            return spawned[-1]
+
+        fleet._spawn = spawn_then_close
+        dead = fleet._shards[0]
+        fleet.kill_shard(0)
+        try:
+            fleet._recover(0, dead.generation)
+            assert spawned and spawned[0].process.poll() is not None
+        finally:
+            for shard in spawned:
+                shard.process.kill()
+                shard.process.wait(timeout=10)
+            fleet.close()
+
     def test_close_is_idempotent_and_kills_workers(self, fleet_cache):
         from repro.service.fleet import ShardFleet
 
         fleet = ShardFleet(2, cache_dir=fleet_cache)
-        procs = [s.process for s in fleet._shards.values()]
+        procs = [s.process for s in fleet._shards]
         fleet.close()
         fleet.close()
         assert all(p.poll() is not None for p in procs)

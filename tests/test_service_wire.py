@@ -19,6 +19,7 @@ from repro.service import (
     SolverService,
     serve_background,
 )
+from repro.service.admission import RETRY_AFTER_SECONDS
 from repro.service.wire import (
     MAGIC,
     MAX_HEADER_BYTES,
@@ -196,6 +197,28 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="exceeds the limit"):
             recv_message(io.BytesIO(raw))
 
+    def test_a_solve_is_answered_directly(self):
+        """``solve`` returns the solution frame; a bad handle raises."""
+        A = laplacian_2d(6, shift=0.1)
+        service = SolverService(options=SympilerOptions(enable_vs_block=False))
+        try:
+            registered, _ = handle_request(
+                service, {"op": "register", "n": A.n}, [A.indptr, A.indices, A.data]
+            )
+            handle = registered["handle"]["handle_id"]
+            rhs = np.ones(A.n)
+            response, frames = handle_request(
+                service, {"op": "solve", "handle": handle}, [A.data, rhs]
+            )
+            assert response == {"ok": True}
+            (x,) = frames
+            ref = SparseLinearSolver(A, options=SympilerOptions(enable_vs_block=False))
+            assert np.allclose(x, ref.solve(rhs), atol=1e-10)
+            with pytest.raises(PatternEvictedError):
+                handle_request(service, {"op": "solve", "handle": "deadbeef"}, [A.data, rhs])
+        finally:
+            service.close()
+
     def test_unknown_op_rejected(self):
         service = SolverService()
         try:
@@ -296,7 +319,6 @@ class TestEndToEnd:
         service = SolverService(
             options=SympilerOptions(enable_vs_block=False),
             max_in_flight=1,
-            retry_after_seconds=0.125,
         )
         server, thread = serve_background(service)
         try:
@@ -313,7 +335,7 @@ class TestEndToEnd:
                     assert service.admission.in_flight == 1
                     with pytest.raises(ServiceOverloadedError) as excinfo:
                         client.solve(handle, A.data, np.ones(A.n))
-                    assert excinfo.value.retry_after == 0.125
+                    assert excinfo.value.retry_after == RETRY_AFTER_SECONDS
                 assert np.isfinite(blocker.result(parked, timeout=10)).all()
                 service.close()
         finally:

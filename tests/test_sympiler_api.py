@@ -111,6 +111,27 @@ class TestCompileTriangularSolve:
         with pytest.raises(PatternMismatchError):
             compiled.verify_pattern(other)
 
+    def test_a_cold_compile_normalizes_the_rhs_pattern_once(self, lower_factors, monkeypatch):
+        import repro.symbolic.inspector as inspector_module
+
+        calls = []
+        normalize = inspector_module.normalize_rhs_pattern
+
+        def counted(n, rhs_pattern):
+            calls.append(n)
+            return normalize(n, rhs_pattern)
+
+        monkeypatch.setattr(inspector_module, "normalize_rhs_pattern", counted)
+        monkeypatch.setattr(sympiler_module, "normalize_rhs_pattern", counted)
+        L = lower_factors["fem"]
+        sym = Sympiler(SympilerOptions(backend="python"), cache=ArtifactCache())
+        compiled = sym.compile("triangular-solve", L, rhs_pattern=[5, 1, 5])
+        assert len(calls) == 1
+        assert compiled.inspection.rhs_pattern.tolist() == [1, 5]
+        # A direct caller of the inspector still gets a normalized pattern.
+        direct = inspector_module.inspect_triangular_solve(L, rhs_pattern=[5, 1, 5])
+        assert direct.rhs_pattern.tolist() == [1, 5]
+
     def test_solve_with_check_pattern(self, lower_factors):
         L = lower_factors["fem"]
         b = sparse_rhs(L.n, nnz=2, seed=8)
