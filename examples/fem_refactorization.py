@@ -7,9 +7,8 @@ a sequence of such steps, the cost of
 * scipy's native SuperLU (``splu``), which redoes its symbolic work inside
   every factorization, on the same pre-ordered matrix, against
 * Sympiler: one compile (symbolic analysis + C code generation), then the
-  generated numeric-only kernel per step.  Without a C compiler the compile
-  falls back to the python backend (with a warning), which is not native
-  code and loses to ``splu``.
+  generated numeric-only kernel per step.  The compile needs a C compiler
+  (``REPRO_CC``, else ``cc``); without one it raises ``CCompilationError``.
 
 Run with:  python examples/fem_refactorization.py
 """

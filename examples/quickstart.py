@@ -45,8 +45,8 @@ def main() -> None:
     print(f"triangular solve max abs error vs dense reference: {err:.2e}")
 
     # On the default C backend `tri.source` is generated C that names the
-    # tables it reads; on the python backend (the fallback without a C
-    # compiler) it is a fixed NumPy function handed the same tables.
+    # tables it reads; on the python backend (the oracle of the bitwise
+    # tests) it is a fixed NumPy function handed the same tables.
     first_lines = "\n".join(tri.source.splitlines()[:12])
     print(f"\n--- first lines of the solve kernel ({tri.backend} backend) ---")
     print(first_lines)

@@ -238,15 +238,14 @@ def run_experiments(names: Sequence[str], suite: Sequence[SuiteEntry]) -> Iterat
     """Run the named experiments over ``suite``; yields ``(name, rows)`` per experiment.
 
     Every variant is compiled by the C backend; an experiment with variants
-    refuses to run without a C compiler rather than time the python fallback
-    against native code.  Each suite matrix is prepared once for the whole
+    refuses to run without a C compiler, before any suite matrix is prepared.  Each suite matrix is prepared once for the whole
     call.  Every variant and baseline is verified against its kernel's exact
     answer — a wrong result raises ``AssertionError`` instead of producing a
     row.
     """
     c_options = SympilerOptions(backend="c")
     if any(EXPERIMENTS[name].variants for name in names) and not c_compiler_available(c_options.c_compiler):
-        raise RuntimeError("the bench needs a C compiler: the python fallback would be timed against native code")
+        raise RuntimeError(f"the bench needs a C compiler: {c_options.c_compiler!r} not found")
     sym = Sympiler()
     prepared = [Prepared(entry) for entry in suite]
     for name in names:

@@ -20,9 +20,9 @@ read back), so a warm run must also *write* nothing — ``--assert-warm`` checks
 ``py_writes == 0`` alongside ``so_compiles == 0``.  ``--json`` appends the
 unified observability registry snapshot (:func:`repro.observe.snapshot`) to
 the report, so CI can assert the warm-cache counters *and* the registry's
-view of them from one JSON document.  Without a C toolchain
-the probe still runs (the driver falls back to the Python backend) and the
-python counters carry the warm-cache assertion on their own.
+view of them from one JSON document.  On ``--backend python`` the python
+counters carry the warm-cache assertion on their own.  Without a C toolchain
+the probe compiles nothing: the first compile raises ``CCompilationError``.
 
 The report also sizes what the run left in the cache directory
 (``source_bytes`` of generated ``.c``/``.py`` files, ``so_bytes`` in
@@ -63,10 +63,9 @@ __all__ = ["run_probe", "main"]
 def run_probe(backend: str = SympilerOptions.backend) -> Dict[str, object]:
     """Compile the fixed probe workload and return the cache counters.
 
-    Without a C toolchain the driver runs ``backend="c"`` on the python
-    backend; the report's ``backend`` is the one that ran.  The driver uses a
-    fresh in-memory artifact cache so the on-disk counters reflect disk
-    state, not in-process memoization.
+    The report's ``backend`` is the one that ran.  The driver uses a fresh
+    in-memory artifact cache so the on-disk counters reflect disk state, not
+    in-process memoization.
     """
     options = SympilerOptions(backend=backend)
     reset_disk_cache_stats()
@@ -166,7 +165,7 @@ def main(argv=None) -> int:
         "--backend",
         choices=["python", "c"],
         default=SympilerOptions.backend,
-        help="code-generation backend (without a C toolchain, c falls back to python)",
+        help="code-generation backend (either needs a C toolchain)",
     )
     parser.add_argument(
         "--assert-warm",

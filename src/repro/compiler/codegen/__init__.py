@@ -7,7 +7,7 @@
   compiles it with the system compiler and loads it through ``ctypes``.
 * :mod:`repro.compiler.codegen.python_backend` — binds the same tables to the
   fixed NumPy reference kernels of :mod:`repro.compiler.codegen.reference`
-  (no code generation; the fallback without a toolchain and the test oracle).
+  (no code generation; the oracle of the bitwise tests).
 * :mod:`repro.compiler.codegen.runtime` — pattern fingerprints and the
   on-disk cache directory.
 """

@@ -265,7 +265,7 @@ class CGeneratedModule:
             return self._callable
         if not c_compiler_available(self.compiler):
             raise CCompilationError(
-                f"C compiler {self.compiler!r} not found; use the python backend instead"
+                f"C compiler {self.compiler!r} not found (set REPRO_CC or SympilerOptions.c_compiler)"
             )
         start = time.perf_counter()
         cache = generated_code_dir()

@@ -10,9 +10,10 @@ sets the ``solve_entry`` of a direct factorization or IC(0) to the binder of
 :func:`~repro.compiler.codegen.reference.factor_solve`.
 ``source`` is the text of the function that runs, the same for every pattern,
 and ``constants`` the block, key for key what a C module of the same kernel
-holds.  This is the fallback when no C toolchain exists and the oracle of the
-bitwise tests: same operations in the same order as the C kernels, same
-exception as the C binder.
+holds.  This is the oracle of the bitwise tests: same operations in the same
+order as the C kernels, same exception as the C binder.  Like every compile,
+a python-backend compile needs the toolchain, whose native helper runs the
+symbolic phase.
 """
 
 from __future__ import annotations

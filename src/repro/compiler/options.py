@@ -61,9 +61,11 @@ class SympilerOptions:
     ----------
     backend:
         ``"c"`` (the default: specialized C compiled with the system compiler
-        and loaded via ``ctypes``; without a toolchain the driver falls back
-        to python, with one warning) or ``"python"`` (fixed NumPy reference
+        and loaded via ``ctypes``) or ``"python"`` (fixed NumPy reference
         kernels over the inspection tables: the oracle of the bitwise tests).
+        Either needs the toolchain: the symbolic phase runs in the native
+        helper it builds, and without it a compile raises
+        :class:`~repro.compiler.codegen.c_backend.CCompilationError`.
     enable_vi_prune, enable_vs_block:
         Toggles for the transformation stages; disabling both produces the
         un-transformed kernel (useful for ablations).  VS-Block still runs
@@ -86,8 +88,8 @@ class SympilerOptions:
         Compiler executable and flags for the C backend.  The executable
         defaults to the ``REPRO_CC`` environment variable (read at option
         construction time), then ``"cc"``; when the executable cannot be
-        found the driver falls back to the Python backend with a warning
-        instead of erroring.  The flags default to ``REPRO_CFLAGS``
+        found, a C-backend compile raises ``CCompilationError`` naming it.
+        The flags default to ``REPRO_CFLAGS``
         (whitespace-split), then ``-O3 -march=native -fno-tree-vectorize
         -fPIC -shared -s`` — override with a portable set when the on-disk
         ``.so`` cache is shared between machines with different CPUs.  The

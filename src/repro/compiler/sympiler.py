@@ -18,14 +18,13 @@ that makes the factor-once/solve-many scenarios of §1.2 pay off.
 from __future__ import annotations
 
 import time
-import warnings
-from typing import Optional, Sequence, Set
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.compiler.artifacts import CompiledArtifact, CompileTimings
 from repro.compiler.cache import ArtifactCache, cache_key
-from repro.compiler.codegen.c_backend import CBackend, c_compiler_available
+from repro.compiler.codegen.c_backend import CBackend
 from repro.compiler.codegen.python_backend import PythonBackend
 from repro.compiler.codegen.runtime import pattern_fingerprint, rhs_fingerprint_extra
 from repro.compiler.options import SympilerOptions
@@ -33,6 +32,7 @@ from repro.compiler.plan import CompilationContext
 from repro.compiler.registry import kernel_spec
 from repro.observe.trace import span
 from repro.sparse.csc import CSCMatrix
+from repro.symbolic import native
 from repro.symbolic.inspector import normalize_rhs_pattern
 
 __all__ = ["Sympiler", "CodegenError"]
@@ -40,46 +40,6 @@ __all__ = ["Sympiler", "CodegenError"]
 
 class CodegenError(RuntimeError):
     """Raised when the plan chose a domain loop the kernel's entry is not printed from."""
-
-
-#: Compiler executables a fallback warning has already been emitted for, so a
-#: toolchain-free environment sees one warning instead of one per compile.
-_FALLBACK_WARNED: Set[str] = set()
-
-
-def _c_backend_or_fallback(options: SympilerOptions):
-    """The C backend, or the Python backend when no C toolchain exists.
-
-    Environments without a working ``cc`` (minimal containers, bare CI
-    runners) still get a functioning — just slower — compiler pipeline
-    instead of an error; the degradation is announced once per missing
-    compiler.  Set ``REPRO_CC`` (or ``SympilerOptions.c_compiler``) to point
-    at a specific toolchain.
-    """
-    if not c_compiler_available(options.c_compiler):
-        if options.c_compiler not in _FALLBACK_WARNED:
-            _FALLBACK_WARNED.add(options.c_compiler)
-            warnings.warn(
-                f"C compiler {options.c_compiler!r} not found; falling back to "
-                "the python code-generation backend",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        return PythonBackend()
-    return CBackend(compiler=options.c_compiler, flags=options.c_flags)
-
-
-_BACKEND_FACTORIES = {
-    "python": lambda options: PythonBackend(),
-    "c": _c_backend_or_fallback,
-}
-
-
-def _backend_for(options: SympilerOptions):
-    factory = _BACKEND_FACTORIES.get(options.backend)
-    if factory is None:
-        raise ValueError(f"unknown backend {options.backend!r}")
-    return factory(options)
 
 
 #: Process-wide artifact cache shared by every ``Sympiler()`` that does not
@@ -166,7 +126,14 @@ class Sympiler:
         )
 
     def _build(self, spec, matrix, options, rhs, fingerprint, forced_vi_prune) -> CompiledArtifact:
-        """Run the full inspection → transformation → codegen pipeline once."""
+        """Run the full inspection → transformation → codegen pipeline once.
+
+        Every compile needs the toolchain, whatever the backend: the symbolic
+        phase runs in the native helper, which raises
+        :class:`~repro.compiler.codegen.c_backend.CCompilationError` when it
+        cannot be built, before anything else runs.
+        """
+        native.helper()
         with span("compile", kernel=spec.name, backend=options.backend, fingerprint=fingerprint) as sp:
             artifact = self._build_traced(spec, matrix, options, rhs, fingerprint, forced_vi_prune)
             # True when no `cc` ran: the .so was on disk already — a disk-warm
@@ -190,7 +157,10 @@ class Sympiler:
         if role not in spec.abi.loops:
             raise CodegenError(f"kernel {spec.name!r} has no {role} loop; it runs {', '.join(spec.abi.loops)}")
 
-        backend = _backend_for(options)
+        if options.backend == "python":
+            backend = PythonBackend()
+        else:
+            backend = CBackend(compiler=options.c_compiler, flags=options.c_flags)
         # The entry point is named after the kernel, as a C identifier.
         entry_name = spec.name.replace("-", "_")
         with span("codegen", kernel=spec.name, backend=options.backend):

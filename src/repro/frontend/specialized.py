@@ -17,13 +17,21 @@ the same configuration is pure numeric execution:
 On the C backend the first two are one native call each, which checks the
 pattern and the values first (:meth:`SparseLinearSolver.step`).
 
+Every compile needs a C toolchain.  Where a direct route's compile raises
+:class:`~repro.compiler.codegen.c_backend.CCompilationError` — no compiler at
+``REPRO_CC``, a native symbolic helper that does not build, a kernel build
+that fails — the route is answered through ``scipy.sparse.linalg.splu``
+instead, with one warning per front end naming the error: the same three
+cases (refactorized only when the values change), recorded as the method
+``"splu"``.  The ``pcg`` route raises the error.
+
 :class:`SpecializedSolver` is the object form (own cache, own counters);
 :func:`solve` is the module-level convenience over one process-wide default
 instance; :func:`sympiled` decorates a *system-producing* function
 (returning ``(A, b)`` in any ingestible form) into a solve returning ``x``,
 with a private specialization cache per decorated function.
 
-Every route is bitwise identical to the corresponding explicit API —
+Every compiled route is bitwise identical to the corresponding explicit API —
 ``SparseLinearSolver(A, method=...)`` for the direct routes,
 :func:`~repro.solvers.cg.preconditioned_conjugate_gradient` for ``pcg`` —
 because it *is* that API underneath, reached through the same shared
@@ -40,13 +48,14 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.compiler.codegen.c_backend import CCompilationError
 from repro.compiler.options import SympilerOptions
 from repro.frontend.ingest import IngestedMatrix, ingest, structure_fingerprint
 from repro.frontend.probes import AUTO_METHODS, ProbeReport, probe_structure
 from repro.observe import trace as observe_trace
 from repro.solvers.linear_solver import OTHER_PATTERN, SparseLinearSolver
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.utils import require_real
+from repro.sparse.utils import require_finite_values, require_real
 
 __all__ = ["SpecializedSolver", "FrontendStats", "solve", "sympiled", "default_frontend"]
 
@@ -97,10 +106,11 @@ class _Specialization:
     repeat_key: tuple
     method: str
     probe: Optional[ProbeReport]
-    #: The direct solver (``None`` for the ``pcg`` route, which owns no
-    #: complete factorization — its compiled IC(0) artifact lives
-    #: in the shared artifact cache keyed by the same pattern).
-    solver: Optional[SparseLinearSolver]
+    #: The direct solver: a :class:`SparseLinearSolver`, or a
+    #: :class:`_SpluSolver` without a toolchain (``None`` for the ``pcg``
+    #: route, which owns no complete factorization — its compiled IC(0)
+    #: artifact lives in the shared artifact cache keyed by the same pattern).
+    solver: object
     #: Pattern-carrying CSC of the specialization (pcg route re-binds values
     #: onto it with ``with_values``).
     pattern: CSCMatrix
@@ -127,7 +137,7 @@ class _Specialization:
         fits = max(len(self.indices), self.pattern.n_rows) <= np.iinfo(np.int32).max
         self.narrow = (self.indptr.astype(np.int32), self.indices.astype(np.int32)) if fits else None
         self.addresses = {}
-        if self.solver is not None and self.solver._warm is not None:
+        if isinstance(self.solver, SparseLinearSolver) and self.solver._warm is not None:
             self.addresses[8] = (self.indptr.ctypes.data, self.indices.ctypes.data)
             if self.narrow is not None:
                 self.addresses[4] = (self.narrow[0].ctypes.data, self.narrow[1].ctypes.data)
@@ -171,6 +181,40 @@ def _real_rhs(b) -> np.ndarray:
     """The caller's ``b`` as ``float64``; complex values are refused, not truncated."""
     require_real(b, "b")
     return np.asarray(b, dtype=np.float64)
+
+
+class _SpluSolver:
+    """A direct route without a C toolchain: SuperLU on the specialized pattern.
+
+    Factorizes ``pattern``'s own values at construction, like
+    :class:`SparseLinearSolver`; :meth:`step` is that class's contract
+    answered by ``scipy.sparse.linalg.splu``: the factors are recomputed only
+    when the values differ from the ones they came from.
+    """
+
+    def __init__(self, pattern: CSCMatrix) -> None:
+        self._pattern = pattern
+        self._lock = threading.Lock()
+        self._factorize(pattern.data)
+
+    def _factorize(self, values: np.ndarray) -> None:
+        # Deferred: `import repro` loads no scipy.
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        require_finite_values(self._pattern, values)
+        self._lu = None  # a failed factorization leaves none behind
+        self._values = np.array(values, dtype=np.float64)
+        pattern = self._pattern
+        self._lu = splu(csc_matrix((self._values, pattern.indices, pattern.indptr), shape=pattern.shape))
+
+    def step(self, values: np.ndarray, b: np.ndarray):
+        """``(x, refactorized)`` for ``A(values) x = b``."""
+        with self._lock:
+            refactorized = self._lu is None or not np.array_equal(self._values, values)
+            if refactorized:
+                self._factorize(values)
+            return self._lu.solve(b), refactorized
 
 
 def _factorization_is_finite(solver: SparseLinearSolver) -> bool:
@@ -244,6 +288,8 @@ class SpecializedSolver:
         self._repeats: Dict[tuple, List[_Specialization]] = {}
         #: The scipy classes found to be CSC (see _says_csc).
         self._csc_types: set = set()
+        #: Whether the no-toolchain warning was given (see _direct_route).
+        self._splu_warned = False
 
     # ------------------------------------------------------------------ #
     def cache_info(self) -> Dict[str, object]:
@@ -288,8 +334,10 @@ class SpecializedSolver:
             # later call hits it.
             solver = None
         else:
-            solver = self._build_direct(A, method)
-            if solver.method != method:
+            solver = self._direct_route(A, method)
+            if isinstance(solver, _SpluSolver):
+                method = "splu"
+            elif solver.method != method:
                 escaped = True
                 method = solver.method
         return _Specialization(
@@ -300,6 +348,22 @@ class SpecializedSolver:
             pattern=A,
             escaped_to_ldlt=escaped,
         )
+
+    def _direct_route(self, A: CSCMatrix, method: str):
+        """The direct solver of ``A``: compiled, or ``splu`` where nothing compiles (one warning)."""
+        try:
+            return self._build_direct(A, method)
+        except CCompilationError as exc:
+            with self._lock:
+                warn, self._splu_warned = not self._splu_warned, True
+            if warn:
+                warnings.warn(
+                    f"{exc}; without a C toolchain the direct routes answer through "
+                    "scipy.sparse.linalg.splu",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+            return _SpluSolver(A)
 
     def _build_direct(self, A: CSCMatrix, method: str) -> SparseLinearSolver:
         """Build a direct solver; Cholesky breakdown escapes to LDLᵀ.
@@ -313,8 +377,7 @@ class SpecializedSolver:
         with warnings.catch_warnings():
             # Indefinite input reaches sqrt(<0) inside the generated kernel,
             # which warns before the finiteness check below catches it.  Only
-            # NumPy's floating-point warnings go: the driver's fallback
-            # warning still reaches the caller.
+            # NumPy's floating-point warnings go.
             warnings.filterwarnings("ignore", r".* encountered in ", RuntimeWarning)
             try:
                 solver = SparseLinearSolver(

@@ -147,7 +147,7 @@ def main(argv=None) -> int:
         "--backend",
         choices=["python", "c"],
         default=SympilerOptions.backend,
-        help="code-generation backend (without a C toolchain, c falls back to python)",
+        help="code-generation backend (either needs a C toolchain)",
     )
     parser.add_argument(
         "--fleet",

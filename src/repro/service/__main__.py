@@ -5,6 +5,10 @@ ephemeral port, printed on stdout) and serves until interrupted::
 
     python -m repro.service --port 8377
 
+When its stdin is a pipe, the server also shuts down when the pipe reaches
+EOF: a :class:`~repro.service.fleet.ShardFleet` worker holds one whose
+write end only its owner has, so it ends with the process that spawned it.
+
 ``--smoke`` instead runs the end-to-end self-check CI uses: boot a server on
 an ephemeral port, register several patterns over the wire, drive a mixed
 same-/cross-pattern request load through :class:`ServiceClient` connections
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import threading
 from typing import List
@@ -403,6 +408,13 @@ def _run_fleet_smoke_traced(args, matrices, references, request, failures, total
     return 0
 
 
+def _shutdown_at_eof(server: SolverServiceServer) -> None:
+    """Read stdin to its end, then shut ``server`` down (nothing is ever written to it)."""
+    while os.read(0, 4096):
+        pass
+    server.request_shutdown()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service", description=__doc__
@@ -411,8 +423,8 @@ def main(argv=None) -> int:
     parser.add_argument("--port", type=int, default=8377, help="TCP port (0 = ephemeral)")
     parser.add_argument(
         "--backend", choices=["python", "c"], default=SympilerOptions.backend,
-        help="code-generation backend for registered patterns (without a C "
-        "toolchain, c falls back to python)",
+        help="code-generation backend for registered patterns (either needs "
+        "a C toolchain)",
     )
     parser.add_argument(
         "--max-in-flight", type=int, default=256,
@@ -464,6 +476,8 @@ def main(argv=None) -> int:
     host, port = server.server_address
     sys.stdout.write(f"repro solver service listening on {host}:{port}\n")
     sys.stdout.flush()
+    if stat.S_ISFIFO(os.fstat(0).st_mode):
+        threading.Thread(target=_shutdown_at_eof, args=(server,), name="stdin-eof", daemon=True).start()
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive

@@ -47,6 +47,7 @@ from repro.service.errors import (
 )
 from repro.service.wire import TOOLCHAIN_OPTIONS, RemoteHandle, recv_message, send_message
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.utils import require_real
 
 __all__ = ["ServiceClient", "RemoteHandle", "RemoteServiceError"]
 
@@ -283,6 +284,8 @@ class ServiceClient:
         # Called under the caller's span: the trace headers captured here
         # make every shard-side span a child of this request — the
         # cross-process trace edge.
+        require_real(values, "values")
+        require_real(rhs, "rhs")
         header = {"op": "solve", "handle": _handle_id(handle)}
         header.update(observe_trace.wire_trace_headers())
         frames = [

@@ -195,8 +195,11 @@ class ShardFleet:
         return env
 
     def _spawn(self, slot: int, generation: int) -> _Shard:
+        # The worker's stdin is a pipe this process never writes to: when
+        # the process ends, closed or not, the worker reads EOF and shuts down.
         process = subprocess.Popen(
             self._worker_command(),
+            stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=self._worker_env(),
@@ -264,8 +267,9 @@ class ShardFleet:
             shard.process.wait(timeout=10)
         except subprocess.TimeoutExpired:  # pragma: no cover - kill is forceful
             pass
-        if shard.process.stdout is not None:
-            shard.process.stdout.close()
+        for stream in (shard.process.stdin, shard.process.stdout):
+            if stream is not None:
+                stream.close()
 
     # ------------------------------------------------------------------ #
     # Routing and recovery

@@ -54,6 +54,7 @@ from repro.service.errors import (
 from repro.service.metrics import ServiceMetrics
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.utils import require_real
 
 __all__ = ["SolverService", "PatternHandle"]
 
@@ -91,9 +92,6 @@ class _PatternEntry:
     #: The pattern's one solver.  It holds the compiled factorization, whose
     #: module also solves, and its lock serializes concurrent solves.
     solver: SparseLinearSolver
-    #: The backend that actually generated code ("c" may fall back to
-    #: "python" when no toolchain exists); recorded for the stats endpoint.
-    backend_effective: str = "python"
     solves: int = 0
 
 
@@ -247,20 +245,14 @@ class SolverService:
         )
         self.metrics.incr("registrations")
         self.metrics.incr("compile_warm" if warm else "compile_cold")
-        backend_effective = factorization.backend
         observe_events.emit(
             "compile_warm" if warm else "compile_cold",
             kernel=solver.method,
             fingerprint=key[1],
             n=A.n,
-            backend=backend_effective,
+            backend=factorization.backend,
         )
-        return _PatternEntry(
-            key=key,
-            handle=handle,
-            solver=solver,
-            backend_effective=backend_effective,
-        )
+        return _PatternEntry(key=key, handle=handle, solver=solver)
 
     def _drop_entry(self, key: tuple, *, reason: str) -> bool:
         with self._lock:
@@ -357,6 +349,8 @@ class SolverService:
         if self._closed:
             raise ServiceClosedError("service is closed")
         entry = self._entry_for(handle)
+        require_real(values, "values")
+        require_real(rhs, "rhs")
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (entry.handle.nnz,):
             raise ValueError(
@@ -447,7 +441,6 @@ class SolverService:
                 "factor_nnz": handle.factor_nnz,
                 "warm_registration": handle.warm,
                 "solves": entry.solves,
-                "backend_effective": entry.backend_effective,
             }
         snapshot = self.metrics.snapshot()
         snapshot.update(

@@ -205,9 +205,8 @@ class SparseLinearSolver:
             )
         self.method = spec.name
         t0 = time.perf_counter()
-        with span("ordering", name=ordering, n=A.n, nnz=A.nnz) as sp:
+        with span("ordering", name=ordering, n=A.n, nnz=A.nnz):
             self.permutation: Permutation = ordering_by_name(ordering)(A)
-            sp.set(native=native.helper() is not None)
         # The pattern-only numeric plan, built here and nowhere else: every
         # later value set reaches the kernels through two gathers.  Permuting
         # an index-valued copy of A once yields both the permuted pattern and
@@ -248,19 +247,16 @@ class SparseLinearSolver:
         self._kernel = self._factorization.bind((permuted.indptr, permuted.indices, permuted.data), self._outputs)
         self._solve = self._factorization.bind_solve((self._perm, *self._outputs, self._b), (self._w, self._x))
         # The same two entries and arrays behind one native call: the warm
-        # step of step() from the value check to x.  None without the native
-        # helper or a C module; step() composes the step then.
-        helper = native.helper()
-        self._warm = None
-        if helper is not None:
-            self._warm = helper.bind_warm_step(
-                self._kernel,
-                self._solve,
-                snapshot=self._values,
-                gather=self._value_gather,
-                permuted=permuted.data,
-                b=self._b,
-            )
+        # step of step() from the value check to x.  None on a python-backend
+        # module; step() composes the step then.
+        self._warm = native.helper().bind_warm_step(
+            self._kernel,
+            self._solve,
+            snapshot=self._values,
+            gather=self._value_gather,
+            permuted=permuted.data,
+            b=self._b,
+        )
         self._factored = False
         # Numeric work last, through the one refactorization path (not
         # factorize(), whose copy of L nobody here would read).
@@ -487,7 +483,7 @@ class SparseLinearSolver:
         current factors came from (``==``, so ``-0.0`` equals ``0.0``), the
         step solves on the current factors; otherwise the values go into the
         snapshot, through the gather and the compiled kernel first.  On a
-        C module with the native helper loaded, and for ``values``
+        C module, and for ``values``
         and ``b`` that are writable, C-contiguous ``float64`` arrays of the
         exact shape, the whole step is one native call
         (``repro_warm_step``, bound at construction); anything else composes

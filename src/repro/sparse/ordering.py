@@ -7,14 +7,11 @@ minimum-degree ordering and reverse Cuthill–McKee.  Both operate on the
 *pattern* of ``A + Aᵀ`` only, as orderings are purely symbolic.
 
 Minimum degree runs in the native symbolic helper
-(:mod:`repro.symbolic.native`) when it is loaded — the same exact degrees and
-the same tie-breaking on a quotient graph, so the same permutation — and in
-:func:`minimum_degree_reference` otherwise.
+(:mod:`repro.symbolic.native`), on a quotient graph.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import List, Set
 
@@ -55,8 +52,7 @@ def minimum_degree_ordering(A: CSCMatrix) -> Permutation:
     At each step the vertex of minimum current degree in the elimination graph
     is eliminated and its neighbourhood is turned into a clique.  Degrees are
     exact, not AMD's approximation, and ties are broken by the smallest vertex
-    index, so the ordering is reproducible — and the same whichever of the
-    two implementations computes it.
+    index, so the ordering is reproducible.
     """
     if not A.is_square():
         raise ValueError("orderings are defined for square matrices")
@@ -65,48 +61,8 @@ def minimum_degree_ordering(A: CSCMatrix) -> Permutation:
     # Deferred: repro.symbolic imports this package.
     from repro.symbolic import native
 
-    lib = native.helper()
-    if lib is None:
-        return minimum_degree_reference(A)
     S = symmetrize_pattern(A)
-    return Permutation(lib.minimum_degree(S.n, S.indptr, S.indices))
-
-
-def minimum_degree_reference(A: CSCMatrix) -> Permutation:
-    """:func:`minimum_degree_ordering` on explicit adjacency sets, in Python.
-
-    The classical (non-quotient-graph) formulation: asymptotically slower,
-    but a dozen lines, which makes it the oracle for the native one.
-    """
-    n = A.n_rows
-    adj = _adjacency_sets(A)
-    eliminated = np.zeros(n, dtype=bool)
-    # Lazy-deletion heap of (degree, vertex); stale entries are skipped.
-    heap: List[tuple[int, int]] = [(len(adj[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    order = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        while True:
-            deg, v = heapq.heappop(heap)
-            if not eliminated[v] and deg == len(adj[v]):
-                break
-        order[k] = v
-        eliminated[v] = True
-        neighbours = adj[v]
-        # Form the clique among the remaining neighbours of v.
-        for u in neighbours:
-            adj[u].discard(v)
-        nb_list = list(neighbours)
-        for idx, u in enumerate(nb_list):
-            for w in nb_list[idx + 1 :]:
-                if w not in adj[u]:
-                    adj[u].add(w)
-                    adj[w].add(u)
-                    heapq.heappush(heap, (len(adj[w]), w))
-            # Every neighbour lost v, so every neighbour's degree is stale.
-            heapq.heappush(heap, (len(adj[u]), u))
-        adj[v] = set()
-    return Permutation(order)
+    return Permutation(native.helper().minimum_degree(S.n, S.indptr, S.indices))
 
 
 def reverse_cuthill_mckee(A: CSCMatrix) -> Permutation:

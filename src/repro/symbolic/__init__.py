@@ -22,11 +22,7 @@ names each kernel's function.
 
 from repro.symbolic.colcount import column_counts_of_factor
 from repro.symbolic.etree import elimination_tree, postorder
-from repro.symbolic.fill_pattern import (
-    cholesky_pattern,
-    ereach,
-    lu_pattern,
-)
+from repro.symbolic.fill_pattern import lu_pattern
 from repro.symbolic.inspector import (
     CholeskyInspectionResult,
     LUInspectionResult,
@@ -48,8 +44,6 @@ __all__ = [
     "reach_set_sorted",
     "elimination_tree",
     "postorder",
-    "ereach",
-    "cholesky_pattern",
     "lu_pattern",
     "column_counts_of_factor",
     "SupernodePartition",

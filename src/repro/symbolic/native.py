@@ -8,13 +8,13 @@ run on two CPUs, else the whole file in one command), loads it lazily and
 exposes each entry point as a method taking and returning ``int64`` NumPy
 arrays.  ctypes releases the GIL around every call.
 
-The public symbolic functions (``minimum_degree_ordering``,
-``elimination_tree``, ``cholesky_pattern``, ``reach_set``, ...) ask
-:func:`helper` for the binding and run their Python reference when it answers
-``None`` — no compiler, a failed or hung compile, an unloadable object.  Every
-native result is ``np.array_equal`` to the reference result, so which of the
-two ran is invisible in every permutation, inspection set, fingerprint and
-factor; only the set-up time differs.
+The symbolic phase has no other implementation: the public symbolic
+functions (``minimum_degree_ordering``, ``elimination_tree``,
+``factor_structure``, ``reach_set``, ...) call :func:`helper`, which raises
+:class:`~repro.compiler.codegen.c_backend.CCompilationError` when the helper
+cannot be had — no compiler, a failed or hung compile, an unloadable object.
+Every compile needs the toolchain for the same reason; without one, the
+front end (:mod:`repro.frontend.specialized`) answers through ``splu``.
 
 The shared object lives in ``<tempdir>/repro-native-<uid>/``, named by the
 hash of source, compiler and flags.  It is toolchain, like ``cc`` itself, not
@@ -30,8 +30,8 @@ direct solver's whole warm step — pattern check, value check, gather,
 factorization and solve — in one call into the solver's generated module
 (:meth:`NativeSymbolic.bind_warm_step`, bound by
 :class:`~repro.solvers.linear_solver.SparseLinearSolver` at construction).
-Without the helper, ``SparseLinearSolver.step`` composes the same step in
-Python, call by call, to the same bits.
+On a python-backend module, ``SparseLinearSolver.step`` composes the same
+step in Python, call by call, to the same bits.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ _FLAGS = ("-O2", "-fPIC", "-shared")
 _PARTS = 2
 
 #: The helper compiles in well under a second; a ``cc`` still running after
-#: this long is hung, and the process carries on with the Python reference.
+#: this long is hung, and the helper is unavailable.
 _CC_TIMEOUT_SECONDS = 120.0
 
 
@@ -81,7 +81,7 @@ def _load_library() -> ctypes.CDLL:
 
     compiler = os.environ.get("REPRO_CC", "cc")
     if shutil.which(compiler) is None:
-        raise _Unavailable("no compiler", f"C compiler {compiler!r} not found")
+        raise _Unavailable("no compiler", f"C compiler {compiler!r} not found (set REPRO_CC)")
     try:
         with open(_SOURCE_PATH, "rb") as fh:
             source = fh.read()
@@ -111,35 +111,46 @@ def _load_library() -> ctypes.CDLL:
 
 
 class _Loader:
-    """Builds and loads the helper at most once; remembers that it could not."""
+    """Builds and loads the helper at most once; remembers why it could not."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._settled = False
         self._native: Optional[NativeSymbolic] = None
+        self._error = ""
 
-    def get(self) -> Optional["NativeSymbolic"]:
+    def get(self) -> "NativeSymbolic":
         if not self._settled:
             with self._lock:
                 if not self._settled:
                     try:
                         self._native = NativeSymbolic(_load_library())
                     except _Unavailable as exc:
-                        # Once per process, never per call, never an exception.
+                        # Built once per process, never per call: the event
+                        # records why, and every call raises it again.
                         emit_event("native_symbolic_unavailable", reason=exc.reason, detail=str(exc))
+                        self._error = f"the native symbolic helper is unavailable ({exc.reason}): {exc}"
                     self._settled = True
+        if self._native is None:
+            # Deferred: repro.compiler imports the inspectors, which import this module.
+            from repro.compiler.codegen.c_backend import CCompilationError
+
+            raise CCompilationError(self._error)
         return self._native
 
 
 _LOADER = _Loader()
 
 
-def helper() -> Optional["NativeSymbolic"]:
-    """The loaded helper, or ``None`` when this process runs the references.
+def helper() -> "NativeSymbolic":
+    """The loaded helper.
 
-    The first call builds (or finds) and loads the shared object; a failure
-    is reported once, as a ``native_symbolic_unavailable`` event, and every
-    later call answers ``None`` at once.
+    The first call builds (or finds) and loads the shared object.  When that
+    fails — no compiler at ``REPRO_CC``, a failed, hung or unloadable build —
+    it is reported once, as a ``native_symbolic_unavailable`` event, and this
+    and every later call raise
+    :class:`~repro.compiler.codegen.c_backend.CCompilationError` naming the
+    compiler and the reason.
     """
     return _LOADER.get()
 

@@ -12,10 +12,9 @@ the reach set front-to-back.  This mirrors the classic ``cs_reach`` /
 ``cs_dfs`` routines of CSparse, implemented iteratively to avoid Python
 recursion limits on long dependency chains.
 
-The search runs in the native helper (:mod:`repro.symbolic.native`) when it
-is loaded, visiting sources and edges in the same order, so the topological
-order returned is the same array; :func:`reach_set_reference` is the Python
-fallback and the test oracle.
+The search runs in the native helper (:mod:`repro.symbolic.native`), which
+visits the sources in the order given and every column's edges in storage
+order, so the topological order returned is deterministic.
 """
 
 from __future__ import annotations
@@ -59,58 +58,7 @@ def reach_set_from_arrays(
     numpy.ndarray
         Reached column indices in topological (dependency-first) order.
     """
-    sources = _as_source_indices(n, b_pattern)
-    lib = native.helper()
-    if lib is None:
-        return reach_set_reference(n, indptr, indices, sources)
-    return lib.reach(n, indptr, indices, sources)
-
-
-def reach_set_reference(n: int, indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """:func:`reach_set_from_arrays` in Python, over checked ``sources``."""
-    visited = np.zeros(n, dtype=bool)
-    # The output is filled from the back, exactly like cs_reach: a vertex is
-    # appended when its DFS finishes, producing reverse-finish order which is
-    # a topological order for this DAG.
-    out = np.empty(n, dtype=np.int64)
-    top = n
-
-    # Explicit DFS stacks: one for the vertex path, one for the position of
-    # the next out-edge to explore at each vertex on the path.
-    vertex_stack = np.empty(n, dtype=np.int64)
-    edge_stack = np.empty(n, dtype=np.int64)
-
-    for src in sources:
-        if visited[src]:
-            continue
-        depth = 0
-        vertex_stack[0] = src
-        edge_stack[0] = indptr[src]
-        visited[src] = True
-        while depth >= 0:
-            v = vertex_stack[depth]
-            p = edge_stack[depth]
-            end = indptr[v + 1]
-            descended = False
-            while p < end:
-                i = indices[p]
-                p += 1
-                if i > v and not visited[i]:
-                    # Descend into the unvisited dependent column i.
-                    edge_stack[depth] = p
-                    depth += 1
-                    vertex_stack[depth] = i
-                    edge_stack[depth] = indptr[i]
-                    visited[i] = True
-                    descended = True
-                    break
-            if not descended:
-                # v is finished: emit it and pop.
-                top -= 1
-                out[top] = v
-                depth -= 1
-            # else: continue the loop with the child on top of the stack.
-    return out[top:].copy()
+    return native.helper().reach(n, indptr, indices, _as_source_indices(n, b_pattern))
 
 
 def reach_set(L: CSCMatrix, b_pattern: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import tempfile
 import threading
 import time
 import types
@@ -12,42 +13,16 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.sparse.generators import (
-    banded_spd,
-    block_tridiagonal_spd,
-    circuit_like_spd,
-    fem_stencil_2d,
-    laplacian_2d,
-    laplacian_3d,
-    power_grid_spd,
-    random_spd,
-)
-from repro.sparse.generators import arrow_spd
-
-from oracles import cholesky_factor
-
-
-def _spd_matrices():
-    return {
-        "laplacian_2d": laplacian_2d(7),
-        "laplacian_3d": laplacian_3d(4),
-        "fem": fem_stencil_2d(6),
-        "banded": banded_spd(35, 4, seed=1),
-        "block": block_tridiagonal_spd(5, 5, seed=2),
-        "circuit": circuit_like_spd(48, seed=3),
-        "random": random_spd(40, 0.06, seed=4),
-        "grid": power_grid_spd(42, seed=5),
-        "arrow": arrow_spd(30, 2, seed=6),
-    }
+from oracles import cholesky_factor, spd_zoo
 
 
 @pytest.fixture(scope="session")
 def spd_matrices():
     """A dictionary of small SPD matrices covering every generator class."""
-    return _spd_matrices()
+    return spd_zoo()
 
 
-@pytest.fixture(scope="session", params=sorted(_spd_matrices().keys()))
+@pytest.fixture(scope="session", params=sorted(spd_zoo()))
 def spd_matrix(request, spd_matrices):
     """Parametrized fixture yielding each small SPD matrix in turn."""
     return spd_matrices[request.param]
@@ -57,6 +32,23 @@ def spd_matrix(request, spd_matrices):
 def lower_factors(spd_matrices):
     """Cholesky factors (NumPy's, on the predicted pattern with fill) of the small SPD matrices."""
     return {name: cholesky_factor(A) for name, A in spd_matrices.items()}
+
+
+@pytest.fixture()
+def fresh_loader(monkeypatch, tmp_path):
+    """``fresh_loader(compiler)``: a process that has not looked for the native helper yet.
+
+    ``REPRO_CC`` is ``compiler`` and the temp dir is the test's own; the
+    process's own helper is back after the test.
+    """
+    from repro.symbolic import native
+
+    def install(compiler: str) -> None:
+        monkeypatch.setenv("REPRO_CC", compiler)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(native, "_LOADER", native._Loader())
+
+    return install
 
 
 @pytest.fixture()
@@ -160,14 +152,14 @@ def _running(pid: int) -> bool:
 
 @pytest.fixture
 def assert_pids_gone():
-    """``assert_pids_gone(path)``: every pid listed in ``path`` has exited (within 5 s)."""
+    """``assert_pids_gone(path, seconds=5.0)``: every pid listed in ``path`` has exited within ``seconds``."""
 
-    def check(pid_file) -> None:
+    def check(pid_file, seconds: float = 5.0) -> None:
         if not os.path.isdir("/proc"):
             pytest.skip("needs procfs to see processes")
         pids = [int(line) for line in pid_file.read_text(encoding="utf-8").split()]
-        assert pids, "the stand-in compiler never ran"
-        deadline = time.monotonic() + 5.0
+        assert pids, "no pid was written"
+        deadline = time.monotonic() + seconds
         while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
             time.sleep(0.01)
         assert [pid for pid in pids if _running(pid)] == []

@@ -6,10 +6,10 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.baselines.scipy_reference import reference_cholesky
 from repro.sparse.csc import CSCMatrix
-from repro.symbolic.etree import child_counts, elimination_tree, first_children, postorder
-from repro.symbolic.fill_pattern import cholesky_pattern
+from repro.symbolic.etree import child_counts, elimination_tree, postorder
+from repro.symbolic.fill_pattern import factor_structure
 
-from oracles import lower_triangle
+from oracles import first_children, lower_triangle
 
 
 def _brute_force_parent(A):
@@ -98,7 +98,7 @@ def test_factor_columns_lie_on_the_path_to_the_root(spd_matrix):
     # so no column of L holds more entries than j's depth plus one.
     parent = elimination_tree(spd_matrix)
     depth = _depths(parent)
-    indptr, indices = cholesky_pattern(spd_matrix)
+    indptr, indices = factor_structure(spd_matrix)[2:]
     for j in range(spd_matrix.n):
         path = {j}
         v = j

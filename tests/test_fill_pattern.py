@@ -7,13 +7,9 @@ from repro.baselines.scipy_reference import reference_cholesky
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.colcount import column_counts_of_factor
 from repro.symbolic.etree import elimination_tree
-from repro.symbolic.fill_pattern import (
-    cholesky_pattern,
-    ereach,
-    factor_structure,
-)
+from repro.symbolic.fill_pattern import factor_structure
 
-from oracles import lower_triangle
+from oracles import ereach, lower_triangle
 
 
 def _numeric_pattern(A):
@@ -47,7 +43,7 @@ def test_ereach_out_of_range(spd_matrices):
 
 
 def test_cholesky_pattern_matches_numeric_factor(spd_matrix):
-    indptr, indices = cholesky_pattern(spd_matrix)
+    indptr, indices = factor_structure(spd_matrix)[2:]
     pattern = _numeric_pattern(spd_matrix)
     predicted = np.zeros_like(pattern)
     for j in range(spd_matrix.n):
@@ -56,7 +52,7 @@ def test_cholesky_pattern_matches_numeric_factor(spd_matrix):
 
 
 def test_cholesky_pattern_is_sorted_and_has_diagonal(spd_matrix):
-    indptr, indices = cholesky_pattern(spd_matrix)
+    indptr, indices = factor_structure(spd_matrix)[2:]
     for j in range(spd_matrix.n):
         rows = indices[indptr[j] : indptr[j + 1]]
         assert rows[0] == j
@@ -64,7 +60,7 @@ def test_cholesky_pattern_is_sorted_and_has_diagonal(spd_matrix):
 
 
 def test_pattern_superset_of_lower_triangle(spd_matrix):
-    indptr, indices = cholesky_pattern(spd_matrix)
+    indptr, indices = factor_structure(spd_matrix)[2:]
     L_A = lower_triangle(spd_matrix)
     for j in range(spd_matrix.n):
         predicted = set(indices[indptr[j] : indptr[j + 1]].tolist())
@@ -82,14 +78,14 @@ def test_factor_rows_consistent_with_columns(spd_matrix):
 
 
 def test_column_counts_match_pattern(spd_matrix):
-    indptr, _ = cholesky_pattern(spd_matrix)
+    indptr, _ = factor_structure(spd_matrix)[2:]
     counts = column_counts_of_factor(spd_matrix)
     np.testing.assert_array_equal(counts, np.diff(indptr))
 
 
 def test_diagonal_matrix_has_no_fill():
     A = CSCMatrix.identity(6)
-    indptr, indices = cholesky_pattern(A)
+    indptr, indices = factor_structure(A)[2:]
     np.testing.assert_array_equal(indices, np.arange(6))
 
 
@@ -97,7 +93,7 @@ def test_row_counts_match_the_row_subtrees(spd_matrix):
     # Row k of L is ereach(A, k) plus the diagonal, so the row counts of the
     # column-oriented pattern are the row-subtree sizes plus one, row for row.
     parent = elimination_tree(spd_matrix)
-    indptr, indices = cholesky_pattern(spd_matrix)
+    indptr, indices = factor_structure(spd_matrix)[2:]
     row_counts = np.bincount(indices, minlength=spd_matrix.n)
     expected = [ereach(spd_matrix, k, parent).size + 1 for k in range(spd_matrix.n)]
     np.testing.assert_array_equal(row_counts, expected)
@@ -109,7 +105,7 @@ def test_factor_nnz_and_fill_match_the_numeric_factor(spd_matrix):
     fill = nnz_l - lower_triangle(spd_matrix).nnz
     assert fill >= 0
     # The fill is exactly the predicted entries that A's lower triangle lacks.
-    indptr, indices = cholesky_pattern(spd_matrix)
+    indptr, indices = factor_structure(spd_matrix)[2:]
     in_a = np.tril(spd_matrix.to_dense() != 0)
     new_entries = sum(
         int((~in_a[indices[indptr[j] : indptr[j + 1]], j]).sum()) for j in range(spd_matrix.n)

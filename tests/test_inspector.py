@@ -6,7 +6,7 @@ import pytest
 from repro.compiler.registry import kernel_spec
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import sparse_rhs
-from repro.symbolic.fill_pattern import cholesky_pattern
+from repro.symbolic.fill_pattern import factor_structure
 from repro.symbolic.inspector import (
     above_diagonal,
     inspect_cholesky,
@@ -16,6 +16,8 @@ from repro.symbolic.inspector import (
     inspect_triangular_solve,
 )
 from repro.symbolic.reach import reach_set
+
+from oracles import factor_structure_reference
 
 
 class TestTriangularSolveInspector:
@@ -62,7 +64,7 @@ class TestTriangularSolveInspector:
 class TestCholeskyInspector:
     def test_factor_pattern_matches_reference(self, spd_matrix):
         result = inspect_cholesky(spd_matrix)
-        indptr, indices = cholesky_pattern(spd_matrix, result.parent)
+        indptr, indices = factor_structure_reference(spd_matrix, result.parent)[2:]
         np.testing.assert_array_equal(indptr, result.l_indptr)
         np.testing.assert_array_equal(indices, result.l_indices)
 
@@ -74,10 +76,10 @@ class TestCholeskyInspector:
         assert result.row_ptr.size == result.n + 1 and result.row_ptr[-1] == result.row_idx.size
         assert result.supernodes.n_columns == result.n
 
-    def test_column_pattern_matches_cholesky_pattern(self, spd_matrices):
+    def test_column_pattern_matches_factor_structure(self, spd_matrices):
         A = spd_matrices["laplacian_2d"]
         result = inspect_cholesky(A)
-        indptr, indices = cholesky_pattern(A, result.parent)
+        indptr, indices = factor_structure(A, result.parent)[2:]
         np.testing.assert_array_equal(indptr, result.l_indptr)
         np.testing.assert_array_equal(indices, result.l_indices)
 

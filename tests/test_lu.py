@@ -1,14 +1,11 @@
 """End-to-end tests of the LU kernel (symbolic, factors, backends, solver)."""
 
-import warnings
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 from repro.compiler.cache import ArtifactCache
-from repro.compiler.codegen.c_backend import CGeneratedModule, c_compiler_available
-from repro.compiler.codegen.python_backend import GeneratedModule
+from repro.compiler.codegen.c_backend import CCompilationError, c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.solvers.linear_solver import SparseLinearSolver
@@ -284,35 +281,20 @@ class TestLUSolver:
         np.testing.assert_allclose(residual_fn(result.x), 0.0, atol=1e-9)
 
 
-class TestToolchainFallback:
-    def test_missing_cc_falls_back_to_python_with_one_warning(self):
-        A = _jacobian(18, seed=40)
-        options = SympilerOptions(backend="c", c_compiler="/nonexistent/lu-test-cc")
-        sym = _fresh_sympiler()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            compiled = sym.compile("lu", A, options=options)
-        assert isinstance(compiled.module, GeneratedModule)  # python backend
-        assert not isinstance(compiled.module, CGeneratedModule)
-        fac = compiled.factorize(A)
-        np.testing.assert_allclose(fac.reconstruct_dense(), A.to_dense(), atol=1e-9)
-        # The warning fires once per missing compiler, not once per compile.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sym.compile("cholesky", unsymmetric_diag_dominant(1, seed=0), options=options)
-        assert not [w for w in caught if "falling back" in str(w.message)]
+class TestWithoutAToolchain:
+    """A compiler that is not there is an error naming it, never a python-backend compile."""
 
-    def test_repro_cc_env_controls_default_compiler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CC", "/nonexistent/env-cc")
+    def test_a_missing_cc_raises_naming_it(self):
+        options = SympilerOptions(backend="c", c_compiler="/nonexistent/lu-test-cc")
+        with pytest.raises(CCompilationError, match="'/nonexistent/lu-test-cc' not found"):
+            _fresh_sympiler().compile("lu", _jacobian(18, seed=40), options=options)
+
+    def test_repro_cc_env_controls_default_compiler(self, fresh_loader):
+        fresh_loader("/nonexistent/env-cc")
         options = SympilerOptions(backend="c")
         assert options.c_compiler == "/nonexistent/env-cc"
-        A = _jacobian(12, seed=41)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            compiled = _fresh_sympiler().compile("lu", A, options=options)
-        assert isinstance(compiled.module, GeneratedModule)
-        np.testing.assert_allclose(
-            compiled.factorize(A).reconstruct_dense(), A.to_dense(), atol=1e-9
-        )
+        with pytest.raises(CCompilationError, match="'/nonexistent/env-cc' not found.*REPRO_CC"):
+            _fresh_sympiler().compile("lu", _jacobian(12, seed=41), options=options)
 
 
 #: Unsymmetric patterns of several sizes and densities, ``(n, avg_nnz_per_col, seed)``.

@@ -42,8 +42,6 @@ def test_repro_kernels_holds_the_flop_model_alone():
 _EXPORTED_WITHOUT_A_CALLER = {
     "natural_ordering": "reached by name through ordering_by_name",
     "reverse_cuthill_mckee": "reached by name through ordering_by_name",
-    "ereach": "a Python reference the native helper's results are tested against",
-    "cholesky_pattern": "a Python reference the native helper's results are tested against",
     "column_counts_of_factor": "the per-column factor counts the planned FLOP models read (ROADMAP items 6, 12, 15)",
     "PatternHandle": "the type SolverService.register_pattern returns; callers hold it without naming it",
     "SolverEndpoint": "the protocol the three serving classes implement; callers type against it",
@@ -56,7 +54,6 @@ _EXPORTED_WITHOUT_A_CALLER = {
     "FactorHandle": "the type BatchedSolver.factorize_batch returns a list of",
     "NewtonResult": "the type newton_raphson_fixed_pattern returns",
     "PatternMismatchError": "the exception verify_pattern raises; a caller catches it by name",
-    "CCompilationError": "the exception a failed cc run raises; a caller catches it by name",
     "ServiceError": "the base of every serving-layer exception; a caller catches it by name",
 }
 

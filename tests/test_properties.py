@@ -15,7 +15,7 @@ from repro.sparse.generators import laplacian_2d, laplacian_3d
 from repro.sparse.ordering import minimum_degree_ordering
 from repro.sparse.permutation import Permutation
 from repro.symbolic.etree import elimination_tree, postorder
-from repro.symbolic.fill_pattern import cholesky_pattern
+from repro.symbolic.fill_pattern import factor_structure
 from repro.symbolic.inspector import inspect_cholesky, inspect_triangular_solve
 from repro.symbolic.reach import reach_set
 from repro.symbolic.supernodes import triangular_supernodes
@@ -215,7 +215,7 @@ def test_etree_parent_exceeds_child(A):
 @_settings
 @given(spd_matrices_strategy())
 def test_cholesky_pattern_contains_tril_and_matches_numeric_factor(A):
-    indptr, indices = cholesky_pattern(A)
+    indptr, indices = factor_structure(A)[2:]
     tril = lower_triangle(A)
     numeric = np.abs(reference_cholesky(A)) > 1e-12
     for j in range(A.n):

@@ -179,6 +179,20 @@ class TestSolve:
         assert stats["batch_size_histogram"] == {"1": 10}
         assert stats["coalescing_ratio"] == 1.0
 
+    def test_complex_input_is_refused_naming_its_dtype(self):
+        """Complex values or a complex rhs raise; neither is solved as its real part."""
+        A = laplacian_2d(8, shift=0.1)
+        rhs = np.ones(A.n)
+        with _service() as svc:
+            handle = svc.register_pattern(A)
+            for call in (svc.solve, svc.submit):
+                with pytest.raises(ValueError, match="values has complex dtype complex128"):
+                    call(handle, A.data * (1 + 1j), rhs)
+                with pytest.raises(ValueError, match="rhs has complex dtype complex128"):
+                    call(handle, A.data, rhs + 1j)
+            assert svc.admission.in_flight == 0
+            assert np.isfinite(svc.solve(handle, A.data, rhs)).all()
+
     def test_per_request_error_isolation(self):
         """A singular request fails alone; the requests around it complete."""
         A = laplacian_2d(7, shift=0.1)

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import collections
 import hashlib
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -13,6 +18,8 @@ from repro.service.errors import PatternEvictedError
 from repro.service.fleet import shard_for
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.generators import fem_stencil_2d, laplacian_2d
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _fingerprint(key: str) -> str:
@@ -164,6 +171,21 @@ class TestShardFleet:
         assert fleet.counters["shard_deaths"] == 1
         assert fleet.counters["cold_reregisters"] == 0
 
+    def test_complex_input_is_refused_naming_its_dtype(self, fleet):
+        A = laplacian_2d(8, shift=0.1)
+        rhs = np.ones(A.n)
+        handle = fleet.register_pattern(A)
+
+        def submitted(*args):  # a pipelined solve carries its error in the future
+            return fleet.result(fleet.submit(*args), timeout=60)
+
+        for call in (fleet.solve, submitted):
+            with pytest.raises(ValueError, match="values has complex dtype complex128"):
+                call(handle, A.data * (1 + 1j), rhs)
+            with pytest.raises(ValueError, match="rhs has complex dtype complex128"):
+                call(handle, A.data, rhs + 1j)
+        assert np.isfinite(fleet.solve(handle, A.data, rhs)).all()
+
     def test_unknown_handle_maps_to_evicted(self, fleet):
         with pytest.raises(PatternEvictedError):
             fleet.solve("deadbeefdeadbeef", np.ones(3), np.ones(3))
@@ -236,6 +258,38 @@ class TestShardFleet:
                 shard.process.kill()
                 shard.process.wait(timeout=10)
             fleet.close()
+
+    def test_workers_exit_with_their_owner(self, fleet_cache, tmp_path, assert_pids_gone):
+        """An owner that ends without close() takes its workers with it: their stdin reaches EOF."""
+        pids = tmp_path / "pids"
+        owner = textwrap.dedent(
+            """
+            import sys
+            from repro.service.fleet import ShardFleet
+
+            fleet = ShardFleet(1, cache_dir=sys.argv[1])
+            with open(sys.argv[2], "w") as fh:
+                fh.write(str(fleet._shards[0].process.pid))
+            # Exits with the fleet open.
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", owner, str(fleet_cache), str(pids)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        try:
+            assert_pids_gone(pids, seconds=10.0)
+        finally:
+            for pid in pids.read_text(encoding="utf-8").split():
+                try:
+                    os.kill(int(pid), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
     def test_close_is_idempotent_and_kills_workers(self, fleet_cache):
         from repro.service.fleet import ShardFleet

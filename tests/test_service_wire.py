@@ -31,7 +31,6 @@ from repro.service.wire import (
 )
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.generators import fem_stencil_2d, laplacian_2d
-from repro.symbolic import native
 
 
 def _roundtrip(header, frames=()):
@@ -254,8 +253,8 @@ class TestEndToEnd:
 
     def test_a_new_values_solve_is_one_native_call(self, served):
         """Decoded frames are writable, so a wire request takes the solver's one-call warm step."""
-        if not c_compiler_available() or native.helper() is None:
-            pytest.skip("needs a C compiler for the kernels and the native helper")
+        if not c_compiler_available():
+            pytest.skip("needs a C compiler")
         address, service = served
         A = laplacian_2d(8, shift=0.1)
         rhs = np.linspace(0.5, 1.5, A.n)
@@ -279,6 +278,21 @@ class TestEndToEnd:
         assert counts == {"native": 1, "factorize": 0, "solve": 0}
         ref = SparseLinearSolver(A.with_values(A.data * 2.0), ordering="natural", options=service.options)
         assert np.array_equal(x, ref.solve(rhs))
+
+    def test_complex_input_is_refused_naming_its_dtype(self, served):
+        """The client refuses complex values or a complex rhs before anything goes on the wire."""
+        address, _ = served
+        A = laplacian_2d(8, shift=0.1)
+        rhs = np.ones(A.n)
+        with ServiceClient(address) as client:
+            handle = client.register_pattern(A)
+            for call in (client.solve, client.submit):
+                with pytest.raises(ValueError, match="values has complex dtype complex128"):
+                    call(handle, A.data * (1 + 1j), rhs)
+                with pytest.raises(ValueError, match="rhs has complex dtype complex128"):
+                    call(handle, A.data, rhs + 1j)
+            # The connection is still in step: nothing half-sent.
+            assert np.isfinite(client.solve(handle, A.data, rhs)).all()
 
     def test_solve_by_handle_id_string(self, served):
         address, _ = served

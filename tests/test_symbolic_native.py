@@ -1,13 +1,14 @@
-"""The native symbolic helper against the Python references it replaces.
+"""The native symbolic helper against the Python twins in ``oracles.py``.
 
-The invariant that lets ``native.c`` stand in for the Python symbolic phase
-is array equality: every entry point returns what the reference of the same
-name returns — ties, orders and dtypes included — so no permutation,
-inspection set, fingerprint or factor can tell which of the two ran.  These
-tests hold that invariant, the binding's argument checks, the fallback (no
-compiler, a failing, hanging or useless one), the one-build-per-toolchain
-build, the same library from the whole file and from its two halves, and
-that the helper never shows up where generated code is counted.
+``native.c`` is the symbolic phase: every entry point returns what its
+Python twin returns — ties, orders and dtypes included.  These tests hold
+that invariant (one test per twin over the SPD zoo of ``conftest.py`` and
+the unsymmetric patterns of ``test_lu.py``, and every entry point over a set
+of edge-case patterns), the binding's argument checks, the error without a
+helper (no compiler, a failing, hanging or useless one), the
+one-build-per-toolchain build, the same library from the whole file and from
+its two halves, and that the helper never shows up where generated code is
+counted.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ import textwrap
 import numpy as np
 import pytest
 
-import repro.compiler.sympiler as sympiler_module
 from repro import SparseLinearSolver, SympilerOptions
-from repro.compiler.cache import ArtifactCache
+from repro.compiler.codegen.c_backend import CCompilationError
 from repro.observe import get_event_log
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import (
@@ -35,33 +35,38 @@ from repro.sparse.generators import (
     saddle_point_indefinite,
     unsymmetric_diag_dominant,
 )
-from repro.sparse.ordering import minimum_degree_ordering, minimum_degree_reference
+from repro.sparse.ordering import minimum_degree_ordering
 from repro.sparse.utils import symmetrize_pattern
 from repro.symbolic import native
 from repro.symbolic.colcount import column_counts_of_factor
-from repro.symbolic.etree import (
-    elimination_tree,
-    elimination_tree_reference,
-    postorder,
-    postorder_reference,
-)
-from repro.symbolic.fill_pattern import (
-    cholesky_pattern,
-    factor_structure,
-    factor_structure_reference,
-    lu_pattern,
-    lu_pattern_reference,
-)
-from repro.symbolic.inspector import inspect_cholesky, inspect_lu, inspect_triangular_solve
-from repro.symbolic.reach import reach_set_from_arrays, reach_set_reference
+from repro.symbolic.etree import elimination_tree, postorder
+from repro.symbolic.fill_pattern import factor_structure, lu_pattern
+from repro.symbolic.inspector import inspect_cholesky
+from repro.symbolic.reach import reach_set_from_arrays
 
-from oracles import lower_triangle
+from oracles import (
+    elimination_tree_reference,
+    factor_structure_reference,
+    lower_triangle,
+    lu_pattern_reference,
+    minimum_degree_reference,
+    postorder_reference,
+    reach_set_reference,
+    spd_zoo,
+)
+from test_lu import JACOBIANS
 
 SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-needs_helper = pytest.mark.skipif(
-    native.helper() is None, reason="the native symbolic helper could not be built here"
-)
+def _helper_builds() -> bool:
+    try:
+        native.helper()
+    except CCompilationError:
+        return False
+    return True
+
+
+needs_helper = pytest.mark.skipif(not _helper_builds(), reason="the native symbolic helper could not be built here")
 
 
 # --------------------------------------------------------------------------- #
@@ -155,12 +160,60 @@ def _check_every_entry_point(lib: native.NativeSymbolic, A: CSCMatrix) -> None:
         _same(lib.reach(n, l_indptr, l_indices, sources), reach, "reach")
 
 
+@pytest.fixture(
+    params=[f"spd:{name}" for name in sorted(spd_zoo())]
+    + [f"jacobian:{n}-{avg}-{seed}" for n, avg, seed in JACOBIANS]
+)
+def zoo(request, spd_matrices):
+    """Each matrix of the SPD zoo, then each unsymmetric Jacobian of ``test_lu.py``."""
+    kind, name = request.param.split(":")
+    if kind == "spd":
+        return spd_matrices[name]
+    n, avg, seed = name.split("-")
+    return unsymmetric_diag_dominant(int(n), avg_nnz_per_col=float(avg), seed=int(seed))
+
+
+@needs_helper
+class TestEachTwin:
+    """The public symbolic functions (the helper) array-equal to their Python twins, one test per twin."""
+
+    def test_elimination_tree(self, zoo):
+        S = symmetrize_pattern(zoo)
+        _same(elimination_tree(S), elimination_tree_reference(S), "etree")
+
+    def test_postorder(self, zoo):
+        parent = elimination_tree_reference(symmetrize_pattern(zoo))
+        _same(postorder(parent), postorder_reference(parent), "postorder")
+
+    def test_factor_structure(self, zoo):
+        S = symmetrize_pattern(zoo)
+        parent = elimination_tree_reference(S)
+        expected = factor_structure_reference(S, parent)
+        for name, got, e in zip(("row_ptr", "row_idx", "l_indptr", "l_indices"), factor_structure(S, parent), expected):
+            _same(got, e, f"factor structure: {name}")
+        _same(column_counts_of_factor(S, parent), np.diff(expected[2]), "column counts")
+
+    def test_lu_pattern(self, zoo):
+        for name, got, e in zip(
+            ("l_indptr", "l_indices", "u_indptr", "u_indices"), lu_pattern(zoo), lu_pattern_reference(zoo)
+        ):
+            _same(got, e, f"lu pattern: {name}")
+
+    def test_reach_order(self, zoo):
+        l_indptr, l_indices = lu_pattern_reference(zoo)[:2]
+        n = zoo.n
+        rng = np.random.default_rng(n)
+        some = np.sort(rng.choice(n, size=max(n // 5, 1), replace=False))
+        for sources in (np.arange(n), np.arange(n)[::-1].copy(), some, rng.permutation(some)):
+            got = reach_set_from_arrays(n, l_indptr, l_indices, sources)
+            _same(got, reach_set_reference(n, l_indptr, l_indices, sources), "reach")
+
+    def test_minimum_degree(self, zoo):
+        _same(minimum_degree_ordering(zoo).perm, minimum_degree_reference(zoo).perm, "minimum degree")
+
+
 @needs_helper
 class TestNativeMatchesReference:
-    def test_on_every_generator_class(self, spd_matrices):
-        for A in spd_matrices.values():
-            _check_every_entry_point(native.helper(), A)
-
     @pytest.mark.parametrize("name", sorted(_PATTERNS))
     def test_on(self, name):
         _check_every_entry_point(native.helper(), _PATTERNS[name])
@@ -169,37 +222,12 @@ class TestNativeMatchesReference:
         
         lower = lower_triangle(spd_matrix)
         assert np.array_equal(elimination_tree(lower), elimination_tree(spd_matrix))
-        for got, expected in zip(cholesky_pattern(lower), cholesky_pattern(spd_matrix)):
+        for got, expected in zip(factor_structure(lower)[2:], factor_structure(spd_matrix)[2:]):
             assert np.array_equal(got, expected)
 
     def test_a_cycle_is_not_a_forest(self):
         with pytest.raises(ValueError, match="cycle"):
             native.helper().postorder(np.array([1, 0]))
-
-    def test_public_functions_answer_from_the_helper(self, monkeypatch):
-        """The dispatch is live: break the references and nothing notices."""
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the Python reference ran although the helper is loaded")
-
-        import repro.sparse.ordering as ordering
-        import repro.symbolic.etree as etree
-        import repro.symbolic.fill_pattern as fill_pattern
-        import repro.symbolic.reach as reach
-
-        for module, names in (
-            (ordering, ["minimum_degree_reference"]),
-            (etree, ["elimination_tree_reference", "postorder_reference"]),
-            (fill_pattern, ["factor_structure_reference", "lu_pattern_reference", "_ereach_stamped"]),
-            (reach, ["reach_set_reference"]),
-        ):
-            for name in names:
-                monkeypatch.setattr(module, name, refuse)
-        A = laplacian_2d(6)
-        B = minimum_degree_ordering(A).symmetric_permute(A)
-        chol = inspect_cholesky(B)
-        inspect_triangular_solve(chol.l_pattern_matrix(), rhs_pattern=[0, 7])
-        inspect_lu(unsymmetric_diag_dominant(30, seed=1))
 
 
 # --------------------------------------------------------------------------- #
@@ -266,30 +294,19 @@ class TestBindingValidation:
 
 
 # --------------------------------------------------------------------------- #
-# The fallback: no exception, one event, the same arrays
+# Without the helper: an error naming the compiler and the reason, one event
 # --------------------------------------------------------------------------- #
-def _public_results(A: CSCMatrix, U: CSCMatrix) -> list:
-    """What the public symbolic functions return for ``A`` (SPD) and ``U``."""
-    perm = minimum_degree_ordering(A)
-    B = perm.symmetric_permute(A)
-    parent = elimination_tree(B)
-    l_indptr, l_indices = cholesky_pattern(B, parent)
-    L = CSCMatrix.from_pattern(B.n, B.n, l_indptr, l_indices)
-    tri = inspect_triangular_solve(L, rhs_pattern=[1, B.n // 2])
-    chol = inspect_cholesky(B)
-    return [
-        perm.perm,
-        parent,
-        postorder(parent),
-        l_indptr,
-        l_indices,
-        *factor_structure(B, parent)[:2],
-        column_counts_of_factor(B, parent),
-        *lu_pattern(U),
-        tri.reach,
-        chol.row_ptr,
-        chol.row_idx,
-    ]
+#: Every public symbolic function, each on a pattern it accepts.
+_PUBLIC_CALLS = {
+    "minimum_degree_ordering": lambda: minimum_degree_ordering(laplacian_2d(5)),
+    "elimination_tree": lambda: elimination_tree(laplacian_2d(5)),
+    "postorder": lambda: postorder(np.array([2, 2, -1])),
+    "factor_structure": lambda: factor_structure(CSCMatrix.identity(3), np.full(3, -1)),
+    "column_counts_of_factor": lambda: column_counts_of_factor(CSCMatrix.identity(3), np.full(3, -1)),
+    "lu_pattern": lambda: lu_pattern(unsymmetric_diag_dominant(20, seed=3)),
+    "reach_set_from_arrays": lambda: reach_set_from_arrays(3, np.arange(4), np.arange(3), [0]),
+    "inspect_cholesky": lambda: inspect_cholesky(laplacian_2d(5)),
+}
 
 
 def _fake_compiler(tmp_path, body: str) -> str:
@@ -299,33 +316,18 @@ def _fake_compiler(tmp_path, body: str) -> str:
     return str(path)
 
 
-@pytest.fixture()
-def fresh_loader(monkeypatch, tmp_path):
-    """A process that has not looked for the helper yet, with a temp dir of its own."""
-
-    def install(compiler: str) -> None:
-        monkeypatch.setenv("REPRO_CC", compiler)
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        monkeypatch.setattr(native, "_LOADER", native._Loader())
-
-    return install
-
-
 def _unavailable_events() -> list:
     return get_event_log().events("native_symbolic_unavailable")
 
 
-class TestFallback:
-    def test_without_a_compiler_the_same_arrays_and_one_event(self, fresh_loader):
-        A, U = laplacian_2d(7), unsymmetric_diag_dominant(40, seed=3)
-        expected = _public_results(A, U)
+class TestWithoutTheHelper:
+    def test_without_a_compiler_every_public_function_raises_and_one_event(self, fresh_loader):
         seen = len(_unavailable_events())
         fresh_loader("/nonexistent/native-test-cc")
-        assert native.helper() is None
-        got = _public_results(A, U)
-        assert len(got) == len(expected)
-        for g, e in zip(got, expected):
-            assert g.dtype == e.dtype and np.array_equal(g, e)
+        for name, call in _PUBLIC_CALLS.items():
+            with pytest.raises(CCompilationError, match="/nonexistent/native-test-cc") as caught:
+                call()
+            assert "no compiler" in str(caught.value) and "REPRO_CC" in str(caught.value), name
         # Once per process: not per call, not per entry point.
         (event,) = _unavailable_events()[seen:]
         assert event.attrs["reason"] == "no compiler"
@@ -340,18 +342,17 @@ class TestFallback:
             ('while [ "$1" != "-o" ]; do shift; done; head -c 100 /dev/zero > "$2"', "unloadable"),
         ],
     )
-    def test_a_useless_compiler_is_an_event_not_an_exception(
+    def test_a_useless_compiler_is_one_event_and_an_error_naming_the_reason(
         self, fresh_loader, monkeypatch, tmp_path, body, reason
     ):
         monkeypatch.setattr(native, "_CC_TIMEOUT_SECONDS", 0.3)
         seen = len(_unavailable_events())
         fresh_loader(_fake_compiler(tmp_path, body))
-        assert native.helper() is None
-        assert native.helper() is None
-        assert np.array_equal(
-            minimum_degree_ordering(laplacian_2d(5)).perm,
-            minimum_degree_reference(laplacian_2d(5)).perm,
-        )
+        for _ in range(2):
+            with pytest.raises(CCompilationError, match=f"unavailable \\({reason}\\)"):
+                native.helper()
+        with pytest.raises(CCompilationError, match=reason):
+            minimum_degree_ordering(laplacian_2d(5))
         (event,) = _unavailable_events()[seen:]
         assert event.attrs["reason"] == reason
         # Nothing half-made is left for the next process to trip over.
@@ -363,36 +364,12 @@ class TestFallback:
         ]
         assert leftovers == []
 
-    @pytest.mark.parametrize(
-        "route, build",
-        [
-            ("cholesky", lambda: laplacian_2d(9)),
-            ("ldlt", lambda: saddle_point_indefinite(30, 10, seed=5)),
-            ("lu", lambda: unsymmetric_diag_dominant(50, seed=6)),
-        ],
-    )
-    def test_factors_and_solutions_are_bitwise_the_same(
-        self, fresh_loader, monkeypatch, route, build
-    ):
-        A = build()
-        b = np.cos(np.arange(A.n, dtype=np.float64))
-        options = SympilerOptions(backend="python")
-
-        def solve():
-            # A private artifact cache: the second build must inspect again.
-            monkeypatch.setattr(sympiler_module, "_SHARED_CACHE", ArtifactCache())
-            solver = SparseLinearSolver(A, method=route, options=options)
-            return solver.permutation.perm, solver.L, solver.U, solver.solve(b)
-
-        perm, L, U, x = solve()
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_a_solver_raises_before_it_orders(self, fresh_loader, backend):
         fresh_loader("/nonexistent/native-test-cc")
-        perm_f, L_f, U_f, x_f = solve()
-        assert native.helper() is None
-        assert np.array_equal(perm, perm_f)
-        assert L.pattern_equal(L_f) and L.data.tobytes() == L_f.data.tobytes()
-        if U is not None:
-            assert U.pattern_equal(U_f) and U.data.tobytes() == U_f.data.tobytes()
-        assert x.tobytes() == x_f.tobytes()
+        for ordering in ("mindeg", "natural"):
+            with pytest.raises(CCompilationError, match="/nonexistent/native-test-cc"):
+                SparseLinearSolver(laplacian_2d(6), ordering=ordering, options=SympilerOptions(backend=backend))
 
 
 # --------------------------------------------------------------------------- #
@@ -563,7 +540,7 @@ class TestHelperBuild:
             observe.disable()
             observe.get_tracer().clear()
         ordering, build = spans["ordering"], spans["native-build"]
-        assert ordering.attrs == {"name": "mindeg", "n": 25, "nnz": 105, "native": True}
+        assert ordering.attrs == {"name": "mindeg", "n": 25, "nnz": 105}
         assert build.parent_id == ordering.span_id  # the ordering needed it first
         assert build.attrs["compiler"] == "cc" and build.attrs["source_bytes"] > 0
         assert build.attrs["parts"] == min(2, len(os.sched_getaffinity(0)))
@@ -610,7 +587,8 @@ class TestTwoPartBuild:
         pids = tmp_path / "pids"
         seen = len(_unavailable_events())
         fresh_loader(_fake_compiler(tmp_path, f'sleep 30 > /dev/null 2>&1 &\necho $! >> "{pids}"\nwait'))
-        assert native.helper() is None
+        with pytest.raises(CCompilationError, match="timeout"):
+            native.helper()
         (event,) = _unavailable_events()[seen:]
         assert event.attrs["reason"] == "timeout"
         assert len(pids.read_text(encoding="utf-8").split()) == count

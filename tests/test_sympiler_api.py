@@ -1,6 +1,10 @@
 """End-to-end tests of the Sympiler driver API (default options)."""
 
-import warnings
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ import repro.compiler.sympiler as sympiler_module
 from repro.baselines.scipy_reference import reference_cholesky, reference_trisolve
 from repro.compiler.artifacts import PatternMismatchError
 from repro.compiler.cache import ArtifactCache
-from repro.compiler.codegen.c_backend import c_compiler_available
+from repro.compiler.codegen.c_backend import CCompilationError, c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.compiler.sympiler import Sympiler
 from repro.frontend import SpecializedSolver
@@ -19,6 +23,8 @@ from repro.sparse.permutation import Permutation
 
 import oracles
 from oracles import lower_triangle
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 #: Both backends; the C one needs a compiler.
 BACKENDS = [
@@ -33,28 +39,14 @@ BACKENDS = [
 
 
 class TestDefaultBackend:
-    """The default is C; the driver alone falls back to python, and the artifact says which ran."""
+    """The default is C; a compiler that is not there is an error naming it."""
 
-    def test_without_a_compiler_the_default_runs_python_after_one_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CC", "/nonexistent/default-backend-cc")
-        monkeypatch.setattr(sympiler_module, "_FALLBACK_WARNED", set())
+    def test_without_a_compiler_a_compile_raises_naming_it(self, fresh_loader):
+        fresh_loader("/nonexistent/default-backend-cc")
         A = laplacian_2d(6)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            artifacts = [Sympiler(cache=ArtifactCache()).compile(kernel, A) for kernel in ("cholesky", "ldlt")]
-        assert [artifact.backend for artifact in artifacts] == ["python", "python"]
-        fallbacks = [w for w in caught if issubclass(w.category, RuntimeWarning) and "falling back" in str(w.message)]
-        assert len(fallbacks) == 1
-        np.testing.assert_allclose(artifacts[0].factorize(A).to_dense(), reference_cholesky(A), atol=1e-9)
-
-    def test_the_front_end_passes_the_fallback_warning_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CC", "/nonexistent/front-end-cc")
-        monkeypatch.setattr(sympiler_module, "_FALLBACK_WARNED", set())
-        A = laplacian_2d(6, shift=0.1).to_scipy()
-        b = np.ones(A.shape[0])
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            x = SpecializedSolver().solve(A, b)
-        np.testing.assert_allclose(A @ x, b, atol=1e-10)
+        for kernel, backend in (("cholesky", "c"), ("ldlt", "c"), ("cholesky", "python")):
+            with pytest.raises(CCompilationError, match="'/nonexistent/default-backend-cc' not found"):
+                Sympiler(SympilerOptions(backend=backend), cache=ArtifactCache()).compile(kernel, A)
 
     @pytest.mark.skipif(not c_compiler_available(SympilerOptions().c_compiler), reason="no C compiler available")
     def test_with_a_compiler_the_default_runs_c(self):
@@ -62,6 +54,117 @@ class TestDefaultBackend:
         sym = Sympiler(cache=ArtifactCache())
         assert sym.compile("cholesky", A).backend == "c"
         assert sym.compile("cholesky", A, options=SympilerOptions(backend="python")).backend == "python"
+
+
+#: A process without a toolchain: the front end's one route, then every compile.
+_NO_TOOLCHAIN_SCRIPT = textwrap.dedent(
+    """
+    import json, warnings
+    import numpy as np
+    import repro
+    from scipy.sparse.linalg import splu
+    from repro.compiler.codegen.c_backend import CCompilationError
+    from repro.frontend import SpecializedSolver
+
+    A = repro.laplacian_2d(12, shift=0.1)
+    S = A.to_scipy()
+    b = np.ones(A.n)
+    S2 = S.copy()
+    S2.data = S.data * (1.0 + np.arange(S.nnz) / S.nnz)
+
+    front = SpecializedSolver()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        answers = [
+            (S, b, front.solve(S, b)),  # specializes
+            (S, 2 * b, front.solve(S, 2 * b)),  # the same values: a value hit
+            (S2, b, front.solve(S2, b)),  # new values: a refactorization
+            (S2, b, front.solve(S2, b)),  # a value hit
+            (S, b, front.solve(S, b)),  # back: a refactorization
+            (S, b, repro.solve(S, b)),  # the default front end, its own first warning
+        ]
+
+        @repro.sympiled
+        def system(scale):
+            return S * scale, b
+
+        system(1.0)
+        system(3.0)
+
+    def error(call):
+        try:
+            call()
+        except CCompilationError as exc:
+            return str(exc)
+        return None
+
+    report = {
+        "residuals": [float(np.linalg.norm(M @ x - rhs) / np.linalg.norm(rhs)) for M, rhs, x in answers],
+        "splu_bitwise": bool((answers[2][2] == splu(S2).solve(b)).all()),
+        "warnings": [str(w.message) for w in caught],
+        "info": front.cache_info(),
+        "sympiled": system.cache_info(),
+        "errors": {
+            "SparseLinearSolver": error(lambda: repro.SparseLinearSolver(A)),
+            "SparseLinearSolver(natural, python)": error(
+                lambda: repro.SparseLinearSolver(
+                    A, ordering="natural", options=repro.SympilerOptions(backend="python")
+                )
+            ),
+            "Sympiler.compile": error(lambda: repro.Sympiler().compile("cholesky", A)),
+            "Sympiler.compile(ic0)": error(lambda: repro.Sympiler().compile("ic0", A)),
+            "BatchedSolver": error(lambda: repro.BatchedSolver(A)),
+            "register_pattern": error(lambda: repro.SolverService().register_pattern(A)),
+            "pcg": error(lambda: front.solve(S, b, method="pcg")),
+        },
+    }
+    print(json.dumps(report))
+    """
+)
+
+
+@pytest.fixture(scope="module")
+def no_toolchain_report(tmp_path_factory):
+    """What :data:`_NO_TOOLCHAIN_SCRIPT` reports under ``REPRO_CC=/nonexistent-cc``, in a fresh temp dir."""
+    tmp = tmp_path_factory.mktemp("no-toolchain")
+    env = dict(os.environ, REPRO_CC="/nonexistent-cc", TMPDIR=str(tmp), REPRO_SYMPILER_CACHE=str(tmp / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_TOOLCHAIN_SCRIPT], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestWithoutAToolchain:
+    """No C compiler: the front end answers every direct route through ``splu``; every compile raises."""
+
+    def test_the_answers(self, no_toolchain_report):
+        assert max(no_toolchain_report["residuals"]) <= 1e-10
+        assert no_toolchain_report["splu_bitwise"]
+
+    def test_the_route_and_the_counts(self, no_toolchain_report):
+        info = no_toolchain_report["info"]
+        assert info["methods"] == {"splu": 1}
+        assert [entry["method"] for entry in info["entries"]] == ["splu"]
+        assert (info["specializations"], info["structure_hits"]) == (1, 4)
+        assert (info["value_hits"], info["refactorizations"]) == (2, 2)
+        sympiled = no_toolchain_report["sympiled"]
+        assert sympiled["methods"] == {"splu": 1}
+        assert (sympiled["value_hits"], sympiled["refactorizations"]) == (0, 1)
+
+    def test_one_warning_per_front_end_naming_the_compiler(self, no_toolchain_report):
+        warned = no_toolchain_report["warnings"]
+        # This front end, repro.solve's default one, the @sympiled one.
+        assert len(warned) == 3
+        for message in warned:
+            assert "'/nonexistent-cc' not found" in message and "splu" in message
+
+    def test_every_compile_raises_naming_the_compiler(self, no_toolchain_report):
+        errors = no_toolchain_report["errors"]
+        for name, message in errors.items():
+            assert message is not None, f"{name} did not raise"
+            assert "'/nonexistent-cc' not found" in message and "REPRO_CC" in message, name
 
 
 class TestCompileTriangularSolve:
