@@ -24,10 +24,9 @@ full system:
 * :mod:`repro.frontend` — the lazy-specializing, scipy-native front end:
   ``repro.solve(A, b)`` with kernel auto-selection and a per-structure
   specialization cache, plus the ``@sympiled`` decorator.
-* :mod:`repro.observe`  — unified observability: one metrics registry over
-  every stats surface, structured pipeline tracing (zero-cost when
-  disabled), and JSON/Chrome-trace/Prometheus exporters plus the live
-  amortization breakdown (``python -m repro.observe``).
+* :mod:`repro.observe`  — unified observability: pipeline spans hold the
+  time (zero-cost when disabled), one metrics registry pulls every stats
+  surface's counters, and JSON/Chrome-trace/Prometheus exporters read them.
 * :mod:`repro.service`  — the serving layer behind one
   :class:`~repro.service.endpoint.SolverEndpoint` surface at three scales:
   the in-process :class:`SolverService`, the pipelined request-id wire

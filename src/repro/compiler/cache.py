@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.compiler.options import SympilerOptions
+from repro.observe.trace import span
 
 __all__ = [
     "ArtifactCache",
@@ -130,16 +131,6 @@ def build_file_once(
                 # Several waiters may race this unlink — suppress the losers.
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(lock_path)
-                # Local import: repro.observe pulls in the adapters (and so
-                # this module) at package-import time; this rare cold path is
-                # the wrong place to force that cycle.
-                from repro.observe import events as observe_events
-
-                observe_events.emit(
-                    "stale_lock_break",
-                    lock_path=lock_path,
-                    lock_age_seconds=lock_age,
-                )
                 continue
             time.sleep(poll_seconds)
             continue
@@ -260,14 +251,11 @@ def build_and_load(
 
     A file under the right name that ``ctypes`` cannot load (a crashed copy,
     a full disk) would answer "hit" on every later start, so it is deleted
-    and rebuilt once (event ``so_rebuilt``).  Failures raise
+    and rebuilt once.  Failures raise
     ``error(reason, detail)`` with ``reason`` one of ``"timeout"``,
     ``"no compiler"``, ``"compile error"`` (with the failing command's
     stderr) and ``"unloadable"``.
     """
-    # Local imports: see build_file_once.
-    from repro.observe import events as observe_events
-    from repro.observe.trace import span
 
     def run(stage: List[List[str]], deadline: float) -> List[float]:
         try:
@@ -328,7 +316,6 @@ def build_and_load(
                     "unloadable",
                     f"shared object {so_path} cannot be loaded even after a rebuild: {exc}",
                 ) from exc
-            observe_events.emit("so_rebuilt", path=so_path)
     raise AssertionError("unreachable")  # pragma: no cover
 
 

@@ -23,7 +23,7 @@ Every compile needs a C toolchain.  Where a direct route's compile raises
 that fails — the route is answered through ``scipy.sparse.linalg.splu``
 instead, with one warning per front end naming the error: the same three
 cases (refactorized only when the values change), recorded as the method
-``"splu"``.  The ``pcg`` route raises the error.
+``"splu"``.  The ``pcg`` route raises the error, and caches nothing.
 
 :class:`SpecializedSolver` is the object form (own cache, own counters);
 :func:`solve` is the module-level convenience over one process-wide default
@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.compiler.codegen.c_backend import CCompilationError
 from repro.compiler.options import SympilerOptions
+from repro.compiler.sympiler import Sympiler
 from repro.frontend.ingest import IngestedMatrix, ingest, structure_fingerprint
 from repro.frontend.probes import AUTO_METHODS, ProbeReport, probe_structure
 from repro.observe import trace as observe_trace
@@ -328,10 +329,11 @@ class SpecializedSolver:
             probe = probe_structure(A)
             method = probe.method
         if method == "pcg":
-            # The pcg route owns no complete factorization; its compiled
-            # IC(0) artifact lands in the shared artifact cache on
-            # the first numeric run (still inside this first call) and every
-            # later call hits it.
+            # The pcg route owns no complete factorization: its IC(0)
+            # artifact is compiled here, into the shared artifact cache, so
+            # every numeric run hits it and a compile that raises is never
+            # admitted.
+            Sympiler(self.options).compile("ic0", A)
             solver = None
         else:
             solver = self._direct_route(A, method)

@@ -1,6 +1,6 @@
-"""Thin adapters plumbing the legacy stats surfaces into the registry.
+"""Thin adapters pulling the per-object counters into the registry.
 
-The four pre-existing counter surfaces keep their APIs untouched:
+The counts live on the objects that make them; the registry only reads them:
 
 * ``repro.compiler.codegen.c_backend.disk_cache_stats()`` (DiskCacheStats)
   → pull collector ``disk_cache``
@@ -13,7 +13,7 @@ The four pre-existing counter surfaces keep their APIs untouched:
   per-instance, not process-wide.
 
 Adapters are *pull-mode*: nothing is pushed on the hot path; the registry
-calls these functions only when a snapshot/export is taken, so the legacy
+calls these functions only when a snapshot/export is taken, so the counter
 surfaces pay zero extra cost per operation.  Imports happen inside the
 collector bodies so ``repro.observe`` never participates in import cycles
 with the compiler/frontend packages.
@@ -21,13 +21,11 @@ with the compiler/frontend packages.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro.observe.registry import MetricsRegistry, get_registry
+from repro.observe.registry import get_registry
 
 __all__ = ["install_default_collectors"]
-
-_installed = False
 
 
 def _collect_disk_cache() -> Dict[str, Any]:
@@ -53,14 +51,9 @@ def _collect_frontend() -> Dict[str, Any]:
     return front.stats.as_dict()
 
 
-def install_default_collectors(registry: Optional[MetricsRegistry] = None) -> None:
-    """Register the process-wide pull collectors (idempotent)."""
-    global _installed
-    reg = registry or get_registry()
-    if registry is None and _installed:
-        return
-    reg.register_collector("disk_cache", _collect_disk_cache, replace=True)
-    reg.register_collector("artifact_cache", _collect_artifact_cache, replace=True)
-    reg.register_collector("frontend", _collect_frontend, replace=True)
-    if registry is None:
-        _installed = True
+def install_default_collectors() -> None:
+    """Register the process-wide pull collectors (idempotent: each name is replaced)."""
+    registry = get_registry()
+    registry.register_collector("disk_cache", _collect_disk_cache, replace=True)
+    registry.register_collector("artifact_cache", _collect_artifact_cache, replace=True)
+    registry.register_collector("frontend", _collect_frontend, replace=True)

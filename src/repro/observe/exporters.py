@@ -1,21 +1,19 @@
-"""Export surfaces: JSON snapshot, Chrome trace events, Prometheus text,
-and the paper's amortization breakdown.
+"""Export surfaces: JSON snapshot, Chrome trace events, Prometheus text.
 
-Three consumers, one source of truth (the default registry + tracer):
+Three consumers, two sources: the registry's collectors hold the counts, the
+tracer's spans hold the time.
 
-* :func:`snapshot` — a JSON-serialisable document with every counter and
-  pull-collector output (``{"counters", "collectors"}``).  This is what
-  ``cache_probe --json`` embeds and what tests assert against.
+* :func:`snapshot` — a JSON-serialisable document with every pull-collector
+  output (``{"collectors"}``).  This is what ``cache_probe --json`` embeds
+  and what tests assert against.
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   ``chrome://tracing`` / Perfetto trace-event format (``ph: "X"`` complete
   events, microsecond timestamps) built from the tracer's finished spans.
 * :func:`prometheus_text` — the Prometheus text exposition format (0.0.4),
   served live by the service's ``metrics`` wire verb.
 
-:func:`breakdown` reduces the per-phase counters into the paper's Fig. 8/9
-accumulated-time groups (inspection / lowering / codegen / cc / numeric /
-serving), and :func:`format_breakdown` renders it as the table
-``python -m repro.observe`` prints.
+The paper's Fig. 8/9 split of symbolic against numeric time is reported by
+``python -m repro.bench fig8`` / ``fig9`` / ``overheads``.
 """
 
 from __future__ import annotations
@@ -28,38 +26,14 @@ from repro.observe.registry import get_registry
 from repro.observe.trace import get_tracer
 
 __all__ = [
-    "PHASE_GROUPS",
-    "breakdown",
     "chrome_trace",
     "chrome_trace_events",
-    "format_breakdown",
-    "phase_totals",
     "process_name_event",
     "prometheus_text",
     "relabel_prometheus_text",
     "snapshot",
     "write_chrome_trace",
 ]
-
-# The paper's amortization story groups leaf phases into the Fig. 8/9
-# categories.  Only *leaf* span names appear here — parent spans like
-# "compile" (which wraps inspect/transform/codegen) and nested detail
-# spans like "native-build" (inside whichever of "ordering" / "inspect" first
-# needs the helper) are excluded so a group never double-counts its own
-# children.
-PHASE_GROUPS: Dict[str, tuple] = {
-    "ingest": ("ingest", "probe"),
-    "inspection": ("ordering", "inspect"),
-    "lowering": ("transform",),
-    "codegen": ("codegen", "py-compile"),
-    "cc": ("cc",),
-    "numeric": ("numeric",),
-    "serving": ("dispatch",),
-}
-
-# Groups whose sum is the paper's one-time *symbolic* cost; "numeric" is the
-# per-solve cost it amortizes against.
-SYMBOLIC_GROUPS = ("inspection", "lowering", "codegen", "cc")
 
 
 def snapshot() -> Dict[str, Any]:
@@ -159,86 +133,6 @@ def relabel_prometheus_text(text: str, **labels: str) -> str:
         merged = ",".join(part for part in (existing, added) if part)
         out.append(f"{name}{{{merged}}} {rest}")
     return "\n".join(out) + "\n"
-
-
-def phase_totals() -> Dict[str, Dict[str, float]]:
-    """Accumulated seconds and call counts per span name.
-
-    Returns ``{phase: {"seconds": s, "calls": n}}`` pulled from the
-    ``phase_seconds_total`` / ``phase_calls_total`` counters the tracer
-    maintains in the default registry.
-    """
-    snap = get_registry().snapshot()
-    totals: Dict[str, Dict[str, float]] = {}
-    for key, value in snap.get("counters", {}).items():
-        for base, field in (("phase_seconds_total", "seconds"), ("phase_calls_total", "calls")):
-            marker = base + '{phase="'
-            if key.startswith(marker) and key.endswith('"}'):
-                phase = key[len(marker) : -2]
-                totals.setdefault(phase, {"seconds": 0.0, "calls": 0.0})[field] = value
-    return totals
-
-
-def breakdown() -> Dict[str, Any]:
-    """The amortization breakdown: accumulated seconds per paper phase group.
-
-    Returns ``{"groups": {group: {"seconds", "calls", "phases": {...}}},
-    "symbolic_seconds", "numeric_seconds", "amortization_ratio", "other": {...}}``.
-    ``amortization_ratio`` is symbolic/numeric — how many "numeric units" the
-    one-time inspection+compilation cost is worth (the paper's break-even
-    count); 0.0 when no numeric time was recorded.
-    """
-    totals = phase_totals()
-    grouped_phases = {p for phases in PHASE_GROUPS.values() for p in phases}
-    groups: Dict[str, Any] = {}
-    for group, phases in PHASE_GROUPS.items():
-        present = {p: totals[p] for p in phases if p in totals}
-        groups[group] = {
-            "seconds": sum(v["seconds"] for v in present.values()),
-            "calls": sum(v["calls"] for v in present.values()),
-            "phases": {p: dict(v) for p, v in sorted(present.items())},
-        }
-    symbolic = sum(groups[g]["seconds"] for g in SYMBOLIC_GROUPS)
-    numeric = groups["numeric"]["seconds"]
-    other = {p: dict(v) for p, v in sorted(totals.items()) if p not in grouped_phases}
-    return {
-        "groups": groups,
-        "symbolic_seconds": symbolic,
-        "numeric_seconds": numeric,
-        "amortization_ratio": (symbolic / numeric) if numeric > 0.0 else 0.0,
-        "other": other,
-    }
-
-
-def format_breakdown(data: Optional[Dict[str, Any]] = None) -> str:
-    """Render :func:`breakdown` as the aligned table the CLI prints."""
-    data = data if data is not None else breakdown()
-    groups = data["groups"]
-    total = sum(g["seconds"] for g in groups.values())
-    lines = []
-    header = f"{'phase':<12} {'seconds':>12} {'calls':>8} {'share':>7}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, g in groups.items():
-        share = (100.0 * g["seconds"] / total) if total > 0 else 0.0
-        lines.append(f"{name:<12} {g['seconds']:>12.6f} {int(g['calls']):>8d} {share:>6.1f}%")
-        for phase, v in g["phases"].items():
-            lines.append(
-                f"  {phase:<10} {v['seconds']:>12.6f} {int(v['calls']):>8d}"
-            )
-    lines.append("-" * len(header))
-    lines.append(f"{'total':<12} {total:>12.6f}")
-    sym, num = data["symbolic_seconds"], data["numeric_seconds"]
-    lines.append(
-        f"symbolic (inspection+lowering+codegen+cc): {sym:.6f}s"
-        f"   numeric: {num:.6f}s"
-    )
-    if num > 0:
-        lines.append(
-            f"amortization: symbolic cost = {data['amortization_ratio']:.2f}x "
-            "the accumulated numeric time so far"
-        )
-    return "\n".join(lines)
 
 
 def chrome_trace_events(

@@ -1,7 +1,8 @@
-"""The central metrics registry: labeled counters plus pull-mode collectors.
+"""The central metrics registry: pull-mode collectors over the counters.
 
-One process-wide :class:`MetricsRegistry` (:func:`get_registry`) is the
-single aggregation point the four legacy stats surfaces plumb into:
+Counts live on the objects that make them; one process-wide
+:class:`MetricsRegistry` (:func:`get_registry`) pulls them into one
+document.  Its collectors read four per-object counter surfaces:
 
 * :class:`~repro.service.metrics.ServiceMetrics` — pushes its counters as a
   ``service`` collector (registered per :class:`~repro.service.session.SolverService`)
@@ -13,13 +14,12 @@ single aggregation point the four legacy stats surfaces plumb into:
 * :class:`~repro.frontend.specialized.FrontendStats` — pulled by the
   ``frontend`` collector (the process-wide default front end).
 
-Counters are created lazily and labeled
-(``registry.counter("phase_seconds_total", phase="inspect")``; the tracer
-keeps the phase counters); pull metrics are *collectors* — zero-overhead
-adapters polled only at snapshot/export time, so the legacy surfaces keep
-their exact APIs and hot paths while still appearing in one unified document
+The registry holds no counter of its own: *collectors* are zero-overhead
+adapters polled only at snapshot/export time, so the counter surfaces keep
+their exact APIs and hot paths while still appearing in one document
 (:func:`~repro.observe.exporters.snapshot`, Prometheus text, the service's
-``metrics`` wire verb).
+``metrics`` wire verb).  Time is not counted here: it is the tracer's spans
+(:mod:`repro.observe.trace`).
 
 Everything is thread-safe and stdlib-only.
 """
@@ -32,7 +32,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
     "percentile",
-    "Counter",
     "Reservoir",
     "MetricsRegistry",
     "get_registry",
@@ -73,27 +72,6 @@ def _percentile_sorted(ordered: List[float], q: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     frac = pos - lo
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
-class Counter:
-    """A monotonically increasing (float-valued) counter."""
-
-    __slots__ = ("_lock", "value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.value = 0.0
-
-    def inc(self, n: float = 1.0) -> None:
-        """Add ``n`` (must be non-negative) to the counter."""
-        if n < 0:
-            raise ValueError("counters only go up")
-        with self._lock:
-            self.value += n
-
-    def get(self) -> float:
-        with self._lock:
-            return self.value
 
 
 class Reservoir:
@@ -148,27 +126,8 @@ class Reservoir:
         return out
 
 
-LabeledKey = Tuple[str, Tuple[Tuple[str, str], ...]]
-
-
-def _key(name: str, labels: Mapping[str, object]) -> LabeledKey:
-    return (name, tuple(sorted((str(k), str(v)) for k, v in labels.items())))
-
-
-def render_key(name: str, labels: Tuple[Tuple[str, str], ...]) -> str:
-    """Render ``name{a="x",b="y"}`` (deterministic label order)."""
-    if not labels:
-        return name
-    inner = ",".join(f'{k}="{v}"' for k, v in labels)
-    return f"{name}{{{inner}}}"
-
-
 class MetricsRegistry:
-    """Thread-safe registry of labeled counters plus pull-mode collectors.
-
-    Counters are created lazily by :meth:`counter` — repeated calls with the
-    same ``(name, labels)`` return the same object, so callsites keep no
-    references.
+    """Thread-safe registry of pull-mode collectors.
 
     Collectors are named zero-argument callables returning a (possibly
     nested) dict of numbers; they are polled only by :meth:`collect` /
@@ -177,18 +136,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: Dict[LabeledKey, Counter] = {}
         self._collectors: Dict[str, Callable[[], Mapping]] = {}
-
-    # ------------------------------------------------------------------ #
-    def counter(self, name: str, **labels) -> Counter:
-        """Get or create one labeled counter."""
-        key = _key(name, labels)
-        with self._lock:
-            counter = self._counters.get(key)
-            if counter is None:
-                counter = self._counters[key] = Counter()
-            return counter
 
     # ------------------------------------------------------------------ #
     def register_collector(
@@ -232,41 +180,17 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:
-        """One deterministic JSON-friendly view of every counter + collector."""
-        with self._lock:
-            items = sorted(self._counters.items())
-        return {
-            "counters": {render_key(name, labels): counter.get() for (name, labels), counter in items},
-            "collectors": self.collect(),
-        }
+        """One deterministic JSON-friendly view of every collector."""
+        return {"collectors": self.collect()}
 
-    def reset(self) -> None:
-        """Drop every counter (collectors stay registered); tests only."""
-        with self._lock:
-            self._counters.clear()
-
-    # ------------------------------------------------------------------ #
     def to_prometheus(self) -> str:
-        """Prometheus text exposition (version 0.0.4) of the whole registry.
+        """Prometheus text exposition (version 0.0.4) of every collector.
 
-        Counters export as ``repro_<name>``; collector values flatten to
-        gauges named ``repro_<collector>_<key>``.  Output is sorted and
-        deterministic for a fixed registry state.
+        Collector values flatten to gauges named ``repro_<collector>_<key>``.
+        Output is sorted and deterministic for a fixed registry state.
         """
-        with self._lock:
-            items = sorted(self._counters.items())
         lines: List[str] = []
         typed: set = set()
-
-        def emit_type(name: str, kind: str) -> None:
-            if name not in typed:
-                typed.add(name)
-                lines.append(f"# TYPE {name} {kind}")
-
-        for (name, labels), counter in items:
-            full = _prom_name(f"repro_{name}")
-            emit_type(full, "counter")
-            lines.append(f"{full}{_prom_labels(labels)} {_prom_num(counter.get())}")
         for cname, values in self.collect().items():
             for key, value in sorted(_flatten(values).items()):
                 if isinstance(value, bool):
@@ -274,7 +198,9 @@ class MetricsRegistry:
                 elif not isinstance(value, (int, float)):
                     continue  # strings (backend names, errors) stay JSON-only
                 full = _prom_name(f"repro_{cname}_{key}")
-                emit_type(full, "gauge")
+                if full not in typed:
+                    typed.add(full)
+                    lines.append(f"# TYPE {full} gauge")
                 lines.append(f"{full} {_prom_num(value)}")
         return "\n".join(lines) + "\n"
 
@@ -295,17 +221,6 @@ def _prom_name(name: str) -> str:
     return "".join(c if (c.isalnum() or c in "_:") else "_" for c in name)
 
 
-def _prom_labels(labels: Tuple[Tuple[str, str], ...]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{_prom_name(k)}="{_escape(v)}"' for k, v in labels)
-    return f"{{{inner}}}"
-
-
-def _escape(value: str) -> str:
-    return str(value).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
 def _prom_num(value: float) -> str:
     f = float(value)
     if f == int(f) and abs(f) < 1e15:
@@ -313,7 +228,7 @@ def _prom_num(value: float) -> str:
     return repr(f)
 
 
-#: The process-wide default registry every adapter and span plumbs into.
+#: The process-wide default registry every adapter plumbs into.
 _DEFAULT_REGISTRY = MetricsRegistry()
 
 

@@ -12,15 +12,13 @@ submitting request's trace (this is how the pool threads of
 service needs none of it, because each solve runs on its caller's thread).
 
 Tracing is **zero-cost when disabled**: :func:`span` checks one module-level
-flag and returns a shared no-op context manager, allocating nothing.  The
-disabled-path overhead is bench-gated in CI (``observe`` experiment,
-``disabled_overhead_pct``).
+flag and returns a shared no-op context manager, allocating nothing
+(``tests/test_observe.py::TestSpans::test_disabled_is_shared_noop``).  The
+enabled cost is measured end to end by ``benchmarks/e2e`` as
+``observe.tracing_overhead_pct``.
 
-Every finished span also bumps ``phase_seconds_total{phase=...}`` /
-``phase_calls_total{phase=...}`` counters in the default
-:class:`~repro.observe.registry.MetricsRegistry`, which is what the
-amortization breakdown (:func:`repro.observe.exporters.breakdown`) and the
-``python -m repro.observe`` CLI aggregate.
+Spans are the one record of time: the exporters read the finished spans
+stored here.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional
-
-from repro.observe.registry import get_registry
 
 __all__ = [
     "Span",
@@ -167,13 +163,10 @@ class Tracer:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._spans: Deque[Span] = deque(maxlen=DEFAULT_MAX_SPANS)
-        self._registry = get_registry()
 
     def _finish(self, sp: Span) -> None:
         with self._lock:
             self._spans.append(sp)
-        self._registry.counter("phase_seconds_total", phase=sp.name).inc(sp.duration)
-        self._registry.counter("phase_calls_total", phase=sp.name).inc(1)
 
     def spans(self) -> List[Span]:
         """A consistent copy of the finished spans, oldest first."""

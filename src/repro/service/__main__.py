@@ -25,8 +25,8 @@ mixed-pattern solves over the wire, hard-kill a
 pattern-owning shard mid-stream, and assert that every request completes,
 that the replacement shard re-registers **warm** — zero cold recompiles —
 that the merged Chrome trace carries spans from ≥ 2 distinct shard pids
-joined to the client's trace ids, and that the kill shows up as
-``shard_death`` + ``failover`` events in the structured event log.
+joined to the client's trace ids, and that the kill shows up in the fleet
+counters as one shard death and at least one failover.
 """
 
 from __future__ import annotations
@@ -228,12 +228,11 @@ def run_fleet_smoke(args) -> int:
     Prometheus page carries every shard label plus the fleet counters.
     With tracing enabled fleet-wide it additionally asserts the merged
     Chrome trace carries spans from ≥ 2 distinct shard pids joined to the
-    client's trace ids, and that the kill emitted ``shard_death`` +
-    ``failover`` events.  Exits nonzero on any violation; prints a JSON
+    client's trace ids, and that the kill counted one shard death and at
+    least one failover.  Exits nonzero on any violation; prints a JSON
     report either way.
     """
     from repro import observe
-    from repro.observe import events as observe_events
     from repro.solvers.linear_solver import SparseLinearSolver
     from repro.sparse.generators import fem_stencil_2d, laplacian_2d
 
@@ -264,7 +263,6 @@ def run_fleet_smoke(args) -> int:
     # and (via `trace=True` → the worker `--trace` flag) every shard process.
     observe.enable()
     observe.reset()
-    observe_events.get_event_log().clear()
     try:
         return _run_fleet_smoke_traced(
             args, matrices, references, request, failures, total
@@ -277,7 +275,6 @@ def run_fleet_smoke(args) -> int:
 def _run_fleet_smoke_traced(args, matrices, references, request, failures, total) -> int:
     import tempfile
 
-    from repro.observe import events as observe_events
     from repro.service.fleet import ShardFleet
 
     options = SympilerOptions(backend=args.backend)
@@ -351,13 +348,6 @@ def _run_fleet_smoke_traced(args, matrices, references, request, failures, total
                 "no shard-side span shares a trace_id with a client "
                 "wire-submit span (trace propagation broken)"
             )
-        event_kinds = observe_events.get_event_log().kinds()
-        for kind in ("shard_death", "failover"):
-            if not event_kinds.get(kind):
-                failures.append(
-                    f"killing a shard emitted no {kind!r} event "
-                    f"(event log kinds: {event_kinds})"
-                )
         if health.get("last_failover_at") is None:
             failures.append("fleet health carries no last-failover timestamp")
 
@@ -367,6 +357,8 @@ def _run_fleet_smoke_traced(args, matrices, references, request, failures, total
             failures.append(
                 f"expected exactly 1 shard death, saw {counters['shard_deaths']}"
             )
+        if counters["failovers"] < 1:
+            failures.append("killing a shard counted no failover")
         if counters["reregisters"] != owned[str(victim)]:
             failures.append(
                 f"replacement re-registered {counters['reregisters']} pattern(s), "
@@ -395,7 +387,6 @@ def _run_fleet_smoke_traced(args, matrices, references, request, failures, total
         "counters": counters,
         "trace_shard_pids": shard_pids,
         "trace_joined": joined_traces,
-        "event_kinds": event_kinds,
         "fleet_status": health.get("status"),
         "failures": failures,
     }

@@ -333,8 +333,8 @@ class ServiceClient:
         """The server's unified registry as Prometheus exposition text.
 
         Fetches the ``metrics`` wire verb: the server renders its default
-        :class:`~repro.observe.registry.MetricsRegistry` (service counters,
-        cache collectors, per-phase span totals) in text format 0.0.4 and
+        :class:`~repro.observe.registry.MetricsRegistry` (the service, disk
+        cache, artifact cache and front-end collectors) in text format 0.0.4 and
         ships it as one ``uint8`` frame; this decodes it back to ``str``.
         """
         _, frames = self._call({"op": "metrics"})

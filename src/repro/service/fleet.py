@@ -32,9 +32,9 @@ per-shard health gauges (up/uptime/in-flight/registered patterns).
 :meth:`chrome_trace` drains every shard's span buffer and merges it with the
 fleet client's own spans into one clock-offset-corrected Chrome trace (one
 ``pid`` per shard process) — pass ``trace=True`` so worker processes start
-with tracing enabled, and every lifecycle edge (spawn, death, failover,
-re-register) lands in the structured event log
-(:mod:`repro.observe.events`).
+with tracing enabled.  Lifecycle edges are counted, not logged: deaths,
+failovers, respawns and warm/cold re-registers are :attr:`ShardFleet.counters`,
+and the last failover's wall time is ``last_failover_at``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ import numpy as np
 
 from repro.compiler.codegen.runtime import pattern_fingerprint
 from repro.compiler.options import SympilerOptions
-from repro.observe import events as observe_events
 from repro.observe import trace as observe_trace
 from repro.service.client import RemoteHandle, ServiceClient
 from repro.service.errors import PatternEvictedError, ShardUnavailableError
@@ -212,13 +211,6 @@ class ShardFleet:
             process.kill()
             process.wait(timeout=10)
             raise
-        observe_events.emit(
-            "shard_spawn",
-            slot=slot,
-            generation=generation,
-            pid=process.pid,
-            address=f"{address[0]}:{address[1]}",
-        )
         return _Shard(
             slot=slot,
             generation=generation,
@@ -297,11 +289,10 @@ class ShardFleet:
             self.counters[counter] += amount
 
     def _failover(self, shard: _Shard) -> None:
-        """Count one failover, stamp it for the health surface, log it, recover."""
+        """Count one failover, stamp it for the health surface, recover."""
         with self._lock:
             self.counters["failovers"] += 1
             self.last_failover_at = time.time()
-        observe_events.emit("failover", slot=shard.slot)
         self._recover(shard.slot, shard.generation)
 
     def _recover(self, slot: int, generation: int) -> None:
@@ -319,9 +310,6 @@ class ShardFleet:
             if shard.generation != generation:
                 return  # someone else already recovered this death
             self._bump("shard_deaths")
-            observe_events.emit(
-                "shard_death", slot=slot, generation=generation, pid=shard.process.pid
-            )
             self._retire(shard)
             replacement = self._spawn(slot, generation=generation + 1)
             with self._lock:
@@ -355,12 +343,6 @@ class ShardFleet:
             )
             self._bump("reregisters")
             self._bump("warm_reregisters" if handle.warm else "cold_reregisters")
-            observe_events.emit(
-                "reregister",
-                slot=shard.slot,
-                fingerprint=record.fingerprint,
-                warm=bool(handle.warm),
-            )
             with self._lock:
                 record.handle = handle
 

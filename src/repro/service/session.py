@@ -43,7 +43,6 @@ from repro.compiler.cache import options_fingerprint
 from repro.compiler.codegen.c_backend import disk_cache_stats
 from repro.compiler.codegen.runtime import pattern_fingerprint
 from repro.compiler.options import SympilerOptions
-from repro.observe import events as observe_events
 from repro.observe import trace as observe_trace
 from repro.service.admission import AdmissionController
 from repro.service.errors import (
@@ -170,6 +169,12 @@ class SolverService:
         accepts (:class:`CSCMatrix`, ``scipy.sparse``, COO triplets, dense)
         and must carry numerically valid values (the eager compile runs one
         factorization to seed the triangular-solve kernels).
+
+        ``kernel="cholesky"`` (and ``"ldlt"``) read only ``tril(A)``: the
+        answer is that of ``tril(A)`` mirrored to full, and an entry stored
+        only above the diagonal is ignored without an error.  Symmetry is
+        the caller's promise; pass ``kernel="lu"`` for a matrix that may
+        break it.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
@@ -231,7 +236,6 @@ class SolverService:
             disk_after["py_writes"] - disk_before["py_writes"]
         )
         warm = generated == 0
-        factorization = solver.factorization
         handle = PatternHandle(
             handle_id=hashlib.sha256(repr(key).encode()).hexdigest()[:16],
             key=key,
@@ -245,13 +249,6 @@ class SolverService:
         )
         self.metrics.incr("registrations")
         self.metrics.incr("compile_warm" if warm else "compile_cold")
-        observe_events.emit(
-            "compile_warm" if warm else "compile_cold",
-            kernel=solver.method,
-            fingerprint=key[1],
-            n=A.n,
-            backend=factorization.backend,
-        )
         return _PatternEntry(key=key, handle=handle, solver=solver)
 
     def _drop_entry(self, key: tuple, *, reason: str) -> bool:
@@ -265,12 +262,6 @@ class SolverService:
         # is a warm (zero-recompile) path.
         self.metrics.incr("patterns_evicted")
         self.metrics.incr(f"patterns_evicted_{reason}")
-        observe_events.emit(
-            "pattern_evicted",
-            reason=reason,
-            fingerprint=key[1],
-            handle_id=entry.handle.handle_id,
-        )
         return True
 
     def evict(self, handle) -> bool:
@@ -362,14 +353,8 @@ class SolverService:
             raise ValueError(f"rhs must have shape ({entry.handle.n},)")
         try:
             self.admission.acquire()
-        except ServiceOverloadedError as exc:
+        except ServiceOverloadedError:
             self.metrics.incr("rejected")
-            observe_events.emit(
-                "admission_rejected",
-                handle_id=entry.handle.handle_id,
-                in_flight=self.admission.in_flight,
-                retry_after_seconds=getattr(exc, "retry_after", None),
-            )
             raise
         return entry, values, rhs
 
@@ -388,38 +373,8 @@ class SolverService:
                 entry.solves += 1
         finally:
             self.admission.release()
-            latency = time.monotonic() - started
-            self.metrics.observe_request(refactorized, latency)
-            slow_after = observe_events.get_event_log().slow_request_seconds
-            if slow_after is not None and latency >= slow_after:
-                self._sample_slow_request(entry, latency)
+            self.metrics.observe_request(refactorized, time.monotonic() - started)
         return x
-
-    def _sample_slow_request(self, entry: _PatternEntry, latency: float) -> None:
-        """Keep a slow request's full span tree as a structured event.
-
-        Only requests over the event log's ``slow_request_seconds`` threshold
-        pay this: the finished spans of the caller's trace are copied into
-        the event payload, so the *why* of a tail-latency outlier survives
-        after the tracer ring has rolled over.
-        """
-        trace_id = getattr(observe_trace.capture(), "trace_id", None)
-        spans = []
-        if trace_id is not None:
-            spans = [
-                sp.as_dict()
-                for sp in observe_trace.get_tracer().spans()
-                if sp.trace_id == trace_id
-            ]
-        self.metrics.incr("slow_requests")
-        observe_events.emit(
-            "slow_request",
-            kernel=entry.handle.kernel,
-            fingerprint=entry.handle.fingerprint,
-            latency_seconds=latency,
-            trace_id=trace_id,
-            spans=spans,
-        )
 
     # ------------------------------------------------------------------ #
     # Observability / lifecycle

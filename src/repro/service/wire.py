@@ -318,8 +318,8 @@ def _dispatch_op(
     if op == "stats":
         return {"ok": True, "stats": service.stats()}, []
     if op == "metrics":
-        # Prometheus exposition text (unified registry: service counters,
-        # cache collectors, per-phase span totals) shipped as a uint8 frame
+        # Prometheus exposition text (the registry's collectors: service,
+        # disk cache, artifact cache, front end) shipped as a uint8 frame
         # so the existing framing rules carry it without a new encoding.
         from repro.observe import prometheus_text
 

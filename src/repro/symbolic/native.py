@@ -47,8 +47,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.observe.events import emit as emit_event
-
 __all__ = ["NativeSymbolic", "helper"]
 
 _SOURCE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "native.c")
@@ -67,7 +65,7 @@ _CC_TIMEOUT_SECONDS = 120.0
 
 
 class _Unavailable(Exception):
-    """The helper cannot be had; ``reason`` is the event's closed vocabulary."""
+    """The helper cannot be had; ``reason`` is one of ``build_and_load``'s reasons."""
 
     def __init__(self, reason: str, detail: str) -> None:
         super().__init__(detail)
@@ -126,9 +124,8 @@ class _Loader:
                     try:
                         self._native = NativeSymbolic(_load_library())
                     except _Unavailable as exc:
-                        # Built once per process, never per call: the event
-                        # records why, and every call raises it again.
-                        emit_event("native_symbolic_unavailable", reason=exc.reason, detail=str(exc))
+                        # Built once per process, never per call: every
+                        # later call raises the same reason.
                         self._error = f"the native symbolic helper is unavailable ({exc.reason}): {exc}"
                     self._settled = True
         if self._native is None:
@@ -147,8 +144,7 @@ def helper() -> "NativeSymbolic":
 
     The first call builds (or finds) and loads the shared object.  When that
     fails — no compiler at ``REPRO_CC``, a failed, hung or unloadable build —
-    it is reported once, as a ``native_symbolic_unavailable`` event, and this
-    and every later call raise
+    it is not tried again: this and every later call raise
     :class:`~repro.compiler.codegen.c_backend.CCompilationError` naming the
     compiler and the reason.
     """

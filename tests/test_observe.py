@@ -9,8 +9,7 @@ What is proven here:
   and through the production pool boundary (the pool threads of a
   ``BatchedSolver`` batch) — and the service's solves, which need none of it
   because they run on the caller's thread,
-* exporter determinism (snapshot / Prometheus text / Chrome trace) and the
-  Fig. 8/9 amortization breakdown arithmetic,
+* exporter determinism (snapshot / Prometheus text / Chrome trace),
 * the four legacy stats surfaces appearing through pull-mode collectors, and
 * the service's ``metrics`` wire verb end to end.
 
@@ -27,7 +26,6 @@ import pytest
 from repro import observe
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.observe import trace as observe_trace
-from repro.observe.exporters import phase_totals
 from repro.observe.registry import (
     MetricsRegistry,
     Reservoir,
@@ -126,15 +124,22 @@ class TestSpans:
     def test_the_tracer_keeps_the_last_default_max_spans(self):
         assert observe_trace.Tracer()._spans.maxlen == observe_trace.DEFAULT_MAX_SPANS
 
-    def test_span_counters_accumulate(self, tracing):
-        before = phase_totals().get("counted", {"calls": 0})["calls"]
+    def test_each_finished_span_is_recorded_once(self, tracing):
         for _ in range(3):
             with observe.span("counted"):
                 pass
-        totals = phase_totals()["counted"]
-        assert totals["calls"] == before + 3
-        assert totals["seconds"] >= 0.0
+        counted = [sp for sp in tracing.spans() if sp.name == "counted"]
+        assert len(counted) == 3
+        assert len({sp.span_id for sp in counted}) == 3
+        assert all(sp.duration >= 0.0 for sp in counted)
 
+    def test_a_finished_span_leaves_the_registry_unchanged(self, tracing):
+        """Time is the spans alone: finishing one bumps no collector value."""
+        before = observe.snapshot()
+        with observe.span("inspect"):
+            with observe.span("numeric"):
+                pass
+        assert observe.snapshot() == before
 
 # --------------------------------------------------------------------------- #
 # Cross-thread propagation
@@ -184,15 +189,6 @@ class TestThreadPropagation:
 # Registry
 # --------------------------------------------------------------------------- #
 class TestRegistry:
-    def test_labeled_counters_render_deterministically(self):
-        reg = MetricsRegistry()
-        reg.counter("solves", kernel="cholesky").inc()
-        reg.counter("solves", kernel="cholesky").inc()
-        reg.counter("solves", kernel="lu").inc()
-        snap = reg.snapshot()
-        assert snap["counters"]['solves{kernel="cholesky"}'] == 2.0
-        assert snap["counters"]['solves{kernel="lu"}'] == 1.0
-
     def test_reservoir_summary_is_one_consistent_copy(self):
         lock = threading.Lock()
         res = Reservoir(maxlen=16, lock=lock)
@@ -240,6 +236,30 @@ class TestRegistry:
         assert text.endswith("\n")
         assert "adapter broke" not in text
 
+    def test_collectors_are_polled_in_name_order(self):
+        reg = MetricsRegistry()
+        reg.register_collector("zeta", lambda: {"n": 1})
+        reg.register_collector("alpha", lambda: {"n": 2})
+        assert list(reg.collect()) == ["alpha", "zeta"]
+        assert [line for line in reg.to_prometheus().splitlines() if not line.startswith("#")] == [
+            "repro_alpha_n 2",
+            "repro_zeta_n 1",
+        ]
+
+    def test_nested_values_flatten_to_one_gauge_each(self):
+        reg = MetricsRegistry()
+        reg.register_collector(
+            "svc", lambda: {"latency": {"p50-seconds": 0.5, "count": 2.0}, "counters": {"solves_ok": 4}}
+        )
+        assert reg.to_prometheus().splitlines() == [
+            "# TYPE repro_svc_counters_solves_ok gauge",
+            "repro_svc_counters_solves_ok 4",
+            "# TYPE repro_svc_latency_count gauge",
+            "repro_svc_latency_count 2",
+            "# TYPE repro_svc_latency_p50_seconds gauge",
+            "repro_svc_latency_p50_seconds 0.5",
+        ]
+
     def test_default_collectors_installed(self):
         collectors = get_registry().collect()
         for name in ("artifact_cache", "disk_cache", "frontend"):
@@ -255,17 +275,19 @@ class TestExporters:
     def test_snapshot_is_json_serialisable(self):
         doc = observe.snapshot()
         round_tripped = json.loads(json.dumps(doc))
-        assert set(round_tripped) == {"counters", "collectors"}
+        assert set(round_tripped) == {"collectors"}
 
     def test_prometheus_text_is_deterministic(self):
         reg = MetricsRegistry()
-        reg.counter("a", phase="x").inc(2)
-        reg.register_collector("cache", lambda: {"hits": 3, "name": "skipme"})
+        reg.register_collector("cache", lambda: {"hits": 3, "name": "skipme", "ok": True})
         text = reg.to_prometheus()
         assert text == reg.to_prometheus()
-        assert "# TYPE repro_a counter" in text
-        assert 'repro_a{phase="x"} 2' in text
-        assert "repro_cache_hits 3" in text
+        assert text.splitlines() == [
+            "# TYPE repro_cache_hits gauge",
+            "repro_cache_hits 3",
+            "# TYPE repro_cache_ok gauge",
+            "repro_cache_ok 1",
+        ]
         assert "skipme" not in text  # strings stay JSON-only
 
     def test_chrome_trace_loads_and_nests(self, tracing, tmp_path):
@@ -284,36 +306,23 @@ class TestExporters:
         assert child["args"]["trace_id"] == parent["args"]["trace_id"]
         assert parent["args"]["kernel"] == "cholesky"
 
-    def test_breakdown_groups_and_amortization(self, tracing):
-        base = observe.breakdown()
-        with observe.span("inspect"):
-            pass
-        with observe.span("numeric"):
-            pass
-        with observe.span("numeric"):
-            pass
-        data = observe.breakdown()
-        groups = data["groups"]
-        assert set(groups) == set(observe.PHASE_GROUPS)
-        insp_calls = groups["inspection"]["calls"] - base["groups"]["inspection"]["calls"]
-        num_calls = groups["numeric"]["calls"] - base["groups"]["numeric"]["calls"]
-        assert (insp_calls, num_calls) == (1, 2)
-        # symbolic = inspection + lowering + codegen + cc, never numeric.
-        assert data["symbolic_seconds"] == pytest.approx(
-            sum(groups[g]["seconds"] for g in ("inspection", "lowering", "codegen", "cc"))
-        )
-        rendered = observe.format_breakdown(data)
-        assert "inspection" in rendered and "numeric" in rendered
-        assert "symbolic" in rendered
+    def test_compile_spans_nest_the_symbolic_phases_and_not_the_numeric(self, tracing):
+        """``compile`` wraps inspect / transform / codegen; a later ``numeric`` span is outside it."""
+        from repro.compiler.cache import ArtifactCache
+        from repro.compiler.options import SympilerOptions
+        from repro.compiler.sympiler import Sympiler
 
-    def test_parent_spans_never_double_count(self):
-        # "compile" wraps inspect/lower/codegen and "native-build" nests
-        # inside "ordering" or "inspect"; both must stay out of the groups so
-        # no second counts.
-        grouped = {p for phases in observe.PHASE_GROUPS.values() for p in phases}
-        assert "compile" not in grouped
-        assert "native-build" not in grouped
-
+        A = laplacian_2d(8, shift=0.1)
+        sym = Sympiler(options=SympilerOptions(backend="python"), cache=ArtifactCache())
+        sym.compile("cholesky", A).factorize(A)
+        spans = tracing.spans()
+        (compile_span,) = [sp for sp in spans if sp.name == "compile"]
+        for name in ("inspect", "transform", "codegen"):
+            (phase,) = [sp for sp in spans if sp.name == name]
+            assert phase.parent_id == compile_span.span_id
+        numeric = _span_by_name(tracing, "numeric")
+        assert numeric.parent_id != compile_span.span_id
+        assert numeric.start >= compile_span.start + compile_span.duration
 
 # --------------------------------------------------------------------------- #
 # Pipeline integration (python backend)
@@ -451,26 +460,6 @@ class TestServiceIntegration:
 # CLI and probe surfaces
 # --------------------------------------------------------------------------- #
 class TestCliSurfaces:
-    def test_observe_main_prints_breakdown(self, capsys, tmp_path, monkeypatch):
-        from repro.observe.__main__ import main
-
-        monkeypatch.setenv("REPRO_SYMPILER_CACHE", str(tmp_path / "cache"))
-        trace_path = tmp_path / "trace.json"
-        json_path = tmp_path / "snap.json"
-        rc = main([
-            "--grid", "8", "--solves", "3", "--backend", "python",
-            "--trace-out", str(trace_path), "--json", str(json_path),
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "phase" in out and "numeric" in out and "symbolic" in out
-        assert not observe.enabled()  # the CLI restores the disabled default
-        trace_doc = json.loads(trace_path.read_text())
-        assert trace_doc["traceEvents"], "trace should carry events"
-        doc = json.loads(json_path.read_text())
-        assert doc["breakdown"]["numeric_seconds"] > 0.0
-        assert doc["workload"]["solves"] == 3
-
     def test_cache_probe_json_embeds_registry(self, capsys, tmp_path, monkeypatch):
         from repro.compiler.cache_probe import main
 

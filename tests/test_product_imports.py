@@ -46,8 +46,7 @@ _EXPORTED_WITHOUT_A_CALLER = {
     "PatternHandle": "the type SolverService.register_pattern returns; callers hold it without naming it",
     "SolverEndpoint": "the protocol the three serving classes implement; callers type against it",
     "CacheStats": "the type ArtifactCache.stats returns",
-    "Counter": "the type MetricsRegistry.counter returns",
-    "EventLog": "the type get_event_log returns",
+    "MetricsRegistry": "the type get_registry returns",
     "Span": "the type span() yields",
     "SpanContext": "the type capture returns and attach takes",
     "CGResult": "the type preconditioned_conjugate_gradient returns",

@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 
 from repro import SparseLinearSolver, SympilerOptions
+from repro.compiler import cache as cache_module
 from repro.compiler.codegen.c_backend import CCompilationError
-from repro.observe import get_event_log
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import (
     arrow_spd,
@@ -316,22 +316,31 @@ def _fake_compiler(tmp_path, body: str) -> str:
     return str(path)
 
 
-def _unavailable_events() -> list:
-    return get_event_log().events("native_symbolic_unavailable")
+@pytest.fixture()
+def build_attempts(monkeypatch) -> list:
+    """One entry per attempt this process makes to build and load the helper."""
+    attempts = []
+    load = native._load_library
+
+    def counted():
+        attempts.append(1)
+        return load()
+
+    monkeypatch.setattr(native, "_load_library", counted)
+    return attempts
 
 
 class TestWithoutTheHelper:
-    def test_without_a_compiler_every_public_function_raises_and_one_event(self, fresh_loader):
-        seen = len(_unavailable_events())
+    def test_without_a_compiler_every_public_function_raises_and_one_build_is_tried(
+        self, fresh_loader, build_attempts
+    ):
         fresh_loader("/nonexistent/native-test-cc")
         for name, call in _PUBLIC_CALLS.items():
             with pytest.raises(CCompilationError, match="/nonexistent/native-test-cc") as caught:
                 call()
             assert "no compiler" in str(caught.value) and "REPRO_CC" in str(caught.value), name
         # Once per process: not per call, not per entry point.
-        (event,) = _unavailable_events()[seen:]
-        assert event.attrs["reason"] == "no compiler"
-        assert "/nonexistent/native-test-cc" in event.attrs["detail"]
+        assert len(build_attempts) == 1
 
     @pytest.mark.parametrize(
         "body, reason",
@@ -342,19 +351,20 @@ class TestWithoutTheHelper:
             ('while [ "$1" != "-o" ]; do shift; done; head -c 100 /dev/zero > "$2"', "unloadable"),
         ],
     )
-    def test_a_useless_compiler_is_one_event_and_an_error_naming_the_reason(
-        self, fresh_loader, monkeypatch, tmp_path, body, reason
+    def test_a_useless_compiler_is_tried_once_and_every_error_names_the_reason(
+        self, fresh_loader, build_attempts, monkeypatch, tmp_path, body, reason
     ):
         monkeypatch.setattr(native, "_CC_TIMEOUT_SECONDS", 0.3)
-        seen = len(_unavailable_events())
-        fresh_loader(_fake_compiler(tmp_path, body))
+        compiler = _fake_compiler(tmp_path, body)
+        fresh_loader(compiler)
         for _ in range(2):
-            with pytest.raises(CCompilationError, match=f"unavailable \\({reason}\\)"):
+            with pytest.raises(CCompilationError, match=f"unavailable \\({reason}\\)") as caught:
                 native.helper()
+            # The failing command names the compiler; an unloadable build, the object.
+            assert (".so" if reason == "unloadable" else compiler) in str(caught.value)
         with pytest.raises(CCompilationError, match=reason):
             minimum_degree_ordering(laplacian_2d(5))
-        (event,) = _unavailable_events()[seen:]
-        assert event.attrs["reason"] == reason
+        assert len(build_attempts) == 1
         # Nothing half-made is left for the next process to trip over.
         leftovers = [
             name
@@ -397,18 +407,23 @@ class TestHelperBuild:
         (so_path,) = _helper_objects(tmp_path)
         os.truncate(so_path, 100)
 
-        seen = len(get_event_log().events("so_rebuilt"))
-        unavailable = len(_unavailable_events())
+        outcomes = []
+        build_file_once = cache_module.build_file_once
+
+        def recorded(*args, **kwargs):
+            outcomes.append(build_file_once(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(cache_module, "build_file_once", recorded)
         monkeypatch.setenv("REPRO_CC", "cc")
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         monkeypatch.setattr(native, "_LOADER", native._Loader())
         lib = native.helper()
         assert lib is not None
         assert np.array_equal(lib.postorder(np.array([2, 2, -1])), [0, 1, 2])
-        rebuilt = get_event_log().events("so_rebuilt")[seen:]
-        assert [ev.attrs["path"] for ev in rebuilt] == [str(so_path)]
+        # The truncated file answered "hit", failed to load and was built once again.
+        assert outcomes == ["hit", "built"]
         assert os.path.getsize(so_path) > 100
-        assert len(_unavailable_events()) == unavailable
 
     def test_two_cold_processes_run_one_cc_between_them(self, tmp_path):
         real_cc = shutil.which("cc")
@@ -585,12 +600,11 @@ class TestTwoPartBuild:
         monkeypatch.setattr(native, "_CC_TIMEOUT_SECONDS", 0.5)
         cpus(count)
         pids = tmp_path / "pids"
-        seen = len(_unavailable_events())
-        fresh_loader(_fake_compiler(tmp_path, f'sleep 30 > /dev/null 2>&1 &\necho $! >> "{pids}"\nwait'))
-        with pytest.raises(CCompilationError, match="timeout"):
+        compiler = _fake_compiler(tmp_path, f'sleep 30 > /dev/null 2>&1 &\necho $! >> "{pids}"\nwait')
+        fresh_loader(compiler)
+        with pytest.raises(CCompilationError, match=r"unavailable \(timeout\)") as caught:
             native.helper()
-        (event,) = _unavailable_events()[seen:]
-        assert event.attrs["reason"] == "timeout"
+        assert compiler in str(caught.value)
         assert len(pids.read_text(encoding="utf-8").split()) == count
         assert_pids_gone(pids)
 

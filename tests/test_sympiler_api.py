@@ -98,7 +98,12 @@ _NO_TOOLCHAIN_SCRIPT = textwrap.dedent(
             return str(exc)
         return None
 
+    pcg_front = SpecializedSolver()
+    pcg_before = pcg_front.cache_info()
+    pcg_errors = [error(lambda: pcg_front.solve(S, b, method="pcg")) for _ in range(2)]
+
     report = {
+        "pcg": {"errors": pcg_errors, "before": pcg_before, "after": pcg_front.cache_info()},
         "residuals": [float(np.linalg.norm(M @ x - rhs) / np.linalg.norm(rhs)) for M, rhs, x in answers],
         "splu_bitwise": bool((answers[2][2] == splu(S2).solve(b)).all()),
         "warnings": [str(w.message) for w in caught],
@@ -159,6 +164,12 @@ class TestWithoutAToolchain:
         assert len(warned) == 3
         for message in warned:
             assert "'/nonexistent-cc' not found" in message and "splu" in message
+
+    def test_a_failing_pcg_compile_caches_nothing(self, no_toolchain_report):
+        pcg = no_toolchain_report["pcg"]
+        for message in pcg["errors"]:
+            assert message is not None and "'/nonexistent-cc' not found" in message
+        assert pcg["after"] == pcg["before"]
 
     def test_every_compile_raises_naming_the_compiler(self, no_toolchain_report):
         errors = no_toolchain_report["errors"]

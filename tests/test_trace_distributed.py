@@ -1,21 +1,19 @@
-"""Distributed tracing, structured events, and health across process scales.
+"""Distributed tracing and health across process scales.
 
 Covers the cross-process span-context contract (client headers → server
-``attach_remote`` → merged Chrome trace), the bounded structured event log,
-the ``health``/``trace``/``ping`` wire verbs, and the Prometheus relabeling
-edge cases (quote/backslash escaping, pre-existing labels).
+``attach_remote`` → merged Chrome trace), the
+``health``/``trace``/``ping`` wire verbs, the service's lifecycle counters,
+and the Prometheus relabeling edge cases (quote/backslash escaping,
+pre-existing labels).
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
 from repro import observe
 from repro.compiler.options import SympilerOptions
-from repro.observe.events import EventLog
 from repro.service import ServiceClient, SolverService, serve_background
 from repro.sparse.generators import fem_stencil_2d, laplacian_2d
 
@@ -182,45 +180,33 @@ class TestPingAndHealth:
         assert service.health()["status"] == "closed"
 
 
-class TestEventLog:
-    def test_ring_is_bounded(self):
-        log = EventLog(max_events=4)
-        for i in range(10):
-            log.emit("tick", i=i)
-        assert len(log) == 4
-        assert [e.attrs["i"] for e in log.events()] == [6, 7, 8, 9]
+class TestLifecycleCounters:
+    """Each service lifecycle edge is one counter, pulled by the ``service`` collector."""
 
-    def test_jsonl_sink_writes_one_line_per_event(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(max_events=8, jsonl_path=str(path))
-        log.emit("shard_spawn", slot=0, pid=123)
-        log.emit("failover", slot=1)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first["kind"] == "shard_spawn"
-        assert first["attrs"] == {"slot": 0, "pid": 123}
+    def test_a_registration_is_counted_cold_or_warm(self):
+        with SolverService(options=SympilerOptions(enable_vs_block=False)) as service:
+            handle = service.register_pattern(laplacian_2d(6, shift=0.1))
+            metrics = service.metrics
+            assert metrics.count("registrations") == 1
+            warm, cold = metrics.count("compile_warm"), metrics.count("compile_cold")
+            assert (warm, cold) == ((1, 0) if handle.warm else (0, 1))
 
-    def test_emit_never_raises_on_unserializable_attrs(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(max_events=8, jsonl_path=str(path))
-        log.emit("odd", payload=object())
-        assert len(log) == 1
+    def test_an_explicit_eviction_is_counted_with_its_reason(self):
+        with SolverService(options=SympilerOptions(enable_vs_block=False)) as service:
+            handle = service.register_pattern(laplacian_2d(6, shift=0.1))
+            assert service.evict(handle)
+            assert not service.evict(handle)  # a second evict drops nothing
+            assert service.metrics.count("patterns_evicted") == 1
+            assert service.metrics.count("patterns_evicted_explicit") == 1
 
-    def test_service_lifecycle_edges_emit(self):
-        log = observe.get_event_log()
-        log.clear()
-        service = SolverService(options=SympilerOptions(enable_vs_block=False))
-        try:
-            A = laplacian_2d(6, shift=0.1)
-            handle = service.register_pattern(A)
+    def test_the_lifecycle_counters_reach_the_snapshot(self):
+        with SolverService(options=SympilerOptions(enable_vs_block=False)) as service:
+            handle = service.register_pattern(laplacian_2d(6, shift=0.1))
             service.evict(handle)
-        finally:
-            service.close()
-            kinds = log.kinds()
-            log.clear()
-        assert "compile_cold" in kinds or "compile_warm" in kinds
-        assert "pattern_evicted" in kinds
+            name = service.metrics.register_collector()
+            counters = observe.snapshot()["collectors"][name]["counters"]
+            assert counters["registrations"] == 1
+            assert counters["patterns_evicted"] == 1
 
 
 class TestRelabelEscaping:
