@@ -314,7 +314,7 @@ def build_and_load(
             if rebuilt:
                 raise error(
                     "unloadable",
-                    f"shared object {so_path} cannot be loaded even after a rebuild: {exc}",
+                    f"shared object {so_path} built by {cc[0]} cannot be loaded even after a rebuild: {exc}",
                 ) from exc
     raise AssertionError("unreachable")  # pragma: no cover
 

@@ -161,11 +161,23 @@ class DiskCacheStats:
         # bare `stats.field += 1` is a read-modify-write that can drop
         # increments under contention, so all mutation goes through bump().
         self._lock = threading.Lock()
+        self._this_thread = threading.local()
 
     def bump(self, field_name: str, n: int = 1) -> None:
         """Atomically increment one counter."""
         with self._lock:
             setattr(self, field_name, getattr(self, field_name) + n)
+        if field_name in ("compiles", "py_writes"):
+            self._this_thread.generated = self.generated_on_this_thread() + n
+
+    def generated_on_this_thread(self) -> int:
+        """``compiles + py_writes`` bumped on the calling thread, ever.
+
+        Code this thread generated, whatever other threads compile at the
+        same time: a service registration reads it before and after its
+        compile to tell a warm registration from a cold one.
+        """
+        return getattr(self._this_thread, "generated", 0)
 
     def reset(self) -> None:
         """Zero every counter atomically."""

@@ -1,7 +1,7 @@
 """Unified observability: spans keep the time, collectors gather the counts.
 
 Each fact is recorded once.  Counts live on the objects that make them —
-``repro.service.metrics``'s ``ServiceMetrics``, the in-memory
+each ``SolverService``'s own counters, the in-memory
 ``ArtifactCache.stats``, the on-disk ``disk_cache_stats()`` and the front
 end's ``FrontendStats`` — and one
 :class:`~repro.observe.registry.MetricsRegistry` pulls them, through

@@ -8,9 +8,9 @@ The counts live on the objects that make them; the registry only reads them:
   → pull collector ``artifact_cache``
 * ``repro.frontend.specialized.default_frontend().stats`` (FrontendStats)
   → pull collector ``frontend``
-* ``repro.service.metrics.ServiceMetrics`` registers its *own* per-instance
-  collector on construction (see that module) because services are
-  per-instance, not process-wide.
+* each ``repro.service.session.SolverService`` registers its *own*
+  ``service`` collector on construction and drops it in ``close()``,
+  because services are per-instance, not process-wide.
 
 Adapters are *pull-mode*: nothing is pushed on the hot path; the registry
 calls these functions only when a snapshot/export is taken, so the counter

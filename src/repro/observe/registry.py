@@ -4,9 +4,9 @@ Counts live on the objects that make them; one process-wide
 :class:`MetricsRegistry` (:func:`get_registry`) pulls them into one
 document.  Its collectors read four per-object counter surfaces:
 
-* :class:`~repro.service.metrics.ServiceMetrics` — pushes its counters as a
-  ``service`` collector (registered per :class:`~repro.service.session.SolverService`)
-  and records latencies through this module's :class:`Reservoir`,
+* :class:`~repro.service.session.SolverService` — its own counters, as a
+  ``service`` collector registered per instance; it records latencies
+  through this module's :class:`Reservoir`, under its own lock,
 * :class:`~repro.compiler.cache.CacheStats` — pulled by the
   ``artifact_cache`` collector (the process-wide shared compiler cache),
 * :class:`~repro.compiler.codegen.c_backend.DiskCacheStats` — pulled by the
@@ -40,8 +40,6 @@ __all__ = [
 
 #: Samples kept per reservoir for quantile estimation (a sliding window;
 #: enough for stable p95 under the smoke workloads without unbounded growth).
-#: Re-homed here from ``repro.service.metrics`` so every surface shares one
-#: quantile implementation.
 DEFAULT_RESERVOIR_SAMPLES = 4096
 
 
@@ -77,11 +75,11 @@ def _percentile_sorted(ordered: List[float], q: float) -> float:
 class Reservoir:
     """A bounded sliding-window sample reservoir with consistent quantiles.
 
-    Re-homed from ``repro.service.metrics``: the latency deque, its running
-    count/total and the quantile math now live behind one lock, and
-    :meth:`quantiles` computes every requested percentile from **one**
-    consistent copy of the samples taken under that lock — a snapshot can
-    never mix samples from different moments into its p50 and p95.
+    The latency deque, its running count/total and the quantile math live
+    behind one lock, and :meth:`quantiles` computes every requested
+    percentile from **one** consistent copy of the samples taken under that
+    lock — a snapshot can never mix samples from different moments into its
+    p50 and p95.
     """
 
     __slots__ = ("_lock", "_samples", "count", "total")

@@ -10,10 +10,11 @@ EOF: a :class:`~repro.service.fleet.ShardFleet` worker holds one whose
 write end only its owner has, so it ends with the process that spawned it.
 
 ``--smoke`` instead runs the end-to-end self-check CI uses: boot a server on
-an ephemeral port, register several patterns over the wire, drive a mixed
-same-/cross-pattern request load through :class:`ServiceClient` connections
-from worker threads, verify every solution against a local reference solver,
-and assert the amortization invariant — **zero recompiles after warm-up**
+an ephemeral port, register three patterns from every one of ``--workers``
+:class:`ServiceClient` connections at once (each connection must receive
+equal handles), drive a mixed same-/cross-pattern request load through those
+connections from worker threads, verify every solution against a local
+reference solver, and assert the amortization invariant — **zero recompiles after warm-up**
 (no C recompiles, no python-backend kernel text written, no artifact-cache misses
 while serving).  Exits nonzero on any violation and prints the service stats
 JSON either way.
@@ -32,11 +33,13 @@ counters as one shard death and at least one failover.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import stat
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import List
 
 import numpy as np
@@ -100,33 +103,44 @@ def run_smoke(args) -> int:
             "fem": fem_stencil_2d(9, shift=0.25),
             "lap_large": laplacian_2d(15, shift=0.2),
         }
-        with ServiceClient(address) as control:
-            handles = {
-                name: control.register_pattern(A) for name, A in matrices.items()
-            }
-        # Local reference solvers (same options/ordering → same compiled
-        # kernels via the shared cache) to verify every wire solution.
-        references = {
-            name: SparseLinearSolver(
-                A, ordering="mindeg", options=service.options
-            )
-            for name, A in matrices.items()
-        }
-
-        # ---- warm-up complete; from here on, nothing may be recompiled ----
-        disk_before = disk_cache_stats().as_dict()
-        artifact_stats = next(iter(references.values())).artifact_cache.stats
-        misses_before = artifact_stats.misses
-
         names = list(matrices)
         total = args.requests
         per_worker = total // args.workers
         errors: List[str] = []
+        with contextlib.ExitStack() as stack:
+            clients = [stack.enter_context(ServiceClient(address)) for _ in range(args.workers)]
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=args.workers))
+            arrived = threading.Barrier(args.workers)
 
-        def drive(worker: int) -> None:
-            rng = np.random.default_rng(1000 + worker)
-            try:
-                with ServiceClient(address) as client:
+            def register(worker: int) -> dict:
+                arrived.wait(timeout=60)
+                first = worker % len(names)
+                order = names[first:] + names[:first]
+                return {name: clients[worker].register_pattern(matrices[name]) for name in order}
+
+            # Every connection registers every pattern at once, each starting
+            # at another one: one build per pattern, equal handles for all.
+            registered = list(pool.map(register, range(args.workers)))
+            handles = registered[0]
+            if any(other != handles for other in registered[1:]):
+                failures.append("connections registering at once received different handles")
+            # Local reference solvers (same options/ordering → same compiled
+            # kernels via the shared cache) to verify every wire solution.
+            references = {
+                name: SparseLinearSolver(
+                    A, ordering="mindeg", options=service.options
+                )
+                for name, A in matrices.items()
+            }
+
+            # ---- warm-up complete; from here on, nothing may be recompiled ----
+            disk_before = disk_cache_stats().as_dict()
+            artifact_stats = next(iter(references.values())).artifact_cache.stats
+            misses_before = artifact_stats.misses
+
+            def drive(worker: int) -> None:
+                rng = np.random.default_rng(1000 + worker)
+                try:
                     for i in range(per_worker):
                         name = names[(worker + i) % len(names)]
                         A = matrices[name]
@@ -135,20 +149,14 @@ def run_smoke(args) -> int:
                         scale = 1.0 + 0.05 * rng.random()
                         values = A.data * scale
                         rhs = np.sin(np.arange(A.n, dtype=np.float64) + worker + i)
-                        x = client.solve(handles[name], values, rhs)
+                        x = clients[worker].solve(handles[name], values, rhs)
                         expected = references[name].solve(rhs) / scale
                         if not np.allclose(x, expected, atol=1e-8):
                             errors.append(f"worker {worker} request {i}: mismatch")
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(f"worker {worker}: {type(exc).__name__}: {exc}")
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(f"worker {worker}: {type(exc).__name__}: {exc}")
 
-        threads = [
-            threading.Thread(target=drive, args=(w,)) for w in range(args.workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+            list(pool.map(drive, range(args.workers)))
 
         disk_after = disk_cache_stats().as_dict()
         misses_after = artifact_stats.misses
@@ -232,7 +240,10 @@ def run_fleet_smoke(args) -> int:
     least one failover.  Exits nonzero on any violation; prints a JSON
     report either way.
     """
+    import tempfile
+
     from repro import observe
+    from repro.service.fleet import ShardFleet
     from repro.solvers.linear_solver import SparseLinearSolver
     from repro.sparse.generators import fem_stencil_2d, laplacian_2d
 
@@ -264,121 +275,108 @@ def run_fleet_smoke(args) -> int:
     observe.enable()
     observe.reset()
     try:
-        return _run_fleet_smoke_traced(
-            args, matrices, references, request, failures, total
-        )
+        with tempfile.TemporaryDirectory(prefix="repro-fleet-smoke-") as cache_dir:
+            with ShardFleet(
+                args.shards,
+                backend=args.backend,
+                cache_dir=cache_dir,
+                max_in_flight=max(4 * total, args.max_in_flight),
+                max_patterns=args.max_patterns,
+                trace=True,
+            ) as fleet:
+                handles = {
+                    name: fleet.register_pattern(A, options=options)
+                    for name, A in matrices.items()
+                }
+                half = total // 2
+                futures = [
+                    (k, fleet.submit(handles[request(k)[0]], *request(k)[1:3]))
+                    for k in range(half)
+                ]
+                # Hard-kill a shard that owns at least one pattern, mid-stream.
+                owned = {
+                    slot: s.get("registered_patterns", 0)
+                    for slot, s in fleet.stats()["per_shard"].items()
+                }
+                victim = int(next(slot for slot, n in owned.items() if n > 0))
+                fleet.kill_shard(victim)
+                futures += [
+                    (k, fleet.submit(handles[request(k)[0]], *request(k)[1:3]))
+                    for k in range(half, total)
+                ]
+                completed = 0
+                for k, future in futures:
+                    try:
+                        x = fleet.result(future, timeout=120.0)
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        failures.append(f"request {k}: {type(exc).__name__}: {exc}")
+                        continue
+                    completed += 1
+                    if not np.allclose(x, request(k)[3], atol=1e-8):
+                        failures.append(f"request {k}: solution mismatch")
+                counters = dict(fleet.counters)
+                metrics_text = fleet.metrics_text()
+                shards_alive = fleet.stats()["shards"]
+                health = fleet.health()
+                trace_doc = fleet.chrome_trace()
     finally:
         observe.disable()
         observe.reset()
 
+    # ---- distributed-trace asserts: shard spans joined to client ids ------
+    local_pid = os.getpid()
+    span_events = [e for e in trace_doc["traceEvents"] if e.get("ph") == "X"]
+    shard_pids = sorted({e["pid"] for e in span_events if e["pid"] != local_pid})
+    client_trace_ids = {
+        e["args"].get("trace_id")
+        for e in span_events
+        if e["pid"] == local_pid and e["name"] == "wire-submit"
+    }
+    shard_trace_ids = {
+        e["args"].get("trace_id") for e in span_events if e["pid"] != local_pid
+    }
+    joined_traces = len(client_trace_ids & shard_trace_ids)
+    if len(shard_pids) < min(2, args.shards):
+        failures.append(
+            f"merged Chrome trace has spans from only {len(shard_pids)} "
+            f"shard pid(s) {shard_pids} (expected ≥ {min(2, args.shards)})"
+        )
+    if joined_traces == 0:
+        failures.append(
+            "no shard-side span shares a trace_id with a client "
+            "wire-submit span (trace propagation broken)"
+        )
+    if health.get("last_failover_at") is None:
+        failures.append("fleet health carries no last-failover timestamp")
 
-def _run_fleet_smoke_traced(args, matrices, references, request, failures, total) -> int:
-    import tempfile
-
-    from repro.service.fleet import ShardFleet
-
-    options = SympilerOptions(backend=args.backend)
-    if args.backend == "python":
-        options = options.with_updates(enable_vs_block=False)
-    with tempfile.TemporaryDirectory(prefix="repro-fleet-smoke-") as cache_dir:
-        with ShardFleet(
-            args.shards,
-            backend=args.backend,
-            cache_dir=cache_dir,
-            max_in_flight=max(4 * total, args.max_in_flight),
-            max_patterns=args.max_patterns,
-            trace=True,
-        ) as fleet:
-            handles = {
-                name: fleet.register_pattern(A, options=options)
-                for name, A in matrices.items()
-            }
-            half = total // 2
-            futures = [
-                (k, fleet.submit(handles[request(k)[0]], *request(k)[1:3]))
-                for k in range(half)
-            ]
-            # Hard-kill a shard that owns at least one pattern, mid-stream.
-            owned = {
-                slot: s.get("registered_patterns", 0)
-                for slot, s in fleet.stats()["per_shard"].items()
-            }
-            victim = int(next(slot for slot, n in owned.items() if n > 0))
-            fleet.kill_shard(victim)
-            futures += [
-                (k, fleet.submit(handles[request(k)[0]], *request(k)[1:3]))
-                for k in range(half, total)
-            ]
-            completed = 0
-            for k, future in futures:
-                try:
-                    x = fleet.result(future, timeout=120.0)
-                except Exception as exc:  # noqa: BLE001 - reported below
-                    failures.append(f"request {k}: {type(exc).__name__}: {exc}")
-                    continue
-                completed += 1
-                if not np.allclose(x, request(k)[3], atol=1e-8):
-                    failures.append(f"request {k}: solution mismatch")
-            counters = dict(fleet.counters)
-            metrics_text = fleet.metrics_text()
-            shards_alive = fleet.stats()["shards"]
-            health = fleet.health()
-            trace_doc = fleet.chrome_trace()
-
-        # ---- distributed-trace asserts: shard spans joined to client ids --
-        local_pid = os.getpid()
-        span_events = [e for e in trace_doc["traceEvents"] if e.get("ph") == "X"]
-        shard_pids = sorted({e["pid"] for e in span_events if e["pid"] != local_pid})
-        client_trace_ids = {
-            e["args"].get("trace_id")
-            for e in span_events
-            if e["pid"] == local_pid and e["name"] == "wire-submit"
-        }
-        shard_trace_ids = {
-            e["args"].get("trace_id") for e in span_events if e["pid"] != local_pid
-        }
-        joined_traces = len(client_trace_ids & shard_trace_ids)
-        if len(shard_pids) < min(2, args.shards):
-            failures.append(
-                f"merged Chrome trace has spans from only {len(shard_pids)} "
-                f"shard pid(s) {shard_pids} (expected ≥ {min(2, args.shards)})"
-            )
-        if joined_traces == 0:
-            failures.append(
-                "no shard-side span shares a trace_id with a client "
-                "wire-submit span (trace propagation broken)"
-            )
-        if health.get("last_failover_at") is None:
-            failures.append("fleet health carries no last-failover timestamp")
-
-        if completed != total:
-            failures.append(f"only {completed}/{total} requests completed")
-        if counters["shard_deaths"] != 1:
-            failures.append(
-                f"expected exactly 1 shard death, saw {counters['shard_deaths']}"
-            )
-        if counters["failovers"] < 1:
-            failures.append("killing a shard counted no failover")
-        if counters["reregisters"] != owned[str(victim)]:
-            failures.append(
-                f"replacement re-registered {counters['reregisters']} pattern(s), "
-                f"expected {owned[str(victim)]}"
-            )
-        if counters["cold_reregisters"] != 0:
-            failures.append(
-                f"{counters['cold_reregisters']} COLD re-registration(s) after "
-                "failover (expected 0: the shared disk cache must keep the "
-                "replacement warm)"
-            )
-        if shards_alive != args.shards:
-            failures.append(
-                f"fleet ended with {shards_alive} shard(s), expected {args.shards}"
-            )
-        for slot in range(args.shards):
-            if f'shard="{slot}"' not in metrics_text:
-                failures.append(f"merged metrics are missing shard=\"{slot}\" labels")
-        if "repro_fleet_shard_deaths 1" not in metrics_text:
-            failures.append("merged metrics are missing the fleet death counter")
+    if completed != total:
+        failures.append(f"only {completed}/{total} requests completed")
+    if counters["shard_deaths"] != 1:
+        failures.append(
+            f"expected exactly 1 shard death, saw {counters['shard_deaths']}"
+        )
+    if counters["failovers"] < 1:
+        failures.append("killing a shard counted no failover")
+    if counters["reregisters"] != owned[str(victim)]:
+        failures.append(
+            f"replacement re-registered {counters['reregisters']} pattern(s), "
+            f"expected {owned[str(victim)]}"
+        )
+    if counters["cold_reregisters"] != 0:
+        failures.append(
+            f"{counters['cold_reregisters']} COLD re-registration(s) after "
+            "failover (expected 0: the shared disk cache must keep the "
+            "replacement warm)"
+        )
+    if shards_alive != args.shards:
+        failures.append(
+            f"fleet ended with {shards_alive} shard(s), expected {args.shards}"
+        )
+    for slot in range(args.shards):
+        if f'shard="{slot}"' not in metrics_text:
+            failures.append(f"merged metrics are missing shard=\"{slot}\" labels")
+    if "repro_fleet_shard_deaths 1" not in metrics_text:
+        failures.append("merged metrics are missing the fleet death counter")
 
     report = {
         "shards": args.shards,

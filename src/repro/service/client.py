@@ -45,15 +45,12 @@ from repro.service.errors import (
     ShardUnavailableError,
     error_from_wire,
 )
-from repro.service.wire import TOOLCHAIN_OPTIONS, RemoteHandle, recv_message, send_message
+from repro.service.session import PatternHandle, handle_id_of
+from repro.service.wire import TOOLCHAIN_OPTIONS, recv_message, send_message
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.utils import require_real
 
-__all__ = ["ServiceClient", "RemoteHandle", "RemoteServiceError"]
-
-
-def _handle_id(handle: Union[RemoteHandle, str]) -> str:
-    return handle.handle_id if isinstance(handle, RemoteHandle) else str(handle)
+__all__ = ["ServiceClient", "RemoteServiceError"]
 
 
 def _solution_from(response: Dict, frames: List[np.ndarray]) -> np.ndarray:
@@ -250,8 +247,8 @@ class ServiceClient:
         kernel: str = "cholesky",
         ordering: str = "mindeg",
         options: Optional[Union[SympilerOptions, Dict]] = None,
-    ) -> RemoteHandle:
-        """Register ``A``'s pattern on the server; returns a remote handle.
+    ) -> PatternHandle:
+        """Register ``A``'s pattern on the server; returns its handle.
 
         ``A`` may be anything the front-end ingest layer accepts
         (:class:`CSCMatrix`, ``scipy.sparse``, COO triplets, dense) — it is
@@ -278,7 +275,7 @@ class ServiceClient:
         with observe_trace.span("wire-register", kernel=kernel, n=A.n):
             header.update(observe_trace.wire_trace_headers())
             response, _ = self._call(header, [A.indptr, A.indices, A.data])
-        return RemoteHandle(**response["handle"])
+        return PatternHandle(**response["handle"])
 
     def _send_solve(self, handle, values, rhs) -> _Request:
         # Called under the caller's span: the trace headers captured here
@@ -286,7 +283,7 @@ class ServiceClient:
         # cross-process trace edge.
         require_real(values, "values")
         require_real(rhs, "rhs")
-        header = {"op": "solve", "handle": _handle_id(handle)}
+        header = {"op": "solve", "handle": handle_id_of(handle)}
         header.update(observe_trace.wire_trace_headers())
         frames = [
             np.ascontiguousarray(values, dtype=np.float64),
@@ -296,7 +293,7 @@ class ServiceClient:
 
     def submit(
         self,
-        handle: Union[RemoteHandle, str],
+        handle: Union[PatternHandle, str],
         values: np.ndarray,
         rhs: np.ndarray,
     ) -> Future:
@@ -306,19 +303,19 @@ class ServiceClient:
         flight on one connection, so the client never waits a round trip
         between them.  The span covers sending only.
         """
-        with observe_trace.span("wire-submit", handle=_handle_id(handle)):
+        with observe_trace.span("wire-submit", handle=handle_id_of(handle)):
             return self._send_solve(handle, values, rhs)
 
     def solve(
         self,
-        handle: Union[RemoteHandle, str],
+        handle: Union[PatternHandle, str],
         values: np.ndarray,
         rhs: np.ndarray,
         *,
         timeout: Optional[float] = None,
     ) -> np.ndarray:
         """Solve one system: :meth:`submit` + :meth:`result`, one span."""
-        with observe_trace.span("wire-solve", handle=_handle_id(handle)):
+        with observe_trace.span("wire-solve", handle=handle_id_of(handle)):
             return self.result(
                 self._send_solve(handle, values, rhs),
                 timeout=self.timeout if timeout is None else timeout,
@@ -342,9 +339,9 @@ class ServiceClient:
             raise ProtocolError(f"metrics response carried {len(frames)} frames")
         return bytes(np.asarray(frames[0], dtype=np.uint8)).decode("utf-8")
 
-    def evict(self, handle: Union[RemoteHandle, str]) -> bool:
+    def evict(self, handle: Union[PatternHandle, str]) -> bool:
         """Explicitly evict a registered pattern server-side."""
-        response, _ = self._call({"op": "evict", "handle": _handle_id(handle)})
+        response, _ = self._call({"op": "evict", "handle": handle_id_of(handle)})
         return bool(response.get("evicted"))
 
     def ping(self) -> bool:

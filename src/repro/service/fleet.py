@@ -10,12 +10,16 @@ factor) stays hot there while distinct patterns spread across the fleet.
 The fleet implements the same :class:`~repro.service.endpoint.SolverEndpoint`
 surface as the in-process :class:`~repro.service.session.SolverService` and
 the single-connection :class:`~repro.service.client.ServiceClient` — code
-written against one runs against the others unchanged.
+written against one runs against the others unchanged.  A handle is the
+:class:`~repro.service.session.PatternHandle` the owning shard returned, or
+its id string.
 
 **Failure model.**  Shard death is detected lazily, at the first call that
 hits the dead connection (:class:`ShardUnavailableError` — retryable).  The
 fleet then recovers under a generation-counted lock (concurrent failures
-collapse to one recovery) and retries the caller's request once.  Recovery
+collapse to one recovery) and retries the caller's request once.  A request
+has one failover path, :meth:`ShardFleet.submit`'s (``solve`` is ``submit``
+waited on); a registration, which has no future, has its own.  Recovery
 spawns a replacement process in the dead shard's own slot — the slots never
 change, so no pattern moves — and re-registers every pattern routed there.
 Because handle ids are deterministic (a hash of the
@@ -57,8 +61,9 @@ import numpy as np
 from repro.compiler.codegen.runtime import pattern_fingerprint
 from repro.compiler.options import SympilerOptions
 from repro.observe import trace as observe_trace
-from repro.service.client import RemoteHandle, ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.errors import PatternEvictedError, ShardUnavailableError
+from repro.service.session import PatternHandle, handle_id_of
 from repro.sparse.csc import CSCMatrix
 
 __all__ = ["ShardFleet", "shard_for"]
@@ -89,7 +94,7 @@ class _Shard:
 class _FleetPattern:
     """Everything needed to re-register a pattern on a replacement shard."""
 
-    handle: RemoteHandle
+    handle: PatternHandle
     A: CSCMatrix
     kernel: str
     ordering: str
@@ -272,10 +277,8 @@ class ShardFleet:
                 raise RuntimeError("fleet is closed")
             return self._shards[shard_for(fingerprint, self.shards)]
 
-    def _record_for(self, handle: Union[RemoteHandle, str]) -> _FleetPattern:
-        handle_id = (
-            handle.handle_id if isinstance(handle, RemoteHandle) else str(handle)
-        )
+    def _record_for(self, handle: Union[PatternHandle, str]) -> _FleetPattern:
+        handle_id = handle_id_of(handle)
         with self._lock:
             record = self._patterns.get(handle_id)
         if record is None:
@@ -367,8 +370,12 @@ class ShardFleet:
         kernel: str = "cholesky",
         ordering: str = "mindeg",
         options: Optional[Union[SympilerOptions, Dict]] = None,
-    ) -> RemoteHandle:
-        """Register ``A``'s pattern on the shard its fingerprint routes to."""
+    ) -> PatternHandle:
+        """Register ``A``'s pattern on the shard its fingerprint routes to.
+
+        The control plane has no future, so a shard death here is retried
+        in this loop: one failover, then the registration again.
+        """
         if not isinstance(A, CSCMatrix):
             from repro.frontend.ingest import as_csc
 
@@ -400,30 +407,21 @@ class ShardFleet:
 
     def solve(
         self,
-        handle: Union[RemoteHandle, str],
+        handle: Union[PatternHandle, str],
         values: np.ndarray,
         rhs: np.ndarray,
         *,
         timeout: Optional[float] = None,
     ) -> np.ndarray:
-        """Solve on the owning shard, failing over once on shard death."""
-        record = self._record_for(handle)
-        attempts = 2
-        while True:
-            shard = self._route(record.fingerprint)
-            try:
-                return shard.client.solve(
-                    record.handle.handle_id, values, rhs, timeout=timeout
-                )
-            except _SHARD_FAILURES:
-                attempts -= 1
-                if attempts <= 0:
-                    raise
-                self._failover(shard)
+        """:meth:`submit` + :meth:`result`: the one failover path, waited on."""
+        return self.result(
+            self.submit(handle, values, rhs),
+            timeout=REQUEST_TIMEOUT if timeout is None else timeout,
+        )
 
     def submit(
         self,
-        handle: Union[RemoteHandle, str],
+        handle: Union[PatternHandle, str],
         values: np.ndarray,
         rhs: np.ndarray,
     ) -> Future:
@@ -490,11 +488,9 @@ class ShardFleet:
         """Wait on a :meth:`submit` future (sugar for ``future.result``)."""
         return future.result(timeout=timeout)
 
-    def evict(self, handle: Union[RemoteHandle, str]) -> bool:
+    def evict(self, handle: Union[PatternHandle, str]) -> bool:
         """Evict a pattern fleet-wide (owning shard + the fleet's records)."""
-        handle_id = (
-            handle.handle_id if isinstance(handle, RemoteHandle) else str(handle)
-        )
+        handle_id = handle_id_of(handle)
         with self._lock:
             record = self._patterns.pop(handle_id, None)
         if record is None:

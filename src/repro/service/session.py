@@ -6,7 +6,8 @@ turns the paper's inspector/executor amortization into a served resource:
 * :meth:`SolverService.register_pattern` compiles (or warm-loads) the
   factorization + triangular-solve kernels for one sparsity pattern into the
   pattern's one :class:`SparseLinearSolver`, which holds them, and returns a
-  :class:`PatternHandle` carrying the fingerprint and size metadata,
+  :class:`PatternHandle` carrying the fingerprint and size metadata — the
+  same eight fields the wire's ``register`` response carries,
 * :meth:`SolverService.submit` runs one numeric solve (new values on the
   registered pattern, one right-hand side) on the calling thread and
   returns it as an already-resolved :class:`concurrent.futures.Future`;
@@ -25,6 +26,12 @@ turns the paper's inspector/executor amortization into a served resource:
   ``max_patterns`` entries.  Evicting an entry drops its solver, and with
   it the last reference the service held to its compiled artifacts;
   evicted patterns re-register warm from the on-disk code cache.
+
+The service counts its own requests: registrations, evictions, rejections
+and each request's outcome and latency are recorded under the one lock the
+service already takes, and :meth:`SolverService.stats` reads them.  The same
+counts are the ``service`` pull collector of the observability registry
+(``repro_service_*`` in the Prometheus export).
 """
 
 from __future__ import annotations
@@ -44,13 +51,13 @@ from repro.compiler.codegen.c_backend import disk_cache_stats
 from repro.compiler.codegen.runtime import pattern_fingerprint
 from repro.compiler.options import SympilerOptions
 from repro.observe import trace as observe_trace
+from repro.observe.registry import Reservoir, get_registry
 from repro.service.admission import AdmissionController
 from repro.service.errors import (
     PatternEvictedError,
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.service.metrics import ServiceMetrics
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.utils import require_real
@@ -62,15 +69,18 @@ __all__ = ["SolverService", "PatternHandle"]
 class PatternHandle:
     """One registered pattern: identity, compile provenance and metadata.
 
-    Handles are value objects — serializable over the wire by ``handle_id``
-    — and stay valid until the pattern is evicted; solving through an
-    evicted handle raises
+    Handles are value objects, and the same type at every scale: the wire's
+    ``register`` response is ``dataclasses.asdict(handle)`` and the client
+    rebuilds the handle from it.  Any call that takes a handle also takes its
+    ``handle_id`` string.  A handle stays valid until the pattern is evicted;
+    solving through an evicted handle raises
     :class:`~repro.service.errors.PatternEvictedError` (re-register to
     get a fresh handle; the on-disk cache makes that warm).
     """
 
+    #: A hash of the (kernel, pattern, ordering, options) key: the same
+    #: registration gets the same id in every process.
     handle_id: str
-    key: tuple
     fingerprint: str
     kernel: str
     ordering: str
@@ -82,11 +92,15 @@ class PatternHandle:
     warm: bool
 
 
+def handle_id_of(handle) -> str:
+    """The id of ``handle``: a :class:`PatternHandle`'s ``handle_id``, or the id string itself."""
+    return handle.handle_id if isinstance(handle, PatternHandle) else str(handle)
+
+
 @dataclass
 class _PatternEntry:
     """Server-side state of one registered pattern."""
 
-    key: tuple
     handle: PatternHandle
     #: The pattern's one solver.  It holds the compiled factorization, whose
     #: module also solves, and its lock serializes concurrent solves.
@@ -134,20 +148,24 @@ class SolverService:
         if max_patterns < 1:
             raise ValueError("max_patterns must be at least 1")
         self.options = options or SympilerOptions()
-        self.metrics = ServiceMetrics()
-        # Pull-mode registration in the unified registry: the Prometheus
-        # export / observe.snapshot() see this service's counters without
-        # any extra hot-path cost; unregistered again in close().
-        self.metrics.register_collector()
         self.max_patterns = int(max_patterns)
         self.admission = AdmissionController(max_in_flight=max_in_flight)
         self._lock = threading.Lock()
-        #: Registered patterns, least recently registered or solved first.
-        self._entries: "OrderedDict[tuple, _PatternEntry]" = OrderedDict()
-        self._by_id: Dict[str, tuple] = {}
-        self._registering: Dict[tuple, threading.Event] = {}
+        #: Registered patterns by handle id, least recently registered or
+        #: solved first.
+        self._entries: "OrderedDict[str, _PatternEntry]" = OrderedDict()
+        self._registering: Dict[str, threading.Event] = {}
+        #: Named counts (registrations, outcomes, rejections, evictions),
+        #: each present once bumped; guarded by ``_lock``, as is the latency
+        #: reservoir, so a request records both at once.
+        self._counters: Dict[str, int] = {}
+        self._latency = Reservoir(lock=self._lock)
         self._closed = False
         self.started_at = time.time()
+        # Pull-mode registration in the unified registry: the Prometheus
+        # export / observe.snapshot() see this service's counters without
+        # any extra hot-path cost; unregistered again in close().
+        self._collector_name = get_registry().register_collector("service", self._metrics)
 
     # ------------------------------------------------------------------ #
     # Registration / eviction (the control plane)
@@ -183,114 +201,81 @@ class SolverService:
 
             A = as_csc(A)
         options = options or self.options
-        key = (
-            kernel,
-            pattern_fingerprint(A.indptr, A.indices, extra=f"n={A.n}"),
-            ordering,
-            options_fingerprint(options),
-        )
+        fingerprint = pattern_fingerprint(A.indptr, A.indices, extra=f"n={A.n}")
+        key = (kernel, fingerprint, ordering, options_fingerprint(options))
+        handle_id = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
         waited = False
         while True:
             with self._lock:
-                entry = self._entries.get(key)
+                entry = self._entries.get(handle_id)
                 if entry is not None:
-                    self.metrics.incr("registrations")
-                    if waited:
-                        self.metrics.incr("registrations_coalesced")
-                    else:
-                        self.metrics.incr("compile_warm")
-                    self._entries.move_to_end(key)
+                    self._count("registrations", "registrations_coalesced" if waited else "compile_warm")
+                    self._entries.move_to_end(handle_id)
                     return entry.handle
-                event = self._registering.get(key)
+                event = self._registering.get(handle_id)
                 if event is None:
-                    event = self._registering[key] = threading.Event()
+                    event = self._registering[handle_id] = threading.Event()
                     break  # this thread builds the entry
             waited = True
             event.wait()
         try:
-            entry = self._build_entry(A, kernel, ordering, options, key)
+            generated = disk_cache_stats().generated_on_this_thread()
+            solver = SparseLinearSolver(A, method=kernel, ordering=ordering, options=options)
+            # What this thread generated, whatever other threads compile meanwhile.
+            warm = disk_cache_stats().generated_on_this_thread() == generated
+            handle = PatternHandle(
+                handle_id=handle_id,
+                fingerprint=fingerprint,
+                kernel=solver.method,
+                ordering=ordering,
+                n=A.n,
+                nnz=A.nnz,
+                factor_nnz=solver.factor_nnz,
+                warm=warm,
+            )
             with self._lock:
-                self._entries[key] = entry
-                self._by_id[entry.handle.handle_id] = key
-                victims = list(self._entries)[: -self.max_patterns]
-            for victim in victims:
-                self._drop_entry(victim, reason="lru")
-            return entry.handle
+                self._count("registrations", "compile_warm" if warm else "compile_cold")
+                self._entries[handle_id] = _PatternEntry(handle=handle, solver=solver)
+                while len(self._entries) > self.max_patterns:
+                    self._entries.popitem(last=False)  # the least recently used
+                    self._count("patterns_evicted", "patterns_evicted_lru")
+            return handle
         finally:
             with self._lock:
-                self._registering.pop(key, None)
+                self._registering.pop(handle_id, None)
             event.set()
 
-    def _build_entry(
-        self,
-        A: CSCMatrix,
-        kernel: str,
-        ordering: str,
-        options: SympilerOptions,
-        key: tuple,
-    ) -> _PatternEntry:
-        disk_before = disk_cache_stats().as_dict()
-        solver = SparseLinearSolver(A, method=kernel, ordering=ordering, options=options)
-        disk_after = disk_cache_stats().as_dict()
-        generated = (disk_after["compiles"] - disk_before["compiles"]) + (
-            disk_after["py_writes"] - disk_before["py_writes"]
-        )
-        warm = generated == 0
-        handle = PatternHandle(
-            handle_id=hashlib.sha256(repr(key).encode()).hexdigest()[:16],
-            key=key,
-            fingerprint=key[1],
-            kernel=solver.method,
-            ordering=ordering,
-            n=A.n,
-            nnz=A.nnz,
-            factor_nnz=solver.factor_nnz,
-            warm=warm,
-        )
-        self.metrics.incr("registrations")
-        self.metrics.incr("compile_warm" if warm else "compile_cold")
-        return _PatternEntry(key=key, handle=handle, solver=solver)
-
-    def _drop_entry(self, key: tuple, *, reason: str) -> bool:
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                return False
-            self._by_id.pop(entry.handle.handle_id, None)
-        # The entry's solver goes with it once no running solve still holds
-        # the entry; the on-disk generated code survives, so re-registration
-        # is a warm (zero-recompile) path.
-        self.metrics.incr("patterns_evicted")
-        self.metrics.incr(f"patterns_evicted_{reason}")
-        return True
+    def _count(self, *names: str) -> None:
+        """Bump each named counter by one; the caller holds ``_lock``."""
+        counters = self._counters
+        for name in names:
+            counters[name] = counters.get(name, 0) + 1
 
     def evict(self, handle) -> bool:
-        """Explicitly evict one registered pattern (by handle or handle id)."""
-        key = self._resolve_key(handle, missing_ok=True)
-        if key is None:
-            return False
-        return self._drop_entry(key, reason="explicit")
+        """Explicitly evict one registered pattern (by handle or handle id).
 
-    def _resolve_key(self, handle, *, missing_ok: bool = False):
-        if isinstance(handle, PatternHandle):
-            return handle.key
+        The entry's solver goes with it once no running solve still holds
+        the entry; the on-disk generated code survives, so re-registration
+        is a warm (zero-recompile) path.
+        """
         with self._lock:
-            key = self._by_id.get(str(handle))
-        if key is None and not missing_ok:
-            raise PatternEvictedError(f"unknown handle {handle!r}")
-        return key
+            if self._entries.pop(handle_id_of(handle), None) is None:
+                return False
+            self._count("patterns_evicted", "patterns_evicted_explicit")
+        return True
 
     def _entry_for(self, handle) -> _PatternEntry:
         """The live entry of ``handle``, marked recently used."""
-        key = self._resolve_key(handle)
+        handle_id = handle_id_of(handle)
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(handle_id)
             if entry is not None:
-                self._entries.move_to_end(key)
+                self._entries.move_to_end(handle_id)
         if entry is None:
             raise PatternEvictedError(
-                f"pattern {key[1]} was evicted; re-register it for a fresh "
-                "handle (warm from the on-disk code cache)"
+                f"no registered pattern has handle {handle_id!r} (evicted, or never "
+                "registered here); re-register it for a fresh handle (warm from the "
+                "on-disk code cache)"
             )
         return entry
 
@@ -354,7 +339,8 @@ class SolverService:
         try:
             self.admission.acquire()
         except ServiceOverloadedError:
-            self.metrics.incr("rejected")
+            with self._lock:
+                self._count("rejected")
             raise
         return entry, values, rhs
 
@@ -362,23 +348,53 @@ class SolverService:
         """Run one admitted request on this thread: its pattern solver's warm step.
 
         Returns ``x``; a numeric failure raises.  Either way the admission
-        slot is released and the request recorded.
+        slot is released and the request recorded, under one lock: its
+        outcome (``solves_ok`` with ``refactorizations`` or ``value_hits``,
+        else ``solves_failed``), its pattern's solve count and its latency.
         """
         started = time.monotonic()
         refactorized = None
         try:
             with observe_trace.span("dispatch", kernel=entry.handle.kernel):
                 x, refactorized = entry.solver.step(values, rhs)
-            with self._lock:  # callers on one pattern finish concurrently
-                entry.solves += 1
         finally:
             self.admission.release()
-            self.metrics.observe_request(refactorized, time.monotonic() - started)
+            seconds = time.monotonic() - started
+            with self._lock:  # callers on one pattern finish concurrently
+                if refactorized is None:
+                    self._count("solves_failed")
+                else:
+                    entry.solves += 1
+                    self._count("solves_ok", "refactorizations" if refactorized else "value_hits")
+                self._latency.observe_locked(seconds)
         return x
 
     # ------------------------------------------------------------------ #
     # Observability / lifecycle
     # ------------------------------------------------------------------ #
+    def _metrics(self) -> Dict[str, object]:
+        """The counts: the ``service`` collector's document and the head of :meth:`stats`.
+
+        Every request is a dispatch of its own, so ``batches``, the
+        batch-size histogram, ``coalescing_ratio`` and ``max_batch_size``
+        follow from the solve count (kept for the readers of the ``stats``
+        document).  The latency quantiles come from one copy of the
+        reservoir, so p95 is never below p50.
+        """
+        with self._lock:
+            counters = dict(self._counters)
+        solves = counters.get("solves_ok", 0) + counters.get("solves_failed", 0)
+        if solves:
+            counters["batches"] = solves
+        return {
+            "counters": counters,
+            "batch_size_histogram": {"1": solves} if solves else {},
+            "solves": solves,
+            "coalescing_ratio": 1.0 if solves else 0.0,
+            "max_batch_size": 1 if solves else 0,
+            "latency": self._latency.summary(qs=(50.0, 95.0)),
+        }
+
     def stats(self) -> Dict[str, object]:
         """One JSON-friendly snapshot of the whole service."""
         with self._lock:
@@ -397,7 +413,7 @@ class SolverService:
                 "warm_registration": handle.warm,
                 "solves": entry.solves,
             }
-        snapshot = self.metrics.snapshot()
+        snapshot = self._metrics()
         snapshot.update(
             {
                 "patterns": patterns,
@@ -424,15 +440,14 @@ class SolverService:
         with self._lock:
             registered = len(self._entries)
             closed = self._closed
+            outcomes = {name: self._counters.get(name, 0) for name in ("solves_ok", "solves_failed", "rejected")}
         return {
             "status": "closed" if closed else "ok",
             "started_at": self.started_at,
             "uptime_seconds": time.time() - self.started_at,
             "registered_patterns": registered,
             "in_flight": self.admission.in_flight,
-            "solves_ok": self.metrics.count("solves_ok"),
-            "solves_failed": self.metrics.count("solves_failed"),
-            "rejected": self.metrics.count("rejected"),
+            **outcomes,
         }
 
     def metrics_text(self) -> str:
@@ -457,10 +472,9 @@ class SolverService:
         if self._closed:
             return
         self._closed = True
-        self.metrics.unregister_collector()
+        get_registry().unregister_collector(self._collector_name)
         with self._lock:
             self._entries.clear()
-            self._by_id.clear()
 
     def __enter__(self) -> "SolverService":
         return self

@@ -13,8 +13,9 @@ the socket without base64 or pickle (and without trusting the peer with
 arbitrary object deserialization).  Works identically over TCP
 (:class:`socketserver.ThreadingTCPServer`) and Unix domain sockets.
 
-Operations: ``register`` (pattern + values + kernel/options → handle
-metadata), ``solve`` (handle id + values + rhs → solution frame), ``stats``,
+Operations: ``register`` (pattern + values + kernel/options → the
+:class:`~repro.service.session.PatternHandle`'s fields, which the client
+rebuilds the handle from), ``solve`` (handle id + values + rhs → solution frame), ``stats``,
 ``metrics`` (the unified observability registry rendered as Prometheus text,
 returned as a ``uint8`` frame), ``health`` (service liveness + uptime +
 wire/pid/clock facts), ``trace`` (drain this process's finished-span buffer
@@ -61,7 +62,7 @@ import socketserver
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 from dataclasses import fields as dataclass_fields
 from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple
 
@@ -77,7 +78,6 @@ __all__ = [
     "MAGIC",
     "WIRE_VERSION",
     "ProtocolError",
-    "RemoteHandle",
     "TOOLCHAIN_OPTIONS",
     "send_message",
     "recv_message",
@@ -238,29 +238,6 @@ def _options_from_wire(payload: Optional[Dict], toolchain: SympilerOptions) -> O
     return SympilerOptions(c_compiler=toolchain.c_compiler, c_flags=toolchain.c_flags).with_updates(**payload)
 
 
-@dataclass(frozen=True)
-class RemoteHandle:
-    """A registered pattern as it crosses the wire.
-
-    The serializable subset of the server's ``PatternHandle``: the
-    ``register`` response is built from these fields and the client
-    rebuilds the record from that response, so the schema is written once.
-    """
-
-    handle_id: str
-    fingerprint: str
-    kernel: str
-    ordering: str
-    n: int
-    nnz: int
-    factor_nnz: int
-    warm: bool
-
-
-def _handle_payload(handle) -> Dict:
-    return {f.name: getattr(handle, f.name) for f in dataclass_fields(RemoteHandle)}
-
-
 def handle_request(
     service: SolverService, header: Dict, frames: List[np.ndarray]
 ) -> Tuple[Dict, List[np.ndarray]]:
@@ -350,7 +327,7 @@ def _dispatch_op(
             ordering=str(header.get("ordering", "mindeg")),
             options=_options_from_wire(header.get("options"), service.options),
         )
-        return {"ok": True, "handle": _handle_payload(handle)}, []
+        return {"ok": True, "handle": asdict(handle)}, []
     if op == "solve":
         if len(frames) != 2:
             raise ProtocolError(

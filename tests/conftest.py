@@ -106,7 +106,7 @@ def park_solve():
     def park(service, handle, values=None, rhs=None):
         entered, released = threading.Event(), threading.Event()
         parked = types.SimpleNamespace(entered=entered, future=None)
-        solver = service._entries[service._resolve_key(handle.handle_id)].solver
+        solver = service._entries[handle.handle_id].solver
         _park_next_step(solver, entered, released)
         solver_ref, solver = weakref.ref(solver), None
         helper = None

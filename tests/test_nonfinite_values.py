@@ -143,5 +143,5 @@ def test_service_fails_only_the_poisoned_request(backend, bad):
             futures[1].result()
     np.testing.assert_allclose(good0, 2.0 * good2, atol=1e-10)
     np.testing.assert_allclose(A.matvec(good0), rhs, atol=1e-8)
-    assert svc.metrics.count("solves_failed") == 1
-    assert svc.metrics.count("solves_ok") == 2
+    assert svc.stats()["counters"]["solves_failed"] == 1
+    assert svc.stats()["counters"]["solves_ok"] == 2

@@ -206,10 +206,10 @@ class TestRegistry:
         assert res.summary()["count"] == 110
 
     def test_percentile_has_one_home(self):
-        from repro.service import metrics as service_metrics
+        from repro.service import session
 
         assert observe.percentile is percentile
-        assert not hasattr(service_metrics, "percentile")
+        assert not hasattr(session, "percentile")
         assert percentile([1.0, 2.0, 3.0, 4.0], 50.0) == pytest.approx(2.5)
         assert percentile([], 95.0) == 0.0
 
@@ -378,30 +378,40 @@ class TestPipelineIntegration:
 # --------------------------------------------------------------------------- #
 class TestServiceIntegration:
     def test_service_metrics_register_as_collectors(self):
-        from repro.service.metrics import ServiceMetrics
+        from repro.compiler.options import SympilerOptions
+        from repro.service.session import SolverService
 
-        m1, m2 = ServiceMetrics(), ServiceMetrics()
-        n1 = m1.register_collector()
-        n2 = m2.register_collector()
+        s1 = SolverService(options=SympilerOptions(backend="python"))
+        s2 = SolverService(options=SympilerOptions(backend="python"))
+        n1, n2 = s1._collector_name, s2._collector_name
         try:
             assert n1 != n2 and n2.startswith("service")
-            assert m1.register_collector() == n1  # idempotent
-            m1.incr("solves_ok", 5)
+            A = laplacian_2d(6, shift=0.1)
+            handle = s1.register_pattern(A)
+            for k in range(5):
+                s1.solve(handle, A.data * (1.0 + k), np.ones(A.n))
             snap = get_registry().collect()
             assert snap[n1]["counters"]["solves_ok"] == 5
+            assert "solves_ok" not in snap[n2]["counters"]
+            # The collector's document is the head of stats(), key for key.
+            stats = s1.stats()
+            assert {k: stats[k] for k in snap[n1]} == snap[n1]
         finally:
-            m1.unregister_collector()
-            m2.unregister_collector()
+            s1.close()
+            s2.close()
         names = get_registry().collect()
         assert n1 not in names and n2 not in names
 
     def test_latency_snapshot_quantiles_are_consistent(self):
-        from repro.service.metrics import ServiceMetrics
+        from repro.compiler.options import SympilerOptions
+        from repro.service.session import SolverService
 
-        metrics = ServiceMetrics()
-        for v in (0.001, 0.002, 0.003, 0.010):
-            metrics.observe_request(True, v)
-        latency = metrics.snapshot()["latency"]
+        A = laplacian_2d(6, shift=0.1)
+        with SolverService(options=SympilerOptions(backend="python")) as service:
+            handle = service.register_pattern(A)
+            for k in range(4):
+                service.solve(handle, A.data * (1.0 + k), np.ones(A.n))
+            latency = service.stats()["latency"]
         assert latency["count"] == 4
         assert latency["p50_seconds"] <= latency["p95_seconds"]
 

@@ -43,7 +43,6 @@ _EXPORTED_WITHOUT_A_CALLER = {
     "natural_ordering": "reached by name through ordering_by_name",
     "reverse_cuthill_mckee": "reached by name through ordering_by_name",
     "column_counts_of_factor": "the per-column factor counts the planned FLOP models read (ROADMAP items 6, 12, 15)",
-    "PatternHandle": "the type SolverService.register_pattern returns; callers hold it without naming it",
     "SolverEndpoint": "the protocol the three serving classes implement; callers type against it",
     "CacheStats": "the type ArtifactCache.stats returns",
     "MetricsRegistry": "the type get_registry returns",

@@ -28,7 +28,6 @@ from repro.service import (
     SolverService,
 )
 from repro.service.admission import RETRY_AFTER_SECONDS, AdmissionController
-from repro.service.metrics import ServiceMetrics
 from repro.solvers.linear_solver import SparseLinearSolver
 from repro.frontend import SpecializedSolver
 from repro.sparse.generators import (
@@ -55,6 +54,11 @@ def _service(**kwargs):
     return SolverService(**kwargs)
 
 
+def _count(svc, name):
+    """One named counter of ``svc``, as its ``stats()`` reports it (0 when never bumped)."""
+    return svc.stats()["counters"].get(name, 0)
+
+
 class TestRegistration:
     def test_register_returns_metadata(self):
         A = laplacian_2d(8, shift=0.1)
@@ -72,8 +76,8 @@ class TestRegistration:
             first = svc.register_pattern(A)
             second = svc.register_pattern(A)
             assert first.handle_id == second.handle_id
-            assert svc.metrics.count("registrations") == 2
-            assert svc.metrics.count("compile_warm") >= 1
+            assert _count(svc, "registrations") == 2
+            assert _count(svc, "compile_warm") >= 1
 
     def test_distinct_options_register_distinct_entries(self):
         A = laplacian_2d(8, shift=0.1)
@@ -108,8 +112,8 @@ class TestRegistration:
             assert all(h is not None for h in handles)
             assert len({h.handle_id for h in handles}) == 1
             # One build: exactly one cold registration, the rest warm/coalesced.
-            assert svc.metrics.count("compile_cold") <= 1
-            assert svc.metrics.count("registrations") == 4
+            assert _count(svc, "compile_cold") <= 1
+            assert _count(svc, "registrations") == 4
 
     def test_closed_service_rejects_registration(self):
         svc = _service()
@@ -227,8 +231,8 @@ class TestSolve:
                 futures[1].result()
         assert np.isfinite(good0).all() and np.isfinite(good2).all()
         assert np.allclose(good0, good2 * 2.0, atol=1e-8)
-        assert svc.metrics.count("solves_failed") == 1
-        assert svc.metrics.count("solves_ok") == 2
+        assert _count(svc, "solves_failed") == 1
+        assert _count(svc, "solves_ok") == 2
 
     def test_shape_validation_raises_synchronously(self):
         A = laplacian_2d(6, shift=0.1)
@@ -358,7 +362,7 @@ class TestHandleIds:
             with pytest.raises(PatternEvictedError):
                 svc.submit("0" * 16, np.ones(3), np.ones(3))
             assert svc.admission.in_flight == 0
-            assert svc.metrics.count("solves_failed") == 0
+            assert _count(svc, "solves_failed") == 0
 
 
 class TestAdmission:
@@ -404,7 +408,7 @@ class TestAdmission:
             # The one slot is free again: a good request is admitted and solves.
             x = svc.solve(handle, A.data, np.ones(A.n))
             assert np.linalg.norm(A.matvec(x) - np.ones(A.n)) < 1e-10
-            assert svc.metrics.count("rejected") == 0
+            assert _count(svc, "rejected") == 0
 
     def test_a_rejection_is_counted(self, park_solve):
         A = laplacian_2d(6, shift=0.1)
@@ -415,7 +419,7 @@ class TestAdmission:
                     svc.submit(handle, A.data, np.ones(A.n))
                 assert svc.admission.in_flight == 1
             assert caught.value.retry_after == RETRY_AFTER_SECONDS
-            assert svc.metrics.count("rejected") == 1
+            assert _count(svc, "rejected") == 1
             assert svc.health()["rejected"] == 1
 
 
@@ -450,12 +454,33 @@ class TestEviction:
             x = svc.solve(handle2, A.data, np.ones(A.n))
             assert np.isfinite(x).all()
 
+    def test_a_warm_registration_reads_warm_while_another_thread_compiles(self, monkeypatch):
+        """``warm`` counts only the code the registering thread generated."""
+        import repro.service.session as session
+
+        A = laplacian_2d(8, shift=0.15)
+        with _service() as svc:
+            svc.register_pattern(A)  # the shared artifact cache now holds its kernels
+        build = session.SparseLinearSolver
+
+        def build_while_another_thread_compiles(*args, **kwargs):
+            # Another thread's `cc` finishes inside this registration's window.
+            other = threading.Thread(target=disk_cache_stats().bump, args=("compiles",))
+            other.start()
+            other.join()
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(session, "SparseLinearSolver", build_while_another_thread_compiles)
+        with _service() as svc:
+            assert svc.register_pattern(A).warm
+            assert (_count(svc, "compile_warm"), _count(svc, "compile_cold")) == (1, 0)
+
     def test_lru_budget_evicts_oldest_pattern(self):
         with _service(max_patterns=2) as svc:
             h1 = svc.register_pattern(laplacian_2d(6, shift=0.1))
             h2 = svc.register_pattern(laplacian_2d(7, shift=0.1))
             h3 = svc.register_pattern(laplacian_2d(8, shift=0.1))
-            assert svc.metrics.count("patterns_evicted") == 1
+            assert _count(svc, "patterns_evicted") == 1
             with pytest.raises(PatternEvictedError):
                 A = laplacian_2d(6, shift=0.1)
                 svc.solve(h1, A.data, np.ones(A.n))
@@ -502,7 +527,7 @@ class TestMetricsAndStats:
             with park_solve(svc, handle, A.data, np.ones(A.n)):
                 with pytest.raises(ServiceOverloadedError):
                     svc.submit(handle, A.data, np.ones(A.n))
-                assert svc.metrics.count("rejected") == 1
+                assert _count(svc, "rejected") == 1
 
     def test_health_counts_the_outcomes(self):
         A = laplacian_2d(6, shift=0.1)
@@ -531,7 +556,7 @@ class TestMetricsAndStats:
             handle = svc.register_pattern(A)
             for k in range(3):
                 svc.solve(handle, A.data * (1.0 + k), np.ones(A.n))
-            latency = svc.metrics.snapshot()["latency"]
+            latency = svc.stats()["latency"]
         assert latency["count"] == 3
         assert 0.0 < latency["p50_seconds"] <= latency["p95_seconds"]
 
@@ -543,21 +568,34 @@ class TestMetricsAndStats:
             percentile([1.0], 200.0)
 
     def test_metrics_thread_safety(self):
-        metrics = ServiceMetrics()
+        """N threads x M solves: every outcome and every latency sample is recorded once."""
+        threads_n, solves_m = 8, 25
+        A = laplacian_2d(6, shift=0.1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _service() as svc:
+                handle = svc.register_pattern(A)
 
-        def bump():
-            for _ in range(500):
-                metrics.incr("solves_ok")
-                metrics.observe_request(None, 0.001)
+                def drive(worker):
+                    for k in range(solves_m):
+                        svc.solve(handle, A.data * (1.0 + 0.01 * (worker + k)), np.ones(A.n))
 
-        threads = [threading.Thread(target=bump) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert metrics.count("solves_ok") == 4000 and metrics.count("solves_failed") == 4000
-        assert metrics.snapshot()["latency"]["count"] == 4000
-        assert metrics.snapshot()["latency"]["count"] == 4000
+                threads = [threading.Thread(target=drive, args=(w,)) for w in range(threads_n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                stats = svc.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads_n * solves_m
+        counters = stats["counters"]
+        assert counters["solves_ok"] == total and "solves_failed" not in counters
+        assert counters["refactorizations"] + counters.get("value_hits", 0) == total
+        assert stats["latency"]["count"] == total
+        assert stats["patterns"][handle.handle_id]["solves"] == total
+        assert stats["batch_size_histogram"] == {"1": total}
 
 
 class TestConcurrentTraffic:
@@ -632,7 +670,7 @@ class TestConcurrentTraffic:
         with _service(options=options) as svc:
             handles = [svc.register_pattern(A) for A in systems]
             shared = {
-                svc._entries[h.key].solver.compiled_artifacts[0].module.shared_object
+                svc._entries[h.handle_id].solver.compiled_artifacts[0].module.shared_object
                 for h in handles
             }
             assert len(shared) == 1
@@ -668,7 +706,7 @@ class TestArtifactLifetime:
         options = SympilerOptions(enable_vs_block=False)
         with _service(options=options) as svc:
             handle = svc.register_pattern(A, ordering="natural")
-            stats = svc._entries[handle.key].solver.artifact_cache.stats
+            stats = svc._entries[handle.handle_id].solver.artifact_cache.stats
             assert svc.evict(handle)
             misses = stats.misses
             SparseLinearSolver(A, method="cholesky", ordering="natural", options=options)
@@ -680,7 +718,7 @@ class TestArtifactLifetime:
         try:
             handles = [svc.register_pattern(M) for M in (A, B)]
             svc.solve(handles[0], A.data, np.ones(A.n), timeout=30)
-            refs = [weakref.ref(svc._entries[h.key].solver) for h in handles]
+            refs = [weakref.ref(svc._entries[h.handle_id].solver) for h in handles]
             assert svc.evict(handles[0])
             gc.collect()
             assert refs[0]() is None and refs[1]() is not None
@@ -765,7 +803,7 @@ class TestSettableValues:
             (ShardFleet, ["shards", "backend", "max_in_flight", "max_patterns", "cache_dir", "trace"]),
             (SolverService, ["options", "max_in_flight", "max_patterns"]),
             (AdmissionController, ["max_in_flight"]),
-            (ServiceMetrics, []),
+            (ServiceClient, ["address", "timeout"]),
             (observe.enable, []),
             (ServiceClient.trace_spans, ["self"]),
             (snapshot, []),

@@ -147,6 +147,22 @@ class TestShardFleet:
         assert handle.handle_id in per_shard[str(slot)].get("patterns", {})
         assert fleet.counters["respawns"] == 1
 
+    def test_solve_fails_over_through_submit(self, fleet, monkeypatch):
+        """A synchronous solve on a killed owner recovers on submit's one failover path."""
+        A = laplacian_2d(10, shift=0.15)
+        handle = fleet.register_pattern(A)
+        rhs = np.cos(np.arange(A.n, dtype=np.float64))
+        before = fleet.solve(handle, A.data, rhs)
+        submits = []
+        submit = fleet.submit
+        monkeypatch.setattr(fleet, "submit", lambda *args: submits.append(args) or submit(*args))
+        fleet.kill_shard(shard_for(handle.fingerprint, 2))
+        after = fleet.solve(handle, A.data, rhs)
+        assert np.array_equal(after, before)
+        assert len(submits) == 1
+        assert fleet.counters["failovers"] == 1
+        assert fleet.counters["shard_deaths"] == 1
+
     def test_pipelined_submits_survive_shard_death(self, fleet):
         """Futures in flight on the dying shard resubmit after recovery."""
         mats = self._matrices()

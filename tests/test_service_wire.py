@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import re
+from dataclasses import asdict
 import threading
 import time
 
@@ -14,6 +15,7 @@ from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
 from repro.service import (
     PatternEvictedError,
+    PatternHandle,
     ServiceClient,
     ServiceOverloadedError,
     SolverService,
@@ -302,6 +304,21 @@ class TestEndToEnd:
             x = client.solve(handle.handle_id, A.data, np.ones(A.n))
             assert np.isfinite(x).all()
 
+    def test_the_wire_handle_is_the_services_own(self, served):
+        """One handle type: the client's handle equals the service's, field for field."""
+        address, service = served
+        A = laplacian_2d(7, shift=0.25)
+        with ServiceClient(address) as client:
+            remote = client.register_pattern(A)
+        local = service.register_pattern(A)
+        assert type(remote) is PatternHandle and type(local) is PatternHandle
+        assert asdict(remote) == asdict(local)
+        # The in-process service takes the client's handle, and its id string.
+        x = service.solve(local, A.data, np.ones(A.n))
+        for handle in (remote, remote.handle_id):
+            assert np.array_equal(service.solve(handle, A.data, np.ones(A.n)), x)
+        assert service.evict(remote.handle_id) and not service.evict(remote)
+
     def test_unknown_handle_maps_to_pattern_evicted(self, served):
         address, _ = served
         with ServiceClient(address) as client:
@@ -418,7 +435,7 @@ class TestEndToEnd:
         baseline = results[0]
         for x in results.values():
             assert np.allclose(x, baseline, atol=1e-8)
-        assert service.metrics.count("solves_ok") >= 8
+        assert service.stats()["counters"]["solves_ok"] >= 8
 
     def test_v2_timeout_orphans_only_that_request(self, served, park_solve):
         """A timed-out solve is abandoned by id: the late response is
@@ -479,7 +496,7 @@ class TestPipelining:
             for rhs, future in zip(rhss, futures):
                 x = client.result(future, timeout=60)
                 assert np.array_equal(x, ref.solve(rhs))
-        assert service.metrics.count("solves_ok") >= 24
+        assert service.stats()["counters"]["solves_ok"] >= 24
 
     def test_many_threads_share_one_connection(self, served):
         """More submitting threads than cores on ONE client, with a short

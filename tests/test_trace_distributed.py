@@ -186,9 +186,9 @@ class TestLifecycleCounters:
     def test_a_registration_is_counted_cold_or_warm(self):
         with SolverService(options=SympilerOptions(enable_vs_block=False)) as service:
             handle = service.register_pattern(laplacian_2d(6, shift=0.1))
-            metrics = service.metrics
-            assert metrics.count("registrations") == 1
-            warm, cold = metrics.count("compile_warm"), metrics.count("compile_cold")
+            counters = service.stats()["counters"]
+            assert counters["registrations"] == 1
+            warm, cold = counters.get("compile_warm", 0), counters.get("compile_cold", 0)
             assert (warm, cold) == ((1, 0) if handle.warm else (0, 1))
 
     def test_an_explicit_eviction_is_counted_with_its_reason(self):
@@ -196,15 +196,15 @@ class TestLifecycleCounters:
             handle = service.register_pattern(laplacian_2d(6, shift=0.1))
             assert service.evict(handle)
             assert not service.evict(handle)  # a second evict drops nothing
-            assert service.metrics.count("patterns_evicted") == 1
-            assert service.metrics.count("patterns_evicted_explicit") == 1
+            counters = service.stats()["counters"]
+            assert counters["patterns_evicted"] == 1
+            assert counters["patterns_evicted_explicit"] == 1
 
     def test_the_lifecycle_counters_reach_the_snapshot(self):
         with SolverService(options=SympilerOptions(enable_vs_block=False)) as service:
             handle = service.register_pattern(laplacian_2d(6, shift=0.1))
             service.evict(handle)
-            name = service.metrics.register_collector()
-            counters = observe.snapshot()["collectors"][name]["counters"]
+            counters = observe.snapshot()["collectors"][service._collector_name]["counters"]
             assert counters["registrations"] == 1
             assert counters["patterns_evicted"] == 1
 
